@@ -16,11 +16,9 @@ package tracy
 // against the paper's Table 4.
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
-	"os"
 	"testing"
 	"time"
 
@@ -318,7 +316,7 @@ func BenchmarkFunctionCompareInstrumented(b *testing.B) {
 }
 
 // TestTelemetryOverheadReport measures Compare throughput with and without
-// a collector and writes BENCH_telemetry.json. A single point estimate on a
+// a collector and logs the result. A single point estimate on a
 // shared runner is noise — early runs reported a *negative* overhead — so
 // the test takes paired samples (instrumented and noop interleaved, order
 // alternating each round) and reports the mean overhead with a 95%
@@ -392,25 +390,6 @@ func TestTelemetryOverheadReport(t *testing.T) {
 	lo, hi := mean-t95*stderr, mean+t95*stderr
 
 	const target = 3.0
-	report := map[string]any{
-		"benchmark":              "FunctionCompare (120-stmt pair, k=3)",
-		"methodology":            "paired interleaved rounds, alternating order; overhead is the mean per-round relative difference with a 95% t-interval",
-		"noop_ns_per_op":         noopNS,
-		"instrumented_ns_per_op": instNS,
-		"overhead_pct":           mean,
-		"overhead_ci95_pct":      []float64{lo, hi},
-		"rounds":                 rounds,
-		"ops_per_round":          batchOps,
-		"target_overhead_pct":    target,
-		"significant_regression": lo > target,
-	}
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_telemetry.json", append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
 	t.Logf("noop %.0f ns/op, instrumented %.0f ns/op, overhead %.2f%% (95%% CI [%.2f%%, %.2f%%])",
 		noopNS, instNS, mean, lo, hi)
 	if lo > target {

@@ -4,11 +4,15 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/index"
+	"repro/internal/server"
 	"repro/internal/telemetry"
 	"repro/internal/tinyc"
 )
@@ -306,6 +310,40 @@ func TestSearchStatsSummaryAndFile(t *testing.T) {
 	}
 }
 
+// spanNode is the JSON shape of a span tree, as written by -trace-json
+// and served at /debug/requests.
+type spanNode struct {
+	Name     string           `json:"name"`
+	DurNS    int64            `json:"dur_ns"`
+	Attrs    map[string]int64 `json:"attrs"`
+	Children []spanNode       `json:"children"`
+}
+
+// engineStages returns, in order, the children of root that are stages
+// of the search engine (as opposed to the transport around it).
+func engineStages(root spanNode) []string {
+	var out []string
+	for _, c := range root.Children {
+		switch c.Name {
+		case "prefilter", "compare", "prune", "rank":
+			out = append(out, c.Name)
+		}
+	}
+	return out
+}
+
+// perCandidateSpans counts the compare:<name> children of root's
+// "compare" stage.
+func perCandidateSpans(root spanNode) int {
+	n := 0
+	for _, c := range root.Children {
+		if c.Name == "compare" {
+			n += len(c.Children)
+		}
+	}
+	return n
+}
+
 func TestSearchTraceJSON(t *testing.T) {
 	db, q := searchStatsSetup(t)
 	out, err := run(t, "search", "-db", db, "-exe", q, "-trace-json", "-")
@@ -316,18 +354,7 @@ func TestSearchTraceJSON(t *testing.T) {
 	if idx < 0 {
 		t.Fatalf("no JSON in output:\n%s", out)
 	}
-	var span struct {
-		Name     string `json:"name"`
-		DurNS    int64  `json:"dur_ns"`
-		Children []struct {
-			Name     string           `json:"name"`
-			Attrs    map[string]int64 `json:"attrs"`
-			Children []struct {
-				Name  string           `json:"name"`
-				Attrs map[string]int64 `json:"attrs"`
-			} `json:"children"`
-		} `json:"children"`
-	}
+	var span spanNode
 	if err := json.Unmarshal([]byte(out[idx:]), &span); err != nil {
 		t.Fatalf("trace-json invalid: %v\n%s", err, out[idx:])
 	}
@@ -338,7 +365,7 @@ func TestSearchTraceJSON(t *testing.T) {
 	var compares int
 	for _, c := range span.Children {
 		names[c.Name] = true
-		if c.Name == "scan" {
+		if c.Name == "compare" {
 			for _, cc := range c.Children {
 				if strings.HasPrefix(cc.Name, "compare:") {
 					compares++
@@ -349,13 +376,85 @@ func TestSearchTraceJSON(t *testing.T) {
 			}
 		}
 	}
-	for _, want := range []string{"decompose", "scan", "rank"} {
+	for _, want := range []string{"decompose", "compare", "prune", "rank"} {
 		if !names[want] {
 			t.Errorf("trace missing %q child (have %v)", want, names)
 		}
 	}
 	if compares == 0 {
-		t.Error("no compare spans under scan")
+		t.Error("no compare:<name> spans under compare")
+	}
+}
+
+// TestStageNamesSameOfflineAndServed: `tracy search -trace-json` and a
+// served request's flight-recorder span tree name the engine's stages
+// identically, on every kind of search. Only the offline trace, which
+// passes opts.Trace, carries per-candidate compare:<name> spans.
+func TestStageNamesSameOfflineAndServed(t *testing.T) {
+	dbPath, q := searchStatsSetup(t)
+	db, err := index.OpenFile(dbPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	e := db.Entries[0]
+
+	cases := []struct {
+		name string
+		args []string
+		req  server.SearchRequest
+		want []string
+	}{
+		{"exhaustive", nil, server.SearchRequest{}, []string{"compare", "prune", "rank"}},
+		{"scan", []string{"-candidates", "2"}, server.SearchRequest{Candidates: 2},
+			[]string{"prefilter", "compare", "prune", "rank"}},
+		{"lsh", []string{"-candidates", "2", "-prefilter-mode", "lsh"},
+			server.SearchRequest{Candidates: 2, PrefilterMode: "lsh"},
+			[]string{"prefilter", "compare", "prune", "rank"}},
+	}
+	for _, tc := range cases {
+		args := append([]string{"search", "-db", dbPath, "-exe", q, "-trace-json", "-"}, tc.args...)
+		out, err := run(t, args...)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		var offline spanNode
+		if err := json.Unmarshal([]byte(out[strings.Index(out, "{"):]), &offline); err != nil {
+			t.Fatalf("%s: trace-json invalid: %v", tc.name, err)
+		}
+
+		h := server.NewFromDB(db, server.Config{}).Handler()
+		tc.req.Exe, tc.req.Name = e.Exe, e.Name
+		body, _ := json.Marshal(tc.req)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/search", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: served search: HTTP %d: %s", tc.name, rec.Code, rec.Body)
+		}
+		rec = httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/debug/requests", nil))
+		var flight struct {
+			Slowest []struct {
+				Span spanNode `json:"span"`
+			} `json:"slowest"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &flight); err != nil || len(flight.Slowest) != 1 {
+			t.Fatalf("%s: /debug/requests: %v\n%s", tc.name, err, rec.Body)
+		}
+		served := flight.Slowest[0].Span
+
+		if got := engineStages(offline); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s: offline stages %v, want %v", tc.name, got, tc.want)
+		}
+		if got := engineStages(served); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s: served stages %v, want %v", tc.name, got, tc.want)
+		}
+		if n := perCandidateSpans(offline); n == 0 {
+			t.Errorf("%s: offline compare stage has no compare:<name> spans", tc.name)
+		}
+		if n := perCandidateSpans(served); n != 0 {
+			t.Errorf("%s: served compare stage has %d per-candidate spans, want 0", tc.name, n)
+		}
 	}
 }
 

@@ -22,6 +22,7 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/align"
 	"repro/internal/asm"
@@ -978,60 +979,48 @@ func (m *Matcher) CompareMany(ref *Decomposed, targets []*Decomposed) []Result {
 	return out
 }
 
-// CompareManyCtx is CompareMany with cooperative cancellation: the
-// dispatcher stops handing out targets once cc is done, in-flight
-// compares abort at their next poll, and the first context error observed
-// is returned. On error the result slice is partial (untouched slots are
-// zero Results) and must be discarded by ranking callers.
+// CompareManyCtx is CompareEachCtx over a slice of targets.
 func (m *Matcher) CompareManyCtx(cc context.Context, ref *Decomposed, targets []*Decomposed) ([]Result, error) {
+	return m.CompareEachCtx(cc, ref, len(targets), func(i int) *Decomposed { return targets[i] })
+}
+
+// CompareEachCtx is the one compare pool: it compares the reference
+// against target(0..n-1) on Opts.Workers goroutines and returns results
+// in target order. target runs inside the workers, so a getter that
+// decodes or decomposes lazily does that work in parallel too; it must be
+// safe for concurrent calls. Workers claim indices from a shared counter
+// and stop at the first context error, which is returned; the result
+// slice is then partial (untouched slots are zero Results) and must be
+// discarded by ranking callers.
+func (m *Matcher) CompareEachCtx(cc context.Context, ref *Decomposed, n int, target func(i int) *Decomposed) ([]Result, error) {
 	if cc == nil {
 		cc = context.Background()
 	}
-	out := make([]Result, len(targets))
-	workers := compareWorkers(m.Opts.Workers, len(targets))
-	if workers <= 0 {
-		return out, nil
-	}
+	out := make([]Result, n)
 	var (
-		mu       sync.Mutex
+		next     atomic.Int64
+		errOnce  sync.Once
 		firstErr error
+		wg       sync.WaitGroup
 	)
-	setErr := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		mu.Unlock()
-	}
-	var wg sync.WaitGroup
-	jobs := make(chan int)
-	for w := 0; w < workers; w++ {
+	for w := compareWorkers(m.Opts.Workers, n); w > 0; w-- {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range jobs {
-				res, err := m.CompareCtx(cc, ref, targets[i])
-				if err != nil {
-					setErr(err)
-					continue // drain remaining jobs; they abort fast
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				err := cc.Err()
+				if err == nil {
+					var res Result
+					if res, err = m.CompareCtx(cc, ref, target(i)); err == nil {
+						out[i] = res
+						continue
+					}
 				}
-				out[i] = res
+				errOnce.Do(func() { firstErr = err })
+				return
 			}
 		}()
 	}
-	done := cc.Done()
-dispatch:
-	for i := range targets {
-		select {
-		case <-done:
-			setErr(cc.Err())
-			break dispatch
-		case jobs <- i:
-		}
-	}
-	close(jobs)
 	wg.Wait()
-	mu.Lock()
-	defer mu.Unlock()
 	return out, firstErr
 }

@@ -247,9 +247,26 @@ func (c *checker) rewriteInvariants(variant string, da, db *core.Decomposed) {
 	}
 }
 
-// searchParity indexes every variant and checks that the three search
-// paths — offline DB scan, sharded snapshot, and the HTTP service — rank
-// the same query identically, hit for hit.
+// SerialSearch is the reference the parity checks rank against: one
+// matcher on one goroutine compares the query against every entry,
+// decomposed from scratch, then applies the canonical sort. It shares no
+// worker pool, decomposition slot or candidate code with index.Snapshot,
+// the engine behind DB.Search and every served search.
+func SerialSearch(entries []*index.Entry, query *prep.Function, opts core.Options) []index.Hit {
+	m := core.NewMatcher(opts)
+	ref := core.Decompose(query, m.Opts.K)
+	hits := make([]index.Hit, len(entries))
+	for i, e := range entries {
+		hits[i] = index.Hit{Entry: e, Result: m.Compare(ref, core.Decompose(e.Function(), m.Opts.K))}
+	}
+	index.SortHits(hits)
+	return hits
+}
+
+// searchParity indexes every variant and checks that the search paths —
+// the serial reference, the snapshot engine (behind DB.Search and built
+// for serving) and the HTTP service — rank the same query identically,
+// hit for hit.
 func (c *checker) searchParity(built []variant, images [][]byte) {
 	const limit = 100
 	opts := core.DefaultOptions()
@@ -268,17 +285,22 @@ func (c *checker) searchParity(built []variant, images [][]byte) {
 		return
 	}
 
-	offline := index.TopK(db.Search(query, opts), limit, 0)
+	offline := index.TopK(SerialSearch(db.Entries, query, opts), limit, 0)
+
+	c.ran()
+	if d := diffOfflineHits(offline, index.TopK(db.Search(query, opts), limit, 0)); d != "" {
+		c.fail("parity", "db", "DB.Search vs serial reference: %s", d)
+	}
 
 	// Cancellation plumbing must be pure overhead: a Background context
-	// threaded through the context-aware entry point yields the same hits,
-	// bit for bit, as the legacy call it wraps.
+	// threaded through the context-aware entry point yields the same
+	// hits, bit for bit.
 	c.ran()
 	ctxHits, err := db.SearchCtx(context.Background(), query, opts, index.PrefilterOptions{})
 	if err != nil {
 		c.fail("parity", "ctx", "SearchCtx(Background) errored: %v", err)
 	} else if d := diffOfflineHits(offline, index.TopK(ctxHits, limit, 0)); d != "" {
-		c.fail("parity", "ctx", "SearchCtx(Background) vs Search: %s", d)
+		c.fail("parity", "ctx", "SearchCtx(Background) vs serial reference: %s", d)
 	}
 
 	// The score-bound pruner must be lossless: every Result field of every

@@ -1,6 +1,7 @@
 package index
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -93,7 +94,7 @@ func BenchmarkSnapshotSearch(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				hits, err := snap.SearchDecomposedWith(ref, opts, bc.pf)
+				hits, err := snap.SearchDecomposedCtx(context.Background(), ref, opts, bc.pf)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -128,7 +129,7 @@ func TestPruningBenchReport(t *testing.T) {
 		opts := core.DefaultOptions()
 		opts.Prune = prune
 		t0 := time.Now()
-		hits, err := snap.SearchDecomposedWith(ref, opts, pf)
+		hits, err := snap.SearchDecomposedCtx(context.Background(), ref, opts, pf)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -51,8 +51,8 @@ func TestSearchCtxCancelled(t *testing.T) {
 			t.Errorf("%s: cancelled search returned %d hits, want nil", p.name, len(hits))
 		}
 	}
-	if _, err := snap.PrefilterRank(ctx, ref, 10); err != context.Canceled {
-		t.Errorf("PrefilterRank: err = %v, want context.Canceled", err)
+	if _, err := snap.PrefilterRankWith(ctx, ref, 10, ModeScan); err != context.Canceled {
+		t.Errorf("PrefilterRankWith: err = %v, want context.Canceled", err)
 	}
 	if n := tel.Snapshot().Counters["searches_cancelled"]; n < uint64(len(paths)) {
 		t.Errorf("searches_cancelled = %d, want >= %d", n, len(paths))
@@ -83,28 +83,25 @@ func TestSearchCtxDeadline(t *testing.T) {
 	}
 }
 
-// TestSearchCtxBackgroundIdentical: SearchCtx with a background context
-// is hit-for-hit identical to the legacy Search entry points.
+// TestSearchCtxBackgroundIdentical: the context-aware entry points with
+// a background context are hit-for-hit identical to the serial
+// reference, on the DB and on the snapshot.
 func TestSearchCtxBackgroundIdentical(t *testing.T) {
 	db, _ := buildTestDB(t)
 	query := queryFor(t, db, corpus.LibFuncName)
 	snap := BuildSnapshot(db, []int{3}, 3)
 
-	want := db.Search(query, core.DefaultOptions())
+	want := serialSearch(db, query, core.DefaultOptions())
 	got, err := snap.SearchCtx(context.Background(), query, core.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != len(want) {
-		t.Fatalf("%d hits, want %d", len(got), len(want))
+	sameHits(t, "snapshot", got, want)
+	got, err = db.SearchCtx(context.Background(), query, core.DefaultOptions(), PrefilterOptions{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := range want {
-		if got[i].Entry != want[i].Entry || got[i].Result.SimilarityScore != want[i].Result.SimilarityScore {
-			t.Errorf("hit %d: %s/%s %v, want %s/%s %v", i,
-				got[i].Entry.Exe, got[i].Entry.Name, got[i].Result.SimilarityScore,
-				want[i].Entry.Exe, want[i].Entry.Name, want[i].Result.SimilarityScore)
-		}
-	}
+	sameHits(t, "db", got, want)
 }
 
 // TestSearchCtxMidflightCancel: cancelling while the search is running
@@ -132,7 +129,7 @@ func TestSearchCtxMidflightCancel(t *testing.T) {
 	}
 }
 
-// TestPrefilterRankDeterministic: PrefilterRank is deterministic and
+// TestPrefilterRankDeterministic: PrefilterRankWith is deterministic and
 // ranks the query's own entry at a plausible position (it shares all of
 // its features with itself).
 func TestPrefilterRankDeterministic(t *testing.T) {
@@ -141,11 +138,11 @@ func TestPrefilterRankDeterministic(t *testing.T) {
 	snap := BuildSnapshot(db, []int{3}, 2)
 	ref := core.Decompose(query, 3)
 
-	a, err := snap.PrefilterRank(context.Background(), ref, 10)
+	a, err := snap.PrefilterRankWith(context.Background(), ref, 10, ModeScan)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := snap.PrefilterRank(context.Background(), ref, 10)
+	b, err := snap.PrefilterRankWith(context.Background(), ref, 10, ModeScan)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,6 +13,7 @@ import (
 	"repro/internal/corpus"
 	"repro/internal/minhash"
 	"repro/internal/telemetry"
+	"repro/internal/tinyc"
 )
 
 // encodeVersion serializes db in any historical TRACYIDX format.
@@ -76,7 +77,7 @@ func TestCrossVersionSearchParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := hitKeys(baseHits)
-	basePre, err := baseSnap.SearchDecomposedWith(core.Decompose(query, opts.K), opts, PrefilterOptions{Enabled: true, Candidates: 7})
+	basePre, err := baseSnap.SearchDecomposedCtx(context.Background(), core.Decompose(query, opts.K), opts, PrefilterOptions{Enabled: true, Candidates: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +113,7 @@ func TestCrossVersionSearchParity(t *testing.T) {
 			if !reflect.DeepEqual(hitKeys(hits), base) {
 				t.Errorf("v%d %s: Snapshot.Search diverged from in-memory results", version, lname)
 			}
-			pre, err := snap.SearchDecomposedWith(core.Decompose(query, opts.K), opts, PrefilterOptions{Enabled: true, Candidates: 7})
+			pre, err := snap.SearchDecomposedCtx(context.Background(), core.Decompose(query, opts.K), opts, PrefilterOptions{Enabled: true, Candidates: 7})
 			if err != nil {
 				t.Fatalf("v%d %s prefiltered search: %v", version, lname, err)
 			}
@@ -171,11 +172,11 @@ func TestV3WithoutLSHBFallsBack(t *testing.T) {
 	}
 
 	ref := core.Decompose(query, opts.K)
-	scanPlain, err := snapPlain.SearchDecomposedWith(ref, opts, pfScan)
+	scanPlain, err := snapPlain.SearchDecomposedCtx(context.Background(), ref, opts, pfScan)
 	if err != nil {
 		t.Fatal(err)
 	}
-	scanSigned, err := snapSigned.SearchDecomposedWith(ref, opts, pfScan)
+	scanSigned, err := snapSigned.SearchDecomposedCtx(context.Background(), ref, opts, pfScan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +186,7 @@ func TestV3WithoutLSHBFallsBack(t *testing.T) {
 
 	// ModeLSH against the unsigned file: same answer as scan, no error,
 	// one counted fallback.
-	lshPlain, err := snapPlain.SearchDecomposedWith(ref, opts, pfLSH)
+	lshPlain, err := snapPlain.SearchDecomposedCtx(context.Background(), ref, opts, pfLSH)
 	if err != nil {
 		t.Fatalf("lsh search against a pre-LSHB file must not error: %v", err)
 	}
@@ -201,7 +202,7 @@ func TestV3WithoutLSHBFallsBack(t *testing.T) {
 
 	// ModeLSH against the signed file: served from the persisted
 	// signatures, no fallback.
-	if _, err := snapSigned.SearchDecomposedWith(ref, opts, pfLSH); err != nil {
+	if _, err := snapSigned.SearchDecomposedCtx(context.Background(), ref, opts, pfLSH); err != nil {
 		t.Fatal(err)
 	}
 	if got := telSigned.Get(telemetry.LSHFallbacks); got != 0 {
@@ -214,6 +215,107 @@ func TestV3WithoutLSHBFallsBack(t *testing.T) {
 	// The degraded ranking path falls back the same way.
 	if _, err := snapPlain.PrefilterRankWith(context.Background(), ref, 5, ModeLSH); err != nil {
 		t.Fatalf("PrefilterRankWith on a pre-LSHB file must not error: %v", err)
+	}
+}
+
+// TestLSHOverGrownV3: a database opened from a v3+LSHB file and then
+// extended with AddImage must serve ModeLSH over the appended functions
+// too. The file's signatures cover only its own functions, so the
+// snapshot has to hash all entries from their features rather than
+// adopt them — and must not count that as a fallback.
+func TestLSHOverGrownV3(t *testing.T) {
+	_, c := buildTestDB(t)
+	base := New()
+	last := c.Exes[len(c.Exes)-1]
+	for _, e := range c.Exes[:len(c.Exes)-1] {
+		if err := base.AddImage(e.Name, e.Image, e.Truth); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var buf bytes.Buffer
+	if err := base.SaveV3LSH(&buf, minhash.Default); err != nil {
+		t.Fatal(err)
+	}
+	db, err := Load(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tel := telemetry.New()
+	db.Tel = tel
+	if err := db.AddImage(last.Name, last.Image, last.Truth); err != nil {
+		t.Fatal(err)
+	}
+	appended := db.Entries[db.Len()-1]
+	if appended.Exe != last.Name {
+		t.Fatalf("last entry is %s/%s, want one of %s", appended.Exe, appended.Name, last.Name)
+	}
+
+	snap := BuildSnapshot(db, []int{3}, 2)
+	hits, err := snap.SearchDecomposedCtx(context.Background(), core.Decompose(appended.Function(), 3),
+		core.DefaultOptions(), PrefilterOptions{Candidates: db.Len() + 1, Mode: ModeLSH})
+	if err != nil {
+		t.Fatal(err)
+	}
+	self := false
+	for _, h := range hits {
+		if h.Entry == appended {
+			self = true
+			if h.Result.SimilarityScore != 1.0 {
+				t.Errorf("appended function scores %v against itself, want 1.0", h.Result.SimilarityScore)
+			}
+		}
+	}
+	if !self {
+		t.Errorf("appended function %s/%s is not among %d lsh candidates of its own query",
+			appended.Exe, appended.Name, len(hits))
+	}
+	if got := tel.Get(telemetry.LSHFallbacks); got != 0 {
+		t.Errorf("lsh_fallbacks = %d, want 0", got)
+	}
+}
+
+// TestDBSearchDecomposesOnlyCandidates: a candidate-capped DB.SearchCtx
+// over a v3 store-backed database decodes and decomposes the candidates
+// it compares (plus the query), not the corpus.
+func TestDBSearchDecomposesOnlyCandidates(t *testing.T) {
+	c, err := corpus.Build(corpus.BuildConfig{
+		Seed: 5, ContextCopies: 2, Versions: 2, NoiseExes: 40, FuncsPerExe: 5,
+		TargetStmts: 30, FillerStmts: 10, Opt: tinyc.O2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mem := New()
+	for _, e := range c.Exes {
+		if err := mem.AddImage(e.Name, e.Image, e.Truth); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if mem.Len() < 200 {
+		t.Fatalf("corpus has %d functions, want >= 200", mem.Len())
+	}
+	query := queryFor(t, mem, corpus.LibFuncName)
+	var buf bytes.Buffer
+	if err := mem.SaveV3LSH(&buf, minhash.Default); err != nil {
+		t.Fatal(err)
+	}
+	db, err := Load(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tel := telemetry.New()
+	db.Tel = tel
+	hits, err := db.SearchCtx(context.Background(), query, core.DefaultOptions(),
+		PrefilterOptions{Candidates: 5, Mode: ModeLSH})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(hits) == 0 || len(hits) > 5 {
+		t.Fatalf("got %d hits, want 1..5", len(hits))
+	}
+	if got := tel.Get(telemetry.FunctionsDecomposed); got > 6 {
+		t.Errorf("functions_decomposed = %d over a %d-function index, want <= 6 (5 candidates + the query)",
+			got, db.Len())
 	}
 }
 

@@ -1,8 +1,12 @@
 // Package index implements the function database and search engine of the
-// prototype (paper Section 5.2): executables are disassembled and lifted
-// on ingest, decomposed into tracelets per requested k (cached), and a
-// query function is compared against every indexed function in parallel.
-// The database serializes with encoding/gob.
+// prototype (paper Section 5.2). DB is the database: executables are
+// disassembled and lifted on ingest, and the corpus saves to and loads
+// from gob or the mmap-able v3 columnar format (internal/idxfile).
+// Snapshot is the one search engine: it memoizes per-k tracelet
+// decompositions, optionally cuts the corpus to the top candidates of a
+// lossy prefilter (shared-feature scan or MinHash LSH), compares the
+// query against what remains in parallel and ranks the hits. DB.Search
+// and the serving layer both run on it.
 package index
 
 import (
@@ -60,9 +64,11 @@ func (e *Entry) Function() *prep.Function {
 	return e.lazy.Load()
 }
 
-// DB is the searchable function database. Concurrent Search/Decomposed
-// calls are safe; AddImage must not race with readers (ingest the corpus
-// first, or build an immutable Snapshot for serving).
+// DB is the function database: it builds (AddImage), loads and saves
+// the corpus. Searching is the Snapshot's job; the Search and Decomposed
+// methods here are thin wrappers over a memoized internal snapshot.
+// Concurrent Search/Decomposed calls are safe; AddImage must not race
+// with readers (ingest the corpus first, or BuildSnapshot for serving).
 type DB struct {
 	Entries []*Entry
 
@@ -71,12 +77,9 @@ type DB struct {
 	// opts.Tel is nil. It is not serialized by Save.
 	Tel *telemetry.Collector
 
-	mu         sync.Mutex // guards decomposed, feats, fidx, lsh, lshBuilt
-	decomposed map[int][]*core.Decomposed
-	feats      [][]uint64 // per-entry prefilter features, aligned with Entries
-	fidx       *featureIndex
-	lsh        *lshIndex // lazy banded MinHash index; nil can mean "fall back"
-	lshBuilt   bool      // lsh is authoritative (it may legitimately be nil)
+	mu    sync.Mutex // guards feats, snap
+	feats [][]uint64 // per-entry prefilter features, aligned with Entries
+	snap  *Snapshot  // the search view over Entries; nil until first use
 
 	store  *idxfile.File // non-nil for v3 store-backed databases
 	info   Info
@@ -119,9 +122,7 @@ func (db *DB) Close() error {
 }
 
 // New returns an empty database.
-func New() *DB {
-	return &DB{decomposed: make(map[int][]*core.Decomposed)}
-}
+func New() *DB { return &DB{} }
 
 // AddImage lifts all functions of a (possibly stripped) ELF image and
 // indexes them. truth maps function addresses to ground-truth names and
@@ -139,9 +140,7 @@ func (db *DB) AddImage(exe string, img []byte, truth map[uint32]string) error {
 		db.Entries = append(db.Entries, e)
 	}
 	db.mu.Lock()
-	db.decomposed = make(map[int][]*core.Decomposed) // invalidate caches
-	db.feats, db.fidx = nil, nil
-	db.lsh, db.lshBuilt = nil, false
+	db.feats, db.snap = nil, nil // both are aligned with Entries
 	db.mu.Unlock()
 	return nil
 }
@@ -149,25 +148,24 @@ func (db *DB) AddImage(exe string, img []byte, truth map[uint32]string) error {
 // Len returns the number of indexed functions.
 func (db *DB) Len() int { return len(db.Entries) }
 
-// Decomposed returns the k-tracelet decomposition of every entry, cached
-// per k and aligned with Entries. It is safe for concurrent use: the
-// first caller for a given k computes (and the rest wait), after which
-// lookups only take the mutex briefly.
-func (db *DB) Decomposed(k int) []*core.Decomposed {
+// view returns the snapshot every DB search runs on, built cold on first
+// use and kept until AddImage (or a new Tel) invalidates it: it accepts
+// any k, decomposes entries as searches touch them and builds the
+// candidate indexes only when a prefiltered search asks for them.
+func (db *DB) view() *Snapshot {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if db.decomposed == nil {
-		db.decomposed = make(map[int][]*core.Decomposed)
+	if db.snap == nil || db.snap.Tel != db.Tel {
+		db.snap = newSnapshot(db, nil, 0, db.features)
 	}
-	if d, ok := db.decomposed[k]; ok {
-		return d
-	}
-	d := make([]*core.Decomposed, len(db.Entries))
-	for i, e := range db.Entries {
-		d[i] = core.DecomposeT(e.Function(), k, db.Tel)
-	}
-	db.decomposed[k] = d
-	return d
+	return db.snap
+}
+
+// Decomposed returns the k-tracelet decomposition of every entry,
+// aligned with Entries. Decompositions are memoized per (k, entry), so
+// repeated calls and later searches share them. Safe for concurrent use.
+func (db *DB) Decomposed(k int) []*core.Decomposed {
+	return db.view().decomposeAll(k)
 }
 
 // features returns the per-entry prefilter feature sets, computing them
@@ -193,50 +191,6 @@ func (db *DB) features() [][]uint64 {
 	return db.feats
 }
 
-// prefilterIndex returns the inverted feature index, built lazily on the
-// first prefiltered search.
-func (db *DB) prefilterIndex() *featureIndex {
-	fs := db.features()
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.fidx == nil {
-		db.fidx = buildFeatureIndex(fs)
-	}
-	return db.fidx
-}
-
-// lshIdx returns the banded MinHash index, built lazily on the first
-// ModeLSH search: adopted from the v3 file's persisted LSHB signatures
-// when the store still covers every entry, hashed from the feature sets
-// under minhash.Default otherwise (in-memory corpora, or entries
-// appended after a v3 load). A store-backed database whose file
-// predates the LSHB section returns nil — callers fall back to the
-// scan prefilter and count an lsh_fallbacks event.
-func (db *DB) lshIdx() *lshIndex {
-	db.mu.Lock()
-	if db.lshBuilt {
-		x := db.lsh
-		db.mu.Unlock()
-		return x
-	}
-	db.mu.Unlock()
-	// Build outside the lock: lshFromFeatures needs db.features(), which
-	// locks mu itself. Concurrent first calls may both build; one wins.
-	var x *lshIndex
-	if db.store != nil && len(db.Entries) == db.store.NumFuncs() {
-		x = lshFromStore(db.store, db.Tel)
-	} else {
-		x = lshFromFeatures(minhash.Default, db.features(), db.Tel)
-	}
-	db.mu.Lock()
-	if !db.lshBuilt {
-		db.lsh, db.lshBuilt = x, true
-	}
-	x = db.lsh
-	db.mu.Unlock()
-	return x
-}
-
 // Hit is one search result.
 type Hit struct {
 	Entry  *Entry
@@ -249,8 +203,8 @@ type Hit struct {
 //
 // Telemetry: the query is counted and timed end-to-end into opts.Tel
 // (falling back to db.Tel when opts.Tel is nil), and when opts.Trace is
-// set the span gains "decompose", "scan" (one compare child per
-// candidate) and "rank" children tracing the whole decision.
+// set the span gains "decompose", "compare" (one compare:<name> child
+// per candidate), "prune" and "rank" children tracing the whole decision.
 func (db *DB) Search(query *prep.Function, opts core.Options) []Hit {
 	hits, _ := db.SearchCtx(context.Background(), query, opts, PrefilterOptions{})
 	return hits
@@ -271,85 +225,7 @@ func (db *DB) SearchWith(query *prep.Function, opts core.Options, pf PrefilterOp
 // shortly after cancellation or deadline expiry. A Background (or nil)
 // context adds no overhead and leaves results identical to SearchWith.
 func (db *DB) SearchCtx(ctx context.Context, query *prep.Function, opts core.Options, pf PrefilterOptions) ([]Hit, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if opts.Tel == nil {
-		opts.Tel = db.Tel
-	}
-	tel := opts.Tel
-	tel.Inc(telemetry.Queries)
-	qt := tel.StartTimer(telemetry.QueryLatency)
-	root := opts.Trace
-	k := opts.K
-	if k <= 0 {
-		k = 3 // mirror NewMatcher's default
-	}
-	dsp := root.Child("decompose")
-	ref := core.DecomposeT(query, k, tel)
-	targets := db.Decomposed(k)
-	dsp.Set("query_tracelets", int64(len(ref.Tracelets)))
-	dsp.Set("corpus_functions", int64(len(targets)))
-	dsp.End()
-
-	// Stage 1 (optional, lossy): rank corpus functions by shared features
-	// and keep the top C for exact comparison.
-	var ids []int32 // set iff the prefilter ran: hit i maps to entry ids[i]
-	if c := pf.cap(); c > 0 {
-		fsp := root.Child("prefilter")
-		if pf.Mode == ModeLSH {
-			if x := db.lshIdx(); x != nil {
-				tel.Inc(telemetry.LSHQueries)
-				ids = x.topCandidates(ctx, QueryFeatures(ref), c, tel)
-				tel.Add(telemetry.LSHCandidates, uint64(len(ids)))
-				fsp.Set("lsh", 1)
-			} else {
-				tel.Inc(telemetry.LSHFallbacks)
-				ids = db.prefilterIndex().topCandidates(ctx, QueryFeatures(ref), c)
-			}
-		} else {
-			ids = db.prefilterIndex().topCandidates(ctx, QueryFeatures(ref), c)
-		}
-		if err := ctx.Err(); err != nil {
-			fsp.End()
-			noteCtxErr(tel, err)
-			qt.Stop()
-			return nil, err
-		}
-		tel.Add(telemetry.PrefilterCandidates, uint64(len(ids)))
-		fsp.Set("candidates", int64(len(ids)))
-		fsp.Set("cap", int64(c))
-		fsp.End()
-		sub := make([]*core.Decomposed, len(ids))
-		for i, id := range ids {
-			sub[i] = targets[id]
-		}
-		targets = sub
-	}
-
-	// Stage 2 (exact): full tracelet comparison of the surviving targets.
-	opts.Trace = root.Child("scan")
-	m := core.NewMatcher(opts)
-	results, err := m.CompareManyCtx(ctx, ref, targets)
-	opts.Trace.End()
-	if err != nil {
-		noteCtxErr(tel, err)
-		qt.Stop()
-		return nil, err
-	}
-	hits := make([]Hit, len(results))
-	for i := range results {
-		ei := i
-		if ids != nil {
-			ei = int(ids[i])
-		}
-		hits[i] = Hit{Entry: db.Entries[ei], Result: results[i]}
-	}
-	rsp := root.Child("rank")
-	SortHits(hits)
-	rsp.End()
-	qt.Stop()
-	return hits, nil
+	return db.view().search(ctx, query, opts, pf)
 }
 
 // gobDB is the serialized form. Feats (since format v2) carries the
@@ -479,10 +355,9 @@ func Load(r io.Reader) (*DB, error) {
 		}
 	}
 	db := &DB{
-		Entries:    g.Entries,
-		decomposed: make(map[int][]*core.Decomposed),
-		info:       Info{Version: version},
-		loaded:     true,
+		Entries: g.Entries,
+		info:    Info{Version: version},
+		loaded:  true,
 	}
 	// Adopt serialized prefilter features only when they line up with the
 	// entries — a fuzzed or hand-edited payload must not smuggle in a
@@ -504,9 +379,8 @@ func fromStore(f *idxfile.File) *DB {
 		entries[i] = &Entry{Exe: m.Exe, Name: m.Name, Addr: m.Addr, Truth: m.Truth, src: f, srcIdx: i}
 	}
 	return &DB{
-		Entries:    entries,
-		decomposed: make(map[int][]*core.Decomposed),
-		store:      f,
+		Entries: entries,
+		store:   f,
 		info: Info{
 			Version: indexVersionV3,
 			Bytes:   f.Size(),

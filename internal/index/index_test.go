@@ -49,6 +49,38 @@ func queryFor(t *testing.T, db *DB, truthName string) *prep.Function {
 	return nil
 }
 
+// serialSearch is the parity oracle (twin of difftest.SerialSearch): one
+// matcher on one goroutine compares the query against every entry,
+// decomposed from scratch, then applies the canonical sort. It shares no
+// worker pool, decomposition slot or candidate code with Snapshot, the
+// engine behind DB.Search and every served search.
+func serialSearch(db *DB, query *prep.Function, opts core.Options) []Hit {
+	m := core.NewMatcher(opts)
+	ref := core.Decompose(query, m.Opts.K)
+	hits := make([]Hit, len(db.Entries))
+	for i, e := range db.Entries {
+		hits[i] = Hit{Entry: e, Result: m.Compare(ref, core.Decompose(e.Function(), m.Opts.K))}
+	}
+	SortHits(hits)
+	return hits
+}
+
+// sameHits fails the test unless got equals want entry for entry with
+// bit-identical Results.
+func sameHits(t *testing.T, label string, got, want []Hit) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d hits, want %d", label, len(got), len(want))
+	}
+	for i := range want {
+		if got[i].Entry != want[i].Entry || got[i].Result != want[i].Result {
+			t.Errorf("%s hit %d: %s/%s %+v, want %s/%s %+v", label, i,
+				got[i].Entry.Exe, got[i].Entry.Name, got[i].Result,
+				want[i].Entry.Exe, want[i].Entry.Name, want[i].Result)
+		}
+	}
+}
+
 func TestSearchFindsAllContexts(t *testing.T) {
 	db, _ := buildTestDB(t)
 	query := queryFor(t, db, corpus.LibFuncName)
@@ -186,7 +218,7 @@ func TestDecomposedCache(t *testing.T) {
 	db, _ := buildTestDB(t)
 	a := db.Decomposed(3)
 	b := db.Decomposed(3)
-	if &a[0] != &b[0] {
+	if a[0] != b[0] || a[len(a)-1] != b[len(b)-1] {
 		t.Error("decomposition not cached")
 	}
 	c := db.Decomposed(2)

@@ -2,7 +2,6 @@ package index
 
 import (
 	"context"
-	"sort"
 
 	"repro/internal/idxfile"
 	"repro/internal/minhash"
@@ -120,20 +119,4 @@ func (x *lshIndex) ranked(ctx context.Context, query []uint64, limit int, tel *t
 		}
 	}
 	return cands
-}
-
-// topCandidates is ranked reduced to ids in ascending order — the same
-// contract as featureIndex.topCandidates, so the exact-comparison stage
-// is mode-agnostic.
-func (x *lshIndex) topCandidates(ctx context.Context, query []uint64, limit int, tel *telemetry.Collector) []int32 {
-	ranked := x.ranked(ctx, query, limit, tel)
-	if len(ranked) == 0 {
-		return nil
-	}
-	ids := make([]int32, len(ranked))
-	for i, r := range ranked {
-		ids[i] = r.ID
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
 }

@@ -38,13 +38,13 @@ func BenchmarkSnapshotSearchLSH(b *testing.B) {
 			opts := core.DefaultOptions()
 			pf := PrefilterOptions{Enabled: true, Candidates: 20, Mode: bc.mode}
 			// Pay the lazy signature build before the clock starts.
-			if _, err := snap.SearchDecomposedWith(ref, opts, pf); err != nil {
+			if _, err := snap.SearchDecomposedCtx(context.Background(), ref, opts, pf); err != nil {
 				b.Fatal(err)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				hits, err := snap.SearchDecomposedWith(ref, opts, pf)
+				hits, err := snap.SearchDecomposedCtx(context.Background(), ref, opts, pf)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -189,7 +189,7 @@ func TestLSHBenchReport(t *testing.T) {
 				}
 				s.gen = append(s.gen, time.Since(g0))
 				s0 := time.Now()
-				hits, err := snap.SearchDecomposedWith(ref, opts, pf)
+				hits, err := snap.SearchDecomposedCtx(context.Background(), ref, opts, pf)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -133,12 +133,12 @@ func TestLSHOracleEquality(t *testing.T) {
 			t.Errorf("%dx%d: self entry should rank first with full agreement, got %+v", p.Bands, p.Rows, got[0])
 		}
 
-		ids := x.topCandidates(context.Background(), query, len(feats)+1, nil)
+		ids := sortedIDs(got)
 		if !sort.SliceIsSorted(ids, func(i, j int) bool { return ids[i] < ids[j] }) {
-			t.Errorf("topCandidates not ascending: %v", ids)
+			t.Errorf("sortedIDs not ascending: %v", ids)
 		}
 		if len(ids) != len(got) {
-			t.Errorf("topCandidates kept %d ids, ranked had %d", len(ids), len(got))
+			t.Errorf("sortedIDs kept %d ids, ranked had %d", len(ids), len(got))
 		}
 
 		if x.ranked(context.Background(), nil, 10, nil) != nil {
@@ -154,7 +154,7 @@ func TestLSHSubsetOfExhaustive(t *testing.T) {
 	db, _ := buildTestDB(t)
 	query := queryFor(t, db, corpus.LibFuncName)
 	opts := core.DefaultOptions()
-	full := db.Search(query, opts)
+	full := serialSearch(db, query, opts)
 	byEntry := make(map[*Entry]core.Result, len(full))
 	for _, h := range full {
 		byEntry[h.Entry] = h.Result
@@ -287,7 +287,7 @@ func TestLSHSnapshotParity(t *testing.T) {
 	opts := core.DefaultOptions()
 	pf := PrefilterOptions{Candidates: 9, Mode: ModeLSH}
 	want := db.SearchWith(query, opts, pf)
-	got, err := snap.SearchDecomposedWith(core.Decompose(query, 3), opts, pf)
+	got, err := snap.SearchDecomposedCtx(context.Background(), core.Decompose(query, 3), opts, pf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,7 +339,7 @@ func TestLSHTelemetry(t *testing.T) {
 
 	// Scan-mode ranking must leave the lsh counters untouched.
 	before := tel.Get(telemetry.LSHQueries)
-	if _, err := snap.PrefilterRank(context.Background(), core.Decompose(query, 3), 5); err != nil {
+	if _, err := snap.PrefilterRankWith(context.Background(), core.Decompose(query, 3), 5, ModeScan); err != nil {
 		t.Fatal(err)
 	}
 	if got := tel.Get(telemetry.LSHQueries); got != before {

@@ -6,8 +6,10 @@ import (
 
 	"repro/internal/asm"
 	"repro/internal/core"
+	"repro/internal/minhash"
 	"repro/internal/ngram"
 	"repro/internal/prep"
+	"repro/internal/telemetry"
 )
 
 // The feature prefilter is the lossy first stage of two-stage search:
@@ -207,19 +209,77 @@ func (fi *featureIndex) ranked(ctx context.Context, query []uint64, limit int) [
 	return cands
 }
 
-// topCandidates selects the top limit entries by (count descending, id
-// ascending) and returns their ids in ascending order.
-func (fi *featureIndex) topCandidates(ctx context.Context, query []uint64, limit int) []int32 {
-	ranked := fi.ranked(ctx, query, limit)
-	if len(ranked) == 0 {
-		return nil
-	}
-	cands := make([]int32, len(ranked))
+// sortedIDs reduces a ranking to its entry ids in ascending order: the
+// exact comparison should follow entry order for cache locality and
+// stable telemetry, not rank order.
+func sortedIDs(ranked []Ranked) []int32 {
+	ids := make([]int32, len(ranked))
 	for i, r := range ranked {
-		cands[i] = r.ID
+		ids[i] = r.ID
 	}
-	// Exact comparison order should follow entry order for cache locality
-	// and stable telemetry, not rank order.
-	sort.Slice(cands, func(i, j int) bool { return cands[i] < cands[j] })
-	return cands
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	return ids
+}
+
+// featureIdx returns the inverted feature index, built on first use.
+func (s *Snapshot) featureIdx() *featureIndex {
+	s.fidxOnce.Do(func() { s.fidx = buildFeatureIndex(s.feats()) })
+	return s.fidx
+}
+
+// lshIdx returns the banded MinHash index, built on first use, or nil
+// when there are no signatures to serve from. This is the single
+// LSH-availability check: the v3 file's persisted LSHB signatures are
+// adopted when the store covers every entry (a file that predates the
+// section then yields nil, rather than re-deriving signatures from a
+// million mmapped feature slices); otherwise — in-memory corpora, or
+// entries appended after a v3 load — signatures are hashed from the
+// feature sets under minhash.Default.
+func (s *Snapshot) lshIdx() *lshIndex {
+	s.lshOnce.Do(func() {
+		if s.store != nil {
+			s.lsh = lshFromStore(s.store, s.Tel)
+		} else {
+			s.lsh = lshFromFeatures(minhash.Default, s.feats(), s.Tel)
+		}
+	})
+	return s.lsh
+}
+
+// candidates is the lossy first stage: it ranks the corpus against the
+// query with the given generator and returns the top limit entries in
+// rank order, under a "prefilter" span. ModeLSH ranks by estimated
+// Jaccard (Shared = matching signature positions out of k) from
+// band-bucket collisions and, when the snapshot has no signatures,
+// falls back to the ModeScan shared-feature ranking with a counted
+// lsh_fallbacks event. A done ctx abandons the ranking and returns its
+// error.
+func (s *Snapshot) candidates(ctx context.Context, ref *core.Decomposed, limit int, mode PrefilterMode, tel *telemetry.Collector) ([]Ranked, error) {
+	sp := telemetry.SpanFromContext(ctx).Child("prefilter")
+	pt := tel.StartTimer(telemetry.PrefilterLatency)
+	query := QueryFeatures(ref)
+	var x *lshIndex
+	if mode == ModeLSH {
+		if x = s.lshIdx(); x == nil {
+			tel.Inc(telemetry.LSHFallbacks)
+		}
+	}
+	var ranked []Ranked
+	if x != nil {
+		tel.Inc(telemetry.LSHQueries)
+		ranked = x.ranked(ctx, query, limit, tel)
+		tel.Add(telemetry.LSHCandidates, uint64(len(ranked)))
+		sp.Set("lsh", 1)
+	} else {
+		ranked = s.featureIdx().ranked(ctx, query, limit)
+	}
+	pt.Stop()
+	sp.Set("candidates", int64(len(ranked)))
+	sp.Set("cap", int64(limit))
+	sp.End()
+	if err := ctx.Err(); err != nil {
+		noteCtxErr(tel, err)
+		return nil, err
+	}
+	return ranked, nil
 }

@@ -101,7 +101,7 @@ func TestPrefilterSubsetOfExhaustive(t *testing.T) {
 	db, _ := buildTestDB(t)
 	query := queryFor(t, db, corpus.LibFuncName)
 	opts := core.DefaultOptions()
-	full := db.Search(query, opts)
+	full := serialSearch(db, query, opts)
 	byEntry := make(map[*Entry]core.Result, len(full))
 	for _, h := range full {
 		byEntry[h.Entry] = h.Result
@@ -172,7 +172,7 @@ func TestSnapshotPrefilterParity(t *testing.T) {
 	opts := core.DefaultOptions()
 	pf := PrefilterOptions{Candidates: 9}
 	want := db.SearchWith(query, opts, pf)
-	got, err := snap.SearchDecomposedWith(core.Decompose(query, 3), opts, pf)
+	got, err := snap.SearchDecomposedCtx(context.Background(), core.Decompose(query, 3), opts, pf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,18 +221,18 @@ func TestTopCandidatesOrdering(t *testing.T) {
 		{9},       // id 2: none shared
 		{1},       // id 3: 1 shared
 	})
-	got := fi.topCandidates(context.Background(), []uint64{1, 2}, 2)
+	top := func(query []uint64, limit int) []int32 {
+		return sortedIDs(fi.ranked(context.Background(), query, limit))
+	}
+	got := top([]uint64{1, 2}, 2)
 	if len(got) != 2 || got[0] != 0 || got[1] != 1 {
-		t.Errorf("topCandidates = %v, want [0 1]", got)
+		t.Errorf("top 2 = %v, want [0 1]", got)
 	}
-	all := fi.topCandidates(context.Background(), []uint64{1, 2}, 10)
-	if len(all) != 3 {
-		t.Errorf("zero-overlap entry leaked into candidates: %v", all)
+	// The cut ranks 3 (1 shared) after 0 and 1 (2 shared); ids come back ascending.
+	if all := top([]uint64{1, 2}, 10); len(all) != 3 || all[2] != 3 {
+		t.Errorf("zero-overlap entry leaked into candidates, or ids not ascending: %v", all)
 	}
-	if fi.topCandidates(context.Background(), []uint64{42}, 10) == nil {
-		// sharing nothing is fine; just must be empty
-	}
-	if n := len(fi.topCandidates(context.Background(), []uint64{42}, 10)); n != 0 {
+	if n := len(top([]uint64{42}, 10)); n != 0 {
 		t.Errorf("no-overlap query returned %d candidates", n)
 	}
 }

@@ -15,9 +15,10 @@ func hitLess(a, b Hit) bool {
 	return a.Entry.Name < b.Entry.Name
 }
 
-// SortHits orders hits in the canonical result order (see hitLess). Both
-// DB.Search and Snapshot.Search rank with it, which is what makes their
-// outputs comparable hit for hit.
+// SortHits orders hits in the canonical result order (see hitLess). The
+// snapshot engine, the fleet coordinator's merge and the tests' serial
+// reference all rank with it, which is what makes their outputs
+// comparable hit for hit.
 func SortHits(hits []Hit) {
 	sort.SliceStable(hits, func(i, j int) bool { return hitLess(hits[i], hits[j]) })
 }

@@ -3,6 +3,7 @@ package index
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -62,7 +63,7 @@ func TestScaleColdStartProbe(t *testing.T) {
 	ref := core.Decompose(db.Entries[0].Function(), 3)
 	opts := core.DefaultOptions()
 	t1 := time.Now()
-	hits, err := snap.SearchDecomposedWith(ref, opts, PrefilterOptions{Candidates: 20})
+	hits, err := snap.SearchDecomposedCtx(context.Background(), ref, opts, PrefilterOptions{Candidates: 20})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,82 +11,76 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/idxfile"
-	"repro/internal/minhash"
 	"repro/internal/prep"
 	"repro/internal/telemetry"
 )
 
-// Snapshot is an immutable, sharded view of a DB prepared for serving:
-// every entry is pre-decomposed for each supported tracelet size k and
-// the corpus is split into contiguous shards, so one query fans out
-// across the shards (intra-query parallelism) while any number of
-// queries run concurrently against the same snapshot without locking.
-// Swapping in a new corpus is an atomic pointer swap in the caller
-// (see internal/server); an old snapshot stays valid for in-flight
-// queries until they finish.
+// Snapshot is the search engine: an immutable view of a DB's entries
+// that generates candidates, compares and ranks. Every search path runs
+// through it — served requests, the offline DB.Search wrappers, the
+// degraded prefilter-only ranking — so there is one compare loop, one
+// decomposition store and one candidate function. Any number of queries
+// run concurrently against the same snapshot without locking, each
+// fanning its comparisons across the configured number of workers.
+// Swapping in a new corpus is an atomic pointer swap in the caller (see
+// internal/server); an old snapshot stays valid for in-flight queries
+// until they finish.
 type Snapshot struct {
 	entries []*Entry
-	ks      []int
-	shards  []snapShard
-	byName  map[string]*Entry // exe + "\x00" + name -> entry
-	fidx    *featureIndex
+	ks      []int // tracelet sizes served; nil (the DB's own view) accepts any k
+	workers int   // compare fan-out of one query when opts.Workers is 0
+	byName  map[string]*Entry
 	info    Info
 
-	// lsh candidate generation: built lazily on the first ModeLSH query
-	// so cold start stays unchanged for scan-only serving. store (the v3
-	// backing file, nil for gob) supplies persisted signatures; feats is
-	// retained only for storeless snapshots, where signatures are hashed
-	// from the feature sets under minhash.Default instead. A store
-	// without an LSHB section yields lsh == nil after the Once — queries
-	// then fall back to the scan prefilter (counted as lsh_fallbacks)
-	// rather than re-deriving signatures from a million mmapped feature
-	// slices.
-	store   *idxfile.File
-	feats   [][]uint64
-	lshOnce sync.Once
-	lsh     *lshIndex
+	// slots is the decomposition store: k -> []atomic.Pointer[core.Decomposed]
+	// aligned with entries. A slot is filled on first touch (decode, for
+	// store-backed entries, plus decompose), so cold start and resident
+	// memory of a v3-backed snapshot scale with the pages queries actually
+	// visit; BuildSnapshot pre-fills the slots of heap-backed databases.
+	slots sync.Map
 
-	// Exactly one of flat/lazy is non-nil per supported k. flat holds the
-	// eager pre-decompositions of a gob-backed DB; lazy holds memoization
-	// slots for a v3 store-backed DB, where entries decode + decompose on
-	// first touch (so cold start and resident memory scale with the pages
-	// queries actually visit, not the corpus).
-	flat map[int][]*core.Decomposed
-	lazy map[int][]atomic.Pointer[core.Decomposed]
+	// Candidate generation (see candidates). Both indexes are built on
+	// first use. store is set only when the v3 file covers every entry,
+	// which is when its persisted LSHB signatures may be adopted; feats
+	// yields the per-entry feature sets everything else is built from.
+	store    *idxfile.File
+	feats    func() [][]uint64
+	fidxOnce sync.Once
+	fidx     *featureIndex
+	lshOnce  sync.Once
+	lsh      *lshIndex
 
 	// Tel is the default collector for Search when opts.Tel is nil.
 	Tel *telemetry.Collector
 }
 
-// snapShard is a contiguous entry range [lo, hi).
-type snapShard struct {
-	lo, hi int
+// newSnapshot returns a cold snapshot of db's current entries: nothing
+// is decomposed, no candidate index is built.
+func newSnapshot(db *DB, ks []int, workers int, feats func() [][]uint64) *Snapshot {
+	n := len(db.Entries)
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if workers > n {
+		workers = n
+	}
+	if workers < 1 {
+		workers = 1
+	}
+	s := &Snapshot{entries: db.Entries, ks: ks, workers: workers, info: db.Info(), feats: feats, Tel: db.Tel}
+	if db.store != nil && db.store.NumFuncs() == n {
+		s.store = db.store
+	}
+	return s
 }
 
-// dec returns the k-decomposition of entry i, computing and memoizing it
-// on first touch in lazy mode. Concurrent first calls may both compute
-// but agree on one winner via CAS.
-func (s *Snapshot) dec(k, i int) *core.Decomposed {
-	if s.flat != nil {
-		return s.flat[k][i]
-	}
-	slot := &s.lazy[k][i]
-	if d := slot.Load(); d != nil {
-		return d
-	}
-	d := core.DecomposeT(s.entries[i].Function(), k, s.Tel)
-	if slot.CompareAndSwap(nil, d) {
-		return d
-	}
-	return slot.Load()
-}
-
-// BuildSnapshot decomposes every entry of db for each tracelet size in ks
-// (deduplicated; defaults to [3] when empty) and splits the corpus into
-// nShards contiguous shards (<= 0 means runtime.GOMAXPROCS(0)). The
-// decomposition work itself runs in parallel across entries. The DB is
-// only read; the snapshot holds its own decompositions and shares the
-// (immutable) entries.
+// BuildSnapshot prepares db for serving queries with the tracelet sizes
+// in ks (deduplicated; defaults to [3] when empty), each query fanning
+// out over nShards workers (<= 0 means runtime.GOMAXPROCS(0)). A
+// heap-backed DB is decomposed up front, in parallel, so serving never
+// pays decomposition latency; a v3 store-backed DB stays cold and
+// decodes per entry on first touch. The DB is only read; the snapshot
+// holds its own decompositions and shares the (immutable) entries.
 func BuildSnapshot(db *DB, ks []int, nShards int) *Snapshot {
 	uniq := make(map[int]bool)
 	var kept []int
@@ -101,96 +95,71 @@ func BuildSnapshot(db *DB, ks []int, nShards int) *Snapshot {
 	}
 	sort.Ints(kept)
 
-	n := len(db.Entries)
-	if nShards <= 0 {
-		nShards = runtime.GOMAXPROCS(0)
-	}
-	if nShards > n {
-		nShards = n
-	}
-	if nShards < 1 {
-		nShards = 1
-	}
-
-	s := &Snapshot{
-		entries: db.Entries,
-		ks:      kept,
-		byName:  make(map[string]*Entry, n),
-		info:    db.Info(),
-		Tel:     db.Tel,
-	}
-	for _, e := range db.Entries {
+	feats := db.features()
+	s := newSnapshot(db, kept, nShards, func() [][]uint64 { return feats })
+	s.byName = make(map[string]*Entry, len(s.entries))
+	for _, e := range s.entries {
 		s.byName[entryKey(e.Exe, e.Name)] = e
 	}
-
-	if db.store != nil {
-		// Store-backed: allocate memoization slots only. Decode +
-		// decomposition happen per entry on first query touch, which is
-		// what keeps v3 cold start and RSS page-granular.
-		s.lazy = make(map[int][]atomic.Pointer[core.Decomposed], len(kept))
-		for _, k := range kept {
-			s.lazy[k] = make([]atomic.Pointer[core.Decomposed], n)
-		}
-	} else {
-		// Gob-backed: the whole object graph is already on the heap;
-		// decompose all (entry, k) pairs up front with a worker pool so
-		// serving never pays decomposition latency.
-		all := make(map[int][]*core.Decomposed, len(kept))
-		for _, k := range kept {
-			all[k] = make([]*core.Decomposed, n)
-		}
-		type job struct{ k, i int }
-		jobs := make(chan job)
-		var wg sync.WaitGroup
-		for w := 0; w < runtime.GOMAXPROCS(0); w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for j := range jobs {
-					all[j.k][j.i] = core.DecomposeT(db.Entries[j.i].Function(), j.k, db.Tel)
-				}
-			}()
-		}
-		for _, k := range kept {
-			for i := 0; i < n; i++ {
-				jobs <- job{k, i}
-			}
-		}
-		close(jobs)
-		wg.Wait()
-		s.flat = all
-	}
-
-	// Slice the corpus into near-equal contiguous shards.
-	for sh := 0; sh < nShards; sh++ {
-		s.shards = append(s.shards, snapShard{lo: sh * n / nShards, hi: (sh + 1) * n / nShards})
-	}
-	// The feature index is snapshot-resident: built once here (reusing
-	// features deserialized from a v2 file, or feature-pool views of a v3
-	// mapping), then read lock-free by any number of prefiltered queries.
-	feats := db.features()
-	s.fidx = buildFeatureIndex(feats)
-	s.store = db.store
 	if db.store == nil {
-		s.feats = feats
+		for _, k := range kept {
+			s.decomposeAll(k)
+		}
+	}
+	// The feature index is built here rather than on the first
+	// prefiltered query, then read lock-free. Once it exists a snapshot
+	// that adopts the file's signatures has no further use for the
+	// per-entry feature slices.
+	s.featureIdx()
+	if s.store != nil {
+		s.feats = nil
 	}
 	return s
 }
 
-// lshIdx returns the snapshot's banded MinHash index, building it on
-// first use: from the v3 file's persisted LSHB signatures when present,
-// from freshly hashed feature sets for in-memory corpora. It returns
-// nil — callers fall back to scan — for a store-backed snapshot whose
-// file predates the LSHB section.
-func (s *Snapshot) lshIdx() *lshIndex {
-	s.lshOnce.Do(func() {
-		if s.store != nil {
-			s.lsh = lshFromStore(s.store, s.Tel)
-		} else if s.feats != nil {
-			s.lsh = lshFromFeatures(minhash.Default, s.feats, s.Tel)
-		}
-	})
-	return s.lsh
+// slotsFor returns the decomposition slots for tracelet size k.
+func (s *Snapshot) slotsFor(k int) []atomic.Pointer[core.Decomposed] {
+	v, ok := s.slots.Load(k)
+	if !ok {
+		v, _ = s.slots.LoadOrStore(k, make([]atomic.Pointer[core.Decomposed], len(s.entries)))
+	}
+	return v.([]atomic.Pointer[core.Decomposed])
+}
+
+// dec returns the k-decomposition of entry i, computing and memoizing
+// it on first touch. Concurrent first calls may both compute but agree
+// on one winner via CAS.
+func (s *Snapshot) dec(slots []atomic.Pointer[core.Decomposed], k, i int) *core.Decomposed {
+	if d := slots[i].Load(); d != nil {
+		return d
+	}
+	d := core.DecomposeT(s.entries[i].Function(), k, s.Tel)
+	if slots[i].CompareAndSwap(nil, d) {
+		return d
+	}
+	return slots[i].Load()
+}
+
+// decomposeAll returns the k-decomposition of every entry, aligned with
+// entries, filling the slots still cold on GOMAXPROCS workers.
+func (s *Snapshot) decomposeAll(k int) []*core.Decomposed {
+	slots := s.slotsFor(k)
+	out := make([]*core.Decomposed, len(slots))
+	var (
+		next atomic.Int64
+		wg   sync.WaitGroup
+	)
+	for w := runtime.GOMAXPROCS(0); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < len(out); i = int(next.Add(1)) - 1 {
+				out[i] = s.dec(slots, k, i)
+			}
+		}()
+	}
+	wg.Wait()
+	return out
 }
 
 // Info returns the provenance of the index this snapshot serves.
@@ -205,15 +174,18 @@ func (s *Snapshot) Len() int { return len(s.entries) }
 // shared and must be treated as read-only.
 func (s *Snapshot) Entries() []*Entry { return s.entries }
 
-// Ks returns the tracelet sizes the snapshot has precomputed.
+// Ks returns the tracelet sizes the snapshot serves.
 func (s *Snapshot) Ks() []int { return s.ks }
 
-// NumShards returns the shard count.
-func (s *Snapshot) NumShards() int { return len(s.shards) }
+// NumShards returns the compare fan-out of one query: how many workers
+// share its comparisons unless the query's opts.Workers says otherwise.
+func (s *Snapshot) NumShards() int { return s.workers }
 
-// SupportsK reports whether queries with tracelet size k can be served
-// from the precomputed decompositions.
+// SupportsK reports whether queries with tracelet size k can be served.
 func (s *Snapshot) SupportsK(k int) bool {
+	if s.ks == nil {
+		return true
+	}
 	for _, have := range s.ks {
 		if have == k {
 			return true
@@ -239,49 +211,55 @@ func noteCtxErr(tel *telemetry.Collector, err error) {
 	}
 }
 
-// Search decomposes the query and runs SearchDecomposed.
+// Search is SearchCtx without a context.
 func (s *Snapshot) Search(query *prep.Function, opts core.Options) ([]Hit, error) {
-	return s.SearchCtx(context.Background(), query, opts)
+	return s.search(context.Background(), query, opts, PrefilterOptions{})
 }
 
-// SearchCtx is Search bounded by ctx: decomposition runs to completion
-// (it is cheap and uncancellable), then the exact comparison honors ctx.
+// SearchCtx decomposes the query and runs SearchDecomposedCtx over the
+// whole corpus. Decomposition runs to completion (it is cheap and
+// uncancellable), then the exact comparison honors ctx.
 func (s *Snapshot) SearchCtx(ctx context.Context, query *prep.Function, opts core.Options) ([]Hit, error) {
+	return s.search(ctx, query, opts, PrefilterOptions{})
+}
+
+// search is the query-function entry point behind Snapshot.Search and
+// DB.Search: it emits the "decompose" stage, and a caller-supplied
+// opts.Trace becomes the span the stages of SearchDecomposedCtx hang
+// under.
+func (s *Snapshot) search(ctx context.Context, query *prep.Function, opts core.Options, pf PrefilterOptions) ([]Hit, error) {
+	if opts.Trace != nil {
+		ctx = telemetry.ContextWithSpan(ctx, opts.Trace)
+	}
 	if opts.Tel == nil {
 		opts.Tel = s.Tel
 	}
 	k := opts.K
 	if k <= 0 {
-		k = 3
+		k = 3 // mirror NewMatcher's default
 	}
-	return s.SearchDecomposedCtx(ctx, core.DecomposeT(query, k, opts.Tel), opts, PrefilterOptions{})
+	dsp := telemetry.SpanFromContext(ctx).Child("decompose")
+	ref := core.DecomposeT(query, k, opts.Tel)
+	dsp.Set("query_tracelets", int64(len(ref.Tracelets)))
+	dsp.End()
+	return s.SearchDecomposedCtx(ctx, ref, opts, pf)
 }
 
-// SearchDecomposed compares an already-decomposed query against every
-// entry, fanning one goroutine out per shard, and returns all hits in
-// canonical order — hit for hit identical to DB.Search over the same
-// corpus and options. It errors if ref.K is not a precomputed tracelet
-// size. Safe for any number of concurrent callers.
-func (s *Snapshot) SearchDecomposed(ref *core.Decomposed, opts core.Options) ([]Hit, error) {
-	return s.SearchDecomposedCtx(context.Background(), ref, opts, PrefilterOptions{})
-}
-
-// SearchDecomposedWith is SearchDecomposed with an explicit prefilter
-// stage: when pf enables it, the snapshot's feature index ranks the
-// corpus by shared features and only the top-C candidates are compared
-// exactly (fanned across shard-sized worker goroutines). The zero
-// PrefilterOptions makes it identical to SearchDecomposed.
-func (s *Snapshot) SearchDecomposedWith(ref *core.Decomposed, opts core.Options, pf PrefilterOptions) ([]Hit, error) {
-	return s.SearchDecomposedCtx(context.Background(), ref, opts, pf)
-}
-
-// SearchDecomposedCtx is SearchDecomposedWith bounded by ctx: the shard
-// (or candidate-pool) workers check it cooperatively inside the pair
-// loop and the whole search returns ctx.Err() — with nil hits — as soon
-// as every worker has noticed the abort. Cancelled and deadline-expired
+// SearchDecomposedCtx compares an already-decomposed query against the
+// corpus and returns all hits in canonical order: against every entry
+// when pf is the zero value, against the top-C candidates of the lossy
+// prefilter stage when pf enables it. It errors if ref.K is not a served
+// tracelet size. The compare workers check ctx cooperatively inside the
+// pair loop and the search returns ctx.Err() — with nil hits — as soon
+// as every worker has noticed the abort; cancelled and deadline-expired
 // searches are counted separately in telemetry. A Background (or nil)
-// context adds no overhead and leaves results bit-identical to
-// SearchDecomposedWith.
+// context adds no overhead. Safe for any number of concurrent callers.
+//
+// Telemetry: the query is counted and timed end-to-end into opts.Tel
+// (falling back to s.Tel), and the span carried by ctx gains
+// "prefilter", "compare", "prune" and "rank" children. When opts.Trace
+// is set, "compare" also gets one "compare:<name>" child per candidate
+// carrying the match decision.
 func (s *Snapshot) SearchDecomposedCtx(ctx context.Context, ref *core.Decomposed, opts core.Options, pf PrefilterOptions) ([]Hit, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -289,166 +267,76 @@ func (s *Snapshot) SearchDecomposedCtx(ctx context.Context, ref *core.Decomposed
 	if opts.Tel == nil {
 		opts.Tel = s.Tel
 	}
+	if opts.Workers == 0 {
+		opts.Workers = s.workers
+	}
 	if !s.SupportsK(ref.K) {
 		return nil, fmt.Errorf("index: snapshot has no k=%d decomposition (supported: %v)", ref.K, s.ks)
 	}
 	tel := opts.Tel
 	tel.Inc(telemetry.Queries)
 	qt := tel.StartTimer(telemetry.QueryLatency)
+	defer qt.Stop()
 	sp := telemetry.SpanFromContext(ctx)
 
-	var (
-		errMu    sync.Mutex
-		firstErr error
-	)
-	setErr := func(err error) {
-		if err == nil {
-			return
-		}
-		errMu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		errMu.Unlock()
-	}
-
+	// ids lists the entries to compare, ascending; nil means all of them,
+	// so an exhaustive scan is the candidate scan over the identity list.
+	var ids []int32
+	n := len(s.entries)
 	if c := pf.cap(); c > 0 {
-		pfSpan := sp.Child("prefilter")
-		pt := tel.StartTimer(telemetry.PrefilterLatency)
-		var ids []int32
-		if pf.Mode == ModeLSH {
-			if x := s.lshIdx(); x != nil {
-				tel.Inc(telemetry.LSHQueries)
-				ids = x.topCandidates(ctx, QueryFeatures(ref), c, tel)
-				tel.Add(telemetry.LSHCandidates, uint64(len(ids)))
-				pfSpan.Set("lsh", 1)
-			} else {
-				// No signatures to serve from (pre-LSHB v3 file): degrade
-				// to the scan prefilter rather than fail the search.
-				tel.Inc(telemetry.LSHFallbacks)
-				ids = s.fidx.topCandidates(ctx, QueryFeatures(ref), c)
-			}
-		} else {
-			ids = s.fidx.topCandidates(ctx, QueryFeatures(ref), c)
-		}
-		pt.Stop()
-		pfSpan.Set("candidates", int64(len(ids)))
-		pfSpan.End()
-		if err := ctx.Err(); err != nil {
-			noteCtxErr(tel, err)
-			qt.Stop()
+		ranked, err := s.candidates(ctx, ref, c, pf.Mode, tel)
+		if err != nil {
 			return nil, err
 		}
-		tel.Add(telemetry.PrefilterCandidates, uint64(len(ids)))
-		hits := make([]Hit, len(ids))
-		cmpSpan := sp.Child("compare")
-		cmpSpan.Set("pairs", int64(len(ids)))
-		workers := len(s.shards)
-		if workers > len(ids) {
-			workers = len(ids)
+		tel.Add(telemetry.PrefilterCandidates, uint64(len(ranked)))
+		ids = sortedIDs(ranked)
+		n = len(ids)
+	}
+	entry := func(i int) int {
+		if ids != nil {
+			return int(ids[i])
 		}
-		var wg sync.WaitGroup
-		jobs := make(chan int)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				m := core.NewMatcher(opts)
-				for i := range jobs {
-					id := ids[i]
-					res, err := m.CompareCtx(ctx, ref, s.dec(ref.K, int(id)))
-					if err != nil {
-						setErr(err)
-						continue // keep draining jobs; remaining compares abort instantly
-					}
-					hits[i] = Hit{Entry: s.entries[id], Result: res}
-				}
-			}()
-		}
-		for i := range ids {
-			jobs <- i
-		}
-		close(jobs)
-		wg.Wait()
-		cmpSpan.End()
-		if firstErr != nil {
-			noteCtxErr(tel, firstErr)
-			qt.Stop()
-			return nil, firstErr
-		}
-		spanNotePrune(sp, hits)
-		SortHits(hits)
-		qt.Stop()
-		return hits, nil
+		return i
 	}
 
-	hits := make([]Hit, len(s.entries))
 	cmpSpan := sp.Child("compare")
-	cmpSpan.Set("pairs", int64(len(s.entries)))
-	var wg sync.WaitGroup
-	for _, sh := range s.shards {
-		wg.Add(1)
-		go func(sh snapShard) {
-			defer wg.Done()
-			// Each shard scans serially with its own matcher: cross-shard
-			// fan-out is the query's parallelism, and independent matchers
-			// keep block-alignment caches core-local.
-			m := core.NewMatcher(opts)
-			for j := sh.lo; j < sh.hi; j++ {
-				res, err := m.CompareCtx(ctx, ref, s.dec(ref.K, j))
-				if err != nil {
-					setErr(err)
-					return
-				}
-				hits[j] = Hit{Entry: s.entries[j], Result: res}
-			}
-		}(sh)
+	cmpSpan.Set("pairs", int64(n))
+	if opts.Trace != nil {
+		opts.Trace = cmpSpan
 	}
-	wg.Wait()
+	slots := s.slotsFor(ref.K)
+	results, err := core.NewMatcher(opts).CompareEachCtx(ctx, ref, n, func(i int) *core.Decomposed {
+		return s.dec(slots, ref.K, entry(i))
+	})
 	cmpSpan.End()
-	if firstErr != nil {
-		noteCtxErr(tel, firstErr)
-		qt.Stop()
-		return nil, firstErr
+	if err != nil {
+		noteCtxErr(tel, err)
+		return nil, err
 	}
-	spanNotePrune(sp, hits)
+
+	// Pruning happens inside the DP comparisons rather than as a separable
+	// timed phase, so "prune" is an instant span carrying the pair count
+	// the score-bound pruner skipped across all hits.
+	hits := make([]Hit, n)
+	var pruned int64
+	for i, res := range results {
+		hits[i] = Hit{Entry: s.entries[entry(i)], Result: res}
+		pruned += int64(res.PairsPruned)
+	}
+	psp := sp.Child("prune")
+	psp.Set("pairs_pruned", pruned)
+	psp.End()
+	rsp := sp.Child("rank")
 	SortHits(hits)
-	qt.Stop()
+	rsp.End()
 	return hits, nil
 }
 
-// spanNotePrune attaches the "prune" stage to a request span. Pruning
-// happens inside the DP comparisons rather than as a separable timed
-// phase, so the stage is an instant span carrying the total pair count
-// the score-bound pruner skipped across all hits.
-func spanNotePrune(sp *telemetry.Span, hits []Hit) {
-	if sp == nil {
-		return
-	}
-	var pruned int64
-	for i := range hits {
-		pruned += int64(hits[i].Result.PairsPruned)
-	}
-	c := sp.Child("prune")
-	c.Set("pairs_pruned", pruned)
-	c.End()
-}
-
-// PrefilterRank is the lossy stage alone: it ranks the corpus by shared
-// prefilter features with the query and returns the top limit entries
-// with their shared-feature counts, running no exact comparison at all.
-// This is the degraded-mode answer path — orders of magnitude cheaper
-// than a real search and still honoring ctx. limit <= 0 means
-// DefaultPrefilterCandidates.
-func (s *Snapshot) PrefilterRank(ctx context.Context, ref *core.Decomposed, limit int) ([]Ranked, error) {
-	return s.PrefilterRankWith(ctx, ref, limit, ModeScan)
-}
-
-// PrefilterRankWith is PrefilterRank with an explicit candidate
-// generator. ModeLSH ranks by estimated Jaccard (Shared = matching
-// signature positions out of k) from band-bucket collisions, falling
-// back to the scan ranking — with a counted lsh_fallbacks event — when
-// the snapshot has no signatures to serve from.
+// PrefilterRankWith is the lossy stage alone: it ranks the corpus with
+// the given candidate generator and returns the top limit entries,
+// running no exact comparison at all. This is the degraded-mode answer
+// path — orders of magnitude cheaper than a real search and still
+// honoring ctx. limit <= 0 means DefaultPrefilterCandidates.
 func (s *Snapshot) PrefilterRankWith(ctx context.Context, ref *core.Decomposed, limit int, mode PrefilterMode) ([]Ranked, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -456,28 +344,5 @@ func (s *Snapshot) PrefilterRankWith(ctx context.Context, ref *core.Decomposed, 
 	if limit <= 0 {
 		limit = DefaultPrefilterCandidates
 	}
-	pfSpan := telemetry.SpanFromContext(ctx).Child("prefilter")
-	pt := s.Tel.StartTimer(telemetry.PrefilterLatency)
-	var ranked []Ranked
-	if mode == ModeLSH {
-		if x := s.lshIdx(); x != nil {
-			s.Tel.Inc(telemetry.LSHQueries)
-			ranked = x.ranked(ctx, QueryFeatures(ref), limit, s.Tel)
-			s.Tel.Add(telemetry.LSHCandidates, uint64(len(ranked)))
-			pfSpan.Set("lsh", 1)
-		} else {
-			s.Tel.Inc(telemetry.LSHFallbacks)
-			ranked = s.fidx.ranked(ctx, QueryFeatures(ref), limit)
-		}
-	} else {
-		ranked = s.fidx.ranked(ctx, QueryFeatures(ref), limit)
-	}
-	pt.Stop()
-	pfSpan.Set("candidates", int64(len(ranked)))
-	pfSpan.End()
-	if err := ctx.Err(); err != nil {
-		noteCtxErr(s.Tel, err)
-		return nil, err
-	}
-	return ranked, nil
+	return s.candidates(ctx, ref, limit, mode, s.Tel)
 }

@@ -3,6 +3,7 @@ package index
 import (
 	"bytes"
 	"encoding/gob"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -11,29 +12,20 @@ import (
 	"repro/internal/corpus"
 )
 
+// TestSnapshotSearchMatchesDBSearch: DB.Search and snapshots of every
+// fan-out rank the query exactly as the serial reference does.
 func TestSnapshotSearchMatchesDBSearch(t *testing.T) {
 	db, _ := buildTestDB(t)
 	query := queryFor(t, db, corpus.LibFuncName)
-	want := db.Search(query, core.DefaultOptions())
+	want := serialSearch(db, query, core.DefaultOptions())
+	sameHits(t, "db", db.Search(query, core.DefaultOptions()), want)
 	for _, shards := range []int{1, 3, 0} {
 		snap := BuildSnapshot(db, []int{3}, shards)
 		got, err := snap.Search(query, core.DefaultOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(got) != len(want) {
-			t.Fatalf("shards=%d: %d hits, want %d", shards, len(got), len(want))
-		}
-		for i := range want {
-			if got[i].Entry != want[i].Entry {
-				t.Errorf("shards=%d hit %d: %s/%s, want %s/%s", shards, i,
-					got[i].Entry.Exe, got[i].Entry.Name, want[i].Entry.Exe, want[i].Entry.Name)
-			}
-			if got[i].Result.SimilarityScore != want[i].Result.SimilarityScore {
-				t.Errorf("shards=%d hit %d: score %v, want %v", shards, i,
-					got[i].Result.SimilarityScore, want[i].Result.SimilarityScore)
-			}
-		}
+		sameHits(t, fmt.Sprintf("shards=%d", shards), got, want)
 	}
 }
 
@@ -88,12 +80,12 @@ func TestTopK(t *testing.T) {
 }
 
 // TestConcurrentDBSearch drives the library API from many goroutines
-// with a cold decomposition cache — the exact access pattern that raced
-// before db.decomposed was mutex-guarded. Run under -race.
+// with cold decomposition slots, for two tracelet sizes at once — first
+// touches of the same slot race to fill it. Run under -race.
 func TestConcurrentDBSearch(t *testing.T) {
 	db, _ := buildTestDB(t)
 	query := queryFor(t, db, corpus.LibFuncName)
-	want := db.Search(query, core.DefaultOptions())
+	want := serialSearch(db, query, core.DefaultOptions())
 
 	fresh, err := Load(saved(t, db))
 	if err != nil {

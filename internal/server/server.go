@@ -967,7 +967,7 @@ func (s *Server) runDegraded(ctx context.Context, req *SearchRequest) (*SearchRe
 	if err := s.faults.Fire(ctx, FaultSearch); err != nil {
 		return nil, errf(http.StatusInternalServerError, "search: %v", err)
 	}
-	ranked, rerr := p.st.snap.PrefilterRank(ctx, p.ref, p.limit)
+	ranked, rerr := p.st.snap.PrefilterRankWith(ctx, p.ref, p.limit, index.ModeScan)
 	if rerr != nil {
 		if he := ctxHTTPErr(rerr); he != nil {
 			return nil, he
