@@ -9,6 +9,18 @@
 // score is the sum of Sim over the chosen aligned pairs; a negative-Sim
 // pair is never chosen. The package also provides the ratio and
 // containment normalizations of the tracelet similarity score.
+//
+// There is one DP, Kernel, and it runs on packed sequences (asm.Packed):
+// an instruction's kind is one hash compare (and one short byte compare
+// when the hashes agree), its arguments are flat comparable values, and
+// the rows are int32. Score, Align, ScoreBlocks and AlignBlocks over
+// []asm.Inst repack their arguments into pooled memory and call it; the
+// matcher packs every block once and calls the Kernel directly. Sim stays
+// as the written definition, which the tests hold the Kernel to.
+//
+// Packing is about half of a Score call on tracelet-sized input, so code
+// that aligns the same sequences repeatedly should Pack once and keep a
+// Kernel.
 package align
 
 import (
@@ -19,9 +31,7 @@ import (
 
 // Sim is the instruction similarity measure of paper Section 4.3.
 // Same-kind instructions have pairwise same-shape operands, so the
-// positional argument comparison walks both operand lists in place —
-// no flattened arg slices are materialized on this path (it runs once
-// per DP cell).
+// positional argument comparison walks both operand lists in place.
 func Sim(c, cp asm.Inst) int {
 	if !asm.SameKind(c, cp) {
 		return -1
@@ -70,50 +80,21 @@ type Alignment struct {
 	Inserted []int // target instructions with no counterpart
 }
 
-// dpPool recycles DP buffers across Score/Align calls: the matcher runs
-// one DP per distinct block pair on the search hot path, and per-call
-// row/matrix allocations were a measurable share of its garbage.
-var dpPool = sync.Pool{New: func() any { return new([]int) }}
-
-// getInts returns a zeroed length-n buffer from the pool.
-func getInts(n int) *[]int {
-	p := dpPool.Get().(*[]int)
-	if cap(*p) < n {
-		*p = make([]int, n)
-	} else {
-		*p = (*p)[:n]
-		clear(*p)
-	}
-	return p
+// scratch is what the []asm.Inst functions work out of: a Kernel and the
+// packed forms of the two sequences in hand, repacked on every call into
+// the same memory (without register masks, which aligning never reads).
+type scratch struct {
+	Kernel
+	ref, tgt asm.Packed
 }
+
+// scratches recycles them; the matcher's workers own their Kernels.
+var scratches = sync.Pool{New: func() any { return new(scratch) }}
 
 // Score computes only the similarity score between a reference and target
 // instruction sequence (CalcScore of paper Algorithm 3).
 func Score(ref, tgt []asm.Inst) int {
-	n, m := len(ref), len(tgt)
-	if n == 0 || m == 0 {
-		return 0
-	}
-	// Two rolling rows: A[j] = best score aligning ref[i:] with tgt[j:].
-	bp := getInts(2 * (m + 1))
-	prev, cur := (*bp)[:m+1], (*bp)[m+1:]
-	for i := n - 1; i >= 0; i-- {
-		for j := m - 1; j >= 0; j-- {
-			best := prev[j] // delete ref[i]
-			if v := cur[j+1]; v > best {
-				best = v // insert tgt[j]
-			}
-			if v := Sim(ref[i], tgt[j]) + prev[j+1]; v > best {
-				best = v
-			}
-			cur[j] = best
-		}
-		prev, cur = cur, prev
-		cur[m] = 0
-	}
-	s := prev[0]
-	dpPool.Put(bp)
-	return s
+	return ScoreBlocks([][]asm.Inst{ref}, [][]asm.Inst{tgt})
 }
 
 // Align computes the full alignment between a reference and a target
@@ -121,64 +102,7 @@ func Score(ref, tgt []asm.Inst) int {
 // Algorithm 1; the paper notes CalcScore and AlignTracelets perform the
 // same computation).
 func Align(ref, tgt []asm.Inst) Alignment {
-	n, m := len(ref), len(tgt)
-	// Flat (n+1)×(m+1) matrix from the pool; a[i][j] lives at a[i*w+j].
-	w := m + 1
-	bp := getInts((n + 1) * w)
-	a := *bp
-	for i := n - 1; i >= 0; i-- {
-		row, below := a[i*w:(i+1)*w], a[(i+1)*w:(i+2)*w]
-		for j := m - 1; j >= 0; j-- {
-			best := below[j]
-			if v := row[j+1]; v > best {
-				best = v
-			}
-			if v := Sim(ref[i], tgt[j]) + below[j+1]; v > best {
-				best = v
-			}
-			row[j] = best
-		}
-	}
-	// The output sizes are bounded up front: pairs+deleted partition the
-	// reference, pairs+inserted the target.
-	minNM := n
-	if m < minNM {
-		minNM = m
-	}
-	out := Alignment{Score: a[0]}
-	if minNM > 0 {
-		out.Pairs = make([]Pair, 0, minNM)
-	}
-	if n > 0 {
-		out.Deleted = make([]int, 0, n)
-	}
-	if m > 0 {
-		out.Inserted = make([]int, 0, m)
-	}
-	i, j := 0, 0
-	for i < n && j < m {
-		s := Sim(ref[i], tgt[j])
-		switch {
-		case s >= 0 && a[i*w+j] == s+a[(i+1)*w+j+1]:
-			out.Pairs = append(out.Pairs, Pair{Ref: i, Tgt: j})
-			i++
-			j++
-		case a[i*w+j] == a[(i+1)*w+j]:
-			out.Deleted = append(out.Deleted, i)
-			i++
-		default:
-			out.Inserted = append(out.Inserted, j)
-			j++
-		}
-	}
-	for ; i < n; i++ {
-		out.Deleted = append(out.Deleted, i)
-	}
-	for ; j < m; j++ {
-		out.Inserted = append(out.Inserted, j)
-	}
-	dpPool.Put(bp)
-	return out
+	return AlignBlocks([][]asm.Inst{ref}, [][]asm.Inst{tgt})
 }
 
 // Method selects a normalization for tracelet similarity scores (paper

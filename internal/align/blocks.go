@@ -9,46 +9,41 @@ import "repro/internal/asm"
 // Section 5.2). The tracelets must have the same number of blocks;
 // otherwise the concatenated sequences are aligned as a whole.
 func ScoreBlocks(ref, tgt [][]asm.Inst) int {
+	s := scratches.Get().(*scratch)
+	defer scratches.Put(s)
 	if len(ref) != len(tgt) {
-		return Score(concat(ref), concat(tgt))
+		s.ref.Repack(ref...)
+		s.tgt.Repack(tgt...)
+		return s.Score(&s.ref, &s.tgt)
 	}
-	s := 0
-	for i := range ref {
-		s += Score(ref[i], tgt[i])
+	score := 0
+	for b := range ref {
+		s.ref.Repack(ref[b])
+		s.tgt.Repack(tgt[b])
+		score += s.Score(&s.ref, &s.tgt)
 	}
-	return s
+	return score
 }
 
 // AlignBlocks computes a full blockwise alignment. Pair indices refer to
 // the concatenated instruction sequences of each tracelet.
 func AlignBlocks(ref, tgt [][]asm.Inst) Alignment {
-	if len(ref) != len(tgt) {
-		return Align(concat(ref), concat(tgt))
-	}
+	s := scratches.Get().(*scratch)
+	defer scratches.Put(s)
 	var out Alignment
-	refOff, tgtOff := 0, 0
-	for i := range ref {
-		a := Align(ref[i], tgt[i])
-		out.Score += a.Score
-		for _, p := range a.Pairs {
-			out.Pairs = append(out.Pairs, Pair{Ref: p.Ref + refOff, Tgt: p.Tgt + tgtOff})
-		}
-		for _, d := range a.Deleted {
-			out.Deleted = append(out.Deleted, d+refOff)
-		}
-		for _, ins := range a.Inserted {
-			out.Inserted = append(out.Inserted, ins+tgtOff)
-		}
-		refOff += len(ref[i])
-		tgtOff += len(tgt[i])
+	if len(ref) != len(tgt) {
+		s.ref.Repack(ref...)
+		s.tgt.Repack(tgt...)
+		s.alignBlock(&out, &s.ref, &s.tgt, 0, 0)
+		return out
 	}
-	return out
-}
-
-func concat(blocks [][]asm.Inst) []asm.Inst {
-	var out []asm.Inst
-	for _, b := range blocks {
-		out = append(out, b...)
+	refOff, tgtOff := 0, 0
+	for b := range ref {
+		s.ref.Repack(ref[b])
+		s.tgt.Repack(tgt[b])
+		s.alignBlock(&out, &s.ref, &s.tgt, refOff, tgtOff)
+		refOff += len(ref[b])
+		tgtOff += len(tgt[b])
 	}
 	return out
 }

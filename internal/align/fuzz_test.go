@@ -25,6 +25,21 @@ var vocab = []asm.Inst{
 	asm.MustParse("xor eax, eax"),
 	asm.MustParse("ret"),
 	asm.MustParse("nop"),
+	// Operand shapes: the offset flag, a scaled-index address, and the
+	// same mnemonic with one, two and three operands.
+	asm.MustParse("push offset aMsg"),
+	asm.MustParse("push aMsg"),
+	asm.MustParse("mov ebx, offset aMsg"),
+	asm.MustParse("mov eax, [ebx+ecx*4+8]"),
+	asm.MustParse("mov eax, [ebx+edx*4+8]"),
+	asm.MustParse("mov eax, [ebx+ecx*4-8]"),
+	asm.MustParse("imul eax"),
+	asm.MustParse("imul eax, ebx, 4"),
+	asm.MustParse("push 1"),
+	// Two symbols of one name and different classes.
+	asm.New("call", asm.SymOp(asm.SymFunc, "x")),
+	asm.New("call", asm.SymOp(asm.SymData, "x")),
+	asm.New("call", asm.SymOp(asm.SymFunc, "y")),
 }
 
 // instSeq maps fuzzer bytes to an instruction sequence, capped so the
@@ -41,8 +56,10 @@ func instSeq(data []byte) []asm.Inst {
 	return out
 }
 
-// FuzzAlign throws arbitrary instruction sequences at the aligner and
-// checks its algebra: symmetry, the identity-score ceiling, agreement
+// FuzzAlign throws arbitrary instruction sequences at the aligner — the
+// packed kernel behind Score and Align — and checks it against the naive
+// DP over Sim (score, pair stream, unaligned indices, full-weight bound)
+// and its algebra: symmetry, the identity-score ceiling, agreement
 // between the score-only and traceback paths, monotonicity of the pair
 // indices, and normalization staying in [0, 1].
 func FuzzAlign(f *testing.F) {
@@ -55,6 +72,7 @@ func FuzzAlign(f *testing.F) {
 	f.Fuzz(func(t *testing.T, ra, ta []byte) {
 		ref, tgt := instSeq(ra), instSeq(ta)
 		rIdent, tIdent := IdentityScore(ref), IdentityScore(tgt)
+		checkAgainstNaive(t, ref, tgt)
 
 		s := Score(ref, tgt)
 		if back := Score(tgt, ref); back != s {

@@ -33,13 +33,6 @@ func TextLCS(a, b string) int {
 	return prev[0]
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // TextSimilarity is the normalized character-LCS similarity of two
 // instruction sequences rendered as text: 2*LCS / (len(a)+len(b)).
 func TextSimilarity(a, b []asm.Inst) float64 {

@@ -1,0 +1,147 @@
+package asm
+
+import "testing"
+
+// packVocab covers the operand shapes and the mnemonic table's corners:
+// implicit registers, read-modify-write, lea's address-only operand, the
+// three imul forms, an unknown mnemonic, offset operands, scaled indices,
+// and symbols of equal name and different class.
+func packVocab() []Inst {
+	v := []Inst{
+		MustParse("mov eax, ebx"), MustParse("mov [ebp+var_4], esi"), MustParse("mov eax, [ebx+ecx*4+8]"),
+		MustParse("mov eax, [ebx+ecx*4-8]"), MustParse("add eax, 1"), MustParse("add eax, ebx"),
+		MustParse("xchg eax, ebx"), MustParse("lea eax, [ebx+4]"), MustParse("push ebp"), MustParse("push 1"),
+		MustParse("push offset aMsg"), MustParse("push aMsg"), MustParse("pop ebp"), MustParse("call _printf"),
+		MustParse("imul eax"), MustParse("imul eax, ebx"), MustParse("imul eax, ebx, 4"), MustParse("idiv ecx"),
+		MustParse("cdq"), MustParse("leave"), MustParse("retn"), MustParse("nop"), MustParse("cmovz eax, ebx"),
+		MustParse("setz al"), MustParse("movzx eax, al"),
+		New("frobnicate", RegOp(EAX), ImmOp(3)),
+		New("call", SymOp(SymFunc, "x")), New("call", SymOp(SymData, "x")),
+		// What only a malformed gob can carry: a register past the table, a
+		// kind past the enum, fields the kind does not select.
+		New("mov", RegOp(Reg(200)), RegOp(Reg(77))),
+		New("mov", DirectOp(Arg{Kind: ArgKind(9), Cls: SymLocal, Sym: "q"}), RegOp(EAX)),
+		New("mov", DirectOp(Arg{Kind: KindReg, Reg: EAX, Imm: 7}), RegOp(EAX)),
+	}
+	return v
+}
+
+// TestPackMatchesInstructions: the packed form must say about every
+// instruction, and every pair, exactly what the instruction methods say.
+func TestPackMatchesInstructions(t *testing.T) {
+	v := packVocab()
+	pk := Pack(v[:10], nil, v[10:]) // packs the concatenation
+	if pk.Len() != len(v) || len(pk.Off) != len(v)+1 {
+		t.Fatalf("packed %d instructions, want %d", pk.Len(), len(v))
+	}
+	for i, in := range v {
+		args := pk.Args[pk.Off[i]:pk.Off[i+1]]
+		if len(args) != in.NumArgs() {
+			t.Fatalf("%q: %d packed args, want %d", in, len(args), in.NumArgs())
+		}
+		for k, a := range in.Args() {
+			if got := args[k].Arg(); got != a {
+				t.Errorf("%q arg %d unpacks to %+v, want %+v", in, k, got, a)
+			}
+		}
+		var rd, wr uint64
+		for r := range in.Read() {
+			rd |= RegBit(r)
+		}
+		for r := range in.Write() {
+			wr |= RegBit(r)
+		}
+		if pk.Read[i] != rd || pk.Write[i] != wr {
+			t.Errorf("%q: masks read %#x write %#x, want %#x %#x", in, pk.Read[i], pk.Write[i], rd, wr)
+		}
+		for j, other := range v {
+			if got, want := pk.SameKind(i, pk, j), SameKind(in, other); got != want {
+				t.Errorf("SameKind(%q, %q) = %v on the packed form, want %v", in, other, got, want)
+			}
+			oargs := pk.Args[pk.Off[j]:pk.Off[j+1]]
+			for k, a := range in.Args() {
+				if k < len(oargs) {
+					if got, want := args[k].Equal(&oargs[k]), a == other.Args()[k]; got != want {
+						t.Errorf("%q arg %d vs %q: packed equality %v, want %v", in, k, other, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestRegBits: every register the package defines has a bit of its own.
+func TestRegBits(t *testing.T) {
+	seen := make(map[uint64]Reg)
+	for r := RegNone; r < numRegs; r++ {
+		if prev, dup := seen[RegBit(r)]; dup {
+			t.Errorf("%v and %v share a mask bit", prev, r)
+		}
+		seen[RegBit(r)] = r
+		if r.Valid() != (LookupReg(r.String()) == r && r != RegNone) {
+			t.Errorf("%v: Valid() = %v", r, r.Valid())
+		}
+	}
+	if Reg(200).Valid() || RegBit(Reg(200)) == 0 {
+		t.Error("a register past the table must be invalid and still have a bit")
+	}
+}
+
+// TestPArgEqualIsFieldwise builds the arguments on which an Equal that
+// mixes its fields up goes wrong — a tag difference hidden inside the bits
+// of the name's hash, an immediate that spells a symbol's hash — and
+// requires inequality in both directions.
+func TestPArgEqualIsFieldwise(t *testing.T) {
+	unequal := func(what string, a, b PArg) {
+		t.Helper()
+		if a.Equal(&b) || b.Equal(&a) {
+			t.Errorf("%s: %+v and %+v compare equal", what, a, b)
+		}
+	}
+	sym := PackArg(SymArg(SymFunc, "x"))
+	if self := sym; !sym.Equal(&self) {
+		t.Fatalf("%+v is not equal to itself", sym)
+	}
+	for bit := uint32(1); bit != 0; bit <<= 1 {
+		if sym.SymH&uint64(bit) != 0 {
+			other := sym
+			other.Tag ^= bit
+			unequal("same name, tag differing in a bit of the name's hash", sym, other)
+		}
+	}
+	immTag, symTag := PackArg(ImmArg(0)).Tag, PackArg(SymArg(SymData, "q")).Tag
+	named := PArg{Tag: symTag, SymH: uint64(immTag^symTag) | 0xabc<<32, Sym: "q"}
+	unequal("immediate spelling a symbol's hash", PArg{Tag: immTag, Imm: int64(named.SymH)}, named)
+	unequal("immediate spelling the hash less the tag difference",
+		PArg{Tag: immTag, Imm: int64(named.SymH &^ uint64(immTag^symTag))}, named)
+	unequal("same tag and hash, immediates differing", PArg{Tag: symTag, Imm: 1, SymH: named.SymH, Sym: "q"}, named)
+	unequal("same hash, names differing", PArg{Tag: symTag, SymH: named.SymH, Sym: "r"}, named)
+}
+
+// TestRepackReuses: repacking into used memory — after a longer sequence
+// and after a shorter one — gives what packing afresh gives, minus the
+// masks.
+func TestRepackReuses(t *testing.T) {
+	v := packVocab()
+	var p Packed
+	for _, seq := range [][]Inst{v[:8], v, v[20:], nil, v[3:12]} {
+		p.Repack(seq[:len(seq)/2], seq[len(seq)/2:])
+		want := Pack(seq)
+		if p.Read != nil || p.Write != nil {
+			t.Fatal("Repack left register masks behind")
+		}
+		if p.Len() != want.Len() || len(p.Args) != len(want.Args) {
+			t.Fatalf("repacked %d instructions with %d arguments, want %d with %d", p.Len(), len(p.Args), want.Len(), len(want.Args))
+		}
+		for i := range seq {
+			if !p.SameKind(i, want, i) || p.KindH[i] != want.KindH[i] || p.Off[i+1] != want.Off[i+1] {
+				t.Errorf("%q: repacked kind or argument range differs", seq[i])
+			}
+		}
+		for k := range p.Args {
+			if !p.Args[k].Equal(&want.Args[k]) {
+				t.Errorf("argument %d: repacked %+v, want %+v", k, p.Args[k], want.Args[k])
+			}
+		}
+	}
+}

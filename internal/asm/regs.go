@@ -94,6 +94,11 @@ func (r Reg) String() string {
 	return regNames[r]
 }
 
+// Valid reports whether r is one of the registers the package defines
+// (LookupReg(r.String()) == r), which excludes RegNone and the values only
+// malformed input carries.
+func (r Reg) Valid() bool { return r > RegNone && r < numRegs }
+
 // LookupReg returns the register with the given (case-insensitive) name, or
 // RegNone if the name is not a known register.
 func LookupReg(name string) Reg {

@@ -117,11 +117,10 @@ func KnownMnemonic(m string) bool {
 	return ok
 }
 
-// access returns the access mode of operand i, defaulting to read for
-// unknown mnemonics (a safe over-approximation for reads, and conservative
-// for writes).
-func (in Inst) access(i int) opAccess {
-	info, ok := lookup(in.Mnemonic)
+// access returns the access mode of operand i given the instruction's
+// table entry, defaulting to read for unknown mnemonics (a safe
+// over-approximation for reads, and conservative for writes).
+func (in *Inst) access(info mnemonicInfo, ok bool, i int) opAccess {
 	if !ok || i >= len(info.access) {
 		if ok && info.variadic {
 			// imul with fewer operands: single-operand form is a pure
@@ -186,61 +185,71 @@ func (in Inst) Terminates() bool {
 	return ok && (info.jump || info.ret)
 }
 
-func addReg(set map[Reg]bool, a Arg) {
-	if a.IsReg() {
-		set[a.Reg] = true
+// regAccesses calls f with every register the instruction accesses and
+// the mode of the access (paper Section 3): a register operand in the
+// operand's access mode, a register used as a component of a
+// memory-address computation as a read — a memory destination writes no
+// register — and the registers the mnemonic reads and writes implicitly.
+// It is the one walk behind Read, Write and the packed masks.
+func (in *Inst) regAccesses(f func(r Reg, acc opAccess)) {
+	info, ok := lookup(in.Mnemonic)
+	for i := range in.Ops {
+		op := &in.Ops[i]
+		if op.IsMem() {
+			// Address components are always read, whatever the access.
+			for _, t := range op.Mem {
+				if t.Arg.IsReg() {
+					f(t.Arg.Reg, accR)
+				}
+			}
+		} else if op.Arg.IsReg() {
+			f(op.Arg.Reg, in.access(info, ok, i))
+		}
 	}
+	for _, r := range info.impR {
+		f(r, accR)
+	}
+	for _, r := range info.impW {
+		f(r, accW)
+	}
+	if in.Mnemonic == "imul" && len(in.Ops) == 1 {
+		f(EAX, accRW) // single-operand form multiplies into edx:eax
+		f(EDX, accW)
+	}
+}
+
+// regSet collects the registers accessed in the given mode.
+func (in *Inst) regSet(mode opAccess) map[Reg]bool {
+	out := make(map[Reg]bool)
+	in.regAccesses(func(r Reg, acc opAccess) {
+		if acc&mode != 0 {
+			out[r] = true
+		}
+	})
+	return out
 }
 
 // Read returns the set of registers read by the instruction (paper
 // Section 3): registers appearing as read operands, and registers used as
 // components of any memory-address computation.
-func (in Inst) Read() map[Reg]bool {
-	out := make(map[Reg]bool)
-	for i, op := range in.Ops {
-		if op.IsMem() {
-			// Address components are always read, whatever the access.
-			for _, t := range op.Mem {
-				addReg(out, t.Arg)
-			}
-			continue
-		}
-		if in.access(i)&accR != 0 {
-			addReg(out, op.Arg)
-		}
-	}
-	if info, ok := lookup(in.Mnemonic); ok {
-		for _, r := range info.impR {
-			out[r] = true
-		}
-	}
-	if in.Mnemonic == "imul" && len(in.Ops) == 1 {
-		out[EAX] = true // single-operand form multiplies into edx:eax
-	}
-	return out
-}
+func (in Inst) Read() map[Reg]bool { return in.regSet(accR) }
 
 // Write returns the set of registers written by the instruction. A memory
 // destination writes no register.
-func (in Inst) Write() map[Reg]bool {
-	out := make(map[Reg]bool)
-	for i, op := range in.Ops {
-		if op.IsMem() {
-			continue
+func (in Inst) Write() map[Reg]bool { return in.regSet(accW) }
+
+// regMasks returns Read() and Write() as RegBit masks, without
+// materializing the sets.
+func (in *Inst) regMasks() (rd, wr uint64) {
+	in.regAccesses(func(r Reg, acc opAccess) {
+		if acc&accR != 0 {
+			rd |= RegBit(r)
 		}
-		if in.access(i)&accW != 0 {
-			addReg(out, op.Arg)
+		if acc&accW != 0 {
+			wr |= RegBit(r)
 		}
-	}
-	if info, ok := lookup(in.Mnemonic); ok {
-		for _, r := range info.impW {
-			out[r] = true
-		}
-	}
-	if in.Mnemonic == "imul" && len(in.Ops) == 1 {
-		out[EAX], out[EDX] = true, true
-	}
-	return out
+	})
+	return rd, wr
 }
 
 // Args returns the arguments appearing in the instruction, in syntactic

@@ -1,0 +1,118 @@
+package core
+
+import (
+	"context"
+	"runtime"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"repro/internal/align"
+	"repro/internal/asm"
+)
+
+// rewriteCandidate returns a tracelet pair of (ref, tgt) the matcher would
+// attempt a rewrite on.
+func rewriteCandidate(t *testing.T, ctx *cmpCtx, opts Options) (int, int) {
+	t.Helper()
+	for ri := range ctx.ref.Tracelets {
+		for ti := range ctx.tgt.Tracelets {
+			n := align.Norm(ctx.pairScore(ri, ti), ctx.ref.ident[ri], ctx.tgt.ident[ti], opts.Norm)
+			if n >= opts.RewriteSkipBelow && n <= opts.Beta {
+				return ri, ti
+			}
+		}
+	}
+	t.Fatal("no rewrite candidate in the test pair")
+	return 0, 0
+}
+
+// TestRewriteAttemptAllocatesNothing: on a warm worker one whole
+// rewrite-and-rescore step — reference domains, tracebacks, constraint
+// generation, solve, substitution, re-score — allocates no object. Every
+// buffer it needs belongs to the worker.
+func TestRewriteAttemptAllocatesNothing(t *testing.T) {
+	opts := DefaultOptions()
+	ref := Decompose(liftListing(t, "a", srcA), 3)
+	tgt := Decompose(liftListing(t, "a2", srcARenamed), 3)
+	ctx := newCmpCtx(ref, tgt, nil)
+	defer ctx.release()
+	ri, ti := rewriteCandidate(t, ctx, opts)
+	attempt := func() {
+		ctx.rwRef = -1 // a new reference tracelet every time: SetRef is part of the step
+		ctx.rewritePair(ri, ti, opts.Norm)
+	}
+	attempt()
+	if allocs := testing.AllocsPerRun(200, attempt); allocs != 0 {
+		t.Errorf("a warm rewrite attempt allocates %v objects, want 0", allocs)
+	}
+}
+
+// TestCompareAllocationsBounded: on the BenchmarkCompare pairs a warm
+// worker compares without allocating, however many tracelet pairs, DPs
+// and rewrites the comparison takes (the string-based core allocated
+// ~1000 objects on the matching pair), and Matcher.Compare, which borrows
+// its worker from a pool, allocates at most what a cold worker needs to
+// grow its buffers once — a constant of the worker, not of the pair.
+func TestCompareAllocationsBounded(t *testing.T) {
+	const coldWorker = 40
+	ref := Decompose(liftListing(t, "a", srcA), 3)
+	for _, tc := range []struct {
+		name string
+		src  string
+	}{{"match", srcARenamed}, {"miss", srcB}} {
+		tgt := Decompose(liftListing(t, tc.name, tc.src), 3)
+		for _, prune := range []bool{true, false} {
+			opts := DefaultOptions()
+			opts.Prune = prune
+			m := NewMatcher(opts)
+			want := m.Compare(ref, tgt)
+
+			ctx := ctxPool.Get().(*cmpCtx)
+			warm := func() {
+				if res, _ := m.compare(context.Background(), ctx, ref, tgt); res != want {
+					t.Fatalf("%s prune=%v: %+v, want %+v", tc.name, prune, res, want)
+				}
+			}
+			warm()
+			if allocs := testing.AllocsPerRun(50, warm); allocs != 0 {
+				t.Errorf("%s prune=%v: a warm worker allocates %v objects per compare, want 0", tc.name, prune, allocs)
+			}
+			ctx.release()
+
+			if allocs := testing.AllocsPerRun(50, func() { m.Compare(ref, tgt) }); allocs > coldWorker {
+				t.Errorf("%s prune=%v: Compare allocates %v objects, more than a cold worker's %d", tc.name, prune, allocs, coldWorker)
+			}
+		}
+	}
+}
+
+// TestParkedWorkerHoldsNoDecomposition: a worker back in the pool keeps its
+// buffers and nothing of the functions it compared. Every packed block of
+// a target that went through scoring, rewriting and an explanation must be
+// collectable at the first collection after the target is dropped — while
+// the pool still holds the worker.
+func TestParkedWorkerHoldsNoDecomposition(t *testing.T) {
+	ref := Decompose(liftListing(t, "a", srcA), 3)
+	var blocks, freed atomic.Int32
+	func() {
+		tgt := Decompose(liftListing(t, "a2", srcARenamed), 3)
+		for i := range tgt.distinct {
+			blocks.Add(1)
+			runtime.SetFinalizer(tgt.distinct[i].pk, func(*asm.Packed) { freed.Add(1) })
+		}
+		m := NewMatcher(DefaultOptions())
+		if res := m.Compare(ref, tgt); res.MatchedRewrite == 0 {
+			t.Fatalf("the pair exercised no rewrite: %+v", res)
+		}
+		m.Explain(ref, tgt)
+	}()
+	runtime.GC()
+	for wait := 0; freed.Load() < blocks.Load() && wait < 200; wait++ {
+		time.Sleep(5 * time.Millisecond) // finalizers run on their own goroutine
+	}
+	if freed.Load() < blocks.Load() {
+		t.Errorf("%d of the target's %d packed blocks are still reachable after it was dropped", blocks.Load()-freed.Load(), blocks.Load())
+	}
+	runtime.KeepAlive(ref)
+}

@@ -9,18 +9,22 @@
 // The block-granularity optimization of Section 5.2 is applied: scores
 // are computed per distinct basic-block pair and cached in a flat matrix,
 // so a block shared by many tracelets is aligned once per distinct target
-// block. On top of it sits a lossless score-bound pruner (Options.Prune):
-// a pair whose best-possible normalized score cannot clear β — nor
-// qualify for a rewrite attempt — skips the alignment DP entirely, with
-// bit-identical Results. Full tracebacks are deferred until a rewrite
-// attempt actually consumes the aligned pairs.
+// block. Decompose packs every distinct block once (asm.Packed) and the
+// compare path touches nothing else: the alignment kernel, the rewrite
+// engine and the re-score all run on the packed form, out of buffers a
+// compare worker owns and reuses. On top sits a lossless score-bound
+// pruner (Options.Prune): a pair whose best-possible normalized score
+// cannot clear β — nor qualify for a rewrite attempt — skips the alignment
+// DP entirely, and a rewrite candidate whose order-aware bound cannot
+// clear β skips the traceback and the constraint solve, with
+// bit-identical Results either way.
 package core
 
 import (
 	"context"
-	"fmt"
 	"runtime"
-	"sort"
+	"slices"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -50,10 +54,11 @@ type Options struct {
 	RewriteSkipBelow float64
 	// Prune enables the lossless score-bound pruner: a tracelet pair runs
 	// the alignment DP only if an upper bound on its score (from
-	// precomputed per-block instruction-kind profiles) could clear Beta.
-	// The bound holds for rewrite attempts too — rewriting renames symbols
-	// within their class and never changes instruction kinds, so it cannot
-	// lift a pair over a bound it already failed. Results are bit-identical
+	// precomputed per-block instruction-kind profiles) could clear Beta,
+	// and a rewrite candidate runs the traceback and the constraint solve
+	// only if the tighter order-aware bound could — rewriting renames
+	// symbols within their class and never changes instruction kinds, so
+	// it cannot lift a pair over either bound. Results are bit-identical
 	// with and without pruning; only the work changes.
 	Prune bool
 	// PruneAlpha cuts a Compare short once the α verdict is decided: when
@@ -102,20 +107,21 @@ func DefaultOptions() Options {
 }
 
 // blockInfo is one distinct basic-block body of a decomposition, with
-// everything the matcher precomputes per block: a content hash, the
-// identity (self-alignment) score, and the instruction-kind profile the
-// score-bound pruner intersects.
+// everything the matcher precomputes per block: the packed form every
+// compare works on, a content hash, the identity (self-alignment) score,
+// and the instruction-kind profile the score-bound pruner intersects.
 type blockInfo struct {
 	insts []asm.Inst
+	pk    *asm.Packed
 	hash  uint64
 	ident int32
 	prof  []kindCount
 }
 
 // Decomposed is a function decomposed into k-tracelets with the distinct
-// basic-block bodies deduplicated and preprocessed (hash, identity score,
-// kind profile) so that per-Compare state is two flat matrices instead of
-// a hash map.
+// basic-block bodies deduplicated and preprocessed (packed form, hash,
+// identity score, kind profile) so that per-Compare state is a few flat
+// matrices instead of a hash map.
 type Decomposed struct {
 	Name      string
 	K         int
@@ -123,9 +129,10 @@ type Decomposed struct {
 	NumBlocks int
 	NumInsts  int
 
-	distinct []blockInfo // deduplicated block bodies
-	blockID  [][]int32   // per tracelet, per block: index into distinct
-	ident    []int       // identity score per tracelet
+	distinct    []blockInfo // deduplicated block bodies
+	blockID     [][]int32   // per tracelet, per block: index into distinct
+	ident       []int       // identity score per tracelet
+	fingerprint uint64
 }
 
 // Decompose extracts and preprocesses the k-tracelets of a lifted function.
@@ -140,6 +147,7 @@ func Decompose(fn *prep.Function, k int) *Decomposed {
 		blockID:   make([][]int32, len(ts)),
 		ident:     make([]int, len(ts)),
 	}
+	fp := mix(mix(mix(offset64, uint64(d.K)), uint64(d.NumBlocks)), uint64(d.NumInsts))
 	// Tracelets share block slices heavily: resolve each shared slice once
 	// by pointer identity, and each distinct content once by hash.
 	type sliceID struct {
@@ -148,8 +156,9 @@ func Decompose(fn *prep.Function, k int) *Decomposed {
 	}
 	byPtr := make(map[sliceID]int32)
 	byHash := make(map[uint64]int32)
+	ids := make([]int32, len(ts)*k) // every tracelet has k blocks
 	for i, t := range ts {
-		ids := make([]int32, len(t.Blocks))
+		d.blockID[i], ids = ids[:len(t.Blocks):len(t.Blocks)], ids[len(t.Blocks):]
 		total := 0
 		for j, blk := range t.Blocks {
 			var sid sliceID
@@ -158,26 +167,29 @@ func Decompose(fn *prep.Function, k int) *Decomposed {
 			}
 			id, ok := byPtr[sid]
 			if !ok {
-				h := hashInsts(blk)
+				pk := asm.Pack(blk)
+				h := hashPacked(pk)
 				id, ok = byHash[h]
 				if !ok {
 					id = int32(len(d.distinct))
 					d.distinct = append(d.distinct, blockInfo{
 						insts: blk,
+						pk:    pk,
 						hash:  h,
-						ident: int32(align.IdentityScore(blk)),
-						prof:  kindProfileOf(blk),
+						ident: int32(2*pk.Len() + len(pk.Args)),
+						prof:  kindProfileOf(pk),
 					})
 					byHash[h] = id
 				}
 				byPtr[sid] = id
 			}
-			ids[j] = id
+			d.blockID[i][j] = id
 			total += int(d.distinct[id].ident)
+			fp = mix(fp, d.distinct[id].hash)
 		}
-		d.blockID[i] = ids
 		d.ident[i] = total
 	}
+	d.fingerprint = fp
 	return d
 }
 
@@ -194,25 +206,13 @@ func (d *Decomposed) DistinctBlocks() [][]asm.Inst {
 	return out
 }
 
-// Fingerprint returns a stable 64-bit content hash of the decomposition:
-// two functions with identical tracelet content (for the same k) collide,
-// different content essentially never does. Result caches key on it.
-func (d *Decomposed) Fingerprint() uint64 {
-	h := uint64(offset64)
-	mix := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			h = (h ^ (v & 0xff)) * prime64
-			v >>= 8
-		}
-	}
-	mix(uint64(d.K))
-	mix(uint64(d.NumBlocks))
-	mix(uint64(d.NumInsts))
-	for _, t := range d.Tracelets {
-		mix(t.Hash())
-	}
-	return h
-}
+// Fingerprint returns a 64-bit content hash of the decomposition: two
+// functions with identical tracelet content (for the same k) collide,
+// different content essentially never does. Result caches key on it. It
+// is computed by Decompose from the block content hashes — k, the block
+// and instruction counts, then every tracelet's blocks in order — and
+// means nothing outside this process.
+func (d *Decomposed) Fingerprint() uint64 { return d.fingerprint }
 
 // DecomposeT is Decompose with telemetry: the decomposition is timed into
 // tel's decompose-latency histogram and counted. A nil collector makes it
@@ -227,90 +227,26 @@ func DecomposeT(fn *prep.Function, k int, tel *telemetry.Collector) *Decomposed 
 
 const offset64, prime64 = 14695981039346656037, 1099511628211
 
-func fnvByte(h uint64, b byte) uint64 { return (h ^ uint64(b)) * prime64 }
-
-func fnvU64(h, v uint64) uint64 {
-	for i := 0; i < 8; i++ {
-		h = (h ^ (v & 0xff)) * prime64
-		v >>= 8
-	}
-	return h
+// mix folds one 64-bit word into a running hash.
+func mix(h, v uint64) uint64 {
+	h = (h ^ v) * prime64
+	return h ^ h>>32
 }
 
-func fnvString(h uint64, s string) uint64 {
-	for i := 0; i < len(s); i++ {
-		h = (h ^ uint64(s[i])) * prime64
-	}
-	return (h ^ 0) * prime64
-}
-
-func fnvArg(h uint64, a asm.Arg) uint64 {
-	h = fnvByte(h, byte(a.Kind))
-	switch a.Kind {
-	case asm.KindReg:
-		return fnvU64(h, uint64(a.Reg))
-	case asm.KindImm:
-		return fnvU64(h, uint64(a.Imm))
-	case asm.KindSym:
-		return fnvString(fnvByte(h, byte(a.Cls)), a.Sym)
-	}
-	return h
-}
-
-// hashInsts content-hashes a block body by walking the instruction
-// structure directly — no text rendering (the String-based hash was the
-// hottest allocation site in Decompose).
-func hashInsts(insts []asm.Inst) uint64 {
+// hashPacked content-hashes a block body from its packed form: every
+// instruction's kind hash and every argument by value (a symbol by the
+// hash of its name), each instruction closed by its argument count so that
+// arguments cannot drift between neighbours.
+func hashPacked(pk *asm.Packed) uint64 {
 	h := uint64(offset64)
-	for _, in := range insts {
-		h = fnvString(h, in.Mnemonic)
-		for _, op := range in.Ops {
-			if op.IsMem() {
-				h = fnvByte(h, '[')
-				for _, t := range op.Mem {
-					h = fnvByte(h, byte(t.Op))
-					h = fnvArg(h, t.Arg)
-				}
-			} else {
-				if op.Offset {
-					h = fnvByte(h, '&')
-				}
-				h = fnvArg(h, op.Arg)
-			}
-			h = fnvByte(h, ',')
+	for i, kh := range pk.KindH {
+		h = mix(h, kh)
+		args := pk.Args[pk.Off[i]:pk.Off[i+1]]
+		for k := range args {
+			a := &args[k]
+			h = mix(mix(mix(h, uint64(a.Tag)), uint64(a.Imm)), a.SymH)
 		}
-		h = fnvByte(h, '\n')
-	}
-	return h
-}
-
-// kindHash hashes the SameKind equivalence class of an instruction: the
-// mnemonic plus each operand's shape (direct/memory, the offset flag,
-// memory-term operators, and argument types). asm.SameKind(a, b) implies
-// kindHash(a) == kindHash(b); a hash collision can only merge two classes,
-// which over-approximates — safe for an upper bound.
-func kindHash(in asm.Inst) uint64 {
-	h := fnvString(uint64(offset64), in.Mnemonic)
-	for _, op := range in.Ops {
-		if op.IsMem() {
-			h = fnvByte(h, '[')
-			for _, t := range op.Mem {
-				h = fnvByte(h, byte(t.Op))
-				h = fnvByte(h, byte(t.Arg.Kind))
-				if t.Arg.Kind == asm.KindSym {
-					h = fnvByte(h, byte(t.Arg.Cls))
-				}
-			}
-		} else {
-			if op.Offset {
-				h = fnvByte(h, '&')
-			}
-			h = fnvByte(h, byte(op.Arg.Kind))
-			if op.Arg.Kind == asm.KindSym {
-				h = fnvByte(h, byte(op.Arg.Cls))
-			}
-		}
-		h = fnvByte(h, ',')
+		h = mix(h, uint64(len(args)))
 	}
 	return h
 }
@@ -319,7 +255,9 @@ func kindHash(in asm.Inst) uint64 {
 // instructions of one SameKind class the block holds, and the identity
 // weight (2 + #args, the maximum Sim of a pair within the class) each
 // contributes. SameKind instructions have equal argument counts, so the
-// weight is a class property.
+// weight is a class property. Classes are told apart by their hash alone:
+// a collision can only merge two classes, which over-approximates — safe
+// for an upper bound.
 type kindCount struct {
 	hash   uint64
 	weight int32
@@ -328,26 +266,30 @@ type kindCount struct {
 
 // kindProfileOf computes a block's kind profile, sorted by (hash, weight)
 // so two profiles intersect with a linear merge.
-func kindProfileOf(insts []asm.Inst) []kindCount {
-	type key struct {
-		hash   uint64
-		weight int32
+func kindProfileOf(pk *asm.Packed) []kindCount {
+	prof := make([]kindCount, pk.Len())
+	for i, kh := range pk.KindH {
+		prof[i] = kindCount{hash: kh, weight: 2 + pk.Off[i+1] - pk.Off[i], count: 1}
 	}
-	m := make(map[key]int32, len(insts))
-	for _, in := range insts {
-		m[key{kindHash(in), int32(2 + in.NumArgs())}]++
-	}
-	prof := make([]kindCount, 0, len(m))
-	for k, c := range m {
-		prof = append(prof, kindCount{hash: k.hash, weight: k.weight, count: c})
-	}
-	sort.Slice(prof, func(i, j int) bool {
-		if prof[i].hash != prof[j].hash {
-			return prof[i].hash < prof[j].hash
+	slices.SortFunc(prof, func(a, b kindCount) int {
+		if a.hash != b.hash {
+			if a.hash < b.hash {
+				return -1
+			}
+			return 1
 		}
-		return prof[i].weight < prof[j].weight
+		return int(a.weight - b.weight)
 	})
-	return prof
+	n := 0
+	for _, kc := range prof {
+		if n > 0 && prof[n-1].hash == kc.hash && prof[n-1].weight == kc.weight {
+			prof[n-1].count++
+			continue
+		}
+		prof[n] = kc
+		n++
+	}
+	return prof[:n]
 }
 
 // profileBound returns an upper bound on the alignment score of two
@@ -425,23 +367,6 @@ type cmpStats struct {
 	dedupeSaved uint64
 }
 
-// i32Pool recycles the per-Compare score/bound matrices.
-var i32Pool = sync.Pool{New: func() any { return new([]int32) }}
-
-// getI32 returns a pooled length-n buffer filled with -1 ("unknown").
-func getI32(n int) *[]int32 {
-	p := i32Pool.Get().(*[]int32)
-	if cap(*p) < n {
-		*p = make([]int32, n)
-	} else {
-		*p = (*p)[:n]
-	}
-	for i := range *p {
-		(*p)[i] = -1
-	}
-	return p
-}
-
 // cancelCheckInterval is how many pair-loop iterations pass between Done
 // channel probes. A power of two keeps the check a mask; 32 bounds the
 // overshoot after cancellation to a handful of block-cache lookups while
@@ -498,47 +423,99 @@ func (c *cancelCheck) now() error {
 	}
 }
 
-// cmpCtx carries one Compare's working state through the tracelet loops:
-// flat pooled score/bound matrices over the distinct-block cross product,
-// lazily built full alignments (rewrite candidates only), the telemetry
-// sink and the (optional) trace span.
+// cmpCtx is one compare worker's state: what the Compare in progress is
+// bound to — flat score/bound matrices over the distinct-block cross
+// product, the telemetry sink and the (optional) trace span — and the
+// scratch every Compare of the worker reuses: the matrices' memory, the
+// alignment kernel's rows, the rewrite engine with its solver, and the
+// rewrite-candidate and traceback buffers. A warm worker compares without
+// allocating.
 type cmpCtx struct {
-	ref, tgt             *Decomposed
-	td                   int // matrix stride: len(tgt.distinct)
-	scoresBuf, boundsBuf *[]int32
-	scores, bounds       []int32 // rd×td; -1 = not yet computed
-	full                 map[uint64]*align.Alignment
+	ref, tgt *Decomposed
+	td       int // matrix stride: len(tgt.distinct)
+	// rd×td each; -1 = not yet computed. rwBounds, the order-aware bounds
+	// only rewrite candidates ask for, is nil until the first one does.
+	scores, bounds, rwBounds []int32
 
 	cancel    cancelCheck
 	cancelErr error // first context error observed; aborts the compare
 
-	tel     *telemetry.Collector
-	span    *telemetry.Span
-	stats   cmpStats
-	pairSeq uint64 // pairs seen; drives 1-in-8 pair-latency sampling
+	tel   *telemetry.Collector
+	span  *telemetry.Span
+	stats cmpStats
+
+	mats    [3][]int32 // backing memory of scores, bounds, rwBounds
+	pairSeq uint64     // pairs seen by this worker; drives 1-in-8 pair-latency sampling
+	dp      align.Kernel
+	rw      rewrite.Engine
+	rwRef   int           // reference tracelet rw is set to, -1 for none
+	rblk    []*asm.Packed // its packed blocks
+	tblk    []*asm.Packed // the packed blocks of the target being rewritten
+	pairs   []align.Pair  // the tracebacks of its blocks, back to back ...
+	ends    []int         // ... block b's ending at ends[b]
+	cands   []rewriteCand
 }
 
+// rewriteCand is a target tracelet worth a rewrite attempt, with the
+// pre-rewrite score that ranks it.
+type rewriteCand struct {
+	ti   int
+	norm float64
+}
+
+// ctxPool recycles compare workers' state.
+var ctxPool = sync.Pool{New: func() any { return new(cmpCtx) }}
+
+// newCmpCtx returns a pooled worker state bound to (ref, tgt).
 func newCmpCtx(ref, tgt *Decomposed, tel *telemetry.Collector) *cmpCtx {
-	ctx := &cmpCtx{ref: ref, tgt: tgt, td: len(tgt.distinct), tel: tel}
-	n := len(ref.distinct) * ctx.td
-	ctx.scoresBuf = getI32(n)
-	ctx.boundsBuf = getI32(n)
-	ctx.scores, ctx.bounds = *ctx.scoresBuf, *ctx.boundsBuf
+	ctx := ctxPool.Get().(*cmpCtx)
+	ctx.bind(ref, tgt, tel)
 	return ctx
 }
 
-// release returns the pooled matrices; the ctx must not be used after.
+// bind points the worker at a new function pair and forgets everything
+// the previous Compare learned.
+func (ctx *cmpCtx) bind(ref, tgt *Decomposed, tel *telemetry.Collector) {
+	ctx.ref, ctx.tgt, ctx.td, ctx.tel = ref, tgt, len(tgt.distinct), tel
+	ctx.rw.Tel = tel
+	ctx.cancel, ctx.cancelErr, ctx.span, ctx.stats = cancelCheck{}, nil, nil, cmpStats{}
+	ctx.rwRef = -1
+	ctx.scores, ctx.bounds, ctx.rwBounds = ctx.matrix(0), ctx.matrix(1), nil
+}
+
+// matrix returns the worker's i-th matrix sized for the function pair in
+// hand, every cell unknown.
+func (ctx *cmpCtx) matrix(i int) []int32 {
+	n := len(ctx.ref.distinct) * ctx.td
+	if cap(ctx.mats[i]) < n {
+		ctx.mats[i] = make([]int32, n)
+	}
+	m := ctx.mats[i][:n]
+	for k := range m {
+		m[k] = -1
+	}
+	return m
+}
+
+// release returns the worker state to the pool; it must not be used after.
+// The pooled state keeps its buffers and nothing of the functions it
+// compared: a parked worker must not hold a decomposition alive.
 func (ctx *cmpCtx) release() {
-	i32Pool.Put(ctx.scoresBuf)
-	i32Pool.Put(ctx.boundsBuf)
-	ctx.scoresBuf, ctx.boundsBuf, ctx.scores, ctx.bounds = nil, nil, nil, nil
+	ctx.ref, ctx.tgt, ctx.tel, ctx.span, ctx.rw.Tel = nil, nil, nil, nil, nil
+	ctx.cancel = cancelCheck{}
+	clear(ctx.rblk[:cap(ctx.rblk)])
+	clear(ctx.tblk[:cap(ctx.tblk)])
+	ctx.rw.Reset()
+	ctxPool.Put(ctx)
 }
 
 // pairTimer returns a running PairLatency timer for one pair in eight
 // (the zero Timer otherwise). Timing every pair costs two clock reads on
 // a path that is often just a cache lookup, which benchmarks showed at
-// ~7% Compare overhead; uniform sampling keeps the histogram
-// representative at ~1/8 of that cost.
+// ~7% Compare overhead; sampling keeps the histogram representative at
+// ~1/8 of that cost. The counter belongs to the worker, not to one
+// Compare, so the samples fall uniformly over the pairs the worker sees
+// rather than on every Compare's first.
 func (ctx *cmpCtx) pairTimer() telemetry.Timer {
 	if ctx.tel == nil {
 		return telemetry.Timer{}
@@ -568,7 +545,7 @@ func (ctx *cmpCtx) blockScore(ri, ti int32) int32 {
 		s = rb.ident
 	} else {
 		ctx.stats.cacheMisses++
-		s = int32(align.Score(rb.insts, tb.insts))
+		s = int32(ctx.dp.Score(rb.pk, tb.pk))
 	}
 	ctx.scores[idx] = s
 	return s
@@ -589,6 +566,30 @@ func (ctx *cmpCtx) blockBound(ri, ti int32) int32 {
 		b = profileBound(rb.prof, tb.prof)
 	}
 	ctx.bounds[idx] = b
+	return b
+}
+
+// blockRewriteBound returns an upper bound on the score of distinct block
+// pair (ri, ti) after any rewrite of the target block: the alignment
+// kernel with every same-kind pair at its full weight, cached like the
+// scores. It respects instruction order, which the kind profile does not,
+// so it lies between the post-rewrite score and blockBound.
+func (ctx *cmpCtx) blockRewriteBound(ri, ti int32) int32 {
+	if ctx.rwBounds == nil {
+		ctx.rwBounds = ctx.matrix(2)
+	}
+	idx := int(ri)*ctx.td + int(ti)
+	if b := ctx.rwBounds[idx]; b >= 0 {
+		return b
+	}
+	rb, tb := &ctx.ref.distinct[ri], &ctx.tgt.distinct[ti]
+	var b int32
+	if rb.hash == tb.hash {
+		b = rb.ident
+	} else {
+		b = int32(ctx.dp.Bound(rb.pk, tb.pk))
+	}
+	ctx.rwBounds[idx] = b
 	return b
 }
 
@@ -613,76 +614,62 @@ func (ctx *cmpCtx) pairBound(ri, ti int) int {
 	return s
 }
 
-// fullBlock returns the traceback alignment of distinct block pair
-// (ri, ti), computed lazily: only rewrite attempts (and Explain evidence)
-// consume Pairs/Deleted/Inserted, so the scan path never pays for a
-// traceback matrix.
-func (ctx *cmpCtx) fullBlock(ri, ti int32) *align.Alignment {
-	key := uint64(uint32(ri))<<32 | uint64(uint32(ti))
-	if ba, ok := ctx.full[key]; ok {
-		return ba
+// rewriteBound is an upper bound on the score rewritePair(ri, ti) can
+// reach, tighter than pairBound.
+func (ctx *cmpCtx) rewriteBound(ri, ti int) int {
+	rids, tids := ctx.ref.blockID[ri], ctx.tgt.blockID[ti]
+	s := 0
+	for b := range rids {
+		s += int(ctx.blockRewriteBound(rids[b], tids[b]))
 	}
-	if ctx.full == nil {
-		ctx.full = make(map[uint64]*align.Alignment)
-	}
-	rb, tb := &ctx.ref.distinct[ri], &ctx.tgt.distinct[ti]
-	var a align.Alignment
-	if rb.hash == tb.hash {
-		// Identical content: the optimal alignment is the diagonal.
-		a = align.Alignment{Score: int(rb.ident)}
-		if n := len(rb.insts); n > 0 {
-			a.Pairs = make([]align.Pair, n)
-			for i := range a.Pairs {
-				a.Pairs[i] = align.Pair{Ref: i, Tgt: i}
-			}
-		}
-	} else {
-		a = align.Align(rb.insts, tb.insts)
-	}
-	ctx.scores[int(ri)*ctx.td+int(ti)] = int32(a.Score)
-	ctx.full[key] = &a
-	return &a
+	return s
 }
 
-// alignPair assembles the full blockwise alignment of tracelet pair
-// (ri, ti) from per-block tracebacks, with the output slices preallocated
-// to their known bounds (pairs+deleted partition the reference sequence,
-// pairs+inserted the target's).
+// packedBlocks appends the packed blocks of tracelet i of d to dst.
+func packedBlocks(dst []*asm.Packed, d *Decomposed, i int) []*asm.Packed {
+	for _, id := range d.blockID[i] {
+		dst = append(dst, d.distinct[id].pk)
+	}
+	return dst
+}
+
+// alignPair computes the full blockwise alignment of tracelet pair
+// (ri, ti), traceback included: the evidence Explain reports.
 func (ctx *cmpCtx) alignPair(ri, ti int) align.Alignment {
-	r, t := ctx.ref.Tracelets[ri], ctx.tgt.Tracelets[ti]
-	rids, tids := ctx.ref.blockID[ri], ctx.tgt.blockID[ti]
-	nR, nT := r.NumInsts(), t.NumInsts()
-	minN := nR
-	if nT < minN {
-		minN = nT
+	return ctx.dp.AlignBlocks(packedBlocks(nil, ctx.ref, ri), packedBlocks(nil, ctx.tgt, ti))
+}
+
+// rewritePair is the matcher's one rewrite-and-rescore step (paper
+// Sections 4.3-4.4): trace the alignment of tracelet pair (ri, ti) back —
+// deferred to here, since only a rewrite consumes the aligned pairs —
+// rewrite the target toward the reference under the constraints the
+// aligned pairs generate, and score the rewritten target against the
+// reference again. It returns the normalized post-rewrite score; the
+// rewritten blocks stay readable through ctx.rw.Block until the next call.
+// A rewrite renames arguments and never adds or removes one, so the
+// target's identity score is unchanged. RewriteLatency times the whole
+// step, SolveLatency (inside the engine) the constraint solve alone.
+func (ctx *cmpCtx) rewritePair(ri, ti int, norm align.Method) float64 {
+	rt := ctx.tel.StartTimer(telemetry.RewriteLatency)
+	if ctx.rwRef != ri {
+		ctx.rblk = packedBlocks(ctx.rblk[:0], ctx.ref, ri)
+		ctx.rw.SetRef(ctx.rblk)
+		ctx.rwRef = ri
 	}
-	var out align.Alignment
-	if minN > 0 {
-		out.Pairs = make([]align.Pair, 0, minN)
+	ctx.tblk = packedBlocks(ctx.tblk[:0], ctx.tgt, ti)
+	ctx.pairs, ctx.ends = ctx.pairs[:0], ctx.ends[:0]
+	for b, t := range ctx.tblk {
+		_, ctx.pairs = ctx.dp.Align(ctx.rblk[b], t, ctx.pairs)
+		ctx.ends = append(ctx.ends, len(ctx.pairs))
 	}
-	if nR > 0 {
-		out.Deleted = make([]int, 0, nR)
+	ctx.rw.Rewrite(ctx.tblk, ctx.pairs, ctx.ends)
+	score := 0
+	for b, r := range ctx.rblk {
+		score += ctx.dp.Score(r, ctx.rw.Block(b))
 	}
-	if nT > 0 {
-		out.Inserted = make([]int, 0, nT)
-	}
-	refOff, tgtOff := 0, 0
-	for bi := range rids {
-		ba := ctx.fullBlock(rids[bi], tids[bi])
-		out.Score += ba.Score
-		for _, p := range ba.Pairs {
-			out.Pairs = append(out.Pairs, align.Pair{Ref: p.Ref + refOff, Tgt: p.Tgt + tgtOff})
-		}
-		for _, d := range ba.Deleted {
-			out.Deleted = append(out.Deleted, d+refOff)
-		}
-		for _, ins := range ba.Inserted {
-			out.Inserted = append(out.Inserted, ins+tgtOff)
-		}
-		refOff += len(r.Blocks[bi])
-		tgtOff += len(t.Blocks[bi])
-	}
-	return out
+	n := align.Norm(score, ctx.ref.ident[ri], ctx.tgt.ident[ti], norm)
+	rt.Stop()
+	return n
 }
 
 // Compare computes the similarity of target tgt against reference ref
@@ -700,9 +687,16 @@ func (m *Matcher) Compare(ref, tgt *Decomposed) Result {
 // that can never be cancelled (context.Background()) adds no overhead
 // and the Result is bit-identical to Compare's.
 func (m *Matcher) CompareCtx(cc context.Context, ref, tgt *Decomposed) (Result, error) {
+	ctx := ctxPool.Get().(*cmpCtx)
+	defer ctx.release()
+	return m.compare(cc, ctx, ref, tgt)
+}
+
+// compare is CompareCtx on the state of the worker that runs it.
+func (m *Matcher) compare(cc context.Context, ctx *cmpCtx, ref, tgt *Decomposed) (Result, error) {
 	ct := m.Opts.Tel.StartTimer(telemetry.CompareLatency)
 	res := Result{Name: tgt.Name, RefTracelets: len(ref.Tracelets)}
-	ctx := newCmpCtx(ref, tgt, m.Opts.Tel)
+	ctx.bind(ref, tgt, m.Opts.Tel)
 	ctx.cancel = newCancelCheck(cc)
 	if m.Opts.Trace != nil {
 		ctx.span = m.Opts.Trace.Child("compare:" + tgt.Name)
@@ -777,8 +771,8 @@ func (m *Matcher) CompareCtx(cc context.Context, ref, tgt *Decomposed) (Result, 
 	return res, ctx.cancelErr
 }
 
-// finishCompare flushes the local tally into the collector, closes the
-// compare span with the decision summary, and releases the pooled state.
+// finishCompare flushes the local tally into the collector and closes the
+// compare span with the decision summary.
 func (m *Matcher) finishCompare(res *Result, ctx *cmpCtx, ct telemetry.Timer) {
 	ct.Stop()
 	tel, st := ctx.tel, &ctx.stats
@@ -820,7 +814,15 @@ func (m *Matcher) finishCompare(res *Result, ctx *cmpCtx, ct telemetry.Timer) {
 		}
 		sp.End()
 	}
-	ctx.release()
+}
+
+// traceletSpan opens the decision-trail span of reference tracelet ri
+// under the compare span, or returns nil when the compare is not traced.
+func (ctx *cmpCtx) traceletSpan(ri int) *telemetry.Span {
+	if ctx.span == nil {
+		return nil
+	}
+	return ctx.span.Child("tracelet:" + strconv.Itoa(ri))
 }
 
 // traceletMatch looks for any target tracelet matching reference tracelet
@@ -828,17 +830,12 @@ func (m *Matcher) finishCompare(res *Result, ctx *cmpCtx, ct telemetry.Timer) {
 func (m *Matcher) traceletMatch(ref, tgt *Decomposed, ri int, r *tracelet.Tracelet,
 	ctx *cmpCtx, res *Result) (bool, bool) {
 
-	var tsp *telemetry.Span
-	if ctx.span != nil {
-		tsp = ctx.span.Child(fmt.Sprintf("tracelet:%d", ri))
+	tsp := ctx.traceletSpan(ri)
+	if tsp != nil {
 		defer tsp.End()
 	}
 	rIdent := ref.ident[ri]
-	type rewriteCand struct {
-		ti   int
-		norm float64
-	}
-	var cands []rewriteCand
+	cands := ctx.cands[:0]
 	bestPre := 0.0
 	for ti, t := range tgt.Tracelets {
 		if err := ctx.cancel.poll(); err != nil {
@@ -885,13 +882,14 @@ func (m *Matcher) traceletMatch(ref, tgt *Decomposed, ri int, r *tracelet.Tracel
 			}
 		}
 	}
+	ctx.cands = cands // keep what the appends grew
 	if tsp != nil {
 		tsp.Set("best_pre_score_bp", int64(bestPre*10000))
 		tsp.Set("rewrite_candidates", int64(len(cands)))
 	}
 	// No syntactic match: attempt rewrites on the plausible candidates,
 	// best pre-score first — one stable sort, not repeated selection.
-	sort.SliceStable(cands, func(i, j int) bool { return cands[i].norm > cands[j].norm })
+	sortCands(cands)
 	for _, c := range cands {
 		// A rewrite attempt (alignment traceback + CSP solve) is the most
 		// expensive unit of work in the matcher: probe the context before
@@ -900,32 +898,24 @@ func (m *Matcher) traceletMatch(ref, tgt *Decomposed, ri int, r *tracelet.Tracel
 			ctx.cancelErr = err
 			return false, false
 		}
-		t := tgt.Tracelets[c.ti]
 		res.PairsRewritten++
 		ctx.stats.rwAttempted++
 		if m.Opts.Prune {
-			// The score bound caps the rewrite outcome too: rewriting
-			// renames symbols within their class (registers to registers,
-			// locals to locals) and never changes an instruction's kind, so
-			// the rewritten pair keeps the same kind profile and identity
-			// scores. When even the bound cannot clear β the CSP solve is
-			// provably futile — account the attempt (Results stay
+			// Rewriting renames symbols within their class (registers to
+			// registers, locals to locals) and never changes an
+			// instruction's kind or its place in the block, so the
+			// post-rewrite score is at most what the pair would score if
+			// every same-kind instruction pair agreed in every argument.
+			// When even that cannot clear β the traceback and the CSP solve
+			// are provably futile — account the attempt (Results stay
 			// bit-identical with exhaustive mode) but skip the work.
-			maxNorm := align.Norm(ctx.pairBound(ri, c.ti), rIdent, tgt.ident[c.ti], m.Opts.Norm)
+			maxNorm := align.Norm(ctx.rewriteBound(ri, c.ti), rIdent, tgt.ident[c.ti], m.Opts.Norm)
 			if maxNorm <= m.Opts.Beta {
 				ctx.stats.prunedBound++
 				continue
 			}
 		}
-		// The traceback is deferred to here: only an actual rewrite attempt
-		// consumes the aligned pairs.
-		al := ctx.alignPair(ri, c.ti)
-		rt := ctx.tel.StartTimer(telemetry.RewriteLatency)
-		rw := rewrite.RewriteT(r.Blocks, t.Blocks, al, ctx.tel)
-		score := align.ScoreBlocks(r.Blocks, rw.Blocks)
-		tIdent := align.IdentityScore(flatten(rw.Blocks))
-		norm := align.Norm(score, rIdent, tIdent, m.Opts.Norm)
-		rt.Stop()
+		norm := ctx.rewritePair(ri, c.ti, m.Opts.Norm)
 		if norm > m.Opts.Beta {
 			ctx.stats.rwSucceeded++
 			if tsp != nil {
@@ -942,16 +932,18 @@ func (m *Matcher) traceletMatch(ref, tgt *Decomposed, ri int, r *tracelet.Tracel
 	return false, false
 }
 
-func flatten(blocks [][]asm.Inst) []asm.Inst {
-	n := 0
-	for _, b := range blocks {
-		n += len(b)
-	}
-	out := make([]asm.Inst, 0, n)
-	for _, b := range blocks {
-		out = append(out, b...)
-	}
-	return out
+// sortCands orders rewrite candidates by descending pre-rewrite score,
+// ties in target order.
+func sortCands(cands []rewriteCand) {
+	slices.SortStableFunc(cands, func(a, b rewriteCand) int {
+		switch {
+		case a.norm > b.norm:
+			return -1
+		case a.norm < b.norm:
+			return 1
+		}
+		return 0
+	})
 }
 
 // compareWorkers resolves the worker count for n targets: 0 means
@@ -1007,11 +999,13 @@ func (m *Matcher) CompareEachCtx(cc context.Context, ref *Decomposed, n int, tar
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			ctx := ctxPool.Get().(*cmpCtx)
+			defer ctx.release()
 			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
 				err := cc.Err()
 				if err == nil {
 					var res Result
-					if res, err = m.CompareCtx(cc, ref, target(i)); err == nil {
+					if res, err = m.compare(cc, ctx, ref, target(i)); err == nil {
 						out[i] = res
 						continue
 					}

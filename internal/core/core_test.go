@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/align"
@@ -268,6 +270,49 @@ func TestDecomposeStats(t *testing.T) {
 				t.Errorf("distinct block %d identity score wrong", id)
 			}
 		}
+	}
+}
+
+// TestFingerprint: the fingerprint is a function of the decomposed content
+// — equal content gives equal fingerprints whatever the function is
+// called, and one changed argument, a different tracelet size or a
+// different compilation of the same source gives a different one.
+func TestFingerprint(t *testing.T) {
+	a := Decompose(liftListing(t, "a", srcA), 3)
+	if got := Decompose(liftListing(t, "other_name", srcA), 3).Fingerprint(); got != a.Fingerprint() {
+		t.Errorf("equal content, fingerprints %#x and %#x", a.Fingerprint(), got)
+	}
+	oneArg := strings.Replace(srcA, "sub esp, 18h", "sub esp, 1Ch", 1)
+	if oneArg == srcA {
+		t.Fatal("the one-argument edit did not apply")
+	}
+	for name, d := range map[string]*Decomposed{
+		"one changed argument": Decompose(liftListing(t, "a", oneArg), 3),
+		"a different k":        Decompose(liftListing(t, "a", srcA), 2),
+		"renamed registers":    Decompose(liftListing(t, "a", srcARenamed), 3),
+	} {
+		if d.Fingerprint() == a.Fingerprint() {
+			t.Errorf("%s: fingerprint unchanged (%#x)", name, d.Fingerprint())
+		}
+	}
+	// Over real compiler output — every source at three optimization
+	// levels — fingerprints and rendered content identify each other.
+	byContent, byPrint := make(map[string]uint64), make(map[uint64]string)
+	for _, d := range campaignSample(t, 24) {
+		content := fmt.Sprint(d.K, d.NumBlocks, d.NumInsts)
+		for _, tr := range d.Tracelets {
+			content += "\n--\n" + tr.String()
+		}
+		if fp, seen := byContent[content]; seen && fp != d.Fingerprint() {
+			t.Errorf("%s: equal content, fingerprints %#x and %#x", d.Name, fp, d.Fingerprint())
+		}
+		if other, seen := byPrint[d.Fingerprint()]; seen && other != content {
+			t.Errorf("%s: fingerprint %#x shared by different content", d.Name, d.Fingerprint())
+		}
+		byContent[content], byPrint[d.Fingerprint()] = d.Fingerprint(), content
+	}
+	if len(byPrint) < 20 {
+		t.Errorf("only %d distinct fingerprints in the campaign sample", len(byPrint))
 	}
 }
 

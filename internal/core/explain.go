@@ -1,10 +1,8 @@
 package core
 
 import (
-	"sort"
-
 	"repro/internal/align"
-	"repro/internal/rewrite"
+	"repro/internal/asm"
 	"repro/internal/telemetry"
 )
 
@@ -62,39 +60,32 @@ func (m *Matcher) Explain(ref, tgt *Decomposed) []TraceletMatch {
 		}
 		// Pass 2: rewrite attempts in descending pre-score order, exactly
 		// as Compare does.
-		type cand struct {
-			ti   int
-			norm float64
-		}
-		var cands []cand
+		var cands []rewriteCand
 		for ti, t := range tgt.Tracelets {
 			if t.K() != r.K() {
 				continue
 			}
 			norm := align.Norm(ctx.pairScore(ri, ti), rIdent, tgt.ident[ti], m.Opts.Norm)
 			if norm >= m.Opts.RewriteSkipBelow {
-				cands = append(cands, cand{ti, norm})
+				cands = append(cands, rewriteCand{ti, norm})
 			} else {
 				ctx.stats.rwSkipped++
 			}
 		}
-		sort.SliceStable(cands, func(i, j int) bool { return cands[i].norm > cands[j].norm })
+		sortCands(cands)
 		for _, c := range cands {
-			t := tgt.Tracelets[c.ti]
 			ctx.stats.rwAttempted++
-			al := ctx.alignPair(ri, c.ti)
-			rt := ctx.tel.StartTimer(telemetry.RewriteLatency)
-			rw := rewrite.RewriteT(r.Blocks, t.Blocks, al, ctx.tel)
-			score := align.ScoreBlocks(r.Blocks, rw.Blocks)
-			tIdent := align.IdentityScore(flatten(rw.Blocks))
-			norm := align.Norm(score, rIdent, tIdent, m.Opts.Norm)
-			rt.Stop()
-			if norm > m.Opts.Beta {
+			if norm := ctx.rewritePair(ri, c.ti, m.Opts.Norm); norm > m.Opts.Beta {
 				ctx.stats.rwSucceeded++
-				post := align.AlignBlocks(r.Blocks, rw.Blocks)
+				// The evidence is the alignment against the rewritten target.
+				rewritten := make([]*asm.Packed, len(ctx.tblk))
+				for b := range rewritten {
+					rewritten[b] = ctx.rw.Block(b)
+				}
+				post := ctx.dp.AlignBlocks(ctx.rblk, rewritten)
 				out = append(out, TraceletMatch{
 					RefIndex: ri, TgtIndex: c.ti,
-					RefBlocks: r.BlockIdx, TgtBlocks: t.BlockIdx,
+					RefBlocks: r.BlockIdx, TgtBlocks: tgt.Tracelets[c.ti].BlockIdx,
 					Score: norm, ViaRewrite: true,
 					Inserted: post.Inserted, Deleted: post.Deleted,
 				})
@@ -140,13 +131,7 @@ func (m *Matcher) BestScores(ref, tgt *Decomposed) (pre, post []float64) {
 			}
 			if m.Opts.UseRewrite && norm >= m.Opts.RewriteSkipBelow {
 				ctx.stats.rwAttempted++
-				al := ctx.alignPair(ri, ti)
-				rt := ctx.tel.StartTimer(telemetry.RewriteLatency)
-				rw := rewrite.RewriteT(r.Blocks, t.Blocks, al, ctx.tel)
-				score := align.ScoreBlocks(r.Blocks, rw.Blocks)
-				tIdent := align.IdentityScore(flatten(rw.Blocks))
-				pnorm := align.Norm(score, rIdent, tIdent, m.Opts.Norm)
-				rt.Stop()
+				pnorm := ctx.rewritePair(ri, ti, m.Opts.Norm)
 				if pnorm > norm {
 					ctx.stats.rwSucceeded++ // rewriting improved the pair
 				}

@@ -4,6 +4,10 @@ import (
 	"testing"
 
 	"repro/internal/align"
+	"repro/internal/asm"
+	"repro/internal/corpus"
+	"repro/internal/prep"
+	"repro/internal/tinyc"
 )
 
 // pruneTestPairs returns the cross product of the shared test listings,
@@ -76,9 +80,81 @@ func TestPairBoundSound(t *testing.T) {
 	}
 }
 
+// campaignSample decomposes a small compiled campaign: real compiler
+// output at three optimization levels, where the listings above are three
+// hand-written functions.
+func campaignSample(t testing.TB, funcs int) []*Decomposed {
+	t.Helper()
+	var ds []*Decomposed
+	_, err := corpus.RunCampaign(corpus.CampaignConfig{Seed: 29, Funcs: funcs, FuncsPerExe: 8, Workers: 2},
+		func(e corpus.Executable, _ tinyc.OptLevel) error {
+			fns, err := prep.LiftImage(e.Image)
+			if err != nil {
+				return err
+			}
+			for _, fn := range fns {
+				ds = append(ds, Decompose(fn, 3))
+			}
+			return nil
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ds
+}
+
+// TestRewriteBoundSound: for every rewrite the unpruned matcher would
+// attempt, the order-aware bound must dominate the score the rewrite
+// actually reaches — skipping a solve on it is only lossless under this
+// inequality — and must not exceed the kind-profile bound it refines.
+func TestRewriteBoundSound(t *testing.T) {
+	opts := DefaultOptions()
+	ds := append(pruneTestPairs(t, 3), campaignSample(t, 48)...)
+	attempts, tighter := 0, 0
+	for _, ref := range ds[:9] {
+		for _, tgt := range ds {
+			ctx := newCmpCtx(ref, tgt, nil)
+			for ri, r := range ref.Tracelets {
+				for ti, tt := range tgt.Tracelets {
+					if tt.K() != r.K() {
+						continue
+					}
+					pre := align.Norm(ctx.pairScore(ri, ti), ref.ident[ri], tgt.ident[ti], opts.Norm)
+					if pre > opts.Beta || pre < opts.RewriteSkipBelow {
+						continue
+					}
+					attempts++
+					bound, loose := ctx.rewriteBound(ri, ti), ctx.pairBound(ri, ti)
+					ctx.rewritePair(ri, ti, opts.Norm)
+					post := 0
+					for b, rb := range ctx.rblk {
+						post += ctx.dp.Score(rb, ctx.rw.Block(b))
+					}
+					if bound < post {
+						t.Errorf("%s[%d] vs %s[%d]: rewrite bound %d < post-rewrite score %d",
+							ref.Name, ri, tgt.Name, ti, bound, post)
+					}
+					if bound > loose {
+						t.Errorf("%s[%d] vs %s[%d]: rewrite bound %d > profile bound %d",
+							ref.Name, ri, tgt.Name, ti, bound, loose)
+					}
+					if bound < loose {
+						tighter++
+					}
+				}
+			}
+			ctx.release()
+		}
+	}
+	t.Logf("%d rewrite attempts, order-aware bound tighter than the profile bound on %d", attempts, tighter)
+	if attempts == 0 || tighter == 0 {
+		t.Error("the sample never exercised the order-aware bound")
+	}
+}
+
 // TestBlockBoundTightOnSelf: a block compared against itself must bound
-// to exactly its identity score (the equal-hash fast path), and the full
-// alignment of identical blocks must be the diagonal.
+// to exactly its identity score (the equal-hash fast path), under both
+// bounds, and the full alignment of identical blocks must be the diagonal.
 func TestBlockBoundTightOnSelf(t *testing.T) {
 	d := Decompose(liftListing(t, "a", srcA), 3)
 	ctx := newCmpCtx(d, d, nil)
@@ -91,13 +167,23 @@ func TestBlockBoundTightOnSelf(t *testing.T) {
 		if got, want := ctx.blockScore(id, id), d.distinct[i].ident; got != want {
 			t.Errorf("block %d: self score %d != ident %d", i, got, want)
 		}
-		al := ctx.fullBlock(id, id)
-		if al.Score != int(d.distinct[i].ident) || len(al.Deleted) != 0 || len(al.Inserted) != 0 {
-			t.Errorf("block %d: self alignment not identity: %+v", i, al)
+		if got, want := ctx.blockRewriteBound(id, id), d.distinct[i].ident; got != want {
+			t.Errorf("block %d: self rewrite bound %d != ident %d", i, got, want)
+		}
+		pk := d.distinct[i].pk
+		score, pairs := ctx.dp.Align(pk, pk, nil)
+		if score != int(d.distinct[i].ident) || len(pairs) != pk.Len() {
+			t.Errorf("block %d: self alignment not identity: score %d, pairs %v", i, score, pairs)
+		}
+		for pi, p := range pairs {
+			if p.Ref != pi || p.Tgt != pi {
+				t.Errorf("block %d: self alignment leaves the diagonal: %v", i, pairs)
+				break
+			}
 		}
 		ref := align.Align(d.distinct[i].insts, d.distinct[i].insts)
-		if al.Score != ref.Score || len(al.Pairs) != len(ref.Pairs) {
-			t.Errorf("block %d: synthesized diagonal disagrees with Align", i)
+		if score != ref.Score || len(pairs) != len(ref.Pairs) {
+			t.Errorf("block %d: kernel on the packed block disagrees with Align", i)
 		}
 	}
 }
@@ -170,6 +256,9 @@ func TestPruneAlphaPreservesVerdict(t *testing.T) {
 		t.Error("no comparison was truncated; test corpus too friendly")
 	}
 }
+
+// hashInsts content-hashes a block body the way Decompose does.
+func hashInsts(insts []asm.Inst) uint64 { return hashPacked(asm.Pack(insts)) }
 
 // TestHashInstsDiscriminates: the structural hash must separate the test
 // listings' blocks while being stable for identical content.

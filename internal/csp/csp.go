@@ -1,7 +1,7 @@
 // Package csp implements the small constraint solver used by the rewrite
-// engine (paper Section 4.4): variables over finite string domains, soft
-// equality constraints (variable=value and variable=variable), and a
-// bounded backtracking search that returns the assignment with the fewest
+// engine (paper Section 4.4): variables over finite domains, soft equality
+// constraints (variable=value and variable=variable), and a bounded
+// backtracking search that returns the assignment with the fewest
 // violated constraints found within the backtrack budget.
 //
 // Every constraint is a droppable conjunct — the paper: "when solving the
@@ -9,10 +9,22 @@
 // not satisfiable". The search is exact branch-and-bound when the budget
 // suffices and best-effort otherwise, mirroring the paper's bound of 1000
 // backtracking attempts.
+//
+// Variables are dense ints in declaration order and values are
+// non-negative ints the caller gives meaning to. A Problem owns all the
+// memory a solve needs and keeps it across Reset, so a caller that solves
+// many problems in a row allocates nothing in the steady state.
+//
+// The answer is a function of the problem as declared, and nothing else:
+// components are found in variable order following equalities in the
+// order they were added, a component's variables are decided by
+// decreasing constraint degree (ties in discovery order), a variable's
+// values are tried by decreasing bind count (ties in domain order), and
+// the budget is spent one unit per completed value of a variable.
 package csp
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/telemetry"
 )
@@ -20,249 +32,332 @@ import (
 // DefaultMaxBacktracks is the paper's backtracking bound.
 const DefaultMaxBacktracks = 1000
 
+// None is the value of a variable the solver left unassigned: its domain
+// is empty.
+const None = -1
+
 // Problem is a set of variables and soft equality constraints.
 type Problem struct {
-	vars   []*variable
-	varIdx map[string]int
-	nBind  int // total bind constraints (for conflict accounting)
-
 	// Tel, when non-nil, receives solver telemetry: solve latency, the
 	// backtracking steps consumed, and budget-exhaustion (timeout) events.
 	Tel *telemetry.Collector
+
+	doms  [][]int  // per variable; the slices stay the caller's
+	binds [][2]int // (variable, value), as added
+	eqs   [][2]int // (variable, variable), as added
+
+	// Everything below is rebuilt by Solve. The three tables are laid out
+	// per variable v as tab[off[v]:off[v+1]].
+	adjOff, adj   []int // equality neighbours, in the order added
+	bindOff       []int // distinct bound values with their counts ...
+	bindVal       []int
+	bindCnt       []int
+	bindN, bindTo []int // ... how many are distinct, and the total
+	candOff, cand []int // the domain in the order the search tries it
+	keys          []int
+
+	seen         []bool
+	stack, order []int
+	pos          []int // variable -> position in order
+	assign, best []int // by position in order
+	bestCost     int
+	budget       int
+	out          []int
 }
 
-type variable struct {
-	name   string
-	domain []string
-	binds  map[string]int // value -> how many bind constraints want it
-	eqs    []int          // indices of variables this one must equal
+// Reset empties the problem, keeping its memory.
+func (p *Problem) Reset() {
+	p.doms, p.binds, p.eqs = p.doms[:0], p.binds[:0], p.eqs[:0]
 }
 
-// NewProblem returns an empty problem.
-func NewProblem() *Problem {
-	return &Problem{varIdx: make(map[string]int)}
+// AddVar declares a variable over the given domain and returns it. The
+// domain is not copied and must stay unchanged until after Solve.
+func (p *Problem) AddVar(domain []int) int {
+	p.doms = append(p.doms, domain)
+	return len(p.doms) - 1
 }
 
-// AddVar declares a variable with its domain. Declaring the same name
-// twice keeps the first domain.
-func (p *Problem) AddVar(name string, domain []string) {
-	if _, ok := p.varIdx[name]; ok {
-		return
+// NumVars returns the number of declared variables.
+func (p *Problem) NumVars() int { return len(p.doms) }
+
+func (p *Problem) declared(v int) bool { return v >= 0 && v < len(p.doms) }
+
+// Bind adds a soft constraint v = value. A value outside v's domain is a
+// constraint no assignment can satisfy. An undeclared v is ignored.
+func (p *Problem) Bind(v, value int) {
+	if p.declared(v) {
+		p.binds = append(p.binds, [2]int{v, value})
 	}
-	p.varIdx[name] = len(p.vars)
-	p.vars = append(p.vars, &variable{
-		name:   name,
-		domain: domain,
-		binds:  make(map[string]int),
-	})
 }
 
-// HasVar reports whether the variable is declared.
-func (p *Problem) HasVar(name string) bool {
-	_, ok := p.varIdx[name]
-	return ok
-}
-
-// Bind adds a soft constraint var = value.
-func (p *Problem) Bind(name, value string) {
-	i, ok := p.varIdx[name]
-	if !ok {
-		return
+// Eq adds a soft constraint a = b between two distinct declared
+// variables; anything else is ignored.
+func (p *Problem) Eq(a, b int) {
+	if p.declared(a) && p.declared(b) && a != b {
+		p.eqs = append(p.eqs, [2]int{a, b})
 	}
-	p.vars[i].binds[value]++
-	p.nBind++
-}
-
-// Eq adds a soft constraint a = b between two variables.
-func (p *Problem) Eq(a, b string) {
-	ia, oka := p.varIdx[a]
-	ib, okb := p.varIdx[b]
-	if !oka || !okb || ia == ib {
-		return
-	}
-	p.vars[ia].eqs = append(p.vars[ia].eqs, ib)
-	p.vars[ib].eqs = append(p.vars[ib].eqs, ia)
 }
 
 // NumConstraints returns the total number of soft constraints.
-func (p *Problem) NumConstraints() int {
-	ne := 0
-	for _, v := range p.vars {
-		ne += len(v.eqs)
+func (p *Problem) NumConstraints() int { return len(p.binds) + len(p.eqs) }
+
+// grow returns s with length n, reusing its memory when it suffices. The
+// contents are unspecified.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
 	}
-	return p.nBind + ne/2
+	return s[:n]
 }
 
 // Solve searches for an assignment minimizing violated constraints, with
 // at most maxBacktracks backtracking steps (per connected component). It
-// returns the best assignment found and its number of violated
-// constraints.
-func (p *Problem) Solve(maxBacktracks int) (map[string]string, int) {
+// returns the best assignment found, indexed by variable with None for a
+// variable left unassigned, and its number of violated constraints. The
+// slice is the Problem's and is overwritten by the next Solve.
+func (p *Problem) Solve(maxBacktracks int) ([]int, int) {
 	if maxBacktracks <= 0 {
 		maxBacktracks = DefaultMaxBacktracks
 	}
 	st := p.Tel.StartTimer(telemetry.SolveLatency)
-	p.Tel.Inc(telemetry.CSPSolves)
-	out := make(map[string]string, len(p.vars))
-	conflicts := 0
-	for _, comp := range p.components() {
-		c := p.solveComponent(comp, maxBacktracks)
-		for i, vi := range c.order {
-			if c.best[i] != "" {
-				out[p.vars[vi].name] = c.best[i]
-			}
-		}
-		conflicts += c.bestCost
-		p.Tel.Add(telemetry.CSPBacktracks, uint64(maxBacktracks-c.budget))
-		if c.budget <= 0 {
-			p.Tel.Inc(telemetry.CSPBudgetExhausted)
-		}
-	}
-	st.Stop()
-	return out, conflicts
-}
-
-// components splits variables into connected components of the
-// equality-constraint graph; bind constraints are unary and do not
-// connect.
-func (p *Problem) components() [][]int {
-	seen := make([]bool, len(p.vars))
-	var comps [][]int
-	for i := range p.vars {
-		if seen[i] {
+	p.index()
+	nv := len(p.doms)
+	p.out = grow(p.out, nv)
+	p.seen = grow(p.seen, nv)
+	clear(p.seen)
+	conflicts, backtracks, exhausted := 0, 0, 0
+	for v := 0; v < nv; v++ {
+		if p.seen[v] {
 			continue
 		}
-		var comp []int
-		stack := []int{i}
-		seen[i] = true
-		for len(stack) > 0 {
-			v := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			comp = append(comp, v)
-			for _, u := range p.vars[v].eqs {
-				if !seen[u] {
-					seen[u] = true
-					stack = append(stack, u)
-				}
+		p.component(v)
+		p.solveComponent(maxBacktracks)
+		for i, u := range p.order {
+			p.out[u] = p.best[i]
+		}
+		conflicts += p.bestCost
+		backtracks += maxBacktracks - p.budget
+		if p.budget <= 0 {
+			exhausted++
+		}
+	}
+	p.Tel.Inc(telemetry.CSPSolves)
+	p.Tel.Add(telemetry.CSPBacktracks, uint64(backtracks))
+	p.Tel.Add(telemetry.CSPBudgetExhausted, uint64(exhausted))
+	st.Stop()
+	return p.out, conflicts
+}
+
+// index lays the constraints out per variable and fixes, once per solve,
+// the order in which each variable's values will be tried.
+func (p *Problem) index() {
+	nv := len(p.doms)
+	p.adjOff = grow(p.adjOff, nv+1)
+	p.bindOff = grow(p.bindOff, nv+1)
+	p.candOff = grow(p.candOff, nv+1)
+	p.bindN = grow(p.bindN, nv)
+	p.bindTo = grow(p.bindTo, nv)
+	clear(p.adjOff)
+	clear(p.bindOff)
+	clear(p.bindN)
+	clear(p.bindTo)
+
+	// Neighbours: count, prefix-sum, then fill in the order the
+	// equalities were added (the component walk depends on it).
+	for _, e := range p.eqs {
+		p.adjOff[e[0]+1]++
+		p.adjOff[e[1]+1]++
+	}
+	for _, b := range p.binds {
+		p.bindOff[b[0]+1]++
+	}
+	nc := 0
+	for v := 0; v < nv; v++ {
+		p.adjOff[v+1] += p.adjOff[v]
+		p.bindOff[v+1] += p.bindOff[v]
+		p.candOff[v] = nc
+		nc += len(p.doms[v])
+	}
+	p.candOff[nv] = nc
+	p.adj = grow(p.adj, 2*len(p.eqs))
+	p.pos = grow(p.pos, nv) // borrowed as the per-variable fill cursor
+	copy(p.pos, p.adjOff[:nv])
+	for _, e := range p.eqs {
+		p.adj[p.pos[e[0]]] = e[1]
+		p.pos[e[0]]++
+		p.adj[p.pos[e[1]]] = e[0]
+		p.pos[e[1]]++
+	}
+
+	// Binds: each variable's distinct bound values with their counts.
+	p.bindVal = grow(p.bindVal, len(p.binds))
+	p.bindCnt = grow(p.bindCnt, len(p.binds))
+	for _, b := range p.binds {
+		v, val := b[0], b[1]
+		p.bindTo[v]++
+		at, end := p.bindOff[v], p.bindOff[v]+p.bindN[v]
+		for at < end && p.bindVal[at] != val {
+			at++
+		}
+		if at == end {
+			p.bindVal[at], p.bindCnt[at] = val, 0
+			p.bindN[v]++
+		}
+		p.bindCnt[at]++
+	}
+
+	// Candidates: the domain, stably sorted by decreasing bind count, so
+	// the values some bind asks for come first and the rest keep their
+	// domain order.
+	p.cand = grow(p.cand, nc)
+	p.keys = grow(p.keys, nc)
+	for v, dom := range p.doms {
+		c, k := p.cand[p.candOff[v]:p.candOff[v+1]], p.keys[p.candOff[v]:p.candOff[v+1]]
+		if p.bindN[v] == 0 {
+			copy(c, dom)
+			continue
+		}
+		n := 0
+		for _, val := range dom {
+			cnt := p.bindCount(v, val)
+			if cnt == 0 {
+				continue
+			}
+			at := n
+			for at > 0 && k[at-1] < cnt {
+				c[at], k[at] = c[at-1], k[at-1]
+				at--
+			}
+			c[at], k[at] = val, cnt
+			n++
+		}
+		for _, val := range dom {
+			if p.bindCount(v, val) == 0 {
+				c[n] = val
+				n++
 			}
 		}
-		comps = append(comps, comp)
 	}
-	return comps
 }
 
-type compSolver struct {
-	p        *Problem
-	order    []int       // variable indices (into p.vars), search order
-	pos      map[int]int // variable index -> position in order
-	assign   []string    // current values by position
-	best     []string
-	bestCost int
-	budget   int
+// bindCount returns how many bind constraints want v = val.
+func (p *Problem) bindCount(v, val int) int {
+	at := p.bindOff[v]
+	for end := at + p.bindN[v]; at < end; at++ {
+		if p.bindVal[at] == val {
+			return p.bindCnt[at]
+		}
+	}
+	return 0
 }
 
-func (p *Problem) solveComponent(comp []int, maxBacktracks int) *compSolver {
+// component collects into p.order the connected component of v in the
+// equality graph (bind constraints are unary and do not connect).
+func (p *Problem) component(v int) {
+	p.order = p.order[:0]
+	p.stack = append(p.stack[:0], v)
+	p.seen[v] = true
+	for len(p.stack) > 0 {
+		v := p.stack[len(p.stack)-1]
+		p.stack = p.stack[:len(p.stack)-1]
+		p.order = append(p.order, v)
+		for _, u := range p.adj[p.adjOff[v]:p.adjOff[v+1]] {
+			if !p.seen[u] {
+				p.seen[u] = true
+				p.stack = append(p.stack, u)
+			}
+		}
+	}
+}
+
+// solveComponent solves the component in p.order, leaving the answer in
+// p.best (by position in the reordered p.order), p.bestCost and p.budget.
+func (p *Problem) solveComponent(maxBacktracks int) {
 	// Order by decreasing constraint degree so that highly-constrained
 	// variables are decided first.
-	order := append([]int(nil), comp...)
-	deg := func(vi int) int {
-		v := p.vars[vi]
-		return len(v.eqs) + len(v.binds)
+	if len(p.order) > 1 {
+		slices.SortStableFunc(p.order, func(a, b int) int { return p.degree(b) - p.degree(a) })
 	}
-	sort.SliceStable(order, func(a, b int) bool { return deg(order[a]) > deg(order[b]) })
-
-	c := &compSolver{
-		p:      p,
-		order:  order,
-		pos:    make(map[int]int, len(order)),
-		assign: make([]string, len(order)),
-		budget: maxBacktracks,
+	for i, v := range p.order {
+		p.pos[v] = i
 	}
-	for i, vi := range order {
-		c.pos[vi] = i
-	}
+	n := len(p.order)
+	p.assign, p.best = grow(p.assign, n), grow(p.best, n)
+	p.budget = maxBacktracks
 	// Greedy first pass establishes an upper bound (and a guaranteed
 	// answer if the budget runs out immediately).
-	cost := 0
-	for i := range order {
-		v, bestVal, bestC := c.p.vars[order[i]], "", 1<<30
-		for _, val := range c.candidates(i) {
-			cc := c.assignCost(i, val)
-			if cc < bestC {
-				bestVal, bestC = val, cc
+	p.bestCost = 0
+	for i := range p.order {
+		bestVal, bestC := None, 1<<30
+		for _, val := range p.candidates(i) {
+			if c := p.assignCost(i, val); c < bestC {
+				bestVal, bestC = val, c
 			}
 		}
-		if bestVal == "" { // empty domain
-			bestC = c.assignCost(i, "")
-			_ = v
+		if bestVal == None { // empty domain
+			bestC = p.assignCost(i, None)
 		}
-		c.assign[i] = bestVal
-		cost += bestC
+		p.assign[i] = bestVal
+		p.bestCost += bestC
 	}
-	c.best = append([]string(nil), c.assign...)
-	c.bestCost = cost
-	for i := range c.assign {
-		c.assign[i] = ""
+	copy(p.best, p.assign)
+	for i := range p.assign {
+		p.assign[i] = None
 	}
-	c.search(0, 0)
-	return c
+	p.search(0, 0)
 }
 
-// candidates returns the values worth trying for position i: the domain
-// ordered so that values demanded by bind constraints come first.
-func (c *compSolver) candidates(i int) []string {
-	v := c.p.vars[c.order[i]]
-	vals := append([]string(nil), v.domain...)
-	sort.SliceStable(vals, func(a, b int) bool {
-		return v.binds[vals[a]] > v.binds[vals[b]]
-	})
-	return vals
+// degree is the number of equalities on v plus the number of distinct
+// values v is bound to.
+func (p *Problem) degree(v int) int { return p.adjOff[v+1] - p.adjOff[v] + p.bindN[v] }
+
+// candidates returns the values worth trying for position i.
+func (p *Problem) candidates(i int) []int {
+	v := p.order[i]
+	return p.cand[p.candOff[v]:p.candOff[v+1]]
 }
 
 // assignCost counts the constraints violated by giving position i the
 // value val, against bind constraints and already-assigned eq-neighbours.
-func (c *compSolver) assignCost(i int, val string) int {
-	v := c.p.vars[c.order[i]]
-	cost := 0
-	for want, n := range v.binds {
-		if want != val {
-			cost += n
-		}
-	}
-	for _, u := range v.eqs {
-		j, ok := c.pos[u]
-		if !ok || j > i || c.assign[j] == "" {
+func (p *Problem) assignCost(i, val int) int {
+	v := p.order[i]
+	cost := p.bindTo[v] - p.bindCount(v, val)
+	for _, u := range p.adj[p.adjOff[v]:p.adjOff[v+1]] {
+		j := p.pos[u]
+		if j > i || p.assign[j] == None {
 			continue
 		}
-		if c.assign[j] != val {
+		if p.assign[j] != val {
 			cost++
 		}
 	}
 	return cost
 }
 
-func (c *compSolver) search(i, cost int) bool {
-	if cost >= c.bestCost {
-		return c.budget > 0
+var noCandidate = []int{None}
+
+func (p *Problem) search(i, cost int) bool {
+	if cost >= p.bestCost {
+		return p.budget > 0
 	}
-	if i == len(c.order) {
-		c.bestCost = cost
-		copy(c.best, c.assign)
-		return c.budget > 0
+	if i == len(p.order) {
+		p.bestCost = cost
+		copy(p.best, p.assign)
+		return p.budget > 0
 	}
-	cands := c.candidates(i)
+	cands := p.candidates(i)
 	if len(cands) == 0 {
-		cands = []string{""}
+		cands = noCandidate
 	}
 	for _, val := range cands {
-		c.assign[i] = val
-		if !c.search(i+1, cost+c.assignCost(i, val)) {
-			c.assign[i] = ""
+		p.assign[i] = val
+		if !p.search(i+1, cost+p.assignCost(i, val)) {
+			p.assign[i] = None
 			return false
 		}
-		c.assign[i] = ""
-		c.budget--
-		if c.budget <= 0 {
+		p.assign[i] = None
+		p.budget--
+		if p.budget <= 0 {
 			return false
 		}
 	}

@@ -1,6 +1,9 @@
 package rewrite
 
 import (
+	"maps"
+	"slices"
+	"strconv"
 	"testing"
 
 	"repro/internal/align"
@@ -315,6 +318,51 @@ func TestRewriteShapePreserved(t *testing.T) {
 			if !asm.SameKind(before, after) {
 				t.Errorf("kind changed: %s -> %s", before, after)
 			}
+		}
+	}
+}
+
+// TestSameNameAcrossClasses: a listing may use one name for a stack slot,
+// a data token and a function. They are three identities, each rewritten
+// within its own class, and an immediate is a fourth — whatever the bits
+// of the name's hash are. Names are tried until one has a hash covering
+// the tag bits in which the classes differ, the case in which an argument
+// equality that mixed tag and hash up would merge the identities.
+func TestSameNameAcrossClasses(t *testing.T) {
+	ref := [][]asm.Inst{insts(t,
+		"mov eax, [ebp+var_8]",
+		"push offset aMsg",
+		"call _printf",
+		"add eax, 7",
+		"push offset aMsg",
+	)}
+	want := texts(ref)
+	names := []string{"x"}
+	for i := 0; len(names) < 2; i++ {
+		n := "n" + strconv.Itoa(i)
+		if h := asm.PackArg(asm.SymArg(asm.SymData, n)).SymH; h>>16&3 == 3 {
+			names = append(names, n)
+		}
+	}
+	for _, n := range names {
+		tgt := [][]asm.Inst{{
+			asm.New("mov", asm.RegOp(asm.EAX), asm.MemSym(asm.EBP, asm.SymLocal, n)),
+			asm.New("push", asm.OffsetOp(asm.SymData, n)),
+			asm.New("call", asm.SymOp(asm.SymFunc, n)),
+			asm.New("add", asm.RegOp(asm.EAX), asm.ImmOp(int64(asm.PackArg(asm.SymArg(asm.SymData, n)).SymH))),
+			asm.New("push", asm.OffsetOp(asm.SymData, n)),
+		}}
+		al := align.AlignBlocks(ref, tgt)
+		got, old := Rewrite(ref, tgt, al), refRewrite(ref, tgt, al)
+		if !slices.Equal(texts(got.Blocks), want) || got.Conflicts != 0 || got.NumVars != 7 {
+			t.Errorf("name %q: rewrote to %q with %d conflicts over %d variables, want %q, 0, 7",
+				n, texts(got.Blocks), got.Conflicts, got.NumVars, want)
+		}
+		if !slices.Equal(texts(got.Blocks), texts(old.Blocks)) || got.Conflicts != old.Conflicts ||
+			got.NumVars != old.NumVars || !maps.Equal(got.VMap, old.VMap) {
+			t.Errorf("name %q: engine and reference disagree:\n got  %q %d %d %v\n want %q %d %d %v", n,
+				texts(got.Blocks), got.Conflicts, got.NumVars, got.VMap,
+				texts(old.Blocks), old.Conflicts, old.NumVars, old.VMap)
 		}
 	}
 }
