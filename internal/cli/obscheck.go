@@ -20,7 +20,9 @@ import (
 //   - /metrics parses under the Prometheus text exposition grammar and
 //     contains counter and histogram series (_bucket/_sum/_count);
 //   - /debug/requests has recorded requests, each carrying a trace ID
-//     and a span tree;
+//     and a span tree, among them an answered search, and every answered
+//     search names its response encoding as an "encode" stage (the stage
+//     that accounts for most of a cache hit's server time);
 //   - a live request's X-Trace-Id response header matches the trace_id
 //     echoed in the response body;
 //   - with -fleet, /v1/healthz reports coordinator mode with one entry
@@ -60,13 +62,16 @@ func (c *env) obscheck(args []string) error {
 	// 2. Flight recorder. The span wire shape is decoded structurally
 	// (telemetry.Span only marshals), so mirror the JSON here.
 	type spanDump struct {
-		Name     string          `json:"name"`
-		TraceID  string          `json:"trace_id"`
-		DurNS    int64           `json:"dur_ns"`
-		Children json.RawMessage `json:"children"`
+		Name     string `json:"name"`
+		TraceID  string `json:"trace_id"`
+		DurNS    int64  `json:"dur_ns"`
+		Children []struct {
+			Name string `json:"name"`
+		} `json:"children"`
 	}
 	type reqDump struct {
 		TraceID string    `json:"trace_id"`
+		Path    string    `json:"path"`
 		Status  int       `json:"status"`
 		Span    *spanDump `json:"span"`
 	}
@@ -85,6 +90,7 @@ func (c *env) obscheck(args []string) error {
 	if flight.Recorded == 0 || len(flight.Slowest) == 0 {
 		return fmt.Errorf("obscheck: /debug/requests is empty — issue a query first")
 	}
+	searches := 0
 	for i, rec := range flight.Slowest {
 		if rec.TraceID == "" {
 			return fmt.Errorf("obscheck: /debug/requests slowest[%d] has no trace_id", i)
@@ -92,9 +98,23 @@ func (c *env) obscheck(args []string) error {
 		if rec.Span == nil || rec.Span.DurNS <= 0 {
 			return fmt.Errorf("obscheck: /debug/requests slowest[%d] has no finished span", i)
 		}
+		if rec.Status != http.StatusOK || !strings.HasPrefix(rec.Path, "/v1/search") {
+			continue
+		}
+		searches++
+		encoded := false
+		for _, stage := range rec.Span.Children {
+			encoded = encoded || stage.Name == "encode"
+		}
+		if !encoded {
+			return fmt.Errorf("obscheck: /debug/requests slowest[%d] (%s) answered without an encode stage", i, rec.Path)
+		}
 	}
-	fmt.Fprintf(c.w, "obscheck: /debug/requests ok (%d recorded, %d slowest, %d errored)\n",
-		flight.Recorded, len(flight.Slowest), len(flight.Errored))
+	if searches == 0 {
+		return fmt.Errorf("obscheck: /debug/requests holds no answered search — issue a query first")
+	}
+	fmt.Fprintf(c.w, "obscheck: /debug/requests ok (%d recorded, %d slowest, %d errored; %d answered searches, each with an encode stage)\n",
+		flight.Recorded, len(flight.Slowest), len(flight.Errored), searches)
 
 	// 3. Header/body trace agreement on a live request. /v1/functions is
 	// an observed route with a JSON body and needs no query input.

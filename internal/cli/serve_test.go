@@ -88,6 +88,22 @@ func TestQueryAgainstRunningServer(t *testing.T) {
 		t.Errorf("query output should rank the two alpha embeddings as matches:\n%s", out)
 	}
 
+	// The same query again is a result-cache hit with the same hit lines
+	// (CI's server-smoke makes the same check on the built binary), and
+	// obscheck finds the answered searches with their encode stage.
+	again, err := run(t, "query", "-server", "http://"+addr.String(), "-exe", q, "-limit", "5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	head, hits, _ := strings.Cut(out, "\n")
+	head2, hits2, _ := strings.Cut(again, "\n")
+	if strings.Contains(head, "cached") || !strings.Contains(head2, "cached") || hits != hits2 {
+		t.Errorf("repeated query should be served from the cache with identical hits:\n%s%s", out, again)
+	}
+	if check, err := run(t, "obscheck", "-server", "http://"+addr.String()); err != nil || !strings.Contains(check, "encode stage") {
+		t.Errorf("obscheck after two answered searches: %v\n%s", err, check)
+	}
+
 	// Querying a stopped server must fail cleanly, not hang.
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	_ = srv.Shutdown(ctx)

@@ -27,9 +27,9 @@ import (
 // until they finish.
 type Snapshot struct {
 	entries []*Entry
-	ks      []int // tracelet sizes served; nil (the DB's own view) accepts any k
-	workers int   // compare fan-out of one query when opts.Workers is 0
-	byName  map[string]*Entry
+	ks      []int            // tracelet sizes served; nil (the DB's own view) accepts any k
+	workers int              // compare fan-out of one query when opts.Workers is 0
+	byName  map[string]int32 // entryKey -> position in entries
 	info    Info
 
 	// slots is the decomposition store: k -> []atomic.Pointer[core.Decomposed]
@@ -97,9 +97,9 @@ func BuildSnapshot(db *DB, ks []int, nShards int) *Snapshot {
 
 	feats := db.features()
 	s := newSnapshot(db, kept, nShards, func() [][]uint64 { return feats })
-	s.byName = make(map[string]*Entry, len(s.entries))
-	for _, e := range s.entries {
-		s.byName[entryKey(e.Exe, e.Name)] = e
+	s.byName = make(map[string]int32, len(s.entries))
+	for i, e := range s.entries {
+		s.byName[entryKey(e.Exe, e.Name)] = int32(i)
 	}
 	if db.store == nil {
 		for _, k := range kept {
@@ -196,7 +196,22 @@ func (s *Snapshot) SupportsK(k int) bool {
 
 // Lookup returns the indexed entry for (exe, name), or nil.
 func (s *Snapshot) Lookup(exe, name string) *Entry {
-	return s.byName[entryKey(exe, name)]
+	if i, ok := s.byName[entryKey(exe, name)]; ok {
+		return s.entries[i]
+	}
+	return nil
+}
+
+// LookupDecomposed returns the snapshot's own memoized k-decomposition
+// of the indexed entry (exe, name) — what a search compares candidates
+// against, so a by-reference query need not decompose again — or nil when
+// there is no such entry. k must be a served tracelet size.
+func (s *Snapshot) LookupDecomposed(exe, name string, k int) *core.Decomposed {
+	i, ok := s.byName[entryKey(exe, name)]
+	if !ok {
+		return nil
+	}
+	return s.dec(s.slotsFor(k), k, int(i))
 }
 
 // noteCtxErr counts a context-aborted search into tel: one tick of

@@ -53,6 +53,17 @@ func TestSnapshotLookup(t *testing.T) {
 	if got := snap.Lookup("nope", "nothing"); got != nil {
 		t.Errorf("Lookup of absent function = %v, want nil", got)
 	}
+	// LookupDecomposed hands out the memoized decomposition searches
+	// compare against, not a fresh one per call.
+	d := snap.LookupDecomposed(e.Exe, e.Name, 3)
+	if d == nil || d != snap.LookupDecomposed(e.Exe, e.Name, 3) {
+		t.Errorf("LookupDecomposed(%s, %s) = %p, want one memoized decomposition", e.Exe, e.Name, d)
+	} else if want := core.Decompose(e.Function(), 3); d.Name != e.Name || d.Fingerprint() != want.Fingerprint() {
+		t.Errorf("LookupDecomposed(%s, %s) is %s with fingerprint %x, want %x", e.Exe, e.Name, d.Name, d.Fingerprint(), want.Fingerprint())
+	}
+	if got := snap.LookupDecomposed("nope", "nothing", 3); got != nil {
+		t.Errorf("LookupDecomposed of absent function = %v, want nil", got)
+	}
 }
 
 func TestTopK(t *testing.T) {

@@ -17,6 +17,7 @@
 package prep
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 
@@ -48,25 +49,68 @@ func LiftImage(img []byte) ([]*Function, error) {
 	return Lift(f)
 }
 
-// Lift lifts all functions of a parsed ELF file.
-func Lift(f *bin.File) ([]*Function, error) {
-	images, err := f.Functions()
+// ErrNoFunction is LiftNamed's error for a name the image does not hold.
+var ErrNoFunction = errors.New("prep: no such function")
+
+// LiftNamed parses an ELF image, discovers its functions and lifts only
+// the first one called name: exactly the element LiftImage returns for
+// it, at a cost that grows with the image only through discovery. No
+// other function is decoded, so bytes that fail LiftImage elsewhere in
+// the image do not fail LiftNamed.
+func LiftNamed(img []byte, name string) (*Function, error) {
+	f, err := bin.Read(img)
 	if err != nil {
 		return nil, err
+	}
+	images, starts, err := discover(f)
+	if err != nil {
+		return nil, err
+	}
+	for _, im := range images {
+		if im.Name == name {
+			return liftImageFunc(f, im, starts)
+		}
+	}
+	return nil, fmt.Errorf("%w: %q", ErrNoFunction, name)
+}
+
+// Lift lifts all functions of a parsed ELF file.
+func Lift(f *bin.File) ([]*Function, error) {
+	images, starts, err := discover(f)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]*Function, 0, len(images))
+	for _, im := range images {
+		fn, err := liftImageFunc(f, im, starts)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, fn)
+	}
+	return out, nil
+}
+
+// discover recovers the function images of f and the set of their entry
+// addresses, which lifting any one of them needs to classify call targets.
+func discover(f *bin.File) ([]bin.FuncImage, map[uint32]bool, error) {
+	images, err := f.Functions()
+	if err != nil {
+		return nil, nil, err
 	}
 	starts := make(map[uint32]bool, len(images))
 	for _, im := range images {
 		starts[im.Addr] = true
 	}
-	out := make([]*Function, 0, len(images))
-	for _, im := range images {
-		fn, err := LiftFunc(f, im, starts)
-		if err != nil {
-			return nil, fmt.Errorf("prep: %s: %w", im.Name, err)
-		}
-		out = append(out, fn)
+	return images, starts, nil
+}
+
+func liftImageFunc(f *bin.File, im bin.FuncImage, starts map[uint32]bool) (*Function, error) {
+	fn, err := LiftFunc(f, im, starts)
+	if err != nil {
+		return nil, fmt.Errorf("prep: %s: %w", im.Name, err)
 	}
-	return out, nil
+	return fn, nil
 }
 
 // LiftFunc lifts a single function image. starts is the set of all known

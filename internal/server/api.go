@@ -20,6 +20,12 @@ import (
 // (Image, base64; Function selects a function in it, default the
 // largest) or by referencing a function already in the index (Exe +
 // Name). Exactly one of the two forms must be used.
+//
+// An upload that names its Function has only that function lifted: a
+// malformed ELF answers 400 and an unknown Function 404, but bytes that
+// fail to decode in some other function of the image do not fail the
+// request. With Function empty every function is lifted to find the
+// largest, and any that fails to decode answers 400 for the upload.
 type SearchRequest struct {
 	Image    string `json:"image,omitempty"`    // base64 ELF image to lift
 	Function string `json:"function,omitempty"` // function within Image (default: largest)

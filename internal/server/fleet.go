@@ -794,74 +794,40 @@ func (f *fleetBackend) lookupFunction(ctx context.Context, exe, name string) (*p
 	return nil, errf(http.StatusBadGateway, "fleet: resolving %s/%s: %v", exe, name, non404)
 }
 
-// resolveFleet validates the request and resolves its query to a lifted
-// function, returning the function plus the request to scatter (the
-// query re-expressed as QueryGob; every tuning knob forwarded, with the
-// coordinator's resolved limit so shards return exactly the partial the
-// merge needs).
-func (f *fleetBackend) resolveFleet(ctx context.Context, req *SearchRequest) (*prep.Function, *SearchRequest, []byte, error) {
-	if req.MinScore < 0 || req.MinScore > 1 {
-		return nil, nil, nil, errf(http.StatusBadRequest, "min_score %v outside [0,1]", req.MinScore)
+// begin pins the fleet cache generation: it folds every group's serving
+// generation, so any worker reload invalidates coordinator-side entries
+// while a mere replica outage does not.
+func (f *fleetBackend) begin(ctx context.Context, p *searchPlan) error {
+	if p.degraded {
+		// The coordinator's graceful-degradation story is the partial merge,
+		// not prefilter-only ranking (it has no corpus to rank against).
+		return errf(http.StatusServiceUnavailable, "coordinator cannot serve degraded answers")
 	}
-	if req.Candidates < 0 {
-		return nil, nil, nil, errf(http.StatusBadRequest, "candidates %d must be positive", req.Candidates)
-	}
-	if req.TimeoutMS < 0 {
-		return nil, nil, nil, errf(http.StatusBadRequest, "timeout_ms %d must be positive", req.TimeoutMS)
-	}
-	if _, ok := index.ParsePrefilterMode(req.PrefilterMode); !ok {
-		return nil, nil, nil, errf(http.StatusBadRequest, "prefilter_mode %q unknown (want scan or lsh)", req.PrefilterMode)
-	}
-	limit := req.Limit
-	switch {
-	case limit <= 0:
-		limit = 10
-	case limit > 1000:
-		limit = 1000
-	}
+	f.s.tel.Inc(telemetry.FleetSearches)
+	p.gen = f.generation(ctx)
+	return nil
+}
 
-	byGob := req.QueryGob != ""
-	byImage := req.Image != ""
-	byRef := req.Exe != "" || req.Name != ""
-	var fn *prep.Function
-	var err error
-	switch {
-	case byGob && (byImage || byRef), byImage && byRef:
-		return nil, nil, nil, errf(http.StatusBadRequest, "give either image or exe/name, not both")
-	case byGob:
-		if fn, err = decodeQueryGob(req.QueryGob); err != nil {
-			return nil, nil, nil, errf(http.StatusBadRequest, "%v", err)
-		}
-	case byImage:
-		if fn, err = liftQueryImage(req); err != nil {
-			return nil, nil, nil, err
-		}
-	case byRef:
-		if req.Exe == "" || req.Name == "" {
-			return nil, nil, nil, errf(http.StatusBadRequest, "reference queries need both exe and name")
-		}
-		if fn, err = f.lookupFunction(ctx, req.Exe, req.Name); err != nil {
-			return nil, nil, nil, err
-		}
-	default:
-		return nil, nil, nil, errf(http.StatusBadRequest, "empty query: set image or exe/name")
+func (f *fleetBackend) lookup(ctx context.Context, p *searchPlan, exe, name string) error {
+	fn, err := f.lookupFunction(ctx, exe, name)
+	if err != nil {
+		return err
 	}
+	return f.adopt(p, fn)
+}
 
+// adopt re-expresses the query as the QueryGob every shard is sent; the
+// content key fingerprints those bytes: same function, same answer.
+func (f *fleetBackend) adopt(p *searchPlan, fn *prep.Function) error {
 	qgob, raw, err := encodeQueryGob(fn)
 	if err != nil {
-		return nil, nil, nil, errf(http.StatusInternalServerError, "encoding query: %v", err)
+		return errf(http.StatusInternalServerError, "encoding query: %v", err)
 	}
-	shardReq := &SearchRequest{
-		QueryGob:      qgob,
-		K:             req.K,
-		Limit:         limit,
-		MinScore:      req.MinScore,
-		Prefilter:     req.Prefilter,
-		Candidates:    req.Candidates,
-		PrefilterMode: req.PrefilterMode,
-		TimeoutMS:     req.TimeoutMS,
-	}
-	return fn, shardReq, raw, nil
+	hash := fnv.New64a()
+	_, _ = hash.Write(raw)
+	p.gob, p.fp = qgob, hash.Sum64()
+	p.hdr = queryHeader{name: fn.Name, blocks: fn.NumBlocks(), insts: fn.NumInsts()}
+	return nil
 }
 
 // shardResult is one gathered per-group partial.
@@ -961,59 +927,20 @@ func (f *fleetBackend) fleetReplicaErrors(results []shardResult) ([]ReplicaError
 	return out, retryAfter
 }
 
-func (f *fleetBackend) Search(ctx context.Context, req *SearchRequest) (*SearchResponse, error) {
-	t0 := time.Now()
+// search scatters the resolved query to every shard — each tuning knob
+// forwarded as given, with the coordinator's resolved limit so shards
+// return exactly the partial the merge needs — and merges the partials.
+func (f *fleetBackend) search(ctx context.Context, p *searchPlan, req *SearchRequest) (*SearchResponse, bool, error) {
 	sp := telemetry.SpanFromContext(ctx)
-	f.s.tel.Inc(telemetry.FleetSearches)
-
-	rsp := sp.Child("resolve")
-	fn, shardReq, raw, err := f.resolveFleet(ctx, req)
-	rsp.End()
-	if err != nil {
-		return nil, err
-	}
-	ctx, cancel := reqCtx(ctx, req)
-	defer cancel()
-
-	k := req.K
-	if k <= 0 {
-		k = f.s.opts.K
-	}
-	mode, _ := index.ParsePrefilterMode(req.PrefilterMode)
-	effCand := 0
-	if req.Prefilter || req.Candidates > 0 || mode == index.ModeLSH {
-		effCand = req.Candidates
-		if effCand <= 0 {
-			effCand = index.DefaultPrefilterCandidates
-		}
-		if effCand > 1000 {
-			effCand = 1000
-		}
-	}
-	// The cache key fingerprints the gob bytes of the resolved query:
-	// same function, same answer. gen folds every group's serving
-	// generation, so any worker reload invalidates coordinator-side
-	// entries while a mere replica outage does not.
-	hash := fnv.New64a()
-	_, _ = hash.Write(raw)
-	key := cacheKey{fp: hash.Sum64(), gen: f.generation(ctx), k: k, limit: shardReq.Limit,
-		minScore: req.MinScore, candidates: effCand, mode: mode}
-	cacheOK := f.s.faults.Fire(ctx, FaultCache) == nil
-	if cacheOK {
-		csp := sp.Child("cache")
-		ct := f.s.tel.StartTimer(telemetry.CacheLookupLatency)
-		cached, ok := f.s.cache.get(key)
-		ct.Stop()
-		csp.End()
-		if ok {
-			f.s.tel.Inc(telemetry.ServerCacheHits)
-			sp.Set("cached", 1)
-			resp := *cached // shallow copy; shared Hits are read-only
-			resp.Cached = true
-			resp.TookMS = msSince(t0)
-			return &resp, nil
-		}
-		f.s.tel.Inc(telemetry.ServerCacheMisses)
+	shardReq := &SearchRequest{
+		QueryGob:      p.gob,
+		K:             req.K,
+		Limit:         p.limit,
+		MinScore:      req.MinScore,
+		Prefilter:     req.Prefilter,
+		Candidates:    req.Candidates,
+		PrefilterMode: req.PrefilterMode,
+		TimeoutMS:     req.TimeoutMS,
 	}
 
 	// Scatter: every shard group races under its own deadline, each leg
@@ -1039,12 +966,7 @@ func (f *fleetBackend) Search(ctx context.Context, req *SearchRequest) (*SearchR
 	var merged []index.Hit
 	var failed []string
 	var firstAPIErr *rpc.APIError
-	resp := &SearchResponse{
-		Query:       fn.Name,
-		QueryBlocks: fn.NumBlocks(),
-		QueryInsts:  fn.NumInsts(),
-		K:           k,
-	}
+	resp := &SearchResponse{K: p.k}
 	shardDegraded := false
 	for _, r := range results {
 		if r.err != nil {
@@ -1082,26 +1004,17 @@ func (f *fleetBackend) Search(ctx context.Context, req *SearchRequest) (*SearchR
 		// prober's next readmission probe.
 		if firstAPIErr != nil && firstAPIErr.Status >= 400 && firstAPIErr.Status < 500 &&
 			firstAPIErr.Status != http.StatusTooManyRequests {
-			return nil, errf(firstAPIErr.Status, "%s", firstAPIErr.Msg)
+			return nil, false, errf(firstAPIErr.Status, "%s", firstAPIErr.Msg)
 		}
 		he := errf(http.StatusBadGateway, "fleet: all %d shards failed: %s",
 			len(f.groups), strings.Join(failed, "; "))
 		he.fleet, he.retryAfter = f.fleetReplicaErrors(results)
-		return nil, he
+		return nil, false, he
 	}
-	top := index.TopK(merged, shardReq.Limit, req.MinScore)
+	top := index.TopK(merged, p.limit, p.minScore)
 	resp.Hits = make([]Hit, len(top))
 	for i, h := range top {
-		resp.Hits[i] = Hit{
-			Exe:            h.Entry.Exe,
-			Name:           h.Entry.Name,
-			Addr:           h.Entry.Addr,
-			Score:          h.Result.SimilarityScore,
-			IsMatch:        h.Result.IsMatch,
-			Matched:        h.Result.Matched(),
-			RefTracelets:   h.Result.RefTracelets,
-			MatchedRewrite: h.Result.MatchedRewrite,
-		}
+		resp.Hits[i] = wireHit(h)
 	}
 	mt.Stop()
 	msp.End()
@@ -1115,18 +1028,8 @@ func (f *fleetBackend) Search(ctx context.Context, req *SearchRequest) (*SearchR
 		resp.Degraded = true
 		resp.DegradedReason = "one or more shards answered degraded"
 	}
-	resp.TookMS = msSince(t0)
 	// Only a full-fleet, full-quality answer is cacheable.
-	if cacheOK && !resp.Degraded {
-		f.s.cache.put(key, resp)
-	}
-	return resp, nil
-}
-
-func (f *fleetBackend) Degraded(context.Context, *SearchRequest) (*SearchResponse, error) {
-	// The coordinator's graceful-degradation story is the partial merge,
-	// not prefilter-only ranking (it has no corpus to rank against).
-	return nil, errf(http.StatusServiceUnavailable, "coordinator cannot serve degraded answers")
+	return resp, !resp.Degraded, nil
 }
 
 func (f *fleetBackend) Functions(ctx context.Context, exe string, limit int) (*FunctionsResponse, error) {

@@ -109,7 +109,7 @@ func TestTracePropagatesEndToEnd(t *testing.T) {
 		if fr.Span.TraceID != tid {
 			t.Errorf("root span trace_id %q, want %q", fr.Span.TraceID, tid)
 		}
-		for _, stage := range []string{"decode", "resolve", "cache", "compare", "prune"} {
+		for _, stage := range []string{"decode", "resolve", "cache", "compare", "prune", "encode"} {
 			c := fr.Span.child(stage)
 			if c == nil {
 				t.Errorf("span tree missing %q stage (have %v)", stage, stageNames(fr.Span))
@@ -288,6 +288,28 @@ func TestAccessLogWiring(t *testing.T) {
 	}
 	if s.Tel().Snapshot().Counters["server_slow_queries"] != 1 {
 		t.Fatalf("server_slow_queries: %v", s.Tel().Snapshot().Counters)
+	}
+
+	// The repeat is an alias hit: its whole server time is decode, one
+	// cache probe and encode — nothing is resolved.
+	logBuf.Reset()
+	if rec, resp := postSearch(t, h, SearchRequest{Exe: e.Exe, Name: e.Name}); rec.Code != 200 || !resp.Cached {
+		t.Fatalf("repeat: HTTP %d, cached %v", rec.Code, resp != nil && resp.Cached)
+	}
+	var hit struct {
+		Cached bool               `json:"cached"`
+		Stages map[string]float64 `json:"stages_ms"`
+	}
+	if err := json.Unmarshal(logBuf.Bytes(), &hit); err != nil {
+		t.Fatalf("bad access line: %v\n%s", err, logBuf.String())
+	}
+	for _, stage := range []string{"decode", "cache", "encode"} {
+		if _, ok := hit.Stages[stage]; !ok {
+			t.Errorf("alias hit's stages_ms missing %q: %v", stage, hit.Stages)
+		}
+	}
+	if !hit.Cached || len(hit.Stages) != 3 {
+		t.Errorf("alias hit logged cached=%v stages %v, want decode, cache and encode only", hit.Cached, hit.Stages)
 	}
 }
 

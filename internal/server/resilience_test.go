@@ -237,8 +237,25 @@ func TestCacheFaultDegradesToMiss(t *testing.T) {
 			t.Errorf("request %d: cache served despite cache fault", i)
 		}
 	}
-	if s.cache.len() != 0 {
-		t.Errorf("cache stored %d entries despite cache fault", s.cache.len())
+	if s.cache.len() != 0 || s.cache.keys() != 0 {
+		t.Errorf("cache stored %d entries under %d keys despite cache fault", s.cache.len(), s.cache.keys())
+	}
+	// Neither key was read either: an unavailable cache is not a miss.
+	if hits, misses := s.Tel().Get(telemetry.ServerCacheHits), s.Tel().Get(telemetry.ServerCacheMisses); hits != 0 || misses != 0 {
+		t.Errorf("cache counters ticked %d hits / %d misses despite cache fault", hits, misses)
+	}
+
+	// The same holds for an answer both keys already reach.
+	faults.Clear()
+	if rec, resp := postSearch(t, h, req); rec.Code != http.StatusOK || resp.Cached {
+		t.Fatalf("filling the cache: status %d", rec.Code)
+	}
+	faults.Arm(&faultinject.Fault{Point: FaultCache, Mode: faultinject.Error})
+	if rec, resp := postSearch(t, h, req); rec.Code != http.StatusOK || resp.Cached {
+		t.Errorf("cache fault with a filled cache: status %d, cached answer served", rec.Code)
+	}
+	if hits := s.Tel().Get(telemetry.ServerCacheHits); hits != 0 || s.cache.keys() != 2 {
+		t.Errorf("cache fault with a filled cache: %d hits, %d keys; want 0 and 2", hits, s.cache.keys())
 	}
 }
 

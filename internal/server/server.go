@@ -12,8 +12,10 @@
 // Robustness is part of the design: a bounded in-flight semaphore sheds
 // load with 429 instead of queueing unboundedly, every request runs
 // under a deadline and a body-size limit, shutdown drains in-flight
-// queries, and an LRU cache keyed on (query fingerprint, options,
-// snapshot generation) short-circuits repeated searches. Everything
+// queries, and an LRU cache of responses, each reachable by the request
+// as it was sent and by the content of its resolved query (both beside
+// the options and the snapshot generation), short-circuits repeated
+// searches before anything is lifted or fetched (search.go). Everything
 // reports into a telemetry.Collector served at /statsz alongside the
 // pprof endpoints.
 package server
@@ -34,7 +36,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/faultinject"
 	"repro/internal/index"
-	"repro/internal/prep"
 	"repro/internal/telemetry"
 )
 
@@ -441,6 +442,14 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
+// encodeResponse is writeJSON under an "encode" stage span, so the server
+// time of a request that does little else — a cache hit — is named.
+func encodeResponse(w http.ResponseWriter, sp *telemetry.Span, v any) {
+	esp := sp.Child("encode")
+	writeJSON(w, http.StatusOK, v)
+	esp.End()
+}
+
 // writeErr answers r with err's status and message, stamping the
 // request's trace ID into the body and recording the message for the
 // access log / flight recorder.
@@ -485,19 +494,21 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, r, queueErr(err))
 		return
 	}
-	if release == nil {
-		if s.cfg.DegradedMode {
-			s.serveDegradedSearch(w, r)
-			return
-		}
+	// With every in-flight slot taken a DegradedMode server still answers:
+	// from the result cache if it can, else with a prefilter-only ranking
+	// marked degraded — both cheap enough to run outside the semaphore.
+	degraded := release == nil
+	if degraded && !s.cfg.DegradedMode {
 		s.shed(w, r)
 		return
 	}
-	defer release()
+	if !degraded {
+		defer release()
+	}
 	s.tel.Inc(telemetry.ServerRequests)
 	lt := s.tel.StartTimer(telemetry.ServerLatency)
 	defer lt.Stop()
-	if s.holdForTest != nil {
+	if !degraded && s.holdForTest != nil {
 		<-s.holdForTest
 	}
 	sp := telemetry.SpanFromContext(r.Context())
@@ -506,36 +517,13 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, r, err)
 		return
 	}
-	resp, err := s.backend.Search(r.Context(), &req)
+	resp, err := s.search(r.Context(), &req, degraded)
 	if err != nil {
 		writeErr(w, r, err)
 		return
 	}
 	resp.TraceID = sp.TraceID()
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// serveDegradedSearch answers a search when every in-flight slot is
-// taken and DegradedMode is on: from the result cache if the exact
-// answer is already there, else with a prefilter-only ranking marked
-// degraded. Both are cheap enough to run outside the slot semaphore.
-func (s *Server) serveDegradedSearch(w http.ResponseWriter, r *http.Request) {
-	s.tel.Inc(telemetry.ServerRequests)
-	lt := s.tel.StartTimer(telemetry.ServerLatency)
-	defer lt.Stop()
-	sp := telemetry.SpanFromContext(r.Context())
-	var req SearchRequest
-	if err := s.decodeRequest(w, r, sp, &req); err != nil {
-		writeErr(w, r, err)
-		return
-	}
-	resp, err := s.backend.Degraded(r.Context(), &req)
-	if err != nil {
-		writeErr(w, r, err)
-		return
-	}
-	resp.TraceID = sp.TraceID()
-	writeJSON(w, http.StatusOK, resp)
+	encodeResponse(w, sp, resp)
 }
 
 // maxBatch bounds the queries in one batch request.
@@ -587,13 +575,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		// per-query stage timings: query:N -> resolve/cache/prefilter/...
 		qsp := sp.Child(fmt.Sprintf("query:%d", i))
 		qctx := telemetry.ContextWithSpan(r.Context(), qsp)
-		var resp *SearchResponse
-		var err error
-		if degraded {
-			resp, err = s.backend.Degraded(qctx, &req.Queries[i])
-		} else {
-			resp, err = s.backend.Search(qctx, &req.Queries[i])
-		}
+		resp, err := s.search(qctx, &req.Queries[i], degraded)
 		qsp.End()
 		if err != nil {
 			out.Results[i].Error = err.Error()
@@ -602,7 +584,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		resp.TraceID = sp.TraceID()
 		out.Results[i].Result = resp
 	}
-	writeJSON(w, http.StatusOK, out)
+	encodeResponse(w, sp, out)
 }
 
 func (s *Server) handleFunctions(w http.ResponseWriter, r *http.Request) {
@@ -696,83 +678,6 @@ func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) error
 	return nil
 }
 
-// searchPlan is the validated, resolved prelude shared by the exact and
-// degraded search paths.
-type searchPlan struct {
-	st      *snapState
-	query   *prep.Function
-	ref     *core.Decomposed
-	k       int
-	limit   int
-	pf      index.PrefilterOptions
-	effCand int
-}
-
-// planSearch validates req, resolves the query function, and decomposes
-// it — everything a search needs before any corpus work happens.
-func (s *Server) planSearch(req *SearchRequest) (*searchPlan, error) {
-	st := s.snap.Load()
-	if st == nil {
-		return nil, errf(http.StatusServiceUnavailable, "no index loaded")
-	}
-	k := req.K
-	if k <= 0 {
-		k = s.opts.K
-	}
-	if !st.snap.SupportsK(k) {
-		return nil, errf(http.StatusBadRequest, "k=%d not precomputed (supported: %v)", k, st.snap.Ks())
-	}
-	limit := req.Limit
-	switch {
-	case limit <= 0:
-		limit = 10
-	case limit > 1000:
-		limit = 1000
-	}
-	if req.MinScore < 0 || req.MinScore > 1 {
-		return nil, errf(http.StatusBadRequest, "min_score %v outside [0,1]", req.MinScore)
-	}
-	if req.Candidates < 0 {
-		return nil, errf(http.StatusBadRequest, "candidates %d must be positive", req.Candidates)
-	}
-	if req.TimeoutMS < 0 {
-		return nil, errf(http.StatusBadRequest, "timeout_ms %d must be positive", req.TimeoutMS)
-	}
-	mode, ok := index.ParsePrefilterMode(req.PrefilterMode)
-	if !ok {
-		return nil, errf(http.StatusBadRequest, "prefilter_mode %q unknown (want scan or lsh)", req.PrefilterMode)
-	}
-	pf := index.PrefilterOptions{Enabled: req.Prefilter, Candidates: req.Candidates, Mode: mode}
-	if mode == index.ModeLSH {
-		// Asking for lsh candidates is asking for the prefilter.
-		pf.Enabled = true
-	}
-	if pf.Candidates > 1000 {
-		pf.Candidates = 1000
-	}
-	effCand := 0
-	if pf.Enabled || pf.Candidates > 0 {
-		pf.Enabled = true
-		effCand = pf.Candidates
-		if effCand <= 0 {
-			effCand = index.DefaultPrefilterCandidates
-		}
-	}
-	query, err := s.resolveQuery(st, req)
-	if err != nil {
-		return nil, err
-	}
-	return &searchPlan{
-		st:      st,
-		query:   query,
-		ref:     core.DecomposeT(query, k, s.tel),
-		k:       k,
-		limit:   limit,
-		pf:      pf,
-		effCand: effCand,
-	}, nil
-}
-
 // reqCtx derives the search's compute context: the request context
 // (already deadline-bounded by the TimeoutHandler) tightened further by
 // the request's own timeout_ms when given.
@@ -803,268 +708,4 @@ func queueErr(err error) *httpError {
 		return he
 	}
 	return errf(http.StatusServiceUnavailable, "queued request aborted: %v", err)
-}
-
-// runSearch executes one search (shared by the single and batch
-// endpoints): resolve the query function, consult the cache, fan out
-// over the snapshot under ctx, rank top-K.
-func (s *Server) runSearch(ctx context.Context, req *SearchRequest) (*SearchResponse, error) {
-	t0 := time.Now()
-	sp := telemetry.SpanFromContext(ctx)
-	rsp := sp.Child("resolve")
-	p, err := s.planSearch(req)
-	rsp.End()
-	if err != nil {
-		return nil, err
-	}
-	ctx, cancel := reqCtx(ctx, req)
-	defer cancel()
-
-	opts := s.opts
-	opts.K = p.k
-	opts.Tel = s.tel
-	key := cacheKey{fp: p.ref.Fingerprint(), gen: p.st.gen, k: p.k, limit: p.limit,
-		minScore: req.MinScore, candidates: p.effCand, mode: p.pf.Mode}
-	// A cache fault means the cache is unavailable, not that the search
-	// fails: degrade to a miss (and skip the store below).
-	cacheOK := s.faults.Fire(ctx, FaultCache) == nil
-	if cacheOK {
-		csp := sp.Child("cache")
-		ct := s.tel.StartTimer(telemetry.CacheLookupLatency)
-		cached, ok := s.cache.get(key)
-		ct.Stop()
-		csp.End()
-		if ok {
-			s.tel.Inc(telemetry.ServerCacheHits)
-			sp.Set("cached", 1)
-			resp := *cached // shallow copy; shared Hits are read-only
-			resp.Cached = true
-			resp.TookMS = msSince(t0)
-			return &resp, nil
-		}
-		s.tel.Inc(telemetry.ServerCacheMisses)
-	}
-
-	if err := s.faults.Fire(ctx, FaultSearch); err != nil {
-		return nil, errf(http.StatusInternalServerError, "search: %v", err)
-	}
-	// An injected lsh fault models the candidate generator being
-	// unavailable (not the search failing): degrade to the scan prefilter
-	// and mark the answer, mirroring the organic no-signatures fallback.
-	lshFellBack := false
-	if p.pf.Mode == index.ModeLSH && s.faults.Fire(ctx, FaultLSH) != nil {
-		s.tel.Inc(telemetry.LSHFallbacks)
-		p.pf.Mode = index.ModeScan
-		lshFellBack = true
-	}
-	hits, serr := p.st.snap.SearchDecomposedCtx(ctx, p.ref, opts, p.pf)
-	if serr != nil {
-		if he := ctxHTTPErr(serr); he != nil {
-			return nil, he
-		}
-		return nil, errf(http.StatusBadRequest, "%v", serr)
-	}
-	top := index.TopK(hits, p.limit, req.MinScore)
-	resp := &SearchResponse{
-		Query:       p.query.Name,
-		QueryBlocks: p.query.NumBlocks(),
-		QueryInsts:  p.query.NumInsts(),
-		K:           p.k,
-		Candidates:  len(hits),
-		Prefiltered: p.pf.Enabled,
-		Hits:        make([]Hit, len(top)),
-	}
-	if p.pf.Enabled {
-		resp.PrefilterMode = string(p.pf.Mode)
-	}
-	if lshFellBack {
-		s.tel.Inc(telemetry.ServerDegraded)
-		sp.Set("degraded", 1)
-		resp.Degraded = true
-		resp.DegradedReason = "lsh prefilter unavailable: fell back to scan candidates"
-	}
-	for i, h := range top {
-		if h.Result.Truncated {
-			sp.Set("truncated", 1)
-		}
-		resp.Hits[i] = Hit{
-			Exe:            h.Entry.Exe,
-			Name:           h.Entry.Name,
-			Addr:           h.Entry.Addr,
-			Score:          h.Result.SimilarityScore,
-			IsMatch:        h.Result.IsMatch,
-			Matched:        h.Result.Matched(),
-			RefTracelets:   h.Result.RefTracelets,
-			MatchedRewrite: h.Result.MatchedRewrite,
-		}
-	}
-	resp.TookMS = msSince(t0)
-	// A fell-back answer is degraded and must not shadow the real lsh
-	// result once the fault clears: never cache it.
-	if cacheOK && !lshFellBack {
-		s.cache.put(key, resp)
-	}
-	return resp, nil
-}
-
-// runDegraded answers a search without taking an in-flight slot: a
-// result-cache hit is served at full quality; otherwise the snapshot's
-// prefilter ranks the corpus by shared features and the top entries are
-// returned with degraded:true — feature-share ratios in place of
-// similarity scores, IsMatch never set. Degraded answers live in their
-// own cache keyspace so they can never shadow an exact result.
-func (s *Server) runDegraded(ctx context.Context, req *SearchRequest) (*SearchResponse, error) {
-	t0 := time.Now()
-	sp := telemetry.SpanFromContext(ctx)
-	rsp := sp.Child("resolve")
-	p, err := s.planSearch(req)
-	rsp.End()
-	if err != nil {
-		return nil, err
-	}
-	ctx, cancel := reqCtx(ctx, req)
-	defer cancel()
-
-	exactKey := cacheKey{fp: p.ref.Fingerprint(), gen: p.st.gen, k: p.k, limit: p.limit,
-		minScore: req.MinScore, candidates: p.effCand, mode: p.pf.Mode}
-	cacheOK := s.faults.Fire(ctx, FaultCache) == nil
-	csp := sp.Child("cache")
-	ct := s.tel.StartTimer(telemetry.CacheLookupLatency)
-	if cacheOK {
-		if cached, ok := s.cache.get(exactKey); ok {
-			ct.Stop()
-			csp.End()
-			s.tel.Inc(telemetry.ServerCacheHits)
-			sp.Set("cached", 1)
-			resp := *cached
-			resp.Cached = true
-			resp.TookMS = msSince(t0)
-			return &resp, nil
-		}
-	}
-
-	s.tel.Inc(telemetry.ServerDegraded)
-	sp.Set("degraded", 1)
-	degKey := cacheKey{fp: p.ref.Fingerprint(), gen: p.st.gen, k: p.k, limit: p.limit, degraded: true}
-	if cacheOK {
-		cached, ok := s.cache.get(degKey)
-		ct.Stop()
-		csp.End()
-		if ok {
-			s.tel.Inc(telemetry.ServerCacheHits)
-			sp.Set("cached", 1)
-			resp := *cached
-			resp.Cached = true
-			resp.TookMS = msSince(t0)
-			return &resp, nil
-		}
-		s.tel.Inc(telemetry.ServerCacheMisses)
-	} else {
-		ct.Stop()
-		csp.End()
-	}
-
-	if err := s.faults.Fire(ctx, FaultSearch); err != nil {
-		return nil, errf(http.StatusInternalServerError, "search: %v", err)
-	}
-	ranked, rerr := p.st.snap.PrefilterRankWith(ctx, p.ref, p.limit, index.ModeScan)
-	if rerr != nil {
-		if he := ctxHTTPErr(rerr); he != nil {
-			return nil, he
-		}
-		return nil, errf(http.StatusInternalServerError, "%v", rerr)
-	}
-	qf := len(index.QueryFeatures(p.ref))
-	entries := p.st.snap.Entries()
-	resp := &SearchResponse{
-		Query:          p.query.Name,
-		QueryBlocks:    p.query.NumBlocks(),
-		QueryInsts:     p.query.NumInsts(),
-		K:              p.k,
-		Candidates:     len(ranked),
-		Degraded:       true,
-		DegradedReason: "server saturated: prefilter-only ranking, no exact comparison",
-		Hits:           make([]Hit, len(ranked)),
-	}
-	for i, r := range ranked {
-		e := entries[r.ID]
-		score := 0.0
-		if qf > 0 {
-			score = float64(r.Shared) / float64(qf)
-			if score > 1 {
-				score = 1
-			}
-		}
-		resp.Hits[i] = Hit{Exe: e.Exe, Name: e.Name, Addr: e.Addr, Score: score}
-	}
-	resp.TookMS = msSince(t0)
-	if cacheOK {
-		s.cache.put(degKey, resp)
-	}
-	return resp, nil
-}
-
-// resolveQuery produces the query function from any form of
-// SearchRequest: an uploaded image, a by-reference (exe, name) lookup
-// in the local snapshot, or a fleet-internal pre-resolved QueryGob.
-func (s *Server) resolveQuery(st *snapState, req *SearchRequest) (*prep.Function, error) {
-	byGob := req.QueryGob != ""
-	byImage := req.Image != ""
-	byRef := req.Exe != "" || req.Name != ""
-	switch {
-	case byGob && (byImage || byRef), byImage && byRef:
-		return nil, errf(http.StatusBadRequest, "give either image or exe/name, not both")
-	case byGob:
-		fn, err := decodeQueryGob(req.QueryGob)
-		if err != nil {
-			return nil, errf(http.StatusBadRequest, "%v", err)
-		}
-		return fn, nil
-	case byRef:
-		if req.Exe == "" || req.Name == "" {
-			return nil, errf(http.StatusBadRequest, "reference queries need both exe and name")
-		}
-		e := st.snap.Lookup(req.Exe, req.Name)
-		if e == nil {
-			return nil, errf(http.StatusNotFound, "no indexed function %s/%s", req.Exe, req.Name)
-		}
-		return e.Function(), nil
-	case byImage:
-		return liftQueryImage(req)
-	default:
-		return nil, errf(http.StatusBadRequest, "empty query: set image or exe/name")
-	}
-}
-
-// liftQueryImage decodes and lifts an uploaded query image, picking the
-// requested function (default: the largest). Shared by the local
-// resolver and the coordinator, which lifts images itself so workers
-// only ever see pre-resolved functions.
-func liftQueryImage(req *SearchRequest) (*prep.Function, error) {
-	img, err := req.DecodeImage()
-	if err != nil {
-		return nil, errf(http.StatusBadRequest, "bad base64 image: %v", err)
-	}
-	fns, err := prep.LiftImage(img)
-	if err != nil {
-		return nil, errf(http.StatusBadRequest, "lifting image: %v", err)
-	}
-	if len(fns) == 0 {
-		return nil, errf(http.StatusBadRequest, "image has no functions")
-	}
-	if req.Function != "" {
-		for _, fn := range fns {
-			if fn.Name == req.Function {
-				return fn, nil
-			}
-		}
-		return nil, errf(http.StatusNotFound, "image has no function %q", req.Function)
-	}
-	best := fns[0]
-	for _, fn := range fns[1:] {
-		if fn.NumInsts() > best.NumInsts() {
-			best = fn
-		}
-	}
-	return best, nil
 }
