@@ -109,12 +109,11 @@ func fnvBytes[T string | []byte](h uint64, s T) uint64 {
 	return h
 }
 
-// Pack packs the concatenation of the given instruction sequences.
-func Pack(blocks ...[]Inst) *Packed {
-	// Size the arguments exactly and the encodings amply: an encoding holds
-	// the mnemonic, the operand count, at most two bytes per operand and at
-	// most three per argument.
-	n, na, nc := 0, 0, 0
+// packSize sizes the packed form of the given instruction sequences: the
+// instructions, the arguments exactly, and the encodings amply — an
+// encoding holds the mnemonic, the operand count, at most two bytes per
+// operand and at most three per argument.
+func packSize(blocks [][]Inst) (n, na, nc int) {
 	for _, b := range blocks {
 		n += len(b)
 		for i := range b {
@@ -123,6 +122,12 @@ func Pack(blocks ...[]Inst) *Packed {
 			nc += len(b[i].Mnemonic) + 1 + 2*len(b[i].Ops) + 3*args
 		}
 	}
+	return n, na, nc
+}
+
+// Pack packs the concatenation of the given instruction sequences.
+func Pack(blocks ...[]Inst) *Packed {
+	n, na, nc := packSize(blocks)
 	p := &Packed{Args: make([]PArg, 0, na), Canon: make([]byte, 0, nc)}
 	p.Repack(blocks...)
 	masks := make([]uint64, 2*n)
@@ -135,6 +140,35 @@ func Pack(blocks ...[]Inst) *Packed {
 		}
 	}
 	return p
+}
+
+// PackEach packs every sequence on its own — element i equals *Pack(seqs[i])
+// — with each column of all of them carved from one array, so packing the
+// blocks of a function costs the same few allocations however many blocks
+// it has. The packed forms share that memory and live and die together.
+func PackEach(seqs [][]Inst) []Packed {
+	n, na, nc := packSize(seqs)
+	out := make([]Packed, len(seqs))
+	kindH := make([]uint64, n)
+	offs := make([]int32, 2*(n+len(seqs)))
+	masks := make([]uint64, 2*n)
+	canon, args := make([]byte, 0, nc), make([]PArg, 0, na)
+	for i, seq := range seqs {
+		p, n := &out[i], len(seq)
+		// Repack fills the memory p holds; canon and args offer all that is
+		// left of theirs and are cut behind what it used.
+		p.KindH, kindH = kindH[:0:n], kindH[n:]
+		p.KOff, p.Off, offs = offs[:0:n+1], offs[n+1:n+1:2*(n+1)], offs[2*(n+1):]
+		p.Canon, p.Args = canon, args
+		p.Repack(seq)
+		p.Canon, canon = p.Canon[:len(p.Canon):len(p.Canon)], p.Canon[len(p.Canon):]
+		p.Args, args = p.Args[:len(p.Args):len(p.Args)], p.Args[len(p.Args):]
+		p.Read, p.Write, masks = masks[:n:n], masks[n:2*n:2*n], masks[2*n:]
+		for j := range seq {
+			p.Read[j], p.Write[j] = seq[j].regMasks()
+		}
+	}
+	return out
 }
 
 // Repack makes p the packed form of the concatenation of the given

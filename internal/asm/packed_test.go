@@ -1,6 +1,9 @@
 package asm
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 // packVocab covers the operand shapes and the mnemonic table's corners:
 // implicit registers, read-modify-write, lea's address-only operand, the
@@ -143,5 +146,31 @@ func TestRepackReuses(t *testing.T) {
 				t.Errorf("argument %d: repacked %+v, want %+v", k, p.Args[k], want.Args[k])
 			}
 		}
+	}
+}
+
+// TestPackEachEqualsPack: every element is the packed form Pack gives the
+// sequence alone — empty sequences included — and is capped at its own
+// columns, so appending to one cannot reach into its neighbour's.
+func TestPackEachEqualsPack(t *testing.T) {
+	v := packVocab()
+	seqs := [][]Inst{v[:8], nil, v, v[20:], {}, v[3:12]}
+	pks := PackEach(seqs)
+	if len(pks) != len(seqs) {
+		t.Fatalf("packed %d sequences, want %d", len(pks), len(seqs))
+	}
+	for i, seq := range seqs {
+		if want := Pack(seq); !reflect.DeepEqual(&pks[i], want) {
+			t.Errorf("sequence %d: PackEach gives %+v, Pack %+v", i, pks[i], *want)
+		}
+		p := &pks[i]
+		if cap(p.KindH) != len(p.KindH) || cap(p.KOff) != len(p.KOff) || cap(p.Off) != len(p.Off) ||
+			cap(p.Canon) != len(p.Canon) || cap(p.Args) != len(p.Args) ||
+			cap(p.Read) != len(p.Read) || cap(p.Write) != len(p.Write) {
+			t.Errorf("sequence %d: a column's capacity runs past its length", i)
+		}
+	}
+	if got := PackEach(nil); len(got) != 0 {
+		t.Errorf("PackEach(nil) packed %d sequences", len(got))
 	}
 }

@@ -128,7 +128,7 @@ func (c *env) index(args []string) error {
 	fs := flag.NewFlagSet("index", flag.ExitOnError)
 	dbPath := fs.String("db", "tracy.db", "database file to create or extend")
 	format := fs.String("format", "", "output format: gob (v2) or v3 (columnar, mmap-served); default: keep the existing file's format, gob for new files")
-	lsh := fs.Bool("lsh", false, "also persist MinHash signatures for -prefilter-mode lsh (v3 format only)")
+	lsh := fs.Bool("lsh", false, "also persist MinHash signatures and their sorted band table for -prefilter-mode lsh (v3 format only)")
 	tf := telFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err

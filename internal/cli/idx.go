@@ -15,7 +15,7 @@ import (
 func (c *env) convert(args []string) error {
 	fs := flag.NewFlagSet("convert", flag.ExitOnError)
 	to := fs.String("to", "v3", "output format: v3 (columnar, mmap-served) or gob (v2)")
-	lsh := fs.Bool("lsh", false, "also persist MinHash signatures for -prefilter-mode lsh (v3 output only)")
+	lsh := fs.Bool("lsh", false, "also persist MinHash signatures and their sorted band table for -prefilter-mode lsh (v3 output only; re-run on an older v3 file to add the table)")
 	verify := fs.Bool("verify", true, "re-open the output and verify checksums after writing")
 	tf := telFlags(fs)
 	if err := fs.Parse(args); err != nil {
@@ -95,7 +95,7 @@ func verifyIndexFile(path string) error {
 // inspection path).
 func (c *env) idxinfo(args []string) error {
 	fs := flag.NewFlagSet("idxinfo", flag.ExitOnError)
-	verify := fs.Bool("verify", false, "recompute per-section checksums (v3; touches every page)")
+	verify := fs.Bool("verify", false, "recompute per-section checksums and check the lsh band table's order (v3; touches every page)")
 	tf := telFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -134,6 +134,11 @@ func (c *env) idxinfo(args []string) error {
 		p := st.LSHParams()
 		fmt.Fprintf(c.w, "  lsh:       %d bands x %d rows (k=%d, seed %#x, threshold %.2f)\n",
 			p.Bands, p.Rows, p.K(), p.Seed, p.Threshold())
+		if st.LSHTable() != nil {
+			fmt.Fprintf(c.w, "  lsh table: persisted (LSHT), probed in place\n")
+		} else {
+			fmt.Fprintf(c.w, "  lsh table: none, sorted from LSHB by the first lsh query (tracy convert -to v3 -lsh adds it)\n")
+		}
 	}
 	fmt.Fprintf(c.w, "  sections:\n")
 	fmt.Fprintf(c.w, "    %-6s %10s %12s %8s  %s\n", "name", "offset", "bytes", "crc32c", "records")
@@ -149,6 +154,9 @@ func (c *env) idxinfo(args []string) error {
 			return fmt.Errorf("idxinfo: %w", err)
 		}
 		fmt.Fprintf(c.w, "  checksums: all sections OK\n")
+		if st.LSHTable() != nil {
+			fmt.Fprintf(c.w, "  lsh table: every band in (band hash, id) order\n")
+		}
 	}
 	return tf.finish(c.w)
 }

@@ -152,7 +152,7 @@ func TestIdxinfoLSHLine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"lsh:", "bands x", "LSHB", "checksums: all sections OK"} {
+	for _, want := range []string{"lsh:", "bands x", "LSHB", "LSHT", "lsh table: persisted", "checksums: all sections OK", "every band in (band hash, id) order"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("idxinfo output missing %q:\n%s", want, out)
 		}

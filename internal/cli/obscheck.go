@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"strings"
 	"time"
 
@@ -18,7 +19,9 @@ import (
 // check CI's observability-smoke job runs after issuing real queries:
 //
 //   - /metrics parses under the Prometheus text exposition grammar and
-//     contains counter and histogram series (_bucket/_sum/_count);
+//     contains counter and histogram series (_bucket/_sum/_count), and
+//     the lsh bucket-occupancy histogram holds at least one observation
+//     per lsh query answered (a query observes every bucket it probes);
 //   - /debug/requests has recorded requests, each carrying a trace ID
 //     and a span tree, among them an answered search, and every answered
 //     search names its response encoding as an "encode" stage (the stage
@@ -58,6 +61,12 @@ func (c *env) obscheck(args []string) error {
 		return fmt.Errorf("obscheck: /metrics has no histogram series (_bucket)")
 	}
 	fmt.Fprintf(c.w, "obscheck: /metrics ok (%d families, %d bucket series)\n", counters, buckets)
+	lshQueries := promSample(metrics, "tracy_lsh_queries_total")
+	probes := promSample(metrics, "tracy_lsh_bucket_occupancy_latency_seconds_count")
+	if probes < lshQueries {
+		return fmt.Errorf("obscheck: /metrics counts %v lsh queries but only %v probed buckets in lsh_bucket_occupancy", lshQueries, probes)
+	}
+	fmt.Fprintf(c.w, "obscheck: lsh bucket occupancy ok (%v probed buckets over %v lsh queries)\n", probes, lshQueries)
 
 	// 2. Flight recorder. The span wire shape is decoded structurally
 	// (telemetry.Span only marshals), so mirror the JSON here.
@@ -136,6 +145,18 @@ func (c *env) obscheck(args []string) error {
 		}
 	}
 	return nil
+}
+
+// promSample returns the value of the unlabelled sample `name` in a
+// Prometheus text exposition, or 0 when there is none.
+func promSample(metrics []byte, name string) float64 {
+	for _, line := range strings.Split(string(metrics), "\n") {
+		if rest, ok := strings.CutPrefix(line, name+" "); ok {
+			v, _ := strconv.ParseFloat(strings.TrimSpace(rest), 64)
+			return v
+		}
+	}
+	return 0
 }
 
 // obscheckFleet validates a coordinator's aggregated /v1/healthz: the

@@ -275,7 +275,7 @@ func (c *env) mkcorpus(args []string) error {
 	optLevels := fs.String("opt-levels", "0,1,2", "campaign: comma-separated optimization levels, cycled per source group")
 	workers := fs.Int("workers", 0, "campaign: parallel compile workers (0: GOMAXPROCS)")
 	indexOut := fs.String("index", "", "also emit a TRACYIDX v3 index at this path, built while streaming")
-	lsh := fs.Bool("lsh", false, "persist MinHash signatures in the emitted index (needs -index)")
+	lsh := fs.Bool("lsh", false, "persist MinHash signatures and their sorted band table in the emitted index (needs -index)")
 	bins := fs.Bool("bins", false, "campaign: write per-executable .bin files even when -index is set")
 	tf := telFlags(fs)
 	if err := fs.Parse(args); err != nil {

@@ -100,8 +100,14 @@ func TestQueryAgainstRunningServer(t *testing.T) {
 	if strings.Contains(head, "cached") || !strings.Contains(head2, "cached") || hits != hits2 {
 		t.Errorf("repeated query should be served from the cache with identical hits:\n%s%s", out, again)
 	}
-	if check, err := run(t, "obscheck", "-server", "http://"+addr.String()); err != nil || !strings.Contains(check, "encode stage") {
-		t.Errorf("obscheck after two answered searches: %v\n%s", err, check)
+	// An lsh query probes one bucket per band, which obscheck finds in the
+	// occupancy histogram.
+	if _, err := run(t, "query", "-server", "http://"+addr.String(), "-exe", q, "-limit", "5", "-prefilter-mode", "lsh", "-candidates", "3"); err != nil {
+		t.Fatal(err)
+	}
+	if check, err := run(t, "obscheck", "-server", "http://"+addr.String()); err != nil ||
+		!strings.Contains(check, "encode stage") || !strings.Contains(check, "64 probed buckets over 1 lsh queries") {
+		t.Errorf("obscheck after three answered searches: %v\n%s", err, check)
 	}
 
 	// Querying a stopped server must fail cleanly, not hang.

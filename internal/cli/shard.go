@@ -22,7 +22,7 @@ func (c *env) shard(args []string) error {
 	fs := flag.NewFlagSet("shard", flag.ExitOnError)
 	n := fs.Int("n", 2, "number of shards to split into")
 	outDir := fs.String("out", "", "output directory (default: the input's directory)")
-	lsh := fs.Bool("lsh", false, "persist MinHash signatures in every shard for -prefilter-mode lsh")
+	lsh := fs.Bool("lsh", false, "persist MinHash signatures and their sorted band table in every shard for -prefilter-mode lsh")
 	verify := fs.Bool("verify", true, "re-open each shard and verify checksums after writing")
 	tf := telFlags(fs)
 	if err := fs.Parse(args); err != nil {

@@ -136,6 +136,11 @@ type Decomposed struct {
 }
 
 // Decompose extracts and preprocesses the k-tracelets of a lifted function.
+// Tracelets share block bodies heavily, and every body is a graph block's,
+// named by the tracelet's BlockIdx: each graph block the tracelets visit is
+// packed once, all of them out of the same few arrays (asm.PackEach), and
+// each distinct content is kept once, told apart by its hash. The number
+// of allocations does not grow with the function.
 func Decompose(fn *prep.Function, k int) *Decomposed {
 	ts := tracelet.Extract(fn.Graph, k)
 	d := &Decomposed{
@@ -148,41 +153,66 @@ func Decompose(fn *prep.Function, k int) *Decomposed {
 		ident:     make([]int, len(ts)),
 	}
 	fp := mix(mix(mix(offset64, uint64(d.K)), uint64(d.NumBlocks)), uint64(d.NumInsts))
-	// Tracelets share block slices heavily: resolve each shared slice once
-	// by pointer identity, and each distinct content once by hash.
-	type sliceID struct {
-		first *asm.Inst
-		n     int
+	if len(ts) == 0 {
+		d.fingerprint = fp
+		return d
 	}
-	byPtr := make(map[sliceID]int32)
-	byHash := make(map[uint64]int32)
+
+	// The bodies in order of first visit, which is the order distinct ids
+	// are handed out in. One scratch array holds, per graph block, 1 + the
+	// position of its body (0: not visited), per body its distinct id, and
+	// an open-addressing table from content hash to 1 + distinct id.
+	nb := d.NumBlocks
+	slots := 1
+	for slots < 2*nb {
+		slots *= 2
+	}
+	scratch := make([]int32, 2*nb+slots)
+	bodyOf, idOf, table := scratch[:nb], scratch[nb:2*nb], scratch[2*nb:]
+	bodies := make([][]asm.Inst, 0, nb)
+	for _, t := range ts {
+		for j, bi := range t.BlockIdx {
+			if bodyOf[bi] == 0 {
+				bodies = append(bodies, t.Blocks[j])
+				bodyOf[bi] = int32(len(bodies))
+			}
+		}
+	}
+	pks := asm.PackEach(bodies)
+	ninsts := 0
+	for i := range pks {
+		ninsts += pks[i].Len()
+	}
+	profs := make([]kindCount, ninsts)
+	d.distinct = make([]blockInfo, 0, len(bodies))
+	for i := range pks {
+		pk := &pks[i]
+		h := hashPacked(pk)
+		slot := int(h) & (slots - 1)
+		for table[slot] != 0 && d.distinct[table[slot]-1].hash != h {
+			slot = (slot + 1) & (slots - 1)
+		}
+		if table[slot] == 0 {
+			prof := kindProfileOf(pk, profs)
+			profs = profs[len(prof):]
+			d.distinct = append(d.distinct, blockInfo{
+				insts: bodies[i],
+				pk:    pk,
+				hash:  h,
+				ident: int32(2*pk.Len() + len(pk.Args)),
+				prof:  prof,
+			})
+			table[slot] = int32(len(d.distinct))
+		}
+		idOf[i] = table[slot] - 1
+	}
+
 	ids := make([]int32, len(ts)*k) // every tracelet has k blocks
 	for i, t := range ts {
-		d.blockID[i], ids = ids[:len(t.Blocks):len(t.Blocks)], ids[len(t.Blocks):]
+		d.blockID[i], ids = ids[:k:k], ids[k:]
 		total := 0
-		for j, blk := range t.Blocks {
-			var sid sliceID
-			if len(blk) > 0 {
-				sid = sliceID{&blk[0], len(blk)}
-			}
-			id, ok := byPtr[sid]
-			if !ok {
-				pk := asm.Pack(blk)
-				h := hashPacked(pk)
-				id, ok = byHash[h]
-				if !ok {
-					id = int32(len(d.distinct))
-					d.distinct = append(d.distinct, blockInfo{
-						insts: blk,
-						pk:    pk,
-						hash:  h,
-						ident: int32(2*pk.Len() + len(pk.Args)),
-						prof:  kindProfileOf(pk),
-					})
-					byHash[h] = id
-				}
-				byPtr[sid] = id
-			}
+		for j, bi := range t.BlockIdx {
+			id := idOf[bodyOf[bi]-1]
 			d.blockID[i][j] = id
 			total += int(d.distinct[id].ident)
 			fp = mix(fp, d.distinct[id].hash)
@@ -264,10 +294,12 @@ type kindCount struct {
 	count  int32
 }
 
-// kindProfileOf computes a block's kind profile, sorted by (hash, weight)
-// so two profiles intersect with a linear merge.
-func kindProfileOf(pk *asm.Packed) []kindCount {
-	prof := make([]kindCount, pk.Len())
+// kindProfileOf computes a block's kind profile into the front of buf,
+// which must hold at least pk.Len() entries, sorted by (hash, weight) so
+// two profiles intersect with a linear merge. The returned slice is capped
+// at its length: the rest of buf stays the caller's.
+func kindProfileOf(pk *asm.Packed, buf []kindCount) []kindCount {
+	prof := buf[:pk.Len()]
 	for i, kh := range pk.KindH {
 		prof[i] = kindCount{hash: kh, weight: 2 + pk.Off[i+1] - pk.Off[i], count: 1}
 	}
@@ -289,7 +321,7 @@ func kindProfileOf(pk *asm.Packed) []kindCount {
 		prof[n] = kc
 		n++
 	}
-	return prof[:n]
+	return prof[:n:n]
 }
 
 // profileBound returns an upper bound on the alignment score of two

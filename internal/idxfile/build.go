@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
 
 	"repro/internal/minhash"
 	"repro/internal/prep"
@@ -37,9 +38,8 @@ type Builder struct {
 	nfuncs  int
 	err     error
 
-	lsh     *minhash.Params // non-nil: emit an LSHB section
-	lshSigs []byte          // accumulated signature values, LE u32s
-	sigBuf  []uint32        // per-Add scratch
+	lsh     *minhash.Params // non-nil: emit the LSHB and LSHT sections
+	lshSigs []uint32        // accumulated signature values, function-major
 }
 
 // NewBuilder returns an empty builder. String id 0 is reserved for the
@@ -59,12 +59,13 @@ func (b *Builder) NumFuncs() int { return b.nfuncs }
 func (b *Builder) Bytes() int {
 	return len(b.strb) + len(b.stro)*stroRecSize + len(b.funcs) + len(b.blcks) +
 		len(b.insts) + len(b.opnds) + len(b.memts) + len(b.succs) + len(b.feats) +
-		len(b.lshSigs)
+		len(b.lshSigs)*lshSigSize
 }
 
 // SetLSH arms MinHash signature emission: every subsequent Add hashes
-// the function's feature set under p and WriteTo appends an LSHB
-// section. It must be called before the first Add (signatures are
+// the function's feature set under p and WriteTo appends an LSHB section
+// with the signatures and an LSHT section with the band table sorted
+// from them. It must be called before the first Add (signatures are
 // computed as functions stream through, never retroactively); calling
 // it late or with invalid parameters is a sticky error.
 func (b *Builder) SetLSH(p minhash.Params) {
@@ -95,6 +96,13 @@ func (b *Builder) intern(s string) uint32 {
 
 func (b *Builder) u32(dst []byte, v uint32) []byte {
 	return binary.LittleEndian.AppendUint32(dst, v)
+}
+
+func appendU32s(dst []byte, vs []uint32) []byte {
+	for _, v := range vs {
+		dst = binary.LittleEndian.AppendUint32(dst, v)
+	}
+	return dst
 }
 
 // Add appends one lifted function with its index metadata and prefilter
@@ -172,10 +180,9 @@ func (b *Builder) Add(exe string, fn *prep.Function, truth string, feats []uint6
 	b.nfeats += len(feats)
 
 	if b.lsh != nil {
-		b.sigBuf = minhash.Signature(b.sigBuf, feats, *b.lsh)
-		for _, v := range b.sigBuf {
-			b.lshSigs = binary.LittleEndian.AppendUint32(b.lshSigs, v)
-		}
+		n, k := len(b.lshSigs), b.lsh.K()
+		b.lshSigs = slices.Grow(b.lshSigs, k)[:n+k]
+		minhash.Signature(b.lshSigs[n:], feats, *b.lsh)
 	}
 
 	b.funcs = b.u32(b.funcs, b.intern(exe))
@@ -218,12 +225,14 @@ func (b *Builder) WriteTo(w io.Writer) (int64, error) {
 		{SecFEAT, b.feats},
 	}
 	if b.lsh != nil {
-		lshb := make([]byte, 0, lshHdrSize+len(b.lshSigs))
+		lshb := make([]byte, 0, lshHdrSize+len(b.lshSigs)*lshSigSize)
 		lshb = binary.LittleEndian.AppendUint32(lshb, uint32(b.lsh.Bands))
 		lshb = binary.LittleEndian.AppendUint32(lshb, uint32(b.lsh.Rows))
 		lshb = binary.LittleEndian.AppendUint64(lshb, b.lsh.Seed)
-		lshb = append(lshb, b.lshSigs...)
-		secs = append(secs, section{SecLSHB, lshb})
+		lshb = appendU32s(lshb, b.lshSigs)
+		table := minhash.BandTable(*b.lsh, b.lshSigs, b.nfuncs)
+		secs = append(secs, section{SecLSHB, lshb},
+			section{SecLSHT, appendU32s(make([]byte, 0, len(table)*lshtRecSize), table)})
 	}
 
 	// Lay sections out 8-aligned after the directory.

@@ -1,0 +1,55 @@
+package idxfile
+
+import (
+	"bytes"
+	"reflect"
+	"testing"
+
+	"repro/internal/corpus"
+	"repro/internal/prep"
+	"repro/internal/tinyc"
+)
+
+// decodeAllocCeiling is a quarter of the 129 allocations a function of the
+// campaign corpus cost to decode while every block, operand list, memory
+// operand and successor list was allocated on its own.
+const decodeAllocCeiling = 32
+
+// TestDecodeFuncAllocs: decoding a function of a campaign corpus costs a
+// fixed handful of allocations, whatever its size, and yields exactly the
+// function that was written.
+func TestDecodeFuncAllocs(t *testing.T) {
+	b := NewBuilder()
+	var want []*prep.Function
+	_, err := corpus.RunCampaign(corpus.CampaignConfig{Seed: 5, Funcs: 96, FuncsPerExe: 16, Stmts: 10, Workers: 2},
+		func(e corpus.Executable, _ tinyc.OptLevel) error {
+			fns, err := prep.LiftImage(e.Image)
+			for _, fn := range fns {
+				b.Add(e.Name, fn, e.Truth[fn.Addr], nil)
+				want = append(want, fn)
+			}
+			return err
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := b.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	f, err := Parse(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	worst := 0.0
+	for i, w := range want {
+		if got := f.DecodeFunc(i); !reflect.DeepEqual(got, w) {
+			t.Fatalf("function %d (%s) decoded differently from what was written", i, w.Name)
+		}
+		worst = max(worst, testing.AllocsPerRun(5, func() { f.DecodeFunc(i) }))
+	}
+	if worst > decodeAllocCeiling {
+		t.Errorf("DecodeFunc allocates up to %v objects per function, ceiling %d", worst, decodeAllocCeiling)
+	}
+	t.Logf("%d functions, at most %v allocations per decode", len(want), worst)
+}

@@ -43,6 +43,7 @@ type File struct {
 
 	lshParams minhash.Params // valid iff hasLSH
 	lshSigs   []uint32       // nfuncs*K() values, function-major (zero-copy when 4-aligned)
+	lshTable  []uint32       // LSHT: Bands runs of nfuncs ids, nil when absent (zero-copy when 4-aligned)
 	hasLSH    bool
 
 	sections []SectionInfo
@@ -157,7 +158,7 @@ func (f *File) parseHeader() error {
 	recSizes := map[string]int{
 		SecSTRO: stroRecSize, SecFUNC: funcRecSize, SecBLCK: blckRecSize,
 		SecINST: instRecSize, SecOPND: opndRecSize, SecMEMT: memtRecSize,
-		SecSUCC: succRecSize, SecFEAT: featRecSize,
+		SecSUCC: succRecSize, SecFEAT: featRecSize, SecLSHT: lshtRecSize,
 	}
 	for _, name := range requiredSections {
 		p, ok := payloads[name]
@@ -224,7 +225,30 @@ func (f *File) parseHeader() error {
 			return err
 		}
 	}
+	if lsht, ok := payloads[SecLSHT]; ok {
+		if err := f.parseLSHTable(lsht); err != nil {
+			return err
+		}
+	}
 	return nil
+}
+
+// u32View returns b as native u32s: a zero-copy view when b is 4-aligned
+// (always, for a section of a mapping), one decoded copy otherwise (a
+// heap buffer handed to Parse need not be aligned).
+func u32View(b []byte) []uint32 {
+	n := len(b) / 4
+	if n == 0 {
+		return nil
+	}
+	if uintptr(unsafe.Pointer(&b[0]))%4 == 0 {
+		return unsafe.Slice((*uint32)(unsafe.Pointer(&b[0])), n)
+	}
+	out := make([]uint32, n)
+	for i := range out {
+		out[i] = binary.LittleEndian.Uint32(b[i*4:])
+	}
+	return out
 }
 
 // parseLSH validates and adopts the optional LSHB section. The length
@@ -248,19 +272,7 @@ func (f *File) parseLSH(p []byte) error {
 		return corruptf("section LSHB length %d, want exactly %d for %d functions x k=%d",
 			len(p), want, f.nfuncs, k)
 	}
-	sigb := p[lshHdrSize:]
-	n := len(sigb) / lshSigSize
-	if n == 0 {
-		f.lshSigs = nil
-	} else if uintptr(unsafe.Pointer(&sigb[0]))%4 == 0 {
-		f.lshSigs = unsafe.Slice((*uint32)(unsafe.Pointer(&sigb[0])), n)
-	} else {
-		// Heap buffers handed to Parse need not be aligned; copy once.
-		f.lshSigs = make([]uint32, n)
-		for i := range f.lshSigs {
-			f.lshSigs[i] = binary.LittleEndian.Uint32(sigb[i*lshSigSize:])
-		}
-	}
+	f.lshSigs = u32View(p[lshHdrSize:])
 	f.lshParams = params
 	f.hasLSH = true
 	// Surface a per-function record count in idxinfo's section table.
@@ -269,6 +281,42 @@ func (f *File) parseLSH(p []byte) error {
 			f.sections[i].Records = f.nfuncs
 		}
 	}
+	return nil
+}
+
+// parseLSHTable validates and adopts the optional LSHT section against
+// the geometry LSHB announced. The length check is exact and every band
+// must be a permutation of [0, nfuncs): a probe counts an id once per
+// band it collides in, and a repeated id would push that count past
+// Bands, the size of the table the ranking selects from. The (band hash,
+// id) order inside a band is not checked here but by Verify: it costs a
+// hash per entry, and a mis-sorted band only makes a probe return the
+// wrong stretch of it, never read out of range.
+func (f *File) parseLSHTable(p []byte) error {
+	if !f.hasLSH {
+		return corruptf("section LSHT without the LSHB section it indexes")
+	}
+	bands := f.lshParams.Bands
+	want := uint64(bands) * uint64(f.nfuncs) * lshtRecSize
+	if uint64(len(p)) != want {
+		return corruptf("section LSHT length %d, want exactly %d for %d bands x %d functions",
+			len(p), want, bands, f.nfuncs)
+	}
+	table := u32View(p)
+	n := f.nfuncs
+	seenIn := make([]uint32, n) // 1 + the last band that listed the id
+	for b := 0; b < bands; b++ {
+		for _, id := range table[b*n : (b+1)*n] {
+			if id >= uint32(n) {
+				return corruptf("section LSHT band %d: function id %d of %d", b, id, n)
+			}
+			if seenIn[id] == uint32(b)+1 {
+				return corruptf("section LSHT band %d: function id %d listed twice", b, id)
+			}
+			seenIn[id] = uint32(b) + 1
+		}
+	}
+	f.lshTable = table
 	return nil
 }
 
@@ -376,14 +424,30 @@ func (f *File) validateAll() error {
 	return nil
 }
 
-// Verify recomputes every section checksum against the directory — the
-// integrity pass behind tracy idxinfo -verify and tracy convert. It
-// touches every page of the file.
+// Verify recomputes every section checksum against the directory and
+// checks that every LSHT band is in (band hash, id) order — the integrity
+// pass behind tracy idxinfo -verify and tracy convert. It touches every
+// page of the file.
 func (f *File) Verify() error {
 	for _, s := range f.sections {
 		got := crc32.Checksum(f.data[s.Offset:s.Offset+s.Len], crcTable)
 		if got != s.CRC {
 			return corruptf("section %s checksum %08x, want %08x", s.Name, got, s.CRC)
+		}
+	}
+	if f.lshTable == nil {
+		return nil
+	}
+	p, n := f.lshParams, f.nfuncs
+	for b := 0; b < p.Bands; b++ {
+		var prevH uint64
+		var prevID uint32
+		for i, id := range f.lshTable[b*n : (b+1)*n] {
+			h := minhash.BandHash(f.LSHSig(int(id)), b, p)
+			if i > 0 && (h < prevH || (h == prevH && id <= prevID)) {
+				return corruptf("section LSHT band %d: entry %d (function %d) out of (band hash, id) order", b, i, id)
+			}
+			prevH, prevID = h, id
 		}
 	}
 	return nil
@@ -467,15 +531,25 @@ func (f *File) LSHSig(i int) []uint32 {
 }
 
 // LSHSigs returns the whole signature pool, function-major — what a
-// snapshot adopts wholesale to build its band buckets. Nil when HasLSH
-// is false.
+// snapshot adopts wholesale to probe band buckets. Nil when HasLSH is
+// false. Like LSHSig it may alias the file mapping.
 func (f *File) LSHSigs() []uint32 { return f.lshSigs }
 
+// LSHTable returns the persisted sorted band table (see the LSHT layout
+// in the package comment): Bands runs of NumFuncs ids, each a validated
+// permutation of [0, NumFuncs). Nil when the file has no LSHT section
+// (or no functions); callers then sort one from LSHSigs with
+// minhash.BandTable. It may alias the file mapping.
+func (f *File) LSHTable() []uint32 { return f.lshTable }
+
 // DecodeFunc materializes function i as a lifted prep.Function,
-// identical field for field to the function the gob formats carry. It
-// allocates one instruction array and one successor array for the whole
-// function plus the per-block/operand slices; strings are shared slices
-// of the file's one string-table copy. Safe for concurrent callers.
+// identical field for field to the function the gob formats carry. A
+// first pass over the function's records sizes it, then blocks,
+// instructions, operands, memory terms and successors are each carved
+// from one array for the whole function, so a decode costs a fixed
+// handful of allocations whatever the function's size; strings are shared
+// slices of the file's one string-table copy. Safe for concurrent
+// callers.
 func (f *File) DecodeFunc(i int) *prep.Function {
 	r := f.funcs[i*funcRecSize:]
 	name := f.str(binary.LittleEndian.Uint32(r[4:]))
@@ -484,59 +558,89 @@ func (f *File) DecodeFunc(i int) *prep.Function {
 	blockOff := int(binary.LittleEndian.Uint32(r[20:]))
 	nblocks := int(binary.LittleEndian.Uint32(r[24:]))
 
-	// One backing array for all instructions of the function.
-	total := 0
+	var total struct{ insts, ops, mems, succs int }
 	for bi := 0; bi < nblocks; bi++ {
 		br := f.blcks[(blockOff+bi)*blckRecSize:]
-		total += int(binary.LittleEndian.Uint32(br[8:]))
+		instOff := int(binary.LittleEndian.Uint32(br[4:]))
+		ninsts := int(binary.LittleEndian.Uint32(br[8:]))
+		total.insts += ninsts
+		total.succs += int(binary.LittleEndian.Uint32(br[16:]))
+		for ii := instOff; ii < instOff+ninsts; ii++ {
+			ir := f.insts[ii*instRecSize:]
+			opOff := int(binary.LittleEndian.Uint32(ir[4:]))
+			nops := int(binary.LittleEndian.Uint32(ir[8:]))
+			total.ops += nops
+			for oi := opOff; oi < opOff+nops; oi++ {
+				if opr := f.opnds[oi*opndRecSize:]; opr[3]&opndFlagMem != 0 {
+					total.mems += int(binary.LittleEndian.Uint32(opr[20:]))
+				}
+			}
+		}
 	}
-	instBuf := make([]asm.Inst, 0, total)
+	d := funcDecoder{
+		f:     f,
+		insts: make([]asm.Inst, 0, total.insts),
+		ops:   make([]asm.Operand, 0, total.ops),
+		mems:  make([]asm.MemTerm, 0, total.mems),
+	}
+	blocks := make([]cfg.Block, nblocks)
+	succBuf := make([]int, 0, total.succs)
 
 	g := &cfg.Graph{Name: name, Entry: entry, Blocks: make([]*cfg.Block, nblocks)}
 	for bi := 0; bi < nblocks; bi++ {
 		br := f.blcks[(blockOff+bi)*blckRecSize:]
-		baddr := binary.LittleEndian.Uint32(br)
 		instOff := int(binary.LittleEndian.Uint32(br[4:]))
 		ninsts := int(binary.LittleEndian.Uint32(br[8:]))
 		succOff := int(binary.LittleEndian.Uint32(br[12:]))
 		nsuccs := int(binary.LittleEndian.Uint32(br[16:]))
 
-		start := len(instBuf)
-		for ii := 0; ii < ninsts; ii++ {
-			instBuf = append(instBuf, f.decodeInst(instOff+ii))
-		}
-		var succs []int
-		if nsuccs > 0 {
-			succs = make([]int, nsuccs)
-			for si := 0; si < nsuccs; si++ {
-				succs[si] = int(binary.LittleEndian.Uint32(f.succs[(succOff+si)*succRecSize:]))
-			}
-		}
-		var insts []asm.Inst
+		blk := &blocks[bi]
+		blk.Index, blk.Addr = bi, binary.LittleEndian.Uint32(br)
 		if ninsts > 0 {
-			insts = instBuf[start:len(instBuf):len(instBuf)]
+			start := len(d.insts)
+			for ii := 0; ii < ninsts; ii++ {
+				d.inst(instOff + ii)
+			}
+			blk.Insts = d.insts[start:len(d.insts):len(d.insts)]
 		}
-		g.Blocks[bi] = &cfg.Block{Index: bi, Addr: baddr, Insts: insts, Succs: succs}
+		if nsuccs > 0 {
+			start := len(succBuf)
+			for si := 0; si < nsuccs; si++ {
+				succBuf = append(succBuf, int(binary.LittleEndian.Uint32(f.succs[(succOff+si)*succRecSize:])))
+			}
+			blk.Succs = succBuf[start:len(succBuf):len(succBuf)]
+		}
+		g.Blocks[bi] = blk
 	}
 	return &prep.Function{Name: name, Addr: addr, Graph: g}
 }
 
-func (f *File) decodeInst(i int) asm.Inst {
-	r := f.insts[i*instRecSize:]
-	mnem := f.str(binary.LittleEndian.Uint32(r))
-	opOff := int(binary.LittleEndian.Uint32(r[4:]))
-	nops := int(binary.LittleEndian.Uint32(r[8:]))
-	in := asm.Inst{Mnemonic: mnem}
-	if nops > 0 {
-		in.Ops = make([]asm.Operand, nops)
-		for oi := 0; oi < nops; oi++ {
-			in.Ops[oi] = f.decodeOperand(opOff + oi)
-		}
-	}
-	return in
+// funcDecoder holds the per-function arrays DecodeFunc carves from. Each
+// is sized exactly by DecodeFunc's counting pass, so no append below
+// reallocates and every carved slice is capped at its own length.
+type funcDecoder struct {
+	f     *File
+	insts []asm.Inst
+	ops   []asm.Operand
+	mems  []asm.MemTerm
 }
 
-func (f *File) decodeOperand(i int) asm.Operand {
+func (d *funcDecoder) inst(i int) {
+	r := d.f.insts[i*instRecSize:]
+	in := asm.Inst{Mnemonic: d.f.str(binary.LittleEndian.Uint32(r))}
+	opOff := int(binary.LittleEndian.Uint32(r[4:]))
+	if nops := int(binary.LittleEndian.Uint32(r[8:])); nops > 0 {
+		start := len(d.ops)
+		for oi := 0; oi < nops; oi++ {
+			d.operand(opOff + oi)
+		}
+		in.Ops = d.ops[start:len(d.ops):len(d.ops)]
+	}
+	d.insts = append(d.insts, in)
+}
+
+func (d *funcDecoder) operand(i int) {
+	f := d.f
 	r := f.opnds[i*opndRecSize:]
 	flags := r[3]
 	op := asm.Operand{
@@ -546,16 +650,17 @@ func (f *File) decodeOperand(i int) asm.Operand {
 	if flags&opndFlagMem != 0 {
 		memOff := int(binary.LittleEndian.Uint32(r[16:]))
 		nmem := int(binary.LittleEndian.Uint32(r[20:]))
-		op.Mem = make([]asm.MemTerm, nmem)
+		start := len(d.mems)
 		for ti := 0; ti < nmem; ti++ {
 			tr := f.memts[(memOff+ti)*memtRecSize:]
-			op.Mem[ti] = asm.MemTerm{
+			d.mems = append(d.mems, asm.MemTerm{
 				Op:  asm.MemOp(tr[0]),
 				Arg: f.decodeArg(tr[1], tr[2], tr[3], binary.LittleEndian.Uint32(tr[4:]), int64(binary.LittleEndian.Uint64(tr[8:]))),
-			}
+			})
 		}
+		op.Mem = d.mems[start:len(d.mems):len(d.mems)]
 	}
-	return op
+	d.ops = append(d.ops, op)
 }
 
 func (f *File) decodeArg(kind, cls, reg byte, sym uint32, imm int64) asm.Arg {

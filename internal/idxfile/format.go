@@ -81,6 +81,17 @@
 //	      minhash.MaxBands/MaxRows. Signatures are computed by
 //	      minhash.Signature over the function's FEAT slice, so a reader
 //	      can always verify or regenerate them.
+//	LSHT  optional sorted band table, written beside LSHB and meaningless
+//	      without it (its geometry is LSHB's header): exactly
+//	      bands·nfuncs u32 function ids, band-major. Band b's run is the
+//	      nfuncs ids starting at b·nfuncs·4 — a permutation of
+//	      [0, nfuncs) ordered by (minhash.BandHash of the function's
+//	      LSHB signature in band b, id) — so a band bucket is a
+//	      contiguous stretch found by binary search with the hashes
+//	      recomputed from LSHB, and a reader probes the mapping instead
+//	      of building bucket tables at first query. Absent in files
+//	      written before the section existed; readers then derive the
+//	      same table from LSHB (minhash.BandTable) at first use.
 //
 // # Lifetime and unmap safety
 //
@@ -120,8 +131,9 @@ const (
 	featRecSize = 8
 	stroRecSize = 4
 
-	lshHdrSize = 16 // LSHB header: bands u32, rows u32, seed u64
-	lshSigSize = 4  // one u32 signature value
+	lshHdrSize  = 16 // LSHB header: bands u32, rows u32, seed u64
+	lshSigSize  = 4  // one u32 signature value
+	lshtRecSize = 4  // one u32 function id of the sorted band table
 )
 
 // Section ids (fourcc, little-endian u32 on disk).
@@ -136,6 +148,7 @@ const (
 	SecSUCC = "SUCC"
 	SecFEAT = "FEAT"
 	SecLSHB = "LSHB" // optional; not in requiredSections
+	SecLSHT = "LSHT" // optional, only beside LSHB
 )
 
 // requiredSections is the canonical section order the writer emits and

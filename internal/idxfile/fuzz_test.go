@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/minhash"
@@ -86,16 +87,32 @@ func FuzzIdxfileLoad(f *testing.F) {
 				}
 			}
 		}
+		// A band table Parse accepted is probed without faulting, sorted or
+		// not: every bucket is a stretch of ids of the corpus.
+		if table := pf.LSHTable(); table != nil {
+			lp, n := pf.LSHParams(), pf.NumFuncs()
+			for b := 0; b < lp.Bands; b++ {
+				for i := 0; i < n; i++ {
+					for _, id := range minhash.Bucket(lp, pf.LSHSigs(), table, n, b, minhash.BandHash(pf.LSHSig(i), b, lp)) {
+						if int(id) >= n {
+							t.Fatalf("band %d: bucket holds function %d of %d", b, id, n)
+						}
+					}
+				}
+			}
+		}
 		_ = pf.Verify()
 	})
 }
 
-// lshFuzzSeeds builds the LSHB-bearing seed set: a valid signed file,
-// one with a truncated LSHB payload, one whose banding header demands a
-// smaller payload than the section carries (oversized), and one with
-// unusable parameters. The mutants let the fuzzer start from each
-// rejection path instead of having to rediscover the section grammar.
-func lshFuzzSeeds(tb testing.TB) [][]byte {
+// lshFuzzSeeds builds the LSH-bearing seed set, by seed-file name: a valid
+// signed file; one with a truncated LSHB payload, one whose banding header
+// demands a smaller payload than the section carries (oversized) and one
+// with unusable parameters; and the LSHT mutants (truncated, an id out of
+// range, a repeated id, a mis-sorted band). The mutants let the fuzzer
+// start from each rejection path instead of having to rediscover the
+// section grammar.
+func lshFuzzSeeds(tb testing.TB) map[string][]byte {
 	tb.Helper()
 	exes, fns, truths, feats := handFuncs()
 	b := NewBuilder()
@@ -109,32 +126,27 @@ func lshFuzzSeeds(tb testing.TB) [][]byte {
 	}
 	valid := buf.Bytes()
 
-	var deOff int
-	var secOff, secLen uint64
-	nsec := int(binary.LittleEndian.Uint32(valid[12:]))
-	for i := 0; i < nsec; i++ {
-		off := headerSize + i*dirEntrySize
-		if sectionName(binary.LittleEndian.Uint32(valid[off:])) == SecLSHB {
-			deOff = off
-			secOff = binary.LittleEndian.Uint64(valid[off+8:])
-			secLen = binary.LittleEndian.Uint64(valid[off+16:])
-		}
+	deOff := dirEntryOf(tb, valid, SecLSHB)
+	secOff := binary.LittleEndian.Uint64(valid[deOff+8:])
+	secLen := binary.LittleEndian.Uint64(valid[deOff+16:])
+
+	seeds := map[string][]byte{
+		"seed-lshb-valid": valid,
+		"seed-lshb-truncated": flip(valid, func(b []byte) {
+			binary.LittleEndian.PutUint64(b[deOff+16:], secLen-lshSigSize)
+			fixDirCRC(b)
+		}),
+		"seed-lshb-oversized": flip(valid, func(b []byte) {
+			binary.LittleEndian.PutUint32(b[secOff:], uint32(minhash.Default.Bands/2))
+		}),
+		"seed-lshb-badparams": flip(valid, func(b []byte) {
+			binary.LittleEndian.PutUint32(b[secOff:], 0)
+		}),
 	}
-	if secLen == 0 {
-		tb.Fatal("seed file has no LSHB section")
+	for name, mut := range lshtMutants(tb, valid) {
+		seeds["seed-lsht-"+strings.NewReplacer(" ", "-").Replace(name)] = mut
 	}
-
-	truncated := append([]byte(nil), valid...)
-	binary.LittleEndian.PutUint64(truncated[deOff+16:], secLen-lshSigSize)
-	fixDirCRC(truncated)
-
-	oversized := append([]byte(nil), valid...)
-	binary.LittleEndian.PutUint32(oversized[secOff:], uint32(minhash.Default.Bands/2))
-
-	badParams := append([]byte(nil), valid...)
-	binary.LittleEndian.PutUint32(badParams[secOff:], 0)
-
-	return [][]byte{valid, truncated, oversized, badParams}
+	return seeds
 }
 
 // TestRegenerateFuzzSeeds rewrites the checked-in seed corpus under
@@ -152,18 +164,12 @@ func TestRegenerateFuzzSeeds(t *testing.T) {
 	if _, err := NewBuilder().WriteTo(&empty); err != nil {
 		t.Fatal(err)
 	}
-	lsh := lshFuzzSeeds(t)
-	seeds := map[string][]byte{
-		"seed-valid-v3":       valid.Bytes(),
-		"seed-empty-v3":       empty.Bytes(),
-		"seed-truncated":      valid.Bytes()[:valid.Len()/2],
-		"seed-header-only":    valid.Bytes()[:headerSize],
-		"seed-bad-version":    []byte("TRACYIDX\x09\x00\x00\x00junk"),
-		"seed-lshb-valid":     lsh[0],
-		"seed-lshb-truncated": lsh[1],
-		"seed-lshb-oversized": lsh[2],
-		"seed-lshb-badparams": lsh[3],
-	}
+	seeds := lshFuzzSeeds(t)
+	seeds["seed-valid-v3"] = valid.Bytes()
+	seeds["seed-empty-v3"] = empty.Bytes()
+	seeds["seed-truncated"] = valid.Bytes()[:valid.Len()/2]
+	seeds["seed-header-only"] = valid.Bytes()[:headerSize]
+	seeds["seed-bad-version"] = []byte("TRACYIDX\x09\x00\x00\x00junk")
 	if os.Getenv("IDXFILE_REGEN_SEEDS") == "" {
 		for name := range seeds {
 			if _, err := os.Stat(filepath.Join(dir, name)); err != nil {

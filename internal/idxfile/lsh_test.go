@@ -3,6 +3,8 @@ package idxfile
 import (
 	"bytes"
 	"encoding/binary"
+	"hash/crc32"
+	"reflect"
 	"testing"
 
 	"repro/internal/minhash"
@@ -24,34 +26,46 @@ func buildLSHFile(t *testing.T, p minhash.Params) []byte {
 	return buf.Bytes()
 }
 
-// lshSection locates the LSHB directory entry of a parsed file.
-func lshSection(t *testing.T, data []byte) SectionInfo {
-	t.Helper()
+// sectionOf returns the named section of a file Parse accepts.
+func sectionOf(tb testing.TB, data []byte, name string) SectionInfo {
+	tb.Helper()
 	f, err := Parse(data)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	for _, s := range f.Sections() {
-		if s.Name == SecLSHB {
+		if s.Name == name {
 			return s
 		}
 	}
-	t.Fatal("file has no LSHB section")
+	tb.Fatalf("file has no %s section", name)
 	return SectionInfo{}
 }
 
-// lshDirEntry returns the byte offset of LSHB's directory entry.
-func lshDirEntry(t *testing.T, data []byte) int {
-	t.Helper()
+// dirEntryOf returns the byte offset of the named section's directory entry.
+func dirEntryOf(tb testing.TB, data []byte, name string) int {
+	tb.Helper()
 	nsec := int(binary.LittleEndian.Uint32(data[12:]))
 	for i := 0; i < nsec; i++ {
 		off := headerSize + i*dirEntrySize
-		if sectionName(binary.LittleEndian.Uint32(data[off:])) == SecLSHB {
+		if sectionName(binary.LittleEndian.Uint32(data[off:])) == name {
 			return off
 		}
 	}
-	t.Fatal("no LSHB directory entry")
+	tb.Fatalf("no %s directory entry", name)
 	return 0
+}
+
+// fixSectionCRC recomputes the named section's payload checksum (and the
+// directory's over it), so a mutated payload reaches the checks behind
+// Verify's checksum pass.
+func fixSectionCRC(tb testing.TB, b []byte, name string) {
+	tb.Helper()
+	de := dirEntryOf(tb, b, name)
+	off := binary.LittleEndian.Uint64(b[de+8:])
+	length := binary.LittleEndian.Uint64(b[de+16:])
+	binary.LittleEndian.PutUint32(b[de+24:], crc32.Checksum(b[off:off+length], crcTable))
+	fixDirCRC(b)
 }
 
 func TestLSHRoundTrip(t *testing.T) {
@@ -89,7 +103,7 @@ func TestLSHRoundTrip(t *testing.T) {
 		t.Fatalf("Verify on a fresh LSH file: %v", err)
 	}
 	// The section table surfaces LSHB with a per-function record count.
-	sec := lshSection(t, data)
+	sec := sectionOf(t, data, SecLSHB)
 	if sec.Records != f.NumFuncs() {
 		t.Errorf("LSHB Records = %d, want %d", sec.Records, f.NumFuncs())
 	}
@@ -106,7 +120,7 @@ func TestLSHAbsent(t *testing.T) {
 	if f.HasLSH() {
 		t.Fatal("HasLSH = true on a file with no LSHB")
 	}
-	if f.LSHSig(0) != nil || f.LSHSigs() != nil {
+	if f.LSHSig(0) != nil || f.LSHSigs() != nil || f.LSHTable() != nil {
 		t.Fatal("LSH accessors returned data on a file with no LSHB")
 	}
 	if got := f.LSHParams(); got != (minhash.Params{}) {
@@ -136,24 +150,24 @@ func TestLSHBuilderMisuse(t *testing.T) {
 // sections must all fail Parse with a corruptError.
 func TestLSHParseRejectsCorruption(t *testing.T) {
 	data := buildLSHFile(t, minhash.Default)
-	sec := lshSection(t, data)
+	sec := sectionOf(t, data, SecLSHB)
 
 	cases := []struct {
 		name   string
 		mutate func(b []byte)
 	}{
 		{"truncated payload", func(b []byte) {
-			de := lshDirEntry(t, b)
+			de := dirEntryOf(t, b, SecLSHB)
 			binary.LittleEndian.PutUint64(b[de+16:], sec.Len-4)
 			fixDirCRC(b)
 		}},
 		{"header-only stub", func(b []byte) {
-			de := lshDirEntry(t, b)
+			de := dirEntryOf(t, b, SecLSHB)
 			binary.LittleEndian.PutUint64(b[de+16:], lshHdrSize)
 			fixDirCRC(b)
 		}},
 		{"shorter than header", func(b []byte) {
-			de := lshDirEntry(t, b)
+			de := dirEntryOf(t, b, SecLSHB)
 			binary.LittleEndian.PutUint64(b[de+16:], 8)
 			fixDirCRC(b)
 		}},
@@ -169,7 +183,7 @@ func TestLSHParseRejectsCorruption(t *testing.T) {
 			binary.LittleEndian.PutUint32(b[sec.Offset+4:], 1<<20)
 		}},
 		{"misaligned section", func(b []byte) {
-			de := lshDirEntry(t, b)
+			de := dirEntryOf(t, b, SecLSHB)
 			binary.LittleEndian.PutUint64(b[de+8:], sec.Offset+4)
 			fixDirCRC(b)
 		}},
@@ -241,5 +255,89 @@ func TestLSHAccessorBounds(t *testing.T) {
 	last := f.LSHSig(f.NumFuncs() - 1)
 	if cap(last) != k {
 		t.Errorf("last signature slice cap %d leaks past its bounds", cap(last))
+	}
+}
+
+// TestLSHTableRoundTrip: SetLSH also emits the LSHT section, and what
+// Parse adopts from it is the table minhash.BandTable sorts from the
+// persisted signatures — for single-row and multi-row bands.
+func TestLSHTableRoundTrip(t *testing.T) {
+	for _, p := range []minhash.Params{minhash.Default, {Bands: 4, Rows: 3, Seed: 99}} {
+		data := buildLSHFile(t, p)
+		f, err := Parse(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := f.NumFuncs()
+		if want := minhash.BandTable(p, f.LSHSigs(), n); !reflect.DeepEqual(f.LSHTable(), want) {
+			t.Fatalf("%dx%d: persisted band table differs from the one sorted from LSHB:\n got  %v\n want %v",
+				p.Bands, p.Rows, f.LSHTable(), want)
+		}
+		if err := f.Verify(); err != nil {
+			t.Fatalf("%dx%d: Verify on a fresh file: %v", p.Bands, p.Rows, err)
+		}
+		sec := sectionOf(t, data, SecLSHT)
+		if sec.Len != uint64(p.Bands*n*lshtRecSize) || sec.Records != p.Bands*n {
+			t.Errorf("%dx%d: LSHT holds %d bytes / %d records for %d functions", p.Bands, p.Rows, sec.Len, sec.Records, n)
+		}
+	}
+}
+
+// lshtMutants returns corrupt variants of a valid LSHT-bearing file, by
+// name: three Parse must reject, and one (mis-sorted: two entries of
+// different buckets swapped, checksums recomputed) that only Verify can.
+func lshtMutants(tb testing.TB, valid []byte) map[string][]byte {
+	tb.Helper()
+	sec := sectionOf(tb, valid, SecLSHT)
+	return map[string][]byte{
+		"truncated": flip(valid, func(b []byte) {
+			binary.LittleEndian.PutUint64(b[dirEntryOf(tb, b, SecLSHT)+16:], sec.Len-lshtRecSize)
+			fixDirCRC(b)
+		}),
+		"id out of range": flip(valid, func(b []byte) {
+			binary.LittleEndian.PutUint32(b[sec.Offset+lshtRecSize:], uint32(len(valid)))
+		}),
+		"repeated id": flip(valid, func(b []byte) {
+			copy(b[sec.Offset+lshtRecSize:][:lshtRecSize], b[sec.Offset:])
+		}),
+		"mis-sorted": flip(valid, func(b []byte) {
+			// The hand corpus has three functions with three different
+			// feature sets, so the ends of a band never share a bucket.
+			first, last := b[sec.Offset:][:lshtRecSize], b[sec.Offset+2*lshtRecSize:][:lshtRecSize]
+			for i := range first {
+				first[i], last[i] = last[i], first[i]
+			}
+			fixSectionCRC(tb, b, SecLSHT)
+		}),
+	}
+}
+
+// TestLSHTableRejectsCorruption: a wrong length, an id past the corpus, an
+// id listed twice in a band and a table without the signatures it indexes
+// all fail Parse with a corruptError; a band out of (band hash, id) order
+// loads — checking it costs a hash per entry — and fails Verify.
+func TestLSHTableRejectsCorruption(t *testing.T) {
+	valid := buildLSHFile(t, minhash.Default)
+	mutants := lshtMutants(t, valid)
+	mutants["without LSHB"] = flip(valid, func(b []byte) {
+		copy(b[dirEntryOf(t, b, SecLSHB):], "XXXX")
+		fixDirCRC(b)
+	})
+	for name, mut := range mutants {
+		f, err := Parse(mut)
+		if name == "mis-sorted" {
+			if err != nil {
+				t.Fatalf("%s: rejected at load: %v", name, err)
+			}
+			if err := f.Verify(); !IsCorrupt(err) {
+				t.Errorf("%s: Verify = %v, want a corruptError", name, err)
+			}
+			continue
+		}
+		if err == nil {
+			t.Errorf("%s: corrupt LSHT accepted", name)
+		} else if !IsCorrupt(err) {
+			t.Errorf("%s: want corruptError, got %T: %v", name, err, err)
+		}
 	}
 }

@@ -275,10 +275,11 @@ func (db *DB) Save(w io.Writer) error {
 // never materializes the whole corpus at once.
 func (db *DB) SaveV3(w io.Writer) error { return db.saveV3(w, nil) }
 
-// SaveV3LSH is SaveV3 with an LSHB section: every function's MinHash
-// signature under p is computed during the streaming build and
-// persisted, so serving nodes adopt the signatures straight from the
-// mapping instead of re-hashing a million feature sets at first query.
+// SaveV3LSH is SaveV3 with the LSHB and LSHT sections: every function's
+// MinHash signature under p is computed during the streaming build and
+// persisted together with the band table sorted from them, so serving
+// nodes probe both straight from the mapping instead of re-hashing a
+// million feature sets and bucketing them at first query.
 func (db *DB) SaveV3LSH(w io.Writer, p minhash.Params) error { return db.saveV3(w, &p) }
 
 func (db *DB) saveV3(w io.Writer, lsh *minhash.Params) error {

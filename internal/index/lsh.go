@@ -8,66 +8,54 @@ import (
 	"repro/internal/telemetry"
 )
 
-// lshIndex is the banded MinHash candidate generator: per band, a map
-// from band hash to the ascending entry ids bucketed there. It is built
-// once (from persisted v3 signatures or freshly hashed feature sets)
-// and then read lock-free by any number of queries. The source
-// signatures are NOT retained — they may alias a zero-copy mmap slice,
-// and everything a probe needs lives in the buckets — so the index
-// safely outlives the backing store. Lookup cost is Bands bucket probes
-// plus a dense counting pass — independent of corpus size for
-// well-spread buckets, versus the scan prefilter's full posting-list
-// merge.
+// lshIndex is the banded MinHash candidate generator in its one
+// representation, the sorted band table (minhash.BandTable): per band,
+// every entry id ordered by (band hash, id), so a band bucket is a
+// contiguous, id-ascending stretch of the band's run found by binary
+// search, with the hashes recomputed from the signatures. For a v3 file
+// with an LSHT section both slices alias the file mapping — nothing is
+// built at first query — and are valid for as long as the store is not
+// Closed, the same lifetime as the lazily decoded entries the snapshot
+// serves; otherwise the table is sorted once from the signatures at first
+// use. It is then read lock-free by any number of queries. Lookup cost is
+// Bands binary searches plus the bucket sizes plus a dense counting pass,
+// versus the scan prefilter's full posting-list merge.
 type lshIndex struct {
-	p       minhash.Params
-	n       int
-	buckets []map[uint64][]int32
+	p     minhash.Params
+	n     int
+	sigs  []uint32 // n·K signature values, function-major
+	table []uint32 // Bands runs of n ids
 }
 
-// newLSHIndex buckets n pre-computed signatures. The bucket-occupancy
-// distribution goes to tel as the lsh_bucket_occupancy value histogram,
-// so pathological bucket pileups (a degenerate hash family or corpus)
-// are visible on /metrics.
-func newLSHIndex(p minhash.Params, sigs []uint32, n int, tel *telemetry.Collector) *lshIndex {
-	k := p.K()
-	x := &lshIndex{p: p, n: n, buckets: make([]map[uint64][]int32, p.Bands)}
-	for b := range x.buckets {
-		x.buckets[b] = make(map[uint64][]int32)
+// newLSHIndex serves n pre-computed signatures, through table when the
+// store persisted one.
+func newLSHIndex(p minhash.Params, sigs []uint32, n int, table []uint32) *lshIndex {
+	if table == nil {
+		table = minhash.BandTable(p, sigs, n)
 	}
-	for id := 0; id < n; id++ {
-		sig := sigs[id*k : (id+1)*k]
-		for b := 0; b < p.Bands; b++ {
-			h := minhash.BandHash(sig, b, p)
-			x.buckets[b][h] = append(x.buckets[b][h], int32(id))
-		}
-	}
-	for _, bk := range x.buckets {
-		for _, ids := range bk {
-			tel.ObserveValue(telemetry.LSHBucketOccupancy, int64(len(ids)))
-		}
-	}
-	return x
+	return &lshIndex{p: p, n: n, sigs: sigs, table: table}
 }
 
-// lshFromStore adopts the persisted signatures of a v3 file carrying an
-// LSHB section, or returns nil when the file has none.
-func lshFromStore(f *idxfile.File, tel *telemetry.Collector) *lshIndex {
+// lshFromStore adopts the persisted signatures (and band table, when
+// present) of a v3 file carrying an LSHB section, or returns nil when the
+// file has none.
+func lshFromStore(f *idxfile.File) *lshIndex {
 	if f == nil || !f.HasLSH() {
 		return nil
 	}
-	return newLSHIndex(f.LSHParams(), f.LSHSigs(), f.NumFuncs(), tel)
+	return newLSHIndex(f.LSHParams(), f.LSHSigs(), f.NumFuncs(), f.LSHTable())
 }
 
 // lshFromFeatures hashes per-entry feature sets under p — the in-memory
 // path for gob-backed databases, where the corpus is small enough that
 // signing it at first use is cheap.
-func lshFromFeatures(p minhash.Params, feats [][]uint64, tel *telemetry.Collector) *lshIndex {
+func lshFromFeatures(p minhash.Params, feats [][]uint64) *lshIndex {
 	sigs := make([]uint32, len(feats)*p.K())
 	k := p.K()
 	for i, fs := range feats {
 		minhash.Signature(sigs[i*k:(i+1)*k], fs, p)
 	}
-	return newLSHIndex(p, sigs, len(feats), tel)
+	return newLSHIndex(p, sigs, len(feats), nil)
 }
 
 // ranked unions the query's band-bucket collisions and ranks by
@@ -81,7 +69,9 @@ func lshFromFeatures(p minhash.Params, feats [][]uint64, tel *telemetry.Collecto
 // feature set yields no candidates, mirroring the scan prefilter. ctx
 // is polled per band; on cancellation the partial ranking is abandoned
 // and nil is returned (callers check ctx.Err()). Raw collision counts
-// go to tel.
+// go to tel, and the size of every probed bucket (0 for a band nothing
+// collides in) to its lsh_bucket_occupancy value histogram, so bucket
+// pileups (a degenerate hash family or corpus) are visible on /metrics.
 func (x *lshIndex) ranked(ctx context.Context, query []uint64, limit int, tel *telemetry.Collector) []Ranked {
 	if x == nil || limit <= 0 || len(query) == 0 {
 		return nil
@@ -93,7 +83,8 @@ func (x *lshIndex) ranked(ctx context.Context, query []uint64, limit int, tel *t
 		if ctx != nil && ctx.Err() != nil {
 			return nil
 		}
-		ids := x.buckets[b][minhash.BandHash(qsig, b, x.p)]
+		ids := minhash.Bucket(x.p, x.sigs, x.table, x.n, b, minhash.BandHash(qsig, b, x.p))
+		tel.ObserveValue(telemetry.LSHBucketOccupancy, int64(len(ids)))
 		collisions += len(ids)
 		for _, id := range ids {
 			counts[id]++

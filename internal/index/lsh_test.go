@@ -79,7 +79,7 @@ func TestLSHOracleEquality(t *testing.T) {
 		minhash.Default,
 		{Bands: 16, Rows: 4, Seed: minhash.DefaultSeed},
 	} {
-		x := lshFromFeatures(p, feats, nil)
+		x := lshFromFeatures(p, feats)
 		query := feats[0]
 		qsig := minhash.Signature(nil, query, p)
 
@@ -303,9 +303,10 @@ func TestLSHSnapshotParity(t *testing.T) {
 	}
 }
 
-// TestLSHTelemetry: an lsh query counts lsh_queries and lsh_candidates,
-// the bucket build fills the occupancy histogram, and PrefilterRankWith
-// mirrors the same accounting on the degraded path.
+// TestLSHTelemetry: an lsh query counts lsh_queries and lsh_candidates and
+// observes the size of every bucket it probed — one per band, empty ones
+// as 0, summing to lsh_band_collisions — into the occupancy histogram, and
+// PrefilterRankWith mirrors the same accounting on the degraded path.
 func TestLSHTelemetry(t *testing.T) {
 	db, _ := buildTestDB(t)
 	tel := telemetry.New()
@@ -332,9 +333,12 @@ func TestLSHTelemetry(t *testing.T) {
 	if got := tel.Get(telemetry.LSHFallbacks); got != 0 {
 		t.Errorf("lsh_fallbacks = %d on a corpus with signatures", got)
 	}
-	snap2 := tel.Snapshot()
-	if snap2.Histograms["lsh_bucket_occupancy"].Count == 0 {
-		t.Error("bucket occupancy histogram is empty after an lsh build")
+	occ := tel.Snapshot().Histograms["lsh_bucket_occupancy"]
+	if occ.Count != uint64(minhash.Default.Bands) {
+		t.Errorf("bucket occupancy histogram holds %d observations after one query, want one per band (%d)", occ.Count, minhash.Default.Bands)
+	}
+	if got := tel.Get(telemetry.LSHBandCollisions); uint64(occ.SumNS) != got {
+		t.Errorf("probed bucket sizes sum to %d, lsh_band_collisions = %d", occ.SumNS, got)
 	}
 
 	// Scan-mode ranking must leave the lsh counters untouched.

@@ -2,12 +2,14 @@ package index
 
 import (
 	"context"
+	"slices"
 	"sort"
+	"strconv"
+	"unicode/utf8"
 
 	"repro/internal/asm"
 	"repro/internal/core"
 	"repro/internal/minhash"
-	"repro/internal/ngram"
 	"repro/internal/prep"
 	"repro/internal/telemetry"
 )
@@ -85,57 +87,123 @@ func (pf PrefilterOptions) cap() int {
 	return pf.Candidates
 }
 
-// hashGram folds a window of normalized instruction strings into one
-// 64-bit feature (FNV-1a over the tokens with a separator).
-func hashGram(norm []string) uint64 {
-	const offset64, prime64 = 14695981039346656037, 1099511628211
-	h := uint64(offset64)
-	for _, s := range norm {
-		for i := 0; i < len(s); i++ {
-			h = (h ^ uint64(s[i])) * prime64
-		}
-		h = (h ^ '|') * prime64
-	}
-	return h
+// gramHasher computes block features without building a string: a
+// block's instructions are rendered, normalized exactly as
+// ngram.NormalizeInsts renders them, back to back into one buffer that is
+// reused from block to block, each closed by the '|' that separates the
+// tokens of a gram, and a gram's feature is FNV-1a over its window of that
+// buffer. Registers become r0, r1, ... and symbols m0, m1, ... in order of
+// first appearance within the block, immediates a fixed token, and a jump
+// keeps only its mnemonic. The zero value is ready to use.
+type gramHasher struct {
+	buf  []byte
+	ends []int       // ends[i]: offset just past instruction i's '|'
+	reg  [256]uint16 // register -> 1 + its number in this block, 0: not met yet
+	regs []asm.Reg   // the registers numbered in this block
+	syms []symKey    // the symbols of this block, by number
 }
 
-// blockFeatures appends the block's features to dst: every
+// symKey is the identity normalization gives a non-register,
+// non-immediate argument.
+type symKey struct {
+	cls asm.SymClass
+	sym string
+}
+
+// features appends the block's features to dst: every
 // prefilterGram-window of the normalized body, or one whole-block gram
 // when the body is shorter than a window.
-func blockFeatures(dst []uint64, body []asm.Inst) []uint64 {
+func (g *gramHasher) features(dst []uint64, body []asm.Inst) []uint64 {
 	if len(body) == 0 {
 		return dst
 	}
-	norm := ngram.NormalizeInsts(body)
-	if len(norm) < prefilterGram {
-		return append(dst, hashGram(norm))
+	for _, r := range g.regs {
+		g.reg[r] = 0
 	}
-	for i := 0; i+prefilterGram <= len(norm); i++ {
-		dst = append(dst, hashGram(norm[i:i+prefilterGram]))
+	g.buf, g.ends, g.regs, g.syms = g.buf[:0], g.ends[:0], g.regs[:0], g.syms[:0]
+	for i := range body {
+		in := &body[i]
+		g.buf = append(g.buf, in.Mnemonic...)
+		if !in.IsJump() {
+			g.buf = append(g.buf, ' ')
+			for oi := range in.Ops {
+				if oi > 0 {
+					g.buf = append(g.buf, ',')
+				}
+				op := &in.Ops[oi]
+				if !op.IsMem() {
+					g.arg(&op.Arg)
+					continue
+				}
+				g.buf = append(g.buf, '[')
+				for ti := range op.Mem {
+					g.buf = utf8.AppendRune(g.buf, rune(op.Mem[ti].Op))
+					g.arg(&op.Mem[ti].Arg)
+				}
+				g.buf = append(g.buf, ']')
+			}
+		}
+		g.buf = append(g.buf, '|')
+		g.ends = append(g.ends, len(g.buf))
+	}
+	if len(body) < prefilterGram {
+		return append(dst, fnv1a(g.buf))
+	}
+	start := 0
+	for i := 0; i+prefilterGram <= len(body); i++ {
+		dst = append(dst, fnv1a(g.buf[start:g.ends[i+prefilterGram-1]]))
+		start = g.ends[i]
 	}
 	return dst
+}
+
+// arg renders one argument under the block's renaming.
+func (g *gramHasher) arg(a *asm.Arg) {
+	switch {
+	case a.IsReg():
+		if g.reg[a.Reg] == 0 {
+			g.regs = append(g.regs, a.Reg)
+			g.reg[a.Reg] = uint16(len(g.regs))
+		}
+		g.buf = strconv.AppendUint(append(g.buf, 'r'), uint64(g.reg[a.Reg]-1), 10)
+	case a.IsImm():
+		g.buf = append(g.buf, 'v')
+	default:
+		n := 0
+		for n < len(g.syms) && (g.syms[n].cls != a.Cls || g.syms[n].sym != a.Sym) {
+			n++
+		}
+		if n == len(g.syms) {
+			g.syms = append(g.syms, symKey{a.Cls, a.Sym})
+		}
+		g.buf = strconv.AppendUint(append(g.buf, 'm'), uint64(n), 10)
+	}
+}
+
+func fnv1a(b []byte) uint64 {
+	const offset64, prime64 = 14695981039346656037, 1099511628211
+	h := uint64(offset64)
+	for _, c := range b {
+		h = (h ^ uint64(c)) * prime64
+	}
+	return h
 }
 
 // dedupeSorted sorts fs and removes duplicates in place (a feature is a
 // set member, not a count).
 func dedupeSorted(fs []uint64) []uint64 {
-	sort.Slice(fs, func(i, j int) bool { return fs[i] < fs[j] })
-	out := fs[:0]
-	for i, f := range fs {
-		if i == 0 || f != fs[i-1] {
-			out = append(out, f)
-		}
-	}
-	return out
+	slices.Sort(fs)
+	return slices.Compact(fs)
 }
 
 // FuncFeatures computes the feature set of a lifted corpus function:
 // normalized per-block grams over the jump-stripped block bodies, sorted
 // and deduplicated.
 func FuncFeatures(fn *prep.Function) []uint64 {
+	var g gramHasher
 	var fs []uint64
 	for _, b := range fn.Graph.Blocks {
-		fs = blockFeatures(fs, b.Body())
+		fs = g.features(fs, b.Body())
 	}
 	return dedupeSorted(fs)
 }
@@ -144,9 +212,10 @@ func FuncFeatures(fn *prep.Function) []uint64 {
 // distinct tracelet blocks — the same jump-stripped bodies FuncFeatures
 // sees on the corpus side.
 func QueryFeatures(d *core.Decomposed) []uint64 {
+	var g gramHasher
 	var fs []uint64
 	for _, blk := range d.DistinctBlocks() {
-		fs = blockFeatures(fs, blk)
+		fs = g.features(fs, blk)
 	}
 	return dedupeSorted(fs)
 }
@@ -221,26 +290,34 @@ func sortedIDs(ranked []Ranked) []int32 {
 	return ids
 }
 
-// featureIdx returns the inverted feature index, built on first use.
+// featureIdx returns the inverted feature index, built on first use. Once
+// it exists a snapshot that adopts the file's signatures has no further
+// use for the per-entry feature slices, nor for the DB that yields them.
 func (s *Snapshot) featureIdx() *featureIndex {
-	s.fidxOnce.Do(func() { s.fidx = buildFeatureIndex(s.feats()) })
+	s.fidxOnce.Do(func() {
+		s.fidx = buildFeatureIndex(s.feats())
+		if s.store != nil {
+			s.feats = nil // lshIdx reads feats only when store is nil
+		}
+	})
 	return s.fidx
 }
 
-// lshIdx returns the banded MinHash index, built on first use, or nil
+// lshIdx returns the banded MinHash index, set up on first use, or nil
 // when there are no signatures to serve from. This is the single
-// LSH-availability check: the v3 file's persisted LSHB signatures are
-// adopted when the store covers every entry (a file that predates the
-// section then yields nil, rather than re-deriving signatures from a
-// million mmapped feature slices); otherwise — in-memory corpora, or
-// entries appended after a v3 load — signatures are hashed from the
-// feature sets under minhash.Default.
+// LSH-availability check: the v3 file's persisted LSHB signatures — and
+// its LSHT band table, else one sorted from them — are adopted when the
+// store covers every entry (a file that predates LSHB then yields nil,
+// rather than re-deriving signatures from a million mmapped feature
+// slices); otherwise — in-memory corpora, or entries appended after a v3
+// load — signatures are hashed from the feature sets under
+// minhash.Default.
 func (s *Snapshot) lshIdx() *lshIndex {
 	s.lshOnce.Do(func() {
 		if s.store != nil {
-			s.lsh = lshFromStore(s.store, s.Tel)
+			s.lsh = lshFromStore(s.store)
 		} else {
-			s.lsh = lshFromFeatures(minhash.Default, s.feats(), s.Tel)
+			s.lsh = lshFromFeatures(minhash.Default, s.feats())
 		}
 	})
 	return s.lsh

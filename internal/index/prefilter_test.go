@@ -7,8 +7,10 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/asm"
 	"repro/internal/core"
 	"repro/internal/corpus"
+	"repro/internal/ngram"
 )
 
 // TestLoadV1Compat: a v1-headered index (entries only, no feature table)
@@ -235,4 +237,91 @@ func TestTopCandidatesOrdering(t *testing.T) {
 	if n := len(top([]uint64{42}, 10)); n != 0 {
 		t.Errorf("no-overlap query returned %d candidates", n)
 	}
+}
+
+// oracleBlockFeatures is the definition of a block's features: the
+// prefilterGram-windows (or the one short window) of the block's
+// instructions as ngram.NormalizeInsts renders them, each folded by FNV-1a
+// over its tokens with a '|' after every token.
+func oracleBlockFeatures(dst []uint64, body []asm.Inst) []uint64 {
+	hashGram := func(norm []string) uint64 {
+		const offset64, prime64 = 14695981039346656037, 1099511628211
+		h := uint64(offset64)
+		for _, s := range norm {
+			for i := 0; i < len(s); i++ {
+				h = (h ^ uint64(s[i])) * prime64
+			}
+			h = (h ^ '|') * prime64
+		}
+		return h
+	}
+	if len(body) == 0 {
+		return dst
+	}
+	norm := ngram.NormalizeInsts(body)
+	if len(norm) < prefilterGram {
+		return append(dst, hashGram(norm))
+	}
+	for i := 0; i+prefilterGram <= len(norm); i++ {
+		dst = append(dst, hashGram(norm[i:i+prefilterGram]))
+	}
+	return dst
+}
+
+// TestBlockFeaturesGolden: the string-free feature extraction yields, value
+// for value and in order, what the string-rendering oracle yields — on
+// every block of a campaign corpus through one reused gramHasher, and on
+// crafted blocks at the corners of the rendering: more registers and
+// symbols than one digit numbers, one name in two symbol classes, an
+// argument of no kind, a memory operator outside ASCII, a jump in mid-block
+// and blocks shorter than a window.
+func TestBlockFeaturesGolden(t *testing.T) {
+	var g gramHasher
+	check := func(where string, body []asm.Inst) {
+		t.Helper()
+		got, want := g.features(nil, body), oracleBlockFeatures(nil, body)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: features\n %x\noracle\n %x", where, got, want)
+		}
+	}
+	db := campaignDB(t, 192)
+	blocks := 0
+	for _, e := range db.Entries {
+		for _, b := range e.Func.Graph.Blocks {
+			check(e.Exe+"/"+e.Name, b.Body())
+			check(e.Exe+"/"+e.Name+" (with its jump)", b.Insts)
+			blocks++
+		}
+		var fs []uint64
+		for _, b := range e.Func.Graph.Blocks {
+			fs = oracleBlockFeatures(fs, b.Body())
+		}
+		if got, want := FuncFeatures(e.Func), dedupeSorted(fs); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s/%s: FuncFeatures differs from the oracle's set", e.Exe, e.Name)
+		}
+	}
+	if blocks < 1000 {
+		t.Fatalf("campaign corpus has only %d blocks", blocks)
+	}
+
+	var wide []asm.Inst
+	for r := 1; r <= 24; r++ { // numbers r10.. and m10..
+		wide = append(wide, asm.New("mov", asm.RegOp(asm.Reg(r)), asm.SymOp(asm.SymData, string(rune('a'+r)))))
+	}
+	check("wide", wide)
+	check("two classes", []asm.Inst{
+		asm.New("call", asm.SymOp(asm.SymFunc, "x")),
+		asm.New("mov", asm.RegOp(asm.EAX), asm.OffsetOp(asm.SymData, "x")),
+		asm.New("push", asm.SymOp(asm.SymFunc, "x")),
+	})
+	check("no kind, odd operator", []asm.Inst{
+		{Mnemonic: "weird", Ops: []asm.Operand{{}, {Mem: []asm.MemTerm{
+			{Op: asm.MemOp(0xe9), Arg: asm.RegArg(asm.Reg(200))}, {Op: asm.OpMul, Arg: asm.ImmArg(4)}, {Op: 0, Arg: asm.Arg{}}}}}},
+		asm.New("nop"),
+		asm.New("jmp", asm.SymOp(asm.SymLabel, "loc_1")),
+		asm.New("lea", asm.RegOp(asm.ESI), asm.MemSym(asm.EBP, asm.SymLocal, "var_8")),
+	})
+	check("one instruction", []asm.Inst{asm.New("retn")})
+	check("two instructions", []asm.Inst{asm.New("push", asm.RegOp(asm.EBP)), asm.New("retn")})
+	check("empty", nil)
 }

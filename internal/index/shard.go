@@ -38,7 +38,7 @@ func (db *DB) SaveV3Shard(w io.Writer, shard, nShards int) error {
 	return db.saveV3Shard(w, shard, nShards, nil)
 }
 
-// SaveV3ShardLSH is SaveV3Shard with an LSHB section (see SaveV3LSH).
+// SaveV3ShardLSH is SaveV3Shard with the LSHB and LSHT sections (see SaveV3LSH).
 func (db *DB) SaveV3ShardLSH(w io.Writer, shard, nShards int, p minhash.Params) error {
 	return db.saveV3Shard(w, shard, nShards, &p)
 }

@@ -41,8 +41,9 @@ type Snapshot struct {
 
 	// Candidate generation (see candidates). Both indexes are built on
 	// first use. store is set only when the v3 file covers every entry,
-	// which is when its persisted LSHB signatures may be adopted; feats
-	// yields the per-entry feature sets everything else is built from.
+	// which is when its persisted LSHB signatures and LSHT band table may
+	// be adopted; feats yields the per-entry feature sets everything else
+	// is built from.
 	store    *idxfile.File
 	feats    func() [][]uint64
 	fidxOnce sync.Once
@@ -78,9 +79,13 @@ func newSnapshot(db *DB, ks []int, workers int, feats func() [][]uint64) *Snapsh
 // in ks (deduplicated; defaults to [3] when empty), each query fanning
 // out over nShards workers (<= 0 means runtime.GOMAXPROCS(0)). A
 // heap-backed DB is decomposed up front, in parallel, so serving never
-// pays decomposition latency; a v3 store-backed DB stays cold and
-// decodes per entry on first touch. The DB is only read; the snapshot
-// holds its own decompositions and shares the (immutable) entries.
+// pays decomposition latency; a v3 store-backed DB stays cold — beyond
+// the (exe, name) lookup map nothing here is proportional to the corpus —
+// and decodes per entry on first touch. Neither candidate index is built
+// here: the lsh table is adopted or sorted by the first lsh query, the
+// inverted feature index by the first scan-mode, fallback or degraded
+// ranking. The DB is only read; the snapshot holds its own
+// decompositions and shares the (immutable) entries.
 func BuildSnapshot(db *DB, ks []int, nShards int) *Snapshot {
 	uniq := make(map[int]bool)
 	var kept []int
@@ -95,8 +100,10 @@ func BuildSnapshot(db *DB, ks []int, nShards int) *Snapshot {
 	}
 	sort.Ints(kept)
 
-	feats := db.features()
-	s := newSnapshot(db, kept, nShards, func() [][]uint64 { return feats })
+	// db.features() covers db.Entries as they are when a first query asks;
+	// entries appended since then lie past the snapshot's own.
+	n := len(db.Entries)
+	s := newSnapshot(db, kept, nShards, func() [][]uint64 { return db.features()[:n:n] })
 	s.byName = make(map[string]int32, len(s.entries))
 	for i, e := range s.entries {
 		s.byName[entryKey(e.Exe, e.Name)] = int32(i)
@@ -105,14 +112,6 @@ func BuildSnapshot(db *DB, ks []int, nShards int) *Snapshot {
 		for _, k := range kept {
 			s.decomposeAll(k)
 		}
-	}
-	// The feature index is built here rather than on the first
-	// prefiltered query, then read lock-free. Once it exists a snapshot
-	// that adopts the file's signatures has no further use for the
-	// per-entry feature slices.
-	s.featureIdx()
-	if s.store != nil {
-		s.feats = nil
 	}
 	return s
 }

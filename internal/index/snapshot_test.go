@@ -2,6 +2,7 @@ package index
 
 import (
 	"bytes"
+	"context"
 	"encoding/gob"
 	"fmt"
 	"strings"
@@ -10,6 +11,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/corpus"
+	"repro/internal/minhash"
 )
 
 // TestSnapshotSearchMatchesDBSearch: DB.Search and snapshots of every
@@ -217,5 +219,54 @@ func TestLoadForeignFileError(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "format v2/v3 expected") {
 		t.Errorf("foreign-file error does not name the expected format: %v", err)
+	}
+}
+
+// TestBuildSnapshotIsLazy: BuildSnapshot over a v3 store-backed database
+// builds neither candidate index and decodes nothing; the first lsh query
+// adopts the file's band table and still leaves the inverted feature
+// index unbuilt, which the first scan-mode ranking then builds. A
+// database that grew after the snapshot was taken does not reach into it.
+func TestBuildSnapshotIsLazy(t *testing.T) {
+	mem, c := buildTestDB(t)
+	db, err := Load(bytes.NewReader(savedLSH(t, mem, minhash.Default)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := BuildSnapshot(db, []int{3}, 2)
+	if snap.fidx != nil || snap.lsh != nil || db.feats != nil {
+		t.Fatal("BuildSnapshot built a candidate index or walked the feature sets")
+	}
+	for _, e := range db.Entries {
+		if e.lazy.Load() != nil {
+			t.Fatalf("BuildSnapshot decoded %s/%s", e.Exe, e.Name)
+		}
+	}
+	ref := core.Decompose(queryFor(t, mem, corpus.LibFuncName), 3)
+	if _, err := snap.PrefilterRankWith(context.Background(), ref, 5, ModeLSH); err != nil {
+		t.Fatal(err)
+	}
+	if snap.lsh == nil || &snap.lsh.table[0] != &db.Store().LSHTable()[0] {
+		t.Error("the first lsh query did not adopt the file's band table")
+	}
+	if snap.fidx != nil {
+		t.Error("an lsh query built the inverted feature index")
+	}
+
+	extra := c.Exes[0]
+	if err := db.AddImage("again-"+extra.Name, extra.Image, extra.Truth); err != nil {
+		t.Fatal(err)
+	}
+	ranked, err := snap.PrefilterRankWith(context.Background(), ref, len(db.Entries), ModeScan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.fidx == nil || snap.fidx.n != snap.Len() {
+		t.Fatalf("the first scan ranking indexed %v entries, the snapshot holds %d", snap.fidx, snap.Len())
+	}
+	for _, r := range ranked {
+		if int(r.ID) >= snap.Len() {
+			t.Fatalf("scan ranking names entry %d of a %d-entry snapshot", r.ID, snap.Len())
+		}
 	}
 }

@@ -121,8 +121,15 @@ func Signature(dst []uint32, feats []uint64, p Params) []uint32 {
 // bucket key. The band index is mixed in so identical row values in
 // different bands key different buckets.
 func BandHash(sig []uint32, band int, p Params) uint64 {
-	h := mix64(p.Seed ^ (uint64(band)+1)*0x9e3779b97f4a7c15)
-	for _, v := range sig[band*p.Rows : (band+1)*p.Rows] {
+	return foldBand(bandSeed(band, p), sig[band*p.Rows:(band+1)*p.Rows])
+}
+
+func bandSeed(band int, p Params) uint64 {
+	return mix64(p.Seed ^ (uint64(band)+1)*0x9e3779b97f4a7c15)
+}
+
+func foldBand(h uint64, rows []uint32) uint64 {
+	for _, v := range rows {
 		h = mix64(h ^ uint64(v))
 	}
 	return h
@@ -169,4 +176,83 @@ func CollisionProb(s float64, p Params) float64 {
 // below it almost never do.
 func (p Params) Threshold() float64 {
 	return math.Pow(1/float64(p.Bands), 1/float64(p.Rows))
+}
+
+// BandTable returns the sorted band table of n signatures laid out
+// function-major in sigs (n·K values): Bands runs of n entry ids, run b
+// holding every id in [0, n) ordered by (BandHash of its signature in
+// band b, id). A band bucket is then a contiguous stretch of the run,
+// found by binary search with the hashes recomputed from sigs, and it
+// lists its ids ascending — the representation persisted in a TRACYIDX
+// v3 LSHT section and probed by the index. Each run is sorted by a
+// stable LSD radix sort over the 64-bit band hashes, which starts from
+// the ids in ascending order and so needs no tie-break pass.
+func BandTable(p Params, sigs []uint32, n int) []uint32 {
+	const (
+		digitBits = 11
+		passes    = 6 // 6 x 11 bits cover the 64-bit key; even, so each run ends where it began
+	)
+	k := p.K()
+	table := make([]uint32, p.Bands*n)
+	keys := make([]uint64, 2*n)
+	tmp := make([]uint32, n)
+	var count [1 << digitBits]uint32
+	for b := 0; b < p.Bands; b++ {
+		srcK, dstK := keys[:n], keys[n:]
+		srcI, dstI := table[b*n:(b+1)*n], tmp
+		for id := range srcI {
+			srcK[id] = BandHash(sigs[id*k:(id+1)*k], b, p)
+			srcI[id] = uint32(id)
+		}
+		for pass := 0; pass < passes; pass++ {
+			shift := uint(pass * digitBits)
+			clear(count[:])
+			for _, key := range srcK {
+				count[(key>>shift)&(1<<digitBits-1)]++
+			}
+			sum := uint32(0)
+			for d, c := range count {
+				count[d] = sum
+				sum += c
+			}
+			for i, key := range srcK {
+				d := (key >> shift) & (1<<digitBits - 1)
+				pos := count[d]
+				count[d]++
+				dstK[pos], dstI[pos] = key, srcI[i]
+			}
+			srcK, dstK = dstK, srcK
+			srcI, dstI = dstI, srcI
+		}
+	}
+	return table
+}
+
+// Bucket returns the ids in band's bucket h, ascending, out of a band
+// table of the n signatures in sigs (see BandTable): the stretch of the
+// band's run whose band hashes, recomputed from sigs, equal h, delimited
+// by two binary searches. The result aliases table. On a run that is not
+// in (band hash, id) order the searches still end, somewhere, and the
+// result is some stretch of the run — wrong, but ids of the table and
+// each at most once.
+func Bucket(p Params, sigs, table []uint32, n, band int, h uint64) []uint32 {
+	run := table[band*n : (band+1)*n]
+	seed, k, r0 := bandSeed(band, p), p.K(), band*p.Rows
+	// first returns the first position in run[lo:] whose hash is >= h
+	// (above == false) or > h (above == true).
+	first := func(lo int, above bool) int {
+		hi := n
+		for lo < hi {
+			mid := int(uint(lo+hi) >> 1)
+			at := int(run[mid])*k + r0
+			if g := foldBand(seed, sigs[at:at+p.Rows]); g < h || (above && g == h) {
+				lo = mid + 1
+			} else {
+				hi = mid
+			}
+		}
+		return lo
+	}
+	lo := first(0, false)
+	return run[lo:first(lo, true)]
 }

@@ -269,3 +269,101 @@ func TestEstJaccardEdges(t *testing.T) {
 		t.Errorf("SharedPositions = %d, want 2", got)
 	}
 }
+
+// tableSigs draws n signatures whose values come from a small alphabet, so
+// that band buckets hold several ids and the id tie-break is exercised.
+func tableSigs(p Params, n int, seed int64) []uint32 {
+	rng := rand.New(rand.NewSource(seed))
+	sigs := make([]uint32, n*p.K())
+	for i := range sigs {
+		sigs[i] = uint32(rng.Intn(7))
+	}
+	return sigs
+}
+
+// TestBandTableOrder: every band of the table is a permutation of the ids
+// in strictly ascending (band hash, id) order, for single-row and
+// multi-row bands, and for the empty corpus.
+func TestBandTableOrder(t *testing.T) {
+	for _, p := range []Params{Default, {Bands: 16, Rows: 2, Seed: 5}} {
+		if got := BandTable(p, nil, 0); len(got) != 0 {
+			t.Fatalf("%dx%d: empty corpus yields %d table entries", p.Bands, p.Rows, len(got))
+		}
+		const n = 300
+		sigs := tableSigs(p, n, 1)
+		table := BandTable(p, sigs, n)
+		if len(table) != p.Bands*n {
+			t.Fatalf("%dx%d: table holds %d ids, want %d", p.Bands, p.Rows, len(table), p.Bands*n)
+		}
+		k := p.K()
+		for b := 0; b < p.Bands; b++ {
+			seen := make([]bool, n)
+			var prevH uint64
+			var prevID uint32
+			for i, id := range table[b*n : (b+1)*n] {
+				if id >= n || seen[id] {
+					t.Fatalf("%dx%d band %d: id %d out of range or repeated", p.Bands, p.Rows, b, id)
+				}
+				seen[id] = true
+				h := BandHash(sigs[int(id)*k:(int(id)+1)*k], b, p)
+				if i > 0 && (h < prevH || (h == prevH && id <= prevID)) {
+					t.Fatalf("%dx%d band %d: position %d breaks (band hash, id) order", p.Bands, p.Rows, b, i)
+				}
+				prevH, prevID = h, id
+			}
+		}
+	}
+}
+
+// TestBucketEqualsBruteForce: a probe returns exactly the ids whose band
+// hash equals the probed one, ascending — for every bucket that exists and
+// for a hash no entry has.
+func TestBucketEqualsBruteForce(t *testing.T) {
+	for _, p := range []Params{Default, {Bands: 16, Rows: 2, Seed: 5}} {
+		const n = 300
+		sigs := tableSigs(p, n, 2)
+		table := BandTable(p, sigs, n)
+		k := p.K()
+		for b := 0; b < p.Bands; b++ {
+			hashes := make([]uint64, n)
+			for id := range hashes {
+				hashes[id] = BandHash(sigs[id*k:(id+1)*k], b, p)
+			}
+			for _, h := range append(hashes[:n:n], 0, ^uint64(0), hashes[0]+1) {
+				var want []uint32
+				for id, g := range hashes {
+					if g == h {
+						want = append(want, uint32(id))
+					}
+				}
+				got := Bucket(p, sigs, table, n, b, h)
+				if fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Fatalf("%dx%d band %d hash %#x: bucket %v, want %v", p.Bands, p.Rows, b, h, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestBucketOnShuffledRun: on a run that is not sorted a probe still ends
+// and returns a stretch of the run.
+func TestBucketOnShuffledRun(t *testing.T) {
+	p := Default
+	const n = 300
+	sigs := tableSigs(p, n, 3)
+	table := BandTable(p, sigs, n)
+	rng := rand.New(rand.NewSource(4))
+	for b := 0; b < p.Bands; b++ {
+		run := table[b*n : (b+1)*n]
+		rng.Shuffle(n, func(i, j int) { run[i], run[j] = run[j], run[i] })
+	}
+	k := p.K()
+	for b := 0; b < p.Bands; b++ {
+		for id := 0; id < n; id++ {
+			got := Bucket(p, sigs, table, n, b, BandHash(sigs[id*k:(id+1)*k], b, p))
+			if len(got) > n {
+				t.Fatalf("band %d: bucket of %d ids out of a run of %d", b, len(got), n)
+			}
+		}
+	}
+}

@@ -162,7 +162,7 @@ const (
 	RequestDecodeLatency             // server: request-body decode + query resolution
 	CacheLookupLatency               // server: one result-cache lookup
 	PrefilterLatency                 // one feature-prefilter candidate ranking
-	LSHBucketOccupancy               // VALUE histogram: entries per lsh band bucket at index build
+	LSHBucketOccupancy               // VALUE histogram: entries in each band bucket an lsh query probed (0: empty)
 	QueueWaitLatency                 // server: admission-queue wait before a slot was granted
 	FleetShardLatency                // coordinator: one shard RPC end to end (incl. client retries)
 	FleetMergeLatency                // coordinator: gather + top-K merge of per-shard hits

@@ -72,12 +72,16 @@ func (t *Tracelet) Hash() uint64 {
 // Extract returns all k-tracelets of the graph (paper Algorithm 2): for
 // every basic block, the Cartesian product of the block with all
 // (k-1)-tracelets of its successors. Paths shorter than k are omitted, and
-// paths never repeat a block (tracelets are acyclic sub-paths).
+// paths never repeat a block (tracelets are acyclic sub-paths). The walk
+// only records the paths, back to back in one array; the tracelets and
+// their block tuples are then carved from one array each.
 func Extract(g *cfg.Graph, k int) []*Tracelet {
 	if k < 1 {
 		return nil
 	}
-	var out []*Tracelet
+	// Campaign and real functions alike have between one and two
+	// k-tracelets per block for small k.
+	idx := make([]int, 0, 2*k*len(g.Blocks))
 	path := make([]int, 0, k)
 	onPath := make([]bool, len(g.Blocks))
 	var walk func(bi, rem int)
@@ -85,14 +89,7 @@ func Extract(g *cfg.Graph, k int) []*Tracelet {
 		path = append(path, bi)
 		onPath[bi] = true
 		if rem == 1 {
-			t := &Tracelet{
-				BlockIdx: append([]int(nil), path...),
-				Blocks:   make([][]asm.Inst, len(path)),
-			}
-			for i, idx := range path {
-				t.Blocks[i] = g.Blocks[idx].Body()
-			}
-			out = append(out, t)
+			idx = append(idx, path...)
 		} else {
 			for _, s := range g.Blocks[bi].Succs {
 				if !onPath[s] {
@@ -105,6 +102,27 @@ func Extract(g *cfg.Graph, k int) []*Tracelet {
 	}
 	for bi := range g.Blocks {
 		walk(bi, k)
+	}
+	n := len(idx) / k
+	if n == 0 {
+		return nil
+	}
+	out := make([]*Tracelet, n)
+	ts := make([]Tracelet, n)
+	blocks := make([][]asm.Inst, n*k+len(g.Blocks))
+	// A block is on many paths; strip its jump once.
+	bodies := blocks[n*k:]
+	for b, blk := range g.Blocks {
+		bodies[b] = blk.Body()
+	}
+	for i := range ts {
+		t := &ts[i]
+		t.BlockIdx = idx[i*k : (i+1)*k : (i+1)*k]
+		t.Blocks = blocks[i*k : (i+1)*k : (i+1)*k]
+		for j, b := range t.BlockIdx {
+			t.Blocks[j] = bodies[b]
+		}
+		out[i] = t
 	}
 	return out
 }
