@@ -24,16 +24,16 @@ func PackedSim(r *asm.Packed, i int, t *asm.Packed, j int) int {
 	if !r.SameKind(i, t, j) {
 		return -1
 	}
-	return 2 + int(equalArgs(r.Args[r.Off[i]:r.Off[i+1]], t.Args[t.Off[j]:]))
+	return 2 + int(equalArgs(r.Names, r.Args[r.Off[i]:r.Off[i+1]], t.Names, t.Args[t.Off[j]:]))
 }
 
 // equalArgs counts the positions at which ra and the same-length prefix
-// of ta hold the same argument.
-func equalArgs(ra, ta []asm.PArg) int32 {
+// of ta hold the same argument; rn and tn name their symbols.
+func equalArgs(rn *asm.Names, ra []asm.PArg, tn *asm.Names, ta []asm.PArg) int32 {
 	n := int32(0)
 	ta = ta[:len(ra)]
 	for k := range ra {
-		if ra[k].Equal(&ta[k]) {
+		if ra[k].Equal(rn, &ta[k], tn) {
 			n++
 		}
 	}
@@ -60,7 +60,7 @@ func fillRow(r, t *asm.Packed, i int, below, cur []int32, full bool) {
 		if tk[j] == kh && string(t.Kind(j)) == string(ks) {
 			s := int32(2 + len(ra))
 			if !full {
-				s = 2 + equalArgs(ra, t.Args[toff[j]:])
+				s = 2 + equalArgs(r.Names, ra, t.Names, t.Args[toff[j]:])
 			}
 			best = max(best, s+diag)
 		}

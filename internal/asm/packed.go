@@ -1,6 +1,10 @@
 package asm
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"errors"
+	"slices"
+)
 
 // This file implements the packed form of an instruction sequence: the
 // flat, pointer-light layout the compare core (alignment kernel, rewrite
@@ -10,38 +14,97 @@ import "encoding/binary"
 // on the packed form is exact: hashes only decide when the exact
 // comparison is worth making.
 
-// PArg is the packed form of one Arg. Two PArgs are Equal exactly when
-// the Args they were packed from are ==: the kind, register and symbol
-// class are kept by value in Tag, the immediate by value in Imm, and the
-// symbol name as the string itself behind its hash.
-type PArg struct {
-	Tag  uint32 // Kind | Reg<<8 | Cls<<16
-	Imm  int64
-	SymH uint64 // hash of Sym; zero exactly when Sym is empty
-	Sym  string
+// Names is a table of symbol names: name i is Tab[Off[i]:Off[i+1]]. A
+// packed argument names its symbol by index into the table of the block
+// it belongs to, which is what keeps the argument itself free of
+// pointers. The zero Names is empty and ready for Add.
+type Names struct {
+	Tab []byte
+	Off []uint32 // one more than there are names; Off[0] is 0
 }
 
-// PackArg packs one argument.
-func PackArg(a Arg) PArg {
-	var p PArg
-	p.set(&a)
-	return p
+// Len returns the number of names.
+func (n *Names) Len() int { return max(len(n.Off)-1, 0) }
+
+// At returns name i. The bytes are the table's and must not be changed.
+func (n *Names) At(i uint32) []byte { return n.Tab[n.Off[i]:n.Off[i+1]] }
+
+// Add appends a name and returns its index.
+func (n *Names) Add(name string) uint32 {
+	n.Tab = append(n.Tab, name...)
+	return n.added()
 }
 
-// set makes p the packed form of a.
-func (p *PArg) set(a *Arg) {
-	p.Tag, p.Imm = uint32(a.Kind)|uint32(a.Reg)<<8|uint32(a.Cls)<<16, a.Imm
-	p.SymH, p.Sym = 0, a.Sym
-	if a.Sym != "" {
-		if p.SymH = fnvBytes(fnvOffset, a.Sym); p.SymH == 0 {
-			p.SymH = 1
-		}
+// Copy appends name i of from and returns its index.
+func (n *Names) Copy(from *Names, i uint32) uint32 {
+	n.Tab = append(n.Tab, from.At(i)...)
+	return n.added()
+}
+
+// added closes the name just appended to Tab.
+func (n *Names) added() uint32 {
+	if len(n.Off) == 0 {
+		n.Off = append(n.Off, 0)
+	}
+	n.Off = append(n.Off, uint32(len(n.Tab)))
+	return uint32(len(n.Off) - 2)
+}
+
+// Truncate drops every name from the k-th on and keeps the table's memory.
+func (n *Names) Truncate(k int) {
+	if k < n.Len() {
+		n.Tab, n.Off = n.Tab[:n.Off[k]], n.Off[:k+1]
 	}
 }
 
-// Arg unpacks the argument; PackArg(a).Arg() == a.
-func (a *PArg) Arg() Arg {
-	return Arg{Kind: a.Kind(), Reg: a.Reg(), Imm: a.Imm, Sym: a.Sym, Cls: a.Cls()}
+// PArg is the packed form of one Arg: 24 bytes and no pointer, so an
+// argument column is one flat array the collector never scans and a file
+// can hold as it is. Two PArgs are Equal exactly when the Args they were
+// packed from are ==: the kind, register and symbol class are kept by
+// value in Tag, the immediate by value in Imm, and the symbol name behind
+// its hash as an index into a name table.
+type PArg struct {
+	Tag  uint32 // Kind | Reg<<8 | Cls<<16
+	Sym  uint32 // index of the symbol's name in the table; zero without one
+	Imm  int64
+	SymH uint64 // hash of the symbol's name; zero exactly when it is empty
+}
+
+// PackArg packs one argument, adding its symbol name, if it has one, to
+// names.
+func PackArg(a Arg, names *Names) PArg {
+	var p PArg
+	p.set(&a, names)
+	return p
+}
+
+// SymHash returns the SymH of a symbol name.
+func SymHash(name string) uint64 {
+	if name == "" {
+		return 0
+	}
+	if h := fnvBytes(fnvOffset, name); h != 0 {
+		return h
+	}
+	return 1
+}
+
+// set makes p the packed form of a.
+func (p *PArg) set(a *Arg, names *Names) {
+	*p = PArg{Tag: uint32(a.Kind) | uint32(a.Reg)<<8 | uint32(a.Cls)<<16, Imm: a.Imm}
+	if a.Sym != "" {
+		p.Sym, p.SymH = names.Add(a.Sym), SymHash(a.Sym)
+	}
+}
+
+// Arg unpacks the argument, whose symbol name is in names;
+// PackArg(a, names).Arg(names) == a.
+func (a *PArg) Arg(names *Names) Arg {
+	out := Arg{Kind: a.Kind(), Reg: a.Reg(), Imm: a.Imm, Cls: a.Cls()}
+	if a.SymH != 0 {
+		out.Sym = string(names.At(a.Sym))
+	}
+	return out
 }
 
 // Kind returns the argument kind.
@@ -53,25 +116,30 @@ func (a *PArg) Reg() Reg { return Reg(a.Tag >> 8) }
 // Cls returns the symbol-class field.
 func (a *PArg) Cls() SymClass { return SymClass(a.Tag >> 16) }
 
-// Equal reports whether the two packed arguments are the same argument.
-// The symbol names are compared only after their hashes agree.
-func (a *PArg) Equal(b *PArg) bool {
+// Equal reports whether a, whose symbol name is in an, and b, whose is in
+// bn, are the same argument. The names are compared only after their
+// hashes agree.
+func (a *PArg) Equal(an *Names, b *PArg, bn *Names) bool {
 	// The parentheses matter: | and ^ have the same precedence.
 	diff := uint64(a.Tag^b.Tag) | uint64(a.Imm^b.Imm) | (a.SymH ^ b.SymH)
-	return diff == 0 && (a.SymH == 0 || a.Sym == b.Sym)
+	return diff == 0 && (a.SymH == 0 || string(an.At(a.Sym)) == string(bn.At(b.Sym)))
 }
 
 // Packed is an instruction sequence in packed form. Instruction i has the
 // SameKind class (KindH[i], Kind(i)), the arguments
-// Args[Off[i]:Off[i+1]] in Args() order, and reads and writes the
-// registers whose RegBit is set in Read[i] and Write[i] (Pack fills the
-// masks in, Repack does not).
+// Args[Off[i]:Off[i+1]] in Args() order, their symbols named in Names,
+// and reads and writes the registers whose RegBit is set in Read[i] and
+// Write[i] (Pack fills the masks in, Repack does not). Every column is a
+// flat array of fixed-width values: a heap-packed block owns its columns
+// and a small name table, a stored block's columns lie in the file and its
+// names are the file's string table.
 type Packed struct {
 	KindH []uint64 // hash of the SameKind class
 	Canon []byte   // the classes' canonical encodings, back to back
 	KOff  []int32  // class i is encoded in Canon[KOff[i]:KOff[i+1]]
 	Off   []int32
 	Args  []PArg
+	Names *Names
 	Read  []uint64
 	Write []uint64
 }
@@ -88,6 +156,107 @@ func (p *Packed) Kind(i int) []byte { return p.Canon[p.KOff[i]:p.KOff[i+1]] }
 // The canonical encodings are compared only after their hashes agree.
 func (p *Packed) SameKind(i int, q *Packed, j int) bool {
 	return p.KindH[i] == q.KindH[j] && string(p.Kind(i)) == string(q.Kind(j))
+}
+
+// Same reports whether p and q hold the same packed form: every column
+// equal, the arguments with their symbols compared by name — in which
+// table and where a name sits is the one thing two packings of the same
+// instructions may differ in.
+func (p *Packed) Same(q *Packed) bool {
+	if len(p.Args) != len(q.Args) {
+		return false
+	}
+	for k := range p.Args {
+		if !p.Args[k].Equal(p.Names, &q.Args[k], q.Names) {
+			return false
+		}
+	}
+	return slices.Equal(p.KindH, q.KindH) && string(p.Canon) == string(q.Canon) &&
+		slices.Equal(p.KOff, q.KOff) && slices.Equal(p.Off, q.Off) &&
+		slices.Equal(p.Read, q.Read) && slices.Equal(p.Write, q.Write)
+}
+
+// Mix folds one 64-bit word into a running content hash that starts at
+// HashSeed.
+func Mix(h, v uint64) uint64 {
+	h = (h ^ v) * fnvPrime
+	return h ^ h>>32
+}
+
+// HashSeed is the content hash of nothing.
+const HashSeed uint64 = fnvOffset
+
+// ContentHash content-hashes the sequence: every instruction's kind hash
+// and every argument by value (a symbol by the hash of its name), each
+// instruction closed by its argument count so that arguments cannot drift
+// between neighbours.
+func (p *Packed) ContentHash() uint64 {
+	h := HashSeed
+	for i, kh := range p.KindH {
+		h = Mix(h, kh)
+		args := p.Args[p.Off[i]:p.Off[i+1]]
+		for k := range args {
+			a := &args[k]
+			h = Mix(Mix(Mix(h, uint64(a.Tag)), uint64(a.Imm)), a.SymH)
+		}
+		h = Mix(h, uint64(len(args)))
+	}
+	return h
+}
+
+// KindCount is one entry of a sequence's instruction-kind profile: how
+// many instructions of one SameKind class it holds, and the identity
+// weight (2 + #args, the most a pair within the class can score) each
+// contributes. SameKind instructions have equal argument counts, so the
+// weight is a class property. Classes are told apart by their hash alone:
+// a collision can only merge two classes, which over-approximates — safe
+// for the upper bound the profile exists for.
+type KindCount struct {
+	Hash   uint64
+	Weight int32
+	Count  int32
+}
+
+// KindProfile computes the sequence's kind profile into the front of buf,
+// which must hold at least p.Len() entries, sorted by (Hash, Weight) so
+// two profiles intersect with a linear merge. The returned slice is capped
+// at its length: the rest of buf stays the caller's.
+func (p *Packed) KindProfile(buf []KindCount) []KindCount {
+	prof := buf[:p.Len()]
+	for i, kh := range p.KindH {
+		prof[i] = KindCount{Hash: kh, Weight: 2 + p.Off[i+1] - p.Off[i], Count: 1}
+	}
+	slices.SortFunc(prof, func(a, b KindCount) int {
+		if a.Hash != b.Hash {
+			if a.Hash < b.Hash {
+				return -1
+			}
+			return 1
+		}
+		return int(a.Weight - b.Weight)
+	})
+	n := 0
+	for _, kc := range prof {
+		if n > 0 && prof[n-1].Hash == kc.Hash && prof[n-1].Weight == kc.Weight {
+			prof[n-1].Count++
+			continue
+		}
+		prof[n] = kc
+		n++
+	}
+	return prof[:n:n]
+}
+
+// Block is one basic block of a stored function in the form the matcher
+// consumes: the packed body (jump stripped) with the content hash and kind
+// profile derived from it, and the block's successors in the function's
+// graph. An index file keeps its functions this way, and a Block read from
+// one aliases the file.
+type Block struct {
+	Packed
+	Hash  uint64      // ContentHash of the body
+	Prof  []KindCount // KindProfile of the body
+	Succs []uint32    // successor blocks, function-local
 }
 
 // RegBit returns the bit of register r in a Packed Read/Write mask. Every
@@ -110,26 +279,46 @@ func fnvBytes[T string | []byte](h uint64, s T) uint64 {
 }
 
 // packSize sizes the packed form of the given instruction sequences: the
-// instructions, the arguments exactly, and the encodings amply — an
-// encoding holds the mnemonic, the operand count, at most two bytes per
-// operand and at most three per argument.
-func packSize(blocks [][]Inst) (n, na, nc int) {
+// instructions, the arguments, the symbol names and their bytes exactly,
+// and the encodings amply — an encoding holds the mnemonic, the operand
+// count, at most two bytes per operand and at most three per argument.
+func packSize(blocks [][]Inst) (n, na, nc, ns, nb int) {
 	for _, b := range blocks {
 		n += len(b)
 		for i := range b {
-			args := b[i].NumArgs()
-			na += args
-			nc += len(b[i].Mnemonic) + 1 + 2*len(b[i].Ops) + 3*args
+			before := na
+			for oi := range b[i].Ops {
+				op := &b[i].Ops[oi]
+				if !op.IsMem() {
+					na++
+					if s := op.Arg.Sym; s != "" {
+						ns, nb = ns+1, nb+len(s)
+					}
+					continue
+				}
+				na += len(op.Mem)
+				for ti := range op.Mem {
+					if s := op.Mem[ti].Arg.Sym; s != "" {
+						ns, nb = ns+1, nb+len(s)
+					}
+				}
+			}
+			nc += len(b[i].Mnemonic) + 1 + 2*len(b[i].Ops) + 3*(na-before)
 		}
 	}
-	return n, na, nc
+	return n, na, nc, ns, nb
+}
+
+// newNames returns an empty table with room for ns names of nb bytes.
+func newNames(ns, nb int) *Names {
+	return &Names{Tab: make([]byte, 0, nb), Off: make([]uint32, 0, ns+1)}
 }
 
 // Pack packs the concatenation of the given instruction sequences.
 func Pack(blocks ...[]Inst) *Packed {
-	n, na, nc := packSize(blocks)
-	p := &Packed{Args: make([]PArg, 0, na), Canon: make([]byte, 0, nc)}
-	p.Repack(blocks...)
+	n, na, nc, ns, nb := packSize(blocks)
+	p := &Packed{Args: make([]PArg, 0, na), Canon: make([]byte, 0, nc), Names: newNames(ns, nb)}
+	p.repack(blocks...)
 	masks := make([]uint64, 2*n)
 	p.Read, p.Write = masks[:n:n], masks[n:]
 	i := 0
@@ -142,42 +331,93 @@ func Pack(blocks ...[]Inst) *Packed {
 	return p
 }
 
-// PackEach packs every sequence on its own — element i equals *Pack(seqs[i])
-// — with each column of all of them carved from one array, so packing the
-// blocks of a function costs the same few allocations however many blocks
-// it has. The packed forms share that memory and live and die together.
-func PackEach(seqs [][]Inst) []Packed {
-	n, na, nc := packSize(seqs)
-	out := make([]Packed, len(seqs))
-	kindH := make([]uint64, n)
-	offs := make([]int32, 2*(n+len(seqs)))
-	masks := make([]uint64, 2*n)
-	canon, args := make([]byte, 0, nc), make([]PArg, 0, na)
+// PackEach packs every sequence on its own, as a Block without successors
+// — element i holds what Pack(seqs[i]) holds, its content hash and its
+// kind profile — with each column of all of them carved from one array and
+// all their names in one table, so packing the blocks of a function costs
+// the same few allocations however many blocks it has. The blocks share
+// that memory and live and die together. It is the one place a function's
+// blocks are packed: what an index file stores per block is what it
+// returns.
+func PackEach(seqs [][]Inst) []Block {
+	var pk Packer
+	return pk.PackEach(seqs)
+}
+
+// Packer is PackEach for a caller that packs one function after another
+// and is done with each before the next, like an index writer: it packs
+// into the memory of the call before, grown where that is not enough. The
+// zero Packer is ready to use.
+type Packer struct {
+	out   []Block
+	kindH []uint64
+	offs  []int32
+	masks []uint64
+	profs []KindCount
+	canon []byte
+	args  []PArg
+	names *Names // on its own: the blocks point at it, and must not thereby hold the Packer
+}
+
+// sized returns s with length n, in its own memory when that suffices. The
+// contents are unspecified.
+func sized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// PackEach is the function PackEach; the blocks it returns are valid until
+// the next call.
+func (pk *Packer) PackEach(seqs [][]Inst) []Block {
+	n, na, nc, ns, nb := packSize(seqs)
+	pk.out, pk.kindH, pk.offs = sized(pk.out, len(seqs)), sized(pk.kindH, n), sized(pk.offs, 2*(n+len(seqs)))
+	pk.masks, pk.profs, pk.canon, pk.args = sized(pk.masks, 2*n), sized(pk.profs, n), sized(pk.canon, nc), sized(pk.args, na)
+	if pk.names == nil {
+		pk.names = new(Names)
+	}
+	pk.names.Tab, pk.names.Off = sized(pk.names.Tab, nb)[:0], sized(pk.names.Off, ns+1)[:0]
+	out, kindH, offs, masks, profs := pk.out, pk.kindH, pk.offs, pk.masks, pk.profs
+	canon, args := pk.canon[:0], pk.args[:0]
 	for i, seq := range seqs {
 		p, n := &out[i], len(seq)
-		// Repack fills the memory p holds; canon and args offer all that is
+		*p = Block{}
+		// repack fills the memory p holds; canon and args offer all that is
 		// left of theirs and are cut behind what it used.
 		p.KindH, kindH = kindH[:0:n], kindH[n:]
 		p.KOff, p.Off, offs = offs[:0:n+1], offs[n+1:n+1:2*(n+1)], offs[2*(n+1):]
-		p.Canon, p.Args = canon, args
-		p.Repack(seq)
+		p.Canon, p.Args, p.Names = canon, args, pk.names
+		p.repack(seq)
 		p.Canon, canon = p.Canon[:len(p.Canon):len(p.Canon)], p.Canon[len(p.Canon):]
 		p.Args, args = p.Args[:len(p.Args):len(p.Args)], p.Args[len(p.Args):]
 		p.Read, p.Write, masks = masks[:n:n], masks[n:2*n:2*n], masks[2*n:]
 		for j := range seq {
 			p.Read[j], p.Write[j] = seq[j].regMasks()
 		}
+		p.Hash = p.ContentHash()
+		p.Prof = p.KindProfile(profs)
+		profs = profs[len(p.Prof):]
 	}
 	return out
 }
 
 // Repack makes p the packed form of the concatenation of the given
 // instruction sequences without the register masks — Read and Write are
-// left nil — and in the memory p already holds, grown where it is not
-// enough. It is for callers that pack afresh on every call and only align:
-// the alignment kernel never looks at the masks, and they cost a table
-// lookup per instruction.
+// left nil — and in the memory p already holds, its name table included,
+// grown where it is not enough. It is for callers that pack afresh on
+// every call and only align: the alignment kernel never looks at the
+// masks, and they cost a table lookup per instruction.
 func (p *Packed) Repack(blocks ...[]Inst) {
+	if p.Names == nil {
+		p.Names = new(Names)
+	}
+	p.Names.Truncate(0)
+	p.repack(blocks...)
+}
+
+// repack is Repack with the symbol names added to the table p holds.
+func (p *Packed) repack(blocks ...[]Inst) {
 	n := 0
 	for _, b := range blocks {
 		n += len(b)
@@ -188,7 +428,7 @@ func (p *Packed) Repack(blocks ...[]Inst) {
 		p.KOff, p.Off = offs[:n+1:n+1], offs[n+1:]
 	}
 	kindH, kOff, off := p.KindH[:n], p.KOff[:n+1], p.Off[:n+1]
-	canon, args := p.Canon[:0], p.Args[:0]
+	canon, args, names := p.Canon[:0], p.Args[:0], p.Names
 	kOff[0], off[0] = 0, 0
 	i := 0
 	for _, b := range blocks {
@@ -200,19 +440,19 @@ func (p *Packed) Repack(blocks ...[]Inst) {
 				op := &in.Ops[oi]
 				if !op.IsMem() {
 					args = append(args, PArg{})
-					args[len(args)-1].set(&op.Arg)
+					args[len(args)-1].set(&op.Arg, names)
 					continue
 				}
 				for ti := range op.Mem {
 					args = append(args, PArg{})
-					args[len(args)-1].set(&op.Mem[ti].Arg)
+					args[len(args)-1].set(&op.Mem[ti].Arg, names)
 				}
 			}
 			i++
 			kOff[i], off[i] = int32(len(canon)), int32(len(args))
 		}
 	}
-	*p = Packed{KindH: kindH, Canon: canon, KOff: kOff, Off: off, Args: args}
+	*p = Packed{KindH: kindH, Canon: canon, KOff: kOff, Off: off, Args: args, Names: names}
 }
 
 // appendKind appends the canonical encoding of in's SameKind class: the
@@ -248,4 +488,88 @@ func appendType(b []byte, a Arg) []byte {
 		b = append(b, byte(a.Cls))
 	}
 	return b
+}
+
+// Check reports whether p's columns are consistent with one another, which
+// is what the compare core takes for granted: the columns cover the same
+// instructions, the offsets run in order from the start of their column to
+// its end, every instruction has the arguments its canonical encoding says
+// — as many, of those kinds and symbol classes — and every symbol's name is
+// in Names. What Pack builds passes; a Packed that arrives from outside the
+// process must pass before anything is aligned with it. The hashes are
+// taken on trust: a wrong one changes a score, never a memory access.
+func (p *Packed) Check() error {
+	n := len(p.KindH)
+	if len(p.KOff) != n+1 || len(p.Off) != n+1 || len(p.Read) != n || len(p.Write) != n {
+		return errors.New("columns of different lengths")
+	}
+	if p.KOff[0] != 0 || int(p.KOff[n]) != len(p.Canon) || p.Off[0] != 0 || int(p.Off[n]) != len(p.Args) {
+		return errors.New("offsets do not span their column")
+	}
+	names := uint32(0)
+	if p.Names != nil {
+		names = uint32(p.Names.Len())
+	}
+	for i := 0; i < n; i++ {
+		if p.KOff[i] > p.KOff[i+1] || int(p.KOff[i+1]) > len(p.Canon) || p.Off[i] > p.Off[i+1] || int(p.Off[i+1]) > len(p.Args) {
+			return errors.New("offsets out of order")
+		}
+		args := p.Args[p.Off[i]:p.Off[i+1]]
+		if !kindHasArgs(p.Canon[p.KOff[i]:p.KOff[i+1]], args) {
+			return errors.New("arguments disagree with the instruction's kind")
+		}
+		for k := range args {
+			if args[k].SymH != 0 && args[k].Sym >= names {
+				return errors.New("symbol name out of table")
+			}
+		}
+	}
+	return nil
+}
+
+// kindHasArgs reports whether args are what enc, an encoding appendKind
+// wrote, says its instruction has: one argument per direct operand and per
+// memory term, each of the encoded kind and, for a symbol, class.
+func kindHasArgs(enc []byte, args []PArg) bool {
+	nops, w := binary.Uvarint(enc)
+	if w <= 0 {
+		return false
+	}
+	enc = enc[w:]
+	k := 0
+	// Every round of either loop consumes a byte of enc, so a count that
+	// promises more than enc holds ends in a refusal, not a long walk.
+	for ; nops > 0; nops-- {
+		if len(enc) == 0 || enc[0] > 2 {
+			return false
+		}
+		mem, terms := enc[0] == 2, uint64(1)
+		enc = enc[1:]
+		if mem {
+			if terms, w = binary.Uvarint(enc); w <= 0 {
+				return false
+			}
+			enc = enc[w:]
+		}
+		for ; terms > 0; terms-- {
+			if mem {
+				if len(enc) == 0 {
+					return false
+				}
+				enc = enc[1:] // the term's operator
+			}
+			if len(enc) == 0 || k == len(args) || byte(args[k].Tag) != enc[0] {
+				return false
+			}
+			if ArgKind(enc[0]) == KindSym {
+				if len(enc) < 2 || byte(args[k].Tag>>16) != enc[1] {
+					return false
+				}
+				enc = enc[1:]
+			}
+			enc = enc[1:]
+			k++
+		}
+	}
+	return k == len(args)
 }

@@ -43,7 +43,7 @@ func TestPackMatchesInstructions(t *testing.T) {
 			t.Fatalf("%q: %d packed args, want %d", in, len(args), in.NumArgs())
 		}
 		for k, a := range in.Args() {
-			if got := args[k].Arg(); got != a {
+			if got := args[k].Arg(pk.Names); got != a {
 				t.Errorf("%q arg %d unpacks to %+v, want %+v", in, k, got, a)
 			}
 		}
@@ -64,7 +64,7 @@ func TestPackMatchesInstructions(t *testing.T) {
 			oargs := pk.Args[pk.Off[j]:pk.Off[j+1]]
 			for k, a := range in.Args() {
 				if k < len(oargs) {
-					if got, want := args[k].Equal(&oargs[k]), a == other.Args()[k]; got != want {
+					if got, want := args[k].Equal(pk.Names, &oargs[k], pk.Names), a == other.Args()[k]; got != want {
 						t.Errorf("%q arg %d vs %q: packed equality %v, want %v", in, k, other, got, want)
 					}
 				}
@@ -95,15 +95,22 @@ func TestRegBits(t *testing.T) {
 // of the name's hash, an immediate that spells a symbol's hash — and
 // requires inequality in both directions.
 func TestPArgEqualIsFieldwise(t *testing.T) {
+	var names Names
 	unequal := func(what string, a, b PArg) {
 		t.Helper()
-		if a.Equal(&b) || b.Equal(&a) {
+		if a.Equal(&names, &b, &names) || b.Equal(&names, &a, &names) {
 			t.Errorf("%s: %+v and %+v compare equal", what, a, b)
 		}
 	}
-	sym := PackArg(SymArg(SymFunc, "x"))
-	if self := sym; !sym.Equal(&self) {
+	sym := PackArg(SymArg(SymFunc, "x"), &names)
+	if self := sym; !sym.Equal(&names, &self, &names) {
 		t.Fatalf("%+v is not equal to itself", sym)
+	}
+	// The same name at another index of another table is the same argument.
+	var other Names
+	other.Add("pad")
+	if twin := PackArg(SymArg(SymFunc, "x"), &other); twin.Sym == sym.Sym || !sym.Equal(&names, &twin, &other) {
+		t.Fatalf("%+v and %+v, the same symbol in two tables, compare unequal", sym, twin)
 	}
 	for bit := uint32(1); bit != 0; bit <<= 1 {
 		if sym.SymH&uint64(bit) != 0 {
@@ -112,13 +119,14 @@ func TestPArgEqualIsFieldwise(t *testing.T) {
 			unequal("same name, tag differing in a bit of the name's hash", sym, other)
 		}
 	}
-	immTag, symTag := PackArg(ImmArg(0)).Tag, PackArg(SymArg(SymData, "q")).Tag
-	named := PArg{Tag: symTag, SymH: uint64(immTag^symTag) | 0xabc<<32, Sym: "q"}
+	immTag, symTag := PackArg(ImmArg(0), nil).Tag, PackArg(SymArg(SymData, "q"), &names).Tag
+	q, r := names.Add("q"), names.Add("r")
+	named := PArg{Tag: symTag, SymH: uint64(immTag^symTag) | 0xabc<<32, Sym: q}
 	unequal("immediate spelling a symbol's hash", PArg{Tag: immTag, Imm: int64(named.SymH)}, named)
 	unequal("immediate spelling the hash less the tag difference",
 		PArg{Tag: immTag, Imm: int64(named.SymH &^ uint64(immTag^symTag))}, named)
-	unequal("same tag and hash, immediates differing", PArg{Tag: symTag, Imm: 1, SymH: named.SymH, Sym: "q"}, named)
-	unequal("same hash, names differing", PArg{Tag: symTag, SymH: named.SymH, Sym: "r"}, named)
+	unequal("same tag and hash, immediates differing", PArg{Tag: symTag, Imm: 1, SymH: named.SymH, Sym: q}, named)
+	unequal("same hash, names differing", PArg{Tag: symTag, SymH: named.SymH, Sym: r}, named)
 }
 
 // TestRepackReuses: repacking into used memory — after a longer sequence
@@ -142,7 +150,7 @@ func TestRepackReuses(t *testing.T) {
 			}
 		}
 		for k := range p.Args {
-			if !p.Args[k].Equal(&want.Args[k]) {
+			if !p.Args[k].Equal(p.Names, &want.Args[k], want.Names) {
 				t.Errorf("argument %d: repacked %+v, want %+v", k, p.Args[k], want.Args[k])
 			}
 		}
@@ -160,17 +168,58 @@ func TestPackEachEqualsPack(t *testing.T) {
 		t.Fatalf("packed %d sequences, want %d", len(pks), len(seqs))
 	}
 	for i, seq := range seqs {
-		if want := Pack(seq); !reflect.DeepEqual(&pks[i], want) {
+		want := Pack(seq)
+		if !pks[i].Same(want) {
 			t.Errorf("sequence %d: PackEach gives %+v, Pack %+v", i, pks[i], *want)
+		}
+		prof := want.KindProfile(make([]KindCount, want.Len()))
+		if pks[i].Hash != want.ContentHash() || !reflect.DeepEqual(pks[i].Prof, prof) || pks[i].Succs != nil {
+			t.Errorf("sequence %d: PackEach gives hash %#x profile %v, Pack's are %#x %v", i, pks[i].Hash, pks[i].Prof, want.ContentHash(), prof)
 		}
 		p := &pks[i]
 		if cap(p.KindH) != len(p.KindH) || cap(p.KOff) != len(p.KOff) || cap(p.Off) != len(p.Off) ||
 			cap(p.Canon) != len(p.Canon) || cap(p.Args) != len(p.Args) ||
-			cap(p.Read) != len(p.Read) || cap(p.Write) != len(p.Write) {
+			cap(p.Read) != len(p.Read) || cap(p.Write) != len(p.Write) || cap(p.Prof) != len(p.Prof) {
 			t.Errorf("sequence %d: a column's capacity runs past its length", i)
 		}
 	}
 	if got := PackEach(nil); len(got) != 0 {
 		t.Errorf("PackEach(nil) packed %d sequences", len(got))
+	}
+}
+
+// TestPackedCheck: what Pack builds passes Check — the whole vocabulary,
+// malformed arguments included, since Check is about the columns agreeing
+// with one another — and a column that disagrees with another does not.
+func TestPackedCheck(t *testing.T) {
+	if err := Pack(packVocab()).Check(); err != nil {
+		t.Fatalf("the packed vocabulary fails its own check: %v", err)
+	}
+	for _, b := range PackEach([][]Inst{packVocab(), nil, packVocab()[:3]}) {
+		if err := b.Check(); err != nil {
+			t.Fatalf("a block of PackEach fails its own check: %v", err)
+		}
+	}
+	// mov eax, [ebp+var_4]: arguments eax, ebp, var_4; push offset aMsg: aMsg.
+	seq := []Inst{MustParse("mov eax, [ebp+var_4]"), MustParse("push offset aMsg")}
+	for name, mutate := range map[string]func(p *Packed){
+		"missing mask":         func(p *Packed) { p.Read = p.Read[1:] },
+		"offsets reordered":    func(p *Packed) { p.Off[1] = p.Off[2] + 1 },
+		"argument moved over":  func(p *Packed) { p.Off[1]-- },
+		"kind offsets short":   func(p *Packed) { p.KOff[2]-- },
+		"immediate for a base": func(p *Packed) { p.Args[1].Tag = uint32(KindImm) },
+		"class changed":        func(p *Packed) { p.Args[2].Tag ^= 1 << 16 },
+		"name out of table":    func(p *Packed) { p.Args[3].Sym = 99 },
+		"operand count gone":   func(p *Packed) { p.Canon[0] = 0x80 },
+		"operand shape gone":   func(p *Packed) { p.Canon[1] = 9 },
+	} {
+		p := Pack(seq)
+		if err := p.Check(); err != nil {
+			t.Fatal(err)
+		}
+		mutate(p)
+		if p.Check() == nil {
+			t.Errorf("%s: Check passed", name)
+		}
 	}
 }

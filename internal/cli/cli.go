@@ -502,14 +502,22 @@ func (c *env) stats(args []string) error {
 	db.Tel = tf.tel
 	blocks, insts := 0, 0
 	for _, e := range db.Entries {
-		blocks += e.Function().NumBlocks()
-		insts += e.Function().NumInsts()
+		fn, err := e.LoadFunction()
+		if err != nil {
+			return err
+		}
+		blocks += fn.NumBlocks()
+		insts += fn.NumInsts()
 	}
 	fmt.Fprintf(c.w, "functions: %d\nbasic blocks: %d\ninstructions: %d\n",
 		db.Len(), blocks, insts)
 	for k := 1; k <= 4; k++ {
 		total := 0
-		for _, d := range db.Decomposed(k) {
+		ds, err := db.Decomposed(k)
+		if err != nil {
+			return err
+		}
+		for _, d := range ds {
 			total += len(d.Tracelets)
 		}
 		fmt.Fprintf(c.w, "%d-tracelets: %d\n", k, total)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 
+	"repro/internal/idxfile"
 	"repro/internal/index"
 	"repro/internal/minhash"
 )
@@ -76,7 +77,8 @@ func (c *env) convert(args []string) error {
 }
 
 // verifyIndexFile re-opens a freshly written index and checks it loads;
-// v3 files additionally get a full section-checksum pass.
+// v3 files additionally get the full integrity pass: section checksums,
+// every function read both ways, PACK against the records.
 func verifyIndexFile(path string) error {
 	db, err := index.OpenFile(path)
 	if err != nil {
@@ -95,7 +97,7 @@ func verifyIndexFile(path string) error {
 // inspection path).
 func (c *env) idxinfo(args []string) error {
 	fs := flag.NewFlagSet("idxinfo", flag.ExitOnError)
-	verify := fs.Bool("verify", false, "recompute per-section checksums and check the lsh band table's order (v3; touches every page)")
+	verify := fs.Bool("verify", false, "recompute per-section checksums, decode every function, re-derive PACK from the records and check the lsh band table's order (v3; touches every page)")
 	tf := telFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -140,6 +142,17 @@ func (c *env) idxinfo(args []string) error {
 			fmt.Fprintf(c.w, "  lsh table: none, sorted from LSHB by the first lsh query (tracy convert -to v3 -lsh adds it)\n")
 		}
 	}
+	if st.HasPack() {
+		var packBytes uint64
+		for _, s := range st.Sections() {
+			if s.Name == idxfile.SecPACK {
+				packBytes = s.Len
+			}
+		}
+		fmt.Fprintf(c.w, "  pack:      persisted (PACK), %d B/function, compared in place\n", packBytes/uint64(max(info.Funcs, 1)))
+	} else {
+		fmt.Fprintf(c.w, "  pack:      none, decoded and packed at first touch (tracy convert -to v3 adds it)\n")
+	}
 	fmt.Fprintf(c.w, "  sections:\n")
 	fmt.Fprintf(c.w, "    %-6s %10s %12s %8s  %s\n", "name", "offset", "bytes", "crc32c", "records")
 	for _, s := range st.Sections() {
@@ -154,6 +167,10 @@ func (c *env) idxinfo(args []string) error {
 			return fmt.Errorf("idxinfo: %w", err)
 		}
 		fmt.Fprintf(c.w, "  checksums: all sections OK\n")
+		fmt.Fprintf(c.w, "  records:   every function decodes\n")
+		if st.HasPack() {
+			fmt.Fprintf(c.w, "  pack:      every function packs to what PACK holds\n")
+		}
 		if st.LSHTable() != nil {
 			fmt.Fprintf(c.w, "  lsh table: every band in (band hash, id) order\n")
 		}

@@ -22,6 +22,8 @@ import (
 //     contains counter and histogram series (_bucket/_sum/_count), and
 //     the lsh bucket-occupancy histogram holds at least one observation
 //     per lsh query answered (a query observes every bucket it probes);
+//   - a process serving an index of its own publishes tracy_index_info
+//     with the format and pack labels;
 //   - /debug/requests has recorded requests, each carrying a trace ID
 //     and a span tree, among them an answered search, and every answered
 //     search names its response encoding as an "encode" stage (the stage
@@ -67,6 +69,23 @@ func (c *env) obscheck(args []string) error {
 		return fmt.Errorf("obscheck: /metrics counts %v lsh queries but only %v probed buckets in lsh_bucket_occupancy", lshQueries, probes)
 	}
 	fmt.Fprintf(c.w, "obscheck: lsh bucket occupancy ok (%v probed buckets over %v lsh queries)\n", probes, lshQueries)
+	// A process that serves an index says which: its format, and whether
+	// candidates are compared where they lie in the file (pack) or decoded
+	// first. A coordinator serves none of its own.
+	info := ""
+	for _, line := range strings.Split(string(metrics), "\n") {
+		if strings.HasPrefix(line, "tracy_index_info{") {
+			info = line
+		}
+	}
+	switch {
+	case info == "" && *fleetN == 0:
+		return fmt.Errorf("obscheck: /metrics has no tracy_index_info")
+	case info != "" && (!strings.Contains(info, `format="`) || !strings.Contains(info, `pack="`)):
+		return fmt.Errorf("obscheck: tracy_index_info lacks the format or pack label: %s", info)
+	case info != "":
+		fmt.Fprintf(c.w, "obscheck: index info ok (%s)\n", info)
+	}
 
 	// 2. Flight recorder. The span wire shape is decoded structurally
 	// (telemetry.Span only marshals), so mirror the JSON here.

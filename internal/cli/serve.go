@@ -328,7 +328,7 @@ func (c *env) mkcorpus(args []string) error {
 	}
 	m := cp.Manifest()
 	if *indexOut != "" {
-		em := newV3Emitter(*lsh)
+		em := newV3Emitter(*lsh, funcsTotal)
 		for _, e := range cp.Exes {
 			if err := em.add(*e); err != nil {
 				return fmt.Errorf("mkcorpus: %w", err)
@@ -361,7 +361,7 @@ func (c *env) mkcorpusCampaign(dir string, ccfg corpus.CampaignConfig, indexOut 
 	}
 	var em *v3Emitter
 	if indexOut != "" {
-		em = newV3Emitter(lsh)
+		em = newV3Emitter(lsh, ccfg.Funcs)
 	}
 	m := &corpus.Manifest{Campaign: &ccfg}
 	nExes := ccfg.NumExes()
@@ -437,10 +437,12 @@ type v3Emitter struct {
 	b *idxfile.Builder
 }
 
-// newV3Emitter returns an emitter; with lsh set the builder also signs
-// every function so the index carries an LSHB section.
-func newV3Emitter(lsh bool) *v3Emitter {
+// newV3Emitter returns an emitter for about funcs functions; with lsh set
+// the builder also signs every function so the index carries an LSHB
+// section.
+func newV3Emitter(lsh bool, funcs int) *v3Emitter {
 	b := idxfile.NewBuilder()
+	b.Expect(funcs)
 	if lsh {
 		b.SetLSH(minhash.Default)
 	}
@@ -452,9 +454,11 @@ func (w *v3Emitter) add(e corpus.Executable) error {
 	if err != nil {
 		return fmt.Errorf("%s: %w", e.Name, err)
 	}
-	for _, fn := range fns {
-		w.b.Add(e.Name, fn, e.Truth[fn.Addr], index.FuncFeatures(fn))
+	items := make([]idxfile.Item, len(fns))
+	for i, fn := range fns {
+		items[i] = idxfile.Item{Exe: e.Name, Fn: fn, Truth: e.Truth[fn.Addr], Feats: index.FuncFeatures(fn)}
 	}
+	w.b.AddAll(items)
 	return nil
 }
 

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/align"
 	"repro/internal/asm"
+	"repro/internal/prep"
 )
 
 // rewriteCandidate returns a tracelet pair of (ref, tgt) the matcher would
@@ -91,26 +92,36 @@ func TestCompareAllocationsBounded(t *testing.T) {
 // buffers and nothing of the functions it compared. The packed blocks of
 // a target that went through scoring, rewriting and an explanation must be
 // collectable at the first collection after the target is dropped — while
-// the pool still holds the worker. They are carved from one array, headed
-// by the first, so a pointer kept to any of them keeps that one alive.
+// the pool still holds the worker. They are one array (their columns a few
+// more, or the file's), so a pointer kept to any block keeps the array
+// alive, and for a view of a file that array is also what keeps the file
+// mapped.
 func TestParkedWorkerHoldsNoDecomposition(t *testing.T) {
-	ref := Decompose(liftListing(t, "a", srcA), 3)
-	var freed atomic.Bool
-	func() {
-		tgt := Decompose(liftListing(t, "a2", srcARenamed), 3)
-		runtime.SetFinalizer(tgt.distinct[0].pk, func(*asm.Packed) { freed.Store(true) })
-		m := NewMatcher(DefaultOptions())
-		if res := m.Compare(ref, tgt); res.MatchedRewrite == 0 {
-			t.Fatalf("the pair exercised no rewrite: %+v", res)
+	a, a2 := liftListing(t, "a", srcA), liftListing(t, "a2", srcARenamed)
+	f := storedFile(t, a, a2)
+	for name, decompose := range map[string]func(i int) *Decomposed{
+		"heap": func(i int) *Decomposed { return Decompose([]*prep.Function{a, a2}[i], 3) },
+		"view": func(i int) *Decomposed { return viewOf(t, f, i, 3, nil) },
+	} {
+		ref := decompose(0)
+		var freed atomic.Bool
+		func() {
+			tgt := decompose(1)
+			runtime.SetFinalizer(&tgt.blocks[0], func(*asm.Block) { freed.Store(true) })
+			m := NewMatcher(DefaultOptions())
+			if res := m.Compare(ref, tgt); res.MatchedRewrite == 0 {
+				t.Fatalf("%s: the pair exercised no rewrite: %+v", name, res)
+			}
+			m.Explain(ref, tgt)
+		}()
+		runtime.GC()
+		for wait := 0; !freed.Load() && wait < 200; wait++ {
+			time.Sleep(5 * time.Millisecond) // finalizers run on their own goroutine
 		}
-		m.Explain(ref, tgt)
-	}()
-	runtime.GC()
-	for wait := 0; !freed.Load() && wait < 200; wait++ {
-		time.Sleep(5 * time.Millisecond) // finalizers run on their own goroutine
+		if !freed.Load() {
+			t.Errorf("%s: the target's packed blocks are still reachable after it was dropped", name)
+		}
+		runtime.KeepAlive(ref)
 	}
-	if !freed.Load() {
-		t.Error("the target's packed blocks are still reachable after it was dropped")
-	}
-	runtime.KeepAlive(ref)
+	runtime.KeepAlive(f)
 }

@@ -22,6 +22,7 @@ package core
 
 import (
 	"context"
+	"encoding/binary"
 	"runtime"
 	"slices"
 	"strconv"
@@ -107,21 +108,33 @@ func DefaultOptions() Options {
 }
 
 // blockInfo is one distinct basic-block body of a decomposition, with
-// everything the matcher precomputes per block: the packed form every
-// compare works on, a content hash, the identity (self-alignment) score,
+// everything the matcher wants per block at hand: the packed form every
+// compare works on, its content hash, the identity (self-alignment) score,
 // and the instruction-kind profile the score-bound pruner intersects.
 type blockInfo struct {
-	insts []asm.Inst
 	pk    *asm.Packed
 	hash  uint64
 	ident int32
-	prof  []kindCount
+	prof  []asm.KindCount
+	at    int32 // the graph block whose body this is: the first one visited
+}
+
+// Source yields the lifted function of a decomposition that was built
+// from stored blocks and holds no instructions of its own.
+type Source interface {
+	Function() *prep.Function
 }
 
 // Decomposed is a function decomposed into k-tracelets with the distinct
 // basic-block bodies deduplicated and preprocessed (packed form, hash,
 // identity score, kind profile) so that per-Compare state is a few flat
 // matrices instead of a hash map.
+//
+// It comes from one of two places. Decompose packs a lifted function on the
+// heap. DecomposeBlocks takes the packed blocks an index file stores and is
+// then a view: its columns lie in the file, its tracelets name their blocks
+// and carry no instructions, and it keeps the file reachable through its
+// Source for as long as it lives.
 type Decomposed struct {
 	Name      string
 	K         int
@@ -129,109 +142,147 @@ type Decomposed struct {
 	NumBlocks int
 	NumInsts  int
 
-	distinct    []blockInfo // deduplicated block bodies
-	blockID     [][]int32   // per tracelet, per block: index into distinct
+	blocks      []asm.Block // the graph blocks, packed; nil without tracelets
+	distinct    []blockInfo // deduplicated block bodies, in order of first visit
+	blockID     []int32     // per tracelet its K blocks' indices into distinct, back to back
 	ident       []int       // identity score per tracelet
 	fingerprint uint64
+
+	fn  *prep.Function // what Decompose decomposed
+	src Source         // where a view's instructions can be had
 }
 
 // Decompose extracts and preprocesses the k-tracelets of a lifted function.
 // Tracelets share block bodies heavily, and every body is a graph block's,
-// named by the tracelet's BlockIdx: each graph block the tracelets visit is
-// packed once, all of them out of the same few arrays (asm.PackEach), and
-// each distinct content is kept once, told apart by its hash. The number
-// of allocations does not grow with the function.
+// named by the tracelet's BlockIdx: the graph blocks are packed once, all of
+// them out of the same few arrays (asm.PackEach), and each distinct content
+// is kept once, told apart by its hash. The number of allocations does not
+// grow with the function.
 func Decompose(fn *prep.Function, k int) *Decomposed {
-	ts := tracelet.Extract(fn.Graph, k)
+	g := fn.Graph
 	d := &Decomposed{
 		Name:      fn.Name,
 		K:         k,
-		Tracelets: ts,
-		NumBlocks: len(fn.Graph.Blocks),
-		NumInsts:  fn.Graph.NumInsts(),
-		blockID:   make([][]int32, len(ts)),
-		ident:     make([]int, len(ts)),
+		Tracelets: tracelet.Extract(g, k),
+		NumBlocks: len(g.Blocks),
+		NumInsts:  g.NumInsts(),
+		fn:        fn,
 	}
-	fp := mix(mix(mix(offset64, uint64(d.K)), uint64(d.NumBlocks)), uint64(d.NumInsts))
+	if len(d.Tracelets) > 0 {
+		bodies := make([][]asm.Inst, len(g.Blocks))
+		for b, blk := range g.Blocks {
+			bodies[b] = blk.Body()
+		}
+		d.blocks = asm.PackEach(bodies)
+	}
+	d.number()
+	return d
+}
+
+// DecomposeBlocks is Decompose for a function that is stored packed:
+// blocks are its graph blocks as the index file holds them (see asm.Block),
+// numInsts its instruction count, jumps included. Nothing is decoded, packed
+// or hashed: the k-tracelet paths are walked over the blocks' successors
+// and the result compares exactly as Decompose of the lifted function does,
+// Fingerprint included. It aliases blocks and whatever they alias, and
+// keeps src — which must keep that memory valid — for the callers that ask
+// for instructions (DistinctBlocks); src may be nil if none will.
+func DecomposeBlocks(name string, blocks []asm.Block, numInsts, k int, src Source) *Decomposed {
+	paths := tracelet.Paths(len(blocks), k, func(b int) []uint32 { return blocks[b].Succs })
+	d := &Decomposed{
+		Name:      name,
+		K:         k,
+		Tracelets: tracelet.Index(paths, k),
+		NumBlocks: len(blocks),
+		NumInsts:  numInsts,
+		blocks:    blocks,
+		src:       src,
+	}
+	d.number()
+	return d
+}
+
+// number hands out the distinct-block ids: it visits the tracelets' blocks
+// in order, keeps each content it has not met before (told apart by hash)
+// as the next distinct block, and derives the tracelets' block ids and
+// identity scores and the fingerprint from them.
+func (d *Decomposed) number() {
+	k, ts := d.K, d.Tracelets
+	fp := asm.Mix(asm.Mix(asm.Mix(asm.HashSeed, uint64(k)), uint64(d.NumBlocks)), uint64(d.NumInsts))
 	if len(ts) == 0 {
 		d.fingerprint = fp
-		return d
+		return
 	}
-
-	// The bodies in order of first visit, which is the order distinct ids
-	// are handed out in. One scratch array holds, per graph block, 1 + the
-	// position of its body (0: not visited), per body its distinct id, and
-	// an open-addressing table from content hash to 1 + distinct id.
-	nb := d.NumBlocks
+	// One scratch array holds, per graph block, 1 + its distinct id (0: not
+	// visited), and an open-addressing table from content hash to the same.
+	// All but the largest functions fit the one on the stack.
+	nb := len(d.blocks)
 	slots := 1
 	for slots < 2*nb {
 		slots *= 2
 	}
-	scratch := make([]int32, 2*nb+slots)
-	bodyOf, idOf, table := scratch[:nb], scratch[nb:2*nb], scratch[2*nb:]
-	bodies := make([][]asm.Inst, 0, nb)
-	for _, t := range ts {
-		for j, bi := range t.BlockIdx {
-			if bodyOf[bi] == 0 {
-				bodies = append(bodies, t.Blocks[j])
-				bodyOf[bi] = int32(len(bodies))
-			}
-		}
+	var small [3 * 64]int32
+	scratch := small[:]
+	if nb+slots > len(small) {
+		scratch = make([]int32, nb+slots)
 	}
-	pks := asm.PackEach(bodies)
-	ninsts := 0
-	for i := range pks {
-		ninsts += pks[i].Len()
-	}
-	profs := make([]kindCount, ninsts)
-	d.distinct = make([]blockInfo, 0, len(bodies))
-	for i := range pks {
-		pk := &pks[i]
-		h := hashPacked(pk)
-		slot := int(h) & (slots - 1)
-		for table[slot] != 0 && d.distinct[table[slot]-1].hash != h {
-			slot = (slot + 1) & (slots - 1)
-		}
-		if table[slot] == 0 {
-			prof := kindProfileOf(pk, profs)
-			profs = profs[len(prof):]
-			d.distinct = append(d.distinct, blockInfo{
-				insts: bodies[i],
-				pk:    pk,
-				hash:  h,
-				ident: int32(2*pk.Len() + len(pk.Args)),
-				prof:  prof,
-			})
-			table[slot] = int32(len(d.distinct))
-		}
-		idOf[i] = table[slot] - 1
-	}
-
-	ids := make([]int32, len(ts)*k) // every tracelet has k blocks
+	idOf, table := scratch[:nb], scratch[nb:nb+slots]
+	d.distinct = make([]blockInfo, 0, nb)
+	d.blockID = make([]int32, len(ts)*k) // every tracelet has k blocks
+	d.ident = make([]int, len(ts))
 	for i, t := range ts {
-		d.blockID[i], ids = ids[:k:k], ids[k:]
+		ids := d.blockIDs(i)
 		total := 0
 		for j, bi := range t.BlockIdx {
-			id := idOf[bodyOf[bi]-1]
-			d.blockID[i][j] = id
+			if idOf[bi] == 0 {
+				blk := &d.blocks[bi]
+				slot := int(blk.Hash) & (slots - 1)
+				for table[slot] != 0 && d.distinct[table[slot]-1].hash != blk.Hash {
+					slot = (slot + 1) & (slots - 1)
+				}
+				if table[slot] == 0 {
+					d.distinct = append(d.distinct, blockInfo{
+						pk:    &blk.Packed,
+						hash:  blk.Hash,
+						ident: int32(2*blk.Len() + len(blk.Args)),
+						prof:  blk.Prof,
+						at:    int32(bi),
+					})
+					table[slot] = int32(len(d.distinct))
+				}
+				idOf[bi] = table[slot]
+			}
+			id := idOf[bi] - 1
+			ids[j] = id
 			total += int(d.distinct[id].ident)
-			fp = mix(fp, d.distinct[id].hash)
+			fp = asm.Mix(fp, d.distinct[id].hash)
 		}
 		d.ident[i] = total
 	}
 	d.fingerprint = fp
-	return d
 }
+
+// blockIDs returns, for the blocks of tracelet i in order, their indices
+// into distinct.
+func (d *Decomposed) blockIDs(i int) []int32 { return d.blockID[i*d.K : (i+1)*d.K : (i+1)*d.K] }
 
 // DistinctBlocks returns the deduplicated basic-block bodies of the
 // decomposition (jump instructions already stripped). The slices are
 // shared and must be treated as read-only; callers like the index feature
 // prefilter use them to derive per-block features without re-walking the
-// tracelets.
+// tracelets. A view has no instructions and asks its Source for the lifted
+// function; nil comes back when there is none to be had.
 func (d *Decomposed) DistinctBlocks() [][]asm.Inst {
+	fn := d.fn
+	if fn == nil && d.src != nil {
+		fn = d.src.Function()
+	}
+	if fn == nil {
+		return nil
+	}
 	out := make([][]asm.Inst, len(d.distinct))
 	for i := range d.distinct {
-		out[i] = d.distinct[i].insts
+		out[i] = fn.Graph.Blocks[d.distinct[i].at].Body()
 	}
 	return out
 }
@@ -255,96 +306,23 @@ func DecomposeT(fn *prep.Function, k int, tel *telemetry.Collector) *Decomposed 
 	return d
 }
 
-const offset64, prime64 = 14695981039346656037, 1099511628211
-
-// mix folds one 64-bit word into a running hash.
-func mix(h, v uint64) uint64 {
-	h = (h ^ v) * prime64
-	return h ^ h>>32
-}
-
-// hashPacked content-hashes a block body from its packed form: every
-// instruction's kind hash and every argument by value (a symbol by the
-// hash of its name), each instruction closed by its argument count so that
-// arguments cannot drift between neighbours.
-func hashPacked(pk *asm.Packed) uint64 {
-	h := uint64(offset64)
-	for i, kh := range pk.KindH {
-		h = mix(h, kh)
-		args := pk.Args[pk.Off[i]:pk.Off[i+1]]
-		for k := range args {
-			a := &args[k]
-			h = mix(mix(mix(h, uint64(a.Tag)), uint64(a.Imm)), a.SymH)
-		}
-		h = mix(h, uint64(len(args)))
-	}
-	return h
-}
-
-// kindCount is one entry of a block's instruction-kind profile: how many
-// instructions of one SameKind class the block holds, and the identity
-// weight (2 + #args, the maximum Sim of a pair within the class) each
-// contributes. SameKind instructions have equal argument counts, so the
-// weight is a class property. Classes are told apart by their hash alone:
-// a collision can only merge two classes, which over-approximates — safe
-// for an upper bound.
-type kindCount struct {
-	hash   uint64
-	weight int32
-	count  int32
-}
-
-// kindProfileOf computes a block's kind profile into the front of buf,
-// which must hold at least pk.Len() entries, sorted by (hash, weight) so
-// two profiles intersect with a linear merge. The returned slice is capped
-// at its length: the rest of buf stays the caller's.
-func kindProfileOf(pk *asm.Packed, buf []kindCount) []kindCount {
-	prof := buf[:pk.Len()]
-	for i, kh := range pk.KindH {
-		prof[i] = kindCount{hash: kh, weight: 2 + pk.Off[i+1] - pk.Off[i], count: 1}
-	}
-	slices.SortFunc(prof, func(a, b kindCount) int {
-		if a.hash != b.hash {
-			if a.hash < b.hash {
-				return -1
-			}
-			return 1
-		}
-		return int(a.weight - b.weight)
-	})
-	n := 0
-	for _, kc := range prof {
-		if n > 0 && prof[n-1].hash == kc.hash && prof[n-1].weight == kc.weight {
-			prof[n-1].count++
-			continue
-		}
-		prof[n] = kc
-		n++
-	}
-	return prof[:n:n]
-}
-
 // profileBound returns an upper bound on the alignment score of two
 // blocks: an optimal alignment never takes a negative-Sim pair (skipping
 // is free), a positive-Sim pair exists only between SameKind instructions,
 // and such a pair scores at most the class weight. Each class therefore
 // contributes at most min(count_r, count_t)·weight.
-func profileBound(p, q []kindCount) int32 {
+func profileBound(p, q []asm.KindCount) int32 {
 	var b int32
 	i, j := 0, 0
 	for i < len(p) && j < len(q) {
 		pi, qj := &p[i], &q[j]
 		switch {
-		case pi.hash < qj.hash || (pi.hash == qj.hash && pi.weight < qj.weight):
+		case pi.Hash < qj.Hash || (pi.Hash == qj.Hash && pi.Weight < qj.Weight):
 			i++
-		case qj.hash < pi.hash || (pi.hash == qj.hash && qj.weight < pi.weight):
+		case qj.Hash < pi.Hash || (pi.Hash == qj.Hash && qj.Weight < pi.Weight):
 			j++
 		default:
-			c := pi.count
-			if qj.count < c {
-				c = qj.count
-			}
-			b += c * pi.weight
+			b += min(pi.Count, qj.Count) * pi.Weight
 			i++
 			j++
 		}
@@ -628,7 +606,7 @@ func (ctx *cmpCtx) blockRewriteBound(ri, ti int32) int32 {
 // pairScore is the blockwise alignment score of tracelet pair (ri, ti) —
 // the Score of the full alignment, without any traceback.
 func (ctx *cmpCtx) pairScore(ri, ti int) int {
-	rids, tids := ctx.ref.blockID[ri], ctx.tgt.blockID[ti]
+	rids, tids := ctx.ref.blockIDs(ri), ctx.tgt.blockIDs(ti)
 	s := 0
 	for b := range rids {
 		s += int(ctx.blockScore(rids[b], tids[b]))
@@ -638,7 +616,7 @@ func (ctx *cmpCtx) pairScore(ri, ti int) int {
 
 // pairBound is a cheap upper bound on pairScore(ri, ti): no DP runs.
 func (ctx *cmpCtx) pairBound(ri, ti int) int {
-	rids, tids := ctx.ref.blockID[ri], ctx.tgt.blockID[ti]
+	rids, tids := ctx.ref.blockIDs(ri), ctx.tgt.blockIDs(ti)
 	s := 0
 	for b := range rids {
 		s += int(ctx.blockBound(rids[b], tids[b]))
@@ -649,7 +627,7 @@ func (ctx *cmpCtx) pairBound(ri, ti int) int {
 // rewriteBound is an upper bound on the score rewritePair(ri, ti) can
 // reach, tighter than pairBound.
 func (ctx *cmpCtx) rewriteBound(ri, ti int) int {
-	rids, tids := ctx.ref.blockID[ri], ctx.tgt.blockID[ti]
+	rids, tids := ctx.ref.blockIDs(ri), ctx.tgt.blockIDs(ti)
 	s := 0
 	for b := range rids {
 		s += int(ctx.blockRewriteBound(rids[b], tids[b]))
@@ -659,7 +637,7 @@ func (ctx *cmpCtx) rewriteBound(ri, ti int) int {
 
 // packedBlocks appends the packed blocks of tracelet i of d to dst.
 func packedBlocks(dst []*asm.Packed, d *Decomposed, i int) []*asm.Packed {
-	for _, id := range d.blockID[i] {
+	for _, id := range d.blockIDs(i) {
 		dst = append(dst, d.distinct[id].pk)
 	}
 	return dst
@@ -742,15 +720,22 @@ func (m *Matcher) compare(cc context.Context, ctx *cmpCtx, ref, tgt *Decomposed)
 		}
 		if m.Opts.DedupeQuery {
 			// Identical reference tracelets match identically: evaluate one
-			// representative per content group and multiply.
-			groups := make(map[uint64][]int, total)
-			order := make([]uint64, 0, total)
-			for ri, r := range ref.Tracelets {
-				h := r.Hash()
-				if _, seen := groups[h]; !seen {
-					order = append(order, h)
+			// representative per group and multiply. Tracelets are identical
+			// when their blocks are the same distinct blocks in the same
+			// order, so the tuple of distinct-block ids is the group's key —
+			// no instruction is rendered or even needed.
+			groups := make(map[string][]int, total)
+			order := make([]string, 0, total)
+			var key []byte
+			for ri := range ref.Tracelets {
+				key = key[:0]
+				for _, id := range ref.blockIDs(ri) {
+					key = binary.LittleEndian.AppendUint32(key, uint32(id))
 				}
-				groups[h] = append(groups[h], ri)
+				if _, seen := groups[string(key)]; !seen {
+					order = append(order, string(key))
+				}
+				groups[string(key)] = append(groups[string(key)], ri)
 			}
 			left := total
 			for _, h := range order {
@@ -1005,18 +990,21 @@ func (m *Matcher) CompareMany(ref *Decomposed, targets []*Decomposed) []Result {
 
 // CompareManyCtx is CompareEachCtx over a slice of targets.
 func (m *Matcher) CompareManyCtx(cc context.Context, ref *Decomposed, targets []*Decomposed) ([]Result, error) {
-	return m.CompareEachCtx(cc, ref, len(targets), func(i int) *Decomposed { return targets[i] })
+	return m.CompareEachCtx(cc, ref, len(targets), func(i int) (*Decomposed, error) { return targets[i], nil })
 }
 
 // CompareEachCtx is the one compare pool: it compares the reference
 // against target(0..n-1) on Opts.Workers goroutines and returns results
 // in target order. target runs inside the workers, so a getter that
 // decodes or decomposes lazily does that work in parallel too; it must be
-// safe for concurrent calls. Workers claim indices from a shared counter
-// and stop at the first context error, which is returned; the result
-// slice is then partial (untouched slots are zero Results) and must be
-// discarded by ranking callers.
-func (m *Matcher) CompareEachCtx(cc context.Context, ref *Decomposed, n int, target func(i int) *Decomposed) ([]Result, error) {
+// safe for concurrent calls, and a target it cannot produce (a stored
+// function that turns out corrupt) fails the whole call with its error —
+// a candidate is never dropped silently. Workers claim indices from a
+// shared counter and stop at the first error, the getter's or the
+// context's, which is returned; the result slice is then partial
+// (untouched slots are zero Results) and must be discarded by ranking
+// callers.
+func (m *Matcher) CompareEachCtx(cc context.Context, ref *Decomposed, n int, target func(i int) (*Decomposed, error)) ([]Result, error) {
 	if cc == nil {
 		cc = context.Background()
 	}
@@ -1035,9 +1023,13 @@ func (m *Matcher) CompareEachCtx(cc context.Context, ref *Decomposed, n int, tar
 			defer ctx.release()
 			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
 				err := cc.Err()
+				var tgt *Decomposed
+				if err == nil {
+					tgt, err = target(i)
+				}
 				if err == nil {
 					var res Result
-					if res, err = m.compare(cc, ctx, ref, target(i)); err == nil {
+					if res, err = m.compare(cc, ctx, ref, tgt); err == nil {
 						out[i] = res
 						continue
 					}

@@ -258,15 +258,15 @@ func TestDecomposeStats(t *testing.T) {
 		if d.ident[i] != align.IdentityScore(d.Tracelets[i].Insts()) {
 			t.Errorf("identity score mismatch at %d", i)
 		}
-		if len(d.blockID[i]) != d.Tracelets[i].K() {
+		if len(d.blockIDs(i)) != d.Tracelets[i].K() {
 			t.Errorf("block id count mismatch at %d", i)
 		}
-		for j, id := range d.blockID[i] {
+		for j, id := range d.blockIDs(i) {
 			b := d.distinct[id]
 			if b.hash != hashInsts(d.Tracelets[i].Blocks[j]) {
 				t.Errorf("tracelet %d block %d mapped to wrong distinct block", i, j)
 			}
-			if int(b.ident) != align.IdentityScore(b.insts) {
+			if int(b.ident) != align.IdentityScore(d.DistinctBlocks()[id]) {
 				t.Errorf("distinct block %d identity score wrong", id)
 			}
 		}

@@ -181,7 +181,8 @@ func TestBlockBoundTightOnSelf(t *testing.T) {
 				break
 			}
 		}
-		ref := align.Align(d.distinct[i].insts, d.distinct[i].insts)
+		body := d.DistinctBlocks()[i]
+		ref := align.Align(body, body)
 		if score != ref.Score || len(pairs) != len(ref.Pairs) {
 			t.Errorf("block %d: kernel on the packed block disagrees with Align", i)
 		}
@@ -258,7 +259,7 @@ func TestPruneAlphaPreservesVerdict(t *testing.T) {
 }
 
 // hashInsts content-hashes a block body the way Decompose does.
-func hashInsts(insts []asm.Inst) uint64 { return hashPacked(asm.Pack(insts)) }
+func hashInsts(insts []asm.Inst) uint64 { return asm.Pack(insts).ContentHash() }
 
 // TestHashInstsDiscriminates: the structural hash must separate the test
 // listings' blocks while being stable for identical content.
@@ -266,7 +267,7 @@ func TestHashInstsDiscriminates(t *testing.T) {
 	a := Decompose(liftListing(t, "a", srcA), 3)
 	b := Decompose(liftListing(t, "b", srcB), 3)
 	for i := range a.distinct {
-		if a.distinct[i].hash != hashInsts(a.distinct[i].insts) {
+		if a.distinct[i].hash != hashInsts(a.DistinctBlocks()[i]) {
 			t.Fatalf("hash not deterministic for block %d", i)
 		}
 		for j := i + 1; j < len(a.distinct); j++ {

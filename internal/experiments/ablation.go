@@ -46,7 +46,7 @@ func (env *Env) Ablation() []AblationRow {
 	var rows []AblationRow
 	for _, cfg := range configs {
 		m := core.NewMatcher(cfg.opts)
-		targets := env.DB.Decomposed(3)
+		targets := env.targets(3)
 		var samples []metrics.Sample
 		minPos, maxNeg := 1.0, 0.0
 		for _, q := range env.Queries {

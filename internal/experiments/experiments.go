@@ -36,6 +36,17 @@ type Env struct {
 	Queries []Query
 }
 
+// targets returns the k-decomposition of every corpus function. The
+// corpus is built in memory, so there is no stored record that could fail
+// to load.
+func (env *Env) targets(k int) []*core.Decomposed {
+	ds, err := env.DB.Decomposed(k)
+	if err != nil {
+		panic(err)
+	}
+	return ds
+}
+
 // Query is one search query with ground truth.
 type Query struct {
 	Name  string // descriptive

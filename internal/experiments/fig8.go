@@ -26,7 +26,7 @@ type Fig8Row struct {
 func (env *Env) Fig8() []Fig8Row {
 	var rows []Fig8Row
 	m := core.NewMatcher(matcherOptions(3, 0.8))
-	targets := env.DB.Decomposed(3)
+	targets := env.targets(3)
 	for _, q := range env.Queries {
 		if q.Truth == "" {
 			continue

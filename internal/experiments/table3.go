@@ -40,7 +40,7 @@ func (env *Env) Table3() []Table3Row {
 	} {
 		m := core.NewMatcher(norm.opts)
 		var samples []metrics.Sample
-		targets := env.DB.Decomposed(3)
+		targets := env.targets(3)
 		for _, q := range env.Queries {
 			ref := core.Decompose(q.Fn, 3)
 			results := m.CompareMany(ref, targets)

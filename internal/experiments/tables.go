@@ -97,7 +97,7 @@ type pairScores struct {
 func (env *Env) sweepScores(k int) []pairScores {
 	m := core.NewMatcher(matcherOptions(k, 0.8))
 	var out []pairScores
-	targets := env.DB.Decomposed(k)
+	targets := env.targets(k)
 	for _, q := range env.Queries {
 		ref := core.Decompose(q.Fn, k)
 		type res struct {

@@ -8,7 +8,10 @@ import (
 	"io"
 	"math"
 	"slices"
+	"unsafe"
 
+	"repro/internal/asm"
+	"repro/internal/cfg"
 	"repro/internal/minhash"
 	"repro/internal/prep"
 )
@@ -36,7 +39,12 @@ type Builder struct {
 	nsuccs  int
 	nfeats  int
 	nfuncs  int
+	expect  int // functions the caller said will be added in all; 0: unknown
 	err     error
+
+	pack    []byte    // the PACK function records, back to back
+	packOff []uint64  // where each starts in pack
+	packers []*packer // scratch: the packed blocks of the functions being added
 
 	lsh     *minhash.Params // non-nil: emit the LSHB and LSHT sections
 	lshSigs []uint32        // accumulated signature values, function-major
@@ -51,6 +59,31 @@ func NewBuilder() *Builder {
 	return b
 }
 
+// Expect tells the builder how many functions will be added in all. A
+// builder that knows sizes each column for the whole corpus as soon as the
+// first functions show what a function takes, instead of growing it by
+// doubling: a 4032-function save then allocates 95 MB where it allocated
+// 314, and takes a third less time. It changes no byte of the output, and a
+// wrong or missing count only costs that copying.
+func (b *Builder) Expect(funcs int) { b.expect = funcs }
+
+// room returns col with room for what the functions still to come will
+// add, judging by what those added so far did. It acts when col has room
+// for fewer than a few average functions, so a column is moved a few
+// times in all; without a count to go by it leaves the growing to append.
+func room[T any](b *Builder, col []T) []T {
+	const probe, margin = 16, 8 // functions seen before judging; average functions of slack
+	if b.nfuncs < probe || b.expect <= b.nfuncs {
+		return col
+	}
+	avg := len(col)/b.nfuncs + 1
+	if cap(col)-len(col) >= margin*avg {
+		return col
+	}
+	ahead := b.expect - b.nfuncs
+	return slices.Grow(col, ahead*avg+ahead*avg/16+margin*avg)
+}
+
 // NumFuncs returns the number of functions added so far.
 func (b *Builder) NumFuncs() int { return b.nfuncs }
 
@@ -59,7 +92,7 @@ func (b *Builder) NumFuncs() int { return b.nfuncs }
 func (b *Builder) Bytes() int {
 	return len(b.strb) + len(b.stro)*stroRecSize + len(b.funcs) + len(b.blcks) +
 		len(b.insts) + len(b.opnds) + len(b.memts) + len(b.succs) + len(b.feats) +
-		len(b.lshSigs)*lshSigSize
+		len(b.lshSigs)*lshSigSize + len(b.pack) + len(b.packOff)*packOffSize
 }
 
 // SetLSH arms MinHash signature emission: every subsequent Add hashes
@@ -84,6 +117,9 @@ func (b *Builder) SetLSH(p minhash.Params) {
 }
 
 func (b *Builder) intern(s string) uint32 {
+	if s == "" && len(b.stro) > 1 {
+		return 0 // most arguments have no symbol; the empty string is id 0
+	}
 	if id, ok := b.strs[s]; ok {
 		return id
 	}
@@ -105,13 +141,48 @@ func appendU32s(dst []byte, vs []uint32) []byte {
 	return dst
 }
 
+// Item is one function for the builder: what Add takes.
+type Item struct {
+	Exe   string
+	Fn    *prep.Function
+	Truth string
+	Feats []uint64 // may be nil
+}
+
 // Add appends one lifted function with its index metadata and prefilter
-// feature set. Feats may be nil. Errors (a corpus overflowing the u32
-// column offsets, a malformed graph) are sticky and reported by WriteTo.
+// feature set. Errors (a corpus overflowing the u32 column offsets, a
+// malformed graph) are sticky and reported by WriteTo.
 func (b *Builder) Add(exe string, fn *prep.Function, truth string, feats []uint64) {
+	if b.err == nil {
+		b.add(Item{exe, fn, truth, feats}, b.packBodies(0, fn.Graph))
+	}
+}
+
+// AddAll is Add for each item in order, with the packing for PACK — a
+// third of what adding a function costs, and independent of everything
+// else the builder does — done one stage ahead, on another CPU when there
+// is one, in the memory of as many packers as there are items. The output
+// is Add's, byte for byte.
+func (b *Builder) AddAll(items []Item) {
+	// Buffered for every item: the packing never waits for the walk, so it
+	// has ended by the time the last item is received.
+	packed := make(chan []asm.Block, len(items))
+	go func() {
+		for i := range items {
+			packed <- b.packBodies(i, items[i].Fn.Graph)
+		}
+	}()
+	for i := range items {
+		b.add(items[i], <-packed)
+	}
+}
+
+// add is Add with the function's blocks already packed.
+func (b *Builder) add(it Item, blocks []asm.Block) {
 	if b.err != nil {
 		return
 	}
+	exe, fn, truth, feats := it.Exe, it.Fn, it.Truth, it.Feats
 	g := fn.Graph
 	if g == nil || len(g.Blocks) == 0 || g.Entry < 0 || g.Entry >= len(g.Blocks) {
 		b.err = fmt.Errorf("idxfile: function %s: malformed graph", fn.Name)
@@ -121,6 +192,9 @@ func (b *Builder) Add(exe string, fn *prep.Function, truth string, feats []uint6
 		b.err = fmt.Errorf("idxfile: corpus overflows u32 column offsets")
 		return
 	}
+	b.funcs, b.blcks, b.insts, b.opnds = room(b, b.funcs), room(b, b.blcks), room(b, b.insts), room(b, b.opnds)
+	b.memts, b.succs, b.feats, b.lshSigs = room(b, b.memts), room(b, b.succs), room(b, b.feats), room(b, b.lshSigs)
+	b.pack, b.packOff = room(b, b.pack), room(b, b.packOff)
 	blockOff := b.nblocks
 	for _, blk := range g.Blocks {
 		instOff := b.ninsts
@@ -195,13 +269,118 @@ func (b *Builder) Add(exe string, fn *prep.Function, truth string, feats []uint6
 	b.funcs = b.u32(b.funcs, uint32(featOff))
 	b.funcs = b.u32(b.funcs, uint32(len(feats)))
 	b.funcs = b.u32(b.funcs, 0) // reserved
+	b.addPack(blocks)
 	b.nfuncs++
 }
 
-// section pairs a directory entry with its payload for writing.
+// bytesOf returns the memory of s as bytes: how a fixed-width column goes
+// into the file on the little-endian hosts the format's readers assume.
+func bytesOf[T any](s []T) []byte {
+	if len(s) == 0 {
+		return nil
+	}
+	return unsafe.Slice((*byte)(unsafe.Pointer(&s[0])), len(s)*int(unsafe.Sizeof(s[0])))
+}
+
+// packBodies packs the function's block bodies with asm.PackEach — the
+// one function that packs blocks, so what a reader finds in PACK is what
+// core.Decompose would have computed from the decoded function — into
+// the builder's slot-th packer: the blocks are valid until the slot is
+// used again. A graph add will refuse packs to nothing.
+func (b *Builder) packBodies(slot int, g *cfg.Graph) []asm.Block {
+	if g == nil {
+		return nil
+	}
+	for len(b.packers) <= slot {
+		b.packers = append(b.packers, new(packer))
+	}
+	pk := b.packers[slot]
+	pk.bodies = pk.bodies[:0]
+	for _, blk := range g.Blocks {
+		pk.bodies = append(pk.bodies, blk.Body())
+	}
+	return pk.PackEach(pk.bodies)
+}
+
+// packer is an asm.Packer with the list of bodies it is handed.
+type packer struct {
+	asm.Packer
+	bodies [][]asm.Inst
+}
+
+// addPack appends the function's PACK record: its packed blocks laid out
+// column by column (see the PACK layout in the package comment), every
+// symbol named by its string id. The ids are the ones the operand records
+// just interned.
+func (b *Builder) addPack(blocks []asm.Block) {
+	var ninsts, nargs, ncanon, nprof int
+	for i := range blocks {
+		blk := &blocks[i]
+		ninsts, nargs, ncanon, nprof = ninsts+blk.Len(), nargs+len(blk.Args), ncanon+len(blk.Canon), nprof+len(blk.Prof)
+	}
+	b.packOff = append(b.packOff, uint64(len(b.pack)))
+	p := slices.Grow(b.pack, packHdrSize+packBlkSize*len(blocks)+24*ninsts+packArgSize*nargs+
+		packProfSize*nprof+8*(ninsts+len(blocks))+align8(ncanon))
+	for _, v := range [...]int{len(blocks), ninsts, nargs, ncanon, nprof, 0} {
+		p = binary.LittleEndian.AppendUint32(p, uint32(v))
+	}
+	for i := range blocks {
+		p = binary.LittleEndian.AppendUint64(p, blocks[i].Hash)
+		p = binary.LittleEndian.AppendUint32(p, uint32(blocks[i].Len()))
+		p = binary.LittleEndian.AppendUint32(p, uint32(len(blocks[i].Prof)))
+	}
+	for i := range blocks {
+		p = append(p, bytesOf(blocks[i].KindH)...)
+	}
+	for i := range blocks {
+		p = append(p, bytesOf(blocks[i].Read)...)
+	}
+	for i := range blocks {
+		p = append(p, bytesOf(blocks[i].Write)...)
+	}
+	for i := range blocks {
+		blk, at := &blocks[i], len(p)
+		p = append(p, bytesOf(blk.Args)...)
+		for k := range blk.Args {
+			if a := &blk.Args[k]; a.SymH != 0 {
+				binary.LittleEndian.PutUint32(p[at+k*packArgSize+4:], b.strs[string(blk.Names.At(a.Sym))])
+			}
+		}
+	}
+	for i := range blocks {
+		p = append(p, bytesOf(blocks[i].Prof)...)
+	}
+	for i := range blocks {
+		p = append(p, bytesOf(blocks[i].KOff)...)
+	}
+	for i := range blocks {
+		p = append(p, bytesOf(blocks[i].Off)...)
+	}
+	for i := range blocks {
+		p = append(p, blocks[i].Canon...)
+	}
+	b.pack = append(p, make([]byte, align8(len(p))-len(p))...)
+}
+
+// section pairs a directory entry with its payload, given in the parts it
+// is the concatenation of, for writing.
 type section struct {
-	name    string
-	payload []byte
+	name  string
+	parts [][]byte
+}
+
+func (s *section) size() (n int) {
+	for _, p := range s.parts {
+		n += len(p)
+	}
+	return n
+}
+
+func (s *section) crc() (c uint32) {
+	for _, p := range s.parts {
+		c = crc32.Update(c, crcTable, p)
+	}
+	return c
 }
 
 // WriteTo encodes the accumulated corpus as a complete v3 file.
@@ -214,15 +393,15 @@ func (b *Builder) WriteTo(w io.Writer) (int64, error) {
 		stro = binary.LittleEndian.AppendUint32(stro, off)
 	}
 	secs := []section{
-		{SecSTRB, b.strb},
-		{SecSTRO, stro},
-		{SecFUNC, b.funcs},
-		{SecBLCK, b.blcks},
-		{SecINST, b.insts},
-		{SecOPND, b.opnds},
-		{SecMEMT, b.memts},
-		{SecSUCC, b.succs},
-		{SecFEAT, b.feats},
+		{SecSTRB, [][]byte{b.strb}},
+		{SecSTRO, [][]byte{stro}},
+		{SecFUNC, [][]byte{b.funcs}},
+		{SecBLCK, [][]byte{b.blcks}},
+		{SecINST, [][]byte{b.insts}},
+		{SecOPND, [][]byte{b.opnds}},
+		{SecMEMT, [][]byte{b.memts}},
+		{SecSUCC, [][]byte{b.succs}},
+		{SecFEAT, [][]byte{b.feats}},
 	}
 	if b.lsh != nil {
 		lshb := make([]byte, 0, lshHdrSize+len(b.lshSigs)*lshSigSize)
@@ -231,9 +410,18 @@ func (b *Builder) WriteTo(w io.Writer) (int64, error) {
 		lshb = binary.LittleEndian.AppendUint64(lshb, b.lsh.Seed)
 		lshb = appendU32s(lshb, b.lshSigs)
 		table := minhash.BandTable(*b.lsh, b.lshSigs, b.nfuncs)
-		secs = append(secs, section{SecLSHB, lshb},
-			section{SecLSHT, appendU32s(make([]byte, 0, len(table)*lshtRecSize), table)})
+		secs = append(secs, section{SecLSHB, [][]byte{lshb}},
+			section{SecLSHT, [][]byte{appendU32s(make([]byte, 0, len(table)*lshtRecSize), table)}})
 	}
+	// PACK: the table of where each function's record starts, counted from
+	// the start of the section, then the records.
+	packTab := make([]byte, 0, (b.nfuncs+1)*packOffSize)
+	base := uint64(b.nfuncs+1) * packOffSize
+	for _, off := range b.packOff {
+		packTab = binary.LittleEndian.AppendUint64(packTab, base+off)
+	}
+	packTab = binary.LittleEndian.AppendUint64(packTab, base+uint64(len(b.pack)))
+	secs = append(secs, section{SecPACK, [][]byte{packTab, b.pack}})
 
 	// Lay sections out 8-aligned after the directory.
 	dirOff := headerSize
@@ -246,10 +434,10 @@ func (b *Builder) WriteTo(w io.Writer) (int64, error) {
 		dir = binary.LittleEndian.AppendUint32(dir, sectionID(s.name))
 		dir = binary.LittleEndian.AppendUint32(dir, 0)
 		dir = binary.LittleEndian.AppendUint64(dir, uint64(off))
-		dir = binary.LittleEndian.AppendUint64(dir, uint64(len(s.payload)))
-		dir = binary.LittleEndian.AppendUint32(dir, crc32.Checksum(s.payload, crcTable))
+		dir = binary.LittleEndian.AppendUint64(dir, uint64(s.size()))
+		dir = binary.LittleEndian.AppendUint32(dir, s.crc())
 		dir = binary.LittleEndian.AppendUint32(dir, 0)
-		off = align8(off + len(s.payload))
+		off = align8(off + s.size())
 	}
 	fileSize := off
 
@@ -283,10 +471,12 @@ func (b *Builder) WriteTo(w io.Writer) (int64, error) {
 			}
 			pos += gap
 		}
-		if err := emit(s.payload); err != nil {
-			return n, err
+		for _, p := range s.parts {
+			if err := emit(p); err != nil {
+				return n, err
+			}
 		}
-		pos += len(s.payload)
+		pos += s.size()
 	}
 	if gap := fileSize - pos; gap > 0 {
 		if err := emit(pad[:gap]); err != nil {

@@ -43,7 +43,7 @@ func TestDecodeFuncAllocs(t *testing.T) {
 	}
 	worst := 0.0
 	for i, w := range want {
-		if got := f.DecodeFunc(i); !reflect.DeepEqual(got, w) {
+		if got := mustDecode(t, f, i); !reflect.DeepEqual(got, w) {
 			t.Fatalf("function %d (%s) decoded differently from what was written", i, w.Name)
 		}
 		worst = max(worst, testing.AllocsPerRun(5, func() { f.DecodeFunc(i) }))

@@ -2,8 +2,10 @@ package idxfile
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
+	"slices"
 	"unsafe"
 
 	"repro/internal/asm"
@@ -30,16 +32,19 @@ type File struct {
 	data []byte // whole file
 	path string // "" when parsed from memory
 
-	strtab string   // one copy of STRB; string values slice into it
-	stro   []uint32 // nstrings+1 offsets
+	strtab string    // one heap copy of STRB; string values slice into it
+	names  asm.Names // the same copy and STRO's offsets, as packed blocks name their symbols
 
 	funcs []byte // FUNC payload
 	blcks []byte
 	insts []byte
 	opnds []byte
 	memts []byte
-	succs []byte
+	succs []uint32 // SUCC as native u32s (zero-copy when 4-aligned)
 	feats []uint64 // FEAT as native u64s (zero-copy when 8-aligned)
+
+	pack    []byte   // PACK payload, 8-aligned (zero-copy when the buffer is); nil when absent
+	packOff []uint64 // its function table: nfuncs+1 offsets into pack
 
 	lshParams minhash.Params // valid iff hasLSH
 	lshSigs   []uint32       // nfuncs*K() values, function-major (zero-copy when 4-aligned)
@@ -64,10 +69,12 @@ func corruptf(format string, args ...any) error {
 	return &corruptError{msg: fmt.Sprintf(format, args...)}
 }
 
-// IsCorrupt reports whether err marks a structurally invalid index file.
+// IsCorrupt reports whether err marks, or wraps the mark of, a
+// structurally invalid index file: what Parse refuses at open, and what a
+// function whose records fail their checks yields at first touch.
 func IsCorrupt(err error) bool {
-	_, ok := err.(*corruptError)
-	return ok
+	var ce *corruptError
+	return errors.As(err, &ce)
 }
 
 // SniffVersion inspects a file prelude (>= 9 bytes) and returns the
@@ -81,14 +88,16 @@ func SniffVersion(prelude []byte) int {
 	return int(prelude[len(Magic)])
 }
 
-// Parse validates data as a complete v3 file and returns a File reading
-// from it. The caller keeps ownership of data and must not mutate it.
+// Parse validates data as a v3 file and returns a File reading from it.
+// The caller keeps ownership of data and must not mutate it.
 //
-// Validation is complete: the header, the section directory (every
-// offset/length checked against the file size), and every record's
-// cross-section offset/length ranges are verified before Parse returns,
-// so the per-function decoders can index the columns without rechecking
-// untrusted lengths. Section payload checksums are NOT verified here
+// Parse checks what every reader depends on and what costs no more than
+// the functions are many: the header, the section directory (every
+// offset/length against the file size), the string offsets, every FUNC
+// record against the pools it points into, and the shapes of the LSHB,
+// LSHT and PACK sections. A function's own records are checked when it is
+// first read (DecodeFunc, PackedFunc), so opening never walks the
+// instruction columns. Section payload checksums are NOT verified here
 // (that would force every page resident, defeating lazy loading); use
 // Verify for an integrity pass.
 func Parse(data []byte) (*File, error) {
@@ -96,7 +105,7 @@ func Parse(data []byte) (*File, error) {
 	if err := f.parseHeader(); err != nil {
 		return nil, err
 	}
-	if err := f.validateAll(); err != nil {
+	if err := f.checkFuncs(); err != nil {
 		return nil, err
 	}
 	return f, nil
@@ -176,33 +185,37 @@ func (f *File) parseHeader() error {
 		}
 	}
 
-	// The string table: one heap copy of the bytes; every string value is
-	// a slice of it, so decoded functions never alias the mapping.
-	f.strtab = string(payloads[SecSTRB])
+	// The string table: one heap copy of the bytes, seen as a string by the
+	// decoders and as a name table by packed blocks; every string value is
+	// a slice of it, so neither decoded functions nor names alias the
+	// mapping.
+	tab := append([]byte(nil), payloads[SecSTRB]...)
+	f.strtab = unsafe.String(unsafe.SliceData(tab), len(tab))
 	strob := payloads[SecSTRO]
 	if len(strob) == 0 {
 		return corruptf("empty string offset table")
 	}
-	f.stro = make([]uint32, len(strob)/stroRecSize)
+	stro := make([]uint32, len(strob)/stroRecSize)
 	prev := uint32(0)
-	for i := range f.stro {
+	for i := range stro {
 		v := binary.LittleEndian.Uint32(strob[i*stroRecSize:])
-		if v < prev || v > uint32(len(f.strtab)) {
+		if v < prev || v > uint32(len(tab)) {
 			return corruptf("string offset %d at entry %d not monotonic within table", v, i)
 		}
-		f.stro[i] = v
+		stro[i] = v
 		prev = v
 	}
-	if f.stro[0] != 0 {
+	if stro[0] != 0 {
 		return corruptf("string offsets must start at 0")
 	}
+	f.names = asm.Names{Tab: tab, Off: stro}
 
 	f.funcs = payloads[SecFUNC]
 	f.blcks = payloads[SecBLCK]
 	f.insts = payloads[SecINST]
 	f.opnds = payloads[SecOPND]
 	f.memts = payloads[SecMEMT]
-	f.succs = payloads[SecSUCC]
+	f.succs = u32View(payloads[SecSUCC])
 	if f.nfuncs != len(f.funcs)/funcRecSize {
 		return corruptf("header says %d functions, FUNC holds %d", f.nfuncs, len(f.funcs)/funcRecSize)
 	}
@@ -230,7 +243,21 @@ func (f *File) parseHeader() error {
 			return err
 		}
 	}
+	if pack, ok := payloads[SecPACK]; ok {
+		if err := f.parsePack(pack); err != nil {
+			return err
+		}
+	}
 	return nil
+}
+
+// view returns the first n values of b as native Ts. b must be aligned for
+// T and hold them.
+func view[T any](b []byte, n int) []T {
+	if n == 0 {
+		return nil
+	}
+	return unsafe.Slice((*T)(unsafe.Pointer(&b[0])), n)
 }
 
 // u32View returns b as native u32s: a zero-copy view when b is 4-aligned
@@ -320,18 +347,41 @@ func (f *File) parseLSHTable(p []byte) error {
 	return nil
 }
 
-// validateAll walks every record and checks each offset/length field
-// against the pool it indexes, so decode paths never read out of range
-// no matter what bytes arrived. One sequential pass, pure integer work.
-func (f *File) validateAll() error {
-	nstr := uint32(len(f.stro) - 1)
-	nBlocks := uint32(len(f.blcks) / blckRecSize)
-	nInsts := uint32(len(f.insts) / instRecSize)
-	nOps := uint32(len(f.opnds) / opndRecSize)
-	nMems := uint32(len(f.memts) / memtRecSize)
-	nSuccs := uint32(len(f.succs) / succRecSize)
-	nFeats := uint32(len(f.feats))
+// parsePack checks the shape of the optional PACK section and adopts it: a
+// length that holds the function table in whole words, and a table that
+// starts right behind itself and ends at the section's end. Where each
+// function's record lies in between, and what is in it, is checked when
+// the function is read (PackedFunc).
+func (f *File) parsePack(p []byte) error {
+	tab := uint64(f.nfuncs+1) * packOffSize
+	if len(p)%8 != 0 || uint64(len(p)) < tab {
+		return corruptf("section PACK length %d, want a multiple of 8 of at least %d for %d functions", len(p), tab, f.nfuncs)
+	}
+	if uintptr(unsafe.Pointer(&p[0]))%8 != 0 {
+		// A heap buffer handed to Parse need not be 8-aligned; copy once.
+		p = append(bytesOf(make([]uint64, len(p)/8))[:0], p...)
+	}
+	off := view[uint64](p, f.nfuncs+1)
+	if off[0] != tab || off[f.nfuncs] != uint64(len(p)) {
+		return corruptf("section PACK function table spans [%d,%d), want [%d,%d)", off[0], off[f.nfuncs], tab, len(p))
+	}
+	f.pack, f.packOff = p, off
+	for i := range f.sections {
+		if f.sections[i].Name == SecPACK {
+			f.sections[i].Records = f.nfuncs
+		}
+	}
+	return nil
+}
 
+// checkFuncs checks every FUNC record against the tables it points into:
+// string ids, the block range, the entry block and the feature range.
+// Forty bytes a function, pure integer work; what the blocks in turn
+// point at is checked when the function is read.
+func (f *File) checkFuncs() error {
+	nstr := uint32(f.names.Len())
+	nBlocks := uint32(len(f.blcks) / blckRecSize)
+	nFeats := uint32(len(f.feats))
 	for i := 0; i < f.nfuncs; i++ {
 		r := f.funcs[i*funcRecSize:]
 		exe := binary.LittleEndian.Uint32(r)
@@ -354,85 +404,38 @@ func (f *File) validateAll() error {
 		if featOff > nFeats || nfeats > nFeats-featOff {
 			return corruptf("function %d: feature range [%d,+%d) of %d", i, featOff, nfeats, nFeats)
 		}
-		for bi := blockOff; bi < blockOff+nblocks; bi++ {
-			br := f.blcks[bi*blckRecSize:]
-			instOff := binary.LittleEndian.Uint32(br[4:])
-			ninsts := binary.LittleEndian.Uint32(br[8:])
-			succOff := binary.LittleEndian.Uint32(br[12:])
-			nsuccs := binary.LittleEndian.Uint32(br[16:])
-			if instOff > nInsts || ninsts > nInsts-instOff {
-				return corruptf("function %d block %d: instruction range [%d,+%d) of %d", i, bi, instOff, ninsts, nInsts)
-			}
-			if succOff > nSuccs || nsuccs > nSuccs-succOff {
-				return corruptf("function %d block %d: successor range [%d,+%d) of %d", i, bi, succOff, nsuccs, nSuccs)
-			}
-			for si := succOff; si < succOff+nsuccs; si++ {
-				s := binary.LittleEndian.Uint32(f.succs[si*succRecSize:])
-				if s >= nblocks {
-					return corruptf("function %d block %d: successor %d of %d blocks", i, bi, s, nblocks)
-				}
-			}
-		}
-	}
-	// Instruction, operand and memory-term records are shared pools;
-	// validate them each once rather than per referencing function.
-	for i := uint32(0); i < nInsts; i++ {
-		r := f.insts[i*instRecSize:]
-		mnem := binary.LittleEndian.Uint32(r)
-		opOff := binary.LittleEndian.Uint32(r[4:])
-		nops := binary.LittleEndian.Uint32(r[8:])
-		if mnem >= nstr {
-			return corruptf("instruction %d: mnemonic id %d of %d strings", i, mnem, nstr)
-		}
-		if opOff > nOps || nops > nOps-opOff {
-			return corruptf("instruction %d: operand range [%d,+%d) of %d", i, opOff, nops, nOps)
-		}
-	}
-	for i := uint32(0); i < nOps; i++ {
-		r := f.opnds[i*opndRecSize:]
-		kind := r[0]
-		sym := binary.LittleEndian.Uint32(r[4:])
-		memOff := binary.LittleEndian.Uint32(r[16:])
-		nmem := binary.LittleEndian.Uint32(r[20:])
-		if kind > byte(asm.KindSym) {
-			return corruptf("operand %d: bad argument kind %d", i, kind)
-		}
-		if sym >= nstr {
-			return corruptf("operand %d: symbol id %d of %d strings", i, sym, nstr)
-		}
-		if memOff > nMems || nmem > nMems-memOff {
-			return corruptf("operand %d: memory-term range [%d,+%d) of %d", i, memOff, nmem, nMems)
-		}
-		if r[3]&opndFlagMem != 0 && nmem == 0 {
-			return corruptf("operand %d: memory operand with no terms", i)
-		}
-	}
-	for i := uint32(0); i < nMems; i++ {
-		r := f.memts[i*memtRecSize:]
-		switch asm.MemOp(r[0]) {
-		case asm.OpAdd, asm.OpSub, asm.OpMul:
-		default:
-			return corruptf("memory term %d: bad operator %q", i, r[0])
-		}
-		if r[1] > byte(asm.KindSym) {
-			return corruptf("memory term %d: bad argument kind %d", i, r[1])
-		}
-		if sym := binary.LittleEndian.Uint32(r[4:]); sym >= nstr {
-			return corruptf("memory term %d: symbol id %d of %d strings", i, sym, nstr)
-		}
 	}
 	return nil
 }
 
-// Verify recomputes every section checksum against the directory and
-// checks that every LSHT band is in (band hash, id) order — the integrity
-// pass behind tracy idxinfo -verify and tracy convert. It touches every
-// page of the file.
+// Verify is the integrity pass behind tracy idxinfo -verify and tracy
+// convert. It recomputes every section checksum against the directory,
+// reads every function the way a query would — so every record check that
+// Parse leaves to first touch runs — checks that every LSHT band is in
+// (band hash, id) order, and packs every decoded function afresh to see
+// that PACK, which is derived from the records, still agrees with them. It
+// touches every page of the file.
 func (f *File) Verify() error {
 	for _, s := range f.sections {
 		got := crc32.Checksum(f.data[s.Offset:s.Offset+s.Len], crcTable)
 		if got != s.CRC {
 			return corruptf("section %s checksum %08x, want %08x", s.Name, got, s.CRC)
+		}
+	}
+	for i := 0; i < f.nfuncs; i++ {
+		fn, err := f.DecodeFunc(i)
+		if err != nil {
+			return err
+		}
+		if f.pack == nil {
+			continue
+		}
+		pf, err := f.PackedFunc(i)
+		if err != nil {
+			return err
+		}
+		if err := packedAgrees(pf, fn); err != nil {
+			return corruptf("function %d: section PACK disagrees with the records: %v", i, err)
 		}
 	}
 	if f.lshTable == nil {
@@ -448,6 +451,25 @@ func (f *File) Verify() error {
 				return corruptf("section LSHT band %d: entry %d (function %d) out of (band hash, id) order", b, i, id)
 			}
 			prevH, prevID = h, id
+		}
+	}
+	return nil
+}
+
+// packedAgrees reports how the stored packed form of a function differs
+// from what packing the decoded function gives, nil when it does not.
+func packedAgrees(pf PackedFunc, fn *prep.Function) error {
+	g := fn.Graph
+	bodies := make([][]asm.Inst, len(g.Blocks))
+	for b, blk := range g.Blocks {
+		bodies[b] = blk.Body()
+	}
+	if pf.NumInsts != g.NumInsts() {
+		return fmt.Errorf("%d instructions, the records hold %d", pf.NumInsts, g.NumInsts())
+	}
+	for b, want := range asm.PackEach(bodies) {
+		if got := &pf.Blocks[b]; got.Hash != want.Hash || !slices.Equal(got.Prof, want.Prof) || !got.Same(&want.Packed) {
+			return fmt.Errorf("block %d is not what its instructions pack to", b)
 		}
 	}
 	return nil
@@ -473,7 +495,7 @@ func (f *File) Sections() []SectionInfo {
 func (f *File) Mapped() bool { return f.mapped != nil }
 
 func (f *File) str(id uint32) string {
-	return f.strtab[f.stro[id]:f.stro[id+1]]
+	return f.strtab[f.names.Off[id]:f.names.Off[id+1]]
 }
 
 // Meta is the cheap per-function metadata: everything an index entry
@@ -542,15 +564,50 @@ func (f *File) LSHSigs() []uint32 { return f.lshSigs }
 // minhash.BandTable. It may alias the file mapping.
 func (f *File) LSHTable() []uint32 { return f.lshTable }
 
+// blockRec is one BLCK record, with its successor range checked: the
+// part of a block both ways of reading a function share.
+type blockRec struct {
+	addr            uint32
+	instOff, ninsts int
+	succs           []uint32 // aliases SUCC
+}
+
+// block reads record bi of the nblocks BLCK records of function i that
+// start at blockOff, and checks the successor range and every successor.
+// The instruction range is returned unchecked.
+func (f *File) block(i, blockOff, nblocks, bi int) (blockRec, error) {
+	br := f.blcks[(blockOff+bi)*blckRecSize:]
+	succOff := binary.LittleEndian.Uint32(br[12:])
+	nsuccs := binary.LittleEndian.Uint32(br[16:])
+	if nSuccs := uint32(len(f.succs)); succOff > nSuccs || nsuccs > nSuccs-succOff {
+		return blockRec{}, corruptf("function %d block %d: successor range [%d,+%d) of %d", i, bi, succOff, nsuccs, len(f.succs))
+	}
+	succs := f.succs[succOff : succOff+nsuccs : succOff+nsuccs]
+	for _, s := range succs {
+		if s >= uint32(nblocks) {
+			return blockRec{}, corruptf("function %d block %d: successor %d of %d blocks", i, bi, s, nblocks)
+		}
+	}
+	return blockRec{
+		addr:    binary.LittleEndian.Uint32(br),
+		instOff: int(binary.LittleEndian.Uint32(br[4:])),
+		ninsts:  int(binary.LittleEndian.Uint32(br[8:])),
+		succs:   succs,
+	}, nil
+}
+
 // DecodeFunc materializes function i as a lifted prep.Function,
 // identical field for field to the function the gob formats carry. A
-// first pass over the function's records sizes it, then blocks,
+// first pass over the function's records checks every range and id they
+// hold — this is where a function's BLCK, SUCC, INST, OPND and MEMT
+// records are validated, not Parse — and sizes the function; then blocks,
 // instructions, operands, memory terms and successors are each carved
 // from one array for the whole function, so a decode costs a fixed
 // handful of allocations whatever the function's size; strings are shared
-// slices of the file's one string-table copy. Safe for concurrent
-// callers.
-func (f *File) DecodeFunc(i int) *prep.Function {
+// slices of the file's one string-table copy. A function whose records
+// are corrupt yields the typed error IsCorrupt recognizes. Safe for
+// concurrent callers.
+func (f *File) DecodeFunc(i int) (*prep.Function, error) {
 	r := f.funcs[i*funcRecSize:]
 	name := f.str(binary.LittleEndian.Uint32(r[4:]))
 	addr := binary.LittleEndian.Uint32(r[12:])
@@ -558,21 +615,66 @@ func (f *File) DecodeFunc(i int) *prep.Function {
 	blockOff := int(binary.LittleEndian.Uint32(r[20:]))
 	nblocks := int(binary.LittleEndian.Uint32(r[24:]))
 
+	nstr := uint32(f.names.Len())
+	nInsts, nOps, nMems := len(f.insts)/instRecSize, len(f.opnds)/opndRecSize, len(f.memts)/memtRecSize
 	var total struct{ insts, ops, mems, succs int }
+	var few [16]blockRec // the checked block records, on the stack for most functions
+	recs := few[:0]
 	for bi := 0; bi < nblocks; bi++ {
-		br := f.blcks[(blockOff+bi)*blckRecSize:]
-		instOff := int(binary.LittleEndian.Uint32(br[4:]))
-		ninsts := int(binary.LittleEndian.Uint32(br[8:]))
-		total.insts += ninsts
-		total.succs += int(binary.LittleEndian.Uint32(br[16:]))
-		for ii := instOff; ii < instOff+ninsts; ii++ {
+		blk, err := f.block(i, blockOff, nblocks, bi)
+		if err != nil {
+			return nil, err
+		}
+		recs = append(recs, blk)
+		if blk.instOff > nInsts || blk.ninsts > nInsts-blk.instOff {
+			return nil, corruptf("function %d block %d: instruction range [%d,+%d) of %d", i, bi, blk.instOff, blk.ninsts, nInsts)
+		}
+		total.insts += blk.ninsts
+		total.succs += len(blk.succs)
+		for ii := blk.instOff; ii < blk.instOff+blk.ninsts; ii++ {
 			ir := f.insts[ii*instRecSize:]
 			opOff := int(binary.LittleEndian.Uint32(ir[4:]))
 			nops := int(binary.LittleEndian.Uint32(ir[8:]))
+			if mnem := binary.LittleEndian.Uint32(ir); mnem >= nstr {
+				return nil, corruptf("function %d instruction %d: mnemonic id %d of %d strings", i, ii, mnem, nstr)
+			}
+			if opOff > nOps || nops > nOps-opOff {
+				return nil, corruptf("function %d instruction %d: operand range [%d,+%d) of %d", i, ii, opOff, nops, nOps)
+			}
 			total.ops += nops
 			for oi := opOff; oi < opOff+nops; oi++ {
-				if opr := f.opnds[oi*opndRecSize:]; opr[3]&opndFlagMem != 0 {
-					total.mems += int(binary.LittleEndian.Uint32(opr[20:]))
+				opr := f.opnds[oi*opndRecSize:]
+				if opr[0] > byte(asm.KindSym) {
+					return nil, corruptf("function %d operand %d: bad argument kind %d", i, oi, opr[0])
+				}
+				if sym := binary.LittleEndian.Uint32(opr[4:]); sym >= nstr {
+					return nil, corruptf("function %d operand %d: symbol id %d of %d strings", i, oi, sym, nstr)
+				}
+				if opr[3]&opndFlagMem == 0 {
+					continue
+				}
+				memOff := int(binary.LittleEndian.Uint32(opr[16:]))
+				nmem := int(binary.LittleEndian.Uint32(opr[20:]))
+				if nmem == 0 {
+					return nil, corruptf("function %d operand %d: memory operand with no terms", i, oi)
+				}
+				if memOff > nMems || nmem > nMems-memOff {
+					return nil, corruptf("function %d operand %d: memory-term range [%d,+%d) of %d", i, oi, memOff, nmem, nMems)
+				}
+				total.mems += nmem
+				for ti := memOff; ti < memOff+nmem; ti++ {
+					tr := f.memts[ti*memtRecSize:]
+					switch asm.MemOp(tr[0]) {
+					case asm.OpAdd, asm.OpSub, asm.OpMul:
+					default:
+						return nil, corruptf("function %d memory term %d: bad operator %q", i, ti, tr[0])
+					}
+					if tr[1] > byte(asm.KindSym) {
+						return nil, corruptf("function %d memory term %d: bad argument kind %d", i, ti, tr[1])
+					}
+					if sym := binary.LittleEndian.Uint32(tr[4:]); sym >= nstr {
+						return nil, corruptf("function %d memory term %d: symbol id %d of %d strings", i, ti, sym, nstr)
+					}
 				}
 			}
 		}
@@ -587,32 +689,130 @@ func (f *File) DecodeFunc(i int) *prep.Function {
 	succBuf := make([]int, 0, total.succs)
 
 	g := &cfg.Graph{Name: name, Entry: entry, Blocks: make([]*cfg.Block, nblocks)}
-	for bi := 0; bi < nblocks; bi++ {
-		br := f.blcks[(blockOff+bi)*blckRecSize:]
-		instOff := int(binary.LittleEndian.Uint32(br[4:]))
-		ninsts := int(binary.LittleEndian.Uint32(br[8:]))
-		succOff := int(binary.LittleEndian.Uint32(br[12:]))
-		nsuccs := int(binary.LittleEndian.Uint32(br[16:]))
-
+	for bi, rec := range recs {
 		blk := &blocks[bi]
-		blk.Index, blk.Addr = bi, binary.LittleEndian.Uint32(br)
-		if ninsts > 0 {
+		blk.Index, blk.Addr = bi, rec.addr
+		if rec.ninsts > 0 {
 			start := len(d.insts)
-			for ii := 0; ii < ninsts; ii++ {
-				d.inst(instOff + ii)
+			for ii := 0; ii < rec.ninsts; ii++ {
+				d.inst(rec.instOff + ii)
 			}
 			blk.Insts = d.insts[start:len(d.insts):len(d.insts)]
 		}
-		if nsuccs > 0 {
+		if len(rec.succs) > 0 {
 			start := len(succBuf)
-			for si := 0; si < nsuccs; si++ {
-				succBuf = append(succBuf, int(binary.LittleEndian.Uint32(f.succs[(succOff+si)*succRecSize:])))
+			for _, s := range rec.succs {
+				succBuf = append(succBuf, int(s))
 			}
 			blk.Succs = succBuf[start:len(succBuf):len(succBuf)]
 		}
 		g.Blocks[bi] = blk
 	}
-	return &prep.Function{Name: name, Addr: addr, Graph: g}
+	return &prep.Function{Name: name, Addr: addr, Graph: g}, nil
+}
+
+// HasPack reports whether the file carries the PACK section, so that
+// PackedFunc can serve its functions in packed form.
+func (f *File) HasPack() bool { return f.pack != nil }
+
+// PackedFunc is a function as the PACK section stores it: what
+// core.DecomposeBlocks consumes.
+type PackedFunc struct {
+	Name     string
+	Blocks   []asm.Block // the graph's blocks, in order, aliasing the file
+	NumInsts int         // instructions of the function, jumps included
+}
+
+// PackedFunc returns function i in packed form, every column of every
+// block a slice of the file — one allocation, the slice of blocks — and
+// the symbols named in the file's heap copy of the string table. The
+// blocks stay valid exactly as long as the File is not Closed, and whoever
+// keeps them must keep the File reachable. This is where the function's
+// PACK record and its BLCK and SUCC records are validated: the record's
+// place and length, its counts against FUNC's block count and against one
+// another, and per block what asm.Packed.Check checks — offsets in order,
+// arguments as the encodings say, string ids in range — before any of it
+// is returned, so that comparing the blocks reads nothing unchecked. A
+// record that fails yields the typed error IsCorrupt recognizes. The file
+// must HasPack. Safe for concurrent callers.
+func (f *File) PackedFunc(i int) (PackedFunc, error) {
+	r := f.funcs[i*funcRecSize:]
+	blockOff := int(binary.LittleEndian.Uint32(r[20:]))
+	nblocks := int(binary.LittleEndian.Uint32(r[24:]))
+
+	lo, hi := f.packOff[i], f.packOff[i+1]
+	if lo%8 != 0 || lo > hi || hi > uint64(len(f.pack)) || hi-lo < packHdrSize {
+		return PackedFunc{}, corruptf("function %d: PACK record [%d,%d) of %d bytes", i, lo, hi, len(f.pack))
+	}
+	rec := f.pack[lo:hi]
+	hdr := view[uint32](rec, packHdrSize/4)
+	ninsts, nargs, ncanon, nprof := uint64(hdr[1]), uint64(hdr[2]), uint64(hdr[3]), uint64(hdr[4])
+	if int(hdr[0]) != nblocks {
+		return PackedFunc{}, corruptf("function %d: PACK holds %d blocks, FUNC %d", i, hdr[0], nblocks)
+	}
+	nb := uint64(nblocks)
+	if want := packHdrSize + packBlkSize*nb + 24*ninsts + packArgSize*nargs + packProfSize*nprof +
+		8*(ninsts+nb) + (ncanon+7)&^7; want != uint64(len(rec)) {
+		return PackedFunc{}, corruptf("function %d: PACK record of %d bytes, its counts want %d", i, len(rec), want)
+	}
+	// The columns, in file order; each count is now known to fit in rec.
+	cut := func(n uint64) []byte {
+		col := rec[:n]
+		rec = rec[n:]
+		return col
+	}
+	cut(packHdrSize)
+	meta := view[packBlk](cut(packBlkSize*nb), nblocks)
+	kindH := view[uint64](cut(8*ninsts), int(ninsts))
+	read := view[uint64](cut(8*ninsts), int(ninsts))
+	write := view[uint64](cut(8*ninsts), int(ninsts))
+	args := view[asm.PArg](cut(packArgSize*nargs), int(nargs))
+	prof := view[asm.KindCount](cut(packProfSize*nprof), int(nprof))
+	kOff := view[int32](cut(4*(ninsts+nb)), int(ninsts+nb))
+	off := view[int32](cut(4*(ninsts+nb)), int(ninsts+nb))
+	canon := rec[:ncanon]
+
+	pf := PackedFunc{Name: f.str(binary.LittleEndian.Uint32(r[4:])), Blocks: make([]asm.Block, nblocks)}
+	for bi := range pf.Blocks {
+		brec, err := f.block(i, blockOff, nblocks, bi)
+		if err != nil {
+			return PackedFunc{}, err
+		}
+		pf.NumInsts += brec.ninsts
+		m := meta[bi]
+		n, np := int(m.ninsts), int(m.nprof)
+		if n > len(kindH) || np > len(prof) {
+			return PackedFunc{}, corruptf("function %d block %d: PACK block counts run past the function's", i, bi)
+		}
+		blk := &pf.Blocks[bi]
+		blk.Hash, blk.Succs, blk.Names = m.hash, brec.succs, &f.names
+		blk.KindH, kindH = kindH[:n:n], kindH[n:]
+		blk.Read, read = read[:n:n], read[n:]
+		blk.Write, write = write[:n:n], write[n:]
+		blk.Prof, prof = prof[:np:np], prof[np:]
+		blk.KOff, kOff = kOff[:n+1:n+1], kOff[n+1:]
+		blk.Off, off = off[:n+1:n+1], off[n+1:]
+		nc, na := int(blk.KOff[n]), int(blk.Off[n])
+		if nc < 0 || nc > len(canon) || na < 0 || na > len(args) {
+			return PackedFunc{}, corruptf("function %d block %d: PACK offsets run past the function's encodings or arguments", i, bi)
+		}
+		blk.Canon, canon = canon[:nc:nc], canon[nc:]
+		blk.Args, args = args[:na:na], args[na:]
+		if err := blk.Check(); err != nil {
+			return PackedFunc{}, corruptf("function %d block %d: PACK %v", i, bi, err)
+		}
+	}
+	if len(kindH)+len(prof)+len(canon)+len(args) != 0 {
+		return PackedFunc{}, corruptf("function %d: PACK blocks do not add up to the function's counts", i)
+	}
+	return pf, nil
+}
+
+// packBlk is the per-block entry of a PACK function record.
+type packBlk struct {
+	hash   uint64
+	ninsts uint32
+	nprof  uint32
 }
 
 // funcDecoder holds the per-function arrays DecodeFunc carves from. Each

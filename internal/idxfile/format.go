@@ -12,9 +12,13 @@
 //   - mmap the file and touch only the pages a query needs (function
 //     metadata eagerly, instruction columns lazily per candidate),
 //   - share those clean file-backed pages across every serving process
-//     on the host, and
+//     on the host,
 //   - reconstruct any single function in O(its size) with a handful of
-//     allocations, no reflection.
+//     allocations, no reflection, and
+//   - compare a function where it lies: the PACK section holds every
+//     function's blocks in the packed form the matcher consumes, so a
+//     candidate's first touch is slice headers over the mapping, not a
+//     decode and a pack.
 //
 // # On-disk layout
 //
@@ -45,8 +49,8 @@
 //	 28     4  reserved (zero)
 //
 // Sections (every section payload is 8-byte aligned; every offset/length
-// below is validated against the pool it indexes before a file is
-// accepted):
+// below is validated against the pool it indexes before it is followed —
+// see "What is checked when"):
 //
 //	STRB  string-table bytes, concatenated UTF-8
 //	STRO  u32[nstrings+1] cumulative offsets into STRB; string id i is
@@ -93,16 +97,69 @@
 //	      written before the section existed; readers then derive the
 //	      same table from LSHB (minhash.BandTable) at first use.
 //
+//	PACK  optional packed blocks, written by every Builder (absent in
+//	      files written before the section existed; readers then decode
+//	      and pack at first touch). It is derived from BLCK/INST/OPND/MEMT
+//	      — asm.PackEach over the function's jump-stripped block bodies,
+//	      with every symbol's name as its string id — and independent of
+//	      the tracelet size. Layout: u64[nfuncs+1] byte offsets into the
+//	      section, 8-aligned and ascending, the first just past the table
+//	      and the last the section's length; function i's record lies
+//	      between offsets i and i+1:
+//	          nblocks u32 (= FUNC's), ninsts u32, nargs u32, ncanon u32,
+//	          nprof u32, reserved u32
+//	          nblocks x { content hash u64, ninsts u32, nprof u32 }
+//	          kind hashes   u64[ninsts]
+//	          read masks    u64[ninsts]
+//	          write masks   u64[ninsts]
+//	          arguments     nargs x { tag u32, sym u32 (string id), imm
+//	                        i64, symbol hash u64 } — asm.PArg as it is
+//	          kind profiles nprof x { hash u64, weight i32, count i32 }
+//	          kind offsets  i32[ninsts+nblocks]: per block, its ninsts+1
+//	                        offsets into its stretch of the encodings
+//	          arg offsets   i32[ninsts+nblocks]: likewise into its
+//	                        stretch of the arguments
+//	          encodings     u8[ncanon] canonical kind encodings, then
+//	                        zero padding to 8 bytes
+//	      Blocks follow one another within every column in block order,
+//	      ninsts counts body instructions (a block's trailing jump is not
+//	      part of its body), and the record's length must be exactly what
+//	      its counts add up to. Every column starts 8-aligned (4 for the
+//	      two offset columns), so a reader serves each as a slice of the
+//	      mapping.
+//
+// # What is checked when
+//
+// Parse (and Open) checks the header, the directory checksum, every
+// section's bounds, alignment and record size, the string offsets, every
+// FUNC record against the pools it points into, and the LSHB/LSHT/PACK
+// section shapes — work proportional to the number of functions and
+// strings, never to the instructions. The records of a function — its
+// BLCK, SUCC, INST, OPND and MEMT ranges and ids, and its PACK record's
+// length, counts, offset order, argument kinds and string ids — are
+// checked when the function is first read, by DecodeFunc and PackedFunc,
+// before anything unchecked is followed; a function that fails yields the
+// same typed corruption error Parse does, and only the query that touched
+// it fails. Verify walks every function through both, re-derives PACK
+// from the records and compares, and recomputes the section checksums.
+//
 // # Lifetime and unmap safety
 //
-// Open maps the file with a shared read-only mapping. Decoded strings
-// never alias the mapping (the string table is copied once into one Go
-// string at parse time), but the per-function feature slices returned by
-// Features DO alias it, as does every raw section. Close unmaps; the
-// caller owns proving nothing derived from the mapping is still live.
-// The serving layer never calls Close on a hot-swapped file — the old
-// mapping stays valid for in-flight queries and is unmapped by a
-// finalizer once the last snapshot referencing it is collected.
+// Open maps the file with a shared read-only mapping. Strings never alias
+// the mapping (the string table is copied once to the heap at parse time;
+// decoded functions and the name table of packed blocks share that copy),
+// but the per-function feature slices returned by Features DO alias it,
+// as do the blocks PackedFunc returns and every raw section. Close
+// unmaps; the caller owns proving nothing derived from the mapping is
+// still live. The serving layer never calls Close on a hot-swapped file —
+// the old mapping stays valid for in-flight queries and is unmapped by a
+// finalizer once the last snapshot, and the last decomposition built from
+// its packed blocks, is collected: whoever holds such slices must hold the
+// File.
+//
+// The fixed-width columns are served by casting the mapping, as FEAT and
+// the LSH sections always were: reader and writer assume a little-endian
+// host.
 package idxfile
 
 import (
@@ -134,6 +191,12 @@ const (
 	lshHdrSize  = 16 // LSHB header: bands u32, rows u32, seed u64
 	lshSigSize  = 4  // one u32 signature value
 	lshtRecSize = 4  // one u32 function id of the sorted band table
+
+	packOffSize  = 8  // one u64 offset of the PACK function table
+	packHdrSize  = 24 // PACK function record header: five counts, one reserved u32
+	packBlkSize  = 16 // per block: content hash u64, ninsts u32, nprof u32
+	packArgSize  = 24 // asm.PArg
+	packProfSize = 16 // asm.KindCount
 )
 
 // Section ids (fourcc, little-endian u32 on disk).
@@ -149,6 +212,7 @@ const (
 	SecFEAT = "FEAT"
 	SecLSHB = "LSHB" // optional; not in requiredSections
 	SecLSHT = "LSHT" // optional, only beside LSHB
+	SecPACK = "PACK" // optional; derived from BLCK/INST/OPND/MEMT
 )
 
 // requiredSections is the canonical section order the writer emits and

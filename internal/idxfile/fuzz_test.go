@@ -9,14 +9,21 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/minhash"
 )
 
 // FuzzIdxfileLoad throws arbitrary bytes at the v3 parser: Parse must
 // reject garbage with a corruptError, never panic, and never index out
-// of range. Any file Parse accepts must then decode every function and
-// serve every accessor without faulting — the structural validation is
-// the only wall between untrusted bytes and the unchecked decode paths.
+// of range. Any file Parse accepts must then serve every accessor without
+// faulting, and every function of it is read both ways — decoded from its
+// records and as packed blocks out of PACK — since a function's own
+// records are validated at that first read, not at Parse: each read either
+// succeeds or fails with a corruptError, a decoded graph is well-formed,
+// and packed blocks that were handed out are compared (decomposed as a
+// view, one Compare against the file's first) without faulting. Those
+// checks are the only wall between untrusted bytes and the unchecked
+// decode and compare paths.
 func FuzzIdxfileLoad(f *testing.F) {
 	// A genuine v3 file as the prime seed so the fuzzer mutates real
 	// section structure instead of rediscovering the magic.
@@ -40,6 +47,9 @@ func FuzzIdxfileLoad(f *testing.F) {
 	for _, seed := range lshFuzzSeeds(f) {
 		f.Add(seed)
 	}
+	for _, seed := range packFuzzSeeds(f) {
+		f.Add(seed)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1<<20 {
@@ -52,6 +62,8 @@ func FuzzIdxfileLoad(f *testing.F) {
 			}
 			return
 		}
+		var first *core.Decomposed
+		matcher := core.NewMatcher(core.DefaultOptions())
 		// Accepted files must be fully traversable, LSH included.
 		if pf.HasLSH() {
 			lp := pf.LSHParams()
@@ -72,20 +84,53 @@ func FuzzIdxfileLoad(f *testing.F) {
 					t.Fatalf("LSHSig(%d) has %d values, want k=%d", i, len(sig), pf.LSHParams().K())
 				}
 			}
-			fn := pf.DecodeFunc(i)
-			if fn == nil || fn.Graph == nil || len(fn.Graph.Blocks) == 0 {
-				t.Fatal("Parse accepted a function that decodes to a malformed graph")
-			}
-			if fn.Graph.Entry < 0 || fn.Graph.Entry >= len(fn.Graph.Blocks) {
+			fn, err := pf.DecodeFunc(i)
+			switch {
+			case err != nil:
+				if !IsCorrupt(err) {
+					t.Fatalf("DecodeFunc(%d) failed with something other than corruption: %v", i, err)
+				}
+			case fn == nil || fn.Graph == nil || len(fn.Graph.Blocks) == 0:
+				t.Fatal("a function decodes to a malformed graph")
+			case fn.Graph.Entry < 0 || fn.Graph.Entry >= len(fn.Graph.Blocks):
 				t.Fatalf("decoded entry %d of %d blocks", fn.Graph.Entry, len(fn.Graph.Blocks))
-			}
-			for _, b := range fn.Graph.Blocks {
-				for _, s := range b.Succs {
-					if s < 0 || s >= len(fn.Graph.Blocks) {
-						t.Fatalf("decoded successor %d of %d blocks", s, len(fn.Graph.Blocks))
+			default:
+				for _, b := range fn.Graph.Blocks {
+					for _, s := range b.Succs {
+						if s < 0 || s >= len(fn.Graph.Blocks) {
+							t.Fatalf("decoded successor %d of %d blocks", s, len(fn.Graph.Blocks))
+						}
 					}
 				}
 			}
+			if !pf.HasPack() {
+				continue
+			}
+			p, err := pf.PackedFunc(i)
+			if err != nil {
+				if !IsCorrupt(err) {
+					t.Fatalf("PackedFunc(%d) failed with something other than corruption: %v", i, err)
+				}
+				continue
+			}
+			// A dense successor table has more 3-paths, and a long block more
+			// alignment cells, than a fuzz run has time for; neither cost is
+			// PACK's — the decoded function has the same graph and the same
+			// blocks.
+			edges, insts := 0, 0
+			for b := range p.Blocks {
+				edges += len(p.Blocks[b].Succs)
+				insts += p.Blocks[b].Len()
+			}
+			if len(p.Blocks) > 64 || edges > 128 || insts > 512 {
+				continue
+			}
+			view := core.DecomposeBlocks(p.Name, p.Blocks, p.NumInsts, 3, nil)
+			if first == nil {
+				first = view
+			}
+			matcher.Compare(first, view)
+			matcher.Compare(view, first)
 		}
 		// A band table Parse accepted is probed without faulting, sorted or
 		// not: every bucket is a stretch of ids of the corpus.
@@ -103,6 +148,32 @@ func FuzzIdxfileLoad(f *testing.F) {
 		}
 		_ = pf.Verify()
 	})
+}
+
+// packFuzzSeeds builds the seed set around PACK, by seed-file name: a
+// section cut short (refused at Parse) and the records of packMutants,
+// each wrong in one place that a read of the function must catch — and one
+// that is well-formed and disagrees with the records, which loads,
+// compares and is Verify's to refuse.
+func packFuzzSeeds(tb testing.TB) map[string][]byte {
+	tb.Helper()
+	exes, fns, truths, feats := handFuncs()
+	var buf bytes.Buffer
+	if _, err := Write(&buf, exes, fns, truths, feats); err != nil {
+		tb.Fatal(err)
+	}
+	valid := buf.Bytes()
+	de := dirEntryOf(tb, valid, SecPACK)
+	seeds := map[string][]byte{
+		"seed-pack-truncated": flip(valid, func(b []byte) {
+			binary.LittleEndian.PutUint64(b[de+16:], binary.LittleEndian.Uint64(b[de+16:])-8)
+			fixDirCRC(b)
+		}),
+	}
+	for name, mut := range packMutants(tb, valid) {
+		seeds["seed-pack-"+strings.NewReplacer(" ", "-").Replace(name)] = mut
+	}
+	return seeds
 }
 
 // lshFuzzSeeds builds the LSH-bearing seed set, by seed-file name: a valid
@@ -165,6 +236,9 @@ func TestRegenerateFuzzSeeds(t *testing.T) {
 		t.Fatal(err)
 	}
 	seeds := lshFuzzSeeds(t)
+	for name, data := range packFuzzSeeds(t) {
+		seeds[name] = data
+	}
 	seeds["seed-valid-v3"] = valid.Bytes()
 	seeds["seed-empty-v3"] = empty.Bytes()
 	seeds["seed-truncated"] = valid.Bytes()[:valid.Len()/2]

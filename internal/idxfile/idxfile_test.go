@@ -117,15 +117,15 @@ func TestRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(gotFeats, feats[i]) {
 			t.Errorf("func %d feats = %v, want %v", i, gotFeats, feats[i])
 		}
-		got := f.DecodeFunc(i)
+		got := mustDecode(t, f, i)
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("func %d decoded differently:\ngot  %s\nwant %s", i, got.Graph, want.Graph)
 		}
 	}
 	// Section directory must cover the required sections with valid ranges.
 	secs := f.Sections()
-	if len(secs) != len(requiredSections) {
-		t.Fatalf("%d sections, want %d", len(secs), len(requiredSections))
+	if len(secs) != len(requiredSections)+1 || secs[len(secs)-1].Name != SecPACK {
+		t.Fatalf("%d sections ending in %s, want the %d required ones and PACK", len(secs), secs[len(secs)-1].Name, len(requiredSections))
 	}
 	for _, s := range secs {
 		if s.Offset%8 != 0 {
@@ -167,10 +167,20 @@ func TestRoundTripCorpus(t *testing.T) {
 		t.Fatalf("NumFuncs = %d, want %d", f.NumFuncs(), len(want))
 	}
 	for i, w := range want {
-		if got := f.DecodeFunc(i); !reflect.DeepEqual(got, w) {
+		if got := mustDecode(t, f, i); !reflect.DeepEqual(got, w) {
 			t.Fatalf("lifted func %d (%s) decoded differently", i, w.Name)
 		}
 	}
+}
+
+// mustDecode decodes function i of a file the test wrote itself.
+func mustDecode(tb testing.TB, f *File, i int) *prep.Function {
+	tb.Helper()
+	fn, err := f.DecodeFunc(i)
+	if err != nil {
+		tb.Fatalf("DecodeFunc(%d): %v", i, err)
+	}
+	return fn
 }
 
 func TestOpenMmap(t *testing.T) {
@@ -190,7 +200,7 @@ func TestOpenMmap(t *testing.T) {
 	if f.Size() != int64(len(data)) {
 		t.Errorf("Size = %d, want %d", f.Size(), len(data))
 	}
-	if got := f.DecodeFunc(0); got.Name != "alpha" {
+	if got := mustDecode(t, f, 0); got.Name != "alpha" {
 		t.Errorf("DecodeFunc(0).Name = %q", got.Name)
 	}
 	// The feature view aliases the mapping; reading it must work and the

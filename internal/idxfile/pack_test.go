@@ -1,0 +1,226 @@
+package idxfile
+
+import (
+	"encoding/binary"
+	"strings"
+	"testing"
+
+	"repro/internal/asm"
+)
+
+// packRec locates the columns of one function's PACK record in a file's
+// bytes, the way the layout in the package comment lays them out.
+type packRec struct {
+	at                                   int // the record's first byte
+	nblocks, ninsts, nargs, ncanon, prof int
+}
+
+func (r packRec) meta() int  { return r.at + packHdrSize }
+func (r packRec) args() int  { return r.meta() + packBlkSize*r.nblocks + 24*r.ninsts }
+func (r packRec) kOff() int  { return r.args() + packArgSize*r.nargs + packProfSize*r.prof }
+func (r packRec) off() int   { return r.kOff() + 4*(r.ninsts+r.nblocks) }
+func (r packRec) canon() int { return r.off() + 4*(r.ninsts+r.nblocks) }
+
+// packRecOf returns where function i's PACK record lies in data.
+func packRecOf(tb testing.TB, data []byte, i int) packRec {
+	tb.Helper()
+	sec := int(sectionOf(tb, data, SecPACK).Offset)
+	at := sec + int(binary.LittleEndian.Uint64(data[sec+i*packOffSize:]))
+	u := func(k int) int { return int(binary.LittleEndian.Uint32(data[at+4*k:])) }
+	return packRec{at: at, nblocks: u(0), ninsts: u(1), nargs: u(2), ncanon: u(3), prof: u(4)}
+}
+
+// packMutants returns files that differ from valid, a file with PACK, in
+// one place of function 0's record, by what is wrong with them. All but
+// the last must fail PackedFunc(0) with a corruption error and leave every
+// other function readable; the last reads fine and is wrong, which only
+// Verify can tell.
+func packMutants(tb testing.TB, valid []byte) map[string][]byte {
+	tb.Helper()
+	r := packRecOf(tb, valid, 0)
+	// The first argument that names a symbol and the first immediate.
+	sym, imm := -1, -1
+	for k := r.nargs - 1; k >= 0; k-- {
+		if binary.LittleEndian.Uint64(valid[r.args()+k*packArgSize+16:]) != 0 {
+			sym = k
+		}
+		if asm.ArgKind(valid[r.args()+k*packArgSize]) == asm.KindImm {
+			imm = k
+		}
+	}
+	if sym < 0 || imm < 0 || r.ninsts < 2 {
+		tb.Fatal("function 0 of the hand corpus lacks a symbol, an immediate or a second instruction")
+	}
+	put32 := func(at int, v uint32) func([]byte) {
+		return func(b []byte) { binary.LittleEndian.PutUint32(b[at:], v) }
+	}
+	return map[string][]byte{
+		// Block 0's offsets are its ninsts+1 first; the second one jumps past the third.
+		"off not monotone":       flip(valid, put32(r.off()+4, 1<<20)),
+		"koff past canon":        flip(valid, put32(r.kOff()+4*int(binary.LittleEndian.Uint32(valid[r.meta()+8:])), uint32(r.ncanon+1))),
+		"sym id out of range":    flip(valid, put32(r.args()+sym*packArgSize+4, 1<<30)),
+		"block count mismatch":   flip(valid, put32(r.at, uint32(r.nblocks+1))),
+		"arg kind not its canon": flip(valid, func(b []byte) { b[r.args()] ^= 3 }),
+		"disagrees with records": flip(valid, func(b []byte) {
+			// An immediate of the records' changed in the derived copy only.
+			b[r.args()+imm*packArgSize+8] ^= 0x10
+			fixSectionCRC(tb, b, SecPACK)
+		}),
+	}
+}
+
+// TestPackRoundTrip: every function of the hand corpus comes back from
+// PACK as what packing its decoded form gives, from an aligned buffer and
+// from one that is not, and Verify, which checks exactly that, passes.
+func TestPackRoundTrip(t *testing.T) {
+	data := buildFile(t)
+	shifted := append(make([]byte, 1, len(data)+1), data...)[1:]
+	for _, buf := range [][]byte{data, shifted} {
+		f, err := Parse(buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !f.HasPack() {
+			t.Fatal("a freshly written file has no PACK section")
+		}
+		for i := 0; i < f.NumFuncs(); i++ {
+			pf, err := f.PackedFunc(i)
+			if err != nil {
+				t.Fatalf("PackedFunc(%d): %v", i, err)
+			}
+			fn := mustDecode(t, f, i)
+			if err := packedAgrees(pf, fn); err != nil {
+				t.Errorf("function %d: %v", i, err)
+			}
+			if pf.Name != fn.Name || len(pf.Blocks) != len(fn.Graph.Blocks) {
+				t.Errorf("function %d: packed as %s with %d blocks, decoded as %s with %d", i, pf.Name, len(pf.Blocks), fn.Name, len(fn.Graph.Blocks))
+			}
+			for b, blk := range fn.Graph.Blocks {
+				if len(pf.Blocks[b].Succs) != len(blk.Succs) {
+					t.Fatalf("function %d block %d: %d successors, want %d", i, b, len(pf.Blocks[b].Succs), len(blk.Succs))
+				}
+				for k, s := range blk.Succs {
+					if int(pf.Blocks[b].Succs[k]) != s {
+						t.Errorf("function %d block %d: successor %d is %d, want %d", i, b, k, pf.Blocks[b].Succs[k], s)
+					}
+				}
+			}
+		}
+		if err := f.Verify(); err != nil {
+			t.Errorf("Verify: %v", err)
+		}
+	}
+}
+
+// TestPackRejectsCorruption: a PACK section of the wrong shape is refused
+// at Parse; a function record that is wrong inside is refused when the
+// function is read, with the typed error, and costs no other function; and
+// a record that is well-formed and wrong is what Verify is for.
+func TestPackRejectsCorruption(t *testing.T) {
+	data := buildFile(t)
+	de := dirEntryOf(t, data, SecPACK)
+	sec := sectionOf(t, data, SecPACK)
+	for name, mutate := range map[string]func(b []byte){
+		"truncated": func(b []byte) {
+			binary.LittleEndian.PutUint64(b[de+16:], sec.Len-8)
+			fixDirCRC(b)
+		},
+		"length not in words": func(b []byte) {
+			binary.LittleEndian.PutUint64(b[de+16:], sec.Len-4)
+			fixDirCRC(b)
+		},
+		"shorter than its table": func(b []byte) {
+			binary.LittleEndian.PutUint64(b[de+16:], 8)
+			fixDirCRC(b)
+		},
+		"misaligned": func(b []byte) {
+			binary.LittleEndian.PutUint64(b[de+8:], sec.Offset+4)
+			binary.LittleEndian.PutUint64(b[de+16:], sec.Len-8)
+			fixDirCRC(b)
+		},
+		"table starts elsewhere": func(b []byte) { binary.LittleEndian.PutUint64(b[sec.Offset:], 0) },
+	} {
+		if _, err := Parse(flip(data, mutate)); !IsCorrupt(err) {
+			t.Errorf("%s: Parse returned %v, want a corruption error", name, err)
+		}
+	}
+
+	for name, mut := range packMutants(t, data) {
+		f, err := Parse(mut)
+		if err != nil {
+			t.Errorf("%s: refused at Parse (%v); a function's record is checked when it is read", name, err)
+			continue
+		}
+		_, err = f.PackedFunc(0)
+		if name == "disagrees with records" {
+			if err != nil {
+				t.Errorf("%s: PackedFunc refused a well-formed record: %v", name, err)
+			}
+			if err := f.Verify(); !IsCorrupt(err) || !strings.Contains(err.Error(), "disagrees with the records") {
+				t.Errorf("%s: Verify returned %v", name, err)
+			}
+			continue
+		}
+		if !IsCorrupt(err) {
+			t.Errorf("%s: PackedFunc(0) returned %v, want a corruption error", name, err)
+		}
+		if err := f.Verify(); !IsCorrupt(err) {
+			t.Errorf("%s: Verify returned %v, want a corruption error", name, err)
+		}
+		for i := 1; i < f.NumFuncs(); i++ {
+			if _, err := f.PackedFunc(i); err != nil {
+				t.Errorf("%s: function %d, which is intact, fails too: %v", name, i, err)
+			}
+		}
+		if _, err := f.DecodeFunc(0); err != nil {
+			t.Errorf("%s: the records of function 0 are intact and fail to decode: %v", name, err)
+		}
+	}
+}
+
+// TestTouchRejectsCorruptRecords: what Parse used to check for every
+// record at open is checked for a function's own records when it is read,
+// by both ways of reading it where both follow the record, and only that
+// function fails.
+func TestTouchRejectsCorruptRecords(t *testing.T) {
+	data := buildFile(t)
+	at := func(name string) int { return int(sectionOf(t, data, name).Offset) }
+	put32 := func(at int, v uint32) func([]byte) {
+		return func(b []byte) { binary.LittleEndian.PutUint32(b[at:], v) }
+	}
+	for _, tc := range []struct {
+		name   string
+		mutate func(b []byte)
+		packed bool // PackedFunc follows the record too
+	}{
+		{"successor range overruns pool", put32(at(SecBLCK)+12, 1<<20), true},
+		{"successor out of range", put32(at(SecSUCC), 1<<20), true},
+		{"instruction range overruns pool", put32(at(SecBLCK)+8, 1<<20), false},
+		{"mnemonic id out of range", put32(at(SecINST), 1<<30), false},
+		{"operand range overruns pool", put32(at(SecINST)+8, 1<<20), false},
+		{"bad argument kind", func(b []byte) { b[at(SecOPND)] = 9 }, false},
+		{"symbol id out of range", put32(at(SecOPND)+4, 1<<30), false},
+		{"memory-term range overruns pool", put32(at(SecOPND)+opndRecSize+20, 1<<20), false},
+		{"memory operand with no terms", put32(at(SecOPND)+opndRecSize+20, 0), false},
+		{"bad memory operator", func(b []byte) { b[at(SecMEMT)] = '?' }, false},
+		{"bad memory-term kind", func(b []byte) { b[at(SecMEMT)+1] = 9 }, false},
+		{"memory-term symbol id out of range", put32(at(SecMEMT)+4, 1<<30), false},
+	} {
+		f, err := Parse(flip(data, tc.mutate))
+		if err != nil {
+			t.Errorf("%s: refused at Parse: %v", tc.name, err)
+			continue
+		}
+		if _, err := f.DecodeFunc(0); !IsCorrupt(err) {
+			t.Errorf("%s: DecodeFunc(0) returned %v, want a corruption error", tc.name, err)
+		}
+		if _, err := f.PackedFunc(0); IsCorrupt(err) != tc.packed {
+			t.Errorf("%s: PackedFunc(0) returned %v", tc.name, err)
+		}
+		for i := 1; i < f.NumFuncs(); i++ {
+			if _, err := f.DecodeFunc(i); err != nil {
+				t.Errorf("%s: function %d, which is intact, fails too: %v", tc.name, i, err)
+			}
+		}
+	}
+}

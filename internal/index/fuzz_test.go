@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/corpus"
+	"repro/internal/idxfile"
 )
 
 // FuzzIndexLoad throws arbitrary bytes at the gob index deserializer:
@@ -55,12 +56,20 @@ func FuzzIndexLoad(f *testing.F) {
 		if err != nil {
 			return
 		}
+		// A gob index is validated whole at load; a v3 one validates each
+		// function's records when they are first read, and what fails then
+		// must say so with the store's typed error.
 		for _, e := range loaded.Entries {
-			if e == nil || e.Function() == nil {
+			if e == nil {
 				t.Fatal("Load accepted an index with nil entries")
+			}
+			if fn, err := e.LoadFunction(); fn == nil && !idxfile.IsCorrupt(err) {
+				t.Fatalf("Load accepted an index with a function that is neither there nor corrupt: %v", err)
 			}
 		}
 		// A successfully loaded index must survive decomposition.
-		_ = loaded.Decomposed(3)
+		if _, err := loaded.Decomposed(3); err != nil && !idxfile.IsCorrupt(err) {
+			t.Fatalf("decomposing a loaded index failed with something other than corruption: %v", err)
+		}
 	})
 }

@@ -45,23 +45,36 @@ type Entry struct {
 }
 
 // Function returns the lifted function, decoding it from the columnar
-// store on first use for v3-backed entries. Safe for concurrent callers;
+// store on first use for v3-backed entries, or nil when there is none to
+// return: an entry without a source, or one whose records in the store
+// are corrupt (LoadFunction says which). Safe for concurrent callers;
 // concurrent first calls may decode twice but agree on one result.
 func (e *Entry) Function() *prep.Function {
+	fn, _ := e.LoadFunction()
+	return fn
+}
+
+// LoadFunction is Function with the reason for a nil: a store-backed
+// entry's records are validated when they are first decoded, and one that
+// fails yields the store's typed corruption error (idxfile.IsCorrupt).
+func (e *Entry) LoadFunction() (*prep.Function, error) {
 	if e.Func != nil {
-		return e.Func
+		return e.Func, nil
 	}
 	if fn := e.lazy.Load(); fn != nil {
-		return fn
+		return fn, nil
 	}
 	if e.src == nil {
-		return nil
+		return nil, fmt.Errorf("index: entry %s/%s has no function", e.Exe, e.Name)
 	}
-	fn := e.src.DecodeFunc(e.srcIdx)
+	fn, err := e.src.DecodeFunc(e.srcIdx)
+	if err != nil {
+		return nil, fmt.Errorf("index: %s/%s: %w", e.Exe, e.Name, err)
+	}
 	if e.lazy.CompareAndSwap(nil, fn) {
-		return fn
+		return fn, nil
 	}
-	return e.lazy.Load()
+	return e.lazy.Load(), nil
 }
 
 // DB is the function database: it builds (AddImage), loads and saves
@@ -93,6 +106,7 @@ type Info struct {
 	Bytes   int64  // on-disk size, 0 when unknown
 	Path    string // source path, "" when loaded from a stream or built in memory
 	Mapped  bool   // true when served from an mmap region
+	Pack    bool   // true when the file holds its functions packed (v3 PACK section) and they are compared in place
 	Funcs   int
 }
 
@@ -163,8 +177,9 @@ func (db *DB) view() *Snapshot {
 
 // Decomposed returns the k-tracelet decomposition of every entry,
 // aligned with Entries. Decompositions are memoized per (k, entry), so
-// repeated calls and later searches share them. Safe for concurrent use.
-func (db *DB) Decomposed(k int) []*core.Decomposed {
+// repeated calls and later searches share them. It fails only on a v3
+// store-backed database with a corrupt function. Safe for concurrent use.
+func (db *DB) Decomposed(k int) ([]*core.Decomposed, error) {
 	return db.view().decomposeAll(k)
 }
 
@@ -256,9 +271,11 @@ const (
 func (db *DB) Save(w io.Writer) error {
 	if db.store != nil {
 		for _, e := range db.Entries {
-			if e.Func == nil {
-				e.Func = e.Function()
+			fn, err := e.LoadFunction()
+			if err != nil {
+				return err
 			}
+			e.Func = fn
 		}
 	}
 	hdr := append([]byte(indexMagic), indexVersion)
@@ -283,27 +300,49 @@ func (db *DB) SaveV3(w io.Writer) error { return db.saveV3(w, nil) }
 func (db *DB) SaveV3LSH(w io.Writer, p minhash.Params) error { return db.saveV3(w, &p) }
 
 func (db *DB) saveV3(w io.Writer, lsh *minhash.Params) error {
+	return db.writeV3(w, lsh, len(db.Entries), nil)
+}
+
+// writeV3 streams the entries keep admits — all of them when it is nil,
+// about expect in number — through a columnar builder into w. They go in
+// batches: the builder packs a batch's functions one stage ahead of
+// walking them (idxfile.Builder.AddAll), and a store-backed database is
+// decoded a batch at a time, never whole.
+func (db *DB) writeV3(w io.Writer, lsh *minhash.Params, expect int, keep func(*Entry) bool) error {
 	feats := db.features()
 	b := idxfile.NewBuilder()
 	if lsh != nil {
 		b.SetLSH(*lsh)
 	}
+	b.Expect(expect)
+	const batch = 256
+	items := make([]idxfile.Item, 0, batch)
 	for i, e := range db.Entries {
-		var fn *prep.Function
-		if e.Func != nil {
-			fn = e.Func
-		} else if e.src != nil {
-			// Decode without populating the entry's lazy cache: a convert
-			// pass must not pin the whole corpus on the heap.
-			fn = e.src.DecodeFunc(e.srcIdx)
+		if keep != nil && !keep(e) {
+			continue
 		}
-		if fn == nil {
-			return fmt.Errorf("index: entry %d has no function to serialize", i)
+		fn, err := e.decodeForSave()
+		if err != nil {
+			return fmt.Errorf("index: entry %d has no function to serialize: %w", i, err)
 		}
-		b.Add(e.Exe, fn, e.Truth, feats[i])
+		if items = append(items, idxfile.Item{Exe: e.Exe, Fn: fn, Truth: e.Truth, Feats: feats[i]}); len(items) == batch {
+			b.AddAll(items)
+			items = items[:0]
+		}
 	}
+	b.AddAll(items)
 	_, err := b.WriteTo(w)
 	return err
+}
+
+// decodeForSave returns the entry's function for a save pass: a
+// store-backed entry is decoded without populating its lazy cache — a
+// convert or shard pass must not pin the whole corpus on the heap.
+func (e *Entry) decodeForSave() (*prep.Function, error) {
+	if e.Func == nil && e.src != nil {
+		return e.src.DecodeFunc(e.srcIdx)
+	}
+	return e.LoadFunction()
 }
 
 // Load restores a database written by Save or SaveV3. It accepts all
@@ -387,6 +426,7 @@ func fromStore(f *idxfile.File) *DB {
 			Bytes:   f.Size(),
 			Path:    f.Path(),
 			Mapped:  f.Mapped(),
+			Pack:    f.HasPack(),
 		},
 		loaded: true,
 	}

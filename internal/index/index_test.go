@@ -214,14 +214,24 @@ func TestSearchRecordsTelemetry(t *testing.T) {
 	}
 }
 
+// mustDecomposed is db.Decomposed on a database whose functions all load.
+func mustDecomposed(tb testing.TB, db *DB, k int) []*core.Decomposed {
+	tb.Helper()
+	ds, err := db.Decomposed(k)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return ds
+}
+
 func TestDecomposedCache(t *testing.T) {
 	db, _ := buildTestDB(t)
-	a := db.Decomposed(3)
-	b := db.Decomposed(3)
+	a := mustDecomposed(t, db, 3)
+	b := mustDecomposed(t, db, 3)
 	if a[0] != b[0] || a[len(a)-1] != b[len(b)-1] {
 		t.Error("decomposition not cached")
 	}
-	c := db.Decomposed(2)
+	c := mustDecomposed(t, db, 2)
 	if len(c) != len(a) {
 		t.Error("per-k decompositions misaligned")
 	}
@@ -229,11 +239,11 @@ func TestDecomposedCache(t *testing.T) {
 
 func TestAddImageInvalidatesCache(t *testing.T) {
 	db, c := buildTestDB(t)
-	before := len(db.Decomposed(3))
+	before := len(mustDecomposed(t, db, 3))
 	if err := db.AddImage("again", c.Exes[0].Image, nil); err != nil {
 		t.Fatal(err)
 	}
-	after := len(db.Decomposed(3))
+	after := len(mustDecomposed(t, db, 3))
 	if after <= before {
 		t.Errorf("cache not invalidated: %d -> %d", before, after)
 	}

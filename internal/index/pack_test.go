@@ -1,0 +1,276 @@
+package index
+
+import (
+	"bytes"
+	"context"
+	"encoding/binary"
+	"os"
+	"path/filepath"
+	"reflect"
+	"runtime"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/idxfile"
+	"repro/internal/minhash"
+	"repro/internal/telemetry"
+)
+
+// sectionAt returns the offset of the named section's payload in a v3
+// file, through its directory (internal/idxfile/format.go).
+func sectionAt(tb testing.TB, data []byte, name string) int {
+	tb.Helper()
+	nsec := int(binary.LittleEndian.Uint32(data[12:]))
+	for i := 0; i < nsec; i++ {
+		e := data[v3HeaderSize+i*v3DirEntrySize:]
+		if string(e[:4]) == name {
+			return int(binary.LittleEndian.Uint64(e[8:]))
+		}
+	}
+	tb.Fatalf("file has no %s section", name)
+	return 0
+}
+
+// TestV3WithoutPack: a v3 file without the PACK section — every file
+// written before the section existed — loads, decodes and packs its
+// candidates at first touch, and answers hit for hit, every Result field
+// and every by-reference fingerprint included, as the file that carries
+// the section and compares in place; so do the in-memory database and a
+// database opened from the file and then grown with AddImage. The PACK
+// path counts and times its decompositions like the others.
+func TestV3WithoutPack(t *testing.T) {
+	db, c := buildTestDB(t)
+	opts := core.DefaultOptions()
+	data := savedLSH(t, db, minhash.Default)
+
+	type answer struct {
+		Fingerprint uint64
+		Exhaustive  []hitKey
+		LSH         []hitKey
+	}
+	search := func(d *DB, via string) []answer {
+		t.Helper()
+		tel := telemetry.New()
+		d.Tel = tel
+		snap := BuildSnapshot(d, []int{opts.K}, 2)
+		var out []answer
+		for _, e := range db.Entries {
+			// By reference: the snapshot's own decomposition of the entry is
+			// the query, a view where the file has PACK.
+			ref, err := snap.LookupDecomposed(e.Exe, e.Name, opts.K)
+			if err != nil || ref == nil {
+				t.Fatalf("%s: LookupDecomposed(%s, %s) = %v, %v", via, e.Exe, e.Name, ref, err)
+			}
+			a := answer{Fingerprint: ref.Fingerprint()}
+			for _, pf := range []PrefilterOptions{{}, {Candidates: 6, Mode: ModeLSH}} {
+				hits, err := snap.SearchDecomposedCtx(context.Background(), ref, opts, pf)
+				if err != nil {
+					t.Fatalf("%s: %v", via, err)
+				}
+				if pf.Candidates == 0 {
+					a.Exhaustive = hitKeys(hits)
+				} else {
+					a.LSH = hitKeys(hits)
+				}
+			}
+			out = append(out, a)
+		}
+		if got := tel.Get(telemetry.FunctionsDecomposed); got != uint64(d.Len()) {
+			t.Errorf("%s: %d functions decomposed, want each of the %d once", via, got, d.Len())
+		}
+		if got := tel.Snapshot().Histograms[telemetry.DecomposeLatency.String()].Count; got != uint64(d.Len()) {
+			t.Errorf("%s: %d decompositions timed, want %d", via, got, d.Len())
+		}
+		return out
+	}
+	load := func(data []byte) *DB {
+		t.Helper()
+		d, err := Load(bytes.NewReader(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+
+	packed := load(data)
+	if !packed.Store().HasPack() || !packed.Info().Pack {
+		t.Fatal("a freshly saved v3 file has no PACK section")
+	}
+	want := search(packed, "PACK")
+	for _, e := range packed.Entries {
+		if e.lazy.Load() == nil {
+			t.Fatalf("%s/%s was never a by-reference query's feature source", e.Exe, e.Name)
+		}
+	}
+	old := load(withoutSection(t, data, idxfile.SecPACK))
+	if old.Store().HasPack() || old.Info().Pack {
+		t.Fatal("stripped file still carries PACK")
+	}
+	if got := search(old, "records alone"); !reflect.DeepEqual(got, want) {
+		t.Error("a file without PACK answers differently from the file with it")
+	}
+	if got := search(db, "in memory"); !reflect.DeepEqual(got, want) {
+		t.Error("the in-memory database answers differently from its v3 file")
+	}
+
+	// Grown: all but the last executable from the file, the last by AddImage.
+	base := New()
+	last := c.Exes[len(c.Exes)-1]
+	for _, e := range c.Exes[:len(c.Exes)-1] {
+		if err := base.AddImage(e.Name, e.Image, e.Truth); err != nil {
+			t.Fatal(err)
+		}
+	}
+	grown := load(savedLSH(t, base, minhash.Default))
+	if err := grown.AddImage(last.Name, last.Image, last.Truth); err != nil {
+		t.Fatal(err)
+	}
+	if got := search(grown, "grown v3"); !reflect.DeepEqual(got, want) {
+		t.Error("a v3 database grown with AddImage answers differently from the same corpus indexed at once")
+	}
+}
+
+// TestSearchDecodesNoCandidate: a search over a PACK file compares its
+// candidates where they lie — no entry is decoded, not even the query when
+// it arrives decomposed.
+func TestSearchDecodesNoCandidate(t *testing.T) {
+	mem, _ := buildTestDB(t)
+	db, err := Load(bytes.NewReader(savedLSH(t, mem, minhash.Default)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := BuildSnapshot(db, []int{3}, 2)
+	ref := core.Decompose(mem.Entries[0].Func, 3)
+	hits, err := snap.SearchDecomposedCtx(context.Background(), ref, core.DefaultOptions(), PrefilterOptions{})
+	if err != nil || len(hits) != db.Len() {
+		t.Fatalf("%d hits, %v", len(hits), err)
+	}
+	for _, e := range db.Entries {
+		if e.lazy.Load() != nil {
+			t.Fatalf("the search decoded %s/%s", e.Exe, e.Name)
+		}
+	}
+}
+
+// TestViewPinsMapping: a decomposition built from a mapped file's packed
+// blocks keeps the mapping alive by itself. With the database and the
+// snapshot dropped and two collections run — the first would queue the
+// file's unmap finalizer, the second run it — the retained view still
+// compares, to the Result it compared to before.
+func TestViewPinsMapping(t *testing.T) {
+	mem, _ := buildTestDB(t)
+	path := filepath.Join(t.TempDir(), "idx.v3")
+	if err := os.WriteFile(path, savedLSH(t, mem, minhash.Default), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	m := core.NewMatcher(core.DefaultOptions())
+	var views []*core.Decomposed
+	var want []core.Result
+	func() {
+		db, err := OpenFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !db.Info().Mapped {
+			t.Skip("the platform does not map index files")
+		}
+		snap := BuildSnapshot(db, []int{3}, 2)
+		for _, e := range db.Entries[:4] {
+			d, err := snap.LookupDecomposed(e.Exe, e.Name, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			views = append(views, d)
+		}
+		for _, d := range views {
+			want = append(want, m.Compare(views[0], d))
+		}
+	}()
+	runtime.GC()
+	runtime.GC()
+	for i, d := range views {
+		if got := m.Compare(views[0], d); got != want[i] {
+			t.Errorf("view %d compares to %+v after the database was dropped, %+v before", i, got, want[i])
+		}
+		if len(d.DistinctBlocks()) == 0 {
+			t.Errorf("view %d can no longer reach its function", i)
+		}
+	}
+}
+
+// firstTouchAllocCeiling bounds what the first compare against a stored
+// function allocates before it can compare when the file has PACK: the
+// block headers, the paths, the tracelets and the decomposition's own
+// arrays, whatever the function's size. Without PACK the same touch is a
+// decode (8) and a heap decomposition (up to 23).
+const firstTouchAllocCeiling = 8
+
+// TestFirstTouchAllocs: the first touch of every function of a campaign
+// corpus stays under the ceiling.
+func TestFirstTouchAllocs(t *testing.T) {
+	db, err := Load(bytes.NewReader(savedLSH(t, campaignDB(t, 96), minhash.Default)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := db.view()
+	slots := s.slotsFor(3)
+	worst := 0.0
+	for i := range db.Entries {
+		worst = max(worst, testing.AllocsPerRun(5, func() {
+			slots[i].Store(nil) // cold again
+			if _, err := s.dec(slots, 3, i); err != nil {
+				t.Fatal(err)
+			}
+		}))
+	}
+	if worst > firstTouchAllocCeiling {
+		t.Errorf("a first touch allocates up to %v objects, ceiling %d", worst, firstTouchAllocCeiling)
+	}
+	t.Logf("%d functions, at most %v allocations per first touch", db.Len(), worst)
+}
+
+// TestCorruptAtTouch: a file whose one function has a broken record opens
+// — Parse no longer walks the records — and the search that touches the
+// function fails with the store's typed error, whichever way the function
+// is read; a search that does not touch it succeeds.
+func TestCorruptAtTouch(t *testing.T) {
+	mem, _ := buildTestDB(t)
+	data := savedLSH(t, mem, minhash.Default)
+	victim := 1 // entry 0 stays intact and is the query
+	// The victim's first block: its successor range is the one field both
+	// ways of reading a function follow.
+	blockOff := binary.LittleEndian.Uint32(data[sectionAt(t, data, idxfile.SecFUNC)+victim*40+20:])
+	broken := append([]byte(nil), data...)
+	binary.LittleEndian.PutUint32(broken[sectionAt(t, data, idxfile.SecBLCK)+int(blockOff)*20+12:], 1<<30)
+
+	for _, tc := range []struct {
+		name string
+		data []byte
+	}{{"PACK", broken}, {"records alone", withoutSection(t, broken, idxfile.SecPACK)}} {
+		db, err := Load(bytes.NewReader(tc.data))
+		if err != nil {
+			t.Fatalf("%s: a function's records are checked when it is read, not at load: %v", tc.name, err)
+		}
+		snap := BuildSnapshot(db, []int{3}, 2)
+		ref := core.Decompose(mem.Entries[0].Func, 3)
+		_, err = snap.SearchDecomposedCtx(context.Background(), ref, core.DefaultOptions(), PrefilterOptions{})
+		if !idxfile.IsCorrupt(err) {
+			t.Errorf("%s: an exhaustive search over the broken function returned %v, want a corruption error", tc.name, err)
+		}
+		if d, err := snap.LookupDecomposed(db.Entries[victim].Exe, db.Entries[victim].Name, 3); d != nil || !idxfile.IsCorrupt(err) {
+			t.Errorf("%s: LookupDecomposed of the broken function = %v, %v", tc.name, d, err)
+		}
+		if fn := db.Entries[victim].Function(); fn != nil {
+			t.Errorf("%s: Function() of the broken function is not nil", tc.name)
+		}
+		// One candidate, the query itself: the broken function is not touched.
+		hits, err := snap.SearchDecomposedCtx(context.Background(), ref, core.DefaultOptions(),
+			PrefilterOptions{Candidates: 1, Mode: ModeLSH})
+		if err != nil || len(hits) != 1 || hits[0].Entry != db.Entries[0] {
+			t.Errorf("%s: a search that does not touch the broken function returned %d hits, %v", tc.name, len(hits), err)
+		}
+		if err := db.Store().Verify(); !idxfile.IsCorrupt(err) {
+			t.Errorf("%s: Verify returned %v, want a corruption error", tc.name, err)
+		}
+	}
+}

@@ -5,7 +5,6 @@ import (
 	"hash/fnv"
 	"io"
 
-	"repro/internal/idxfile"
 	"repro/internal/minhash"
 	"repro/internal/prep"
 )
@@ -50,30 +49,10 @@ func (db *DB) saveV3Shard(w io.Writer, shard, nShards int, lsh *minhash.Params) 
 	if shard < 0 || shard >= nShards {
 		return fmt.Errorf("index: shard %d of %d out of range", shard, nShards)
 	}
-	feats := db.features()
-	b := idxfile.NewBuilder()
-	if lsh != nil {
-		b.SetLSH(*lsh)
-	}
-	for i, e := range db.Entries {
-		if ShardOf(e.Exe, e.Name, nShards) != shard {
-			continue
-		}
-		var fn *prep.Function
-		if e.Func != nil {
-			fn = e.Func
-		} else if e.src != nil {
-			// Decode without populating the entry's lazy cache: a shard
-			// pass must not pin the whole corpus on the heap.
-			fn = e.src.DecodeFunc(e.srcIdx)
-		}
-		if fn == nil {
-			return fmt.Errorf("index: entry %d has no function to serialize", i)
-		}
-		b.Add(e.Exe, fn, e.Truth, feats[i])
-	}
-	_, err := b.WriteTo(w)
-	return err
+	// The hash spreads evenly, which is all Builder.Expect asks of a count.
+	return db.writeV3(w, lsh, (len(db.Entries)+nShards-1)/nShards, func(e *Entry) bool {
+		return ShardOf(e.Exe, e.Name, nShards) == shard
+	})
 }
 
 // ValidateFunction structurally validates a deserialized lifted

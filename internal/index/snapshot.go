@@ -110,7 +110,7 @@ func BuildSnapshot(db *DB, ks []int, nShards int) *Snapshot {
 	}
 	if db.store == nil {
 		for _, k := range kept {
-			s.decomposeAll(k)
+			s.decomposeAll(k) // heap-backed entries cannot fail to load
 		}
 	}
 	return s
@@ -127,38 +127,68 @@ func (s *Snapshot) slotsFor(k int) []atomic.Pointer[core.Decomposed] {
 
 // dec returns the k-decomposition of entry i, computing and memoizing
 // it on first touch. Concurrent first calls may both compute but agree
-// on one winner via CAS.
-func (s *Snapshot) dec(slots []atomic.Pointer[core.Decomposed], k, i int) *core.Decomposed {
+// on one winner via CAS. An entry of a file with the PACK section is not
+// decoded at all: its decomposition is a view of the packed blocks where
+// they lie in the mapping (core.DecomposeBlocks), counted and timed like
+// any other; everything else is decoded and decomposed on the heap. The
+// store validates a function's records at this first read, so this is
+// where a corrupt function surfaces, as the store's typed error.
+func (s *Snapshot) dec(slots []atomic.Pointer[core.Decomposed], k, i int) (*core.Decomposed, error) {
 	if d := slots[i].Load(); d != nil {
-		return d
+		return d, nil
 	}
-	d := core.DecomposeT(s.entries[i].Function(), k, s.Tel)
+	e := s.entries[i]
+	var d *core.Decomposed
+	if e.Func == nil && e.src != nil && e.src.HasPack() {
+		t := s.Tel.StartTimer(telemetry.DecomposeLatency)
+		pf, err := e.src.PackedFunc(e.srcIdx)
+		if err != nil {
+			return nil, fmt.Errorf("index: %s/%s: %w", e.Exe, e.Name, err)
+		}
+		d = core.DecomposeBlocks(pf.Name, pf.Blocks, pf.NumInsts, k, e)
+		t.Stop()
+		s.Tel.Inc(telemetry.FunctionsDecomposed)
+	} else {
+		fn, err := e.LoadFunction()
+		if err != nil {
+			return nil, err
+		}
+		d = core.DecomposeT(fn, k, s.Tel)
+	}
 	if slots[i].CompareAndSwap(nil, d) {
-		return d
+		return d, nil
 	}
-	return slots[i].Load()
+	return slots[i].Load(), nil
 }
 
 // decomposeAll returns the k-decomposition of every entry, aligned with
-// entries, filling the slots still cold on GOMAXPROCS workers.
-func (s *Snapshot) decomposeAll(k int) []*core.Decomposed {
+// entries, filling the slots still cold on GOMAXPROCS workers; the first
+// entry that cannot be read fails it.
+func (s *Snapshot) decomposeAll(k int) ([]*core.Decomposed, error) {
 	slots := s.slotsFor(k)
 	out := make([]*core.Decomposed, len(slots))
 	var (
-		next atomic.Int64
-		wg   sync.WaitGroup
+		next     atomic.Int64
+		wg       sync.WaitGroup
+		errOnce  sync.Once
+		firstErr error
 	)
 	for w := runtime.GOMAXPROCS(0); w > 0; w-- {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := int(next.Add(1)) - 1; i < len(out); i = int(next.Add(1)) - 1 {
-				out[i] = s.dec(slots, k, i)
+				d, err := s.dec(slots, k, i)
+				if err != nil {
+					errOnce.Do(func() { firstErr = err })
+					return
+				}
+				out[i] = d
 			}
 		}()
 	}
 	wg.Wait()
-	return out
+	return out, firstErr
 }
 
 // Info returns the provenance of the index this snapshot serves.
@@ -204,11 +234,12 @@ func (s *Snapshot) Lookup(exe, name string) *Entry {
 // LookupDecomposed returns the snapshot's own memoized k-decomposition
 // of the indexed entry (exe, name) — what a search compares candidates
 // against, so a by-reference query need not decompose again — or nil when
-// there is no such entry. k must be a served tracelet size.
-func (s *Snapshot) LookupDecomposed(exe, name string, k int) *core.Decomposed {
+// there is no such entry, or an error when the entry is there and its
+// stored records are corrupt. k must be a served tracelet size.
+func (s *Snapshot) LookupDecomposed(exe, name string, k int) (*core.Decomposed, error) {
 	i, ok := s.byName[entryKey(exe, name)]
 	if !ok {
-		return nil
+		return nil, nil
 	}
 	return s.dec(s.slotsFor(k), k, int(i))
 }
@@ -319,7 +350,7 @@ func (s *Snapshot) SearchDecomposedCtx(ctx context.Context, ref *core.Decomposed
 		opts.Trace = cmpSpan
 	}
 	slots := s.slotsFor(ref.K)
-	results, err := core.NewMatcher(opts).CompareEachCtx(ctx, ref, n, func(i int) *core.Decomposed {
+	results, err := core.NewMatcher(opts).CompareEachCtx(ctx, ref, n, func(i int) (*core.Decomposed, error) {
 		return s.dec(slots, ref.K, entry(i))
 	})
 	cmpSpan.End()

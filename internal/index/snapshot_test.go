@@ -57,14 +57,14 @@ func TestSnapshotLookup(t *testing.T) {
 	}
 	// LookupDecomposed hands out the memoized decomposition searches
 	// compare against, not a fresh one per call.
-	d := snap.LookupDecomposed(e.Exe, e.Name, 3)
-	if d == nil || d != snap.LookupDecomposed(e.Exe, e.Name, 3) {
+	d, _ := snap.LookupDecomposed(e.Exe, e.Name, 3)
+	if again, err := snap.LookupDecomposed(e.Exe, e.Name, 3); d == nil || d != again || err != nil {
 		t.Errorf("LookupDecomposed(%s, %s) = %p, want one memoized decomposition", e.Exe, e.Name, d)
 	} else if want := core.Decompose(e.Function(), 3); d.Name != e.Name || d.Fingerprint() != want.Fingerprint() {
 		t.Errorf("LookupDecomposed(%s, %s) is %s with fingerprint %x, want %x", e.Exe, e.Name, d.Name, d.Fingerprint(), want.Fingerprint())
 	}
-	if got := snap.LookupDecomposed("nope", "nothing", 3); got != nil {
-		t.Errorf("LookupDecomposed of absent function = %v, want nil", got)
+	if got, err := snap.LookupDecomposed("nope", "nothing", 3); got != nil || err != nil {
+		t.Errorf("LookupDecomposed of absent function = %v, %v, want nil, nil", got, err)
 	}
 }
 

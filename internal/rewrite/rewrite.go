@@ -31,7 +31,8 @@ const MaxBacktracks = csp.DefaultMaxBacktracks
 // in the reference tracelet, in order of first appearance (paper: "our
 // domain for the register assignment only contains registers found in the
 // reference tracelet", and likewise for memory offsets and function
-// names). A variable's solver values are indices into vals.
+// names). A variable's solver values are indices into vals, whose symbols
+// are named in the engine's table.
 type domain struct {
 	class uint32
 	vals  []asm.PArg
@@ -57,15 +58,15 @@ func classOf(a *asm.PArg) uint32 {
 
 // value returns what a stands for within its class, with the fields its
 // kind does not select cleared: the form in which values are collected,
-// compared and substituted.
+// compared and substituted. A symbol keeps its name where a has it.
 func value(a *asm.PArg) asm.PArg {
 	switch a.Kind() {
 	case asm.KindReg:
-		return asm.PackArg(asm.RegArg(a.Reg()))
+		return asm.PackArg(asm.RegArg(a.Reg()), nil)
 	case asm.KindImm:
-		return asm.PackArg(asm.ImmArg(a.Imm))
+		return asm.PackArg(asm.ImmArg(a.Imm), nil)
 	}
-	v := asm.PackArg(asm.SymArg(a.Cls(), ""))
+	v := asm.PackArg(asm.SymArg(a.Cls(), ""), nil)
 	v.Sym, v.SymH = a.Sym, a.SymH
 	return v
 }
@@ -80,7 +81,7 @@ func usable(v *asm.PArg) bool {
 	case asm.KindImm:
 		return true
 	}
-	return v.Sym != ""
+	return v.SymH != 0
 }
 
 // Engine rewrites target tracelets toward one reference tracelet at a
@@ -96,6 +97,13 @@ type Engine struct {
 	refVal  []int // per reference argument: index of its value in its domain
 	refBase []int // per reference block: where its arguments start in refVal
 	iota    []int // 0, 1, 2, ...: every variable's domain is a prefix
+
+	// names holds every symbol name the engine keeps, copied out of the
+	// tracelets' own tables: the reference's values first (refNames of
+	// them), then the identities and the rewritten arguments of the target
+	// in hand.
+	names    asm.Names
+	refNames int
 
 	// One rewrite.
 	prob      csp.Problem
@@ -134,6 +142,7 @@ func (e *Engine) domainOf(class uint32) int {
 func (e *Engine) SetRef(ref []*asm.Packed) {
 	e.ref = ref
 	e.doms, e.refVal, e.refBase = e.doms[:0], e.refVal[:0], e.refBase[:0]
+	e.names.Truncate(0)
 	for _, blk := range ref {
 		e.refBase = append(e.refBase, len(e.refVal))
 		for k := range blk.Args {
@@ -155,15 +164,16 @@ func (e *Engine) SetRef(ref []*asm.Packed) {
 			}
 			d, v := &e.doms[di], value(a)
 			at := 0
-			for at < len(d.vals) && !d.vals[at].Equal(&v) {
+			for at < len(d.vals) && !d.vals[at].Equal(&e.names, &v, blk.Names) {
 				at++
 			}
 			if at == len(d.vals) {
-				d.vals = append(d.vals, v)
+				d.vals = append(d.vals, e.own(v, blk.Names))
 			}
 			e.refVal = append(e.refVal, at)
 		}
 	}
+	e.refNames = e.names.Len()
 	most := 0
 	for i := range e.doms {
 		most = max(most, len(e.doms[i].vals))
@@ -173,18 +183,22 @@ func (e *Engine) SetRef(ref []*asm.Packed) {
 	}
 }
 
-// Reset makes the engine forget the tracelets it has seen — the reference,
-// the rewritten target and every value collected from either — and keep
-// its buffers. SetRef must precede the next Rewrite.
+// own returns v with its symbol name, which is in names, copied into the
+// engine's table.
+func (e *Engine) own(v asm.PArg, names *asm.Names) asm.PArg {
+	if v.SymH != 0 {
+		v.Sym = e.names.Copy(names, v.Sym)
+	}
+	return v
+}
+
+// Reset makes the engine let go of the tracelets it has seen — the
+// reference and the rewritten target's blocks; the values it collected
+// from either are copies and point nowhere — and keep its buffers. SetRef
+// must precede the next Rewrite.
 func (e *Engine) Reset() {
 	e.ref = nil
 	clear(e.out[:cap(e.out)])
-	clear(e.outArgs[:cap(e.outArgs)])
-	clear(e.idents[:cap(e.idents)])
-	doms := e.doms[:cap(e.doms)]
-	for i := range doms {
-		clear(doms[i].vals[:cap(doms[i].vals)])
-	}
 }
 
 // newVar declares a solver variable over the domain of class.
@@ -208,6 +222,7 @@ func (e *Engine) Rewrite(tgt []*asm.Packed, pairs []align.Pair, ends []int) int 
 	e.prob.Reset()
 	e.prob.Tel = e.Tel
 	e.varDom, e.idents, e.out = e.varDom[:0], e.idents[:0], e.out[:0]
+	e.names.Truncate(e.refNames)
 	e.lastWrite, e.swapReg = [256]int32{}, [256]int32{}
 	nArgs, nInsts := 0, 0
 	for _, blk := range tgt {
@@ -252,10 +267,10 @@ func (e *Engine) Rewrite(tgt []*asm.Packed, pairs []align.Pair, ends []int) int 
 				} else {
 					// Symbols and immediates are layout properties: one
 					// variable per identity.
-					id := e.identOf(st)
+					id := e.identOf(st, t.Names)
 					if id == nil {
 						nv = e.newVar(classOf(st))
-						e.idents = append(e.idents, ident{val: value(st), v: int32(nv)})
+						e.idents = append(e.idents, ident{val: e.own(value(st), t.Names), v: int32(nv)})
 					} else {
 						nv = int(id.v)
 					}
@@ -274,26 +289,29 @@ func (e *Engine) Rewrite(tgt []*asm.Packed, pairs []align.Pair, ends []int) int 
 	var conflicts int
 	e.assign, conflicts = e.prob.Solve(MaxBacktracks)
 
-	// Apply the assignment to a copy of the target's arguments. Aligned
+	// Apply the assignment to a copy of the target's arguments, named in
+	// the engine's table like the values that replace them. Aligned
 	// instructions take their variables' values; a register's last
 	// substitution is remembered for the second pass.
 	outArgs := e.outArgs[:nArgs]
 	argBase = 0
 	for _, t := range tgt {
 		args := outArgs[argBase : argBase+len(t.Args) : argBase+len(t.Args)]
-		copy(args, t.Args)
 		for k := range args {
+			a := &t.Args[k]
 			if v := occVar[argBase+k]; v >= 0 {
 				if val := e.solved(int(v)); val != nil {
-					if args[k].Kind() == asm.KindReg {
-						e.swapReg[args[k].Reg()] = int32(e.assign[v] + 1)
+					if a.Kind() == asm.KindReg {
+						e.swapReg[a.Reg()] = int32(e.assign[v] + 1)
 					}
 					args[k] = *val
+					continue
 				}
 			}
+			args[k] = e.own(*a, t.Names)
 		}
 		blk := *t
-		blk.Args = args
+		blk.Args, blk.Names = args, &e.names
 		e.out = append(e.out, blk)
 		argBase += len(t.Args)
 	}
@@ -315,7 +333,7 @@ func (e *Engine) Rewrite(tgt []*asm.Packed, pairs []align.Pair, ends []int) int 
 					if sv := e.swapReg[a.Reg()]; sv != 0 {
 						val = &e.doms[regs].vals[sv-1]
 					}
-				} else if id := e.identOf(a); id != nil {
+				} else if id := e.identOf(a, t.Names); id != nil {
 					val = e.solved(int(id.v))
 				}
 				if val != nil {
@@ -328,14 +346,14 @@ func (e *Engine) Rewrite(tgt []*asm.Packed, pairs []align.Pair, ends []int) int 
 	return conflicts
 }
 
-// identOf returns the identity of symbol or immediate a, or nil if no
-// aligned instruction has mentioned it yet. The identities of all classes
-// share one list, so the class (a value's tag is its kind and class) is
-// checked on its own before the value.
-func (e *Engine) identOf(a *asm.PArg) *ident {
+// identOf returns the identity of symbol or immediate a, named in names,
+// or nil if no aligned instruction has mentioned it yet. The identities of
+// all classes share one list, so the class (a value's tag is its kind and
+// class) is checked on its own before the value.
+func (e *Engine) identOf(a *asm.PArg, names *asm.Names) *ident {
 	v := value(a)
 	for i := range e.idents {
-		if id := &e.idents[i]; id.val.Tag == v.Tag && id.val.Equal(&v) {
+		if id := &e.idents[i]; id.val.Tag == v.Tag && id.val.Equal(&e.names, &v, names) {
 			return id
 		}
 	}
@@ -391,8 +409,8 @@ func Rewrite(refBlocks, tgtBlocks [][]asm.Inst, al align.Alignment) Result {
 			res.VMap["r"+strconv.Itoa(v)] = a.Reg().String()
 		case a.Kind() == asm.KindImm:
 			res.VMap["s"+strconv.Itoa(v)] = strconv.FormatInt(a.Imm, 10)
-		case a.Sym != "":
-			res.VMap["s"+strconv.Itoa(v)] = a.Sym
+		case a.SymH != 0:
+			res.VMap["s"+strconv.Itoa(v)] = string(e.names.At(a.Sym))
 		}
 	}
 	args := e.Block(0).Args
@@ -403,10 +421,10 @@ func Rewrite(refBlocks, tgtBlocks [][]asm.Inst, al align.Alignment) Result {
 			in := blk[ii].Clone()
 			for oi := range in.Ops {
 				if op := &in.Ops[oi]; !op.IsMem() {
-					op.Arg, args = args[0].Arg(), args[1:]
+					op.Arg, args = args[0].Arg(&e.names), args[1:]
 				} else {
 					for ti := range op.Mem {
-						op.Mem[ti].Arg, args = args[0].Arg(), args[1:]
+						op.Mem[ti].Arg, args = args[0].Arg(&e.names), args[1:]
 					}
 				}
 			}

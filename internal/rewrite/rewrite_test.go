@@ -340,7 +340,7 @@ func TestSameNameAcrossClasses(t *testing.T) {
 	names := []string{"x"}
 	for i := 0; len(names) < 2; i++ {
 		n := "n" + strconv.Itoa(i)
-		if h := asm.PackArg(asm.SymArg(asm.SymData, n)).SymH; h>>16&3 == 3 {
+		if h := asm.SymHash(n); h>>16&3 == 3 {
 			names = append(names, n)
 		}
 	}
@@ -349,7 +349,7 @@ func TestSameNameAcrossClasses(t *testing.T) {
 			asm.New("mov", asm.RegOp(asm.EAX), asm.MemSym(asm.EBP, asm.SymLocal, n)),
 			asm.New("push", asm.OffsetOp(asm.SymData, n)),
 			asm.New("call", asm.SymOp(asm.SymFunc, n)),
-			asm.New("add", asm.RegOp(asm.EAX), asm.ImmOp(int64(asm.PackArg(asm.SymArg(asm.SymData, n)).SymH))),
+			asm.New("add", asm.RegOp(asm.EAX), asm.ImmOp(int64(asm.SymHash(n)))),
 			asm.New("push", asm.OffsetOp(asm.SymData, n)),
 		}}
 		al := align.AlignBlocks(ref, tgt)

@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"repro/internal/core"
+	"repro/internal/idxfile"
 	"repro/internal/index"
 	"repro/internal/prep"
 	"repro/internal/telemetry"
@@ -62,7 +63,10 @@ func (b localBackend) begin(_ context.Context, p *searchPlan) error {
 // lookup takes the snapshot's own memoized decomposition: nothing is
 // decomposed per request.
 func (b localBackend) lookup(_ context.Context, p *searchPlan, exe, name string) error {
-	ref := p.st.snap.LookupDecomposed(exe, name, p.k)
+	ref, err := p.st.snap.LookupDecomposed(exe, name, p.k)
+	if err != nil {
+		return errf(http.StatusInternalServerError, "%v", err)
+	}
 	if ref == nil {
 		return errf(http.StatusNotFound, "no indexed function %s/%s", exe, name)
 	}
@@ -103,6 +107,12 @@ func (b localBackend) search(ctx context.Context, p *searchPlan, _ *SearchReques
 	if serr != nil {
 		if he := ctxHTTPErr(serr); he != nil {
 			return nil, false, he
+		}
+		if idxfile.IsCorrupt(serr) {
+			// A candidate's stored records failed their first-touch checks:
+			// the index is at fault, not the request, and no answer that
+			// leaves the candidate out may pass for the full one.
+			return nil, false, errf(http.StatusInternalServerError, "%v", serr)
 		}
 		return nil, false, errf(http.StatusBadRequest, "%v", serr)
 	}
@@ -189,9 +199,13 @@ func (b localBackend) Functions(_ context.Context, exe string, limit int) (*Func
 		if exe != "" && e.Exe != exe {
 			continue
 		}
+		fn, err := e.LoadFunction()
+		if err != nil {
+			return nil, errf(http.StatusInternalServerError, "%v", err)
+		}
 		resp.Functions = append(resp.Functions, FunctionInfo{
 			Exe: e.Exe, Name: e.Name, Addr: e.Addr,
-			Blocks: e.Function().NumBlocks(), Insts: e.Function().NumInsts(),
+			Blocks: fn.NumBlocks(), Insts: fn.NumInsts(),
 		})
 		if limit > 0 && len(resp.Functions) == limit {
 			break

@@ -278,7 +278,8 @@ func (s *Server) Flight() *telemetry.FlightRecorder { return s.flight }
 // install builds a snapshot of db and swaps it in; t0 is when the load
 // began (file open counts toward loadMS). The swapped-in index's
 // provenance is published as the tracy_index_info metric so dashboards
-// can tell which on-disk format (and whether an mmap) is live.
+// can tell which on-disk format is live, whether it is an mmap, and
+// whether candidates are compared in place (pack) or decoded first.
 func (s *Server) install(db *index.DB, t0 time.Time) *snapState {
 	db.Tel = s.tel
 	st := &snapState{
@@ -293,6 +294,7 @@ func (s *Server) install(db *index.DB, t0 time.Time) *snapState {
 	s.tel.SetInfo("index_info", map[string]string{
 		"format":     strconv.Itoa(st.info.Version),
 		"mapped":     strconv.FormatBool(st.info.Mapped),
+		"pack":       strconv.FormatBool(st.info.Pack),
 		"path":       st.info.Path,
 		"functions":  strconv.Itoa(st.info.Funcs),
 		"generation": strconv.FormatUint(st.gen, 10),
@@ -628,7 +630,12 @@ func (s *Server) handleFleetFunction(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, r, errf(http.StatusNotFound, "no indexed function %s/%s", exe, name))
 		return
 	}
-	qgob, _, err := encodeQueryGob(e.Function())
+	fn, err := e.LoadFunction()
+	if err != nil {
+		writeErr(w, r, errf(http.StatusInternalServerError, "%v", err))
+		return
+	}
+	qgob, _, err := encodeQueryGob(fn)
 	if err != nil {
 		writeErr(w, r, errf(http.StatusInternalServerError, "encoding function: %v", err))
 		return

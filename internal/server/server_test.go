@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -17,6 +18,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/index"
+	"repro/internal/minhash"
 	"repro/internal/telemetry"
 	"repro/internal/tinyc"
 )
@@ -738,8 +740,8 @@ func TestServeV3IndexInfo(t *testing.T) {
 	rec = httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
 	metrics := rec.Body.String()
-	if !strings.Contains(metrics, "tracy_index_info{") || !strings.Contains(metrics, `format="3"`) {
-		t.Errorf("/metrics lacks tracy_index_info with format label:\n%.600s", metrics)
+	if !strings.Contains(metrics, "tracy_index_info{") || !strings.Contains(metrics, `format="3"`) || !strings.Contains(metrics, `pack="true"`) {
+		t.Errorf("/metrics lacks tracy_index_info with format and pack labels:\n%.600s", metrics)
 	}
 	if err := telemetry.ValidateExposition(rec.Body.Bytes()); err != nil {
 		t.Errorf("/metrics with info gauge invalid: %v", err)
@@ -765,5 +767,63 @@ func TestServeV3IndexInfo(t *testing.T) {
 	e := entryWithTruth(t, db, corpus.LibFuncName)
 	if _, resp := postSearch(t, h, SearchRequest{Exe: e.Exe, Name: e.Name, Limit: 3}); resp == nil {
 		t.Fatal("search over served v3 index failed")
+	}
+}
+
+// TestCorruptAtTouch: a v3 index whose one function has a broken record
+// is served — a function's records are checked when a query first reads
+// them, not at open — and the search that touches the function is answered
+// 500 with the store's error, counted as a 5xx, never with the function
+// silently left out; a query that does not touch it is answered as ever.
+func TestCorruptAtTouch(t *testing.T) {
+	db, _ := smallDB(t)
+	var buf bytes.Buffer
+	if err := db.SaveV3LSH(&buf, minhash.Default); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	// The section directory (internal/idxfile/format.go): 48-byte header,
+	// 32-byte entries of fourcc, pad, offset, length.
+	section := func(name string) int {
+		for i := 0; i < int(binary.LittleEndian.Uint32(data[12:])); i++ {
+			if e := data[48+i*32:]; string(e[:4]) == name {
+				return int(binary.LittleEndian.Uint64(e[8:]))
+			}
+		}
+		t.Fatalf("no %s section", name)
+		return 0
+	}
+	// Break the successor range of the first block of function 1: both
+	// ways of reading a function follow it.
+	const victim = 1
+	blockOff := binary.LittleEndian.Uint32(data[section("FUNC")+victim*40+20:])
+	binary.LittleEndian.PutUint32(data[section("BLCK")+int(blockOff)*20+12:], 1<<30)
+	path := filepath.Join(t.TempDir(), "broken.v3")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s, err := New(Config{DBPath: path})
+	if err != nil {
+		t.Fatalf("a broken function must not keep the index from being served: %v", err)
+	}
+	h := s.Handler()
+	intact, broken := db.Entries[0], db.Entries[victim]
+
+	rec, resp := postSearch(t, h, SearchRequest{Exe: intact.Exe, Name: intact.Name, Limit: 3})
+	if resp != nil || rec.Code != http.StatusInternalServerError || !strings.Contains(rec.Body.String(), "corrupt index") {
+		t.Errorf("exhaustive search over the broken function: status %d: %s", rec.Code, rec.Body.String())
+	}
+	rec, resp = postSearch(t, h, SearchRequest{Exe: broken.Exe, Name: broken.Name, Limit: 3, Candidates: 1, PrefilterMode: "lsh"})
+	if resp != nil || rec.Code != http.StatusInternalServerError {
+		t.Errorf("by-reference search naming the broken function: status %d: %s", rec.Code, rec.Body.String())
+	}
+	if got := s.Tel().Get(telemetry.ServerStatus5xx); got != 2 {
+		t.Errorf("server_status_5xx = %d, want 2", got)
+	}
+	// One lsh candidate, the query itself: the broken function is not read.
+	rec, resp = postSearch(t, h, SearchRequest{Exe: intact.Exe, Name: intact.Name, Limit: 3, Candidates: 1, PrefilterMode: "lsh"})
+	if resp == nil || len(resp.Hits) != 1 || resp.Hits[0].Name != intact.Name {
+		t.Errorf("a search that does not touch the broken function: status %d: %s", rec.Code, rec.Body.String())
 	}
 }

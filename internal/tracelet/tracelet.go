@@ -15,14 +15,16 @@ import (
 
 // Tracelet is one k-tracelet: k stripped basic-block bodies along a CFG
 // path, plus the indices of the originating blocks (for accountability:
-// reported matches can point back into the function).
+// reported matches can point back into the function). A tracelet of a
+// function that is compared where it is stored (Index) carries the indices
+// alone.
 type Tracelet struct {
 	BlockIdx []int
 	Blocks   [][]asm.Inst
 }
 
 // K returns the tracelet length in basic blocks.
-func (t *Tracelet) K() int { return len(t.Blocks) }
+func (t *Tracelet) K() int { return len(t.BlockIdx) }
 
 // NumInsts returns the total number of instructions.
 func (t *Tracelet) NumInsts() int {
@@ -69,60 +71,105 @@ func (t *Tracelet) Hash() uint64 {
 	return h.Sum64()
 }
 
-// Extract returns all k-tracelets of the graph (paper Algorithm 2): for
-// every basic block, the Cartesian product of the block with all
-// (k-1)-tracelets of its successors. Paths shorter than k are omitted, and
-// paths never repeat a block (tracelets are acyclic sub-paths). The walk
-// only records the paths, back to back in one array; the tracelets and
-// their block tuples are then carved from one array each.
-func Extract(g *cfg.Graph, k int) []*Tracelet {
+// Paths returns the block tuples of all k-tracelets of a graph of n blocks
+// (paper Algorithm 2), back to back: for every basic block, the Cartesian
+// product of the block with all (k-1)-tracelets of its successors. Paths
+// shorter than k are omitted, and paths never repeat a block (tracelets
+// are acyclic sub-paths). Every successor must be a block of the graph.
+func Paths[S ~int | ~uint32](n, k int, succs func(b int) []S) []int {
 	if k < 1 {
 		return nil
 	}
-	// Campaign and real functions alike have between one and two
-	// k-tracelets per block for small k.
-	idx := make([]int, 0, 2*k*len(g.Blocks))
-	path := make([]int, 0, k)
-	onPath := make([]bool, len(g.Blocks))
-	var walk func(bi, rem int)
-	walk = func(bi, rem int) {
-		path = append(path, bi)
-		onPath[bi] = true
-		if rem == 1 {
-			idx = append(idx, path...)
-		} else {
-			for _, s := range g.Blocks[bi].Succs {
-				if !onPath[s] {
-					walk(s, rem-1)
+	// A depth-first walk with its own stack — path[d] is the block at depth
+	// d, next[d] the successor of it to try next — which lives, like the
+	// on-path marks, on the goroutine's stack for all but the longest
+	// tracelets and the largest functions. It runs twice: once to count the
+	// paths, so that the tuples are one allocation of the right size, and
+	// once to record them.
+	var stackBuf [2 * 8]int
+	var markBuf [128]bool
+	stack, onPath := stackBuf[:], markBuf[:]
+	if 2*k > len(stackBuf) {
+		stack = make([]int, 2*k)
+	}
+	if n > len(markBuf) {
+		onPath = make([]bool, n)
+	}
+	path, next := stack[:k], stack[k:2*k]
+	var idx []int
+	for pass := 0; pass < 2; pass++ {
+		found := 0
+		for b := 0; b < n; b++ {
+			d := 0
+			path[0], next[0], onPath[b] = b, 0, true
+			for d >= 0 {
+				at := path[d]
+				if d == k-1 {
+					if found++; pass == 1 {
+						idx = append(idx, path...)
+					}
+				} else if ss := succs(at); next[d] < len(ss) {
+					s := int(ss[next[d]])
+					next[d]++
+					if !onPath[s] {
+						d++
+						path[d], next[d], onPath[s] = s, 0, true
+					}
+					continue
 				}
+				onPath[at] = false
+				d--
 			}
 		}
-		onPath[bi] = false
-		path = path[:len(path)-1]
+		if found == 0 {
+			return nil
+		}
+		if pass == 0 {
+			idx = make([]int, 0, found*k)
+		}
 	}
-	for bi := range g.Blocks {
-		walk(bi, k)
+	return idx
+}
+
+// Index carves the tracelets out of the block tuples Paths returned for k.
+// They carry their BlockIdx, which alias paths, and no Blocks.
+func Index(paths []int, k int) []*Tracelet {
+	n := 0
+	if k > 0 {
+		n = len(paths) / k
 	}
-	n := len(idx) / k
 	if n == 0 {
 		return nil
 	}
 	out := make([]*Tracelet, n)
 	ts := make([]Tracelet, n)
+	for i := range ts {
+		ts[i].BlockIdx = paths[i*k : (i+1)*k : (i+1)*k]
+		out[i] = &ts[i]
+	}
+	return out
+}
+
+// Extract returns all k-tracelets of the graph: the paths Paths finds, each
+// with the bodies of its blocks. The tracelets' block tuples and bodies are
+// carved from one array each.
+func Extract(g *cfg.Graph, k int) []*Tracelet {
+	out := Index(Paths(len(g.Blocks), k, func(b int) []int { return g.Blocks[b].Succs }), k)
+	n := len(out)
+	if n == 0 {
+		return nil
+	}
 	blocks := make([][]asm.Inst, n*k+len(g.Blocks))
 	// A block is on many paths; strip its jump once.
 	bodies := blocks[n*k:]
 	for b, blk := range g.Blocks {
 		bodies[b] = blk.Body()
 	}
-	for i := range ts {
-		t := &ts[i]
-		t.BlockIdx = idx[i*k : (i+1)*k : (i+1)*k]
+	for i, t := range out {
 		t.Blocks = blocks[i*k : (i+1)*k : (i+1)*k]
 		for j, b := range t.BlockIdx {
 			t.Blocks[j] = bodies[b]
 		}
-		out[i] = t
 	}
 	return out
 }
