@@ -21,7 +21,8 @@ import (
 //   - /metrics parses under the Prometheus text exposition grammar and
 //     contains counter and histogram series (_bucket/_sum/_count), and
 //     the lsh bucket-occupancy histogram holds at least one observation
-//     per lsh query answered (a query observes every bucket it probes);
+//     per lsh query answered (a query observes every bucket it probes),
+//     and the pruned pairs are split over the three bounds that cut them;
 //   - a process serving an index of its own publishes tracy_index_info
 //     with the format and pack labels;
 //   - /debug/requests has recorded requests, each carrying a trace ID
@@ -69,6 +70,21 @@ func (c *env) obscheck(args []string) error {
 		return fmt.Errorf("obscheck: /metrics counts %v lsh queries but only %v probed buckets in lsh_bucket_occupancy", lshQueries, probes)
 	}
 	fmt.Fprintf(c.w, "obscheck: lsh bucket occupancy ok (%v probed buckets over %v lsh queries)\n", probes, lshQueries)
+	// The pruner names the bound of its cascade that cut a pair: three
+	// series that add up to the total (all zero on a coordinator, which
+	// compares nothing).
+	pruned, byStage := promSample(metrics, "tracy_pairs_pruned_bound_total"), 0.0
+	for _, stage := range []string{"size", "profile", "rewrite_bound"} {
+		name := "tracy_pairs_pruned_" + stage + "_total"
+		if !bytes.Contains(metrics, []byte("\n"+name+" ")) {
+			return fmt.Errorf("obscheck: /metrics has no %s", name)
+		}
+		byStage += promSample(metrics, name)
+	}
+	if byStage != pruned {
+		return fmt.Errorf("obscheck: /metrics counts %v pruned pairs but %v over the three bounds", pruned, byStage)
+	}
+	fmt.Fprintf(c.w, "obscheck: pruned pairs by bound ok (%v)\n", pruned)
 	// A process that serves an index says which: its format, and whether
 	// candidates are compared where they lie in the file (pack) or decoded
 	// first. A coordinator serves none of its own.

@@ -109,8 +109,9 @@ func writeStatsSummary(w io.Writer, s telemetry.Snapshot) {
 			hits, misses, 100*s.Derived["block_cache_hit_rate"])
 	}
 	if ct["pairs_pruned_bound"]+ct["funcs_pruned_alpha"] > 0 {
-		fmt.Fprintf(w, "pruned: %d pairs by score bound (%.1f%% of compared), %d functions by alpha\n",
-			ct["pairs_pruned_bound"], 100*s.Derived["pairs_pruned_rate"], ct["funcs_pruned_alpha"])
+		fmt.Fprintf(w, "pruned: %d pairs by score bound (%.1f%% of compared: %d size, %d profile, %d rewrite bound), %d functions by alpha\n",
+			ct["pairs_pruned_bound"], 100*s.Derived["pairs_pruned_rate"], ct["pairs_pruned_size"],
+			ct["pairs_pruned_profile"], ct["pairs_pruned_rewrite_bound"], ct["funcs_pruned_alpha"])
 	}
 	if ct["prefilter_candidates"] > 0 {
 		fmt.Fprintf(w, "prefilter: %d candidates passed to exact comparison\n",

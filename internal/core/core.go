@@ -13,11 +13,13 @@
 // compare path touches nothing else: the alignment kernel, the rewrite
 // engine and the re-score all run on the packed form, out of buffers a
 // compare worker owns and reuses. On top sits a lossless score-bound
-// pruner (Options.Prune): a pair whose best-possible normalized score
-// cannot clear β — nor qualify for a rewrite attempt — skips the alignment
-// DP entirely, and a rewrite candidate whose order-aware bound cannot
-// clear β skips the traceback and the constraint solve, with
-// bit-identical Results either way.
+// pruner (Options.Prune), a cascade of upper bounds on a pair's normalized
+// score, cheapest first, all cut at the one threshold that decides a match,
+// β: the blocks' identity scores (three loads a pair), their kind profiles,
+// the score DP, the order-aware rewrite bound, the rewrite. Each bound
+// dominates everything after it, so a pair that cannot match — directly or
+// after any rewrite — is never aligned, and every Result has the same
+// Verdict either way.
 package core
 
 import (
@@ -53,14 +55,16 @@ type Options struct {
 	// optimization of Section 6.3 (tracelets scoring below 50% are not
 	// improved by rewriting). Zero always attempts the rewrite.
 	RewriteSkipBelow float64
-	// Prune enables the lossless score-bound pruner: a tracelet pair runs
-	// the alignment DP only if an upper bound on its score (from
-	// precomputed per-block instruction-kind profiles) could clear Beta,
-	// and a rewrite candidate runs the traceback and the constraint solve
-	// only if the tighter order-aware bound could — rewriting renames
-	// symbols within their class and never changes instruction kinds, so
-	// it cannot lift a pair over either bound. Results are bit-identical
-	// with and without pruning; only the work changes.
+	// Prune enables the lossless score-bound pruner, a cascade of upper
+	// bounds on a tracelet pair's score, cheapest first, each cut at Beta:
+	// the blocks' identity scores, then their instruction-kind profiles,
+	// before the alignment DP; the order-aware rewrite bound before the
+	// traceback and the constraint solve. Rewriting renames symbols within
+	// their class and never changes instruction kinds, so a pair that a
+	// bound holds to Beta or less can match neither directly nor after any
+	// rewrite, and is never aligned. Results have the same Verdict with and
+	// without pruning; only the work changes, and its accounting
+	// (PairsRewritten, PairsPruned) with it.
 	Prune bool
 	// PruneAlpha cuts a Compare short once the α verdict is decided: when
 	// even matching every remaining reference tracelet cannot lift the
@@ -145,6 +149,7 @@ type Decomposed struct {
 	blocks      []asm.Block // the graph blocks, packed; nil without tracelets
 	distinct    []blockInfo // deduplicated block bodies, in order of first visit
 	blockID     []int32     // per tracelet its K blocks' indices into distinct, back to back
+	blockIdent  []int32     // the identity scores of those blocks, in the same layout
 	ident       []int       // identity score per tracelet
 	fingerprint uint64
 
@@ -228,7 +233,8 @@ func (d *Decomposed) number() {
 	}
 	idOf, table := scratch[:nb], scratch[nb:nb+slots]
 	d.distinct = make([]blockInfo, 0, nb)
-	d.blockID = make([]int32, len(ts)*k) // every tracelet has k blocks
+	perBlock := make([]int32, 2*len(ts)*k) // every tracelet has k blocks
+	d.blockID, d.blockIdent = perBlock[:len(ts)*k:len(ts)*k], perBlock[len(ts)*k:]
 	d.ident = make([]int, len(ts))
 	for i, t := range ts {
 		ids := d.blockIDs(i)
@@ -254,6 +260,7 @@ func (d *Decomposed) number() {
 			}
 			id := idOf[bi] - 1
 			ids[j] = id
+			d.blockIdent[i*k+j] = d.distinct[id].ident
 			total += int(d.distinct[id].ident)
 			fp = asm.Mix(fp, d.distinct[id].hash)
 		}
@@ -330,6 +337,21 @@ func profileBound(p, q []asm.KindCount) int32 {
 	return b
 }
 
+// sizeBound returns an upper bound on the blockwise profile bound of a
+// tracelet pair from the identity scores of its blocks alone: a block's
+// profile counts every instruction once at its class weight, which sums to
+// its identity score, so the intersection of two profiles is at most the
+// smaller of the two. r holds the reference tracelet's block identity
+// scores, t the target's from its first block on.
+func sizeBound(r, t []int32) int {
+	t = t[:len(r)]
+	var s int32
+	for b, x := range r {
+		s += min(x, t[b])
+	}
+	return int(s)
+}
+
 // Result is the outcome of one function-to-function comparison.
 type Result struct {
 	Name            string  // target function name
@@ -340,8 +362,13 @@ type Result struct {
 	MatchedDirect  int // matched before any rewrite
 	MatchedRewrite int // matched only after the rewrite
 	PairsCompared  int
+	// Work accounting, not part of the answer (see Verdict): the pairs that
+	// reached the rewrite stage — scored in [RewriteSkipBelow, β] and, under
+	// Options.Prune, bounded above β — and the pairs a bound of the pruner's
+	// cascade cut. Pruning never raises the first and alone makes the second
+	// nonzero.
 	PairsRewritten int
-	PairsPruned    int // pairs skipped by the lossless score-bound pruner
+	PairsPruned    int
 
 	// Truncated reports that the comparison stopped early because the α
 	// verdict was already decided (Options.PruneAlpha): IsMatch is exact,
@@ -351,6 +378,14 @@ type Result struct {
 
 // Matched returns the total number of matched reference tracelets.
 func (r Result) Matched() int { return r.MatchedDirect + r.MatchedRewrite }
+
+// Verdict returns r with its work accounting (PairsRewritten, PairsPruned)
+// zeroed: what the matcher answered, as opposed to what the answer cost.
+// Options.Prune leaves every Verdict bit-identical.
+func (r Result) Verdict() Result {
+	r.PairsRewritten, r.PairsPruned = 0, 0
+	return r
+}
 
 // Matcher compares decomposed functions.
 type Matcher struct {
@@ -370,11 +405,14 @@ func NewMatcher(opts Options) *Matcher {
 type cmpStats struct {
 	cacheHits   uint64
 	cacheMisses uint64
-	prunedBound uint64
-	rwAttempted uint64
-	rwSkipped   uint64
-	rwSucceeded uint64
-	dedupeSaved uint64
+	// pairs cut by each bound of the pruner's cascade, see traceletMatch
+	prunedSize    uint64
+	prunedProfile uint64
+	prunedRewrite uint64
+	rwAttempted   uint64
+	rwSkipped     uint64
+	rwSucceeded   uint64
+	dedupeSaved   uint64
 }
 
 // cancelCheckInterval is how many pair-loop iterations pass between Done
@@ -749,7 +787,7 @@ func (m *Matcher) compare(cc context.Context, ctx *cmpCtx, ref, tgt *Decomposed)
 				idx := groups[h]
 				ri := idx[0]
 				ctx.stats.dedupeSaved += uint64(len(idx) - 1)
-				matched, viaRewrite := m.traceletMatch(ref, tgt, ri, ref.Tracelets[ri], ctx, &res)
+				matched, viaRewrite := m.traceletMatch(ref, tgt, ri, ctx, &res)
 				switch {
 				case matched && viaRewrite:
 					res.MatchedRewrite += len(idx)
@@ -759,7 +797,7 @@ func (m *Matcher) compare(cc context.Context, ctx *cmpCtx, ref, tgt *Decomposed)
 				left -= len(idx)
 			}
 		} else {
-			for ri, r := range ref.Tracelets {
+			for ri := range ref.Tracelets {
 				if ctx.cancelErr != nil {
 					break
 				}
@@ -767,7 +805,7 @@ func (m *Matcher) compare(cc context.Context, ctx *cmpCtx, ref, tgt *Decomposed)
 					res.Truncated = true
 					break
 				}
-				matched, viaRewrite := m.traceletMatch(ref, tgt, ri, r, ctx, &res)
+				matched, viaRewrite := m.traceletMatch(ref, tgt, ri, ctx, &res)
 				switch {
 				case matched && viaRewrite:
 					res.MatchedRewrite++
@@ -793,14 +831,23 @@ func (m *Matcher) compare(cc context.Context, ctx *cmpCtx, ref, tgt *Decomposed)
 func (m *Matcher) finishCompare(res *Result, ctx *cmpCtx, ct telemetry.Timer) {
 	ct.Stop()
 	tel, st := ctx.tel, &ctx.stats
-	res.PairsPruned = int(st.prunedBound)
+	pruned := st.prunedSize + st.prunedProfile + st.prunedRewrite
+	skipped := st.rwSkipped
+	if m.Opts.UseRewrite {
+		// A pair cut before the score DP was denied its rewrite as well.
+		skipped += st.prunedSize + st.prunedProfile
+	}
+	res.PairsPruned = int(pruned)
 	tel.Inc(telemetry.Compares)
 	tel.Add(telemetry.PairsCompared, uint64(res.PairsCompared))
-	tel.Add(telemetry.PairsPrunedBound, st.prunedBound)
+	tel.Add(telemetry.PairsPrunedBound, pruned)
+	tel.Add(telemetry.PairsPrunedSize, st.prunedSize)
+	tel.Add(telemetry.PairsPrunedProfile, st.prunedProfile)
+	tel.Add(telemetry.PairsPrunedRewrite, st.prunedRewrite)
 	tel.Add(telemetry.BlockCacheHits, st.cacheHits)
 	tel.Add(telemetry.BlockCacheMisses, st.cacheMisses)
 	tel.Add(telemetry.RewritesAttempted, st.rwAttempted)
-	tel.Add(telemetry.RewritesSkipped, st.rwSkipped)
+	tel.Add(telemetry.RewritesSkipped, skipped)
 	tel.Add(telemetry.RewritesSucceeded, st.rwSucceeded)
 	tel.Add(telemetry.DedupeSavedTracelets, st.dedupeSaved)
 	if res.IsMatch {
@@ -812,11 +859,14 @@ func (m *Matcher) finishCompare(res *Result, ctx *cmpCtx, ct telemetry.Timer) {
 	if sp := ctx.span; sp != nil {
 		sp.Set("ref_tracelets", int64(res.RefTracelets))
 		sp.Set("pairs_compared", int64(res.PairsCompared))
-		sp.Set("pairs_pruned_bound", int64(st.prunedBound))
+		sp.Set("pairs_pruned_bound", int64(pruned))
+		sp.Set("pairs_pruned_size", int64(st.prunedSize))
+		sp.Set("pairs_pruned_profile", int64(st.prunedProfile))
+		sp.Set("pairs_pruned_rewrite_bound", int64(st.prunedRewrite))
 		sp.Set("block_cache_hits", int64(st.cacheHits))
 		sp.Set("block_cache_misses", int64(st.cacheMisses))
 		sp.Set("rewrites_attempted", int64(st.rwAttempted))
-		sp.Set("rewrites_skipped", int64(st.rwSkipped))
+		sp.Set("rewrites_skipped", int64(skipped))
 		sp.Set("rewrites_succeeded", int64(st.rwSucceeded))
 		sp.Set("matched_direct", int64(res.MatchedDirect))
 		sp.Set("matched_rewrite", int64(res.MatchedRewrite))
@@ -844,61 +894,78 @@ func (ctx *cmpCtx) traceletSpan(ri int) *telemetry.Span {
 
 // traceletMatch looks for any target tracelet matching reference tracelet
 // ri. It returns (matched, matched-only-after-rewrite).
-func (m *Matcher) traceletMatch(ref, tgt *Decomposed, ri int, r *tracelet.Tracelet,
-	ctx *cmpCtx, res *Result) (bool, bool) {
-
+//
+// Under Options.Prune a pair passes a cascade of upper bounds on its score,
+// cheapest first, each cut at β: the size bound (sizeBound), the kind-profile
+// bound (pairBound), then the score itself, and for a pair worth a rewrite
+// the order-aware rewrite bound before the rewrite. Every bound dominates
+// every later stage — size ≥ profile ≥ rewrite bound ≥ post-rewrite score,
+// and profile ≥ score — and Norm is monotone in the score, so a pair cut at
+// any stage could have matched neither directly nor after a rewrite.
+func (m *Matcher) traceletMatch(ref, tgt *Decomposed, ri int, ctx *cmpCtx, res *Result) (bool, bool) {
 	tsp := ctx.traceletSpan(ri)
 	if tsp != nil {
-		defer tsp.End()
+		before := ctx.stats
+		defer func() {
+			tsp.Set("pairs_pruned_size", int64(ctx.stats.prunedSize-before.prunedSize))
+			tsp.Set("pairs_pruned_profile", int64(ctx.stats.prunedProfile-before.prunedProfile))
+			tsp.Set("pairs_pruned_rewrite_bound", int64(ctx.stats.prunedRewrite-before.prunedRewrite))
+			tsp.End()
+		}()
 	}
-	rIdent := ref.ident[ri]
+	opts := &m.Opts
+	beta, norm := opts.Beta, opts.Norm
+	k := ref.K
+	rIdent, rSizes := ref.ident[ri], ref.blockIdent[ri*k:(ri+1)*k]
+	tIdents, tSizes := tgt.ident, tgt.blockIdent
+	if tgt.K != k {
+		tIdents = nil // tracelets of different lengths are never paired
+	}
 	cands := ctx.cands[:0]
 	bestPre := 0.0
-	for ti, t := range tgt.Tracelets {
-		if err := ctx.cancel.poll(); err != nil {
-			ctx.cancelErr = err
-			return false, false
+	polled := ctx.cancel.done != nil
+	for ti, tIdent := range tIdents {
+		if polled {
+			if err := ctx.cancel.poll(); err != nil {
+				ctx.cancelErr = err
+				res.PairsCompared += ti
+				return false, false
+			}
 		}
-		if t.K() != r.K() {
-			continue
-		}
-		res.PairsCompared++
-		if m.Opts.Prune {
-			// Lossless skip: Norm is monotone in the score, so if even the
-			// score bound cannot clear β — nor reach the rewrite-candidate
-			// threshold — running the DP cannot change any outcome.
-			maxNorm := align.Norm(ctx.pairBound(ri, ti), rIdent, tgt.ident[ti], m.Opts.Norm)
-			if maxNorm <= m.Opts.Beta && (!m.Opts.UseRewrite || maxNorm < m.Opts.RewriteSkipBelow) {
-				ctx.stats.prunedBound++
-				if m.Opts.UseRewrite {
-					ctx.stats.rwSkipped++
-				}
+		if opts.Prune {
+			if align.Norm(sizeBound(rSizes, tSizes[ti*k:]), rIdent, tIdent, norm) <= beta {
+				ctx.stats.prunedSize++
+				continue
+			}
+			if align.Norm(ctx.pairBound(ri, ti), rIdent, tIdent, norm) <= beta {
+				ctx.stats.prunedProfile++
 				continue
 			}
 		}
 		pt := ctx.pairTimer()
-		score := ctx.pairScore(ri, ti)
-		norm := align.Norm(score, rIdent, tgt.ident[ti], m.Opts.Norm)
+		pre := align.Norm(ctx.pairScore(ri, ti), rIdent, tIdent, norm)
 		pt.Stop()
-		if norm > bestPre {
-			bestPre = norm
+		if pre > bestPre {
+			bestPre = pre
 		}
-		if norm > m.Opts.Beta {
+		if pre > beta {
 			if tsp != nil {
 				tsp.Set("matched_ti", int64(ti))
-				tsp.Set("score_bp", int64(norm*10000))
+				tsp.Set("score_bp", int64(pre*10000))
 				tsp.Set("via_rewrite", 0)
 			}
+			res.PairsCompared += ti + 1
 			return true, false
 		}
-		if m.Opts.UseRewrite {
-			if norm >= m.Opts.RewriteSkipBelow {
-				cands = append(cands, rewriteCand{ti: ti, norm: norm})
+		if opts.UseRewrite {
+			if pre >= opts.RewriteSkipBelow {
+				cands = append(cands, rewriteCand{ti: ti, norm: pre})
 			} else {
 				ctx.stats.rwSkipped++
 			}
 		}
 	}
+	res.PairsCompared += len(tIdents)
 	ctx.cands = cands // keep what the appends grew
 	if tsp != nil {
 		tsp.Set("best_pre_score_bp", int64(bestPre*10000))
@@ -917,27 +984,25 @@ func (m *Matcher) traceletMatch(ref, tgt *Decomposed, ri int, r *tracelet.Tracel
 		}
 		res.PairsRewritten++
 		ctx.stats.rwAttempted++
-		if m.Opts.Prune {
+		if opts.Prune {
 			// Rewriting renames symbols within their class (registers to
 			// registers, locals to locals) and never changes an
 			// instruction's kind or its place in the block, so the
 			// post-rewrite score is at most what the pair would score if
 			// every same-kind instruction pair agreed in every argument.
 			// When even that cannot clear β the traceback and the CSP solve
-			// are provably futile — account the attempt (Results stay
-			// bit-identical with exhaustive mode) but skip the work.
-			maxNorm := align.Norm(ctx.rewriteBound(ri, c.ti), rIdent, tgt.ident[c.ti], m.Opts.Norm)
-			if maxNorm <= m.Opts.Beta {
-				ctx.stats.prunedBound++
+			// are provably futile.
+			if align.Norm(ctx.rewriteBound(ri, c.ti), rIdent, tIdents[c.ti], norm) <= beta {
+				ctx.stats.prunedRewrite++
 				continue
 			}
 		}
-		norm := ctx.rewritePair(ri, c.ti, m.Opts.Norm)
-		if norm > m.Opts.Beta {
+		post := ctx.rewritePair(ri, c.ti, norm)
+		if post > beta {
 			ctx.stats.rwSucceeded++
 			if tsp != nil {
 				tsp.Set("matched_ti", int64(c.ti))
-				tsp.Set("score_bp", int64(norm*10000))
+				tsp.Set("score_bp", int64(post*10000))
 				tsp.Set("via_rewrite", 1)
 			}
 			return true, true

@@ -62,38 +62,39 @@ func goldenQueries(ds []*core.Decomposed, n int) []int {
 	return out
 }
 
-// renderGolden runs every (query, target) comparison under DefaultOptions
-// and with the pruner off and renders every Result field except
-// PairsPruned (work accounting that exists only when the pruner runs),
-// followed by the rewrite counters of each run. Solver counters are
-// rendered for the unpruned run only: a tighter rewrite bound legitimately
-// lowers them when pruning is on.
-func renderGolden(ds []*core.Decomposed) []byte {
+// goldenRun compares every golden query with every function of the corpus
+// under DefaultOptions, the pruner on or off, and returns the Results in
+// (query, target) order with the collector that counted the run.
+func goldenRun(ds []*core.Decomposed, queries []int, prune bool) ([]core.Result, *telemetry.Collector) {
+	opts := core.DefaultOptions()
+	opts.Prune = prune
+	opts.Tel = telemetry.New()
+	m := core.NewMatcher(opts)
+	out := make([]core.Result, 0, len(queries)*len(ds))
+	for _, q := range queries {
+		for _, tgt := range ds {
+			out = append(out, m.Compare(ds[q], tgt))
+		}
+	}
+	return out, opts.Tel
+}
+
+// renderGolden renders the corpus and the unpruned run over it: every
+// Result field but PairsPruned (zero without the pruner), then the rewrite
+// and solver counters of the run.
+func renderGolden(ds []*core.Decomposed, queries []int, rs []core.Result, tel *telemetry.Collector) []byte {
 	var b bytes.Buffer
 	for i, d := range ds {
 		fmt.Fprintf(&b, "func %d %s insts=%d tracelets=%d\n", i, d.Name, d.NumInsts, len(d.Tracelets))
 	}
-	queries := goldenQueries(ds, 24)
-	for _, prune := range []bool{true, false} {
-		opts := core.DefaultOptions()
-		opts.Prune = prune
-		opts.Tel = telemetry.New()
-		m := core.NewMatcher(opts)
-		fmt.Fprintf(&b, "run prune=%t\n", prune)
-		for _, q := range queries {
-			for t, tgt := range ds {
-				r := m.Compare(ds[q], tgt)
-				fmt.Fprintf(&b, "%d %d %s %.17g %t %d %d %d %d %d %t\n", q, t, r.Name, r.SimilarityScore, r.IsMatch,
-					r.RefTracelets, r.MatchedDirect, r.MatchedRewrite, r.PairsCompared, r.PairsRewritten, r.Truncated)
-			}
-		}
-		counters := []telemetry.Counter{telemetry.RewritesAttempted, telemetry.RewritesSkipped, telemetry.RewritesSucceeded}
-		if !prune {
-			counters = append(counters, telemetry.CSPSolves, telemetry.CSPBacktracks, telemetry.CSPBudgetExhausted)
-		}
-		for _, c := range counters {
-			fmt.Fprintf(&b, "total %s %d\n", c, opts.Tel.Get(c))
-		}
+	b.WriteString("run prune=false\n")
+	for i, r := range rs {
+		fmt.Fprintf(&b, "%d %d %s %.17g %t %d %d %d %d %d %t\n", queries[i/len(ds)], i%len(ds), r.Name, r.SimilarityScore, r.IsMatch,
+			r.RefTracelets, r.MatchedDirect, r.MatchedRewrite, r.PairsCompared, r.PairsRewritten, r.Truncated)
+	}
+	for _, c := range []telemetry.Counter{telemetry.RewritesAttempted, telemetry.RewritesSkipped, telemetry.RewritesSucceeded,
+		telemetry.CSPSolves, telemetry.CSPBacktracks, telemetry.CSPBudgetExhausted} {
+		fmt.Fprintf(&b, "total %s %d\n", c, tel.Get(c))
 	}
 	return b.Bytes()
 }
@@ -102,8 +103,30 @@ func renderGolden(ds []*core.Decomposed) []byte {
 // the packed compare core replaced the string-based one: an oracle that
 // shares no code with the matcher under test, unlike prune parity and the
 // serial difftest oracle, which run the same rewrite on both sides.
+//
+// The file holds the unpruned run. The pruned run is held to it by the
+// pruner's contract: the same verdict for every pair, the same rewrites
+// succeeding, and never more work — pairs reaching the rewrite stage,
+// constraint solves — than without it.
 func TestCompareGolden(t *testing.T) {
-	got := renderGolden(goldenCorpus(t))
+	ds := goldenCorpus(t)
+	queries := goldenQueries(ds, 24)
+	exact, exactTel := goldenRun(ds, queries, false)
+	pruned, prunedTel := goldenRun(ds, queries, true)
+	for i, p := range pruned {
+		if e := exact[i]; p.Verdict() != e.Verdict() || p.PairsRewritten > e.PairsRewritten {
+			t.Fatalf("query %d vs %s: pruned %+v, exhaustive %+v", queries[i/len(ds)], p.Name, p, e)
+		}
+	}
+	if p, e := prunedTel.Get(telemetry.RewritesSucceeded), exactTel.Get(telemetry.RewritesSucceeded); p != e {
+		t.Errorf("rewrites_succeeded: pruned %d, exhaustive %d", p, e)
+	}
+	for _, c := range []telemetry.Counter{telemetry.RewritesAttempted, telemetry.CSPSolves} {
+		if p, e := prunedTel.Get(c), exactTel.Get(c); p > e {
+			t.Errorf("%s: pruned %d exceeds exhaustive %d", c, p, e)
+		}
+	}
+	got := renderGolden(ds, queries, exact, exactTel)
 	if *updateGolden {
 		var z bytes.Buffer
 		zw, _ := gzip.NewWriterLevel(&z, gzip.BestCompression)

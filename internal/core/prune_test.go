@@ -23,9 +23,9 @@ func pruneTestPairs(t *testing.T, k int) []*Decomposed {
 }
 
 // TestPruneBitIdentical: the score-bound pruner must be invisible in the
-// output — every field of every Result identical to exhaustive mode, over
+// output — the Verdict of every Result identical to exhaustive mode, over
 // every pair of test functions, for both normalizations and with the
-// rewrite engine on and off.
+// rewrite engine on and off — and must never add work.
 func TestPruneBitIdentical(t *testing.T) {
 	ds := pruneTestPairs(t, 3)
 	for _, norm := range []align.Method{align.Ratio, align.Containment} {
@@ -41,10 +41,7 @@ func TestPruneBitIdentical(t *testing.T) {
 				for _, tgt := range ds {
 					want := me.Compare(ref, tgt)
 					got := mp.Compare(ref, tgt)
-					// PairsPruned is work accounting, not output: it is
-					// nonzero only when the pruner runs, by definition.
-					want.PairsPruned, got.PairsPruned = 0, 0
-					if got != want {
+					if got.Verdict() != want.Verdict() || got.PairsRewritten > want.PairsRewritten {
 						t.Errorf("norm=%v rewrite=%v %s vs %s: pruned %+v != exhaustive %+v",
 							norm, useRewrite, ref.Name, tgt.Name, got, want)
 					}
@@ -103,6 +100,16 @@ func campaignSample(t testing.TB, funcs int) []*Decomposed {
 	return ds
 }
 
+// postRewriteScore is the raw score of the pair the worker rewrote last:
+// its reference blocks against the rewritten target blocks.
+func postRewriteScore(ctx *cmpCtx) int {
+	post := 0
+	for b, rb := range ctx.rblk {
+		post += ctx.dp.Score(rb, ctx.rw.Block(b))
+	}
+	return post
+}
+
 // TestRewriteBoundSound: for every rewrite the unpruned matcher would
 // attempt, the order-aware bound must dominate the score the rewrite
 // actually reaches — skipping a solve on it is only lossless under this
@@ -126,10 +133,7 @@ func TestRewriteBoundSound(t *testing.T) {
 					attempts++
 					bound, loose := ctx.rewriteBound(ri, ti), ctx.pairBound(ri, ti)
 					ctx.rewritePair(ri, ti, opts.Norm)
-					post := 0
-					for b, rb := range ctx.rblk {
-						post += ctx.dp.Score(rb, ctx.rw.Block(b))
-					}
+					post := postRewriteScore(ctx)
 					if bound < post {
 						t.Errorf("%s[%d] vs %s[%d]: rewrite bound %d < post-rewrite score %d",
 							ref.Name, ri, tgt.Name, ti, bound, post)
@@ -149,6 +153,115 @@ func TestRewriteBoundSound(t *testing.T) {
 	t.Logf("%d rewrite attempts, order-aware bound tighter than the profile bound on %d", attempts, tighter)
 	if attempts == 0 || tighter == 0 {
 		t.Error("the sample never exercised the order-aware bound")
+	}
+}
+
+// srcJumps is a chain of blocks that are nothing but their jump: stripped,
+// every body but the last is empty, so its first tracelet has identity
+// score 0 and normalises to 0 against anything.
+const srcJumps = `
+	jmp j1
+j1:
+	jmp j2
+j2:
+	jmp j3
+j3:
+	retn
+`
+
+// TestSizeBoundSound: the cascade's inequality chain, on which skipping a
+// pair at any stage rests, for every tracelet pair of the sample — size
+// bound ≥ profile bound ≥ rewrite bound ≥ score in raw scores and under
+// both normalizations, and rewrite bound ≥ post-rewrite score wherever the
+// rewrite is run: every pair of the listings, and in the campaign every
+// pair that scores a quarter or more, twice as wide a net as the matcher's.
+func TestSizeBoundSound(t *testing.T) {
+	ds := append(pruneTestPairs(t, 3), Decompose(liftListing(t, "jumps", srcJumps), 3))
+	listings := len(ds)
+	ds = append(ds, campaignSample(t, 48)...)
+	pairs, rewrites := 0, 0
+	for r, ref := range ds[:listings+6] {
+		for _, tgt := range ds {
+			ctx := newCmpCtx(ref, tgt, nil)
+			for ri := range ref.Tracelets {
+				for ti := range tgt.Tracelets {
+					pairs++
+					rIdent, tIdent := ref.ident[ri], tgt.ident[ti]
+					size := sizeBound(ref.blockIdent[ri*ref.K:(ri+1)*ref.K], tgt.blockIdent[ti*tgt.K:])
+					chain := []int{size, ctx.pairBound(ri, ti), ctx.rewriteBound(ri, ti), ctx.pairScore(ri, ti)}
+					if size > min(rIdent, tIdent) {
+						t.Errorf("%s[%d] vs %s[%d]: size bound %d above the smaller identity score", ref.Name, ri, tgt.Name, ti, size)
+					}
+					if r < listings || align.Norm(chain[3], rIdent, tIdent, align.Ratio) >= 0.25 {
+						rewrites++
+						ctx.rewritePair(ri, ti, align.Ratio)
+						chain[3] = max(chain[3], postRewriteScore(ctx))
+					}
+					for i := 1; i < len(chain); i++ {
+						for _, norm := range []align.Method{align.Ratio, align.Containment} {
+							if hi, lo := align.Norm(chain[i-1], rIdent, tIdent, norm), align.Norm(chain[i], rIdent, tIdent, norm); chain[i-1] < chain[i] || hi < lo {
+								t.Errorf("%s[%d] vs %s[%d]: size, profile, rewrite bound, best score = %v: stage %d is below stage %d (%v: %v < %v)",
+									ref.Name, ri, tgt.Name, ti, chain, i-1, i, norm, hi, lo)
+							}
+						}
+					}
+				}
+			}
+			ctx.release()
+		}
+	}
+	t.Logf("%d pairs, %d rewritten", pairs, rewrites)
+	if rewrites == 0 {
+		t.Error("the sample exercised no rewrite")
+	}
+}
+
+// TestPruneVerdictMatrix: Options.Prune changes no Verdict and adds no
+// work under any combination of the options the cascade reads — β at both
+// ends of its range, RewriteSkipBelow at 0 (where every unmatched pair is a
+// rewrite candidate, and a pair is cut by its bound all the same), above β
+// and in between, the rewrite engine on and off, both normalizations, with
+// and without query deduplication — over compiled functions, the listings
+// and a function whose tracelets are empty.
+func TestPruneVerdictMatrix(t *testing.T) {
+	ds := append(pruneTestPairs(t, 3), Decompose(liftListing(t, "jumps", srcJumps), 3))
+	for i, d := range campaignSample(t, 8) {
+		if i%3 == 0 { // a third of it, from every optimization level
+			ds = append(ds, d)
+		}
+	}
+	if j := ds[3]; len(j.Tracelets) == 0 || j.ident[0] != 0 {
+		t.Fatalf("the jump chain has no empty tracelet: idents %v", j.ident)
+	}
+	for _, beta := range []float64{0, 0.5, 0.8, 1} {
+		for _, skipBelow := range []float64{0, 0.5, 0.9} {
+			for _, useRewrite := range []bool{true, false} {
+				for _, norm := range []align.Method{align.Ratio, align.Containment} {
+					for _, dedupe := range []bool{false, true} {
+						exact := DefaultOptions()
+						exact.Prune = false
+						exact.Beta, exact.RewriteSkipBelow, exact.UseRewrite, exact.Norm, exact.DedupeQuery = beta, skipBelow, useRewrite, norm, dedupe
+						pruned := exact
+						pruned.Prune = true
+						me, mp := NewMatcher(exact), NewMatcher(pruned)
+						cut := 0
+						for _, ref := range ds {
+							for _, tgt := range ds {
+								want, got := me.Compare(ref, tgt), mp.Compare(ref, tgt)
+								if got.Verdict() != want.Verdict() || got.PairsRewritten > want.PairsRewritten {
+									t.Fatalf("β=%v skip=%v rewrite=%v norm=%v dedupe=%v %s vs %s: pruned %+v, exhaustive %+v",
+										beta, skipBelow, useRewrite, norm, dedupe, ref.Name, tgt.Name, got, want)
+								}
+								cut += got.PairsPruned
+							}
+						}
+						if cut == 0 && beta > 0 {
+							t.Errorf("β=%v skip=%v rewrite=%v norm=%v dedupe=%v: the pruner cut no pair", beta, skipBelow, useRewrite, norm, dedupe)
+						}
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -172,7 +172,7 @@ func TestDedupeQueryGroupsByBlockIDs(t *testing.T) {
 		want := Result{Name: tgt.Name, RefTracelets: len(ref.Tracelets)}
 		ctx := newCmpCtx(ref, tgt, nil)
 		for _, g := range groups {
-			matched, viaRewrite := m.traceletMatch(ref, tgt, g[0], ref.Tracelets[g[0]], ctx, &want)
+			matched, viaRewrite := m.traceletMatch(ref, tgt, g[0], ctx, &want)
 			switch {
 			case matched && viaRewrite:
 				want.MatchedRewrite += len(g)
@@ -180,7 +180,7 @@ func TestDedupeQueryGroupsByBlockIDs(t *testing.T) {
 				want.MatchedDirect += len(g)
 			}
 		}
-		want.PairsPruned = int(ctx.stats.prunedBound)
+		want.PairsPruned = int(ctx.stats.prunedSize + ctx.stats.prunedProfile + ctx.stats.prunedRewrite)
 		ctx.release()
 		if n := len(ref.Tracelets); n > 0 {
 			want.SimilarityScore = float64(want.Matched()) / float64(n)

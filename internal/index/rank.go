@@ -1,27 +1,29 @@
 package index
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+	"strings"
+)
 
-// hitLess is the canonical result order: similarity score descending,
+// hitCmp is the canonical result order: similarity score descending,
 // ties broken by executable then function name so rankings are
 // deterministic across runs, shards and processes.
-func hitLess(a, b Hit) bool {
-	if a.Result.SimilarityScore != b.Result.SimilarityScore {
-		return a.Result.SimilarityScore > b.Result.SimilarityScore
+func hitCmp(a, b Hit) int {
+	if c := cmp.Compare(b.Result.SimilarityScore, a.Result.SimilarityScore); c != 0 {
+		return c
 	}
-	if a.Entry.Exe != b.Entry.Exe {
-		return a.Entry.Exe < b.Entry.Exe
+	if c := strings.Compare(a.Entry.Exe, b.Entry.Exe); c != 0 {
+		return c
 	}
-	return a.Entry.Name < b.Entry.Name
+	return strings.Compare(a.Entry.Name, b.Entry.Name)
 }
 
-// SortHits orders hits in the canonical result order (see hitLess). The
-// snapshot engine, the fleet coordinator's merge and the tests' serial
-// reference all rank with it, which is what makes their outputs
-// comparable hit for hit.
-func SortHits(hits []Hit) {
-	sort.SliceStable(hits, func(i, j int) bool { return hitLess(hits[i], hits[j]) })
-}
+// SortHits orders hits in the canonical result order (see hitCmp), hits it
+// does not tell apart staying in input order. The snapshot engine, the
+// fleet coordinator's merge and the tests' serial reference all rank with
+// it, which is what makes their outputs comparable hit for hit.
+func SortHits(hits []Hit) { slices.SortStableFunc(hits, hitCmp) }
 
 // TopK filters sorted-or-unsorted hits down to the ones worth returning:
 // hits scoring below minScore are dropped, the rest are put in canonical

@@ -5,6 +5,9 @@ import (
 	"context"
 	"encoding/gob"
 	"fmt"
+	"math/rand"
+	"slices"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -89,6 +92,33 @@ func TestTopK(t *testing.T) {
 	// The input must not be reordered.
 	if hits[0].Entry.Name != "y" {
 		t.Error("TopK mutated its input")
+	}
+}
+
+// TestSortHitsStableOrder: SortHits gives the order of the
+// sort.SliceStable call it replaced, full ties (same score, executable and
+// name — distinct entries all the same) left in input order.
+func TestSortHitsStableOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	hits := make([]Hit, 500)
+	for i := range hits {
+		e := &Entry{Exe: fmt.Sprintf("exe%d", rng.Intn(4)), Name: fmt.Sprintf("sub_%d", rng.Intn(6))}
+		hits[i] = Hit{Entry: e, Result: core.Result{SimilarityScore: float64(rng.Intn(5)) / 4, PairsCompared: i}}
+	}
+	want := slices.Clone(hits)
+	sort.SliceStable(want, func(i, j int) bool {
+		a, b := want[i], want[j]
+		if a.Result.SimilarityScore != b.Result.SimilarityScore {
+			return a.Result.SimilarityScore > b.Result.SimilarityScore
+		}
+		if a.Entry.Exe != b.Entry.Exe {
+			return a.Entry.Exe < b.Entry.Exe
+		}
+		return a.Entry.Name < b.Entry.Name
+	})
+	SortHits(hits)
+	if !slices.Equal(hits, want) {
+		t.Error("SortHits orders a shuffled list with ties differently from sort.SliceStable over the same order")
 	}
 }
 

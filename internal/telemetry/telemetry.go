@@ -39,11 +39,14 @@ const (
 	PairsCompared                       // tracelet cross-product pairs aligned
 	BlockCacheHits                      // per-block alignments reused from cache
 	BlockCacheMisses                    // per-block alignments computed
-	RewritesAttempted                   // CSP rewrite attempts on candidate pairs
-	RewritesSkipped                     // pairs pruned by RewriteSkipBelow
+	RewritesAttempted                   // pairs that reached the rewrite stage (bound above β, score in [RewriteSkipBelow, β])
+	RewritesSkipped                     // pairs denied a rewrite: cut by a score bound, or scoring below RewriteSkipBelow
 	RewritesSucceeded                   // rewrites that produced a match
 	DedupeSavedTracelets                // reference-tracelet evaluations saved by DedupeQuery
-	PairsPrunedBound                    // pairs skipped by the lossless score-bound pruner
+	PairsPrunedBound                    // pairs cut by the lossless bound cascade: the sum of the next three
+	PairsPrunedSize                     // ... by the size bound, before any profile is merged
+	PairsPrunedProfile                  // ... by the kind-profile bound, before the score DP
+	PairsPrunedRewrite                  // ... by the order-aware rewrite bound, before the rewrite
 	FuncsPrunedAlpha                    // compares cut short once the α verdict was decided
 	PrefilterCandidates                 // corpus functions passed through the feature prefilter
 	LSHQueries                          // searches answered through the lsh candidate path
@@ -98,6 +101,9 @@ var counterNames = [numCounters]string{
 	RewritesSucceeded:    "rewrites_succeeded",
 	DedupeSavedTracelets: "dedupe_saved_tracelets",
 	PairsPrunedBound:     "pairs_pruned_bound",
+	PairsPrunedSize:      "pairs_pruned_size",
+	PairsPrunedProfile:   "pairs_pruned_profile",
+	PairsPrunedRewrite:   "pairs_pruned_rewrite_bound",
 	FuncsPrunedAlpha:     "funcs_pruned_alpha",
 	PrefilterCandidates:  "prefilter_candidates",
 	LSHQueries:           "lsh_queries",
