@@ -197,6 +197,7 @@ func BenchmarkLift(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := prep.LiftImage(img); err != nil {
@@ -252,6 +253,7 @@ func BenchmarkDecodeAll(b *testing.B) {
 	}
 	code, addr := fns[0].Code, fns[0].Addr
 	b.SetBytes(int64(len(code)))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := x86.DecodeAll(code, addr); err != nil {

@@ -18,6 +18,7 @@ package asm
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -142,6 +143,28 @@ func formatImm(v int64) string {
 		return "-" + s
 	}
 	return s
+}
+
+// HexToken returns prefix followed by v in upper-case hexadecimal, padded
+// with zeros to at least width digits: the shape of the address- and
+// offset-derived symbol names (sub_8048060, loc_80480A4, var_1C,
+// unk_0000002A). It is fmt.Sprintf(prefix+"%0*X", width, v) at the cost of
+// the one string it returns.
+func HexToken(prefix string, v uint64, width int) string {
+	var buf [40]byte
+	b := append(buf[:0], prefix...)
+	var digits [16]byte
+	d := strconv.AppendUint(digits[:0], v, 16)
+	for n := len(d); n < width; n++ {
+		b = append(b, '0')
+	}
+	for _, c := range d {
+		if c >= 'a' {
+			c -= 'a' - 'A'
+		}
+		b = append(b, c)
+	}
+	return string(b)
 }
 
 // MemOp is one aop operator inside an offset calculation.

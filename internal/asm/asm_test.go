@@ -1,6 +1,9 @@
 package asm
 
 import (
+	"fmt"
+	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -380,5 +383,39 @@ func TestSizeQualifiersIgnored(t *testing.T) {
 	b := MustParse("mov [ebp-4], eax")
 	if !a.Equal(b) {
 		t.Errorf("size qualifier should be stripped: %q vs %q", a, b)
+	}
+}
+
+// TestLookupTable: the slot table behind lookup finds every mnemonic of
+// the semantic table with its own entry, and nothing else — not the empty
+// string, not a name that shares a known one's first bytes or slot.
+func TestLookupTable(t *testing.T) {
+	for m, want := range mnemonics {
+		got, ok := lookup(m)
+		if !ok || !reflect.DeepEqual(*got, want) {
+			t.Errorf("lookup(%q) = %+v, %v; want %+v", m, *got, ok, want)
+		}
+		for _, other := range []string{m + "x", m[:len(m)-1] + "\x00", strings.ToUpper(m)} {
+			if _, known := mnemonics[other]; known {
+				continue
+			}
+			if info, ok := lookup(other); ok || !reflect.DeepEqual(*info, mnemonicInfo{}) {
+				t.Errorf("lookup(%q) found an entry", other)
+			}
+		}
+	}
+	// A name for every slot: whatever lands on an occupied one is refused
+	// by the comparison.
+	for i := 0; i < 4*len(slotOf); i++ {
+		name := fmt.Sprintf("q%d", i)
+		if _, ok := lookup(name); ok {
+			t.Errorf("lookup(%q) found an entry", name)
+		}
+	}
+	if _, ok := lookup(""); ok || KnownMnemonic("") {
+		t.Error("the empty mnemonic is known")
+	}
+	if !KnownMnemonic("cmovnz") || KnownMnemonic("cmovnzz") {
+		t.Error("KnownMnemonic disagrees with the table")
 	}
 }

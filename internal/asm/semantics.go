@@ -104,23 +104,81 @@ func init() {
 		// destination is read as well as written.
 		mnemonics["cmov"+cc] = mnemonicInfo{access: []opAccess{accRW, accR}}
 	}
+	buildMnemonicTab()
 }
 
-func lookup(m string) (mnemonicInfo, bool) {
-	info, ok := mnemonics[m]
-	return info, ok
+// The lookup table. The lift and the index writer ask for an
+// instruction's semantics several times each (is it a call, a jump, a
+// block end; what does it read and write), and hashing the mnemonic for a
+// map lookup each time was a visible share of an index build. So
+// mnemonics is laid out for a lookup that is a multiply, a shift and one
+// string comparison: a mnemonic's bytes, packed into a word, times
+// slotMul select one of len(slotOf) slots, and slotMul is searched for at
+// start-up so that no two known mnemonics share a slot.
+var (
+	slotOf  [1024]uint8     // slot -> index into entries; 0: no mnemonic lands here
+	entries []mnemonicEntry // entries[0] is the entry of no mnemonic
+	slotMul uint64
+)
+
+type mnemonicEntry struct {
+	name string
+	info mnemonicInfo
+}
+
+// slot returns m's slot under mul: the top bits of the product of mul and
+// m's first eight bytes and length packed into a word.
+func slot(m string, mul uint64) uint64 {
+	x := uint64(len(m)) << 56
+	for i := 0; i < len(m) && i < 7; i++ {
+		x |= uint64(m[i]) << (8 * i)
+	}
+	return x * mul >> 54 // 64 - log2(len(slotOf))
+}
+
+func buildMnemonicTab() {
+	entries = make([]mnemonicEntry, 1, len(mnemonics)+1)
+	for m, info := range mnemonics {
+		entries = append(entries, mnemonicEntry{m, info})
+	}
+	// Odd multipliers from a fixed sequence; a few dozen tries find one
+	// for a hundred mnemonics in a thousand slots.
+	mul := uint64(0x9E3779B97F4A7C15)
+	for try := 0; try < 1<<20; try, mul = try+1, mul*0xD1342543DE82EF95+2 {
+		slotOf = [len(slotOf)]uint8{}
+		clash := false
+		for i := 1; i < len(entries) && !clash; i++ {
+			k := slot(entries[i].name, mul)
+			clash = slotOf[k] != 0
+			slotOf[k] = uint8(i)
+		}
+		if !clash {
+			slotMul = mul
+			return
+		}
+	}
+	panic("asm: no collision-free layout of the mnemonic table")
+}
+
+// lookup returns the table entry of mnemonic m, or the zero entry and
+// false when it has none.
+func lookup(m string) (*mnemonicInfo, bool) {
+	if e := &entries[slotOf[slot(m, slotMul)]]; e.name == m && m != "" {
+		return &e.info, true
+	}
+	return &entries[0].info, false
 }
 
 // KnownMnemonic reports whether the mnemonic has a semantic table entry.
 func KnownMnemonic(m string) bool {
-	_, ok := mnemonics[m]
+	_, ok := lookup(m)
 	return ok
 }
 
 // access returns the access mode of operand i given the instruction's
 // table entry, defaulting to read for unknown mnemonics (a safe
 // over-approximation for reads, and conservative for writes).
-func (in *Inst) access(info mnemonicInfo, ok bool, i int) opAccess {
+func (in *Inst) access(info *mnemonicInfo, ok bool, i int) opAccess {
 	if !ok || i >= len(info.access) {
 		if ok && info.variadic {
 			// imul with fewer operands: single-operand form is a pure

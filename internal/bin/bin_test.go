@@ -3,6 +3,8 @@ package bin
 import (
 	"bytes"
 	"math/rand"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/asm"
@@ -345,5 +347,80 @@ func TestLinkMinimalProgram(t *testing.T) {
 	})
 	if err == nil {
 		t.Error("bad table reloc should error")
+	}
+}
+
+// TestTakeDecodedOnce: every function discovered in a stripped image
+// carries the decode of exactly its code, a symbol-table image carries
+// none, and of any number of concurrent takers one gets the run.
+func TestTakeDecodedOnce(t *testing.T) {
+	img, err := Link(testProgram(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	orig, err := Read(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	withSyms, err := orig.Functions()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, fn := range withSyms {
+		if _, ok := fn.TakeDecoded(); ok {
+			t.Errorf("%s: a symbol-table image kept a decoded run", fn.Name)
+		}
+	}
+	stripped, err := Strip(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := Read(stripped)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := f.Discover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := 0
+	for _, fn := range d.Funcs {
+		const takers = 8
+		runs := make([]x86.Run, takers)
+		var got atomic.Int32
+		var wg sync.WaitGroup
+		for i := 0; i < takers; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				if run, ok := fn.TakeDecoded(); ok {
+					runs[i] = run
+					got.Add(1)
+				}
+			}(i)
+		}
+		wg.Wait()
+		if got.Load() != 1 {
+			t.Fatalf("%s: %d of %d concurrent takers got the run", fn.Name, got.Load(), takers)
+		}
+		want := decodeAllOrFatal(t, fn)
+		for _, run := range runs {
+			if len(run.Insts) == 0 {
+				continue
+			}
+			total += len(run.Insts)
+			if run.End != fn.Addr+uint32(len(fn.Code)) || len(run.Insts) != len(want) {
+				t.Fatalf("%s: kept %d instructions to %#x, DecodeAll %d to %#x",
+					fn.Name, len(run.Insts), run.End, len(want), fn.Addr+uint32(len(fn.Code)))
+			}
+			for i := range want {
+				if run.Addrs[i] != want[i].Addr || !run.Insts[i].Equal(want[i].Inst) {
+					t.Fatalf("%s: kept instruction %d differs from DecodeAll's", fn.Name, i)
+				}
+			}
+		}
+	}
+	if d.Decoded != total {
+		t.Errorf("discovery decoded %d instructions, the functions hold %d", d.Decoded, total)
 	}
 }

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"fmt"
 	"sort"
+	"sync/atomic"
 
+	"repro/internal/asm"
 	"repro/internal/x86"
 )
 
@@ -157,11 +159,45 @@ func (f *File) InPLT(addr uint32) bool {
 }
 
 // FuncImage is one function recovered from an image: its (possibly
-// synthetic) name, start address and code bytes.
+// synthetic) name, start address and code bytes. A function discovered in
+// a stripped image also carries the instructions discovery decoded from
+// Code, for one lift to take (TakeDecoded).
 type FuncImage struct {
 	Name string
 	Addr uint32
 	Code []byte
+
+	kept *keptRun
+}
+
+// keptRun is discovery's decode of one function's Code. Lifting
+// symbolises operands in place, so the run has one owner: the first
+// TakeDecoded.
+type keptRun struct {
+	taken atomic.Bool
+	run   x86.Run
+}
+
+// TakeDecoded hands over the instructions discovery decoded from Code —
+// all of Code, ending exactly at its end — or reports false when there
+// are none: an image with a symbol table (nothing was decoded to find its
+// functions), a function whose bytes did not decode to their trimmed end,
+// or a run already taken. The caller owns the run and may rewrite its
+// operands; a caller that gets none decodes Code itself, to the same
+// instructions or the same error. Safe for concurrent callers.
+func (im FuncImage) TakeDecoded() (x86.Run, bool) {
+	if im.kept == nil || !im.kept.taken.CompareAndSwap(false, true) {
+		return x86.Run{}, false
+	}
+	run := im.kept.run
+	im.kept.run = x86.Run{}
+	return run, true
+}
+
+// Discovery is what Discover recovers from an image.
+type Discovery struct {
+	Funcs   []FuncImage
+	Decoded int // instructions decoded to find them; 0 with a symbol table
 }
 
 // Functions recovers the functions of the image. With a symbol table the
@@ -171,9 +207,15 @@ type FuncImage struct {
 // function starts, and each function extends to the next start. Recovered
 // functions in stripped images get IDA-style sub_XXXXXX names.
 func (f *File) Functions() ([]FuncImage, error) {
+	d, err := f.Discover()
+	return d.Funcs, err
+}
+
+// Discover is Functions with an account of the decoding it took.
+func (f *File) Discover() (Discovery, error) {
 	text := f.Section(".text")
 	if text == nil {
-		return nil, fmt.Errorf("bin: no .text section")
+		return Discovery{}, fmt.Errorf("bin: no .text section")
 	}
 	if !f.Stripped() {
 		var out []FuncImage
@@ -184,21 +226,23 @@ func (f *File) Functions() ([]FuncImage, error) {
 			start := s.Value - text.Addr
 			end := start + s.Size
 			if int(end) > len(text.Data) || start > end {
-				return nil, fmt.Errorf("bin: symbol %s out of range", s.Name)
+				return Discovery{}, fmt.Errorf("bin: symbol %s out of range", s.Name)
 			}
 			out = append(out, FuncImage{Name: s.Name, Addr: s.Value, Code: text.Data[start:end]})
 		}
 		sort.Slice(out, func(i, j int) bool { return out[i].Addr < out[j].Addr })
-		return out, nil
+		return Discovery{Funcs: out}, nil
 	}
-	starts := f.discoverFuncStarts(text)
-	var out []FuncImage
-	for i, addr := range starts {
-		end := text.Addr + uint32(len(text.Data))
-		if i+1 < len(starts) {
-			end = starts[i+1]
+	regions, decoded := discoverFuncStarts(text, f.Entry)
+	out := make([]FuncImage, 0, len(regions))
+	kept := make([]keptRun, len(regions))
+	textEnd := text.Addr + uint32(len(text.Data))
+	for i, r := range regions {
+		end := textEnd
+		if i+1 < len(regions) {
+			end = regions[i+1].start
 		}
-		code := text.Data[addr-text.Addr : end-text.Addr]
+		code := text.Data[r.start-text.Addr : end-text.Addr]
 		// Trim inter-function alignment padding (zero bytes).
 		for len(code) > 0 && code[len(code)-1] == 0 {
 			code = code[:len(code)-1]
@@ -206,81 +250,126 @@ func (f *File) Functions() ([]FuncImage, error) {
 		if len(code) == 0 {
 			continue
 		}
-		out = append(out, FuncImage{
-			Name: fmt.Sprintf("sub_%X", addr),
-			Addr: addr,
-			Code: code,
-		})
+		im := FuncImage{Name: asm.HexToken("sub_", uint64(r.start), 0), Addr: r.start, Code: code}
+		// The run stands for Code only if it covers exactly Code: a sweep
+		// that stopped early leaves the failure to the lift, and trimming
+		// can cut an instruction that ends in zero bytes.
+		if r.run.End == r.start+uint32(len(code)) {
+			kept[i].run = r.run
+			im.kept = &kept[i]
+		}
+		out = append(out, im)
 	}
-	return out, nil
+	return Discovery{Funcs: out, Decoded: decoded}, nil
 }
 
-// discoverFuncStarts scans stripped text for function entry points.
-func (f *File) discoverFuncStarts(text *Section) []uint32 {
-	starts := map[uint32]bool{f.Entry: true}
-	if !text.Contains(f.Entry) {
-		delete(starts, f.Entry)
-		starts[text.Addr] = true
+// region is one discovered function start and the instructions decoded
+// from it: a run that ends at or before the next start.
+type region struct {
+	start uint32
+	run   x86.Run
+	swept bool // run is the decode of [start, next start)
+}
+
+// discoverFuncStarts scans stripped text for function entry points and
+// returns them in address order, each with its decoded run, and the
+// number of instructions it decoded.
+//
+// The starts are a fixpoint: the entry point and every prologue seed it,
+// each round decodes from every start to the next one and adds the
+// direct-call targets inside .text it meets. A region decoded in an
+// earlier round is not decoded again: a new start on one of its
+// instruction boundaries splits its run in two, one inside an instruction
+// cuts the run before that instruction (which no longer fits its region)
+// and only the new region is decoded. Each round therefore decodes only
+// what its new starts created, and yields exactly the targets decoding
+// every region again would.
+func discoverFuncStarts(text *Section, entry uint32) ([]region, int) {
+	if !text.Contains(entry) {
+		entry = text.Addr
 	}
-	// Pass 1: prologue scan. The pattern 55 89 E5 (push ebp; mov ebp,esp)
-	// marks a conventional function entry.
+	known := map[uint32]bool{entry: true}
+	fresh := []uint32{entry}
+	// The pattern 55 89 E5 (push ebp; mov ebp,esp) marks a conventional
+	// function entry.
 	prologue := []byte{0x55, 0x89, 0xE5}
-	for i := 0; i+len(prologue) <= len(text.Data); i++ {
-		if bytes.Equal(text.Data[i:i+len(prologue)], prologue) {
-			starts[text.Addr+uint32(i)] = true
-		}
-	}
-	// Pass 2: decode from every known start, collecting direct-call
-	// targets inside .text; iterate until no new starts appear.
-	for {
-		added := false
-		for _, t := range f.callTargets(text, starts) {
-			if !starts[t] {
-				starts[t] = true
-				added = true
-			}
-		}
-		if !added {
+	for i := 0; ; {
+		j := bytes.Index(text.Data[i:], prologue)
+		if j < 0 {
 			break
 		}
-	}
-	out := make([]uint32, 0, len(starts))
-	for a := range starts {
-		out = append(out, a)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-func (f *File) callTargets(text *Section, starts map[uint32]bool) []uint32 {
-	sorted := make([]uint32, 0, len(starts))
-	for a := range starts {
-		sorted = append(sorted, a)
-	}
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	var targets []uint32
-	for i, addr := range sorted {
-		end := text.Addr + uint32(len(text.Data))
-		if i+1 < len(sorted) {
-			end = sorted[i+1]
+		i += j
+		if a := text.Addr + uint32(i); !known[a] {
+			known[a] = true
+			fresh = append(fresh, a)
 		}
-		code := text.Data[addr-text.Addr : end-text.Addr]
-		p := 0
-		for p < len(code) {
-			in, n, err := x86.Decode(code[p:], addr+uint32(p))
-			if err != nil {
-				break // padding or data; stop this region
+		i++
+	}
+	var regions []region
+	var sweep x86.Sweep
+	sweep.Expect(len(text.Data))
+	textEnd := text.Addr + uint32(len(text.Data))
+	for len(fresh) > 0 {
+		sort.Slice(fresh, func(i, j int) bool { return fresh[i] < fresh[j] })
+		regions = splitRegions(regions, fresh)
+		fresh = fresh[:0]
+		for i := range regions {
+			r := &regions[i]
+			if r.swept {
+				continue
 			}
-			if in.IsCall() && len(in.Ops) == 1 && !in.Ops[0].IsMem() && in.Ops[0].Arg.IsImm() {
-				t := uint32(in.Ops[0].Arg.Imm)
-				if text.Contains(t) {
-					targets = append(targets, t)
+			end := textEnd
+			if i+1 < len(regions) {
+				end = regions[i+1].start
+			}
+			// A failure is padding or data: the region's run stops there.
+			r.run, _ = sweep.Run(text.Data[r.start-text.Addr:end-text.Addr], r.start)
+			r.swept = true
+			for i := range r.run.Insts {
+				in := &r.run.Insts[i]
+				if in.IsCall() && len(in.Ops) == 1 && !in.Ops[0].IsMem() && in.Ops[0].Arg.IsImm() {
+					if t := uint32(in.Ops[0].Arg.Imm); text.Contains(t) && !known[t] {
+						known[t] = true
+						fresh = append(fresh, t)
+					}
 				}
 			}
-			p += n
 		}
 	}
-	return targets
+	return regions, sweep.Insts
+}
+
+// splitRegions merges the new starts fresh (ascending, none a start
+// already) into regions (ascending), dividing the run of the region each
+// falls into.
+func splitRegions(regions []region, fresh []uint32) []region {
+	out := make([]region, 0, len(regions)+len(fresh))
+	ri := 0
+	for _, t := range fresh {
+		for ri < len(regions) && regions[ri].start < t {
+			out = append(out, regions[ri])
+			ri++
+		}
+		nr := region{start: t}
+		if n := len(out); n > 0 && out[n-1].swept {
+			prev := &out[n-1]
+			addrs := prev.run.Addrs
+			i := sort.Search(len(addrs), func(i int) bool { return addrs[i] >= t })
+			if i < len(addrs) && addrs[i] == t {
+				prev.run, nr.run = prev.run.Split(i)
+				nr.swept = true
+			} else {
+				// The instruction before t may reach past it, and then it
+				// is not in prev's region any more.
+				if i > 0 && addrs[i-1]+uint32(prev.run.Len(i-1)) > t {
+					i--
+				}
+				prev.run, _ = prev.run.Split(i)
+			}
+		}
+		out = append(out, nr)
+	}
+	return append(out, regions[ri:]...)
 }
 
 // Strip returns a copy of the image without .symtab and .strtab, leaving

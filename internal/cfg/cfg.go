@@ -106,51 +106,58 @@ func Build(name string, dec []x86.Decoded) (*Graph, error) {
 // the form jmp [table+reg*4] consults readTable for its successor set, the
 // way real-world disassemblers recover switch statements.
 func BuildWithTables(name string, dec []x86.Decoded, readTable TableReader) (*Graph, error) {
-	if len(dec) == 0 {
+	return BuildRun(name, x86.RunOf(dec), readTable)
+}
+
+// BuildRun is BuildWithTables over a decoded run, the form a sweep
+// produces: the graph's blocks are slices of run.Insts, which the graph
+// owns from here on — nothing is copied. Addresses must ascend, as they
+// do in anything decoded from consecutive bytes.
+func BuildRun(name string, run x86.Run, readTable TableReader) (*Graph, error) {
+	if len(run.Insts) == 0 {
 		return nil, fmt.Errorf("cfg: empty function %s", name)
 	}
-	addrIndex := make(map[uint32]int, len(dec))
-	for i, d := range dec {
-		addrIndex[d.Addr] = i
-	}
-	targets := func(i int) []int {
-		in := dec[i].Inst
-		if len(in.Ops) != 1 {
-			return nil
+	addrs := run.Addrs
+	for i := 1; i < len(addrs); i++ {
+		if addrs[i] <= addrs[i-1] {
+			return nil, fmt.Errorf("cfg: %s: instruction addresses do not ascend at %#x", name, addrs[i])
 		}
-		op := in.Ops[0]
+	}
+	indexOf := func(addr uint32) (int, bool) {
+		i := sort.Search(len(addrs), func(i int) bool { return addrs[i] >= addr })
+		return i, i < len(addrs) && addrs[i] == addr
+	}
+	targets := func(dst []int, i int) []int {
+		in := &run.Insts[i]
+		if len(in.Ops) != 1 {
+			return dst
+		}
+		op := &in.Ops[0]
 		if !op.IsMem() {
 			if !op.Arg.IsImm() {
-				return nil
+				return dst
 			}
-			if ti, ok := addrIndex[uint32(op.Arg.Imm)]; ok {
-				return []int{ti}
+			if ti, ok := indexOf(uint32(op.Arg.Imm)); ok {
+				dst = append(dst, ti)
 			}
-			return nil
+			return dst
 		}
 		// Indirect jump: recover [table+reg*4].
 		if readTable == nil || in.Mnemonic != "jmp" {
-			return nil
+			return dst
 		}
-		tbl, ok := jumpTableAddr(op)
+		tbl, ok := jumpTableAddr(*op)
 		if !ok {
-			return nil
+			return dst
 		}
-		var out []int
 		for _, addr := range readTable(tbl) {
-			if ti, ok := addrIndex[addr]; ok {
-				out = append(out, ti)
+			if ti, ok := indexOf(addr); ok {
+				dst = append(dst, ti)
 			}
 		}
-		return out
+		return dst
 	}
-	insts := make([]asm.Inst, len(dec))
-	addrs := make([]uint32, len(dec))
-	for i, d := range dec {
-		insts[i] = d.Inst
-		addrs[i] = d.Addr
-	}
-	return build(name, insts, addrs, targets)
+	return build(name, run.Insts, addrs, targets)
 }
 
 // jumpTableAddr recognizes the memory-operand shape of a jump table
@@ -185,82 +192,101 @@ func BuildListing(name string, insts []asm.Inst, labels map[string]int) (*Graph,
 	if len(insts) == 0 {
 		return nil, fmt.Errorf("cfg: empty function %s", name)
 	}
-	targets := func(i int) []int {
-		in := insts[i]
+	targets := func(dst []int, i int) []int {
+		in := &insts[i]
 		if len(in.Ops) != 1 || in.Ops[0].IsMem() || !in.Ops[0].Arg.IsSym() {
-			return nil
+			return dst
 		}
 		ti, ok := labels[in.Ops[0].Arg.Sym]
 		if !ok || ti >= len(insts) {
-			return nil
+			return dst
 		}
-		return []int{ti}
+		return append(dst, ti)
 	}
 	return build(name, insts, nil, targets)
 }
 
-func build(name string, insts []asm.Inst, addrs []uint32, targets func(int) []int) (*Graph, error) {
+// build cuts insts into basic blocks, which are slices of it. targets
+// appends to dst the instruction indices jump i may transfer to.
+func build(name string, insts []asm.Inst, addrs []uint32, targets func(dst []int, i int) []int) (*Graph, error) {
 	n := len(insts)
-	leaders := map[int]bool{0: true}
-	for i, in := range insts {
+	// blockOf[i] is first 1 for a leader, then the index of i's block.
+	blockOf := make([]int32, n)
+	blockOf[0] = 1
+	var scratch []int
+	for i := range insts {
+		in := &insts[i]
 		if !in.Terminates() {
 			continue
 		}
 		if i+1 < n {
-			leaders[i+1] = true
+			blockOf[i+1] = 1
 		}
 		if in.IsJump() {
-			for _, ti := range targets(i) {
-				leaders[ti] = true
+			scratch = targets(scratch[:0], i)
+			for _, ti := range scratch {
+				blockOf[ti] = 1
 			}
 		}
 	}
-	starts := make([]int, 0, len(leaders))
-	for i := range leaders {
-		starts = append(starts, i)
+	nb := 0
+	for _, l := range blockOf {
+		nb += int(l)
 	}
-	sort.Ints(starts)
-	blockOf := make([]int, n)
-	g := &Graph{Name: name}
-	for bi, s := range starts {
-		end := n
-		if bi+1 < len(starts) {
-			end = starts[bi+1]
+	blocks := make([]Block, nb) // one array: a function's blocks live and die together
+	g := &Graph{Name: name, Blocks: make([]*Block, nb)}
+	bi, start := -1, 0
+	for i := 1; i <= n; i++ {
+		if i < n && blockOf[i] == 0 {
+			continue
 		}
-		b := &Block{Index: bi, Insts: insts[s:end]}
+		bi++
+		b := &blocks[bi]
+		b.Index, b.Insts = bi, insts[start:i:i]
 		if addrs != nil {
-			b.Addr = addrs[s]
+			b.Addr = addrs[start]
 		}
-		g.Blocks = append(g.Blocks, b)
-		for i := s; i < end; i++ {
-			blockOf[i] = bi
+		g.Blocks[bi] = b
+		for ; start < i; start++ {
+			blockOf[start] = int32(bi)
 		}
 	}
-	for bi := range starts {
-		end := n
-		if bi+1 < len(starts) {
-			end = starts[bi+1]
+	// Successors are carved from one array, so a function's edges are one
+	// allocation: most blocks have at most two. (Should a jump table
+	// outgrow it, append moves on to a new array and the blocks carved so
+	// far keep the old one.)
+	succs := make([]int, 0, 2*nb)
+	end := 0
+	for bi := range blocks {
+		end += len(blocks[bi].Insts)
+		first := len(succs)
+		add := func(s int32) {
+			for _, have := range succs[first:] {
+				if have == int(s) {
+					return
+				}
+			}
+			succs = append(succs, int(s))
 		}
-		last := insts[end-1]
-		b := g.Blocks[bi]
+		last := &insts[end-1]
 		switch {
 		case last.IsRet():
 			// no successors
 		case last.IsJump():
-			seen := map[int]bool{}
-			for _, ti := range targets(end - 1) {
-				if !seen[blockOf[ti]] {
-					seen[blockOf[ti]] = true
-					b.Succs = append(b.Succs, blockOf[ti])
-				}
+			scratch = targets(scratch[:0], end-1)
+			for _, ti := range scratch {
+				add(blockOf[ti])
 			}
-			if last.IsCondJump() && end < n && !seen[blockOf[end]] {
-				b.Succs = append(b.Succs, blockOf[end])
+			if last.IsCondJump() && end < n {
+				add(blockOf[end])
 			}
 		default:
 			if end < n {
-				b.Succs = append(b.Succs, blockOf[end])
+				add(blockOf[end])
 			}
+		}
+		if k := len(succs); k > first {
+			blocks[bi].Succs = succs[first:k:k]
 		}
 	}
 	return g, nil

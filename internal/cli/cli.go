@@ -157,7 +157,7 @@ func (c *env) index(args []string) error {
 	if *lsh && *format != "v3" {
 		return fmt.Errorf("index: -lsh needs the v3 format (got %s)", *format)
 	}
-	db.Tel = tf.tel
+	db.Tel = tf.collector()
 	for _, path := range fs.Args() {
 		img, err := os.ReadFile(path)
 		if err != nil {
@@ -196,6 +196,7 @@ func (c *env) index(args []string) error {
 		os.Remove(tmp)
 		return err
 	}
+	writeBuildRate(c.w, db.Tel)
 	return tf.finish(c.w)
 }
 

@@ -22,7 +22,11 @@ import (
 //     contains counter and histogram series (_bucket/_sum/_count), and
 //     the lsh bucket-occupancy histogram holds at least one observation
 //     per lsh query answered (a query observes every bucket it probes),
-//     and the pruned pairs are split over the three bounds that cut them;
+//     and the pruned pairs are split over the three bounds that cut them,
+//     and the write path's families are there (functions_lifted,
+//     instructions_decoded, index_bytes_written, lift_latency,
+//     index_save_latency) and consistent: no function lifted without an
+//     instruction decoded in a timed lift;
 //   - a process serving an index of its own publishes tracy_index_info
 //     with the format and pack labels;
 //   - /debug/requests has recorded requests, each carrying a trace ID
@@ -85,6 +89,24 @@ func (c *env) obscheck(args []string) error {
 		return fmt.Errorf("obscheck: /metrics counts %v pruned pairs but %v over the three bounds", pruned, byStage)
 	}
 	fmt.Fprintf(c.w, "obscheck: pruned pairs by bound ok (%v)\n", pruned)
+	// The write path reports into the same collector: what lifting images
+	// (an index build, a by-image query) decoded and how long it took, and
+	// what saving an index wrote. A process that lifted a function decoded
+	// at least an instruction for it, in a lift that was timed.
+	for _, name := range []string{
+		"tracy_functions_lifted_total", "tracy_instructions_decoded_total", "tracy_index_bytes_written_total",
+		"tracy_lift_latency_seconds_count", "tracy_index_save_latency_seconds_count",
+	} {
+		if !bytes.Contains(metrics, []byte("\n"+name+" ")) {
+			return fmt.Errorf("obscheck: /metrics has no %s", name)
+		}
+	}
+	lifted, decoded := promSample(metrics, "tracy_functions_lifted_total"), promSample(metrics, "tracy_instructions_decoded_total")
+	lifts := promSample(metrics, "tracy_lift_latency_seconds_count")
+	if decoded < lifted || (lifted > 0 && lifts == 0) {
+		return fmt.Errorf("obscheck: /metrics counts %v functions lifted from %v instructions decoded in %v timed lifts", lifted, decoded, lifts)
+	}
+	fmt.Fprintf(c.w, "obscheck: write path ok (%v functions lifted, %v instructions decoded, %v lifts)\n", lifted, decoded, lifts)
 	// A process that serves an index says which: its format, and whether
 	// candidates are compared where they lie in the file (pack) or decoded
 	// first. A coordinator serves none of its own.

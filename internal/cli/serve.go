@@ -303,7 +303,7 @@ func (c *env) mkcorpus(args []string) error {
 			OptLevels:   opts,
 			Workers:     *workers,
 		}
-		if err := c.mkcorpusCampaign(*dir, ccfg, *indexOut, *bins, *lsh); err != nil {
+		if err := c.mkcorpusCampaign(*dir, ccfg, *indexOut, *bins, *lsh, tf.collector()); err != nil {
 			return err
 		}
 		return tf.finish(c.w)
@@ -328,7 +328,7 @@ func (c *env) mkcorpus(args []string) error {
 	}
 	m := cp.Manifest()
 	if *indexOut != "" {
-		em := newV3Emitter(*lsh, funcsTotal)
+		em := newV3Emitter(*lsh, funcsTotal, tf.collector())
 		for _, e := range cp.Exes {
 			if err := em.add(*e); err != nil {
 				return fmt.Errorf("mkcorpus: %w", err)
@@ -341,6 +341,7 @@ func (c *env) mkcorpus(args []string) error {
 		m.Index = mi
 		fmt.Fprintf(c.w, "wrote index %s (TRACYIDX v%d, %d functions, %d bytes)\n",
 			mi.Path, mi.Format, mi.Functions, mi.Bytes)
+		writeBuildRate(c.w, em.tel)
 	}
 	// The manifest records the generating configuration — above all the
 	// seed — so the corpus can be regenerated byte-for-byte.
@@ -355,13 +356,13 @@ func (c *env) mkcorpus(args []string) error {
 // mkcorpusCampaign runs the scale campaign: executables stream from the
 // parallel compile pipeline into .bin files and/or a v3 index builder and
 // are then dropped, so peak memory stays far below corpus size.
-func (c *env) mkcorpusCampaign(dir string, ccfg corpus.CampaignConfig, indexOut string, bins, lsh bool) error {
+func (c *env) mkcorpusCampaign(dir string, ccfg corpus.CampaignConfig, indexOut string, bins, lsh bool, tel *telemetry.Collector) error {
 	if indexOut == "" && !bins {
 		bins = true // with no index requested the .bin files are the output
 	}
 	var em *v3Emitter
 	if indexOut != "" {
-		em = newV3Emitter(lsh, ccfg.Funcs)
+		em = newV3Emitter(lsh, ccfg.Funcs, tel)
 	}
 	m := &corpus.Manifest{Campaign: &ccfg}
 	nExes := ccfg.NumExes()
@@ -403,6 +404,7 @@ func (c *env) mkcorpusCampaign(dir string, ccfg corpus.CampaignConfig, indexOut 
 		m.Index = mi
 		fmt.Fprintf(c.w, "wrote index %s (TRACYIDX v%d, %d functions, %d bytes)\n",
 			mi.Path, mi.Format, mi.Functions, mi.Bytes)
+		writeBuildRate(c.w, tel)
 	}
 	if err := writeManifest(dir, m); err != nil {
 		return err
@@ -434,31 +436,35 @@ func parseOptLevels(s string) ([]tinyc.OptLevel, error) {
 // truth by address) so a streamed index is interchangeable with one
 // built by tracy index.
 type v3Emitter struct {
-	b *idxfile.Builder
+	b        *idxfile.Builder
+	tel      *telemetry.Collector // lift and save telemetry, as index.DB reports it
+	building time.Duration        // spent on features and the builder so far
 }
 
-// newV3Emitter returns an emitter for about funcs functions; with lsh set
-// the builder also signs every function so the index carries an LSHB
-// section.
-func newV3Emitter(lsh bool, funcs int) *v3Emitter {
+// newV3Emitter returns an emitter for about funcs functions reporting
+// into tel; with lsh set the builder also signs every function so the
+// index carries an LSHB section.
+func newV3Emitter(lsh bool, funcs int, tel *telemetry.Collector) *v3Emitter {
 	b := idxfile.NewBuilder()
 	b.Expect(funcs)
 	if lsh {
 		b.SetLSH(minhash.Default)
 	}
-	return &v3Emitter{b: b}
+	return &v3Emitter{b: b, tel: tel}
 }
 
 func (w *v3Emitter) add(e corpus.Executable) error {
-	fns, err := prep.LiftImage(e.Image)
+	fns, err := prep.LiftImageTel(w.tel, e.Image)
 	if err != nil {
 		return fmt.Errorf("%s: %w", e.Name, err)
 	}
+	t0 := time.Now()
 	items := make([]idxfile.Item, len(fns))
 	for i, fn := range fns {
 		items[i] = idxfile.Item{Exe: e.Name, Fn: fn, Truth: e.Truth[fn.Addr], Feats: index.FuncFeatures(fn)}
 	}
 	w.b.AddAll(items)
+	w.building += time.Since(t0)
 	return nil
 }
 
@@ -480,10 +486,15 @@ func (w *v3Emitter) write(path string) (*corpus.ManifestIndex, error) {
 	if err != nil {
 		return nil, err
 	}
-	_, err = w.b.WriteTo(f)
+	t0 := time.Now()
+	n, err := w.b.WriteTo(f)
 	if err2 := f.Close(); err == nil {
 		err = err2
 	}
+	// One save: what the builder took while the executables streamed
+	// through it, and the write.
+	w.tel.Observe(telemetry.IndexSaveLatency, w.building+time.Since(t0))
+	w.tel.Add(telemetry.IndexBytesWritten, uint64(n))
 	if err != nil {
 		os.Remove(path)
 		return nil, err

@@ -59,6 +59,31 @@ func (t *telOpts) activate(w io.Writer, traceName string) error {
 	return nil
 }
 
+// collector returns the command's collector, making one when no flag
+// asked for telemetry: the commands that build an index report their
+// build rate from it either way.
+func (t *telOpts) collector() *telemetry.Collector {
+	if t.tel == nil {
+		t.tel = telemetry.New()
+	}
+	return t.tel
+}
+
+// writeBuildRate prints what the write path reported into tel: functions
+// lifted, the time lifting and saving took, and the rate over both.
+func writeBuildRate(w io.Writer, tel *telemetry.Collector) {
+	s := tel.Snapshot()
+	funcs := s.Counters["functions_lifted"]
+	lift := time.Duration(s.Histograms["lift_latency"].SumNS)
+	save := time.Duration(s.Histograms["index_save_latency"].SumNS)
+	if funcs == 0 || lift+save <= 0 {
+		return
+	}
+	fmt.Fprintf(w, "build: %d functions (%d instructions decoded) lifted in %.3fs, %d index bytes saved in %.3fs: %.0f functions/s\n",
+		funcs, s.Counters["instructions_decoded"], lift.Seconds(), s.Counters["index_bytes_written"], save.Seconds(),
+		float64(funcs)/(lift+save).Seconds())
+}
+
 // finish emits the reports requested by the flags. Call it once, at the
 // end of a successful command.
 func (t *telOpts) finish(w io.Writer) error {

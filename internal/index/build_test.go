@@ -1,0 +1,92 @@
+package index
+
+import (
+	"bytes"
+	"io"
+	"runtime"
+	"testing"
+
+	"repro/internal/corpus"
+	"repro/internal/minhash"
+	"repro/internal/telemetry"
+	"repro/internal/tinyc"
+)
+
+// BenchmarkBuild4k measures the write path end to end, the shape of the
+// ingest-4k workload: AddImage for each of the 126 images of a
+// 4032-function campaign, then SaveV3LSH. It reports functions/s next to
+// B/op and allocs/op, and the collector cycles one build ran.
+func BenchmarkBuild4k(b *testing.B) {
+	var exes []corpus.Executable
+	_, err := corpus.RunCampaign(corpus.CampaignConfig{Seed: 1, Funcs: 4032, FuncsPerExe: 32, Stmts: 10, Workers: 2},
+		func(e corpus.Executable, _ tinyc.OptLevel) error { exes = append(exes, e); return nil })
+	if err != nil {
+		b.Fatal(err)
+	}
+	var ms0, ms1 runtime.MemStats
+	funcs := 0
+	b.ReportAllocs()
+	runtime.GC()
+	runtime.ReadMemStats(&ms0)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		db := New()
+		for _, e := range exes {
+			if err := db.AddImage(e.Name, e.Image, e.Truth); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := db.SaveV3LSH(io.Discard, minhash.Default); err != nil {
+			b.Fatal(err)
+		}
+		funcs += db.Len()
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&ms1)
+	b.ReportMetric(float64(funcs)/b.Elapsed().Seconds(), "functions/s")
+	b.ReportMetric(float64(ms1.NumGC-ms0.NumGC)/float64(b.N), "gc-cycles/op")
+}
+
+// TestWritePathTelemetry: a database with a collector reports its build
+// into it — a timed lift per image, every function lifted, each
+// instruction decoded once, and per save its time and the bytes written.
+func TestWritePathTelemetry(t *testing.T) {
+	tel := telemetry.New()
+	db := New()
+	db.Tel = tel
+	images, insts := 0, 0
+	_, err := corpus.RunCampaign(corpus.CampaignConfig{Seed: 4, Funcs: 96, FuncsPerExe: 16, Stmts: 8, Workers: 1},
+		func(e corpus.Executable, _ tinyc.OptLevel) error {
+			images++
+			return db.AddImage(e.Name, e.Image, e.Truth)
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range db.Entries {
+		insts += e.Func.NumInsts()
+	}
+	var v3, gob bytes.Buffer
+	if err := db.SaveV3LSH(&v3, minhash.Default); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Save(&gob); err != nil {
+		t.Fatal(err)
+	}
+	s := tel.Snapshot()
+	if got := s.Counters["functions_lifted"]; got != uint64(db.Len()) {
+		t.Errorf("functions_lifted %d, want %d", got, db.Len())
+	}
+	if got := s.Counters["instructions_decoded"]; got != uint64(insts) {
+		t.Errorf("instructions_decoded %d, the functions hold %d: a byte was decoded twice or never", got, insts)
+	}
+	if got := s.Histograms["lift_latency"].Count; got != uint64(images) {
+		t.Errorf("lift_latency holds %d observations for %d images", got, images)
+	}
+	if got := s.Histograms["index_save_latency"].Count; got != 2 {
+		t.Errorf("index_save_latency holds %d observations for 2 saves", got)
+	}
+	if got, want := s.Counters["index_bytes_written"], uint64(v3.Len()+gob.Len()); got != want {
+		t.Errorf("index_bytes_written %d, the two files hold %d", got, want)
+	}
+}

@@ -85,9 +85,12 @@ func (e *Entry) LoadFunction() (*prep.Function, error) {
 type DB struct {
 	Entries []*Entry
 
-	// Tel, when non-nil, receives index telemetry (corpus decomposition
-	// latency) and is the default collector for Search when the query's
-	// opts.Tel is nil. It is not serialized by Save.
+	// Tel, when non-nil, receives index telemetry — the write path's
+	// lift_latency, functions_lifted and instructions_decoded from
+	// AddImage, index_save_latency and index_bytes_written from the Save
+	// methods, and the corpus decomposition latency — and is the default
+	// collector for Search when the query's opts.Tel is nil. It is not
+	// serialized by Save.
 	Tel *telemetry.Collector
 
 	mu    sync.Mutex // guards feats, snap
@@ -142,7 +145,7 @@ func New() *DB { return &DB{} }
 // indexes them. truth maps function addresses to ground-truth names and
 // may be nil.
 func (db *DB) AddImage(exe string, img []byte, truth map[uint32]string) error {
-	fns, err := prep.LiftImage(img)
+	fns, err := prep.LiftImageTel(db.Tel, img)
 	if err != nil {
 		return fmt.Errorf("index: %s: %w", exe, err)
 	}
@@ -190,6 +193,7 @@ func (db *DB) features() [][]uint64 {
 	defer db.mu.Unlock()
 	if db.feats == nil {
 		fs := make([][]uint64, len(db.Entries))
+		var g gramHasher
 		for i, e := range db.Entries {
 			if e.src != nil {
 				// Store-backed entry: its feature set already lives in the
@@ -198,7 +202,7 @@ func (db *DB) features() [][]uint64 {
 				// AddImage after a v3 load fall through to recomputation.
 				fs[i] = e.src.Features(e.srcIdx)
 			} else {
-				fs[i] = FuncFeatures(e.Function())
+				fs[i] = g.funcFeatures(e.Function())
 			}
 		}
 		db.feats = fs
@@ -278,11 +282,27 @@ func (db *DB) Save(w io.Writer) error {
 			e.Func = fn
 		}
 	}
-	hdr := append([]byte(indexMagic), indexVersion)
-	if _, err := w.Write(hdr); err != nil {
-		return err
+	t := db.Tel.StartTimer(telemetry.IndexSaveLatency)
+	cw := &countingWriter{w: w}
+	_, err := cw.Write(append([]byte(indexMagic), indexVersion))
+	if err == nil {
+		err = gob.NewEncoder(cw).Encode(gobDB{Entries: db.Entries, Feats: db.features()})
 	}
-	return gob.NewEncoder(w).Encode(gobDB{Entries: db.Entries, Feats: db.features()})
+	t.Stop()
+	db.Tel.Add(telemetry.IndexBytesWritten, uint64(cw.n))
+	return err
+}
+
+// countingWriter counts the bytes written through it.
+type countingWriter struct {
+	w io.Writer
+	n int64
+}
+
+func (c *countingWriter) Write(p []byte) (int, error) {
+	n, err := c.w.Write(p)
+	c.n += int64(n)
+	return n, err
 }
 
 // SaveV3 serializes the database in the v3 columnar format: fixed-width
@@ -309,6 +329,8 @@ func (db *DB) saveV3(w io.Writer, lsh *minhash.Params) error {
 // walking them (idxfile.Builder.AddAll), and a store-backed database is
 // decoded a batch at a time, never whole.
 func (db *DB) writeV3(w io.Writer, lsh *minhash.Params, expect int, keep func(*Entry) bool) error {
+	t := db.Tel.StartTimer(telemetry.IndexSaveLatency)
+	defer t.Stop()
 	feats := db.features()
 	b := idxfile.NewBuilder()
 	if lsh != nil {
@@ -331,7 +353,8 @@ func (db *DB) writeV3(w io.Writer, lsh *minhash.Params, expect int, keep func(*E
 		}
 	}
 	b.AddAll(items)
-	_, err := b.WriteTo(w)
+	n, err := b.WriteTo(w)
+	db.Tel.Add(telemetry.IndexBytesWritten, uint64(n))
 	return err
 }
 

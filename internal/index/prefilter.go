@@ -201,7 +201,17 @@ func dedupeSorted(fs []uint64) []uint64 {
 // and deduplicated.
 func FuncFeatures(fn *prep.Function) []uint64 {
 	var g gramHasher
-	var fs []uint64
+	return g.funcFeatures(fn)
+}
+
+// funcFeatures is FuncFeatures on a hasher the caller reuses from one
+// function to the next: the set is the one allocation.
+func (g *gramHasher) funcFeatures(fn *prep.Function) []uint64 {
+	n := 0
+	for _, b := range fn.Graph.Blocks {
+		n += max(len(b.Insts)-prefilterGram+1, 1) // at most: the body may be an instruction shorter
+	}
+	fs := make([]uint64, 0, n)
 	for _, b := range fn.Graph.Blocks {
 		fs = g.features(fs, b.Body())
 	}

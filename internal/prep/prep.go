@@ -24,6 +24,7 @@ import (
 	"repro/internal/asm"
 	"repro/internal/bin"
 	"repro/internal/cfg"
+	"repro/internal/telemetry"
 	"repro/internal/x86"
 )
 
@@ -42,11 +43,39 @@ func (f *Function) NumInsts() int { return f.Graph.NumInsts() }
 
 // LiftImage parses an ELF image and lifts all of its functions.
 func LiftImage(img []byte) ([]*Function, error) {
+	return LiftImageTel(nil, img)
+}
+
+// LiftImageTel is LiftImage reporting into tel, which may be nil: one
+// lift_latency observation for the image, the functions it lifted and the
+// instructions it decoded to do so.
+func LiftImageTel(tel *telemetry.Collector, img []byte) ([]*Function, error) {
+	t := tel.StartTimer(telemetry.LiftLatency)
+	fns, st, err := liftImageStats(img)
+	t.Stop()
+	st.report(tel)
+	return fns, err
+}
+
+// liftStats is an account of the decoding one lift took.
+type liftStats struct {
+	Functions int // functions lifted
+	Decoded   int // instructions decoded, by discovery and by lifting together
+	Kept      int // functions lifted from the instructions discovery decoded, without a second decode
+}
+
+func (st liftStats) report(tel *telemetry.Collector) {
+	tel.Add(telemetry.FunctionsLifted, uint64(st.Functions))
+	tel.Add(telemetry.InstructionsDecoded, uint64(st.Decoded))
+}
+
+// liftImageStats is LiftImage with the account.
+func liftImageStats(img []byte) ([]*Function, liftStats, error) {
 	f, err := bin.Read(img)
 	if err != nil {
-		return nil, err
+		return nil, liftStats{}, err
 	}
-	return Lift(f)
+	return lift(f)
 }
 
 // ErrNoFunction is LiftNamed's error for a name the image does not hold.
@@ -55,58 +84,84 @@ var ErrNoFunction = errors.New("prep: no such function")
 // LiftNamed parses an ELF image, discovers its functions and lifts only
 // the first one called name: exactly the element LiftImage returns for
 // it, at a cost that grows with the image only through discovery. No
-// other function is decoded, so bytes that fail LiftImage elsewhere in
+// other function is lifted, so bytes that fail LiftImage elsewhere in
 // the image do not fail LiftNamed.
 func LiftNamed(img []byte, name string) (*Function, error) {
+	return LiftNamedTel(nil, img, name)
+}
+
+// LiftNamedTel is LiftNamed reporting into tel like LiftImageTel.
+func LiftNamedTel(tel *telemetry.Collector, img []byte, name string) (*Function, error) {
+	t := tel.StartTimer(telemetry.LiftLatency)
+	fn, st, err := liftNamed(img, name)
+	t.Stop()
+	st.report(tel)
+	return fn, err
+}
+
+func liftNamed(img []byte, name string) (*Function, liftStats, error) {
 	f, err := bin.Read(img)
 	if err != nil {
-		return nil, err
+		return nil, liftStats{}, err
 	}
-	images, starts, err := discover(f)
+	images, starts, decoded, err := discover(f)
+	st := liftStats{Decoded: decoded}
 	if err != nil {
-		return nil, err
+		return nil, st, err
 	}
 	for _, im := range images {
 		if im.Name == name {
-			return liftImageFunc(f, im, starts)
+			fn, err := liftImageFunc(f, im, starts, &st)
+			if err == nil {
+				st.Functions = 1
+			}
+			return fn, st, err
 		}
 	}
-	return nil, fmt.Errorf("%w: %q", ErrNoFunction, name)
+	return nil, st, fmt.Errorf("%w: %q", ErrNoFunction, name)
 }
 
 // Lift lifts all functions of a parsed ELF file.
 func Lift(f *bin.File) ([]*Function, error) {
-	images, starts, err := discover(f)
+	fns, _, err := lift(f)
+	return fns, err
+}
+
+func lift(f *bin.File) ([]*Function, liftStats, error) {
+	images, starts, decoded, err := discover(f)
+	st := liftStats{Decoded: decoded}
 	if err != nil {
-		return nil, err
+		return nil, st, err
 	}
 	out := make([]*Function, 0, len(images))
 	for _, im := range images {
-		fn, err := liftImageFunc(f, im, starts)
+		fn, err := liftImageFunc(f, im, starts, &st)
 		if err != nil {
-			return nil, err
+			return nil, st, err
 		}
 		out = append(out, fn)
 	}
-	return out, nil
+	st.Functions = len(out)
+	return out, st, nil
 }
 
-// discover recovers the function images of f and the set of their entry
-// addresses, which lifting any one of them needs to classify call targets.
-func discover(f *bin.File) ([]bin.FuncImage, map[uint32]bool, error) {
-	images, err := f.Functions()
+// discover recovers the function images of f, the set of their entry
+// addresses, which lifting any one of them needs to classify call
+// targets, and the number of instructions it decoded.
+func discover(f *bin.File) ([]bin.FuncImage, map[uint32]bool, int, error) {
+	d, err := f.Discover()
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, 0, err
 	}
-	starts := make(map[uint32]bool, len(images))
-	for _, im := range images {
+	starts := make(map[uint32]bool, len(d.Funcs))
+	for _, im := range d.Funcs {
 		starts[im.Addr] = true
 	}
-	return images, starts, nil
+	return d.Funcs, starts, d.Decoded, nil
 }
 
-func liftImageFunc(f *bin.File, im bin.FuncImage, starts map[uint32]bool) (*Function, error) {
-	fn, err := LiftFunc(f, im, starts)
+func liftImageFunc(f *bin.File, im bin.FuncImage, starts map[uint32]bool, st *liftStats) (*Function, error) {
+	fn, err := liftFunc(f, im, starts, st)
 	if err != nil {
 		return nil, fmt.Errorf("prep: %s: %w", im.Name, err)
 	}
@@ -115,11 +170,39 @@ func liftImageFunc(f *bin.File, im bin.FuncImage, starts map[uint32]bool) (*Func
 
 // LiftFunc lifts a single function image. starts is the set of all known
 // function entry addresses (used to classify call targets); it may be nil.
+//
+// Each byte is decoded once: a function discovered in a stripped image
+// arrives with the instructions discovery decoded from it
+// (bin.FuncImage.TakeDecoded) and LiftFunc takes them, symbolising their
+// operands in place. Without them — a symbol-table image, bytes that did
+// not decode to the function's end, or an image lifted before — it
+// decodes im.Code, to the same instructions or to the typed error.
 func LiftFunc(f *bin.File, im bin.FuncImage, starts map[uint32]bool) (*Function, error) {
-	dec, err := x86.DecodeAll(im.Code, im.Addr)
-	if err != nil {
-		return nil, err
+	return liftFunc(f, im, starts, nil)
+}
+
+func liftFunc(f *bin.File, im bin.FuncImage, starts map[uint32]bool, st *liftStats) (*Function, error) {
+	run, kept := im.TakeDecoded()
+	if !kept {
+		var err error
+		if run, err = x86.DecodeRun(im.Code, im.Addr); err != nil {
+			return nil, err
+		}
 	}
+	if st != nil {
+		if kept {
+			st.Kept++
+		} else {
+			st.Decoded += len(run.Insts)
+		}
+	}
+	return liftDecoded(f, im, run, starts)
+}
+
+// liftDecoded builds the CFG over run, the decode of im.Code, and
+// symbolises it. It owns run: the graph's blocks are slices of its
+// instructions and their operands are rewritten in place.
+func liftDecoded(f *bin.File, im bin.FuncImage, run x86.Run, starts map[uint32]bool) (*Function, error) {
 	// Jump-table recovery: read consecutive .rodata entries while they
 	// point back into this function (the heuristic real disassemblers
 	// use for switch statements).
@@ -139,15 +222,16 @@ func LiftFunc(f *bin.File, im bin.FuncImage, starts map[uint32]bool) (*Function,
 		}
 		return out
 	}
-	g, err := cfg.BuildWithTables(im.Name, dec, readTable)
+	g, err := cfg.BuildRun(im.Name, run, readTable)
 	if err != nil {
 		return nil, err
 	}
 	depths := trackESP(g)
-	for bi, b := range g.Blocks {
+	for _, b := range g.Blocks {
 		for ii := range b.Insts {
-			rewriteInst(&b.Insts[ii], f, starts, depths[bi][ii])
+			rewriteInst(&b.Insts[ii], f, starts, depths[ii])
 		}
+		depths = depths[len(b.Insts):]
 	}
 	return &Function{Name: im.Name, Addr: im.Addr, Graph: g}, nil
 }
@@ -158,34 +242,38 @@ const unknownDepth = int32(-1 << 30)
 
 // trackESP computes, per instruction, the number of bytes the stack has
 // grown since function entry, by forward propagation over the CFG. The
-// result indexes [block][instruction-within-block].
-func trackESP(g *cfg.Graph) [][]int32 {
-	depths := make([][]int32, len(g.Blocks))
-	for i, b := range g.Blocks {
-		depths[i] = make([]int32, len(b.Insts))
-		for j := range depths[i] {
-			depths[i][j] = unknownDepth
-		}
+// result holds the blocks' instructions one block after the other.
+func trackESP(g *cfg.Graph) []int32 {
+	n, nb := g.NumInsts(), len(g.Blocks)
+	// One array: a depth per instruction, then per block the offset of its
+	// first instruction, its depth on entry, whether it has been reached
+	// and its place in the work queue — a block is queued at most once.
+	buf := make([]int32, n+4*nb)
+	depths, buf := buf[:n:n], buf[n:]
+	off, entry, seen, work := buf[:nb], buf[nb:2*nb], buf[2*nb:3*nb], buf[3*nb:3*nb]
+	for i := range depths {
+		depths[i] = unknownDepth
 	}
-	entry := make([]int32, len(g.Blocks))
-	seen := make([]bool, len(g.Blocks))
-	entry[g.Entry] = 0
-	seen[g.Entry] = true
-	work := []int{g.Entry}
+	at := int32(0)
+	for i, b := range g.Blocks {
+		off[i] = at
+		at += int32(len(b.Insts))
+	}
+	seen[g.Entry] = 1
+	work = append(work, int32(g.Entry))
 	for len(work) > 0 {
 		bi := work[0]
 		work = work[1:]
 		d := entry[bi]
 		b := g.Blocks[bi]
-		for ii, in := range b.Insts {
-			depths[bi][ii] = d
-			d = stepESP(d, in)
+		for ii := range b.Insts {
+			depths[int(off[bi])+ii] = d
+			d = stepESP(d, &b.Insts[ii])
 		}
 		for _, s := range b.Succs {
-			if !seen[s] {
-				seen[s] = true
-				entry[s] = d
-				work = append(work, s)
+			if seen[s] == 0 {
+				seen[s], entry[s] = 1, d
+				work = append(work, int32(s))
 			}
 			// On conflicting depths, the first reaching value wins; the
 			// naming is heuristic, as in real-world disassemblers.
@@ -195,7 +283,7 @@ func trackESP(g *cfg.Graph) [][]int32 {
 }
 
 // stepESP advances the tracked depth across one instruction.
-func stepESP(d int32, in asm.Inst) int32 {
+func stepESP(d int32, in *asm.Inst) int32 {
 	if d == unknownDepth {
 		return d
 	}
@@ -238,7 +326,7 @@ func rewriteInst(in *asm.Inst, f *bin.File, starts map[uint32]bool, depth int32)
 	case in.IsJump():
 		if len(in.Ops) == 1 && !in.Ops[0].IsMem() && in.Ops[0].Arg.IsImm() {
 			target := uint32(in.Ops[0].Arg.Imm)
-			in.Ops[0] = asm.SymOp(asm.SymLabel, fmt.Sprintf("loc_%X", target))
+			in.Ops[0] = asm.SymOp(asm.SymLabel, asm.HexToken("loc_", uint64(target), 0))
 		}
 		return
 	}
@@ -295,7 +383,7 @@ func rewriteMem(op *asm.Operand, f *bin.File, depth int32) {
 			below := int64(depth) - v
 			if below > 0 {
 				t.Op = asm.OpAdd
-				t.Arg = asm.SymArg(asm.SymLocal, fmt.Sprintf("var_s%X", below))
+				t.Arg = asm.SymArg(asm.SymLocal, asm.HexToken("var_s", uint64(below), 0))
 			}
 		}
 	}
@@ -307,9 +395,9 @@ func rewriteMem(op *asm.Operand, f *bin.File, depth int32) {
 func frameToken(disp int64) string {
 	switch {
 	case disp < 0:
-		return fmt.Sprintf("var_%X", -disp)
+		return asm.HexToken("var_", uint64(-disp), 0)
 	case disp >= 8:
-		return fmt.Sprintf("arg_%X", disp-8)
+		return asm.HexToken("arg_", uint64(disp-8), 0)
 	default:
 		return "retaddr"
 	}
@@ -319,7 +407,7 @@ func callToken(f *bin.File, target uint32) string {
 	if name, ok := f.ImportAt(target); ok {
 		return name
 	}
-	return fmt.Sprintf("sub_%X", target)
+	return asm.HexToken("sub_", uint64(target), 0)
 }
 
 // dataTokenAt derives the content token for an address inside initialized
@@ -357,7 +445,7 @@ func DataToken(data []byte) string {
 	for i := 0; i < 4 && i < len(data); i++ {
 		v |= uint32(data[i]) << (8 * i)
 	}
-	return fmt.Sprintf("unk_%08X", v)
+	return asm.HexToken("unk_", uint64(v), 8)
 }
 
 func camelCase(s string) string {

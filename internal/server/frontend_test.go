@@ -391,3 +391,65 @@ func TestSingleFunctionLiftErrorSurface(t *testing.T) {
 		}
 	}
 }
+
+// TestWritePathTelemetry: a by-image request's lift reports into the
+// server's collector — one timed lift, the function it lifted, the
+// instructions discovery decoded — a by-reference request lifts nothing,
+// and the write path's families are on /metrics and /statsz before the
+// first lift and still there, with their counts, after a reload.
+func TestWritePathTelemetry(t *testing.T) {
+	db, c := smallDB(t)
+	e := entryWithTruth(t, db, corpus.LibFuncName)
+	s := NewFromDB(db, Config{})
+	h := s.Handler()
+	scrape := func(path string) string {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("GET %s: status %d", path, rec.Code)
+		}
+		return rec.Body.String()
+	}
+	families := []string{
+		"tracy_functions_lifted_total", "tracy_instructions_decoded_total", "tracy_index_bytes_written_total",
+		"tracy_lift_latency_seconds_count", "tracy_index_save_latency_seconds_count",
+	}
+	for _, name := range families {
+		if !bytes.Contains([]byte(scrape("/metrics")), []byte("\n"+name+" 0\n")) {
+			t.Errorf("/metrics before any lift: no %s at 0", name)
+		}
+	}
+
+	if rec, got := postSearch(t, h, SearchRequest{Exe: e.Exe, Name: e.Name}); got == nil {
+		t.Fatalf("by reference: status %d", rec.Code)
+	}
+	if n := s.tel.Get(telemetry.FunctionsLifted); n != 0 {
+		t.Errorf("a by-reference request lifted %d functions", n)
+	}
+
+	byImage := SearchRequest{Function: e.Name}
+	byImage.SetImage(exeImage(t, c, e.Exe))
+	if rec, got := postSearch(t, h, byImage); got == nil {
+		t.Fatalf("by image: status %d: %s", rec.Code, rec.Body.String())
+	}
+	snap := s.tel.Snapshot()
+	lifted, decoded := snap.Counters["functions_lifted"], snap.Counters["instructions_decoded"]
+	if lifted != 1 || snap.Histograms["lift_latency"].Count != 1 || decoded < uint64(e.Function().NumInsts()) {
+		t.Errorf("one function lifted by image: functions_lifted %d, lift_latency count %d, instructions_decoded %d (the function has %d)",
+			lifted, snap.Histograms["lift_latency"].Count, decoded, e.Function().NumInsts())
+	}
+
+	s.install(db, time.Now())
+	metrics, statsz := scrape("/metrics"), scrape("/statsz")
+	for _, want := range []string{"\ntracy_functions_lifted_total 1\n", "\ntracy_lift_latency_seconds_count 1\n", "\ntracy_index_save_latency_seconds_count 0\n"} {
+		if !bytes.Contains([]byte(metrics), []byte(want)) {
+			t.Errorf("/metrics after a reload lacks %q", want)
+		}
+	}
+	for _, want := range []string{`"functions_lifted"`, `"instructions_decoded"`, `"index_bytes_written"`, `"lift_latency"`, `"index_save_latency"`} {
+		if !bytes.Contains([]byte(statsz), []byte(want)) {
+			t.Errorf("/statsz after a reload lacks %s", want)
+		}
+	}
+}

@@ -233,7 +233,7 @@ func (s *Server) resolve(ctx context.Context, p *searchPlan, req *SearchRequest)
 			return errf(http.StatusBadRequest, "%v", err)
 		}
 	case req.Image != "":
-		if fn, err = liftQueryImage(req); err != nil {
+		if fn, err = liftQueryImage(s.tel, req); err != nil {
 			return err
 		}
 	default:
@@ -243,14 +243,16 @@ func (s *Server) resolve(ctx context.Context, p *searchPlan, req *SearchRequest)
 }
 
 // liftQueryImage decodes an uploaded query image and lifts the requested
-// function, or every function to pick the largest when none is named.
-func liftQueryImage(req *SearchRequest) (*prep.Function, error) {
+// function, or every function to pick the largest when none is named,
+// reporting the lift (lift_latency, functions_lifted,
+// instructions_decoded) into tel.
+func liftQueryImage(tel *telemetry.Collector, req *SearchRequest) (*prep.Function, error) {
 	img, err := req.DecodeImage()
 	if err != nil {
 		return nil, errf(http.StatusBadRequest, "bad base64 image: %v", err)
 	}
 	if req.Function != "" {
-		fn, err := prep.LiftNamed(img, req.Function)
+		fn, err := prep.LiftNamedTel(tel, img, req.Function)
 		if errors.Is(err, prep.ErrNoFunction) {
 			return nil, errf(http.StatusNotFound, "image has no function %q", req.Function)
 		}
@@ -259,7 +261,7 @@ func liftQueryImage(req *SearchRequest) (*prep.Function, error) {
 		}
 		return fn, nil
 	}
-	fns, err := prep.LiftImage(img)
+	fns, err := prep.LiftImageTel(tel, img)
 	if err != nil {
 		return nil, errf(http.StatusBadRequest, "lifting image: %v", err)
 	}

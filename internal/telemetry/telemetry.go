@@ -10,6 +10,17 @@
 // zero cost — the no-op path performs no allocation and no clock read
 // (verified by TestNilCollectorAllocFree and BenchmarkNoopCollector).
 //
+// The write path reports into the same collector as the read path. Lifting
+// an executable image (index.DB.AddImage, a by-image query on a server or
+// coordinator, tracy index / mkcorpus) observes lift_latency once per
+// image and adds to functions_lifted and instructions_decoded — discovery
+// keeps what it decodes, so on a stripped image the second equals the
+// instructions of the functions lifted; a surplus is bytes decoded again.
+// Saving an index (index.DB.Save, SaveV3*, mkcorpus -index) observes
+// index_save_latency once per file and adds its size to
+// index_bytes_written. functions_lifted over the sum of the two
+// histograms is the build rate tracy index and mkcorpus print.
+//
 // A Collector is safe for concurrent use; Snapshot may be taken while
 // writers are active and observes each metric atomically (the snapshot as
 // a whole is not a consistent cut, which is fine for monitoring).
@@ -54,6 +65,9 @@ const (
 	LSHBandCollisions                   // raw band-bucket entry collisions before dedupe/rank
 	LSHFallbacks                        // lsh-mode searches that fell back to the scan prefilter
 	FunctionsDecomposed                 // functions decomposed into k-tracelets
+	FunctionsLifted                     // functions lifted from executable images (index build, by-image queries)
+	InstructionsDecoded                 // x86 instructions decoded while lifting: discovery's sweeps plus any function decoded again
+	IndexBytesWritten                   // bytes of index files written (gob and v3)
 	CSPSolves                           // constraint-solver invocations
 	CSPBacktracks                       // backtracking steps consumed across solves
 	CSPBudgetExhausted                  // solves that hit the backtrack budget
@@ -111,6 +125,9 @@ var counterNames = [numCounters]string{
 	LSHBandCollisions:    "lsh_band_collisions",
 	LSHFallbacks:         "lsh_fallbacks",
 	FunctionsDecomposed:  "functions_decomposed",
+	FunctionsLifted:      "functions_lifted",
+	InstructionsDecoded:  "instructions_decoded",
+	IndexBytesWritten:    "index_bytes_written",
 	CSPSolves:            "csp_solves",
 	CSPBacktracks:        "csp_backtracks",
 	CSPBudgetExhausted:   "csp_budget_exhausted",
@@ -163,6 +180,8 @@ const (
 	RewriteLatency                   // one rewrite attempt incl. re-scoring
 	SolveLatency                     // one CSP solve
 	DecomposeLatency                 // one function decomposition
+	LiftLatency                      // lifting one executable image: parse, discover, decode, CFG, symbolise
+	IndexSaveLatency                 // writing one index file
 	ServerLatency                    // one query-service request end to end
 	DiffProgramLatency               // one differential-engine program end to end
 	RequestDecodeLatency             // server: request-body decode + query resolution
@@ -182,6 +201,8 @@ var histNames = [numHists]string{
 	RewriteLatency:       "rewrite_latency",
 	SolveLatency:         "solve_latency",
 	DecomposeLatency:     "decompose_latency",
+	LiftLatency:          "lift_latency",
+	IndexSaveLatency:     "index_save_latency",
 	ServerLatency:        "server_latency",
 	DiffProgramLatency:   "diff_program_latency",
 	RequestDecodeLatency: "request_decode_latency",

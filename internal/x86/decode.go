@@ -24,9 +24,23 @@ var ccSuffix = [16]string{
 	"s", "ns", "p", "np", "l", "ge", "le", "g",
 }
 
-var shiftName = map[int]string{0: "rol", 1: "ror", 4: "shl", 5: "shr", 7: "sar"}
+// Mnemonics selected by the ModRM digit of opcodes C1, F7 and FF; "" marks
+// a digit outside the supported subset.
+var (
+	shiftName = [8]string{0: "rol", 1: "ror", 4: "shl", 5: "shr", 7: "sar"}
+	unaryName = [8]string{2: "not", 3: "neg", 4: "mul", 5: "imul", 6: "div", 7: "idiv"}
+	ffName    = [8]string{0: "inc", 1: "dec", 2: "call", 4: "jmp", 6: "push"}
+)
 
-var unaryName = map[int]string{2: "not", 3: "neg", 4: "mul", 5: "imul", 6: "div", 7: "idiv"}
+// setccName and cmovName are "set" and "cmov" with each ccSuffix.
+var setccName, cmovName = withSuffixes("set"), withSuffixes("cmov")
+
+func withSuffixes(prefix string) (names [16]string) {
+	for i, cc := range ccSuffix {
+		names[i] = prefix + cc
+	}
+	return names
+}
 
 // Decoded couples a decoded instruction with its address and length.
 type Decoded struct {
@@ -39,6 +53,7 @@ type reader struct {
 	b  []byte
 	ip uint32 // address of b[0]
 	p  int
+	sw *Sweep // where operands and memory terms are carved from; nil: one allocation each
 }
 
 // Typed decode failures. Both are *expected* rejections of malformed
@@ -75,32 +90,34 @@ func (r *reader) i32() (int64, error) {
 	return int64(v), nil
 }
 
-// modrm8 decodes a ModRM byte whose register operands are 8-bit.
-func (r *reader) modrm8() (int, asm.Operand, error) {
-	save := r.p
-	mb, err := r.byte()
-	if err != nil {
-		return 0, asm.Operand{}, err
+// Operands are built where they will live: operands hands out zeroed
+// slots and the decoder sets only the fields an operand has.
+
+func setReg(o *asm.Operand, r asm.Reg) { o.Arg.Kind, o.Arg.Reg = asm.KindReg, r }
+func setImm(o *asm.Operand, v int64)   { o.Arg.Kind, o.Arg.Imm = asm.KindImm, v }
+
+// gpr returns general-purpose register n, 8-bit when byteReg is set.
+func gpr(n int, byteReg bool) asm.Reg {
+	if byteReg {
+		return asm.Reg8(n)
 	}
-	if mb>>6 == 3 {
-		return int(mb >> 3 & 7), asm.RegOp(asm.Reg8(int(mb & 7))), nil
-	}
-	r.p = save
-	return r.modrm() // memory forms are identical
+	return asm.Reg32(n)
 }
 
-// modrm decodes a ModRM byte (plus SIB/disp) and returns the register
-// field and the r/m operand.
-func (r *reader) modrm() (int, asm.Operand, error) {
+// modrm decodes a ModRM byte (plus SIB/disp) into the r/m operand dst —
+// a register, 8-bit when byteReg is set, or a memory operand, which reads
+// the same either way — and returns the register field.
+func (r *reader) modrm(dst *asm.Operand, byteReg bool) (int, error) {
 	mb, err := r.byte()
 	if err != nil {
-		return 0, asm.Operand{}, err
+		return 0, err
 	}
 	mod := int(mb >> 6)
 	regField := int(mb >> 3 & 7)
 	rm := int(mb & 7)
 	if mod == 3 {
-		return regField, asm.RegOp(asm.Reg32(rm)), nil
+		setReg(dst, gpr(rm, byteReg))
+		return regField, nil
 	}
 	var m memRef
 	m.scale = 1
@@ -108,7 +125,7 @@ func (r *reader) modrm() (int, asm.Operand, error) {
 	if hasSIB {
 		sib, err := r.byte()
 		if err != nil {
-			return 0, asm.Operand{}, err
+			return 0, err
 		}
 		scale := 1 << (sib >> 6)
 		idx := int(sib >> 3 & 7)
@@ -121,19 +138,21 @@ func (r *reader) modrm() (int, asm.Operand, error) {
 			// no base, disp32 follows
 			d, err := r.i32()
 			if err != nil {
-				return 0, asm.Operand{}, err
+				return 0, err
 			}
 			m.disp = int32(d)
-			return regField, m.operand(), nil
+			dst.Mem = r.mem(&m)
+			return regField, nil
 		}
 		m.base = asm.Reg32(base)
 	} else if rm == 0b101 && mod == 0 {
 		d, err := r.i32()
 		if err != nil {
-			return 0, asm.Operand{}, err
+			return 0, err
 		}
 		m.disp = int32(d)
-		return regField, m.operand(), nil
+		dst.Mem = r.mem(&m)
+		return regField, nil
 	} else {
 		m.base = asm.Reg32(rm)
 	}
@@ -141,24 +160,27 @@ func (r *reader) modrm() (int, asm.Operand, error) {
 	case 1:
 		d, err := r.i8()
 		if err != nil {
-			return 0, asm.Operand{}, err
+			return 0, err
 		}
 		m.disp = int32(d)
 	case 2:
 		d, err := r.i32()
 		if err != nil {
-			return 0, asm.Operand{}, err
+			return 0, err
 		}
 		m.disp = int32(d)
 	}
-	return regField, m.operand(), nil
+	dst.Mem = r.mem(&m)
+	return regField, nil
 }
 
 // Decode decodes the instruction at the start of code, which is loaded at
 // absolute address ip. Relative jump and call targets are returned as
-// immediate operands holding the absolute target address.
+// immediate operands holding the absolute target address. It is the
+// one-off decoder (an emulator step, a test): the instruction's operands
+// are allocated for it alone. Decoding a run goes through a Sweep.
 func Decode(code []byte, ip uint32) (asm.Inst, int, error) {
-	r := &reader{b: code, ip: ip}
+	r := reader{b: code, ip: ip}
 	in, err := r.inst()
 	if err != nil {
 		return asm.Inst{}, 0, err
@@ -168,32 +190,313 @@ func Decode(code []byte, ip uint32) (asm.Inst, int, error) {
 
 // DecodeAll decodes consecutive instructions covering all of code.
 func DecodeAll(code []byte, base uint32) ([]Decoded, error) {
-	var out []Decoded
-	p := 0
-	for p < len(code) {
-		in, n, err := Decode(code[p:], base+uint32(p))
-		if err != nil {
-			return out, fmt.Errorf("at %#x: %w", base+uint32(p), err)
-		}
-		out = append(out, Decoded{Inst: in, Addr: base + uint32(p), Len: n})
-		p += n
+	run, err := DecodeRun(code, base)
+	out := make([]Decoded, len(run.Insts))
+	for i := range out {
+		out[i] = Decoded{Inst: run.Insts[i], Addr: run.Addrs[i], Len: run.Len(i)}
 	}
-	return out, nil
+	return out, err
 }
 
-func (r *reader) rel(width int) (asm.Operand, error) {
-	var d int64
-	var err error
-	if width == 1 {
-		d, err = r.i8()
-	} else {
-		d, err = r.i32()
-	}
+// DecodeRun is DecodeAll yielding a Run, the form the lift works on: what
+// decoded before a failure, and the failure with its address.
+func DecodeRun(code []byte, base uint32) (Run, error) {
+	var s Sweep
+	run, err := s.Run(code, base)
 	if err != nil {
-		return asm.Operand{}, err
+		return run, fmt.Errorf("at %#x: %w", run.End, err)
 	}
-	target := r.ip + uint32(r.p) + uint32(int32(d))
-	return asm.ImmOp(int64(target)), nil
+	return run, nil
+}
+
+// Run is a run of consecutive decoded instructions in parallel arrays: a
+// CFG's blocks are slices of Insts.
+type Run struct {
+	Insts []asm.Inst
+	Addrs []uint32 // Addrs[i] is the address of Insts[i]
+	End   uint32   // the address one past the last instruction; the run's base when it is empty
+}
+
+// Len returns the encoded length of instruction i.
+func (r Run) Len(i int) int {
+	if i+1 < len(r.Addrs) {
+		return int(r.Addrs[i+1] - r.Addrs[i])
+	}
+	return int(r.End - r.Addrs[i])
+}
+
+// Split divides the run before instruction i, 0 <= i <= len(r.Insts).
+// The halves share no capacity.
+func (r Run) Split(i int) (head, tail Run) {
+	at := r.End
+	if i < len(r.Addrs) {
+		at = r.Addrs[i]
+	}
+	return Run{Insts: r.Insts[:i:i], Addrs: r.Addrs[:i:i], End: at},
+		Run{Insts: r.Insts[i:], Addrs: r.Addrs[i:], End: r.End}
+}
+
+// RunOf copies decoded instructions, as DecodeAll returns them, into a
+// Run that shares their operands.
+func RunOf(dec []Decoded) Run {
+	r := Run{Insts: make([]asm.Inst, len(dec)), Addrs: make([]uint32, len(dec))}
+	for i, d := range dec {
+		r.Insts[i], r.Addrs[i] = d.Inst, d.Addr
+	}
+	if n := len(dec); n > 0 {
+		r.End = dec[n-1].Addr + uint32(dec[n-1].Len)
+	}
+	return r
+}
+
+// Sweep decodes runs of consecutive instructions into memory carved from
+// chunked backing arrays — instructions, operands and memory terms each
+// from their own — and counts them. It is the one decoder behind
+// DecodeAll and function discovery (internal/bin), which sweeps a whole
+// text section region by region and keeps the runs. A chunk that runs out
+// is followed by one sized for the bytes still to come at the rate the
+// bytes so far have set, so a sweep is a handful of allocations whatever
+// it decodes.
+//
+// Every Ops and Mem slice it hands out has cap == len: the lift rewrites
+// operands in place, and nothing it could do to one instruction's slices
+// can reach a neighbour's.
+type Sweep struct {
+	Insts int // instructions decoded so far, over all runs
+
+	insts []asm.Inst // current chunks; the carved part is [0:len)
+	addrs []uint32   // kept in step with insts
+	ops   carved[asm.Operand]
+	mem   carved[asm.MemTerm]
+
+	runStart int // where the run being decoded starts in insts
+	done     int // code bytes decoded so far
+	rest     int // code bytes expected still to come (Expect)
+	pending  int // bytes of the current run's code not yet decoded
+}
+
+// carved is one kind of element handed out from chunks.
+type carved[T any] struct {
+	chunk []T // the current chunk; the part handed out is [0:len)
+	n     int // handed out so far, over all chunks
+}
+
+// Expect tells the sweep how many code bytes its runs will cover in all,
+// so that its first chunks are sized for all of them. Without it each Run
+// sizes chunks for its own code.
+func (s *Sweep) Expect(codeBytes int) { s.rest = codeBytes }
+
+// Run decodes consecutive instructions from the start of code, loaded at
+// base, until code is covered or an instruction fails to decode. It
+// returns the instructions before the failure — the run ends, Run.End,
+// where the failure begins — and the failure, nil when code is covered.
+func (s *Sweep) Run(code []byte, base uint32) (Run, error) {
+	s.runStart = len(s.insts)
+	r := reader{sw: s}
+	p := 0
+	var err error
+	for p < len(code) {
+		s.pending = len(code) - p
+		r.b, r.ip, r.p = code[p:], base+uint32(p), 0
+		var in asm.Inst
+		if in, err = r.inst(); err != nil {
+			break
+		}
+		if len(s.insts) == cap(s.insts) {
+			s.growRun()
+		}
+		s.insts = append(s.insts, in)
+		s.addrs = append(s.addrs, base+uint32(p))
+		s.Insts++
+		s.done += r.p
+		s.rest = max(s.rest-r.p, 0)
+		p += r.p
+	}
+	s.rest = max(s.rest-(len(code)-p), 0) // what a failure leaves undecoded is padding or data
+	at := len(s.insts)
+	return Run{
+		Insts: s.insts[s.runStart:at:at],
+		Addrs: s.addrs[s.runStart:at:at],
+		End:   base + uint32(p),
+	}, err
+}
+
+// What a first chunk is sized by, in elements to 16 bytes of code: a
+// little under what compiled code runs to (0.34-0.39 instructions, 0.55-
+// 0.62 operands and 0.19-0.24 memory terms a byte on the campaign corpus),
+// so that the chunk after it, sized by the measured rate, makes up the
+// difference instead of the first one overshooting it.
+const instsPer16, opsPer16, memPer16 = 5, 8, 3
+
+// chunk returns the capacity of a fresh chunk for an array of which have
+// elements were carved for the bytes decoded so far and need are wanted
+// now: room for the bytes still to come at the rate so far and a
+// thirty-second to spare, or at per16 elements to 16 bytes while too few
+// bytes were decoded to call it a rate.
+func (s *Sweep) chunk(have, need, per16 int) int {
+	rest := max(s.rest, s.pending)
+	est := rest * per16 / 16
+	if s.done >= 1024 {
+		est = int(int64(have) * int64(rest) / int64(s.done))
+		est += est / 32
+	}
+	return max(need, est) + 8
+}
+
+// growRun moves the run being decoded to the start of fresh instruction
+// and address chunks with room to go on.
+func (s *Sweep) growRun() {
+	run := len(s.insts) - s.runStart
+	c := run + s.chunk(s.Insts, 1, instsPer16)
+	insts, addrs := make([]asm.Inst, run, c), make([]uint32, run, c)
+	copy(insts, s.insts[s.runStart:])
+	copy(addrs, s.addrs[s.runStart:])
+	s.insts, s.addrs, s.runStart = insts, addrs, 0
+}
+
+// carve hands out n zeroed elements of c with no spare capacity, from a
+// fresh chunk when the current one has not room for them.
+func carve[T any](s *Sweep, c *carved[T], n, per16 int) []T {
+	if cap(c.chunk)-len(c.chunk) < n {
+		c.chunk = make([]T, 0, s.chunk(c.n, n, per16))
+	}
+	at := len(c.chunk)
+	c.chunk = c.chunk[:at+n]
+	c.n += n
+	return c.chunk[at : at+n : at+n]
+}
+
+// operands carves n operands; without a sweep it allocates them.
+func (r *reader) operands(n int) []asm.Operand {
+	if r.sw == nil {
+		return make([]asm.Operand, n)
+	}
+	return carve(r.sw, &r.sw.ops, n, opsPer16)
+}
+
+// terms carves n memory terms; without a sweep it allocates them.
+func (r *reader) terms(n int) []asm.MemTerm {
+	if r.sw == nil {
+		return make([]asm.MemTerm, n)
+	}
+	return carve(r.sw, &r.sw.mem, n, memPer16)
+}
+
+// mem returns the offset calculation of a canonical memRef as the terms
+// of an asm memory operand — base, index, scale, displacement, each when
+// present, the first term's operator OpAdd — written where they will
+// live: terms hands out zeroed slots.
+func (r *reader) mem(m *memRef) []asm.MemTerm {
+	n := 0
+	if m.base != asm.RegNone {
+		n++
+	}
+	if m.index != asm.RegNone {
+		n++
+		if m.scale != 1 {
+			n++
+		}
+	}
+	disp := m.disp != 0 || n == 0
+	if disp {
+		n++
+	}
+	dst := r.terms(n)
+	i := 0
+	reg := func(op asm.MemOp, reg asm.Reg) {
+		t := &dst[i]
+		t.Op, t.Arg.Kind, t.Arg.Reg = op, asm.KindReg, reg
+		i++
+	}
+	imm := func(op asm.MemOp, v int64) {
+		t := &dst[i]
+		t.Op, t.Arg.Kind, t.Arg.Imm = op, asm.KindImm, v
+		i++
+	}
+	if m.base != asm.RegNone {
+		reg(asm.OpAdd, m.base)
+	}
+	if m.index != asm.RegNone {
+		reg(asm.OpAdd, m.index)
+		if m.scale != 1 {
+			imm(asm.OpMul, int64(m.scale))
+		}
+	}
+	if disp {
+		op, d := asm.OpAdd, int64(m.disp)
+		if d < 0 && i > 0 {
+			op, d = asm.OpSub, -d
+		}
+		imm(op, d)
+	}
+	return dst
+}
+
+// imm reads an immediate of width bytes, 1 (sign-extended) or 4.
+func (r *reader) imm(width int) (int64, error) {
+	if width == 1 {
+		return r.i8()
+	}
+	return r.i32()
+}
+
+// jump decodes "m rel", the displacement width bytes wide: the operand is
+// the absolute target address as an immediate.
+func (r *reader) jump(m string, width int) (asm.Inst, error) {
+	d, err := r.imm(width)
+	if err != nil {
+		return asm.Inst{}, err
+	}
+	ops := r.operands(1)
+	setImm(&ops[0], int64(r.ip+uint32(r.p)+uint32(int32(d))))
+	return asm.Inst{Mnemonic: m, Ops: ops}, nil
+}
+
+// unaryReg is "m reg".
+func (r *reader) unaryReg(m string, reg asm.Reg) (asm.Inst, error) {
+	ops := r.operands(1)
+	setReg(&ops[0], reg)
+	return asm.Inst{Mnemonic: m, Ops: ops}, nil
+}
+
+// unaryImm decodes "m imm", the immediate width bytes wide.
+func (r *reader) unaryImm(m string, width int) (asm.Inst, error) {
+	v, err := r.imm(width)
+	if err != nil {
+		return asm.Inst{}, err
+	}
+	ops := r.operands(1)
+	setImm(&ops[0], v)
+	return asm.Inst{Mnemonic: m, Ops: ops}, nil
+}
+
+// regImm decodes "m reg, imm", the immediate width bytes wide.
+func (r *reader) regImm(m string, reg asm.Reg, width int) (asm.Inst, error) {
+	v, err := r.imm(width)
+	if err != nil {
+		return asm.Inst{}, err
+	}
+	ops := r.operands(2)
+	setReg(&ops[0], reg)
+	setImm(&ops[1], v)
+	return asm.Inst{Mnemonic: m, Ops: ops}, nil
+}
+
+// regRM decodes a ModRM instruction with a register and an r/m operand:
+// "m reg, r/m" when regFirst is set, else "m r/m, reg". The register is
+// 8-bit when reg8 is set, a register r/m operand when rm8 is.
+func (r *reader) regRM(m string, regFirst, reg8, rm8 bool) (asm.Inst, error) {
+	ops := r.operands(2)
+	regAt, rmAt := 1, 0
+	if regFirst {
+		regAt, rmAt = 0, 1
+	}
+	reg, err := r.modrm(&ops[rmAt], rm8)
+	if err != nil {
+		return asm.Inst{}, err
+	}
+	setReg(&ops[regAt], gpr(reg, reg8))
+	return asm.Inst{Mnemonic: m, Ops: ops}, nil
 }
 
 func (r *reader) inst() (asm.Inst, error) {
@@ -201,53 +504,30 @@ func (r *reader) inst() (asm.Inst, error) {
 	if err != nil {
 		return asm.Inst{}, err
 	}
-	mk := func(m string, ops ...asm.Operand) (asm.Inst, error) {
-		return asm.Inst{Mnemonic: m, Ops: ops}, nil
-	}
 	fail := func() (asm.Inst, error) {
 		return asm.Inst{}, fmt.Errorf("%w %#02x at %#x", ErrBadOpcode, op, r.ip)
 	}
 
 	// ALU rows: grp*8+1 (rm,r) and grp*8+3 (r,rm).
 	if op < 0x40 && (op&7 == 1 || op&7 == 3) {
-		grp := int(op >> 3)
-		reg, rm, err := r.modrm()
-		if err != nil {
-			return asm.Inst{}, err
-		}
-		if op&7 == 1 {
-			return mk(aluName[grp], rm, asm.RegOp(asm.Reg32(reg)))
-		}
-		return mk(aluName[grp], asm.RegOp(asm.Reg32(reg)), rm)
+		return r.regRM(aluName[op>>3], op&7 == 3, false, false)
 	}
 
 	switch {
 	case op >= 0x40 && op <= 0x47:
-		return mk("inc", asm.RegOp(asm.Reg32(int(op-0x40))))
+		return r.unaryReg("inc", asm.Reg32(int(op-0x40)))
 	case op >= 0x48 && op <= 0x4F:
-		return mk("dec", asm.RegOp(asm.Reg32(int(op-0x48))))
+		return r.unaryReg("dec", asm.Reg32(int(op-0x48)))
 	case op >= 0x50 && op <= 0x57:
-		return mk("push", asm.RegOp(asm.Reg32(int(op-0x50))))
+		return r.unaryReg("push", asm.Reg32(int(op-0x50)))
 	case op >= 0x58 && op <= 0x5F:
-		return mk("pop", asm.RegOp(asm.Reg32(int(op-0x58))))
+		return r.unaryReg("pop", asm.Reg32(int(op-0x58)))
 	case op >= 0x70 && op <= 0x7F:
-		t, err := r.rel(1)
-		if err != nil {
-			return asm.Inst{}, err
-		}
-		return mk(ccName[op-0x70], t)
+		return r.jump(ccName[op-0x70], 1)
 	case op >= 0xB0 && op <= 0xB7:
-		v, err := r.i8()
-		if err != nil {
-			return asm.Inst{}, err
-		}
-		return mk("mov", asm.RegOp(asm.Reg8(int(op-0xB0))), asm.ImmOp(v))
+		return r.regImm("mov", asm.Reg8(int(op-0xB0)), 1)
 	case op >= 0xB8 && op <= 0xBF:
-		v, err := r.i32()
-		if err != nil {
-			return asm.Inst{}, err
-		}
-		return mk("mov", asm.RegOp(asm.Reg32(int(op-0xB8))), asm.ImmOp(v))
+		return r.regImm("mov", asm.Reg32(int(op-0xB8)), 4)
 	}
 
 	switch op {
@@ -258,151 +538,100 @@ func (r *reader) inst() (asm.Inst, error) {
 		}
 		switch {
 		case op2 == 0xAF:
-			reg, rm, err := r.modrm()
-			if err != nil {
-				return asm.Inst{}, err
-			}
-			return mk("imul", asm.RegOp(asm.Reg32(reg)), rm)
+			return r.regRM("imul", true, false, false)
 		case op2 >= 0x80 && op2 <= 0x8F:
-			t, err := r.rel(4)
-			if err != nil {
-				return asm.Inst{}, err
-			}
-			return mk(ccName[op2-0x80], t)
+			return r.jump(ccName[op2-0x80], 4)
 		case op2 >= 0x90 && op2 <= 0x9F:
-			_, rm, err := r.modrm8()
-			if err != nil {
+			ops := r.operands(1)
+			if _, err := r.modrm(&ops[0], true); err != nil {
 				return asm.Inst{}, err
 			}
-			return mk("set"+ccSuffix[op2-0x90], rm)
+			return asm.Inst{Mnemonic: setccName[op2-0x90], Ops: ops}, nil
 		case op2 >= 0x40 && op2 <= 0x4F:
-			reg, rm, err := r.modrm()
-			if err != nil {
-				return asm.Inst{}, err
-			}
-			return mk("cmov"+ccSuffix[op2-0x40], asm.RegOp(asm.Reg32(reg)), rm)
-		case op2 == 0xB6 || op2 == 0xBE:
-			reg, rm, err := r.modrm8()
-			if err != nil {
-				return asm.Inst{}, err
-			}
-			name := "movzx"
-			if op2 == 0xBE {
-				name = "movsx"
-			}
-			return mk(name, asm.RegOp(asm.Reg32(reg)), rm)
+			return r.regRM(cmovName[op2-0x40], true, false, false)
+		case op2 == 0xB6:
+			return r.regRM("movzx", true, false, true)
+		case op2 == 0xBE:
+			return r.regRM("movsx", true, false, true)
 		}
 		return asm.Inst{}, fmt.Errorf("%w 0f %#02x at %#x", ErrBadOpcode, op2, r.ip)
 	case 0x68:
-		v, err := r.i32()
-		if err != nil {
-			return asm.Inst{}, err
-		}
-		return mk("push", asm.ImmOp(v))
+		return r.unaryImm("push", 4)
 	case 0x6A:
-		v, err := r.i8()
-		if err != nil {
-			return asm.Inst{}, err
-		}
-		return mk("push", asm.ImmOp(v))
+		return r.unaryImm("push", 1)
 	case 0x69, 0x6B:
-		reg, rm, err := r.modrm()
+		ops := r.operands(3)
+		reg, err := r.modrm(&ops[1], false)
 		if err != nil {
 			return asm.Inst{}, err
 		}
-		var v int64
-		if op == 0x69 {
-			v, err = r.i32()
-		} else {
-			v, err = r.i8()
-		}
+		v, err := r.imm(immWidth(op == 0x6B))
 		if err != nil {
 			return asm.Inst{}, err
 		}
-		return mk("imul", asm.RegOp(asm.Reg32(reg)), rm, asm.ImmOp(v))
+		setReg(&ops[0], asm.Reg32(reg))
+		setImm(&ops[2], v)
+		return asm.Inst{Mnemonic: "imul", Ops: ops}, nil
 	case 0x81, 0x83:
-		grp, rm, err := r.modrm()
+		ops := r.operands(2)
+		grp, err := r.modrm(&ops[0], false)
 		if err != nil {
 			return asm.Inst{}, err
 		}
-		var v int64
-		if op == 0x81 {
-			v, err = r.i32()
-		} else {
-			v, err = r.i8()
-		}
+		v, err := r.imm(immWidth(op == 0x83))
 		if err != nil {
 			return asm.Inst{}, err
 		}
-		return mk(aluName[grp], rm, asm.ImmOp(v))
+		setImm(&ops[1], v)
+		return asm.Inst{Mnemonic: aluName[grp], Ops: ops}, nil
 	case 0x85:
-		reg, rm, err := r.modrm()
-		if err != nil {
-			return asm.Inst{}, err
-		}
-		return mk("test", rm, asm.RegOp(asm.Reg32(reg)))
+		return r.regRM("test", false, false, false)
 	case 0x88:
-		reg, rm, err := r.modrm8()
-		if err != nil {
-			return asm.Inst{}, err
-		}
-		return mk("mov", rm, asm.RegOp(asm.Reg8(reg)))
+		return r.regRM("mov", false, true, true)
 	case 0x8A:
-		reg, rm, err := r.modrm8()
-		if err != nil {
-			return asm.Inst{}, err
-		}
-		return mk("mov", asm.RegOp(asm.Reg8(reg)), rm)
+		return r.regRM("mov", true, true, true)
 	case 0x89:
-		reg, rm, err := r.modrm()
-		if err != nil {
-			return asm.Inst{}, err
-		}
-		return mk("mov", rm, asm.RegOp(asm.Reg32(reg)))
+		return r.regRM("mov", false, false, false)
 	case 0x8B:
-		reg, rm, err := r.modrm()
-		if err != nil {
-			return asm.Inst{}, err
-		}
-		return mk("mov", asm.RegOp(asm.Reg32(reg)), rm)
+		return r.regRM("mov", true, false, false)
 	case 0x8D:
-		reg, rm, err := r.modrm()
-		if err != nil {
-			return asm.Inst{}, err
-		}
-		if !rm.IsMem() {
+		in, err := r.regRM("lea", true, false, false)
+		if err == nil && !in.Ops[1].IsMem() {
 			// lea with a register source (ModRM mod=11) is #UD on hardware.
 			return asm.Inst{}, fmt.Errorf("%w: lea with register source at %#x", ErrBadOpcode, r.ip)
 		}
-		return mk("lea", asm.RegOp(asm.Reg32(reg)), rm)
+		return in, err
 	case 0x8F:
-		_, rm, err := r.modrm()
-		if err != nil {
+		ops := r.operands(1)
+		if _, err := r.modrm(&ops[0], false); err != nil {
 			return asm.Inst{}, err
 		}
-		return mk("pop", rm)
+		return asm.Inst{Mnemonic: "pop", Ops: ops}, nil
 	case 0x90:
-		return mk("nop")
+		return asm.Inst{Mnemonic: "nop"}, nil
 	case 0x99:
-		return mk("cdq")
+		return asm.Inst{Mnemonic: "cdq"}, nil
 	case 0xC1:
-		digit, rm, err := r.modrm()
+		ops := r.operands(2)
+		digit, err := r.modrm(&ops[0], false)
 		if err != nil {
 			return asm.Inst{}, err
 		}
-		name, ok := shiftName[digit]
-		if !ok {
+		name := shiftName[digit]
+		if name == "" {
 			return fail()
 		}
 		v, err := r.i8()
 		if err != nil {
 			return asm.Inst{}, err
 		}
-		return mk(name, rm, asm.ImmOp(v))
+		setImm(&ops[1], v)
+		return asm.Inst{Mnemonic: name, Ops: ops}, nil
 	case 0xC3:
-		return mk("retn")
+		return asm.Inst{Mnemonic: "retn"}, nil
 	case 0xC7:
-		digit, rm, err := r.modrm()
+		ops := r.operands(2)
+		digit, err := r.modrm(&ops[0], false)
 		if err != nil {
 			return asm.Inst{}, err
 		}
@@ -413,29 +642,25 @@ func (r *reader) inst() (asm.Inst, error) {
 		if err != nil {
 			return asm.Inst{}, err
 		}
-		return mk("mov", rm, asm.ImmOp(v))
+		setImm(&ops[1], v)
+		return asm.Inst{Mnemonic: "mov", Ops: ops}, nil
 	case 0xC9:
-		return mk("leave")
+		return asm.Inst{Mnemonic: "leave"}, nil
 	case 0xE8:
-		t, err := r.rel(4)
-		if err != nil {
-			return asm.Inst{}, err
-		}
-		return mk("call", t)
+		return r.jump("call", 4)
 	case 0xE9:
-		t, err := r.rel(4)
-		if err != nil {
-			return asm.Inst{}, err
-		}
-		return mk("jmp", t)
+		return r.jump("jmp", 4)
 	case 0xEB:
-		t, err := r.rel(1)
-		if err != nil {
-			return asm.Inst{}, err
-		}
-		return mk("jmp", t)
+		return r.jump("jmp", 1)
 	case 0xF7:
-		digit, rm, err := r.modrm()
+		// test r/m, imm32 has two operands, the rest of the group one: the
+		// digit of the ModRM byte ahead tells how many to carve.
+		n := 1
+		if r.p < len(r.b) && r.b[r.p]>>3&7 == 0 {
+			n = 2
+		}
+		ops := r.operands(n)
+		digit, err := r.modrm(&ops[0], false)
 		if err != nil {
 			return asm.Inst{}, err
 		}
@@ -444,31 +669,33 @@ func (r *reader) inst() (asm.Inst, error) {
 			if err != nil {
 				return asm.Inst{}, err
 			}
-			return mk("test", rm, asm.ImmOp(v))
+			setImm(&ops[1], v)
+			return asm.Inst{Mnemonic: "test", Ops: ops}, nil
 		}
-		name, ok := unaryName[digit]
-		if !ok {
+		name := unaryName[digit]
+		if name == "" {
 			return fail()
 		}
-		return mk(name, rm)
+		return asm.Inst{Mnemonic: name, Ops: ops}, nil
 	case 0xFF:
-		digit, rm, err := r.modrm()
+		ops := r.operands(1)
+		digit, err := r.modrm(&ops[0], false)
 		if err != nil {
 			return asm.Inst{}, err
 		}
-		switch digit {
-		case 0:
-			return mk("inc", rm)
-		case 1:
-			return mk("dec", rm)
-		case 2:
-			return mk("call", rm)
-		case 4:
-			return mk("jmp", rm)
-		case 6:
-			return mk("push", rm)
+		if name := ffName[digit]; name != "" {
+			return asm.Inst{Mnemonic: name, Ops: ops}, nil
 		}
 		return fail()
 	}
 	return fail()
+}
+
+// immWidth is the width of an instruction's immediate: a byte in the
+// sign-extended short form, else four.
+func immWidth(short bool) int {
+	if short {
+		return 1
+	}
+	return 4
 }

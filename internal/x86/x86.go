@@ -104,27 +104,10 @@ func canonMem(op asm.Operand) (memRef, error) {
 	return m, nil
 }
 
-// memOperand converts a canonical memRef back to an asm memory operand.
+// operand converts a canonical memRef back to an asm memory operand.
 func (m memRef) operand() asm.Operand {
-	var terms []asm.MemTerm
-	if m.base != asm.RegNone {
-		terms = append(terms, asm.MemTerm{Op: asm.OpAdd, Arg: asm.RegArg(m.base)})
-	}
-	if m.index != asm.RegNone {
-		terms = append(terms, asm.MemTerm{Op: asm.OpAdd, Arg: asm.RegArg(m.index)})
-		if m.scale != 1 {
-			terms = append(terms, asm.MemTerm{Op: asm.OpMul, Arg: asm.ImmArg(int64(m.scale))})
-		}
-	}
-	if m.disp != 0 || len(terms) == 0 {
-		op := asm.OpAdd
-		d := int64(m.disp)
-		if d < 0 && len(terms) > 0 {
-			op, d = asm.OpSub, -d
-		}
-		terms = append(terms, asm.MemTerm{Op: op, Arg: asm.ImmArg(d)})
-	}
-	return asm.MemOperand(terms...)
+	var r reader
+	return asm.Operand{Mem: r.mem(&m)}
 }
 
 // FixupKind describes how a fixup patches encoded bytes.
