@@ -287,14 +287,13 @@ func (c *env) search(args []string) error {
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
 	}
-	all, err := db.SearchCtx(ctx, query, sOpts, pf)
+	hits, err := db.SearchTopCtx(ctx, query, sOpts, pf, n, *minScore)
 	if err != nil {
 		if errors.Is(err, context.DeadlineExceeded) {
 			return fmt.Errorf("search: timed out after %v", *timeout)
 		}
 		return fmt.Errorf("search: %w", err)
 	}
-	hits := index.TopK(all, n, *minScore)
 	for _, h := range hits {
 		mark := " "
 		if h.Result.IsMatch {

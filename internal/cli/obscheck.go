@@ -23,6 +23,8 @@ import (
 //     the lsh bucket-occupancy histogram holds at least one observation
 //     per lsh query answered (a query observes every bucket it probes),
 //     and the pruned pairs are split over the three bounds that cut them,
+//     and the candidates a top-k floor cut are counted, never more of them
+//     than candidates compared,
 //     and the write path's families are there (functions_lifted,
 //     instructions_decoded, index_bytes_written, lift_latency,
 //     index_save_latency) and consistent: no function lifted without an
@@ -89,6 +91,16 @@ func (c *env) obscheck(args []string) error {
 		return fmt.Errorf("obscheck: /metrics counts %v pruned pairs but %v over the three bounds", pruned, byStage)
 	}
 	fmt.Fprintf(c.w, "obscheck: pruned pairs by bound ok (%v)\n", pruned)
+	// A top-k search names the candidates its floor cut. A cut candidate
+	// was compared up to its rewrites, so it is counted in compares too.
+	if !bytes.Contains(metrics, []byte("\ntracy_candidates_below_floor_total ")) {
+		return fmt.Errorf("obscheck: /metrics has no tracy_candidates_below_floor_total")
+	}
+	below, compares := promSample(metrics, "tracy_candidates_below_floor_total"), promSample(metrics, "tracy_compares_total")
+	if below > compares {
+		return fmt.Errorf("obscheck: /metrics counts %v candidates below the floor but only %v compares", below, compares)
+	}
+	fmt.Fprintf(c.w, "obscheck: top-k floor ok (%v of %v compared candidates cut below it)\n", below, compares)
 	// The write path reports into the same collector: what lifting images
 	// (an index build, a by-image query) decoded and how long it took, and
 	// what saving an index wrote. A process that lifted a function decoded

@@ -138,6 +138,10 @@ func writeStatsSummary(w io.Writer, s telemetry.Snapshot) {
 			ct["pairs_pruned_bound"], 100*s.Derived["pairs_pruned_rate"], ct["pairs_pruned_size"],
 			ct["pairs_pruned_profile"], ct["pairs_pruned_rewrite_bound"], ct["funcs_pruned_alpha"])
 	}
+	if ct["candidates_below_floor"] > 0 {
+		fmt.Fprintf(w, "floor: %d of %d compared candidates cut below the top-k floor before their rewrites\n",
+			ct["candidates_below_floor"], ct["compares"])
+	}
 	if ct["prefilter_candidates"] > 0 {
 		fmt.Fprintf(w, "prefilter: %d candidates passed to exact comparison\n",
 			ct["prefilter_candidates"])

@@ -502,6 +502,17 @@ type cmpCtx struct {
 	pairs   []align.Pair  // the tracebacks of its blocks, back to back ...
 	ends    []int         // ... block b's ending at ends[b]
 	cands   []rewriteCand
+
+	// A compare against a Floor rewrites in a second phase (see compareTop):
+	// the tracelets the first left to a rewrite, each with its candidates
+	// from the first feasible one on, back to back in stash.
+	pending []pendingTracelet
+	stash   []rewriteCand
+	// The floor check of the compare in hand: the score bound and the floor
+	// it was last held to, and whether the compare stopped there.
+	floorChecked        bool
+	floorBound, floorAt float64
+	cut                 bool
 }
 
 // rewriteCand is a target tracelet worth a rewrite attempt, with the
@@ -509,6 +520,15 @@ type cmpCtx struct {
 type rewriteCand struct {
 	ti   int
 	norm float64
+}
+
+// pendingTracelet is a reference tracelet (standing for w identical ones)
+// that the first phase of a compare left unmatched with a feasible rewrite
+// candidate: its rewrite loop resumes at stash[from:to].
+type pendingTracelet struct {
+	ri, w    int
+	from, to int
+	span     *telemetry.Span
 }
 
 // ctxPool recycles compare workers' state.
@@ -529,6 +549,8 @@ func (ctx *cmpCtx) bind(ref, tgt *Decomposed, tel *telemetry.Collector) {
 	ctx.cancel, ctx.cancelErr, ctx.span, ctx.stats = cancelCheck{}, nil, nil, cmpStats{}
 	ctx.rwRef = -1
 	ctx.scores, ctx.bounds, ctx.rwBounds = ctx.matrix(0), ctx.matrix(1), nil
+	ctx.pending, ctx.stash = ctx.pending[:0], ctx.stash[:0]
+	ctx.floorChecked, ctx.cut = false, false
 }
 
 // matrix returns the worker's i-th matrix sized for the function pair in
@@ -553,6 +575,7 @@ func (ctx *cmpCtx) release() {
 	ctx.cancel = cancelCheck{}
 	clear(ctx.rblk[:cap(ctx.rblk)])
 	clear(ctx.tblk[:cap(ctx.tblk)])
+	clear(ctx.pending[:cap(ctx.pending)])
 	ctx.rw.Reset()
 	ctxPool.Put(ctx)
 }
@@ -742,6 +765,30 @@ func (m *Matcher) CompareCtx(cc context.Context, ref, tgt *Decomposed) (Result, 
 
 // compare is CompareCtx on the state of the worker that runs it.
 func (m *Matcher) compare(cc context.Context, ctx *cmpCtx, ref, tgt *Decomposed) (Result, error) {
+	res, _, err := m.compareTop(cc, ctx, ref, tgt, nil)
+	return res, err
+}
+
+// compareTop is compare held to a search's floor (nil: none), reporting
+// whether it stopped below it.
+//
+// Against a floor the compare runs in two phases. Phase A takes every
+// reference tracelet through the size, profile and score stages as an
+// unheld compare does, and for one left unmatched checks its rewrite
+// candidates' order-aware bounds up to the first feasible one. Phase B then
+// resumes each such tracelet's rewrite loop there, in tracelet order. No
+// tracelet's sequence of operations changes, only their interleaving, so a
+// compare that runs to the end returns exactly the unheld Result. Before
+// phase B and after each of its tracelets the compare holds its score
+// bound — direct and rewrite matches plus the tracelets still pending,
+// over the total — to the floor, and stops when the bound is strictly
+// below it: such a candidate scores below the k-th best of the search and
+// is in no top-k answer. Its Result is then Truncated and a lower bound.
+//
+// PruneAlpha's early stop reads the match count in tracelet order, which
+// phase A does not have, so a PruneAlpha compare runs in one phase and
+// never stops at the floor.
+func (m *Matcher) compareTop(cc context.Context, ctx *cmpCtx, ref, tgt *Decomposed, floor *Floor) (Result, bool, error) {
 	ct := m.Opts.Tel.StartTimer(telemetry.CompareLatency)
 	res := Result{Name: tgt.Name, RefTracelets: len(ref.Tracelets)}
 	ctx.bind(ref, tgt, m.Opts.Tel)
@@ -750,72 +797,86 @@ func (m *Matcher) compare(cc context.Context, ctx *cmpCtx, ref, tgt *Decomposed)
 		ctx.span = m.Opts.Trace.Child("compare:" + tgt.Name)
 	}
 	if total := len(ref.Tracelets); total > 0 {
-		// canStillMatch: with left reference tracelets not yet evaluated,
-		// can the final coverage still clear α? The expression mirrors the
-		// final verdict exactly, so the short-circuit is verdict-preserving.
-		canStillMatch := func(left int) bool {
-			return float64(res.Matched()+left)/float64(total) > m.Opts.Alpha
-		}
+		// The units of evaluation: every reference tracelet, or under
+		// DedupeQuery one representative per group of identical ones,
+		// counted as many times as the group is large.
+		units, reps, weights := total, []int(nil), []int(nil)
 		if m.Opts.DedupeQuery {
-			// Identical reference tracelets match identically: evaluate one
-			// representative per group and multiply. Tracelets are identical
-			// when their blocks are the same distinct blocks in the same
-			// order, so the tuple of distinct-block ids is the group's key —
-			// no instruction is rendered or even needed.
-			groups := make(map[string][]int, total)
-			order := make([]string, 0, total)
-			var key []byte
-			for ri := range ref.Tracelets {
-				key = key[:0]
-				for _, id := range ref.blockIDs(ri) {
-					key = binary.LittleEndian.AppendUint32(key, uint32(id))
-				}
-				if _, seen := groups[string(key)]; !seen {
-					order = append(order, string(key))
-				}
-				groups[string(key)] = append(groups[string(key)], ri)
+			reps, weights = dedupeTracelets(ref)
+			units = len(reps)
+		}
+		twoPhase := floor != nil && !m.Opts.PruneAlpha
+		left, feasible := total, 0
+		for u := 0; u < units && ctx.cancelErr == nil; u++ {
+			// With left reference tracelets not yet evaluated, can the final
+			// coverage still clear α? The expression mirrors the final verdict
+			// exactly, so the short-circuit is verdict-preserving.
+			if m.Opts.PruneAlpha && float64(res.Matched()+left)/float64(total) <= m.Opts.Alpha {
+				res.Truncated = true
+				break
 			}
-			left := total
-			for _, h := range order {
-				if ctx.cancelErr != nil {
-					break
-				}
-				if m.Opts.PruneAlpha && !canStillMatch(left) {
-					res.Truncated = true
-					break
-				}
-				idx := groups[h]
-				ri := idx[0]
-				ctx.stats.dedupeSaved += uint64(len(idx) - 1)
-				matched, viaRewrite := m.traceletMatch(ref, tgt, ri, ctx, &res)
-				switch {
-				case matched && viaRewrite:
-					res.MatchedRewrite += len(idx)
-				case matched:
-					res.MatchedDirect += len(idx)
-				}
-				left -= len(idx)
+			ri, w := u, 1
+			if reps != nil {
+				ri, w = reps[u], weights[u]
+				ctx.stats.dedupeSaved += uint64(w - 1)
 			}
-		} else {
-			for ri := range ref.Tracelets {
-				if ctx.cancelErr != nil {
-					break
-				}
-				if m.Opts.PruneAlpha && !canStillMatch(total-ri) {
-					res.Truncated = true
-					break
-				}
-				matched, viaRewrite := m.traceletMatch(ref, tgt, ri, ctx, &res)
-				switch {
+			left -= w
+			if !twoPhase {
+				switch matched, viaRewrite := m.traceletMatch(ref, tgt, ri, ctx, &res); {
 				case matched && viaRewrite:
-					res.MatchedRewrite++
+					res.MatchedRewrite += w
 				case matched:
-					res.MatchedDirect++
+					res.MatchedDirect += w
 				}
+				continue
+			}
+			tsp := ctx.traceletSpan(ri)
+			direct, cands := m.phaseA(ref, tgt, ri, ctx, &res, tsp)
+			if len(cands) == 0 {
+				if direct {
+					res.MatchedDirect += w
+				}
+				ctx.endTracelet(tsp, direct)
+				continue
+			}
+			ctx.pending = append(ctx.pending, pendingTracelet{ri: ri, w: w, from: len(ctx.stash), to: len(ctx.stash) + len(cands), span: tsp})
+			ctx.stash = append(ctx.stash, cands...)
+			feasible += w
+		}
+		for i, p := range ctx.pending {
+			// Phase A probed the context before this tracelet's first
+			// feasible candidate, which phase B now rewrites: probe again.
+			if err := ctx.cancel.now(); err != nil {
+				ctx.cancelErr = err
+				break
+			}
+			ctx.floorChecked = true
+			ctx.floorBound, ctx.floorAt = float64(res.Matched()+feasible)/float64(total), floor.Load()
+			if ctx.floorBound < ctx.floorAt {
+				ctx.cut, res.Truncated = true, true
+				for _, q := range ctx.pending[i:] {
+					q.span.Set("cut_by_floor", 1)
+				}
+				break
+			}
+			matched := m.rewriteFrom(p.ri, ctx.stash[p.from:p.to], ctx, &res, p.span)
+			if matched {
+				res.MatchedRewrite += p.w
+			}
+			ctx.endTracelet(p.span, matched)
+			feasible -= p.w
+		}
+		if ctx.span != nil {
+			for _, p := range ctx.pending {
+				p.span.End() // those a cut or an abort left open
 			}
 		}
 		res.SimilarityScore = float64(res.Matched()) / float64(total)
 		res.IsMatch = res.SimilarityScore > m.Opts.Alpha
+		if twoPhase && !ctx.floorChecked {
+			ctx.floorChecked = true
+			ctx.floorBound, ctx.floorAt = res.SimilarityScore, floor.Load()
+		}
 	}
 	if ctx.cancelErr != nil {
 		// Partial evaluation: the score is a lower bound over the
@@ -823,7 +884,30 @@ func (m *Matcher) compare(cc context.Context, ctx *cmpCtx, ref, tgt *Decomposed)
 		res.Truncated = true
 	}
 	m.finishCompare(&res, ctx, ct)
-	return res, ctx.cancelErr
+	return res, ctx.cut, ctx.cancelErr
+}
+
+// dedupeTracelets groups identical reference tracelets: one representative
+// per group, the first, in order of first appearance, and the group sizes.
+// Tracelets are identical when their blocks are the same distinct blocks in
+// the same order, so the tuple of distinct-block ids is the group's key —
+// no instruction is rendered or even needed.
+func dedupeTracelets(ref *Decomposed) (reps, weights []int) {
+	groups := make(map[string]int, len(ref.Tracelets))
+	var key []byte
+	for ri := range ref.Tracelets {
+		key = key[:0]
+		for _, id := range ref.blockIDs(ri) {
+			key = binary.LittleEndian.AppendUint32(key, uint32(id))
+		}
+		if u, seen := groups[string(key)]; seen {
+			weights[u]++
+			continue
+		}
+		groups[string(key)] = len(reps)
+		reps, weights = append(reps, ri), append(weights, 1)
+	}
+	return reps, weights
 }
 
 // finishCompare flushes the local tally into the collector and closes the
@@ -853,7 +937,9 @@ func (m *Matcher) finishCompare(res *Result, ctx *cmpCtx, ct telemetry.Timer) {
 	if res.IsMatch {
 		tel.Inc(telemetry.Matches)
 	}
-	if res.Truncated && ctx.cancelErr == nil {
+	if ctx.cut {
+		tel.Inc(telemetry.CandidatesBelowFloor)
+	} else if res.Truncated && ctx.cancelErr == nil {
 		tel.Inc(telemetry.FuncsPrunedAlpha)
 	}
 	if sp := ctx.span; sp != nil {
@@ -876,8 +962,19 @@ func (m *Matcher) finishCompare(res *Result, ctx *cmpCtx, ct telemetry.Timer) {
 		} else {
 			sp.Set("verdict_match", 0)
 		}
-		if res.Truncated {
+		if res.Truncated && !ctx.cut {
 			sp.Set("alpha_truncated", 1)
+		}
+		if ctx.floorChecked {
+			// How close the candidate came to the answer of a top-k search:
+			// its score bound when last held to the floor, and the floor.
+			sp.Set("bound_bp", int64(ctx.floorBound*10000))
+			sp.Set("floor_bp", int64(ctx.floorAt*10000))
+			cut := int64(0)
+			if ctx.cut {
+				cut = 1
+			}
+			sp.Set("cut_by_floor", cut)
 		}
 		sp.End()
 	}
@@ -904,15 +1001,47 @@ func (ctx *cmpCtx) traceletSpan(ri int) *telemetry.Span {
 // any stage could have matched neither directly nor after a rewrite.
 func (m *Matcher) traceletMatch(ref, tgt *Decomposed, ri int, ctx *cmpCtx, res *Result) (bool, bool) {
 	tsp := ctx.traceletSpan(ri)
-	if tsp != nil {
-		before := ctx.stats
-		defer func() {
-			tsp.Set("pairs_pruned_size", int64(ctx.stats.prunedSize-before.prunedSize))
-			tsp.Set("pairs_pruned_profile", int64(ctx.stats.prunedProfile-before.prunedProfile))
-			tsp.Set("pairs_pruned_rewrite_bound", int64(ctx.stats.prunedRewrite-before.prunedRewrite))
-			tsp.End()
-		}()
+	direct, cands := m.phaseA(ref, tgt, ri, ctx, res, tsp)
+	viaRewrite := len(cands) > 0 && m.rewriteFrom(ri, cands, ctx, res, tsp)
+	ctx.endTracelet(tsp, direct || viaRewrite)
+	return direct || viaRewrite, viaRewrite
+}
+
+// endTracelet closes the span of a reference tracelet, marking one that was
+// evaluated to the end without a match.
+func (ctx *cmpCtx) endTracelet(tsp *telemetry.Span, matched bool) {
+	if tsp == nil {
+		return
 	}
+	if !matched && ctx.cancelErr == nil {
+		tsp.Set("via_rewrite", -1)
+	}
+	tsp.End()
+}
+
+// phaseA takes reference tracelet ri through every stage before a rewrite:
+// it reports a direct match, or returns the tracelet's rewrite candidates,
+// best pre-score first, from the first whose rewrite bound clears β on —
+// none when no rewrite can match.
+func (m *Matcher) phaseA(ref, tgt *Decomposed, ri int, ctx *cmpCtx, res *Result, tsp *telemetry.Span) (bool, []rewriteCand) {
+	size, profile := ctx.stats.prunedSize, ctx.stats.prunedProfile
+	direct, cands := m.scanTracelet(ref, tgt, ri, ctx, res, tsp)
+	if tsp != nil {
+		tsp.Set("pairs_pruned_size", int64(ctx.stats.prunedSize-size))
+		tsp.Set("pairs_pruned_profile", int64(ctx.stats.prunedProfile-profile))
+		tsp.Set("pairs_pruned_rewrite_bound", 0)
+	}
+	if direct {
+		return true, nil
+	}
+	return false, m.nextFeasible(ri, cands, ctx, res, tsp)
+}
+
+// scanTracelet runs reference tracelet ri against every target tracelet
+// through the size, profile and score stages, stopping at the first direct
+// match. Without one it returns the pairs worth a rewrite attempt, best
+// pre-rewrite score first — one stable sort, not repeated selection.
+func (m *Matcher) scanTracelet(ref, tgt *Decomposed, ri int, ctx *cmpCtx, res *Result, tsp *telemetry.Span) (bool, []rewriteCand) {
 	opts := &m.Opts
 	beta, norm := opts.Beta, opts.Norm
 	k := ref.K
@@ -929,7 +1058,7 @@ func (m *Matcher) traceletMatch(ref, tgt *Decomposed, ri int, ctx *cmpCtx, res *
 			if err := ctx.cancel.poll(); err != nil {
 				ctx.cancelErr = err
 				res.PairsCompared += ti
-				return false, false
+				return false, nil
 			}
 		}
 		if opts.Prune {
@@ -955,7 +1084,7 @@ func (m *Matcher) traceletMatch(ref, tgt *Decomposed, ri int, ctx *cmpCtx, res *
 				tsp.Set("via_rewrite", 0)
 			}
 			res.PairsCompared += ti + 1
-			return true, false
+			return true, nil
 		}
 		if opts.UseRewrite {
 			if pre >= opts.RewriteSkipBelow {
@@ -971,47 +1100,60 @@ func (m *Matcher) traceletMatch(ref, tgt *Decomposed, ri int, ctx *cmpCtx, res *
 		tsp.Set("best_pre_score_bp", int64(bestPre*10000))
 		tsp.Set("rewrite_candidates", int64(len(cands)))
 	}
-	// No syntactic match: attempt rewrites on the plausible candidates,
-	// best pre-score first — one stable sort, not repeated selection.
 	sortCands(cands)
-	for _, c := range cands {
+	return false, cands
+}
+
+// nextFeasible takes rewrite candidates of reference tracelet ri to the
+// rewrite stage in order and returns them from the first whose rewrite
+// bound clears β on, nil when there is none.
+func (m *Matcher) nextFeasible(ri int, cands []rewriteCand, ctx *cmpCtx, res *Result, tsp *telemetry.Span) []rewriteCand {
+	opts := &m.Opts
+	rIdent, tIdents := ctx.ref.ident[ri], ctx.tgt.ident
+	for i, c := range cands {
 		// A rewrite attempt (alignment traceback + CSP solve) is the most
 		// expensive unit of work in the matcher: probe the context before
 		// every one, not just every few pairs.
 		if err := ctx.cancel.now(); err != nil {
 			ctx.cancelErr = err
-			return false, false
+			return nil
 		}
 		res.PairsRewritten++
 		ctx.stats.rwAttempted++
-		if opts.Prune {
-			// Rewriting renames symbols within their class (registers to
-			// registers, locals to locals) and never changes an
-			// instruction's kind or its place in the block, so the
-			// post-rewrite score is at most what the pair would score if
-			// every same-kind instruction pair agreed in every argument.
-			// When even that cannot clear β the traceback and the CSP solve
-			// are provably futile.
-			if align.Norm(ctx.rewriteBound(ri, c.ti), rIdent, tIdents[c.ti], norm) <= beta {
-				ctx.stats.prunedRewrite++
-				continue
-			}
+		// Rewriting renames symbols within their class (registers to
+		// registers, locals to locals) and never changes an instruction's
+		// kind or its place in the block, so the post-rewrite score is at
+		// most what the pair would score if every same-kind instruction pair
+		// agreed in every argument. When even that cannot clear β the
+		// traceback and the CSP solve are provably futile.
+		if opts.Prune && align.Norm(ctx.rewriteBound(ri, c.ti), rIdent, tIdents[c.ti], opts.Norm) <= opts.Beta {
+			ctx.stats.prunedRewrite++
+			tsp.Add("pairs_pruned_rewrite_bound", 1)
+			continue
 		}
-		post := ctx.rewritePair(ri, c.ti, norm)
-		if post > beta {
+		return cands[i:]
+	}
+	return nil
+}
+
+// rewriteFrom rewrites reference tracelet ri against its rewrite candidates
+// until one matches: the first is feasible and already taken to the rewrite
+// stage (nextFeasible), the rest go through it in turn.
+func (m *Matcher) rewriteFrom(ri int, cands []rewriteCand, ctx *cmpCtx, res *Result, tsp *telemetry.Span) bool {
+	for len(cands) > 0 {
+		c := cands[0]
+		if post := ctx.rewritePair(ri, c.ti, m.Opts.Norm); post > m.Opts.Beta {
 			ctx.stats.rwSucceeded++
 			if tsp != nil {
 				tsp.Set("matched_ti", int64(c.ti))
 				tsp.Set("score_bp", int64(post*10000))
 				tsp.Set("via_rewrite", 1)
 			}
-			return true, true
+			return true
 		}
+		cands = m.nextFeasible(ri, cands[1:], ctx, res, tsp)
 	}
-	if tsp != nil {
-		tsp.Set("via_rewrite", -1) // unmatched
-	}
-	return false, false
+	return false
 }
 
 // sortCands orders rewrite candidates by descending pre-rewrite score,
@@ -1053,9 +1195,11 @@ func (m *Matcher) CompareMany(ref *Decomposed, targets []*Decomposed) []Result {
 	return out
 }
 
-// CompareManyCtx is CompareEachCtx over a slice of targets.
+// CompareManyCtx is CompareEachCtx over a slice of targets, held to no
+// floor.
 func (m *Matcher) CompareManyCtx(cc context.Context, ref *Decomposed, targets []*Decomposed) ([]Result, error) {
-	return m.CompareEachCtx(cc, ref, len(targets), func(i int) (*Decomposed, error) { return targets[i], nil })
+	out, _, err := m.CompareEachCtx(cc, ref, len(targets), func(i int) (*Decomposed, error) { return targets[i], nil }, nil)
+	return out, err
 }
 
 // CompareEachCtx is the one compare pool: it compares the reference
@@ -1065,15 +1209,21 @@ func (m *Matcher) CompareManyCtx(cc context.Context, ref *Decomposed, targets []
 // safe for concurrent calls, and a target it cannot produce (a stored
 // function that turns out corrupt) fails the whole call with its error —
 // a candidate is never dropped silently. Workers claim indices from a
-// shared counter and stop at the first error, the getter's or the
-// context's, which is returned; the result slice is then partial
+// shared counter, in order, and stop at the first error, the getter's or
+// the context's, which is returned; the result slice is then partial
 // (untouched slots are zero Results) and must be discarded by ranking
 // callers.
-func (m *Matcher) CompareEachCtx(cc context.Context, ref *Decomposed, n int, target func(i int) (*Decomposed, error)) ([]Result, error) {
+//
+// With a floor, every Result compared in full is offered to it, and a
+// compare whose score bound falls strictly below it stops before its
+// remaining rewrites (see compareTop): cut[i] reports that Result i is such
+// a lower bound and belongs to no answer the floor was made for. Without
+// one, cut is nil and every Result is exact.
+func (m *Matcher) CompareEachCtx(cc context.Context, ref *Decomposed, n int, target func(i int) (*Decomposed, error), floor *Floor) ([]Result, []bool, error) {
 	if cc == nil {
 		cc = context.Background()
 	}
-	out := make([]Result, n)
+	out, cut := make([]Result, n), floor.marks(n)
 	var (
 		next     atomic.Int64
 		errOnce  sync.Once
@@ -1094,8 +1244,14 @@ func (m *Matcher) CompareEachCtx(cc context.Context, ref *Decomposed, n int, tar
 				}
 				if err == nil {
 					var res Result
-					if res, err = m.compare(cc, ctx, ref, tgt); err == nil {
+					var below bool
+					if res, below, err = m.compareTop(cc, ctx, ref, tgt, floor); err == nil {
 						out[i] = res
+						if below {
+							cut[i] = true
+						} else if floor != nil {
+							floor.Offer(res.SimilarityScore)
+						}
 						continue
 					}
 				}
@@ -1105,5 +1261,5 @@ func (m *Matcher) CompareEachCtx(cc context.Context, ref *Decomposed, n int, tar
 		}()
 	}
 	wg.Wait()
-	return out, firstErr
+	return out, cut, firstErr
 }

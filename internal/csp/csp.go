@@ -10,16 +10,17 @@
 // suffices and best-effort otherwise, mirroring the paper's bound of 1000
 // backtracking attempts.
 //
-// Variables are dense ints in declaration order and values are
-// non-negative ints the caller gives meaning to. A Problem owns all the
-// memory a solve needs and keeps it across Reset, so a caller that solves
-// many problems in a row allocates nothing in the steady state.
+// Variables are dense ints in declaration order, each over the values
+// 0..n-1 of its own domain size n, which the caller gives meaning to. A
+// Problem owns all the memory a solve needs and keeps it across Reset, so
+// a caller that solves many problems in a row allocates nothing in the
+// steady state.
 //
 // The answer is a function of the problem as declared, and nothing else:
 // components are found in variable order following equalities in the
 // order they were added, a component's variables are decided by
 // decreasing constraint degree (ties in discovery order), a variable's
-// values are tried by decreasing bind count (ties in domain order), and
+// values are tried by decreasing bind count (ties in value order), and
 // the budget is spent one unit per completed value of a variable.
 package csp
 
@@ -42,19 +43,19 @@ type Problem struct {
 	// backtracking steps consumed, and budget-exhaustion (timeout) events.
 	Tel *telemetry.Collector
 
-	doms  [][]int  // per variable; the slices stay the caller's
+	doms  []int    // per variable its domain size: the values 0..n-1
 	binds [][2]int // (variable, value), as added
 	eqs   [][2]int // (variable, variable), as added
 
 	// Everything below is rebuilt by Solve. The three tables are laid out
 	// per variable v as tab[off[v]:off[v+1]].
 	adjOff, adj   []int // equality neighbours, in the order added
-	bindOff       []int // distinct bound values with their counts ...
+	bindOff       []int // distinct bound values, ascending, with their counts ...
 	bindVal       []int
 	bindCnt       []int
 	bindN, bindTo []int // ... how many are distinct, and the total
 	candOff, cand []int // the domain in the order the search tries it
-	keys          []int
+	keys          []int // the bind counts of one variable's candidates
 
 	seen         []bool
 	stack, order []int
@@ -70,10 +71,10 @@ func (p *Problem) Reset() {
 	p.doms, p.binds, p.eqs = p.doms[:0], p.binds[:0], p.eqs[:0]
 }
 
-// AddVar declares a variable over the given domain and returns it. The
-// domain is not copied and must stay unchanged until after Solve.
-func (p *Problem) AddVar(domain []int) int {
-	p.doms = append(p.doms, domain)
+// AddVar declares a variable over the domain 0..n-1 and returns it; a
+// variable with n <= 0 has an empty domain and is left unassigned.
+func (p *Problem) AddVar(n int) int {
+	p.doms = append(p.doms, max(n, 0))
 	return len(p.doms) - 1
 }
 
@@ -121,11 +122,30 @@ func (p *Problem) Solve(maxBacktracks int) ([]int, int) {
 	}
 	st := p.Tel.StartTimer(telemetry.SolveLatency)
 	p.index()
+	conflicts, backtracks, exhausted := p.solveIndexed(maxBacktracks)
+	p.Tel.Inc(telemetry.CSPSolves)
+	p.Tel.Add(telemetry.CSPBacktracks, uint64(backtracks))
+	p.Tel.Add(telemetry.CSPBudgetExhausted, uint64(exhausted))
+	st.Stop()
+	if solveHook != nil {
+		solveHook(p, maxBacktracks, p.out, conflicts)
+	}
+	return p.out, conflicts
+}
+
+// solveHook, when set, sees every problem Solve solved, with its budget and
+// answer: how tests hold the problems a real workload builds to a
+// reference. It is nil outside tests.
+var solveHook func(p *Problem, maxBacktracks int, out []int, conflicts int)
+
+// solveIndexed solves the indexed problem component by component into
+// p.out, returning the violated constraints, the backtracks spent and the
+// components that exhausted their budget.
+func (p *Problem) solveIndexed(maxBacktracks int) (conflicts, backtracks, exhausted int) {
 	nv := len(p.doms)
 	p.out = grow(p.out, nv)
 	p.seen = grow(p.seen, nv)
 	clear(p.seen)
-	conflicts, backtracks, exhausted := 0, 0, 0
 	for v := 0; v < nv; v++ {
 		if p.seen[v] {
 			continue
@@ -141,11 +161,7 @@ func (p *Problem) Solve(maxBacktracks int) ([]int, int) {
 			exhausted++
 		}
 	}
-	p.Tel.Inc(telemetry.CSPSolves)
-	p.Tel.Add(telemetry.CSPBacktracks, uint64(backtracks))
-	p.Tel.Add(telemetry.CSPBudgetExhausted, uint64(exhausted))
-	st.Stop()
-	return p.out, conflicts
+	return conflicts, backtracks, exhausted
 }
 
 // index lays the constraints out per variable and fixes, once per solve,
@@ -176,7 +192,7 @@ func (p *Problem) index() {
 		p.adjOff[v+1] += p.adjOff[v]
 		p.bindOff[v+1] += p.bindOff[v]
 		p.candOff[v] = nc
-		nc += len(p.doms[v])
+		nc += p.doms[v]
 	}
 	p.candOff[nv] = nc
 	p.adj = grow(p.adj, 2*len(p.eqs))
@@ -189,53 +205,61 @@ func (p *Problem) index() {
 		p.pos[e[1]]++
 	}
 
-	// Binds: each variable's distinct bound values with their counts.
+	// Binds: each variable's distinct bound values, ascending, with their
+	// counts.
 	p.bindVal = grow(p.bindVal, len(p.binds))
 	p.bindCnt = grow(p.bindCnt, len(p.binds))
 	for _, b := range p.binds {
 		v, val := b[0], b[1]
 		p.bindTo[v]++
 		at, end := p.bindOff[v], p.bindOff[v]+p.bindN[v]
-		for at < end && p.bindVal[at] != val {
+		for at < end && p.bindVal[at] < val {
 			at++
 		}
-		if at == end {
+		if at == end || p.bindVal[at] != val {
+			copy(p.bindVal[at+1:end+1], p.bindVal[at:end])
+			copy(p.bindCnt[at+1:end+1], p.bindCnt[at:end])
 			p.bindVal[at], p.bindCnt[at] = val, 0
 			p.bindN[v]++
 		}
 		p.bindCnt[at]++
 	}
 
-	// Candidates: the domain, stably sorted by decreasing bind count, so
-	// the values some bind asks for come first and the rest keep their
-	// domain order.
+	// Candidates: the domain with the values some bind asks for first, by
+	// decreasing bind count, and the rest in order after them. A variable is
+	// bound to few values, so only those are sorted — taken in ascending
+	// order, a stable insertion keeps tied counts in domain order — and the
+	// rest is counted out around them.
 	p.cand = grow(p.cand, nc)
-	p.keys = grow(p.keys, nc)
-	for v, dom := range p.doms {
-		c, k := p.cand[p.candOff[v]:p.candOff[v+1]], p.keys[p.candOff[v]:p.candOff[v+1]]
-		if p.bindN[v] == 0 {
-			copy(c, dom)
-			continue
+	p.keys = grow(p.keys, len(p.binds))
+	for v, n := range p.doms {
+		c, k := p.cand[p.candOff[v]:p.candOff[v+1]], p.keys
+		at := p.bindOff[v]
+		vals, cnts := p.bindVal[at:at+p.bindN[v]], p.bindCnt[at:at+p.bindN[v]]
+		m := 0
+		for j, val := range vals {
+			if val < 0 || val >= n {
+				continue // a value outside the domain: no candidate
+			}
+			i := m
+			for i > 0 && k[i-1] < cnts[j] {
+				c[i], k[i] = c[i-1], k[i-1]
+				i--
+			}
+			c[i], k[i] = val, cnts[j]
+			m++
 		}
-		n := 0
-		for _, val := range dom {
-			cnt := p.bindCount(v, val)
-			if cnt == 0 {
+		j := 0
+		for j < len(vals) && vals[j] < 0 {
+			j++
+		}
+		for val := 0; val < n; val++ {
+			if j < len(vals) && vals[j] == val {
+				j++
 				continue
 			}
-			at := n
-			for at > 0 && k[at-1] < cnt {
-				c[at], k[at] = c[at-1], k[at-1]
-				at--
-			}
-			c[at], k[at] = val, cnt
-			n++
-		}
-		for _, val := range dom {
-			if p.bindCount(v, val) == 0 {
-				c[n] = val
-				n++
-			}
+			c[m] = val
+			m++
 		}
 	}
 }

@@ -19,8 +19,8 @@ const (
 
 func TestAllSatisfiable(t *testing.T) {
 	var p Problem
-	x := p.AddVar([]int{a, b, c})
-	y := p.AddVar([]int{a, b, c})
+	x := p.AddVar(3)
+	y := p.AddVar(3)
 	p.Bind(x, b)
 	p.Eq(x, y)
 	got, conflicts := p.Solve(0)
@@ -34,7 +34,7 @@ func TestAllSatisfiable(t *testing.T) {
 
 func TestConflictingBinds(t *testing.T) {
 	var p Problem
-	x := p.AddVar([]int{a, b})
+	x := p.AddVar(2)
 	p.Bind(x, a)
 	p.Bind(x, a)
 	p.Bind(x, b)
@@ -48,7 +48,7 @@ func TestConflictingBinds(t *testing.T) {
 func TestChainPropagation(t *testing.T) {
 	// x=y, y=z, bind z=b: everything should become b.
 	var p Problem
-	x, y, z := p.AddVar([]int{a, b, c}), p.AddVar([]int{a, b, c}), p.AddVar([]int{a, b, c})
+	x, y, z := p.AddVar(3), p.AddVar(3), p.AddVar(3)
 	p.Eq(x, y)
 	p.Eq(y, z)
 	p.Bind(z, b)
@@ -65,7 +65,7 @@ func TestCrossPressure(t *testing.T) {
 	// Two binds pull x apart; eq to y whose bind agrees with a breaks
 	// the tie at minimum conflict.
 	var p Problem
-	x, y := p.AddVar([]int{a, b}), p.AddVar([]int{a, b})
+	x, y := p.AddVar(2), p.AddVar(2)
 	p.Bind(x, a)
 	p.Bind(x, b)
 	p.Bind(y, a)
@@ -81,7 +81,7 @@ func TestCrossPressure(t *testing.T) {
 
 func TestEmptyDomain(t *testing.T) {
 	var p Problem
-	x := p.AddVar(nil)
+	x := p.AddVar(0)
 	p.Bind(x, d)
 	got, conflicts := p.Solve(0)
 	if got[x] != None {
@@ -94,7 +94,7 @@ func TestEmptyDomain(t *testing.T) {
 
 func TestUnknownVarIgnored(t *testing.T) {
 	var p Problem
-	x := p.AddVar([]int{a})
+	x := p.AddVar(1)
 	p.Bind(7, a)  // no-op
 	p.Eq(x, 7)    // no-op
 	p.Eq(-1, x)   // no-op
@@ -110,7 +110,7 @@ func TestUnknownVarIgnored(t *testing.T) {
 
 func TestIndependentComponents(t *testing.T) {
 	var p Problem
-	a1, a2, b1 := p.AddVar([]int{a, b}), p.AddVar([]int{a, b}), p.AddVar([]int{a, b})
+	a1, a2, b1 := p.AddVar(2), p.AddVar(2), p.AddVar(2)
 	p.Eq(a1, a2)
 	p.Bind(a1, a)
 	p.Bind(b1, b)
@@ -127,16 +127,18 @@ func TestIndependentComponents(t *testing.T) {
 // keeps its own domain, and Reset starts the numbering over.
 func TestAddVarDenseIDs(t *testing.T) {
 	var p Problem
-	x, y := p.AddVar([]int{a}), p.AddVar([]int{b})
+	x, y := p.AddVar(1), p.AddVar(2)
 	if x != 0 || y != 1 {
 		t.Fatalf("ids = %d, %d, want 0, 1", x, y)
 	}
-	got, _ := p.Solve(0)
-	if got[x] != a || got[y] != b {
-		t.Errorf("assignment = %v, want [a b]", got)
+	p.Bind(x, b) // outside x's domain: unsatisfiable
+	p.Bind(y, b)
+	got, conflicts := p.Solve(0)
+	if got[x] != a || got[y] != b || conflicts != 1 {
+		t.Errorf("assignment = %v with %d conflicts, want [a b] with 1", got, conflicts)
 	}
 	p.Reset()
-	if z := p.AddVar([]int{c}); z != 0 || p.NumVars() != 1 || p.NumConstraints() != 0 {
+	if z := p.AddVar(3); z != 0 || p.NumVars() != 1 || p.NumConstraints() != 0 {
 		t.Errorf("after Reset: id %d, %d vars, %d constraints", z, p.NumVars(), p.NumConstraints())
 	}
 }
@@ -146,10 +148,9 @@ func TestBudgetStillReturnsAnswer(t *testing.T) {
 	// assignment (the greedy bound) with reasonable conflicts.
 	var p Problem
 	n := 40
-	dom := []int{a, b, c, d}
 	vars := make([]int, n)
 	for i := range vars {
-		vars[i] = p.AddVar(dom)
+		vars[i] = p.AddVar(4)
 	}
 	for i := 1; i < n; i++ {
 		p.Eq(vars[i-1], vars[i])
@@ -171,8 +172,7 @@ func TestBudgetStillReturnsAnswer(t *testing.T) {
 func TestSolveTelemetry(t *testing.T) {
 	build := func() *Problem {
 		p := new(Problem)
-		dom := []int{a, b, c}
-		vars := []int{p.AddVar(dom), p.AddVar(dom), p.AddVar(dom), p.AddVar(dom)}
+		vars := []int{p.AddVar(3), p.AddVar(3), p.AddVar(3), p.AddVar(3)}
 		for i := 1; i < len(vars); i++ {
 			p.Eq(vars[i-1], vars[i])
 		}
@@ -219,12 +219,11 @@ func TestSolveTelemetry(t *testing.T) {
 // constraints for independent evaluation.
 func randomProblem(rng *rand.Rand, p *Problem) (binds, eqs [][2]int) {
 	nv := 2 + rng.Intn(6)
-	dom := []int{a, b, c}
 	for i := 0; i < nv; i++ {
-		p.AddVar(dom)
+		p.AddVar(3)
 	}
 	for i := 0; i < rng.Intn(8); i++ {
-		bd := [2]int{rng.Intn(nv), dom[rng.Intn(len(dom))]}
+		bd := [2]int{rng.Intn(nv), rng.Intn(3)}
 		binds = append(binds, bd)
 		p.Bind(bd[0], bd[1])
 	}
@@ -303,17 +302,13 @@ func TestQuickSolverSound(t *testing.T) {
 // and return the same answer every time.
 func TestAdversarialChainsBounded(t *testing.T) {
 	const chains, length, domSize = 3, 60, 50
-	dom := make([]int, domSize)
-	for i := range dom {
-		dom[i] = i
-	}
 	var binds, eqs [][2]int
 	build := func(p *Problem) {
 		binds, eqs = binds[:0], eqs[:0]
 		for ch := 0; ch < chains; ch++ {
 			first := p.NumVars()
 			for i := 0; i < length; i++ {
-				v := p.AddVar(dom)
+				v := p.AddVar(domSize)
 				if i > 0 {
 					eqs = append(eqs, [2]int{v - 1, v})
 				}

@@ -481,6 +481,12 @@ func (c *checker) searchParity(built []variant, images [][]byte) {
 		c.fail("parity", "fleet", "sharded merge vs union search: %s", d)
 	}
 
+	queries := []*prep.Function{query}
+	if last := liftNamed(images[len(images)-1], FuncName); last != nil && len(images) > 1 {
+		queries = append(queries, last)
+	}
+	c.topKParity(db, queries, opts)
+
 	c.ran()
 	srv := server.NewFromDB(db, server.Config{Opts: opts})
 	req := &server.SearchRequest{Function: FuncName, K: opts.K, Limit: limit}
@@ -496,6 +502,83 @@ func (c *checker) searchParity(built []variant, images [][]byte) {
 	if resp.Candidates != len(offline) && resp.Candidates != db.Len() {
 		c.fail("parity", "server", "served %d candidates, index holds %d", resp.Candidates, db.Len())
 	}
+}
+
+// topKParity holds the top-k engine to its oracle: for every limit,
+// minimum score, candidate generator and worker count, on the heap
+// snapshot and on views of a PACK file of the same corpus,
+// Snapshot.SearchTopCtx must return what TopK of the full search returns —
+// the same hits in the same order, every Result field included — and count
+// every candidate.
+func (c *checker) topKParity(db *index.DB, queries []*prep.Function, opts core.Options) {
+	var buf bytes.Buffer
+	if err := db.SaveV3LSH(&buf, minhash.Default); err != nil {
+		c.ran()
+		c.fail("topk", "pack", "SaveV3LSH: %v", err)
+		return
+	}
+	packed, err := index.Load(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		c.ran()
+		c.fail("topk", "pack", "loading: %v", err)
+		return
+	}
+	n, ctx := db.Len(), context.Background()
+	gens := []struct {
+		name string
+		pf   index.PrefilterOptions
+	}{
+		{"exhaustive", index.PrefilterOptions{}},
+		{"scan", index.PrefilterOptions{Enabled: true, Candidates: n/2 + 1}},
+		{"lsh", index.PrefilterOptions{Candidates: n/2 + 1, Mode: index.ModeLSH}},
+	}
+	for _, store := range []struct {
+		name string
+		db   *index.DB
+	}{{"heap", db}, {"pack", packed}} {
+		for _, workers := range []int{1, 2, 4} {
+			snap := index.BuildSnapshot(store.db, []int{opts.K}, workers)
+			for _, q := range queries {
+				ref := core.Decompose(q, opts.K)
+				for _, gen := range gens {
+					variant := fmt.Sprintf("%s/workers=%d/%s", store.name, workers, gen.name)
+					all, err := snap.SearchDecomposedCtx(ctx, ref, opts, gen.pf)
+					if err != nil {
+						c.ran()
+						c.fail("topk", variant, "full search: %v", err)
+						continue
+					}
+					for _, limit := range []int{1, 3, 10, 100, n + 1} {
+						for _, minScore := range []float64{0, 0.3, 0.9} {
+							c.ran()
+							got, candidates, err := snap.SearchTopCtx(ctx, ref, opts, gen.pf, limit, minScore)
+							if err != nil {
+								c.fail("topk", variant, "limit %d min_score %v: %v", limit, minScore, err)
+							} else if d := diffTopHits(index.TopK(all, limit, minScore), got); d != "" || candidates != len(all) {
+								c.fail("topk", variant, "limit %d min_score %v: %s (%d candidates, the full search %d)",
+									limit, minScore, d, candidates, len(all))
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// diffTopHits compares two rankings entry for entry with every Result
+// field, work accounting included.
+func diffTopHits(want, got []index.Hit) string {
+	if len(want) != len(got) {
+		return fmt.Sprintf("%d hits, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if w, g := want[i], got[i]; w.Entry != g.Entry || w.Result != g.Result {
+			return fmt.Sprintf("hit %d: got %s/%s %+v, want %s/%s %+v", i,
+				g.Entry.Exe, g.Entry.Name, g.Result, w.Entry.Exe, w.Entry.Name, w.Result)
+		}
+	}
+	return ""
 }
 
 // postSearch drives the server's real HTTP handler in memory.

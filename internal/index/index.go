@@ -5,8 +5,10 @@
 // Snapshot is the one search engine: it memoizes per-k tracelet
 // decompositions, optionally cuts the corpus to the top candidates of a
 // lossy prefilter (shared-feature scan or MinHash LSH), compares the
-// query against what remains in parallel and ranks the hits. DB.Search
-// and the serving layer both run on it.
+// query against what remains in parallel and ranks the hits — for a search
+// that asks for the best k, comparing in full only the candidates that can
+// still be among them (Snapshot.SearchTopCtx). DB.Search and the serving
+// layer both run on it.
 package index
 
 import (
@@ -244,7 +246,15 @@ func (db *DB) SearchWith(query *prep.Function, opts core.Options, pf PrefilterOp
 // shortly after cancellation or deadline expiry. A Background (or nil)
 // context adds no overhead and leaves results identical to SearchWith.
 func (db *DB) SearchCtx(ctx context.Context, query *prep.Function, opts core.Options, pf PrefilterOptions) ([]Hit, error) {
-	return db.view().search(ctx, query, opts, pf)
+	return db.view().search(ctx, query, opts, pf, 0, 0)
+}
+
+// SearchTopCtx is SearchCtx for the best limit hits scoring at least
+// minScore: what TopK(SearchCtx(...), limit, minScore) returns, computed
+// by Snapshot.SearchTopCtx, which compares in full only the candidates
+// that can still enter the answer.
+func (db *DB) SearchTopCtx(ctx context.Context, query *prep.Function, opts core.Options, pf PrefilterOptions, limit int, minScore float64) ([]Hit, error) {
+	return db.view().search(ctx, query, opts, pf, limit, minScore)
 }
 
 // gobDB is the serialized form. Feats (since format v2) carries the

@@ -258,21 +258,20 @@ func noteCtxErr(tel *telemetry.Collector, err error) {
 
 // Search is SearchCtx without a context.
 func (s *Snapshot) Search(query *prep.Function, opts core.Options) ([]Hit, error) {
-	return s.search(context.Background(), query, opts, PrefilterOptions{})
+	return s.search(context.Background(), query, opts, PrefilterOptions{}, 0, 0)
 }
 
 // SearchCtx decomposes the query and runs SearchDecomposedCtx over the
 // whole corpus. Decomposition runs to completion (it is cheap and
 // uncancellable), then the exact comparison honors ctx.
 func (s *Snapshot) SearchCtx(ctx context.Context, query *prep.Function, opts core.Options) ([]Hit, error) {
-	return s.search(ctx, query, opts, PrefilterOptions{})
+	return s.search(ctx, query, opts, PrefilterOptions{}, 0, 0)
 }
 
 // search is the query-function entry point behind Snapshot.Search and
 // DB.Search: it emits the "decompose" stage, and a caller-supplied
-// opts.Trace becomes the span the stages of SearchDecomposedCtx hang
-// under.
-func (s *Snapshot) search(ctx context.Context, query *prep.Function, opts core.Options, pf PrefilterOptions) ([]Hit, error) {
+// opts.Trace becomes the span the stages of SearchTopCtx hang under.
+func (s *Snapshot) search(ctx context.Context, query *prep.Function, opts core.Options, pf PrefilterOptions, limit int, minScore float64) ([]Hit, error) {
 	if opts.Trace != nil {
 		ctx = telemetry.ContextWithSpan(ctx, opts.Trace)
 	}
@@ -287,25 +286,44 @@ func (s *Snapshot) search(ctx context.Context, query *prep.Function, opts core.O
 	ref := core.DecomposeT(query, k, opts.Tel)
 	dsp.Set("query_tracelets", int64(len(ref.Tracelets)))
 	dsp.End()
-	return s.SearchDecomposedCtx(ctx, ref, opts, pf)
+	hits, _, err := s.SearchTopCtx(ctx, ref, opts, pf, limit, minScore)
+	return hits, err
 }
 
 // SearchDecomposedCtx compares an already-decomposed query against the
-// corpus and returns all hits in canonical order: against every entry
-// when pf is the zero value, against the top-C candidates of the lossy
-// prefilter stage when pf enables it. It errors if ref.K is not a served
-// tracelet size. The compare workers check ctx cooperatively inside the
-// pair loop and the search returns ctx.Err() — with nil hits — as soon
-// as every worker has noticed the abort; cancelled and deadline-expired
-// searches are counted separately in telemetry. A Background (or nil)
-// context adds no overhead. Safe for any number of concurrent callers.
+// corpus and returns all hits in canonical order: SearchTopCtx with no
+// limit and no minimum score, where no floor applies and every candidate
+// is compared in full.
+func (s *Snapshot) SearchDecomposedCtx(ctx context.Context, ref *core.Decomposed, opts core.Options, pf PrefilterOptions) ([]Hit, error) {
+	hits, _, err := s.SearchTopCtx(ctx, ref, opts, pf, 0, 0)
+	return hits, err
+}
+
+// SearchTopCtx is the search engine. It compares an already-decomposed
+// query against the corpus — every entry when pf is the zero value, the
+// top-C candidates of the lossy prefilter stage when pf enables it — and
+// returns what TopK(all hits, limit, minScore) returns, hit for hit, every
+// Result field included, with the number of candidates compared. It errors
+// if ref.K is not a served tracelet size. The compare workers check ctx
+// cooperatively inside the pair loop and the search returns ctx.Err() —
+// with nil hits — as soon as every worker has noticed the abort; cancelled
+// and deadline-expired searches are counted separately in telemetry. A
+// Background (or nil) context adds no overhead. Safe for any number of
+// concurrent callers.
+//
+// A limit (or a minScore above 0) bounds the work as well as the answer:
+// the search keeps a core.Floor — the larger of minScore and the limit-th
+// best score compared so far — and a candidate whose score bound after the
+// cheap stages is strictly below it skips its remaining rewrites and is
+// left out (candidates_below_floor). limit 0 and minScore 0 keep every hit
+// and compare every candidate in full.
 //
 // Telemetry: the query is counted and timed end-to-end into opts.Tel
 // (falling back to s.Tel), and the span carried by ctx gains
 // "prefilter", "compare", "prune" and "rank" children. When opts.Trace
 // is set, "compare" also gets one "compare:<name>" child per candidate
 // carrying the match decision.
-func (s *Snapshot) SearchDecomposedCtx(ctx context.Context, ref *core.Decomposed, opts core.Options, pf PrefilterOptions) ([]Hit, error) {
+func (s *Snapshot) SearchTopCtx(ctx context.Context, ref *core.Decomposed, opts core.Options, pf PrefilterOptions, limit int, minScore float64) ([]Hit, int, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -316,13 +334,17 @@ func (s *Snapshot) SearchDecomposedCtx(ctx context.Context, ref *core.Decomposed
 		opts.Workers = s.workers
 	}
 	if !s.SupportsK(ref.K) {
-		return nil, fmt.Errorf("index: snapshot has no k=%d decomposition (supported: %v)", ref.K, s.ks)
+		return nil, 0, fmt.Errorf("index: snapshot has no k=%d decomposition (supported: %v)", ref.K, s.ks)
 	}
 	tel := opts.Tel
 	tel.Inc(telemetry.Queries)
 	qt := tel.StartTimer(telemetry.QueryLatency)
 	defer qt.Stop()
 	sp := telemetry.SpanFromContext(ctx)
+	var floor *core.Floor
+	if limit > 0 || minScore > 0 {
+		floor = core.NewFloor(limit, minScore)
+	}
 
 	// ids lists the entries to compare, ascending; nil means all of them,
 	// so an exhaustive scan is the candidate scan over the identity list.
@@ -331,7 +353,7 @@ func (s *Snapshot) SearchDecomposedCtx(ctx context.Context, ref *core.Decomposed
 	if c := pf.cap(); c > 0 {
 		ranked, err := s.candidates(ctx, ref, c, pf.Mode, tel)
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		tel.Add(telemetry.PrefilterCandidates, uint64(len(ranked)))
 		ids = sortedIDs(ranked)
@@ -350,31 +372,54 @@ func (s *Snapshot) SearchDecomposedCtx(ctx context.Context, ref *core.Decomposed
 		opts.Trace = cmpSpan
 	}
 	slots := s.slotsFor(ref.K)
-	results, err := core.NewMatcher(opts).CompareEachCtx(ctx, ref, n, func(i int) (*core.Decomposed, error) {
+	results, cut, err := core.NewMatcher(opts).CompareEachCtx(ctx, ref, n, func(i int) (*core.Decomposed, error) {
 		return s.dec(slots, ref.K, entry(i))
-	})
+	}, floor)
 	cmpSpan.End()
 	if err != nil {
 		noteCtxErr(tel, err)
-		return nil, err
+		return nil, 0, err
 	}
 
 	// Pruning happens inside the DP comparisons rather than as a separable
 	// timed phase, so "prune" is an instant span carrying the pair count
-	// the score-bound pruner skipped across all hits.
-	hits := make([]Hit, n)
-	var pruned int64
-	for i, res := range results {
-		hits[i] = Hit{Entry: s.entries[entry(i)], Result: res}
-		pruned += int64(res.PairsPruned)
+	// the score-bound pruner skipped across all candidates and the
+	// candidates the floor cut. What is kept is what scores at least the
+	// final floor: nothing below it can be among the best limit.
+	at := minScore
+	if floor != nil {
+		at = floor.Load()
+	}
+	keep := func(i int) bool {
+		return (cut == nil || !cut[i]) && results[i].SimilarityScore >= at
+	}
+	var pruned, below, kept int64
+	for i := range results {
+		pruned += int64(results[i].PairsPruned)
+		switch {
+		case cut != nil && cut[i]:
+			below++
+		case keep(i):
+			kept++
+		}
 	}
 	psp := sp.Child("prune")
 	psp.Set("pairs_pruned", pruned)
+	psp.Set("candidates_below_floor", below)
 	psp.End()
 	rsp := sp.Child("rank")
+	hits := make([]Hit, 0, kept)
+	for i := range results {
+		if keep(i) {
+			hits = append(hits, Hit{Entry: s.entries[entry(i)], Result: results[i]})
+		}
+	}
 	SortHits(hits)
+	if limit > 0 && len(hits) > limit {
+		hits = hits[:limit:limit]
+	}
 	rsp.End()
-	return hits, nil
+	return hits, n, nil
 }
 
 // PrefilterRankWith is the lossy stage alone: it ranks the corpus with

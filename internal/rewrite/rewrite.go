@@ -96,7 +96,6 @@ type Engine struct {
 	doms    []domain
 	refVal  []int // per reference argument: index of its value in its domain
 	refBase []int // per reference block: where its arguments start in refVal
-	iota    []int // 0, 1, 2, ...: every variable's domain is a prefix
 
 	// names holds every symbol name the engine keeps, copied out of the
 	// tracelets' own tables: the reference's values first (refNames of
@@ -174,13 +173,6 @@ func (e *Engine) SetRef(ref []*asm.Packed) {
 		}
 	}
 	e.refNames = e.names.Len()
-	most := 0
-	for i := range e.doms {
-		most = max(most, len(e.doms[i].vals))
-	}
-	for len(e.iota) < most {
-		e.iota = append(e.iota, len(e.iota))
-	}
 }
 
 // own returns v with its symbol name, which is in names, copied into the
@@ -206,9 +198,9 @@ func (e *Engine) newVar(class uint32) int {
 	di := e.domainOf(class)
 	e.varDom = append(e.varDom, di)
 	if di < 0 {
-		return e.prob.AddVar(nil)
+		return e.prob.AddVar(0)
 	}
-	return e.prob.AddVar(e.iota[:len(e.doms[di].vals)])
+	return e.prob.AddVar(len(e.doms[di].vals))
 }
 
 // Rewrite rewrites the target tracelet tgt toward the reference using the

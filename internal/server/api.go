@@ -33,8 +33,13 @@ type SearchRequest struct {
 	Exe  string `json:"exe,omitempty"`  // indexed executable ...
 	Name string `json:"name,omitempty"` // ... and function to query by reference
 
-	K        int     `json:"k,omitempty"`         // tracelet size (default: server's -k)
-	Limit    int     `json:"limit,omitempty"`     // max hits returned (default 10, cap 1000)
+	K int `json:"k,omitempty"` // tracelet size (default: server's -k)
+	// Limit is the most hits returned (default 10, cap 1000). It bounds
+	// the work as well as the output, with no change in meaning: a
+	// candidate that provably scores below the limit-th best hit, or below
+	// MinScore, skips its rewrites and is left out — the hits are the ones
+	// a full comparison of every candidate would rank first.
+	Limit    int     `json:"limit,omitempty"`
 	MinScore float64 `json:"min_score,omitempty"` // drop hits scoring below this (0..1)
 
 	// Prefilter enables the lossy feature prefilter: only the top

@@ -84,8 +84,9 @@ func (p *searchPlan) setRef(ref *core.Decomposed) {
 	p.hdr = queryHeader{name: ref.Name, blocks: ref.NumBlocks, insts: ref.NumInsts}
 }
 
-// search fans the query out over the pinned snapshot under ctx and ranks
-// the top-K.
+// search fans the query out over the pinned snapshot under ctx for the
+// request's top-K: the engine compares in full only the candidates that
+// can still enter it (index.Snapshot.SearchTopCtx).
 func (b localBackend) search(ctx context.Context, p *searchPlan, _ *SearchRequest) (*SearchResponse, bool, error) {
 	if p.degraded {
 		return b.rankDegraded(ctx, p)
@@ -103,7 +104,7 @@ func (b localBackend) search(ctx context.Context, p *searchPlan, _ *SearchReques
 		s.tel.Inc(telemetry.LSHFallbacks)
 		pf.Mode = index.ModeScan
 	}
-	hits, serr := p.st.snap.SearchDecomposedCtx(ctx, p.ref, opts, pf)
+	top, candidates, serr := p.st.snap.SearchTopCtx(ctx, p.ref, opts, pf, p.limit, p.minScore)
 	if serr != nil {
 		if he := ctxHTTPErr(serr); he != nil {
 			return nil, false, he
@@ -116,10 +117,9 @@ func (b localBackend) search(ctx context.Context, p *searchPlan, _ *SearchReques
 		}
 		return nil, false, errf(http.StatusBadRequest, "%v", serr)
 	}
-	top := index.TopK(hits, p.limit, p.minScore)
 	resp := &SearchResponse{
 		K:           p.k,
-		Candidates:  len(hits),
+		Candidates:  candidates,
 		Prefiltered: pf.Enabled,
 		Hits:        make([]Hit, len(top)),
 	}

@@ -21,6 +21,15 @@
 // index_bytes_written. functions_lifted over the sum of the two
 // histograms is the build rate tracy index and mkcorpus print.
 //
+// A search for the best k hits (index.Snapshot.SearchTopCtx, behind every
+// served request and tracy search) counts in candidates_below_floor the
+// candidates whose compare stopped before its remaining rewrites: their
+// score bound fell strictly below the search's floor, the larger of
+// min_score and the k-th best score so far, so they are in no answer. A cut
+// candidate was compared up to its rewrites and counted in compares, which
+// candidates_below_floor therefore never exceeds; its compare span says how
+// close it came (bound_bp, floor_bp, cut_by_floor).
+//
 // A Collector is safe for concurrent use; Snapshot may be taken while
 // writers are active and observes each metric atomically (the snapshot as
 // a whole is not a consistent cut, which is fine for monitoring).
@@ -59,6 +68,7 @@ const (
 	PairsPrunedProfile                  // ... by the kind-profile bound, before the score DP
 	PairsPrunedRewrite                  // ... by the order-aware rewrite bound, before the rewrite
 	FuncsPrunedAlpha                    // compares cut short once the α verdict was decided
+	CandidatesBelowFloor                // compares of a top-k search stopped before their rewrites: bounded below the k-th best score
 	PrefilterCandidates                 // corpus functions passed through the feature prefilter
 	LSHQueries                          // searches answered through the lsh candidate path
 	LSHCandidates                       // candidates produced by lsh band-bucket collisions
@@ -119,6 +129,7 @@ var counterNames = [numCounters]string{
 	PairsPrunedProfile:   "pairs_pruned_profile",
 	PairsPrunedRewrite:   "pairs_pruned_rewrite_bound",
 	FuncsPrunedAlpha:     "funcs_pruned_alpha",
+	CandidatesBelowFloor: "candidates_below_floor",
 	PrefilterCandidates:  "prefilter_candidates",
 	LSHQueries:           "lsh_queries",
 	LSHCandidates:        "lsh_candidates",
