@@ -399,15 +399,3 @@ func TestTelemetryOverheadReport(t *testing.T) {
 			mean, lo, target)
 	}
 }
-
-func BenchmarkFunctionCompareDedupe(b *testing.B) {
-	ref := core.Decompose(benchFunc(b, 240, 41), 3)
-	tgt := core.Decompose(benchFunc(b, 240, 42), 3)
-	opts := core.DefaultOptions()
-	opts.DedupeQuery = true
-	m := core.NewMatcher(opts)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = m.Compare(ref, tgt)
-	}
-}

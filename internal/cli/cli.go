@@ -1,10 +1,10 @@
 // Package cli implements the tracy command-line front end:
 //
-//	tracy index  -db code.db [-format v3|gob] exe1 exe2 ...  index executables
+//	tracy index  -db code.db [-lsh] exe1 exe2 ...    index executables
 //	tracy search -db code.db -exe q.bin [-fn sub_X] [-limit N] [-min-score X]
 //	tracy serve  -db code.db -addr :8077       run the HTTP query service
 //	tracy query  -server URL -exe q.bin        search a running service
-//	tracy convert [-to v3|gob] in.db out.db    migrate an index between formats
+//	tracy convert [-lsh] old.db new.v3         migrate a gob index to v3
 //	tracy idxinfo [-verify] code.db            inspect an index file's layout
 //	tracy mkcorpus -dir corpus                 generate a demo corpus on disk
 //	tracy obscheck -server URL                 validate a server's observability surfaces
@@ -41,7 +41,6 @@ import (
 	"repro/internal/emu"
 	"repro/internal/experiments"
 	"repro/internal/index"
-	"repro/internal/minhash"
 	"repro/internal/prep"
 	"repro/internal/telemetry"
 	"repro/internal/tracelet"
@@ -127,14 +126,10 @@ func matchFlags(fs *flag.FlagSet) func() core.Options {
 func (c *env) index(args []string) error {
 	fs := flag.NewFlagSet("index", flag.ExitOnError)
 	dbPath := fs.String("db", "tracy.db", "database file to create or extend")
-	format := fs.String("format", "", "output format: gob (v2) or v3 (columnar, mmap-served); default: keep the existing file's format, gob for new files")
-	lsh := fs.Bool("lsh", false, "also persist MinHash signatures and their sorted band table for -prefilter-mode lsh (v3 format only)")
+	lsh := fs.Bool("lsh", false, "also persist MinHash signatures and their sorted band table for -prefilter-mode lsh")
 	tf := telFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *format != "" && *format != "gob" && *format != "v3" {
-		return fmt.Errorf("index: unknown format %q (want gob or v3)", *format)
 	}
 	if err := tf.activate(c.w, "index"); err != nil {
 		return err
@@ -147,16 +142,6 @@ func (c *env) index(args []string) error {
 		}
 		db = loaded
 	}
-	if *format == "" {
-		if db.Info().Version == 3 {
-			*format = "v3"
-		} else {
-			*format = "gob"
-		}
-	}
-	if *lsh && *format != "v3" {
-		return fmt.Errorf("index: -lsh needs the v3 format (got %s)", *format)
-	}
 	db.Tel = tf.collector()
 	for _, path := range fs.Args() {
 		img, err := os.ReadFile(path)
@@ -168,32 +153,9 @@ func (c *env) index(args []string) error {
 		}
 		fmt.Fprintf(c.w, "indexed %s (%d functions total)\n", path, db.Len())
 	}
-	// Extending a v3 file in place: the mapping being rewritten is the
-	// one the lazy entries decode from, so write to a temp file and
-	// rename over the original only after the store is released.
-	tmp := *dbPath + ".tmp"
-	out, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	switch {
-	case *format == "v3" && *lsh:
-		err = db.SaveV3LSH(out, minhash.Default)
-	case *format == "v3":
-		err = db.SaveV3(out)
-	default:
-		err = db.Save(out)
-	}
-	if err2 := out.Close(); err == nil {
-		err = err2
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	db.Close()
-	if err := os.Rename(tmp, *dbPath); err != nil {
-		os.Remove(tmp)
+	// Extending a v3 file in place rewrites the mapping the loaded entries
+	// decode from; replaceIndex renames over it only once it is released.
+	if err := replaceIndex(db, *dbPath, *lsh, false); err != nil {
 		return err
 	}
 	writeBuildRate(c.w, db.Tel)

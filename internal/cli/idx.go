@@ -1,6 +1,7 @@
 package cli
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -10,94 +11,113 @@ import (
 	"repro/internal/minhash"
 )
 
-// convert migrates an index file between formats: any loadable format
-// (v0–v3) in, v3 columnar or v2 gob out. Converting to v3 is the
-// migration path for corpora that should be served via mmap.
+// convert migrates an index to TRACYIDX v3: a gob index (formats v0–v2)
+// written by an older tracy, which only the legacy reader still reads, or a
+// v3 file written again to add the PACK section or, with -lsh, the lsh
+// sections. The output may be the input itself.
 func (c *env) convert(args []string) error {
 	fs := flag.NewFlagSet("convert", flag.ExitOnError)
-	to := fs.String("to", "v3", "output format: v3 (columnar, mmap-served) or gob (v2)")
-	lsh := fs.Bool("lsh", false, "also persist MinHash signatures and their sorted band table for -prefilter-mode lsh (v3 output only; re-run on an older v3 file to add the table)")
-	verify := fs.Bool("verify", true, "re-open the output and verify checksums after writing")
+	lsh := fs.Bool("lsh", false, "also persist MinHash signatures and their sorted band table for -prefilter-mode lsh (re-run on an older v3 file to add the table)")
+	verify := fs.Bool("verify", true, "verify the output's checksums and records before it replaces anything")
 	tf := telFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if fs.NArg() != 2 {
-		return fmt.Errorf("convert: need input and output paths (tracy convert [-to v3|gob] in.db out.db)")
-	}
-	if *to != "v3" && *to != "gob" {
-		return fmt.Errorf("convert: unknown output format %q (want v3 or gob)", *to)
-	}
-	if *lsh && *to != "v3" {
-		return fmt.Errorf("convert: -lsh needs -to v3")
+		return fmt.Errorf("convert: need input and output paths (tracy convert [-lsh] old.db new.v3)")
 	}
 	if err := tf.activate(c.w, "convert"); err != nil {
 		return err
 	}
 	src, dst := fs.Arg(0), fs.Arg(1)
-	db, err := index.OpenFile(src)
+	st, err := os.Stat(src)
 	if err != nil {
 		return err
 	}
-	defer db.Close()
-	out, err := os.Create(dst)
+	db, err := openForConvert(src)
 	if err != nil {
 		return err
 	}
-	switch {
-	case *to == "v3" && *lsh:
+	funcs := db.Len()
+	if err := replaceIndex(db, dst, *lsh, *verify); err != nil {
+		return fmt.Errorf("convert: %w", err)
+	}
+	var outBytes int64
+	if out, _ := os.Stat(dst); out != nil {
+		outBytes = out.Size()
+	}
+	fmt.Fprintf(c.w, "converted %s (%d functions, %d bytes) -> %s (TRACYIDX v%d, %d bytes)\n",
+		src, funcs, st.Size(), dst, idxfile.Version, outBytes)
+	return tf.finish(c.w)
+}
+
+// openForConvert opens an index in any format tracy ever wrote: a v3 file
+// is mapped, a gob one is read whole by the legacy reader.
+func openForConvert(path string) (*index.DB, error) {
+	db, err := index.OpenFile(path)
+	if !errors.Is(err, index.ErrLegacy) {
+		return db, err
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return index.LoadLegacy(f)
+}
+
+// replaceIndex saves db as v3 (with the lsh sections when lsh is set) to
+// path. A v3 source may be the very file being replaced, and its entries
+// decode from that mapping, so the output goes to a temporary file beside
+// it, the source is released, the new file passes verifyIndexFile when
+// verify is set, and only then is it renamed over path.
+func replaceIndex(db *index.DB, path string, lsh, verify bool) error {
+	tmp := path + ".tmp"
+	out, err := os.Create(tmp)
+	if err != nil {
+		db.Close()
+		return err
+	}
+	if lsh {
 		err = db.SaveV3LSH(out, minhash.Default)
-	case *to == "v3":
+	} else {
 		err = db.SaveV3(out)
-	default:
-		err = db.Save(out)
 	}
 	if err2 := out.Close(); err == nil {
 		err = err2
 	}
-	if err != nil {
-		os.Remove(dst)
-		return fmt.Errorf("convert: %w", err)
-	}
-	if *verify {
-		if err := verifyIndexFile(dst); err != nil {
-			os.Remove(dst)
-			return fmt.Errorf("convert: output failed verification: %w", err)
+	db.Close()
+	if err == nil && verify {
+		if err = verifyIndexFile(tmp); err != nil {
+			err = fmt.Errorf("output failed verification: %w", err)
 		}
 	}
-	st, _ := os.Stat(dst)
-	var outBytes int64
-	if st != nil {
-		outBytes = st.Size()
+	if err == nil {
+		err = os.Rename(tmp, path)
 	}
-	in := db.Info()
-	fmt.Fprintf(c.w, "converted %s (v%d, %d functions, %d bytes) -> %s (%s, %d bytes)\n",
-		src, in.Version, in.Funcs, in.Bytes, dst, *to, outBytes)
-	return tf.finish(c.w)
+	if err != nil {
+		os.Remove(tmp)
+	}
+	return err
 }
 
-// verifyIndexFile re-opens a freshly written index and checks it loads;
-// v3 files additionally get the full integrity pass: section checksums,
-// every function read both ways, PACK against the records.
+// verifyIndexFile opens a freshly written index and runs the full
+// integrity pass: section checksums, every function read both ways, PACK
+// against the records.
 func verifyIndexFile(path string) error {
 	db, err := index.OpenFile(path)
 	if err != nil {
 		return err
 	}
 	defer db.Close()
-	if st := db.Store(); st != nil {
-		return st.Verify()
-	}
-	return nil
+	return db.Store().Verify()
 }
 
-// idxinfo prints the header, section directory and entry counts of any
-// v0–v3 index file without decoding function bodies (v3) or while
-// reporting what a full decode found (gob formats, which have no cheaper
-// inspection path).
+// idxinfo prints the header, section directory and entry counts of a v3
+// index file without decoding function bodies.
 func (c *env) idxinfo(args []string) error {
 	fs := flag.NewFlagSet("idxinfo", flag.ExitOnError)
-	verify := fs.Bool("verify", false, "recompute per-section checksums, decode every function, re-derive PACK from the records and check the lsh band table's order (v3; touches every page)")
+	verify := fs.Bool("verify", false, "recompute per-section checksums, decode every function, re-derive PACK from the records and check the lsh band table's order (touches every page)")
 	tf := telFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -119,18 +139,6 @@ func (c *env) idxinfo(args []string) error {
 	fmt.Fprintf(c.w, "  size:      %d bytes\n", info.Bytes)
 	fmt.Fprintf(c.w, "  functions: %d\n", info.Funcs)
 	st := db.Store()
-	if st == nil {
-		// Gob formats carry no section directory; report the decoded shape.
-		fmt.Fprintf(c.w, "  layout:    gob object graph (no sections; convert with tracy convert -to v3)\n")
-		blocks, insts := 0, 0
-		for _, e := range db.Entries {
-			fn := e.Function()
-			blocks += fn.NumBlocks()
-			insts += fn.NumInsts()
-		}
-		fmt.Fprintf(c.w, "  blocks:    %d\n  insts:     %d\n", blocks, insts)
-		return tf.finish(c.w)
-	}
 	fmt.Fprintf(c.w, "  mapped:    %v\n", st.Mapped())
 	if st.HasLSH() {
 		p := st.LSHParams()
@@ -139,7 +147,7 @@ func (c *env) idxinfo(args []string) error {
 		if st.LSHTable() != nil {
 			fmt.Fprintf(c.w, "  lsh table: persisted (LSHT), probed in place\n")
 		} else {
-			fmt.Fprintf(c.w, "  lsh table: none, sorted from LSHB by the first lsh query (tracy convert -to v3 -lsh adds it)\n")
+			fmt.Fprintf(c.w, "  lsh table: none, sorted from LSHB by the first lsh query (tracy convert -lsh adds it)\n")
 		}
 	}
 	if st.HasPack() {
@@ -151,7 +159,7 @@ func (c *env) idxinfo(args []string) error {
 		}
 		fmt.Fprintf(c.w, "  pack:      persisted (PACK), %d B/function, compared in place\n", packBytes/uint64(max(info.Funcs, 1)))
 	} else {
-		fmt.Fprintf(c.w, "  pack:      none, decoded and packed at first touch (tracy convert -to v3 adds it)\n")
+		fmt.Fprintf(c.w, "  pack:      none, decoded and packed at first touch (tracy convert adds it)\n")
 	}
 	fmt.Fprintf(c.w, "  sections:\n")
 	fmt.Fprintf(c.w, "    %-6s %10s %12s %8s  %s\n", "name", "offset", "bytes", "crc32c", "records")

@@ -7,22 +7,46 @@ import (
 	"testing"
 )
 
-// buildTestIndex indexes two executables into a gob database and returns
+// buildTestIndex indexes two executables into a v3 database and returns
 // its path.
-func buildTestIndex(t *testing.T, dir string, format string) string {
+func buildTestIndex(t *testing.T, dir string) string {
 	t.Helper()
 	exeA := buildExe(t, dir, "a.bin", srcA, 1)
 	exeB := buildExe(t, dir, "b.bin", srcB, 2)
 	dbPath := filepath.Join(dir, "test.db")
-	if _, err := run(t, "index", "-db", dbPath, "-format", format, exeA, exeB); err != nil {
+	if _, err := run(t, "index", "-db", dbPath, exeA, exeB); err != nil {
 		t.Fatal(err)
 	}
 	return dbPath
 }
 
+// legacyIndex copies the v2 gob index fixture, written by the last tracy
+// that wrote gob, into dir and returns its path.
+func legacyIndex(t *testing.T, dir string) string {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("..", "index", "testdata", "legacy", "v2.gob"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "old.db")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// refusesLegacy fails the test unless err is the refusal of a gob index:
+// one that names tracy convert and is no gob decode error.
+func refusesLegacy(t *testing.T, what string, err error) {
+	t.Helper()
+	if err == nil || !strings.Contains(err.Error(), "tracy convert") || strings.Contains(err.Error(), "gob:") {
+		t.Errorf("%s on a gob index: %v, want an error naming tracy convert", what, err)
+	}
+}
+
 func TestIndexV3Format(t *testing.T) {
 	dir := t.TempDir()
-	dbPath := buildTestIndex(t, dir, "v3")
+	dbPath := buildTestIndex(t, dir)
 	prelude := make([]byte, 9)
 	f, err := os.Open(dbPath)
 	if err != nil {
@@ -31,7 +55,7 @@ func TestIndexV3Format(t *testing.T) {
 	f.Read(prelude)
 	f.Close()
 	if string(prelude[:8]) != "TRACYIDX" || prelude[8] != 3 {
-		t.Fatalf("index -format v3 wrote prelude %q", prelude)
+		t.Fatalf("index wrote prelude %q", prelude)
 	}
 	// And it must be searchable directly.
 	out, err := run(t, "search", "-db", dbPath, "-exe", filepath.Join(dir, "a.bin"), "-top", "3")
@@ -43,43 +67,72 @@ func TestIndexV3Format(t *testing.T) {
 	}
 }
 
+// TestIndexBadFormat: extending a file that is not a v3 index fails
+// before anything is written, and a gob index is told to convert first.
 func TestIndexBadFormat(t *testing.T) {
-	if _, err := run(t, "index", "-db", "x.db", "-format", "xml"); err == nil {
-		t.Fatal("index accepted unknown -format")
+	dir := t.TempDir()
+	exeA := buildExe(t, dir, "a.bin", srcA, 1)
+	old := legacyIndex(t, dir)
+	_, err := run(t, "index", "-db", old, exeA)
+	refusesLegacy(t, "index", err)
+	junk := filepath.Join(dir, "junk.db")
+	if err := os.WriteFile(junk, []byte("not an index"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := run(t, "index", "-db", junk, exeA); err == nil {
+		t.Fatal("index extended a file that is no index")
+	}
+	if data, _ := os.ReadFile(junk); string(data) != "not an index" {
+		t.Error("a refused index run rewrote the file")
 	}
 }
 
-func TestConvertGobToV3AndBack(t *testing.T) {
+// TestConvertInPlace: tracy convert x x leaves a valid index, for a v3
+// input — whose entries decode from the very mapping being replaced — and
+// for a gob one, which every serving verb refuses until it is converted.
+// Each passes idxinfo -verify afterwards and answers tracy stats as the
+// same index converted to another path does.
+func TestConvertInPlace(t *testing.T) {
 	dir := t.TempDir()
-	dbPath := buildTestIndex(t, dir, "gob")
-	v3Path := filepath.Join(dir, "test.v3")
-	out, err := run(t, "convert", "-to", "v3", dbPath, v3Path)
-	if err != nil {
-		t.Fatal(err)
+	v3 := buildTestIndex(t, dir)
+	old := legacyIndex(t, dir)
+	for verb, args := range map[string][]string{
+		"stats":  {"stats", "-db", old},
+		"search": {"search", "-db", old, "-exe", filepath.Join(dir, "a.bin")},
+		"serve":  {"serve", "-db", old, "-addr", "127.0.0.1:0"},
+	} {
+		_, err := run(t, args...)
+		refusesLegacy(t, verb, err)
 	}
-	if !strings.Contains(out, "converted") || !strings.Contains(out, "v3") {
-		t.Errorf("convert output: %s", out)
-	}
-	// Round-trip back to gob.
-	gobPath := filepath.Join(dir, "back.db")
-	if _, err := run(t, "convert", "-to", "gob", v3Path, gobPath); err != nil {
-		t.Fatal(err)
-	}
-	// Both must serve identical stats.
-	statsA, err := run(t, "stats", "-db", dbPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	statsB, err := run(t, "stats", "-db", v3Path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	statsC, err := run(t, "stats", "-db", gobPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if statsA != statsB || statsA != statsC {
-		t.Errorf("stats diverge across formats:\ngob: %s\nv3:  %s\nback: %s", statsA, statsB, statsC)
+	for _, src := range []string{v3, old} {
+		aside := src + ".aside"
+		if _, err := run(t, "convert", src, aside); err != nil {
+			t.Fatal(err)
+		}
+		want, err := run(t, "stats", "-db", aside)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := run(t, "convert", src, src)
+		if err != nil {
+			t.Fatalf("convert %s in place: %v", src, err)
+		}
+		if !strings.Contains(out, "converted") || !strings.Contains(out, "TRACYIDX v3") {
+			t.Errorf("convert output: %s", out)
+		}
+		if _, err := run(t, "idxinfo", "-verify", src); err != nil {
+			t.Fatalf("%s after in-place convert: %v", src, err)
+		}
+		got, err := run(t, "stats", "-db", src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Errorf("%s: stats after in-place convert\n%s\nwant\n%s", src, got, want)
+		}
+		if _, err := os.Stat(src + ".tmp"); !os.IsNotExist(err) {
+			t.Errorf("%s: convert left its temporary file behind", src)
+		}
 	}
 }
 
@@ -87,8 +140,12 @@ func TestConvertErrors(t *testing.T) {
 	if _, err := run(t, "convert", "only-one-arg"); err == nil {
 		t.Error("convert accepted a single path")
 	}
-	if _, err := run(t, "convert", "-to", "xml", "a", "b"); err == nil {
-		t.Error("convert accepted unknown format")
+	junk := filepath.Join(t.TempDir(), "junk.db")
+	if err := os.WriteFile(junk, []byte("not an index"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := run(t, "convert", junk, junk+".v3"); err == nil {
+		t.Error("convert accepted a file that is no index")
 	}
 	if _, err := run(t, "convert", "/nonexistent/in.db", "/tmp/out.db"); err == nil {
 		t.Error("convert accepted missing input")
@@ -97,7 +154,7 @@ func TestConvertErrors(t *testing.T) {
 
 func TestIdxinfoV3(t *testing.T) {
 	dir := t.TempDir()
-	dbPath := buildTestIndex(t, dir, "v3")
+	dbPath := buildTestIndex(t, dir)
 	out, err := run(t, "idxinfo", "-verify", dbPath)
 	if err != nil {
 		t.Fatal(err)
@@ -109,18 +166,11 @@ func TestIdxinfoV3(t *testing.T) {
 	}
 }
 
+// TestIdxinfoGob: idxinfo reads no gob index; it names the way to one it
+// can read.
 func TestIdxinfoGob(t *testing.T) {
-	dir := t.TempDir()
-	dbPath := buildTestIndex(t, dir, "gob")
-	out, err := run(t, "idxinfo", dbPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"TRACYIDX v2", "functions:", "gob object graph"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("idxinfo output missing %q:\n%s", want, out)
-		}
-	}
+	_, err := run(t, "idxinfo", legacyIndex(t, t.TempDir()))
+	refusesLegacy(t, "idxinfo", err)
 }
 
 func TestIdxinfoErrors(t *testing.T) {
@@ -132,7 +182,7 @@ func TestIdxinfoErrors(t *testing.T) {
 	}
 	// A corrupted v3 file must fail verification.
 	dir := t.TempDir()
-	dbPath := buildTestIndex(t, dir, "v3")
+	dbPath := buildTestIndex(t, dir)
 	data, err := os.ReadFile(dbPath)
 	if err != nil {
 		t.Fatal(err)
@@ -150,9 +200,9 @@ func TestIdxinfoErrors(t *testing.T) {
 
 func TestIndexExtendV3InPlace(t *testing.T) {
 	dir := t.TempDir()
-	dbPath := buildTestIndex(t, dir, "v3")
+	dbPath := buildTestIndex(t, dir)
 	exeC := buildExe(t, dir, "c.bin", srcB, 7)
-	out, err := run(t, "index", "-db", dbPath, "-format", "v3", exeC)
+	out, err := run(t, "index", "-db", dbPath, exeC)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,33 +218,23 @@ func TestIndexExtendV3InPlace(t *testing.T) {
 	}
 }
 
-// Without -format, extending an index preserves the file's existing
-// format (a v3 file must not silently downgrade to gob), and a fresh
-// file defaults to gob.
+// TestIndexDefaultFormatPreserved: extending a v3 index and creating a
+// fresh one both write v3 — the only format tracy writes.
 func TestIndexDefaultFormatPreserved(t *testing.T) {
 	dir := t.TempDir()
-	dbPath := buildTestIndex(t, dir, "v3")
+	dbPath := buildTestIndex(t, dir)
 	exeC := buildExe(t, dir, "c.bin", srcB, 7)
-	if _, err := run(t, "index", "-db", dbPath, exeC); err != nil {
-		t.Fatal(err)
-	}
-	info, err := run(t, "idxinfo", dbPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(info, "TRACYIDX v3") {
-		t.Errorf("default-format extend downgraded v3:\n%s", info)
-	}
-
 	fresh := filepath.Join(dir, "fresh.db")
-	if _, err := run(t, "index", "-db", fresh, exeC); err != nil {
-		t.Fatal(err)
-	}
-	info, err = run(t, "idxinfo", fresh)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(info, "TRACYIDX v2") {
-		t.Errorf("fresh index not gob v2:\n%s", info)
+	for _, args := range [][]string{{"-db", dbPath, exeC}, {"-db", fresh, exeC}} {
+		if _, err := run(t, append([]string{"index"}, args...)...); err != nil {
+			t.Fatal(err)
+		}
+		info, err := run(t, "idxinfo", args[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(info, "TRACYIDX v3") {
+			t.Errorf("index %s did not write v3:\n%s", args[1], info)
+		}
 	}
 }

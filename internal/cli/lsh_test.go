@@ -48,7 +48,7 @@ func searchCounters(t *testing.T, dbPath, exe string, extra ...string) map[strin
 func TestSearchPrefilterFlagImplications(t *testing.T) {
 	dir, exeA, exeB := lshFixture(t)
 	dbPath := filepath.Join(dir, "test.db")
-	if _, err := run(t, "index", "-db", dbPath, "-format", "v3", "-lsh", exeA, exeB); err != nil {
+	if _, err := run(t, "index", "-db", dbPath, "-lsh", exeA, exeB); err != nil {
 		t.Fatal(err)
 	}
 
@@ -92,7 +92,7 @@ func TestSearchPrefilterFlagImplications(t *testing.T) {
 func TestSearchLSHFallbackOnPlainV3(t *testing.T) {
 	dir, exeA, exeB := lshFixture(t)
 	dbPath := filepath.Join(dir, "plain.db")
-	if _, err := run(t, "index", "-db", dbPath, "-format", "v3", exeA, exeB); err != nil {
+	if _, err := run(t, "index", "-db", dbPath, exeA, exeB); err != nil {
 		t.Fatal(err)
 	}
 	counters := searchCounters(t, dbPath, exeA, "-prefilter-mode", "lsh")
@@ -107,20 +107,17 @@ func TestSearchLSHFallbackOnPlainV3(t *testing.T) {
 	}
 }
 
-// TestIndexLSHFlagGating: -lsh is a v3-only feature across every verb
-// that writes an index.
+// TestIndexLSHFlagGating: -lsh signs whatever index a verb writes — a
+// fresh one included — and is refused where a verb writes none.
 func TestIndexLSHFlagGating(t *testing.T) {
 	dir, exeA, _ := lshFixture(t)
 
-	if _, err := run(t, "index", "-db", filepath.Join(dir, "g.db"), "-format", "gob", "-lsh", exeA); err == nil {
-		t.Error("index accepted -lsh with the gob format")
+	fresh := filepath.Join(dir, "fresh.db")
+	if _, err := run(t, "index", "-db", fresh, "-lsh", exeA); err != nil {
+		t.Fatal(err)
 	}
-	// A fresh file without -format defaults to gob, so -lsh must refuse.
-	if _, err := run(t, "index", "-db", filepath.Join(dir, "fresh.db"), "-lsh", exeA); err == nil {
-		t.Error("index accepted -lsh without -format v3")
-	}
-	if _, err := run(t, "convert", "-to", "gob", "-lsh", "in.db", "out.db"); err == nil {
-		t.Error("convert accepted -lsh with -to gob")
+	if out, err := run(t, "idxinfo", fresh); err != nil || !strings.Contains(out, "LSHB") {
+		t.Errorf("index -lsh on a fresh file wrote no LSHB (%v):\n%s", err, out)
 	}
 	if _, err := run(t, "mkcorpus", "-lsh", "-dir", dir); err == nil {
 		t.Error("mkcorpus accepted -lsh without -index")
@@ -133,7 +130,7 @@ func TestIndexLSHFlagGating(t *testing.T) {
 func TestIdxinfoLSHLine(t *testing.T) {
 	dir, exeA, exeB := lshFixture(t)
 	plain := filepath.Join(dir, "plain.db")
-	if _, err := run(t, "index", "-db", plain, "-format", "v3", exeA, exeB); err != nil {
+	if _, err := run(t, "index", "-db", plain, exeA, exeB); err != nil {
 		t.Fatal(err)
 	}
 	out, err := run(t, "idxinfo", plain)
@@ -145,7 +142,7 @@ func TestIdxinfoLSHLine(t *testing.T) {
 	}
 
 	signed := filepath.Join(dir, "signed.db")
-	if _, err := run(t, "convert", "-to", "v3", "-lsh", plain, signed); err != nil {
+	if _, err := run(t, "convert", "-lsh", plain, signed); err != nil {
 		t.Fatal(err)
 	}
 	out, err = run(t, "idxinfo", "-verify", signed)

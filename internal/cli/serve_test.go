@@ -63,7 +63,7 @@ func TestQueryAgainstRunningServer(t *testing.T) {
 	a1 := buildExe(t, dir, "a1.bin", srcA+srcB, 11)
 	a2 := buildExe(t, dir, "a2.bin", srcA, 23)
 	q := buildExe(t, dir, "q.bin", srcA, 99)
-	if _, err := run(t, "index", "-db", db, a1, a2); err != nil {
+	if _, err := run(t, "index", "-db", db, "-lsh", a1, a2); err != nil {
 		t.Fatal(err)
 	}
 	srv, err := server.New(server.Config{DBPath: db})

@@ -14,7 +14,7 @@ import (
 // on the shard index.ShardOf assigns it.
 func TestShardRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	dbPath := buildTestIndex(t, dir, "v3")
+	dbPath := buildTestIndex(t, dir)
 	src, err := index.OpenFile(dbPath)
 	if err != nil {
 		t.Fatal(err)

@@ -133,10 +133,10 @@ func writeStatsSummary(w io.Writer, s telemetry.Snapshot) {
 		fmt.Fprintf(w, "block cache: %d hits / %d misses (%.1f%% hit rate)\n",
 			hits, misses, 100*s.Derived["block_cache_hit_rate"])
 	}
-	if ct["pairs_pruned_bound"]+ct["funcs_pruned_alpha"] > 0 {
-		fmt.Fprintf(w, "pruned: %d pairs by score bound (%.1f%% of compared: %d size, %d profile, %d rewrite bound), %d functions by alpha\n",
+	if ct["pairs_pruned_bound"] > 0 {
+		fmt.Fprintf(w, "pruned: %d pairs by score bound (%.1f%% of compared: %d size, %d profile, %d rewrite bound)\n",
 			ct["pairs_pruned_bound"], 100*s.Derived["pairs_pruned_rate"], ct["pairs_pruned_size"],
-			ct["pairs_pruned_profile"], ct["pairs_pruned_rewrite_bound"], ct["funcs_pruned_alpha"])
+			ct["pairs_pruned_profile"], ct["pairs_pruned_rewrite_bound"])
 	}
 	if ct["candidates_below_floor"] > 0 {
 		fmt.Fprintf(w, "floor: %d of %d compared candidates cut below the top-k floor before their rewrites\n",
@@ -153,10 +153,6 @@ func writeStatsSummary(w io.Writer, s telemetry.Snapshot) {
 	if ct["csp_solves"] > 0 {
 		fmt.Fprintf(w, "csp: %d solves, %d backtracks, %d budget-exhausted\n",
 			ct["csp_solves"], ct["csp_backtracks"], ct["csp_budget_exhausted"])
-	}
-	if ct["dedupe_saved_tracelets"] > 0 {
-		fmt.Fprintf(w, "dedupe: %d reference-tracelet evaluations saved\n",
-			ct["dedupe_saved_tracelets"])
 	}
 	if ct["functions_decomposed"] > 0 {
 		fmt.Fprintf(w, "decomposed: %d functions\n", ct["functions_decomposed"])

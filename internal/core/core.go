@@ -24,7 +24,6 @@ package core
 
 import (
 	"context"
-	"encoding/binary"
 	"runtime"
 	"slices"
 	"strconv"
@@ -66,25 +65,13 @@ type Options struct {
 	// without pruning; only the work changes, and its accounting
 	// (PairsRewritten, PairsPruned) with it.
 	Prune bool
-	// PruneAlpha cuts a Compare short once the α verdict is decided: when
-	// even matching every remaining reference tracelet cannot lift the
-	// coverage above Alpha, the remaining tracelets are skipped. The
-	// IsMatch verdict is preserved exactly, but SimilarityScore becomes a
-	// lower bound (Result.Truncated is set), so ranked search over exact
-	// scores should leave this off.
-	PruneAlpha bool
-	// DedupeQuery evaluates each distinct reference tracelet once and
-	// multiplies the verdict across identical copies — one of the
-	// search-engine optimizations the paper's prototype deferred
-	// (Section 6.3). It never changes scores, only work.
-	DedupeQuery bool
 	// Workers bounds parallelism in CompareMany. 0 means
 	// runtime.GOMAXPROCS(0); negative values are clamped to 1 (serial).
 	Workers int
 
 	// Tel, when non-nil, receives matcher telemetry: stage counters
 	// (block-cache hits/misses, pairs pruned, rewrites
-	// attempted/skipped/succeeded, dedupe savings) and latency histograms
+	// attempted/skipped/succeeded) and latency histograms
 	// (per compare, per tracelet pair, per rewrite attempt). A nil
 	// collector disables instrumentation at negligible cost.
 	Tel *telemetry.Collector
@@ -370,9 +357,9 @@ type Result struct {
 	PairsRewritten int
 	PairsPruned    int
 
-	// Truncated reports that the comparison stopped early because the α
-	// verdict was already decided (Options.PruneAlpha): IsMatch is exact,
-	// but SimilarityScore is then only a lower bound.
+	// Truncated reports that the comparison stopped early — cut below a
+	// search's top-k floor, or aborted by its context — so SimilarityScore
+	// is only a lower bound and the Result must not be ranked.
 	Truncated bool
 }
 
@@ -412,7 +399,6 @@ type cmpStats struct {
 	rwAttempted   uint64
 	rwSkipped     uint64
 	rwSucceeded   uint64
-	dedupeSaved   uint64
 }
 
 // cancelCheckInterval is how many pair-loop iterations pass between Done
@@ -522,13 +508,12 @@ type rewriteCand struct {
 	norm float64
 }
 
-// pendingTracelet is a reference tracelet (standing for w identical ones)
-// that the first phase of a compare left unmatched with a feasible rewrite
-// candidate: its rewrite loop resumes at stash[from:to].
+// pendingTracelet is a reference tracelet that the first phase of a
+// compare left unmatched with a feasible rewrite candidate: its rewrite
+// loop resumes at stash[from:to].
 type pendingTracelet struct {
-	ri, w    int
-	from, to int
-	span     *telemetry.Span
+	ri, from, to int
+	span         *telemetry.Span
 }
 
 // ctxPool recycles compare workers' state.
@@ -784,10 +769,6 @@ func (m *Matcher) compare(cc context.Context, ctx *cmpCtx, ref, tgt *Decomposed)
 // over the total — to the floor, and stops when the bound is strictly
 // below it: such a candidate scores below the k-th best of the search and
 // is in no top-k answer. Its Result is then Truncated and a lower bound.
-//
-// PruneAlpha's early stop reads the match count in tracelet order, which
-// phase A does not have, so a PruneAlpha compare runs in one phase and
-// never stops at the floor.
 func (m *Matcher) compareTop(cc context.Context, ctx *cmpCtx, ref, tgt *Decomposed, floor *Floor) (Result, bool, error) {
 	ct := m.Opts.Tel.StartTimer(telemetry.CompareLatency)
 	res := Result{Name: tgt.Name, RefTracelets: len(ref.Tracelets)}
@@ -797,36 +778,14 @@ func (m *Matcher) compareTop(cc context.Context, ctx *cmpCtx, ref, tgt *Decompos
 		ctx.span = m.Opts.Trace.Child("compare:" + tgt.Name)
 	}
 	if total := len(ref.Tracelets); total > 0 {
-		// The units of evaluation: every reference tracelet, or under
-		// DedupeQuery one representative per group of identical ones,
-		// counted as many times as the group is large.
-		units, reps, weights := total, []int(nil), []int(nil)
-		if m.Opts.DedupeQuery {
-			reps, weights = dedupeTracelets(ref)
-			units = len(reps)
-		}
-		twoPhase := floor != nil && !m.Opts.PruneAlpha
-		left, feasible := total, 0
-		for u := 0; u < units && ctx.cancelErr == nil; u++ {
-			// With left reference tracelets not yet evaluated, can the final
-			// coverage still clear α? The expression mirrors the final verdict
-			// exactly, so the short-circuit is verdict-preserving.
-			if m.Opts.PruneAlpha && float64(res.Matched()+left)/float64(total) <= m.Opts.Alpha {
-				res.Truncated = true
-				break
-			}
-			ri, w := u, 1
-			if reps != nil {
-				ri, w = reps[u], weights[u]
-				ctx.stats.dedupeSaved += uint64(w - 1)
-			}
-			left -= w
+		twoPhase, feasible := floor != nil, 0
+		for ri := 0; ri < total && ctx.cancelErr == nil; ri++ {
 			if !twoPhase {
 				switch matched, viaRewrite := m.traceletMatch(ref, tgt, ri, ctx, &res); {
 				case matched && viaRewrite:
-					res.MatchedRewrite += w
+					res.MatchedRewrite++
 				case matched:
-					res.MatchedDirect += w
+					res.MatchedDirect++
 				}
 				continue
 			}
@@ -834,14 +793,14 @@ func (m *Matcher) compareTop(cc context.Context, ctx *cmpCtx, ref, tgt *Decompos
 			direct, cands := m.phaseA(ref, tgt, ri, ctx, &res, tsp)
 			if len(cands) == 0 {
 				if direct {
-					res.MatchedDirect += w
+					res.MatchedDirect++
 				}
 				ctx.endTracelet(tsp, direct)
 				continue
 			}
-			ctx.pending = append(ctx.pending, pendingTracelet{ri: ri, w: w, from: len(ctx.stash), to: len(ctx.stash) + len(cands), span: tsp})
+			ctx.pending = append(ctx.pending, pendingTracelet{ri: ri, from: len(ctx.stash), to: len(ctx.stash) + len(cands), span: tsp})
 			ctx.stash = append(ctx.stash, cands...)
-			feasible += w
+			feasible++
 		}
 		for i, p := range ctx.pending {
 			// Phase A probed the context before this tracelet's first
@@ -861,10 +820,10 @@ func (m *Matcher) compareTop(cc context.Context, ctx *cmpCtx, ref, tgt *Decompos
 			}
 			matched := m.rewriteFrom(p.ri, ctx.stash[p.from:p.to], ctx, &res, p.span)
 			if matched {
-				res.MatchedRewrite += p.w
+				res.MatchedRewrite++
 			}
 			ctx.endTracelet(p.span, matched)
-			feasible -= p.w
+			feasible--
 		}
 		if ctx.span != nil {
 			for _, p := range ctx.pending {
@@ -885,29 +844,6 @@ func (m *Matcher) compareTop(cc context.Context, ctx *cmpCtx, ref, tgt *Decompos
 	}
 	m.finishCompare(&res, ctx, ct)
 	return res, ctx.cut, ctx.cancelErr
-}
-
-// dedupeTracelets groups identical reference tracelets: one representative
-// per group, the first, in order of first appearance, and the group sizes.
-// Tracelets are identical when their blocks are the same distinct blocks in
-// the same order, so the tuple of distinct-block ids is the group's key —
-// no instruction is rendered or even needed.
-func dedupeTracelets(ref *Decomposed) (reps, weights []int) {
-	groups := make(map[string]int, len(ref.Tracelets))
-	var key []byte
-	for ri := range ref.Tracelets {
-		key = key[:0]
-		for _, id := range ref.blockIDs(ri) {
-			key = binary.LittleEndian.AppendUint32(key, uint32(id))
-		}
-		if u, seen := groups[string(key)]; seen {
-			weights[u]++
-			continue
-		}
-		groups[string(key)] = len(reps)
-		reps, weights = append(reps, ri), append(weights, 1)
-	}
-	return reps, weights
 }
 
 // finishCompare flushes the local tally into the collector and closes the
@@ -933,14 +869,11 @@ func (m *Matcher) finishCompare(res *Result, ctx *cmpCtx, ct telemetry.Timer) {
 	tel.Add(telemetry.RewritesAttempted, st.rwAttempted)
 	tel.Add(telemetry.RewritesSkipped, skipped)
 	tel.Add(telemetry.RewritesSucceeded, st.rwSucceeded)
-	tel.Add(telemetry.DedupeSavedTracelets, st.dedupeSaved)
 	if res.IsMatch {
 		tel.Inc(telemetry.Matches)
 	}
 	if ctx.cut {
 		tel.Inc(telemetry.CandidatesBelowFloor)
-	} else if res.Truncated && ctx.cancelErr == nil {
-		tel.Inc(telemetry.FuncsPrunedAlpha)
 	}
 	if sp := ctx.span; sp != nil {
 		sp.Set("ref_tracelets", int64(res.RefTracelets))
@@ -961,9 +894,6 @@ func (m *Matcher) finishCompare(res *Result, ctx *cmpCtx, ct telemetry.Timer) {
 			sp.Set("verdict_match", 1)
 		} else {
 			sp.Set("verdict_match", 0)
-		}
-		if res.Truncated && !ctx.cut {
-			sp.Set("alpha_truncated", 1)
 		}
 		if ctx.floorChecked {
 			// How close the candidate came to the answer of a top-k search:

@@ -571,27 +571,3 @@ func TestExplainTelemetry(t *testing.T) {
 		t.Errorf("rewrites_succeeded = %d, explain found %d", got, viaRewrite)
 	}
 }
-
-// TestDedupeQueryPreservesScores: the dedupe optimization must be
-// score-invariant across match, partial-match and no-match pairs.
-func TestDedupeQueryPreservesScores(t *testing.T) {
-	pairs := [][2]string{
-		{srcA, srcARenamed},
-		{srcA, srcB},
-		{srcA, srcA},
-	}
-	for i, p := range pairs {
-		ref := Decompose(liftListing(t, "r", p[0]), 3)
-		tgt := Decompose(liftListing(t, "t", p[1]), 3)
-		plain := NewMatcher(DefaultOptions()).Compare(ref, tgt)
-		opts := DefaultOptions()
-		opts.DedupeQuery = true
-		dedup := NewMatcher(opts).Compare(ref, tgt)
-		if plain.SimilarityScore != dedup.SimilarityScore ||
-			plain.Matched() != dedup.Matched() {
-			t.Errorf("pair %d: plain %.3f/%d vs dedup %.3f/%d", i,
-				plain.SimilarityScore, plain.Matched(),
-				dedup.SimilarityScore, dedup.Matched())
-		}
-	}
-}

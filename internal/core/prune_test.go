@@ -220,9 +220,9 @@ func TestSizeBoundSound(t *testing.T) {
 // work under any combination of the options the cascade reads — β at both
 // ends of its range, RewriteSkipBelow at 0 (where every unmatched pair is a
 // rewrite candidate, and a pair is cut by its bound all the same), above β
-// and in between, the rewrite engine on and off, both normalizations, with
-// and without query deduplication — over compiled functions, the listings
-// and a function whose tracelets are empty.
+// and in between, the rewrite engine on and off, both normalizations —
+// over compiled functions, the listings and a function whose tracelets are
+// empty.
 func TestPruneVerdictMatrix(t *testing.T) {
 	ds := append(pruneTestPairs(t, 3), Decompose(liftListing(t, "jumps", srcJumps), 3))
 	for i, d := range campaignSample(t, 8) {
@@ -237,27 +237,25 @@ func TestPruneVerdictMatrix(t *testing.T) {
 		for _, skipBelow := range []float64{0, 0.5, 0.9} {
 			for _, useRewrite := range []bool{true, false} {
 				for _, norm := range []align.Method{align.Ratio, align.Containment} {
-					for _, dedupe := range []bool{false, true} {
-						exact := DefaultOptions()
-						exact.Prune = false
-						exact.Beta, exact.RewriteSkipBelow, exact.UseRewrite, exact.Norm, exact.DedupeQuery = beta, skipBelow, useRewrite, norm, dedupe
-						pruned := exact
-						pruned.Prune = true
-						me, mp := NewMatcher(exact), NewMatcher(pruned)
-						cut := 0
-						for _, ref := range ds {
-							for _, tgt := range ds {
-								want, got := me.Compare(ref, tgt), mp.Compare(ref, tgt)
-								if got.Verdict() != want.Verdict() || got.PairsRewritten > want.PairsRewritten {
-									t.Fatalf("β=%v skip=%v rewrite=%v norm=%v dedupe=%v %s vs %s: pruned %+v, exhaustive %+v",
-										beta, skipBelow, useRewrite, norm, dedupe, ref.Name, tgt.Name, got, want)
-								}
-								cut += got.PairsPruned
+					exact := DefaultOptions()
+					exact.Prune = false
+					exact.Beta, exact.RewriteSkipBelow, exact.UseRewrite, exact.Norm = beta, skipBelow, useRewrite, norm
+					pruned := exact
+					pruned.Prune = true
+					me, mp := NewMatcher(exact), NewMatcher(pruned)
+					cut := 0
+					for _, ref := range ds {
+						for _, tgt := range ds {
+							want, got := me.Compare(ref, tgt), mp.Compare(ref, tgt)
+							if got.Verdict() != want.Verdict() || got.PairsRewritten > want.PairsRewritten {
+								t.Fatalf("β=%v skip=%v rewrite=%v norm=%v %s vs %s: pruned %+v, exhaustive %+v",
+									beta, skipBelow, useRewrite, norm, ref.Name, tgt.Name, got, want)
 							}
+							cut += got.PairsPruned
 						}
-						if cut == 0 && beta > 0 {
-							t.Errorf("β=%v skip=%v rewrite=%v norm=%v dedupe=%v: the pruner cut no pair", beta, skipBelow, useRewrite, norm, dedupe)
-						}
+					}
+					if cut == 0 && beta > 0 {
+						t.Errorf("β=%v skip=%v rewrite=%v norm=%v: the pruner cut no pair", beta, skipBelow, useRewrite, norm)
 					}
 				}
 			}
@@ -331,43 +329,6 @@ func TestAlignPairMatchesAlignCached(t *testing.T) {
 				t.Errorf("pair (%d,%d): pairs+inserted do not partition the target", ri, ti)
 			}
 		}
-	}
-}
-
-// TestPruneAlphaPreservesVerdict: the α short-circuit may truncate the
-// score but never the match verdict.
-func TestPruneAlphaPreservesVerdict(t *testing.T) {
-	ds := pruneTestPairs(t, 3)
-	exact := DefaultOptions()
-	trunc := DefaultOptions()
-	trunc.PruneAlpha = true
-	me, mt := NewMatcher(exact), NewMatcher(trunc)
-	sawTruncation := false
-	for _, ref := range ds {
-		for _, tgt := range ds {
-			want := me.Compare(ref, tgt)
-			got := mt.Compare(ref, tgt)
-			if got.IsMatch != want.IsMatch {
-				t.Errorf("%s vs %s: PruneAlpha changed verdict %v -> %v",
-					ref.Name, tgt.Name, want.IsMatch, got.IsMatch)
-			}
-			if got.SimilarityScore > want.SimilarityScore {
-				t.Errorf("%s vs %s: truncated score %v exceeds exact %v",
-					ref.Name, tgt.Name, got.SimilarityScore, want.SimilarityScore)
-			}
-			if got.Truncated {
-				sawTruncation = true
-				if got.IsMatch {
-					t.Errorf("%s vs %s: truncated comparison cannot be a match", ref.Name, tgt.Name)
-				}
-			} else if got != want {
-				t.Errorf("%s vs %s: untruncated PruneAlpha result differs: %+v vs %+v",
-					ref.Name, tgt.Name, got, want)
-			}
-		}
-	}
-	if !sawTruncation {
-		t.Error("no comparison was truncated; test corpus too friendly")
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"repro/internal/corpus"
 	"repro/internal/idxfile"
 	"repro/internal/prep"
-	"repro/internal/telemetry"
 	"repro/internal/tinyc"
 )
 
@@ -111,93 +110,5 @@ func TestPackParity(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// dedupeByText is the grouping DedupeQuery used before it grouped by
-// distinct-block ids: reference tracelets with equal Tracelet.Hash — an
-// FNV over every instruction's text — in order of first appearance.
-func dedupeByText(d *Decomposed) [][]int {
-	at := make(map[uint64]int)
-	var groups [][]int
-	for ri, tr := range d.Tracelets {
-		h := tr.Hash()
-		if _, seen := at[h]; !seen {
-			at[h] = len(groups)
-			groups = append(groups, nil)
-		}
-		groups[at[h]] = append(groups[at[h]], ri)
-	}
-	return groups
-}
-
-// TestDedupeQueryGroupsByBlockIDs: grouping the reference tracelets by
-// their distinct-block id tuples partitions every function of a campaign
-// corpus exactly as grouping by instruction text did, so a deduplicating
-// compare evaluates the same representatives in the same order — the
-// tracelets it reports saved are the text grouping's, and its Result is
-// the one an evaluation driven by the text groups gives — and a view,
-// which has no text, dedupes like the function it was stored from.
-func TestDedupeQueryGroupsByBlockIDs(t *testing.T) {
-	fns, f := campaignFile(t, 37, 64)
-	opts := DefaultOptions()
-	opts.DedupeQuery = true
-	tgt := Decompose(fns[0], 3)
-	grouped := 0
-	for i, fn := range fns {
-		ref := Decompose(fn, 3)
-		groups := dedupeByText(ref)
-		// The partition by ids, in order of first appearance.
-		var byIDs [][]int
-		seen := make(map[[3]int32]int)
-		for ri := range ref.Tracelets {
-			key := [3]int32(ref.blockIDs(ri))
-			if _, ok := seen[key]; !ok {
-				seen[key] = len(byIDs)
-				byIDs = append(byIDs, nil)
-			}
-			byIDs[seen[key]] = append(byIDs[seen[key]], ri)
-		}
-		if !reflect.DeepEqual(byIDs, groups) {
-			t.Fatalf("%s: grouped by block ids %v, by text %v", fn.Name, byIDs, groups)
-		}
-		saved := 0
-		for _, g := range groups {
-			saved += len(g) - 1
-		}
-		grouped += saved
-
-		// The Result an evaluation of the text groups' representatives gives.
-		m := NewMatcher(opts)
-		want := Result{Name: tgt.Name, RefTracelets: len(ref.Tracelets)}
-		ctx := newCmpCtx(ref, tgt, nil)
-		for _, g := range groups {
-			matched, viaRewrite := m.traceletMatch(ref, tgt, g[0], ctx, &want)
-			switch {
-			case matched && viaRewrite:
-				want.MatchedRewrite += len(g)
-			case matched:
-				want.MatchedDirect += len(g)
-			}
-		}
-		want.PairsPruned = int(ctx.stats.prunedSize + ctx.stats.prunedProfile + ctx.stats.prunedRewrite)
-		ctx.release()
-		if n := len(ref.Tracelets); n > 0 {
-			want.SimilarityScore = float64(want.Matched()) / float64(n)
-			want.IsMatch = want.SimilarityScore > opts.Alpha
-		}
-
-		for _, r := range []*Decomposed{ref, viewOf(t, f, i, 3, nil)} {
-			m.Opts.Tel = telemetry.New()
-			if got := m.Compare(r, tgt); got != want {
-				t.Fatalf("%s: deduplicating compare gives %+v, the text grouping %+v", fn.Name, got, want)
-			}
-			if got := m.Opts.Tel.Snapshot().Counters[telemetry.DedupeSavedTracelets.String()]; got != uint64(saved) {
-				t.Fatalf("%s: %d tracelets saved, the text grouping saves %d", fn.Name, got, saved)
-			}
-		}
-	}
-	if grouped == 0 {
-		t.Error("no function of the corpus has two identical tracelets; the test shows nothing")
 	}
 }

@@ -597,7 +597,7 @@ func (f *File) block(i, blockOff, nblocks, bi int) (blockRec, error) {
 }
 
 // DecodeFunc materializes function i as a lifted prep.Function,
-// identical field for field to the function the gob formats carry. A
+// identical field for field to the function that was written. A
 // first pass over the function's records checks every range and id they
 // hold — this is where a function's BLCK, SUCC, INST, OPND and MEMT
 // records are validated, not Parse — and sizes the function; then blocks,

@@ -2,8 +2,8 @@
 // little-endian columnar on-disk index format designed to be served
 // straight out of the page cache.
 //
-// The gob formats (v0-v2, see internal/index) deserialize the whole
-// corpus into heap objects on load — at 10⁵-10⁶ functions that costs
+// The gob formats it replaced (v0-v2, read now only to convert them, see
+// internal/index) deserialize the whole corpus into heap objects on load — at 10⁵-10⁶ functions that costs
 // seconds of reflection-driven decoding and a resident object graph many
 // times the file size. v3 instead lays every piece of the corpus out as
 // fixed-width column arrays plus one shared string table and one shared
@@ -168,7 +168,8 @@ import (
 )
 
 // Magic and Version are the v3 file prelude, byte-compatible with the
-// gob header sniffing in internal/index (8-byte magic + version byte).
+// header of the gob formats v1 and v2 (8-byte magic + version byte), so
+// one sniff tells the formats apart.
 const (
 	Magic   = "TRACYIDX"
 	Version = 3

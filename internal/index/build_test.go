@@ -66,11 +66,11 @@ func TestWritePathTelemetry(t *testing.T) {
 	for _, e := range db.Entries {
 		insts += e.Func.NumInsts()
 	}
-	var v3, gob bytes.Buffer
-	if err := db.SaveV3LSH(&v3, minhash.Default); err != nil {
+	var lsh, plain bytes.Buffer
+	if err := db.SaveV3LSH(&lsh, minhash.Default); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Save(&gob); err != nil {
+	if err := db.SaveV3(&plain); err != nil {
 		t.Fatal(err)
 	}
 	s := tel.Snapshot()
@@ -86,7 +86,7 @@ func TestWritePathTelemetry(t *testing.T) {
 	if got := s.Histograms["index_save_latency"].Count; got != 2 {
 		t.Errorf("index_save_latency holds %d observations for 2 saves", got)
 	}
-	if got, want := s.Counters["index_bytes_written"], uint64(v3.Len()+gob.Len()); got != want {
+	if got, want := s.Counters["index_bytes_written"], uint64(lsh.Len()+plain.Len()); got != want {
 		t.Errorf("index_bytes_written %d, the two files hold %d", got, want)
 	}
 }

@@ -3,47 +3,21 @@ package index
 import (
 	"bytes"
 	"context"
-	"encoding/gob"
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/corpus"
+	"repro/internal/idxfile"
 	"repro/internal/minhash"
 	"repro/internal/telemetry"
 	"repro/internal/tinyc"
 )
-
-// encodeVersion serializes db in any historical TRACYIDX format.
-func encodeVersion(t *testing.T, db *DB, version int) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	switch version {
-	case 0: // headerless gob
-		if err := gob.NewEncoder(&buf).Encode(gobDB{Entries: db.Entries}); err != nil {
-			t.Fatal(err)
-		}
-	case 1: // header + entries-only gob
-		buf.Write(append([]byte(indexMagic), 1))
-		type gobDBv1 struct{ Entries []*Entry }
-		if err := gob.NewEncoder(&buf).Encode(gobDBv1{Entries: db.Entries}); err != nil {
-			t.Fatal(err)
-		}
-	case 2:
-		if err := db.Save(&buf); err != nil {
-			t.Fatal(err)
-		}
-	case 3:
-		if err := db.SaveV3(&buf); err != nil {
-			t.Fatal(err)
-		}
-	default:
-		t.Fatalf("no encoder for v%d", version)
-	}
-	return buf.Bytes()
-}
 
 // hitKey strips the entry pointer out of a Hit so results from different
 // loads of the same corpus compare by value.
@@ -61,71 +35,233 @@ func hitKeys(hits []Hit) []hitKey {
 	return out
 }
 
-// TestCrossVersionSearchParity: the same corpus serialized as v0, v1, v2
-// and v3 must load and produce bit-identical Snapshot.Search results —
-// exhaustive and prefiltered — through both the stream loader and the
-// file opener. This is the compatibility contract tracy convert depends
-// on.
-func TestCrossVersionSearchParity(t *testing.T) {
-	db, _ := buildTestDB(t)
+// legacyCorpus is the corpus the gob fixtures under testdata/legacy hold:
+// v0.gob (headerless), v1.gob (entries only) and v2.gob (entries and
+// features), each written by the last release that wrote gob.
+var legacyCorpus = corpus.BuildConfig{
+	Seed: 7, ContextCopies: 2, Versions: 2, NoiseExes: 1, FuncsPerExe: 3,
+	TargetStmts: 12, FillerStmts: 6, Opt: tinyc.O2,
+}
+
+// legacyFixture reads the gob index of format version v.
+func legacyFixture(t testing.TB, v int) []byte {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("testdata", "legacy", fmt.Sprintf("v%d.gob", v)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// legacyMemDB builds in memory the database the gob fixtures hold.
+func legacyMemDB(t testing.TB) *DB {
+	t.Helper()
+	c, err := corpus.Build(legacyCorpus)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := New()
+	for _, e := range c.Exes {
+		if err := db.AddImage(e.Name, e.Image, e.Truth); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return db
+}
+
+// loadLegacyFixture reads the gob fixture of format version v with the
+// legacy reader, after checking its prelude: none for v0, the TRACYIDX
+// magic and v for v1 and v2.
+func loadLegacyFixture(t testing.TB, v int) *DB {
+	t.Helper()
+	data := legacyFixture(t, v)
+	headered := bytes.HasPrefix(data, []byte(idxfile.Magic))
+	if v == 0 && headered || v > 0 && (!headered || int(data[len(idxfile.Magic)]) != v) {
+		t.Fatalf("fixture v%d has the wrong prelude %.9q", v, data)
+	}
+	db, err := LoadLegacy(bytes.NewReader(data))
+	if err != nil {
+		t.Fatalf("v%d legacy load: %v", v, err)
+	}
+	return db
+}
+
+// TestLoadHeaderlessV0: files written before the header existed are a
+// bare gob stream; the legacy reader loads them entry for entry as the
+// database the same corpus builds in memory.
+func TestLoadHeaderlessV0(t *testing.T) {
+	mem := legacyMemDB(t)
+	db := loadLegacyFixture(t, 0)
+	if db.Len() != mem.Len() {
+		t.Fatalf("v0 load: %d entries, want %d", db.Len(), mem.Len())
+	}
+	for i, e := range db.Entries {
+		m := mem.Entries[i]
+		if e.Exe != m.Exe || e.Name != m.Name || e.Addr != m.Addr || e.Truth != m.Truth {
+			t.Errorf("entry %d: %s %s@%#x (%q), want %s %s@%#x (%q)", i, e.Exe, e.Name, e.Addr, e.Truth, m.Exe, m.Name, m.Addr, m.Truth)
+		}
+		if !reflect.DeepEqual(e.Function(), m.Function()) {
+			t.Errorf("entry %d (%s %s): lifted function differs from the in-memory one", i, e.Exe, e.Name)
+		}
+	}
+}
+
+// TestLoadV1Compat: a v1-headered index (entries only, no feature table)
+// still loads through the legacy reader, searches, and serves prefiltered
+// queries — the features are recomputed, not deserialized.
+func TestLoadV1Compat(t *testing.T) {
+	db := loadLegacyFixture(t, 1)
+	if want := legacyMemDB(t).Len(); db.Len() != want {
+		t.Fatalf("v1 load: %d entries, want %d", db.Len(), want)
+	}
+	if db.feats != nil {
+		t.Error("v1 payload cannot carry features; expected lazy recompute")
+	}
 	query := queryFor(t, db, corpus.LibFuncName)
 	opts := core.DefaultOptions()
+	exhaustive := db.Search(query, opts)
+	if len(exhaustive) != db.Len() {
+		t.Fatalf("v1 search returned %d hits, want %d", len(exhaustive), db.Len())
+	}
+	pre := db.SearchWith(query, opts, PrefilterOptions{Enabled: true, Candidates: 5})
+	if len(pre) == 0 || len(pre) > 5 {
+		t.Fatalf("v1 prefiltered search returned %d hits", len(pre))
+	}
+}
 
-	baseSnap := BuildSnapshot(db, []int{opts.K}, 4)
-	baseHits, err := baseSnap.Search(query, opts)
+// TestSaveLoadV2Features: the feature table a v2 file carries is not
+// trusted; the legacy reader recomputes it equal to the in-memory
+// database's, and converting to v3 persists it so Load views the stored
+// sets verbatim.
+func TestSaveLoadV2Features(t *testing.T) {
+	want := legacyMemDB(t).features()
+	db := loadLegacyFixture(t, 2)
+	if db.feats != nil {
+		t.Fatal("legacy reader adopted the v2 feature table")
+	}
+	if !reflect.DeepEqual(db.features(), want) {
+		t.Fatal("features recomputed from the v2 entries differ from the in-memory ones")
+	}
+	var buf bytes.Buffer
+	if err := db.SaveV3(&buf); err != nil {
+		t.Fatal(err)
+	}
+	v3, err := Load(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := hitKeys(baseHits)
-	basePre, err := baseSnap.SearchDecomposedCtx(context.Background(), core.Decompose(query, opts.K), opts, PrefilterOptions{Enabled: true, Candidates: 7})
-	if err != nil {
-		t.Fatal(err)
+	defer v3.Close()
+	for i, e := range v3.Entries {
+		if e.src == nil {
+			t.Fatalf("entry %d of the converted index is not store-backed", i)
+		}
 	}
-	preBase := hitKeys(basePre)
+	if !reflect.DeepEqual(v3.features(), want) {
+		t.Error("features stored in the converted v3 file differ from the recomputed ones")
+	}
+}
+
+// TestCrossVersionSearchParity: convert, then parity. Every gob fixture
+// read by the legacy reader and saved as v3, and the v3 file the same
+// corpus saves to directly, open to bit-identical Snapshot.Search results
+// — exhaustive and prefiltered — and DB.Search results, equal to those of
+// the database built in memory from the corpus seed. This is the migration
+// contract tracy convert depends on.
+func TestCrossVersionSearchParity(t *testing.T) {
+	mem := legacyMemDB(t)
+	query := queryFor(t, mem, corpus.LibFuncName)
+	opts := core.DefaultOptions()
+	pf := PrefilterOptions{Enabled: true, Candidates: 7}
+	search := func(db *DB) (exhaustive, prefiltered []hitKey) {
+		t.Helper()
+		snap := BuildSnapshot(db, []int{opts.K}, 4)
+		hits, err := snap.Search(query, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pre, err := snap.SearchDecomposedCtx(context.Background(), core.Decompose(query, opts.K), opts, pf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if off := hitKeys(db.Search(query, opts)); !reflect.DeepEqual(off, hitKeys(hits)) {
+			t.Error("DB.Search diverged from snapshot results")
+		}
+		return hitKeys(hits), hitKeys(pre)
+	}
+	base, preBase := search(mem)
 
 	dir := t.TempDir()
-	for _, version := range []int{0, 1, 2, 3} {
-		data := encodeVersion(t, db, version)
-		path := filepath.Join(dir, "idx")
-		if err := os.WriteFile(path, data, 0o644); err != nil {
+	sources := map[string]func() (*DB, error){"v3": func() (*DB, error) { return mem, nil }}
+	for v := 0; v <= 2; v++ {
+		data := legacyFixture(t, v)
+		sources[fmt.Sprintf("v%d", v)] = func() (*DB, error) { return LoadLegacy(bytes.NewReader(data)) }
+	}
+	for name, load := range sources {
+		src, err := load()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		var buf bytes.Buffer
+		if err := src.SaveV3(&buf); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		path := filepath.Join(dir, name+".v3")
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		loaders := map[string]func() (*DB, error){
-			"Load":     func() (*DB, error) { return Load(bytes.NewReader(data)) },
+			"Load":     func() (*DB, error) { return Load(bytes.NewReader(buf.Bytes())) },
 			"OpenFile": func() (*DB, error) { return OpenFile(path) },
 		}
-		for lname, load := range loaders {
-			db2, err := load()
+		for lname, open := range loaders {
+			db, err := open()
 			if err != nil {
-				t.Fatalf("v%d %s: %v", version, lname, err)
+				t.Fatalf("%s %s: %v", name, lname, err)
 			}
-			if db2.Len() != db.Len() {
-				t.Fatalf("v%d %s: %d entries, want %d", version, lname, db2.Len(), db.Len())
+			if db.Len() != mem.Len() || db.Info().Version != 3 {
+				t.Fatalf("%s %s: %d entries of v%d, want %d of v3", name, lname, db.Len(), db.Info().Version, mem.Len())
 			}
-			if got := db2.Info().Version; got != version {
-				t.Errorf("v%d %s: Info().Version = %d", version, lname, got)
+			hits, pre := search(db)
+			if !reflect.DeepEqual(hits, base) {
+				t.Errorf("%s %s: Snapshot.Search diverged from the in-memory database", name, lname)
 			}
-			snap := BuildSnapshot(db2, []int{opts.K}, 4)
-			hits, err := snap.Search(query, opts)
-			if err != nil {
-				t.Fatalf("v%d %s search: %v", version, lname, err)
+			if !reflect.DeepEqual(pre, preBase) {
+				t.Errorf("%s %s: prefiltered Snapshot.Search diverged from the in-memory database", name, lname)
 			}
-			if !reflect.DeepEqual(hitKeys(hits), base) {
-				t.Errorf("v%d %s: Snapshot.Search diverged from in-memory results", version, lname)
+			db.Close()
+		}
+	}
+}
+
+// TestLegacyRefused: Load and OpenFile refuse every gob fixture, whole or
+// cut short, before decoding anything: the error wraps ErrLegacy, names
+// tracy convert and is no gob decode error. The legacy reader in turn
+// refuses a v3 file, a foreign one and an empty one.
+func TestLegacyRefused(t *testing.T) {
+	dir := t.TempDir()
+	for v := 0; v <= 2; v++ {
+		data := legacyFixture(t, v)
+		path := filepath.Join(dir, fmt.Sprintf("idx-v%d", v))
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, errLoad := Load(bytes.NewReader(data))
+		_, errCut := Load(bytes.NewReader(data[:len(data)/3]))
+		_, errOpen := OpenFile(path)
+		for _, err := range []error{errLoad, errCut, errOpen} {
+			if !errors.Is(err, ErrLegacy) || !strings.Contains(err.Error(), "tracy convert") || strings.Contains(err.Error(), "gob:") {
+				t.Errorf("v%d: refused with %v, want ErrLegacy naming tracy convert", v, err)
 			}
-			pre, err := snap.SearchDecomposedCtx(context.Background(), core.Decompose(query, opts.K), opts, PrefilterOptions{Enabled: true, Candidates: 7})
-			if err != nil {
-				t.Fatalf("v%d %s prefiltered search: %v", version, lname, err)
-			}
-			if !reflect.DeepEqual(hitKeys(pre), preBase) {
-				t.Errorf("v%d %s: prefiltered Snapshot.Search diverged", version, lname)
-			}
-			// Offline DB.Search must agree too.
-			off := db2.Search(query, opts)
-			if !reflect.DeepEqual(hitKeys(off), base) {
-				t.Errorf("v%d %s: DB.Search diverged from snapshot results", version, lname)
-			}
-			db2.Close()
+		}
+	}
+	db, _ := buildTestDB(t)
+	var v3 bytes.Buffer
+	if err := db.SaveV3(&v3); err != nil {
+		t.Fatal(err)
+	}
+	for _, data := range [][]byte{v3.Bytes(), []byte("PK\x03\x04 a zip"), nil} {
+		if _, err := LoadLegacy(bytes.NewReader(data)); err == nil {
+			t.Errorf("LoadLegacy accepted %.12q", data)
 		}
 	}
 }
@@ -381,35 +517,5 @@ func TestOpenFileMmap(t *testing.T) {
 	}
 	if !info.Mapped {
 		t.Skip("platform without mmap fast path")
-	}
-}
-
-// TestV3ConvertBackToGob: a store-backed database re-saved as gob loads
-// as a self-contained v2 file with identical entries.
-func TestV3ConvertBackToGob(t *testing.T) {
-	db, _ := buildTestDB(t)
-	var v3 bytes.Buffer
-	if err := db.SaveV3(&v3); err != nil {
-		t.Fatal(err)
-	}
-	db2, err := Load(bytes.NewReader(v3.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var gobBuf bytes.Buffer
-	if err := db2.Save(&gobBuf); err != nil {
-		t.Fatal(err)
-	}
-	db3, err := Load(bytes.NewReader(gobBuf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if db3.Info().Version != indexVersion {
-		t.Errorf("round-tripped format version %d", db3.Info().Version)
-	}
-	for i, e := range db.Entries {
-		if !reflect.DeepEqual(db3.Entries[i].Function(), e.Function()) {
-			t.Errorf("entry %d changed across v3→gob round trip", i)
-		}
 	}
 }

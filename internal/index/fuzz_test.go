@@ -2,19 +2,22 @@ package index
 
 import (
 	"bytes"
+	"io"
 	"testing"
 
 	"repro/internal/corpus"
 	"repro/internal/idxfile"
 )
 
-// FuzzIndexLoad throws arbitrary bytes at the gob index deserializer:
-// it must reject garbage with an error, never panic, and never crash on
-// truncations or bit-flips of a genuine index. A loaded index must be
-// internally consistent enough to decompose.
+// FuzzIndexLoad throws arbitrary bytes at both index readers: Load, which
+// serves TRACYIDX v3 only, and LoadLegacy, which reads the gob formats for
+// tracy convert. Each must reject garbage with an error, never panic, and
+// never crash on truncations or bit-flips of a genuine index. What either
+// accepts must be internally consistent enough to decompose, and what the
+// legacy reader accepts must convert.
 func FuzzIndexLoad(f *testing.F) {
-	// A genuine saved index as the prime seed, so the fuzzer mutates real
-	// structure instead of guessing the format from scratch.
+	// Genuine indexes as the prime seeds, so the fuzzer mutates real
+	// structure instead of guessing the formats from scratch.
 	cp, err := corpus.Build(corpus.BuildConfig{
 		Seed: 1, ContextCopies: 1, NoiseExes: 1, FuncsPerExe: 1,
 		TargetStmts: 10, FillerStmts: 8,
@@ -28,18 +31,16 @@ func FuzzIndexLoad(f *testing.F) {
 			f.Fatal(err)
 		}
 	}
-	var saved bytes.Buffer
-	if err := db.Save(&saved); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(saved.Bytes())
-	f.Add(saved.Bytes()[:saved.Len()/2])
 	var savedV3 bytes.Buffer
 	if err := db.SaveV3(&savedV3); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(savedV3.Bytes())
 	f.Add(savedV3.Bytes()[:savedV3.Len()/2])
+	for v := 0; v <= 2; v++ {
+		f.Add(legacyFixture(f, v))
+	}
+	f.Add(legacyFixture(f, 2)[:1000])
 	f.Add([]byte("TRACYIDX"))
 	f.Add([]byte("TRACYIDX\x01\x00\x00\x00garbage"))
 	f.Add([]byte("TRACYIDX\x03\x00\x00\x00garbage"))
@@ -52,24 +53,29 @@ func FuzzIndexLoad(f *testing.F) {
 		if len(data) > 1<<20 {
 			t.Skip("oversized input")
 		}
-		loaded, err := Load(bytes.NewReader(data))
+		if loaded, err := Load(bytes.NewReader(data)); err == nil {
+			// A v3 index validates each function's records when they are
+			// first read, and what fails then must say so with the store's
+			// typed error.
+			for _, e := range loaded.Entries {
+				if fn, err := e.LoadFunction(); fn == nil && !idxfile.IsCorrupt(err) {
+					t.Fatalf("Load accepted an index with a function that is neither there nor corrupt: %v", err)
+				}
+			}
+			if _, err := loaded.Decomposed(3); err != nil && !idxfile.IsCorrupt(err) {
+				t.Fatalf("decomposing a loaded index failed with something other than corruption: %v", err)
+			}
+		}
+		// A gob index is validated whole when it is read.
+		legacy, err := LoadLegacy(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
-		// A gob index is validated whole at load; a v3 one validates each
-		// function's records when they are first read, and what fails then
-		// must say so with the store's typed error.
-		for _, e := range loaded.Entries {
-			if e == nil {
-				t.Fatal("Load accepted an index with nil entries")
-			}
-			if fn, err := e.LoadFunction(); fn == nil && !idxfile.IsCorrupt(err) {
-				t.Fatalf("Load accepted an index with a function that is neither there nor corrupt: %v", err)
-			}
+		if _, err := legacy.Decomposed(3); err != nil {
+			t.Fatalf("decomposing a legacy index failed: %v", err)
 		}
-		// A successfully loaded index must survive decomposition.
-		if _, err := loaded.Decomposed(3); err != nil && !idxfile.IsCorrupt(err) {
-			t.Fatalf("decomposing a loaded index failed with something other than corruption: %v", err)
+		if err := legacy.SaveV3(io.Discard); err != nil {
+			t.Fatalf("a legacy index the reader accepted does not convert: %v", err)
 		}
 	})
 }

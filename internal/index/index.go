@@ -1,7 +1,9 @@
 // Package index implements the function database and search engine of the
 // prototype (paper Section 5.2). DB is the database: executables are
 // disassembled and lifted on ingest, and the corpus saves to and loads
-// from gob or the mmap-able v3 columnar format (internal/idxfile).
+// from the mmap-able TRACYIDX v3 columnar format (internal/idxfile); the
+// gob formats of older releases are read only by LoadLegacy, for tracy
+// convert.
 // Snapshot is the one search engine: it memoizes per-k tracelet
 // decompositions, optionally cuts the corpus to the top candidates of a
 // lossy prefilter (shared-feature scan or MinHash LSH), compares the
@@ -14,7 +16,7 @@ package index
 import (
 	"bufio"
 	"context"
-	"encoding/gob"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -28,10 +30,11 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Entry is one indexed binary function. For gob-backed databases Func
-// holds the lifted function eagerly; for v3 store-backed databases Func
-// is nil and the function is decoded from the columnar file on first
-// use — always go through Function(), never read Func directly.
+// Entry is one indexed binary function. For a database built in memory
+// (AddImage, LoadLegacy) Func holds the lifted function eagerly; for a v3
+// store-backed database Func is nil and the function is decoded from the
+// columnar file on first use — always go through Function(), never read
+// Func directly.
 type Entry struct {
 	Exe   string // executable name
 	Name  string // recovered name (sub_XXX in stripped binaries)
@@ -39,8 +42,8 @@ type Entry struct {
 	Truth string // ground-truth source name, if known (evaluation only)
 	Func  *prep.Function
 
-	// v3 lazy backing (unexported: invisible to gob). src/srcIdx locate
-	// the function in the columnar store; lazy memoizes the decode.
+	// v3 lazy backing. src/srcIdx locate the function in the columnar
+	// store; lazy memoizes the decode.
 	src    *idxfile.File
 	srcIdx int
 	lazy   atomic.Pointer[prep.Function]
@@ -89,25 +92,24 @@ type DB struct {
 
 	// Tel, when non-nil, receives index telemetry — the write path's
 	// lift_latency, functions_lifted and instructions_decoded from
-	// AddImage, index_save_latency and index_bytes_written from the Save
+	// AddImage, index_save_latency and index_bytes_written from the SaveV3
 	// methods, and the corpus decomposition latency — and is the default
 	// collector for Search when the query's opts.Tel is nil. It is not
-	// serialized by Save.
+	// serialized.
 	Tel *telemetry.Collector
 
 	mu    sync.Mutex // guards feats, snap
 	feats [][]uint64 // per-entry prefilter features, aligned with Entries
 	snap  *Snapshot  // the search view over Entries; nil until first use
 
-	store  *idxfile.File // non-nil for v3 store-backed databases
-	info   Info
-	loaded bool // info.Version is authoritative (set by Load/OpenFile)
+	store *idxfile.File // non-nil for v3 store-backed databases
+	info  Info
 }
 
 // Info describes where a database came from, for idxinfo, serve logs
 // and the tracy_index_info metric.
 type Info struct {
-	Version int    // TRACYIDX format version (0-3)
+	Version int    // TRACYIDX format version: 3, the only one a database saves to or serves from
 	Bytes   int64  // on-disk size, 0 when unknown
 	Path    string // source path, "" when loaded from a stream or built in memory
 	Mapped  bool   // true when served from an mmap region
@@ -115,13 +117,10 @@ type Info struct {
 	Funcs   int
 }
 
-// Info returns the database provenance. For in-memory databases built
-// with AddImage the version is the current gob format version.
+// Info returns the database provenance.
 func (db *DB) Info() Info {
 	info := db.info
-	if !db.loaded {
-		info.Version = indexVersion
-	}
+	info.Version = idxfile.Version
 	info.Funcs = len(db.Entries)
 	return info
 }
@@ -130,7 +129,7 @@ func (db *DB) Info() Info {
 func (db *DB) Store() *idxfile.File { return db.store }
 
 // Close releases the columnar store mapping of a v3-backed database; it
-// is a no-op for gob-backed databases. After Close the database must not
+// is a no-op for one built in memory. After Close the database must not
 // be used. Long-lived servers never Close — they drop the reference and
 // let the finalizer unmap once in-flight queries finish.
 func (db *DB) Close() error {
@@ -189,7 +188,7 @@ func (db *DB) Decomposed(k int) ([]*core.Decomposed, error) {
 }
 
 // features returns the per-entry prefilter feature sets, computing them
-// once (or adopting the sets deserialized from a v2 index file).
+// once (or viewing the sets a v3 file stores).
 func (db *DB) features() [][]uint64 {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -257,62 +256,25 @@ func (db *DB) SearchTopCtx(ctx context.Context, query *prep.Function, opts core.
 	return db.view().search(ctx, query, opts, pf, limit, minScore)
 }
 
-// gobDB is the serialized form. Feats (since format v2) carries the
-// per-entry prefilter feature sets so serving nodes skip recomputing
-// them at load; v1 payloads simply decode with Feats nil and the sets
-// are rebuilt lazily on the first prefiltered search.
-type gobDB struct {
-	Entries []*Entry
-	Feats   [][]uint64
-}
+// ErrLegacy is wrapped by the error Load and OpenFile return for a file
+// that is not TRACYIDX v3: a gob index written by an older tracy (formats
+// v0–v2), or no index at all. Only tracy convert still reads the gob
+// formats (LoadLegacy).
+var ErrLegacy = errors.New("not a TRACYIDX v3 index (a gob index from an older tracy converts with: tracy convert OLD.db NEW.v3)")
 
-// The on-disk format is an 8-byte magic plus a one-byte format version in
-// front of the payload, so a stale or foreign file fails fast with a
-// versioned error instead of an opaque decode failure. Four formats load:
-// headerless v0 gob, headered v1 gob (no prefilter features), v2 gob
-// (with features), and the v3 columnar format (internal/idxfile). Save
-// writes v2 gob; SaveV3 writes the columnar format.
-const (
-	indexMagic     = "TRACYIDX"
-	indexVersion   = 2 // gob format written by Save
-	indexVersionV3 = idxfile.Version
-)
-
-// Save serializes the database as v2 gob (entries plus prefilter
-// features; decompositions are recomputed on demand), prefixed with the
-// format header. Store-backed entries are materialized first so the gob
-// payload is self-contained.
-func (db *DB) Save(w io.Writer) error {
-	if db.store != nil {
-		for _, e := range db.Entries {
-			fn, err := e.LoadFunction()
-			if err != nil {
-				return err
-			}
-			e.Func = fn
-		}
+// checkPrelude says why a file whose first bytes are prelude is not one
+// this binary serves, or returns nil for a TRACYIDX v3 file.
+func checkPrelude(prelude []byte) error {
+	switch v := idxfile.SniffVersion(prelude); {
+	case v == idxfile.Version:
+		return nil
+	case v > idxfile.Version:
+		return fmt.Errorf("format v%d expected, file is v%d (written by a newer tracy)", idxfile.Version, v)
+	case v > 0:
+		return fmt.Errorf("gob format v%d: %w", v, ErrLegacy)
+	default: // headerless v0 gob, or not an index
+		return ErrLegacy
 	}
-	t := db.Tel.StartTimer(telemetry.IndexSaveLatency)
-	cw := &countingWriter{w: w}
-	_, err := cw.Write(append([]byte(indexMagic), indexVersion))
-	if err == nil {
-		err = gob.NewEncoder(cw).Encode(gobDB{Entries: db.Entries, Feats: db.features()})
-	}
-	t.Stop()
-	db.Tel.Add(telemetry.IndexBytesWritten, uint64(cw.n))
-	return err
-}
-
-// countingWriter counts the bytes written through it.
-type countingWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
 }
 
 // SaveV3 serializes the database in the v3 columnar format: fixed-width
@@ -378,67 +340,28 @@ func (e *Entry) decodeForSave() (*prep.Function, error) {
 	return e.LoadFunction()
 }
 
-// Load restores a database written by Save or SaveV3. It accepts all
-// four formats: headerless v0 gob, headered v1 gob (prefilter features
-// recomputed on demand), v2 gob, and the v3 columnar format (read fully
-// into memory — prefer OpenFile for v3 files, which maps them instead).
-// Anything else — a future format version or a file that is not a tracy
-// index at all — yields an error naming the expected formats.
+// Load restores a database written by SaveV3, read fully into memory —
+// prefer OpenFile for files, which maps them instead. Anything but a
+// TRACYIDX v3 stream yields an error: one wrapping ErrLegacy for a gob
+// index or a foreign file, one naming the version for a newer format.
 func Load(r io.Reader) (*DB, error) {
 	br := bufio.NewReader(r)
-	version := 0
-	if peek, err := br.Peek(len(indexMagic) + 1); err == nil && string(peek[:len(indexMagic)]) == indexMagic {
-		v := int(peek[len(indexMagic)])
-		switch v {
-		case 1, indexVersion:
-			version = v
-			if _, err := br.Discard(len(indexMagic) + 1); err != nil {
-				return nil, err
-			}
-		case indexVersionV3:
-			// The columnar parser needs the whole prelude, magic included.
-			data, err := io.ReadAll(br)
-			if err != nil {
-				return nil, err
-			}
-			f, err := idxfile.Parse(data)
-			if err != nil {
-				return nil, fmt.Errorf("index: %w", err)
-			}
-			return fromStore(f), nil
-		default:
-			return nil, fmt.Errorf("index: format v%d/v%d expected, file is v%d (rebuild with tracy index)", indexVersion, indexVersionV3, v)
-		}
+	prelude, err := br.Peek(len(idxfile.Magic) + 1)
+	if err != nil && err != io.EOF {
+		return nil, err
 	}
-	var g gobDB
-	if err := gob.NewDecoder(br).Decode(&g); err != nil {
-		return nil, fmt.Errorf("index: not a tracy index (format v%d/v%d expected): %w", indexVersion, indexVersionV3, err)
+	if err := checkPrelude(prelude); err != nil {
+		return nil, fmt.Errorf("index: %w", err)
 	}
-	// Structural validation: gob will happily decode a payload whose
-	// entries are nil, missing their lifted function, or carrying a
-	// control-flow graph with out-of-range successor indices — any of
-	// which would panic the first Search or Decomposed call. Reject such
-	// files here, where the caller still has an error path.
-	for i, e := range g.Entries {
-		if e == nil {
-			return nil, fmt.Errorf("index: corrupt entry %d (missing lifted function)", i)
-		}
-		if err := ValidateFunction(e.Func); err != nil {
-			return nil, fmt.Errorf("index: corrupt entry %d (%v)", i, err)
-		}
+	data, err := io.ReadAll(br)
+	if err != nil {
+		return nil, err
 	}
-	db := &DB{
-		Entries: g.Entries,
-		info:    Info{Version: version},
-		loaded:  true,
+	f, err := idxfile.Parse(data)
+	if err != nil {
+		return nil, fmt.Errorf("index: %w", err)
 	}
-	// Adopt serialized prefilter features only when they line up with the
-	// entries — a fuzzed or hand-edited payload must not smuggle in a
-	// misaligned feature table (features() rebuilds from scratch instead).
-	if g.Feats != nil && len(g.Feats) == len(g.Entries) {
-		db.feats = g.Feats
-	}
-	return db, nil
+	return fromStore(f), nil
 }
 
 // fromStore wraps a parsed columnar file as a database: entry metadata
@@ -455,49 +378,36 @@ func fromStore(f *idxfile.File) *DB {
 		Entries: entries,
 		store:   f,
 		info: Info{
-			Version: indexVersionV3,
-			Bytes:   f.Size(),
-			Path:    f.Path(),
-			Mapped:  f.Mapped(),
-			Pack:    f.HasPack(),
+			Bytes:  f.Size(),
+			Path:   f.Path(),
+			Mapped: f.Mapped(),
+			Pack:   f.HasPack(),
 		},
-		loaded: true,
 	}
 }
 
-// OpenFile loads an index from disk by path, picking the cheapest route
-// for its format: v3 columnar files are mmapped (page-granular lazy
-// access, pages shared across processes, no heap deserialization), gob
-// files fall back to the streaming Load. Callers that serve long-lived
-// snapshots should not Close the returned database while queries run.
+// OpenFile maps a TRACYIDX v3 file from disk: page-granular lazy access,
+// pages shared across processes, no heap deserialization. Any other file
+// fails as Load does, before anything is mapped. Callers that serve
+// long-lived snapshots should not Close the returned database while
+// queries run.
 func OpenFile(path string) (*DB, error) {
 	fd, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	prelude := make([]byte, len(indexMagic)+1)
-	n, _ := io.ReadFull(fd, prelude)
-	if n == len(prelude) && idxfile.SniffVersion(prelude) == indexVersionV3 {
-		fd.Close()
-		f, err := idxfile.Open(path)
-		if err != nil {
-			return nil, fmt.Errorf("index: %w", err)
-		}
-		return fromStore(f), nil
-	}
-	if _, err := fd.Seek(0, io.SeekStart); err != nil {
-		fd.Close()
+	prelude := make([]byte, len(idxfile.Magic)+1)
+	n, err := io.ReadFull(fd, prelude)
+	fd.Close()
+	if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
 		return nil, err
 	}
-	defer fd.Close()
-	st, _ := fd.Stat()
-	db, err := Load(fd)
+	if err := checkPrelude(prelude[:n]); err != nil {
+		return nil, fmt.Errorf("index: %s: %w", path, err)
+	}
+	f, err := idxfile.Open(path)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("index: %w", err)
 	}
-	db.info.Path = path
-	if st != nil {
-		db.info.Bytes = st.Size()
-	}
-	return db, nil
+	return fromStore(f), nil
 }

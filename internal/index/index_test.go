@@ -42,7 +42,7 @@ func queryFor(t *testing.T, db *DB, truthName string) *prep.Function {
 	t.Helper()
 	for _, e := range db.Entries {
 		if e.Truth == truthName {
-			return e.Func
+			return e.Function()
 		}
 	}
 	t.Fatalf("no entry with truth %q", truthName)
@@ -122,11 +122,7 @@ func TestSearchFindsVersions(t *testing.T) {
 
 func TestSaveLoadRoundTrip(t *testing.T) {
 	db, _ := buildTestDB(t)
-	var buf bytes.Buffer
-	if err := db.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	db2, err := Load(&buf)
+	db2, err := Load(saved(t, db))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,16 +135,17 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		if e2.Exe != e.Exe || e2.Name != e.Name || e2.Addr != e.Addr || e2.Truth != e.Truth {
 			t.Errorf("entry %d metadata changed: %+v vs %+v", i, e2, e)
 		}
-		if e2.Func == nil {
+		fn2 := e2.Function()
+		if fn2 == nil {
 			t.Fatalf("entry %d lost its function", i)
 		}
-		if e2.Func.NumBlocks() != e.Func.NumBlocks() {
+		if fn2.NumBlocks() != e.Func.NumBlocks() {
 			t.Errorf("entry %d: %d blocks after load, want %d", i,
-				e2.Func.NumBlocks(), e.Func.NumBlocks())
+				fn2.NumBlocks(), e.Func.NumBlocks())
 			continue
 		}
 		for bi, b := range e.Func.Graph.Blocks {
-			b2 := e2.Func.Graph.Blocks[bi]
+			b2 := fn2.Graph.Blocks[bi]
 			if len(b2.Insts) != len(b.Insts) {
 				t.Errorf("entry %d block %d: %d insts, want %d", i, bi,
 					len(b2.Insts), len(b.Insts))
@@ -156,7 +153,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		}
 	}
 	// The loaded DB must search identically.
-	query := queryFor(t, db2, corpus.LibFuncName)
+	query := queryFor(t, db, corpus.LibFuncName)
 	hits := db2.Search(query, core.DefaultOptions())
 	if hits[0].Entry.Truth != corpus.LibFuncName {
 		t.Errorf("loaded DB search broken: top hit %q", hits[0].Entry.Truth)
@@ -169,15 +166,11 @@ func TestLoadGarbage(t *testing.T) {
 	}
 }
 
-// TestLoadTruncated: a valid gob stream cut off mid-way must produce an
+// TestLoadTruncated: a valid index cut off mid-way must produce an
 // error, not a silently shortened database.
 func TestLoadTruncated(t *testing.T) {
 	db, _ := buildTestDB(t)
-	var buf bytes.Buffer
-	if err := db.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	full := buf.Bytes()
+	full := saved(t, db).Bytes()
 	for _, frac := range []int{2, 4, 10} {
 		cut := full[:len(full)/frac]
 		if _, err := Load(bytes.NewReader(cut)); err == nil {

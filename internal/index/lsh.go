@@ -46,9 +46,9 @@ func lshFromStore(f *idxfile.File) *lshIndex {
 	return newLSHIndex(f.LSHParams(), f.LSHSigs(), f.NumFuncs(), f.LSHTable())
 }
 
-// lshFromFeatures hashes per-entry feature sets under p — the in-memory
-// path for gob-backed databases, where the corpus is small enough that
-// signing it at first use is cheap.
+// lshFromFeatures hashes per-entry feature sets under p — the path for
+// databases built in memory or grown past their file, and for files
+// written without -lsh, where signing at first use is the only option.
 func lshFromFeatures(p minhash.Params, feats [][]uint64) *lshIndex {
 	sigs := make([]uint32, len(feats)*p.K())
 	k := p.K()

@@ -1,9 +1,7 @@
 package index
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
 	"reflect"
 	"testing"
 
@@ -12,89 +10,6 @@ import (
 	"repro/internal/corpus"
 	"repro/internal/ngram"
 )
-
-// TestLoadV1Compat: a v1-headered index (entries only, no feature table)
-// must still load, search, and serve prefiltered queries — the features
-// are just recomputed instead of deserialized.
-func TestLoadV1Compat(t *testing.T) {
-	db, _ := buildTestDB(t)
-	var buf bytes.Buffer
-	buf.Write(append([]byte(indexMagic), 1))
-	// A v1 writer serialized gobDB without Feats; encoding the Entries-only
-	// shape reproduces its payload byte-for-byte semantics.
-	type gobDBv1 struct {
-		Entries []*Entry
-	}
-	if err := gob.NewEncoder(&buf).Encode(gobDBv1{Entries: db.Entries}); err != nil {
-		t.Fatal(err)
-	}
-	db2, err := Load(&buf)
-	if err != nil {
-		t.Fatalf("v1 load: %v", err)
-	}
-	if db2.Len() != db.Len() {
-		t.Fatalf("v1 load: %d entries, want %d", db2.Len(), db.Len())
-	}
-	if db2.feats != nil {
-		t.Error("v1 payload cannot carry features; expected lazy recompute")
-	}
-	query := queryFor(t, db2, corpus.LibFuncName)
-	opts := core.DefaultOptions()
-	exhaustive := db2.Search(query, opts)
-	if len(exhaustive) != db2.Len() {
-		t.Fatalf("v1 search returned %d hits, want %d", len(exhaustive), db2.Len())
-	}
-	pre := db2.SearchWith(query, opts, PrefilterOptions{Enabled: true, Candidates: 5})
-	if len(pre) == 0 || len(pre) > 5 {
-		t.Fatalf("v1 prefiltered search returned %d hits", len(pre))
-	}
-}
-
-// TestSaveLoadV2Features: Save must persist the feature table and Load
-// must adopt it verbatim (no recompute) when it lines up.
-func TestSaveLoadV2Features(t *testing.T) {
-	db, _ := buildTestDB(t)
-	want := db.features()
-	var buf bytes.Buffer
-	if err := db.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if v := buf.Bytes()[len(indexMagic)]; v != 2 {
-		t.Fatalf("saved version %d, want 2", v)
-	}
-	db2, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if db2.feats == nil {
-		t.Fatal("v2 load dropped the feature table")
-	}
-	if !reflect.DeepEqual(db2.feats, want) {
-		t.Error("deserialized features differ from recomputed ones")
-	}
-}
-
-// TestLoadMisalignedFeatures: a payload whose feature table does not line
-// up with the entries (fuzzer territory) must be ignored, not adopted.
-func TestLoadMisalignedFeatures(t *testing.T) {
-	db, _ := buildTestDB(t)
-	var buf bytes.Buffer
-	buf.Write(append([]byte(indexMagic), indexVersion))
-	bogus := gobDB{Entries: db.Entries, Feats: [][]uint64{{1, 2, 3}}}
-	if err := gob.NewEncoder(&buf).Encode(bogus); err != nil {
-		t.Fatal(err)
-	}
-	db2, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if db2.feats != nil {
-		t.Error("misaligned feature table was adopted")
-	}
-	if got := db2.features(); len(got) != db2.Len() {
-		t.Errorf("recomputed features: %d sets for %d entries", len(got), db2.Len())
-	}
-}
 
 // TestPrefilterSubsetOfExhaustive: every prefiltered hit must carry a
 // Result identical to the exhaustive scan's for the same entry — the

@@ -59,9 +59,9 @@ func (db *DB) saveV3Shard(w io.Writer, shard, nShards int, lsh *minhash.Params) 
 // function: the control-flow graph must exist, its entry block and
 // every successor index must be in range, and no block may be nil —
 // any of which would panic the first Decompose call (tracelet
-// extraction indexes Blocks by successor). Load applies it to every
-// gob entry; the serving layer applies it to query functions received
-// over untrusted transports before searching with them.
+// extraction indexes Blocks by successor). LoadLegacy applies it to
+// every gob entry; the serving layer applies it to query functions
+// received over untrusted transports before searching with them.
 func ValidateFunction(fn *prep.Function) error {
 	if fn == nil || fn.Graph == nil {
 		return fmt.Errorf("missing lifted function")

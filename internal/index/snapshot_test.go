@@ -3,7 +3,7 @@ package index
 import (
 	"bytes"
 	"context"
-	"encoding/gob"
+	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/corpus"
+	"repro/internal/idxfile"
 	"repro/internal/minhash"
 )
 
@@ -192,52 +193,24 @@ func TestConcurrentSnapshotSearch(t *testing.T) {
 	wg.Wait()
 }
 
-// saved round-trips db through Save into a reader.
+// saved round-trips db through SaveV3 into a reader.
 func saved(t *testing.T, db *DB) *bytes.Buffer {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := db.Save(&buf); err != nil {
+	if err := db.SaveV3(&buf); err != nil {
 		t.Fatal(err)
 	}
 	return &buf
 }
 
-func TestSaveWritesHeader(t *testing.T) {
-	db, _ := buildTestDB(t)
-	buf := saved(t, db)
-	if !bytes.HasPrefix(buf.Bytes(), []byte(indexMagic)) {
-		t.Fatalf("saved index does not start with %q", indexMagic)
-	}
-	if v := buf.Bytes()[len(indexMagic)]; v != indexVersion {
-		t.Errorf("header version %d, want %d", v, indexVersion)
-	}
-}
-
-// TestLoadHeaderlessV0: files written before the header existed are a
-// bare gob stream and must still load.
-func TestLoadHeaderlessV0(t *testing.T) {
-	db, _ := buildTestDB(t)
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(gobDB{Entries: db.Entries}); err != nil {
-		t.Fatal(err)
-	}
-	db2, err := Load(&buf)
-	if err != nil {
-		t.Fatalf("headerless v0 load: %v", err)
-	}
-	if db2.Len() != db.Len() {
-		t.Errorf("v0 load: %d entries, want %d", db2.Len(), db.Len())
-	}
-}
-
 func TestLoadFutureVersion(t *testing.T) {
-	data := append([]byte(indexMagic), 9)
+	data := append([]byte(idxfile.Magic), 9)
 	data = append(data, []byte("whatever follows")...)
 	_, err := Load(bytes.NewReader(data))
 	if err == nil {
 		t.Fatal("future-version file should fail to load")
 	}
-	if !strings.Contains(err.Error(), "format v2/v3 expected") || !strings.Contains(err.Error(), "v9") {
+	if !strings.Contains(err.Error(), "format v3 expected") || !strings.Contains(err.Error(), "v9") || errors.Is(err, ErrLegacy) {
 		t.Errorf("unhelpful version error: %v", err)
 	}
 }
@@ -247,7 +220,7 @@ func TestLoadForeignFileError(t *testing.T) {
 	if err == nil {
 		t.Fatal("foreign file should fail to load")
 	}
-	if !strings.Contains(err.Error(), "format v2/v3 expected") {
+	if !errors.Is(err, ErrLegacy) || !strings.Contains(err.Error(), "TRACYIDX v3") {
 		t.Errorf("foreign-file error does not name the expected format: %v", err)
 	}
 }

@@ -121,12 +121,12 @@ func intCorpus(t *testing.T) (*index.DB, *corpus.Corpus) {
 // search, batch, and hot reload.
 func TestClientServerIntegration(t *testing.T) {
 	db, corp := intCorpus(t)
-	path := filepath.Join(t.TempDir(), "idx.gob")
+	path := filepath.Join(t.TempDir(), "idx.v3")
 	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Save(f); err != nil {
+	if err := db.SaveV3(f); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()

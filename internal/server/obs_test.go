@@ -360,14 +360,18 @@ func TestBatchPerQuerySpans(t *testing.T) {
 
 func TestTimeoutAnswersWithRecordedTrace(t *testing.T) {
 	db, _ := smallDB(t)
-	s := NewFromDB(db, Config{})
+	// Injected latency holds the search past its budget whatever the
+	// machine's speed.
+	faults := faultinject.New()
+	faults.Arm(&faultinject.Fault{Point: FaultSearch, Mode: faultinject.Latency, Latency: 10 * time.Second})
+	s := NewFromDB(db, Config{Faults: faults})
 	h := s.Handler()
 	e := entryWithTruth(t, db, corpus.LibFuncName)
 	// timeout_ms: 1 expires mid-search: the ctxHTTPErr path answers 504
 	// with the trace ID in the body.
 	rec, _ := postSearch(t, h, SearchRequest{Exe: e.Exe, Name: e.Name, TimeoutMS: 1})
 	if rec.Code != http.StatusGatewayTimeout {
-		t.Skipf("search finished inside 1ms (HTTP %d); timing-dependent", rec.Code)
+		t.Fatalf("search past its 1ms budget answered HTTP %d, want 504", rec.Code)
 	}
 	var er ErrorResponse
 	if err := json.Unmarshal(rec.Body.Bytes(), &er); err != nil {

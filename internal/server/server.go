@@ -2,10 +2,10 @@
 // HTTP/JSON query service (paper Section 5.2 frames TRACY as a search
 // engine over a large code base; this is its serving layer).
 //
-// The server loads the gob index once and prepares an immutable
-// index.Snapshot: entries pre-decomposed per tracelet size and split
-// into shards, so one query fans out across shards while any number of
-// queries run concurrently with no locks on the read path. A hot reload
+// The server maps the v3 index once and prepares an immutable
+// index.Snapshot over it: entries decompose per tracelet size on first
+// touch, one query fans out across workers, and any number of queries run
+// concurrently with no locks on the read path. A hot reload
 // (POST /v1/reload, or SIGHUP via tracy serve) builds a fresh snapshot
 // and swaps it in atomically; in-flight queries finish on the old one.
 //
@@ -42,7 +42,7 @@ import (
 // Config shapes a Server. The zero value of every field selects a
 // sensible production default.
 type Config struct {
-	// DBPath is the gob index to load and hot-reload. Optional when the
+	// DBPath is the v3 index to map and hot-reload. Optional when the
 	// server is seeded with NewFromDB (reload then requires a path).
 	DBPath string
 
@@ -321,9 +321,9 @@ func (s *Server) reload() (*ReloadResponse, error) {
 		return nil, err
 	}
 	t0 := time.Now()
-	// OpenFile picks the loader by sniffing the prelude: v3 columnar
-	// files are mmapped (lazy, page-granular), gob formats are decoded to
-	// the heap. The previous snapshot's mapping is NOT closed here —
+	// OpenFile maps the v3 file (lazy, page-granular) and refuses any
+	// other, naming tracy convert. The previous snapshot's mapping is NOT
+	// closed here —
 	// in-flight queries may still be decoding from it; once they drain
 	// and the old state is collected, its finalizer unmaps.
 	db, err := index.OpenFile(s.cfg.DBPath)

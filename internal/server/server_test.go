@@ -505,19 +505,33 @@ func TestGracefulShutdownDrainsInFlight(t *testing.T) {
 	}
 }
 
+// replaceFile puts data at path the way a served index must be replaced:
+// written beside it and renamed over it, so a mapping of the file it
+// replaces stays valid until the server lets go of it.
+func replaceFile(t *testing.T, path string, data []byte) {
+	t.Helper()
+	if err := os.WriteFile(path+".tmp", data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Rename(path+".tmp", path); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// replaceIndex saves d as v3 to path (see replaceFile).
+func replaceIndex(t *testing.T, path string, d *index.DB) {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := d.SaveV3(&buf); err != nil {
+		t.Fatal(err)
+	}
+	replaceFile(t, path, buf.Bytes())
+}
+
 func TestHotReloadSwapsSnapshot(t *testing.T) {
 	db, c := smallDB(t)
-	path := filepath.Join(t.TempDir(), "idx.gob")
-	saveTo := func(d *index.DB) {
-		f, err := os.Create(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := d.Save(f); err != nil {
-			t.Fatal(err)
-		}
-		f.Close()
-	}
+	path := filepath.Join(t.TempDir(), "idx.v3")
+	saveTo := func(d *index.DB) { replaceIndex(t, path, d) }
 	saveTo(db)
 	s, err := New(Config{DBPath: path})
 	if err != nil {
@@ -563,25 +577,31 @@ func TestHotReloadSwapsSnapshot(t *testing.T) {
 	}
 }
 
+// TestReloadRejectsBadFile: a reload onto a file that is not an index, or
+// onto a gob index from an older tracy, fails and names the way out — and
+// the old snapshot keeps serving.
 func TestReloadRejectsBadFile(t *testing.T) {
 	db, _ := smallDB(t)
-	path := filepath.Join(t.TempDir(), "idx.gob")
-	f, _ := os.Create(path)
-	if err := db.Save(f); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
+	path := filepath.Join(t.TempDir(), "idx.v3")
+	replaceIndex(t, path, db)
 	s, err := New(Config{DBPath: path})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(path, []byte("not an index"), 0o644); err != nil {
+	legacy, err := os.ReadFile(filepath.Join("..", "index", "testdata", "legacy", "v2.gob"))
+	if err != nil {
 		t.Fatal(err)
 	}
-	rec := httptest.NewRecorder()
-	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/reload", nil))
-	if rec.Code == http.StatusOK {
-		t.Fatal("reload of a corrupt file should fail")
+	for _, data := range [][]byte{legacy, []byte("not an index")} {
+		replaceFile(t, path, data)
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/reload", nil))
+		if rec.Code == http.StatusOK {
+			t.Fatal("reload of a file that is not a v3 index should fail")
+		}
+		if body := rec.Body.String(); !strings.Contains(body, "tracy convert") || strings.Contains(body, "gob:") {
+			t.Errorf("reload refused with %s, want an error naming tracy convert", body)
+		}
 	}
 	// The old snapshot must keep serving.
 	e := entryWithTruth(t, db, corpus.LibFuncName)

@@ -62,12 +62,10 @@ const (
 	RewritesAttempted                   // pairs that reached the rewrite stage (bound above β, score in [RewriteSkipBelow, β])
 	RewritesSkipped                     // pairs denied a rewrite: cut by a score bound, or scoring below RewriteSkipBelow
 	RewritesSucceeded                   // rewrites that produced a match
-	DedupeSavedTracelets                // reference-tracelet evaluations saved by DedupeQuery
 	PairsPrunedBound                    // pairs cut by the lossless bound cascade: the sum of the next three
 	PairsPrunedSize                     // ... by the size bound, before any profile is merged
 	PairsPrunedProfile                  // ... by the kind-profile bound, before the score DP
 	PairsPrunedRewrite                  // ... by the order-aware rewrite bound, before the rewrite
-	FuncsPrunedAlpha                    // compares cut short once the α verdict was decided
 	CandidatesBelowFloor                // compares of a top-k search stopped before their rewrites: bounded below the k-th best score
 	PrefilterCandidates                 // corpus functions passed through the feature prefilter
 	LSHQueries                          // searches answered through the lsh candidate path
@@ -77,7 +75,7 @@ const (
 	FunctionsDecomposed                 // functions decomposed into k-tracelets
 	FunctionsLifted                     // functions lifted from executable images (index build, by-image queries)
 	InstructionsDecoded                 // x86 instructions decoded while lifting: discovery's sweeps plus any function decoded again
-	IndexBytesWritten                   // bytes of index files written (gob and v3)
+	IndexBytesWritten                   // bytes of index files written (v3)
 	CSPSolves                           // constraint-solver invocations
 	CSPBacktracks                       // backtracking steps consumed across solves
 	CSPBudgetExhausted                  // solves that hit the backtrack budget
@@ -123,12 +121,10 @@ var counterNames = [numCounters]string{
 	RewritesAttempted:    "rewrites_attempted",
 	RewritesSkipped:      "rewrites_skipped",
 	RewritesSucceeded:    "rewrites_succeeded",
-	DedupeSavedTracelets: "dedupe_saved_tracelets",
 	PairsPrunedBound:     "pairs_pruned_bound",
 	PairsPrunedSize:      "pairs_pruned_size",
 	PairsPrunedProfile:   "pairs_pruned_profile",
 	PairsPrunedRewrite:   "pairs_pruned_rewrite_bound",
-	FuncsPrunedAlpha:     "funcs_pruned_alpha",
 	CandidatesBelowFloor: "candidates_below_floor",
 	PrefilterCandidates:  "prefilter_candidates",
 	LSHQueries:           "lsh_queries",

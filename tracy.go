@@ -135,10 +135,11 @@ func (d *Database) Search(query *Function, opts Options) []Match {
 	return out
 }
 
-// Save serializes the database.
-func (d *Database) Save(w io.Writer) error { return d.db.Save(w) }
+// Save serializes the database in the TRACYIDX v3 columnar format.
+func (d *Database) Save(w io.Writer) error { return d.db.SaveV3(w) }
 
-// LoadDatabase restores a database written by Save.
+// LoadDatabase restores a database written by Save, reading it fully into
+// memory.
 func LoadDatabase(r io.Reader) (*Database, error) {
 	db, err := index.Load(r)
 	if err != nil {
