@@ -3,6 +3,7 @@ package asm
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"slices"
 )
 
@@ -433,21 +434,8 @@ func (p *Packed) repack(blocks ...[]Inst) {
 	i := 0
 	for _, b := range blocks {
 		for bi := range b {
-			in := &b[bi]
-			canon = appendKind(canon, in)
+			canon, args = PackInst(canon, args, &b[bi], names)
 			kindH[i] = fnvBytes(fnvOffset, canon[kOff[i]:])
-			for oi := range in.Ops {
-				op := &in.Ops[oi]
-				if !op.IsMem() {
-					args = append(args, PArg{})
-					args[len(args)-1].set(&op.Arg, names)
-					continue
-				}
-				for ti := range op.Mem {
-					args = append(args, PArg{})
-					args[len(args)-1].set(&op.Mem[ti].Arg, names)
-				}
-			}
 			i++
 			kOff[i], off[i] = int32(len(canon)), int32(len(args))
 		}
@@ -490,14 +478,78 @@ func appendType(b []byte, a Arg) []byte {
 	return b
 }
 
+// PackInst appends the packed form of in — the canonical encoding of its
+// kind to canon, its arguments in Args() order to args, their symbol names
+// to names — and returns the grown slices. It is how Pack lays out each
+// instruction; Unpacker.Inst is its inverse for every instruction Packable
+// accepts.
+func PackInst(canon []byte, args []PArg, in *Inst, names *Names) ([]byte, []PArg) {
+	canon = appendKind(canon, in)
+	for oi := range in.Ops {
+		op := &in.Ops[oi]
+		if !op.IsMem() {
+			args = append(args, PArg{})
+			args[len(args)-1].set(&op.Arg, names)
+			continue
+		}
+		for ti := range op.Mem {
+			args = append(args, PArg{})
+			args[len(args)-1].set(&op.Mem[ti].Arg, names)
+		}
+	}
+	return canon, args
+}
+
+// LossyOperandError names an operand the packed form cannot carry: a
+// memory operand with the offset flag set or a direct argument beside its
+// terms. Packing drops both, so every compare ignores them, and an index
+// file, which stores its instructions packed, would lose them.
+type LossyOperandError struct {
+	Inst    string // the instruction, as printed
+	Operand int    // the operand's position in it
+}
+
+func (e *LossyOperandError) Error() string {
+	return fmt.Sprintf("asm: operand %d of %q is a memory operand with an offset flag or a direct argument, which the packed form cannot carry", e.Operand, e.Inst)
+}
+
+// Packable returns a *LossyOperandError for the first operand of in that
+// packing would lose, or nil when PackInst carries every field of in.
+func (in *Inst) Packable() error {
+	for oi := range in.Ops {
+		if op := &in.Ops[oi]; op.IsMem() && (op.Offset || op.Arg != (Arg{})) {
+			return &LossyOperandError{Inst: in.String(), Operand: oi}
+		}
+	}
+	return nil
+}
+
+// Unpacker rebuilds instructions from their packed form. Operand lists and
+// memory-term lists are carved from Ops and Mems, which it appends to, so a
+// caller that gives them room for a whole function rebuilds it in a fixed
+// few allocations.
+type Unpacker struct {
+	Sym  func(i uint32) string // the name of symbol i of the arguments' name table
+	Ops  []Operand
+	Mems []MemTerm
+}
+
+// Inst rebuilds the instruction PackInst packed into enc, the canonical
+// encoding of its kind, and args, its arguments. enc is a string so that
+// the mnemonic can be a slice of it. ok is false when the two do not fit
+// together, where CheckInst refuses them; every symbol args name must be
+// one Sym knows.
+func (u *Unpacker) Inst(enc string, args []PArg) (in Inst, ok bool) {
+	return readKind(enc, args, u)
+}
+
 // Check reports whether p's columns are consistent with one another, which
 // is what the compare core takes for granted: the columns cover the same
 // instructions, the offsets run in order from the start of their column to
-// its end, every instruction has the arguments its canonical encoding says
-// — as many, of those kinds and symbol classes — and every symbol's name is
-// in Names. What Pack builds passes; a Packed that arrives from outside the
-// process must pass before anything is aligned with it. The hashes are
-// taken on trust: a wrong one changes a score, never a memory access.
+// its end, and every instruction passes CheckInst. What Pack builds passes;
+// a Packed that arrives from outside the process must pass before anything
+// is aligned with it. The hashes are taken on trust: a wrong one changes a
+// score, never a memory access.
 func (p *Packed) Check() error {
 	n := len(p.KindH)
 	if len(p.KOff) != n+1 || len(p.Off) != n+1 || len(p.Read) != n || len(p.Write) != n {
@@ -506,70 +558,136 @@ func (p *Packed) Check() error {
 	if p.KOff[0] != 0 || int(p.KOff[n]) != len(p.Canon) || p.Off[0] != 0 || int(p.Off[n]) != len(p.Args) {
 		return errors.New("offsets do not span their column")
 	}
-	names := uint32(0)
-	if p.Names != nil {
-		names = uint32(p.Names.Len())
-	}
 	for i := 0; i < n; i++ {
 		if p.KOff[i] > p.KOff[i+1] || int(p.KOff[i+1]) > len(p.Canon) || p.Off[i] > p.Off[i+1] || int(p.Off[i+1]) > len(p.Args) {
 			return errors.New("offsets out of order")
 		}
-		args := p.Args[p.Off[i]:p.Off[i+1]]
-		if !kindHasArgs(p.Canon[p.KOff[i]:p.KOff[i+1]], args) {
-			return errors.New("arguments disagree with the instruction's kind")
-		}
-		for k := range args {
-			if args[k].SymH != 0 && args[k].Sym >= names {
-				return errors.New("symbol name out of table")
-			}
+		if err := CheckInst(p.Canon[p.KOff[i]:p.KOff[i+1]], p.Args[p.Off[i]:p.Off[i+1]], p.Names); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-// kindHasArgs reports whether args are what enc, an encoding appendKind
-// wrote, says its instruction has: one argument per direct operand and per
-// memory term, each of the encoded kind and, for a symbol, class.
-func kindHasArgs(enc []byte, args []PArg) bool {
-	nops, w := binary.Uvarint(enc)
+// CheckInst reports whether enc, the canonical encoding of an instruction's
+// kind, and args, its packed arguments, fit together: the arguments are
+// what enc says — as many, of those kinds and symbol classes — and every
+// symbol's name is in names.
+func CheckInst(enc []byte, args []PArg, names *Names) error {
+	if _, ok := readKind(enc, args, nil); !ok {
+		return errors.New("arguments disagree with the instruction's kind")
+	}
+	n := uint32(0)
+	if names != nil {
+		n = uint32(names.Len())
+	}
+	for k := range args {
+		if args[k].SymH != 0 && args[k].Sym >= n {
+			return errors.New("symbol name out of table")
+		}
+	}
+	return nil
+}
+
+// readKind walks enc, an encoding appendKind wrote, against args and
+// reports whether they are what enc says the instruction has: one argument
+// per direct operand and per memory term, each of the encoded kind and, for
+// a symbol, class. With u non-nil it also rebuilds the instruction, its
+// operands and memory terms carved from u's arrays.
+func readKind[T string | []byte](enc T, args []PArg, u *Unpacker) (in Inst, ok bool) {
+	nops, w := uvarint(enc)
 	if w <= 0 {
-		return false
+		return in, false
 	}
 	enc = enc[w:]
-	k := 0
+	k, firstOp := 0, 0
+	if u != nil {
+		firstOp = len(u.Ops)
+	}
 	// Every round of either loop consumes a byte of enc, so a count that
 	// promises more than enc holds ends in a refusal, not a long walk.
 	for ; nops > 0; nops-- {
 		if len(enc) == 0 || enc[0] > 2 {
-			return false
+			return in, false
 		}
-		mem, terms := enc[0] == 2, uint64(1)
+		shape, terms := enc[0], uint64(1)
 		enc = enc[1:]
+		mem := shape == 2
 		if mem {
-			if terms, w = binary.Uvarint(enc); w <= 0 {
-				return false
+			if terms, w = uvarint(enc); w <= 0 || terms == 0 {
+				return in, false
 			}
 			enc = enc[w:]
 		}
+		op, firstTerm := Operand{Offset: shape == 1}, 0
+		if u != nil {
+			firstTerm = len(u.Mems)
+		}
 		for ; terms > 0; terms-- {
+			var aop MemOp
 			if mem {
 				if len(enc) == 0 {
-					return false
+					return in, false
 				}
-				enc = enc[1:] // the term's operator
+				aop, enc = MemOp(enc[0]), enc[1:] // the term's operator
 			}
 			if len(enc) == 0 || k == len(args) || byte(args[k].Tag) != enc[0] {
-				return false
+				return in, false
 			}
 			if ArgKind(enc[0]) == KindSym {
 				if len(enc) < 2 || byte(args[k].Tag>>16) != enc[1] {
-					return false
+					return in, false
 				}
 				enc = enc[1:]
 			}
 			enc = enc[1:]
+			if u != nil {
+				a := &args[k]
+				arg := Arg{Kind: a.Kind(), Reg: a.Reg(), Imm: a.Imm, Cls: a.Cls()}
+				if a.SymH != 0 {
+					arg.Sym = u.Sym(a.Sym)
+				}
+				if mem {
+					u.Mems = append(u.Mems, MemTerm{Op: aop, Arg: arg})
+				} else {
+					op.Arg = arg
+				}
+			}
 			k++
 		}
+		if u != nil {
+			if mem {
+				op.Mem = u.Mems[firstTerm:len(u.Mems):len(u.Mems)]
+			}
+			u.Ops = append(u.Ops, op)
+		}
 	}
-	return k == len(args)
+	if k != len(args) {
+		return in, false
+	}
+	if u != nil {
+		in.Mnemonic = string(enc)
+		if n := len(u.Ops); n > firstOp {
+			in.Ops = u.Ops[firstOp:n:n]
+		}
+	}
+	return in, true
+}
+
+// uvarint is binary.Uvarint over a string or a byte slice.
+func uvarint[T string | []byte](b T) (uint64, int) {
+	var x uint64
+	var s uint
+	for i := 0; i < len(b) && i < binary.MaxVarintLen64; i++ {
+		c := b[i]
+		if c < 0x80 {
+			if i == binary.MaxVarintLen64-1 && c > 1 {
+				return 0, -(i + 1) // overflow
+			}
+			return x | uint64(c)<<s, i + 1
+		}
+		x |= uint64(c&0x7f) << s
+		s += 7
+	}
+	return 0, 0
 }

@@ -1,6 +1,7 @@
 package asm
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 )
@@ -220,6 +221,59 @@ func TestPackedCheck(t *testing.T) {
 		mutate(p)
 		if p.Check() == nil {
 			t.Errorf("%s: Check passed", name)
+		}
+	}
+}
+
+// TestUnpackInvertsPackInst: every instruction of the vocabulary comes back
+// from its packed form field for field, fields its kinds do not select
+// included, whether its instructions are unpacked one by one or all into
+// the same arrays; and an encoding cut short or handed the wrong arguments
+// is refused, as CheckInst refuses it.
+func TestUnpackInvertsPackInst(t *testing.T) {
+	v := append(packVocab(), MustParse("jmp loc_401358"), MustParse("jmp [ebx+ecx*4]"), New("jmp"))
+	var names Names
+	u := Unpacker{Sym: func(i uint32) string { return string(names.At(i)) }}
+	for _, in := range v {
+		canon, args := PackInst(nil, nil, &in, &names)
+		got, ok := u.Inst(string(canon), args)
+		if !ok || !reflect.DeepEqual(got, in) {
+			t.Errorf("%q unpacks to %#v, %v", in, got, ok)
+		}
+		if err := CheckInst(canon, args, &names); err != nil {
+			t.Errorf("%q: CheckInst refuses its own packing: %v", in, err)
+		}
+		if len(canon) > 1 {
+			if _, ok := u.Inst(string(canon[:1]), args); ok && len(args) > 0 {
+				t.Errorf("%q: an encoding cut short unpacks", in)
+			}
+		}
+		if len(args) > 0 {
+			if _, ok := u.Inst(string(canon), args[1:]); ok {
+				t.Errorf("%q: unpacks with an argument missing", in)
+			}
+		}
+	}
+}
+
+// TestPackable: the two operand shapes the packed form drops are refused
+// with a *LossyOperandError naming the operand; what the parser produces
+// is not.
+func TestPackable(t *testing.T) {
+	for _, in := range packVocab() {
+		if err := in.Packable(); err != nil {
+			t.Errorf("%q: %v", in, err)
+		}
+	}
+	offsetMem := MemReg(EBX)
+	offsetMem.Offset = true
+	argMem := MemReg(EBX)
+	argMem.Arg = ImmArg(4)
+	for _, op := range []Operand{offsetMem, argMem} {
+		in := New("mov", RegOp(EAX), op)
+		var lossy *LossyOperandError
+		if err := in.Packable(); !errors.As(err, &lossy) || lossy.Operand != 1 {
+			t.Errorf("%+v: Packable() = %v, want a LossyOperandError for operand 1", op, err)
 		}
 	}
 }
