@@ -674,15 +674,17 @@ func readKind[T string | []byte](enc T, args []PArg, u *Unpacker) (in Inst, ok b
 	return in, true
 }
 
-// uvarint is binary.Uvarint over a string or a byte slice.
+// uvarint is binary.Uvarint over a string or a byte slice that also
+// refuses a non-minimal form — a last byte of zero after the first — so
+// that a count has the one encoding appendKind writes.
 func uvarint[T string | []byte](b T) (uint64, int) {
 	var x uint64
 	var s uint
 	for i := 0; i < len(b) && i < binary.MaxVarintLen64; i++ {
 		c := b[i]
 		if c < 0x80 {
-			if i == binary.MaxVarintLen64-1 && c > 1 {
-				return 0, -(i + 1) // overflow
+			if i == binary.MaxVarintLen64-1 && c > 1 || i > 0 && c == 0 {
+				return 0, -(i + 1) // overflow or not minimal
 			}
 			return x | uint64(c)<<s, i + 1
 		}

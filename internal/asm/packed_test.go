@@ -253,6 +253,14 @@ func TestUnpackInvertsPackInst(t *testing.T) {
 				t.Errorf("%q: unpacks with an argument missing", in)
 			}
 		}
+		// The operand count in a longer form than appendKind writes.
+		long := append([]byte{canon[0] | 0x80, 0}, canon[1:]...)
+		if _, ok := u.Inst(string(long), args); ok {
+			t.Errorf("%q: unpacks with a non-minimal operand count", in)
+		}
+		if CheckInst(long, args, &names) == nil {
+			t.Errorf("%q: CheckInst accepts a non-minimal operand count", in)
+		}
 	}
 }
 

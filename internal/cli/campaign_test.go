@@ -18,15 +18,15 @@ func TestMkcorpusCampaignWithIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out, "campaign done:") || !strings.Contains(out, "TRACYIDX v3") {
+	if !strings.Contains(out, "campaign done:") || !strings.Contains(out, "TRACYIDX v4") {
 		t.Errorf("campaign output: %s", out)
 	}
-	// The streamed index must be a loadable v3 file with sane contents.
+	// The streamed index must be a loadable v4 file with sane contents.
 	info, err := run(t, "idxinfo", "-verify", idxPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(info, "TRACYIDX v3") || !strings.Contains(info, "checksums: all sections OK") {
+	if !strings.Contains(info, "TRACYIDX v4") || !strings.Contains(info, "checksums: all sections OK") {
 		t.Errorf("idxinfo over campaign index: %s", info)
 	}
 	// Manifest records the campaign parameters and the index format.
@@ -41,7 +41,7 @@ func TestMkcorpusCampaignWithIndex(t *testing.T) {
 	if m.Campaign == nil || m.Campaign.Funcs != 60 || m.Campaign.Seed != 9 {
 		t.Errorf("manifest campaign record = %+v", m.Campaign)
 	}
-	if m.Index == nil || m.Index.Format != 3 || m.Index.Functions == 0 {
+	if m.Index == nil || m.Index.Format != 4 || m.Index.Functions == 0 {
 		t.Errorf("manifest index record = %+v", m.Index)
 	}
 	if len(m.Exes) == 0 || m.Exes[1].Opt != 2 {
@@ -94,7 +94,7 @@ func TestMkcorpusClassicWithIndex(t *testing.T) {
 	if err := json.Unmarshal(raw, &m); err != nil {
 		t.Fatal(err)
 	}
-	if m.Index == nil || m.Index.Format != 3 {
+	if m.Index == nil || m.Index.Format != 4 {
 		t.Errorf("classic manifest index record = %+v", m.Index)
 	}
 	if m.Campaign != nil {

@@ -4,7 +4,7 @@
 //	tracy search -db code.db -exe q.bin [-fn sub_X] [-limit N] [-min-score X]
 //	tracy serve  -db code.db -addr :8077       run the HTTP query service
 //	tracy query  -server URL -exe q.bin        search a running service
-//	tracy convert [-lsh] old.db new.v3         migrate a gob index to v3
+//	tracy convert [-lsh] old.db new.idx        upgrade a v3 or gob index to v4
 //	tracy idxinfo [-verify] code.db            inspect an index file's layout
 //	tracy mkcorpus -dir corpus                 generate a demo corpus on disk
 //	tracy obscheck -server URL                 validate a server's observability surfaces
@@ -153,7 +153,7 @@ func (c *env) index(args []string) error {
 		}
 		fmt.Fprintf(c.w, "indexed %s (%d functions total)\n", path, db.Len())
 	}
-	// Extending a v3 file in place rewrites the mapping the loaded entries
+	// Extending a file in place rewrites the mapping the loaded entries
 	// decode from; replaceIndex renames over it only once it is released.
 	if err := replaceIndex(db, *dbPath, *lsh, false); err != nil {
 		return err

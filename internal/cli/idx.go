@@ -11,20 +11,20 @@ import (
 	"repro/internal/minhash"
 )
 
-// convert migrates an index to TRACYIDX v3: a gob index (formats v0–v2)
-// written by an older tracy, which only the legacy reader still reads, or a
-// v3 file written again to add the PACK section or, with -lsh, the lsh
+// convert upgrades an index to TRACYIDX v4: a v3 file or a gob index
+// (formats v0–v2) written by an older tracy, which only the legacy reader
+// still reads, or a v4 file written again to add, with -lsh, the lsh
 // sections. The output may be the input itself.
 func (c *env) convert(args []string) error {
 	fs := flag.NewFlagSet("convert", flag.ExitOnError)
-	lsh := fs.Bool("lsh", false, "also persist MinHash signatures and their sorted band table for -prefilter-mode lsh (re-run on an older v3 file to add the table)")
+	lsh := fs.Bool("lsh", false, "also persist MinHash signatures and their sorted band table for -prefilter-mode lsh")
 	verify := fs.Bool("verify", true, "verify the output's checksums and records before it replaces anything")
 	tf := telFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if fs.NArg() != 2 {
-		return fmt.Errorf("convert: need input and output paths (tracy convert [-lsh] old.db new.v3)")
+		return fmt.Errorf("convert: need input and output paths (tracy convert [-lsh] old.db new.idx)")
 	}
 	if err := tf.activate(c.w, "convert"); err != nil {
 		return err
@@ -51,8 +51,8 @@ func (c *env) convert(args []string) error {
 	return tf.finish(c.w)
 }
 
-// openForConvert opens an index in any format tracy ever wrote: a v3 file
-// is mapped, a gob one is read whole by the legacy reader.
+// openForConvert opens an index in any format tracy ever wrote: a v4 file
+// is mapped, a v3 or gob one is read whole by the legacy reader.
 func openForConvert(path string) (*index.DB, error) {
 	db, err := index.OpenFile(path)
 	if !errors.Is(err, index.ErrLegacy) {
@@ -66,8 +66,8 @@ func openForConvert(path string) (*index.DB, error) {
 	return index.LoadLegacy(f)
 }
 
-// replaceIndex saves db as v3 (with the lsh sections when lsh is set) to
-// path. A v3 source may be the very file being replaced, and its entries
+// replaceIndex saves db as v4 (with the lsh sections when lsh is set) to
+// path. A v4 source may be the very file being replaced, and its entries
 // decode from that mapping, so the output goes to a temporary file beside
 // it, the source is released, the new file passes verifyIndexFile when
 // verify is set, and only then is it renamed over path.
@@ -102,8 +102,8 @@ func replaceIndex(db *index.DB, path string, lsh, verify bool) error {
 }
 
 // verifyIndexFile opens a freshly written index and runs the full
-// integrity pass: section checksums, every function read both ways, PACK
-// against the records.
+// integrity pass: section checksums, every function read both ways, PACK's
+// derived columns against the rebuilt instructions.
 func verifyIndexFile(path string) error {
 	db, err := index.OpenFile(path)
 	if err != nil {
@@ -113,11 +113,11 @@ func verifyIndexFile(path string) error {
 	return db.Store().Verify()
 }
 
-// idxinfo prints the header, section directory and entry counts of a v3
+// idxinfo prints the header, section directory and entry counts of an
 // index file without decoding function bodies.
 func (c *env) idxinfo(args []string) error {
 	fs := flag.NewFlagSet("idxinfo", flag.ExitOnError)
-	verify := fs.Bool("verify", false, "recompute per-section checksums, decode every function, re-derive PACK from the records and check the lsh band table's order (touches every page)")
+	verify := fs.Bool("verify", false, "recompute per-section checksums, rebuild every function, re-derive PACK's hashes, masks and profiles from it and check the lsh band table's order (touches every page)")
 	tf := telFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -150,17 +150,6 @@ func (c *env) idxinfo(args []string) error {
 			fmt.Fprintf(c.w, "  lsh table: none, sorted from LSHB by the first lsh query (tracy convert -lsh adds it)\n")
 		}
 	}
-	if st.HasPack() {
-		var packBytes uint64
-		for _, s := range st.Sections() {
-			if s.Name == idxfile.SecPACK {
-				packBytes = s.Len
-			}
-		}
-		fmt.Fprintf(c.w, "  pack:      persisted (PACK), %d B/function, compared in place\n", packBytes/uint64(max(info.Funcs, 1)))
-	} else {
-		fmt.Fprintf(c.w, "  pack:      none, decoded and packed at first touch (tracy convert adds it)\n")
-	}
 	fmt.Fprintf(c.w, "  sections:\n")
 	fmt.Fprintf(c.w, "    %-6s %10s %12s %8s  %s\n", "name", "offset", "bytes", "crc32c", "records")
 	for _, s := range st.Sections() {
@@ -175,10 +164,7 @@ func (c *env) idxinfo(args []string) error {
 			return fmt.Errorf("idxinfo: %w", err)
 		}
 		fmt.Fprintf(c.w, "  checksums: all sections OK\n")
-		fmt.Fprintf(c.w, "  records:   every function decodes\n")
-		if st.HasPack() {
-			fmt.Fprintf(c.w, "  pack:      every function packs to what PACK holds\n")
-		}
+		fmt.Fprintf(c.w, "  records:   every function rebuilds and packs to what PACK holds\n")
 		if st.LSHTable() != nil {
 			fmt.Fprintf(c.w, "  lsh table: every band in (band hash, id) order\n")
 		}

@@ -7,7 +7,7 @@ import (
 	"testing"
 )
 
-// buildTestIndex indexes two executables into a v3 database and returns
+// buildTestIndex indexes two executables into an index file and returns
 // its path.
 func buildTestIndex(t *testing.T, dir string) string {
 	t.Helper()
@@ -40,7 +40,7 @@ func legacyIndex(t *testing.T, dir string) string {
 func refusesLegacy(t *testing.T, what string, err error) {
 	t.Helper()
 	if err == nil || !strings.Contains(err.Error(), "tracy convert") || strings.Contains(err.Error(), "gob:") {
-		t.Errorf("%s on a gob index: %v, want an error naming tracy convert", what, err)
+		t.Errorf("%s on a v3 or gob index: %v, want an error naming tracy convert", what, err)
 	}
 }
 
@@ -54,7 +54,7 @@ func TestIndexV3Format(t *testing.T) {
 	}
 	f.Read(prelude)
 	f.Close()
-	if string(prelude[:8]) != "TRACYIDX" || prelude[8] != 3 {
+	if string(prelude[:8]) != "TRACYIDX" || prelude[8] != 4 {
 		t.Fatalf("index wrote prelude %q", prelude)
 	}
 	// And it must be searchable directly.
@@ -63,11 +63,11 @@ func TestIndexV3Format(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out, "alpha") && !strings.Contains(out, "sub_") {
-		t.Errorf("search over v3 index printed no hits:\n%s", out)
+		t.Errorf("search over the index printed no hits:\n%s", out)
 	}
 }
 
-// TestIndexBadFormat: extending a file that is not a v3 index fails
+// TestIndexBadFormat: extending a file that is not a v4 index fails
 // before anything is written, and a gob index is told to convert first.
 func TestIndexBadFormat(t *testing.T) {
 	dir := t.TempDir()
@@ -87,24 +87,34 @@ func TestIndexBadFormat(t *testing.T) {
 	}
 }
 
-// TestConvertInPlace: tracy convert x x leaves a valid index, for a v3
+// TestConvertInPlace: tracy convert x x leaves a valid index, for a v4
 // input — whose entries decode from the very mapping being replaced — and
-// for a gob one, which every serving verb refuses until it is converted.
-// Each passes idxinfo -verify afterwards and answers tracy stats as the
-// same index converted to another path does.
+// for a v3 and a gob one, which every serving verb refuses until they are
+// converted. Each passes idxinfo -verify afterwards and answers tracy
+// stats as the same index converted to another path does.
 func TestConvertInPlace(t *testing.T) {
 	dir := t.TempDir()
-	v3 := buildTestIndex(t, dir)
+	cur := buildTestIndex(t, dir)
 	old := legacyIndex(t, dir)
-	for verb, args := range map[string][]string{
-		"stats":  {"stats", "-db", old},
-		"search": {"search", "-db", old, "-exe", filepath.Join(dir, "a.bin")},
-		"serve":  {"serve", "-db", old, "-addr", "127.0.0.1:0"},
-	} {
-		_, err := run(t, args...)
-		refusesLegacy(t, verb, err)
+	v3, err := os.ReadFile(filepath.Join("..", "index", "testdata", "legacy", "v3.idx"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, src := range []string{v3, old} {
+	oldV3 := filepath.Join(dir, "old.v3")
+	if err := os.WriteFile(oldV3, v3, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, src := range []string{old, oldV3} {
+		for verb, args := range map[string][]string{
+			"stats":  {"stats", "-db", src},
+			"search": {"search", "-db", src, "-exe", filepath.Join(dir, "a.bin")},
+			"serve":  {"serve", "-db", src, "-addr", "127.0.0.1:0"},
+		} {
+			_, err := run(t, args...)
+			refusesLegacy(t, verb, err)
+		}
+	}
+	for _, src := range []string{cur, old, oldV3} {
 		aside := src + ".aside"
 		if _, err := run(t, "convert", src, aside); err != nil {
 			t.Fatal(err)
@@ -117,7 +127,7 @@ func TestConvertInPlace(t *testing.T) {
 		if err != nil {
 			t.Fatalf("convert %s in place: %v", src, err)
 		}
-		if !strings.Contains(out, "converted") || !strings.Contains(out, "TRACYIDX v3") {
+		if !strings.Contains(out, "converted") || !strings.Contains(out, "TRACYIDX v4") {
 			t.Errorf("convert output: %s", out)
 		}
 		if _, err := run(t, "idxinfo", "-verify", src); err != nil {
@@ -144,7 +154,7 @@ func TestConvertErrors(t *testing.T) {
 	if err := os.WriteFile(junk, []byte("not an index"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := run(t, "convert", junk, junk+".v3"); err == nil {
+	if _, err := run(t, "convert", junk, junk+".idx"); err == nil {
 		t.Error("convert accepted a file that is no index")
 	}
 	if _, err := run(t, "convert", "/nonexistent/in.db", "/tmp/out.db"); err == nil {
@@ -159,7 +169,7 @@ func TestIdxinfoV3(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"TRACYIDX v3", "functions:", "sections:", "STRB", "FUNC", "FEAT", "checksums: all sections OK"} {
+	for _, want := range []string{"TRACYIDX v4", "functions:", "sections:", "STRB", "FUNC", "FEAT", "checksums: all sections OK"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("idxinfo output missing %q:\n%s", want, out)
 		}
@@ -180,7 +190,7 @@ func TestIdxinfoErrors(t *testing.T) {
 	if _, err := run(t, "idxinfo", "/nonexistent.db"); err == nil {
 		t.Error("idxinfo accepted missing file")
 	}
-	// A corrupted v3 file must fail verification.
+	// A corrupted file must fail verification.
 	dir := t.TempDir()
 	dbPath := buildTestIndex(t, dir)
 	data, err := os.ReadFile(dbPath)
@@ -189,7 +199,7 @@ func TestIdxinfoErrors(t *testing.T) {
 	}
 	// Flip a byte deep in the payload (structure-preserving corruption).
 	data[len(data)-5] ^= 0x01
-	bad := filepath.Join(dir, "bad.v3")
+	bad := filepath.Join(dir, "bad.idx")
 	if err := os.WriteFile(bad, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -213,13 +223,13 @@ func TestIndexExtendV3InPlace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(info, "TRACYIDX v3") {
-		t.Errorf("extended db lost v3 format:\n%s", info)
+	if !strings.Contains(info, "TRACYIDX v4") {
+		t.Errorf("extended db lost v4 format:\n%s", info)
 	}
 }
 
-// TestIndexDefaultFormatPreserved: extending a v3 index and creating a
-// fresh one both write v3 — the only format tracy writes.
+// TestIndexDefaultFormatPreserved: extending an index and creating a
+// fresh one both write v4 — the only format tracy writes.
 func TestIndexDefaultFormatPreserved(t *testing.T) {
 	dir := t.TempDir()
 	dbPath := buildTestIndex(t, dir)
@@ -233,8 +243,8 @@ func TestIndexDefaultFormatPreserved(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !strings.Contains(info, "TRACYIDX v3") {
-			t.Errorf("index %s did not write v3:\n%s", args[1], info)
+		if !strings.Contains(info, "TRACYIDX v4") {
+			t.Errorf("index %s did not write v4:\n%s", args[1], info)
 		}
 	}
 }

@@ -87,7 +87,7 @@ func TestSearchPrefilterFlagImplications(t *testing.T) {
 	}
 }
 
-// TestSearchLSHFallbackOnPlainV3: lsh mode against a v3 file written
+// TestSearchLSHFallbackOnPlainV3: lsh mode against an index file written
 // without -lsh degrades to the scan prefilter — counted, never an error.
 func TestSearchLSHFallbackOnPlainV3(t *testing.T) {
 	dir, exeA, exeB := lshFixture(t)
@@ -97,7 +97,7 @@ func TestSearchLSHFallbackOnPlainV3(t *testing.T) {
 	}
 	counters := searchCounters(t, dbPath, exeA, "-prefilter-mode", "lsh")
 	if counters["lsh_fallbacks"] == 0 {
-		t.Error("lsh search on an unsigned v3 file did not count a fallback")
+		t.Error("lsh search on an unsigned index file did not count a fallback")
 	}
 	if counters["lsh_queries"] != 0 {
 		t.Errorf("fallback search counted %d served lsh queries", counters["lsh_queries"])

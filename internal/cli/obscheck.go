@@ -30,7 +30,7 @@ import (
 //     index_save_latency) and consistent: no function lifted without an
 //     instruction decoded in a timed lift;
 //   - a process serving an index of its own publishes tracy_index_info
-//     with the format and pack labels;
+//     with the format label;
 //   - /debug/requests has recorded requests, each carrying a trace ID
 //     and a span tree, among them an answered search, and every answered
 //     search names its response encoding as an "encode" stage (the stage
@@ -119,9 +119,8 @@ func (c *env) obscheck(args []string) error {
 		return fmt.Errorf("obscheck: /metrics counts %v functions lifted from %v instructions decoded in %v timed lifts", lifted, decoded, lifts)
 	}
 	fmt.Fprintf(c.w, "obscheck: write path ok (%v functions lifted, %v instructions decoded, %v lifts)\n", lifted, decoded, lifts)
-	// A process that serves an index says which: its format, and whether
-	// candidates are compared where they lie in the file (pack) or decoded
-	// first. A coordinator serves none of its own.
+	// A process that serves an index says which format it is. A
+	// coordinator serves none of its own.
 	info := ""
 	for _, line := range strings.Split(string(metrics), "\n") {
 		if strings.HasPrefix(line, "tracy_index_info{") {
@@ -131,8 +130,8 @@ func (c *env) obscheck(args []string) error {
 	switch {
 	case info == "" && *fleetN == 0:
 		return fmt.Errorf("obscheck: /metrics has no tracy_index_info")
-	case info != "" && (!strings.Contains(info, `format="`) || !strings.Contains(info, `pack="`)):
-		return fmt.Errorf("obscheck: tracy_index_info lacks the format or pack label: %s", info)
+	case info != "" && !strings.Contains(info, `format="`):
+		return fmt.Errorf("obscheck: tracy_index_info lacks the format label: %s", info)
 	case info != "":
 		fmt.Fprintf(c.w, "obscheck: index info ok (%s)\n", info)
 	}

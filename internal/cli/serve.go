@@ -260,7 +260,7 @@ func (c *env) query(args []string) error {
 // self-contained way to stand a demo service up (CI's server smoke test
 // uses it). With -scale N it switches to campaign mode: N functions
 // across cycled optimization levels, compiled in parallel and streamed
-// — optionally straight into a TRACYIDX v3 index — with bounded memory.
+// — optionally straight into a TRACYIDX v4 index — with bounded memory.
 func (c *env) mkcorpus(args []string) error {
 	fs := flag.NewFlagSet("mkcorpus", flag.ExitOnError)
 	dir := fs.String("dir", "corpus", "output directory")
@@ -274,7 +274,7 @@ func (c *env) mkcorpus(args []string) error {
 	stmts := fs.Int("stmts", 12, "campaign: statement budget per generated function")
 	optLevels := fs.String("opt-levels", "0,1,2", "campaign: comma-separated optimization levels, cycled per source group")
 	workers := fs.Int("workers", 0, "campaign: parallel compile workers (0: GOMAXPROCS)")
-	indexOut := fs.String("index", "", "also emit a TRACYIDX v3 index at this path, built while streaming")
+	indexOut := fs.String("index", "", "also emit a TRACYIDX v4 index (the only format tracy writes) at this path, built while streaming")
 	lsh := fs.Bool("lsh", false, "persist MinHash signatures and their sorted band table in the emitted index (needs -index)")
 	bins := fs.Bool("bins", false, "campaign: write per-executable .bin files even when -index is set")
 	tf := telFlags(fs)
@@ -328,7 +328,7 @@ func (c *env) mkcorpus(args []string) error {
 	}
 	m := cp.Manifest()
 	if *indexOut != "" {
-		em := newV3Emitter(*lsh, funcsTotal, tf.collector())
+		em := newIdxEmitter(*lsh, funcsTotal, tf.collector())
 		for _, e := range cp.Exes {
 			if err := em.add(*e); err != nil {
 				return fmt.Errorf("mkcorpus: %w", err)
@@ -354,15 +354,15 @@ func (c *env) mkcorpus(args []string) error {
 }
 
 // mkcorpusCampaign runs the scale campaign: executables stream from the
-// parallel compile pipeline into .bin files and/or a v3 index builder and
+// parallel compile pipeline into .bin files and/or an index builder and
 // are then dropped, so peak memory stays far below corpus size.
 func (c *env) mkcorpusCampaign(dir string, ccfg corpus.CampaignConfig, indexOut string, bins, lsh bool, tel *telemetry.Collector) error {
 	if indexOut == "" && !bins {
 		bins = true // with no index requested the .bin files are the output
 	}
-	var em *v3Emitter
+	var em *idxEmitter
 	if indexOut != "" {
-		em = newV3Emitter(lsh, ccfg.Funcs, tel)
+		em = newIdxEmitter(lsh, ccfg.Funcs, tel)
 	}
 	m := &corpus.Manifest{Campaign: &ccfg}
 	nExes := ccfg.NumExes()
@@ -431,29 +431,29 @@ func parseOptLevels(s string) ([]tinyc.OptLevel, error) {
 	return out, nil
 }
 
-// v3Emitter streams lifted executables into a TRACYIDX v3 builder,
+// idxEmitter streams lifted executables into a TRACYIDX v4 builder,
 // mirroring index.AddImage's entry shape (Name/Addr from the lifter,
 // truth by address) so a streamed index is interchangeable with one
 // built by tracy index.
-type v3Emitter struct {
+type idxEmitter struct {
 	b        *idxfile.Builder
 	tel      *telemetry.Collector // lift and save telemetry, as index.DB reports it
 	building time.Duration        // spent on features and the builder so far
 }
 
-// newV3Emitter returns an emitter for about funcs functions reporting
+// newIdxEmitter returns an emitter for about funcs functions reporting
 // into tel; with lsh set the builder also signs every function so the
 // index carries an LSHB section.
-func newV3Emitter(lsh bool, funcs int, tel *telemetry.Collector) *v3Emitter {
+func newIdxEmitter(lsh bool, funcs int, tel *telemetry.Collector) *idxEmitter {
 	b := idxfile.NewBuilder()
 	b.Expect(funcs)
 	if lsh {
 		b.SetLSH(minhash.Default)
 	}
-	return &v3Emitter{b: b, tel: tel}
+	return &idxEmitter{b: b, tel: tel}
 }
 
-func (w *v3Emitter) add(e corpus.Executable) error {
+func (w *idxEmitter) add(e corpus.Executable) error {
 	fns, err := prep.LiftImageTel(w.tel, e.Image)
 	if err != nil {
 		return fmt.Errorf("%s: %w", e.Name, err)
@@ -470,7 +470,7 @@ func (w *v3Emitter) add(e corpus.Executable) error {
 
 // funcsOr returns the running function count (builder view when
 // indexing, manifest sum otherwise).
-func (w *v3Emitter) funcsOr(m *corpus.Manifest) int {
+func (w *idxEmitter) funcsOr(m *corpus.Manifest) int {
 	if w != nil {
 		return w.b.NumFuncs()
 	}
@@ -481,7 +481,7 @@ func (w *v3Emitter) funcsOr(m *corpus.Manifest) int {
 	return n
 }
 
-func (w *v3Emitter) write(path string) (*corpus.ManifestIndex, error) {
+func (w *idxEmitter) write(path string) (*corpus.ManifestIndex, error) {
 	f, err := os.Create(path)
 	if err != nil {
 		return nil, err

@@ -11,7 +11,7 @@ import (
 	"repro/internal/minhash"
 )
 
-// shard splits one index into N disjoint TRACYIDX v3 slices for a
+// shard splits one index into N disjoint TRACYIDX v4 slices for a
 // scatter-gather fleet: every function lands on exactly one shard by
 // index.ShardOf (FNV-1a over exe/name), so the shards' union is the
 // input corpus and a coordinator merging per-shard top-K lists

@@ -10,7 +10,7 @@ import (
 )
 
 // TestShardRoundTrip: tracy shard splits an index into verified disjoint
-// v3 slices whose union is the input corpus, with every function placed
+// index slices whose union is the input corpus, with every function placed
 // on the shard index.ShardOf assigns it.
 func TestShardRoundTrip(t *testing.T) {
 	dir := t.TempDir()
@@ -42,8 +42,8 @@ func TestShardRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("reopening shard %d: %v", i, err)
 		}
-		if sdb.Info().Version != 3 {
-			t.Errorf("shard %d is not TRACYIDX v3", i)
+		if sdb.Info().Version != 4 {
+			t.Errorf("shard %d is not TRACYIDX v4", i)
 		}
 		for _, e := range sdb.Entries {
 			key := e.Exe + "/" + e.Name

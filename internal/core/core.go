@@ -392,7 +392,7 @@ func NewMatcher(opts Options) *Matcher {
 type cmpStats struct {
 	cacheHits   uint64
 	cacheMisses uint64
-	// pairs cut by each bound of the pruner's cascade, see traceletMatch
+	// pairs cut by each bound of the pruner's cascade, see scanTracelet
 	prunedSize    uint64
 	prunedProfile uint64
 	prunedRewrite uint64
@@ -489,9 +489,9 @@ type cmpCtx struct {
 	ends    []int         // ... block b's ending at ends[b]
 	cands   []rewriteCand
 
-	// A compare against a Floor rewrites in a second phase (see compareTop):
-	// the tracelets the first left to a rewrite, each with its candidates
-	// from the first feasible one on, back to back in stash.
+	// A compare rewrites in a second phase (see compareTop): the tracelets
+	// the first left to a rewrite, each with its candidates from the first
+	// feasible one on, back to back in stash.
 	pending []pendingTracelet
 	stash   []rewriteCand
 	// The floor check of the compare in hand: the score bound and the floor
@@ -757,18 +757,19 @@ func (m *Matcher) compare(cc context.Context, ctx *cmpCtx, ref, tgt *Decomposed)
 // compareTop is compare held to a search's floor (nil: none), reporting
 // whether it stopped below it.
 //
-// Against a floor the compare runs in two phases. Phase A takes every
-// reference tracelet through the size, profile and score stages as an
-// unheld compare does, and for one left unmatched checks its rewrite
-// candidates' order-aware bounds up to the first feasible one. Phase B then
-// resumes each such tracelet's rewrite loop there, in tracelet order. No
-// tracelet's sequence of operations changes, only their interleaving, so a
-// compare that runs to the end returns exactly the unheld Result. Before
-// phase B and after each of its tracelets the compare holds its score
-// bound — direct and rewrite matches plus the tracelets still pending,
-// over the total — to the floor, and stops when the bound is strictly
-// below it: such a candidate scores below the k-th best of the search and
-// is in no top-k answer. Its Result is then Truncated and a lower bound.
+// The compare runs in two phases. Phase A takes every reference tracelet
+// through the size, profile and score stages, and for one left unmatched
+// checks its rewrite candidates' order-aware bounds up to the first
+// feasible one. Phase B then resumes each such tracelet's rewrite loop
+// there, in tracelet order. A tracelet's sequence of operations is the
+// same whatever the floor, so a compare that runs to the end returns the
+// same Result with a floor as without one. Against a floor, before each of
+// phase B's tracelets the compare holds its score bound — direct and
+// rewrite matches plus the tracelets still pending, over the total — to
+// the floor, and stops when the bound is strictly below it: such a
+// candidate scores below the k-th best of the search and is in no top-k
+// answer. Its Result is then Truncated and a lower bound. Without a floor
+// nothing is held and nothing stops.
 func (m *Matcher) compareTop(cc context.Context, ctx *cmpCtx, ref, tgt *Decomposed, floor *Floor) (Result, bool, error) {
 	ct := m.Opts.Tel.StartTimer(telemetry.CompareLatency)
 	res := Result{Name: tgt.Name, RefTracelets: len(ref.Tracelets)}
@@ -778,19 +779,16 @@ func (m *Matcher) compareTop(cc context.Context, ctx *cmpCtx, ref, tgt *Decompos
 		ctx.span = m.Opts.Trace.Child("compare:" + tgt.Name)
 	}
 	if total := len(ref.Tracelets); total > 0 {
-		twoPhase, feasible := floor != nil, 0
 		for ri := 0; ri < total && ctx.cancelErr == nil; ri++ {
-			if !twoPhase {
-				switch matched, viaRewrite := m.traceletMatch(ref, tgt, ri, ctx, &res); {
-				case matched && viaRewrite:
-					res.MatchedRewrite++
-				case matched:
-					res.MatchedDirect++
-				}
-				continue
-			}
 			tsp := ctx.traceletSpan(ri)
-			direct, cands := m.phaseA(ref, tgt, ri, ctx, &res, tsp)
+			size, profile := ctx.stats.prunedSize, ctx.stats.prunedProfile
+			direct, cands := m.scanTracelet(ref, tgt, ri, ctx, &res, tsp)
+			if tsp != nil {
+				tsp.Set("pairs_pruned_size", int64(ctx.stats.prunedSize-size))
+				tsp.Set("pairs_pruned_profile", int64(ctx.stats.prunedProfile-profile))
+				tsp.Set("pairs_pruned_rewrite_bound", 0)
+			}
+			cands = m.nextFeasible(ri, cands, ctx, &res, tsp) // none after a direct match
 			if len(cands) == 0 {
 				if direct {
 					res.MatchedDirect++
@@ -800,7 +798,6 @@ func (m *Matcher) compareTop(cc context.Context, ctx *cmpCtx, ref, tgt *Decompos
 			}
 			ctx.pending = append(ctx.pending, pendingTracelet{ri: ri, from: len(ctx.stash), to: len(ctx.stash) + len(cands), span: tsp})
 			ctx.stash = append(ctx.stash, cands...)
-			feasible++
 		}
 		for i, p := range ctx.pending {
 			// Phase A probed the context before this tracelet's first
@@ -809,21 +806,22 @@ func (m *Matcher) compareTop(cc context.Context, ctx *cmpCtx, ref, tgt *Decompos
 				ctx.cancelErr = err
 				break
 			}
-			ctx.floorChecked = true
-			ctx.floorBound, ctx.floorAt = float64(res.Matched()+feasible)/float64(total), floor.Load()
-			if ctx.floorBound < ctx.floorAt {
-				ctx.cut, res.Truncated = true, true
-				for _, q := range ctx.pending[i:] {
-					q.span.Set("cut_by_floor", 1)
+			if floor != nil {
+				ctx.floorChecked = true
+				ctx.floorBound, ctx.floorAt = float64(res.Matched()+len(ctx.pending)-i)/float64(total), floor.Load()
+				if ctx.floorBound < ctx.floorAt {
+					ctx.cut, res.Truncated = true, true
+					for _, q := range ctx.pending[i:] {
+						q.span.Set("cut_by_floor", 1)
+					}
+					break
 				}
-				break
 			}
 			matched := m.rewriteFrom(p.ri, ctx.stash[p.from:p.to], ctx, &res, p.span)
 			if matched {
 				res.MatchedRewrite++
 			}
 			ctx.endTracelet(p.span, matched)
-			feasible--
 		}
 		if ctx.span != nil {
 			for _, p := range ctx.pending {
@@ -832,7 +830,7 @@ func (m *Matcher) compareTop(cc context.Context, ctx *cmpCtx, ref, tgt *Decompos
 		}
 		res.SimilarityScore = float64(res.Matched()) / float64(total)
 		res.IsMatch = res.SimilarityScore > m.Opts.Alpha
-		if twoPhase && !ctx.floorChecked {
+		if floor != nil && !ctx.floorChecked {
 			ctx.floorChecked = true
 			ctx.floorBound, ctx.floorAt = res.SimilarityScore, floor.Load()
 		}
@@ -919,24 +917,6 @@ func (ctx *cmpCtx) traceletSpan(ri int) *telemetry.Span {
 	return ctx.span.Child("tracelet:" + strconv.Itoa(ri))
 }
 
-// traceletMatch looks for any target tracelet matching reference tracelet
-// ri. It returns (matched, matched-only-after-rewrite).
-//
-// Under Options.Prune a pair passes a cascade of upper bounds on its score,
-// cheapest first, each cut at β: the size bound (sizeBound), the kind-profile
-// bound (pairBound), then the score itself, and for a pair worth a rewrite
-// the order-aware rewrite bound before the rewrite. Every bound dominates
-// every later stage — size ≥ profile ≥ rewrite bound ≥ post-rewrite score,
-// and profile ≥ score — and Norm is monotone in the score, so a pair cut at
-// any stage could have matched neither directly nor after a rewrite.
-func (m *Matcher) traceletMatch(ref, tgt *Decomposed, ri int, ctx *cmpCtx, res *Result) (bool, bool) {
-	tsp := ctx.traceletSpan(ri)
-	direct, cands := m.phaseA(ref, tgt, ri, ctx, res, tsp)
-	viaRewrite := len(cands) > 0 && m.rewriteFrom(ri, cands, ctx, res, tsp)
-	ctx.endTracelet(tsp, direct || viaRewrite)
-	return direct || viaRewrite, viaRewrite
-}
-
 // endTracelet closes the span of a reference tracelet, marking one that was
 // evaluated to the end without a match.
 func (ctx *cmpCtx) endTracelet(tsp *telemetry.Span, matched bool) {
@@ -949,28 +929,19 @@ func (ctx *cmpCtx) endTracelet(tsp *telemetry.Span, matched bool) {
 	tsp.End()
 }
 
-// phaseA takes reference tracelet ri through every stage before a rewrite:
-// it reports a direct match, or returns the tracelet's rewrite candidates,
-// best pre-score first, from the first whose rewrite bound clears β on —
-// none when no rewrite can match.
-func (m *Matcher) phaseA(ref, tgt *Decomposed, ri int, ctx *cmpCtx, res *Result, tsp *telemetry.Span) (bool, []rewriteCand) {
-	size, profile := ctx.stats.prunedSize, ctx.stats.prunedProfile
-	direct, cands := m.scanTracelet(ref, tgt, ri, ctx, res, tsp)
-	if tsp != nil {
-		tsp.Set("pairs_pruned_size", int64(ctx.stats.prunedSize-size))
-		tsp.Set("pairs_pruned_profile", int64(ctx.stats.prunedProfile-profile))
-		tsp.Set("pairs_pruned_rewrite_bound", 0)
-	}
-	if direct {
-		return true, nil
-	}
-	return false, m.nextFeasible(ri, cands, ctx, res, tsp)
-}
-
 // scanTracelet runs reference tracelet ri against every target tracelet
 // through the size, profile and score stages, stopping at the first direct
 // match. Without one it returns the pairs worth a rewrite attempt, best
 // pre-rewrite score first — one stable sort, not repeated selection.
+//
+// Under Options.Prune a pair passes a cascade of upper bounds on its score,
+// cheapest first, each cut at β: the size bound (sizeBound), the kind-profile
+// bound (pairBound), then the score itself, and for a pair worth a rewrite
+// the order-aware rewrite bound before the rewrite (nextFeasible). Every
+// bound dominates every later stage — size ≥ profile ≥ rewrite bound ≥
+// post-rewrite score, and profile ≥ score — and Norm is monotone in the
+// score, so a pair cut at any stage could have matched neither directly
+// nor after a rewrite.
 func (m *Matcher) scanTracelet(ref, tgt *Decomposed, ri int, ctx *cmpCtx, res *Result, tsp *telemetry.Span) (bool, []rewriteCand) {
 	opts := &m.Opts
 	beta, norm := opts.Beta, opts.Norm

@@ -11,7 +11,7 @@ import (
 
 // CampaignConfig sizes a scale campaign: a 10⁴–10⁶ function corpus
 // generated and compiled in parallel with bounded memory, the regime the
-// v3 columnar index exists for. Functions come in groups: each group's
+// columnar index exists for. Functions come in groups: each group's
 // sources are compiled once per opt level (cross-opt-level ground-truth
 // duplicates, the paper's hardest same-function axis) under a distinct
 // context seed per executable.

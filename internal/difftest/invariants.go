@@ -11,6 +11,7 @@ import (
 	"repro/internal/asm"
 	"repro/internal/bin"
 	"repro/internal/core"
+	"repro/internal/idxfile"
 	"repro/internal/index"
 	"repro/internal/minhash"
 	"repro/internal/prep"
@@ -349,7 +350,7 @@ func (c *checker) searchParity(built []variant, images [][]byte) {
 	// scan's Result for that entry, the query's own entry must survive
 	// banding (it collides with itself in every band), and the whole path
 	// must be deterministic — run to run in memory, and byte for byte
-	// through the v3 LSHB section.
+	// through the LSHB section.
 	c.ran()
 	satur := index.PrefilterOptions{Candidates: db.Len() + 1, Mode: index.ModeLSH}
 	lshHits := db.SearchWith(query, opts, satur)
@@ -386,20 +387,20 @@ func (c *checker) searchParity(built []variant, images [][]byte) {
 	c.ran()
 	var lsh1, lsh2 bytes.Buffer
 	if err := db.SaveV3LSH(&lsh1, minhash.Default); err != nil {
-		c.fail("lsh/v3", "v3", "SaveV3LSH: %v", err)
+		c.fail("lsh/file", "file", "SaveV3LSH: %v", err)
 	} else if err := db.SaveV3LSH(&lsh2, minhash.Default); err != nil {
-		c.fail("lsh/v3", "v3", "SaveV3LSH (second run): %v", err)
+		c.fail("lsh/file", "file", "SaveV3LSH (second run): %v", err)
 	} else if !bytes.Equal(lsh1.Bytes(), lsh2.Bytes()) {
-		c.fail("lsh/determinism", "v3", "two SaveV3LSH runs of the same index differ byte-for-byte")
+		c.fail("lsh/determinism", "file", "two SaveV3LSH runs of the same index differ byte-for-byte")
 	} else if lshdb, err := index.Load(bytes.NewReader(lsh1.Bytes())); err != nil {
-		c.fail("lsh/v3", "v3", "loading lsh-signed index: %v", err)
+		c.fail("lsh/file", "file", "loading lsh-signed index: %v", err)
 	} else {
 		if !lshdb.Store().HasLSH() {
-			c.fail("lsh/v3", "v3", "SaveV3LSH output carries no LSHB section")
+			c.fail("lsh/file", "file", "SaveV3LSH output carries no LSHB section")
 		}
 		c.ran()
 		if d := diffOfflineHits(lshHits, lshdb.SearchWith(query, opts, satur)); d != "" {
-			c.fail("lsh/determinism", "v3", "persisted signatures rank differently than in-memory ones: %s", d)
+			c.fail("lsh/determinism", "file", "persisted signatures rank differently than in-memory ones: %s", d)
 		}
 	}
 
@@ -424,35 +425,35 @@ func (c *checker) searchParity(built []variant, images [][]byte) {
 		c.fail("parity", "snapshot-ctx", "snapshot SearchCtx vs Search: %s", d)
 	}
 
-	// The v3 columnar loader is a different decoder over a different
-	// on-disk layout; searches over a converted index must be
+	// The columnar loader compares views over the file's packed records
+	// instead of the lifted functions; searches over a saved index must be
 	// bit-identical to the in-memory database's, on both the scan and the
 	// lazy snapshot path.
 	c.ran()
-	var v3buf bytes.Buffer
-	if err := db.SaveV3(&v3buf); err != nil {
-		c.fail("parity", "v3", "SaveV3: %v", err)
-	} else if v3db, err := index.Load(bytes.NewReader(v3buf.Bytes())); err != nil {
-		c.fail("parity", "v3", "loading converted index: %v", err)
+	var idxbuf bytes.Buffer
+	if err := db.SaveV3(&idxbuf); err != nil {
+		c.fail("parity", "file", "SaveV3: %v", err)
+	} else if filedb, err := index.Load(bytes.NewReader(idxbuf.Bytes())); err != nil {
+		c.fail("parity", "file", "loading converted index: %v", err)
 	} else {
-		if v3db.Info().Version != 3 {
-			c.fail("parity", "v3", "converted index loaded as v%d", v3db.Info().Version)
+		if filedb.Info().Version != idxfile.Version {
+			c.fail("parity", "file", "converted index loaded as v%d", filedb.Info().Version)
 		}
-		if d := diffOfflineHits(offline, index.TopK(v3db.Search(query, opts), limit, 0)); d != "" {
-			c.fail("parity", "v3", "v3 loader vs in-memory: %s", d)
+		if d := diffOfflineHits(offline, index.TopK(filedb.Search(query, opts), limit, 0)); d != "" {
+			c.fail("parity", "file", "file loader vs in-memory: %s", d)
 		}
 		c.ran()
-		v3snap := index.BuildSnapshot(v3db, []int{opts.K}, 2)
-		v3SnapHits, err := v3snap.Search(query, opts)
+		filesnap := index.BuildSnapshot(filedb, []int{opts.K}, 2)
+		fileSnapHits, err := filesnap.Search(query, opts)
 		if err != nil {
-			c.fail("parity", "v3-snapshot", "snapshot search over v3: %v", err)
-		} else if d := diffOfflineHits(snapTop, index.TopK(v3SnapHits, limit, 0)); d != "" {
-			c.fail("parity", "v3-snapshot", "lazy v3 snapshot vs offline: %s", d)
+			c.fail("parity", "file-snapshot", "snapshot search over the file: %v", err)
+		} else if d := diffOfflineHits(snapTop, index.TopK(fileSnapHits, limit, 0)); d != "" {
+			c.fail("parity", "file-snapshot", "lazy file snapshot vs offline: %s", d)
 		}
 	}
 
-	// The fleet merge contract: hash-sharding the corpus into disjoint v3
-	// slices, searching each shard independently, and re-ranking the
+	// The fleet merge contract: hash-sharding the corpus into disjoint
+	// index slices, searching each shard independently, and re-ranking the
 	// concatenated partials through the same top-K selection must
 	// reproduce the union search bit for bit. This is the invariant the
 	// serving coordinator's scatter-gather relies on.
@@ -506,7 +507,7 @@ func (c *checker) searchParity(built []variant, images [][]byte) {
 
 // topKParity holds the top-k engine to its oracle: for every limit,
 // minimum score, candidate generator and worker count, on the heap
-// snapshot and on views of a PACK file of the same corpus,
+// snapshot and on views of an index file of the same corpus,
 // Snapshot.SearchTopCtx must return what TopK of the full search returns —
 // the same hits in the same order, every Result field included — and count
 // every candidate.

@@ -27,15 +27,9 @@ type Builder struct {
 	stro    []uint32
 	funcs   []byte
 	blcks   []byte
-	insts   []byte
-	opnds   []byte
-	memts   []byte
 	succs   []byte
 	feats   []byte
 	nblocks int
-	ninsts  int
-	nops    int
-	nmems   int
 	nsuccs  int
 	nfeats  int
 	nfuncs  int
@@ -44,7 +38,7 @@ type Builder struct {
 
 	pack    []byte    // the PACK function records, back to back
 	packOff []uint64  // where each starts in pack
-	packers []*packer // scratch: the packed blocks of the functions being added
+	packers []*packer // scratch: the functions being added, packed
 
 	lsh     *minhash.Params // non-nil: emit the LSHB and LSHT sections
 	lshSigs []uint32        // accumulated signature values, function-major
@@ -91,8 +85,7 @@ func (b *Builder) NumFuncs() int { return b.nfuncs }
 // scale campaign reports as it streams executables through.
 func (b *Builder) Bytes() int {
 	return len(b.strb) + len(b.stro)*stroRecSize + len(b.funcs) + len(b.blcks) +
-		len(b.insts) + len(b.opnds) + len(b.memts) + len(b.succs) + len(b.feats) +
-		len(b.lshSigs)*lshSigSize + len(b.pack) + len(b.packOff)*packOffSize
+		len(b.succs) + len(b.feats) + len(b.lshSigs)*lshSigSize + len(b.pack) + len(b.packOff)*packOffSize
 }
 
 // SetLSH arms MinHash signature emission: every subsequent Add hashes
@@ -130,6 +123,14 @@ func (b *Builder) intern(s string) uint32 {
 	return id
 }
 
+// internName is intern for a symbol name of a packed block's table.
+func (b *Builder) internName(s []byte) uint32 {
+	if id, ok := b.strs[string(s)]; ok {
+		return id
+	}
+	return b.intern(string(s))
+}
+
 func (b *Builder) u32(dst []byte, v uint32) []byte {
 	return binary.LittleEndian.AppendUint32(dst, v)
 }
@@ -151,10 +152,11 @@ type Item struct {
 
 // Add appends one lifted function with its index metadata and prefilter
 // feature set. Errors (a corpus overflowing the u32 column offsets, a
-// malformed graph) are sticky and reported by WriteTo.
+// malformed graph, an operand the packed form cannot carry — an
+// *asm.LossyOperandError) are sticky and reported by WriteTo.
 func (b *Builder) Add(exe string, fn *prep.Function, truth string, feats []uint64) {
 	if b.err == nil {
-		b.add(Item{exe, fn, truth, feats}, b.packBodies(0, fn.Graph))
+		b.add(Item{exe, fn, truth, feats}, b.packFunc(0, fn.Graph))
 	}
 }
 
@@ -166,10 +168,10 @@ func (b *Builder) Add(exe string, fn *prep.Function, truth string, feats []uint6
 func (b *Builder) AddAll(items []Item) {
 	// Buffered for every item: the packing never waits for the walk, so it
 	// has ended by the time the last item is received.
-	packed := make(chan []asm.Block, len(items))
+	packed := make(chan *packer, len(items))
 	go func() {
 		for i := range items {
-			packed <- b.packBodies(i, items[i].Fn.Graph)
+			packed <- b.packFunc(i, items[i].Fn.Graph)
 		}
 	}()
 	for i := range items {
@@ -177,8 +179,8 @@ func (b *Builder) AddAll(items []Item) {
 	}
 }
 
-// add is Add with the function's blocks already packed.
-func (b *Builder) add(it Item, blocks []asm.Block) {
+// add is Add with the function already packed.
+func (b *Builder) add(it Item, pk *packer) {
 	if b.err != nil {
 		return
 	}
@@ -188,47 +190,19 @@ func (b *Builder) add(it Item, blocks []asm.Block) {
 		b.err = fmt.Errorf("idxfile: function %s: malformed graph", fn.Name)
 		return
 	}
-	if len(b.strb) > math.MaxUint32-1<<20 || b.ninsts > math.MaxUint32-1<<20 {
+	if pk.err != nil {
+		b.err = fmt.Errorf("idxfile: function %s: %w", fn.Name, pk.err)
+		return
+	}
+	const lim = math.MaxUint32 - 1<<20
+	if len(b.strb) > lim || b.nblocks > lim || b.nsuccs > lim || b.nfeats > lim {
 		b.err = fmt.Errorf("idxfile: corpus overflows u32 column offsets")
 		return
 	}
-	b.funcs, b.blcks, b.insts, b.opnds = room(b, b.funcs), room(b, b.blcks), room(b, b.insts), room(b, b.opnds)
-	b.memts, b.succs, b.feats, b.lshSigs = room(b, b.memts), room(b, b.succs), room(b, b.feats), room(b, b.lshSigs)
-	b.pack, b.packOff = room(b, b.pack), room(b, b.packOff)
+	b.funcs, b.blcks, b.succs, b.feats = room(b, b.funcs), room(b, b.blcks), room(b, b.succs), room(b, b.feats)
+	b.lshSigs, b.pack, b.packOff = room(b, b.lshSigs), room(b, b.pack), room(b, b.packOff)
 	blockOff := b.nblocks
 	for _, blk := range g.Blocks {
-		instOff := b.ninsts
-		for _, in := range blk.Insts {
-			opOff := b.nops
-			for _, op := range in.Ops {
-				var flags byte
-				if op.Offset {
-					flags |= opndFlagOffset
-				}
-				memOff, nmem := 0, 0
-				if op.IsMem() {
-					flags |= opndFlagMem
-					memOff = b.nmems
-					nmem = len(op.Mem)
-					for _, t := range op.Mem {
-						b.memts = append(b.memts, byte(t.Op), byte(t.Arg.Kind), byte(t.Arg.Cls), byte(t.Arg.Reg))
-						b.memts = b.u32(b.memts, b.intern(t.Arg.Sym))
-						b.memts = binary.LittleEndian.AppendUint64(b.memts, uint64(t.Arg.Imm))
-					}
-					b.nmems += nmem
-				}
-				a := op.Arg
-				b.opnds = append(b.opnds, byte(a.Kind), byte(a.Cls), byte(a.Reg), flags)
-				b.opnds = b.u32(b.opnds, b.intern(a.Sym))
-				b.opnds = binary.LittleEndian.AppendUint64(b.opnds, uint64(a.Imm))
-				b.opnds = b.u32(b.opnds, uint32(memOff))
-				b.opnds = b.u32(b.opnds, uint32(nmem))
-			}
-			b.insts = b.u32(b.insts, b.intern(in.Mnemonic))
-			b.insts = b.u32(b.insts, uint32(opOff))
-			b.insts = b.u32(b.insts, uint32(len(in.Ops)))
-			b.nops += len(in.Ops)
-		}
 		succOff := b.nsuccs
 		for _, s := range blk.Succs {
 			if s < 0 || s >= len(g.Blocks) {
@@ -238,11 +212,8 @@ func (b *Builder) add(it Item, blocks []asm.Block) {
 			b.succs = b.u32(b.succs, uint32(s))
 		}
 		b.blcks = b.u32(b.blcks, blk.Addr)
-		b.blcks = b.u32(b.blcks, uint32(instOff))
-		b.blcks = b.u32(b.blcks, uint32(len(blk.Insts)))
 		b.blcks = b.u32(b.blcks, uint32(succOff))
 		b.blcks = b.u32(b.blcks, uint32(len(blk.Succs)))
-		b.ninsts += len(blk.Insts)
 		b.nsuccs += len(blk.Succs)
 	}
 	b.nblocks += len(g.Blocks)
@@ -269,7 +240,7 @@ func (b *Builder) add(it Item, blocks []asm.Block) {
 	b.funcs = b.u32(b.funcs, uint32(featOff))
 	b.funcs = b.u32(b.funcs, uint32(len(feats)))
 	b.funcs = b.u32(b.funcs, 0) // reserved
-	b.addPack(blocks)
+	b.addPack(pk)
 	b.nfuncs++
 }
 
@@ -282,45 +253,58 @@ func bytesOf[T any](s []T) []byte {
 	return unsafe.Slice((*byte)(unsafe.Pointer(&s[0])), len(s)*int(unsafe.Sizeof(s[0])))
 }
 
-// packBodies packs the function's block bodies with asm.PackEach — the
-// one function that packs blocks, so what a reader finds in PACK is what
-// core.Decompose would have computed from the decoded function — into
-// the builder's slot-th packer: the blocks are valid until the slot is
-// used again. A graph add will refuse packs to nothing.
-func (b *Builder) packBodies(slot int, g *cfg.Graph) []asm.Block {
-	if g == nil {
-		return nil
-	}
+// packFunc packs the function's block bodies with asm.PackEach — the one
+// function that packs blocks, so what a reader finds in PACK is what
+// core.Decompose would have computed from the function — and its blocks'
+// trailing jumps, each as a sequence of its own, into the builder's
+// slot-th packer, which is valid until the slot is used again. It notes in
+// the packer the first operand packing would lose. A graph add will refuse
+// packs to nothing.
+func (b *Builder) packFunc(slot int, g *cfg.Graph) *packer {
 	for len(b.packers) <= slot {
 		b.packers = append(b.packers, new(packer))
 	}
 	pk := b.packers[slot]
-	pk.bodies = pk.bodies[:0]
-	for _, blk := range g.Blocks {
-		pk.bodies = append(pk.bodies, blk.Body())
+	pk.bodies, pk.jumps, pk.blocks, pk.jblocks, pk.err = pk.bodies[:0], pk.jumps[:0], nil, nil, nil
+	if g == nil {
+		return pk
 	}
-	return pk.PackEach(pk.bodies)
+	for _, blk := range g.Blocks {
+		for k := range blk.Insts {
+			if err := blk.Insts[k].Packable(); err != nil && pk.err == nil {
+				pk.err = err
+			}
+		}
+		body := blk.Body()
+		pk.bodies, pk.jumps = append(pk.bodies, body), append(pk.jumps, blk.Insts[len(body):])
+	}
+	pk.blocks, pk.jblocks = pk.bodyPacker.PackEach(pk.bodies), pk.jumpPacker.PackEach(pk.jumps)
+	return pk
 }
 
-// packer is an asm.Packer with the list of bodies it is handed.
+// packer packs one function at a time: its block bodies and their packed
+// blocks, and its blocks' jumps (none, or the one) and theirs.
 type packer struct {
-	asm.Packer
-	bodies [][]asm.Inst
+	bodyPacker, jumpPacker asm.Packer
+	bodies, jumps          [][]asm.Inst
+	blocks, jblocks        []asm.Block
+	err                    error // the first operand that packing would lose
 }
 
-// addPack appends the function's PACK record: its packed blocks laid out
-// column by column (see the PACK layout in the package comment), every
-// symbol named by its string id. The ids are the ones the operand records
-// just interned.
-func (b *Builder) addPack(blocks []asm.Block) {
-	var ninsts, nargs, ncanon, nprof int
+// addPack appends the function's PACK record: its packed blocks and their
+// jumps laid out column by column (see the PACK layout in the package
+// comment), every symbol named by its string id.
+func (b *Builder) addPack(pk *packer) {
+	blocks, jumps := pk.blocks, pk.jblocks
+	ninsts, nargs, ncanon, nprof := 0, 0, 0, 0
 	for i := range blocks {
-		blk := &blocks[i]
-		ninsts, nargs, ncanon, nprof = ninsts+blk.Len(), nargs+len(blk.Args), ncanon+len(blk.Canon), nprof+len(blk.Prof)
+		blk, j := &blocks[i], &jumps[i]
+		ninsts, nprof = ninsts+blk.Len(), nprof+len(blk.Prof)
+		nargs, ncanon = nargs+len(blk.Args)+len(j.Args), ncanon+len(blk.Canon)+len(j.Canon)
 	}
 	b.packOff = append(b.packOff, uint64(len(b.pack)))
 	p := slices.Grow(b.pack, packHdrSize+packBlkSize*len(blocks)+24*ninsts+packArgSize*nargs+
-		packProfSize*nprof+8*(ninsts+len(blocks))+align8(ncanon))
+		packProfSize*nprof+8*(ninsts+2*len(blocks))+align8(ncanon))
 	for _, v := range [...]int{len(blocks), ninsts, nargs, ncanon, nprof, 0} {
 		p = binary.LittleEndian.AppendUint32(p, uint32(v))
 	}
@@ -339,27 +323,37 @@ func (b *Builder) addPack(blocks []asm.Block) {
 		p = append(p, bytesOf(blocks[i].Write)...)
 	}
 	for i := range blocks {
-		blk, at := &blocks[i], len(p)
-		p = append(p, bytesOf(blk.Args)...)
-		for k := range blk.Args {
-			if a := &blk.Args[k]; a.SymH != 0 {
-				binary.LittleEndian.PutUint32(p[at+k*packArgSize+4:], b.strs[string(blk.Names.At(a.Sym))])
-			}
-		}
+		p = b.appendArgs(p, blocks[i].Args, blocks[i].Names)
+		p = b.appendArgs(p, jumps[i].Args, jumps[i].Names)
 	}
 	for i := range blocks {
 		p = append(p, bytesOf(blocks[i].Prof)...)
 	}
 	for i := range blocks {
 		p = append(p, bytesOf(blocks[i].KOff)...)
+		p = binary.LittleEndian.AppendUint32(p, uint32(len(blocks[i].Canon)+len(jumps[i].Canon)))
 	}
 	for i := range blocks {
 		p = append(p, bytesOf(blocks[i].Off)...)
+		p = binary.LittleEndian.AppendUint32(p, uint32(len(blocks[i].Args)+len(jumps[i].Args)))
 	}
 	for i := range blocks {
-		p = append(p, blocks[i].Canon...)
+		p = append(append(p, blocks[i].Canon...), jumps[i].Canon...)
 	}
 	b.pack = append(p, make([]byte, align8(len(p))-len(p))...)
+}
+
+// appendArgs appends args, whose symbols are named in names, to p with
+// every symbol named by its string id instead.
+func (b *Builder) appendArgs(p []byte, args []asm.PArg, names *asm.Names) []byte {
+	at := len(p)
+	p = append(p, bytesOf(args)...)
+	for k := range args {
+		if a := &args[k]; a.SymH != 0 {
+			binary.LittleEndian.PutUint32(p[at+k*packArgSize+4:], b.internName(names.At(a.Sym)))
+		}
+	}
+	return p
 }
 
 // section pairs a directory entry with its payload, given in the parts it
@@ -383,7 +377,7 @@ func (s *section) crc() (c uint32) {
 	return c
 }
 
-// WriteTo encodes the accumulated corpus as a complete v3 file.
+// WriteTo encodes the accumulated corpus as a complete v4 file.
 func (b *Builder) WriteTo(w io.Writer) (int64, error) {
 	if b.err != nil {
 		return 0, b.err
@@ -397,9 +391,6 @@ func (b *Builder) WriteTo(w io.Writer) (int64, error) {
 		{SecSTRO, [][]byte{stro}},
 		{SecFUNC, [][]byte{b.funcs}},
 		{SecBLCK, [][]byte{b.blcks}},
-		{SecINST, [][]byte{b.insts}},
-		{SecOPND, [][]byte{b.opnds}},
-		{SecMEMT, [][]byte{b.memts}},
 		{SecSUCC, [][]byte{b.succs}},
 		{SecFEAT, [][]byte{b.feats}},
 	}

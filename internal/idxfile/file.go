@@ -24,7 +24,7 @@ type SectionInfo struct {
 	Records int // record count (0 for byte-granular sections)
 }
 
-// File is a parsed v3 index. All accessors are safe for any number of
+// File is a parsed v4 index. All accessors are safe for any number of
 // concurrent readers; nothing in a File mutates after Parse. The backing
 // data is either an mmap region (Open) or a heap buffer (Parse over
 // bytes from any reader).
@@ -37,13 +37,10 @@ type File struct {
 
 	funcs []byte // FUNC payload
 	blcks []byte
-	insts []byte
-	opnds []byte
-	memts []byte
 	succs []uint32 // SUCC as native u32s (zero-copy when 4-aligned)
 	feats []uint64 // FEAT as native u64s (zero-copy when 8-aligned)
 
-	pack    []byte   // PACK payload, 8-aligned (zero-copy when the buffer is); nil when absent
+	pack    []byte   // PACK payload, 8-aligned (zero-copy when the buffer is)
 	packOff []uint64 // its function table: nfuncs+1 offsets into pack
 
 	lshParams minhash.Params // valid iff hasLSH
@@ -58,7 +55,7 @@ type File struct {
 	cleanup func() // unmaps; set by Open
 }
 
-// corruptError is the typed "this is not a valid v3 index" failure; every
+// corruptError is the typed "this is not a valid index" failure; every
 // validation path returns one so callers (and the fuzzer) can tell
 // corruption from I/O errors.
 type corruptError struct{ msg string }
@@ -78,9 +75,9 @@ func IsCorrupt(err error) bool {
 }
 
 // SniffVersion inspects a file prelude (>= 9 bytes) and returns the
-// TRACYIDX format version it announces: 3 for this package's format,
-// 1/2 for the headered gob formats, 0 for a headerless v0 gob payload
-// or anything unrecognized.
+// TRACYIDX format version it announces: 4 for this package's format, 3
+// for the columnar format before it, 1/2 for the headered gob formats, 0
+// for a headerless v0 gob payload or anything unrecognized.
 func SniffVersion(prelude []byte) int {
 	if len(prelude) < len(Magic)+1 || string(prelude[:len(Magic)]) != Magic {
 		return 0
@@ -88,7 +85,7 @@ func SniffVersion(prelude []byte) int {
 	return int(prelude[len(Magic)])
 }
 
-// Parse validates data as a v3 file and returns a File reading from it.
+// Parse validates data as a v4 file and returns a File reading from it.
 // The caller keeps ownership of data and must not mutate it.
 //
 // Parse checks what every reader depends on and what costs no more than
@@ -96,8 +93,8 @@ func SniffVersion(prelude []byte) int {
 // offset/length against the file size), the string offsets, every FUNC
 // record against the pools it points into, and the shapes of the LSHB,
 // LSHT and PACK sections. A function's own records are checked when it is
-// first read (DecodeFunc, PackedFunc), so opening never walks the
-// instruction columns. Section payload checksums are NOT verified here
+// first read (PackedFunc, DecodeFunc), so opening never walks the
+// instructions. Section payload checksums are NOT verified here
 // (that would force every page resident, defeating lazy loading); use
 // Verify for an integrity pass.
 func Parse(data []byte) (*File, error) {
@@ -111,41 +108,42 @@ func Parse(data []byte) (*File, error) {
 	return f, nil
 }
 
-func (f *File) parseHeader() error {
-	data := f.data
+// ReadSections checks the header and section directory of a TRACYIDX file of
+// format v3 or later — magic, file size, directory checksum, every section
+// inside the file, 8-aligned and named once — and returns the version the
+// header announces, its function count and every section's payload by
+// name, each a slice of data, and the directory's entries. It is the part
+// of Parse the columnar versions share, there for the reader that
+// upgrades v3 files.
+func ReadSections(data []byte) (version, nfuncs int, secs []SectionInfo, payloads map[string][]byte, err error) {
 	if len(data) < headerSize {
-		return corruptf("file shorter than header (%d bytes)", len(data))
+		return 0, 0, nil, nil, corruptf("file shorter than header (%d bytes)", len(data))
 	}
 	if string(data[:len(Magic)]) != Magic {
-		return corruptf("bad magic")
-	}
-	if v := data[8]; v != Version {
-		return corruptf("format v%d, want v%d", v, Version)
+		return 0, 0, nil, nil, corruptf("bad magic")
 	}
 	nsec := binary.LittleEndian.Uint32(data[12:])
 	fileSize := binary.LittleEndian.Uint64(data[16:])
-	nfuncs := binary.LittleEndian.Uint64(data[24:])
+	nf := binary.LittleEndian.Uint64(data[24:])
 	dirCRC := binary.LittleEndian.Uint32(data[32:])
 	if fileSize != uint64(len(data)) {
-		return corruptf("header file size %d, real size %d", fileSize, len(data))
+		return 0, 0, nil, nil, corruptf("header file size %d, real size %d", fileSize, len(data))
 	}
-	if nsec < uint32(len(requiredSections)) || nsec > 64 {
-		return corruptf("section count %d out of range", nsec)
+	if nsec > 64 {
+		return 0, 0, nil, nil, corruptf("section count %d out of range", nsec)
 	}
 	dirLen := int(nsec) * dirEntrySize
 	if headerSize+dirLen > len(data) {
-		return corruptf("section directory overruns file")
+		return 0, 0, nil, nil, corruptf("section directory overruns file")
 	}
 	dir := data[headerSize : headerSize+dirLen]
 	if got := crc32.Checksum(dir, crcTable); got != dirCRC {
-		return corruptf("section directory checksum %08x, want %08x", got, dirCRC)
+		return 0, 0, nil, nil, corruptf("section directory checksum %08x, want %08x", got, dirCRC)
 	}
-	if nfuncs > uint64(len(data)/funcRecSize) {
-		return corruptf("function count %d impossible for %d-byte file", nfuncs, len(data))
+	if nf > uint64(len(data)/funcRecSize) {
+		return 0, 0, nil, nil, corruptf("function count %d impossible for %d-byte file", nf, len(data))
 	}
-	f.nfuncs = int(nfuncs)
-
-	payloads := make(map[string][]byte, nsec)
+	payloads = make(map[string][]byte, nsec)
 	for i := 0; i < int(nsec); i++ {
 		e := dir[i*dirEntrySize:]
 		name := sectionName(binary.LittleEndian.Uint32(e))
@@ -153,20 +151,31 @@ func (f *File) parseHeader() error {
 		length := binary.LittleEndian.Uint64(e[16:])
 		crc := binary.LittleEndian.Uint32(e[24:])
 		if off%8 != 0 {
-			return corruptf("section %s misaligned at offset %d", name, off)
+			return 0, 0, nil, nil, corruptf("section %s misaligned at offset %d", name, off)
 		}
 		if off > uint64(len(data)) || length > uint64(len(data))-off {
-			return corruptf("section %s [%d,+%d) overruns %d-byte file", name, off, length, len(data))
+			return 0, 0, nil, nil, corruptf("section %s [%d,+%d) overruns %d-byte file", name, off, length, len(data))
 		}
 		if _, dup := payloads[name]; dup {
-			return corruptf("duplicate section %s", name)
+			return 0, 0, nil, nil, corruptf("duplicate section %s", name)
 		}
 		payloads[name] = data[off : off+length]
-		f.sections = append(f.sections, SectionInfo{Name: name, Offset: off, Len: length, CRC: crc})
+		secs = append(secs, SectionInfo{Name: name, Offset: off, Len: length, CRC: crc})
 	}
+	return int(data[len(Magic)]), int(nf), secs, payloads, nil
+}
+
+func (f *File) parseHeader() error {
+	version, nfuncs, secs, payloads, err := ReadSections(f.data)
+	if err != nil {
+		return err
+	}
+	if version != Version {
+		return corruptf("format v%d, want v%d", version, Version)
+	}
+	f.nfuncs, f.sections = nfuncs, secs
 	recSizes := map[string]int{
 		SecSTRO: stroRecSize, SecFUNC: funcRecSize, SecBLCK: blckRecSize,
-		SecINST: instRecSize, SecOPND: opndRecSize, SecMEMT: memtRecSize,
 		SecSUCC: succRecSize, SecFEAT: featRecSize, SecLSHT: lshtRecSize,
 	}
 	for _, name := range requiredSections {
@@ -182,6 +191,9 @@ func (f *File) parseHeader() error {
 		s := &f.sections[i]
 		if rs := recSizes[s.Name]; rs != 0 {
 			s.Records = int(s.Len) / rs
+		}
+		if s.Name == SecLSHB || s.Name == SecPACK {
+			s.Records = f.nfuncs // one record a function
 		}
 	}
 
@@ -212,26 +224,12 @@ func (f *File) parseHeader() error {
 
 	f.funcs = payloads[SecFUNC]
 	f.blcks = payloads[SecBLCK]
-	f.insts = payloads[SecINST]
-	f.opnds = payloads[SecOPND]
-	f.memts = payloads[SecMEMT]
-	f.succs = u32View(payloads[SecSUCC])
+	f.succs = column[uint32](payloads[SecSUCC])
 	if f.nfuncs != len(f.funcs)/funcRecSize {
 		return corruptf("header says %d functions, FUNC holds %d", f.nfuncs, len(f.funcs)/funcRecSize)
 	}
 
-	featb := payloads[SecFEAT]
-	if len(featb) == 0 {
-		f.feats = nil
-	} else if uintptr(unsafe.Pointer(&featb[0]))%8 == 0 {
-		f.feats = unsafe.Slice((*uint64)(unsafe.Pointer(&featb[0])), len(featb)/featRecSize)
-	} else {
-		// A heap buffer handed to Parse need not be 8-aligned; copy once.
-		f.feats = make([]uint64, len(featb)/featRecSize)
-		for i := range f.feats {
-			f.feats[i] = binary.LittleEndian.Uint64(featb[i*featRecSize:])
-		}
-	}
+	f.feats = column[uint64](payloads[SecFEAT])
 
 	if lshb, ok := payloads[SecLSHB]; ok {
 		if err := f.parseLSH(lshb); err != nil {
@@ -243,12 +241,7 @@ func (f *File) parseHeader() error {
 			return err
 		}
 	}
-	if pack, ok := payloads[SecPACK]; ok {
-		if err := f.parsePack(pack); err != nil {
-			return err
-		}
-	}
-	return nil
+	return f.parsePack(payloads[SecPACK])
 }
 
 // view returns the first n values of b as native Ts. b must be aligned for
@@ -260,21 +253,19 @@ func view[T any](b []byte, n int) []T {
 	return unsafe.Slice((*T)(unsafe.Pointer(&b[0])), n)
 }
 
-// u32View returns b as native u32s: a zero-copy view when b is 4-aligned
-// (always, for a section of a mapping), one decoded copy otherwise (a
-// heap buffer handed to Parse need not be aligned).
-func u32View(b []byte) []uint32 {
-	n := len(b) / 4
+// column returns b as native Ts: a zero-copy view when b is aligned for T
+// (always, for a section of a mapping), one copy otherwise (a heap buffer
+// handed to Parse need not be aligned).
+func column[T uint32 | uint64](b []byte) []T {
+	n := len(b) / int(unsafe.Sizeof(T(0)))
 	if n == 0 {
 		return nil
 	}
-	if uintptr(unsafe.Pointer(&b[0]))%4 == 0 {
-		return unsafe.Slice((*uint32)(unsafe.Pointer(&b[0])), n)
+	if uintptr(unsafe.Pointer(&b[0]))%unsafe.Sizeof(T(0)) == 0 {
+		return view[T](b, n)
 	}
-	out := make([]uint32, n)
-	for i := range out {
-		out[i] = binary.LittleEndian.Uint32(b[i*4:])
-	}
+	out := make([]T, n)
+	copy(bytesOf(out), b)
 	return out
 }
 
@@ -299,15 +290,9 @@ func (f *File) parseLSH(p []byte) error {
 		return corruptf("section LSHB length %d, want exactly %d for %d functions x k=%d",
 			len(p), want, f.nfuncs, k)
 	}
-	f.lshSigs = u32View(p[lshHdrSize:])
+	f.lshSigs = column[uint32](p[lshHdrSize:])
 	f.lshParams = params
 	f.hasLSH = true
-	// Surface a per-function record count in idxinfo's section table.
-	for i := range f.sections {
-		if f.sections[i].Name == SecLSHB {
-			f.sections[i].Records = f.nfuncs
-		}
-	}
 	return nil
 }
 
@@ -329,7 +314,7 @@ func (f *File) parseLSHTable(p []byte) error {
 		return corruptf("section LSHT length %d, want exactly %d for %d bands x %d functions",
 			len(p), want, bands, f.nfuncs)
 	}
-	table := u32View(p)
+	table := column[uint32](p)
 	n := f.nfuncs
 	seenIn := make([]uint32, n) // 1 + the last band that listed the id
 	for b := 0; b < bands; b++ {
@@ -347,7 +332,7 @@ func (f *File) parseLSHTable(p []byte) error {
 	return nil
 }
 
-// parsePack checks the shape of the optional PACK section and adopts it: a
+// parsePack checks the shape of the PACK section and adopts it: a
 // length that holds the function table in whole words, and a table that
 // starts right behind itself and ends at the section's end. Where each
 // function's record lies in between, and what is in it, is checked when
@@ -357,20 +342,12 @@ func (f *File) parsePack(p []byte) error {
 	if len(p)%8 != 0 || uint64(len(p)) < tab {
 		return corruptf("section PACK length %d, want a multiple of 8 of at least %d for %d functions", len(p), tab, f.nfuncs)
 	}
-	if uintptr(unsafe.Pointer(&p[0]))%8 != 0 {
-		// A heap buffer handed to Parse need not be 8-aligned; copy once.
-		p = append(bytesOf(make([]uint64, len(p)/8))[:0], p...)
-	}
+	p = bytesOf(column[uint64](p))
 	off := view[uint64](p, f.nfuncs+1)
 	if off[0] != tab || off[f.nfuncs] != uint64(len(p)) {
 		return corruptf("section PACK function table spans [%d,%d), want [%d,%d)", off[0], off[f.nfuncs], tab, len(p))
 	}
 	f.pack, f.packOff = p, off
-	for i := range f.sections {
-		if f.sections[i].Name == SecPACK {
-			f.sections[i].Records = f.nfuncs
-		}
-	}
 	return nil
 }
 
@@ -410,11 +387,12 @@ func (f *File) checkFuncs() error {
 
 // Verify is the integrity pass behind tracy idxinfo -verify and tracy
 // convert. It recomputes every section checksum against the directory,
-// reads every function the way a query would — so every record check that
-// Parse leaves to first touch runs — checks that every LSHT band is in
-// (band hash, id) order, and packs every decoded function afresh to see
-// that PACK, which is derived from the records, still agrees with them. It
-// touches every page of the file.
+// reads every function the way a query would and rebuilds its
+// instructions — so every record check that Parse leaves to first touch
+// runs — checks that every LSHT band is in (band hash, id) order, and packs
+// every rebuilt function afresh to see that the columns PACK derives from
+// the instructions (kind and content hashes, register masks, kind
+// profiles) still agree with them. It touches every page of the file.
 func (f *File) Verify() error {
 	for _, s := range f.sections {
 		got := crc32.Checksum(f.data[s.Offset:s.Offset+s.Len], crcTable)
@@ -427,15 +405,12 @@ func (f *File) Verify() error {
 		if err != nil {
 			return err
 		}
-		if f.pack == nil {
-			continue
-		}
 		pf, err := f.PackedFunc(i)
 		if err != nil {
 			return err
 		}
 		if err := packedAgrees(pf, fn); err != nil {
-			return corruptf("function %d: section PACK disagrees with the records: %v", i, err)
+			return corruptf("function %d: section PACK disagrees with its own instructions: %v", i, err)
 		}
 	}
 	if f.lshTable == nil {
@@ -457,15 +432,12 @@ func (f *File) Verify() error {
 }
 
 // packedAgrees reports how the stored packed form of a function differs
-// from what packing the decoded function gives, nil when it does not.
+// from what packing the rebuilt function gives, nil when it does not.
 func packedAgrees(pf PackedFunc, fn *prep.Function) error {
 	g := fn.Graph
 	bodies := make([][]asm.Inst, len(g.Blocks))
 	for b, blk := range g.Blocks {
 		bodies[b] = blk.Body()
-	}
-	if pf.NumInsts != g.NumInsts() {
-		return fmt.Errorf("%d instructions, the records hold %d", pf.NumInsts, g.NumInsts())
 	}
 	for b, want := range asm.PackEach(bodies) {
 		if got := &pf.Blocks[b]; got.Hash != want.Hash || !slices.Equal(got.Prof, want.Prof) || !got.Same(&want.Packed) {
@@ -564,157 +536,6 @@ func (f *File) LSHSigs() []uint32 { return f.lshSigs }
 // minhash.BandTable. It may alias the file mapping.
 func (f *File) LSHTable() []uint32 { return f.lshTable }
 
-// blockRec is one BLCK record, with its successor range checked: the
-// part of a block both ways of reading a function share.
-type blockRec struct {
-	addr            uint32
-	instOff, ninsts int
-	succs           []uint32 // aliases SUCC
-}
-
-// block reads record bi of the nblocks BLCK records of function i that
-// start at blockOff, and checks the successor range and every successor.
-// The instruction range is returned unchecked.
-func (f *File) block(i, blockOff, nblocks, bi int) (blockRec, error) {
-	br := f.blcks[(blockOff+bi)*blckRecSize:]
-	succOff := binary.LittleEndian.Uint32(br[12:])
-	nsuccs := binary.LittleEndian.Uint32(br[16:])
-	if nSuccs := uint32(len(f.succs)); succOff > nSuccs || nsuccs > nSuccs-succOff {
-		return blockRec{}, corruptf("function %d block %d: successor range [%d,+%d) of %d", i, bi, succOff, nsuccs, len(f.succs))
-	}
-	succs := f.succs[succOff : succOff+nsuccs : succOff+nsuccs]
-	for _, s := range succs {
-		if s >= uint32(nblocks) {
-			return blockRec{}, corruptf("function %d block %d: successor %d of %d blocks", i, bi, s, nblocks)
-		}
-	}
-	return blockRec{
-		addr:    binary.LittleEndian.Uint32(br),
-		instOff: int(binary.LittleEndian.Uint32(br[4:])),
-		ninsts:  int(binary.LittleEndian.Uint32(br[8:])),
-		succs:   succs,
-	}, nil
-}
-
-// DecodeFunc materializes function i as a lifted prep.Function,
-// identical field for field to the function that was written. A
-// first pass over the function's records checks every range and id they
-// hold — this is where a function's BLCK, SUCC, INST, OPND and MEMT
-// records are validated, not Parse — and sizes the function; then blocks,
-// instructions, operands, memory terms and successors are each carved
-// from one array for the whole function, so a decode costs a fixed
-// handful of allocations whatever the function's size; strings are shared
-// slices of the file's one string-table copy. A function whose records
-// are corrupt yields the typed error IsCorrupt recognizes. Safe for
-// concurrent callers.
-func (f *File) DecodeFunc(i int) (*prep.Function, error) {
-	r := f.funcs[i*funcRecSize:]
-	name := f.str(binary.LittleEndian.Uint32(r[4:]))
-	addr := binary.LittleEndian.Uint32(r[12:])
-	entry := int(binary.LittleEndian.Uint32(r[16:]))
-	blockOff := int(binary.LittleEndian.Uint32(r[20:]))
-	nblocks := int(binary.LittleEndian.Uint32(r[24:]))
-
-	nstr := uint32(f.names.Len())
-	nInsts, nOps, nMems := len(f.insts)/instRecSize, len(f.opnds)/opndRecSize, len(f.memts)/memtRecSize
-	var total struct{ insts, ops, mems, succs int }
-	var few [16]blockRec // the checked block records, on the stack for most functions
-	recs := few[:0]
-	for bi := 0; bi < nblocks; bi++ {
-		blk, err := f.block(i, blockOff, nblocks, bi)
-		if err != nil {
-			return nil, err
-		}
-		recs = append(recs, blk)
-		if blk.instOff > nInsts || blk.ninsts > nInsts-blk.instOff {
-			return nil, corruptf("function %d block %d: instruction range [%d,+%d) of %d", i, bi, blk.instOff, blk.ninsts, nInsts)
-		}
-		total.insts += blk.ninsts
-		total.succs += len(blk.succs)
-		for ii := blk.instOff; ii < blk.instOff+blk.ninsts; ii++ {
-			ir := f.insts[ii*instRecSize:]
-			opOff := int(binary.LittleEndian.Uint32(ir[4:]))
-			nops := int(binary.LittleEndian.Uint32(ir[8:]))
-			if mnem := binary.LittleEndian.Uint32(ir); mnem >= nstr {
-				return nil, corruptf("function %d instruction %d: mnemonic id %d of %d strings", i, ii, mnem, nstr)
-			}
-			if opOff > nOps || nops > nOps-opOff {
-				return nil, corruptf("function %d instruction %d: operand range [%d,+%d) of %d", i, ii, opOff, nops, nOps)
-			}
-			total.ops += nops
-			for oi := opOff; oi < opOff+nops; oi++ {
-				opr := f.opnds[oi*opndRecSize:]
-				if opr[0] > byte(asm.KindSym) {
-					return nil, corruptf("function %d operand %d: bad argument kind %d", i, oi, opr[0])
-				}
-				if sym := binary.LittleEndian.Uint32(opr[4:]); sym >= nstr {
-					return nil, corruptf("function %d operand %d: symbol id %d of %d strings", i, oi, sym, nstr)
-				}
-				if opr[3]&opndFlagMem == 0 {
-					continue
-				}
-				memOff := int(binary.LittleEndian.Uint32(opr[16:]))
-				nmem := int(binary.LittleEndian.Uint32(opr[20:]))
-				if nmem == 0 {
-					return nil, corruptf("function %d operand %d: memory operand with no terms", i, oi)
-				}
-				if memOff > nMems || nmem > nMems-memOff {
-					return nil, corruptf("function %d operand %d: memory-term range [%d,+%d) of %d", i, oi, memOff, nmem, nMems)
-				}
-				total.mems += nmem
-				for ti := memOff; ti < memOff+nmem; ti++ {
-					tr := f.memts[ti*memtRecSize:]
-					switch asm.MemOp(tr[0]) {
-					case asm.OpAdd, asm.OpSub, asm.OpMul:
-					default:
-						return nil, corruptf("function %d memory term %d: bad operator %q", i, ti, tr[0])
-					}
-					if tr[1] > byte(asm.KindSym) {
-						return nil, corruptf("function %d memory term %d: bad argument kind %d", i, ti, tr[1])
-					}
-					if sym := binary.LittleEndian.Uint32(tr[4:]); sym >= nstr {
-						return nil, corruptf("function %d memory term %d: symbol id %d of %d strings", i, ti, sym, nstr)
-					}
-				}
-			}
-		}
-	}
-	d := funcDecoder{
-		f:     f,
-		insts: make([]asm.Inst, 0, total.insts),
-		ops:   make([]asm.Operand, 0, total.ops),
-		mems:  make([]asm.MemTerm, 0, total.mems),
-	}
-	blocks := make([]cfg.Block, nblocks)
-	succBuf := make([]int, 0, total.succs)
-
-	g := &cfg.Graph{Name: name, Entry: entry, Blocks: make([]*cfg.Block, nblocks)}
-	for bi, rec := range recs {
-		blk := &blocks[bi]
-		blk.Index, blk.Addr = bi, rec.addr
-		if rec.ninsts > 0 {
-			start := len(d.insts)
-			for ii := 0; ii < rec.ninsts; ii++ {
-				d.inst(rec.instOff + ii)
-			}
-			blk.Insts = d.insts[start:len(d.insts):len(d.insts)]
-		}
-		if len(rec.succs) > 0 {
-			start := len(succBuf)
-			for _, s := range rec.succs {
-				succBuf = append(succBuf, int(s))
-			}
-			blk.Succs = succBuf[start:len(succBuf):len(succBuf)]
-		}
-		g.Blocks[bi] = blk
-	}
-	return &prep.Function{Name: name, Addr: addr, Graph: g}, nil
-}
-
-// HasPack reports whether the file carries the PACK section, so that
-// PackedFunc can serve its functions in packed form.
-func (f *File) HasPack() bool { return f.pack != nil }
-
 // PackedFunc is a function as the PACK section stores it: what
 // core.DecomposeBlocks consumes.
 type PackedFunc struct {
@@ -731,29 +552,60 @@ type PackedFunc struct {
 // PACK record and its BLCK and SUCC records are validated: the record's
 // place and length, its counts against FUNC's block count and against one
 // another, and per block what asm.Packed.Check checks — offsets in order,
-// arguments as the encodings say, string ids in range — before any of it
-// is returned, so that comparing the blocks reads nothing unchecked. A
-// record that fails yields the typed error IsCorrupt recognizes. The file
-// must HasPack. Safe for concurrent callers.
+// arguments as the encodings say, string ids in range — and what
+// asm.CheckInst checks of its jump slot, before any of it is returned, so
+// that comparing the blocks reads nothing unchecked. A record that fails
+// yields the typed error IsCorrupt recognizes. Safe for concurrent callers.
 func (f *File) PackedFunc(i int) (PackedFunc, error) {
+	rec, err := f.record(i, false)
+	return rec.PackedFunc, err
+}
+
+// packedRec is a function's PACK record, checked: its packed blocks, the
+// record's encodings, all of them back to back, its argument count, and
+// each block's jump slot.
+type packedRec struct {
+	PackedFunc
+	canon []byte
+	nargs int
+	jumps []jumpSlot // one per block; nil unless asked for
+}
+
+// jumpSlot is the encoding and arguments of a block's trailing jump, both
+// empty when the block has none.
+type jumpSlot struct {
+	enc  []byte
+	args []asm.PArg
+}
+
+// packBlk is the per-block entry of a PACK function record.
+type packBlk struct {
+	hash   uint64
+	ninsts uint32
+	nprof  uint32
+}
+
+// record reads and checks function i's PACK record (see PackedFunc), with
+// the jump slots of its blocks when jumps is set.
+func (f *File) record(i int, jumps bool) (packedRec, error) {
 	r := f.funcs[i*funcRecSize:]
 	blockOff := int(binary.LittleEndian.Uint32(r[20:]))
 	nblocks := int(binary.LittleEndian.Uint32(r[24:]))
 
 	lo, hi := f.packOff[i], f.packOff[i+1]
 	if lo%8 != 0 || lo > hi || hi > uint64(len(f.pack)) || hi-lo < packHdrSize {
-		return PackedFunc{}, corruptf("function %d: PACK record [%d,%d) of %d bytes", i, lo, hi, len(f.pack))
+		return packedRec{}, corruptf("function %d: PACK record [%d,%d) of %d bytes", i, lo, hi, len(f.pack))
 	}
 	rec := f.pack[lo:hi]
 	hdr := view[uint32](rec, packHdrSize/4)
 	ninsts, nargs, ncanon, nprof := uint64(hdr[1]), uint64(hdr[2]), uint64(hdr[3]), uint64(hdr[4])
 	if int(hdr[0]) != nblocks {
-		return PackedFunc{}, corruptf("function %d: PACK holds %d blocks, FUNC %d", i, hdr[0], nblocks)
+		return packedRec{}, corruptf("function %d: PACK holds %d blocks, FUNC %d", i, hdr[0], nblocks)
 	}
 	nb := uint64(nblocks)
 	if want := packHdrSize + packBlkSize*nb + 24*ninsts + packArgSize*nargs + packProfSize*nprof +
-		8*(ninsts+nb) + (ncanon+7)&^7; want != uint64(len(rec)) {
-		return PackedFunc{}, corruptf("function %d: PACK record of %d bytes, its counts want %d", i, len(rec), want)
+		8*(ninsts+2*nb) + (ncanon+7)&^7; want != uint64(len(rec)) {
+		return packedRec{}, corruptf("function %d: PACK record of %d bytes, its counts want %d", i, len(rec), want)
 	}
 	// The columns, in file order; each count is now known to fit in rec.
 	cut := func(n uint64) []byte {
@@ -768,113 +620,143 @@ func (f *File) PackedFunc(i int) (PackedFunc, error) {
 	write := view[uint64](cut(8*ninsts), int(ninsts))
 	args := view[asm.PArg](cut(packArgSize*nargs), int(nargs))
 	prof := view[asm.KindCount](cut(packProfSize*nprof), int(nprof))
-	kOff := view[int32](cut(4*(ninsts+nb)), int(ninsts+nb))
-	off := view[int32](cut(4*(ninsts+nb)), int(ninsts+nb))
+	// Per block ninsts+2 offsets: as the blocks' counts add up to ninsts,
+	// a block's share is in range whenever its kind hashes are.
+	kOff := view[int32](cut(4*(ninsts+2*nb)), int(ninsts+2*nb))
+	off := view[int32](cut(4*(ninsts+2*nb)), int(ninsts+2*nb))
 	canon := rec[:ncanon]
 
-	pf := PackedFunc{Name: f.str(binary.LittleEndian.Uint32(r[4:])), Blocks: make([]asm.Block, nblocks)}
-	for bi := range pf.Blocks {
-		brec, err := f.block(i, blockOff, nblocks, bi)
+	out := packedRec{PackedFunc: PackedFunc{Name: f.str(binary.LittleEndian.Uint32(r[4:])), Blocks: make([]asm.Block, nblocks)}, canon: canon, nargs: int(nargs)}
+	if jumps {
+		out.jumps = make([]jumpSlot, nblocks)
+	}
+	for bi := range out.Blocks {
+		succs, err := f.succsOf(i, blockOff, nblocks, bi)
 		if err != nil {
-			return PackedFunc{}, err
+			return packedRec{}, err
 		}
-		pf.NumInsts += brec.ninsts
 		m := meta[bi]
 		n, np := int(m.ninsts), int(m.nprof)
 		if n > len(kindH) || np > len(prof) {
-			return PackedFunc{}, corruptf("function %d block %d: PACK block counts run past the function's", i, bi)
+			return packedRec{}, corruptf("function %d block %d: PACK block counts run past the function's", i, bi)
 		}
-		blk := &pf.Blocks[bi]
-		blk.Hash, blk.Succs, blk.Names = m.hash, brec.succs, &f.names
+		blk := &out.Blocks[bi]
+		blk.Hash, blk.Succs, blk.Names = m.hash, succs, &f.names
 		blk.KindH, kindH = kindH[:n:n], kindH[n:]
 		blk.Read, read = read[:n:n], read[n:]
 		blk.Write, write = write[:n:n], write[n:]
 		blk.Prof, prof = prof[:np:np], prof[np:]
-		blk.KOff, kOff = kOff[:n+1:n+1], kOff[n+1:]
-		blk.Off, off = off[:n+1:n+1], off[n+1:]
-		nc, na := int(blk.KOff[n]), int(blk.Off[n])
-		if nc < 0 || nc > len(canon) || na < 0 || na > len(args) {
-			return PackedFunc{}, corruptf("function %d block %d: PACK offsets run past the function's encodings or arguments", i, bi)
+		blk.KOff, blk.Off = kOff[:n+1:n+1], off[:n+1:n+1]
+		// The body's stretch ends at its last offsets, the jump slot's at the
+		// ones behind them.
+		nc, na, jc, ja := int(kOff[n]), int(off[n]), int(kOff[n+1]), int(off[n+1])
+		kOff, off = kOff[n+2:], off[n+2:]
+		if nc < 0 || nc > jc || jc > len(canon) || na < 0 || na > ja || ja > len(args) {
+			return packedRec{}, corruptf("function %d block %d: PACK offsets run past the function's encodings or arguments", i, bi)
 		}
-		blk.Canon, canon = canon[:nc:nc], canon[nc:]
-		blk.Args, args = args[:na:na], args[na:]
+		blk.Canon, blk.Args = canon[:nc:nc], args[:na:na]
 		if err := blk.Check(); err != nil {
-			return PackedFunc{}, corruptf("function %d block %d: PACK %v", i, bi, err)
+			return packedRec{}, corruptf("function %d block %d: PACK %v", i, bi, err)
 		}
+		// An empty slot is no jump; anything else must be one instruction.
+		jump := jumpSlot{canon[nc:jc], args[na:ja]}
+		if len(jump.enc)+len(jump.args) > 0 {
+			if err := asm.CheckInst(jump.enc, jump.args, &f.names); err != nil {
+				return packedRec{}, corruptf("function %d block %d: PACK jump %v", i, bi, err)
+			}
+			out.NumInsts++
+		}
+		out.NumInsts += n
+		if jumps {
+			out.jumps[bi] = jump
+		}
+		canon, args = canon[jc:], args[ja:]
 	}
 	if len(kindH)+len(prof)+len(canon)+len(args) != 0 {
-		return PackedFunc{}, corruptf("function %d: PACK blocks do not add up to the function's counts", i)
+		return packedRec{}, corruptf("function %d: PACK blocks do not add up to the function's counts", i)
 	}
-	return pf, nil
+	return out, nil
 }
 
-// packBlk is the per-block entry of a PACK function record.
-type packBlk struct {
-	hash   uint64
-	ninsts uint32
-	nprof  uint32
-}
-
-// funcDecoder holds the per-function arrays DecodeFunc carves from. Each
-// is sized exactly by DecodeFunc's counting pass, so no append below
-// reallocates and every carved slice is capped at its own length.
-type funcDecoder struct {
-	f     *File
-	insts []asm.Inst
-	ops   []asm.Operand
-	mems  []asm.MemTerm
-}
-
-func (d *funcDecoder) inst(i int) {
-	r := d.f.insts[i*instRecSize:]
-	in := asm.Inst{Mnemonic: d.f.str(binary.LittleEndian.Uint32(r))}
-	opOff := int(binary.LittleEndian.Uint32(r[4:]))
-	if nops := int(binary.LittleEndian.Uint32(r[8:])); nops > 0 {
-		start := len(d.ops)
-		for oi := 0; oi < nops; oi++ {
-			d.operand(opOff + oi)
+// succsOf reads the successors of block bi of the nblocks BLCK records of
+// function i that start at blockOff, checking their range and every one.
+func (f *File) succsOf(i, blockOff, nblocks, bi int) ([]uint32, error) {
+	br := f.blcks[(blockOff+bi)*blckRecSize:]
+	succOff := binary.LittleEndian.Uint32(br[4:])
+	nsuccs := binary.LittleEndian.Uint32(br[8:])
+	if nSuccs := uint32(len(f.succs)); succOff > nSuccs || nsuccs > nSuccs-succOff {
+		return nil, corruptf("function %d block %d: successor range [%d,+%d) of %d", i, bi, succOff, nsuccs, len(f.succs))
+	}
+	succs := f.succs[succOff : succOff+nsuccs : succOff+nsuccs]
+	for _, s := range succs {
+		if s >= uint32(nblocks) {
+			return nil, corruptf("function %d block %d: successor %d of %d blocks", i, bi, s, nblocks)
 		}
-		in.Ops = d.ops[start:len(d.ops):len(d.ops)]
 	}
-	d.insts = append(d.insts, in)
+	return succs, nil
 }
 
-func (d *funcDecoder) operand(i int) {
-	f := d.f
-	r := f.opnds[i*opndRecSize:]
-	flags := r[3]
-	op := asm.Operand{
-		Arg:    f.decodeArg(r[0], r[1], r[2], binary.LittleEndian.Uint32(r[4:]), int64(binary.LittleEndian.Uint64(r[8:]))),
-		Offset: flags&opndFlagOffset != 0,
+// DecodeFunc materializes function i as a lifted prep.Function,
+// identical field for field to the function that was written: every
+// instruction is rebuilt from its PACK encoding and arguments by
+// asm.Unpacker, every block's trailing jump from its jump slot. The
+// record is checked first, as PackedFunc checks it; then instructions,
+// operands, memory terms, blocks and successors are each carved from one
+// array for the whole function, so a decode costs a fixed handful of
+// allocations whatever the function's size. Mnemonics are slices of one
+// heap copy of the function's encodings and symbol names of the file's one
+// string-table copy. A function whose records are corrupt yields the typed
+// error IsCorrupt recognizes. Safe for concurrent callers.
+func (f *File) DecodeFunc(i int) (*prep.Function, error) {
+	rec, err := f.record(i, true)
+	if err != nil {
+		return nil, err
 	}
-	if flags&opndFlagMem != 0 {
-		memOff := int(binary.LittleEndian.Uint32(r[16:]))
-		nmem := int(binary.LittleEndian.Uint32(r[20:]))
-		start := len(d.mems)
-		for ti := 0; ti < nmem; ti++ {
-			tr := f.memts[(memOff+ti)*memtRecSize:]
-			d.mems = append(d.mems, asm.MemTerm{
-				Op:  asm.MemOp(tr[0]),
-				Arg: f.decodeArg(tr[1], tr[2], tr[3], binary.LittleEndian.Uint32(tr[4:]), int64(binary.LittleEndian.Uint64(tr[8:]))),
-			})
+	r := f.funcs[i*funcRecSize:]
+	blockOff := int(binary.LittleEndian.Uint32(r[20:]))
+	// Room: every direct operand and every memory term takes one of the
+	// function's arguments, and record has checked that they add up.
+	nsuccs := 0
+	for bi := range rec.Blocks {
+		nsuccs += len(rec.Blocks[bi].Succs)
+	}
+	u := asm.Unpacker{Sym: f.str, Ops: make([]asm.Operand, 0, rec.nargs), Mems: make([]asm.MemTerm, 0, rec.nargs)}
+	insts := make([]asm.Inst, 0, rec.NumInsts)
+	blocks := make([]cfg.Block, len(rec.Blocks))
+	succBuf := make([]int, 0, nsuccs)
+	g := &cfg.Graph{Name: rec.Name, Entry: int(binary.LittleEndian.Uint32(r[16:])), Blocks: make([]*cfg.Block, len(rec.Blocks))}
+	// The encodings lie back to back in instruction order, each block's
+	// jump behind its body. record has checked that each fits its
+	// arguments, which is all Unpacker.Inst can refuse.
+	enc := string(rec.canon)
+	unpack := func(n int, args []asm.PArg) {
+		in, _ := u.Inst(enc[:n], args)
+		insts, enc = append(insts, in), enc[n:]
+	}
+	for bi := range rec.Blocks {
+		pb, blk := &rec.Blocks[bi], &blocks[bi]
+		blk.Index = bi
+		blk.Addr = binary.LittleEndian.Uint32(f.blcks[(blockOff+bi)*blckRecSize:])
+		start := len(insts)
+		for k := 0; k < pb.Len(); k++ {
+			unpack(int(pb.KOff[k+1]-pb.KOff[k]), pb.Args[pb.Off[k]:pb.Off[k+1]])
 		}
-		op.Mem = d.mems[start:len(d.mems):len(d.mems)]
+		if j := rec.jumps[bi]; len(j.enc) > 0 {
+			unpack(len(j.enc), j.args)
+		}
+		if len(insts) > start {
+			blk.Insts = insts[start:len(insts):len(insts)]
+		}
+		if len(pb.Succs) > 0 {
+			s := len(succBuf)
+			for _, v := range pb.Succs {
+				succBuf = append(succBuf, int(v))
+			}
+			blk.Succs = succBuf[s:len(succBuf):len(succBuf)]
+		}
+		g.Blocks[bi] = blk
 	}
-	d.ops = append(d.ops, op)
-}
-
-func (f *File) decodeArg(kind, cls, reg byte, sym uint32, imm int64) asm.Arg {
-	a := asm.Arg{Kind: asm.ArgKind(kind)}
-	switch a.Kind {
-	case asm.KindReg:
-		a.Reg = asm.Reg(reg)
-	case asm.KindImm:
-		a.Imm = imm
-	case asm.KindSym:
-		a.Sym = f.str(sym)
-		a.Cls = asm.SymClass(cls)
-	}
-	return a
+	return &prep.Function{Name: rec.Name, Addr: binary.LittleEndian.Uint32(r[12:]), Graph: g}, nil
 }
 
 // Close releases the mapping when the File came from Open; for a File

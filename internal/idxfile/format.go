@@ -1,24 +1,26 @@
-// Package idxfile implements TRACYIDX v3: a flat, section-based,
+// Package idxfile implements TRACYIDX v4: a flat, section-based,
 // little-endian columnar on-disk index format designed to be served
 // straight out of the page cache.
 //
-// The gob formats it replaced (v0-v2, read now only to convert them, see
-// internal/index) deserialize the whole corpus into heap objects on load — at 10⁵-10⁶ functions that costs
-// seconds of reflection-driven decoding and a resident object graph many
-// times the file size. v3 instead lays every piece of the corpus out as
-// fixed-width column arrays plus one shared string table and one shared
-// feature pool, so a reader can
+// The gob formats it replaced (v0-v2) deserialize the whole corpus into
+// heap objects on load — at 10⁵-10⁶ functions that costs seconds of
+// reflection-driven decoding and a resident object graph many times the
+// file size. v3 stored every instruction twice, as INST/OPND/MEMT records
+// and again packed. Both are read now only to convert them (see
+// internal/index). v4 lays every piece of the corpus out as fixed-width
+// column arrays plus one shared string table and one shared feature pool,
+// and stores each function once, in the packed form the matcher consumes,
+// so a reader can
 //
 //   - mmap the file and touch only the pages a query needs (function
-//     metadata eagerly, instruction columns lazily per candidate),
+//     metadata eagerly, a function's packed record lazily per candidate),
 //   - share those clean file-backed pages across every serving process
 //     on the host,
-//   - reconstruct any single function in O(its size) with a handful of
-//     allocations, no reflection, and
-//   - compare a function where it lies: the PACK section holds every
-//     function's blocks in the packed form the matcher consumes, so a
-//     candidate's first touch is slice headers over the mapping, not a
-//     decode and a pack.
+//   - compare a function where it lies: a candidate's first touch is
+//     slice headers over the PACK section, not a decode and a pack, and
+//   - rebuild any single function as instructions in O(its size) with a
+//     handful of allocations, no reflection (asm.Unpacker inverts the
+//     packing).
 //
 // # On-disk layout
 //
@@ -30,7 +32,7 @@
 //
 //	off  size  field
 //	  0     8  magic "TRACYIDX"
-//	  8     1  format version (3)
+//	  8     1  format version (4)
 //	  9     3  reserved (zero)
 //	 12     4  section count   (u32)
 //	 16     8  total file size (u64) — must equal the real size
@@ -60,23 +62,13 @@
 //	      entry u32 (entry block, function-local),
 //	      blockOff u32 + nblocks u32 (range in BLCK),
 //	      featOff u32 + nfeats u32 (range in FEAT), reserved u32
-//	BLCK  20-byte basic-block records:
-//	      addr u32, instOff u32 + ninsts u32 (range in INST),
-//	      succOff u32 + nsuccs u32 (range in SUCC)
-//	INST  12-byte instruction records:
-//	      mnemonic u32 (string id), opOff u32 + nops u32 (range in OPND)
-//	OPND  24-byte operand records:
-//	      kind u8 (asm.ArgKind), cls u8 (asm.SymClass), reg u8, flags u8
-//	      (bit0: offset-prefixed, bit1: memory operand), sym u32 (string
-//	      id), imm i64, memOff u32 + nmem u32 (range in MEMT)
-//	MEMT  16-byte memory-term records:
-//	      op u8 ('+', '-', '*'), kind u8, cls u8, reg u8, sym u32 (string
-//	      id), imm i64
+//	BLCK  12-byte basic-block records:
+//	      addr u32, succOff u32 + nsuccs u32 (range in SUCC)
 //	SUCC  u32 successor block indices (function-local)
 //	FEAT  u64 prefilter features; per-function slices of the shared pool
-//	LSHB  optional MinHash/LSH signature block (absent in files written
-//	      before the lsh prefilter mode existed; readers treat absence
-//	      as "no lsh index"). Layout: a 16-byte header —
+//	LSHB  optional MinHash/LSH signature block (absent when the file was
+//	      written without -lsh; readers treat absence as "no lsh index").
+//	      Layout: a 16-byte header —
 //	          bands u32, rows u32, seed u64
 //	      — followed by exactly nfuncs·bands·rows u32 signature values,
 //	      function-major (function i's signature is the k = bands·rows
@@ -93,19 +85,16 @@
 //	      LSHB signature in band b, id) — so a band bucket is a
 //	      contiguous stretch found by binary search with the hashes
 //	      recomputed from LSHB, and a reader probes the mapping instead
-//	      of building bucket tables at first query. Absent in files
-//	      written before the section existed; readers then derive the
-//	      same table from LSHB (minhash.BandTable) at first use.
-//
-//	PACK  optional packed blocks, written by every Builder (absent in
-//	      files written before the section existed; readers then decode
-//	      and pack at first touch). It is derived from BLCK/INST/OPND/MEMT
-//	      — asm.PackEach over the function's jump-stripped block bodies,
-//	      with every symbol's name as its string id — and independent of
-//	      the tracelet size. Layout: u64[nfuncs+1] byte offsets into the
-//	      section, 8-aligned and ascending, the first just past the table
-//	      and the last the section's length; function i's record lies
-//	      between offsets i and i+1:
+//	      of building bucket tables at first query. When it is absent
+//	      readers derive the same table from LSHB (minhash.BandTable) at
+//	      first use.
+//	PACK  the function records: every function's instructions, packed
+//	      block by block as asm.PackEach packs the jump-stripped block
+//	      bodies the matcher compares, plus each block's trailing jump,
+//	      every symbol named by its string id. Layout: u64[nfuncs+1] byte
+//	      offsets into the section, 8-aligned and ascending, the first
+//	      just past the table and the last the section's length; function
+//	      i's record lies between offsets i and i+1:
 //	          nblocks u32 (= FUNC's), ninsts u32, nargs u32, ncanon u32,
 //	          nprof u32, reserved u32
 //	          nblocks x { content hash u64, ninsts u32, nprof u32 }
@@ -115,18 +104,41 @@
 //	          arguments     nargs x { tag u32, sym u32 (string id), imm
 //	                        i64, symbol hash u64 } — asm.PArg as it is
 //	          kind profiles nprof x { hash u64, weight i32, count i32 }
-//	          kind offsets  i32[ninsts+nblocks]: per block, its ninsts+1
-//	                        offsets into its stretch of the encodings
-//	          arg offsets   i32[ninsts+nblocks]: likewise into its
+//	          kind offsets  i32[ninsts+2·nblocks]: per block ninsts+2
+//	                        offsets into its stretch of the encodings —
+//	                        the body's ninsts+1, then the end of the
+//	                        block's jump slot
+//	          arg offsets   i32[ninsts+2·nblocks]: likewise into its
 //	                        stretch of the arguments
 //	          encodings     u8[ncanon] canonical kind encodings, then
 //	                        zero padding to 8 bytes
-//	      Blocks follow one another within every column in block order,
-//	      ninsts counts body instructions (a block's trailing jump is not
-//	      part of its body), and the record's length must be exactly what
+//	      Blocks follow one another within every column in block order.
+//	      ninsts counts body instructions: the hashes, masks and profiles
+//	      cover the bodies alone, which is what is compared. A block's
+//	      jump slot holds its trailing jump's encoding and arguments right
+//	      behind the body's; an empty slot means the block ends without
+//	      one (every encoding is at least one byte long). nargs and ncanon
+//	      count the jumps' too. The record's length must be exactly what
 //	      its counts add up to. Every column starts 8-aligned (4 for the
 //	      two offset columns), so a reader serves each as a slice of the
 //	      mapping.
+//
+// A PACK record of two blocks — "mov eax, 1; jmp L" (one body instruction
+// and a jump) and "ret" (one body instruction, no jump) — so ninsts 2,
+// nargs 3 (eax, 1, L) and ncanon = m+j+r, the lengths of the three
+// encodings; byte offsets from the record's start:
+//
+//	  0  2 | 2 | 3 | m+j+r | 2 | 0             header
+//	 24  hash₀ | 1 | 1 · hash₁ | 1 | 1         per block: body ninsts 1, one profile entry
+//	 56  kindH(mov) · kindH(ret)               u64[2]
+//	 72  read(mov) · read(ret)                 u64[2]
+//	 88  write(mov) · write(ret)               u64[2]
+//	104  eax · 1 · L                           3 x PArg: mov's two, then the jump's
+//	176  prof₀ · prof₁                         2 x KindCount
+//	208  0 m m+j · 0 r r                       kind offsets: block 0 body [0,m), jump [m,m+j);
+//	                                           block 1 body [0,r), empty slot [r,r)
+//	232  0 2 3 · 0 0 0                         arg offsets, likewise
+//	256  enc(mov) enc(jmp L) enc(ret) 0…       encodings, padded to 8
 //
 // # What is checked when
 //
@@ -134,28 +146,34 @@
 // section's bounds, alignment and record size, the string offsets, every
 // FUNC record against the pools it points into, and the LSHB/LSHT/PACK
 // section shapes — work proportional to the number of functions and
-// strings, never to the instructions. The records of a function — its
-// BLCK, SUCC, INST, OPND and MEMT ranges and ids, and its PACK record's
-// length, counts, offset order, argument kinds and string ids — are
-// checked when the function is first read, by DecodeFunc and PackedFunc,
-// before anything unchecked is followed; a function that fails yields the
-// same typed corruption error Parse does, and only the query that touched
-// it fails. Verify walks every function through both, re-derives PACK
-// from the records and compares, and recomputes the section checksums.
+// strings, never to the instructions. A function's own records — its BLCK
+// and SUCC ranges, and its PACK record's place, length, counts, offset
+// order, and per instruction (jumps included) an encoding whose counts
+// are in their one minimal form, arguments of the kinds it says and string
+// ids in range (asm.Packed.Check, asm.CheckInst)
+// — are checked when the function is first read, by PackedFunc and
+// DecodeFunc, before anything unchecked is followed; a function that fails
+// yields the same typed corruption error Parse does, and only the query
+// that touched it fails. Verify walks every function through both,
+// recomputes the columns PACK derives from the instructions — kind and
+// content hashes, register masks, kind profiles — from the rebuilt
+// instructions and compares, checks the LSHT band order, and recomputes
+// the section checksums.
 //
 // # Lifetime and unmap safety
 //
 // Open maps the file with a shared read-only mapping. Strings never alias
-// the mapping (the string table is copied once to the heap at parse time;
-// decoded functions and the name table of packed blocks share that copy),
-// but the per-function feature slices returned by Features DO alias it,
-// as do the blocks PackedFunc returns and every raw section. Close
-// unmaps; the caller owns proving nothing derived from the mapping is
-// still live. The serving layer never calls Close on a hot-swapped file —
-// the old mapping stays valid for in-flight queries and is unmapped by a
-// finalizer once the last snapshot, and the last decomposition built from
-// its packed blocks, is collected: whoever holds such slices must hold the
-// File.
+// the mapping (the string table is copied once to the heap at parse time,
+// and a decoded function's mnemonics are slices of one heap copy of its
+// encodings; decoded functions and the name table of packed blocks share
+// the string-table copy), but the per-function feature slices returned by
+// Features DO alias it, as do the blocks PackedFunc returns and every raw
+// section. Close unmaps; the caller owns proving nothing derived from the
+// mapping is still live. The serving layer never calls Close on a
+// hot-swapped file — the old mapping stays valid for in-flight queries
+// and is unmapped by a finalizer once the last snapshot, and the last
+// decomposition built from its packed blocks, is collected: whoever holds
+// such slices must hold the File.
 //
 // The fixed-width columns are served by casting the mapping, as FEAT and
 // the LSH sections always were: reader and writer assume a little-endian
@@ -167,12 +185,12 @@ import (
 	"hash/crc32"
 )
 
-// Magic and Version are the v3 file prelude, byte-compatible with the
-// header of the gob formats v1 and v2 (8-byte magic + version byte), so
-// one sniff tells the formats apart.
+// Magic and Version are the v4 file prelude, byte-compatible with the
+// header of v3 and of the gob formats v1 and v2 (8-byte magic + version
+// byte), so one sniff tells the formats apart.
 const (
 	Magic   = "TRACYIDX"
-	Version = 3
+	Version = 4
 )
 
 // Fixed layout sizes.
@@ -181,10 +199,7 @@ const (
 	dirEntrySize = 32
 
 	funcRecSize = 40
-	blckRecSize = 20
-	instRecSize = 12
-	opndRecSize = 24
-	memtRecSize = 16
+	blckRecSize = 12
 	succRecSize = 4
 	featRecSize = 8
 	stroRecSize = 4
@@ -206,28 +221,19 @@ const (
 	SecSTRO = "STRO"
 	SecFUNC = "FUNC"
 	SecBLCK = "BLCK"
-	SecINST = "INST"
-	SecOPND = "OPND"
-	SecMEMT = "MEMT"
 	SecSUCC = "SUCC"
 	SecFEAT = "FEAT"
 	SecLSHB = "LSHB" // optional; not in requiredSections
 	SecLSHT = "LSHT" // optional, only beside LSHB
-	SecPACK = "PACK" // optional; derived from BLCK/INST/OPND/MEMT
+	SecPACK = "PACK"
 )
 
-// requiredSections is the canonical section order the writer emits and
-// the parser requires (extra unknown sections are tolerated and skipped,
-// so the format can grow).
+// requiredSections are the sections the parser requires, in the order the
+// writer emits them (LSHB and LSHT, when written, go before PACK; extra
+// unknown sections are tolerated and skipped, so the format can grow).
 var requiredSections = []string{
-	SecSTRB, SecSTRO, SecFUNC, SecBLCK, SecINST, SecOPND, SecMEMT, SecSUCC, SecFEAT,
+	SecSTRB, SecSTRO, SecFUNC, SecBLCK, SecSUCC, SecFEAT, SecPACK,
 }
-
-// Operand flag bits.
-const (
-	opndFlagOffset = 1 << 0 // "offset name" operand
-	opndFlagMem    = 1 << 1 // memory operand ([...])
-)
 
 // crcTable is the Castagnoli polynomial (hardware-accelerated on amd64
 // and arm64), the checksum of every section and of the directory.

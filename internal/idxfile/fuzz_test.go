@@ -13,11 +13,11 @@ import (
 	"repro/internal/minhash"
 )
 
-// FuzzIdxfileLoad throws arbitrary bytes at the v3 parser: Parse must
+// FuzzIdxfileLoad throws arbitrary bytes at the v4 parser: Parse must
 // reject garbage with a corruptError, never panic, and never index out
 // of range. Any file Parse accepts must then serve every accessor without
-// faulting, and every function of it is read both ways — decoded from its
-// records and as packed blocks out of PACK — since a function's own
+// faulting, and every function of it is read both ways — rebuilt as
+// instructions and as packed blocks out of PACK — since a function's own
 // records are validated at that first read, not at Parse: each read either
 // succeeds or fails with a corruptError, a decoded graph is well-formed,
 // and packed blocks that were handed out are compared (decomposed as a
@@ -25,8 +25,8 @@ import (
 // checks are the only wall between untrusted bytes and the unchecked
 // decode and compare paths.
 func FuzzIdxfileLoad(f *testing.F) {
-	// A genuine v3 file as the prime seed so the fuzzer mutates real
-	// section structure instead of rediscovering the magic.
+	// A genuine file as the prime seed so the fuzzer mutates real section
+	// structure instead of rediscovering the magic.
 	exes, fns, truths, feats := handFuncs()
 	var saved bytes.Buffer
 	if _, err := Write(&saved, exes, fns, truths, feats); err != nil {
@@ -41,7 +41,7 @@ func FuzzIdxfileLoad(f *testing.F) {
 	}
 	f.Add(empty.Bytes())
 	f.Add([]byte(Magic))
-	f.Add([]byte("TRACYIDX\x03\x00\x00\x00garbage"))
+	f.Add([]byte("TRACYIDX\x04\x00\x00\x00garbage"))
 	f.Add([]byte{})
 	f.Add([]byte("not an index at all"))
 	for _, seed := range lshFuzzSeeds(f) {
@@ -102,9 +102,6 @@ func FuzzIdxfileLoad(f *testing.F) {
 						}
 					}
 				}
-			}
-			if !pf.HasPack() {
-				continue
 			}
 			p, err := pf.PackedFunc(i)
 			if err != nil {

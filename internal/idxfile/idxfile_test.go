@@ -124,8 +124,8 @@ func TestRoundTrip(t *testing.T) {
 	}
 	// Section directory must cover the required sections with valid ranges.
 	secs := f.Sections()
-	if len(secs) != len(requiredSections)+1 || secs[len(secs)-1].Name != SecPACK {
-		t.Fatalf("%d sections ending in %s, want the %d required ones and PACK", len(secs), secs[len(secs)-1].Name, len(requiredSections))
+	if len(secs) != len(requiredSections) || secs[len(secs)-1].Name != SecPACK {
+		t.Fatalf("%d sections ending in %s, want the %d required ones ending in PACK", len(secs), secs[len(secs)-1].Name, len(requiredSections))
 	}
 	for _, s := range secs {
 		if s.Offset%8 != 0 {
@@ -185,7 +185,7 @@ func mustDecode(tb testing.TB, f *File, i int) *prep.Function {
 
 func TestOpenMmap(t *testing.T) {
 	data := buildFile(t)
-	path := filepath.Join(t.TempDir(), "idx.v3")
+	path := filepath.Join(t.TempDir(), "t.idx")
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -218,8 +218,8 @@ func TestOpenMmap(t *testing.T) {
 
 func TestSniffVersion(t *testing.T) {
 	data := buildFile(t)
-	if v := SniffVersion(data[:16]); v != 3 {
-		t.Errorf("SniffVersion(v3 file) = %d", v)
+	if v := SniffVersion(data[:16]); v != Version {
+		t.Errorf("SniffVersion(v%d file) = %d", Version, v)
 	}
 	if v := SniffVersion([]byte("TRACYIDX\x02garbage")); v != 2 {
 		t.Errorf("SniffVersion(v2 prelude) = %d", v)

@@ -18,8 +18,8 @@ type packRec struct {
 func (r packRec) meta() int  { return r.at + packHdrSize }
 func (r packRec) args() int  { return r.meta() + packBlkSize*r.nblocks + 24*r.ninsts }
 func (r packRec) kOff() int  { return r.args() + packArgSize*r.nargs + packProfSize*r.prof }
-func (r packRec) off() int   { return r.kOff() + 4*(r.ninsts+r.nblocks) }
-func (r packRec) canon() int { return r.off() + 4*(r.ninsts+r.nblocks) }
+func (r packRec) off() int   { return r.kOff() + 4*(r.ninsts+2*r.nblocks) }
+func (r packRec) canon() int { return r.off() + 4*(r.ninsts+2*r.nblocks) }
 
 // packRecOf returns where function i's PACK record lies in data.
 func packRecOf(tb testing.TB, data []byte, i int) packRec {
@@ -30,11 +30,12 @@ func packRecOf(tb testing.TB, data []byte, i int) packRec {
 	return packRec{at: at, nblocks: u(0), ninsts: u(1), nargs: u(2), ncanon: u(3), prof: u(4)}
 }
 
-// packMutants returns files that differ from valid, a file with PACK, in
-// one place of function 0's record, by what is wrong with them. All but
-// the last must fail PackedFunc(0) with a corruption error and leave every
-// other function readable; the last reads fine and is wrong, which only
-// Verify can tell.
+// packMutants returns files that differ from valid in one place of
+// function 0's PACK record, by what is wrong with them. All but "disagrees
+// with records" must fail PackedFunc(0) and DecodeFunc(0) with a
+// corruption error and leave every other function readable; that one reads
+// fine and is wrong — its derived columns are not what its instructions
+// pack to — which only Verify can tell.
 func packMutants(tb testing.TB, valid []byte) map[string][]byte {
 	tb.Helper()
 	r := packRecOf(tb, valid, 0)
@@ -48,19 +49,34 @@ func packMutants(tb testing.TB, valid []byte) map[string][]byte {
 			imm = k
 		}
 	}
-	if sym < 0 || imm < 0 || r.ninsts < 2 {
-		tb.Fatal("function 0 of the hand corpus lacks a symbol, an immediate or a second instruction")
+	// Block 0's body, and where its jump slot starts in the arguments.
+	n0 := int(binary.LittleEndian.Uint32(valid[r.meta()+8:]))
+	jumpArg := int(binary.LittleEndian.Uint32(valid[r.off()+4*n0:]))
+	if sym < 0 || imm < 0 || r.ninsts < 2 || jumpArg >= r.nargs {
+		tb.Fatal("function 0 of the hand corpus lacks a symbol, an immediate, a second instruction or a jump with an argument")
 	}
 	put32 := func(at int, v uint32) func([]byte) {
 		return func(b []byte) { binary.LittleEndian.PutUint32(b[at:], v) }
 	}
 	return map[string][]byte{
-		// Block 0's offsets are its ninsts+1 first; the second one jumps past the third.
-		"off not monotone":       flip(valid, put32(r.off()+4, 1<<20)),
-		"koff past canon":        flip(valid, put32(r.kOff()+4*int(binary.LittleEndian.Uint32(valid[r.meta()+8:])), uint32(r.ncanon+1))),
-		"sym id out of range":    flip(valid, put32(r.args()+sym*packArgSize+4, 1<<30)),
-		"block count mismatch":   flip(valid, put32(r.at, uint32(r.nblocks+1))),
-		"arg kind not its canon": flip(valid, func(b []byte) { b[r.args()] ^= 3 }),
+		// Block 0's offsets are its ninsts+2 first; the second one jumps past the third.
+		"off not monotone": flip(valid, put32(r.off()+4, 1<<20)),
+		"koff past canon":  flip(valid, put32(r.kOff()+4*n0, uint32(r.ncanon+1))),
+		// Block 0's jump slot: its end before its start, and an argument
+		// that is not of the kind its encoding says.
+		"jump slot reversed":          flip(valid, put32(r.kOff()+4*(n0+1), 0)),
+		"jump arg kind not its canon": flip(valid, func(b []byte) { b[r.args()+jumpArg*packArgSize] ^= 3 }),
+		"sym id out of range":         flip(valid, put32(r.args()+sym*packArgSize+4, 1<<30)),
+		"block count mismatch":        flip(valid, put32(r.at, uint32(r.nblocks+1))),
+		"arg kind not its canon":      flip(valid, func(b []byte) { b[r.args()] ^= 3 }),
+		// Instruction 0's operand count in two bytes, its mnemonic one
+		// shorter: the same length, and a count that reads as ≥ 128 a byte
+		// at a time.
+		"operand count not minimal": flip(valid, func(b []byte) {
+			enc := b[r.canon() : r.canon()+int(binary.LittleEndian.Uint32(b[r.kOff()+4:]))]
+			copy(enc[2:], enc[1:len(enc)-1])
+			enc[0], enc[1] = enc[0]|0x80, 0
+		}),
 		"disagrees with records": flip(valid, func(b []byte) {
 			// An immediate of the records' changed in the derived copy only.
 			b[r.args()+imm*packArgSize+8] ^= 0x10
@@ -70,7 +86,7 @@ func packMutants(tb testing.TB, valid []byte) map[string][]byte {
 }
 
 // TestPackRoundTrip: every function of the hand corpus comes back from
-// PACK as what packing its decoded form gives, from an aligned buffer and
+// PACK as what packing its rebuilt form gives, from an aligned buffer and
 // from one that is not, and Verify, which checks exactly that, passes.
 func TestPackRoundTrip(t *testing.T) {
 	data := buildFile(t)
@@ -79,9 +95,6 @@ func TestPackRoundTrip(t *testing.T) {
 		f, err := Parse(buf)
 		if err != nil {
 			t.Fatal(err)
-		}
-		if !f.HasPack() {
-			t.Fatal("a freshly written file has no PACK section")
 		}
 		for i := 0; i < f.NumFuncs(); i++ {
 			pf, err := f.PackedFunc(i)
@@ -156,7 +169,7 @@ func TestPackRejectsCorruption(t *testing.T) {
 			if err != nil {
 				t.Errorf("%s: PackedFunc refused a well-formed record: %v", name, err)
 			}
-			if err := f.Verify(); !IsCorrupt(err) || !strings.Contains(err.Error(), "disagrees with the records") {
+			if err := f.Verify(); !IsCorrupt(err) || !strings.Contains(err.Error(), "disagrees with its own instructions") {
 				t.Errorf("%s: Verify returned %v", name, err)
 			}
 			continue
@@ -172,54 +185,41 @@ func TestPackRejectsCorruption(t *testing.T) {
 				t.Errorf("%s: function %d, which is intact, fails too: %v", name, i, err)
 			}
 		}
-		if _, err := f.DecodeFunc(0); err != nil {
-			t.Errorf("%s: the records of function 0 are intact and fail to decode: %v", name, err)
+		if _, err := f.DecodeFunc(0); !IsCorrupt(err) {
+			t.Errorf("%s: DecodeFunc(0) returned %v, want a corruption error", name, err)
 		}
 	}
 }
 
 // TestTouchRejectsCorruptRecords: what Parse used to check for every
-// record at open is checked for a function's own records when it is read,
-// by both ways of reading it where both follow the record, and only that
-// function fails.
+// record at open is checked for a function's own BLCK and SUCC records
+// when it is read, by both ways of reading it, and only that function
+// fails.
 func TestTouchRejectsCorruptRecords(t *testing.T) {
 	data := buildFile(t)
 	at := func(name string) int { return int(sectionOf(t, data, name).Offset) }
 	put32 := func(at int, v uint32) func([]byte) {
 		return func(b []byte) { binary.LittleEndian.PutUint32(b[at:], v) }
 	}
-	for _, tc := range []struct {
-		name   string
-		mutate func(b []byte)
-		packed bool // PackedFunc follows the record too
-	}{
-		{"successor range overruns pool", put32(at(SecBLCK)+12, 1<<20), true},
-		{"successor out of range", put32(at(SecSUCC), 1<<20), true},
-		{"instruction range overruns pool", put32(at(SecBLCK)+8, 1<<20), false},
-		{"mnemonic id out of range", put32(at(SecINST), 1<<30), false},
-		{"operand range overruns pool", put32(at(SecINST)+8, 1<<20), false},
-		{"bad argument kind", func(b []byte) { b[at(SecOPND)] = 9 }, false},
-		{"symbol id out of range", put32(at(SecOPND)+4, 1<<30), false},
-		{"memory-term range overruns pool", put32(at(SecOPND)+opndRecSize+20, 1<<20), false},
-		{"memory operand with no terms", put32(at(SecOPND)+opndRecSize+20, 0), false},
-		{"bad memory operator", func(b []byte) { b[at(SecMEMT)] = '?' }, false},
-		{"bad memory-term kind", func(b []byte) { b[at(SecMEMT)+1] = 9 }, false},
-		{"memory-term symbol id out of range", put32(at(SecMEMT)+4, 1<<30), false},
+	for name, mutate := range map[string]func(b []byte){
+		"successor range overruns pool": put32(at(SecBLCK)+4, 1<<20),
+		"successor count overruns pool": put32(at(SecBLCK)+8, 1<<20),
+		"successor out of range":        put32(at(SecSUCC), 1<<20),
 	} {
-		f, err := Parse(flip(data, tc.mutate))
+		f, err := Parse(flip(data, mutate))
 		if err != nil {
-			t.Errorf("%s: refused at Parse: %v", tc.name, err)
+			t.Errorf("%s: refused at Parse: %v", name, err)
 			continue
 		}
 		if _, err := f.DecodeFunc(0); !IsCorrupt(err) {
-			t.Errorf("%s: DecodeFunc(0) returned %v, want a corruption error", tc.name, err)
+			t.Errorf("%s: DecodeFunc(0) returned %v, want a corruption error", name, err)
 		}
-		if _, err := f.PackedFunc(0); IsCorrupt(err) != tc.packed {
-			t.Errorf("%s: PackedFunc(0) returned %v", tc.name, err)
+		if _, err := f.PackedFunc(0); !IsCorrupt(err) {
+			t.Errorf("%s: PackedFunc(0) returned %v, want a corruption error", name, err)
 		}
 		for i := 1; i < f.NumFuncs(); i++ {
 			if _, err := f.DecodeFunc(i); err != nil {
-				t.Errorf("%s: function %d, which is intact, fails too: %v", tc.name, i, err)
+				t.Errorf("%s: function %d, which is intact, fails too: %v", name, i, err)
 			}
 		}
 	}

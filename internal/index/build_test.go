@@ -2,12 +2,17 @@ package index
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"runtime"
 	"testing"
 
+	"repro/internal/asm"
+	"repro/internal/cfg"
 	"repro/internal/corpus"
+	"repro/internal/idxfile"
 	"repro/internal/minhash"
+	"repro/internal/prep"
 	"repro/internal/telemetry"
 	"repro/internal/tinyc"
 )
@@ -88,5 +93,38 @@ func TestWritePathTelemetry(t *testing.T) {
 	}
 	if got, want := s.Counters["index_bytes_written"], uint64(lsh.Len()+plain.Len()); got != want {
 		t.Errorf("index_bytes_written %d, the two files hold %d", got, want)
+	}
+}
+
+// TestLossyOperandsRefused: the two operand shapes the packed form cannot
+// carry — a memory operand with the offset flag, and one with a direct
+// argument beside its terms — are refused by ValidateFunction (so by both
+// legacy readers and the fleet's query wire) and by the index writer, on
+// Add and on AddAll (through SaveV3), with an *asm.LossyOperandError
+// instead of a record that would lose them.
+func TestLossyOperandsRefused(t *testing.T) {
+	ebx := []asm.MemTerm{{Arg: asm.RegArg(asm.EBX)}, {Op: asm.OpAdd, Arg: asm.ImmArg(8)}}
+	for name, op := range map[string]asm.Operand{
+		"offset memory operand":          {Offset: true, Mem: ebx},
+		"memory operand with direct arg": {Arg: asm.SymArg(asm.SymData, "tbl"), Mem: ebx},
+	} {
+		g := &cfg.Graph{Name: "f", Blocks: []*cfg.Block{{Insts: []asm.Inst{
+			asm.New("mov", asm.RegOp(asm.EAX), op), asm.New("ret"),
+		}}}}
+		fn := &prep.Function{Name: "f", Graph: g}
+		var lossy *asm.LossyOperandError
+		if err := ValidateFunction(fn); !errors.As(err, &lossy) || lossy.Operand != 1 {
+			t.Errorf("%s: ValidateFunction returned %v", name, err)
+		}
+		b := idxfile.NewBuilder()
+		b.Add("x", fn, "", nil)
+		if _, err := b.WriteTo(io.Discard); !errors.As(err, &lossy) {
+			t.Errorf("%s: Builder.Add then WriteTo returned %v", name, err)
+		}
+		db := New()
+		db.Entries = []*Entry{{Exe: "x", Name: "f", Func: fn}}
+		if err := db.SaveV3(io.Discard); !errors.As(err, &lossy) {
+			t.Errorf("%s: SaveV3 returned %v", name, err)
+		}
 	}
 }

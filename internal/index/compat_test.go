@@ -3,6 +3,7 @@ package index
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -11,6 +12,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/asm"
 	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/idxfile"
@@ -131,7 +133,7 @@ func TestLoadV1Compat(t *testing.T) {
 
 // TestSaveLoadV2Features: the feature table a v2 file carries is not
 // trusted; the legacy reader recomputes it equal to the in-memory
-// database's, and converting to v3 persists it so Load views the stored
+// database's, and converting to v4 persists it so Load views the stored
 // sets verbatim.
 func TestSaveLoadV2Features(t *testing.T) {
 	want := legacyMemDB(t).features()
@@ -146,23 +148,23 @@ func TestSaveLoadV2Features(t *testing.T) {
 	if err := db.SaveV3(&buf); err != nil {
 		t.Fatal(err)
 	}
-	v3, err := Load(bytes.NewReader(buf.Bytes()))
+	cur, err := Load(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer v3.Close()
-	for i, e := range v3.Entries {
+	defer cur.Close()
+	for i, e := range cur.Entries {
 		if e.src == nil {
 			t.Fatalf("entry %d of the converted index is not store-backed", i)
 		}
 	}
-	if !reflect.DeepEqual(v3.features(), want) {
-		t.Error("features stored in the converted v3 file differ from the recomputed ones")
+	if !reflect.DeepEqual(cur.features(), want) {
+		t.Error("features stored in the converted file differ from the recomputed ones")
 	}
 }
 
 // TestCrossVersionSearchParity: convert, then parity. Every gob fixture
-// read by the legacy reader and saved as v3, and the v3 file the same
+// read by the legacy reader and saved as v4, and the v4 file the same
 // corpus saves to directly, open to bit-identical Snapshot.Search results
 // — exhaustive and prefiltered — and DB.Search results, equal to those of
 // the database built in memory from the corpus seed. This is the migration
@@ -191,7 +193,7 @@ func TestCrossVersionSearchParity(t *testing.T) {
 	base, preBase := search(mem)
 
 	dir := t.TempDir()
-	sources := map[string]func() (*DB, error){"v3": func() (*DB, error) { return mem, nil }}
+	sources := map[string]func() (*DB, error){"mem": func() (*DB, error) { return mem, nil }}
 	for v := 0; v <= 2; v++ {
 		data := legacyFixture(t, v)
 		sources[fmt.Sprintf("v%d", v)] = func() (*DB, error) { return LoadLegacy(bytes.NewReader(data)) }
@@ -205,7 +207,7 @@ func TestCrossVersionSearchParity(t *testing.T) {
 		if err := src.SaveV3(&buf); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		path := filepath.Join(dir, name+".v3")
+		path := filepath.Join(dir, name+".idx")
 		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -218,8 +220,8 @@ func TestCrossVersionSearchParity(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s %s: %v", name, lname, err)
 			}
-			if db.Len() != mem.Len() || db.Info().Version != 3 {
-				t.Fatalf("%s %s: %d entries of v%d, want %d of v3", name, lname, db.Len(), db.Info().Version, mem.Len())
+			if db.Len() != mem.Len() || db.Info().Version != idxfile.Version {
+				t.Fatalf("%s %s: %d entries of v%d, want %d of v%d", name, lname, db.Len(), db.Info().Version, mem.Len(), idxfile.Version)
 			}
 			hits, pre := search(db)
 			if !reflect.DeepEqual(hits, base) {
@@ -236,7 +238,7 @@ func TestCrossVersionSearchParity(t *testing.T) {
 // TestLegacyRefused: Load and OpenFile refuse every gob fixture, whole or
 // cut short, before decoding anything: the error wraps ErrLegacy, names
 // tracy convert and is no gob decode error. The legacy reader in turn
-// refuses a v3 file, a foreign one and an empty one.
+// refuses a v4 file, a foreign one and an empty one.
 func TestLegacyRefused(t *testing.T) {
 	dir := t.TempDir()
 	for v := 0; v <= 2; v++ {
@@ -255,13 +257,169 @@ func TestLegacyRefused(t *testing.T) {
 		}
 	}
 	db, _ := buildTestDB(t)
-	var v3 bytes.Buffer
-	if err := db.SaveV3(&v3); err != nil {
+	var cur bytes.Buffer
+	if err := db.SaveV3(&cur); err != nil {
 		t.Fatal(err)
 	}
-	for _, data := range [][]byte{v3.Bytes(), []byte("PK\x03\x04 a zip"), nil} {
+	for _, data := range [][]byte{cur.Bytes(), []byte("PK\x03\x04 a zip"), nil} {
 		if _, err := LoadLegacy(bytes.NewReader(data)); err == nil {
 			t.Errorf("LoadLegacy accepted %.12q", data)
+		}
+	}
+}
+
+// v3Corpus is the corpus testdata/legacy/v3.idx holds: 13 functions,
+// written with the PACK, LSHB and LSHT sections by the last release that
+// wrote TRACYIDX v3.
+var v3Corpus = corpus.BuildConfig{
+	Seed: 7, ContextCopies: 2, Versions: 1, NoiseExes: 1, FuncsPerExe: 2,
+	TargetStmts: 8, FillerStmts: 4, Opt: tinyc.O2,
+}
+
+// TestV3ConvertParity: convert, then parity, for TRACYIDX v3. The
+// checked-in v3 file, and the same file without its PACK section, are
+// refused by Load and OpenFile with ErrLegacy naming tracy convert; the
+// legacy reader reads each entry for entry as the database the corpus
+// builds in memory; and saved as v4 and opened, each answers exhaustive,
+// scan and lsh searches hit for hit as that database does.
+func TestV3ConvertParity(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "legacy", "v3.idx"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := idxfile.SniffVersion(data); v != 3 {
+		t.Fatalf("fixture is v%d", v)
+	}
+	c, err := corpus.Build(v3Corpus)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mem := New()
+	for _, e := range c.Exes {
+		if err := mem.AddImage(e.Name, e.Image, e.Truth); err != nil {
+			t.Fatal(err)
+		}
+	}
+	opts := core.DefaultOptions()
+	search := func(db *DB) [][]hitKey {
+		t.Helper()
+		snap := BuildSnapshot(db, []int{opts.K}, 2)
+		var out [][]hitKey
+		for _, e := range mem.Entries {
+			ref := core.Decompose(e.Func, opts.K)
+			for _, pf := range []PrefilterOptions{{}, {Enabled: true, Candidates: 5}, {Candidates: 5, Mode: ModeLSH}} {
+				hits, err := snap.SearchDecomposedCtx(context.Background(), ref, opts, pf)
+				if err != nil {
+					t.Fatal(err)
+				}
+				out = append(out, hitKeys(hits))
+			}
+		}
+		return out
+	}
+	want := search(mem)
+
+	dir := t.TempDir()
+	for name, v3 := range map[string][]byte{"pack": data, "nopack": withoutSection(t, data, idxfile.SecPACK)} {
+		path := filepath.Join(dir, name+".idx")
+		if err := os.WriteFile(path, v3, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, errLoad := Load(bytes.NewReader(v3))
+		_, errOpen := OpenFile(path)
+		for _, err := range []error{errLoad, errOpen} {
+			if !errors.Is(err, ErrLegacy) || !strings.Contains(err.Error(), "tracy convert") {
+				t.Errorf("%s: refused with %v, want ErrLegacy naming tracy convert", name, err)
+			}
+		}
+		legacy, err := LoadLegacy(bytes.NewReader(v3))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if legacy.Len() != mem.Len() {
+			t.Fatalf("%s: %d entries, want %d", name, legacy.Len(), mem.Len())
+		}
+		for i, e := range legacy.Entries {
+			m := mem.Entries[i]
+			if e.Exe != m.Exe || e.Name != m.Name || e.Addr != m.Addr || e.Truth != m.Truth || !reflect.DeepEqual(e.Func, m.Func) {
+				t.Fatalf("%s: entry %d (%s/%s) differs from the in-memory one", name, i, m.Exe, m.Name)
+			}
+		}
+		var buf bytes.Buffer
+		if err := legacy.SaveV3LSH(&buf, minhash.Default); err != nil {
+			t.Fatal(err)
+		}
+		out := filepath.Join(dir, name+".idx")
+		if err := os.WriteFile(out, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		db, err := OpenFile(out)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if err := db.Store().Verify(); err != nil {
+			t.Errorf("%s: converted file fails Verify: %v", name, err)
+		}
+		if got := search(db); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: the converted file answers differently from the in-memory database", name)
+		}
+		db.Close()
+	}
+}
+
+// TestV3RejectsCorruptRecords: the legacy reader checks every range and id
+// of a v3 file's BLCK, INST, OPND and MEMT records before it follows one,
+// so a file wrong in any of them is refused with an error, not read as
+// something else and not a panic.
+func TestV3RejectsCorruptRecords(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "legacy", "v3.idx"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, secs, _, err := idxfile.ReadSections(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := map[string]int{}
+	for _, s := range secs {
+		at[s.Name] = int(s.Offset)
+	}
+	// The first OPND record of a direct operand and of a memory operand
+	// (byte 3 holds the flags), and the first MEMT record.
+	opnd := func(mem bool) int {
+		for o := at["OPND"]; ; o += 24 {
+			if data[o+3]&2 != 0 == mem {
+				return o
+			}
+		}
+	}
+	direct, memOp, term := opnd(false), opnd(true), at["MEMT"]
+	put32 := func(at int, v uint32) func([]byte) {
+		return func(b []byte) { binary.LittleEndian.PutUint32(b[at:], v) }
+	}
+	symArg := func(kind, id int) func([]byte) {
+		return func(b []byte) {
+			b[kind] = byte(asm.KindSym)
+			binary.LittleEndian.PutUint32(b[id:], 1<<20)
+		}
+	}
+	for name, mutate := range map[string]func([]byte){
+		"instruction range overruns INST": put32(at["BLCK"]+8, 1<<20),
+		"operand range overruns OPND":     put32(at["INST"]+8, 1<<20),
+		"mnemonic id out of range":        put32(at["INST"], 1<<20),
+		"symbol id out of range":          symArg(direct, direct+4),
+		"bad argument kind":               func(b []byte) { b[direct] = 0x7f },
+		"memory operand without terms":    put32(memOp+20, 0),
+		"bad memory operator":             func(b []byte) { b[term] = 0xff },
+		"bad term kind":                   func(b []byte) { b[term+1] = 0x7f },
+		"term symbol id out of range":     symArg(term+1, term+4),
+	} {
+		mut := append([]byte(nil), data...)
+		mutate(mut)
+		if db, err := LoadLegacy(bytes.NewReader(mut)); err == nil {
+			t.Errorf("%s: read as %d entries, want an error", name, db.Len())
+		} else if !strings.Contains(err.Error(), "corrupt") {
+			t.Errorf("%s: refused with %v, want a corruption error", name, err)
 		}
 	}
 }
@@ -354,7 +512,7 @@ func TestV3WithoutLSHBFallsBack(t *testing.T) {
 	}
 }
 
-// TestLSHOverGrownV3: a database opened from a v3+LSHB file and then
+// TestLSHOverGrownV3: a database opened from an index file with LSHB and then
 // extended with AddImage must serve ModeLSH over the appended functions
 // too. The file's signatures cover only its own functions, so the
 // snapshot has to hash all entries from their features rather than
@@ -411,7 +569,7 @@ func TestLSHOverGrownV3(t *testing.T) {
 }
 
 // TestDBSearchDecomposesOnlyCandidates: a candidate-capped DB.SearchCtx
-// over a v3 store-backed database decodes and decomposes the candidates
+// over a store-backed database decomposes the candidates
 // it compares (plus the query), not the corpus.
 func TestDBSearchDecomposesOnlyCandidates(t *testing.T) {
 	c, err := corpus.Build(corpus.BuildConfig{
@@ -468,7 +626,7 @@ func TestV3RoundTripEntries(t *testing.T) {
 		t.Fatal(err)
 	}
 	if db2.Store() == nil {
-		t.Fatal("v3 load did not retain the columnar store")
+		t.Fatal("the load did not retain the columnar store")
 	}
 	for i, e := range db.Entries {
 		e2 := db2.Entries[i]
@@ -476,21 +634,21 @@ func TestV3RoundTripEntries(t *testing.T) {
 			t.Errorf("entry %d metadata changed: %+v", i, e2)
 		}
 		if e2.Func != nil {
-			t.Fatalf("entry %d eagerly materialized; v3 entries must decode lazily", i)
+			t.Fatalf("entry %d eagerly materialized; store-backed entries must decode lazily", i)
 		}
 		if !reflect.DeepEqual(e2.Function(), e.Function()) {
-			t.Errorf("entry %d function body changed across v3 round trip", i)
+			t.Errorf("entry %d function body changed across the file round trip", i)
 		}
 	}
 	// Feature sets must be adopted from the file's pool, not recomputed.
 	want := db.features()
 	got := db2.features()
 	if !reflect.DeepEqual(got, want) {
-		t.Error("v3 feature pool diverged from computed features")
+		t.Error("the file's feature pool diverged from computed features")
 	}
 }
 
-// TestOpenFileMmap: OpenFile maps v3 files and reports provenance.
+// TestOpenFileMmap: OpenFile maps index files and reports provenance.
 func TestOpenFileMmap(t *testing.T) {
 	db, _ := buildTestDB(t)
 	path := filepath.Join(t.TempDir(), "idx.v3")
@@ -508,7 +666,7 @@ func TestOpenFileMmap(t *testing.T) {
 	}
 	defer db2.Close()
 	info := db2.Info()
-	if info.Version != 3 || info.Path != path || info.Funcs != db.Len() {
+	if info.Version != idxfile.Version || info.Path != path || info.Funcs != db.Len() {
 		t.Errorf("Info = %+v", info)
 	}
 	st, _ := os.Stat(path)

@@ -3,6 +3,8 @@ package index
 import (
 	"bytes"
 	"io"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/corpus"
@@ -10,8 +12,8 @@ import (
 )
 
 // FuzzIndexLoad throws arbitrary bytes at both index readers: Load, which
-// serves TRACYIDX v3 only, and LoadLegacy, which reads the gob formats for
-// tracy convert. Each must reject garbage with an error, never panic, and
+// serves TRACYIDX v4 only, and LoadLegacy, which reads TRACYIDX v3 and the
+// gob formats for tracy convert. Each must reject garbage with an error, never panic, and
 // never crash on truncations or bit-flips of a genuine index. What either
 // accepts must be internally consistent enough to decompose, and what the
 // legacy reader accepts must convert.
@@ -31,12 +33,12 @@ func FuzzIndexLoad(f *testing.F) {
 			f.Fatal(err)
 		}
 	}
-	var savedV3 bytes.Buffer
-	if err := db.SaveV3(&savedV3); err != nil {
+	var saved bytes.Buffer
+	if err := db.SaveV3(&saved); err != nil {
 		f.Fatal(err)
 	}
-	f.Add(savedV3.Bytes())
-	f.Add(savedV3.Bytes()[:savedV3.Len()/2])
+	f.Add(saved.Bytes())
+	f.Add(saved.Bytes()[:saved.Len()/2])
 	for v := 0; v <= 2; v++ {
 		f.Add(legacyFixture(f, v))
 	}
@@ -46,6 +48,11 @@ func FuzzIndexLoad(f *testing.F) {
 	f.Add([]byte("TRACYIDX\x03\x00\x00\x00garbage"))
 	f.Add([]byte{})
 	f.Add([]byte("not an index at all"))
+	v3, err := os.ReadFile(filepath.Join("testdata", "legacy", "v3.idx"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(v3)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Gob can legally encode huge allocations in few bytes; bound the
@@ -54,7 +61,7 @@ func FuzzIndexLoad(f *testing.F) {
 			t.Skip("oversized input")
 		}
 		if loaded, err := Load(bytes.NewReader(data)); err == nil {
-			// A v3 index validates each function's records when they are
+			// An index file validates each function's records when they are
 			// first read, and what fails then must say so with the store's
 			// typed error.
 			for _, e := range loaded.Entries {
@@ -66,7 +73,7 @@ func FuzzIndexLoad(f *testing.F) {
 				t.Fatalf("decomposing a loaded index failed with something other than corruption: %v", err)
 			}
 		}
-		// A gob index is validated whole when it is read.
+		// A v3 or gob index is validated whole when it is read.
 		legacy, err := LoadLegacy(bytes.NewReader(data))
 		if err != nil {
 			return

@@ -1,9 +1,9 @@
 // Package index implements the function database and search engine of the
 // prototype (paper Section 5.2). DB is the database: executables are
 // disassembled and lifted on ingest, and the corpus saves to and loads
-// from the mmap-able TRACYIDX v3 columnar format (internal/idxfile); the
-// gob formats of older releases are read only by LoadLegacy, for tracy
-// convert.
+// from the mmap-able TRACYIDX v4 columnar format (internal/idxfile); the
+// formats of older releases (gob v0–v2, TRACYIDX v3) are read only by
+// LoadLegacy, for tracy convert.
 // Snapshot is the one search engine: it memoizes per-k tracelet
 // decompositions, optionally cuts the corpus to the top candidates of a
 // lossy prefilter (shared-feature scan or MinHash LSH), compares the
@@ -31,7 +31,7 @@ import (
 )
 
 // Entry is one indexed binary function. For a database built in memory
-// (AddImage, LoadLegacy) Func holds the lifted function eagerly; for a v3
+// (AddImage, LoadLegacy) Func holds the lifted function eagerly; for a
 // store-backed database Func is nil and the function is decoded from the
 // columnar file on first use — always go through Function(), never read
 // Func directly.
@@ -42,7 +42,7 @@ type Entry struct {
 	Truth string // ground-truth source name, if known (evaluation only)
 	Func  *prep.Function
 
-	// v3 lazy backing. src/srcIdx locate the function in the columnar
+	// Store backing. src/srcIdx locate the function in the columnar
 	// store; lazy memoizes the decode.
 	src    *idxfile.File
 	srcIdx int
@@ -50,7 +50,7 @@ type Entry struct {
 }
 
 // Function returns the lifted function, decoding it from the columnar
-// store on first use for v3-backed entries, or nil when there is none to
+// store on first use for store-backed entries, or nil when there is none to
 // return: an entry without a source, or one whose records in the store
 // are corrupt (LoadFunction says which). Safe for concurrent callers;
 // concurrent first calls may decode twice but agree on one result.
@@ -102,18 +102,17 @@ type DB struct {
 	feats [][]uint64 // per-entry prefilter features, aligned with Entries
 	snap  *Snapshot  // the search view over Entries; nil until first use
 
-	store *idxfile.File // non-nil for v3 store-backed databases
+	store *idxfile.File // non-nil for store-backed databases
 	info  Info
 }
 
 // Info describes where a database came from, for idxinfo, serve logs
 // and the tracy_index_info metric.
 type Info struct {
-	Version int    // TRACYIDX format version: 3, the only one a database saves to or serves from
+	Version int    // TRACYIDX format version: 4, the only one a database saves to or serves from
 	Bytes   int64  // on-disk size, 0 when unknown
 	Path    string // source path, "" when loaded from a stream or built in memory
 	Mapped  bool   // true when served from an mmap region
-	Pack    bool   // true when the file holds its functions packed (v3 PACK section) and they are compared in place
 	Funcs   int
 }
 
@@ -125,10 +124,10 @@ func (db *DB) Info() Info {
 	return info
 }
 
-// Store returns the columnar file backing a v3 database, or nil.
+// Store returns the columnar file backing a store-backed database, or nil.
 func (db *DB) Store() *idxfile.File { return db.store }
 
-// Close releases the columnar store mapping of a v3-backed database; it
+// Close releases the columnar store mapping of a store-backed database; it
 // is a no-op for one built in memory. After Close the database must not
 // be used. Long-lived servers never Close — they drop the reference and
 // let the finalizer unmap once in-flight queries finish.
@@ -181,14 +180,14 @@ func (db *DB) view() *Snapshot {
 
 // Decomposed returns the k-tracelet decomposition of every entry,
 // aligned with Entries. Decompositions are memoized per (k, entry), so
-// repeated calls and later searches share them. It fails only on a v3
+// repeated calls and later searches share them. It fails only on a
 // store-backed database with a corrupt function. Safe for concurrent use.
 func (db *DB) Decomposed(k int) ([]*core.Decomposed, error) {
 	return db.view().decomposeAll(k)
 }
 
 // features returns the per-entry prefilter feature sets, computing them
-// once (or viewing the sets a v3 file stores).
+// once (or viewing the sets an index file stores).
 func (db *DB) features() [][]uint64 {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -200,7 +199,7 @@ func (db *DB) features() [][]uint64 {
 				// Store-backed entry: its feature set already lives in the
 				// file's shared pool; the slice is a view into the mapping,
 				// so this allocates a slice header only. Entries appended by
-				// AddImage after a v3 load fall through to recomputation.
+				// AddImage after a file load fall through to recomputation.
 				fs[i] = e.src.Features(e.srcIdx)
 			} else {
 				fs[i] = g.funcFeatures(e.Function())
@@ -257,13 +256,13 @@ func (db *DB) SearchTopCtx(ctx context.Context, query *prep.Function, opts core.
 }
 
 // ErrLegacy is wrapped by the error Load and OpenFile return for a file
-// that is not TRACYIDX v3: a gob index written by an older tracy (formats
-// v0–v2), or no index at all. Only tracy convert still reads the gob
-// formats (LoadLegacy).
-var ErrLegacy = errors.New("not a TRACYIDX v3 index (a gob index from an older tracy converts with: tracy convert OLD.db NEW.v3)")
+// that is not TRACYIDX v4: a TRACYIDX v3 file or a gob index (formats
+// v0–v2) written by an older tracy, or no index at all. Only tracy convert
+// still reads the older formats (LoadLegacy).
+var ErrLegacy = errors.New("not a TRACYIDX v4 index (a v3 or gob index from an older tracy converts with: tracy convert OLD NEW.idx)")
 
 // checkPrelude says why a file whose first bytes are prelude is not one
-// this binary serves, or returns nil for a TRACYIDX v3 file.
+// this binary serves, or returns nil for a TRACYIDX v4 file.
 func checkPrelude(prelude []byte) error {
 	switch v := idxfile.SniffVersion(prelude); {
 	case v == idxfile.Version:
@@ -271,17 +270,17 @@ func checkPrelude(prelude []byte) error {
 	case v > idxfile.Version:
 		return fmt.Errorf("format v%d expected, file is v%d (written by a newer tracy)", idxfile.Version, v)
 	case v > 0:
-		return fmt.Errorf("gob format v%d: %w", v, ErrLegacy)
+		return fmt.Errorf("format v%d: %w", v, ErrLegacy)
 	default: // headerless v0 gob, or not an index
 		return ErrLegacy
 	}
 }
 
-// SaveV3 serializes the database in the v3 columnar format: fixed-width
-// column arrays behind a section directory, loadable via mmap with no
-// whole-file deserialization (see internal/idxfile). Functions stream
-// through an incremental builder, so converting a store-backed database
-// never materializes the whole corpus at once.
+// SaveV3 serializes the database in the TRACYIDX v4 columnar format (the
+// name is older than the format): fixed-width column arrays behind a
+// section directory, loadable via mmap with no whole-file deserialization
+// (see internal/idxfile). Functions stream through an incremental builder,
+// so converting a store-backed database never materializes the corpus.
 func (db *DB) SaveV3(w io.Writer) error { return db.saveV3(w, nil) }
 
 // SaveV3LSH is SaveV3 with the LSHB and LSHT sections: every function's
@@ -342,8 +341,8 @@ func (e *Entry) decodeForSave() (*prep.Function, error) {
 
 // Load restores a database written by SaveV3, read fully into memory —
 // prefer OpenFile for files, which maps them instead. Anything but a
-// TRACYIDX v3 stream yields an error: one wrapping ErrLegacy for a gob
-// index or a foreign file, one naming the version for a newer format.
+// TRACYIDX v4 stream yields an error: one wrapping ErrLegacy for a v3 or
+// gob index or a foreign file, one naming the version for a newer format.
 func Load(r io.Reader) (*DB, error) {
 	br := bufio.NewReader(r)
 	prelude, err := br.Peek(len(idxfile.Magic) + 1)
@@ -377,16 +376,11 @@ func fromStore(f *idxfile.File) *DB {
 	return &DB{
 		Entries: entries,
 		store:   f,
-		info: Info{
-			Bytes:  f.Size(),
-			Path:   f.Path(),
-			Mapped: f.Mapped(),
-			Pack:   f.HasPack(),
-		},
+		info:    Info{Bytes: f.Size(), Path: f.Path(), Mapped: f.Mapped()},
 	}
 }
 
-// OpenFile maps a TRACYIDX v3 file from disk: page-granular lazy access,
+// OpenFile maps a TRACYIDX v4 file from disk: page-granular lazy access,
 // pages shared across processes, no heap deserialization. Any other file
 // fails as Load does, before anything is mapped. Callers that serve
 // long-lived snapshots should not Close the returned database while

@@ -12,7 +12,7 @@ import (
 // representation, the sorted band table (minhash.BandTable): per band,
 // every entry id ordered by (band hash, id), so a band bucket is a
 // contiguous, id-ascending stretch of the band's run found by binary
-// search, with the hashes recomputed from the signatures. For a v3 file
+// search, with the hashes recomputed from the signatures. For an index file
 // with an LSHT section both slices alias the file mapping — nothing is
 // built at first query — and are valid for as long as the store is not
 // Closed, the same lifetime as the lazily decoded entries the snapshot
@@ -37,7 +37,7 @@ func newLSHIndex(p minhash.Params, sigs []uint32, n int, table []uint32) *lshInd
 }
 
 // lshFromStore adopts the persisted signatures (and band table, when
-// present) of a v3 file carrying an LSHB section, or returns nil when the
+// present) of an index file carrying an LSHB section, or returns nil when the
 // file has none.
 func lshFromStore(f *idxfile.File) *lshIndex {
 	if f == nil || !f.HasLSH() {

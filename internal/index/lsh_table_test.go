@@ -29,7 +29,7 @@ func campaignDB(tb testing.TB, funcs int) *DB {
 	return db
 }
 
-// savedLSH serializes db as v3 with signatures and band table under p.
+// savedLSH serializes db with signatures and band table under p.
 func savedLSH(tb testing.TB, db *DB, p minhash.Params) []byte {
 	tb.Helper()
 	var buf bytes.Buffer
@@ -39,14 +39,14 @@ func savedLSH(tb testing.TB, db *DB, p minhash.Params) []byte {
 	return buf.Bytes()
 }
 
-// v3 header and directory geometry (internal/idxfile/format.go), as far as
+// Index header and directory geometry (internal/idxfile/format.go), as far as
 // the section surgery below needs it.
 const (
 	v3HeaderSize   = 48
 	v3DirEntrySize = 32
 )
 
-// withoutSection returns a copy of a v3 file whose directory no longer
+// withoutSection returns a copy of an index file whose directory no longer
 // lists the named section — the file as a writer that did not know the
 // section would have left it, but for the dead payload bytes.
 func withoutSection(tb testing.TB, data []byte, name string) []byte {

@@ -16,7 +16,7 @@ import (
 	"repro/internal/telemetry"
 )
 
-// sectionAt returns the offset of the named section's payload in a v3
+// sectionAt returns the offset of the named section's payload in an index
 // file, through its directory (internal/idxfile/format.go).
 func sectionAt(tb testing.TB, data []byte, name string) int {
 	tb.Helper()
@@ -31,14 +31,13 @@ func sectionAt(tb testing.TB, data []byte, name string) int {
 	return 0
 }
 
-// TestV3WithoutPack: a v3 file without the PACK section — every file
-// written before the section existed — loads, decodes and packs its
-// candidates at first touch, and answers hit for hit, every Result field
-// and every by-reference fingerprint included, as the file that carries
-// the section and compares in place; so do the in-memory database and a
-// database opened from the file and then grown with AddImage. The PACK
-// path counts and times its decompositions like the others.
-func TestV3WithoutPack(t *testing.T) {
+// TestStoreParity: a database served from its file, whose candidates are
+// views over PACK, answers hit for hit, every Result field and every
+// by-reference fingerprint included, as the in-memory database it was
+// saved from and as a database opened from a file of part of the corpus
+// and grown with AddImage to the rest. The view path counts and times its
+// decompositions like the heap path.
+func TestStoreParity(t *testing.T) {
 	db, c := buildTestDB(t)
 	opts := core.DefaultOptions()
 	data := savedLSH(t, db, minhash.Default)
@@ -93,24 +92,14 @@ func TestV3WithoutPack(t *testing.T) {
 	}
 
 	packed := load(data)
-	if !packed.Store().HasPack() || !packed.Info().Pack {
-		t.Fatal("a freshly saved v3 file has no PACK section")
-	}
-	want := search(packed, "PACK")
+	want := search(packed, "file")
 	for _, e := range packed.Entries {
 		if e.lazy.Load() == nil {
 			t.Fatalf("%s/%s was never a by-reference query's feature source", e.Exe, e.Name)
 		}
 	}
-	old := load(withoutSection(t, data, idxfile.SecPACK))
-	if old.Store().HasPack() || old.Info().Pack {
-		t.Fatal("stripped file still carries PACK")
-	}
-	if got := search(old, "records alone"); !reflect.DeepEqual(got, want) {
-		t.Error("a file without PACK answers differently from the file with it")
-	}
 	if got := search(db, "in memory"); !reflect.DeepEqual(got, want) {
-		t.Error("the in-memory database answers differently from its v3 file")
+		t.Error("the in-memory database answers differently from its file")
 	}
 
 	// Grown: all but the last executable from the file, the last by AddImage.
@@ -125,12 +114,12 @@ func TestV3WithoutPack(t *testing.T) {
 	if err := grown.AddImage(last.Name, last.Image, last.Truth); err != nil {
 		t.Fatal(err)
 	}
-	if got := search(grown, "grown v3"); !reflect.DeepEqual(got, want) {
-		t.Error("a v3 database grown with AddImage answers differently from the same corpus indexed at once")
+	if got := search(grown, "grown"); !reflect.DeepEqual(got, want) {
+		t.Error("a file-backed database grown with AddImage answers differently from the same corpus indexed at once")
 	}
 }
 
-// TestSearchDecodesNoCandidate: a search over a PACK file compares its
+// TestSearchDecodesNoCandidate: a search over an index file compares its
 // candidates where they lie — no entry is decoded, not even the query when
 // it arrives decomposed.
 func TestSearchDecodesNoCandidate(t *testing.T) {
@@ -159,7 +148,7 @@ func TestSearchDecodesNoCandidate(t *testing.T) {
 // compares, to the Result it compared to before.
 func TestViewPinsMapping(t *testing.T) {
 	mem, _ := buildTestDB(t)
-	path := filepath.Join(t.TempDir(), "idx.v3")
+	path := filepath.Join(t.TempDir(), "t.idx")
 	if err := os.WriteFile(path, savedLSH(t, mem, minhash.Default), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -199,10 +188,10 @@ func TestViewPinsMapping(t *testing.T) {
 }
 
 // firstTouchAllocCeiling bounds what the first compare against a stored
-// function allocates before it can compare when the file has PACK: the
-// block headers, the paths, the tracelets and the decomposition's own
-// arrays, whatever the function's size. Without PACK the same touch is a
-// decode (8) and a heap decomposition (up to 23).
+// function allocates before it can compare: the block headers, the paths,
+// the tracelets and the decomposition's own arrays, whatever the
+// function's size. A decode and a heap decomposition, which the view
+// replaced, cost up to 31.
 const firstTouchAllocCeiling = 8
 
 // TestFirstTouchAllocs: the first touch of every function of a campaign
@@ -230,47 +219,42 @@ func TestFirstTouchAllocs(t *testing.T) {
 }
 
 // TestCorruptAtTouch: a file whose one function has a broken record opens
-// — Parse no longer walks the records — and the search that touches the
+// — Parse does not walk the records — and the search that touches the
 // function fails with the store's typed error, whichever way the function
 // is read; a search that does not touch it succeeds.
 func TestCorruptAtTouch(t *testing.T) {
 	mem, _ := buildTestDB(t)
 	data := savedLSH(t, mem, minhash.Default)
 	victim := 1 // entry 0 stays intact and is the query
-	// The victim's first block: its successor range is the one field both
-	// ways of reading a function follow.
+	// The victim's first block: its successor range is followed by both
+	// ways of reading a function (BLCK records are addr, succOff, nsuccs).
 	blockOff := binary.LittleEndian.Uint32(data[sectionAt(t, data, idxfile.SecFUNC)+victim*40+20:])
 	broken := append([]byte(nil), data...)
-	binary.LittleEndian.PutUint32(broken[sectionAt(t, data, idxfile.SecBLCK)+int(blockOff)*20+12:], 1<<30)
+	binary.LittleEndian.PutUint32(broken[sectionAt(t, data, idxfile.SecBLCK)+int(blockOff)*12+4:], 1<<30)
 
-	for _, tc := range []struct {
-		name string
-		data []byte
-	}{{"PACK", broken}, {"records alone", withoutSection(t, broken, idxfile.SecPACK)}} {
-		db, err := Load(bytes.NewReader(tc.data))
-		if err != nil {
-			t.Fatalf("%s: a function's records are checked when it is read, not at load: %v", tc.name, err)
-		}
-		snap := BuildSnapshot(db, []int{3}, 2)
-		ref := core.Decompose(mem.Entries[0].Func, 3)
-		_, err = snap.SearchDecomposedCtx(context.Background(), ref, core.DefaultOptions(), PrefilterOptions{})
-		if !idxfile.IsCorrupt(err) {
-			t.Errorf("%s: an exhaustive search over the broken function returned %v, want a corruption error", tc.name, err)
-		}
-		if d, err := snap.LookupDecomposed(db.Entries[victim].Exe, db.Entries[victim].Name, 3); d != nil || !idxfile.IsCorrupt(err) {
-			t.Errorf("%s: LookupDecomposed of the broken function = %v, %v", tc.name, d, err)
-		}
-		if fn := db.Entries[victim].Function(); fn != nil {
-			t.Errorf("%s: Function() of the broken function is not nil", tc.name)
-		}
-		// One candidate, the query itself: the broken function is not touched.
-		hits, err := snap.SearchDecomposedCtx(context.Background(), ref, core.DefaultOptions(),
-			PrefilterOptions{Candidates: 1, Mode: ModeLSH})
-		if err != nil || len(hits) != 1 || hits[0].Entry != db.Entries[0] {
-			t.Errorf("%s: a search that does not touch the broken function returned %d hits, %v", tc.name, len(hits), err)
-		}
-		if err := db.Store().Verify(); !idxfile.IsCorrupt(err) {
-			t.Errorf("%s: Verify returned %v, want a corruption error", tc.name, err)
-		}
+	db, err := Load(bytes.NewReader(broken))
+	if err != nil {
+		t.Fatalf("a function's records are checked when it is read, not at load: %v", err)
+	}
+	snap := BuildSnapshot(db, []int{3}, 2)
+	ref := core.Decompose(mem.Entries[0].Func, 3)
+	_, err = snap.SearchDecomposedCtx(context.Background(), ref, core.DefaultOptions(), PrefilterOptions{})
+	if !idxfile.IsCorrupt(err) {
+		t.Errorf("an exhaustive search over the broken function returned %v, want a corruption error", err)
+	}
+	if d, err := snap.LookupDecomposed(db.Entries[victim].Exe, db.Entries[victim].Name, 3); d != nil || !idxfile.IsCorrupt(err) {
+		t.Errorf("LookupDecomposed of the broken function = %v, %v", d, err)
+	}
+	if fn := db.Entries[victim].Function(); fn != nil {
+		t.Error("Function() of the broken function is not nil")
+	}
+	// One candidate, the query itself: the broken function is not touched.
+	hits, err := snap.SearchDecomposedCtx(context.Background(), ref, core.DefaultOptions(),
+		PrefilterOptions{Candidates: 1, Mode: ModeLSH})
+	if err != nil || len(hits) != 1 || hits[0].Entry != db.Entries[0] {
+		t.Errorf("a search that does not touch the broken function returned %d hits, %v", len(hits), err)
+	}
+	if err := db.Store().Verify(); !idxfile.IsCorrupt(err) {
+		t.Errorf("Verify returned %v, want a corruption error", err)
 	}
 }

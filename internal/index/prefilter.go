@@ -45,7 +45,7 @@ const (
 	// ModeLSH takes candidates from MinHash band-bucket collisions
 	// ranked by estimated Jaccard — ~O(1) bucket probes per query
 	// instead of a posting scan. When the corpus has no LSH signatures
-	// (a v3 file without an LSHB section, and no features to hash),
+	// (an index file without an LSHB section, and no features to hash),
 	// searches fall back to ModeScan and count lsh_fallbacks.
 	ModeLSH PrefilterMode = "lsh"
 )
@@ -315,11 +315,11 @@ func (s *Snapshot) featureIdx() *featureIndex {
 
 // lshIdx returns the banded MinHash index, set up on first use, or nil
 // when there are no signatures to serve from. This is the single
-// LSH-availability check: the v3 file's persisted LSHB signatures — and
+// LSH-availability check: the index file's persisted LSHB signatures — and
 // its LSHT band table, else one sorted from them — are adopted when the
-// store covers every entry (a file that predates LSHB then yields nil,
+// store covers every entry (a file written without LSHB then yields nil,
 // rather than re-deriving signatures from a million mmapped feature
-// slices); otherwise — in-memory corpora, or entries appended after a v3
+// slices); otherwise — in-memory corpora, or entries appended after a file
 // load — signatures are hashed from the feature sets under
 // minhash.Default.
 func (s *Snapshot) lshIdx() *lshIndex {

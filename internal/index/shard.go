@@ -28,7 +28,7 @@ func ShardOf(exe, name string, n int) int {
 }
 
 // SaveV3Shard serializes shard (0-based) of an n-way split of the
-// database in the v3 columnar format: exactly the entries with
+// database in the v4 columnar format: exactly the entries with
 // ShardOf(exe, name, nShards) == shard, in corpus order. The union of
 // the n outputs is a disjoint partition of the corpus, so a
 // scatter-gather merge of per-shard search results over all n slices
@@ -59,9 +59,11 @@ func (db *DB) saveV3Shard(w io.Writer, shard, nShards int, lsh *minhash.Params) 
 // function: the control-flow graph must exist, its entry block and
 // every successor index must be in range, and no block may be nil —
 // any of which would panic the first Decompose call (tracelet
-// extraction indexes Blocks by successor). LoadLegacy applies it to
-// every gob entry; the serving layer applies it to query functions
-// received over untrusted transports before searching with them.
+// extraction indexes Blocks by successor) — and every instruction must
+// pack whole (asm.Inst.Packable): a compare ignores what packing drops, and
+// an index file would lose it. LoadLegacy applies it to every entry it
+// reads; the serving layer to query functions received over untrusted
+// transports before searching with them.
 func ValidateFunction(fn *prep.Function) error {
 	if fn == nil || fn.Graph == nil {
 		return fmt.Errorf("missing lifted function")
@@ -77,6 +79,11 @@ func ValidateFunction(fn *prep.Function) error {
 		for _, s := range b.Succs {
 			if s < 0 || s >= len(gr.Blocks) {
 				return fmt.Errorf("block %d successor %d of %d", bi, s, len(gr.Blocks))
+			}
+		}
+		for k := range b.Insts {
+			if err := b.Insts[k].Packable(); err != nil {
+				return fmt.Errorf("block %d: %w", bi, err)
 			}
 		}
 	}

@@ -33,14 +33,14 @@ type Snapshot struct {
 	info    Info
 
 	// slots is the decomposition store: k -> []atomic.Pointer[core.Decomposed]
-	// aligned with entries. A slot is filled on first touch (decode, for
-	// store-backed entries, plus decompose), so cold start and resident
-	// memory of a v3-backed snapshot scale with the pages queries actually
+	// aligned with entries. A slot is filled on first touch (a view over
+	// the file for store-backed entries), so cold start and resident
+	// memory of a store-backed snapshot scale with the pages queries actually
 	// visit; BuildSnapshot pre-fills the slots of heap-backed databases.
 	slots sync.Map
 
 	// Candidate generation (see candidates). Both indexes are built on
-	// first use. store is set only when the v3 file covers every entry,
+	// first use. store is set only when the index file covers every entry,
 	// which is when its persisted LSHB signatures and LSHT band table may
 	// be adopted; feats yields the per-entry feature sets everything else
 	// is built from.
@@ -79,9 +79,9 @@ func newSnapshot(db *DB, ks []int, workers int, feats func() [][]uint64) *Snapsh
 // in ks (deduplicated; defaults to [3] when empty), each query fanning
 // out over nShards workers (<= 0 means runtime.GOMAXPROCS(0)). A
 // heap-backed DB is decomposed up front, in parallel, so serving never
-// pays decomposition latency; a v3 store-backed DB stays cold — beyond
+// pays decomposition latency; a store-backed DB stays cold — beyond
 // the (exe, name) lookup map nothing here is proportional to the corpus —
-// and decodes per entry on first touch. Neither candidate index is built
+// and views each entry's packed record on first touch. Neither candidate index is built
 // here: the lsh table is adopted or sorted by the first lsh query, the
 // inverted feature index by the first scan-mode, fallback or degraded
 // ranking. The DB is only read; the snapshot holds its own
@@ -127,19 +127,19 @@ func (s *Snapshot) slotsFor(k int) []atomic.Pointer[core.Decomposed] {
 
 // dec returns the k-decomposition of entry i, computing and memoizing
 // it on first touch. Concurrent first calls may both compute but agree
-// on one winner via CAS. An entry of a file with the PACK section is not
-// decoded at all: its decomposition is a view of the packed blocks where
-// they lie in the mapping (core.DecomposeBlocks), counted and timed like
-// any other; everything else is decoded and decomposed on the heap. The
-// store validates a function's records at this first read, so this is
-// where a corrupt function surfaces, as the store's typed error.
+// on one winner via CAS. An entry of an index file is not decoded at all:
+// its decomposition is a view of the packed blocks where they lie in the
+// mapping (core.DecomposeBlocks), counted and timed like any other; an
+// entry on the heap is decomposed there. The store validates a function's
+// record at this first read, so this is where a corrupt function
+// surfaces, as the store's typed error.
 func (s *Snapshot) dec(slots []atomic.Pointer[core.Decomposed], k, i int) (*core.Decomposed, error) {
 	if d := slots[i].Load(); d != nil {
 		return d, nil
 	}
 	e := s.entries[i]
 	var d *core.Decomposed
-	if e.Func == nil && e.src != nil && e.src.HasPack() {
+	if e.Func == nil && e.src != nil {
 		t := s.Tel.StartTimer(telemetry.DecomposeLatency)
 		pf, err := e.src.PackedFunc(e.srcIdx)
 		if err != nil {

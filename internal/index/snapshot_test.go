@@ -210,7 +210,7 @@ func TestLoadFutureVersion(t *testing.T) {
 	if err == nil {
 		t.Fatal("future-version file should fail to load")
 	}
-	if !strings.Contains(err.Error(), "format v3 expected") || !strings.Contains(err.Error(), "v9") || errors.Is(err, ErrLegacy) {
+	if !strings.Contains(err.Error(), fmt.Sprintf("format v%d expected", idxfile.Version)) || !strings.Contains(err.Error(), "v9") || errors.Is(err, ErrLegacy) {
 		t.Errorf("unhelpful version error: %v", err)
 	}
 }
@@ -220,12 +220,12 @@ func TestLoadForeignFileError(t *testing.T) {
 	if err == nil {
 		t.Fatal("foreign file should fail to load")
 	}
-	if !errors.Is(err, ErrLegacy) || !strings.Contains(err.Error(), "TRACYIDX v3") {
+	if !errors.Is(err, ErrLegacy) || !strings.Contains(err.Error(), fmt.Sprintf("TRACYIDX v%d", idxfile.Version)) {
 		t.Errorf("foreign-file error does not name the expected format: %v", err)
 	}
 }
 
-// TestBuildSnapshotIsLazy: BuildSnapshot over a v3 store-backed database
+// TestBuildSnapshotIsLazy: BuildSnapshot over a store-backed database
 // builds neither candidate index and decodes nothing; the first lsh query
 // adopts the file's band table and still leaves the inverted feature
 // index unbuilt, which the first scan-mode ranking then builds. A

@@ -14,7 +14,7 @@ import (
 
 // BenchmarkSnapshotSearchTop measures what a limit saves, the serve-lsh-4k
 // shape in process: 32 queries spread over the entries of a 4032-function
-// campaign served from its v3 file, 500 lsh candidates each, at limit 10
+// campaign served from its index file, 500 lsh candidates each, at limit 10
 // (held to the top-k floor) against limit 0 (every candidate compared in
 // full). One op is the 32 queries; ms/query, CSP solves per query and the
 // candidates the floor cut per query are reported next to B/op and
@@ -27,7 +27,7 @@ func BenchmarkSnapshotSearchTop(b *testing.B) {
 		b.Fatal(err)
 	}
 	refs := topQueries(b, db, 32)
-	// Served as a server serves it: a v3 file with its band table and
+	// Served as a server serves it: an index file with its band table and
 	// packed blocks, candidates compared where they lie.
 	if db, err = Load(bytes.NewReader(savedLSH(b, db, minhash.Default))); err != nil {
 		b.Fatal(err)

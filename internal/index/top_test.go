@@ -57,7 +57,7 @@ func checkTopParity(t *testing.T, label string, snap *Snapshot, ref *core.Decomp
 }
 
 // TestSearchTopMatchesTopK: the top-k engine answers what TopK of the full
-// search answers, on heap snapshots and on views of a PACK file, for
+// search answers, on heap snapshots and on views of an index file, for
 // exhaustive, scan and lsh candidates, at 1, 2 and 4 workers — and the
 // floor does cut candidates on the way.
 func TestSearchTopMatchesTopK(t *testing.T) {
@@ -65,9 +65,6 @@ func TestSearchTopMatchesTopK(t *testing.T) {
 	packed, err := Load(bytes.NewReader(savedLSH(t, mem, minhash.Default)))
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !packed.Info().Pack {
-		t.Fatal("the saved index has no PACK section")
 	}
 	refs := topQueries(t, mem, 4)
 	cap := mem.Len() / 2

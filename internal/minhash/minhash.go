@@ -19,7 +19,7 @@
 //
 // Everything here is deterministic: the same Params (including Seed)
 // and the same feature set produce byte-identical signatures on every
-// platform, which is what lets signatures be persisted in a TRACYIDX v3
+// platform, which is what lets signatures be persisted in a TRACYIDX
 // LSHB section and compared against freshly computed ones.
 package minhash
 
@@ -184,7 +184,7 @@ func (p Params) Threshold() float64 {
 // band b, id). A band bucket is then a contiguous stretch of the run,
 // found by binary search with the hashes recomputed from sigs, and it
 // lists its ids ascending — the representation persisted in a TRACYIDX
-// v3 LSHT section and probed by the index. Each run is sorted by a
+// LSHT section and probed by the index. Each run is sorted by a
 // stable LSD radix sort over the 64-bit band hashes, which starts from
 // the ids in ascending order and so needs no tie-break pass.
 func BandTable(p Params, sigs []uint32, n int) []uint32 {

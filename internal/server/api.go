@@ -171,7 +171,7 @@ type HealthResponse struct {
 	Shards      int       `json:"shards"`
 	Generation  uint64    `json:"generation"` // bumped on every snapshot swap
 	LoadedAt    time.Time `json:"loaded_at"`
-	IndexFormat int       `json:"index_format"` // TRACYIDX on-disk version (0-3)
+	IndexFormat int       `json:"index_format"` // TRACYIDX on-disk version (4)
 	IndexMapped bool      `json:"index_mapped"` // true when served from mmap
 	LoadMS      float64   `json:"load_ms"`      // load + snapshot-build time
 

@@ -15,7 +15,7 @@ import (
 )
 
 // shardDBs splits db into n disjoint shard databases through the real
-// on-disk v3 shard format (write + load round trip, exactly what tracy
+// on-disk shard format (write + load round trip, exactly what tracy
 // shard produces).
 func shardDBs(t *testing.T, db *index.DB, n int) []*index.DB {
 	t.Helper()

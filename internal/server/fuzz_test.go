@@ -15,7 +15,10 @@ import (
 // malformedQueries are functions only a hand-built or corrupted gob
 // carries: argument kinds, registers and symbol classes past their
 // enumerations, an instruction with nine operands, an empty mnemonic, a
-// memory term with an operator that is none, and a jump to nowhere.
+// memory term with an operator that is none, a jump to nowhere, and the
+// two operands the packed form cannot carry — a memory operand with the
+// offset flag and one with a direct argument beside its terms — which
+// decodeQueryGob refuses.
 func malformedQueries() []*prep.Function {
 	nine := make([]asm.Operand, 9)
 	for i := range nine {
@@ -29,6 +32,8 @@ func malformedQueries() []*prep.Function {
 		{{Mnemonic: ""}, {Mnemonic: "", Ops: []asm.Operand{asm.ImmOp(1)}}},
 		{asm.New("mov", asm.RegOp(asm.EAX), asm.Operand{Mem: []asm.MemTerm{{Op: '?', Arg: asm.RegArg(asm.EBX)}, {Op: 0, Arg: asm.Arg{Kind: asm.KindSym}}}})},
 		{asm.New("jmp", asm.SymOp(asm.SymLabel, "loc_nowhere"))},
+		{asm.New("mov", asm.RegOp(asm.EAX), asm.Operand{Offset: true, Mem: []asm.MemTerm{{Arg: asm.RegArg(asm.EBX)}}})},
+		{asm.New("lea", asm.RegOp(asm.EAX), asm.Operand{Arg: asm.ImmArg(4), Mem: []asm.MemTerm{{Arg: asm.RegArg(asm.EBX)}}})},
 	}
 	var out []*prep.Function
 	for i, body := range insts {

@@ -2,7 +2,7 @@
 // HTTP/JSON query service (paper Section 5.2 frames TRACY as a search
 // engine over a large code base; this is its serving layer).
 //
-// The server maps the v3 index once and prepares an immutable
+// The server maps the index once and prepares an immutable
 // index.Snapshot over it: entries decompose per tracelet size on first
 // touch, one query fans out across workers, and any number of queries run
 // concurrently with no locks on the read path. A hot reload
@@ -42,7 +42,7 @@ import (
 // Config shapes a Server. The zero value of every field selects a
 // sensible production default.
 type Config struct {
-	// DBPath is the v3 index to map and hot-reload. Optional when the
+	// DBPath is the TRACYIDX v4 index to map and hot-reload. Optional when the
 	// server is seeded with NewFromDB (reload then requires a path).
 	DBPath string
 
@@ -278,8 +278,7 @@ func (s *Server) Flight() *telemetry.FlightRecorder { return s.flight }
 // install builds a snapshot of db and swaps it in; t0 is when the load
 // began (file open counts toward loadMS). The swapped-in index's
 // provenance is published as the tracy_index_info metric so dashboards
-// can tell which on-disk format is live, whether it is an mmap, and
-// whether candidates are compared in place (pack) or decoded first.
+// can tell which on-disk format is live and whether it is an mmap.
 func (s *Server) install(db *index.DB, t0 time.Time) *snapState {
 	db.Tel = s.tel
 	st := &snapState{
@@ -294,7 +293,6 @@ func (s *Server) install(db *index.DB, t0 time.Time) *snapState {
 	s.tel.SetInfo("index_info", map[string]string{
 		"format":     strconv.Itoa(st.info.Version),
 		"mapped":     strconv.FormatBool(st.info.Mapped),
-		"pack":       strconv.FormatBool(st.info.Pack),
 		"path":       st.info.Path,
 		"functions":  strconv.Itoa(st.info.Funcs),
 		"generation": strconv.FormatUint(st.gen, 10),
@@ -321,7 +319,7 @@ func (s *Server) reload() (*ReloadResponse, error) {
 		return nil, err
 	}
 	t0 := time.Now()
-	// OpenFile maps the v3 file (lazy, page-granular) and refuses any
+	// OpenFile maps the v4 file (lazy, page-granular) and refuses any
 	// other, naming tracy convert. The previous snapshot's mapping is NOT
 	// closed here —
 	// in-flight queries may still be decoding from it; once they drain

@@ -518,7 +518,7 @@ func replaceFile(t *testing.T, path string, data []byte) {
 	}
 }
 
-// replaceIndex saves d as v3 to path (see replaceFile).
+// replaceIndex saves d as an index file at path (see replaceFile).
 func replaceIndex(t *testing.T, path string, d *index.DB) {
 	t.Helper()
 	var buf bytes.Buffer
@@ -530,7 +530,7 @@ func replaceIndex(t *testing.T, path string, d *index.DB) {
 
 func TestHotReloadSwapsSnapshot(t *testing.T) {
 	db, c := smallDB(t)
-	path := filepath.Join(t.TempDir(), "idx.v3")
+	path := filepath.Join(t.TempDir(), "t.idx")
 	saveTo := func(d *index.DB) { replaceIndex(t, path, d) }
 	saveTo(db)
 	s, err := New(Config{DBPath: path})
@@ -582,7 +582,7 @@ func TestHotReloadSwapsSnapshot(t *testing.T) {
 // the old snapshot keeps serving.
 func TestReloadRejectsBadFile(t *testing.T) {
 	db, _ := smallDB(t)
-	path := filepath.Join(t.TempDir(), "idx.v3")
+	path := filepath.Join(t.TempDir(), "t.idx")
 	replaceIndex(t, path, db)
 	s, err := New(Config{DBPath: path})
 	if err != nil {
@@ -597,7 +597,7 @@ func TestReloadRejectsBadFile(t *testing.T) {
 		rec := httptest.NewRecorder()
 		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/reload", nil))
 		if rec.Code == http.StatusOK {
-			t.Fatal("reload of a file that is not a v3 index should fail")
+			t.Fatal("reload of a file that is not a v4 index should fail")
 		}
 		if body := rec.Body.String(); !strings.Contains(body, "tracy convert") || strings.Contains(body, "gob:") {
 			t.Errorf("reload refused with %s, want an error naming tracy convert", body)
@@ -723,7 +723,7 @@ func TestConcurrentSearchCorrectness(t *testing.T) {
 
 func TestServeV3IndexInfo(t *testing.T) {
 	db, _ := smallDB(t)
-	path := filepath.Join(t.TempDir(), "idx.v3")
+	path := filepath.Join(t.TempDir(), "t.idx")
 	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
@@ -752,16 +752,16 @@ func TestServeV3IndexInfo(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &hr); err != nil {
 		t.Fatal(err)
 	}
-	if hr.IndexFormat != 3 || hr.IndexMapped != wantMapped || hr.LoadMS < 0 {
-		t.Errorf("healthz index info = format %d mapped %v load %.1fms, want format 3 mapped %v",
+	if hr.IndexFormat != 4 || hr.IndexMapped != wantMapped || hr.LoadMS < 0 {
+		t.Errorf("healthz index info = format %d mapped %v load %.1fms, want format 4 mapped %v",
 			hr.IndexFormat, hr.IndexMapped, hr.LoadMS, wantMapped)
 	}
 
 	rec = httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
 	metrics := rec.Body.String()
-	if !strings.Contains(metrics, "tracy_index_info{") || !strings.Contains(metrics, `format="3"`) || !strings.Contains(metrics, `pack="true"`) {
-		t.Errorf("/metrics lacks tracy_index_info with format and pack labels:\n%.600s", metrics)
+	if !strings.Contains(metrics, "tracy_index_info{") || !strings.Contains(metrics, `format="4"`) {
+		t.Errorf("/metrics lacks tracy_index_info with the format label:\n%.600s", metrics)
 	}
 	if err := telemetry.ValidateExposition(rec.Body.Bytes()); err != nil {
 		t.Errorf("/metrics with info gauge invalid: %v", err)
@@ -770,27 +770,27 @@ func TestServeV3IndexInfo(t *testing.T) {
 	rec = httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/reload", nil))
 	if rec.Code != http.StatusOK {
-		t.Fatalf("reload over v3: status %d: %s", rec.Code, rec.Body.String())
+		t.Fatalf("reload: status %d: %s", rec.Code, rec.Body.String())
 	}
 	var rl ReloadResponse
 	if err := json.Unmarshal(rec.Body.Bytes(), &rl); err != nil {
 		t.Fatal(err)
 	}
-	if rl.Format != 3 || rl.Mapped != wantMapped || rl.Generation != 2 {
-		t.Errorf("reload response %+v, want format 3 mapped %v generation 2", rl, wantMapped)
+	if rl.Format != 4 || rl.Mapped != wantMapped || rl.Generation != 2 {
+		t.Errorf("reload response %+v, want format 4 mapped %v generation 2", rl, wantMapped)
 	}
-	if got := s.Tel().InfoLabels("index_info"); got["generation"] != "2" || got["format"] != "3" {
+	if got := s.Tel().InfoLabels("index_info"); got["generation"] != "2" || got["format"] != "4" {
 		t.Errorf("index_info labels after reload = %v", got)
 	}
 
 	// Queries still answer from the mmapped snapshot.
 	e := entryWithTruth(t, db, corpus.LibFuncName)
 	if _, resp := postSearch(t, h, SearchRequest{Exe: e.Exe, Name: e.Name, Limit: 3}); resp == nil {
-		t.Fatal("search over served v3 index failed")
+		t.Fatal("search over the served index failed")
 	}
 }
 
-// TestCorruptAtTouch: a v3 index whose one function has a broken record
+// TestCorruptAtTouch: an index whose one function has a broken record
 // is served — a function's records are checked when a query first reads
 // them, not at open — and the search that touches the function is answered
 // 500 with the store's error, counted as a 5xx, never with the function
@@ -817,8 +817,8 @@ func TestCorruptAtTouch(t *testing.T) {
 	// ways of reading a function follow it.
 	const victim = 1
 	blockOff := binary.LittleEndian.Uint32(data[section("FUNC")+victim*40+20:])
-	binary.LittleEndian.PutUint32(data[section("BLCK")+int(blockOff)*20+12:], 1<<30)
-	path := filepath.Join(t.TempDir(), "broken.v3")
+	binary.LittleEndian.PutUint32(data[section("BLCK")+int(blockOff)*12+4:], 1<<30)
+	path := filepath.Join(t.TempDir(), "broken.idx")
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}

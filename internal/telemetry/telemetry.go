@@ -75,7 +75,7 @@ const (
 	FunctionsDecomposed                 // functions decomposed into k-tracelets
 	FunctionsLifted                     // functions lifted from executable images (index build, by-image queries)
 	InstructionsDecoded                 // x86 instructions decoded while lifting: discovery's sweeps plus any function decoded again
-	IndexBytesWritten                   // bytes of index files written (v3)
+	IndexBytesWritten                   // bytes of index files written
 	CSPSolves                           // constraint-solver invocations
 	CSPBacktracks                       // backtracking steps consumed across solves
 	CSPBudgetExhausted                  // solves that hit the backtrack budget

@@ -135,7 +135,7 @@ func (d *Database) Search(query *Function, opts Options) []Match {
 	return out
 }
 
-// Save serializes the database in the TRACYIDX v3 columnar format.
+// Save serializes the database in the TRACYIDX v4 columnar format.
 func (d *Database) Save(w io.Writer) error { return d.db.SaveV3(w) }
 
 // LoadDatabase restores a database written by Save, reading it fully into
