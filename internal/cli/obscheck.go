@@ -33,8 +33,9 @@ import (
 //     with the format label;
 //   - /debug/requests has recorded requests, each carrying a trace ID
 //     and a span tree, among them an answered search, and every answered
-//     search names its response encoding as an "encode" stage (the stage
-//     that accounts for most of a cache hit's server time);
+//     search names its request decoding and response encoding as the
+//     "decode" and "encode" stages (the two that, with the cache probe,
+//     make up a cache hit's server time);
 //   - a live request's X-Trace-Id response header matches the trace_id
 //     echoed in the response body;
 //   - with -fleet, /v1/healthz reports coordinator mode with one entry
@@ -179,18 +180,20 @@ func (c *env) obscheck(args []string) error {
 			continue
 		}
 		searches++
-		encoded := false
+		named := map[string]bool{}
 		for _, stage := range rec.Span.Children {
-			encoded = encoded || stage.Name == "encode"
+			named[stage.Name] = true
 		}
-		if !encoded {
-			return fmt.Errorf("obscheck: /debug/requests slowest[%d] (%s) answered without an encode stage", i, rec.Path)
+		for _, want := range []string{"decode", "encode"} {
+			if !named[want] {
+				return fmt.Errorf("obscheck: /debug/requests slowest[%d] (%s) answered without a %s stage", i, rec.Path, want)
+			}
 		}
 	}
 	if searches == 0 {
 		return fmt.Errorf("obscheck: /debug/requests holds no answered search — issue a query first")
 	}
-	fmt.Fprintf(c.w, "obscheck: /debug/requests ok (%d recorded, %d slowest, %d errored; %d answered searches, each with an encode stage)\n",
+	fmt.Fprintf(c.w, "obscheck: /debug/requests ok (%d recorded, %d slowest, %d errored; %d answered searches, each with decode and encode stages)\n",
 		flight.Recorded, len(flight.Slowest), len(flight.Errored), searches)
 
 	// 3. Header/body trace agreement on a live request. /v1/functions is

@@ -90,7 +90,7 @@ func TestQueryAgainstRunningServer(t *testing.T) {
 
 	// The same query again is a result-cache hit with the same hit lines
 	// (CI's server-smoke makes the same check on the built binary), and
-	// obscheck finds the answered searches with their encode stage.
+	// obscheck finds the answered searches with their decode and encode stages.
 	again, err := run(t, "query", "-server", "http://"+addr.String(), "-exe", q, "-limit", "5")
 	if err != nil {
 		t.Fatal(err)
@@ -106,7 +106,7 @@ func TestQueryAgainstRunningServer(t *testing.T) {
 		t.Fatal(err)
 	}
 	if check, err := run(t, "obscheck", "-server", "http://"+addr.String()); err != nil ||
-		!strings.Contains(check, "encode stage") || !strings.Contains(check, "64 probed buckets over 1 lsh queries") {
+		!strings.Contains(check, "decode and encode stages") || !strings.Contains(check, "64 probed buckets over 1 lsh queries") {
 		t.Errorf("obscheck after three answered searches: %v\n%s", err, check)
 	}
 

@@ -248,22 +248,6 @@ func (c *checker) rewriteInvariants(variant string, da, db *core.Decomposed) {
 	}
 }
 
-// SerialSearch is the reference the parity checks rank against: one
-// matcher on one goroutine compares the query against every entry,
-// decomposed from scratch, then applies the canonical sort. It shares no
-// worker pool, decomposition slot or candidate code with index.Snapshot,
-// the engine behind DB.Search and every served search.
-func SerialSearch(entries []*index.Entry, query *prep.Function, opts core.Options) []index.Hit {
-	m := core.NewMatcher(opts)
-	ref := core.Decompose(query, m.Opts.K)
-	hits := make([]index.Hit, len(entries))
-	for i, e := range entries {
-		hits[i] = index.Hit{Entry: e, Result: m.Compare(ref, core.Decompose(e.Function(), m.Opts.K))}
-	}
-	index.SortHits(hits)
-	return hits
-}
-
 // searchParity indexes every variant and checks that the search paths —
 // the serial reference, the snapshot engine (behind DB.Search and built
 // for serving) and the HTTP service — rank the same query identically,
@@ -286,7 +270,7 @@ func (c *checker) searchParity(built []variant, images [][]byte) {
 		return
 	}
 
-	offline := index.TopK(SerialSearch(db.Entries, query, opts), limit, 0)
+	offline := index.TopK(index.SerialSearch(db.Entries, query, opts), limit, 0)
 
 	c.ran()
 	if d := diffOfflineHits(offline, index.TopK(db.Search(query, opts), limit, 0)); d != "" {

@@ -91,7 +91,7 @@ func TestSearchCtxBackgroundIdentical(t *testing.T) {
 	query := queryFor(t, db, corpus.LibFuncName)
 	snap := BuildSnapshot(db, []int{3}, 3)
 
-	want := serialSearch(db, query, core.DefaultOptions())
+	want := SerialSearch(db.Entries, query, core.DefaultOptions())
 	got, err := snap.SearchCtx(context.Background(), query, core.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)

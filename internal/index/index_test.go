@@ -49,22 +49,6 @@ func queryFor(t *testing.T, db *DB, truthName string) *prep.Function {
 	return nil
 }
 
-// serialSearch is the parity oracle (twin of difftest.SerialSearch): one
-// matcher on one goroutine compares the query against every entry,
-// decomposed from scratch, then applies the canonical sort. It shares no
-// worker pool, decomposition slot or candidate code with Snapshot, the
-// engine behind DB.Search and every served search.
-func serialSearch(db *DB, query *prep.Function, opts core.Options) []Hit {
-	m := core.NewMatcher(opts)
-	ref := core.Decompose(query, m.Opts.K)
-	hits := make([]Hit, len(db.Entries))
-	for i, e := range db.Entries {
-		hits[i] = Hit{Entry: e, Result: m.Compare(ref, core.Decompose(e.Function(), m.Opts.K))}
-	}
-	SortHits(hits)
-	return hits
-}
-
 // sameHits fails the test unless got equals want entry for entry with
 // bit-identical Results.
 func sameHits(t *testing.T, label string, got, want []Hit) {

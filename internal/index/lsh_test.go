@@ -154,7 +154,7 @@ func TestLSHSubsetOfExhaustive(t *testing.T) {
 	db, _ := buildTestDB(t)
 	query := queryFor(t, db, corpus.LibFuncName)
 	opts := core.DefaultOptions()
-	full := serialSearch(db, query, opts)
+	full := SerialSearch(db.Entries, query, opts)
 	byEntry := make(map[*Entry]core.Result, len(full))
 	for _, h := range full {
 		byEntry[h.Entry] = h.Result

@@ -4,6 +4,9 @@ import (
 	"cmp"
 	"slices"
 	"strings"
+
+	"repro/internal/core"
+	"repro/internal/prep"
 )
 
 // hitCmp is the canonical result order: similarity score descending,
@@ -41,4 +44,20 @@ func TopK(hits []Hit, limit int, minScore float64) []Hit {
 		kept = kept[:limit]
 	}
 	return kept
+}
+
+// SerialSearch is the reference implementation every parity test ranks
+// against: one matcher on one goroutine compares the query against every
+// entry, decomposed from scratch, then applies the canonical sort. It
+// shares no worker pool, decomposition slot, candidate code or floor with
+// Snapshot, the engine behind DB.Search and every served search.
+func SerialSearch(entries []*Entry, query *prep.Function, opts core.Options) []Hit {
+	m := core.NewMatcher(opts)
+	ref := core.Decompose(query, m.Opts.K)
+	hits := make([]Hit, len(entries))
+	for i, e := range entries {
+		hits[i] = Hit{Entry: e, Result: m.Compare(ref, core.Decompose(e.Function(), m.Opts.K))}
+	}
+	SortHits(hits)
+	return hits
 }

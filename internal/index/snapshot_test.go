@@ -23,7 +23,7 @@ import (
 func TestSnapshotSearchMatchesDBSearch(t *testing.T) {
 	db, _ := buildTestDB(t)
 	query := queryFor(t, db, corpus.LibFuncName)
-	want := serialSearch(db, query, core.DefaultOptions())
+	want := SerialSearch(db.Entries, query, core.DefaultOptions())
 	sameHits(t, "db", db.Search(query, core.DefaultOptions()), want)
 	for _, shards := range []int{1, 3, 0} {
 		snap := BuildSnapshot(db, []int{3}, shards)
@@ -129,7 +129,7 @@ func TestSortHitsStableOrder(t *testing.T) {
 func TestConcurrentDBSearch(t *testing.T) {
 	db, _ := buildTestDB(t)
 	query := queryFor(t, db, corpus.LibFuncName)
-	want := serialSearch(db, query, core.DefaultOptions())
+	want := SerialSearch(db.Entries, query, core.DefaultOptions())
 
 	fresh, err := Load(saved(t, db))
 	if err != nil {

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/bin"
+	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/faultinject"
 	"repro/internal/index"
@@ -90,7 +91,7 @@ func TestFrontEndParity(t *testing.T) {
 	for _, fe := range fronts {
 		for _, e := range sample {
 			var want []Hit
-			for _, h := range index.TopK(serialSearch(db, e), 1000, 0) {
+			for _, h := range index.TopK(index.SerialSearch(db.Entries, e.Function(), core.DefaultOptions()), 1000, 0) {
 				want = append(want, wireHit(h))
 			}
 			byImage := SearchRequest{Function: e.Name, Limit: 1000}

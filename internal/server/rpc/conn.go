@@ -34,6 +34,24 @@ var ErrSaturated = errors.New("server saturated")
 // misbehaving server cannot make the caller buffer an unbounded error.
 const MaxErrBody = 1 << 16
 
+// MaxReplyBody bounds how much of a 200 body is read, so a misbehaving
+// worker or proxy cannot make a coordinator, `tracy query` or the bench
+// client buffer without limit. It sits above the largest body a tracy
+// server writes:
+//
+//   - a /v1/search/batch answer: 64 queries (the batch limit) × 1000 hits
+//     (the limit cap) × at most 1 KiB a hit — about 200 B of keys and
+//     numbers, plus an executable and a function name of up to ~400 B
+//     each as written — is 62.5 MiB, and each query's header adds under
+//     1 KiB;
+//   - a /v1/functions listing at about 90 B a function (up to 128 B with
+//     long names) is under 64 MiB up to 500 000 functions, five times
+//     the largest corpus measured;
+//   - a /v1/fleet/function answer is one function gob, which the
+//     coordinator forwards inside a request body a worker caps at
+//     Config.MaxBodyBytes (8 MiB by default), so a usable one is smaller.
+const MaxReplyBody = 64 << 20
+
 // Attempt-identity headers stamped on every round trip, consumed by the
 // server's observe middleware (internal/server re-exports them).
 const (
@@ -117,6 +135,18 @@ type Conn struct {
 	Stats *Counters
 }
 
+// A type that brings its own JSON codec (internal/server's SearchRequest
+// and SearchResponse) is encoded and decoded by it directly: the request
+// body is not compacted again and the reply is scanned once, without
+// json.Unmarshal's validating pass and reflection. Each interface holds
+// the one method Conn calls; an UnmarshalJSON reached this way must
+// accept exactly what json.Unmarshal accepts, since nothing checks the
+// body first.
+type (
+	jsonMarshaler   interface{ MarshalJSON() ([]byte, error) }
+	jsonUnmarshaler interface{ UnmarshalJSON([]byte) error }
+)
+
 // Do sends one JSON request (with the retry policy) and decodes the
 // reply into out.
 func (c *Conn) Do(ctx context.Context, method, path string, in, out any) error {
@@ -139,11 +169,15 @@ func (c *Conn) DoHedged(ctx context.Context, method, path string, in, out any) e
 func (c *Conn) exec(ctx context.Context, method, path string, in, out any, hedge bool) error {
 	var payload []byte
 	if in != nil {
-		b, err := json.Marshal(in)
+		var err error
+		if m, ok := in.(jsonMarshaler); ok {
+			payload, err = m.MarshalJSON()
+		} else {
+			payload, err = json.Marshal(in)
+		}
 		if err != nil {
 			return err
 		}
-		payload = b
 	}
 	traceID := telemetry.NewTraceID()
 	var seq atomic.Int64
@@ -165,6 +199,9 @@ func (c *Conn) exec(ctx context.Context, method, path string, in, out any, hedge
 	}
 	if out == nil {
 		return nil
+	}
+	if u, ok := out.(jsonUnmarshaler); ok {
+		return u.UnmarshalJSON(data)
 	}
 	return json.Unmarshal(data, out)
 }
@@ -240,7 +277,7 @@ func (c *Conn) attempt(ctx context.Context, method, path string, payload []byte,
 		c.Stats.record(rec)
 		return nil, aerr
 	}
-	data, err := io.ReadAll(resp.Body)
+	data, err := readReply(resp)
 	if err != nil {
 		if cerr := ctx.Err(); cerr != nil {
 			err = cerr
@@ -255,6 +292,31 @@ func (c *Conn) attempt(ctx context.Context, method, path string, payload []byte,
 	rec.DurMS = msSince(t0)
 	c.Stats.record(rec)
 	return data, nil
+}
+
+// readReply reads a 200 body of at most MaxReplyBody bytes, as
+// io.ReadAll does but into a buffer sized by the declared length when
+// there is one; the caller reports a longer body as a *TransportError.
+func readReply(resp *http.Response) ([]byte, error) {
+	r := io.LimitReader(resp.Body, MaxReplyBody+1)
+	b := make([]byte, 0, min(max(resp.ContentLength, 0), MaxReplyBody)+bytes.MinRead)
+	for {
+		n, err := r.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, err
+		}
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+	}
+	if len(b) > MaxReplyBody {
+		return nil, fmt.Errorf("reply body exceeds %d bytes", MaxReplyBody)
+	}
+	return b, nil
 }
 
 func msSince(t0 time.Time) float64 {

@@ -442,11 +442,22 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-// encodeResponse is writeJSON under an "encode" stage span, so the server
-// time of a request that does little else — a cache hit — is named.
+// encodeResponse writes a 200 answer under an "encode" stage span, so the
+// server time of a request that does little else — a cache hit — is
+// named. A SearchResponse is written by its own codec; a response that
+// cannot be encoded (a NaN score) leaves the body empty, as json.Encoder
+// did.
 func encodeResponse(w http.ResponseWriter, sp *telemetry.Span, v any) {
 	esp := sp.Child("encode")
-	writeJSON(w, http.StatusOK, v)
+	if resp, ok := v.(*SearchResponse); ok {
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusOK)
+		if b, err := resp.MarshalJSON(); err == nil {
+			_, _ = w.Write(append(b, '\n'))
+		}
+	} else {
+		writeJSON(w, http.StatusOK, v)
+	}
 	esp.End()
 }
 
@@ -665,15 +676,23 @@ func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request, sp *telem
 	return err
 }
 
-// decodeBody JSON-decodes a size-limited request body.
+// decodeBody JSON-decodes a size-limited request body: a SearchRequest
+// by its own codec, anything else by a json.Decoder with unknown fields
+// disallowed.
 func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
 	if err := s.faults.Fire(r.Context(), FaultDecode); err != nil {
 		return errf(http.StatusInternalServerError, "decode: %v", err)
 	}
 	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+	var err error
+	if req, ok := v.(*SearchRequest); ok {
+		err = readSearchRequest(body, r.ContentLength, req)
+	} else {
+		dec := json.NewDecoder(body)
+		dec.DisallowUnknownFields()
+		err = dec.Decode(v)
+	}
+	if err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
 			return errf(http.StatusRequestEntityTooLarge, "body exceeds %d bytes", mbe.Limit)

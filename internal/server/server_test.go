@@ -96,22 +96,6 @@ func entryWithTruth(t testing.TB, db *index.DB, truth string) *index.Entry {
 	return nil
 }
 
-// serialSearch is the offline oracle the served answers are checked
-// against (twin of difftest.SerialSearch, which this package cannot
-// import): one matcher on one goroutine compares the query against
-// every entry, decomposed from scratch, then applies the canonical sort.
-// It shares nothing with index.Snapshot, the engine the server runs.
-func serialSearch(db *index.DB, query *index.Entry) []index.Hit {
-	m := core.NewMatcher(core.DefaultOptions())
-	ref := core.Decompose(query.Function(), m.Opts.K)
-	hits := make([]index.Hit, len(db.Entries))
-	for i, e := range db.Entries {
-		hits[i] = index.Hit{Entry: e, Result: m.Compare(ref, core.Decompose(e.Function(), m.Opts.K))}
-	}
-	index.SortHits(hits)
-	return hits
-}
-
 // exeImage returns the stripped image of one corpus executable.
 func exeImage(t testing.TB, c *corpus.Corpus, name string) []byte {
 	t.Helper()
@@ -184,7 +168,7 @@ func TestSearchByReferenceMatchesOffline(t *testing.T) {
 	if resp == nil {
 		t.Fatal("reference search failed")
 	}
-	offline := index.TopK(serialSearch(db, e), 1000, 0)
+	offline := index.TopK(index.SerialSearch(db.Entries, e.Function(), core.DefaultOptions()), 1000, 0)
 	if len(resp.Hits) != len(offline) {
 		t.Fatalf("server returned %d hits, offline %d", len(resp.Hits), len(offline))
 	}
@@ -219,7 +203,7 @@ func TestSearchPrefiltered(t *testing.T) {
 		t.Errorf("prefiltered search lost the planted match: %+v", resp.Hits)
 	}
 	// Every prefiltered hit must score exactly like the exhaustive scan.
-	offline := index.TopK(serialSearch(db, e), 1000, 0)
+	offline := index.TopK(index.SerialSearch(db.Entries, e.Function(), core.DefaultOptions()), 1000, 0)
 	scores := make(map[string]float64, len(offline))
 	for _, oh := range offline {
 		scores[oh.Entry.Exe+"/"+oh.Entry.Name] = oh.Result.SimilarityScore
@@ -644,7 +628,7 @@ func TestConcurrentSearchCorrectness(t *testing.T) {
 	for _, e := range queries {
 		expect = append(expect, expectation{
 			entry: e,
-			top:   index.TopK(serialSearch(db, e), 10, 0),
+			top:   index.TopK(index.SerialSearch(db.Entries, e.Function(), core.DefaultOptions()), 10, 0),
 		})
 	}
 
