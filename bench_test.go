@@ -16,6 +16,7 @@ package tracy
 // against the paper's Table 4.
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -156,10 +157,12 @@ func benchDB(b *testing.B) *index.DB {
 func BenchmarkSearch(b *testing.B) {
 	db := benchDB(b)
 	query := benchFunc(b, 50, 99)
-	opts := core.DefaultOptions()
+	snap, q := db.View(), index.Query{Func: query, Opts: core.DefaultOptions()}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = db.Search(query, opts)
+		if _, err := snap.Search(context.Background(), q); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

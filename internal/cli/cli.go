@@ -249,14 +249,14 @@ func (c *env) search(args []string) error {
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
 	}
-	hits, err := db.SearchTopCtx(ctx, query, sOpts, pf, n, *minScore)
+	ans, err := db.View().Search(ctx, index.Query{Func: query, Opts: sOpts, Prefilter: pf, Limit: n, MinScore: *minScore})
 	if err != nil {
 		if errors.Is(err, context.DeadlineExceeded) {
 			return fmt.Errorf("search: timed out after %v", *timeout)
 		}
 		return fmt.Errorf("search: %w", err)
 	}
-	for _, h := range hits {
+	for _, h := range ans.Hits {
 		mark := " "
 		if h.Result.IsMatch {
 			mark = "*"

@@ -82,13 +82,18 @@ type Options struct {
 	Trace *telemetry.Span
 }
 
+// DefaultK is the tracelet size the paper found best (k=3): what
+// DefaultOptions sets, and what a search, a matcher, a snapshot and the
+// server use when none is given.
+const DefaultK = 3
+
 // DefaultOptions returns the configuration the paper found best: k=3,
 // β=0.8 (anywhere in the robust 0.7-0.9 plateau of Table 2), ratio
 // normalization, rewriting enabled with the 50% skip optimization, and
 // the lossless score-bound pruner on (it never changes Results).
 func DefaultOptions() Options {
 	return Options{
-		K:                3,
+		K:                DefaultK,
 		Beta:             0.8,
 		Alpha:            0.5,
 		Norm:             align.Ratio,
@@ -382,7 +387,7 @@ type Matcher struct {
 // NewMatcher returns a matcher over the given options.
 func NewMatcher(opts Options) *Matcher {
 	if opts.K <= 0 {
-		opts.K = 3
+		opts.K = DefaultK
 	}
 	return &Matcher{Opts: opts}
 }

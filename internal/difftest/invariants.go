@@ -249,9 +249,9 @@ func (c *checker) rewriteInvariants(variant string, da, db *core.Decomposed) {
 }
 
 // searchParity indexes every variant and checks that the search paths —
-// the serial reference, the snapshot engine (behind DB.Search and built
-// for serving) and the HTTP service — rank the same query identically,
-// hit for hit.
+// the serial reference, the one search engine (Snapshot.Search, on the
+// database's own view and on snapshots built for serving) and the HTTP
+// service — rank the same query identically, hit for hit.
 func (c *checker) searchParity(built []variant, images [][]byte) {
 	const limit = 100
 	opts := core.DefaultOptions()
@@ -271,21 +271,18 @@ func (c *checker) searchParity(built []variant, images [][]byte) {
 	}
 
 	offline := index.TopK(index.SerialSearch(db.Entries, query, opts), limit, 0)
-
-	c.ran()
-	if d := diffOfflineHits(offline, index.TopK(db.Search(query, opts), limit, 0)); d != "" {
-		c.fail("parity", "db", "DB.Search vs serial reference: %s", d)
+	view := db.View()
+	search := func(check, variant string, s *index.Snapshot, o core.Options, pf index.PrefilterOptions) []index.Hit {
+		a, err := s.Search(context.Background(), index.Query{Func: query, Opts: o, Prefilter: pf})
+		if err != nil {
+			c.fail(check, variant, "search: %v", err)
+		}
+		return a.Hits
 	}
 
-	// Cancellation plumbing must be pure overhead: a Background context
-	// threaded through the context-aware entry point yields the same
-	// hits, bit for bit.
 	c.ran()
-	ctxHits, err := db.SearchCtx(context.Background(), query, opts, index.PrefilterOptions{})
-	if err != nil {
-		c.fail("parity", "ctx", "SearchCtx(Background) errored: %v", err)
-	} else if d := diffOfflineHits(offline, index.TopK(ctxHits, limit, 0)); d != "" {
-		c.fail("parity", "ctx", "SearchCtx(Background) vs serial reference: %s", d)
+	if d := diffOfflineHits(offline, index.TopK(search("parity", "db", view, opts, index.PrefilterOptions{}), limit, 0)); d != "" {
+		c.fail("parity", "db", "DB.View search vs serial reference: %s", d)
 	}
 
 	// The score-bound pruner must be lossless: the Verdict of every hit
@@ -294,7 +291,7 @@ func (c *checker) searchParity(built []variant, images [][]byte) {
 	c.ran()
 	exhaustive := opts
 	exhaustive.Prune = false
-	exHits := index.TopK(db.Search(query, exhaustive), limit, 0)
+	exHits := index.TopK(search("parity", "prune", view, exhaustive, index.PrefilterOptions{}), limit, 0)
 	if len(exHits) != len(offline) {
 		c.fail("parity", "prune", "pruned search returned %d hits, exhaustive %d",
 			len(offline), len(exHits))
@@ -317,7 +314,7 @@ func (c *checker) searchParity(built []variant, images [][]byte) {
 	for _, h := range offline {
 		byEntry[h.Entry] = h.Result
 	}
-	pre := db.SearchWith(query, opts, index.PrefilterOptions{Candidates: 5})
+	pre := search("parity", "prefilter", view, opts, index.PrefilterOptions{Candidates: 5})
 	if len(pre) == 0 || len(pre) > 5 {
 		c.fail("parity", "prefilter", "cap 5 returned %d candidates", len(pre))
 	}
@@ -337,7 +334,7 @@ func (c *checker) searchParity(built []variant, images [][]byte) {
 	// through the LSHB section.
 	c.ran()
 	satur := index.PrefilterOptions{Candidates: db.Len() + 1, Mode: index.ModeLSH}
-	lshHits := db.SearchWith(query, opts, satur)
+	lshHits := search("lsh/parity", "mem", view, opts, satur)
 	if len(lshHits) == 0 {
 		c.fail("lsh/self", "mem", "saturating lsh search returned no candidates")
 	}
@@ -356,12 +353,12 @@ func (c *checker) searchParity(built []variant, images [][]byte) {
 		c.fail("lsh/self", "mem", "query's own entry %s missing from saturating lsh candidates", query.Name)
 	}
 	c.ran()
-	if d := diffOfflineHits(lshHits, db.SearchWith(query, opts, satur)); d != "" {
+	if d := diffOfflineHits(lshHits, search("lsh/determinism", "mem", view, opts, satur)); d != "" {
 		c.fail("lsh/determinism", "mem", "two identical lsh searches diverged: %s", d)
 	}
 	// A tight cap must stay a subset with unchanged scores.
 	c.ran()
-	for _, h := range db.SearchWith(query, opts, index.PrefilterOptions{Candidates: 5, Mode: index.ModeLSH}) {
+	for _, h := range search("lsh/subset", "mem", view, opts, index.PrefilterOptions{Candidates: 5, Mode: index.ModeLSH}) {
 		if want, ok := byEntry[h.Entry]; !ok || h.Result != want {
 			c.fail("lsh/subset", "mem", "capped lsh candidate %s/%s not in exhaustive results or rescored",
 				h.Entry.Exe, h.Entry.Name)
@@ -383,30 +380,15 @@ func (c *checker) searchParity(built []variant, images [][]byte) {
 			c.fail("lsh/file", "file", "SaveV3LSH output carries no LSHB section")
 		}
 		c.ran()
-		if d := diffOfflineHits(lshHits, lshdb.SearchWith(query, opts, satur)); d != "" {
+		if d := diffOfflineHits(lshHits, search("lsh/determinism", "file", lshdb.View(), opts, satur)); d != "" {
 			c.fail("lsh/determinism", "file", "persisted signatures rank differently than in-memory ones: %s", d)
 		}
 	}
 
 	c.ran()
-	snap := index.BuildSnapshot(db, []int{opts.K}, 2)
-	snapHits, err := snap.Search(query, opts)
-	if err != nil {
-		c.fail("parity", "snapshot", "snapshot search: %v", err)
-		return
-	}
-	snapTop := index.TopK(snapHits, limit, 0)
+	snapTop := index.TopK(search("parity", "snapshot", index.BuildSnapshot(db, []int{opts.K}, 2), opts, index.PrefilterOptions{}), limit, 0)
 	if d := diffOfflineHits(offline, snapTop); d != "" {
 		c.fail("parity", "snapshot", "snapshot vs offline: %s", d)
-	}
-
-	// Same rule for the sharded snapshot path.
-	c.ran()
-	snapCtxHits, err := snap.SearchCtx(context.Background(), query, opts)
-	if err != nil {
-		c.fail("parity", "snapshot-ctx", "SearchCtx(Background) errored: %v", err)
-	} else if d := diffOfflineHits(snapTop, index.TopK(snapCtxHits, limit, 0)); d != "" {
-		c.fail("parity", "snapshot-ctx", "snapshot SearchCtx vs Search: %s", d)
 	}
 
 	// The columnar loader compares views over the file's packed records
@@ -423,15 +405,12 @@ func (c *checker) searchParity(built []variant, images [][]byte) {
 		if filedb.Info().Version != idxfile.Version {
 			c.fail("parity", "file", "converted index loaded as v%d", filedb.Info().Version)
 		}
-		if d := diffOfflineHits(offline, index.TopK(filedb.Search(query, opts), limit, 0)); d != "" {
+		if d := diffOfflineHits(offline, index.TopK(search("parity", "file", filedb.View(), opts, index.PrefilterOptions{}), limit, 0)); d != "" {
 			c.fail("parity", "file", "file loader vs in-memory: %s", d)
 		}
 		c.ran()
 		filesnap := index.BuildSnapshot(filedb, []int{opts.K}, 2)
-		fileSnapHits, err := filesnap.Search(query, opts)
-		if err != nil {
-			c.fail("parity", "file-snapshot", "snapshot search over the file: %v", err)
-		} else if d := diffOfflineHits(snapTop, index.TopK(fileSnapHits, limit, 0)); d != "" {
+		if d := diffOfflineHits(snapTop, index.TopK(search("parity", "file-snapshot", filesnap, opts, index.PrefilterOptions{}), limit, 0)); d != "" {
 			c.fail("parity", "file-snapshot", "lazy file snapshot vs offline: %s", d)
 		}
 	}
@@ -457,7 +436,7 @@ func (c *checker) searchParity(built []variant, images [][]byte) {
 			return
 		}
 		shardTotal += sdb.Len()
-		merged = append(merged, index.TopK(sdb.Search(query, opts), limit, 0)...)
+		merged = append(merged, index.TopK(search("parity", "fleet", sdb.View(), opts, index.PrefilterOptions{}), limit, 0)...)
 	}
 	if shardTotal != db.Len() {
 		c.fail("parity", "fleet", "shards hold %d functions, union index %d", shardTotal, db.Len())
@@ -492,7 +471,7 @@ func (c *checker) searchParity(built []variant, images [][]byte) {
 // topKParity holds the top-k engine to its oracle: for every limit,
 // minimum score, candidate generator and worker count, on the heap
 // snapshot and on views of an index file of the same corpus,
-// Snapshot.SearchTopCtx must return what TopK of the full search returns —
+// Snapshot.Search must return what TopK of the full search returns —
 // the same hits in the same order, every Result field included — and count
 // every candidate.
 func (c *checker) topKParity(db *index.DB, queries []*prep.Function, opts core.Options) {
@@ -527,7 +506,8 @@ func (c *checker) topKParity(db *index.DB, queries []*prep.Function, opts core.O
 				ref := core.Decompose(q, opts.K)
 				for _, gen := range gens {
 					variant := fmt.Sprintf("%s/workers=%d/%s", store.name, workers, gen.name)
-					all, err := snap.SearchDecomposedCtx(ctx, ref, opts, gen.pf)
+					q := index.Query{Ref: ref, Opts: opts, Prefilter: gen.pf}
+					full, err := snap.Search(ctx, q)
 					if err != nil {
 						c.ran()
 						c.fail("topk", variant, "full search: %v", err)
@@ -536,12 +516,13 @@ func (c *checker) topKParity(db *index.DB, queries []*prep.Function, opts core.O
 					for _, limit := range []int{1, 3, 10, 100, n + 1} {
 						for _, minScore := range []float64{0, 0.3, 0.9} {
 							c.ran()
-							got, candidates, err := snap.SearchTopCtx(ctx, ref, opts, gen.pf, limit, minScore)
+							q.Limit, q.MinScore = limit, minScore
+							got, err := snap.Search(ctx, q)
 							if err != nil {
 								c.fail("topk", variant, "limit %d min_score %v: %v", limit, minScore, err)
-							} else if d := diffTopHits(index.TopK(all, limit, minScore), got); d != "" || candidates != len(all) {
+							} else if d := diffTopHits(index.TopK(full.Hits, limit, minScore), got.Hits); d != "" || got.Candidates != len(full.Hits) {
 								c.fail("topk", variant, "limit %d min_score %v: %s (%d candidates, the full search %d)",
-									limit, minScore, d, candidates, len(all))
+									limit, minScore, d, got.Candidates, len(full.Hits))
 							}
 						}
 					}

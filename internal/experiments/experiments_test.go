@@ -205,11 +205,19 @@ func TestTable4RewriteCostsMore(t *testing.T) {
 			fRW = r
 		}
 	}
-	if tRW.Avg <= tAlign.Avg {
-		t.Errorf("tracelet align+RW (%v) should cost more than align (%v)", tRW.Avg, tAlign.Avg)
-	}
-	if fRW.Avg < fAlign.Avg {
-		t.Errorf("function align+RW (%v) should cost at least align (%v)", fRW.Avg, fAlign.Avg)
+	// Align+RW costs more than align, counted rather than timed: it
+	// compares every pair align does and takes pairs on to the rewrite
+	// stage besides, which align never does.
+	for _, c := range []struct {
+		item      string
+		align, rw Timing
+	}{{"tracelet", tAlign, tRW}, {"function", fAlign, fRW}} {
+		if c.align.Work.Pairs == 0 || c.rw.Work.Pairs != c.align.Work.Pairs {
+			t.Errorf("%s align+RW compared %d pairs, align %d; want the same, nonzero", c.item, c.rw.Work.Pairs, c.align.Work.Pairs)
+		}
+		if c.align.Work.Rewrites != 0 || c.rw.Work.Rewrites == 0 {
+			t.Errorf("%s align rewrote %d pairs, align+RW %d; want none and some", c.item, c.align.Work.Rewrites, c.rw.Work.Rewrites)
+		}
 	}
 	var buf bytes.Buffer
 	RenderTable4(&buf, rows)

@@ -35,7 +35,8 @@ func liftLargest(src string, level int, seed int64) (*prep.Function, error) {
 	return best, nil
 }
 
-// Timing summarizes one operation's measured runtimes.
+// Timing summarizes one operation's measured runtimes and the work they
+// timed.
 type Timing struct {
 	Item string
 	Op   string
@@ -45,9 +46,22 @@ type Timing struct {
 	Min  time.Duration
 	Max  time.Duration
 	N    int
+	Work Work
 }
 
-func summarize(item, op string, samples []time.Duration) Timing {
+// Work is what an operation's N runs did, counted: unlike their runtimes,
+// the same on every machine and under any load.
+type Work struct {
+	Pairs    int // tracelet pairs compared: aligned, or cut by a bound
+	Rewrites int // pairs the rewrite stage solved at least one variable for
+}
+
+func (w *Work) add(r core.Result) {
+	w.Pairs += r.PairsCompared
+	w.Rewrites += r.PairsRewritten
+}
+
+func summarize(item, op string, samples []time.Duration, work Work) Timing {
 	xs := make([]float64, len(samples))
 	for i, d := range samples {
 		xs[i] = float64(d)
@@ -59,7 +73,7 @@ func summarize(item, op string, samples []time.Duration) Timing {
 		Item: item, Op: op,
 		Avg: time.Duration(mean), Std: time.Duration(std),
 		Med: time.Duration(med), Min: time.Duration(lo), Max: time.Duration(hi),
-		N: len(samples),
+		N: len(samples), Work: work,
 	}
 }
 
@@ -91,22 +105,28 @@ func Table4(stmts, pairs int) ([]Timing, error) {
 
 	rng := rand.New(rand.NewSource(7))
 	var alignTimes, rwTimes []time.Duration
+	var alignWork, rwWork Work
 	for i := 0; i < pairs; i++ {
 		r := ref.Tracelets[rng.Intn(len(ref.Tracelets))]
 		t := tgt.Tracelets[rng.Intn(len(tgt.Tracelets))]
 		start := time.Now()
-		al := align.AlignBlocks(r.Blocks, t.Blocks)
+		_ = align.AlignBlocks(r.Blocks, t.Blocks)
 		alignTimes = append(alignTimes, time.Since(start))
+		alignWork.Pairs++
 
 		start = time.Now()
-		al2 := align.AlignBlocks(r.Blocks, t.Blocks)
-		rw := rewrite.Rewrite(r.Blocks, t.Blocks, al2)
+		al := align.AlignBlocks(r.Blocks, t.Blocks)
+		rw := rewrite.Rewrite(r.Blocks, t.Blocks, al)
 		_ = align.ScoreBlocks(r.Blocks, rw.Blocks)
 		rwTimes = append(rwTimes, time.Since(start))
-		_ = al
+		rwWork.Pairs++
+		if rw.NumVars > 0 { // the rewrite abstracted and solved something
+			rwWork.Rewrites++
+		}
 	}
 
 	var fnAlign, fnRW []time.Duration
+	var fnAlignWork, fnRWWork Work
 	noRW := core.NewMatcher(matcherOptions(3, 0.8))
 	noRW.Opts.UseRewrite = false
 	withRW := core.NewMatcher(matcherOptions(3, 0.8))
@@ -116,17 +136,19 @@ func Table4(stmts, pairs int) ([]Timing, error) {
 	const fnRuns = 3
 	for i := 0; i < fnRuns; i++ {
 		start := time.Now()
-		_ = noRW.Compare(ref, tgt)
+		r := noRW.Compare(ref, tgt)
 		fnAlign = append(fnAlign, time.Since(start))
+		fnAlignWork.add(r)
 		start = time.Now()
-		_ = withRW.Compare(ref, tgt)
+		r = withRW.Compare(ref, tgt)
 		fnRW = append(fnRW, time.Since(start))
+		fnRWWork.add(r)
 	}
 	return []Timing{
-		summarize("Tracelet", "Align", alignTimes),
-		summarize("Tracelet", "Align&RW", rwTimes),
-		summarize("Function", "Align", fnAlign),
-		summarize("Function", "Align&RW", fnRW),
+		summarize("Tracelet", "Align", alignTimes, alignWork),
+		summarize("Tracelet", "Align&RW", rwTimes, rwWork),
+		summarize("Function", "Align", fnAlign, fnAlignWork),
+		summarize("Function", "Align&RW", fnRW, fnRWWork),
 	}, nil
 }
 

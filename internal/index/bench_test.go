@@ -1,7 +1,6 @@
 package index
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -94,10 +93,7 @@ func BenchmarkSnapshotSearch(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				hits, err := snap.SearchDecomposedCtx(context.Background(), ref, opts, bc.pf)
-				if err != nil {
-					b.Fatal(err)
-				}
+				hits := mustSearch(b, snap, Query{Ref: ref, Opts: opts, Prefilter: bc.pf})
 				if len(hits) == 0 {
 					b.Fatal("no hits")
 				}
@@ -129,10 +125,7 @@ func TestPruningBenchReport(t *testing.T) {
 		opts := core.DefaultOptions()
 		opts.Prune = prune
 		t0 := time.Now()
-		hits, err := snap.SearchDecomposedCtx(context.Background(), ref, opts, pf)
-		if err != nil {
-			t.Fatal(err)
-		}
+		hits := mustSearch(t, snap, Query{Ref: ref, Opts: opts, Prefilter: pf})
 		return hits, time.Since(t0)
 	}
 	// Best-of-N wall-clock keeps the report stable on noisy machines.

@@ -11,9 +11,9 @@ import (
 )
 
 // TestSearchCtxCancelled: a pre-cancelled context aborts every search
-// path (DB exhaustive, DB prefiltered, snapshot sharded, snapshot
-// prefiltered, prefilter-rank) with context.Canceled and nil hits, and
-// the abort is counted in telemetry.
+// path (the DB's view exhaustive and prefiltered, a sharded snapshot by
+// function and prefiltered by reference, prefilter-rank) with
+// context.Canceled and nil hits, and the abort is counted in telemetry.
 func TestSearchCtxCancelled(t *testing.T) {
 	db, _ := buildTestDB(t)
 	tel := telemetry.New()
@@ -27,28 +27,21 @@ func TestSearchCtxCancelled(t *testing.T) {
 
 	paths := []struct {
 		name string
-		run  func() ([]Hit, error)
+		snap *Snapshot
+		q    Query
 	}{
-		{"db", func() ([]Hit, error) {
-			return db.SearchCtx(ctx, query, core.DefaultOptions(), PrefilterOptions{})
-		}},
-		{"db-prefilter", func() ([]Hit, error) {
-			return db.SearchCtx(ctx, query, core.DefaultOptions(), PrefilterOptions{Enabled: true})
-		}},
-		{"snapshot", func() ([]Hit, error) {
-			return snap.SearchCtx(ctx, query, core.DefaultOptions())
-		}},
-		{"snapshot-prefilter", func() ([]Hit, error) {
-			return snap.SearchDecomposedCtx(ctx, ref, core.DefaultOptions(), PrefilterOptions{Enabled: true})
-		}},
+		{"db", db.View(), Query{Func: query, Opts: core.DefaultOptions()}},
+		{"db-prefilter", db.View(), Query{Func: query, Opts: core.DefaultOptions(), Prefilter: PrefilterOptions{Enabled: true}}},
+		{"snapshot", snap, Query{Func: query, Opts: core.DefaultOptions()}},
+		{"snapshot-prefilter", snap, Query{Ref: ref, Opts: core.DefaultOptions(), Prefilter: PrefilterOptions{Enabled: true}}},
 	}
 	for _, p := range paths {
-		hits, err := p.run()
+		a, err := p.snap.Search(ctx, p.q)
 		if err != context.Canceled {
 			t.Errorf("%s: err = %v, want context.Canceled", p.name, err)
 		}
-		if hits != nil {
-			t.Errorf("%s: cancelled search returned %d hits, want nil", p.name, len(hits))
+		if a.Hits != nil {
+			t.Errorf("%s: cancelled search returned %d hits, want nil", p.name, len(a.Hits))
 		}
 	}
 	if _, err := snap.PrefilterRankWith(ctx, ref, 10, ModeScan); err != context.Canceled {
@@ -71,7 +64,7 @@ func TestSearchCtxDeadline(t *testing.T) {
 
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
-	if _, err := snap.SearchCtx(ctx, query, core.DefaultOptions()); err != context.DeadlineExceeded {
+	if _, err := snap.Search(ctx, Query{Func: query, Opts: core.DefaultOptions()}); err != context.DeadlineExceeded {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
 	s := tel.Snapshot()
@@ -83,28 +76,43 @@ func TestSearchCtxDeadline(t *testing.T) {
 	}
 }
 
-// TestSearchCtxBackgroundIdentical: the context-aware entry points with
-// a background context are hit-for-hit identical to the serial
-// reference, on the DB and on the snapshot.
+// TestSearchCtxBackgroundIdentical: a context that is never cancelled —
+// background, cancellable, or with a distant deadline — leaves the search
+// hit-for-hit identical to the serial reference, on the DB's view and on
+// a 3-shard snapshot, queried by function and by its decomposition.
 func TestSearchCtxBackgroundIdentical(t *testing.T) {
 	db, _ := buildTestDB(t)
 	query := queryFor(t, db, corpus.LibFuncName)
-	snap := BuildSnapshot(db, []int{3}, 3)
-
+	ref := core.Decompose(query, 3)
 	want := SerialSearch(db.Entries, query, core.DefaultOptions())
-	got, err := snap.SearchCtx(context.Background(), query, core.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
+
+	live, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	distant, cancelDistant := context.WithDeadline(context.Background(), time.Now().Add(time.Hour))
+	defer cancelDistant()
+	for _, c := range []struct {
+		name string
+		ctx  context.Context
+	}{{"background", context.Background()}, {"cancellable", live}, {"deadline", distant}} {
+		for _, s := range []struct {
+			name string
+			snap *Snapshot
+		}{{"db", db.View()}, {"snapshot", BuildSnapshot(db, []int{3}, 3)}} {
+			for _, q := range []struct {
+				name string
+				q    Query
+			}{{"func", Query{Func: query, Opts: core.DefaultOptions()}}, {"ref", Query{Ref: ref, Opts: core.DefaultOptions()}}} {
+				a, err := s.snap.Search(c.ctx, q.q)
+				if err != nil {
+					t.Fatalf("%s/%s/%s: %v", c.name, s.name, q.name, err)
+				}
+				sameHits(t, c.name+"/"+s.name+"/"+q.name, a.Hits, want)
+			}
+		}
 	}
-	sameHits(t, "snapshot", got, want)
-	got, err = db.SearchCtx(context.Background(), query, core.DefaultOptions(), PrefilterOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameHits(t, "db", got, want)
 }
 
-// TestSearchCtxMidflightCancel: cancelling while the search is running
+// TestSearchCtxMidflightCancel:cancelling while the search is running
 // makes it return promptly with a context error instead of finishing
 // the full corpus scan.
 func TestSearchCtxMidflightCancel(t *testing.T) {
@@ -120,11 +128,11 @@ func TestSearchCtxMidflightCancel(t *testing.T) {
 	// The corpus is small, so the search may legitimately finish before
 	// the cancel lands; both outcomes are fine — what must not happen is
 	// a hang or a non-context error.
-	hits, err := snap.SearchCtx(ctx, query, core.DefaultOptions())
+	a, err := snap.Search(ctx, Query{Func: query, Opts: core.DefaultOptions()})
 	if err != nil && err != context.Canceled {
 		t.Fatalf("err = %v, want nil or context.Canceled", err)
 	}
-	if err != nil && hits != nil {
+	if err != nil && a.Hits != nil {
 		t.Error("errored search also returned hits")
 	}
 }

@@ -121,11 +121,11 @@ func TestLoadV1Compat(t *testing.T) {
 	}
 	query := queryFor(t, db, corpus.LibFuncName)
 	opts := core.DefaultOptions()
-	exhaustive := db.Search(query, opts)
+	exhaustive := mustSearch(t, db.View(), Query{Func: query, Opts: opts})
 	if len(exhaustive) != db.Len() {
 		t.Fatalf("v1 search returned %d hits, want %d", len(exhaustive), db.Len())
 	}
-	pre := db.SearchWith(query, opts, PrefilterOptions{Enabled: true, Candidates: 5})
+	pre := mustSearch(t, db.View(), Query{Func: query, Opts: opts, Prefilter: PrefilterOptions{Enabled: true, Candidates: 5}})
 	if len(pre) == 0 || len(pre) > 5 {
 		t.Fatalf("v1 prefiltered search returned %d hits", len(pre))
 	}
@@ -165,8 +165,8 @@ func TestSaveLoadV2Features(t *testing.T) {
 
 // TestCrossVersionSearchParity: convert, then parity. Every gob fixture
 // read by the legacy reader and saved as v4, and the v4 file the same
-// corpus saves to directly, open to bit-identical Snapshot.Search results
-// — exhaustive and prefiltered — and DB.Search results, equal to those of
+// corpus saves to directly, open to bit-identical search results — of a
+// snapshot, exhaustive and prefiltered, and of the database's view — equal to those of
 // the database built in memory from the corpus seed. This is the migration
 // contract tracy convert depends on.
 func TestCrossVersionSearchParity(t *testing.T) {
@@ -177,16 +177,10 @@ func TestCrossVersionSearchParity(t *testing.T) {
 	search := func(db *DB) (exhaustive, prefiltered []hitKey) {
 		t.Helper()
 		snap := BuildSnapshot(db, []int{opts.K}, 4)
-		hits, err := snap.Search(query, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pre, err := snap.SearchDecomposedCtx(context.Background(), core.Decompose(query, opts.K), opts, pf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if off := hitKeys(db.Search(query, opts)); !reflect.DeepEqual(off, hitKeys(hits)) {
-			t.Error("DB.Search diverged from snapshot results")
+		hits := mustSearch(t, snap, Query{Func: query, Opts: opts})
+		pre := mustSearch(t, snap, Query{Ref: core.Decompose(query, opts.K), Opts: opts, Prefilter: pf})
+		if off := hitKeys(mustSearch(t, db.View(), Query{Func: query, Opts: opts})); !reflect.DeepEqual(off, hitKeys(hits)) {
+			t.Error("the database's view diverged from snapshot results")
 		}
 		return hitKeys(hits), hitKeys(pre)
 	}
@@ -308,10 +302,7 @@ func TestV3ConvertParity(t *testing.T) {
 		for _, e := range mem.Entries {
 			ref := core.Decompose(e.Func, opts.K)
 			for _, pf := range []PrefilterOptions{{}, {Enabled: true, Candidates: 5}, {Candidates: 5, Mode: ModeLSH}} {
-				hits, err := snap.SearchDecomposedCtx(context.Background(), ref, opts, pf)
-				if err != nil {
-					t.Fatal(err)
-				}
+				hits := mustSearch(t, snap, Query{Ref: ref, Opts: opts, Prefilter: pf})
 				out = append(out, hitKeys(hits))
 			}
 		}
@@ -466,25 +457,19 @@ func TestV3WithoutLSHBFallsBack(t *testing.T) {
 	}
 
 	ref := core.Decompose(query, opts.K)
-	scanPlain, err := snapPlain.SearchDecomposedCtx(context.Background(), ref, opts, pfScan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	scanSigned, err := snapSigned.SearchDecomposedCtx(context.Background(), ref, opts, pfScan)
-	if err != nil {
-		t.Fatal(err)
-	}
+	scanPlain := mustSearch(t, snapPlain, Query{Ref: ref, Opts: opts, Prefilter: pfScan})
+	scanSigned := mustSearch(t, snapSigned, Query{Ref: ref, Opts: opts, Prefilter: pfScan})
 	if !reflect.DeepEqual(hitKeys(scanPlain), hitKeys(scanSigned)) {
 		t.Error("LSHB section changed scan-mode results")
 	}
 
 	// ModeLSH against the unsigned file: same answer as scan, no error,
 	// one counted fallback.
-	lshPlain, err := snapPlain.SearchDecomposedCtx(context.Background(), ref, opts, pfLSH)
+	lshPlain, err := snapPlain.Search(context.Background(), Query{Ref: ref, Opts: opts, Prefilter: pfLSH})
 	if err != nil {
 		t.Fatalf("lsh search against a pre-LSHB file must not error: %v", err)
 	}
-	if !reflect.DeepEqual(hitKeys(lshPlain), hitKeys(scanPlain)) {
+	if !reflect.DeepEqual(hitKeys(lshPlain.Hits), hitKeys(scanPlain)) {
 		t.Error("lsh fallback diverged from the scan prefilter")
 	}
 	if got := telPlain.Get(telemetry.LSHFallbacks); got == 0 {
@@ -496,9 +481,7 @@ func TestV3WithoutLSHBFallsBack(t *testing.T) {
 
 	// ModeLSH against the signed file: served from the persisted
 	// signatures, no fallback.
-	if _, err := snapSigned.SearchDecomposedCtx(context.Background(), ref, opts, pfLSH); err != nil {
-		t.Fatal(err)
-	}
+	mustSearch(t, snapSigned, Query{Ref: ref, Opts: opts, Prefilter: pfLSH})
 	if got := telSigned.Get(telemetry.LSHFallbacks); got != 0 {
 		t.Errorf("signed file fell back %d times", got)
 	}
@@ -545,11 +528,8 @@ func TestLSHOverGrownV3(t *testing.T) {
 	}
 
 	snap := BuildSnapshot(db, []int{3}, 2)
-	hits, err := snap.SearchDecomposedCtx(context.Background(), core.Decompose(appended.Function(), 3),
-		core.DefaultOptions(), PrefilterOptions{Candidates: db.Len() + 1, Mode: ModeLSH})
-	if err != nil {
-		t.Fatal(err)
-	}
+	hits := mustSearch(t, snap, Query{Func: appended.Function(), Opts: core.DefaultOptions(),
+		Prefilter: PrefilterOptions{Candidates: db.Len() + 1, Mode: ModeLSH}})
 	self := false
 	for _, h := range hits {
 		if h.Entry == appended {
@@ -568,8 +548,8 @@ func TestLSHOverGrownV3(t *testing.T) {
 	}
 }
 
-// TestDBSearchDecomposesOnlyCandidates: a candidate-capped DB.SearchCtx
-// over a store-backed database decomposes the candidates
+// TestDBSearchDecomposesOnlyCandidates: a candidate-capped search of the
+// view of a store-backed database decomposes the candidates
 // it compares (plus the query), not the corpus.
 func TestDBSearchDecomposesOnlyCandidates(t *testing.T) {
 	c, err := corpus.Build(corpus.BuildConfig{
@@ -599,11 +579,7 @@ func TestDBSearchDecomposesOnlyCandidates(t *testing.T) {
 	}
 	tel := telemetry.New()
 	db.Tel = tel
-	hits, err := db.SearchCtx(context.Background(), query, core.DefaultOptions(),
-		PrefilterOptions{Candidates: 5, Mode: ModeLSH})
-	if err != nil {
-		t.Fatal(err)
-	}
+	hits := mustSearch(t, db.View(), Query{Func: query, Opts: core.DefaultOptions(), Prefilter: PrefilterOptions{Candidates: 5, Mode: ModeLSH}})
 	if len(hits) == 0 || len(hits) > 5 {
 		t.Fatalf("got %d hits, want 1..5", len(hits))
 	}

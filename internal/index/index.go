@@ -9,13 +9,13 @@
 // lossy prefilter (shared-feature scan or MinHash LSH), compares the
 // query against what remains in parallel and ranks the hits — for a search
 // that asks for the best k, comparing in full only the candidates that can
-// still be among them (Snapshot.SearchTopCtx). DB.Search and the serving
-// layer both run on it.
+// still be among them. Snapshot.Search is the one search call: the serving
+// layer runs it on a BuildSnapshot, tracy search and the library on
+// DB.View.
 package index
 
 import (
 	"bufio"
-	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -83,10 +83,11 @@ func (e *Entry) LoadFunction() (*prep.Function, error) {
 }
 
 // DB is the function database: it builds (AddImage), loads and saves
-// the corpus. Searching is the Snapshot's job; the Search and Decomposed
-// methods here are thin wrappers over a memoized internal snapshot.
-// Concurrent Search/Decomposed calls are safe; AddImage must not race
-// with readers (ingest the corpus first, or BuildSnapshot for serving).
+// the corpus. Searching is the Snapshot's job: View returns the memoized
+// snapshot of the database's entries, and Decomposed reads its
+// decompositions. Concurrent View/Decomposed calls and searches are safe;
+// AddImage must not race with readers (ingest the corpus first, or
+// BuildSnapshot for serving).
 type DB struct {
 	Entries []*Entry
 
@@ -94,8 +95,8 @@ type DB struct {
 	// lift_latency, functions_lifted and instructions_decoded from
 	// AddImage, index_save_latency and index_bytes_written from the SaveV3
 	// methods, and the corpus decomposition latency — and is the default
-	// collector for Search when the query's opts.Tel is nil. It is not
-	// serialized.
+	// collector of View's searches when the query's Opts.Tel is nil. It is
+	// not serialized.
 	Tel *telemetry.Collector
 
 	mu    sync.Mutex // guards feats, snap
@@ -165,11 +166,13 @@ func (db *DB) AddImage(exe string, img []byte, truth map[uint32]string) error {
 // Len returns the number of indexed functions.
 func (db *DB) Len() int { return len(db.Entries) }
 
-// view returns the snapshot every DB search runs on, built cold on first
-// use and kept until AddImage (or a new Tel) invalidates it: it accepts
-// any k, decomposes entries as searches touch them and builds the
-// candidate indexes only when a prefiltered search asks for them.
-func (db *DB) view() *Snapshot {
+// View returns the snapshot a search of the database runs on, built cold
+// on first use and kept until AddImage (or a new Tel) invalidates it: it
+// accepts any k, decomposes entries as searches touch them and builds the
+// candidate indexes only when a prefiltered search asks for them. Unlike
+// BuildSnapshot it shares the database's memoized decompositions and
+// feature sets.
+func (db *DB) View() *Snapshot {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if db.snap == nil || db.snap.Tel != db.Tel {
@@ -183,7 +186,7 @@ func (db *DB) view() *Snapshot {
 // repeated calls and later searches share them. It fails only on a
 // store-backed database with a corrupt function. Safe for concurrent use.
 func (db *DB) Decomposed(k int) ([]*core.Decomposed, error) {
-	return db.view().decomposeAll(k)
+	return db.View().decomposeAll(k)
 }
 
 // features returns the per-entry prefilter feature sets, computing them
@@ -214,45 +217,6 @@ func (db *DB) features() [][]uint64 {
 type Hit struct {
 	Entry  *Entry
 	Result core.Result
-}
-
-// Search compares the query function against every entry, in parallel,
-// and returns all hits ordered by similarity score (descending), with
-// ties broken by executable and name for determinism.
-//
-// Telemetry: the query is counted and timed end-to-end into opts.Tel
-// (falling back to db.Tel when opts.Tel is nil), and when opts.Trace is
-// set the span gains "decompose", "compare" (one compare:<name> child
-// per candidate), "prune" and "rank" children tracing the whole decision.
-func (db *DB) Search(query *prep.Function, opts core.Options) []Hit {
-	hits, _ := db.SearchCtx(context.Background(), query, opts, PrefilterOptions{})
-	return hits
-}
-
-// SearchWith is Search with an explicit prefilter stage: when pf enables
-// it, only the top-C corpus functions by shared prefilter features are
-// compared exactly (a lossy cut — a true match sharing no features with
-// the query is missed). The zero PrefilterOptions makes it identical to
-// Search.
-func (db *DB) SearchWith(query *prep.Function, opts core.Options, pf PrefilterOptions) []Hit {
-	hits, _ := db.SearchCtx(context.Background(), query, opts, pf)
-	return hits
-}
-
-// SearchCtx is SearchWith bounded by ctx: the comparison workers check
-// it cooperatively and the search returns ctx.Err() — with nil hits —
-// shortly after cancellation or deadline expiry. A Background (or nil)
-// context adds no overhead and leaves results identical to SearchWith.
-func (db *DB) SearchCtx(ctx context.Context, query *prep.Function, opts core.Options, pf PrefilterOptions) ([]Hit, error) {
-	return db.view().search(ctx, query, opts, pf, 0, 0)
-}
-
-// SearchTopCtx is SearchCtx for the best limit hits scoring at least
-// minScore: what TopK(SearchCtx(...), limit, minScore) returns, computed
-// by Snapshot.SearchTopCtx, which compares in full only the candidates
-// that can still enter the answer.
-func (db *DB) SearchTopCtx(ctx context.Context, query *prep.Function, opts core.Options, pf PrefilterOptions, limit int, minScore float64) ([]Hit, error) {
-	return db.view().search(ctx, query, opts, pf, limit, minScore)
 }
 
 // ErrLegacy is wrapped by the error Load and OpenFile return for a file

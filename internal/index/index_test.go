@@ -2,6 +2,8 @@ package index
 
 import (
 	"bytes"
+	"context"
+	"fmt"
 	"sync"
 	"testing"
 
@@ -49,6 +51,17 @@ func queryFor(t *testing.T, db *DB, truthName string) *prep.Function {
 	return nil
 }
 
+// mustSearch runs q on s under a background context,
+// failing the test on an error.
+func mustSearch(tb testing.TB, s *Snapshot, q Query) []Hit {
+	tb.Helper()
+	a, err := s.Search(context.Background(), q)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return a.Hits
+}
+
 // sameHits fails the test unless got equals want entry for entry with
 // bit-identical Results.
 func sameHits(t *testing.T, label string, got, want []Hit) {
@@ -68,7 +81,7 @@ func sameHits(t *testing.T, label string, got, want []Hit) {
 func TestSearchFindsAllContexts(t *testing.T) {
 	db, _ := buildTestDB(t)
 	query := queryFor(t, db, corpus.LibFuncName)
-	hits := db.Search(query, core.DefaultOptions())
+	hits := mustSearch(t, db.View(), Query{Func: query, Opts: core.DefaultOptions()})
 	if len(hits) != db.Len() {
 		t.Fatalf("got %d hits, want %d", len(hits), db.Len())
 	}
@@ -95,7 +108,7 @@ func TestSearchFindsAllContexts(t *testing.T) {
 func TestSearchFindsVersions(t *testing.T) {
 	db, _ := buildTestDB(t)
 	query := queryFor(t, db, corpus.AppFuncName)
-	hits := db.Search(query, core.DefaultOptions())
+	hits := mustSearch(t, db.View(), Query{Func: query, Opts: core.DefaultOptions()})
 	for i := 0; i < 2; i++ {
 		if hits[i].Entry.Truth != corpus.AppFuncName {
 			t.Errorf("hit %d is %q, want %s (score %.2f)", i, hits[i].Entry.Truth,
@@ -138,7 +151,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 	// The loaded DB must search identically.
 	query := queryFor(t, db, corpus.LibFuncName)
-	hits := db2.Search(query, core.DefaultOptions())
+	hits := mustSearch(t, db2.View(), Query{Func: query, Opts: core.DefaultOptions()})
 	if hits[0].Entry.Truth != corpus.LibFuncName {
 		t.Errorf("loaded DB search broken: top hit %q", hits[0].Entry.Truth)
 	}
@@ -167,12 +180,12 @@ func TestLoadTruncated(t *testing.T) {
 }
 
 // TestSearchRecordsTelemetry: a collector hung on the DB is picked up by
-// Search when the options carry none.
+// a search of its view when the options carry none.
 func TestSearchRecordsTelemetry(t *testing.T) {
 	db, _ := buildTestDB(t)
 	db.Tel = telemetry.New()
 	query := queryFor(t, db, corpus.LibFuncName)
-	hits := db.Search(query, core.DefaultOptions())
+	hits := mustSearch(t, db.View(), Query{Func: query, Opts: core.DefaultOptions()})
 	if len(hits) == 0 {
 		t.Fatal("no hits")
 	}
@@ -248,10 +261,9 @@ func TestConcurrentSearches(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			q := queries[i%2]
-			hits := db.Search(q, core.DefaultOptions())
-			if len(hits) != db.Len() {
-				errs <- "wrong hit count"
+			a, err := db.View().Search(context.Background(), Query{Func: queries[i%2], Opts: core.DefaultOptions()})
+			if err != nil || len(a.Hits) != db.Len() {
+				errs <- fmt.Sprintf("%d hits, %v", len(a.Hits), err)
 			}
 		}(i)
 	}

@@ -38,16 +38,11 @@ func BenchmarkSnapshotSearchLSH(b *testing.B) {
 			opts := core.DefaultOptions()
 			pf := PrefilterOptions{Enabled: true, Candidates: 20, Mode: bc.mode}
 			// Pay the lazy signature build before the clock starts.
-			if _, err := snap.SearchDecomposedCtx(context.Background(), ref, opts, pf); err != nil {
-				b.Fatal(err)
-			}
+			mustSearch(b, snap, Query{Ref: ref, Opts: opts, Prefilter: pf})
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				hits, err := snap.SearchDecomposedCtx(context.Background(), ref, opts, pf)
-				if err != nil {
-					b.Fatal(err)
-				}
+				hits := mustSearch(b, snap, Query{Ref: ref, Opts: opts, Prefilter: pf})
 				if len(hits) == 0 {
 					b.Fatal("no hits")
 				}
@@ -161,11 +156,7 @@ func TestLSHBenchReport(t *testing.T) {
 	// search itself would have tie-broken arbitrarily.
 	tenth := make([]float64, len(refs))
 	for i, ref := range refs {
-		hits, err := snap.SearchDecomposedCtx(ctx, ref, opts, PrefilterOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		top := TopK(hits, 10, 0)
+		top := mustSearch(t, snap, Query{Ref: ref, Opts: opts, Limit: 10})
 		if len(top) < 10 {
 			t.Fatalf("query %d: exhaustive search returned only %d hits", i, len(top))
 		}
@@ -189,10 +180,7 @@ func TestLSHBenchReport(t *testing.T) {
 				}
 				s.gen = append(s.gen, time.Since(g0))
 				s0 := time.Now()
-				hits, err := snap.SearchDecomposedCtx(context.Background(), ref, opts, pf)
-				if err != nil {
-					t.Fatal(err)
-				}
+				hits := mustSearch(t, snap, Query{Ref: ref, Opts: opts, Prefilter: pf})
 				s.search = append(s.search, time.Since(s0))
 				if r == 0 {
 					for _, h := range TopK(hits, 10, 0) {

@@ -212,11 +212,11 @@ func TestV3WithoutBandTable(t *testing.T) {
 		snap := BuildSnapshot(d, []int{opts.K}, 2)
 		var out [][]hitKey
 		for _, e := range db.Entries {
-			hits, err := snap.SearchDecomposedCtx(context.Background(), core.Decompose(e.Func, opts.K), opts, pf)
+			a, err := snap.Search(context.Background(), Query{Func: e.Func, Opts: opts, Prefilter: pf})
 			if err != nil {
 				t.Fatalf("%s: %v", via, err)
 			}
-			out = append(out, hitKeys(hits))
+			out = append(out, hitKeys(a.Hits))
 		}
 		if got := tel.Get(telemetry.LSHFallbacks); got != 0 {
 			t.Errorf("%s: lsh_fallbacks = %d, want 0", via, got)

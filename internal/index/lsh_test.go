@@ -160,7 +160,7 @@ func TestLSHSubsetOfExhaustive(t *testing.T) {
 		byEntry[h.Entry] = h.Result
 	}
 	for _, c := range []int{1, 5, 1 << 20} {
-		pre := db.SearchWith(query, opts, PrefilterOptions{Candidates: c, Mode: ModeLSH})
+		pre := mustSearch(t, db.View(), Query{Func: query, Opts: opts, Prefilter: PrefilterOptions{Candidates: c, Mode: ModeLSH}})
 		if len(pre) == 0 {
 			t.Fatalf("cap %d: no lsh candidates for a query lifted from the corpus", c)
 		}
@@ -187,7 +187,7 @@ func TestLSHSubsetOfExhaustive(t *testing.T) {
 func TestLSHFindsSelf(t *testing.T) {
 	db, _ := buildTestDB(t)
 	query := queryFor(t, db, corpus.LibFuncName)
-	hits := db.SearchWith(query, core.DefaultOptions(), PrefilterOptions{Candidates: 3, Mode: ModeLSH})
+	hits := mustSearch(t, db.View(), Query{Func: query, Opts: core.DefaultOptions(), Prefilter: PrefilterOptions{Candidates: 3, Mode: ModeLSH}})
 	found := false
 	for _, h := range hits {
 		if h.Result.IsMatch {
@@ -218,8 +218,9 @@ func TestLSHDeterministicAcrossBackends(t *testing.T) {
 		return out
 	}
 
-	memA := db.SearchWith(query, opts, pf)
-	memB := db.SearchWith(query, opts, pf)
+	q := Query{Func: query, Opts: opts, Prefilter: pf}
+	memA := mustSearch(t, db.View(), q)
+	memB := mustSearch(t, db.View(), q)
 	if !reflect.DeepEqual(hitKey(memA), hitKey(memB)) {
 		t.Fatal("identical lsh queries returned different hits")
 	}
@@ -255,10 +256,7 @@ func TestLSHDeterministicAcrossBackends(t *testing.T) {
 	if query2 == nil {
 		query2 = query
 	}
-	storeHits, err := db2.SearchCtx(context.Background(), query, opts, pf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	storeHits := mustSearch(t, db2.View(), q)
 	if !reflect.DeepEqual(hitKey(memA), hitKey(storeHits)) {
 		t.Errorf("store-backed lsh hits differ from in-memory:\n mem:   %v\n store: %v",
 			hitKey(memA), hitKey(storeHits))
@@ -279,27 +277,23 @@ func TestLSHDeterministicAcrossBackends(t *testing.T) {
 	}
 }
 
-// TestLSHSnapshotParity: DB and Snapshot lsh searches agree hit for hit.
+// TestLSHSnapshotParity: prefiltered searches — lsh and scan — of the
+// database's view and of a snapshot built from it agree hit for hit.
 func TestLSHSnapshotParity(t *testing.T) {
 	db, _ := buildTestDB(t)
 	query := queryFor(t, db, corpus.LibFuncName)
 	snap := BuildSnapshot(db, []int{3}, 4)
 	opts := core.DefaultOptions()
-	pf := PrefilterOptions{Candidates: 9, Mode: ModeLSH}
-	want := db.SearchWith(query, opts, pf)
-	got, err := snap.SearchDecomposedCtx(context.Background(), core.Decompose(query, 3), opts, pf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("snapshot lsh returned %d hits, DB returned %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i].Entry.Exe != want[i].Entry.Exe || got[i].Entry.Name != want[i].Entry.Name ||
-			got[i].Result != want[i].Result {
-			t.Errorf("hit %d differs: %s/%s vs %s/%s", i,
-				got[i].Entry.Exe, got[i].Entry.Name, want[i].Entry.Exe, want[i].Entry.Name)
-		}
+	for _, gen := range []struct {
+		name string
+		pf   PrefilterOptions
+	}{
+		{"lsh", PrefilterOptions{Candidates: 9, Mode: ModeLSH}},
+		{"scan", PrefilterOptions{Candidates: 9}},
+	} {
+		want := mustSearch(t, db.View(), Query{Func: query, Opts: opts, Prefilter: gen.pf})
+		got := mustSearch(t, snap, Query{Ref: core.Decompose(query, 3), Opts: opts, Prefilter: gen.pf})
+		sameHits(t, gen.name, got, want)
 	}
 }
 

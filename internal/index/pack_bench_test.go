@@ -44,7 +44,7 @@ func BenchmarkFirstTouch(b *testing.B) {
 			}
 			b.StartTimer()
 		}
-		s := db.view()
+		s := db.View()
 		if _, err := s.dec(s.slotsFor(3), 3, i%n); err != nil {
 			b.Fatal(err)
 		}

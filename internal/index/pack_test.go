@@ -62,14 +62,14 @@ func TestStoreParity(t *testing.T) {
 			}
 			a := answer{Fingerprint: ref.Fingerprint()}
 			for _, pf := range []PrefilterOptions{{}, {Candidates: 6, Mode: ModeLSH}} {
-				hits, err := snap.SearchDecomposedCtx(context.Background(), ref, opts, pf)
+				ans, err := snap.Search(context.Background(), Query{Ref: ref, Opts: opts, Prefilter: pf})
 				if err != nil {
 					t.Fatalf("%s: %v", via, err)
 				}
 				if pf.Candidates == 0 {
-					a.Exhaustive = hitKeys(hits)
+					a.Exhaustive = hitKeys(ans.Hits)
 				} else {
-					a.LSH = hitKeys(hits)
+					a.LSH = hitKeys(ans.Hits)
 				}
 			}
 			out = append(out, a)
@@ -130,9 +130,8 @@ func TestSearchDecodesNoCandidate(t *testing.T) {
 	}
 	snap := BuildSnapshot(db, []int{3}, 2)
 	ref := core.Decompose(mem.Entries[0].Func, 3)
-	hits, err := snap.SearchDecomposedCtx(context.Background(), ref, core.DefaultOptions(), PrefilterOptions{})
-	if err != nil || len(hits) != db.Len() {
-		t.Fatalf("%d hits, %v", len(hits), err)
+	if hits := mustSearch(t, snap, Query{Ref: ref, Opts: core.DefaultOptions()}); len(hits) != db.Len() {
+		t.Fatalf("%d hits, want %d", len(hits), db.Len())
 	}
 	for _, e := range db.Entries {
 		if e.lazy.Load() != nil {
@@ -201,7 +200,7 @@ func TestFirstTouchAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := db.view()
+	s := db.View()
 	slots := s.slotsFor(3)
 	worst := 0.0
 	for i := range db.Entries {
@@ -238,7 +237,7 @@ func TestCorruptAtTouch(t *testing.T) {
 	}
 	snap := BuildSnapshot(db, []int{3}, 2)
 	ref := core.Decompose(mem.Entries[0].Func, 3)
-	_, err = snap.SearchDecomposedCtx(context.Background(), ref, core.DefaultOptions(), PrefilterOptions{})
+	_, err = snap.Search(context.Background(), Query{Ref: ref, Opts: core.DefaultOptions()})
 	if !idxfile.IsCorrupt(err) {
 		t.Errorf("an exhaustive search over the broken function returned %v, want a corruption error", err)
 	}
@@ -249,10 +248,9 @@ func TestCorruptAtTouch(t *testing.T) {
 		t.Error("Function() of the broken function is not nil")
 	}
 	// One candidate, the query itself: the broken function is not touched.
-	hits, err := snap.SearchDecomposedCtx(context.Background(), ref, core.DefaultOptions(),
-		PrefilterOptions{Candidates: 1, Mode: ModeLSH})
-	if err != nil || len(hits) != 1 || hits[0].Entry != db.Entries[0] {
-		t.Errorf("a search that does not touch the broken function returned %d hits, %v", len(hits), err)
+	a, err := snap.Search(context.Background(), Query{Ref: ref, Opts: core.DefaultOptions(), Prefilter: PrefilterOptions{Candidates: 1, Mode: ModeLSH}})
+	if err != nil || len(a.Hits) != 1 || a.Hits[0].Entry != db.Entries[0] {
+		t.Errorf("a search that does not touch the broken function returned %d hits, %v", len(a.Hits), err)
 	}
 	if err := db.Store().Verify(); !idxfile.IsCorrupt(err) {
 		t.Errorf("Verify returned %v, want a corruption error", err)

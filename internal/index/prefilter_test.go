@@ -24,7 +24,7 @@ func TestPrefilterSubsetOfExhaustive(t *testing.T) {
 		byEntry[h.Entry] = h.Result
 	}
 	for _, c := range []int{1, 5, 1 << 20} {
-		pre := db.SearchWith(query, opts, PrefilterOptions{Candidates: c})
+		pre := mustSearch(t, db.View(), Query{Func: query, Opts: opts, Prefilter: PrefilterOptions{Candidates: c}})
 		if len(pre) == 0 {
 			t.Fatalf("cap %d: no candidates shared a feature with the query", c)
 		}
@@ -50,7 +50,7 @@ func TestPrefilterSubsetOfExhaustive(t *testing.T) {
 func TestPrefilterFindsSelf(t *testing.T) {
 	db, _ := buildTestDB(t)
 	query := queryFor(t, db, corpus.LibFuncName)
-	hits := db.SearchWith(query, core.DefaultOptions(), PrefilterOptions{Candidates: 3})
+	hits := mustSearch(t, db.View(), Query{Func: query, Opts: core.DefaultOptions(), Prefilter: PrefilterOptions{Candidates: 3}})
 	found := false
 	for _, h := range hits {
 		if h.Result.IsMatch {
@@ -67,9 +67,9 @@ func TestPrefilterFindsSelf(t *testing.T) {
 func TestPrefilterDeterministic(t *testing.T) {
 	db, _ := buildTestDB(t)
 	query := queryFor(t, db, corpus.LibFuncName)
-	pf := PrefilterOptions{Candidates: 7}
-	a := db.SearchWith(query, core.DefaultOptions(), pf)
-	b := db.SearchWith(query, core.DefaultOptions(), pf)
+	q := Query{Func: query, Opts: core.DefaultOptions(), Prefilter: PrefilterOptions{Candidates: 7}}
+	a := mustSearch(t, db.View(), q)
+	b := mustSearch(t, db.View(), q)
 	if len(a) != len(b) {
 		t.Fatalf("candidate count drifted: %d vs %d", len(a), len(b))
 	}
@@ -80,32 +80,44 @@ func TestPrefilterDeterministic(t *testing.T) {
 	}
 }
 
-// TestSnapshotPrefilterParity: DB.SearchWith and the snapshot path must
-// return identical prefiltered hits.
+// TestSnapshotPrefilterParity: a Func query and the Ref query of its
+// decomposition get equal answers — the same hits, every Result field
+// included, and the same candidate count — under the exhaustive, scan and
+// lsh generators; a query naming both or neither is refused.
 func TestSnapshotPrefilterParity(t *testing.T) {
 	db, _ := buildTestDB(t)
 	query := queryFor(t, db, corpus.LibFuncName)
+	ref := core.Decompose(query, 3)
 	snap := BuildSnapshot(db, []int{3}, 4)
-	opts := core.DefaultOptions()
-	pf := PrefilterOptions{Candidates: 9}
-	want := db.SearchWith(query, opts, pf)
-	got, err := snap.SearchDecomposedCtx(context.Background(), core.Decompose(query, 3), opts, pf)
-	if err != nil {
-		t.Fatal(err)
+	for _, gen := range []struct {
+		name string
+		pf   PrefilterOptions
+	}{
+		{"exhaustive", PrefilterOptions{}},
+		{"scan", PrefilterOptions{Candidates: 9}},
+		{"lsh", PrefilterOptions{Candidates: 9, Mode: ModeLSH}},
+	} {
+		byFunc, err := snap.Search(context.Background(), Query{Func: query, Opts: core.DefaultOptions(), Prefilter: gen.pf})
+		if err != nil {
+			t.Fatal(err)
+		}
+		byRef, err := snap.Search(context.Background(), Query{Ref: ref, Opts: core.DefaultOptions(), Prefilter: gen.pf})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if byFunc.Candidates != byRef.Candidates {
+			t.Errorf("%s: %d candidates by function, %d by reference", gen.name, byFunc.Candidates, byRef.Candidates)
+		}
+		sameHits(t, gen.name, byFunc.Hits, byRef.Hits)
 	}
-	if len(got) != len(want) {
-		t.Fatalf("snapshot prefilter returned %d hits, DB returned %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i].Entry.Exe != want[i].Entry.Exe || got[i].Entry.Name != want[i].Entry.Name ||
-			got[i].Result != want[i].Result {
-			t.Errorf("hit %d differs: %s/%s vs %s/%s", i,
-				got[i].Entry.Exe, got[i].Entry.Name, want[i].Entry.Exe, want[i].Entry.Name)
+	for name, q := range map[string]Query{"both": {Func: query, Ref: ref}, "neither": {}} {
+		if _, err := snap.Search(context.Background(), q); err == nil {
+			t.Errorf("a query naming %s of Func and Ref was not refused", name)
 		}
 	}
 }
 
-// TestSearchPruneParity: DB.Search with the default (pruned) options must
+// TestSearchPruneParity: a search with the default (pruned) options must
 // return the hits of exhaustive mode with bit-identical Verdicts — the
 // index-level view of the core pruner's losslessness.
 func TestSearchPruneParity(t *testing.T) {
@@ -115,8 +127,8 @@ func TestSearchPruneParity(t *testing.T) {
 	exact.Prune = false
 	pruned := core.DefaultOptions()
 	pruned.Prune = true
-	a := db.Search(query, exact)
-	b := db.Search(query, pruned)
+	a := mustSearch(t, db.View(), Query{Func: query, Opts: exact})
+	b := mustSearch(t, db.View(), Query{Func: query, Opts: pruned})
 	if len(a) != len(b) {
 		t.Fatalf("hit counts differ: %d vs %d", len(a), len(b))
 	}

@@ -50,7 +50,7 @@ func TopK(hits []Hit, limit int, minScore float64) []Hit {
 // against: one matcher on one goroutine compares the query against every
 // entry, decomposed from scratch, then applies the canonical sort. It
 // shares no worker pool, decomposition slot, candidate code or floor with
-// Snapshot, the engine behind DB.Search and every served search.
+// Snapshot.Search, the engine behind every other search.
 func SerialSearch(entries []*Entry, query *prep.Function, opts core.Options) []Hit {
 	m := core.NewMatcher(opts)
 	ref := core.Decompose(query, m.Opts.K)

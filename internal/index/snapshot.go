@@ -17,8 +17,9 @@ import (
 
 // Snapshot is the search engine: an immutable view of a DB's entries
 // that generates candidates, compares and ranks. Every search path runs
-// through it — served requests, the offline DB.Search wrappers, the
-// degraded prefilter-only ranking — so there is one compare loop, one
+// through its one Search method — served requests, tracy search, the
+// library's Database.Search over DB.View — and the degraded prefilter-only
+// ranking shares its candidate function, so there is one compare loop, one
 // decomposition store and one candidate function. Any number of queries
 // run concurrently against the same snapshot without locking, each
 // fanning its comparisons across the configured number of workers.
@@ -76,8 +77,8 @@ func newSnapshot(db *DB, ks []int, workers int, feats func() [][]uint64) *Snapsh
 }
 
 // BuildSnapshot prepares db for serving queries with the tracelet sizes
-// in ks (deduplicated; defaults to [3] when empty), each query fanning
-// out over nShards workers (<= 0 means runtime.GOMAXPROCS(0)). A
+// in ks (deduplicated; defaults to [core.DefaultK] when empty), each query
+// fanning out over nShards workers (<= 0 means runtime.GOMAXPROCS(0)). A
 // heap-backed DB is decomposed up front, in parallel, so serving never
 // pays decomposition latency; a store-backed DB stays cold — beyond
 // the (exe, name) lookup map nothing here is proportional to the corpus —
@@ -96,7 +97,7 @@ func BuildSnapshot(db *DB, ks []int, nShards int) *Snapshot {
 		}
 	}
 	if len(kept) == 0 {
-		kept = []int{3}
+		kept = []int{core.DefaultK}
 	}
 	sort.Ints(kept)
 
@@ -256,85 +257,90 @@ func noteCtxErr(tel *telemetry.Collector, err error) {
 	}
 }
 
-// Search is SearchCtx without a context.
-func (s *Snapshot) Search(query *prep.Function, opts core.Options) ([]Hit, error) {
-	return s.search(context.Background(), query, opts, PrefilterOptions{}, 0, 0)
+// Query is one search. It names the query function exactly once: Func
+// is decomposed at Opts.K (core.DefaultK when 0), Ref is compared as it
+// is — by-reference, fleet and bench queries arrive decomposed.
+type Query struct {
+	Func *prep.Function
+	Ref  *core.Decomposed
+
+	Opts      core.Options
+	Prefilter PrefilterOptions // the zero value compares every entry
+	Limit     int              // keep the best Limit hits; 0 keeps all
+	MinScore  float64          // drop hits scoring below it
 }
 
-// SearchCtx decomposes the query and runs SearchDecomposedCtx over the
-// whole corpus. Decomposition runs to completion (it is cheap and
-// uncancellable), then the exact comparison honors ctx.
-func (s *Snapshot) SearchCtx(ctx context.Context, query *prep.Function, opts core.Options) ([]Hit, error) {
-	return s.search(ctx, query, opts, PrefilterOptions{}, 0, 0)
+// Answer is what a search found.
+type Answer struct {
+	Hits       []Hit // best first, in SortHits order
+	Candidates int   // entries compared: the corpus, or the prefilter's cut
 }
 
-// search is the query-function entry point behind Snapshot.Search and
-// DB.Search: it emits the "decompose" stage, and a caller-supplied
-// opts.Trace becomes the span the stages of SearchTopCtx hang under.
-func (s *Snapshot) search(ctx context.Context, query *prep.Function, opts core.Options, pf PrefilterOptions, limit int, minScore float64) ([]Hit, error) {
+// SearchDecomposedCtx is Search of ref with no limit and no minimum score.
+// It is kept only because the benchmark module (bench/) calls it; new code
+// calls Search.
+func (s *Snapshot) SearchDecomposedCtx(ctx context.Context, ref *core.Decomposed, opts core.Options, pf PrefilterOptions) ([]Hit, error) {
+	a, err := s.Search(ctx, Query{Ref: ref, Opts: opts, Prefilter: pf})
+	return a.Hits, err
+}
+
+// Search is the search engine; every search path runs through it. A Func
+// query is first decomposed (the "decompose" stage). The query is then
+// compared against the corpus — every entry when q.Prefilter is the zero
+// value, the top-C candidates of the lossy prefilter stage when it enables
+// it — and the answer is what TopK(all hits, q.Limit, q.MinScore) returns,
+// hit for hit, every Result field included, with the number of candidates
+// compared. It errors unless exactly one of q.Func and q.Ref is set, and
+// if the query's tracelet size is not a served one. The compare workers
+// check ctx cooperatively inside the pair loop and the search returns
+// ctx.Err() — with nil hits — as soon as every worker has noticed the
+// abort; cancelled and deadline-expired searches are counted separately in
+// telemetry. A Background (or nil) context adds no overhead. Safe for any
+// number of concurrent callers.
+//
+// A limit (or a minimum score above 0) bounds the work as well as the
+// answer: the search keeps a core.Floor — the larger of MinScore and the
+// Limit-th best score compared so far — and a candidate whose score bound
+// after the cheap stages is strictly below it skips its remaining rewrites
+// and is left out (candidates_below_floor). Limit 0 and MinScore 0 keep
+// every hit and compare every candidate in full.
+//
+// Telemetry: the query is counted and timed end-to-end into q.Opts.Tel
+// (falling back to s.Tel), and the span carried by ctx — or q.Opts.Trace
+// when set — gains "decompose" (Func queries), "prefilter", "compare",
+// "prune" and "rank" children. When q.Opts.Trace is set, "compare" also
+// gets one "compare:<name>" child per candidate carrying the match
+// decision.
+func (s *Snapshot) Search(ctx context.Context, q Query) (Answer, error) {
+	if (q.Func == nil) == (q.Ref == nil) {
+		return Answer{}, errors.New("index: a query sets exactly one of Func and Ref")
+	}
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	opts, pf, limit, minScore := q.Opts, q.Prefilter, q.Limit, q.MinScore
 	if opts.Trace != nil {
 		ctx = telemetry.ContextWithSpan(ctx, opts.Trace)
 	}
 	if opts.Tel == nil {
 		opts.Tel = s.Tel
 	}
-	k := opts.K
-	if k <= 0 {
-		k = 3 // mirror NewMatcher's default
-	}
-	dsp := telemetry.SpanFromContext(ctx).Child("decompose")
-	ref := core.DecomposeT(query, k, opts.Tel)
-	dsp.Set("query_tracelets", int64(len(ref.Tracelets)))
-	dsp.End()
-	hits, _, err := s.SearchTopCtx(ctx, ref, opts, pf, limit, minScore)
-	return hits, err
-}
-
-// SearchDecomposedCtx compares an already-decomposed query against the
-// corpus and returns all hits in canonical order: SearchTopCtx with no
-// limit and no minimum score, where no floor applies and every candidate
-// is compared in full.
-func (s *Snapshot) SearchDecomposedCtx(ctx context.Context, ref *core.Decomposed, opts core.Options, pf PrefilterOptions) ([]Hit, error) {
-	hits, _, err := s.SearchTopCtx(ctx, ref, opts, pf, 0, 0)
-	return hits, err
-}
-
-// SearchTopCtx is the search engine. It compares an already-decomposed
-// query against the corpus — every entry when pf is the zero value, the
-// top-C candidates of the lossy prefilter stage when pf enables it — and
-// returns what TopK(all hits, limit, minScore) returns, hit for hit, every
-// Result field included, with the number of candidates compared. It errors
-// if ref.K is not a served tracelet size. The compare workers check ctx
-// cooperatively inside the pair loop and the search returns ctx.Err() —
-// with nil hits — as soon as every worker has noticed the abort; cancelled
-// and deadline-expired searches are counted separately in telemetry. A
-// Background (or nil) context adds no overhead. Safe for any number of
-// concurrent callers.
-//
-// A limit (or a minScore above 0) bounds the work as well as the answer:
-// the search keeps a core.Floor — the larger of minScore and the limit-th
-// best score compared so far — and a candidate whose score bound after the
-// cheap stages is strictly below it skips its remaining rewrites and is
-// left out (candidates_below_floor). limit 0 and minScore 0 keep every hit
-// and compare every candidate in full.
-//
-// Telemetry: the query is counted and timed end-to-end into opts.Tel
-// (falling back to s.Tel), and the span carried by ctx gains
-// "prefilter", "compare", "prune" and "rank" children. When opts.Trace
-// is set, "compare" also gets one "compare:<name>" child per candidate
-// carrying the match decision.
-func (s *Snapshot) SearchTopCtx(ctx context.Context, ref *core.Decomposed, opts core.Options, pf PrefilterOptions, limit int, minScore float64) ([]Hit, int, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if opts.Tel == nil {
-		opts.Tel = s.Tel
+	ref := q.Ref
+	if q.Func != nil {
+		k := opts.K
+		if k <= 0 {
+			k = core.DefaultK
+		}
+		dsp := telemetry.SpanFromContext(ctx).Child("decompose")
+		ref = core.DecomposeT(q.Func, k, opts.Tel)
+		dsp.Set("query_tracelets", int64(len(ref.Tracelets)))
+		dsp.End()
 	}
 	if opts.Workers == 0 {
 		opts.Workers = s.workers
 	}
 	if !s.SupportsK(ref.K) {
-		return nil, 0, fmt.Errorf("index: snapshot has no k=%d decomposition (supported: %v)", ref.K, s.ks)
+		return Answer{}, fmt.Errorf("index: snapshot has no k=%d decomposition (supported: %v)", ref.K, s.ks)
 	}
 	tel := opts.Tel
 	tel.Inc(telemetry.Queries)
@@ -353,7 +359,7 @@ func (s *Snapshot) SearchTopCtx(ctx context.Context, ref *core.Decomposed, opts 
 	if c := pf.cap(); c > 0 {
 		ranked, err := s.candidates(ctx, ref, c, pf.Mode, tel)
 		if err != nil {
-			return nil, 0, err
+			return Answer{}, err
 		}
 		tel.Add(telemetry.PrefilterCandidates, uint64(len(ranked)))
 		ids = sortedIDs(ranked)
@@ -378,7 +384,7 @@ func (s *Snapshot) SearchTopCtx(ctx context.Context, ref *core.Decomposed, opts 
 	cmpSpan.End()
 	if err != nil {
 		noteCtxErr(tel, err)
-		return nil, 0, err
+		return Answer{}, err
 	}
 
 	// Pruning happens inside the DP comparisons rather than as a separable
@@ -419,7 +425,7 @@ func (s *Snapshot) SearchTopCtx(ctx context.Context, ref *core.Decomposed, opts 
 		hits = hits[:limit:limit]
 	}
 	rsp.End()
-	return hits, n, nil
+	return Answer{Hits: hits, Candidates: n}, nil
 }
 
 // PrefilterRankWith is the lossy stage alone: it ranks the corpus with

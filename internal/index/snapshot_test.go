@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"slices"
 	"sort"
 	"strings"
@@ -18,20 +19,23 @@ import (
 	"repro/internal/minhash"
 )
 
-// TestSnapshotSearchMatchesDBSearch: DB.Search and snapshots of every
-// fan-out rank the query exactly as the serial reference does.
+// TestSnapshotSearchMatchesDBSearch: the database's own view and
+// snapshots of every fan-out rank the query exactly as the serial
+// reference does.
 func TestSnapshotSearchMatchesDBSearch(t *testing.T) {
 	db, _ := buildTestDB(t)
 	query := queryFor(t, db, corpus.LibFuncName)
 	want := SerialSearch(db.Entries, query, core.DefaultOptions())
-	sameHits(t, "db", db.Search(query, core.DefaultOptions()), want)
-	for _, shards := range []int{1, 3, 0} {
-		snap := BuildSnapshot(db, []int{3}, shards)
-		got, err := snap.Search(query, core.DefaultOptions())
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameHits(t, fmt.Sprintf("shards=%d", shards), got, want)
+	for _, tc := range []struct {
+		name string
+		snap *Snapshot
+	}{
+		{"view", db.View()},
+		{"shards=1", BuildSnapshot(db, []int{3}, 1)},
+		{"shards=3", BuildSnapshot(db, []int{3}, 3)},
+		{"shards=0", BuildSnapshot(db, []int{3}, 0)},
+	} {
+		sameHits(t, tc.name, mustSearch(t, tc.snap, Query{Func: query, Opts: core.DefaultOptions()}), want)
 	}
 }
 
@@ -41,7 +45,7 @@ func TestSnapshotUnsupportedK(t *testing.T) {
 	query := queryFor(t, db, corpus.LibFuncName)
 	opts := core.DefaultOptions()
 	opts.K = 2
-	if _, err := snap.Search(query, opts); err == nil {
+	if _, err := snap.Search(context.Background(), Query{Func: query, Opts: opts}); err == nil {
 		t.Fatal("k=2 search against a k=3 snapshot should fail")
 	}
 	if !snap.SupportsK(3) || snap.SupportsK(2) {
@@ -123,18 +127,34 @@ func TestSortHitsStableOrder(t *testing.T) {
 	}
 }
 
-// TestConcurrentDBSearch drives the library API from many goroutines
-// with cold decomposition slots, for two tracelet sizes at once — first
-// touches of the same slot race to fill it. Run under -race.
+// TestConcurrentDBSearch drives a cold view of an index file from many
+// goroutines, k=2 and k=3 searches racing to fill the decomposition slots
+// they first touch; every k=3 search matches the serial reference. Run
+// under -race.
 func TestConcurrentDBSearch(t *testing.T) {
 	db, _ := buildTestDB(t)
-	query := queryFor(t, db, corpus.LibFuncName)
-	want := SerialSearch(db.Entries, query, core.DefaultOptions())
-
 	fresh, err := Load(saved(t, db))
 	if err != nil {
 		t.Fatal(err)
 	}
+	raceSearch(t, db, fresh.View(), []int{3, 2})
+}
+
+// TestConcurrentSnapshotSearch drives a heap snapshot fanning each search
+// over 4 workers from many goroutines; every search matches the serial
+// reference. Run under -race.
+func TestConcurrentSnapshotSearch(t *testing.T) {
+	db, _ := buildTestDB(t)
+	raceSearch(t, db, BuildSnapshot(db, []int{3}, 4), []int{3})
+}
+
+// raceSearch runs 8 concurrent searches of snap, worker w at tracelet size
+// ks[w%len(ks)], and holds each k=3 search (ks[0] is 3) to the serial
+// reference over db.
+func raceSearch(t *testing.T, db *DB, snap *Snapshot, ks []int) {
+	t.Helper()
+	query := queryFor(t, db, corpus.LibFuncName)
+	want := hitKeys(SerialSearch(db.Entries, query, core.DefaultOptions()))
 	const workers = 8
 	var wg sync.WaitGroup
 	results := make([][]Hit, workers)
@@ -143,54 +163,20 @@ func TestConcurrentDBSearch(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			opts := core.DefaultOptions()
-			if w%2 == 1 {
-				opts.K = 2 // populate a second k concurrently
+			opts.K = ks[w%len(ks)]
+			a, err := snap.Search(context.Background(), Query{Func: query, Opts: opts})
+			if err != nil {
+				t.Error(err)
 			}
-			results[w] = fresh.Search(queryFor(t, fresh, corpus.LibFuncName), opts)
+			results[w] = a.Hits
 		}(w)
 	}
 	wg.Wait()
-	for w := 0; w < workers; w += 2 { // k=3 searches must agree with offline
-		if len(results[w]) != len(want) {
-			t.Fatalf("worker %d: %d hits, want %d", w, len(results[w]), len(want))
-		}
-		for i := range want {
-			if results[w][i].Result.SimilarityScore != want[i].Result.SimilarityScore {
-				t.Errorf("worker %d hit %d: score %v, want %v", w, i,
-					results[w][i].Result.SimilarityScore, want[i].Result.SimilarityScore)
-			}
+	for w := 0; w < workers; w += len(ks) { // the k=3 searches
+		if got := hitKeys(results[w]); !reflect.DeepEqual(got, want) {
+			t.Errorf("worker %d diverged from the serial reference", w)
 		}
 	}
-}
-
-func TestConcurrentSnapshotSearch(t *testing.T) {
-	db, _ := buildTestDB(t)
-	snap := BuildSnapshot(db, []int{3}, 4)
-	query := queryFor(t, db, corpus.LibFuncName)
-	want, err := snap.Search(query, core.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	const workers = 8
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			got, err := snap.Search(query, core.DefaultOptions())
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			for i := range want {
-				if got[i].Entry != want[i].Entry {
-					t.Errorf("hit %d diverged under concurrency", i)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // saved round-trips db through SaveV3 into a reader.

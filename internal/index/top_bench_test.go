@@ -2,7 +2,6 @@ package index
 
 import (
 	"bytes"
-	"context"
 	"testing"
 
 	"repro/internal/core"
@@ -35,9 +34,7 @@ func BenchmarkSnapshotSearchTop(b *testing.B) {
 	snap := BuildSnapshot(db, []int{3}, 0)
 	pf := PrefilterOptions{Enabled: true, Candidates: 500, Mode: ModeLSH}
 	for _, ref := range refs { // every candidate touched before the clock starts
-		if _, err := snap.SearchDecomposedCtx(context.Background(), ref, core.DefaultOptions(), pf); err != nil {
-			b.Fatal(err)
-		}
+		mustSearch(b, snap, Query{Ref: ref, Opts: core.DefaultOptions(), Prefilter: pf})
 	}
 	for _, bc := range []struct {
 		name  string
@@ -50,9 +47,7 @@ func BenchmarkSnapshotSearchTop(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				for _, ref := range refs {
-					if _, _, err := snap.SearchTopCtx(context.Background(), ref, opts, pf, bc.limit, 0); err != nil {
-						b.Fatal(err)
-					}
+					mustSearch(b, snap, Query{Ref: ref, Opts: opts, Prefilter: pf, Limit: bc.limit})
 				}
 			}
 			q := float64(b.N * len(refs))

@@ -31,27 +31,26 @@ func topQueries(tb testing.TB, db *DB, n int) []*core.Decomposed {
 	return out
 }
 
-// checkTopParity holds SearchTopCtx on snap to its oracle, TopK of the full
-// search, for every limit and minimum score of the matrix: the same hits in
-// the same order, every Result field included, and every candidate counted.
+// checkTopParity holds a search of snap with a limit and a minimum score
+// to its oracle, TopK of the full search, for every limit and minimum score
+// of the matrix: the same hits in the same order, every Result field
+// included, and every candidate counted.
 func checkTopParity(t *testing.T, label string, snap *Snapshot, ref *core.Decomposed, pf PrefilterOptions) {
 	t.Helper()
-	opts := core.DefaultOptions()
-	all, err := snap.SearchDecomposedCtx(context.Background(), ref, opts, pf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	q := Query{Ref: ref, Opts: core.DefaultOptions(), Prefilter: pf}
+	all := mustSearch(t, snap, q)
 	for _, limit := range []int{1, 3, 10, 100, snap.Len() + 1} {
 		for _, minScore := range []float64{0, 0.3, 0.9} {
-			got, candidates, err := snap.SearchTopCtx(context.Background(), ref, opts, pf, limit, minScore)
+			q.Limit, q.MinScore = limit, minScore
+			got, err := snap.Search(context.Background(), q)
 			if err != nil {
 				t.Fatal(err)
 			}
 			at := fmt.Sprintf("%s %s limit=%d min=%v", label, ref.Name, limit, minScore)
-			if candidates != len(all) {
-				t.Errorf("%s: %d candidates, the full search %d", at, candidates, len(all))
+			if got.Candidates != len(all) {
+				t.Errorf("%s: %d candidates, the full search %d", at, got.Candidates, len(all))
 			}
-			sameHits(t, at, got, TopK(all, limit, minScore))
+			sameHits(t, at, got.Hits, TopK(all, limit, minScore))
 		}
 	}
 }
@@ -117,10 +116,7 @@ func TestSearchTopTies(t *testing.T) {
 	ties := 0
 	for _, ref := range topQueries(t, db, 16) {
 		for _, pf := range []PrefilterOptions{{}, {Candidates: db.Len() / 2, Mode: ModeLSH}} {
-			all, err := snap.SearchDecomposedCtx(context.Background(), ref, core.DefaultOptions(), pf)
-			if err != nil {
-				t.Fatal(err)
-			}
+			all := mustSearch(t, snap, Query{Ref: ref, Opts: core.DefaultOptions(), Prefilter: pf})
 			// A limit that ends on the first hit of each run of equal scores,
 			// so the run's names decide what the answer keeps.
 			for limit := 1; limit < len(all); limit++ {
@@ -129,10 +125,7 @@ func TestSearchTopTies(t *testing.T) {
 					continue
 				}
 				ties++
-				got, _, err := snap.SearchTopCtx(context.Background(), ref, core.DefaultOptions(), pf, limit, 0)
-				if err != nil {
-					t.Fatal(err)
-				}
+				got := mustSearch(t, snap, Query{Ref: ref, Opts: core.DefaultOptions(), Prefilter: pf, Limit: limit})
 				sameHits(t, fmt.Sprintf("%s %q limit=%d", ref.Name, pf.Mode, limit), got, TopK(all, limit, 0))
 			}
 		}
@@ -179,15 +172,16 @@ func TestSearchTopCancel(t *testing.T) {
 	pf := PrefilterOptions{Candidates: 40, Mode: ModeLSH}
 	// How many Err calls a whole search makes.
 	const never = 1 << 40
+	q := Query{Ref: ref, Opts: core.DefaultOptions(), Prefilter: pf, Limit: 10}
 	probe := newCountdownCtx(never)
-	if _, _, err := snap.SearchTopCtx(probe, ref, core.DefaultOptions(), pf, 10, 0); err != nil {
+	if _, err := snap.Search(probe, q); err != nil {
 		t.Fatal(err)
 	}
 	calls := never - probe.left.Load()
 	for n := int64(1); n <= calls; n += max(calls/16, 1) {
-		hits, _, err := snap.SearchTopCtx(newCountdownCtx(n), ref, core.DefaultOptions(), pf, 10, 0)
-		if err != context.Canceled || hits != nil {
-			t.Errorf("cancelled at Err call %d of %d: %d hits, err %v; want none and context.Canceled", n, calls, len(hits), err)
+		a, err := snap.Search(newCountdownCtx(n), q)
+		if err != context.Canceled || a.Hits != nil {
+			t.Errorf("cancelled at Err call %d of %d: %d hits, err %v; want none and context.Canceled", n, calls, len(a.Hits), err)
 		}
 	}
 
@@ -195,13 +189,12 @@ func TestSearchTopCancel(t *testing.T) {
 	// and phase B included, on one worker. No constraint solve may follow
 	// the probe that sees the cancel, and none of a search that runs to the
 	// end may go unprobed: at most one solve between two probes.
-	opts := core.DefaultOptions()
-	opts.Workers, opts.Tel = 1, telemetry.New()
-	whole := newProbeCtx(never, opts.Tel)
-	if _, _, err := snap.SearchTopCtx(whole, ref, opts, pf, 10, 0); err != nil {
+	q.Opts.Workers, q.Opts.Tel = 1, telemetry.New()
+	whole := newProbeCtx(never, q.Opts.Tel)
+	if _, err := snap.Search(whole, q); err != nil {
 		t.Fatal(err)
 	}
-	solves := append(whole.solves, opts.Tel.Get(telemetry.CSPSolves))
+	solves := append(whole.solves, q.Opts.Tel.Get(telemetry.CSPSolves))
 	for i := 1; i < len(solves); i++ {
 		if d := solves[i] - solves[i-1]; d > 1 {
 			t.Fatalf("%d constraint solves between probes %d and %d; want at most 1", d, i-1, i)
@@ -212,13 +205,13 @@ func TestSearchTopCancel(t *testing.T) {
 	}
 	probes := int64(len(whole.solves))
 	for n := int64(1); n <= probes; n += max(probes/64, 1) {
-		opts.Tel = telemetry.New()
-		c := newProbeCtx(n, opts.Tel)
-		hits, _, err := snap.SearchTopCtx(c, ref, opts, pf, 10, 0)
-		if err != context.Canceled || hits != nil {
-			t.Errorf("cancelled at probe %d of %d: %d hits, err %v; want none and context.Canceled", n, probes, len(hits), err)
+		q.Opts.Tel = telemetry.New()
+		c := newProbeCtx(n, q.Opts.Tel)
+		a, err := snap.Search(c, q)
+		if err != context.Canceled || a.Hits != nil {
+			t.Errorf("cancelled at probe %d of %d: %d hits, err %v; want none and context.Canceled", n, probes, len(a.Hits), err)
 		}
-		if after := opts.Tel.Get(telemetry.CSPSolves) - c.solves[n-1]; after != 0 {
+		if after := q.Opts.Tel.Get(telemetry.CSPSolves) - c.solves[n-1]; after != 0 {
 			t.Errorf("cancelled at probe %d of %d: %d constraint solves after it", n, probes, after)
 		}
 	}

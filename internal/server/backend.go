@@ -86,7 +86,7 @@ func (p *searchPlan) setRef(ref *core.Decomposed) {
 
 // search fans the query out over the pinned snapshot under ctx for the
 // request's top-K: the engine compares in full only the candidates that
-// can still enter it (index.Snapshot.SearchTopCtx).
+// can still enter it (index.Snapshot.Search).
 func (b localBackend) search(ctx context.Context, p *searchPlan, _ *SearchRequest) (*SearchResponse, bool, error) {
 	if p.degraded {
 		return b.rankDegraded(ctx, p)
@@ -104,7 +104,7 @@ func (b localBackend) search(ctx context.Context, p *searchPlan, _ *SearchReques
 		s.tel.Inc(telemetry.LSHFallbacks)
 		pf.Mode = index.ModeScan
 	}
-	top, candidates, serr := p.st.snap.SearchTopCtx(ctx, p.ref, opts, pf, p.limit, p.minScore)
+	ans, serr := p.st.snap.Search(ctx, index.Query{Ref: p.ref, Opts: opts, Prefilter: pf, Limit: p.limit, MinScore: p.minScore})
 	if serr != nil {
 		if he := ctxHTTPErr(serr); he != nil {
 			return nil, false, he
@@ -119,9 +119,9 @@ func (b localBackend) search(ctx context.Context, p *searchPlan, _ *SearchReques
 	}
 	resp := &SearchResponse{
 		K:           p.k,
-		Candidates:  candidates,
+		Candidates:  ans.Candidates,
 		Prefiltered: pf.Enabled,
-		Hits:        make([]Hit, len(top)),
+		Hits:        make([]Hit, len(ans.Hits)),
 	}
 	if pf.Enabled {
 		resp.PrefilterMode = string(pf.Mode)
@@ -132,7 +132,7 @@ func (b localBackend) search(ctx context.Context, p *searchPlan, _ *SearchReques
 		resp.Degraded = true
 		resp.DegradedReason = "lsh prefilter unavailable: fell back to scan candidates"
 	}
-	for i, h := range top {
+	for i, h := range ans.Hits {
 		if h.Result.Truncated {
 			sp.Set("truncated", 1)
 		}

@@ -214,7 +214,7 @@ func newServer(cfg Config) *Server {
 		opts = core.DefaultOptions()
 	}
 	if opts.K <= 0 {
-		opts.K = 3
+		opts.K = core.DefaultK
 	}
 	ks := cfg.Ks
 	if len(ks) == 0 {

@@ -596,7 +596,7 @@ func TestReloadRejectsBadFile(t *testing.T) {
 
 // TestConcurrentSearchCorrectness is the acceptance scenario: >= 8
 // concurrent searches against a >= 100-function corpus, each answer
-// identical to the offline DB.Search top-K, with the race detector
+// identical to the serial reference's top-K, with the race detector
 // covering the whole stack when run under -race.
 func TestConcurrentSearchCorrectness(t *testing.T) {
 	db := bigDB(t)

@@ -21,8 +21,8 @@
 // index_bytes_written. functions_lifted over the sum of the two
 // histograms is the build rate tracy index and mkcorpus print.
 //
-// A search for the best k hits (index.Snapshot.SearchTopCtx, behind every
-// served request and tracy search) counts in candidates_below_floor the
+// A search for the best k hits (index.Snapshot.Search with a limit, behind
+// every served request and tracy search) counts in candidates_below_floor the
 // candidates whose compare stopped before its remaining rewrites: their
 // score bound fell strictly below the search's floor, the larger of
 // min_score and the k-th best score so far, so they are in no answer. A cut
@@ -181,7 +181,7 @@ func (c Counter) String() string {
 type Hist int
 
 const (
-	QueryLatency         Hist = iota // DB.Search end to end
+	QueryLatency         Hist = iota // index.Snapshot.Search end to end, decomposing the query excluded
 	CompareLatency                   // one Matcher.Compare call
 	PairLatency                      // one tracelet-pair align + score
 	RewriteLatency                   // one rewrite attempt incl. re-scoring

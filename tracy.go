@@ -20,6 +20,7 @@
 package tracy
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -122,11 +123,12 @@ func (d *Database) Functions() []*Function {
 }
 
 // Search compares the query against every indexed function in parallel
-// and returns all results ordered by similarity (best first).
+// and returns all results ordered by similarity (best first), or none
+// when a stored function of a loaded database turns out to be corrupt.
 func (d *Database) Search(query *Function, opts Options) []Match {
-	hits := d.db.Search(query, opts)
-	out := make([]Match, len(hits))
-	for i, h := range hits {
+	ans, _ := d.db.View().Search(context.Background(), index.Query{Func: query, Opts: opts})
+	out := make([]Match, len(ans.Hits))
+	for i, h := range ans.Hits {
 		out[i] = Match{
 			Exe: h.Entry.Exe, Name: h.Entry.Name, Addr: h.Entry.Addr,
 			Truth: h.Entry.Truth, Result: h.Result, Func: h.Entry.Function(),
