@@ -116,9 +116,11 @@ type blockInfo struct {
 }
 
 // Source yields the lifted function of a decomposition that was built
-// from stored blocks and holds no instructions of its own.
+// from stored blocks and holds no instructions of its own. Decode is asked
+// each time the instructions are needed; the decomposition keeps nothing
+// of what it returns.
 type Source interface {
-	Function() *prep.Function
+	Decode() (*prep.Function, error)
 }
 
 // Decomposed is a function decomposed into k-tracelets with the distinct
@@ -269,12 +271,12 @@ func (d *Decomposed) blockIDs(i int) []int32 { return d.blockID[i*d.K : (i+1)*d.
 // decomposition (jump instructions already stripped). The slices are
 // shared and must be treated as read-only; callers like the index feature
 // prefilter use them to derive per-block features without re-walking the
-// tracelets. A view has no instructions and asks its Source for the lifted
-// function; nil comes back when there is none to be had.
+// tracelets. A view has no instructions and asks its Source to decode the
+// lifted function; nil comes back when there is none to be had.
 func (d *Decomposed) DistinctBlocks() [][]asm.Inst {
 	fn := d.fn
 	if fn == nil && d.src != nil {
-		fn = d.src.Function()
+		fn, _ = d.src.Decode() // a source that cannot decode has no blocks to give
 	}
 	if fn == nil {
 		return nil

@@ -59,7 +59,7 @@ func viewOf(t testing.TB, f *idxfile.File, i, k int, src Source) *Decomposed {
 // fnSource hands a view the function it was stored from.
 type fnSource struct{ fn *prep.Function }
 
-func (s fnSource) Function() *prep.Function { return s.fn }
+func (s fnSource) Decode() (*prep.Function, error) { return s.fn, nil }
 
 // TestPackParity: for every function of a campaign corpus and a tracelet
 // size of 1, 3 and one longer than any path, the decomposition built from

@@ -6,6 +6,7 @@ import (
 	"io"
 	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/asm"
 	"repro/internal/cfg"
@@ -20,7 +21,10 @@ import (
 // BenchmarkBuild4k measures the write path end to end, the shape of the
 // ingest-4k workload: AddImage for each of the 126 images of a
 // 4032-function campaign, then SaveV3LSH. It reports functions/s next to
-// B/op and allocs/op, and the collector cycles one build ran.
+// B/op and allocs/op, the collector cycles one build ran, and how the
+// build's wall time splits into its two stages: lift-ms/op for the AddImage
+// loop (the featuriser of the last image may still run when it ends) and
+// save-ms/op for SaveV3LSH (which joins it first).
 func BenchmarkBuild4k(b *testing.B) {
 	var exes []corpus.Executable
 	_, err := corpus.RunCampaign(corpus.CampaignConfig{Seed: 1, Funcs: 4032, FuncsPerExe: 32, Stmts: 10, Workers: 2},
@@ -29,27 +33,33 @@ func BenchmarkBuild4k(b *testing.B) {
 		b.Fatal(err)
 	}
 	var ms0, ms1 runtime.MemStats
+	var lift, save time.Duration
 	funcs := 0
 	b.ReportAllocs()
 	runtime.GC()
 	runtime.ReadMemStats(&ms0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		t0 := time.Now()
 		db := New()
 		for _, e := range exes {
 			if err := db.AddImage(e.Name, e.Image, e.Truth); err != nil {
 				b.Fatal(err)
 			}
 		}
+		t1 := time.Now()
 		if err := db.SaveV3LSH(io.Discard, minhash.Default); err != nil {
 			b.Fatal(err)
 		}
+		lift, save = lift+t1.Sub(t0), save+time.Since(t1)
 		funcs += db.Len()
 	}
 	b.StopTimer()
 	runtime.ReadMemStats(&ms1)
 	b.ReportMetric(float64(funcs)/b.Elapsed().Seconds(), "functions/s")
 	b.ReportMetric(float64(ms1.NumGC-ms0.NumGC)/float64(b.N), "gc-cycles/op")
+	b.ReportMetric(lift.Seconds()*1e3/float64(b.N), "lift-ms/op")
+	b.ReportMetric(save.Seconds()*1e3/float64(b.N), "save-ms/op")
 }
 
 // TestWritePathTelemetry: a database with a collector reports its build

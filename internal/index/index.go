@@ -33,8 +33,8 @@ import (
 // Entry is one indexed binary function. For a database built in memory
 // (AddImage, LoadLegacy) Func holds the lifted function eagerly; for a
 // store-backed database Func is nil and the function is decoded from the
-// columnar file on first use — always go through Function(), never read
-// Func directly.
+// columnar file — always go through Function() (decoded once and kept) or
+// Decode() (decoded each call, kept by nobody), never read Func directly.
 type Entry struct {
 	Exe   string // executable name
 	Name  string // recovered name (sub_XXX in stripped binaries)
@@ -43,7 +43,7 @@ type Entry struct {
 	Func  *prep.Function
 
 	// Store backing. src/srcIdx locate the function in the columnar
-	// store; lazy memoizes the decode.
+	// store; lazy memoizes the decode of Function and LoadFunction.
 	src    *idxfile.File
 	srcIdx int
 	lazy   atomic.Pointer[prep.Function]
@@ -87,7 +87,10 @@ func (e *Entry) LoadFunction() (*prep.Function, error) {
 // snapshot of the database's entries, and Decomposed reads its
 // decompositions. Concurrent View/Decomposed calls and searches are safe;
 // AddImage must not race with readers (ingest the corpus first, or
-// BuildSnapshot for serving).
+// BuildSnapshot for serving). While a build runs, one background
+// featuriser at most computes the prefilter features of the functions the
+// last AddImage lifted (see AddImage); everything that reads the features
+// joins it first.
 type DB struct {
 	Entries []*Entry
 
@@ -99,9 +102,10 @@ type DB struct {
 	// not serialized.
 	Tel *telemetry.Collector
 
-	mu    sync.Mutex // guards feats, snap
-	feats [][]uint64 // per-entry prefilter features, aligned with Entries
-	snap  *Snapshot  // the search view over Entries; nil until first use
+	mu      sync.Mutex  // guards feats, pending, snap
+	feats   [][]uint64  // prefilter features of Entries[:len(feats)]
+	pending *featuriser // the one featuriser in flight, or nil
+	snap    *Snapshot   // the search view over Entries; nil until first use
 
 	store *idxfile.File // non-nil for store-backed databases
 	info  Info
@@ -145,11 +149,24 @@ func New() *DB { return &DB{} }
 // AddImage lifts all functions of a (possibly stripped) ELF image and
 // indexes them. truth maps function addresses to ground-truth names and
 // may be nil.
+//
+// Lifting runs on the caller's goroutine; the prefilter features of the
+// functions just lifted are computed by a background featuriser, and
+// AddImage returns without waiting for it. The next AddImage lifts while
+// it runs and joins it before appending to Entries, and so does every
+// reader of the features (prefiltered searches, the SaveV3 methods), so
+// at most one featuriser is ever in flight and a build spreads over two
+// cores without a setting. What it computes is the memo those readers
+// see; nothing is written into the entries.
 func (db *DB) AddImage(exe string, img []byte, truth map[uint32]string) error {
 	fns, err := prep.LiftImageTel(db.Tel, img)
 	if err != nil {
 		return fmt.Errorf("index: %s: %w", exe, err)
 	}
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	db.joinFeaturiser()
+	lo := len(db.Entries)
 	for _, fn := range fns {
 		e := &Entry{Exe: exe, Name: fn.Name, Addr: fn.Addr, Func: fn}
 		if truth != nil {
@@ -157,10 +174,64 @@ func (db *DB) AddImage(exe string, img []byte, truth map[uint32]string) error {
 		}
 		db.Entries = append(db.Entries, e)
 	}
-	db.mu.Lock()
-	db.feats, db.snap = nil, nil // both are aligned with Entries
-	db.mu.Unlock()
+	db.snap = nil // aligned with Entries
+	db.pending = startFeaturiser(lo, db.Entries[lo:])
 	return nil
+}
+
+// featuriser computes the prefilter features of a run of freshly lifted
+// entries on its own goroutine: feats[i] is the set of the entry at
+// position lo+i, ready once done is closed.
+type featuriser struct {
+	lo    int
+	feats [][]uint64
+	done  chan struct{}
+}
+
+// startFeaturiser starts a featuriser over entries, which sit at
+// position lo and all hold their lifted function. It reads only those
+// functions — heap values nothing else writes — never the DB or a mapping.
+func startFeaturiser(lo int, entries []*Entry) *featuriser {
+	f := &featuriser{lo: lo, feats: make([][]uint64, len(entries)), done: make(chan struct{})}
+	go func() {
+		defer close(f.done)
+		var g gramHasher
+		for i, e := range entries {
+			f.feats[i] = g.funcFeatures(e.Func)
+		}
+	}()
+	return f
+}
+
+// joinFeaturiser waits for the featuriser in flight, if any, and appends
+// its sets to the memo, first memoizing the entries before them that it
+// does not cover (those of an index file a grown database was opened
+// from). The caller holds db.mu.
+func (db *DB) joinFeaturiser() {
+	f := db.pending
+	if f == nil {
+		return
+	}
+	<-f.done
+	db.pending = nil
+	db.memoFeatures(f.lo)
+	db.feats = append(db.feats, f.feats...)
+}
+
+// memoFeatures extends the feature memo over Entries[:n]. A store-backed
+// entry's set already lives in the file's shared pool and is viewed where
+// it lies (a slice header, no copy); any other entry's is computed from its
+// function. The caller holds db.mu.
+func (db *DB) memoFeatures(n int) {
+	var g gramHasher
+	for i := len(db.feats); i < n; i++ {
+		e := db.Entries[i]
+		if e.src != nil {
+			db.feats = append(db.feats, e.src.Features(e.srcIdx))
+		} else {
+			db.feats = append(db.feats, g.funcFeatures(e.Function()))
+		}
+	}
 }
 
 // Len returns the number of indexed functions.
@@ -189,27 +260,16 @@ func (db *DB) Decomposed(k int) ([]*core.Decomposed, error) {
 	return db.View().decomposeAll(k)
 }
 
-// features returns the per-entry prefilter feature sets, computing them
-// once (or viewing the sets an index file stores).
+// features returns the per-entry prefilter feature sets, aligned with
+// Entries: it joins the featuriser in flight and memoizes whatever it
+// left uncovered, so every entry's set is computed (or viewed) once.
+// A slice it returned stays valid as the database grows: the memo only
+// ever appends.
 func (db *DB) features() [][]uint64 {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if db.feats == nil {
-		fs := make([][]uint64, len(db.Entries))
-		var g gramHasher
-		for i, e := range db.Entries {
-			if e.src != nil {
-				// Store-backed entry: its feature set already lives in the
-				// file's shared pool; the slice is a view into the mapping,
-				// so this allocates a slice header only. Entries appended by
-				// AddImage after a file load fall through to recomputation.
-				fs[i] = e.src.Features(e.srcIdx)
-			} else {
-				fs[i] = g.funcFeatures(e.Function())
-			}
-		}
-		db.feats = fs
-	}
+	db.joinFeaturiser()
+	db.memoFeatures(len(db.Entries))
 	return db.feats
 }
 
@@ -278,7 +338,7 @@ func (db *DB) writeV3(w io.Writer, lsh *minhash.Params, expect int, keep func(*E
 		if keep != nil && !keep(e) {
 			continue
 		}
-		fn, err := e.decodeForSave()
+		fn, err := e.Decode()
 		if err != nil {
 			return fmt.Errorf("index: entry %d has no function to serialize: %w", i, err)
 		}
@@ -293,12 +353,18 @@ func (db *DB) writeV3(w io.Writer, lsh *minhash.Params, expect int, keep func(*E
 	return err
 }
 
-// decodeForSave returns the entry's function for a save pass: a
-// store-backed entry is decoded without populating its lazy cache — a
-// convert or shard pass must not pin the whole corpus on the heap.
-func (e *Entry) decodeForSave() (*prep.Function, error) {
+// Decode is LoadFunction without the memo: a store-backed entry is
+// decoded afresh on every call and nothing is kept, so a pass over many
+// entries — a save or convert, a shard split, a listing, a by-reference
+// query's features — does not pin the corpus on the heap. An entry built
+// in memory returns its function.
+func (e *Entry) Decode() (*prep.Function, error) {
 	if e.Func == nil && e.src != nil {
-		return e.src.DecodeFunc(e.srcIdx)
+		fn, err := e.src.DecodeFunc(e.srcIdx)
+		if err != nil {
+			return nil, fmt.Errorf("index: %s/%s: %w", e.Exe, e.Name, err)
+		}
+		return fn, nil
 	}
 	return e.LoadFunction()
 }

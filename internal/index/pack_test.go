@@ -36,7 +36,9 @@ func sectionAt(tb testing.TB, data []byte, name string) int {
 // by-reference fingerprint included, as the in-memory database it was
 // saved from and as a database opened from a file of part of the corpus
 // and grown with AddImage to the rest. The view path counts and times its
-// decompositions like the heap path.
+// decompositions like the heap path, and its by-reference lsh queries,
+// which decode each query's blocks for their features, keep none of what
+// they decoded.
 func TestStoreParity(t *testing.T) {
 	db, c := buildTestDB(t)
 	opts := core.DefaultOptions()
@@ -94,8 +96,8 @@ func TestStoreParity(t *testing.T) {
 	packed := load(data)
 	want := search(packed, "file")
 	for _, e := range packed.Entries {
-		if e.lazy.Load() == nil {
-			t.Fatalf("%s/%s was never a by-reference query's feature source", e.Exe, e.Name)
+		if e.lazy.Load() != nil {
+			t.Fatalf("a by-reference lsh query left %s/%s decoded on the heap", e.Exe, e.Name)
 		}
 	}
 	if got := search(db, "in memory"); !reflect.DeepEqual(got, want) {

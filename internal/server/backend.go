@@ -199,7 +199,7 @@ func (b localBackend) Functions(_ context.Context, exe string, limit int) (*Func
 		if exe != "" && e.Exe != exe {
 			continue
 		}
-		fn, err := e.LoadFunction()
+		fn, err := e.Decode() // a listing must not pin what it walks
 		if err != nil {
 			return nil, errf(http.StatusInternalServerError, "%v", err)
 		}

@@ -639,7 +639,7 @@ func (s *Server) handleFleetFunction(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, r, errf(http.StatusNotFound, "no indexed function %s/%s", exe, name))
 		return
 	}
-	fn, err := e.LoadFunction()
+	fn, err := e.Decode()
 	if err != nil {
 		writeErr(w, r, errf(http.StatusInternalServerError, "%v", err))
 		return
