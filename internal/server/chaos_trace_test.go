@@ -1,10 +1,10 @@
 package server_test
 
-// Chaos-suite extension for end-to-end tracing: through a REAL TCP
-// server with injected faults, one logical request must keep a single
-// trace ID across every retry and hedge attempt, and that ID must join
-// the client's attempt records, the server's flight recorder and access
-// log, and the response body.
+// Chaos-suite extension for end-to-end tracing: through REAL TCP
+// servers with injected faults, one logical request must keep a single
+// trace ID across every retry and every hedged scatter leg, and that ID
+// must join the client's attempt records, the servers' flight recorders
+// and access logs, and the response body.
 
 import (
 	"bytes"
@@ -147,70 +147,64 @@ func TestChaosOneTraceAcrossRetries(t *testing.T) {
 	}
 }
 
-// TestChaosHedgeSharesTrace: a one-shot latency fault slows the primary
-// batch attempt; the hedge duplicate races past it. Both round trips
-// must share one trace ID, and the hedge must be marked as such on both
-// sides of the wire.
+// TestChaosHedgeSharesTrace: a coordinator with ShardHedge over one
+// group of two replicas whose primary is slowed by a latency fault. The
+// scatter leg the hedge timer launches races past it, and the sibling
+// that answers it records a 200 marked as a hedge under the
+// coordinator's own trace ID — the server learns both from the request
+// headers.
 func TestChaosHedgeSharesTrace(t *testing.T) {
 	faults := faultinject.New()
-	faults.Arm(&faultinject.Fault{Point: server.FaultSearch, Mode: faultinject.Latency,
-		Latency: 3 * time.Second, Count: 1})
-	s, url := startChaos(t, server.Config{Faults: faults})
-	cl := client.New(url)
+	faults.Arm(&faultinject.Fault{Point: server.FaultSearch, Mode: faultinject.Latency, Latency: 3 * time.Second})
+	_, primaryURL := startChaos(t, server.Config{Faults: faults})
+	sibling, siblingURL := startChaos(t, server.Config{})
+	coord, err := server.New(server.Config{
+		Fleet:         []string{primaryURL + "|" + siblingURL},
+		ShardHedge:    30 * time.Millisecond,
+		ProbeInterval: time.Hour,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr, err := coord.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		_ = coord.Shutdown(ctx)
+	})
+	cl := client.New("http://" + addr.String())
 	cl.Retry = nil
-	cl.HedgeDelay = 30 * time.Millisecond
 
 	req := chaosQuery(t, chaosDB(t))
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	resp, err := cl.SearchBatch(ctx, []server.SearchRequest{req})
+	t0 := time.Now()
+	resp, err := cl.Search(ctx, &req)
 	if err != nil {
-		t.Fatalf("hedged batch should win past the latency fault: %v", err)
+		t.Fatalf("hedged scatter should win past the latency fault: %v", err)
+	}
+	if took := time.Since(t0); took >= 3*time.Second {
+		t.Errorf("search took %v: it waited out the slow primary", took)
 	}
 	if !telemetry.IsTraceID(resp.TraceID) {
-		t.Fatalf("batch trace_id %q invalid", resp.TraceID)
+		t.Fatalf("coordinator trace_id %q invalid", resp.TraceID)
 	}
 	tid := resp.TraceID
-	if got := cl.Stats().Hedges; got < 1 {
-		t.Fatalf("client hedged %d times, want >= 1", got)
+	if got := coord.Tel().Get(telemetry.FleetHedges); got < 1 {
+		t.Fatalf("fleet_hedges = %d, want >= 1", got)
 	}
 
-	// The losing primary is cancelled when the hedge wins and records its
-	// attempt asynchronously on the way out — poll for it.
-	var recent []client.AttemptRecord
-	var sawHedge, sawPrimary bool
-	for deadline := time.Now().Add(5 * time.Second); ; {
-		recent = cl.Stats().Recent
-		sawHedge, sawPrimary = false, false
-		for _, ar := range recent {
-			if ar.TraceID != tid {
-				t.Fatalf("attempt %+v has foreign trace, want %q", ar, tid)
-			}
-			if ar.Hedge {
-				sawHedge = true
-			} else {
-				sawPrimary = true
-			}
-		}
-		if (sawHedge && sawPrimary) || time.Now().After(deadline) {
-			break
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	if len(recent) < 2 || !sawHedge || !sawPrimary {
-		t.Fatalf("want primary + hedge attempt records under one trace, got %+v", recent)
-	}
-
-	// Server side: the winning (hedge) request is recorded with the
-	// hedge flag — the server learns it from the request headers.
 	var hedged bool
-	for _, fr := range s.Flight().Snapshot().Slowest {
-		if fr.TraceID == tid && fr.Hedge && fr.Status == 200 {
+	for _, fr := range sibling.Flight().Snapshot().Slowest {
+		if fr.TraceID == tid && fr.Path == "/v1/search" && fr.Hedge && fr.Status == 200 {
 			hedged = true
 		}
 	}
 	if !hedged {
-		t.Errorf("flight recorder has no successful hedge-marked record for %s: %+v",
-			tid, s.Flight().Snapshot().Slowest)
+		t.Errorf("sibling's flight recorder has no successful hedge-marked search for %s: %+v",
+			tid, sibling.Flight().Snapshot().Slowest)
 	}
 }

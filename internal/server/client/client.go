@@ -1,31 +1,27 @@
 // Package client is the Go client of the tracy query service
-// (internal/server): typed wrappers over the /v1 HTTP/JSON API with
-// context support, structured errors, and built-in resilience —
-// exponential-backoff retries with jitter (honoring Retry-After), an
-// optional circuit breaker, and opt-in hedging for batch searches. The
-// transport and resilience machinery itself lives in
-// internal/server/rpc (shared with the coordinator's intra-fleet RPC);
-// this package binds it to the wire schema and re-exports its types, so
-// existing callers keep working unchanged.
+// (internal/server) for callers inside this module — `tracy query` and
+// the benchmark harness: typed wrappers over the /v1 HTTP/JSON API with
+// context support, structured errors, exponential-backoff retries with
+// jitter (honoring Retry-After) and failover across a list of
+// coordinators. The transport itself is internal/server/rpc, which the
+// coordinator's intra-fleet RPC shares; this package binds it to the
+// wire schema and re-exports the types its callers see.
 package client
 
 import (
 	"context"
 	"errors"
-	"fmt"
 	"net/http"
+	"net/url"
+	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/server"
 	"repro/internal/server/rpc"
 )
 
-// Re-exported transport types: the resilience machinery moved to
-// internal/server/rpc so the server's coordinator can reuse it, but its
-// public home for API consumers stays here.
+// Re-exported transport types, so callers need not import rpc too.
 type (
 	// APIError is a non-2xx reply decoded from the server's error body.
 	APIError = rpc.APIError
@@ -33,42 +29,35 @@ type (
 	TransportError = rpc.TransportError
 	// RetryPolicy shapes the client's retry loop.
 	RetryPolicy = rpc.RetryPolicy
-	// Breaker is a consecutive-failure circuit breaker.
-	Breaker = rpc.Breaker
 	// AttemptRecord describes one HTTP round trip.
 	AttemptRecord = rpc.AttemptRecord
 	// Stats is a point-in-time copy of the client's resilience counters.
 	Stats = rpc.Stats
 )
 
-var (
-	// ErrSaturated is wrapped by errors returned when the server sheds
-	// load with 429: errors.Is(err, ErrSaturated).
-	ErrSaturated = rpc.ErrSaturated
-	// ErrCircuitOpen is returned (wrapped) while the breaker is open.
-	ErrCircuitOpen = rpc.ErrCircuitOpen
-)
+// ErrSaturated is wrapped by errors returned when the server sheds load
+// with 429: errors.Is(err, ErrSaturated).
+var ErrSaturated = rpc.ErrSaturated
 
 // maxErrBody bounds how much of an error response body is read.
 const maxErrBody = rpc.MaxErrBody
 
 // DefaultRetryPolicy returns the policy New() arms: 4 attempts, 50ms
-// base delay doubling to a 2s cap, half-width jitter, no overall budget
-// (the caller's context is the budget).
+// base delay doubling to a 2s cap, half-width jitter. The caller's
+// context deadline is the overall budget.
 func DefaultRetryPolicy() *RetryPolicy { return rpc.DefaultRetryPolicy() }
 
-// Client talks to one tracy server. The zero value of every policy
-// field is safe: nil Retry means no retries, nil Breaker means no
-// circuit breaking, zero HedgeDelay means no hedging. New() enables the
-// default retry policy.
+// Client talks to one tracy server, or to several interchangeable
+// coordinators. A nil Retry means no retries; New() arms the default
+// policy.
 type Client struct {
 	// BaseURL is the server root, e.g. "http://localhost:8077". It may
 	// list several interchangeable coordinators separated by commas
 	// ("http://c1:8077,http://c2:8077"): each call starts at the last
-	// known-good one and fails over to the next on connection-refused,
-	// 5xx, or an open per-target breaker — so the coordinator itself is
-	// not a single point of failure. 4xx replies (including 429) are the
-	// caller's problem, not the target's, and never fail over.
+	// known-good one and fails over to the next on a transport error or
+	// a 5xx — so the coordinator itself is not a single point of
+	// failure. 4xx replies (including 429) are the caller's problem, not
+	// the target's, and never fail over.
 	BaseURL string
 	// HTTPClient defaults to http.DefaultClient.
 	HTTPClient *http.Client
@@ -78,27 +67,11 @@ type Client struct {
 	// that ends stops retrying immediately.
 	Retry *RetryPolicy
 
-	// Breaker, when non-nil, fails requests fast with ErrCircuitOpen
-	// after a run of consecutive failures, probing again after a cooldown.
-	Breaker *Breaker
-
-	// HedgeDelay, when positive, arms hedging for SearchBatch: if the
-	// first attempt has not answered within this delay, a second identical
-	// request races it and the first success wins. Only the batch path
-	// hedges — it is the long-running, many-query call where one slow
-	// replica hurts most.
-	HedgeDelay time.Duration
-
 	stats rpc.Counters
 
 	// preferred is the index (into targets()) of the last coordinator
 	// that answered, so a healthy fleet pays zero failover probes.
 	preferred atomic.Int32
-	// breakers holds one lazily-built Breaker per extra target, cloned
-	// from Breaker's thresholds: one dead coordinator must not open the
-	// circuit for its siblings.
-	breakersMu sync.Mutex
-	breakers   map[string]*rpc.Breaker
 }
 
 // New returns a client for the server at baseURL with the default
@@ -122,50 +95,20 @@ func (c *Client) targets() []string {
 	return out
 }
 
-// breakerFor returns the breaker guarding one target: the client's own
-// Breaker when there is a single target (legacy behavior, callers may
-// inspect it), else a per-target clone of its thresholds.
-func (c *Client) breakerFor(target string, multi bool) *rpc.Breaker {
-	if c.Breaker == nil {
-		return nil
-	}
-	if !multi {
-		return c.Breaker
-	}
-	c.breakersMu.Lock()
-	defer c.breakersMu.Unlock()
-	if c.breakers == nil {
-		c.breakers = make(map[string]*rpc.Breaker)
-	}
-	b, ok := c.breakers[target]
-	if !ok {
-		b = &rpc.Breaker{Threshold: c.Breaker.Threshold, Cooldown: c.Breaker.Cooldown}
-		c.breakers[target] = b
-	}
-	return b
-}
-
 // conn views the client's current policy fields as an rpc.Conn against
 // one target. Built per call (fields may be reassigned between calls),
 // sharing the persistent stats accumulator.
-func (c *Client) conn(target string, multi bool) *rpc.Conn {
-	return &rpc.Conn{
-		BaseURL:    target,
-		HTTPClient: c.HTTPClient,
-		Retry:      c.Retry,
-		Breaker:    c.breakerFor(target, multi),
-		HedgeDelay: c.HedgeDelay,
-		Stats:      &c.stats,
-	}
+func (c *Client) conn(target string) *rpc.Conn {
+	return &rpc.Conn{BaseURL: target, HTTPClient: c.HTTPClient, Retry: c.Retry, Stats: &c.stats}
 }
 
 // failover reports whether err indicts the coordinator rather than the
-// request: transport failures, 5xx, and an open breaker move on to the
-// next target; 4xx (including 429 saturation, which retries in place
-// via the retry policy) do not.
+// request: transport failures and 5xx move on to the next target; 4xx
+// (including 429 saturation, which retries in place via the retry
+// policy) do not.
 func failover(err error) bool {
 	var te *rpc.TransportError
-	if errors.As(err, &te) || errors.Is(err, rpc.ErrCircuitOpen) {
+	if errors.As(err, &te) {
 		return true
 	}
 	var ae *rpc.APIError
@@ -175,9 +118,8 @@ func failover(err error) bool {
 // do runs one API call with coordinator failover: targets are tried in
 // order starting from the last known-good one, and the preference
 // sticks on success.
-func (c *Client) do(ctx context.Context, hedged bool, method, path string, in, out any) error {
+func (c *Client) do(ctx context.Context, method, path string, in, out any) error {
 	targets := c.targets()
-	multi := len(targets) > 1
 	start := int(c.preferred.Load())
 	if start >= len(targets) {
 		start = 0
@@ -185,13 +127,7 @@ func (c *Client) do(ctx context.Context, hedged bool, method, path string, in, o
 	var firstErr error
 	for i := 0; i < len(targets); i++ {
 		ti := (start + i) % len(targets)
-		conn := c.conn(targets[ti], multi)
-		var err error
-		if hedged {
-			err = conn.DoHedged(ctx, method, path, in, out)
-		} else {
-			err = conn.Do(ctx, method, path, in, out)
-		}
+		err := c.conn(targets[ti]).Do(ctx, method, path, in, out)
 		if err == nil {
 			c.preferred.Store(int32(ti))
 			return nil
@@ -199,7 +135,7 @@ func (c *Client) do(ctx context.Context, hedged bool, method, path string, in, o
 		if firstErr == nil {
 			firstErr = err
 		}
-		if ctx.Err() != nil || !multi || !failover(err) {
+		if ctx.Err() != nil || !failover(err) {
 			return err
 		}
 	}
@@ -209,7 +145,7 @@ func (c *Client) do(ctx context.Context, hedged bool, method, path string, in, o
 // Search runs one query.
 func (c *Client) Search(ctx context.Context, req *server.SearchRequest) (*server.SearchResponse, error) {
 	var resp server.SearchResponse
-	if err := c.do(ctx, false, http.MethodPost, "/v1/search", req, &resp); err != nil {
+	if err := c.do(ctx, http.MethodPost, "/v1/search", req, &resp); err != nil {
 		return nil, err
 	}
 	return &resp, nil
@@ -228,11 +164,10 @@ func (c *Client) SearchImage(ctx context.Context, img []byte, fn string, extra *
 	return c.Search(ctx, &req)
 }
 
-// SearchBatch runs several queries in one round trip. When HedgeDelay
-// is set, a slow batch is raced by a duplicate request.
+// SearchBatch runs several queries in one round trip.
 func (c *Client) SearchBatch(ctx context.Context, queries []server.SearchRequest) (*server.BatchResponse, error) {
 	var resp server.BatchResponse
-	if err := c.do(ctx, true, http.MethodPost, "/v1/search/batch", server.BatchRequest{Queries: queries}, &resp); err != nil {
+	if err := c.do(ctx, http.MethodPost, "/v1/search/batch", server.BatchRequest{Queries: queries}, &resp); err != nil {
 		return nil, err
 	}
 	return &resp, nil
@@ -241,17 +176,19 @@ func (c *Client) SearchBatch(ctx context.Context, queries []server.SearchRequest
 // Functions lists the indexed corpus; exe filters by executable and
 // limit caps the listing when > 0.
 func (c *Client) Functions(ctx context.Context, exe string, limit int) (*server.FunctionsResponse, error) {
-	path := "/v1/functions"
-	sep := "?"
+	q := url.Values{}
 	if exe != "" {
-		path += sep + "exe=" + exe
-		sep = "&"
+		q.Set("exe", exe)
 	}
 	if limit > 0 {
-		path += fmt.Sprintf("%slimit=%d", sep, limit)
+		q.Set("limit", strconv.Itoa(limit))
+	}
+	path := "/v1/functions"
+	if len(q) > 0 {
+		path += "?" + q.Encode()
 	}
 	var resp server.FunctionsResponse
-	if err := c.do(ctx, false, http.MethodGet, path, nil, &resp); err != nil {
+	if err := c.do(ctx, http.MethodGet, path, nil, &resp); err != nil {
 		return nil, err
 	}
 	return &resp, nil
@@ -260,7 +197,7 @@ func (c *Client) Functions(ctx context.Context, exe string, limit int) (*server.
 // Healthz probes liveness and the loaded snapshot's shape.
 func (c *Client) Healthz(ctx context.Context) (*server.HealthResponse, error) {
 	var resp server.HealthResponse
-	if err := c.do(ctx, false, http.MethodGet, "/v1/healthz", nil, &resp); err != nil {
+	if err := c.do(ctx, http.MethodGet, "/v1/healthz", nil, &resp); err != nil {
 		return nil, err
 	}
 	return &resp, nil
@@ -269,7 +206,7 @@ func (c *Client) Healthz(ctx context.Context) (*server.HealthResponse, error) {
 // Reload asks the server to hot-reload its index from disk.
 func (c *Client) Reload(ctx context.Context) (*server.ReloadResponse, error) {
 	var resp server.ReloadResponse
-	if err := c.do(ctx, false, http.MethodPost, "/v1/reload", nil, &resp); err != nil {
+	if err := c.do(ctx, http.MethodPost, "/v1/reload", nil, &resp); err != nil {
 		return nil, err
 	}
 	return &resp, nil

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"os"
 	"path/filepath"
 	"sync"
@@ -51,8 +52,10 @@ func TestErrorMapping(t *testing.T) {
 
 func TestFunctionsQueryEncoding(t *testing.T) {
 	var gotURL string
+	var gotQuery url.Values
 	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		gotURL = r.URL.String()
+		gotQuery = r.URL.Query()
 		w.Write([]byte(`{"total":0,"functions":null}`))
 	}))
 	defer stub.Close()
@@ -68,6 +71,19 @@ func TestFunctionsQueryEncoding(t *testing.T) {
 	}
 	if gotURL != "/v1/functions?limit=3" {
 		t.Errorf("request URL = %q", gotURL)
+	}
+	// Names the query syntax would otherwise mangle reach the server
+	// unchanged: '+' is not a space, '&' does not start a parameter.
+	for _, exe := range []string{"libstdc++.so", "a&limit=1", "dir/x y.bin", "50%=#"} {
+		if _, err := c.Functions(context.Background(), exe, 2); err != nil {
+			t.Fatal(err)
+		}
+		if got := gotQuery["exe"]; len(got) != 1 || got[0] != exe {
+			t.Errorf("exe %q reached the server as %q", exe, got)
+		}
+		if got := gotQuery["limit"]; len(got) != 1 || got[0] != "2" {
+			t.Errorf("exe %q: limit reached the server as %q", exe, got)
+		}
 	}
 }
 

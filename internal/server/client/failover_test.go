@@ -8,7 +8,6 @@ import (
 	"net/http/httptest"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/server"
 )
@@ -101,8 +100,9 @@ func TestClientNoFailoverOn4xx(t *testing.T) {
 	}
 }
 
-// TestClientFailoverBreakersAreIndependent: the dead coordinator's
-// breaker opening must not lock out its healthy sibling.
+// TestClientFailoverBreakersAreIndependent: once the live coordinator
+// has answered, later calls go straight to it and never dial the dead
+// one again.
 func TestClientFailoverBreakersAreIndependent(t *testing.T) {
 	var goodHits atomic.Int32
 	good := healthzStub(t, &goodHits)
@@ -112,7 +112,6 @@ func TestClientFailoverBreakersAreIndependent(t *testing.T) {
 
 	c := New(deadURL + "," + good.URL)
 	c.Retry = &RetryPolicy{MaxAttempts: 1}
-	c.Breaker = &Breaker{Threshold: 1, Cooldown: time.Hour}
 	for i := 0; i < 3; i++ {
 		if _, err := c.Healthz(context.Background()); err != nil {
 			t.Fatalf("call %d: %v", i, err)
@@ -120,6 +119,10 @@ func TestClientFailoverBreakersAreIndependent(t *testing.T) {
 	}
 	if goodHits.Load() != 3 {
 		t.Fatalf("healthy coordinator answered %d calls, want 3", goodHits.Load())
+	}
+	// One refused dial on the first call, then one round trip per call.
+	if st := c.Stats(); st.Attempts != 4 {
+		t.Errorf("3 calls made %d round trips, want 4: the dead coordinator was dialed again", st.Attempts)
 	}
 }
 

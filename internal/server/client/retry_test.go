@@ -3,6 +3,7 @@ package client
 import (
 	"context"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -12,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/server"
+	"repro/internal/server/rpc"
 )
 
 // fastRetry is a policy tuned for tests: real backoff mechanics, tiny
@@ -142,6 +144,9 @@ func TestNeverRetryAfterContextDone(t *testing.T) {
 	}
 }
 
+// TestRetryBudget: the caller's context deadline is the retry loop's
+// budget — a policy allowing 100 attempts stops when the deadline does,
+// with the last server error rather than the context's.
 func TestRetryBudget(t *testing.T) {
 	srv, calls := flakyServer(99, func(w http.ResponseWriter) {
 		w.WriteHeader(http.StatusInternalServerError)
@@ -149,17 +154,20 @@ func TestRetryBudget(t *testing.T) {
 	defer srv.Close()
 	c := New(srv.URL)
 	c.Retry = &RetryPolicy{MaxAttempts: 100, BaseDelay: 20 * time.Millisecond,
-		MaxDelay: 20 * time.Millisecond, Budget: 50 * time.Millisecond}
+		MaxDelay: 20 * time.Millisecond, Jitter: -1}
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
 	start := time.Now()
-	_, err := c.Healthz(context.Background())
-	if err == nil {
-		t.Fatal("want an error")
+	_, err := c.Healthz(ctx)
+	var ae *APIError
+	if !errors.As(err, &ae) || ae.Status != http.StatusInternalServerError {
+		t.Fatalf("err = %v, want the last APIError 500", err)
 	}
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Fatalf("budget did not bound the retry loop: %v", elapsed)
+		t.Fatalf("the deadline did not bound the retry loop: %v", elapsed)
 	}
 	if n := calls.Load(); n > 5 {
-		t.Errorf("budget allowed %d attempts", n)
+		t.Errorf("a 50ms deadline allowed %d attempts 20ms apart", n)
 	}
 }
 
@@ -230,6 +238,9 @@ func TestCancellationMidRequestNoGoroutineLeak(t *testing.T) {
 	}
 }
 
+// TestCircuitBreakerOpensAndRecovers: an rpc.Conn carrying a Breaker,
+// as the coordinator arms one per replica, fails fast once the breaker
+// opens and closes again on a successful half-open probe.
 func TestCircuitBreakerOpensAndRecovers(t *testing.T) {
 	var healthy atomic.Bool
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -241,35 +252,37 @@ func TestCircuitBreakerOpensAndRecovers(t *testing.T) {
 		w.Write([]byte(`{"status":"ok"}`))
 	}))
 	defer srv.Close()
-	c := New(srv.URL)
-	c.Retry = nil // isolate breaker behavior from retries
-	c.Breaker = &Breaker{Threshold: 3, Cooldown: 30 * time.Millisecond}
+	// No Retry: isolate breaker behavior from retries.
+	conn := &rpc.Conn{BaseURL: srv.URL, Breaker: &rpc.Breaker{Threshold: 3, Cooldown: 30 * time.Millisecond}}
+	healthz := func() error {
+		var h server.HealthResponse
+		return conn.Do(context.Background(), http.MethodGet, "/v1/healthz", nil, &h)
+	}
 
 	for i := 0; i < 3; i++ {
-		if _, err := c.Healthz(context.Background()); err == nil {
+		if err := healthz(); err == nil {
 			t.Fatal("unhealthy server answered")
 		}
 	}
-	if c.Breaker.State() != "open" {
-		t.Fatalf("breaker state = %s after %d failures, want open", c.Breaker.State(), 3)
+	if conn.Breaker.State() != "open" {
+		t.Fatalf("breaker state = %s after %d failures, want open", conn.Breaker.State(), 3)
 	}
-	_, err := c.Healthz(context.Background())
-	if !errors.Is(err, ErrCircuitOpen) {
+	if err := healthz(); !errors.Is(err, rpc.ErrCircuitOpen) {
 		t.Fatalf("open breaker error = %v, want ErrCircuitOpen", err)
 	}
 
 	healthy.Store(true)
 	time.Sleep(40 * time.Millisecond) // past cooldown: half-open probe allowed
-	if _, err := c.Healthz(context.Background()); err != nil {
+	if err := healthz(); err != nil {
 		t.Fatalf("half-open probe failed: %v", err)
 	}
-	if c.Breaker.State() != "closed" {
-		t.Errorf("breaker state = %s after successful probe, want closed", c.Breaker.State())
+	if conn.Breaker.State() != "closed" {
+		t.Errorf("breaker state = %s after successful probe, want closed", conn.Breaker.State())
 	}
 }
 
 func TestBreakerIgnoresSaturationAndCancellation(t *testing.T) {
-	b := &Breaker{Threshold: 2}
+	b := &rpc.Breaker{Threshold: 2}
 	b.Record(&APIError{Status: http.StatusTooManyRequests, Msg: "saturated"})
 	b.Record(&APIError{Status: http.StatusTooManyRequests, Msg: "saturated"})
 	b.Record(context.Canceled)
@@ -286,52 +299,92 @@ func TestBreakerIgnoresSaturationAndCancellation(t *testing.T) {
 	}
 }
 
+// batchLeg is one FailoverRace leg posting a batch through conn, as a
+// coordinator's scatter leg posts a search to one replica.
+func batchLeg(conn *rpc.Conn) func(context.Context) (*server.BatchResponse, error) {
+	return func(ctx context.Context) (*server.BatchResponse, error) {
+		var resp server.BatchResponse
+		req := server.BatchRequest{Queries: []server.SearchRequest{{Exe: "a", Name: "b"}}}
+		if err := conn.Do(ctx, http.MethodPost, "/v1/search/batch", req, &resp); err != nil {
+			return nil, err
+		}
+		return &resp, nil
+	}
+}
+
+// TestHedgedBatchRacesSlowPrimary: FailoverRace over two rpc.Conns — a
+// slow primary loses to the leg its hedge timer launches, and the
+// sibling sees that leg marked with X-Tracy-Hedge: 1 (the primary is
+// not).
 func TestHedgedBatchRacesSlowPrimary(t *testing.T) {
-	var calls atomic.Int64
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if calls.Add(1) == 1 {
-			// Slow primary: the hedge should win long before this finishes.
-			select {
-			case <-time.After(10 * time.Second):
-			case <-r.Context().Done():
-				return
-			}
+	var primaryHedge atomic.Value
+	primary := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		primaryHedge.Store(r.Header.Get(rpc.HedgeHeader))
+		// Read the body first: the server notices the cancelled leg's
+		// closed connection only once it has.
+		io.Copy(io.Discard, r.Body)
+		// Slow primary: the hedge should win long before this finishes.
+		select {
+		case <-time.After(10 * time.Second):
+		case <-r.Context().Done():
+			return
 		}
 		w.Write([]byte(`{"results":[]}`))
 	}))
-	defer srv.Close()
-	c := New(srv.URL)
-	c.Retry = nil
-	c.HedgeDelay = 20 * time.Millisecond
+	defer primary.Close()
+	var siblingHedge atomic.Value
+	sibling := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		siblingHedge.Store(r.Header.Get(rpc.HedgeHeader))
+		w.Write([]byte(`{"results":[]}`))
+	}))
+	defer sibling.Close()
+	var stats rpc.Counters
+	hedges := 0
 
 	start := time.Now()
-	if _, err := c.SearchBatch(context.Background(), []server.SearchRequest{{Exe: "a", Name: "b"}}); err != nil {
-		t.Fatalf("hedged batch failed: %v", err)
+	_, out := rpc.FailoverRace(context.Background(), 20*time.Millisecond, func() { hedges++ },
+		batchLeg(&rpc.Conn{BaseURL: primary.URL, Stats: &stats}),
+		batchLeg(&rpc.Conn{BaseURL: sibling.URL, Stats: &stats}))
+	if out.Winner != 1 || !out.HedgeWon {
+		t.Fatalf("hedged race: outcome %+v, want the hedge leg (1) to win", out)
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("hedge did not rescue the slow primary: %v", elapsed)
 	}
-	if st := c.Stats(); st.Hedges != 1 {
-		t.Errorf("hedges = %d, want 1", st.Hedges)
+	if hedges != 1 {
+		t.Errorf("hedges = %d, want 1", hedges)
 	}
-	if calls.Load() < 2 {
-		t.Errorf("server saw %d calls, want 2 (primary + hedge)", calls.Load())
+	if got := siblingHedge.Load(); got != "1" {
+		t.Errorf("sibling saw %s %q, want \"1\"", rpc.HedgeHeader, got)
+	}
+	if got := primaryHedge.Load(); got != "" {
+		t.Errorf("primary saw %s %q, want none", rpc.HedgeHeader, got)
+	}
+	for _, ar := range stats.Snapshot().Recent {
+		if ar.Status == http.StatusOK && !ar.Hedge {
+			t.Errorf("winning attempt %+v not recorded as a hedge", ar)
+		}
 	}
 }
 
+// TestHedgeBothFail: when both legs of a hedged FailoverRace fail, the
+// race has no winner and reports each leg's APIError.
 func TestHedgeBothFail(t *testing.T) {
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusInternalServerError)
 		w.Write([]byte(`{"error":"down"}`))
 	}))
 	defer srv.Close()
-	c := New(srv.URL)
-	c.Retry = nil
-	c.HedgeDelay = time.Millisecond
-	_, err := c.SearchBatch(context.Background(), []server.SearchRequest{{Exe: "a", Name: "b"}})
-	var ae *APIError
-	if !errors.As(err, &ae) || ae.Status != http.StatusInternalServerError {
-		t.Fatalf("err = %v, want APIError 500", err)
+	_, out := rpc.FailoverRace(context.Background(), time.Millisecond, nil,
+		batchLeg(&rpc.Conn{BaseURL: srv.URL}), batchLeg(&rpc.Conn{BaseURL: srv.URL}))
+	if out.Winner != -1 {
+		t.Fatalf("both legs failed but leg %d won", out.Winner)
+	}
+	for i, err := range out.Errs {
+		var ae *APIError
+		if !errors.As(err, &ae) || ae.Status != http.StatusInternalServerError {
+			t.Errorf("leg %d: err = %v, want APIError 500", i, err)
+		}
 	}
 }
 

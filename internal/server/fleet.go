@@ -51,8 +51,8 @@ import (
 // among live replicas (ties to the newest), and stragglers are flagged
 // skewed in fleet healthz and deprioritized by replica selection.
 // Partial answers are never cached. Intra-fleet RPC rides the same
-// retry/breaker transport (internal/server/rpc) the public client uses,
-// one breaker per replica.
+// retry transport (internal/server/rpc) the Go client uses, plus one
+// breaker per replica.
 
 // defaultShardTimeout bounds one shard RPC when Config.ShardTimeout is
 // zero: long enough for an exhaustive scan of a fair shard slice, short
@@ -552,9 +552,10 @@ func (f *fleetBackend) view() *HealthResponse {
 	return agg
 }
 
-// publishInfo exports the per-group and per-replica info gauges (value
-// constant 1, identity in the labels): /metrics cardinality stays
-// bounded by fleet size while the hot fleet counters stay label-free.
+// publishInfo exports the fleet_shard_info and fleet_replica_info
+// families, one series per group and per replica (value constant 1,
+// identity in the labels): /metrics cardinality stays bounded by fleet
+// size while the hot fleet counters stay label-free.
 func (f *fleetBackend) publishInfo() {
 	for _, g := range f.groups {
 		states := make([]replicaState, len(g.replicas))
@@ -573,7 +574,7 @@ func (f *fleetBackend) publishInfo() {
 					status = "skewed"
 				}
 			}
-			f.s.tel.SetInfo(fmt.Sprintf("fleet_replica_%d_%d_info", g.id, r.idx), map[string]string{
+			f.s.tel.SetInfo("fleet_replica_info", fmt.Sprintf("%d/%d", g.id, r.idx), map[string]string{
 				"shard":      strconv.Itoa(g.id),
 				"replica":    strconv.Itoa(r.idx),
 				"addr":       r.addr,
@@ -590,7 +591,7 @@ func (f *fleetBackend) publishInfo() {
 		case live > 0:
 			gstatus = "degraded"
 		}
-		f.s.tel.SetInfo(fmt.Sprintf("fleet_shard_%d_info", g.id), map[string]string{
+		f.s.tel.SetInfo("fleet_shard_info", strconv.Itoa(g.id), map[string]string{
 			"shard":      strconv.Itoa(g.id),
 			"status":     gstatus,
 			"generation": strconv.FormatUint(gen, 10),

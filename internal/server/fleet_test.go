@@ -3,7 +3,9 @@ package server
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -252,6 +254,22 @@ func TestFleetHealthzAggregates(t *testing.T) {
 			t.Errorf("shard health %d malformed: %+v", i, sh)
 		}
 	}
+	// Each shard is one series of the fleet_shard_info family.
+	rec := httptest.NewRecorder()
+	coord.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	if err := telemetry.ValidateExposition(rec.Body.Bytes()); err != nil {
+		t.Fatalf("/metrics: %v", err)
+	}
+	metrics := rec.Body.String()
+	for i := 0; i < 3; i++ {
+		series := fmt.Sprintf(`tracy_fleet_shard_info{generation="1",live="1",replicas="1",shard="%d",status="ok"} 1`, i)
+		if !strings.Contains(metrics, series) {
+			t.Errorf("/metrics lacks %s", series)
+		}
+	}
+	if n := strings.Count(metrics, "# TYPE tracy_fleet_replica_info gauge"); n != 1 {
+		t.Errorf("%d TYPE lines for tracy_fleet_replica_info, want 1", n)
+	}
 
 	// Kill one worker: status degrades, the dead shard is named, the
 	// live sum shrinks.
@@ -269,6 +287,34 @@ func TestFleetHealthzAggregates(t *testing.T) {
 	}
 	if h.Functions >= db.Len() {
 		t.Errorf("degraded fleet functions = %d, want < %d", h.Functions, db.Len())
+	}
+}
+
+// TestFleetScatterLegsJoinCoordinatorTrace: the trace a coordinator
+// mints at the edge is the one its scatter legs carry, so each worker's
+// /debug/requests holds the by-reference search's leg under the
+// coordinator's trace_id.
+func TestFleetScatterLegsJoinCoordinatorTrace(t *testing.T) {
+	db, _ := smallDB(t)
+	coord, workers := startFleet(t, db, 2, Config{CacheEntries: -1, ProbeInterval: time.Hour})
+	e := entryWithTruth(t, db, corpus.LibFuncName)
+	rec, got := postSearch(t, coord.Handler(), SearchRequest{Exe: e.Exe, Name: e.Name, Limit: 10})
+	if got == nil || got.Degraded {
+		t.Fatalf("fleet search: %d %s", rec.Code, rec.Body.String())
+	}
+	if !telemetry.IsTraceID(got.TraceID) {
+		t.Fatalf("coordinator trace_id %q invalid", got.TraceID)
+	}
+	for i, w := range workers {
+		legs := 0
+		for _, r := range getFlight(t, w.Handler()).Slowest {
+			if r.TraceID == got.TraceID && r.Path == "/v1/search" && r.Status == http.StatusOK {
+				legs++
+			}
+		}
+		if legs != 1 {
+			t.Errorf("worker %d recorded %d searches under the coordinator's trace %s, want 1", i, legs, got.TraceID)
+		}
 	}
 }
 

@@ -26,7 +26,7 @@ import (
 const (
 	TraceIDHeader = "X-Trace-Id"      // response: the request's trace ID
 	AttemptHeader = rpc.AttemptHeader // request: 0-based client retry attempt
-	HedgeHeader   = rpc.HedgeHeader   // request: "1" on a hedge duplicate
+	HedgeHeader   = rpc.HedgeHeader   // request: "1" on a coordinator's hedge leg
 )
 
 // statusRecorder captures the status code a handler chain writes; a

@@ -1,12 +1,12 @@
 // Package rpc is the resilient JSON-over-HTTP transport shared by every
-// caller of a tracy server: the public Go client (internal/server/client)
-// and the coordinator's intra-fleet shard RPC (internal/server). It owns
-// the un-typed half of the client stack — structured errors,
+// caller of a tracy server: the Go client (internal/server/client) and
+// the coordinator's intra-fleet shard RPC (internal/server). It owns the
+// un-typed half of the client stack — structured errors,
 // exponential-backoff retries honoring Retry-After, a consecutive-failure
-// circuit breaker, opt-in hedging, and the per-attempt trace/record
-// plumbing — with no dependency on the server's wire schema, so the
-// server package itself can dial peers through it without an import
-// cycle.
+// circuit breaker, the failover/hedge race over a replica group, and the
+// per-attempt trace/record plumbing — with no dependency on the server's
+// wire schema, so the server package itself can dial peers through it
+// without an import cycle.
 package rpc
 
 import (
@@ -19,7 +19,6 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/telemetry"
@@ -56,7 +55,7 @@ const MaxReplyBody = 64 << 20
 // server's observe middleware (internal/server re-exports them).
 const (
 	AttemptHeader = "X-Tracy-Attempt" // 0-based attempt number within one logical request
-	HedgeHeader   = "X-Tracy-Hedge"   // "1" on the hedge duplicate
+	HedgeHeader   = "X-Tracy-Hedge"   // "1" on a leg FailoverRace's hedge timer launched
 )
 
 // APIError is a non-2xx reply decoded from the server's error body.
@@ -107,9 +106,9 @@ func parseRetryAfter(v string) time.Duration {
 
 // Conn dials one tracy server. The zero value of every policy field is
 // safe: nil Retry means no retries, nil Breaker means no circuit
-// breaking, zero HedgeDelay means no hedging, nil Stats means no attempt
-// accounting. Fields are read per call, so a Conn may be rebuilt around
-// a shared *Counters without losing history.
+// breaking, nil Stats means no attempt accounting. Fields are read per
+// call, so a Conn may be rebuilt around a shared *Counters without
+// losing history.
 type Conn struct {
 	// BaseURL is the server root, e.g. "http://localhost:8077".
 	BaseURL string
@@ -125,12 +124,7 @@ type Conn struct {
 	// after a run of consecutive failures, probing again after a cooldown.
 	Breaker *Breaker
 
-	// HedgeDelay, when positive, arms hedging for DoHedged calls: if the
-	// first attempt has not answered within this delay, a second identical
-	// request races it and the first success wins.
-	HedgeDelay time.Duration
-
-	// Stats, when non-nil, accumulates attempt/retry/hedge counts and the
+	// Stats, when non-nil, accumulates attempt and retry counts and the
 	// recent attempt-record ring across calls.
 	Stats *Counters
 }
@@ -147,26 +141,16 @@ type (
 	jsonUnmarshaler interface{ UnmarshalJSON([]byte) error }
 )
 
-// Do sends one JSON request (with the retry policy) and decodes the
-// reply into out.
+// Do sends one JSON request under the retry policy and decodes the
+// reply into out. Marshalling happens once. Every HTTP round trip of the
+// call — first try and backoff retries — carries one trace ID in its
+// traceparent header, with a fresh span ID per attempt, plus its attempt
+// number and, on a FailoverRace hedge leg, the hedge flag; so the
+// server's access log and flight recorder tell the attempts apart while
+// still joining them. The trace ID is the one of the request span in ctx
+// (a coordinator's scatter leg, lookup or reload joins the request that
+// caused it) and a fresh one when ctx carries none.
 func (c *Conn) Do(ctx context.Context, method, path string, in, out any) error {
-	return c.exec(ctx, method, path, in, out, false)
-}
-
-// DoHedged is Do with hedging armed: when HedgeDelay is positive, a slow
-// first attempt is raced by a duplicate request.
-func (c *Conn) DoHedged(ctx context.Context, method, path string, in, out any) error {
-	return c.exec(ctx, method, path, in, out, true)
-}
-
-// exec is the shared request pipeline: marshal once, mint the logical
-// request's trace ID, then run attempts through the optional hedging
-// and retry layers. Every HTTP round trip — first try, backoff retry,
-// hedge duplicate — carries the same trace ID in its traceparent header
-// (with a fresh span ID per attempt) plus its attempt number and hedge
-// flag, so the server's access log and flight recorder can tell the
-// attempts of one logical request apart while still joining them.
-func (c *Conn) exec(ctx context.Context, method, path string, in, out any, hedge bool) error {
 	var payload []byte
 	if in != nil {
 		var err error
@@ -179,21 +163,13 @@ func (c *Conn) exec(ctx context.Context, method, path string, in, out any, hedge
 			return err
 		}
 	}
-	traceID := telemetry.NewTraceID()
-	var seq atomic.Int64
-	attempt := func(ctx context.Context, hedged bool) ([]byte, error) {
-		n := int(seq.Add(1)) - 1 // 0-based attempt number within this request
-		return c.attempt(ctx, method, path, payload, in != nil, attemptMeta{
-			trace:   traceID,
-			attempt: n,
-			hedge:   hedged,
-		})
+	traceID := telemetry.SpanFromContext(ctx).TraceID()
+	if traceID == "" {
+		traceID = telemetry.NewTraceID()
 	}
-	run := func(ctx context.Context) ([]byte, error) { return attempt(ctx, false) }
-	if hedge {
-		run = c.hedged(attempt)
-	}
-	data, err := c.withRetry(ctx, run)
+	data, err := c.withRetry(ctx, func(ctx context.Context, n int) ([]byte, error) {
+		return c.attempt(ctx, method, path, payload, in != nil, traceID, n)
+	})
 	if err != nil {
 		return err
 	}
@@ -206,22 +182,16 @@ func (c *Conn) exec(ctx context.Context, method, path string, in, out any, hedge
 	return json.Unmarshal(data, out)
 }
 
-// attemptMeta is one round trip's trace identity.
-type attemptMeta struct {
-	trace   string
-	attempt int
-	hedge   bool
-}
-
-// attempt performs exactly one HTTP round trip and classifies the
-// outcome: raw 200 body, *APIError (with parsed Retry-After), or
-// *TransportError. Context errors come back unwrapped so the retry
-// layer can tell "the caller gave up" from "the network failed".
-// Every outcome lands in the attempt-record ring (Stats).
-func (c *Conn) attempt(ctx context.Context, method, path string, payload []byte, hasBody bool, meta attemptMeta) ([]byte, error) {
+// attempt performs exactly one HTTP round trip, number n of the call
+// traced as trace, and classifies the outcome: raw 200 body, *APIError
+// (with parsed Retry-After), or *TransportError. Context errors come
+// back unwrapped so the retry layer can tell "the caller gave up" from
+// "the network failed". Every outcome lands in the attempt-record ring
+// (Stats).
+func (c *Conn) attempt(ctx context.Context, method, path string, payload []byte, hasBody bool, trace string, n int) ([]byte, error) {
 	c.Stats.addAttempt()
 	t0 := time.Now()
-	rec := AttemptRecord{TraceID: meta.trace, Path: path, Attempt: meta.attempt, Hedge: meta.hedge}
+	rec := AttemptRecord{TraceID: trace, Path: path, Attempt: n, Hedge: isHedgeLeg(ctx)}
 	var body io.Reader
 	if hasBody {
 		body = bytes.NewReader(payload)
@@ -233,9 +203,9 @@ func (c *Conn) attempt(ctx context.Context, method, path string, payload []byte,
 	if hasBody {
 		req.Header.Set("Content-Type", "application/json")
 	}
-	req.Header.Set(telemetry.TraceparentHeader, telemetry.FormatTraceparent(meta.trace, telemetry.NewSpanID()))
-	req.Header.Set(AttemptHeader, strconv.Itoa(meta.attempt))
-	if meta.hedge {
+	req.Header.Set(telemetry.TraceparentHeader, telemetry.FormatTraceparent(trace, telemetry.NewSpanID()))
+	req.Header.Set(AttemptHeader, strconv.Itoa(n))
+	if rec.Hedge {
 		req.Header.Set(HedgeHeader, "1")
 	}
 	hc := c.HTTPClient

@@ -6,19 +6,28 @@ import (
 )
 
 // FailoverRace drives an ordered list of interchangeable legs — the
-// replicas of one shard, the coordinators of one service — to a single
+// coordinator's scatter legs to the replicas of one shard — to a single
 // answer. Leg 0 launches immediately; every further leg is held in
 // reserve and launched either when the newest in-flight leg fails
 // (failover) or, when hedge is positive, when the race has gone
 // unanswered for hedge (a hedged second leg racing a slow-but-alive
 // primary). The first success wins and cancels the rest; at most one
 // leg is ever launched by the timer, so a healthy fleet pays for at
-// most one duplicate request per race.
-//
-// This is the group-level sibling of Conn.hedged, which races two
-// attempts of the SAME connection: here every launch goes to the next
+// most one duplicate request per race. Every launch goes to the next
 // distinct leg, so a dead replica costs the failover latency and a slow
 // one costs the hedge delay — never the caller's whole deadline.
+//
+// It is the transport's one hedge. The leg the timer launches runs under
+// a context marked as a hedge, and every Conn round trip made under it
+// says so: X-Tracy-Hedge on the wire, AttemptRecord.Hedge in Stats.
+
+// hedgeLegKey marks the context of the leg FailoverRace's timer launched.
+type hedgeLegKey struct{}
+
+// isHedgeLeg reports whether ctx belongs to a hedge leg.
+func isHedgeLeg(ctx context.Context) bool {
+	return ctx.Value(hedgeLegKey{}) != nil
+}
 
 // RaceOutcome reports how a FailoverRace ended.
 type RaceOutcome struct {
@@ -61,8 +70,12 @@ func FailoverRace[T any](ctx context.Context, hedge time.Duration, onHedge func(
 		i := launched
 		launched++
 		byHedge[i] = hedged
+		lctx := rctx
+		if hedged {
+			lctx = context.WithValue(rctx, hedgeLegKey{}, true)
+		}
 		go func() {
-			v, err := legs[i](rctx)
+			v, err := legs[i](lctx)
 			ch <- result{i, v, err}
 		}()
 	}

@@ -38,7 +38,9 @@ func TestFailoverRaceFailsOver(t *testing.T) {
 
 func TestFailoverRaceHedgeWins(t *testing.T) {
 	hedges := 0
+	var primaryMarked, hedgeMarked atomic.Bool
 	slow := func(ctx context.Context) (string, error) {
+		primaryMarked.Store(isHedgeLeg(ctx))
 		select {
 		case <-time.After(5 * time.Second):
 			return "slow", nil
@@ -49,10 +51,14 @@ func TestFailoverRaceHedgeWins(t *testing.T) {
 	t0 := time.Now()
 	v, out := FailoverRace(context.Background(), 10*time.Millisecond, func() { hedges++ },
 		slow,
-		func(context.Context) (string, error) { return "hedged", nil },
+		func(ctx context.Context) (string, error) { hedgeMarked.Store(isHedgeLeg(ctx)); return "hedged", nil },
 	)
 	if v != "hedged" || out.Winner != 1 || !out.HedgeWon {
 		t.Fatalf("hedged win: v=%q outcome=%+v", v, out)
+	}
+	if primaryMarked.Load() || !hedgeMarked.Load() {
+		t.Errorf("hedge marks: primary %v, timer-launched leg %v; want false, true",
+			primaryMarked.Load(), hedgeMarked.Load())
 	}
 	if out.Failovers != 0 {
 		t.Errorf("hedge win counted %d failovers, want 0 (the slow leg never failed)", out.Failovers)

@@ -26,18 +26,14 @@ type RetryPolicy struct {
 	// (default 0.5: delay is 50–100% of nominal). Negative disables
 	// jitter entirely.
 	Jitter float64
-	// Budget, when positive, bounds the total time spent across all
-	// attempts and backoffs; once exceeded, the last error is returned
-	// rather than sleeping again.
-	Budget time.Duration
 
 	// randFloat is the jitter source (test seam; default math/rand).
 	randFloat func() float64
 }
 
-// DefaultRetryPolicy returns the policy client.New arms: 4 attempts,
-// 50ms base delay doubling to a 2s cap, half-width jitter, no overall
-// budget (the caller's context is the budget).
+// DefaultRetryPolicy returns the policy client.New and the coordinator
+// arm: 4 attempts, 50ms base delay doubling to a 2s cap, half-width
+// jitter. The caller's context deadline is the overall budget.
 func DefaultRetryPolicy() *RetryPolicy {
 	return &RetryPolicy{}
 }
@@ -112,25 +108,17 @@ func retryAfterOf(err error) time.Duration {
 }
 
 // withRetry drives attempts of f under the policy: breaker check,
-// attempt, classify, back off (honoring Retry-After), repeat. A done
-// context is never retried past — the in-flight attempt's error (or the
-// context's) returns immediately.
-func (c *Conn) withRetry(ctx context.Context, f func(context.Context) ([]byte, error)) ([]byte, error) {
-	p := c.Retry
-	if p == nil {
-		if err := c.Breaker.Allow(); err != nil {
-			return nil, err
-		}
-		data, err := f(ctx)
-		c.Breaker.Record(err)
-		return data, err
-	}
-	var deadline time.Time
-	if p.Budget > 0 {
-		deadline = time.Now().Add(p.Budget)
+// attempt number try, classify, back off (honoring Retry-After), repeat.
+// A done context is never retried past — the in-flight attempt's error
+// (or the context's) returns immediately — so the caller's deadline
+// bounds the whole loop.
+func (c *Conn) withRetry(ctx context.Context, f func(ctx context.Context, try int) ([]byte, error)) ([]byte, error) {
+	attempts := 1
+	if c.Retry != nil {
+		attempts = c.Retry.maxAttempts()
 	}
 	var lastErr error
-	for try := 0; try < p.maxAttempts(); try++ {
+	for try := 0; try < attempts; try++ {
 		if err := ctx.Err(); err != nil {
 			if lastErr != nil {
 				return nil, lastErr
@@ -140,24 +128,17 @@ func (c *Conn) withRetry(ctx context.Context, f func(context.Context) ([]byte, e
 		if err := c.Breaker.Allow(); err != nil {
 			return nil, err
 		}
-		data, err := f(ctx)
+		data, err := f(ctx, try)
 		c.Breaker.Record(err)
 		if err == nil {
 			return data, nil
 		}
 		lastErr = err
-		if !retryable(err) || ctx.Err() != nil {
+		if !retryable(err) || ctx.Err() != nil || try == attempts-1 {
 			return nil, err
 		}
-		if try == p.maxAttempts()-1 {
-			break
-		}
-		d := p.delay(try, retryAfterOf(err))
-		if !deadline.IsZero() && time.Now().Add(d).After(deadline) {
-			break // budget spent: sleeping again cannot pay off
-		}
 		c.Stats.addRetry()
-		t := time.NewTimer(d)
+		t := time.NewTimer(c.Retry.delay(try, retryAfterOf(err)))
 		select {
 		case <-t.C:
 		case <-ctx.Done():
@@ -166,65 +147,6 @@ func (c *Conn) withRetry(ctx context.Context, f func(context.Context) ([]byte, e
 		}
 	}
 	return nil, lastErr
-}
-
-// hedged wraps f so that a slow first attempt is raced by a duplicate
-// after HedgeDelay; the first success wins and cancels the other. If
-// both fail, the first failure is reported. Hedging a failed-fast
-// primary is pointless, so an error before the hedge timer just returns.
-// f's bool argument marks the hedge duplicate, so its round trip is
-// labeled as such on the wire and in the attempt records.
-func (c *Conn) hedged(f func(context.Context, bool) ([]byte, error)) func(context.Context) ([]byte, error) {
-	if c.HedgeDelay <= 0 {
-		return func(ctx context.Context) ([]byte, error) { return f(ctx, false) }
-	}
-	return func(ctx context.Context) ([]byte, error) {
-		hctx, cancel := context.WithCancel(ctx)
-		defer cancel()
-		type outcome struct {
-			data []byte
-			err  error
-		}
-		ch := make(chan outcome, 2) // buffered: the losing goroutine never blocks
-		launch := func(isHedge bool) {
-			go func() {
-				data, err := f(hctx, isHedge)
-				ch <- outcome{data, err}
-			}()
-		}
-		launch(false)
-		inFlight, hedgedNow := 1, false
-		timer := time.NewTimer(c.HedgeDelay)
-		defer timer.Stop()
-		var firstErr error
-		for {
-			select {
-			case o := <-ch:
-				inFlight--
-				if o.err == nil {
-					return o.data, nil
-				}
-				if firstErr == nil {
-					firstErr = o.err
-				}
-				if inFlight == 0 {
-					return nil, firstErr
-				}
-			case <-timer.C:
-				if !hedgedNow {
-					hedgedNow = true
-					c.Stats.addHedge()
-					launch(true)
-					inFlight++
-				}
-			case <-ctx.Done():
-				if firstErr != nil {
-					return nil, firstErr
-				}
-				return nil, ctx.Err()
-			}
-		}
-	}
 }
 
 // ErrCircuitOpen is returned (wrapped) while the breaker is open.
@@ -345,14 +267,13 @@ const maxAttemptRecords = 64
 
 // AttemptRecord describes one HTTP round trip: which logical request
 // it belonged to (TraceID), which try it was (Attempt, Hedge) and how
-// it ended. Retries and hedge duplicates each get their own record
-// under the same trace ID — the client-side half of the end-to-end
-// trace join.
+// it ended. Retries each get their own record under the same trace ID —
+// the client-side half of the end-to-end trace join.
 type AttemptRecord struct {
 	TraceID string  // trace ID shared by all attempts of one request
 	Path    string  // request path, e.g. "/v1/search"
 	Attempt int     // 0-based attempt number within the request
-	Hedge   bool    // this round trip was the hedge duplicate
+	Hedge   bool    // this round trip belongs to a FailoverRace hedge leg
 	Status  int     // HTTP status (0 when the transport failed)
 	Err     string  // "" on success
 	DurMS   float64 // round-trip wall time
@@ -364,7 +285,6 @@ type AttemptRecord struct {
 type Counters struct {
 	attempts atomic.Uint64
 	retries  atomic.Uint64
-	hedges   atomic.Uint64
 
 	mu      sync.Mutex
 	recent  []AttemptRecord // ring of the last maxAttemptRecords attempts
@@ -384,13 +304,6 @@ func (s *Counters) addRetry() {
 		return
 	}
 	s.retries.Add(1)
-}
-
-func (s *Counters) addHedge() {
-	if s == nil {
-		return
-	}
-	s.hedges.Add(1)
 }
 
 // record appends one finished round trip to the attempt ring.
@@ -431,7 +344,6 @@ func (s *Counters) recentCopy() []AttemptRecord {
 type Stats struct {
 	Attempts uint64 // HTTP round trips started
 	Retries  uint64 // backoff retries taken
-	Hedges   uint64 // hedge requests launched
 
 	// Recent holds the last attempts (oldest first, bounded ring): one
 	// record per HTTP round trip with its trace ID and outcome.
@@ -447,7 +359,6 @@ func (s *Counters) Snapshot() Stats {
 	return Stats{
 		Attempts: s.attempts.Load(),
 		Retries:  s.retries.Load(),
-		Hedges:   s.hedges.Load(),
 		Recent:   s.recentCopy(),
 	}
 }

@@ -55,7 +55,6 @@ func TestNilCountersSafe(t *testing.T) {
 	var s *Counters
 	s.addAttempt()
 	s.addRetry()
-	s.addHedge()
 	s.record(AttemptRecord{})
 	if got := s.Snapshot(); got.Attempts != 0 || got.Recent != nil {
 		t.Errorf("nil Counters snapshot = %+v, want zero", got)

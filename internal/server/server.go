@@ -290,7 +290,7 @@ func (s *Server) install(db *index.DB, t0 time.Time) *snapState {
 	}
 	s.snap.Store(st)
 	s.cache.purge()
-	s.tel.SetInfo("index_info", map[string]string{
+	s.tel.SetInfo("index_info", "", map[string]string{
 		"format":     strconv.Itoa(st.info.Version),
 		"mapped":     strconv.FormatBool(st.info.Mapped),
 		"path":       st.info.Path,

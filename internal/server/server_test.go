@@ -763,7 +763,7 @@ func TestServeV3IndexInfo(t *testing.T) {
 	if rl.Format != 4 || rl.Mapped != wantMapped || rl.Generation != 2 {
 		t.Errorf("reload response %+v, want format 4 mapped %v generation 2", rl, wantMapped)
 	}
-	if got := s.Tel().InfoLabels("index_info"); got["generation"] != "2" || got["format"] != "4" {
+	if got := s.Tel().InfoLabels("index_info", ""); got["generation"] != "2" || got["format"] != "4" {
 		t.Errorf("index_info labels after reload = %v", got)
 	}
 

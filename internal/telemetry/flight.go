@@ -28,7 +28,7 @@ type RequestRecord struct {
 	Error   string    `json:"error,omitempty"`
 
 	Attempt int  `json:"attempt,omitempty"` // client retry attempt (0 = first)
-	Hedge   bool `json:"hedge,omitempty"`   // request was a hedge duplicate
+	Hedge   bool `json:"hedge,omitempty"`   // request was a coordinator's hedged scatter leg
 
 	Cached    bool `json:"cached,omitempty"`
 	Degraded  bool `json:"degraded,omitempty"`

@@ -85,12 +85,15 @@ func (c *Collector) WritePrometheus(w io.Writer) error {
 	fmt.Fprintf(bw, "# TYPE %s_uptime_seconds gauge\n", promNamespace)
 	fmt.Fprintf(bw, "%s_uptime_seconds %s\n", promNamespace, formatPromFloat(uptime))
 
-	// Info gauges: identity as labels, value constantly 1.
-	for _, name := range c.infoNames() {
-		full := promNamespace + "_" + name
-		fmt.Fprintf(bw, "# HELP %s Identity of the %s.\n", full, strings.ReplaceAll(strings.TrimSuffix(name, "_info"), "_", " "))
+	// Info gauges: identity as labels, value constantly 1; one header
+	// per family, one sample per series.
+	for _, f := range c.infoFamilies() {
+		full := promNamespace + "_" + f.name
+		fmt.Fprintf(bw, "# HELP %s Identity of the %s.\n", full, strings.ReplaceAll(strings.TrimSuffix(f.name, "_info"), "_", " "))
 		fmt.Fprintf(bw, "# TYPE %s gauge\n", full)
-		fmt.Fprintf(bw, "%s%s 1\n", full, formatPromLabels(c.InfoLabels(name)))
+		for _, labels := range f.series {
+			fmt.Fprintf(bw, "%s%s 1\n", full, formatPromLabels(labels))
+		}
 	}
 
 	// Counters, sorted by exposition name.

@@ -137,7 +137,7 @@ func TestValidateExpositionRejects(t *testing.T) {
 func TestWritePrometheusInfoGauge(t *testing.T) {
 	c := New()
 	c.Inc(Queries) // at least one counter so the exposition has samples
-	c.SetInfo("index_info", map[string]string{
+	c.SetInfo("index_info", "", map[string]string{
 		"format": "3",
 		"mapped": "true",
 		"path":   `dir\"x".db`,
@@ -158,14 +158,48 @@ func TestWritePrometheusInfoGauge(t *testing.T) {
 		t.Errorf("info gauge missing TYPE comment:\n%s", out)
 	}
 	// Replacement is wholesale: a second SetInfo drops old labels.
-	c.SetInfo("index_info", map[string]string{"format": "2"})
-	if got := c.InfoLabels("index_info"); len(got) != 1 || got["format"] != "2" {
+	c.SetInfo("index_info", "", map[string]string{"format": "2"})
+	if got := c.InfoLabels("index_info", ""); len(got) != 1 || got["format"] != "2" {
 		t.Errorf("InfoLabels after replace = %v", got)
 	}
 	// Nil collector: all no-ops.
 	var nc *Collector
-	nc.SetInfo("x", map[string]string{"a": "b"})
-	if nc.InfoLabels("x") != nil {
+	nc.SetInfo("x", "", map[string]string{"a": "b"})
+	if nc.InfoLabels("x", "") != nil {
 		t.Error("nil collector returned info labels")
+	}
+}
+
+// TestWritePrometheusInfoFamily: the series of one info family share a
+// single HELP/TYPE header, each series is one sample, and replacing a
+// series by its key leaves its siblings alone.
+func TestWritePrometheusInfoFamily(t *testing.T) {
+	c := New()
+	c.SetInfo("fleet_shard_info", "0", map[string]string{"shard": "0", "status": "ok"})
+	c.SetInfo("fleet_shard_info", "1", map[string]string{"shard": "1", "status": "ok"})
+	c.SetInfo("fleet_shard_info", "1", map[string]string{"shard": "1", "status": "down"})
+	var buf bytes.Buffer
+	if err := c.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	out := buf.String()
+	if err := ValidateExposition(buf.Bytes()); err != nil {
+		t.Fatalf("exposition with a two-series info family rejected: %v\n%s", err, out)
+	}
+	for _, want := range []string{
+		`tracy_fleet_shard_info{shard="0",status="ok"} 1` + "\n",
+		`tracy_fleet_shard_info{shard="1",status="down"} 1` + "\n",
+	} {
+		if strings.Count(out, want) != 1 {
+			t.Errorf("exposition holds %d copies of %q, want 1:\n%s", strings.Count(out, want), want, out)
+		}
+	}
+	if n := strings.Count(out, "tracy_fleet_shard_info{"); n != 2 {
+		t.Errorf("family has %d samples, want 2:\n%s", n, out)
+	}
+	for _, hdr := range []string{"# HELP tracy_fleet_shard_info ", "# TYPE tracy_fleet_shard_info gauge"} {
+		if n := strings.Count(out, hdr); n != 1 {
+			t.Errorf("%d %q lines, want 1:\n%s", n, hdr, out)
+		}
 	}
 }

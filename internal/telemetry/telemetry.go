@@ -296,7 +296,7 @@ type Collector struct {
 	hists    [numHists]histogram
 
 	infoMu sync.Mutex
-	infos  map[string]map[string]string // info gauges: name -> label set
+	infos  map[infoSeries]map[string]string // info gauges: series -> label set
 }
 
 // New returns an empty collector stamped with the current time.
@@ -304,13 +304,15 @@ func New() *Collector {
 	return &Collector{start: time.Now()}
 }
 
-// SetInfo registers (or wholesale replaces) a labeled info gauge:
-// exposed as tracy_<name>{labels...} 1 on every Prometheus scrape. Info
-// gauges carry identity — index format version, build provenance — not
-// measurements; the interesting data lives in the labels and the value
-// is always 1, the prometheus "_info" convention. No-op on a nil
-// collector.
-func (c *Collector) SetInfo(name string, labels map[string]string) {
+// SetInfo registers (or wholesale replaces) one series of a labeled
+// info gauge family: exposed as tracy_<name>{labels...} 1 on every
+// Prometheus scrape, under one HELP/TYPE header per family. Info gauges
+// carry identity — index format version, build provenance, a fleet
+// shard's status — not measurements; the interesting data lives in the
+// labels and the value is always 1, the prometheus "_info" convention.
+// key names the series within its family (a family of one series uses
+// ""). No-op on a nil collector.
+func (c *Collector) SetInfo(name, key string, labels map[string]string) {
 	if c == nil {
 		return
 	}
@@ -320,21 +322,21 @@ func (c *Collector) SetInfo(name string, labels map[string]string) {
 	}
 	c.infoMu.Lock()
 	if c.infos == nil {
-		c.infos = make(map[string]map[string]string)
+		c.infos = make(map[infoSeries]map[string]string)
 	}
-	c.infos[name] = cp
+	c.infos[infoSeries{name, key}] = cp
 	c.infoMu.Unlock()
 }
 
-// InfoLabels returns a copy of a registered info gauge's label set, or
-// nil when unset (always nil on a nil collector).
-func (c *Collector) InfoLabels(name string) map[string]string {
+// InfoLabels returns a copy of one registered info series' label set,
+// or nil when unset (always nil on a nil collector).
+func (c *Collector) InfoLabels(name, key string) map[string]string {
 	if c == nil {
 		return nil
 	}
 	c.infoMu.Lock()
 	defer c.infoMu.Unlock()
-	src, ok := c.infos[name]
+	src, ok := c.infos[infoSeries{name, key}]
 	if !ok {
 		return nil
 	}
@@ -345,19 +347,43 @@ func (c *Collector) InfoLabels(name string) map[string]string {
 	return cp
 }
 
-// infoNames returns the registered info-gauge names, sorted.
-func (c *Collector) infoNames() []string {
+// infoSeries names one series of an info gauge family.
+type infoSeries struct{ name, key string }
+
+// infoFamily is one info gauge family as a scrape sees it: the label
+// sets of its series, ordered by series key. SetInfo replaces a label
+// set and never mutates one, so they are shared, not copied.
+type infoFamily struct {
+	name   string
+	series []map[string]string
+}
+
+// infoFamilies returns the registered info families sorted by name.
+func (c *Collector) infoFamilies() []infoFamily {
 	if c == nil {
 		return nil
 	}
 	c.infoMu.Lock()
 	defer c.infoMu.Unlock()
-	names := make([]string, 0, len(c.infos))
-	for n := range c.infos {
-		names = append(names, n)
+	ids := make([]infoSeries, 0, len(c.infos))
+	for id := range c.infos {
+		ids = append(ids, id)
 	}
-	sort.Strings(names)
-	return names
+	sort.Slice(ids, func(i, j int) bool {
+		if ids[i].name != ids[j].name {
+			return ids[i].name < ids[j].name
+		}
+		return ids[i].key < ids[j].key
+	})
+	var out []infoFamily
+	for _, id := range ids {
+		if len(out) == 0 || out[len(out)-1].name != id.name {
+			out = append(out, infoFamily{name: id.name})
+		}
+		f := &out[len(out)-1]
+		f.series = append(f.series, c.infos[id])
+	}
+	return out
 }
 
 // Inc adds 1 to the counter. No-op on a nil collector.
