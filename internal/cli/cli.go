@@ -4,7 +4,7 @@
 //	tracy search -db code.db -exe q.bin [-fn sub_X] [-limit N] [-min-score X]
 //	tracy serve  -db code.db -addr :8077       run the HTTP query service
 //	tracy query  -server URL -exe q.bin        search a running service
-//	tracy convert [-lsh] old.db new.idx        upgrade a v3 or gob index to v4
+//	tracy convert [-lsh] old.db new.idx        upgrade a v3 index to v4
 //	tracy idxinfo [-verify] code.db            inspect an index file's layout
 //	tracy mkcorpus -dir corpus                 generate a demo corpus on disk
 //	tracy obscheck -server URL                 validate a server's observability surfaces
@@ -155,7 +155,7 @@ func (c *env) index(args []string) error {
 	}
 	// Extending a file in place rewrites the mapping the loaded entries
 	// decode from; replaceIndex renames over it only once it is released.
-	if err := replaceIndex(db, *dbPath, *lsh, false); err != nil {
+	if err := replaceIndex(db, *dbPath, index.SaveOptions{LSH: lshParams(*lsh)}, false, db); err != nil {
 		return err
 	}
 	writeBuildRate(c.w, db.Tel)
@@ -464,7 +464,7 @@ func (c *env) stats(args []string) error {
 	db.Tel = tf.tel
 	blocks, insts := 0, 0
 	for _, e := range db.Entries {
-		fn, err := e.LoadFunction()
+		fn, err := e.Decode()
 		if err != nil {
 			return err
 		}

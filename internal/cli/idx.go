@@ -4,6 +4,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/idxfile"
@@ -11,10 +12,10 @@ import (
 	"repro/internal/minhash"
 )
 
-// convert upgrades an index to TRACYIDX v4: a v3 file or a gob index
-// (formats v0–v2) written by an older tracy, which only the legacy reader
-// still reads, or a v4 file written again to add, with -lsh, the lsh
-// sections. The output may be the input itself.
+// convert upgrades an index to TRACYIDX v4: a v3 file written by the
+// tracy before, which only the legacy reader still reads, or a v4 file
+// written again to add, with -lsh, the lsh sections. A gob index (formats
+// v0–v2) is refused. The output may be the input itself.
 func (c *env) convert(args []string) error {
 	fs := flag.NewFlagSet("convert", flag.ExitOnError)
 	lsh := fs.Bool("lsh", false, "also persist MinHash signatures and their sorted band table for -prefilter-mode lsh")
@@ -39,7 +40,7 @@ func (c *env) convert(args []string) error {
 		return err
 	}
 	funcs := db.Len()
-	if err := replaceIndex(db, dst, *lsh, *verify); err != nil {
+	if err := replaceIndex(db, dst, index.SaveOptions{LSH: lshParams(*lsh)}, *verify, db); err != nil {
 		return fmt.Errorf("convert: %w", err)
 	}
 	var outBytes int64
@@ -51,8 +52,9 @@ func (c *env) convert(args []string) error {
 	return tf.finish(c.w)
 }
 
-// openForConvert opens an index in any format tracy ever wrote: a v4 file
-// is mapped, a v3 or gob one is read whole by the legacy reader.
+// openForConvert opens an index in a format this tracy converts: a v4 file
+// is mapped, a v3 one is read whole by the legacy reader, which refuses
+// anything else.
 func openForConvert(path string) (*index.DB, error) {
 	db, err := index.OpenFile(path)
 	if !errors.Is(err, index.ErrLegacy) {
@@ -66,30 +68,41 @@ func openForConvert(path string) (*index.DB, error) {
 	return index.LoadLegacy(f)
 }
 
-// replaceIndex saves db as v4 (with the lsh sections when lsh is set) to
-// path. A v4 source may be the very file being replaced, and its entries
-// decode from that mapping, so the output goes to a temporary file beside
-// it, the source is released, the new file passes verifyIndexFile when
-// verify is set, and only then is it renamed over path.
-func replaceIndex(db *index.DB, path string, lsh, verify bool) error {
+// lshParams returns the lsh parameters Save persists with -lsh, or nil
+// without it.
+func lshParams(on bool) *minhash.Params {
+	if !on {
+		return nil
+	}
+	p := minhash.Default
+	return &p
+}
+
+// replaceIndex saves db with o to path: the output goes to a temporary
+// file beside it, src — the mapping db's entries decode from, when that may
+// be path itself, or nil — is released, the new file passes
+// verifyIndexFile when verify is set, and only then is it renamed over
+// path. A write or a verification that fails leaves path as it was.
+func replaceIndex(db *index.DB, path string, o index.SaveOptions, verify bool, src io.Closer) error {
+	release := func() {
+		if src != nil {
+			src.Close()
+		}
+	}
 	tmp := path + ".tmp"
 	out, err := os.Create(tmp)
 	if err != nil {
-		db.Close()
+		release()
 		return err
 	}
-	if lsh {
-		err = db.SaveV3LSH(out, minhash.Default)
-	} else {
-		err = db.SaveV3(out)
-	}
+	err = db.Save(out, o)
 	if err2 := out.Close(); err == nil {
 		err = err2
 	}
-	db.Close()
+	release()
 	if err == nil && verify {
 		if err = verifyIndexFile(tmp); err != nil {
-			err = fmt.Errorf("output failed verification: %w", err)
+			err = fmt.Errorf("%s failed verification: %w", path, err)
 		}
 	}
 	if err == nil {

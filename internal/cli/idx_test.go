@@ -1,6 +1,8 @@
 package cli
 
 import (
+	"bytes"
+	"encoding/gob"
 	"os"
 	"path/filepath"
 	"strings"
@@ -20,16 +22,19 @@ func buildTestIndex(t *testing.T, dir string) string {
 	return dbPath
 }
 
-// legacyIndex copies the v2 gob index fixture, written by the last tracy
-// that wrote gob, into dir and returns its path.
+// legacyIndex writes into dir a gob index as an older tracy wrote it —
+// the TRACYIDX prelude at version 2 in front of a gob stream of entries —
+// and returns its path.
 func legacyIndex(t *testing.T, dir string) string {
 	t.Helper()
-	data, err := os.ReadFile(filepath.Join("..", "index", "testdata", "legacy", "v2.gob"))
-	if err != nil {
+	type entry struct{ Exe, Name string }
+	var buf bytes.Buffer
+	buf.WriteString("TRACYIDX\x02")
+	if err := gob.NewEncoder(&buf).Encode(struct{ Entries []*entry }{[]*entry{{"a.bin", "alpha"}}}); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(dir, "old.db")
-	if err := os.WriteFile(path, data, 0o644); err != nil {
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	return path
@@ -89,9 +94,10 @@ func TestIndexBadFormat(t *testing.T) {
 
 // TestConvertInPlace: tracy convert x x leaves a valid index, for a v4
 // input — whose entries decode from the very mapping being replaced — and
-// for a v3 and a gob one, which every serving verb refuses until they are
-// converted. Each passes idxinfo -verify afterwards and answers tracy
-// stats as the same index converted to another path does.
+// for a v3 one, which every serving verb refuses until it is converted.
+// Each passes idxinfo -verify afterwards and answers tracy stats as the
+// same index converted to another path does. A gob index is refused by
+// the serving verbs and by convert, and left as it was.
 func TestConvertInPlace(t *testing.T) {
 	dir := t.TempDir()
 	cur := buildTestIndex(t, dir)
@@ -114,7 +120,18 @@ func TestConvertInPlace(t *testing.T) {
 			refusesLegacy(t, verb, err)
 		}
 	}
-	for _, src := range []string{cur, old, oldV3} {
+	gobBytes, err := os.ReadFile(old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, dst := range []string{old + ".aside", old} {
+		_, err := run(t, "convert", old, dst)
+		refusesLegacy(t, "convert", err)
+	}
+	if data, _ := os.ReadFile(old); !bytes.Equal(data, gobBytes) {
+		t.Error("a refused convert rewrote the gob index")
+	}
+	for _, src := range []string{cur, oldV3} {
 		aside := src + ".aside"
 		if _, err := run(t, "convert", src, aside); err != nil {
 			t.Fatal(err)

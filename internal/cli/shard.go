@@ -8,7 +8,6 @@ import (
 	"strings"
 
 	"repro/internal/index"
-	"repro/internal/minhash"
 )
 
 // shard splits one index into N disjoint TRACYIDX v4 slices for a
@@ -23,7 +22,7 @@ func (c *env) shard(args []string) error {
 	n := fs.Int("n", 2, "number of shards to split into")
 	outDir := fs.String("out", "", "output directory (default: the input's directory)")
 	lsh := fs.Bool("lsh", false, "persist MinHash signatures and their sorted band table in every shard for -prefilter-mode lsh")
-	verify := fs.Bool("verify", true, "re-open each shard and verify checksums after writing")
+	verify := fs.Bool("verify", true, "re-open each shard and verify checksums after writing, before it replaces anything")
 	tf := telFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -53,14 +52,9 @@ func (c *env) shard(args []string) error {
 	total := 0
 	for i := 0; i < *n; i++ {
 		dst := filepath.Join(dir, fmt.Sprintf("%s.shard%d-of-%d.db", stem, i, *n))
-		if err := writeShard(db, dst, i, *n, *lsh); err != nil {
+		o := index.SaveOptions{Shard: i, Shards: *n, LSH: lshParams(*lsh)}
+		if err := replaceIndex(db, dst, o, *verify, nil); err != nil {
 			return fmt.Errorf("shard: %w", err)
-		}
-		if *verify {
-			if err := verifyIndexFile(dst); err != nil {
-				os.Remove(dst)
-				return fmt.Errorf("shard: %s failed verification: %w", dst, err)
-			}
 		}
 		sdb, err := index.OpenFile(dst)
 		if err != nil {
@@ -77,27 +71,4 @@ func (c *env) shard(args []string) error {
 	}
 	fmt.Fprintf(c.w, "sharded %s (%d functions) into %d disjoint slices\n", src, in.Funcs, *n)
 	return tf.finish(c.w)
-}
-
-// writeShard emits one slice atomically (.tmp + rename), so a crash
-// never leaves a half-written shard under the final name.
-func writeShard(db *index.DB, dst string, shard, n int, lsh bool) error {
-	tmp := dst + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if lsh {
-		err = db.SaveV3ShardLSH(f, shard, n, minhash.Default)
-	} else {
-		err = db.SaveV3Shard(f, shard, n)
-	}
-	if err2 := f.Close(); err == nil {
-		err = err2
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, dst)
 }

@@ -2,6 +2,7 @@ package cli
 
 import (
 	"fmt"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -73,5 +74,38 @@ func TestShardErrors(t *testing.T) {
 	}
 	if _, err := run(t, "shard", "/nonexistent.db"); err == nil {
 		t.Error("shard accepted a missing input")
+	}
+}
+
+// TestReplaceIndexKeepsTarget: every slice tracy shard writes goes through
+// replaceIndex, which leaves the file it would replace as it was, and no
+// temporary file, when the write fails, and which leaves open a source
+// that is not the file it replaces, so every slice of one source is
+// written.
+func TestReplaceIndexKeepsTarget(t *testing.T) {
+	dir := t.TempDir()
+	src, err := index.OpenFile(buildTestIndex(t, dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src.Close()
+	dst := filepath.Join(dir, "test.shard0-of-2.db")
+	if err := os.WriteFile(dst, []byte("a good shard"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := replaceIndex(src, dst, index.SaveOptions{Shard: 2, Shards: 2}, true, nil); err == nil {
+		t.Fatal("replaceIndex wrote shard 2 of 2")
+	}
+	if data, _ := os.ReadFile(dst); string(data) != "a good shard" {
+		t.Errorf("a failed write replaced the shard with %d bytes", len(data))
+	}
+	if _, err := os.Stat(dst + ".tmp"); !os.IsNotExist(err) {
+		t.Error("a failed write left its temporary file behind")
+	}
+	for i := 0; i < 2; i++ {
+		path := filepath.Join(dir, fmt.Sprintf("test.shard%d-of-2.db", i))
+		if err := replaceIndex(src, path, index.SaveOptions{Shard: i, Shards: 2}, true, nil); err != nil {
+			t.Fatalf("slice %d: %v", i, err)
+		}
 	}
 }

@@ -367,17 +367,18 @@ func (c *checker) searchParity(built []variant, images [][]byte) {
 	}
 	c.ran()
 	var lsh1, lsh2 bytes.Buffer
-	if err := db.SaveV3LSH(&lsh1, minhash.Default); err != nil {
-		c.fail("lsh/file", "file", "SaveV3LSH: %v", err)
-	} else if err := db.SaveV3LSH(&lsh2, minhash.Default); err != nil {
-		c.fail("lsh/file", "file", "SaveV3LSH (second run): %v", err)
+	withLSH := index.SaveOptions{LSH: &minhash.Default}
+	if err := db.Save(&lsh1, withLSH); err != nil {
+		c.fail("lsh/file", "file", "Save with lsh: %v", err)
+	} else if err := db.Save(&lsh2, withLSH); err != nil {
+		c.fail("lsh/file", "file", "Save with lsh (second run): %v", err)
 	} else if !bytes.Equal(lsh1.Bytes(), lsh2.Bytes()) {
-		c.fail("lsh/determinism", "file", "two SaveV3LSH runs of the same index differ byte-for-byte")
+		c.fail("lsh/determinism", "file", "two Save runs with lsh of the same index differ byte-for-byte")
 	} else if lshdb, err := index.Load(bytes.NewReader(lsh1.Bytes())); err != nil {
 		c.fail("lsh/file", "file", "loading lsh-signed index: %v", err)
 	} else {
 		if !lshdb.Store().HasLSH() {
-			c.fail("lsh/file", "file", "SaveV3LSH output carries no LSHB section")
+			c.fail("lsh/file", "file", "Save with lsh wrote no LSHB section")
 		}
 		c.ran()
 		if d := diffOfflineHits(lshHits, search("lsh/determinism", "file", lshdb.View(), opts, satur)); d != "" {
@@ -397,8 +398,8 @@ func (c *checker) searchParity(built []variant, images [][]byte) {
 	// lazy snapshot path.
 	c.ran()
 	var idxbuf bytes.Buffer
-	if err := db.SaveV3(&idxbuf); err != nil {
-		c.fail("parity", "file", "SaveV3: %v", err)
+	if err := db.Save(&idxbuf, index.SaveOptions{}); err != nil {
+		c.fail("parity", "file", "Save: %v", err)
 	} else if filedb, err := index.Load(bytes.NewReader(idxbuf.Bytes())); err != nil {
 		c.fail("parity", "file", "loading converted index: %v", err)
 	} else {
@@ -426,8 +427,8 @@ func (c *checker) searchParity(built []variant, images [][]byte) {
 	shardTotal := 0
 	for sh := 0; sh < nShards; sh++ {
 		var buf bytes.Buffer
-		if err := db.SaveV3Shard(&buf, sh, nShards); err != nil {
-			c.fail("parity", "fleet", "SaveV3Shard(%d/%d): %v", sh, nShards, err)
+		if err := db.Save(&buf, index.SaveOptions{Shard: sh, Shards: nShards}); err != nil {
+			c.fail("parity", "fleet", "Save shard %d/%d: %v", sh, nShards, err)
 			return
 		}
 		sdb, err := index.Load(bytes.NewReader(buf.Bytes()))
@@ -476,9 +477,9 @@ func (c *checker) searchParity(built []variant, images [][]byte) {
 // every candidate.
 func (c *checker) topKParity(db *index.DB, queries []*prep.Function, opts core.Options) {
 	var buf bytes.Buffer
-	if err := db.SaveV3LSH(&buf, minhash.Default); err != nil {
+	if err := db.Save(&buf, index.SaveOptions{LSH: &minhash.Default}); err != nil {
 		c.ran()
-		c.fail("topk", "pack", "SaveV3LSH: %v", err)
+		c.fail("topk", "pack", "Save with lsh: %v", err)
 		return
 	}
 	packed, err := index.Load(bytes.NewReader(buf.Bytes()))

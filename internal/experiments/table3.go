@@ -64,7 +64,8 @@ func (env *Env) Table3() []Table3Row {
 		opts := ngram.DefaultOptions()
 		fps := make([]*ngram.Fingerprint, len(env.DB.Entries))
 		for i, e := range env.DB.Entries {
-			fps[i] = ngram.Extract(e.Function(), opts)
+			fn, _ := e.Decode()
+			fps[i] = ngram.Extract(fn, opts)
 		}
 		var samples []metrics.Sample
 		for _, q := range env.Queries {
@@ -89,7 +90,8 @@ func (env *Env) Table3() []Table3Row {
 		opts := graphlet.DefaultOptions()
 		fps := make([]*graphlet.Fingerprint, len(env.DB.Entries))
 		for i, e := range env.DB.Entries {
-			fps[i] = graphlet.Extract(e.Function(), opts)
+			fn, _ := e.Decode()
+			fps[i] = graphlet.Extract(fn, opts)
 		}
 		var samples []metrics.Sample
 		for _, q := range env.Queries {

@@ -37,14 +37,15 @@ func (env *Env) Table1() []Table1Row {
 		var perFunc, instsPer []float64
 		var inSum, outSum float64
 		for _, e := range env.DB.Entries {
-			ts := tracelet.Extract(e.Function().Graph, k)
+			fn, _ := e.Decode()
+			ts := tracelet.Extract(fn.Graph, k)
 			row.Tracelets += len(ts)
 			perFunc = append(perFunc, float64(len(ts)))
 			for _, t := range ts {
 				instsPer = append(instsPer, float64(t.NumInsts()))
 			}
 			if k == 1 {
-				in, out := e.Function().Graph.AvgDegrees()
+				in, out := fn.Graph.AvgDegrees()
 				inSum += in
 				outSum += out
 			}

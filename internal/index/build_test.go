@@ -20,11 +20,11 @@ import (
 
 // BenchmarkBuild4k measures the write path end to end, the shape of the
 // ingest-4k workload: AddImage for each of the 126 images of a
-// 4032-function campaign, then SaveV3LSH. It reports functions/s next to
+// 4032-function campaign, then Save with lsh. It reports functions/s next to
 // B/op and allocs/op, the collector cycles one build ran, and how the
 // build's wall time splits into its two stages: lift-ms/op for the AddImage
 // loop (the featuriser of the last image may still run when it ends) and
-// save-ms/op for SaveV3LSH (which joins it first).
+// save-ms/op for Save (which joins it first).
 func BenchmarkBuild4k(b *testing.B) {
 	var exes []corpus.Executable
 	_, err := corpus.RunCampaign(corpus.CampaignConfig{Seed: 1, Funcs: 4032, FuncsPerExe: 32, Stmts: 10, Workers: 2},
@@ -48,7 +48,7 @@ func BenchmarkBuild4k(b *testing.B) {
 			}
 		}
 		t1 := time.Now()
-		if err := db.SaveV3LSH(io.Discard, minhash.Default); err != nil {
+		if err := db.Save(io.Discard, SaveOptions{LSH: &minhash.Default}); err != nil {
 			b.Fatal(err)
 		}
 		lift, save = lift+t1.Sub(t0), save+time.Since(t1)
@@ -82,10 +82,10 @@ func TestWritePathTelemetry(t *testing.T) {
 		insts += e.Func.NumInsts()
 	}
 	var lsh, plain bytes.Buffer
-	if err := db.SaveV3LSH(&lsh, minhash.Default); err != nil {
+	if err := db.Save(&lsh, SaveOptions{LSH: &minhash.Default}); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.SaveV3(&plain); err != nil {
+	if err := db.Save(&plain, SaveOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	s := tel.Snapshot()
@@ -109,8 +109,8 @@ func TestWritePathTelemetry(t *testing.T) {
 // TestLossyOperandsRefused: the two operand shapes the packed form cannot
 // carry — a memory operand with the offset flag, and one with a direct
 // argument beside its terms — are refused by ValidateFunction (so by both
-// legacy readers and the fleet's query wire) and by the index writer, on
-// Add and on AddAll (through SaveV3), with an *asm.LossyOperandError
+// legacy reader and the fleet's query wire) and by the index writer, on
+// Add and on AddAll (through Save), with an *asm.LossyOperandError
 // instead of a record that would lose them.
 func TestLossyOperandsRefused(t *testing.T) {
 	ebx := []asm.MemTerm{{Arg: asm.RegArg(asm.EBX)}, {Op: asm.OpAdd, Arg: asm.ImmArg(8)}}
@@ -133,8 +133,8 @@ func TestLossyOperandsRefused(t *testing.T) {
 		}
 		db := New()
 		db.Entries = []*Entry{{Exe: "x", Name: "f", Func: fn}}
-		if err := db.SaveV3(io.Discard); !errors.As(err, &lossy) {
-			t.Errorf("%s: SaveV3 returned %v", name, err)
+		if err := db.Save(io.Discard, SaveOptions{}); !errors.As(err, &lossy) {
+			t.Errorf("%s: Save returned %v", name, err)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"encoding/gob"
 	"errors"
 	"fmt"
 	"os"
@@ -37,28 +38,17 @@ func hitKeys(hits []Hit) []hitKey {
 	return out
 }
 
-// legacyCorpus is the corpus the gob fixtures under testdata/legacy hold:
-// v0.gob (headerless), v1.gob (entries only) and v2.gob (entries and
-// features), each written by the last release that wrote gob.
-var legacyCorpus = corpus.BuildConfig{
+// parityCorpus is the corpus the cross-version parity test builds in
+// memory and saves.
+var parityCorpus = corpus.BuildConfig{
 	Seed: 7, ContextCopies: 2, Versions: 2, NoiseExes: 1, FuncsPerExe: 3,
 	TargetStmts: 12, FillerStmts: 6, Opt: tinyc.O2,
 }
 
-// legacyFixture reads the gob index of format version v.
-func legacyFixture(t testing.TB, v int) []byte {
+// parityMemDB builds parityCorpus in memory.
+func parityMemDB(t testing.TB) *DB {
 	t.Helper()
-	data, err := os.ReadFile(filepath.Join("testdata", "legacy", fmt.Sprintf("v%d.gob", v)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return data
-}
-
-// legacyMemDB builds in memory the database the gob fixtures hold.
-func legacyMemDB(t testing.TB) *DB {
-	t.Helper()
-	c, err := corpus.Build(legacyCorpus)
+	c, err := corpus.Build(parityCorpus)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,106 +61,88 @@ func legacyMemDB(t testing.TB) *DB {
 	return db
 }
 
-// loadLegacyFixture reads the gob fixture of format version v with the
-// legacy reader, after checking its prelude: none for v0, the TRACYIDX
-// magic and v for v1 and v2.
-func loadLegacyFixture(t testing.TB, v int) *DB {
+// gobIndex returns an index in gob format v as an older tracy wrote it: a
+// gob stream of entries, headerless for v0 and behind the TRACYIDX prelude
+// with version v for v1 and v2.
+func gobIndex(t testing.TB, v int) []byte {
 	t.Helper()
-	data := legacyFixture(t, v)
-	headered := bytes.HasPrefix(data, []byte(idxfile.Magic))
-	if v == 0 && headered || v > 0 && (!headered || int(data[len(idxfile.Magic)]) != v) {
-		t.Fatalf("fixture v%d has the wrong prelude %.9q", v, data)
+	type entry struct {
+		Exe, Name string
+		Addr      uint32
+		Truth     string
 	}
-	db, err := LoadLegacy(bytes.NewReader(data))
-	if err != nil {
-		t.Fatalf("v%d legacy load: %v", v, err)
+	var buf bytes.Buffer
+	if v > 0 {
+		buf.WriteString(idxfile.Magic)
+		buf.WriteByte(byte(v))
 	}
-	return db
+	payload := struct{ Entries []*entry }{[]*entry{{"a.bin", "sub_8048060", 0x8048060, "f"}, {"b.bin", "main", 0x8048100, ""}}}
+	if err := gob.NewEncoder(&buf).Encode(payload); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// refusesGob fails the test unless err refuses a gob index of format v
+// without decoding it: it wraps ErrLegacy, names tracy convert and is no
+// gob decode error; a v1 or v2 refusal names the format and the tracy that
+// still converts it, and a v0 one — a file without the prelude, which
+// cannot be told from a foreign file — is ErrLegacy's own text.
+func refusesGob(t *testing.T, what string, v int, err error) {
+	t.Helper()
+	switch {
+	case !errors.Is(err, ErrLegacy) || !strings.Contains(err.Error(), "tracy convert") || strings.Contains(err.Error(), "gob:"):
+		t.Errorf("%s of a v%d gob index: %v, want ErrLegacy naming tracy convert", what, v, err)
+	case v > 0 && !strings.Contains(err.Error(), fmt.Sprintf("format v%d is a gob index; only a tracy built before", v)):
+		t.Errorf("%s of a v%d gob index: %v, want the format and the tracy that converts it named", what, v, err)
+	case v == 0 && !strings.HasSuffix(err.Error(), ": "+ErrLegacy.Error()):
+		t.Errorf("%s of a v0 gob index: %v, want ErrLegacy's own text", what, err)
+	}
+}
+
+// refusedEverywhere checks that Load, OpenFile and LoadLegacy each refuse
+// the gob index of format v, whole and cut to its first bytes.
+func refusedEverywhere(t *testing.T, v int) {
+	t.Helper()
+	data := gobIndex(t, v)
+	path := filepath.Join(t.TempDir(), fmt.Sprintf("idx-v%d", v))
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := Load(bytes.NewReader(data))
+	refusesGob(t, "Load", v, err)
+	_, err = OpenFile(path)
+	refusesGob(t, "OpenFile", v, err)
+	for _, cut := range []int{len(data), len(idxfile.Magic) + 1} {
+		_, err = LoadLegacy(bytes.NewReader(data[:cut]))
+		refusesGob(t, fmt.Sprintf("LoadLegacy (%d bytes)", cut), v, err)
+	}
 }
 
 // TestLoadHeaderlessV0: files written before the header existed are a
-// bare gob stream; the legacy reader loads them entry for entry as the
-// database the same corpus builds in memory.
-func TestLoadHeaderlessV0(t *testing.T) {
-	mem := legacyMemDB(t)
-	db := loadLegacyFixture(t, 0)
-	if db.Len() != mem.Len() {
-		t.Fatalf("v0 load: %d entries, want %d", db.Len(), mem.Len())
-	}
-	for i, e := range db.Entries {
-		m := mem.Entries[i]
-		if e.Exe != m.Exe || e.Name != m.Name || e.Addr != m.Addr || e.Truth != m.Truth {
-			t.Errorf("entry %d: %s %s@%#x (%q), want %s %s@%#x (%q)", i, e.Exe, e.Name, e.Addr, e.Truth, m.Exe, m.Name, m.Addr, m.Truth)
-		}
-		if !reflect.DeepEqual(e.Function(), m.Function()) {
-			t.Errorf("entry %d (%s %s): lifted function differs from the in-memory one", i, e.Exe, e.Name)
-		}
-	}
-}
+// bare gob stream. Nothing reads gob any more, and without the prelude
+// such a file cannot be told from a foreign one: every reader refuses it
+// with ErrLegacy's own text.
+func TestLoadHeaderlessV0(t *testing.T) { refusedEverywhere(t, 0) }
 
-// TestLoadV1Compat: a v1-headered index (entries only, no feature table)
-// still loads through the legacy reader, searches, and serves prefiltered
-// queries — the features are recomputed, not deserialized.
-func TestLoadV1Compat(t *testing.T) {
-	db := loadLegacyFixture(t, 1)
-	if want := legacyMemDB(t).Len(); db.Len() != want {
-		t.Fatalf("v1 load: %d entries, want %d", db.Len(), want)
-	}
-	if db.feats != nil {
-		t.Error("v1 payload cannot carry features; expected lazy recompute")
-	}
-	query := queryFor(t, db, corpus.LibFuncName)
-	opts := core.DefaultOptions()
-	exhaustive := mustSearch(t, db.View(), Query{Func: query, Opts: opts})
-	if len(exhaustive) != db.Len() {
-		t.Fatalf("v1 search returned %d hits, want %d", len(exhaustive), db.Len())
-	}
-	pre := mustSearch(t, db.View(), Query{Func: query, Opts: opts, Prefilter: PrefilterOptions{Enabled: true, Candidates: 5}})
-	if len(pre) == 0 || len(pre) > 5 {
-		t.Fatalf("v1 prefiltered search returned %d hits", len(pre))
-	}
-}
+// TestLoadV1Compat: a v1-headered gob index (entries only) is refused by
+// every reader, tracy convert's included, on its prelude alone, with an
+// error naming the format and the tracy that still converts it.
+func TestLoadV1Compat(t *testing.T) { refusedEverywhere(t, 1) }
 
-// TestSaveLoadV2Features: the feature table a v2 file carries is not
-// trusted; the legacy reader recomputes it equal to the in-memory
-// database's, and converting to v4 persists it so Load views the stored
-// sets verbatim.
-func TestSaveLoadV2Features(t *testing.T) {
-	want := legacyMemDB(t).features()
-	db := loadLegacyFixture(t, 2)
-	if db.feats != nil {
-		t.Fatal("legacy reader adopted the v2 feature table")
-	}
-	if !reflect.DeepEqual(db.features(), want) {
-		t.Fatal("features recomputed from the v2 entries differ from the in-memory ones")
-	}
-	var buf bytes.Buffer
-	if err := db.SaveV3(&buf); err != nil {
-		t.Fatal(err)
-	}
-	cur, err := Load(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cur.Close()
-	for i, e := range cur.Entries {
-		if e.src == nil {
-			t.Fatalf("entry %d of the converted index is not store-backed", i)
-		}
-	}
-	if !reflect.DeepEqual(cur.features(), want) {
-		t.Error("features stored in the converted file differ from the recomputed ones")
-	}
-}
+// TestSaveLoadV2Features: a v2 gob index (entries and a feature table) is
+// refused as v1 is, before any of its payload — the feature table
+// included — is decoded.
+func TestSaveLoadV2Features(t *testing.T) { refusedEverywhere(t, 2) }
 
-// TestCrossVersionSearchParity: convert, then parity. Every gob fixture
-// read by the legacy reader and saved as v4, and the v4 file the same
-// corpus saves to directly, open to bit-identical search results — of a
-// snapshot, exhaustive and prefiltered, and of the database's view — equal to those of
-// the database built in memory from the corpus seed. This is the migration
-// contract tracy convert depends on.
+// TestCrossVersionSearchParity: save, then parity. The v4 file the corpus
+// saves to opens, through Load and OpenFile, to bit-identical search
+// results — of a snapshot, exhaustive and prefiltered, and of the
+// database's view — equal to those of the database built in memory from
+// the corpus seed. A gob index of every format is refused by the reader
+// tracy convert uses (v3 converts in TestV3ConvertParity).
 func TestCrossVersionSearchParity(t *testing.T) {
-	mem := legacyMemDB(t)
+	mem := parityMemDB(t)
 	query := queryFor(t, mem, corpus.LibFuncName)
 	opts := core.DefaultOptions()
 	pf := PrefilterOptions{Enabled: true, Candidates: 7}
@@ -186,57 +158,49 @@ func TestCrossVersionSearchParity(t *testing.T) {
 	}
 	base, preBase := search(mem)
 
-	dir := t.TempDir()
-	sources := map[string]func() (*DB, error){"mem": func() (*DB, error) { return mem, nil }}
-	for v := 0; v <= 2; v++ {
-		data := legacyFixture(t, v)
-		sources[fmt.Sprintf("v%d", v)] = func() (*DB, error) { return LoadLegacy(bytes.NewReader(data)) }
+	var buf bytes.Buffer
+	if err := mem.Save(&buf, SaveOptions{}); err != nil {
+		t.Fatal(err)
 	}
-	for name, load := range sources {
-		src, err := load()
+	path := filepath.Join(t.TempDir(), "mem.idx")
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	loaders := map[string]func() (*DB, error){
+		"Load":     func() (*DB, error) { return Load(bytes.NewReader(buf.Bytes())) },
+		"OpenFile": func() (*DB, error) { return OpenFile(path) },
+	}
+	for lname, open := range loaders {
+		db, err := open()
 		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+			t.Fatalf("%s: %v", lname, err)
 		}
-		var buf bytes.Buffer
-		if err := src.SaveV3(&buf); err != nil {
-			t.Fatalf("%s: %v", name, err)
+		if db.Len() != mem.Len() || db.Info().Version != idxfile.Version {
+			t.Fatalf("%s: %d entries of v%d, want %d of v%d", lname, db.Len(), db.Info().Version, mem.Len(), idxfile.Version)
 		}
-		path := filepath.Join(dir, name+".idx")
-		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
+		hits, pre := search(db)
+		if !reflect.DeepEqual(hits, base) {
+			t.Errorf("%s: Snapshot.Search diverged from the in-memory database", lname)
 		}
-		loaders := map[string]func() (*DB, error){
-			"Load":     func() (*DB, error) { return Load(bytes.NewReader(buf.Bytes())) },
-			"OpenFile": func() (*DB, error) { return OpenFile(path) },
+		if !reflect.DeepEqual(pre, preBase) {
+			t.Errorf("%s: prefiltered Snapshot.Search diverged from the in-memory database", lname)
 		}
-		for lname, open := range loaders {
-			db, err := open()
-			if err != nil {
-				t.Fatalf("%s %s: %v", name, lname, err)
-			}
-			if db.Len() != mem.Len() || db.Info().Version != idxfile.Version {
-				t.Fatalf("%s %s: %d entries of v%d, want %d of v%d", name, lname, db.Len(), db.Info().Version, mem.Len(), idxfile.Version)
-			}
-			hits, pre := search(db)
-			if !reflect.DeepEqual(hits, base) {
-				t.Errorf("%s %s: Snapshot.Search diverged from the in-memory database", name, lname)
-			}
-			if !reflect.DeepEqual(pre, preBase) {
-				t.Errorf("%s %s: prefiltered Snapshot.Search diverged from the in-memory database", name, lname)
-			}
-			db.Close()
-		}
+		db.Close()
+	}
+	for v := 0; v <= 2; v++ {
+		_, err := LoadLegacy(bytes.NewReader(gobIndex(t, v)))
+		refusesGob(t, "LoadLegacy", v, err)
 	}
 }
 
-// TestLegacyRefused: Load and OpenFile refuse every gob fixture, whole or
+// TestLegacyRefused: Load and OpenFile refuse every gob index, whole or
 // cut short, before decoding anything: the error wraps ErrLegacy, names
 // tracy convert and is no gob decode error. The legacy reader in turn
 // refuses a v4 file, a foreign one and an empty one.
 func TestLegacyRefused(t *testing.T) {
 	dir := t.TempDir()
 	for v := 0; v <= 2; v++ {
-		data := legacyFixture(t, v)
+		data := gobIndex(t, v)
 		path := filepath.Join(dir, fmt.Sprintf("idx-v%d", v))
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
@@ -252,7 +216,7 @@ func TestLegacyRefused(t *testing.T) {
 	}
 	db, _ := buildTestDB(t)
 	var cur bytes.Buffer
-	if err := db.SaveV3(&cur); err != nil {
+	if err := db.Save(&cur, SaveOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	for _, data := range [][]byte{cur.Bytes(), []byte("PK\x03\x04 a zip"), nil} {
@@ -337,7 +301,7 @@ func TestV3ConvertParity(t *testing.T) {
 			}
 		}
 		var buf bytes.Buffer
-		if err := legacy.SaveV3LSH(&buf, minhash.Default); err != nil {
+		if err := legacy.Save(&buf, SaveOptions{LSH: &minhash.Default}); err != nil {
 			t.Fatal(err)
 		}
 		out := filepath.Join(dir, name+".idx")
@@ -429,10 +393,10 @@ func TestV3WithoutLSHBFallsBack(t *testing.T) {
 	pfLSH := PrefilterOptions{Enabled: true, Candidates: 7, Mode: ModeLSH}
 
 	var plain, signed bytes.Buffer
-	if err := db.SaveV3(&plain); err != nil {
+	if err := db.Save(&plain, SaveOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.SaveV3LSH(&signed, minhash.Default); err != nil {
+	if err := db.Save(&signed, SaveOptions{LSH: &minhash.Default}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -450,10 +414,10 @@ func TestV3WithoutLSHBFallsBack(t *testing.T) {
 	dbPlain, snapPlain, telPlain := load(plain.Bytes())
 	dbSigned, snapSigned, telSigned := load(signed.Bytes())
 	if dbPlain.Store().HasLSH() {
-		t.Fatal("SaveV3 output unexpectedly carries LSHB")
+		t.Fatal("Save without lsh wrote LSHB")
 	}
 	if !dbSigned.Store().HasLSH() {
-		t.Fatal("SaveV3LSH output carries no LSHB")
+		t.Fatal("Save with lsh wrote no LSHB")
 	}
 
 	ref := core.Decompose(query, opts.K)
@@ -510,7 +474,7 @@ func TestLSHOverGrownV3(t *testing.T) {
 		}
 	}
 	var buf bytes.Buffer
-	if err := base.SaveV3LSH(&buf, minhash.Default); err != nil {
+	if err := base.Save(&buf, SaveOptions{LSH: &minhash.Default}); err != nil {
 		t.Fatal(err)
 	}
 	db, err := Load(bytes.NewReader(buf.Bytes()))
@@ -528,7 +492,7 @@ func TestLSHOverGrownV3(t *testing.T) {
 	}
 
 	snap := BuildSnapshot(db, []int{3}, 2)
-	hits := mustSearch(t, snap, Query{Func: appended.Function(), Opts: core.DefaultOptions(),
+	hits := mustSearch(t, snap, Query{Func: mustDecode(t, appended), Opts: core.DefaultOptions(),
 		Prefilter: PrefilterOptions{Candidates: db.Len() + 1, Mode: ModeLSH}})
 	self := false
 	for _, h := range hits {
@@ -570,7 +534,7 @@ func TestDBSearchDecomposesOnlyCandidates(t *testing.T) {
 	}
 	query := queryFor(t, mem, corpus.LibFuncName)
 	var buf bytes.Buffer
-	if err := mem.SaveV3LSH(&buf, minhash.Default); err != nil {
+	if err := mem.Save(&buf, SaveOptions{LSH: &minhash.Default}); err != nil {
 		t.Fatal(err)
 	}
 	db, err := Load(bytes.NewReader(buf.Bytes()))
@@ -594,7 +558,7 @@ func TestDBSearchDecomposesOnlyCandidates(t *testing.T) {
 func TestV3RoundTripEntries(t *testing.T) {
 	db, _ := buildTestDB(t)
 	var buf bytes.Buffer
-	if err := db.SaveV3(&buf); err != nil {
+	if err := db.Save(&buf, SaveOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	db2, err := Load(bytes.NewReader(buf.Bytes()))
@@ -612,7 +576,7 @@ func TestV3RoundTripEntries(t *testing.T) {
 		if e2.Func != nil {
 			t.Fatalf("entry %d eagerly materialized; store-backed entries must decode lazily", i)
 		}
-		if !reflect.DeepEqual(e2.Function(), e.Function()) {
+		if !reflect.DeepEqual(mustDecode(t, e2), e.Func) {
 			t.Errorf("entry %d function body changed across the file round trip", i)
 		}
 	}
@@ -632,7 +596,7 @@ func TestOpenFileMmap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := db.SaveV3(fd); err != nil {
+	if err := db.Save(fd, SaveOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	fd.Close()

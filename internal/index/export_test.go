@@ -1,5 +1,5 @@
 package index
 
-// Memoized reports whether e keeps a function decoded from its store —
-// what Function and LoadFunction leave behind and Decode does not.
-func Memoized(e *Entry) bool { return e.lazy.Load() != nil }
+// Memoized reports whether a store-backed entry keeps a decoded function
+// on the heap: Decode keeps nothing, so its Func stays nil.
+func Memoized(e *Entry) bool { return e.src != nil && e.Func != nil }

@@ -40,12 +40,12 @@ func addImages(tb testing.TB, db *DB, exes []corpus.Executable) {
 // saveKinds are the saves that read the feature memo, by name.
 var saveKinds = []struct {
 	name string
-	save func(*DB, *bytes.Buffer) error
+	o    SaveOptions
 }{
-	{"SaveV3", func(db *DB, w *bytes.Buffer) error { return db.SaveV3(w) }},
-	{"SaveV3LSH", func(db *DB, w *bytes.Buffer) error { return db.SaveV3LSH(w, minhash.Default) }},
-	{"SaveV3ShardLSH 0/2", func(db *DB, w *bytes.Buffer) error { return db.SaveV3ShardLSH(w, 0, 2, minhash.Default) }},
-	{"SaveV3ShardLSH 1/2", func(db *DB, w *bytes.Buffer) error { return db.SaveV3ShardLSH(w, 1, 2, minhash.Default) }},
+	{"whole", SaveOptions{}},
+	{"whole, lsh", SaveOptions{LSH: &minhash.Default}},
+	{"shard 0/2, lsh", SaveOptions{Shard: 0, Shards: 2, LSH: &minhash.Default}},
+	{"shard 1/2, lsh", SaveOptions{Shard: 1, Shards: 2, LSH: &minhash.Default}},
 }
 
 // saveAll runs every save kind on db, in order, and returns the files.
@@ -54,7 +54,7 @@ func saveAll(tb testing.TB, db *DB) map[string][]byte {
 	out := make(map[string][]byte)
 	for _, k := range saveKinds {
 		var buf bytes.Buffer
-		if err := k.save(db, &buf); err != nil {
+		if err := db.Save(&buf, k.o); err != nil {
 			tb.Fatalf("%s: %v", k.name, err)
 		}
 		out[k.name] = buf.Bytes()
@@ -112,7 +112,7 @@ func TestFeaturiserSavesSerialBytes(t *testing.T) {
 			for i := range saveKinds {
 				k := saveKinds[(first+i)%len(saveKinds)]
 				var buf bytes.Buffer
-				if err := k.save(db, &buf); err != nil {
+				if err := db.Save(&buf, k.o); err != nil {
 					t.Fatal(err)
 				}
 				got[k.name] = buf.Bytes()
@@ -130,7 +130,7 @@ func TestFeaturiserSavesSerialBytes(t *testing.T) {
 		part := New()
 		addImages(t, part, exes[:half])
 		var buf bytes.Buffer
-		if err := part.SaveV3LSH(&buf, minhash.Default); err != nil {
+		if err := part.Save(&buf, SaveOptions{LSH: &minhash.Default}); err != nil {
 			t.Fatal(err)
 		}
 		grown, err := Load(&buf)
@@ -158,7 +158,7 @@ func TestFeaturiserInterleaved(t *testing.T) {
 	part := New()
 	addImages(t, part, exes[:half])
 	var file bytes.Buffer
-	if err := part.SaveV3LSH(&file, minhash.Default); err != nil {
+	if err := part.Save(&file, SaveOptions{LSH: &minhash.Default}); err != nil {
 		t.Fatal(err)
 	}
 	grown, err := Load(&file)
@@ -167,7 +167,7 @@ func TestFeaturiserInterleaved(t *testing.T) {
 	}
 	addImages(t, grown, exes[half:])
 	var grownOut bytes.Buffer
-	if err := grown.SaveV3LSH(&grownOut, minhash.Default); err != nil {
+	if err := grown.Save(&grownOut, SaveOptions{LSH: &minhash.Default}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -175,7 +175,7 @@ func TestFeaturiserInterleaved(t *testing.T) {
 	db := New()
 	addImages(t, db, exes)
 	var out bytes.Buffer
-	if err := db.SaveV3LSH(&out, minhash.Default); err != nil {
+	if err := db.Save(&out, SaveOptions{LSH: &minhash.Default}); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(out.Bytes(), grownOut.Bytes()) {
@@ -220,7 +220,7 @@ func TestFeaturiserInterleaved(t *testing.T) {
 	run("scan on the view", search(db.View(), PrefilterOptions{Candidates: 8, Mode: ModeScan}))
 	run("lsh on a snapshot", search(served, PrefilterOptions{Candidates: 8, Mode: ModeLSH}))
 	var concurrent bytes.Buffer
-	run("SaveV3LSH", func() error { return db.SaveV3LSH(&concurrent, minhash.Default) })
+	run("Save with lsh", func() error { return db.Save(&concurrent, SaveOptions{LSH: &minhash.Default}) })
 	wg.Wait()
 	if !bytes.Equal(concurrent.Bytes(), out.Bytes()) {
 		t.Error("a save racing searches writes other bytes than a save alone")

@@ -2,6 +2,7 @@ package index
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"os"
 	"path/filepath"
@@ -12,11 +13,12 @@ import (
 )
 
 // FuzzIndexLoad throws arbitrary bytes at both index readers: Load, which
-// serves TRACYIDX v4 only, and LoadLegacy, which reads TRACYIDX v3 and the
-// gob formats for tracy convert. Each must reject garbage with an error, never panic, and
-// never crash on truncations or bit-flips of a genuine index. What either
-// accepts must be internally consistent enough to decompose, and what the
-// legacy reader accepts must convert.
+// serves TRACYIDX v4 only, and LoadLegacy, which reads TRACYIDX v3 for
+// tracy convert and refuses the gob formats an older tracy wrote. Each must
+// reject garbage with an error, never panic, and never crash on truncations
+// or bit-flips of a genuine index. What either accepts must be internally
+// consistent enough to decompose, what the legacy reader accepts must
+// convert, and a gob prelude (TRACYIDX v1 or v2) is refused with ErrLegacy.
 func FuzzIndexLoad(f *testing.F) {
 	// Genuine indexes as the prime seeds, so the fuzzer mutates real
 	// structure instead of guessing the formats from scratch.
@@ -34,15 +36,15 @@ func FuzzIndexLoad(f *testing.F) {
 		}
 	}
 	var saved bytes.Buffer
-	if err := db.SaveV3(&saved); err != nil {
+	if err := db.Save(&saved, SaveOptions{}); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(saved.Bytes())
 	f.Add(saved.Bytes()[:saved.Len()/2])
 	for v := 0; v <= 2; v++ {
-		f.Add(legacyFixture(f, v))
+		f.Add(gobIndex(f, v))
 	}
-	f.Add(legacyFixture(f, 2)[:1000])
+	f.Add(gobIndex(f, 2)[:len(idxfile.Magic)+1])
 	f.Add([]byte("TRACYIDX"))
 	f.Add([]byte("TRACYIDX\x01\x00\x00\x00garbage"))
 	f.Add([]byte("TRACYIDX\x03\x00\x00\x00garbage"))
@@ -55,8 +57,7 @@ func FuzzIndexLoad(f *testing.F) {
 	f.Add(v3)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// Gob can legally encode huge allocations in few bytes; bound the
-		// input so the fuzzer explores structure, not allocation size.
+		// Bound the input so the fuzzer explores structure, not size.
 		if len(data) > 1<<20 {
 			t.Skip("oversized input")
 		}
@@ -65,7 +66,7 @@ func FuzzIndexLoad(f *testing.F) {
 			// first read, and what fails then must say so with the store's
 			// typed error.
 			for _, e := range loaded.Entries {
-				if fn, err := e.LoadFunction(); fn == nil && !idxfile.IsCorrupt(err) {
+				if fn, err := e.Decode(); fn == nil && !idxfile.IsCorrupt(err) {
 					t.Fatalf("Load accepted an index with a function that is neither there nor corrupt: %v", err)
 				}
 			}
@@ -73,15 +74,19 @@ func FuzzIndexLoad(f *testing.F) {
 				t.Fatalf("decomposing a loaded index failed with something other than corruption: %v", err)
 			}
 		}
-		// A v3 or gob index is validated whole when it is read.
+		// A v3 index is validated whole when it is read; a gob one is
+		// refused on its prelude.
 		legacy, err := LoadLegacy(bytes.NewReader(data))
+		if v := idxfile.SniffVersion(data); (v == 1 || v == 2) && !errors.Is(err, ErrLegacy) {
+			t.Fatalf("LoadLegacy of a v%d gob prelude returned %v, want ErrLegacy", v, err)
+		}
 		if err != nil {
 			return
 		}
 		if _, err := legacy.Decomposed(3); err != nil {
 			t.Fatalf("decomposing a legacy index failed: %v", err)
 		}
-		if err := legacy.SaveV3(io.Discard); err != nil {
+		if err := legacy.Save(io.Discard, SaveOptions{}); err != nil {
 			t.Fatalf("a legacy index the reader accepted does not convert: %v", err)
 		}
 	})

@@ -1,9 +1,9 @@
 // Package index implements the function database and search engine of the
 // prototype (paper Section 5.2). DB is the database: executables are
 // disassembled and lifted on ingest, and the corpus saves to and loads
-// from the mmap-able TRACYIDX v4 columnar format (internal/idxfile); the
-// formats of older releases (gob v0–v2, TRACYIDX v3) are read only by
-// LoadLegacy, for tracy convert.
+// from the mmap-able TRACYIDX v4 columnar format (internal/idxfile) with
+// one call each way, DB.Save and Load/OpenFile; the format of the release
+// before, TRACYIDX v3, is read only by LoadLegacy, for tracy convert.
 // Snapshot is the one search engine: it memoizes per-k tracelet
 // decompositions, optionally cuts the corpus to the top candidates of a
 // lossy prefilter (shared-feature scan or MinHash LSH), compares the
@@ -21,7 +21,6 @@ import (
 	"io"
 	"os"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/idxfile"
@@ -31,10 +30,10 @@ import (
 )
 
 // Entry is one indexed binary function. For a database built in memory
-// (AddImage, LoadLegacy) Func holds the lifted function eagerly; for a
-// store-backed database Func is nil and the function is decoded from the
-// columnar file — always go through Function() (decoded once and kept) or
-// Decode() (decoded each call, kept by nobody), never read Func directly.
+// (AddImage, LoadLegacy) Func holds the lifted function; for a
+// store-backed database Func is nil and the function lives in the columnar
+// file — Decode returns it either way, so go through Decode and never read
+// Func directly.
 type Entry struct {
 	Exe   string // executable name
 	Name  string // recovered name (sub_XXX in stripped binaries)
@@ -42,44 +41,37 @@ type Entry struct {
 	Truth string // ground-truth source name, if known (evaluation only)
 	Func  *prep.Function
 
-	// Store backing. src/srcIdx locate the function in the columnar
-	// store; lazy memoizes the decode of Function and LoadFunction.
+	// Store backing: src/srcIdx locate the function in the columnar store.
 	src    *idxfile.File
 	srcIdx int
-	lazy   atomic.Pointer[prep.Function]
 }
 
-// Function returns the lifted function, decoding it from the columnar
-// store on first use for store-backed entries, or nil when there is none to
-// return: an entry without a source, or one whose records in the store
-// are corrupt (LoadFunction says which). Safe for concurrent callers;
-// concurrent first calls may decode twice but agree on one result.
-func (e *Entry) Function() *prep.Function {
-	fn, _ := e.LoadFunction()
-	return fn
-}
-
-// LoadFunction is Function with the reason for a nil: a store-backed
-// entry's records are validated when they are first decoded, and one that
-// fails yields the store's typed corruption error (idxfile.IsCorrupt).
-func (e *Entry) LoadFunction() (*prep.Function, error) {
-	if e.Func != nil {
+// Decode returns the lifted function. A store-backed entry is decoded
+// afresh on every call and nothing is kept, so a pass over many entries —
+// a save or convert, a shard split, a listing, tracy stats — does not pin
+// the corpus on the heap; its records are validated as they are decoded,
+// and a corrupt one yields the store's typed error (idxfile.IsCorrupt). An
+// entry built in memory returns its function.
+func (e *Entry) Decode() (*prep.Function, error) {
+	switch {
+	case e.Func != nil:
 		return e.Func, nil
-	}
-	if fn := e.lazy.Load(); fn != nil {
-		return fn, nil
-	}
-	if e.src == nil {
+	case e.src == nil:
 		return nil, fmt.Errorf("index: entry %s/%s has no function", e.Exe, e.Name)
 	}
 	fn, err := e.src.DecodeFunc(e.srcIdx)
 	if err != nil {
 		return nil, fmt.Errorf("index: %s/%s: %w", e.Exe, e.Name, err)
 	}
-	if e.lazy.CompareAndSwap(nil, fn) {
-		return fn, nil
-	}
-	return e.lazy.Load(), nil
+	return fn, nil
+}
+
+// Function is Decode without the reason for a nil.
+//
+// Deprecated: bench/ only; ROADMAP 1(b) ports it.
+func (e *Entry) Function() *prep.Function {
+	fn, _ := e.Decode()
+	return fn
 }
 
 // DB is the function database: it builds (AddImage), loads and saves
@@ -96,8 +88,8 @@ type DB struct {
 
 	// Tel, when non-nil, receives index telemetry — the write path's
 	// lift_latency, functions_lifted and instructions_decoded from
-	// AddImage, index_save_latency and index_bytes_written from the SaveV3
-	// methods, and the corpus decomposition latency — and is the default
+	// AddImage, index_save_latency and index_bytes_written from Save, and
+	// the corpus decomposition latency — and is the default
 	// collector of View's searches when the query's Opts.Tel is nil. It is
 	// not serialized.
 	Tel *telemetry.Collector
@@ -154,7 +146,7 @@ func New() *DB { return &DB{} }
 // functions just lifted are computed by a background featuriser, and
 // AddImage returns without waiting for it. The next AddImage lifts while
 // it runs and joins it before appending to Entries, and so does every
-// reader of the features (prefiltered searches, the SaveV3 methods), so
+// reader of the features (prefiltered searches, Save), so
 // at most one featuriser is ever in flight and a build spreads over two
 // cores without a setting. What it computes is the memo those readers
 // see; nothing is written into the entries.
@@ -229,7 +221,8 @@ func (db *DB) memoFeatures(n int) {
 		if e.src != nil {
 			db.feats = append(db.feats, e.src.Features(e.srcIdx))
 		} else {
-			db.feats = append(db.feats, g.funcFeatures(e.Function()))
+			fn, _ := e.Decode()
+			db.feats = append(db.feats, g.funcFeatures(fn))
 		}
 	}
 }
@@ -281,9 +274,23 @@ type Hit struct {
 
 // ErrLegacy is wrapped by the error Load and OpenFile return for a file
 // that is not TRACYIDX v4: a TRACYIDX v3 file or a gob index (formats
-// v0–v2) written by an older tracy, or no index at all. Only tracy convert
-// still reads the older formats (LoadLegacy).
-var ErrLegacy = errors.New("not a TRACYIDX v4 index (a v3 or gob index from an older tracy converts with: tracy convert OLD NEW.idx)")
+// v0–v2) written by an older tracy, or no index at all. Of the older
+// formats only v3 is still read, by tracy convert (LoadLegacy).
+var ErrLegacy = errors.New("not a TRACYIDX v4 index (a v3 index from an older tracy converts with: tracy convert OLD NEW.idx)")
+
+// legacyError says why a file of format v, neither v4 nor newer, is
+// refused: a gob index (v1, v2) no longer converts with this tracy, and a
+// file without the TRACYIDX prelude (v == 0) — a headerless v0 gob index
+// among them — cannot be told from a foreign file.
+func legacyError(v int) error {
+	switch v {
+	case 0:
+		return ErrLegacy
+	case 1, 2:
+		return fmt.Errorf("format v%d is a gob index; only a tracy built before gob support left tracy convert converts it: %w", v, ErrLegacy)
+	}
+	return fmt.Errorf("format v%d: %w", v, ErrLegacy)
+}
 
 // checkPrelude says why a file whose first bytes are prelude is not one
 // this binary serves, or returns nil for a TRACYIDX v4 file.
@@ -293,29 +300,56 @@ func checkPrelude(prelude []byte) error {
 		return nil
 	case v > idxfile.Version:
 		return fmt.Errorf("format v%d expected, file is v%d (written by a newer tracy)", idxfile.Version, v)
-	case v > 0:
-		return fmt.Errorf("format v%d: %w", v, ErrLegacy)
-	default: // headerless v0 gob, or not an index
-		return ErrLegacy
+	default:
+		return legacyError(v)
 	}
 }
 
-// SaveV3 serializes the database in the TRACYIDX v4 columnar format (the
-// name is older than the format): fixed-width column arrays behind a
-// section directory, loadable via mmap with no whole-file deserialization
-// (see internal/idxfile). Functions stream through an incremental builder,
-// so converting a store-backed database never materializes the corpus.
-func (db *DB) SaveV3(w io.Writer) error { return db.saveV3(w, nil) }
+// SaveOptions selects what DB.Save writes. The zero value writes the
+// whole corpus without the lsh sections.
+type SaveOptions struct {
+	// Shard and Shards select shard Shard (0-based) of a Shards-way split:
+	// exactly the entries with ShardOf(exe, name, Shards) == Shard, in
+	// corpus order. The union of the Shards outputs is a disjoint
+	// partition of the corpus, so a scatter-gather merge of per-shard
+	// search results over all of them ranks identically to searching the
+	// unsharded index. Shards <= 1 writes the whole corpus.
+	Shard, Shards int
+	// LSH, when non-nil, adds the LSHB and LSHT sections: every function's
+	// MinHash signature under *LSH is computed during the streaming build
+	// and persisted together with the band table sorted from them, so
+	// serving nodes probe both straight from the mapping instead of
+	// re-hashing a million feature sets and bucketing them at first query.
+	LSH *minhash.Params
+}
 
-// SaveV3LSH is SaveV3 with the LSHB and LSHT sections: every function's
-// MinHash signature under p is computed during the streaming build and
-// persisted together with the band table sorted from them, so serving
-// nodes probe both straight from the mapping instead of re-hashing a
-// million feature sets and bucketing them at first query.
-func (db *DB) SaveV3LSH(w io.Writer, p minhash.Params) error { return db.saveV3(w, &p) }
+// Save serializes the database, or one shard of it, in the TRACYIDX v4
+// columnar format: fixed-width column arrays behind a section directory,
+// loadable via mmap with no whole-file deserialization (see
+// internal/idxfile). Functions stream through an incremental builder, so
+// converting a store-backed database never materializes the corpus. A
+// shard out of range is refused before anything is written.
+func (db *DB) Save(w io.Writer, o SaveOptions) error {
+	if o.Shards < 0 {
+		return fmt.Errorf("index: shard count %d, want >= 1", o.Shards)
+	}
+	if o.Shard < 0 || o.Shard >= max(o.Shards, 1) {
+		return fmt.Errorf("index: shard %d of %d out of range", o.Shard, o.Shards)
+	}
+	if o.Shards <= 1 {
+		return db.writeV3(w, o.LSH, len(db.Entries), nil)
+	}
+	// The hash spreads evenly, which is all Builder.Expect asks of a count.
+	return db.writeV3(w, o.LSH, (len(db.Entries)+o.Shards-1)/o.Shards, func(e *Entry) bool {
+		return ShardOf(e.Exe, e.Name, o.Shards) == o.Shard
+	})
+}
 
-func (db *DB) saveV3(w io.Writer, lsh *minhash.Params) error {
-	return db.writeV3(w, lsh, len(db.Entries), nil)
+// SaveV3LSH is Save of the whole corpus with the lsh sections under p.
+//
+// Deprecated: bench/ only; ROADMAP 1(b) ports it.
+func (db *DB) SaveV3LSH(w io.Writer, p minhash.Params) error {
+	return db.Save(w, SaveOptions{LSH: &p})
 }
 
 // writeV3 streams the entries keep admits — all of them when it is nil,
@@ -353,23 +387,7 @@ func (db *DB) writeV3(w io.Writer, lsh *minhash.Params, expect int, keep func(*E
 	return err
 }
 
-// Decode is LoadFunction without the memo: a store-backed entry is
-// decoded afresh on every call and nothing is kept, so a pass over many
-// entries — a save or convert, a shard split, a listing, a by-reference
-// query's features — does not pin the corpus on the heap. An entry built
-// in memory returns its function.
-func (e *Entry) Decode() (*prep.Function, error) {
-	if e.Func == nil && e.src != nil {
-		fn, err := e.src.DecodeFunc(e.srcIdx)
-		if err != nil {
-			return nil, fmt.Errorf("index: %s/%s: %w", e.Exe, e.Name, err)
-		}
-		return fn, nil
-	}
-	return e.LoadFunction()
-}
-
-// Load restores a database written by SaveV3, read fully into memory —
+// Load restores a database written by Save, read fully into memory —
 // prefer OpenFile for files, which maps them instead. Anything but a
 // TRACYIDX v4 stream yields an error: one wrapping ErrLegacy for a v3 or
 // gob index or a foreign file, one naming the version for a newer format.

@@ -44,11 +44,22 @@ func queryFor(t *testing.T, db *DB, truthName string) *prep.Function {
 	t.Helper()
 	for _, e := range db.Entries {
 		if e.Truth == truthName {
-			return e.Function()
+			return mustDecode(t, e)
 		}
 	}
 	t.Fatalf("no entry with truth %q", truthName)
 	return nil
+}
+
+// mustDecode returns e's lifted function, failing the test when it cannot
+// be decoded.
+func mustDecode(tb testing.TB, e *Entry) *prep.Function {
+	tb.Helper()
+	fn, err := e.Decode()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return fn
 }
 
 // mustSearch runs q on s under a background context,
@@ -132,9 +143,9 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		if e2.Exe != e.Exe || e2.Name != e.Name || e2.Addr != e.Addr || e2.Truth != e.Truth {
 			t.Errorf("entry %d metadata changed: %+v vs %+v", i, e2, e)
 		}
-		fn2 := e2.Function()
-		if fn2 == nil {
-			t.Fatalf("entry %d lost its function", i)
+		fn2, err := e2.Decode()
+		if err != nil {
+			t.Fatalf("entry %d lost its function: %v", i, err)
 		}
 		if fn2.NumBlocks() != e.Func.NumBlocks() {
 			t.Errorf("entry %d: %d blocks after load, want %d", i,
@@ -154,6 +165,29 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	hits := mustSearch(t, db2.View(), Query{Func: query, Opts: core.DefaultOptions()})
 	if hits[0].Entry.Truth != corpus.LibFuncName {
 		t.Errorf("loaded DB search broken: top hit %q", hits[0].Entry.Truth)
+	}
+}
+
+// TestSaveOptions: Save refuses a negative shard count and a shard out of
+// range before it writes a byte, and a one-way split writes the file the
+// zero options write.
+func TestSaveOptions(t *testing.T) {
+	db, _ := buildTestDB(t)
+	for _, o := range []SaveOptions{{Shards: -1}, {Shard: -1, Shards: 2}, {Shard: 2, Shards: 2}} {
+		var buf bytes.Buffer
+		if err := db.Save(&buf, o); err == nil || buf.Len() != 0 {
+			t.Errorf("Save(%+v) = %v after %d bytes, want a refusal before any", o, err, buf.Len())
+		}
+	}
+	var one, whole bytes.Buffer
+	if err := db.Save(&one, SaveOptions{Shards: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Save(&whole, SaveOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(one.Bytes(), whole.Bytes()) {
+		t.Errorf("Save with Shards 1 wrote %d bytes unlike the %d of the zero options", one.Len(), whole.Len())
 	}
 }
 

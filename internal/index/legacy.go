@@ -3,7 +3,6 @@ package index
 import (
 	"bufio"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"io"
 
@@ -13,65 +12,35 @@ import (
 	"repro/internal/prep"
 )
 
-// This file holds the readers of the index formats this binary no longer
-// serves, for tracy convert: the gob formats v0–v2 and TRACYIDX v3. Both
-// read the whole corpus into memory as lifted functions, which SaveV3
-// writes out as v4; nothing else reaches them.
+// This file holds the reader of the index format this binary no longer
+// serves, for tracy convert: TRACYIDX v3. It reads the whole corpus into
+// memory as lifted functions, which Save writes out as v4; nothing else
+// reaches it.
 
-// legacyDB is the gob payload of index formats v0–v2: headerless (v0),
-// or behind the 9-byte TRACYIDX prelude with version 1 or 2. A v2 payload
-// also carries a Feats table, which gob skips here: SaveV3 recomputes the
-// features from the functions, as it does for a database built in memory.
-type legacyDB struct {
-	Entries []*legacyEntry
-}
-
-// legacyEntry is an Entry as the gob formats stored it.
-type legacyEntry struct {
-	Exe, Name string
-	Addr      uint32
-	Truth     string
-	Func      *prep.Function
-}
-
-// LoadLegacy reads an index written by an older tracy — a gob index
-// (formats v0, v1 and v2) or a TRACYIDX v3 file — into an in-memory
-// database, for tracy convert to save as v4. Every function is validated
-// as a query off the wire is, so a corrupt file fails here and not at its
-// first search. Nothing else reads these formats: Load and OpenFile refuse
-// them with ErrLegacy.
+// LoadLegacy reads a TRACYIDX v3 file, written by the tracy before v4,
+// into an in-memory database, for tracy convert to save as v4. Every
+// function is validated as a query off the wire is, so a corrupt file fails
+// here and not at its first search. Nothing else reads v3: Load and
+// OpenFile refuse it with ErrLegacy. A gob index (formats v0–v2) is refused
+// here too, with an error wrapping ErrLegacy.
 func LoadLegacy(r io.Reader) (*DB, error) {
 	br := bufio.NewReader(r)
-	if prelude, err := br.Peek(len(idxfile.Magic) + 1); err == nil && string(prelude[:len(idxfile.Magic)]) == idxfile.Magic {
-		switch v := int(prelude[len(idxfile.Magic)]); v {
-		case 1, 2:
-			br.Discard(len(prelude))
-		case 3:
-			data, err := io.ReadAll(br)
-			if err != nil {
-				return nil, err
-			}
-			return loadV3(data)
-		default:
-			return nil, fmt.Errorf("index: format v0-v3 expected, file is v%d", v)
-		}
+	prelude, err := br.Peek(len(idxfile.Magic) + 1)
+	if err != nil && err != io.EOF {
+		return nil, err
 	}
-	var g legacyDB
-	if err := gob.NewDecoder(br).Decode(&g); err != nil {
-		return nil, fmt.Errorf("index: not a gob index (format v0-v2 expected): %w", err)
-	}
-	db := New()
-	db.Entries = make([]*Entry, len(g.Entries))
-	for i, e := range g.Entries {
-		if e == nil {
-			return nil, fmt.Errorf("index: corrupt entry %d (missing lifted function)", i)
+	switch v := idxfile.SniffVersion(prelude); v {
+	case 3:
+		data, err := io.ReadAll(br)
+		if err != nil {
+			return nil, err
 		}
-		if err := ValidateFunction(e.Func); err != nil {
-			return nil, fmt.Errorf("index: corrupt entry %d (%v)", i, err)
-		}
-		db.Entries[i] = &Entry{Exe: e.Exe, Name: e.Name, Addr: e.Addr, Truth: e.Truth, Func: e.Func}
+		return loadV3(data)
+	case 0, 1, 2:
+		return nil, fmt.Errorf("index: %w", legacyError(v))
+	default:
+		return nil, fmt.Errorf("index: format v3 expected, file is v%d", v)
 	}
-	return db, nil
 }
 
 // v3 record sizes and operand flags (the v3 layout: STRB, STRO, FUNC as in
@@ -94,7 +63,7 @@ type v3File struct {
 
 // loadV3 reads every function of a TRACYIDX v3 file from its INST, OPND
 // and MEMT records, checking every range and id before it is followed.
-// Whether the file has the PACK section or not, it is not read: SaveV3
+// Whether the file has the PACK section or not, it is not read: Save
 // packs the functions afresh, and FEAT and the lsh sections are
 // recomputed the same way.
 func loadV3(data []byte) (*DB, error) {

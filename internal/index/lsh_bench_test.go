@@ -115,7 +115,7 @@ func TestLSHBenchReport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := db.SaveV3LSH(f, p); err != nil {
+	if err := db.Save(f, SaveOptions{LSH: &p}); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {
@@ -146,7 +146,7 @@ func TestLSHBenchReport(t *testing.T) {
 	var refs []*core.Decomposed
 	for i := 0; i < nQueries; i++ {
 		e := db2.Entries[i*db2.Len()/nQueries]
-		refs = append(refs, core.Decompose(e.Function(), 3))
+		refs = append(refs, core.Decompose(mustDecode(t, e), 3))
 	}
 
 	// Ground truth per query: the exhaustive full-scan 10th-best score.

@@ -33,7 +33,7 @@ func campaignDB(tb testing.TB, funcs int) *DB {
 func savedLSH(tb testing.TB, db *DB, p minhash.Params) []byte {
 	tb.Helper()
 	var buf bytes.Buffer
-	if err := db.SaveV3LSH(&buf, p); err != nil {
+	if err := db.Save(&buf, SaveOptions{LSH: &p}); err != nil {
 		tb.Fatal(err)
 	}
 	return buf.Bytes()

@@ -201,7 +201,7 @@ func TestLSHFindsSelf(t *testing.T) {
 
 // TestLSHDeterministicAcrossBackends: the same corpus must yield the same
 // lsh candidates and hits whether the signatures were computed in memory,
-// persisted by SaveV3LSH and adopted from the store, or re-persisted from
+// persisted by Save with lsh and adopted from the store, or re-persisted from
 // a loaded store (a convert round trip) — the build/load/convert
 // determinism contract.
 func TestLSHDeterministicAcrossBackends(t *testing.T) {
@@ -226,7 +226,7 @@ func TestLSHDeterministicAcrossBackends(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := db.SaveV3LSH(&buf, minhash.Default); err != nil {
+	if err := db.Save(&buf, SaveOptions{LSH: &minhash.Default}); err != nil {
 		t.Fatal(err)
 	}
 	saved := append([]byte(nil), buf.Bytes()...)
@@ -235,7 +235,7 @@ func TestLSHDeterministicAcrossBackends(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !db2.Store().HasLSH() {
-		t.Fatal("SaveV3LSH output has no LSHB section")
+		t.Fatal("Save with lsh wrote no LSHB section")
 	}
 	// Store-adopted signatures must be exactly what the in-memory path
 	// computes from the same feature sets.
@@ -265,7 +265,7 @@ func TestLSHDeterministicAcrossBackends(t *testing.T) {
 	// Convert round trip: re-serializing the loaded store must reproduce
 	// the signature pool byte for byte.
 	var buf2 bytes.Buffer
-	if err := db2.SaveV3LSH(&buf2, minhash.Default); err != nil {
+	if err := db2.Save(&buf2, SaveOptions{LSH: &minhash.Default}); err != nil {
 		t.Fatal(err)
 	}
 	db3, err := Load(bytes.NewReader(buf2.Bytes()))

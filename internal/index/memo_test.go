@@ -36,7 +36,7 @@ func TestServingPinsNoFunction(t *testing.T) {
 		}
 	}
 	var buf bytes.Buffer
-	if err := mem.SaveV3LSH(&buf, minhash.Default); err != nil {
+	if err := mem.Save(&buf, index.SaveOptions{LSH: &minhash.Default}); err != nil {
 		t.Fatal(err)
 	}
 	db, err := index.Load(&buf)

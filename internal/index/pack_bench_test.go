@@ -8,7 +8,7 @@ import (
 	"repro/internal/minhash"
 )
 
-// BenchmarkSaveV3 measures the write side: SaveV3LSH of 4032 in-memory
+// BenchmarkSaveV3 measures the write side: Save with lsh of 4032 in-memory
 // functions, everything a save emits. Allocated bytes
 // per op show what the builder's columns cost to grow.
 func BenchmarkSaveV3(b *testing.B) {
@@ -17,7 +17,7 @@ func BenchmarkSaveV3(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := db.SaveV3LSH(io.Discard, minhash.Default); err != nil {
+		if err := db.Save(io.Discard, SaveOptions{LSH: &minhash.Default}); err != nil {
 			b.Fatal(err)
 		}
 	}

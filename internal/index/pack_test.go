@@ -96,7 +96,7 @@ func TestStoreParity(t *testing.T) {
 	packed := load(data)
 	want := search(packed, "file")
 	for _, e := range packed.Entries {
-		if e.lazy.Load() != nil {
+		if Memoized(e) {
 			t.Fatalf("a by-reference lsh query left %s/%s decoded on the heap", e.Exe, e.Name)
 		}
 	}
@@ -136,7 +136,7 @@ func TestSearchDecodesNoCandidate(t *testing.T) {
 		t.Fatalf("%d hits, want %d", len(hits), db.Len())
 	}
 	for _, e := range db.Entries {
-		if e.lazy.Load() != nil {
+		if Memoized(e) {
 			t.Fatalf("the search decoded %s/%s", e.Exe, e.Name)
 		}
 	}
@@ -246,8 +246,8 @@ func TestCorruptAtTouch(t *testing.T) {
 	if d, err := snap.LookupDecomposed(db.Entries[victim].Exe, db.Entries[victim].Name, 3); d != nil || !idxfile.IsCorrupt(err) {
 		t.Errorf("LookupDecomposed of the broken function = %v, %v", d, err)
 	}
-	if fn := db.Entries[victim].Function(); fn != nil {
-		t.Error("Function() of the broken function is not nil")
+	if fn, err := db.Entries[victim].Decode(); fn != nil || !idxfile.IsCorrupt(err) {
+		t.Errorf("Decode of the broken function = %v, %v, want a corruption error", fn, err)
 	}
 	// One candidate, the query itself: the broken function is not touched.
 	a, err := snap.Search(context.Background(), Query{Ref: ref, Opts: core.DefaultOptions(), Prefilter: PrefilterOptions{Candidates: 1, Mode: ModeLSH}})

@@ -56,7 +56,8 @@ func SerialSearch(entries []*Entry, query *prep.Function, opts core.Options) []H
 	ref := core.Decompose(query, m.Opts.K)
 	hits := make([]Hit, len(entries))
 	for i, e := range entries {
-		hits[i] = Hit{Entry: e, Result: m.Compare(ref, core.Decompose(e.Function(), m.Opts.K))}
+		fn, _ := e.Decode()
+		hits[i] = Hit{Entry: e, Result: m.Compare(ref, core.Decompose(fn, m.Opts.K))}
 	}
 	SortHits(hits)
 	return hits

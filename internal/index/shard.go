@@ -27,32 +27,12 @@ func ShardOf(exe, name string, n int) int {
 	return int(h.Sum64() % uint64(n))
 }
 
-// SaveV3Shard serializes shard (0-based) of an n-way split of the
-// database in the v4 columnar format: exactly the entries with
-// ShardOf(exe, name, nShards) == shard, in corpus order. The union of
-// the n outputs is a disjoint partition of the corpus, so a
-// scatter-gather merge of per-shard search results over all n slices
-// ranks identically to searching the unsharded index.
-func (db *DB) SaveV3Shard(w io.Writer, shard, nShards int) error {
-	return db.saveV3Shard(w, shard, nShards, nil)
-}
-
-// SaveV3ShardLSH is SaveV3Shard with the LSHB and LSHT sections (see SaveV3LSH).
+// SaveV3ShardLSH is Save of shard of an nShards-way split with the lsh
+// sections under p.
+//
+// Deprecated: bench/ only; ROADMAP 1(b) ports it.
 func (db *DB) SaveV3ShardLSH(w io.Writer, shard, nShards int, p minhash.Params) error {
-	return db.saveV3Shard(w, shard, nShards, &p)
-}
-
-func (db *DB) saveV3Shard(w io.Writer, shard, nShards int, lsh *minhash.Params) error {
-	if nShards < 1 {
-		return fmt.Errorf("index: shard count %d, want >= 1", nShards)
-	}
-	if shard < 0 || shard >= nShards {
-		return fmt.Errorf("index: shard %d of %d out of range", shard, nShards)
-	}
-	// The hash spreads evenly, which is all Builder.Expect asks of a count.
-	return db.writeV3(w, lsh, (len(db.Entries)+nShards-1)/nShards, func(e *Entry) bool {
-		return ShardOf(e.Exe, e.Name, nShards) == shard
-	})
+	return db.Save(w, SaveOptions{Shard: shard, Shards: nShards, LSH: &p})
 }
 
 // ValidateFunction structurally validates a deserialized lifted

@@ -150,7 +150,7 @@ func (s *Snapshot) dec(slots []atomic.Pointer[core.Decomposed], k, i int) (*core
 		t.Stop()
 		s.Tel.Inc(telemetry.FunctionsDecomposed)
 	} else {
-		fn, err := e.LoadFunction()
+		fn, err := e.Decode()
 		if err != nil {
 			return nil, err
 		}

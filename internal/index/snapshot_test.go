@@ -68,7 +68,7 @@ func TestSnapshotLookup(t *testing.T) {
 	d, _ := snap.LookupDecomposed(e.Exe, e.Name, 3)
 	if again, err := snap.LookupDecomposed(e.Exe, e.Name, 3); d == nil || d != again || err != nil {
 		t.Errorf("LookupDecomposed(%s, %s) = %p, want one memoized decomposition", e.Exe, e.Name, d)
-	} else if want := core.Decompose(e.Function(), 3); d.Name != e.Name || d.Fingerprint() != want.Fingerprint() {
+	} else if want := core.Decompose(mustDecode(t, e), 3); d.Name != e.Name || d.Fingerprint() != want.Fingerprint() {
 		t.Errorf("LookupDecomposed(%s, %s) is %s with fingerprint %x, want %x", e.Exe, e.Name, d.Name, d.Fingerprint(), want.Fingerprint())
 	}
 	if got, err := snap.LookupDecomposed("nope", "nothing", 3); got != nil || err != nil {
@@ -179,11 +179,11 @@ func raceSearch(t *testing.T, db *DB, snap *Snapshot, ks []int) {
 	}
 }
 
-// saved round-trips db through SaveV3 into a reader.
+// saved round-trips db through Save into a reader.
 func saved(t *testing.T, db *DB) *bytes.Buffer {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := db.SaveV3(&buf); err != nil {
+	if err := db.Save(&buf, SaveOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	return &buf
@@ -227,7 +227,7 @@ func TestBuildSnapshotIsLazy(t *testing.T) {
 		t.Fatal("BuildSnapshot built a candidate index or walked the feature sets")
 	}
 	for _, e := range db.Entries {
-		if e.lazy.Load() != nil {
+		if Memoized(e) {
 			t.Fatalf("BuildSnapshot decoded %s/%s", e.Exe, e.Name)
 		}
 	}

@@ -375,7 +375,7 @@ func TestChaosReloadFault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := db.SaveV3(f); err != nil {
+	if err := db.Save(f, index.SaveOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {

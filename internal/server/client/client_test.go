@@ -142,7 +142,7 @@ func TestClientServerIntegration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := db.SaveV3(f); err != nil {
+	if err := db.Save(f, index.SaveOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()

@@ -25,8 +25,8 @@ func shardDBs(t *testing.T, db *index.DB, n int) []*index.DB {
 	total := 0
 	for i := range out {
 		var buf bytes.Buffer
-		if err := db.SaveV3Shard(&buf, i, n); err != nil {
-			t.Fatalf("SaveV3Shard(%d/%d): %v", i, n, err)
+		if err := db.Save(&buf, index.SaveOptions{Shard: i, Shards: n}); err != nil {
+			t.Fatalf("Save shard %d/%d: %v", i, n, err)
 		}
 		sdb, err := index.Load(bytes.NewReader(buf.Bytes()))
 		if err != nil {

@@ -91,7 +91,7 @@ func TestFrontEndParity(t *testing.T) {
 	for _, fe := range fronts {
 		for _, e := range sample {
 			var want []Hit
-			for _, h := range index.TopK(index.SerialSearch(db.Entries, e.Function(), core.DefaultOptions()), 1000, 0) {
+			for _, h := range index.TopK(index.SerialSearch(db.Entries, mustDecode(t, e), core.DefaultOptions()), 1000, 0) {
 				want = append(want, wireHit(h))
 			}
 			byImage := SearchRequest{Function: e.Name, Limit: 1000}
@@ -137,7 +137,7 @@ func TestFrontEndParity(t *testing.T) {
 				if got.Cached != st.cached || got.Degraded {
 					t.Errorf("%s: cached %v degraded %v, want cached %v", id, got.Cached, got.Degraded, st.cached)
 				}
-				fn := e.Function()
+				fn := mustDecode(t, e)
 				if got.Query != e.Name || got.QueryBlocks != fn.NumBlocks() || got.QueryInsts != fn.NumInsts() {
 					t.Errorf("%s: header %q %d/%d, want %q %d/%d", id,
 						got.Query, got.QueryBlocks, got.QueryInsts, e.Name, fn.NumBlocks(), fn.NumInsts())
@@ -178,7 +178,7 @@ func b2i(b bool) uint64 {
 func TestHitAnswersUnderItsOwnHeader(t *testing.T) {
 	small, _ := smallDB(t)
 	orig := entryWithTruth(t, small, corpus.LibFuncName)
-	fn := orig.Function()
+	fn := mustDecode(t, orig)
 	db := index.New()
 	db.Entries = append(db.Entries, small.Entries...)
 	db.Entries = append(db.Entries, &index.Entry{Exe: "twin", Name: "sub_TWIN", Addr: fn.Addr + 0x40,
@@ -319,7 +319,7 @@ func TestUnrepeatableAnswersGetNoKey(t *testing.T) {
 	holds(coord, "full fleet", 1, 2)
 
 	s = NewFromDB(db, Config{})
-	qgob, _, err := encodeQueryGob(e.Function())
+	qgob, _, err := encodeQueryGob(mustDecode(t, e))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -436,9 +436,10 @@ func TestWritePathTelemetry(t *testing.T) {
 	}
 	snap := s.tel.Snapshot()
 	lifted, decoded := snap.Counters["functions_lifted"], snap.Counters["instructions_decoded"]
-	if lifted != 1 || snap.Histograms["lift_latency"].Count != 1 || decoded < uint64(e.Function().NumInsts()) {
+	insts := mustDecode(t, e).NumInsts()
+	if lifted != 1 || snap.Histograms["lift_latency"].Count != 1 || decoded < uint64(insts) {
 		t.Errorf("one function lifted by image: functions_lifted %d, lift_latency count %d, instructions_decoded %d (the function has %d)",
-			lifted, snap.Histograms["lift_latency"].Count, decoded, e.Function().NumInsts())
+			lifted, snap.Histograms["lift_latency"].Count, decoded, insts)
 	}
 
 	s.install(db, time.Now())

@@ -16,7 +16,7 @@
 // image and adds to functions_lifted and instructions_decoded — discovery
 // keeps what it decodes, so on a stripped image the second equals the
 // instructions of the functions lifted; a surplus is bytes decoded again.
-// Saving an index (index.DB.Save, SaveV3*, mkcorpus -index) observes
+// Saving an index (index.DB.Save, mkcorpus -index) observes
 // index_save_latency once per file and adds its size to
 // index_bytes_written. functions_lifted over the sum of the two
 // histograms is the build rate tracy index and mkcorpus print.

@@ -113,11 +113,12 @@ func (d *Database) IndexExecutableWithTruth(name string, img []byte, truth map[u
 func (d *Database) NumFunctions() int { return d.db.Len() }
 
 // Functions returns the lifted form of every indexed function, in index
-// order.
+// order: nil for a function of a loaded database whose stored records are
+// corrupt.
 func (d *Database) Functions() []*Function {
 	out := make([]*Function, d.db.Len())
 	for i, e := range d.db.Entries {
-		out[i] = e.Function()
+		out[i], _ = e.Decode()
 	}
 	return out
 }
@@ -129,16 +130,17 @@ func (d *Database) Search(query *Function, opts Options) []Match {
 	ans, _ := d.db.View().Search(context.Background(), index.Query{Func: query, Opts: opts})
 	out := make([]Match, len(ans.Hits))
 	for i, h := range ans.Hits {
+		fn, _ := h.Entry.Decode()
 		out[i] = Match{
 			Exe: h.Entry.Exe, Name: h.Entry.Name, Addr: h.Entry.Addr,
-			Truth: h.Entry.Truth, Result: h.Result, Func: h.Entry.Function(),
+			Truth: h.Entry.Truth, Result: h.Result, Func: fn,
 		}
 	}
 	return out
 }
 
 // Save serializes the database in the TRACYIDX v4 columnar format.
-func (d *Database) Save(w io.Writer) error { return d.db.SaveV3(w) }
+func (d *Database) Save(w io.Writer) error { return d.db.Save(w, index.SaveOptions{}) }
 
 // LoadDatabase restores a database written by Save, reading it fully into
 // memory.
