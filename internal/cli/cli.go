@@ -18,11 +18,12 @@
 //
 // Flags -k, -beta, -alpha, -norm, -norewrite configure matching.
 //
-// Every command also accepts the observability flags -stats (summary),
-// -stats-json DEST (machine-readable telemetry report), -trace-json DEST
-// (per-query span trace, where the command runs queries) and -pprof ADDR
-// (serve /statsz and /debug/pprof while the command runs); DEST is a file
-// path or "-" for standard output. See README.md, "Observability".
+// Every command but serve also accepts the observability flags -stats
+// (summary), -stats-json DEST (machine-readable telemetry report),
+// -trace-json DEST (per-query span trace, where the command runs queries)
+// and -pprof ADDR (serve /statsz and /debug/pprof while the command runs);
+// DEST is a file path or "-" for standard output. A server serves the
+// same reports live on its own address. See README.md, "Observability".
 package cli
 
 import (

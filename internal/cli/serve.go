@@ -26,37 +26,28 @@ import (
 )
 
 // serve runs the query service until SIGINT/SIGTERM (graceful drain) —
-// SIGHUP hot-reloads the index from disk.
+// SIGHUP hot-reloads the index from disk, or on a coordinator every
+// worker's. Telemetry is served live at /statsz, /metrics and
+// /debug/pprof on -addr, so serve takes none of the -stats/-pprof flags.
 func (c *env) serve(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	dbPath := fs.String("db", "tracy.db", "index file to serve (and hot-reload)")
 	addr := fs.String("addr", ":8077", "listen address")
-	ksFlag := fs.String("ks", "", "comma-separated tracelet sizes to precompute (default: -k)")
-	shards := fs.Int("shards", 0, "snapshot shards per query (0: GOMAXPROCS)")
 	maxInFlight := fs.Int("max-inflight", 0, "concurrent searches before shedding 429s (0: 4*GOMAXPROCS)")
 	queueDepth := fs.Int("queue-depth", -1, "requests queued for an in-flight slot before shedding (-1: auto — 0 standalone, 64 coordinator)")
 	fleet := fs.String("fleet", "", "comma-separated worker base URLs, one entry per corpus shard; an entry may pipe-join replicas of that shard (\"a1|a2,b1|b2\"): serve as a scatter-gather coordinator with per-shard failover (ignores -db)")
-	shardTimeout := fs.Duration("shard-timeout", 0, "coordinator: per-shard RPC deadline (0: 10s)")
 	shardHedge := fs.Duration("shard-hedge", 0, "coordinator: race a hedged scatter leg against a sibling replica after this delay (0: off)")
 	probeInterval := fs.Duration("probe-interval", 0, "coordinator: replica health-probe interval (0: 1s)")
-	downAfter := fs.Int("replica-down-after", 0, "coordinator: consecutive failures before a replica is marked down (transport errors mark down immediately; 0: 3)")
 	cacheN := fs.Int("cache", 256, "LRU result-cache entries (negative: disable)")
 	timeout := fs.Duration("timeout", 30*time.Second, "per-request deadline")
 	maxBody := fs.Int64("max-body", 8<<20, "request body size limit in bytes")
 	degraded := fs.Bool("degraded", false, "answer saturated searches with cached or prefilter-only results instead of 429")
-	accessLog := fs.String("access-log", "", "structured JSON access-log destination: a file path or \"-\" for stdout (default: off)")
-	accessSample := fs.Int("access-sample", 1, "log 1 in N requests (errors and slow queries always log)")
+	accessLog := fs.String("access-log", "", "structured JSON access-log destination, one line per request: a file path or \"-\" for stdout (default: off)")
 	slowQuery := fs.Duration("slow-query", time.Second, "slow-query threshold: such requests always log and bump server_slow_queries")
-	flightSlow := fs.Int("flight-slow", 0, "slowest requests retained at /debug/requests (0: default)")
-	flightErrors := fs.Int("flight-errors", 0, "recent errored requests retained at /debug/requests (0: default)")
 	faultSpec := fs.String("faults", os.Getenv(faultinject.EnvVar),
 		"fault-injection spec, e.g. search=latency:200ms,decode=error:x2 (chaos testing; default $"+faultinject.EnvVar+")")
 	opts := matchFlags(fs)
-	tf := telFlags(fs)
 	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if err := tf.activate(c.w, "serve"); err != nil {
 		return err
 	}
 	var faults *faultinject.Injector
@@ -70,22 +61,15 @@ func (c *env) serve(args []string) error {
 	cfg := server.Config{
 		DBPath:             *dbPath,
 		Opts:               opts(),
-		Shards:             *shards,
 		MaxInFlight:        *maxInFlight,
 		MaxBodyBytes:       *maxBody,
 		RequestTimeout:     *timeout,
 		CacheEntries:       *cacheN,
 		DegradedMode:       *degraded,
 		Faults:             faults,
-		Tel:                tf.tel,
-		AccessLogSample:    *accessSample,
 		SlowQueryThreshold: *slowQuery,
-		FlightSlow:         *flightSlow,
-		FlightErrors:       *flightErrors,
-		ShardTimeout:       *shardTimeout,
 		ShardHedge:         *shardHedge,
 		ProbeInterval:      *probeInterval,
-		ReplicaDownAfter:   *downAfter,
 	}
 	if *fleet != "" {
 		if *degraded {
@@ -112,8 +96,8 @@ func (c *env) serve(args []string) error {
 			return fmt.Errorf("serve: -fleet lists no worker URLs")
 		}
 		cfg.DBPath = "" // a coordinator serves the fleet, not a local index
-	} else if *shardHedge > 0 || *probeInterval > 0 || *downAfter > 0 {
-		return fmt.Errorf("serve: -shard-hedge/-probe-interval/-replica-down-after only apply with -fleet")
+	} else if *shardHedge > 0 || *probeInterval > 0 {
+		return fmt.Errorf("serve: -shard-hedge/-probe-interval only apply with -fleet")
 	}
 	// A coordinator defaults to queueing a burst of requests (work
 	// conservation beats bouncing clients into 1s retry backoffs); a
@@ -134,19 +118,6 @@ func (c *env) serve(args []string) error {
 			}
 			defer f.Close()
 			cfg.AccessLog = f
-		}
-	}
-	if cfg.Tel == nil {
-		// The server always collects: /statsz is part of the service.
-		cfg.Tel = telemetry.New()
-	}
-	if *ksFlag != "" {
-		for _, part := range strings.Split(*ksFlag, ",") {
-			k, err := strconv.Atoi(strings.TrimSpace(part))
-			if err != nil || k <= 0 {
-				return fmt.Errorf("serve: bad -ks entry %q", part)
-			}
-			cfg.Ks = append(cfg.Ks, k)
 		}
 	}
 	srv, err := server.New(cfg)
@@ -175,7 +146,7 @@ func (c *env) serve(args []string) error {
 				continue
 			}
 			fmt.Fprintf(c.w, "tracy: reloaded %s: %d functions, TRACYIDX v%d (mapped=%v, generation %d, %.0fms)\n",
-				*dbPath, res.Functions, res.Format, res.Mapped, res.Generation, res.TookMS)
+				what, res.Functions, res.Format, res.Mapped, res.Generation, res.TookMS)
 			continue
 		}
 		fmt.Fprintf(c.w, "tracy: %v: draining in-flight queries\n", sig)
@@ -188,7 +159,7 @@ func (c *env) serve(args []string) error {
 		fmt.Fprintln(c.w, "tracy: shutdown complete")
 		break
 	}
-	return tf.finish(c.w)
+	return nil
 }
 
 // query sends one search to a running tracy server and prints the ranked

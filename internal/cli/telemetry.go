@@ -11,7 +11,7 @@ import (
 )
 
 // telOpts carries the shared observability flags every tracy command
-// registers:
+// but serve registers (a server serves its telemetry live on -addr):
 //
 //	-stats            print a human-readable telemetry summary
 //	-stats-json DEST  write the full telemetry snapshot as JSON

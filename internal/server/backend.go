@@ -235,5 +235,10 @@ func (b localBackend) Health(context.Context) *HealthResponse {
 }
 
 func (b localBackend) Reload(context.Context) (*ReloadResponse, error) {
-	return b.s.Reload()
+	resp, err := b.s.reload()
+	if err != nil {
+		return nil, err
+	}
+	b.s.tel.Inc(telemetry.ServerReloads)
+	return resp, nil
 }

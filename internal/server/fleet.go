@@ -54,10 +54,9 @@ import (
 // retry transport (internal/server/rpc) the Go client uses, plus one
 // breaker per replica.
 
-// defaultShardTimeout bounds one shard RPC when Config.ShardTimeout is
-// zero: long enough for an exhaustive scan of a fair shard slice, short
-// enough that one wedged worker cannot pin a query to the full request
-// deadline.
+// defaultShardTimeout bounds one shard RPC: long enough for an
+// exhaustive scan of a fair shard slice, short enough that one wedged
+// worker cannot pin a query to the full request deadline.
 const defaultShardTimeout = 10 * time.Second
 
 // fleetProbeTimeout bounds a single healthz probe.
@@ -76,9 +75,9 @@ const (
 )
 
 // defaultDownAfter is how many consecutive non-transport failures mark
-// a replica down when Config.ReplicaDownAfter is zero. Transport errors
-// (connection refused/reset) mark it down on the first: the process is
-// gone, and waiting a threshold only burns shard timeouts.
+// a replica down. Transport errors (connection refused/reset) mark it
+// down on the first: the process is gone, and waiting a threshold only
+// burns shard timeouts.
 const defaultDownAfter = 3
 
 // replica is one worker process: a member of a shard's replica group,
@@ -115,11 +114,9 @@ type shardGroup struct {
 type fleetBackend struct {
 	s          *Server
 	groups     []*shardGroup
-	all        []*replica // flattened, fleet order
-	timeout    time.Duration
+	all        []*replica    // flattened, fleet order
 	hedge      time.Duration // 0: no hedged scatter legs
 	probeEvery time.Duration
-	downAfter  int
 
 	primed  atomic.Bool // a full sweep has completed at least once
 	sweepMu sync.Mutex  // serializes full sweeps
@@ -151,24 +148,14 @@ func parseFleetGroups(fleet []string) [][]string {
 }
 
 func newFleetBackend(s *Server) *fleetBackend {
-	timeout := s.cfg.ShardTimeout
-	if timeout <= 0 {
-		timeout = defaultShardTimeout
-	}
 	probeEvery := s.cfg.ProbeInterval
 	if probeEvery <= 0 {
 		probeEvery = defaultProbeInterval
 	}
-	downAfter := s.cfg.ReplicaDownAfter
-	if downAfter <= 0 {
-		downAfter = defaultDownAfter
-	}
 	f := &fleetBackend{
 		s:          s,
-		timeout:    timeout,
 		hedge:      s.cfg.ShardHedge,
 		probeEvery: probeEvery,
-		downAfter:  downAfter,
 		stop:       make(chan struct{}),
 		nudge:      make(chan struct{}, 1),
 		done:       make(chan struct{}),
@@ -185,7 +172,6 @@ func newFleetBackend(s *Server) *fleetBackend {
 					BaseURL: addr,
 					Retry:   rpc.DefaultRetryPolicy(),
 					Breaker: &rpc.Breaker{Threshold: 5, Cooldown: time.Second},
-					Stats:   &rpc.Counters{},
 				},
 				probeConn: &rpc.Conn{BaseURL: addr},
 			}
@@ -239,7 +225,7 @@ func (f *fleetBackend) noteFailure(r *replica, err error) {
 	r.fails++
 	r.lastErr = err.Error()
 	wentDown := false
-	if r.up && (transport || r.fails >= f.downAfter) {
+	if r.up && (transport || r.fails >= defaultDownAfter) {
 		r.up = false
 		r.downSince = now
 		r.backoff = probeBackoffBase
@@ -672,8 +658,6 @@ func groupCall[T any](f *fleetBackend, ctx context.Context, g *shardGroup, hedge
 	}
 	legs := make([]func(context.Context) (T, error), len(order))
 	for i, r := range order {
-		i, r := i, r
-		_ = i
 		legs[i] = func(lctx context.Context) (T, error) {
 			v, err := call(lctx, r)
 			f.observe(lctx, r, err)
@@ -748,7 +732,7 @@ func decodeQueryGob(s string) (*prep.Function, error) {
 // the owning group answer identically — redundancy is free coverage
 // here, not wasted work).
 func (f *fleetBackend) lookupFunction(ctx context.Context, exe, name string) (*prep.Function, error) {
-	ctx, cancel := context.WithTimeout(ctx, f.timeout)
+	ctx, cancel := context.WithTimeout(ctx, defaultShardTimeout)
 	defer cancel()
 	path := "/v1/fleet/function?" + url.Values{"exe": {exe}, "name": {name}}.Encode()
 	type res struct {
@@ -853,7 +837,7 @@ func (f *fleetBackend) searchReplica(ctx context.Context, r *replica, req *Searc
 	if err := f.s.faults.Fire(ctx, fmt.Sprintf("%s%dr%d", FaultShard, r.shard, r.idx)); err != nil {
 		return nil, err
 	}
-	sctx, cancel := context.WithTimeout(ctx, f.timeout)
+	sctx, cancel := context.WithTimeout(ctx, defaultShardTimeout)
 	defer cancel()
 	st := f.s.tel.StartTimer(telemetry.FleetShardLatency)
 	defer st.Stop()
@@ -1056,7 +1040,7 @@ func (f *fleetBackend) Functions(ctx context.Context, exe string, limit int) (*F
 		go func(i int, g *shardGroup) {
 			defer wg.Done()
 			resp, order, out := groupCall(f, ctx, g, 0, func(lctx context.Context, r *replica) (*FunctionsResponse, error) {
-				sctx, cancel := context.WithTimeout(lctx, f.timeout)
+				sctx, cancel := context.WithTimeout(lctx, defaultShardTimeout)
 				defer cancel()
 				var fr FunctionsResponse
 				if err := r.conn.Do(sctx, http.MethodGet, path, nil, &fr); err != nil {
@@ -1120,7 +1104,7 @@ func (f *fleetBackend) Reload(ctx context.Context) (*ReloadResponse, error) {
 		wg.Add(1)
 		go func(i int, r *replica) {
 			defer wg.Done()
-			sctx, cancel := context.WithTimeout(ctx, f.timeout)
+			sctx, cancel := context.WithTimeout(ctx, defaultShardTimeout)
 			defer cancel()
 			var rr ReloadResponse
 			err := r.conn.Do(sctx, http.MethodPost, "/v1/reload", nil, &rr)

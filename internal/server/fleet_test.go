@@ -3,9 +3,11 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -293,7 +295,8 @@ func TestFleetHealthzAggregates(t *testing.T) {
 // TestFleetScatterLegsJoinCoordinatorTrace: the trace a coordinator
 // mints at the edge is the one its scatter legs carry, so each worker's
 // /debug/requests holds the by-reference search's leg under the
-// coordinator's trace_id.
+// coordinator's trace_id — and a batch's legs, which run under each
+// item's query:N span, under the batch's.
 func TestFleetScatterLegsJoinCoordinatorTrace(t *testing.T) {
 	db, _ := smallDB(t)
 	coord, workers := startFleet(t, db, 2, Config{CacheEntries: -1, ProbeInterval: time.Hour})
@@ -305,16 +308,88 @@ func TestFleetScatterLegsJoinCoordinatorTrace(t *testing.T) {
 	if !telemetry.IsTraceID(got.TraceID) {
 		t.Fatalf("coordinator trace_id %q invalid", got.TraceID)
 	}
+	app := entryWithTruth(t, db, corpus.AppFuncName)
+	body, _ := json.Marshal(BatchRequest{Queries: []SearchRequest{
+		{Exe: e.Exe, Name: e.Name, Limit: 10},
+		{Exe: app.Exe, Name: app.Name, Limit: 10},
+	}})
+	brec := httptest.NewRecorder()
+	coord.Handler().ServeHTTP(brec, httptest.NewRequest(http.MethodPost, "/v1/search/batch", bytes.NewReader(body)))
+	var batch BatchResponse
+	if err := json.Unmarshal(brec.Body.Bytes(), &batch); err != nil || brec.Code != http.StatusOK {
+		t.Fatalf("fleet batch: %d %s (%v)", brec.Code, brec.Body.String(), err)
+	}
+	for i, item := range batch.Results {
+		if item.Result == nil || item.Result.Degraded {
+			t.Fatalf("fleet batch item %d: %+v", i, item)
+		}
+	}
 	for i, w := range workers {
-		legs := 0
+		legs := map[string]int{}
 		for _, r := range getFlight(t, w.Handler()).Slowest {
-			if r.TraceID == got.TraceID && r.Path == "/v1/search" && r.Status == http.StatusOK {
-				legs++
+			if r.Path == "/v1/search" && r.Status == http.StatusOK {
+				legs[r.TraceID]++
 			}
 		}
-		if legs != 1 {
-			t.Errorf("worker %d recorded %d searches under the coordinator's trace %s, want 1", i, legs, got.TraceID)
+		if legs[got.TraceID] != 1 {
+			t.Errorf("worker %d recorded %d searches under the coordinator's trace %s, want 1", i, legs[got.TraceID], got.TraceID)
 		}
+		if legs[batch.TraceID] != 2 {
+			t.Errorf("worker %d recorded %d searches under the batch's trace %s, want 2 (legs: %v)", i, legs[batch.TraceID], batch.TraceID, legs)
+		}
+	}
+}
+
+// TestFleetServerReload: Server.Reload, which tracy serve calls on
+// SIGHUP, has a coordinator reload every worker, as POST /v1/reload
+// does: it answers with the summed function count and moves the fleet
+// generation.
+func TestFleetServerReload(t *testing.T) {
+	db, _ := smallDB(t)
+	dir := t.TempDir()
+	var urls []string
+	var workers []*Server
+	for i, sdb := range shardDBs(t, db, 2) {
+		path := filepath.Join(dir, fmt.Sprintf("shard%d.idx", i))
+		replaceIndex(t, path, sdb)
+		w, err := New(Config{DBPath: path})
+		if err != nil {
+			t.Fatal(err)
+		}
+		addr, err := w.Start("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		workers = append(workers, w)
+		urls = append(urls, "http://"+addr.String())
+	}
+	coord, err := New(Config{Fleet: urls, ProbeInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		_ = coord.Shutdown(ctx)
+		for _, w := range workers {
+			_ = w.Shutdown(ctx)
+		}
+	})
+	before := coord.backend.Health(context.Background()).Generation
+	res, err := coord.Reload()
+	if err != nil {
+		t.Fatalf("coordinator Reload: %v", err)
+	}
+	if res.Functions != db.Len() || res.Generation == before {
+		t.Errorf("coordinator Reload = %+v, want %d functions and a generation other than %d", res, db.Len(), before)
+	}
+	for i, w := range workers {
+		if g := w.snap.Load().gen; g != 2 {
+			t.Errorf("worker %d at generation %d after the fleet reload, want 2", i, g)
+		}
+	}
+	if got := coord.Tel().Get(telemetry.ServerReloads); got != 1 {
+		t.Errorf("coordinator server_reloads = %d, want 1", got)
 	}
 }
 

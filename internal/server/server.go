@@ -47,15 +47,9 @@ type Config struct {
 	DBPath string
 
 	// Opts are the default matching options (zero value:
-	// core.DefaultOptions). A request's k overrides Opts.K if the
-	// snapshot precomputed it.
+	// core.DefaultOptions). The snapshot precomputes Opts.K only; a
+	// request naming another k is refused with 400.
 	Opts core.Options
-
-	// Ks lists the tracelet sizes to pre-decompose (default: [Opts.K]).
-	Ks []int
-
-	// Shards is the per-query fan-out width (default GOMAXPROCS).
-	Shards int
 
 	// MaxInFlight bounds concurrently processed search requests; excess
 	// requests are rejected with 429 (default 4*GOMAXPROCS).
@@ -80,10 +74,6 @@ type Config struct {
 	// top-K lists. See fleet.go.
 	Fleet []string
 
-	// ShardTimeout bounds each per-shard RPC in coordinator mode
-	// (default 10s).
-	ShardTimeout time.Duration
-
 	// ShardHedge, when positive, arms hedged scatter legs: if a shard's
 	// chosen replica has not answered within this delay and a sibling
 	// replica is available, the coordinator races a second request
@@ -94,11 +84,6 @@ type Config struct {
 	// refreshes each live replica's health (default 1s). Down replicas
 	// are re-probed on an exponential backoff starting at 250ms.
 	ProbeInterval time.Duration
-
-	// ReplicaDownAfter is how many consecutive non-transport failures
-	// mark a replica down (default 3). Transport errors (connection
-	// refused/reset) mark it down immediately.
-	ReplicaDownAfter int
 
 	// MaxBodyBytes bounds a request body (default 8 MiB).
 	MaxBodyBytes int64
@@ -125,13 +110,6 @@ type Config struct {
 	// Tel receives server telemetry and is served at /statsz (default: a
 	// fresh collector).
 	Tel *telemetry.Collector
-
-	// FlightSlow and FlightErrors size the flight recorder served at
-	// /debug/requests: the N slowest and the N most recent errored
-	// requests, each with its full span tree (defaults
-	// telemetry.DefaultFlightSlow / DefaultFlightErrors).
-	FlightSlow   int
-	FlightErrors int
 
 	// AccessLog, when non-nil, receives one structured JSON line per
 	// logged request. Lines are sampled 1-in-AccessLogSample (default 1:
@@ -168,7 +146,6 @@ type snapState struct {
 type Server struct {
 	cfg     Config
 	opts    core.Options
-	ks      []int
 	tel     *telemetry.Collector
 	snap    atomic.Pointer[snapState]
 	gen     atomic.Uint64
@@ -216,10 +193,6 @@ func newServer(cfg Config) *Server {
 	if opts.K <= 0 {
 		opts.K = core.DefaultK
 	}
-	ks := cfg.Ks
-	if len(ks) == 0 {
-		ks = []int{opts.K}
-	}
 	tel := cfg.Tel
 	if tel == nil {
 		tel = telemetry.New()
@@ -251,12 +224,11 @@ func newServer(cfg Config) *Server {
 	s := &Server{
 		cfg:        cfg,
 		opts:       opts,
-		ks:         ks,
 		tel:        tel,
 		adm:        newAdmission(maxInFlight, cfg.QueueDepth, tel),
 		cache:      newResultCache(cacheN),
 		faults:     cfg.Faults,
-		flight:     telemetry.NewFlightRecorder(cfg.FlightSlow, cfg.FlightErrors),
+		flight:     telemetry.NewFlightRecorder(telemetry.DefaultFlightSlow, telemetry.DefaultFlightErrors),
 		accessLog:  telemetry.NewAccessLogger(cfg.AccessLog, cfg.AccessLogSample, slowT),
 		slowThresh: slowT,
 	}
@@ -282,7 +254,7 @@ func (s *Server) Flight() *telemetry.FlightRecorder { return s.flight }
 func (s *Server) install(db *index.DB, t0 time.Time) *snapState {
 	db.Tel = s.tel
 	st := &snapState{
-		snap:     index.BuildSnapshot(db, s.ks, s.cfg.Shards),
+		snap:     index.BuildSnapshot(db, []int{s.opts.K}, 0),
 		gen:      s.gen.Add(1),
 		loadedAt: time.Now(),
 		info:     db.Info(),
@@ -300,15 +272,12 @@ func (s *Server) install(db *index.DB, t0 time.Time) *snapState {
 	return st
 }
 
-// Reload re-reads cfg.DBPath and atomically swaps in the new snapshot.
-// In-flight queries keep using the old snapshot until they return.
+// Reload swaps in a fresh index, as POST /v1/reload does: a standalone
+// server re-reads cfg.DBPath and atomically swaps in the new snapshot,
+// a coordinator has every worker reload. In-flight queries keep using
+// the old snapshot until they return.
 func (s *Server) Reload() (*ReloadResponse, error) {
-	st, err := s.reload()
-	if err != nil {
-		return nil, err
-	}
-	s.tel.Inc(telemetry.ServerReloads)
-	return st, nil
+	return s.backend.Reload(context.Background())
 }
 
 func (s *Server) reload() (*ReloadResponse, error) {

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -328,7 +329,7 @@ func TestBatch(t *testing.T) {
 
 func TestFunctionsAndHealthz(t *testing.T) {
 	db, _ := smallDB(t)
-	s := NewFromDB(db, Config{Ks: []int{2, 3}})
+	s := NewFromDB(db, Config{})
 	h := s.Handler()
 
 	rec := httptest.NewRecorder()
@@ -356,7 +357,7 @@ func TestFunctionsAndHealthz(t *testing.T) {
 		t.Fatal(err)
 	}
 	if health.Status != "ok" || health.Functions != db.Len() ||
-		len(health.Ks) != 2 || health.Generation != 1 || health.Shards < 1 {
+		!slices.Equal(health.Ks, []int{core.DefaultK}) || health.Generation != 1 || health.Shards < 1 {
 		t.Errorf("bad health: %+v", health)
 	}
 

@@ -20,6 +20,7 @@ type Span struct {
 	mu       sync.Mutex
 	name     string
 	traceID  string // root spans only: the request's 128-bit trace ID
+	root     *Span  // the tree's root; nil on a root
 	start    time.Time
 	durNS    int64
 	attrs    map[string]int64
@@ -42,10 +43,14 @@ func StartTraceSpan(name, id string) *Span {
 	return &Span{name: name, traceID: id, start: time.Now()}
 }
 
-// TraceID returns the span's trace ID ("" on nil or non-root spans).
+// TraceID returns the trace ID of the span's tree: the root's, for a
+// child too ("" on nil spans and on trees started without one).
 func (s *Span) TraceID() string {
 	if s == nil {
 		return ""
+	}
+	if s.root != nil {
+		return s.root.traceID
 	}
 	return s.traceID
 }
@@ -58,7 +63,11 @@ func (s *Span) Child(name string) *Span {
 	if s == nil {
 		return nil
 	}
-	c := &Span{name: name, start: time.Now()}
+	root := s.root
+	if root == nil {
+		root = s
+	}
+	c := &Span{name: name, root: root, start: time.Now()}
 	s.mu.Lock()
 	s.children = append(s.children, c)
 	s.mu.Unlock()

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"context"
+	"encoding/json"
 	"strings"
 	"sync"
 	"testing"
@@ -87,8 +88,21 @@ func TestStartTraceSpanAdoptsOrMints(t *testing.T) {
 	if !IsTraceID(minted) {
 		t.Fatalf("StartTraceSpan minted invalid ID %q for malformed input", minted)
 	}
-	if child := StartTraceSpan("req", tid).Child("stage"); child.TraceID() != "" {
-		t.Fatalf("child spans must not claim the trace ID, got %q", child.TraceID())
+	// A child carries its root's trace ID (so an RPC made under a stage
+	// span joins the request's trace), but only the root writes it.
+	root := StartTraceSpan("req", tid)
+	child := root.Child("stage")
+	if got := child.Child("leg").TraceID(); got != tid {
+		t.Fatalf("grandchild TraceID = %q, want the root's %q", got, tid)
+	}
+	child.End()
+	root.End()
+	b, err := json.Marshal(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(string(b), `"trace_id"`); n != 1 {
+		t.Fatalf("span JSON carries trace_id %d times, want once (on the root): %s", n, b)
 	}
 }
 
