@@ -24,8 +24,13 @@ type Names struct {
 	Off []uint32 // one more than there are names; Off[0] is 0
 }
 
-// Len returns the number of names.
-func (n *Names) Len() int { return max(len(n.Off)-1, 0) }
+// Len returns the number of names; a nil table has none.
+func (n *Names) Len() int {
+	if n == nil {
+		return 0
+	}
+	return max(len(n.Off)-1, 0)
+}
 
 // At returns name i. The bytes are the table's and must not be changed.
 func (n *Names) At(i uint32) []byte { return n.Tab[n.Off[i]:n.Off[i+1]] }
@@ -525,22 +530,24 @@ func (in *Inst) Packable() error {
 }
 
 // Unpacker rebuilds instructions from their packed form. Operand lists and
-// memory-term lists are carved from Ops and Mems, which it appends to, so a
-// caller that gives them room for a whole function rebuilds it in a fixed
-// few allocations.
+// memory-term lists are carved from Ops and Mems, which it appends to, and
+// Check appends the instructions to Insts, so a caller that gives them room
+// for a whole function rebuilds it in a fixed few allocations. A rebuilt
+// mnemonic is the string of the package's mnemonic table, or a copy where
+// the table lacks it.
 type Unpacker struct {
-	Sym  func(i uint32) string // the name of symbol i of the arguments' name table
-	Ops  []Operand
-	Mems []MemTerm
+	Sym   func(i uint32) string // the name of symbol i of the arguments' name table
+	Ops   []Operand
+	Mems  []MemTerm
+	Insts []Inst
 }
 
 // Inst rebuilds the instruction PackInst packed into enc, the canonical
-// encoding of its kind, and args, its arguments. enc is a string so that
-// the mnemonic can be a slice of it. ok is false when the two do not fit
-// together, where CheckInst refuses them; every symbol args name must be
-// one Sym knows.
+// encoding of its kind, and args, its arguments; ok is false where
+// CheckInst refuses them. Every symbol args name must be one Sym knows.
 func (u *Unpacker) Inst(enc string, args []PArg) (in Inst, ok bool) {
-	return readKind(enc, args, u)
+	ok = readKind(enc, args, u, &in)
+	return in, ok
 }
 
 // Check reports whether p's columns are consistent with one another, which
@@ -555,15 +562,42 @@ func (p *Packed) Check() error {
 	if len(p.KOff) != n+1 || len(p.Off) != n+1 || len(p.Read) != n || len(p.Write) != n {
 		return errors.New("columns of different lengths")
 	}
-	if p.KOff[0] != 0 || int(p.KOff[n]) != len(p.Canon) || p.Off[0] != 0 || int(p.Off[n]) != len(p.Args) {
+	return (*Unpacker)(nil).Check(p)
+}
+
+// Check is Packed.Check of the columns the instructions are rebuilt from —
+// Canon, KOff, Off, Args and Names — and refuses what it refuses, where it
+// refuses it, with its error. With u non-nil it rebuilds each instruction
+// at the step that checks it, appending it to u.Insts.
+func (u *Unpacker) Check(p *Packed) error {
+	canon, kOff, off, args, nsym := p.Canon, p.KOff, p.Off, p.Args, uint32(p.Names.Len())
+	n := len(kOff) - 1
+	if n < 0 || len(off) != n+1 {
+		return errors.New("columns of different lengths")
+	}
+	if kOff[0] != 0 || int(kOff[n]) != len(canon) || off[0] != 0 || int(off[n]) != len(args) {
 		return errors.New("offsets do not span their column")
 	}
 	for i := 0; i < n; i++ {
-		if p.KOff[i] > p.KOff[i+1] || int(p.KOff[i+1]) > len(p.Canon) || p.Off[i] > p.Off[i+1] || int(p.Off[i+1]) > len(p.Args) {
+		if kOff[i] > kOff[i+1] || int(kOff[i+1]) > len(canon) || off[i] > off[i+1] || int(off[i+1]) > len(args) {
 			return errors.New("offsets out of order")
 		}
-		if err := CheckInst(p.Canon[p.KOff[i]:p.KOff[i+1]], p.Args[p.Off[i]:p.Off[i+1]], p.Names); err != nil {
-			return err
+		// The symbols' range first, so that Sym is asked only for names the
+		// table holds; then one walk of the encoding checks and rebuilds.
+		as, ru, inTable := args[off[i]:off[i+1]], u, true
+		for k := range as {
+			if as[k].SymH != 0 && as[k].Sym >= nsym {
+				ru, inTable = nil, false
+			}
+		}
+		var in Inst
+		switch {
+		case !readKind(canon[kOff[i]:kOff[i+1]], as, ru, &in):
+			return errors.New("arguments disagree with the instruction's kind")
+		case !inTable:
+			return errors.New("symbol name out of table")
+		case u != nil:
+			u.Insts = append(u.Insts, in)
 		}
 	}
 	return nil
@@ -574,30 +608,19 @@ func (p *Packed) Check() error {
 // what enc says — as many, of those kinds and symbol classes — and every
 // symbol's name is in names.
 func CheckInst(enc []byte, args []PArg, names *Names) error {
-	if _, ok := readKind(enc, args, nil); !ok {
-		return errors.New("arguments disagree with the instruction's kind")
-	}
-	n := uint32(0)
-	if names != nil {
-		n = uint32(names.Len())
-	}
-	for k := range args {
-		if args[k].SymH != 0 && args[k].Sym >= n {
-			return errors.New("symbol name out of table")
-		}
-	}
-	return nil
+	one := Packed{Canon: enc, KOff: []int32{0, int32(len(enc))}, Off: []int32{0, int32(len(args))}, Args: args, Names: names}
+	return (*Unpacker)(nil).Check(&one)
 }
 
 // readKind walks enc, an encoding appendKind wrote, against args and
 // reports whether they are what enc says the instruction has: one argument
 // per direct operand and per memory term, each of the encoded kind and, for
-// a symbol, class. With u non-nil it also rebuilds the instruction, its
-// operands and memory terms carved from u's arrays.
-func readKind[T string | []byte](enc T, args []PArg, u *Unpacker) (in Inst, ok bool) {
+// a symbol, class. With u non-nil it also rebuilds the instruction into
+// *in, its operands and memory terms carved from u's arrays.
+func readKind[T string | []byte](enc T, args []PArg, u *Unpacker, in *Inst) bool {
 	nops, w := uvarint(enc)
 	if w <= 0 {
-		return in, false
+		return false
 	}
 	enc = enc[w:]
 	k, firstOp := 0, 0
@@ -608,14 +631,14 @@ func readKind[T string | []byte](enc T, args []PArg, u *Unpacker) (in Inst, ok b
 	// promises more than enc holds ends in a refusal, not a long walk.
 	for ; nops > 0; nops-- {
 		if len(enc) == 0 || enc[0] > 2 {
-			return in, false
+			return false
 		}
 		shape, terms := enc[0], uint64(1)
 		enc = enc[1:]
 		mem := shape == 2
 		if mem {
 			if terms, w = uvarint(enc); w <= 0 || terms == 0 {
-				return in, false
+				return false
 			}
 			enc = enc[w:]
 		}
@@ -627,16 +650,16 @@ func readKind[T string | []byte](enc T, args []PArg, u *Unpacker) (in Inst, ok b
 			var aop MemOp
 			if mem {
 				if len(enc) == 0 {
-					return in, false
+					return false
 				}
 				aop, enc = MemOp(enc[0]), enc[1:] // the term's operator
 			}
 			if len(enc) == 0 || k == len(args) || byte(args[k].Tag) != enc[0] {
-				return in, false
+				return false
 			}
 			if ArgKind(enc[0]) == KindSym {
 				if len(enc) < 2 || byte(args[k].Tag>>16) != enc[1] {
-					return in, false
+					return false
 				}
 				enc = enc[1:]
 			}
@@ -663,15 +686,24 @@ func readKind[T string | []byte](enc T, args []PArg, u *Unpacker) (in Inst, ok b
 		}
 	}
 	if k != len(args) {
-		return in, false
+		return false
 	}
 	if u != nil {
-		in.Mnemonic = string(enc)
+		*in = Inst{Mnemonic: mnemonic(enc)}
 		if n := len(u.Ops); n > firstOp {
 			in.Ops = u.Ops[firstOp:n:n]
 		}
 	}
-	return in, true
+	return true
+}
+
+// mnemonic returns m as a string: the mnemonic table's own when it has m,
+// so that instructions rebuilt from bytes share it, and a copy when not.
+func mnemonic[T string | []byte](m T) string {
+	if e := &entries[slotOf[slot(string(m), slotMul)]]; e.name == string(m) {
+		return e.name
+	}
+	return string(m)
 }
 
 // uvarint is binary.Uvarint over a string or a byte slice that also

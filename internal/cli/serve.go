@@ -145,6 +145,11 @@ func (c *env) serve(args []string) error {
 				fmt.Fprintf(c.w, "tracy: reload failed: %v\n", err)
 				continue
 			}
+			if len(cfg.Fleet) > 0 {
+				fmt.Fprintf(c.w, "tracy: reloaded %s: %d functions, fleet generation %d (%.0fms)\n",
+					what, res.Functions, res.Generation, res.TookMS)
+				continue
+			}
 			fmt.Fprintf(c.w, "tracy: reloaded %s: %d functions, TRACYIDX v%d (mapped=%v, generation %d, %.0fms)\n",
 				what, res.Functions, res.Format, res.Mapped, res.Generation, res.TookMS)
 			continue

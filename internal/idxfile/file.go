@@ -387,12 +387,12 @@ func (f *File) checkFuncs() error {
 
 // Verify is the integrity pass behind tracy idxinfo -verify and tracy
 // convert. It recomputes every section checksum against the directory,
-// reads every function the way a query would and rebuilds its
-// instructions — so every record check that Parse leaves to first touch
-// runs — checks that every LSHT band is in (band hash, id) order, and packs
-// every rebuilt function afresh to see that the columns PACK derives from
-// the instructions (kind and content hashes, register masks, kind
-// profiles) still agree with them. It touches every page of the file.
+// makes DecodeFunc's one walk over every function — every record check
+// Parse leaves to first touch — checks that every LSHT band is in (band
+// hash, id) order, and packs every rebuilt function afresh to see that the
+// columns PACK derives from the instructions (kind and content hashes,
+// register masks, kind profiles) still agree with the packed view the walk
+// checked. It touches every page of the file.
 func (f *File) Verify() error {
 	for _, s := range f.sections {
 		got := crc32.Checksum(f.data[s.Offset:s.Offset+s.Len], crcTable)
@@ -401,11 +401,7 @@ func (f *File) Verify() error {
 		}
 	}
 	for i := 0; i < f.nfuncs; i++ {
-		fn, err := f.DecodeFunc(i)
-		if err != nil {
-			return err
-		}
-		pf, err := f.PackedFunc(i)
+		pf, fn, err := f.decode(i)
 		if err != nil {
 			return err
 		}
@@ -548,34 +544,12 @@ type PackedFunc struct {
 // block a slice of the file — one allocation, the slice of blocks — and
 // the symbols named in the file's heap copy of the string table. The
 // blocks stay valid exactly as long as the File is not Closed, and whoever
-// keeps them must keep the File reachable. This is where the function's
-// PACK record and its BLCK and SUCC records are validated: the record's
-// place and length, its counts against FUNC's block count and against one
-// another, and per block what asm.Packed.Check checks — offsets in order,
-// arguments as the encodings say, string ids in range — and what
-// asm.CheckInst checks of its jump slot, before any of it is returned, so
-// that comparing the blocks reads nothing unchecked. A record that fails
-// yields the typed error IsCorrupt recognizes. Safe for concurrent callers.
+// keeps them must keep the File reachable. The function's records are
+// checked first (see record), so that comparing the blocks reads nothing
+// unchecked; a record that fails yields the typed error IsCorrupt
+// recognizes. Safe for concurrent callers.
 func (f *File) PackedFunc(i int) (PackedFunc, error) {
-	rec, err := f.record(i, false)
-	return rec.PackedFunc, err
-}
-
-// packedRec is a function's PACK record, checked: its packed blocks, the
-// record's encodings, all of them back to back, its argument count, and
-// each block's jump slot.
-type packedRec struct {
-	PackedFunc
-	canon []byte
-	nargs int
-	jumps []jumpSlot // one per block; nil unless asked for
-}
-
-// jumpSlot is the encoding and arguments of a block's trailing jump, both
-// empty when the block has none.
-type jumpSlot struct {
-	enc  []byte
-	args []asm.PArg
+	return f.record(i, nil, nil)
 }
 
 // packBlk is the per-block entry of a PACK function record.
@@ -585,27 +559,32 @@ type packBlk struct {
 	nprof  uint32
 }
 
-// record reads and checks function i's PACK record (see PackedFunc), with
-// the jump slots of its blocks when jumps is set.
-func (f *File) record(i int, jumps bool) (packedRec, error) {
+// record reads and checks function i's PACK record and its blocks' BLCK
+// and SUCC records — the record's place, length and counts, each block's
+// successors, its body as asm.Packed.Check checks it and its jump slot as
+// asm.CheckInst does — in the one walk over a record that PackedFunc,
+// DecodeFunc and Verify all refuse through. With u non-nil it rebuilds each
+// instruction at the step that checks it (asm.Unpacker.Check), in memory of
+// u's sized from the checked counts, and sets blocks[b].Insts to block b's.
+func (f *File) record(i int, u *asm.Unpacker, blocks []cfg.Block) (PackedFunc, error) {
 	r := f.funcs[i*funcRecSize:]
 	blockOff := int(binary.LittleEndian.Uint32(r[20:]))
 	nblocks := int(binary.LittleEndian.Uint32(r[24:]))
 
 	lo, hi := f.packOff[i], f.packOff[i+1]
 	if lo%8 != 0 || lo > hi || hi > uint64(len(f.pack)) || hi-lo < packHdrSize {
-		return packedRec{}, corruptf("function %d: PACK record [%d,%d) of %d bytes", i, lo, hi, len(f.pack))
+		return PackedFunc{}, corruptf("function %d: PACK record [%d,%d) of %d bytes", i, lo, hi, len(f.pack))
 	}
 	rec := f.pack[lo:hi]
 	hdr := view[uint32](rec, packHdrSize/4)
 	ninsts, nargs, ncanon, nprof := uint64(hdr[1]), uint64(hdr[2]), uint64(hdr[3]), uint64(hdr[4])
 	if int(hdr[0]) != nblocks {
-		return packedRec{}, corruptf("function %d: PACK holds %d blocks, FUNC %d", i, hdr[0], nblocks)
+		return PackedFunc{}, corruptf("function %d: PACK holds %d blocks, FUNC %d", i, hdr[0], nblocks)
 	}
 	nb := uint64(nblocks)
 	if want := packHdrSize + packBlkSize*nb + 24*ninsts + packArgSize*nargs + packProfSize*nprof +
 		8*(ninsts+2*nb) + (ncanon+7)&^7; want != uint64(len(rec)) {
-		return packedRec{}, corruptf("function %d: PACK record of %d bytes, its counts want %d", i, len(rec), want)
+		return PackedFunc{}, corruptf("function %d: PACK record of %d bytes, its counts want %d", i, len(rec), want)
 	}
 	// The columns, in file order; each count is now known to fit in rec.
 	cut := func(n uint64) []byte {
@@ -626,19 +605,21 @@ func (f *File) record(i int, jumps bool) (packedRec, error) {
 	off := view[int32](cut(4*(ninsts+2*nb)), int(ninsts+2*nb))
 	canon := rec[:ncanon]
 
-	out := packedRec{PackedFunc: PackedFunc{Name: f.str(binary.LittleEndian.Uint32(r[4:])), Blocks: make([]asm.Block, nblocks)}, canon: canon, nargs: int(nargs)}
-	if jumps {
-		out.jumps = make([]jumpSlot, nblocks)
+	if u != nil {
+		// Every direct operand and every memory term takes one of the
+		// function's arguments, and a block holds its body and a jump at most.
+		u.Ops, u.Mems, u.Insts = make([]asm.Operand, 0, nargs), make([]asm.MemTerm, 0, nargs), make([]asm.Inst, 0, ninsts+nb)
 	}
+	out := PackedFunc{Name: f.str(binary.LittleEndian.Uint32(r[4:])), Blocks: make([]asm.Block, nblocks)}
 	for bi := range out.Blocks {
 		succs, err := f.succsOf(i, blockOff, nblocks, bi)
 		if err != nil {
-			return packedRec{}, err
+			return PackedFunc{}, err
 		}
 		m := meta[bi]
 		n, np := int(m.ninsts), int(m.nprof)
 		if n > len(kindH) || np > len(prof) {
-			return packedRec{}, corruptf("function %d block %d: PACK block counts run past the function's", i, bi)
+			return PackedFunc{}, corruptf("function %d block %d: PACK block counts run past the function's", i, bi)
 		}
 		blk := &out.Blocks[bi]
 		blk.Hash, blk.Succs, blk.Names = m.hash, succs, &f.names
@@ -652,28 +633,30 @@ func (f *File) record(i int, jumps bool) (packedRec, error) {
 		nc, na, jc, ja := int(kOff[n]), int(off[n]), int(kOff[n+1]), int(off[n+1])
 		kOff, off = kOff[n+2:], off[n+2:]
 		if nc < 0 || nc > jc || jc > len(canon) || na < 0 || na > ja || ja > len(args) {
-			return packedRec{}, corruptf("function %d block %d: PACK offsets run past the function's encodings or arguments", i, bi)
+			return PackedFunc{}, corruptf("function %d block %d: PACK offsets run past the function's encodings or arguments", i, bi)
 		}
 		blk.Canon, blk.Args = canon[:nc:nc], args[:na:na]
-		if err := blk.Check(); err != nil {
-			return packedRec{}, corruptf("function %d block %d: PACK %v", i, bi, err)
+		first := out.NumInsts
+		if err := u.Check(&blk.Packed); err != nil {
+			return PackedFunc{}, corruptf("function %d block %d: PACK %v", i, bi, err)
 		}
-		// An empty slot is no jump; anything else must be one instruction.
-		jump := jumpSlot{canon[nc:jc], args[na:ja]}
-		if len(jump.enc)+len(jump.args) > 0 {
-			if err := asm.CheckInst(jump.enc, jump.args, &f.names); err != nil {
-				return packedRec{}, corruptf("function %d block %d: PACK jump %v", i, bi, err)
+		out.NumInsts += n
+		// An empty jump slot is no jump; anything else must be one instruction.
+		if jc > nc || ja > na {
+			jk, jo := [2]int32{0, int32(jc - nc)}, [2]int32{0, int32(ja - na)}
+			jump := asm.Packed{Canon: canon[nc:jc], KOff: jk[:], Off: jo[:], Args: args[na:ja], Names: &f.names}
+			if err := u.Check(&jump); err != nil {
+				return PackedFunc{}, corruptf("function %d block %d: PACK jump %v", i, bi, err)
 			}
 			out.NumInsts++
 		}
-		out.NumInsts += n
-		if jumps {
-			out.jumps[bi] = jump
+		if u != nil && out.NumInsts > first {
+			blocks[bi].Insts = u.Insts[first:out.NumInsts:out.NumInsts]
 		}
 		canon, args = canon[jc:], args[ja:]
 	}
 	if len(kindH)+len(prof)+len(canon)+len(args) != 0 {
-		return packedRec{}, corruptf("function %d: PACK blocks do not add up to the function's counts", i)
+		return PackedFunc{}, corruptf("function %d: PACK blocks do not add up to the function's counts", i)
 	}
 	return out, nil
 }
@@ -697,66 +680,48 @@ func (f *File) succsOf(i, blockOff, nblocks, bi int) ([]uint32, error) {
 }
 
 // DecodeFunc materializes function i as a lifted prep.Function,
-// identical field for field to the function that was written: every
-// instruction is rebuilt from its PACK encoding and arguments by
-// asm.Unpacker, every block's trailing jump from its jump slot. The
-// record is checked first, as PackedFunc checks it; then instructions,
-// operands, memory terms, blocks and successors are each carved from one
-// array for the whole function, so a decode costs a fixed handful of
-// allocations whatever the function's size. Mnemonics are slices of one
-// heap copy of the function's encodings and symbol names of the file's one
-// string-table copy. A function whose records are corrupt yields the typed
-// error IsCorrupt recognizes. Safe for concurrent callers.
+// identical field for field to the function that was written: record
+// rebuilds each body instruction from its PACK encoding and arguments and
+// each block's trailing jump from its jump slot where it checks them, and
+// DecodeFunc lays out the blocks and successors. It refuses what
+// PackedFunc refuses, with the same error. Instructions, operands, memory
+// terms, blocks and successors are each carved from one array for the
+// whole function, so a decode costs a fixed handful of allocations
+// whatever its size. Safe for concurrent callers.
 func (f *File) DecodeFunc(i int) (*prep.Function, error) {
-	rec, err := f.record(i, true)
-	if err != nil {
-		return nil, err
-	}
+	_, fn, err := f.decode(i)
+	return fn, err
+}
+
+// decode is DecodeFunc that also returns the packed view its walk checked.
+func (f *File) decode(i int) (PackedFunc, *prep.Function, error) {
 	r := f.funcs[i*funcRecSize:]
-	blockOff := int(binary.LittleEndian.Uint32(r[20:]))
-	// Room: every direct operand and every memory term takes one of the
-	// function's arguments, and record has checked that they add up.
+	blockOff, nblocks := int(binary.LittleEndian.Uint32(r[20:])), int(binary.LittleEndian.Uint32(r[24:]))
+	blocks := make([]cfg.Block, nblocks) // Parse has checked nblocks against BLCK
+	pf, err := f.record(i, &asm.Unpacker{Sym: f.str}, blocks)
+	if err != nil {
+		return PackedFunc{}, nil, err
+	}
 	nsuccs := 0
-	for bi := range rec.Blocks {
-		nsuccs += len(rec.Blocks[bi].Succs)
+	for bi := range pf.Blocks {
+		nsuccs += len(pf.Blocks[bi].Succs)
 	}
-	u := asm.Unpacker{Sym: f.str, Ops: make([]asm.Operand, 0, rec.nargs), Mems: make([]asm.MemTerm, 0, rec.nargs)}
-	insts := make([]asm.Inst, 0, rec.NumInsts)
-	blocks := make([]cfg.Block, len(rec.Blocks))
 	succBuf := make([]int, 0, nsuccs)
-	g := &cfg.Graph{Name: rec.Name, Entry: int(binary.LittleEndian.Uint32(r[16:])), Blocks: make([]*cfg.Block, len(rec.Blocks))}
-	// The encodings lie back to back in instruction order, each block's
-	// jump behind its body. record has checked that each fits its
-	// arguments, which is all Unpacker.Inst can refuse.
-	enc := string(rec.canon)
-	unpack := func(n int, args []asm.PArg) {
-		in, _ := u.Inst(enc[:n], args)
-		insts, enc = append(insts, in), enc[n:]
-	}
-	for bi := range rec.Blocks {
-		pb, blk := &rec.Blocks[bi], &blocks[bi]
+	g := &cfg.Graph{Name: pf.Name, Entry: int(binary.LittleEndian.Uint32(r[16:])), Blocks: make([]*cfg.Block, len(pf.Blocks))}
+	for bi := range blocks {
+		blk := &blocks[bi]
 		blk.Index = bi
 		blk.Addr = binary.LittleEndian.Uint32(f.blcks[(blockOff+bi)*blckRecSize:])
-		start := len(insts)
-		for k := 0; k < pb.Len(); k++ {
-			unpack(int(pb.KOff[k+1]-pb.KOff[k]), pb.Args[pb.Off[k]:pb.Off[k+1]])
-		}
-		if j := rec.jumps[bi]; len(j.enc) > 0 {
-			unpack(len(j.enc), j.args)
-		}
-		if len(insts) > start {
-			blk.Insts = insts[start:len(insts):len(insts)]
-		}
-		if len(pb.Succs) > 0 {
+		if succs := pf.Blocks[bi].Succs; len(succs) > 0 {
 			s := len(succBuf)
-			for _, v := range pb.Succs {
+			for _, v := range succs {
 				succBuf = append(succBuf, int(v))
 			}
 			blk.Succs = succBuf[s:len(succBuf):len(succBuf)]
 		}
 		g.Blocks[bi] = blk
 	}
-	return &prep.Function{Name: rec.Name, Addr: binary.LittleEndian.Uint32(r[12:]), Graph: g}, nil
+	return pf, &prep.Function{Name: pf.Name, Addr: binary.LittleEndian.Uint32(r[12:]), Graph: g}, nil
 }
 
 // Close releases the mapping when the File came from Open; for a File

@@ -19,8 +19,8 @@
 //   - compare a function where it lies: a candidate's first touch is
 //     slice headers over the PACK section, not a decode and a pack, and
 //   - rebuild any single function as instructions in O(its size) with a
-//     handful of allocations, no reflection (asm.Unpacker inverts the
-//     packing).
+//     handful of allocations, no reflection, in the walk that checks its
+//     record (asm.Unpacker inverts the packing as it checks it).
 //
 // # On-disk layout
 //
@@ -148,27 +148,27 @@
 // section shapes — work proportional to the number of functions and
 // strings, never to the instructions. A function's own records — its BLCK
 // and SUCC ranges, and its PACK record's place, length, counts, offset
-// order, and per instruction (jumps included) an encoding whose counts
-// are in their one minimal form, arguments of the kinds it says and string
-// ids in range (asm.Packed.Check, asm.CheckInst)
-// — are checked when the function is first read, by PackedFunc and
-// DecodeFunc, before anything unchecked is followed; a function that fails
-// yields the same typed corruption error Parse does, and only the query
-// that touched it fails. Verify walks every function through both,
-// recomputes the columns PACK derives from the instructions — kind and
-// content hashes, register masks, kind profiles — from the rebuilt
-// instructions and compares, checks the LSHT band order, and recomputes
-// the section checksums.
+// order, and per instruction (jumps included) an encoding whose counts are
+// in their one minimal form, arguments of the kinds it says and string ids
+// in range (asm.Unpacker.Check) — are checked when the function is first
+// read, before anything unchecked is followed, in one walk that DecodeFunc
+// makes rebuilding each instruction where it checks it and PackedFunc
+// without; a function that fails yields the same typed corruption error
+// Parse does, and only the query that touched it fails. Verify makes the
+// walk once a function, packs the rebuilt instructions afresh and compares
+// what PACK derives from them — kind and content hashes, register masks,
+// kind profiles — checks the LSHT band order, and recomputes the section
+// checksums.
 //
 // # Lifetime and unmap safety
 //
 // Open maps the file with a shared read-only mapping. Strings never alias
 // the mapping (the string table is copied once to the heap at parse time,
-// and a decoded function's mnemonics are slices of one heap copy of its
-// encodings; decoded functions and the name table of packed blocks share
-// the string-table copy), but the per-function feature slices returned by
-// Features DO alias it, as do the blocks PackedFunc returns and every raw
-// section. Close unmaps; the caller owns proving nothing derived from the
+// and decoded functions and the name table of packed blocks share that
+// copy; a decoded mnemonic is the string of asm's mnemonic table, or a
+// copy where the table lacks it), but the per-function feature slices
+// returned by Features DO alias it, as do the blocks PackedFunc returns and
+// every raw section. Close unmaps; the caller owns proving nothing derived from the
 // mapping is still live. The serving layer never calls Close on a
 // hot-swapped file — the old mapping stays valid for in-flight queries
 // and is unmapped by a finalizer once the last snapshot, and the last

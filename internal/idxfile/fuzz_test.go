@@ -19,11 +19,12 @@ import (
 // faulting, and every function of it is read both ways — rebuilt as
 // instructions and as packed blocks out of PACK — since a function's own
 // records are validated at that first read, not at Parse: each read either
-// succeeds or fails with a corruptError, a decoded graph is well-formed,
-// and packed blocks that were handed out are compared (decomposed as a
-// view, one Compare against the file's first) without faulting. Those
-// checks are the only wall between untrusted bytes and the unchecked
-// decode and compare paths.
+// succeeds or fails with a corruptError, both ways succeed or fail alike
+// and with the same error text (they are one walk over the record), a
+// decoded graph is well-formed, and packed blocks that were handed out are
+// compared (decomposed as a view, one Compare against the file's first)
+// without faulting. Those checks are the only wall between untrusted bytes
+// and the unchecked decode and compare paths.
 func FuzzIdxfileLoad(f *testing.F) {
 	// A genuine file as the prime seed so the fuzzer mutates real section
 	// structure instead of rediscovering the magic.
@@ -84,11 +85,11 @@ func FuzzIdxfileLoad(f *testing.F) {
 					t.Fatalf("LSHSig(%d) has %d values, want k=%d", i, len(sig), pf.LSHParams().K())
 				}
 			}
-			fn, err := pf.DecodeFunc(i)
+			fn, derr := pf.DecodeFunc(i)
 			switch {
-			case err != nil:
-				if !IsCorrupt(err) {
-					t.Fatalf("DecodeFunc(%d) failed with something other than corruption: %v", i, err)
+			case derr != nil:
+				if !IsCorrupt(derr) {
+					t.Fatalf("DecodeFunc(%d) failed with something other than corruption: %v", i, derr)
 				}
 			case fn == nil || fn.Graph == nil || len(fn.Graph.Blocks) == 0:
 				t.Fatal("a function decodes to a malformed graph")
@@ -104,6 +105,9 @@ func FuzzIdxfileLoad(f *testing.F) {
 				}
 			}
 			p, err := pf.PackedFunc(i)
+			if (err == nil) != (derr == nil) || err != nil && err.Error() != derr.Error() {
+				t.Fatalf("function %d: DecodeFunc returned %v, PackedFunc %v; the two walk the record alike", i, derr, err)
+			}
 			if err != nil {
 				if !IsCorrupt(err) {
 					t.Fatalf("PackedFunc(%d) failed with something other than corruption: %v", i, err)

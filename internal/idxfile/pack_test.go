@@ -52,8 +52,9 @@ func packMutants(tb testing.TB, valid []byte) map[string][]byte {
 	// Block 0's body, and where its jump slot starts in the arguments.
 	n0 := int(binary.LittleEndian.Uint32(valid[r.meta()+8:]))
 	jumpArg := int(binary.LittleEndian.Uint32(valid[r.off()+4*n0:]))
-	if sym < 0 || imm < 0 || r.ninsts < 2 || jumpArg >= r.nargs {
-		tb.Fatal("function 0 of the hand corpus lacks a symbol, an immediate, a second instruction or a jump with an argument")
+	if sym < 0 || imm < 0 || r.ninsts < 2 || jumpArg >= r.nargs ||
+		binary.LittleEndian.Uint64(valid[r.args()+jumpArg*packArgSize+16:]) == 0 {
+		tb.Fatal("function 0 of the hand corpus lacks a symbol, an immediate, a second instruction or a jump to a symbol")
 	}
 	put32 := func(at int, v uint32) func([]byte) {
 		return func(b []byte) { binary.LittleEndian.PutUint32(b[at:], v) }
@@ -66,9 +67,12 @@ func packMutants(tb testing.TB, valid []byte) map[string][]byte {
 		// that is not of the kind its encoding says.
 		"jump slot reversed":          flip(valid, put32(r.kOff()+4*(n0+1), 0)),
 		"jump arg kind not its canon": flip(valid, func(b []byte) { b[r.args()+jumpArg*packArgSize] ^= 3 }),
-		"sym id out of range":         flip(valid, put32(r.args()+sym*packArgSize+4, 1<<30)),
-		"block count mismatch":        flip(valid, put32(r.at, uint32(r.nblocks+1))),
-		"arg kind not its canon":      flip(valid, func(b []byte) { b[r.args()] ^= 3 }),
+		// A rebuild that names the jump's symbol before checking its id
+		// indexes the string table out of range.
+		"jump sym id out of range": flip(valid, put32(r.args()+jumpArg*packArgSize+4, 1<<30)),
+		"sym id out of range":      flip(valid, put32(r.args()+sym*packArgSize+4, 1<<30)),
+		"block count mismatch":     flip(valid, put32(r.at, uint32(r.nblocks+1))),
+		"arg kind not its canon":   flip(valid, func(b []byte) { b[r.args()] ^= 3 }),
 		// Instruction 0's operand count in two bytes, its mnemonic one
 		// shorter: the same length, and a count that reads as ≥ 128 a byte
 		// at a time.

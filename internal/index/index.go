@@ -337,10 +337,10 @@ func (db *DB) Save(w io.Writer, o SaveOptions) error {
 		return fmt.Errorf("index: shard %d of %d out of range", o.Shard, o.Shards)
 	}
 	if o.Shards <= 1 {
-		return db.writeV3(w, o.LSH, len(db.Entries), nil)
+		return db.writeIndex(w, o.LSH, len(db.Entries), nil)
 	}
 	// The hash spreads evenly, which is all Builder.Expect asks of a count.
-	return db.writeV3(w, o.LSH, (len(db.Entries)+o.Shards-1)/o.Shards, func(e *Entry) bool {
+	return db.writeIndex(w, o.LSH, (len(db.Entries)+o.Shards-1)/o.Shards, func(e *Entry) bool {
 		return ShardOf(e.Exe, e.Name, o.Shards) == o.Shard
 	})
 }
@@ -352,12 +352,12 @@ func (db *DB) SaveV3LSH(w io.Writer, p minhash.Params) error {
 	return db.Save(w, SaveOptions{LSH: &p})
 }
 
-// writeV3 streams the entries keep admits — all of them when it is nil,
+// writeIndex streams the entries keep admits — all of them when it is nil,
 // about expect in number — through a columnar builder into w. They go in
 // batches: the builder packs a batch's functions one stage ahead of
 // walking them (idxfile.Builder.AddAll), and a store-backed database is
 // decoded a batch at a time, never whole.
-func (db *DB) writeV3(w io.Writer, lsh *minhash.Params, expect int, keep func(*Entry) bool) error {
+func (db *DB) writeIndex(w io.Writer, lsh *minhash.Params, expect int, keep func(*Entry) bool) error {
 	t := db.Tel.StartTimer(telemetry.IndexSaveLatency)
 	defer t.Stop()
 	feats := db.features()

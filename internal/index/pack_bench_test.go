@@ -50,3 +50,32 @@ func BenchmarkFirstTouch(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkDecode measures what materializing a stored function costs, per
+// function (run it with -cpu 1): Entry.Decode, the one walk over the
+// function's PACK record that checks and rebuilds it, which is what
+// /v1/functions, the fleet's by-reference lookup and tracy convert pay per
+// function.
+func BenchmarkDecode(b *testing.B) {
+	data := savedLSH(b, campaignDB(b, 1024), minhash.Default)
+	db, err := Load(bytes.NewReader(data))
+	if err != nil {
+		b.Fatal(err)
+	}
+	n := db.Len()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%n == 0 {
+			// Fresh entries each pass.
+			b.StopTimer()
+			if db, err = Load(bytes.NewReader(data)); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+		}
+		if _, err := db.Entries[i%n].Decode(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -229,7 +229,11 @@ type FleetFunctionResponse struct {
 	FunctionGob string `json:"function_gob"`
 }
 
-// ReloadResponse reports a completed hot reload.
+// ReloadResponse reports a completed hot reload. A coordinator sums
+// Functions over the shard groups and reports the combined fleet
+// generation, as HealthResponse does, which is not an index generation;
+// Format and Mapped are what every replica reported, and zero where the
+// replicas differ.
 type ReloadResponse struct {
 	Functions  int     `json:"functions"`
 	Generation uint64  `json:"generation"`

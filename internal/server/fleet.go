@@ -1115,19 +1115,28 @@ func (f *fleetBackend) Reload(ctx context.Context) (*ReloadResponse, error) {
 	wg.Wait()
 	out := &ReloadResponse{}
 	seenGroup := map[int]bool{}
-	for _, res := range results {
+	var mixedFormat, mixedMapped bool
+	for k, res := range results {
 		if res.err != nil {
 			return nil, errf(http.StatusConflict, "fleet reload: shard %d replica %d: %v",
 				res.r.shard, res.r.idx, res.err)
 		}
+		if k == 0 {
+			out.Format, out.Mapped = res.resp.Format, res.resp.Mapped
+		}
+		mixedFormat = mixedFormat || res.resp.Format != out.Format
+		mixedMapped = mixedMapped || res.resp.Mapped != out.Mapped
 		if !seenGroup[res.r.shard] {
 			seenGroup[res.r.shard] = true
 			out.Functions += res.resp.Functions
-			if res.r.shard == 0 {
-				out.Format = res.resp.Format
-				out.Mapped = res.resp.Mapped
-			}
 		}
+	}
+	// No one value describes replicas that differ.
+	if mixedFormat {
+		out.Format = 0
+	}
+	if mixedMapped {
+		out.Mapped = false
 	}
 	f.s.tel.Inc(telemetry.ServerReloads)
 	f.sweep(ctx) // fresh membership + generations after the swap

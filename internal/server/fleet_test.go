@@ -342,8 +342,8 @@ func TestFleetScatterLegsJoinCoordinatorTrace(t *testing.T) {
 
 // TestFleetServerReload: Server.Reload, which tracy serve calls on
 // SIGHUP, has a coordinator reload every worker, as POST /v1/reload
-// does: it answers with the summed function count and moves the fleet
-// generation.
+// does: it answers with the summed function count, moves the fleet
+// generation, and reports the index format and mapping its workers report.
 func TestFleetServerReload(t *testing.T) {
 	db, _ := smallDB(t)
 	dir := t.TempDir()
@@ -390,6 +390,17 @@ func TestFleetServerReload(t *testing.T) {
 	}
 	if got := coord.Tel().Get(telemetry.ServerReloads); got != 1 {
 		t.Errorf("coordinator server_reloads = %d, want 1", got)
+	}
+	// The workers serve alike, so the coordinator reports what each does.
+	for i, w := range workers {
+		wr, err := w.Reload()
+		if err != nil {
+			t.Fatalf("worker %d Reload: %v", i, err)
+		}
+		if res.Format != wr.Format || res.Mapped != wr.Mapped {
+			t.Errorf("coordinator Reload reports format %d mapped=%v, worker %d format %d mapped=%v",
+				res.Format, res.Mapped, i, wr.Format, wr.Mapped)
+		}
 	}
 }
 
