@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"bytes"
+	"os"
+	"strings"
 	"sync"
 	"testing"
 
@@ -327,4 +329,46 @@ func TestInlinedContainment(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	RenderInlined(&buf, rows)
+}
+
+// renderTables renders every table the shared corpus feeds, in the order
+// tracy experiments prints them. Table 4 is left out: it times.
+func renderTables(env *Env) []byte {
+	var buf bytes.Buffer
+	RenderTable1(&buf, env.Table1())
+	RenderTable2(&buf, env.Table2())
+	RenderKSweep(&buf, env.KSweep())
+	RenderTable3(&buf, env.Table3())
+	RenderFig8(&buf, env.Fig8())
+	RenderAblation(&buf, env.Ablation())
+	return buf.Bytes()
+}
+
+// TestTablesGolden pins every digit of the small-scale tables: Table 1,
+// Table 2, the k sweep, Table 3, Fig. 8 and the ablation must print the
+// text recorded in testdata/tables_small.golden byte for byte. The shape
+// tests above say what the numbers mean; this one says they did not move.
+func TestTablesGolden(t *testing.T) {
+	skipInShort(t)
+	want, err := os.ReadFile("testdata/tables_small.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := renderTables(sharedEnv(t))
+	if bytes.Equal(got, want) {
+		return
+	}
+	gl, wl := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < max(len(gl), len(wl)); i++ {
+		var g, w string
+		if i < len(gl) {
+			g = gl[i]
+		}
+		if i < len(wl) {
+			w = wl[i]
+		}
+		if g != w {
+			t.Errorf("line %d:\n got  %q\n want %q", i+1, g, w)
+		}
+	}
 }
