@@ -7,9 +7,8 @@ import (
 )
 
 // TestCompareCtxBackgroundIdentical: the Ctx entry points with a
-// background context must be bit-identical to the legacy wrappers —
-// this is the compatibility contract the whole cancellation refactor
-// rests on.
+// background context must be bit-identical to Compare — this is the
+// compatibility contract the whole cancellation refactor rests on.
 func TestCompareCtxBackgroundIdentical(t *testing.T) {
 	ref := Decompose(liftListing(t, "a", srcA), 3)
 	tgt := Decompose(liftListing(t, "b", srcARenamed), 3)
@@ -24,13 +23,13 @@ func TestCompareCtxBackgroundIdentical(t *testing.T) {
 		t.Errorf("CompareCtx(Background) = %+v, want %+v", got, want)
 	}
 
-	wantMany := m.CompareMany(ref, []*Decomposed{tgt, ref})
-	gotMany, err := m.CompareManyCtx(context.Background(), ref, []*Decomposed{tgt, ref})
+	wantMany := []Result{m.Compare(ref, tgt), m.Compare(ref, ref)}
+	gotMany, err := compareEach(context.Background(), m, ref, []*Decomposed{tgt, ref})
 	if err != nil {
-		t.Fatalf("CompareManyCtx(Background) error: %v", err)
+		t.Fatalf("CompareEachCtx(Background) error: %v", err)
 	}
 	if !reflect.DeepEqual(gotMany, wantMany) {
-		t.Errorf("CompareManyCtx(Background) = %+v, want %+v", gotMany, wantMany)
+		t.Errorf("CompareEachCtx(Background) = %+v, want %+v", gotMany, wantMany)
 	}
 }
 
@@ -52,8 +51,8 @@ func TestCompareCtxCancelled(t *testing.T) {
 		t.Error("cancelled Compare result not marked Truncated")
 	}
 
-	if _, err := m.CompareManyCtx(ctx, ref, []*Decomposed{tgt, ref}); err != context.Canceled {
-		t.Fatalf("CompareManyCtx(cancelled) err = %v, want context.Canceled", err)
+	if _, err := compareEach(ctx, m, ref, []*Decomposed{tgt, ref}); err != context.Canceled {
+		t.Fatalf("CompareEachCtx(cancelled) err = %v, want context.Canceled", err)
 	}
 }
 
@@ -67,7 +66,7 @@ func TestCompareCtxNilContext(t *testing.T) {
 		t.Fatalf("CompareCtx(nil) error: %v", err)
 	}
 	//nolint:staticcheck
-	if _, err := m.CompareManyCtx(nil, ref, []*Decomposed{ref}); err != nil {
-		t.Fatalf("CompareManyCtx(nil) error: %v", err)
+	if _, err := compareEach(nil, m, ref, []*Decomposed{ref}); err != nil {
+		t.Fatalf("CompareEachCtx(nil) error: %v", err)
 	}
 }

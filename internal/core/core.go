@@ -65,7 +65,7 @@ type Options struct {
 	// without pruning; only the work changes, and its accounting
 	// (PairsRewritten, PairsPruned) with it.
 	Prune bool
-	// Workers bounds parallelism in CompareMany. 0 means
+	// Workers bounds parallelism in CompareEachCtx. 0 means
 	// runtime.GOMAXPROCS(0); negative values are clamped to 1 (serial).
 	Workers int
 
@@ -78,7 +78,7 @@ type Options struct {
 	// Trace, when non-nil, receives one child span per Compare call
 	// carrying the match-decision trail (per-tracelet attributes). It is
 	// a per-query object: set it on the Options of one search, not on a
-	// long-lived default. Safe under CompareMany parallelism.
+	// long-lived default. Safe under CompareEachCtx parallelism.
 	Trace *telemetry.Span
 }
 
@@ -1093,21 +1093,6 @@ func compareWorkers(workers, n int) int {
 		workers = n
 	}
 	return workers
-}
-
-// CompareMany compares the reference against every target in parallel and
-// returns results in target order. Opts.Workers bounds the parallelism:
-// 0 means runtime.GOMAXPROCS(0), negative values are clamped to 1.
-func (m *Matcher) CompareMany(ref *Decomposed, targets []*Decomposed) []Result {
-	out, _ := m.CompareManyCtx(context.Background(), ref, targets)
-	return out
-}
-
-// CompareManyCtx is CompareEachCtx over a slice of targets, held to no
-// floor.
-func (m *Matcher) CompareManyCtx(cc context.Context, ref *Decomposed, targets []*Decomposed) ([]Result, error) {
-	out, _, err := m.CompareEachCtx(cc, ref, len(targets), func(i int) (*Decomposed, error) { return targets[i], nil }, nil)
-	return out, err
 }
 
 // CompareEachCtx is the one compare pool: it compares the reference

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -192,7 +193,13 @@ func TestEmptyReference(t *testing.T) {
 	}
 }
 
-func TestCompareManyMatchesCompare(t *testing.T) {
+// compareEach is CompareEachCtx over a slice of targets, held to no floor.
+func compareEach(cc context.Context, m *Matcher, ref *Decomposed, targets []*Decomposed) ([]Result, error) {
+	out, _, err := m.CompareEachCtx(cc, ref, len(targets), func(i int) (*Decomposed, error) { return targets[i], nil }, nil)
+	return out, err
+}
+
+func TestCompareEachMatchesCompare(t *testing.T) {
 	m := NewMatcher(DefaultOptions())
 	ref := Decompose(liftListing(t, "a", srcA), 3)
 	targets := []*Decomposed{
@@ -200,14 +207,14 @@ func TestCompareManyMatchesCompare(t *testing.T) {
 		Decompose(liftListing(t, "b", srcB), 3),
 		Decompose(liftListing(t, "a3", srcA), 3),
 	}
-	many := m.CompareMany(ref, targets)
+	many, _ := compareEach(context.Background(), m, ref, targets)
 	if len(many) != 3 {
 		t.Fatalf("got %d results", len(many))
 	}
 	for i, tgt := range targets {
 		single := m.Compare(ref, tgt)
 		if many[i].SimilarityScore != single.SimilarityScore || many[i].Name != single.Name {
-			t.Errorf("CompareMany[%d] = %+v, Compare = %+v", i, many[i], single)
+			t.Errorf("CompareEachCtx[%d] = %+v, Compare = %+v", i, many[i], single)
 		}
 	}
 	if !many[0].IsMatch || many[1].IsMatch || !many[2].IsMatch {
@@ -399,8 +406,8 @@ func TestWorkersOption(t *testing.T) {
 		Decompose(liftListing(t, "a2", srcARenamed), 3),
 		Decompose(liftListing(t, "b", srcB), 3),
 	}
-	r1 := m1.CompareMany(ref, targets)
-	r8 := m8.CompareMany(ref, targets)
+	r1, _ := compareEach(context.Background(), m1, ref, targets)
+	r8, _ := compareEach(context.Background(), m8, ref, targets)
 	for i := range r1 {
 		if r1[i].SimilarityScore != r8[i].SimilarityScore {
 			t.Errorf("worker count changed results at %d", i)
@@ -421,7 +428,7 @@ func TestWorkersNegativeClamped(t *testing.T) {
 		Decompose(liftListing(t, "b", srcB), 3),
 		Decompose(liftListing(t, "a3", srcA), 3),
 	}
-	got := m.CompareMany(ref, targets)
+	got, _ := compareEach(context.Background(), m, ref, targets)
 	if len(got) != len(targets) {
 		t.Fatalf("got %d results, want %d", len(got), len(targets))
 	}

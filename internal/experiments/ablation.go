@@ -8,8 +8,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/metrics"
-	"repro/internal/prep"
-	"repro/internal/tinyc"
 )
 
 // AblationRow is one configuration's accuracy in the design-choice study.
@@ -45,13 +43,10 @@ func (env *Env) Ablation() []AblationRow {
 	}
 	var rows []AblationRow
 	for _, cfg := range configs {
-		m := core.NewMatcher(cfg.opts)
-		targets := env.targets(3)
 		var samples []metrics.Sample
 		minPos, maxNeg := 1.0, 0.0
 		for _, q := range env.Queries {
-			ref := core.Decompose(q.Fn, 3)
-			for i, r := range m.CompareMany(ref, targets) {
+			for i, r := range env.rank(q, cfg.opts) {
 				pos := sampleLabel(q, env.DB.Entries[i])
 				samples = append(samples, metrics.Sample{Score: r.SimilarityScore, Positive: pos})
 				if pos && r.SimilarityScore < minPos {
@@ -107,11 +102,11 @@ func SmallFunctions() ([]SmallFuncRow, error) {
 		if stmts > 0 {
 			src = corpus.RandomFunc("probe", 11, corpus.GenConfig{Stmts: stmts, Calls: true})
 		}
-		query, err := liftSingle(src, 301)
+		query, err := liftLargest(src, 2 /*O2*/, 301)
 		if err != nil {
 			return nil, err
 		}
-		ctx, err := liftSingle(src, 302)
+		ctx, err := liftLargest(src, 2 /*O2*/, 302)
 		if err != nil {
 			return nil, err
 		}
@@ -124,7 +119,7 @@ func SmallFunctions() ([]SmallFuncRow, error) {
 		}
 		for seed := int64(0); seed < 6; seed++ {
 			noiseSrc := corpus.RandomFunc("noise", 400+seed, corpus.GenConfig{Stmts: stmts, Calls: true})
-			noise, err := liftSingle(noiseSrc, 303+seed)
+			noise, err := liftLargest(noiseSrc, 2 /*O2*/, 303+seed)
 			if err != nil {
 				return nil, err
 			}
@@ -135,24 +130,6 @@ func SmallFunctions() ([]SmallFuncRow, error) {
 		rows = append(rows, row)
 	}
 	return rows, nil
-}
-
-func liftSingle(src string, seed int64) (*prep.Function, error) {
-	img, err := tinyc.BuildStripped(src, tinyc.Config{Opt: tinyc.O2, Seed: seed})
-	if err != nil {
-		return nil, err
-	}
-	fns, err := prep.LiftImage(img)
-	if err != nil {
-		return nil, err
-	}
-	best := fns[0]
-	for _, fn := range fns[1:] {
-		if fn.NumInsts() > best.NumInsts() {
-			best = fn
-		}
-	}
-	return best, nil
 }
 
 // RenderSmallFunctions prints the small-function limitation study.

@@ -12,6 +12,8 @@
 package experiments
 
 import (
+	"bytes"
+	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -34,17 +36,6 @@ type Env struct {
 	// present in the corpus), mimicking "a binary in hand" that is not
 	// itself part of the code base.
 	Queries []Query
-}
-
-// targets returns the k-decomposition of every corpus function. The
-// corpus is built in memory, so there is no stored record that could fail
-// to load.
-func (env *Env) targets(k int) []*core.Decomposed {
-	ds, err := env.DB.Decomposed(k)
-	if err != nil {
-		panic(err)
-	}
-	return ds
 }
 
 // Query is one search query with ground truth.
@@ -85,17 +76,27 @@ func buildConfig(s Scale) corpus.BuildConfig {
 }
 
 // BuildEnv constructs the corpus, indexes it, and prepares the query set.
+// The index is saved and served from what was saved, as tracy search
+// serves a file: every entry of Env.DB is a view over its stored record.
 func BuildEnv(s Scale) (*Env, error) {
 	cfg := buildConfig(s)
 	c, err := corpus.Build(cfg)
 	if err != nil {
 		return nil, err
 	}
-	db := index.New()
+	built := index.New()
 	for _, e := range c.Exes {
-		if err := db.AddImage(e.Name, e.Image, e.Truth); err != nil {
+		if err := built.AddImage(e.Name, e.Image, e.Truth); err != nil {
 			return nil, err
 		}
+	}
+	var buf bytes.Buffer
+	if err := built.Save(&buf, index.SaveOptions{}); err != nil {
+		return nil, err
+	}
+	db, err := index.Load(&buf)
+	if err != nil {
+		return nil, err
 	}
 	env := &Env{Corpus: c, DB: db}
 
@@ -103,61 +104,47 @@ func BuildEnv(s Scale) (*Env, error) {
 	// (paper: quotearg_buffer_restyled from wc).
 	libSrc := corpus.RandomFunc(corpus.LibFuncName, cfg.Seed*7+3,
 		corpus.GenConfig{Stmts: cfg.TargetStmts, Calls: true})
-	if err := env.addQuery("lib-fresh-context", corpus.LibFuncName, libSrc, tinyc.O2, 777); err != nil {
+	if err := env.addQuery("lib-fresh-context", corpus.LibFuncName, libSrc, 777); err != nil {
 		return nil, err
 	}
 	// Query 2: the same function "implanted": compiled together with
 	// foreign functions into a different executable (paper: wc 7.6
 	// implanted in wc 8.19).
 	implantSrc := libSrc + "\n" + corpus.RandomFunc("host1", 901, corpus.GenConfig{Stmts: cfg.FillerStmts, Calls: true})
-	if err := env.addQueryFrom("lib-implanted", corpus.LibFuncName, implantSrc, tinyc.O2, 778); err != nil {
+	if err := env.addQuery("lib-implanted", corpus.LibFuncName, implantSrc, 778); err != nil {
 		return nil, err
 	}
 	// Query 3: version 0 of the app function (paper: getftp from wget
 	// 1.10 searched across versions).
 	appSrc := corpus.VersionedFunc(corpus.AppFuncName, cfg.Seed*13+5, 0, 8, cfg.TargetStmts/8)
-	if err := env.addQuery("app-v0", corpus.AppFuncName, appSrc, tinyc.O2, 779); err != nil {
+	if err := env.addQuery("app-v0", corpus.AppFuncName, appSrc, 779); err != nil {
 		return nil, err
 	}
 	// Query 4: the newest version of the app function.
 	appSrcN := corpus.VersionedFunc(corpus.AppFuncName, cfg.Seed*13+5, cfg.Versions-1, 8, cfg.TargetStmts/8)
-	if err := env.addQuery("app-latest", corpus.AppFuncName, appSrcN, tinyc.O2, 780); err != nil {
+	if err := env.addQuery("app-latest", corpus.AppFuncName, appSrcN, 780); err != nil {
 		return nil, err
 	}
 	// Queries 5-6: noise functions with no true matches in the corpus.
 	for i, seed := range []int64{555, 556} {
 		src := corpus.RandomFunc(fmt.Sprintf("noiseq%d", i), seed,
 			corpus.GenConfig{Stmts: cfg.TargetStmts, Calls: true})
-		if err := env.addQuery(fmt.Sprintf("noise-%d", i), "", src, tinyc.O2, 781+int64(i)); err != nil {
+		if err := env.addQuery(fmt.Sprintf("noise-%d", i), "", src, 781+int64(i)); err != nil {
 			return nil, err
 		}
 	}
 	return env, nil
 }
 
-func (env *Env) addQuery(name, truth, src string, opt tinyc.OptLevel, seed int64) error {
-	return env.addQueryFrom(name, truth, src, opt, seed)
-}
-
-// addQueryFrom compiles src (which may contain several functions),
+// addQuery compiles src (which may contain several functions) at O2,
 // strips, lifts, and registers the *largest* function as the query (the
 // planted one is always the largest by construction).
-func (env *Env) addQueryFrom(name, truth, src string, opt tinyc.OptLevel, seed int64) error {
-	img, err := tinyc.BuildStripped(src, tinyc.Config{Opt: opt, Seed: seed})
+func (env *Env) addQuery(name, truth, src string, seed int64) error {
+	fn, err := liftLargest(src, 2 /*O2*/, seed)
 	if err != nil {
 		return fmt.Errorf("experiments: query %s: %w", name, err)
 	}
-	fns, err := prep.LiftImage(img)
-	if err != nil {
-		return err
-	}
-	best := fns[0]
-	for _, fn := range fns[1:] {
-		if fn.NumInsts() > best.NumInsts() {
-			best = fn
-		}
-	}
-	env.Queries = append(env.Queries, Query{Name: name, Truth: truth, Fn: best})
+	env.Queries = append(env.Queries, Query{Name: name, Truth: truth, Fn: fn})
 	return nil
 }
 
@@ -203,6 +190,28 @@ func minMax(xs []float64) (min, max float64) {
 		}
 	}
 	return min, max
+}
+
+// rank searches the corpus for q under opts the way a client would, at
+// Limit 0 and MinScore 0 so that every entry is kept, and returns each
+// entry's Result at the entry's position in env.DB.Entries: the metrics
+// sort their samples unstably, so the samples keep one order whatever the
+// ranking. The store was written from memory by BuildEnv, so a record
+// that fails to load is a bug in the writer, not bad input.
+func (env *Env) rank(q Query, opts core.Options) []core.Result {
+	ans, err := env.DB.View().Search(context.Background(), index.Query{Func: q.Fn, Opts: opts})
+	if err != nil {
+		panic(err)
+	}
+	at := make(map[*index.Entry]int, len(env.DB.Entries))
+	for i, e := range env.DB.Entries {
+		at[e] = i
+	}
+	out := make([]core.Result, len(env.DB.Entries))
+	for _, h := range ans.Hits {
+		out[at[h.Entry]] = h.Result
+	}
+	return out
 }
 
 // sampleLabel reports whether an index entry is a true match for a query.

@@ -25,18 +25,16 @@ type Fig8Row struct {
 // rewrite.
 func (env *Env) Fig8() []Fig8Row {
 	var rows []Fig8Row
-	m := core.NewMatcher(matcherOptions(3, 0.8))
-	targets := env.targets(3)
+	opts := matcherOptions(3, 0.8)
 	for _, q := range env.Queries {
 		if q.Truth == "" {
 			continue
 		}
-		ref := core.Decompose(q.Fn, 3)
-		for i, e := range env.DB.Entries {
+		for i, res := range env.rank(q, opts) {
+			e := env.DB.Entries[i]
 			if e.Truth != q.Truth {
 				continue
 			}
-			res := m.Compare(ref, targets[i])
 			n := float64(res.RefTracelets)
 			if n == 0 {
 				continue

@@ -38,13 +38,9 @@ func (env *Env) Table3() []Table3Row {
 			return o
 		}()},
 	} {
-		m := core.NewMatcher(norm.opts)
 		var samples []metrics.Sample
-		targets := env.targets(3)
 		for _, q := range env.Queries {
-			ref := core.Decompose(q.Fn, 3)
-			results := m.CompareMany(ref, targets)
-			for i, r := range results {
+			for i, r := range env.rank(q, norm.opts) {
 				samples = append(samples, metrics.Sample{
 					Score:    r.SimilarityScore,
 					Positive: sampleLabel(q, env.DB.Entries[i]),

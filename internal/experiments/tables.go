@@ -98,7 +98,10 @@ type pairScores struct {
 func (env *Env) sweepScores(k int) []pairScores {
 	m := core.NewMatcher(matcherOptions(k, 0.8))
 	var out []pairScores
-	targets := env.targets(k)
+	targets, err := env.DB.Decomposed(k)
+	if err != nil {
+		panic(err) // as in rank: BuildEnv wrote the store from memory
+	}
 	for _, q := range env.Queries {
 		ref := core.Decompose(q.Fn, k)
 		type res struct {

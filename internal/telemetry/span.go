@@ -14,7 +14,7 @@ import (
 // decision), complementing the Collector's aggregates.
 //
 // All methods are safe on a nil *Span and safe for concurrent use, so a
-// span can be threaded through CompareMany's worker pool: children may be
+// span can be threaded through CompareEachCtx's worker pool: children may be
 // attached from multiple goroutines.
 type Span struct {
 	mu       sync.Mutex
