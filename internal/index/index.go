@@ -81,8 +81,8 @@ func (e *Entry) Function() *prep.Function {
 // AddImage must not race with readers (ingest the corpus first, or
 // BuildSnapshot for serving). While a build runs, one background
 // featuriser at most computes the prefilter features of the functions the
-// last AddImage lifted (see AddImage); everything that reads the features
-// joins it first.
+// last AddImage lifted and packs them for the index file (see AddImage);
+// everything that reads the features joins it first.
 type DB struct {
 	Entries []*Entry
 
@@ -94,10 +94,20 @@ type DB struct {
 	// not serialized.
 	Tel *telemetry.Collector
 
-	mu      sync.Mutex  // guards feats, pending, snap
+	mu      sync.Mutex  // guards feats, pending, snap, build, fed
 	feats   [][]uint64  // prefilter features of Entries[:len(feats)]
 	pending *featuriser // the one featuriser in flight, or nil
 	snap    *Snapshot   // the search view over Entries; nil until first use
+
+	// build is the index file of the entries AddImage added, fed as they
+	// come: fed holds the entries it was fed, as they were then, and a
+	// whole-corpus Save of Entries equal to them only writes it. It is nil
+	// once AddImage finds Entries holding others (a database opened from
+	// a file and grown, or edited by hand); Save then feeds a builder of
+	// its own.
+	build  *idxfile.Builder
+	fed    []Entry
+	packer idxfile.Packer // the featurisers', one at a time
 
 	store *idxfile.File // non-nil for store-backed databases
 	info  Info
@@ -143,21 +153,31 @@ func New() *DB { return &DB{} }
 // may be nil.
 //
 // Lifting runs on the caller's goroutine; the prefilter features of the
-// functions just lifted are computed by a background featuriser, and
-// AddImage returns without waiting for it. The next AddImage lifts while
-// it runs and joins it before appending to Entries, and so does every
-// reader of the features (prefiltered searches, Save), so
-// at most one featuriser is ever in flight and a build spreads over two
-// cores without a setting. What it computes is the memo those readers
-// see; nothing is written into the entries.
+// functions just lifted are computed by a background featuriser, which
+// also packs them for the index file, and AddImage returns without
+// waiting for it. The next AddImage lifts while it runs, joins it before
+// appending to Entries, starts the featuriser of its own image, and only
+// then appends the functions the one before packed to the database's
+// index file — so lifting and appending on the caller's goroutine overlap
+// featurising and packing on another, and a build spreads over two cores
+// without a setting. Every reader of the features (prefiltered searches,
+// Save) joins the featuriser too, so at most one is ever in flight. What
+// it computes is the memo those readers see and the file a whole-corpus
+// Save writes; nothing is written into the entries.
 func (db *DB) AddImage(exe string, img []byte, truth map[uint32]string) error {
 	fns, err := prep.LiftImageTel(db.Tel, img)
 	if err != nil {
 		return fmt.Errorf("index: %s: %w", exe, err)
 	}
+	db.add(exe, fns, truth)
+	return nil
+}
+
+// add indexes fns, the functions lifted from the image exe, for AddImage.
+func (db *DB) add(exe string, fns []*prep.Function, truth map[uint32]string) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	db.joinFeaturiser()
+	prev := db.joinFeaturiser()
 	lo := len(db.Entries)
 	for _, fn := range fns {
 		e := &Entry{Exe: exe, Name: fn.Name, Addr: fn.Addr, Func: fn}
@@ -166,48 +186,116 @@ func (db *DB) AddImage(exe string, img []byte, truth map[uint32]string) error {
 		}
 		db.Entries = append(db.Entries, e)
 	}
-	db.snap = nil // aligned with Entries
-	db.pending = startFeaturiser(lo, db.Entries[lo:])
-	return nil
+	db.snap = nil       // aligned with Entries
+	next := len(db.fed) // the position of the entry the file takes next
+	if prev != nil && prev.packed != nil && prev.lo == next {
+		next += len(prev.packed)
+	}
+	if next != lo {
+		db.build, db.fed = nil, nil // Entries holds others
+	}
+	if db.build == nil && lo == 0 {
+		db.build = idxfile.NewBuilder()
+	}
+	var pk *idxfile.Packer
+	if db.build != nil {
+		pk = &db.packer
+	}
+	db.pending = startFeaturiser(lo, db.Entries[lo:], pk)
+	db.feed(prev)
 }
 
 // featuriser computes the prefilter features of a run of freshly lifted
-// entries on its own goroutine: feats[i] is the set of the entry at
-// position lo+i, ready once done is closed.
+// entries on its own goroutine, and packs them when given a packer:
+// feats[i] is the set of the entry at position lo+i and packed[i] its
+// function packed, ready once done is closed. entries holds the entries
+// as they were when it started, which is what it packed.
 type featuriser struct {
-	lo    int
-	feats [][]uint64
-	done  chan struct{}
+	lo      int
+	entries []Entry
+	feats   [][]uint64
+	packed  []idxfile.Packed
+	done    chan struct{}
 }
 
 // startFeaturiser starts a featuriser over entries, which sit at
 // position lo and all hold their lifted function. It reads only those
 // functions — heap values nothing else writes — never the DB or a mapping.
-func startFeaturiser(lo int, entries []*Entry) *featuriser {
-	f := &featuriser{lo: lo, feats: make([][]uint64, len(entries)), done: make(chan struct{})}
+func startFeaturiser(lo int, entries []*Entry, pk *idxfile.Packer) *featuriser {
+	f := &featuriser{lo: lo, entries: make([]Entry, len(entries)), feats: make([][]uint64, len(entries)), done: make(chan struct{})}
+	for i, e := range entries {
+		f.entries[i] = *e
+	}
+	var wg sync.WaitGroup
+	if pk != nil {
+		// Packing takes twice what featurising does, and needs none of
+		// it: on a goroutine of its own, what the caller and the
+		// featurising leave of two cores goes to it.
+		f.packed = make([]idxfile.Packed, len(entries))
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range f.entries {
+				e := &f.entries[i]
+				f.packed[i] = pk.Pack(idxfile.Item{Exe: e.Exe, Fn: e.Func, Truth: e.Truth})
+			}
+		}()
+	}
 	go func() {
-		defer close(f.done)
 		var g gramHasher
-		for i, e := range entries {
-			f.feats[i] = g.funcFeatures(e.Func)
+		for i := range f.entries {
+			f.feats[i] = g.funcFeatures(f.entries[i].Func)
 		}
+		wg.Wait()
+		for i := range f.packed {
+			f.packed[i].Feats = f.feats[i]
+		}
+		close(f.done)
 	}()
 	return f
 }
 
-// joinFeaturiser waits for the featuriser in flight, if any, and appends
-// its sets to the memo, first memoizing the entries before them that it
-// does not cover (those of an index file a grown database was opened
-// from). The caller holds db.mu.
-func (db *DB) joinFeaturiser() {
+// joinFeaturiser waits for the featuriser in flight, if any, appends its
+// sets to the memo, first memoizing the entries before them that it does
+// not cover (those of an index file a grown database was opened from),
+// and returns it for feed. The caller holds db.mu.
+func (db *DB) joinFeaturiser() *featuriser {
 	f := db.pending
 	if f == nil {
-		return
+		return nil
 	}
 	<-f.done
 	db.pending = nil
 	db.memoFeatures(f.lo)
 	db.feats = append(db.feats, f.feats...)
+	return f
+}
+
+// feed appends what a joined featuriser packed to the database's index
+// file, in entry order, when they are the entries the file takes next.
+// The caller holds db.mu.
+func (db *DB) feed(f *featuriser) {
+	if f == nil || f.packed == nil || db.build == nil || f.lo != len(db.fed) {
+		return
+	}
+	for i := range f.packed {
+		db.build.Append(&f.packed[i])
+	}
+	db.fed = append(db.fed, f.entries...)
+}
+
+// built returns the database's index file when it holds exactly the
+// entries, or nil. The caller holds db.mu and has joined the featuriser.
+func (db *DB) built() *idxfile.Builder {
+	if db.build == nil || len(db.fed) != len(db.Entries) {
+		return nil
+	}
+	for i, e := range db.Entries {
+		if *e != db.fed[i] {
+			return nil
+		}
+	}
+	return db.build
 }
 
 // memoFeatures extends the feature memo over Entries[:n]. A store-backed
@@ -261,7 +349,7 @@ func (db *DB) Decomposed(k int) ([]*core.Decomposed, error) {
 func (db *DB) features() [][]uint64 {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	db.joinFeaturiser()
+	db.feed(db.joinFeaturiser())
 	db.memoFeatures(len(db.Entries))
 	return db.feats
 }
@@ -326,8 +414,10 @@ type SaveOptions struct {
 // Save serializes the database, or one shard of it, in the TRACYIDX v4
 // columnar format: fixed-width column arrays behind a section directory,
 // loadable via mmap with no whole-file deserialization (see
-// internal/idxfile). Functions stream through an incremental builder, so
-// converting a store-backed database never materializes the corpus. A
+// internal/idxfile). A whole-corpus save of a database built by AddImage
+// only writes the file AddImage fed as it went; any other streams the
+// entries through a builder of its own, so converting a store-backed
+// database never materializes the corpus. Both write the same bytes. A
 // shard out of range is refused before anything is written.
 func (db *DB) Save(w io.Writer, o SaveOptions) error {
 	if o.Shards < 0 {
@@ -336,13 +426,25 @@ func (db *DB) Save(w io.Writer, o SaveOptions) error {
 	if o.Shard < 0 || o.Shard >= max(o.Shards, 1) {
 		return fmt.Errorf("index: shard %d of %d out of range", o.Shard, o.Shards)
 	}
+	t := db.Tel.StartTimer(telemetry.IndexSaveLatency)
+	defer t.Stop()
+	var n int64
+	var err error
 	if o.Shards <= 1 {
-		return db.writeIndex(w, o.LSH, len(db.Entries), nil)
+		db.mu.Lock()
+		db.feed(db.joinFeaturiser())
+		b := db.built()
+		db.mu.Unlock()
+		if b != nil {
+			n, err = b.WriteLSH(w, o.LSH)
+		} else {
+			n, err = db.writeIndex(w, o.LSH, nil)
+		}
+	} else {
+		n, err = db.writeIndex(w, o.LSH, func(e *Entry) bool { return ShardOf(e.Exe, e.Name, o.Shards) == o.Shard })
 	}
-	// The hash spreads evenly, which is all Builder.Expect asks of a count.
-	return db.writeIndex(w, o.LSH, (len(db.Entries)+o.Shards-1)/o.Shards, func(e *Entry) bool {
-		return ShardOf(e.Exe, e.Name, o.Shards) == o.Shard
-	})
+	db.Tel.Add(telemetry.IndexBytesWritten, uint64(n))
+	return err
 }
 
 // SaveV3LSH is Save of the whole corpus with the lsh sections under p.
@@ -352,39 +454,41 @@ func (db *DB) SaveV3LSH(w io.Writer, p minhash.Params) error {
 	return db.Save(w, SaveOptions{LSH: &p})
 }
 
-// writeIndex streams the entries keep admits — all of them when it is nil,
-// about expect in number — through a columnar builder into w. They go in
-// batches: the builder packs a batch's functions one stage ahead of
-// walking them (idxfile.Builder.AddAll), and a store-backed database is
-// decoded a batch at a time, never whole.
-func (db *DB) writeIndex(w io.Writer, lsh *minhash.Params, expect int, keep func(*Entry) bool) error {
-	t := db.Tel.StartTimer(telemetry.IndexSaveLatency)
-	defer t.Stop()
+// writeIndex streams the entries keep admits — all of them when it is nil
+// — through a builder of its own into w, packing them on another
+// goroutine a bounded number of functions ahead of appending them, as
+// AddImage's featuriser does; a store-backed database is decoded that
+// many functions at a time, never whole.
+func (db *DB) writeIndex(w io.Writer, lsh *minhash.Params, keep func(*Entry) bool) (int64, error) {
 	feats := db.features()
+	type packed struct {
+		p   idxfile.Packed
+		err error
+	}
+	ch := make(chan packed, 256)
+	go func() {
+		defer close(ch)
+		var pk idxfile.Packer
+		for i, e := range db.Entries {
+			if keep != nil && !keep(e) {
+				continue
+			}
+			fn, err := e.Decode()
+			if err != nil {
+				ch <- packed{err: fmt.Errorf("index: entry %d has no function to serialize: %w", i, err)}
+				return
+			}
+			ch <- packed{p: pk.Pack(idxfile.Item{Exe: e.Exe, Fn: fn, Truth: e.Truth, Feats: feats[i]})}
+		}
+	}()
 	b := idxfile.NewBuilder()
-	if lsh != nil {
-		b.SetLSH(*lsh)
+	for it := range ch {
+		if it.err != nil {
+			return 0, it.err
+		}
+		b.Append(&it.p)
 	}
-	b.Expect(expect)
-	const batch = 256
-	items := make([]idxfile.Item, 0, batch)
-	for i, e := range db.Entries {
-		if keep != nil && !keep(e) {
-			continue
-		}
-		fn, err := e.Decode()
-		if err != nil {
-			return fmt.Errorf("index: entry %d has no function to serialize: %w", i, err)
-		}
-		if items = append(items, idxfile.Item{Exe: e.Exe, Fn: fn, Truth: e.Truth, Feats: feats[i]}); len(items) == batch {
-			b.AddAll(items)
-			items = items[:0]
-		}
-	}
-	b.AddAll(items)
-	n, err := b.WriteTo(w)
-	db.Tel.Add(telemetry.IndexBytesWritten, uint64(n))
-	return err
+	return b.WriteLSH(w, lsh)
 }
 
 // Load restores a database written by Save, read fully into memory —

@@ -28,9 +28,9 @@ import (
 // until they finish.
 type Snapshot struct {
 	entries []*Entry
-	ks      []int            // tracelet sizes served; nil (the DB's own view) accepts any k
-	workers int              // compare fan-out of one query when opts.Workers is 0
-	byName  map[string]int32 // entryKey -> position in entries
+	ks      []int              // tracelet sizes served; nil (the DB's own view) accepts any k
+	workers int                // compare fan-out of one query when opts.Workers is 0
+	byName  map[entryKey]int32 // position in entries
 	info    Info
 
 	// slots is the decomposition store: k -> []atomic.Pointer[core.Decomposed]
@@ -105,9 +105,9 @@ func BuildSnapshot(db *DB, ks []int, nShards int) *Snapshot {
 	// entries appended since then lie past the snapshot's own.
 	n := len(db.Entries)
 	s := newSnapshot(db, kept, nShards, func() [][]uint64 { return db.features()[:n:n] })
-	s.byName = make(map[string]int32, len(s.entries))
+	s.byName = make(map[entryKey]int32, len(s.entries))
 	for i, e := range s.entries {
-		s.byName[entryKey(e.Exe, e.Name)] = int32(i)
+		s.byName[entryKey{e.Exe, e.Name}] = int32(i)
 	}
 	if db.store == nil {
 		for _, k := range kept {
@@ -195,7 +195,9 @@ func (s *Snapshot) decomposeAll(k int) ([]*core.Decomposed, error) {
 // Info returns the provenance of the index this snapshot serves.
 func (s *Snapshot) Info() Info { return s.info }
 
-func entryKey(exe, name string) string { return exe + "\x00" + name }
+// entryKey names an entry: a map key of the two strings, so building the
+// name index and looking an entry up allocate no key.
+type entryKey struct{ exe, name string }
 
 // Len returns the number of indexed functions.
 func (s *Snapshot) Len() int { return len(s.entries) }
@@ -226,7 +228,7 @@ func (s *Snapshot) SupportsK(k int) bool {
 
 // Lookup returns the indexed entry for (exe, name), or nil.
 func (s *Snapshot) Lookup(exe, name string) *Entry {
-	if i, ok := s.byName[entryKey(exe, name)]; ok {
+	if i, ok := s.byName[entryKey{exe, name}]; ok {
 		return s.entries[i]
 	}
 	return nil
@@ -238,7 +240,7 @@ func (s *Snapshot) Lookup(exe, name string) *Entry {
 // there is no such entry, or an error when the entry is there and its
 // stored records are corrupt. k must be a served tracelet size.
 func (s *Snapshot) LookupDecomposed(exe, name string, k int) (*core.Decomposed, error) {
-	i, ok := s.byName[entryKey(exe, name)]
+	i, ok := s.byName[entryKey{exe, name}]
 	if !ok {
 		return nil, nil
 	}

@@ -74,6 +74,18 @@ func TestSnapshotLookup(t *testing.T) {
 	if got, err := snap.LookupDecomposed("nope", "nothing", 3); got != nil || err != nil {
 		t.Errorf("LookupDecomposed of absent function = %v, %v, want nil, nil", got, err)
 	}
+	// The name index keys an entry by its two strings, so a by-reference
+	// lookup builds no key, however long the names (a joined key of more
+	// than 32 bytes would be allocated).
+	long := strings.Repeat("lib/", 10) + e.Exe
+	if n := testing.AllocsPerRun(100, func() {
+		snap.Lookup(e.Exe, e.Name)
+		snap.LookupDecomposed(e.Exe, e.Name, 3)
+		snap.Lookup(long, e.Name)
+		snap.LookupDecomposed(long, e.Name, 3)
+	}); n != 0 {
+		t.Errorf("Lookup and LookupDecomposed allocate %v objects a call", n)
+	}
 }
 
 func TestTopK(t *testing.T) {
