@@ -188,12 +188,11 @@ func lshFuzzSeeds(tb testing.TB) map[string][]byte {
 	tb.Helper()
 	exes, fns, truths, feats := handFuncs()
 	b := NewBuilder()
-	b.SetLSH(minhash.Default)
 	for i, fn := range fns {
 		b.Add(exes[i], fn, truths[i], feats[i])
 	}
 	var buf bytes.Buffer
-	if _, err := b.WriteTo(&buf); err != nil {
+	if _, err := b.WriteLSH(&buf, &minhash.Default); err != nil {
 		tb.Fatal(err)
 	}
 	valid := buf.Bytes()

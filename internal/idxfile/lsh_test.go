@@ -15,12 +15,11 @@ func buildLSHFile(t *testing.T, p minhash.Params) []byte {
 	t.Helper()
 	exes, fns, truths, feats := handFuncs()
 	b := NewBuilder()
-	b.SetLSH(p)
 	for i, fn := range fns {
 		b.Add(exes[i], fn, truths[i], feats[i])
 	}
 	var buf bytes.Buffer
-	if _, err := b.WriteTo(&buf); err != nil {
+	if _, err := b.WriteLSH(&buf, &p); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -77,7 +76,7 @@ func TestLSHRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !f.HasLSH() {
-		t.Fatal("HasLSH = false after SetLSH round trip")
+		t.Fatal("HasLSH = false after a WriteLSH round trip")
 	}
 	if got := f.LSHParams(); got != p {
 		t.Fatalf("LSHParams = %+v, want %+v", got, p)
@@ -133,15 +132,12 @@ func TestLSHBuilderMisuse(t *testing.T) {
 
 	b := NewBuilder()
 	b.Add(exes[0], fns[0], truths[0], feats[0])
-	b.SetLSH(minhash.Default)
-	if _, err := b.WriteTo(&bytes.Buffer{}); err == nil {
-		t.Error("SetLSH after Add was accepted")
-	}
-
-	b = NewBuilder()
-	b.SetLSH(minhash.Params{Bands: 0, Rows: 2})
-	if _, err := b.WriteTo(&bytes.Buffer{}); err == nil {
+	if _, err := b.WriteLSH(&bytes.Buffer{}, &minhash.Params{Bands: 0, Rows: 2}); err == nil {
 		t.Error("invalid LSH parameters were accepted")
+	}
+	// The refusal is this write's: the builder still writes.
+	if _, err := b.WriteLSH(&bytes.Buffer{}, &minhash.Default); err != nil {
+		t.Errorf("a write after one with invalid LSH parameters: %v", err)
 	}
 }
 
@@ -258,7 +254,7 @@ func TestLSHAccessorBounds(t *testing.T) {
 	}
 }
 
-// TestLSHTableRoundTrip: SetLSH also emits the LSHT section, and what
+// TestLSHTableRoundTrip: WriteLSH also emits the LSHT section, and what
 // Parse adopts from it is the table minhash.BandTable sorts from the
 // persisted signatures — for single-row and multi-row bands.
 func TestLSHTableRoundTrip(t *testing.T) {
