@@ -110,7 +110,7 @@ func TestWritePathTelemetry(t *testing.T) {
 // carry — a memory operand with the offset flag, and one with a direct
 // argument beside its terms — are refused by ValidateFunction (so by both
 // legacy reader and the fleet's query wire) and by the index writer, on
-// Add and on AddAll (through Save), with an *asm.LossyOperandError
+// Add and on Append (through Save), with an *asm.LossyOperandError
 // instead of a record that would lose them.
 func TestLossyOperandsRefused(t *testing.T) {
 	ebx := []asm.MemTerm{{Arg: asm.RegArg(asm.EBX)}, {Op: asm.OpAdd, Arg: asm.ImmArg(8)}}
