@@ -17,9 +17,12 @@ import (
 	"repro/internal/tinyc"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite testdata/compare_golden.txt.gz from the current matcher")
+var updateGolden = flag.Bool("update", false, "rewrite the golden files of the tests run from the current matcher")
 
-const goldenPath = "testdata/compare_golden.txt.gz"
+const (
+	goldenPath       = "testdata/compare_golden.txt.gz"
+	prunedWorkGolden = "testdata/pruned_work_golden.txt.gz"
+)
 
 // goldenCorpus compiles the fixed-seed campaign the golden file was
 // recorded on and decomposes every function of it at k=3.
@@ -126,7 +129,45 @@ func TestCompareGolden(t *testing.T) {
 			t.Errorf("%s: pruned %d exceeds exhaustive %d", c, p, e)
 		}
 	}
-	got := renderGolden(ds, queries, exact, exactTel)
+	checkGolden(t, goldenPath, renderGolden(ds, queries, exact, exactTel))
+}
+
+// renderPrunedWork renders what the pruned run cost: per Result the pairs
+// it visited, took to the rewrite stage and cut, then the run's totals of
+// every counter the cascade, the block cache, the rewrite engine and the
+// solver keep.
+func renderPrunedWork(ds []*core.Decomposed, queries []int, rs []core.Result, tel *telemetry.Collector) []byte {
+	var b bytes.Buffer
+	b.WriteString("run prune=true\n")
+	for i, r := range rs {
+		fmt.Fprintf(&b, "%d %d %d %d %d\n", queries[i/len(ds)], i%len(ds), r.PairsCompared, r.PairsRewritten, r.PairsPruned)
+	}
+	for _, c := range []telemetry.Counter{telemetry.PairsCompared, telemetry.PairsPrunedBound, telemetry.PairsPrunedSize,
+		telemetry.PairsPrunedProfile, telemetry.PairsPrunedRewrite, telemetry.BlockCacheHits, telemetry.BlockCacheMisses,
+		telemetry.RewritesAttempted, telemetry.RewritesSkipped, telemetry.RewritesSucceeded,
+		telemetry.CSPSolves, telemetry.CSPBacktracks, telemetry.CSPBudgetExhausted} {
+		fmt.Fprintf(&b, "total %s %d\n", c, tel.Get(c))
+	}
+	return b.Bytes()
+}
+
+// TestPrunedWorkGolden pins the work of the pruned run over the golden
+// corpus and queries, which TestCompareGolden holds only to its answers:
+// every pair the cascade cuts, at which bound, every block alignment
+// computed or reused, every rewrite and solve. A change to how the cascade
+// is evaluated that leaves the cascade itself alone must leave all of it
+// as it is.
+func TestPrunedWorkGolden(t *testing.T) {
+	ds := goldenCorpus(t)
+	queries := goldenQueries(ds, 24)
+	pruned, tel := goldenRun(ds, queries, true)
+	checkGolden(t, prunedWorkGolden, renderPrunedWork(ds, queries, pruned, tel))
+}
+
+// checkGolden holds got to the gzipped golden file at path, or rewrites
+// the file under -update.
+func checkGolden(t *testing.T, path string, got []byte) {
+	t.Helper()
 	if *updateGolden {
 		var z bytes.Buffer
 		zw, _ := gzip.NewWriterLevel(&z, gzip.BestCompression)
@@ -137,13 +178,13 @@ func TestCompareGolden(t *testing.T) {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(goldenPath, z.Bytes(), 0o644); err != nil {
+		if err := os.WriteFile(path, z.Bytes(), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("wrote %s (%d bytes, %d uncompressed)", goldenPath, z.Len(), len(got))
+		t.Logf("wrote %s (%d bytes, %d uncompressed)", path, z.Len(), len(got))
 		return
 	}
-	f, err := os.Open(goldenPath)
+	f, err := os.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,8 +203,8 @@ func TestCompareGolden(t *testing.T) {
 	gl, wl := bytes.Split(got, []byte("\n")), bytes.Split(want, []byte("\n"))
 	for i := 0; i < len(gl) && i < len(wl); i++ {
 		if !bytes.Equal(gl[i], wl[i]) {
-			t.Fatalf("golden mismatch at line %d:\n got  %s\n want %s", i+1, gl[i], wl[i])
+			t.Fatalf("%s mismatch at line %d:\n got  %s\n want %s", path, i+1, gl[i], wl[i])
 		}
 	}
-	t.Fatalf("golden mismatch: %d lines, want %d", len(gl), len(wl))
+	t.Fatalf("%s mismatch: %d lines, want %d", path, len(gl), len(wl))
 }
