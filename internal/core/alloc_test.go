@@ -18,7 +18,7 @@ func rewriteCandidate(t *testing.T, ctx *cmpCtx, opts Options) (int, int) {
 	t.Helper()
 	for ri := range ctx.ref.Tracelets {
 		for ti := range ctx.tgt.Tracelets {
-			n := align.Norm(ctx.pairScore(ri, ti), ctx.ref.ident[ri], ctx.tgt.ident[ti], opts.Norm)
+			n := align.Norm(ctx.pairScore(ri, ti), int(ctx.ref.ident[ri]), int(ctx.tgt.ident[ti]), opts.Norm)
 			if n >= opts.RewriteSkipBelow && n <= opts.Beta {
 				return ri, ti
 			}

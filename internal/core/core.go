@@ -15,8 +15,9 @@
 // compare worker owns and reuses. On top sits a lossless score-bound
 // pruner (Options.Prune), a cascade of upper bounds on a pair's normalized
 // score, cheapest first, all cut at the one threshold that decides a match,
-// β: the blocks' identity scores (three loads a pair), their kind profiles,
-// the score DP, the order-aware rewrite bound, the rewrite. Each bound
+// β: the blocks' identity scores (three loads a pair, in one branch-free
+// pass over each reference tracelet's targets), their kind profiles, the
+// score DP, the order-aware rewrite bound, the rewrite. Each bound
 // dominates everything after it, so a pair that cannot match — directly or
 // after any rewrite — is never aligned, and every Result has the same
 // Verdict either way.
@@ -24,6 +25,7 @@ package core
 
 import (
 	"context"
+	"math"
 	"runtime"
 	"slices"
 	"strconv"
@@ -144,7 +146,8 @@ type Decomposed struct {
 	distinct    []blockInfo // deduplicated block bodies, in order of first visit
 	blockID     []int32     // per tracelet its K blocks' indices into distinct, back to back
 	blockIdent  []int32     // the identity scores of those blocks, in the same layout
-	ident       []int       // identity score per tracelet
+	ident       []int32     // identity score per tracelet
+	maxIdent    int32       // the largest of them, which sizes the size pass's threshold table
 	fingerprint uint64
 
 	fn  *prep.Function // what Decompose decomposed
@@ -227,12 +230,14 @@ func (d *Decomposed) number() {
 	}
 	idOf, table := scratch[:nb], scratch[nb:nb+slots]
 	d.distinct = make([]blockInfo, 0, nb)
-	perBlock := make([]int32, 2*len(ts)*k) // every tracelet has k blocks
-	d.blockID, d.blockIdent = perBlock[:len(ts)*k:len(ts)*k], perBlock[len(ts)*k:]
-	d.ident = make([]int, len(ts))
+	// Every tracelet has k blocks: one array holds the blocks' ids, their
+	// identity scores and the tracelets' identity scores.
+	n := len(ts) * k
+	perBlock := make([]int32, 2*n+len(ts))
+	d.blockID, d.blockIdent, d.ident = perBlock[:n:n], perBlock[n:2*n:2*n], perBlock[2*n:]
 	for i, t := range ts {
 		ids := d.blockIDs(i)
-		total := 0
+		var total int32
 		for j, bi := range t.BlockIdx {
 			if idOf[bi] == 0 {
 				blk := &d.blocks[bi]
@@ -255,10 +260,11 @@ func (d *Decomposed) number() {
 			id := idOf[bi] - 1
 			ids[j] = id
 			d.blockIdent[i*k+j] = d.distinct[id].ident
-			total += int(d.distinct[id].ident)
+			total += d.distinct[id].ident
 			fp = asm.Mix(fp, d.distinct[id].hash)
 		}
 		d.ident[i] = total
+		d.maxIdent = max(d.maxIdent, total)
 	}
 	d.fingerprint = fp
 }
@@ -344,6 +350,92 @@ func sizeBound(r, t []int32) int {
 		s += min(x, t[b])
 	}
 	return int(s)
+}
+
+// sizeTable readies the size pass's threshold table for the compare in
+// hand. A pair's identity scores rI, tI enter align.Norm only as x =
+// rI+tI under Ratio and x = min(rI, tI) under Containment, and need[x] is
+// the largest size bound that Norm holds to β or less at x (-1 when even 0
+// clears β). Norm is monotone in the score, so a size bound clears β
+// exactly when it is above need[x]: the integer test cuts the pairs the
+// float one did. A size bound is at most min(rI, tI) — x/2 under Ratio, x
+// under Containment — so an entry looks no further; and Norm falls as x
+// grows, so need[x] is at least need[x-1] and its walk starts there. The
+// table is the worker's: it grows as larger identity scores ask for it and
+// is built again only when β or the method changes.
+func (ctx *cmpCtx) sizeTable(beta float64, norm align.Method) {
+	hi := int(ctx.ref.maxIdent) + int(ctx.tgt.maxIdent)
+	if norm == align.Containment {
+		hi = int(min(ctx.ref.maxIdent, ctx.tgt.maxIdent))
+	}
+	if b := math.Float64bits(beta); b != ctx.needBeta || norm != ctx.needNorm {
+		ctx.need, ctx.needBeta, ctx.needNorm = ctx.need[:0], b, norm
+	}
+	if hi < len(ctx.need) {
+		return
+	}
+	ctx.need = slices.Grow(ctx.need, hi+1-len(ctx.need))
+	for x := len(ctx.need); x <= hi; x++ {
+		s, top, rI, tI := int32(-1), x/2, x, 0 // Norm reads rI+tI = x
+		if norm == align.Containment {
+			top, tI = x, x // Norm reads min(rI, tI) = x
+		}
+		if x > 0 {
+			s = ctx.need[x-1]
+		}
+		for int(s) < top && align.Norm(int(s)+1, rI, tI, norm) <= beta {
+			s++
+		}
+		ctx.need = append(ctx.need, s)
+	}
+}
+
+// sizePass is the first stage of the pruner's cascade as one pass over the
+// row of reference tracelet ri: it keeps in ctx.surv, in target order, the
+// target tracelets whose size bound is above the pair's threshold in the
+// table — those the bound does not hold to β — and returns them. The pass
+// does not branch on a pair: every target is written to the next free
+// slot, and only a survivor moves the slot on.
+func (ctx *cmpCtx) sizePass(ri int, norm align.Method) []int32 {
+	ref, tgt := ctx.ref, ctx.tgt
+	k := ref.K
+	r, rI, surv := ref.blockIdent[ri*k:(ri+1)*k:(ri+1)*k], ref.ident[ri], ctx.surv
+	tIdents := tgt.ident[:len(surv)]
+	n := 0
+	if k == DefaultK && norm != align.Containment {
+		n = sizePass3(surv, r, tgt.blockIdent, tIdents, ctx.need[rI:])
+	} else {
+		containment := norm == align.Containment
+		for ti, tI := range tIdents {
+			x := rI + tI
+			if containment {
+				x = min(rI, tI)
+			}
+			surv[n] = int32(ti)
+			if sizeBound(r, tgt.blockIdent[ti*k:]) > int(ctx.need[x]) {
+				n++
+			}
+		}
+	}
+	return surv[:n]
+}
+
+// sizePass3 is the size pass at k = DefaultK under Ratio, the blocks'
+// minima unrolled: need is the table from the reference tracelet's
+// identity score on, so a target's threshold is need at its own.
+func sizePass3(surv, r, tSizes, tIdents, need []int32) int {
+	r0, r1, r2 := r[0], r[1], r[2]
+	tSizes = tSizes[:3*len(tIdents)]
+	n := 0
+	for ti, tI := range tIdents {
+		t := tSizes[3*ti : 3*ti+3 : 3*ti+3]
+		sb := min(r0, t[0]) + min(r1, t[1]) + min(r2, t[2])
+		surv[n] = int32(ti)
+		if sb > need[tI] {
+			n++
+		}
+	}
+	return n
 }
 
 // Result is the outcome of one function-to-function comparison.
@@ -449,6 +541,21 @@ func (c *cancelCheck) poll() error {
 	return c.now()
 }
 
+// pollN is poll for n pair-loop iterations at once: it probes the Done
+// channel when they cross a multiple of cancelCheckInterval.
+func (c *cancelCheck) pollN(n int) error {
+	if c.done == nil {
+		return nil
+	}
+	seq := c.seq + uint32(n)
+	crossed := seq/cancelCheckInterval != c.seq/cancelCheckInterval
+	c.seq = seq
+	if !crossed {
+		return nil
+	}
+	return c.now()
+}
+
 // now probes the Done channel immediately — for coarse loop boundaries
 // (per rewrite attempt, per reference tracelet) where the work between
 // checks is already expensive.
@@ -474,6 +581,15 @@ func (c *cancelCheck) now() error {
 type cmpCtx struct {
 	ref, tgt *Decomposed
 	td       int // matrix stride: len(tgt.distinct)
+	// The row of the reference tracelet in hand: the target tracelets that
+	// survive its size pass, in target order, or without the pruner every
+	// target tracelet (see scanTracelet). Its length is the row's.
+	surv []int32
+	// The size pass's threshold table (see sizeTable), and the β (its bits)
+	// and method it holds for.
+	need     []int32
+	needBeta uint64
+	needNorm align.Method
 	// rd×td each; -1 = not yet computed. rwBounds, the order-aware bounds
 	// only rewrite candidates ask for, is nil until the first one does.
 	scores, bounds, rwBounds []int32
@@ -730,7 +846,7 @@ func (ctx *cmpCtx) rewritePair(ri, ti int, norm align.Method) float64 {
 	for b, r := range ctx.rblk {
 		score += ctx.dp.Score(r, ctx.rw.Block(b))
 	}
-	n := align.Norm(score, ctx.ref.ident[ri], ctx.tgt.ident[ti], norm)
+	n := align.Norm(score, int(ctx.ref.ident[ri]), int(ctx.tgt.ident[ti]), norm)
 	rt.Stop()
 	return n
 }
@@ -786,10 +902,11 @@ func (m *Matcher) compareTop(cc context.Context, ctx *cmpCtx, ref, tgt *Decompos
 		ctx.span = m.Opts.Trace.Child("compare:" + tgt.Name)
 	}
 	if total := len(ref.Tracelets); total > 0 {
+		ctx.readyRows(&m.Opts)
 		for ri := 0; ri < total && ctx.cancelErr == nil; ri++ {
 			tsp := ctx.traceletSpan(ri)
 			size, profile := ctx.stats.prunedSize, ctx.stats.prunedProfile
-			direct, cands := m.scanTracelet(ref, tgt, ri, ctx, &res, tsp)
+			direct, cands := m.scanTracelet(ri, ctx, &res, tsp)
 			if tsp != nil {
 				tsp.Set("pairs_pruned_size", int64(ctx.stats.prunedSize-size))
 				tsp.Set("pairs_pruned_profile", int64(ctx.stats.prunedProfile-profile))
@@ -936,6 +1053,28 @@ func (ctx *cmpCtx) endTracelet(tsp *telemetry.Span, matched bool) {
 	tsp.End()
 }
 
+// readyRows readies the worker for the rows of the compare in hand: the
+// row buffer is sized for the target's tracelets and, without the pruner,
+// holds every one of them in order; with it, each row's size pass fills
+// the buffer, and the pass's threshold table is readied here.
+func (ctx *cmpCtx) readyRows(opts *Options) {
+	n := len(ctx.tgt.ident)
+	if ctx.tgt.K != ctx.ref.K {
+		n = 0 // tracelets of different lengths are never paired
+	}
+	if cap(ctx.surv) < n {
+		ctx.surv = make([]int32, n)
+	}
+	ctx.surv = ctx.surv[:n]
+	if opts.Prune {
+		ctx.sizeTable(opts.Beta, opts.Norm)
+		return
+	}
+	for i := range ctx.surv {
+		ctx.surv[i] = int32(i)
+	}
+}
+
 // scanTracelet runs reference tracelet ri against every target tracelet
 // through the size, profile and score stages, stopping at the first direct
 // match. Without one it returns the pairs worth a rewrite attempt, best
@@ -949,35 +1088,41 @@ func (ctx *cmpCtx) endTracelet(tsp *telemetry.Span, matched bool) {
 // post-rewrite score, and profile ≥ score — and Norm is monotone in the
 // score, so a pair cut at any stage could have matched neither directly
 // nor after a rewrite.
-func (m *Matcher) scanTracelet(ref, tgt *Decomposed, ri int, ctx *cmpCtx, res *Result, tsp *telemetry.Span) (bool, []rewriteCand) {
+//
+// The size bound cuts most pairs, and it runs first over the whole row
+// (sizePass): the later stages walk only its survivors, in target order,
+// which is the order the pairs met them in before. What the row cost is
+// read from positions (visited): the pairs up to the one the walk stopped
+// at were visited, and those of them that are not survivors the size
+// bound cut.
+func (m *Matcher) scanTracelet(ri int, ctx *cmpCtx, res *Result, tsp *telemetry.Span) (bool, []rewriteCand) {
 	opts := &m.Opts
 	beta, norm := opts.Beta, opts.Norm
-	k := ref.K
-	rIdent, rSizes := ref.ident[ri], ref.blockIdent[ri*k:(ri+1)*k]
-	tIdents, tSizes := tgt.ident, tgt.blockIdent
-	if tgt.K != k {
-		tIdents = nil // tracelets of different lengths are never paired
+	rIdent, tIdents := int(ctx.ref.ident[ri]), ctx.tgt.ident
+	row, surv := len(ctx.surv), ctx.surv
+	if opts.Prune {
+		if err := ctx.cancel.pollN(row); err != nil {
+			ctx.cancelErr = err
+			return false, nil
+		}
+		surv = ctx.sizePass(ri, norm)
 	}
 	cands := ctx.cands[:0]
 	bestPre := 0.0
 	polled := ctx.cancel.done != nil
-	for ti, tIdent := range tIdents {
+	for j, t := range surv {
+		ti := int(t)
 		if polled {
 			if err := ctx.cancel.poll(); err != nil {
 				ctx.cancelErr = err
-				res.PairsCompared += ti
+				ctx.visited(res, ti, j)
 				return false, nil
 			}
 		}
-		if opts.Prune {
-			if align.Norm(sizeBound(rSizes, tSizes[ti*k:]), rIdent, tIdent, norm) <= beta {
-				ctx.stats.prunedSize++
-				continue
-			}
-			if align.Norm(ctx.pairBound(ri, ti), rIdent, tIdent, norm) <= beta {
-				ctx.stats.prunedProfile++
-				continue
-			}
+		tIdent := int(tIdents[ti])
+		if opts.Prune && align.Norm(ctx.pairBound(ri, ti), rIdent, tIdent, norm) <= beta {
+			ctx.stats.prunedProfile++
+			continue
 		}
 		pt := ctx.pairTimer()
 		pre := align.Norm(ctx.pairScore(ri, ti), rIdent, tIdent, norm)
@@ -991,7 +1136,7 @@ func (m *Matcher) scanTracelet(ref, tgt *Decomposed, ri int, ctx *cmpCtx, res *R
 				tsp.Set("score_bp", int64(pre*10000))
 				tsp.Set("via_rewrite", 0)
 			}
-			res.PairsCompared += ti + 1
+			ctx.visited(res, ti+1, j+1)
 			return true, nil
 		}
 		if opts.UseRewrite {
@@ -1002,7 +1147,7 @@ func (m *Matcher) scanTracelet(ref, tgt *Decomposed, ri int, ctx *cmpCtx, res *R
 			}
 		}
 	}
-	res.PairsCompared += len(tIdents)
+	ctx.visited(res, row, len(surv))
 	ctx.cands = cands // keep what the appends grew
 	if tsp != nil {
 		tsp.Set("best_pre_score_bp", int64(bestPre*10000))
@@ -1012,12 +1157,20 @@ func (m *Matcher) scanTracelet(ref, tgt *Decomposed, ri int, ctx *cmpCtx, res *R
 	return false, cands
 }
 
+// visited accounts for a row walked up to its n-th pair, which was its m-th
+// survivor: the n pairs were visited, and the size bound cut the n-m of
+// them that did not survive the size pass.
+func (ctx *cmpCtx) visited(res *Result, n, m int) {
+	res.PairsCompared += n
+	ctx.stats.prunedSize += uint64(n - m)
+}
+
 // nextFeasible takes rewrite candidates of reference tracelet ri to the
 // rewrite stage in order and returns them from the first whose rewrite
 // bound clears β on, nil when there is none.
 func (m *Matcher) nextFeasible(ri int, cands []rewriteCand, ctx *cmpCtx, res *Result, tsp *telemetry.Span) []rewriteCand {
 	opts := &m.Opts
-	rIdent, tIdents := ctx.ref.ident[ri], ctx.tgt.ident
+	rIdent, tIdents := int(ctx.ref.ident[ri]), ctx.tgt.ident
 	for i, c := range cands {
 		// A rewrite attempt (alignment traceback + CSP solve) is the most
 		// expensive unit of work in the matcher: probe the context before
@@ -1034,7 +1187,7 @@ func (m *Matcher) nextFeasible(ri int, cands []rewriteCand, ctx *cmpCtx, res *Re
 		// most what the pair would score if every same-kind instruction pair
 		// agreed in every argument. When even that cannot clear β the
 		// traceback and the CSP solve are provably futile.
-		if opts.Prune && align.Norm(ctx.rewriteBound(ri, c.ti), rIdent, tIdents[c.ti], opts.Norm) <= opts.Beta {
+		if opts.Prune && align.Norm(ctx.rewriteBound(ri, c.ti), rIdent, int(tIdents[c.ti]), opts.Norm) <= opts.Beta {
 			ctx.stats.prunedRewrite++
 			tsp.Add("pairs_pruned_rewrite_bound", 1)
 			continue

@@ -262,7 +262,7 @@ func TestDecomposeStats(t *testing.T) {
 		t.Fatal("no distinct blocks recorded")
 	}
 	for i := range d.Tracelets {
-		if d.ident[i] != align.IdentityScore(d.Tracelets[i].Insts()) {
+		if int(d.ident[i]) != align.IdentityScore(d.Tracelets[i].Insts()) {
 			t.Errorf("identity score mismatch at %d", i)
 		}
 		if len(d.blockIDs(i)) != d.Tracelets[i].K() {

@@ -29,7 +29,7 @@ func decomposeReference(fn *prep.Function, k int) *Decomposed {
 		Tracelets: ts,
 		NumBlocks: len(fn.Graph.Blocks),
 		NumInsts:  fn.Graph.NumInsts(),
-		ident:     make([]int, len(ts)),
+		ident:     make([]int32, len(ts)),
 	}
 	fp := asm.Mix(asm.Mix(asm.Mix(asm.HashSeed, uint64(d.K)), uint64(d.NumBlocks)), uint64(d.NumInsts))
 	type sliceID struct {
@@ -39,7 +39,7 @@ func decomposeReference(fn *prep.Function, k int) *Decomposed {
 	byPtr := make(map[sliceID]int32)
 	byHash := make(map[uint64]int32)
 	for i, t := range ts {
-		total := 0
+		var total int32
 		for j, blk := range t.Blocks {
 			var sid sliceID
 			if len(blk) > 0 {
@@ -64,10 +64,11 @@ func decomposeReference(fn *prep.Function, k int) *Decomposed {
 				byPtr[sid] = id
 			}
 			d.blockID = append(d.blockID, id)
-			total += int(d.distinct[id].ident)
+			total += d.distinct[id].ident
 			fp = asm.Mix(fp, d.distinct[id].hash)
 		}
 		d.ident[i] = total
+		d.maxIdent = max(d.maxIdent, total)
 	}
 	d.fingerprint = fp
 	return d
@@ -95,7 +96,7 @@ func sameDecomposed(got, want *Decomposed) error {
 			return fmt.Errorf("tracelet %d walks blocks %v, want %v", i, got.Tracelets[i].BlockIdx, want.Tracelets[i].BlockIdx)
 		}
 	}
-	if !slices.Equal(got.blockID, want.blockID) || !slices.Equal(got.ident, want.ident) {
+	if !slices.Equal(got.blockID, want.blockID) || !slices.Equal(got.ident, want.ident) || got.maxIdent != want.maxIdent {
 		return fmt.Errorf("block ids or identity scores differ")
 	}
 	if len(got.distinct) != len(want.distinct) {

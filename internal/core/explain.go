@@ -35,7 +35,7 @@ func (m *Matcher) Explain(ref, tgt *Decomposed) []TraceletMatch {
 	var out []TraceletMatch
 	ctx := newCmpCtx(ref, tgt, m.Opts.Tel)
 	for ri, r := range ref.Tracelets {
-		rIdent := ref.ident[ri]
+		rIdent := int(ref.ident[ri])
 		found := false
 		// Pass 1: syntactic matches. Score-only scan; the traceback runs
 		// just for the accepted pair's evidence.
@@ -43,7 +43,7 @@ func (m *Matcher) Explain(ref, tgt *Decomposed) []TraceletMatch {
 			if t.K() != r.K() {
 				continue
 			}
-			norm := align.Norm(ctx.pairScore(ri, ti), rIdent, tgt.ident[ti], m.Opts.Norm)
+			norm := align.Norm(ctx.pairScore(ri, ti), rIdent, int(tgt.ident[ti]), m.Opts.Norm)
 			if norm > m.Opts.Beta {
 				al := ctx.alignPair(ri, ti)
 				out = append(out, TraceletMatch{
@@ -65,7 +65,7 @@ func (m *Matcher) Explain(ref, tgt *Decomposed) []TraceletMatch {
 			if t.K() != r.K() {
 				continue
 			}
-			norm := align.Norm(ctx.pairScore(ri, ti), rIdent, tgt.ident[ti], m.Opts.Norm)
+			norm := align.Norm(ctx.pairScore(ri, ti), rIdent, int(tgt.ident[ti]), m.Opts.Norm)
 			if norm >= m.Opts.RewriteSkipBelow {
 				cands = append(cands, rewriteCand{ti, norm})
 			} else {
@@ -116,13 +116,13 @@ func (m *Matcher) BestScores(ref, tgt *Decomposed) (pre, post []float64) {
 	ctx := newCmpCtx(ref, tgt, m.Opts.Tel)
 	pairs := uint64(0)
 	for ri, r := range ref.Tracelets {
-		rIdent := ref.ident[ri]
+		rIdent := int(ref.ident[ri])
 		for ti, t := range tgt.Tracelets {
 			if t.K() != r.K() {
 				continue
 			}
 			pairs++
-			norm := align.Norm(ctx.pairScore(ri, ti), rIdent, tgt.ident[ti], m.Opts.Norm)
+			norm := align.Norm(ctx.pairScore(ri, ti), rIdent, int(tgt.ident[ti]), m.Opts.Norm)
 			if norm > pre[ri] {
 				pre[ri] = norm
 			}

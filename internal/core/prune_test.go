@@ -77,27 +77,33 @@ func TestPairBoundSound(t *testing.T) {
 	}
 }
 
-// campaignSample decomposes a small compiled campaign: real compiler
-// output at three optimization levels, where the listings above are three
-// hand-written functions.
+// campaignSample decomposes a small compiled campaign at k=3: real
+// compiler output at three optimization levels, where the listings above
+// are three hand-written functions.
 func campaignSample(t testing.TB, funcs int) []*Decomposed {
 	t.Helper()
 	var ds []*Decomposed
+	for _, fn := range campaignFuncs(t, funcs) {
+		ds = append(ds, Decompose(fn, 3))
+	}
+	return ds
+}
+
+// campaignFuncs lifts the functions of the campaign campaignSample
+// decomposes.
+func campaignFuncs(t testing.TB, funcs int) []*prep.Function {
+	t.Helper()
+	var out []*prep.Function
 	_, err := corpus.RunCampaign(corpus.CampaignConfig{Seed: 29, Funcs: funcs, FuncsPerExe: 8, Workers: 2},
 		func(e corpus.Executable, _ tinyc.OptLevel) error {
 			fns, err := prep.LiftImage(e.Image)
-			if err != nil {
-				return err
-			}
-			for _, fn := range fns {
-				ds = append(ds, Decompose(fn, 3))
-			}
-			return nil
+			out = append(out, fns...)
+			return err
 		})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return ds
+	return out
 }
 
 // postRewriteScore is the raw score of the pair the worker rewrote last:
@@ -126,7 +132,7 @@ func TestRewriteBoundSound(t *testing.T) {
 					if tt.K() != r.K() {
 						continue
 					}
-					pre := align.Norm(ctx.pairScore(ri, ti), ref.ident[ri], tgt.ident[ti], opts.Norm)
+					pre := align.Norm(ctx.pairScore(ri, ti), int(ref.ident[ri]), int(tgt.ident[ti]), opts.Norm)
 					if pre > opts.Beta || pre < opts.RewriteSkipBelow {
 						continue
 					}
@@ -186,7 +192,7 @@ func TestSizeBoundSound(t *testing.T) {
 			for ri := range ref.Tracelets {
 				for ti := range tgt.Tracelets {
 					pairs++
-					rIdent, tIdent := ref.ident[ri], tgt.ident[ti]
+					rIdent, tIdent := int(ref.ident[ri]), int(tgt.ident[ti])
 					size := sizeBound(ref.blockIdent[ri*ref.K:(ri+1)*ref.K], tgt.blockIdent[ti*tgt.K:])
 					chain := []int{size, ctx.pairBound(ri, ti), ctx.rewriteBound(ri, ti), ctx.pairScore(ri, ti)}
 					if size > min(rIdent, tIdent) {
