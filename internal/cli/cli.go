@@ -4,7 +4,7 @@
 //	tracy search -db code.db -exe q.bin [-fn sub_X] [-limit N] [-min-score X]
 //	tracy serve  -db code.db -addr :8077       run the HTTP query service
 //	tracy query  -server URL -exe q.bin        search a running service
-//	tracy convert [-lsh] old.db new.idx        upgrade a v3 index to v4
+//	tracy convert [-lsh] in.idx out.idx        rewrite a v4 index (-lsh adds lsh sections)
 //	tracy idxinfo [-verify] code.db            inspect an index file's layout
 //	tracy mkcorpus -dir corpus                 generate a demo corpus on disk
 //	tracy obscheck -server URL                 validate a server's observability surfaces

@@ -1,7 +1,6 @@
 package cli
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -12,10 +11,10 @@ import (
 	"repro/internal/minhash"
 )
 
-// convert upgrades an index to TRACYIDX v4: a v3 file written by the
-// tracy before, which only the legacy reader still reads, or a v4 file
-// written again to add, with -lsh, the lsh sections. A gob index (formats
-// v0–v2) is refused. The output may be the input itself.
+// convert writes a TRACYIDX v4 index again, in place or to a new path,
+// with -lsh adding the lsh sections. An older format (v0–v3) is refused as
+// every serving verb refuses it, before any output is written. The output
+// may be the input itself.
 func (c *env) convert(args []string) error {
 	fs := flag.NewFlagSet("convert", flag.ExitOnError)
 	lsh := fs.Bool("lsh", false, "also persist MinHash signatures and their sorted band table for -prefilter-mode lsh")
@@ -25,7 +24,7 @@ func (c *env) convert(args []string) error {
 		return err
 	}
 	if fs.NArg() != 2 {
-		return fmt.Errorf("convert: need input and output paths (tracy convert [-lsh] old.db new.idx)")
+		return fmt.Errorf("convert: need input and output paths (tracy convert [-lsh] in.idx out.idx)")
 	}
 	if err := tf.activate(c.w, "convert"); err != nil {
 		return err
@@ -35,7 +34,7 @@ func (c *env) convert(args []string) error {
 	if err != nil {
 		return err
 	}
-	db, err := openForConvert(src)
+	db, err := index.OpenFile(src)
 	if err != nil {
 		return err
 	}
@@ -50,22 +49,6 @@ func (c *env) convert(args []string) error {
 	fmt.Fprintf(c.w, "converted %s (%d functions, %d bytes) -> %s (TRACYIDX v%d, %d bytes)\n",
 		src, funcs, st.Size(), dst, idxfile.Version, outBytes)
 	return tf.finish(c.w)
-}
-
-// openForConvert opens an index in a format this tracy converts: a v4 file
-// is mapped, a v3 one is read whole by the legacy reader, which refuses
-// anything else.
-func openForConvert(path string) (*index.DB, error) {
-	db, err := index.OpenFile(path)
-	if !errors.Is(err, index.ErrLegacy) {
-		return db, err
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return index.LoadLegacy(f)
 }
 
 // lshParams returns the lsh parameters Save persists with -lsh, or nil

@@ -49,7 +49,7 @@ func refusesLegacy(t *testing.T, what string, err error) {
 	}
 }
 
-func TestIndexV3Format(t *testing.T) {
+func TestIndexV4Format(t *testing.T) {
 	dir := t.TempDir()
 	dbPath := buildTestIndex(t, dir)
 	prelude := make([]byte, 9)
@@ -92,73 +92,82 @@ func TestIndexBadFormat(t *testing.T) {
 	}
 }
 
-// TestConvertInPlace: tracy convert x x leaves a valid index, for a v4
-// input — whose entries decode from the very mapping being replaced — and
-// for a v3 one, which every serving verb refuses until it is converted.
-// Each passes idxinfo -verify afterwards and answers tracy stats as the
-// same index converted to another path does. A gob index is refused by
-// the serving verbs and by convert, and left as it was.
+// TestConvertInPlace: tracy convert x x leaves a valid index — a v4 input
+// whose entries decode from the very mapping being replaced, rewritten as
+// it is and with -lsh. Each passes idxinfo -verify afterwards and answers
+// tracy stats as the same index converted to another path does. An older
+// index — a gob one, and a TRACYIDX v3 one — is refused by the serving
+// verbs and by convert, to another path and in place, before anything is
+// written: it is left as it was and no output appears.
 func TestConvertInPlace(t *testing.T) {
 	dir := t.TempDir()
 	cur := buildTestIndex(t, dir)
-	old := legacyIndex(t, dir)
-	v3, err := os.ReadFile(filepath.Join("..", "index", "testdata", "legacy", "v3.idx"))
+	v3, err := os.ReadFile(cur)
 	if err != nil {
 		t.Fatal(err)
 	}
+	v3[len("TRACYIDX")] = 3
 	oldV3 := filepath.Join(dir, "old.v3")
 	if err := os.WriteFile(oldV3, v3, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	for _, src := range []string{old, oldV3} {
+	for _, src := range []string{legacyIndex(t, dir), oldV3} {
+		before, err := os.ReadFile(src)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for verb, args := range map[string][]string{
-			"stats":  {"stats", "-db", src},
-			"search": {"search", "-db", src, "-exe", filepath.Join(dir, "a.bin")},
-			"serve":  {"serve", "-db", src, "-addr", "127.0.0.1:0"},
+			"stats":            {"stats", "-db", src},
+			"search":           {"search", "-db", src, "-exe", filepath.Join(dir, "a.bin")},
+			"serve":            {"serve", "-db", src, "-addr", "127.0.0.1:0"},
+			"index":            {"index", "-db", src, filepath.Join(dir, "a.bin")},
+			"convert":          {"convert", src, src + ".aside"},
+			"convert in place": {"convert", src, src},
 		} {
 			_, err := run(t, args...)
 			refusesLegacy(t, verb, err)
 		}
+		if data, _ := os.ReadFile(src); !bytes.Equal(data, before) {
+			t.Errorf("a refused verb rewrote %s", src)
+		}
+		for _, out := range []string{src + ".aside", src + ".aside.tmp", src + ".tmp"} {
+			if _, err := os.Stat(out); !os.IsNotExist(err) {
+				t.Errorf("a refused convert of %s left %s", src, out)
+			}
+		}
 	}
-	gobBytes, err := os.ReadFile(old)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, dst := range []string{old + ".aside", old} {
-		_, err := run(t, "convert", old, dst)
-		refusesLegacy(t, "convert", err)
-	}
-	if data, _ := os.ReadFile(old); !bytes.Equal(data, gobBytes) {
-		t.Error("a refused convert rewrote the gob index")
-	}
-	for _, src := range []string{cur, oldV3} {
-		aside := src + ".aside"
-		if _, err := run(t, "convert", src, aside); err != nil {
+	for _, flags := range [][]string{nil, {"-lsh"}} {
+		aside := cur + ".aside"
+		if _, err := run(t, append(append([]string{"convert"}, flags...), cur, aside)...); err != nil {
 			t.Fatal(err)
 		}
 		want, err := run(t, "stats", "-db", aside)
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, err := run(t, "convert", src, src)
+		out, err := run(t, append(append([]string{"convert"}, flags...), cur, cur)...)
 		if err != nil {
-			t.Fatalf("convert %s in place: %v", src, err)
+			t.Fatalf("convert %v in place: %v", flags, err)
 		}
 		if !strings.Contains(out, "converted") || !strings.Contains(out, "TRACYIDX v4") {
 			t.Errorf("convert output: %s", out)
 		}
-		if _, err := run(t, "idxinfo", "-verify", src); err != nil {
-			t.Fatalf("%s after in-place convert: %v", src, err)
+		info, err := run(t, "idxinfo", "-verify", cur)
+		if err != nil {
+			t.Fatalf("%v after in-place convert: %v", flags, err)
 		}
-		got, err := run(t, "stats", "-db", src)
+		if lsh := len(flags) > 0; strings.Contains(info, "LSHB") != lsh {
+			t.Errorf("convert %v in place: LSHB section present %v, want %v", flags, !lsh, lsh)
+		}
+		got, err := run(t, "stats", "-db", cur)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got != want {
-			t.Errorf("%s: stats after in-place convert\n%s\nwant\n%s", src, got, want)
+			t.Errorf("%v: stats after in-place convert\n%s\nwant\n%s", flags, got, want)
 		}
-		if _, err := os.Stat(src + ".tmp"); !os.IsNotExist(err) {
-			t.Errorf("%s: convert left its temporary file behind", src)
+		if _, err := os.Stat(cur + ".tmp"); !os.IsNotExist(err) {
+			t.Errorf("%v: convert left its temporary file behind", flags)
 		}
 	}
 }

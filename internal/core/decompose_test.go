@@ -12,10 +12,9 @@ import (
 	"repro/internal/tracelet"
 )
 
-// decomposeAllocCeiling is a quarter of the 134 allocations a function of
-// the campaign corpus cost to decompose while every tracelet and every
-// distinct block's packed form and kind profile was allocated on its own.
-const decomposeAllocCeiling = 33
+// decomposeAllocCeiling is the 18 allocations the costliest function of
+// the campaign corpus takes to decompose, plus 2 of headroom.
+const decomposeAllocCeiling = 20
 
 // decomposeReference is Decompose as it was before blocks were packed out
 // of shared arrays: every distinct block packed and profiled on its own,

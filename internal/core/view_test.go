@@ -28,7 +28,7 @@ func campaignFile(t testing.TB, seed int64, funcs int) ([]*prep.Function, *idxfi
 	return fns, storedFile(t, fns...)
 }
 
-// storedFile writes the functions as a v3 index and parses that back.
+// storedFile writes the functions as an index file and parses that back.
 func storedFile(t testing.TB, fns ...*prep.Function) *idxfile.File {
 	t.Helper()
 	b := idxfile.NewBuilder()

@@ -108,14 +108,13 @@ func Parse(data []byte) (*File, error) {
 	return f, nil
 }
 
-// ReadSections checks the header and section directory of a TRACYIDX file of
-// format v3 or later — magic, file size, directory checksum, every section
-// inside the file, 8-aligned and named once — and returns the version the
-// header announces, its function count and every section's payload by
-// name, each a slice of data, and the directory's entries. It is the part
-// of Parse the columnar versions share, there for the reader that
-// upgrades v3 files.
-func ReadSections(data []byte) (version, nfuncs int, secs []SectionInfo, payloads map[string][]byte, err error) {
+// readSections checks the header and section directory of a TRACYIDX
+// file — magic, file size, directory checksum, every section inside the
+// file, 8-aligned and named once — and returns the version the header
+// announces, its function count and every section's payload by name, each
+// a slice of data, and the directory's entries. parseHeader checks the
+// version and the sections a v4 file needs on top of it.
+func readSections(data []byte) (version, nfuncs int, secs []SectionInfo, payloads map[string][]byte, err error) {
 	if len(data) < headerSize {
 		return 0, 0, nil, nil, corruptf("file shorter than header (%d bytes)", len(data))
 	}
@@ -166,7 +165,7 @@ func ReadSections(data []byte) (version, nfuncs int, secs []SectionInfo, payload
 }
 
 func (f *File) parseHeader() error {
-	version, nfuncs, secs, payloads, err := ReadSections(f.data)
+	version, nfuncs, secs, payloads, err := readSections(f.data)
 	if err != nil {
 		return err
 	}

@@ -6,8 +6,8 @@
 // heap objects on load — at 10⁵-10⁶ functions that costs seconds of
 // reflection-driven decoding and a resident object graph many times the
 // file size. v3 stored every instruction twice, as INST/OPND/MEMT records
-// and again packed. Both are read now only to convert them (see
-// internal/index). v4 lays every piece of the corpus out as fixed-width
+// and again packed. Neither is read any more: internal/index refuses both
+// with a typed error. v4 lays every piece of the corpus out as fixed-width
 // column arrays plus one shared string table and one shared feature pool,
 // and stores each function once, in the packed form the matcher consumes,
 // so a reader can

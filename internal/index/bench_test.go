@@ -62,7 +62,7 @@ func benchQuery(tb testing.TB, db *DB) *prep.Function {
 	tb.Helper()
 	for _, e := range db.Entries {
 		if e.Truth == corpus.LibFuncName {
-			return e.Func
+			return e.fn
 		}
 	}
 	tb.Fatalf("no entry with truth %q", corpus.LibFuncName)

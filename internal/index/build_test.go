@@ -79,7 +79,7 @@ func TestWritePathTelemetry(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, e := range db.Entries {
-		insts += e.Func.NumInsts()
+		insts += e.fn.NumInsts()
 	}
 	var lsh, plain bytes.Buffer
 	if err := db.Save(&lsh, SaveOptions{LSH: &minhash.Default}); err != nil {
@@ -132,7 +132,7 @@ func TestLossyOperandsRefused(t *testing.T) {
 			t.Errorf("%s: Builder.Add then WriteTo returned %v", name, err)
 		}
 		db := New()
-		db.Entries = []*Entry{{Exe: "x", Name: "f", Func: fn}}
+		db.Entries = []*Entry{{Exe: "x", Name: "f", fn: fn}}
 		if err := db.Save(io.Discard, SaveOptions{}); !errors.As(err, &lossy) {
 			t.Errorf("%s: Save returned %v", name, err)
 		}

@@ -3,7 +3,6 @@ package index
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
 	"encoding/gob"
 	"errors"
 	"fmt"
@@ -13,7 +12,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/asm"
 	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/idxfile"
@@ -100,8 +98,8 @@ func refusesGob(t *testing.T, what string, v int, err error) {
 	}
 }
 
-// refusedEverywhere checks that Load, OpenFile and LoadLegacy each refuse
-// the gob index of format v, whole and cut to its first bytes.
+// refusedEverywhere checks that Load and OpenFile each refuse the gob
+// index of format v, Load whole and cut to its first bytes.
 func refusedEverywhere(t *testing.T, v int) {
 	t.Helper()
 	data := gobIndex(t, v)
@@ -109,13 +107,11 @@ func refusedEverywhere(t *testing.T, v int) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, err := Load(bytes.NewReader(data))
-	refusesGob(t, "Load", v, err)
-	_, err = OpenFile(path)
+	_, err := OpenFile(path)
 	refusesGob(t, "OpenFile", v, err)
 	for _, cut := range []int{len(data), len(idxfile.Magic) + 1} {
-		_, err = LoadLegacy(bytes.NewReader(data[:cut]))
-		refusesGob(t, fmt.Sprintf("LoadLegacy (%d bytes)", cut), v, err)
+		_, err = Load(bytes.NewReader(data[:cut]))
+		refusesGob(t, fmt.Sprintf("Load (%d bytes)", cut), v, err)
 	}
 }
 
@@ -126,8 +122,8 @@ func refusedEverywhere(t *testing.T, v int) {
 func TestLoadHeaderlessV0(t *testing.T) { refusedEverywhere(t, 0) }
 
 // TestLoadV1Compat: a v1-headered gob index (entries only) is refused by
-// every reader, tracy convert's included, on its prelude alone, with an
-// error naming the format and the tracy that still converts it.
+// every reader on its prelude alone, with an error naming the format and
+// the tracy that still converts it.
 func TestLoadV1Compat(t *testing.T) { refusedEverywhere(t, 1) }
 
 // TestSaveLoadV2Features: a v2 gob index (entries and a feature table) is
@@ -139,8 +135,7 @@ func TestSaveLoadV2Features(t *testing.T) { refusedEverywhere(t, 2) }
 // saves to opens, through Load and OpenFile, to bit-identical search
 // results — of a snapshot, exhaustive and prefiltered, and of the
 // database's view — equal to those of the database built in memory from
-// the corpus seed. A gob index of every format is refused by the reader
-// tracy convert uses (v3 converts in TestV3ConvertParity).
+// the corpus seed. Every older format is refused (TestLegacyRefused).
 func TestCrossVersionSearchParity(t *testing.T) {
 	mem := parityMemDB(t)
 	query := queryFor(t, mem, corpus.LibFuncName)
@@ -187,20 +182,26 @@ func TestCrossVersionSearchParity(t *testing.T) {
 		}
 		db.Close()
 	}
-	for v := 0; v <= 2; v++ {
-		_, err := LoadLegacy(bytes.NewReader(gobIndex(t, v)))
-		refusesGob(t, "LoadLegacy", v, err)
-	}
 }
 
-// TestLegacyRefused: Load and OpenFile refuse every gob index, whole or
-// cut short, before decoding anything: the error wraps ErrLegacy, names
-// tracy convert and is no gob decode error. The legacy reader in turn
-// refuses a v4 file, a foreign one and an empty one.
+// TestLegacyRefused: Load and OpenFile refuse every older format, whole or
+// cut short, before decoding anything: each gob index, and a TRACYIDX v3
+// prelude — here in front of a v4 file's body, which would otherwise
+// parse. The error wraps ErrLegacy, names tracy convert and the tracy that
+// still converts the format, and is no gob decode error or corruption.
 func TestLegacyRefused(t *testing.T) {
 	dir := t.TempDir()
-	for v := 0; v <= 2; v++ {
-		data := gobIndex(t, v)
+	db, _ := buildTestDB(t)
+	var v3 bytes.Buffer
+	if err := db.Save(&v3, SaveOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	v3.Bytes()[len(idxfile.Magic)] = 3
+	for v := 0; v <= 3; v++ {
+		data := v3.Bytes()
+		if v < 3 {
+			data = gobIndex(t, v)
+		}
 		path := filepath.Join(dir, fmt.Sprintf("idx-v%d", v))
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
@@ -209,183 +210,23 @@ func TestLegacyRefused(t *testing.T) {
 		_, errCut := Load(bytes.NewReader(data[:len(data)/3]))
 		_, errOpen := OpenFile(path)
 		for _, err := range []error{errLoad, errCut, errOpen} {
-			if !errors.Is(err, ErrLegacy) || !strings.Contains(err.Error(), "tracy convert") || strings.Contains(err.Error(), "gob:") {
+			if !errors.Is(err, ErrLegacy) || !strings.Contains(err.Error(), "tracy convert") || strings.Contains(err.Error(), "gob:") || idxfile.IsCorrupt(err) {
 				t.Errorf("v%d: refused with %v, want ErrLegacy naming tracy convert", v, err)
 			}
-		}
-	}
-	db, _ := buildTestDB(t)
-	var cur bytes.Buffer
-	if err := db.Save(&cur, SaveOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	for _, data := range [][]byte{cur.Bytes(), []byte("PK\x03\x04 a zip"), nil} {
-		if _, err := LoadLegacy(bytes.NewReader(data)); err == nil {
-			t.Errorf("LoadLegacy accepted %.12q", data)
+			if v == 3 && !strings.Contains(err.Error(), "format v3 is a TRACYIDX v3 index; only a tracy built before") {
+				t.Errorf("v3: refused with %v, want the format and the tracy that converts it named", err)
+			}
 		}
 	}
 }
 
-// v3Corpus is the corpus testdata/legacy/v3.idx holds: 13 functions,
-// written with the PACK, LSHB and LSHT sections by the last release that
-// wrote TRACYIDX v3.
-var v3Corpus = corpus.BuildConfig{
-	Seed: 7, ContextCopies: 2, Versions: 1, NoiseExes: 1, FuncsPerExe: 2,
-	TargetStmts: 8, FillerStmts: 4, Opt: tinyc.O2,
-}
-
-// TestV3ConvertParity: convert, then parity, for TRACYIDX v3. The
-// checked-in v3 file, and the same file without its PACK section, are
-// refused by Load and OpenFile with ErrLegacy naming tracy convert; the
-// legacy reader reads each entry for entry as the database the corpus
-// builds in memory; and saved as v4 and opened, each answers exhaustive,
-// scan and lsh searches hit for hit as that database does.
-func TestV3ConvertParity(t *testing.T) {
-	data, err := os.ReadFile(filepath.Join("testdata", "legacy", "v3.idx"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v := idxfile.SniffVersion(data); v != 3 {
-		t.Fatalf("fixture is v%d", v)
-	}
-	c, err := corpus.Build(v3Corpus)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mem := New()
-	for _, e := range c.Exes {
-		if err := mem.AddImage(e.Name, e.Image, e.Truth); err != nil {
-			t.Fatal(err)
-		}
-	}
-	opts := core.DefaultOptions()
-	search := func(db *DB) [][]hitKey {
-		t.Helper()
-		snap := BuildSnapshot(db, []int{opts.K}, 2)
-		var out [][]hitKey
-		for _, e := range mem.Entries {
-			ref := core.Decompose(e.Func, opts.K)
-			for _, pf := range []PrefilterOptions{{}, {Enabled: true, Candidates: 5}, {Candidates: 5, Mode: ModeLSH}} {
-				hits := mustSearch(t, snap, Query{Ref: ref, Opts: opts, Prefilter: pf})
-				out = append(out, hitKeys(hits))
-			}
-		}
-		return out
-	}
-	want := search(mem)
-
-	dir := t.TempDir()
-	for name, v3 := range map[string][]byte{"pack": data, "nopack": withoutSection(t, data, idxfile.SecPACK)} {
-		path := filepath.Join(dir, name+".idx")
-		if err := os.WriteFile(path, v3, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		_, errLoad := Load(bytes.NewReader(v3))
-		_, errOpen := OpenFile(path)
-		for _, err := range []error{errLoad, errOpen} {
-			if !errors.Is(err, ErrLegacy) || !strings.Contains(err.Error(), "tracy convert") {
-				t.Errorf("%s: refused with %v, want ErrLegacy naming tracy convert", name, err)
-			}
-		}
-		legacy, err := LoadLegacy(bytes.NewReader(v3))
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if legacy.Len() != mem.Len() {
-			t.Fatalf("%s: %d entries, want %d", name, legacy.Len(), mem.Len())
-		}
-		for i, e := range legacy.Entries {
-			m := mem.Entries[i]
-			if e.Exe != m.Exe || e.Name != m.Name || e.Addr != m.Addr || e.Truth != m.Truth || !reflect.DeepEqual(e.Func, m.Func) {
-				t.Fatalf("%s: entry %d (%s/%s) differs from the in-memory one", name, i, m.Exe, m.Name)
-			}
-		}
-		var buf bytes.Buffer
-		if err := legacy.Save(&buf, SaveOptions{LSH: &minhash.Default}); err != nil {
-			t.Fatal(err)
-		}
-		out := filepath.Join(dir, name+".idx")
-		if err := os.WriteFile(out, buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		db, err := OpenFile(out)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if err := db.Store().Verify(); err != nil {
-			t.Errorf("%s: converted file fails Verify: %v", name, err)
-		}
-		if got := search(db); !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: the converted file answers differently from the in-memory database", name)
-		}
-		db.Close()
-	}
-}
-
-// TestV3RejectsCorruptRecords: the legacy reader checks every range and id
-// of a v3 file's BLCK, INST, OPND and MEMT records before it follows one,
-// so a file wrong in any of them is refused with an error, not read as
-// something else and not a panic.
-func TestV3RejectsCorruptRecords(t *testing.T) {
-	data, err := os.ReadFile(filepath.Join("testdata", "legacy", "v3.idx"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, _, secs, _, err := idxfile.ReadSections(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	at := map[string]int{}
-	for _, s := range secs {
-		at[s.Name] = int(s.Offset)
-	}
-	// The first OPND record of a direct operand and of a memory operand
-	// (byte 3 holds the flags), and the first MEMT record.
-	opnd := func(mem bool) int {
-		for o := at["OPND"]; ; o += 24 {
-			if data[o+3]&2 != 0 == mem {
-				return o
-			}
-		}
-	}
-	direct, memOp, term := opnd(false), opnd(true), at["MEMT"]
-	put32 := func(at int, v uint32) func([]byte) {
-		return func(b []byte) { binary.LittleEndian.PutUint32(b[at:], v) }
-	}
-	symArg := func(kind, id int) func([]byte) {
-		return func(b []byte) {
-			b[kind] = byte(asm.KindSym)
-			binary.LittleEndian.PutUint32(b[id:], 1<<20)
-		}
-	}
-	for name, mutate := range map[string]func([]byte){
-		"instruction range overruns INST": put32(at["BLCK"]+8, 1<<20),
-		"operand range overruns OPND":     put32(at["INST"]+8, 1<<20),
-		"mnemonic id out of range":        put32(at["INST"], 1<<20),
-		"symbol id out of range":          symArg(direct, direct+4),
-		"bad argument kind":               func(b []byte) { b[direct] = 0x7f },
-		"memory operand without terms":    put32(memOp+20, 0),
-		"bad memory operator":             func(b []byte) { b[term] = 0xff },
-		"bad term kind":                   func(b []byte) { b[term+1] = 0x7f },
-		"term symbol id out of range":     symArg(term+1, term+4),
-	} {
-		mut := append([]byte(nil), data...)
-		mutate(mut)
-		if db, err := LoadLegacy(bytes.NewReader(mut)); err == nil {
-			t.Errorf("%s: read as %d entries, want an error", name, db.Len())
-		} else if !strings.Contains(err.Error(), "corrupt") {
-			t.Errorf("%s: refused with %v, want a corruption error", name, err)
-		}
-	}
-}
-
-// TestV3WithoutLSHBFallsBack: a v3 file written before the LSHB section
-// existed still loads and serves scan searches bit-identically, and a
+// TestNoLSHBFallsBack: a file written without the LSHB section
+// still loads and serves scan searches bit-identically, and a
 // ModeLSH request against it degrades to the scan prefilter — a counted
 // lsh_fallbacks telemetry event, never an error. A file that does carry
 // LSHB must serve lsh queries without any fallback, and its extra
 // section must not perturb scan results.
-func TestV3WithoutLSHBFallsBack(t *testing.T) {
+func TestNoLSHBFallsBack(t *testing.T) {
 	db, _ := buildTestDB(t)
 	query := queryFor(t, db, corpus.LibFuncName)
 	opts := core.DefaultOptions()
@@ -459,12 +300,12 @@ func TestV3WithoutLSHBFallsBack(t *testing.T) {
 	}
 }
 
-// TestLSHOverGrownV3: a database opened from an index file with LSHB and then
+// TestLSHOverGrownIndex: a database opened from an index file with LSHB and then
 // extended with AddImage must serve ModeLSH over the appended functions
 // too. The file's signatures cover only its own functions, so the
 // snapshot has to hash all entries from their features rather than
 // adopt them — and must not count that as a fallback.
-func TestLSHOverGrownV3(t *testing.T) {
+func TestLSHOverGrownIndex(t *testing.T) {
 	_, c := buildTestDB(t)
 	base := New()
 	last := c.Exes[len(c.Exes)-1]
@@ -553,9 +394,9 @@ func TestDBSearchDecomposesOnlyCandidates(t *testing.T) {
 	}
 }
 
-// TestV3RoundTripEntries: converting to v3 and loading back preserves
+// TestRoundTripEntries: saving to an index file and loading back preserves
 // every entry field-for-field, including lazily decoded function bodies.
-func TestV3RoundTripEntries(t *testing.T) {
+func TestRoundTripEntries(t *testing.T) {
 	db, _ := buildTestDB(t)
 	var buf bytes.Buffer
 	if err := db.Save(&buf, SaveOptions{}); err != nil {
@@ -573,10 +414,10 @@ func TestV3RoundTripEntries(t *testing.T) {
 		if e2.Exe != e.Exe || e2.Name != e.Name || e2.Addr != e.Addr || e2.Truth != e.Truth {
 			t.Errorf("entry %d metadata changed: %+v", i, e2)
 		}
-		if e2.Func != nil {
+		if e2.fn != nil {
 			t.Fatalf("entry %d eagerly materialized; store-backed entries must decode lazily", i)
 		}
-		if !reflect.DeepEqual(mustDecode(t, e2), e.Func) {
+		if !reflect.DeepEqual(mustDecode(t, e2), e.fn) {
 			t.Errorf("entry %d function body changed across the file round trip", i)
 		}
 	}
@@ -591,7 +432,7 @@ func TestV3RoundTripEntries(t *testing.T) {
 // TestOpenFileMmap: OpenFile maps index files and reports provenance.
 func TestOpenFileMmap(t *testing.T) {
 	db, _ := buildTestDB(t)
-	path := filepath.Join(t.TempDir(), "idx.v3")
+	path := filepath.Join(t.TempDir(), "idx.v4")
 	fd, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)

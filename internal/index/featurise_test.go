@@ -67,7 +67,7 @@ func saveAll(tb testing.TB, db *DB) map[string][]byte {
 func prefiltered(tb testing.TB, db *DB) {
 	tb.Helper()
 	for _, mode := range []PrefilterMode{ModeLSH, ModeScan} {
-		q := Query{Func: db.Entries[0].Func, Opts: core.DefaultOptions(), Limit: 3,
+		q := Query{Func: db.Entries[0].fn, Opts: core.DefaultOptions(), Limit: 3,
 			Prefilter: PrefilterOptions{Candidates: 8, Mode: mode}}
 		if hits := mustSearch(tb, db.View(), q); len(hits) == 0 {
 			tb.Fatalf("%s search found nothing", mode)
@@ -90,7 +90,7 @@ func TestFeaturiserSavesSerialBytes(t *testing.T) {
 	addImages(t, built, exes)
 	ref := &DB{Entries: built.Entries, feats: make([][]uint64, len(built.Entries))}
 	for i, e := range ref.Entries {
-		ref.feats[i] = FuncFeatures(e.Func)
+		ref.feats[i] = FuncFeatures(e.fn)
 	}
 	want := saveAll(t, ref)
 	same := func(label string, got map[string][]byte) {
@@ -196,7 +196,7 @@ func TestFeaturiserInterleaved(t *testing.T) {
 	addImages(t, db, exes[:half])
 	prefiltered(t, db) // a join mid-build
 	addImages(t, db, exes[half:])
-	query := db.Entries[len(db.Entries)-1].Func
+	query := db.Entries[len(db.Entries)-1].fn
 	var wg sync.WaitGroup
 	run := func(name string, f func() error) {
 		wg.Add(1)

@@ -3,22 +3,18 @@ package index
 import (
 	"bytes"
 	"errors"
-	"io"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"repro/internal/corpus"
 	"repro/internal/idxfile"
 )
 
-// FuzzIndexLoad throws arbitrary bytes at both index readers: Load, which
-// serves TRACYIDX v4 only, and LoadLegacy, which reads TRACYIDX v3 for
-// tracy convert and refuses the gob formats an older tracy wrote. Each must
-// reject garbage with an error, never panic, and never crash on truncations
-// or bit-flips of a genuine index. What either accepts must be internally
-// consistent enough to decompose, what the legacy reader accepts must
-// convert, and a gob prelude (TRACYIDX v1 or v2) is refused with ErrLegacy.
+// FuzzIndexLoad throws arbitrary bytes at the index reader, Load, which
+// serves TRACYIDX v4 only. It must reject garbage with an error, never
+// panic, and never crash on truncations or bit-flips of a genuine index.
+// What it accepts must be internally consistent enough to decompose, and
+// an older format's prelude (a gob index at v1 or v2, TRACYIDX v3) is
+// refused with ErrLegacy.
 func FuzzIndexLoad(f *testing.F) {
 	// Genuine indexes as the prime seeds, so the fuzzer mutates real
 	// structure instead of guessing the formats from scratch.
@@ -50,10 +46,10 @@ func FuzzIndexLoad(f *testing.F) {
 	f.Add([]byte("TRACYIDX\x03\x00\x00\x00garbage"))
 	f.Add([]byte{})
 	f.Add([]byte("not an index at all"))
-	v3, err := os.ReadFile(filepath.Join("testdata", "legacy", "v3.idx"))
-	if err != nil {
-		f.Fatal(err)
-	}
+	// The genuine index behind a v3 prelude: the structure of the last
+	// format before v4, refused on its version byte.
+	v3 := bytes.Clone(saved.Bytes())
+	v3[len(idxfile.Magic)] = 3
 	f.Add(v3)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -61,7 +57,11 @@ func FuzzIndexLoad(f *testing.F) {
 		if len(data) > 1<<20 {
 			t.Skip("oversized input")
 		}
-		if loaded, err := Load(bytes.NewReader(data)); err == nil {
+		loaded, err := Load(bytes.NewReader(data))
+		if v := idxfile.SniffVersion(data); v >= 1 && v <= 3 && !errors.Is(err, ErrLegacy) {
+			t.Fatalf("Load of a v%d prelude returned %v, want ErrLegacy", v, err)
+		}
+		if err == nil {
 			// An index file validates each function's records when they are
 			// first read, and what fails then must say so with the store's
 			// typed error.
@@ -73,21 +73,6 @@ func FuzzIndexLoad(f *testing.F) {
 			if _, err := loaded.Decomposed(3); err != nil && !idxfile.IsCorrupt(err) {
 				t.Fatalf("decomposing a loaded index failed with something other than corruption: %v", err)
 			}
-		}
-		// A v3 index is validated whole when it is read; a gob one is
-		// refused on its prelude.
-		legacy, err := LoadLegacy(bytes.NewReader(data))
-		if v := idxfile.SniffVersion(data); (v == 1 || v == 2) && !errors.Is(err, ErrLegacy) {
-			t.Fatalf("LoadLegacy of a v%d gob prelude returned %v, want ErrLegacy", v, err)
-		}
-		if err != nil {
-			return
-		}
-		if _, err := legacy.Decomposed(3); err != nil {
-			t.Fatalf("decomposing a legacy index failed: %v", err)
-		}
-		if err := legacy.Save(io.Discard, SaveOptions{}); err != nil {
-			t.Fatalf("a legacy index the reader accepted does not convert: %v", err)
 		}
 	})
 }

@@ -2,8 +2,8 @@
 // prototype (paper Section 5.2). DB is the database: executables are
 // disassembled and lifted on ingest, and the corpus saves to and loads
 // from the mmap-able TRACYIDX v4 columnar format (internal/idxfile) with
-// one call each way, DB.Save and Load/OpenFile; the format of the release
-// before, TRACYIDX v3, is read only by LoadLegacy, for tracy convert.
+// one call each way, DB.Save and Load/OpenFile. Every older format is
+// refused with ErrLegacy.
 // Snapshot is the one search engine: it memoizes per-k tracelet
 // decompositions, optionally cuts the corpus to the top candidates of a
 // lossy prefilter (shared-feature scan or MinHash LSH), compares the
@@ -30,16 +30,15 @@ import (
 )
 
 // Entry is one indexed binary function. For a database built in memory
-// (AddImage, LoadLegacy) Func holds the lifted function; for a
-// store-backed database Func is nil and the function lives in the columnar
-// file — Decode returns it either way, so go through Decode and never read
-// Func directly.
+// (AddImage) fn holds the lifted function; for a store-backed database fn
+// is nil and the function lives in the columnar file. Decode returns it
+// either way and is the one way in.
 type Entry struct {
 	Exe   string // executable name
 	Name  string // recovered name (sub_XXX in stripped binaries)
 	Addr  uint32
 	Truth string // ground-truth source name, if known (evaluation only)
-	Func  *prep.Function
+	fn    *prep.Function
 
 	// Store backing: src/srcIdx locate the function in the columnar store.
 	src    *idxfile.File
@@ -54,8 +53,8 @@ type Entry struct {
 // entry built in memory returns its function.
 func (e *Entry) Decode() (*prep.Function, error) {
 	switch {
-	case e.Func != nil:
-		return e.Func, nil
+	case e.fn != nil:
+		return e.fn, nil
 	case e.src == nil:
 		return nil, fmt.Errorf("index: entry %s/%s has no function", e.Exe, e.Name)
 	}
@@ -180,7 +179,7 @@ func (db *DB) add(exe string, fns []*prep.Function, truth map[uint32]string) {
 	prev := db.joinFeaturiser()
 	lo := len(db.Entries)
 	for _, fn := range fns {
-		e := &Entry{Exe: exe, Name: fn.Name, Addr: fn.Addr, Func: fn}
+		e := &Entry{Exe: exe, Name: fn.Name, Addr: fn.Addr, fn: fn}
 		if truth != nil {
 			e.Truth = truth[fn.Addr]
 		}
@@ -237,14 +236,14 @@ func startFeaturiser(lo int, entries []*Entry, pk *idxfile.Packer) *featuriser {
 			defer wg.Done()
 			for i := range f.entries {
 				e := &f.entries[i]
-				f.packed[i] = pk.Pack(idxfile.Item{Exe: e.Exe, Fn: e.Func, Truth: e.Truth})
+				f.packed[i] = pk.Pack(idxfile.Item{Exe: e.Exe, Fn: e.fn, Truth: e.Truth})
 			}
 		}()
 	}
 	go func() {
 		var g gramHasher
 		for i := range f.entries {
-			f.feats[i] = g.funcFeatures(f.entries[i].Func)
+			f.feats[i] = g.funcFeatures(f.entries[i].fn)
 		}
 		wg.Wait()
 		for i := range f.packed {
@@ -362,14 +361,15 @@ type Hit struct {
 
 // ErrLegacy is wrapped by the error Load and OpenFile return for a file
 // that is not TRACYIDX v4: a TRACYIDX v3 file or a gob index (formats
-// v0–v2) written by an older tracy, or no index at all. Of the older
-// formats only v3 is still read, by tracy convert (LoadLegacy).
-var ErrLegacy = errors.New("not a TRACYIDX v4 index (a v3 index from an older tracy converts with: tracy convert OLD NEW.idx)")
+// v0–v2) written by an older tracy, or no index at all. No older format is
+// read here: each converts with the tracy convert of a tracy that still
+// reads it.
+var ErrLegacy = errors.New("not a TRACYIDX v4 index (an older tracy's index converts with a tracy that still reads it: tracy convert OLD NEW.idx)")
 
 // legacyError says why a file of format v, neither v4 nor newer, is
-// refused: a gob index (v1, v2) no longer converts with this tracy, and a
-// file without the TRACYIDX prelude (v == 0) — a headerless v0 gob index
-// among them — cannot be told from a foreign file.
+// refused: a TRACYIDX v3 file or a gob index (v1, v2) no longer converts
+// with this tracy, and a file without the TRACYIDX prelude (v == 0) — a
+// headerless v0 gob index among them — cannot be told from a foreign file.
 func legacyError(v int) error {
 	switch v {
 	case 0:
@@ -377,7 +377,7 @@ func legacyError(v int) error {
 	case 1, 2:
 		return fmt.Errorf("format v%d is a gob index; only a tracy built before gob support left tracy convert converts it: %w", v, ErrLegacy)
 	}
-	return fmt.Errorf("format v%d: %w", v, ErrLegacy)
+	return fmt.Errorf("format v%d is a TRACYIDX v%d index; only a tracy built before v%d support left tracy convert converts it: %w", v, v, v, ErrLegacy)
 }
 
 // checkPrelude says why a file whose first bytes are prelude is not one
@@ -493,8 +493,9 @@ func (db *DB) writeIndex(w io.Writer, lsh *minhash.Params, keep func(*Entry) boo
 
 // Load restores a database written by Save, read fully into memory —
 // prefer OpenFile for files, which maps them instead. Anything but a
-// TRACYIDX v4 stream yields an error: one wrapping ErrLegacy for a v3 or
-// gob index or a foreign file, one naming the version for a newer format.
+// TRACYIDX v4 stream yields an error, before anything is decoded: one
+// wrapping ErrLegacy for a v3 or gob index or a foreign file, one naming
+// the version for a newer format.
 func Load(r io.Reader) (*DB, error) {
 	br := bufio.NewReader(r)
 	prelude, err := br.Peek(len(idxfile.Magic) + 1)

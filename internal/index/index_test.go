@@ -147,12 +147,12 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("entry %d lost its function: %v", i, err)
 		}
-		if fn2.NumBlocks() != e.Func.NumBlocks() {
+		if fn2.NumBlocks() != e.fn.NumBlocks() {
 			t.Errorf("entry %d: %d blocks after load, want %d", i,
-				fn2.NumBlocks(), e.Func.NumBlocks())
+				fn2.NumBlocks(), e.fn.NumBlocks())
 			continue
 		}
-		for bi, b := range e.Func.Graph.Blocks {
+		for bi, b := range e.fn.Graph.Blocks {
 			b2 := fn2.Graph.Blocks[bi]
 			if len(b2.Insts) != len(b.Insts) {
 				t.Errorf("entry %d block %d: %d insts, want %d", i, bi,

@@ -212,7 +212,7 @@ func TestV3WithoutBandTable(t *testing.T) {
 		snap := BuildSnapshot(d, []int{opts.K}, 2)
 		var out [][]hitKey
 		for _, e := range db.Entries {
-			a, err := snap.Search(context.Background(), Query{Func: e.Func, Opts: opts, Prefilter: pf})
+			a, err := snap.Search(context.Background(), Query{Func: e.fn, Opts: opts, Prefilter: pf})
 			if err != nil {
 				t.Fatalf("%s: %v", via, err)
 			}

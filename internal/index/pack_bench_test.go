@@ -8,10 +8,10 @@ import (
 	"repro/internal/minhash"
 )
 
-// BenchmarkSaveV3 measures the write side: Save with lsh of 4032 in-memory
+// BenchmarkSave measures the write side: Save with lsh of 4032 in-memory
 // functions, everything a save emits. Allocated bytes
 // per op show what the builder's columns cost to grow.
-func BenchmarkSaveV3(b *testing.B) {
+func BenchmarkSave(b *testing.B) {
 	db := campaignDB(b, 4032)
 	db.features() // computed once per database, not per save
 	b.ReportAllocs()

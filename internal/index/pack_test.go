@@ -131,7 +131,7 @@ func TestSearchDecodesNoCandidate(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap := BuildSnapshot(db, []int{3}, 2)
-	ref := core.Decompose(mem.Entries[0].Func, 3)
+	ref := core.Decompose(mem.Entries[0].fn, 3)
 	if hits := mustSearch(t, snap, Query{Ref: ref, Opts: core.DefaultOptions()}); len(hits) != db.Len() {
 		t.Fatalf("%d hits, want %d", len(hits), db.Len())
 	}
@@ -238,7 +238,7 @@ func TestCorruptAtTouch(t *testing.T) {
 		t.Fatalf("a function's records are checked when it is read, not at load: %v", err)
 	}
 	snap := BuildSnapshot(db, []int{3}, 2)
-	ref := core.Decompose(mem.Entries[0].Func, 3)
+	ref := core.Decompose(mem.Entries[0].fn, 3)
 	_, err = snap.Search(context.Background(), Query{Ref: ref, Opts: core.DefaultOptions()})
 	if !idxfile.IsCorrupt(err) {
 		t.Errorf("an exhaustive search over the broken function returned %v, want a corruption error", err)

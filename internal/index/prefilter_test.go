@@ -215,16 +215,16 @@ func TestBlockFeaturesGolden(t *testing.T) {
 	db := campaignDB(t, 192)
 	blocks := 0
 	for _, e := range db.Entries {
-		for _, b := range e.Func.Graph.Blocks {
+		for _, b := range e.fn.Graph.Blocks {
 			check(e.Exe+"/"+e.Name, b.Body())
 			check(e.Exe+"/"+e.Name+" (with its jump)", b.Insts)
 			blocks++
 		}
 		var fs []uint64
-		for _, b := range e.Func.Graph.Blocks {
+		for _, b := range e.fn.Graph.Blocks {
 			fs = oracleBlockFeatures(fs, b.Body())
 		}
-		if got, want := FuncFeatures(e.Func), dedupeSorted(fs); !reflect.DeepEqual(got, want) {
+		if got, want := FuncFeatures(e.fn), dedupeSorted(fs); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s/%s: FuncFeatures differs from the oracle's set", e.Exe, e.Name)
 		}
 	}

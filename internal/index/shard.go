@@ -41,9 +41,8 @@ func (db *DB) SaveV3ShardLSH(w io.Writer, shard, nShards int, p minhash.Params) 
 // any of which would panic the first Decompose call (tracelet
 // extraction indexes Blocks by successor) — and every instruction must
 // pack whole (asm.Inst.Packable): a compare ignores what packing drops, and
-// an index file would lose it. LoadLegacy applies it to every entry it
-// reads; the serving layer to query functions received over untrusted
-// transports before searching with them.
+// an index file would lose it. The fleet wire applies it to every query
+// function a worker decodes off the network, before searching with it.
 func ValidateFunction(fn *prep.Function) error {
 	if fn == nil || fn.Graph == nil {
 		return fmt.Errorf("missing lifted function")

@@ -140,7 +140,7 @@ func (s *Snapshot) dec(slots []atomic.Pointer[core.Decomposed], k, i int) (*core
 	}
 	e := s.entries[i]
 	var d *core.Decomposed
-	if e.Func == nil && e.src != nil {
+	if e.fn == nil && e.src != nil {
 		t := s.Tel.StartTimer(telemetry.DecomposeLatency)
 		pf, err := e.src.PackedFunc(e.srcIdx)
 		if err != nil {

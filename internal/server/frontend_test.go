@@ -14,6 +14,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/faultinject"
+	"repro/internal/idxfile"
 	"repro/internal/index"
 	"repro/internal/prep"
 	"repro/internal/telemetry"
@@ -179,10 +180,21 @@ func TestHitAnswersUnderItsOwnHeader(t *testing.T) {
 	small, _ := smallDB(t)
 	orig := entryWithTruth(t, small, corpus.LibFuncName)
 	fn := mustDecode(t, orig)
-	db := index.New()
-	db.Entries = append(db.Entries, small.Entries...)
-	db.Entries = append(db.Entries, &index.Entry{Exe: "twin", Name: "sub_TWIN", Addr: fn.Addr + 0x40,
-		Func: &prep.Function{Name: "sub_TWIN", Addr: fn.Addr + 0x40, Graph: fn.Graph}})
+	var exes, truths []string
+	var fns []*prep.Function
+	for _, e := range small.Entries {
+		exes, fns, truths = append(exes, e.Exe), append(fns, mustDecode(t, e)), append(truths, e.Truth)
+	}
+	exes, truths = append(exes, "twin"), append(truths, "")
+	fns = append(fns, &prep.Function{Name: "sub_TWIN", Addr: fn.Addr + 0x40, Graph: fn.Graph})
+	var file bytes.Buffer
+	if _, err := idxfile.Write(&file, exes, fns, truths, nil); err != nil {
+		t.Fatal(err)
+	}
+	db, err := index.Load(&file)
+	if err != nil {
+		t.Fatal(err)
+	}
 	s := NewFromDB(db, Config{})
 	h := s.Handler()
 
