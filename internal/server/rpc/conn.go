@@ -131,7 +131,7 @@ type Conn struct {
 
 // A type that brings its own JSON codec (internal/server's SearchRequest
 // and SearchResponse) is encoded and decoded by it directly: the request
-// body is not compacted again and the reply is scanned once, without
+// body is not compacted again and a plain reply is scanned once, without
 // json.Unmarshal's validating pass and reflection. Each interface holds
 // the one method Conn calls; an UnmarshalJSON reached this way must
 // accept exactly what json.Unmarshal accepts, since nothing checks the

@@ -4,48 +4,31 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
-	"errors"
-	"fmt"
 	"io"
 	"math"
 	"reflect"
 	"strconv"
-	"unicode"
-	"unicode/utf16"
 	"unicode/utf8"
 )
 
 // The /v1/search wire has one codec: SearchRequest and SearchResponse,
-// with the Hits inside it, encode and decode themselves here, with no
-// reflection, and every path that moves them — the handler, rpc.Conn (the
-// Go client, `tracy query`, the fleet's scatter legs) and, through
-// MarshalJSON and UnmarshalJSON, the batch endpoint — goes through it.
-// encoding/json remains the reference the tests hold it to:
+// with the Hits inside it, encode and decode themselves here, and every
+// path that moves them — the handler, rpc.Conn (the Go client, `tracy
+// query`, the fleet's scatter legs) and, through MarshalJSON and
+// UnmarshalJSON, the batch endpoint — goes through it. encoding/json is
+// the reference:
 //
-//   - encoding writes the bytes json.NewEncoder(w).Encode writes (less
-//     the newline, which the handler appends): HTML-safe escaping of
-//     <, > and &, U+2028 and U+2029 escaped, invalid UTF-8 as \ufffd, the
-//     'f'/'e' float switch at 1e-6 and 1e21, omitempty, a nil Hits as null;
-//   - decoding accepts exactly what json.Unmarshal accepts and yields the
-//     same value: keys matched exactly, else case-insensitively under
-//     Unicode folding, the last of duplicate keys winning, null leaving a
-//     field alone, lone surrogates and invalid UTF-8 decoded to U+FFFD,
-//     no fraction or exponent in an integer field, at most 10 000 levels
-//     of nesting. A request refuses unknown fields, a response ignores
-//     them; a request body is read as json.Decoder reads it, so bytes
-//     after its first value are ignored.
-//
-// A decode is one pass over the input: a value is checked as it is
-// stored, and a type error is kept until the whole value has proved
-// well-formed, which is the order encoding/json reports them in. Unknown
-// values are skipped by a loop, not by recursion; work and memory are
-// linear in the input.
-
-// maxWireDepth is encoding/json's nesting limit.
-const maxWireDepth = 10000
-
-// errWireEOF is a value cut short by the end of the input.
-var errWireEOF = errors.New("unexpected end of JSON input")
+//   - encoding writes, with no reflection, the bytes
+//     json.NewEncoder(w).Encode writes (less the newline, which the
+//     handler appends): HTML-safe escaping of <, > and &, U+2028 and
+//     U+2029 escaped, invalid UTF-8 as \ufffd, the 'f'/'e' float switch
+//     at 1e-6 and 1e21, omitempty, a nil Hits as null;
+//   - decoding reads the plain grammar — what this encoder and any plain
+//     client write — in one pass with no reflection, and hands every
+//     other input to encoding/json itself, on method-less shadows of the
+//     types. The plain decoder only accepts or declines; what it accepts,
+//     encoding/json decodes to the same value, so the accept set, the
+//     values and the error texts are encoding/json's own.
 
 // ---- encoding -------------------------------------------------------
 
@@ -313,96 +296,261 @@ func plainRun(s []byte, i int) int {
 
 // ---- decoding -------------------------------------------------------
 
-// UnmarshalJSON decodes data as json.Unmarshal decodes a SearchRequest
-// with unknown fields disallowed, the server's rule for a request: a
-// batch's queries are decoded by it.
+// UnmarshalJSON decodes data, one JSON value as encoding/json hands it
+// to a batch's queries, as a json.Decoder with DisallowUnknownFields
+// decodes a SearchRequest: the server's rule for a request.
 func (r *SearchRequest) UnmarshalJSON(data []byte) error {
-	d := wireDecoder{data: data}
-	return d.whole(func() error { return d.request(r) }, "SearchRequest")
+	return decodeRequest(data, nil, r)
 }
 
 // UnmarshalJSON decodes data as json.Unmarshal decodes a SearchResponse,
 // unknown fields ignored. rpc.Conn calls it on a reply body directly.
 func (r *SearchResponse) UnmarshalJSON(data []byte) error {
-	d := wireDecoder{data: data}
-	return d.whole(func() error { return d.response(r) }, "SearchResponse")
+	saved := *r
+	// encoding/json decodes a hits array over the slice already there,
+	// which the plain decoder does not.
+	if r.Hits == nil && plainResponse(data, r) {
+		return nil
+	}
+	*r = saved
+	return referenceResponse(data, r)
 }
 
 // readSearchRequest decodes a request body as a json.Decoder with
-// DisallowUnknownFields decodes one value from it: the first value must
-// be complete and well-formed, and what follows it is not looked at. A
-// body that ends early answers the read's error (an
-// *http.MaxBytesError from a capped body) when there was one. sizeHint
-// is the body's declared length, -1 when unknown.
+// DisallowUnknownFields decodes one value from it: bytes after the first
+// value are not looked at, and a body that ends early answers the read's
+// error (an *http.MaxBytesError from a capped body) when there was one.
+// sizeHint is the body's declared length, -1 when unknown.
 func readSearchRequest(body io.Reader, sizeHint int64, r *SearchRequest) error {
 	const maxHint = 64 << 10 // a declared length sizes the buffer up to here
 	buf := bytes.NewBuffer(make([]byte, 0, min(max(sizeHint, 0), maxHint)+bytes.MinRead))
 	_, rerr := buf.ReadFrom(body)
-	d := wireDecoder{data: buf.Bytes()}
-	d.ws()
-	empty := d.off == len(d.data)
-	err := d.top(func() error { return d.request(r) }, "SearchRequest")
-	if err == nil && d.scalar && d.off == len(d.data) && rerr != nil {
-		// A top-level scalar ends at the byte after it, which never came.
-		err = errWireEOF
+	return decodeRequest(buf.Bytes(), rerr, r)
+}
+
+// decodeRequest decodes data, the bytes a read returned before failing
+// with rerr (nil: the read reached the end), into r.
+func decodeRequest(data []byte, rerr error, r *SearchRequest) error {
+	saved := *r
+	if plainRequest(data, r) {
+		return nil
 	}
-	if err == nil {
-		err = d.saved
+	*r = saved
+	return referenceRequest(data, rerr, r)
+}
+
+// wireRequest and wireResponse are the wire types without their methods,
+// so that encoding/json decodes them by reflection.
+type (
+	wireRequest  SearchRequest
+	wireResponse SearchResponse
+)
+
+// referenceRequest is the reference's decode of a request: a json.Decoder
+// reads data and then rerr, as it would have read the body. The value is
+// copied in and out, so r does not escape and the plain path costs no
+// allocation for it.
+func referenceRequest(data []byte, rerr error, r *SearchRequest) error {
+	var src io.Reader = bytes.NewReader(data)
+	if rerr != nil {
+		src = io.MultiReader(src, errReader{rerr})
 	}
-	if err == errWireEOF {
-		switch {
-		case rerr != nil:
-			err = rerr
-		case empty:
-			err = io.EOF
-		default:
-			err = io.ErrUnexpectedEOF
+	dec := json.NewDecoder(src)
+	dec.DisallowUnknownFields()
+	w := wireRequest(*r)
+	err := dec.Decode(&w)
+	*r = SearchRequest(w)
+	return unshadow[wireRequest, SearchRequest](err)
+}
+
+// referenceResponse is the reference's decode of a response.
+func referenceResponse(data []byte, r *SearchResponse) error {
+	w := wireResponse(*r)
+	err := json.Unmarshal(data, &w)
+	*r = SearchResponse(w)
+	return unshadow[wireResponse, SearchResponse](err)
+}
+
+// unshadow names the wire type T where a type error names its shadow S.
+func unshadow[S, T any](err error) error {
+	if te, ok := err.(*json.UnmarshalTypeError); ok {
+		s, t := reflect.TypeFor[S](), reflect.TypeFor[T]()
+		if te.Type == s {
+			te.Type = t
+		}
+		if te.Struct == s.Name() {
+			te.Struct = t.Name()
 		}
 	}
 	return err
 }
 
-// wireDecoder is one decode of one input.
-type wireDecoder struct {
-	data   []byte
-	off    int
-	depth  int   // containers open at off
-	scalar bool  // the top-level value was a string, number or literal: it ends at the byte after it
-	saved  error // the first type or unknown-field error
-	keyBuf []byte
+// errReader fails every read with err: the error that ended a body,
+// after its buffered bytes.
+type errReader struct{ err error }
+
+func (e errReader) Read([]byte) (int, error) { return 0, e.err }
+
+// plainDecoder reads the plain grammar: one object whose keys are the
+// fields' own names, strings with no escape in valid UTF-8, number
+// literals that parse into their field, true and false, and in a response
+// one hits array of such objects. Each method reports whether the input
+// went on in the grammar; after a false the decode is over, and the
+// caller restores the value it had begun to fill.
+type plainDecoder struct {
+	data []byte
+	off  int
 }
 
-// whole decodes data as one value with nothing but space around it.
-func (d *wireDecoder) whole(object func() error, typ string) error {
-	if err := d.top(object, typ); err != nil {
-		return err
-	}
-	d.ws()
-	if d.off < len(d.data) {
-		return d.syntax("after top-level value")
-	}
-	return d.saved
+func plainRequest(data []byte, r *SearchRequest) bool {
+	d := plainDecoder{data: data}
+	return d.object(func(key []byte) bool {
+		switch string(key) {
+		case "image":
+			return d.str(&r.Image)
+		case "function":
+			return d.str(&r.Function)
+		case "exe":
+			return d.str(&r.Exe)
+		case "name":
+			return d.str(&r.Name)
+		case "k":
+			return d.int(&r.K)
+		case "limit":
+			return d.int(&r.Limit)
+		case "min_score":
+			return d.float(&r.MinScore)
+		case "prefilter":
+			return d.bool(&r.Prefilter)
+		case "candidates":
+			return d.int(&r.Candidates)
+		case "prefilter_mode":
+			return d.str(&r.PrefilterMode)
+		case "timeout_ms":
+			return d.int(&r.TimeoutMS)
+		case "query_gob":
+			return d.str(&r.QueryGob)
+		}
+		return false
+	}) && d.end()
 }
 
-// top decodes the top-level value: an object through object, null as
-// nothing, anything else as a type error once it is skipped.
-func (d *wireDecoder) top(object func() error, typ string) error {
-	d.ws()
-	if d.off >= len(d.data) {
-		return errWireEOF
-	}
-	switch d.data[d.off] {
-	case '{':
-		return object()
-	case 'n':
-		d.scalar = true
-		return d.literal("null")
-	}
-	d.scalar = d.data[d.off] != '['
-	return d.mismatch(typ, "", "")
+// plainResponse reads a response into r, whose Hits is nil.
+func plainResponse(data []byte, r *SearchResponse) bool {
+	d := plainDecoder{data: data}
+	hits := false
+	return d.object(func(key []byte) bool {
+		switch string(key) {
+		case "query":
+			return d.str(&r.Query)
+		case "query_blocks":
+			return d.int(&r.QueryBlocks)
+		case "query_insts":
+			return d.int(&r.QueryInsts)
+		case "k":
+			return d.int(&r.K)
+		case "candidates":
+			return d.int(&r.Candidates)
+		case "prefiltered":
+			return d.bool(&r.Prefiltered)
+		case "prefilter_mode":
+			return d.str(&r.PrefilterMode)
+		case "hits":
+			// A second hits key decodes over the first one's slice.
+			if hits {
+				return false
+			}
+			hits = true
+			return d.hits(&r.Hits)
+		case "cached":
+			return d.bool(&r.Cached)
+		case "took_ms":
+			return d.float(&r.TookMS)
+		case "trace_id":
+			return d.str(&r.TraceID)
+		case "degraded":
+			return d.bool(&r.Degraded)
+		case "degraded_reason":
+			return d.str(&r.DegradedReason)
+		}
+		return false
+	}) && d.end()
 }
 
-func (d *wireDecoder) ws() {
+// hits reads a hits array into the nil *dst; an empty array is an empty,
+// non-nil slice.
+func (d *plainDecoder) hits(dst *[]Hit) bool {
+	if !d.next('[') {
+		return false
+	}
+	if d.next(']') {
+		*dst = []Hit{}
+		return true
+	}
+	s := make([]Hit, 0, 16) // a page of hits in one allocation
+	for {
+		s = append(s, Hit{})
+		if !d.hit(&s[len(s)-1]) {
+			return false
+		}
+		if d.next(']') {
+			*dst = s
+			return true
+		}
+		if !d.next(',') {
+			return false
+		}
+	}
+}
+
+func (d *plainDecoder) hit(h *Hit) bool {
+	return d.object(func(key []byte) bool {
+		switch string(key) {
+		case "exe":
+			return d.str(&h.Exe)
+		case "name":
+			return d.str(&h.Name)
+		case "addr":
+			return d.uint32(&h.Addr)
+		case "score":
+			return d.float(&h.Score)
+		case "is_match":
+			return d.bool(&h.IsMatch)
+		case "matched":
+			return d.int(&h.Matched)
+		case "ref_tracelets":
+			return d.int(&h.RefTracelets)
+		case "matched_rewrite":
+			return d.int(&h.MatchedRewrite)
+		}
+		return false
+	})
+}
+
+// object reads an object, calling member with off at each member's
+// value.
+func (d *plainDecoder) object(member func(key []byte) bool) bool {
+	if !d.next('{') {
+		return false
+	}
+	if d.next('}') {
+		return true
+	}
+	for {
+		key, ok := d.rawString()
+		if !ok || !d.next(':') || !member(key) {
+			return false
+		}
+		if d.next('}') {
+			return true
+		}
+		if !d.next(',') {
+			return false
+		}
+	}
+}
+
+func (d *plainDecoder) ws() {
 	for d.off < len(d.data) {
 		switch d.data[d.off] {
 		case ' ', '\t', '\n', '\r':
@@ -413,778 +561,134 @@ func (d *wireDecoder) ws() {
 	}
 }
 
-// syntax reports malformed JSON at off, worded as encoding/json words it.
-func (d *wireDecoder) syntax(context string) error {
-	return errors.New("invalid character " + quoteWireChar(d.data[d.off]) + " " + context)
-}
-
-func quoteWireChar(c byte) string {
-	switch c {
-	case '\'':
-		return `'\''`
-	case '"':
-		return `'"'`
-	}
-	s := strconv.Quote(string(c))
-	return "'" + s[1:len(s)-1] + "'"
-}
-
-// wireTypes are the Go types type errors name.
-var wireTypes = map[string]reflect.Type{
-	"SearchRequest":  reflect.TypeFor[SearchRequest](),
-	"SearchResponse": reflect.TypeFor[SearchResponse](),
-	"Hit":            reflect.TypeFor[Hit](),
-	"[]Hit":          reflect.TypeFor[[]Hit](),
-	"string":         reflect.TypeFor[string](),
-	"int":            reflect.TypeFor[int](),
-	"uint32":         reflect.TypeFor[uint32](),
-	"float64":        reflect.TypeFor[float64](),
-	"bool":           reflect.TypeFor[bool](),
-}
-
-// mismatch records that the value at off does not fit its field (of Go
-// type typ, in struct strct) and skips it.
-func (d *wireDecoder) mismatch(typ, strct, field string) error {
-	if d.saved == nil {
-		what := "number"
-		switch d.data[d.off] {
-		case '{':
-			what = "object"
-		case '[':
-			what = "array"
-		case '"':
-			what = "string"
-		case 't', 'f':
-			what = "bool"
-		}
-		d.saved = &json.UnmarshalTypeError{Value: what, Type: wireTypes[typ], Offset: int64(d.off), Struct: strct, Field: field}
-	}
-	return d.skip()
-}
-
-// badNumber records a number that does not fit its field.
-func (d *wireDecoder) badNumber(lit []byte, typ, strct, field string) {
-	if d.saved == nil {
-		d.saved = &json.UnmarshalTypeError{Value: "number " + string(lit), Type: wireTypes[typ], Offset: int64(d.off), Struct: strct, Field: field}
-	}
-}
-
-// wireFields is a struct's JSON keys with the form encoding/json matches
-// a key case-insensitively by.
-type wireFields struct {
-	names, folded []string
-}
-
-func newWireFields(names ...string) wireFields {
-	f := wireFields{names: names}
-	for _, n := range names {
-		f.folded = append(f.folded, string(foldWireName(nil, []byte(n))))
-	}
-	return f
-}
-
-// match returns the index of the field key names, or -1. *next is the
-// field expected next: an encoder writes the fields in order, so it is
-// tried first, and advanced past each match.
-func (f *wireFields) match(key []byte, next *int) int {
-	i := *next
-	if i >= len(f.names) || string(key) != f.names[i] {
-		i = f.lookup(key)
-	}
-	*next = i + 1
-	return i
-}
-
-func (f *wireFields) lookup(key []byte) int {
-	for i, n := range f.names {
-		if string(key) == n {
-			return i
-		}
-	}
-	var arr [32]byte
-	folded := foldWireName(arr[:0], key)
-	for i, n := range f.folded {
-		if string(folded) == n {
-			return i
-		}
-	}
-	return -1
-}
-
-// foldWireName folds a key as encoding/json does: ASCII letters to upper
-// case, any other rune to the smallest rune of its Unicode fold set, so
-// "K" (U+212A KELVIN SIGN) matches "k" and "ſ" (U+017F) matches "s".
-func foldWireName(out, in []byte) []byte {
-	for i := 0; i < len(in); {
-		if c := in[i]; c < utf8.RuneSelf {
-			if 'a' <= c && c <= 'z' {
-				c -= 'a' - 'A'
-			}
-			out = append(out, c)
-			i++
-			continue
-		}
-		r, n := utf8.DecodeRune(in[i:])
-		for {
-			r2 := unicode.SimpleFold(r)
-			if r2 <= r {
-				r = r2
-				break
-			}
-			r = r2
-		}
-		out = utf8.AppendRune(out, r)
-		i += n
-	}
-	return out
-}
-
-var (
-	requestFields = newWireFields("image", "function", "exe", "name", "k", "limit", "min_score",
-		"prefilter", "candidates", "prefilter_mode", "timeout_ms", "query_gob")
-	responseFields = newWireFields("query", "query_blocks", "query_insts", "k", "candidates",
-		"prefiltered", "prefilter_mode", "hits", "cached", "took_ms", "trace_id", "degraded", "degraded_reason")
-	hitFields = newWireFields("exe", "name", "addr", "score", "is_match", "matched", "ref_tracelets", "matched_rewrite")
-)
-
-func (d *wireDecoder) request(r *SearchRequest) error {
-	const s = "SearchRequest"
-	next := 0
-	return d.object(func(key []byte) error {
-		switch requestFields.match(key, &next) {
-		case 0:
-			return d.str(&r.Image, s, "image")
-		case 1:
-			return d.str(&r.Function, s, "function")
-		case 2:
-			return d.str(&r.Exe, s, "exe")
-		case 3:
-			return d.str(&r.Name, s, "name")
-		case 4:
-			return d.int(&r.K, s, "k")
-		case 5:
-			return d.int(&r.Limit, s, "limit")
-		case 6:
-			return d.float(&r.MinScore, s, "min_score")
-		case 7:
-			return d.bool(&r.Prefilter, s, "prefilter")
-		case 8:
-			return d.int(&r.Candidates, s, "candidates")
-		case 9:
-			return d.str(&r.PrefilterMode, s, "prefilter_mode")
-		case 10:
-			return d.int(&r.TimeoutMS, s, "timeout_ms")
-		case 11:
-			return d.str(&r.QueryGob, s, "query_gob")
-		}
-		if d.saved == nil {
-			d.saved = fmt.Errorf("json: unknown field %q", key)
-		}
-		return d.skip()
-	})
-}
-
-func (d *wireDecoder) response(r *SearchResponse) error {
-	const s = "SearchResponse"
-	next := 0
-	return d.object(func(key []byte) error {
-		switch responseFields.match(key, &next) {
-		case 0:
-			return d.str(&r.Query, s, "query")
-		case 1:
-			return d.int(&r.QueryBlocks, s, "query_blocks")
-		case 2:
-			return d.int(&r.QueryInsts, s, "query_insts")
-		case 3:
-			return d.int(&r.K, s, "k")
-		case 4:
-			return d.int(&r.Candidates, s, "candidates")
-		case 5:
-			return d.bool(&r.Prefiltered, s, "prefiltered")
-		case 6:
-			return d.str(&r.PrefilterMode, s, "prefilter_mode")
-		case 7:
-			return d.hits(&r.Hits)
-		case 8:
-			return d.bool(&r.Cached, s, "cached")
-		case 9:
-			return d.float(&r.TookMS, s, "took_ms")
-		case 10:
-			return d.str(&r.TraceID, s, "trace_id")
-		case 11:
-			return d.bool(&r.Degraded, s, "degraded")
-		case 12:
-			return d.str(&r.DegradedReason, s, "degraded_reason")
-		}
-		return d.skip()
-	})
-}
-
-// hits decodes the hits array the way encoding/json decodes into a
-// slice: elements are decoded over what the slice already holds, up to
-// its capacity, and an empty array yields an empty, non-nil slice.
-func (d *wireDecoder) hits(dst *[]Hit) error {
-	if d.off >= len(d.data) {
-		return errWireEOF
-	}
-	switch d.data[d.off] {
-	case 'n':
-		if err := d.literal("null"); err != nil {
-			return err
-		}
-		*dst = nil
-		return nil
-	case '[':
-	default:
-		return d.mismatch("[]Hit", "SearchResponse", "hits")
-	}
-	if err := d.push(); err != nil {
-		return err
-	}
+// next steps over space and then c, if c comes next.
+func (d *plainDecoder) next(c byte) bool {
 	d.ws()
-	if d.off < len(d.data) && d.data[d.off] == ']' {
+	if d.off < len(d.data) && d.data[d.off] == c {
 		d.off++
-		d.depth--
-		*dst = []Hit{}
-		return nil
+		return true
 	}
-	s := *dst
-	for i := 0; ; i++ {
-		switch {
-		case i == cap(s):
-			// Room for a page of hits at once; what lies past the length
-			// stays zero, as after encoding/json's growth.
-			grown := make([]Hit, i+1, max(2*i, 16))
-			copy(grown, s)
-			s = grown
-		case i >= len(s):
-			s = s[:i+1]
-		}
-		*dst = s
-		if err := d.hit(&s[i]); err != nil {
-			return err
-		}
-		d.ws()
-		if d.off >= len(d.data) {
-			return errWireEOF
-		}
-		switch d.data[d.off] {
-		case ',':
-			d.off++
-			d.ws()
-			continue
-		case ']':
-			d.off++
-			d.depth--
-			*dst = s[:i+1]
-			return nil
-		}
-		return d.syntax("after array element")
-	}
+	return false
 }
 
-func (d *wireDecoder) hit(h *Hit) error {
-	if d.off >= len(d.data) {
-		return errWireEOF
-	}
-	switch d.data[d.off] {
-	case 'n':
-		return d.literal("null")
-	case '{':
-	default:
-		return d.mismatch("Hit", "", "")
-	}
-	const s = "Hit"
-	next := 0
-	return d.object(func(key []byte) error {
-		switch hitFields.match(key, &next) {
-		case 0:
-			return d.str(&h.Exe, s, "exe")
-		case 1:
-			return d.str(&h.Name, s, "name")
-		case 2:
-			return d.uint32(&h.Addr, s, "addr")
-		case 3:
-			return d.float(&h.Score, s, "score")
-		case 4:
-			return d.bool(&h.IsMatch, s, "is_match")
-		case 5:
-			return d.int(&h.Matched, s, "matched")
-		case 6:
-			return d.int(&h.RefTracelets, s, "ref_tracelets")
-		case 7:
-			return d.int(&h.MatchedRewrite, s, "matched_rewrite")
-		}
-		return d.skip()
-	})
-}
-
-// push enters the container whose opening byte is at off.
-func (d *wireDecoder) push() error {
-	if d.depth == maxWireDepth {
-		return d.syntax("exceeded max depth")
-	}
-	d.depth++
-	d.off++
-	return nil
-}
-
-// object decodes the object at off, calling member with off at each
-// member's value.
-func (d *wireDecoder) object(member func(key []byte) error) error {
-	if err := d.push(); err != nil {
-		return err
-	}
+// literal steps over space and then lit, if lit comes next.
+func (d *plainDecoder) literal(lit string) bool {
 	d.ws()
-	if d.off < len(d.data) && d.data[d.off] == '}' {
-		d.off++
-		d.depth--
-		return nil
+	if end := d.off + len(lit); end <= len(d.data) && string(d.data[d.off:end]) == lit {
+		d.off = end
+		return true
 	}
-	for {
-		key, err := d.key()
-		if err != nil {
-			return err
-		}
-		if err := member(key); err != nil {
-			return err
-		}
-		d.ws()
-		if d.off >= len(d.data) {
-			return errWireEOF
-		}
-		switch d.data[d.off] {
-		case ',':
-			d.off++
-			d.ws()
-			continue
-		case '}':
-			d.off++
-			d.depth--
-			return nil
-		}
-		return d.syntax("after object key:value pair")
-	}
+	return false
 }
 
-// key reads a member's key and its colon, leaving off at the value. The
-// key is valid until the next call.
-func (d *wireDecoder) key() ([]byte, error) {
-	if d.off >= len(d.data) {
-		return nil, errWireEOF
-	}
-	if d.data[d.off] != '"' {
-		return nil, d.syntax("looking for beginning of object key string")
-	}
-	raw, plain, err := d.scanString()
-	if err != nil {
-		return nil, err
-	}
-	if !plain {
-		d.keyBuf = unquoteWire(d.keyBuf[:0], raw)
-		raw = d.keyBuf
-	}
+// end reports whether nothing but space is left.
+func (d *plainDecoder) end() bool {
 	d.ws()
-	if d.off >= len(d.data) {
-		return nil, errWireEOF
-	}
-	if d.data[d.off] != ':' {
-		return nil, d.syntax("after object key")
-	}
-	d.off++
-	d.ws()
-	return raw, nil
+	return d.off == len(d.data)
 }
 
-// scanString checks the string at off and steps past it. raw is its
-// content between the quotes; plain reports that raw needs no unquoting
-// (no escapes, valid UTF-8).
-func (d *wireDecoder) scanString() (raw []byte, plain bool, err error) {
-	s := d.data
-	plain = true
-	i := d.off + 1
-	for {
+// rawString reads a string with no escape and in valid UTF-8, returning
+// its content, which is then its value.
+func (d *plainDecoder) rawString() ([]byte, bool) {
+	if !d.next('"') {
+		return nil, false
+	}
+	s, start := d.data, d.off
+	for i := start; ; {
 		i = plainRun(s, i)
-		if i >= len(s) {
-			d.off = len(s)
-			return nil, false, errWireEOF
-		}
-		switch c := s[i]; {
-		case c == '"':
-			raw = s[d.off+1 : i]
+		switch {
+		case i == len(s):
+			return nil, false
+		case s[i] == '"':
 			d.off = i + 1
-			return raw, plain, nil
-		case c == '\\':
-			plain = false
-			i++
-			if i >= len(s) {
-				d.off = i
-				return nil, false, errWireEOF
-			}
-			switch s[i] {
-			case '"', '\\', '/', 'b', 'f', 'n', 'r', 't':
-				i++
-			case 'u':
-				for j := 1; j <= 4; j++ {
-					if i+j >= len(s) {
-						d.off = len(s)
-						return nil, false, errWireEOF
-					}
-					if !isWireHex(s[i+j]) {
-						d.off = i + j
-						return nil, false, d.syntax("in \\u hexadecimal character escape")
-					}
-				}
-				i += 5
-			default:
-				d.off = i
-				return nil, false, d.syntax("in string escape code")
-			}
-		case c < 0x20:
-			d.off = i
-			return nil, false, d.syntax("in string literal")
-		default: // a multi-byte sequence; invalid UTF-8 is content, to be replaced
-			r, size := utf8.DecodeRune(s[i:])
-			if r == utf8.RuneError && size == 1 {
-				plain = false
-			}
-			i += size
+			return s[start:i], true
+		case s[i] < utf8.RuneSelf: // a backslash or a control
+			return nil, false
 		}
+		r, size := utf8.DecodeRune(s[i:])
+		if r == utf8.RuneError && size == 1 {
+			return nil, false
+		}
+		i += size
 	}
 }
 
-func isWireHex(c byte) bool {
-	return '0' <= c && c <= '9' || 'a' <= c && c <= 'f' || 'A' <= c && c <= 'F'
+func (d *plainDecoder) str(dst *string) bool {
+	raw, ok := d.rawString()
+	if ok {
+		*dst = string(raw)
+	}
+	return ok
 }
 
-// unquoteWire appends the checked string content s, unescaped, to b as
-// encoding/json unquotes it: a surrogate that is not half of a valid
-// pair and each byte of invalid UTF-8 become U+FFFD.
-func unquoteWire(b, s []byte) []byte {
-	for r := 0; r < len(s); {
-		c := s[r]
-		switch {
-		case c == '\\':
-			r++
-			switch s[r] {
-			case 'b':
-				b = append(b, '\b')
-			case 'f':
-				b = append(b, '\f')
-			case 'n':
-				b = append(b, '\n')
-			case 'r':
-				b = append(b, '\r')
-			case 't':
-				b = append(b, '\t')
-			case 'u':
-				rr := hex4(s[r+1 : r+5])
-				r += 5
-				if utf16.IsSurrogate(rr) {
-					if r+6 <= len(s) && s[r] == '\\' && s[r+1] == 'u' {
-						if dec := utf16.DecodeRune(rr, hex4(s[r+2:r+6])); dec != unicode.ReplacementChar {
-							b = utf8.AppendRune(b, dec)
-							r += 6
-							continue
-						}
-					}
-					rr = unicode.ReplacementChar
-				}
-				b = utf8.AppendRune(b, rr)
-				continue
-			default: // " \ /
-				b = append(b, s[r])
-			}
-			r++
-		case c < utf8.RuneSelf:
-			b = append(b, c)
-			r++
-		default:
-			rr, size := utf8.DecodeRune(s[r:])
-			b = utf8.AppendRune(b, rr)
-			r += size
-		}
-	}
-	return b
-}
-
-// hex4 reads four hex digits, or returns -1 when they are not.
-func hex4(s []byte) rune {
-	var r rune
-	for _, c := range s {
-		switch {
-		case '0' <= c && c <= '9':
-			c -= '0'
-		case 'a' <= c && c <= 'f':
-			c = c - 'a' + 10
-		case 'A' <= c && c <= 'F':
-			c = c - 'A' + 10
-		default:
-			return -1
-		}
-		r = r*16 + rune(c)
-	}
-	return r
-}
-
-// str decodes a string field.
-func (d *wireDecoder) str(dst *string, strct, field string) error {
-	if d.off >= len(d.data) {
-		return errWireEOF
-	}
-	switch d.data[d.off] {
-	case '"':
-		raw, plain, err := d.scanString()
-		if err != nil {
-			return err
-		}
-		if plain {
-			*dst = string(raw)
-		} else {
-			*dst = string(unquoteWire(make([]byte, 0, len(raw)+utf8.UTFMax), raw))
-		}
-		return nil
-	case 'n':
-		return d.literal("null")
-	}
-	return d.mismatch("string", strct, field)
-}
-
-// bool decodes a bool field.
-func (d *wireDecoder) bool(dst *bool, strct, field string) error {
-	if d.off >= len(d.data) {
-		return errWireEOF
-	}
-	switch d.data[d.off] {
-	case 't':
-		if err := d.literal("true"); err != nil {
-			return err
-		}
+func (d *plainDecoder) bool(dst *bool) bool {
+	switch {
+	case d.literal("true"):
 		*dst = true
-		return nil
-	case 'f':
-		if err := d.literal("false"); err != nil {
-			return err
-		}
+	case d.literal("false"):
 		*dst = false
-		return nil
-	case 'n':
-		return d.literal("null")
+	default:
+		return false
 	}
-	return d.mismatch("bool", strct, field)
+	return true
 }
 
-// numberField checks the value at off for a number field: it returns the
-// number's literal, or nil when the value was null or not a number (then
-// recorded as a type error and skipped).
-func (d *wireDecoder) numberField(typ, strct, field string) ([]byte, error) {
-	if d.off >= len(d.data) {
-		return nil, errWireEOF
-	}
-	switch c := d.data[d.off]; {
-	case c == '-' || '0' <= c && c <= '9':
-		start := d.off
-		if err := d.number(); err != nil {
-			return nil, err
-		}
-		return d.data[start:d.off], nil
-	case c == 'n':
-		return nil, d.literal("null")
-	}
-	return nil, d.mismatch(typ, strct, field)
-}
+// The number fields parse a literal as encoding/json does; a literal
+// that does not fit is declined, and the reference refuses it.
 
-func (d *wireDecoder) int(dst *int, strct, field string) error {
-	const t = "int"
-	lit, err := d.numberField(t, strct, field)
-	if lit == nil {
-		return err
-	}
-	n, perr := strconv.ParseInt(string(lit), 10, 64)
-	if perr != nil || int64(int(n)) != n {
-		d.badNumber(lit, t, strct, field)
-		return nil
-	}
+func (d *plainDecoder) int(dst *int) bool {
+	n, err := strconv.ParseInt(string(d.number()), 10, 0)
 	*dst = int(n)
-	return nil
+	return err == nil
 }
 
-func (d *wireDecoder) uint32(dst *uint32, strct, field string) error {
-	const t = "uint32"
-	lit, err := d.numberField(t, strct, field)
-	if lit == nil {
-		return err
-	}
-	n, perr := strconv.ParseUint(string(lit), 10, 64)
-	if perr != nil || n > math.MaxUint32 {
-		d.badNumber(lit, t, strct, field)
-		return nil
-	}
+func (d *plainDecoder) uint32(dst *uint32) bool {
+	n, err := strconv.ParseUint(string(d.number()), 10, 32)
 	*dst = uint32(n)
-	return nil
+	return err == nil
 }
 
-func (d *wireDecoder) float(dst *float64, strct, field string) error {
-	const t = "float64"
-	lit, err := d.numberField(t, strct, field)
-	if lit == nil {
-		return err
-	}
-	f, perr := strconv.ParseFloat(string(lit), 64)
-	if perr != nil {
-		d.badNumber(lit, t, strct, field)
-		return nil
-	}
+func (d *plainDecoder) float(dst *float64) bool {
+	f, err := strconv.ParseFloat(string(d.number()), 64)
 	*dst = f
-	return nil
+	return err == nil
 }
 
-// number steps over the JSON number at off:
+// number steps over space and then a JSON number literal, returning it,
+// or nil when no literal comes next:
 // -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?
-func (d *wireDecoder) number() error {
-	s := d.data
-	i := d.off
-	if s[i] == '-' {
-		i++
-	}
-	digits := func(context string) error {
-		if i >= len(s) {
-			d.off = i
-			return errWireEOF
-		}
-		if s[i] < '0' || s[i] > '9' {
-			d.off = i
-			return d.syntax(context)
-		}
+func (d *plainDecoder) number() []byte {
+	d.ws()
+	s, i := d.data, d.off
+	digits := func() bool {
+		start := i
 		for i < len(s) && '0' <= s[i] && s[i] <= '9' {
 			i++
 		}
-		return nil
+		return i > start
+	}
+	if i < len(s) && s[i] == '-' {
+		i++
 	}
 	if i < len(s) && s[i] == '0' {
 		i++
-	} else if err := digits("in numeric literal"); err != nil {
-		return err
+	} else if !digits() {
+		return nil
 	}
 	if i < len(s) && s[i] == '.' {
-		i++
-		if err := digits("after decimal point in numeric literal"); err != nil {
-			return err
+		if i++; !digits() {
+			return nil
 		}
 	}
 	if i < len(s) && (s[i] == 'e' || s[i] == 'E') {
-		i++
-		if i < len(s) && (s[i] == '+' || s[i] == '-') {
+		if i++; i < len(s) && (s[i] == '+' || s[i] == '-') {
 			i++
 		}
-		if err := digits("in exponent of numeric literal"); err != nil {
-			return err
+		if !digits() {
+			return nil
 		}
 	}
+	lit := s[d.off:i]
 	d.off = i
-	return nil
-}
-
-// literal steps over lit (true, false or null), whose first byte is at off.
-func (d *wireDecoder) literal(lit string) error {
-	for j := 1; j < len(lit); j++ {
-		if d.off+j >= len(d.data) {
-			d.off = len(d.data)
-			return errWireEOF
-		}
-		if d.data[d.off+j] != lit[j] {
-			d.off += j
-			return d.syntax("in literal " + lit + " (expecting " + quoteWireChar(lit[j]) + ")")
-		}
-	}
-	d.off += len(lit)
-	return nil
-}
-
-// skip steps over the value at off, checking it, with a loop and an
-// explicit stack of open containers rather than recursion.
-func (d *wireDecoder) skip() error {
-	var arr [64]byte
-	open := arr[:0] // '{' or '[' per container skip has entered
-	for {
-		// A value starts at off.
-		if d.off >= len(d.data) {
-			return errWireEOF
-		}
-		switch c := d.data[d.off]; {
-		case c == '{' || c == '[':
-			if err := d.push(); err != nil {
-				return err
-			}
-			open = append(open, c)
-			d.ws()
-			if d.off >= len(d.data) {
-				return errWireEOF
-			}
-			if d.data[d.off] == c+2 { // '}' or ']'
-				d.off++
-				d.depth--
-				open = open[:len(open)-1]
-				break
-			}
-			if c == '{' {
-				if _, err := d.key(); err != nil {
-					return err
-				}
-			}
-			continue
-		case c == '"':
-			if _, _, err := d.scanString(); err != nil {
-				return err
-			}
-		case c == '-' || '0' <= c && c <= '9':
-			if err := d.number(); err != nil {
-				return err
-			}
-		case c == 't':
-			if err := d.literal("true"); err != nil {
-				return err
-			}
-		case c == 'f':
-			if err := d.literal("false"); err != nil {
-				return err
-			}
-		case c == 'n':
-			if err := d.literal("null"); err != nil {
-				return err
-			}
-		default:
-			return d.syntax("looking for beginning of value")
-		}
-		// A value ended: close containers until one takes another value.
-		for {
-			if len(open) == 0 {
-				return nil
-			}
-			d.ws()
-			if d.off >= len(d.data) {
-				return errWireEOF
-			}
-			c, top := d.data[d.off], open[len(open)-1]
-			if c == ',' {
-				d.off++
-				d.ws()
-				if top == '{' {
-					if _, err := d.key(); err != nil {
-						return err
-					}
-				}
-				break
-			}
-			if c != top+2 {
-				if top == '{' {
-					return d.syntax("after object key:value pair")
-				}
-				return d.syntax("after array element")
-			}
-			d.off++
-			d.depth--
-			open = open[:len(open)-1]
-		}
-	}
+	return lit
 }

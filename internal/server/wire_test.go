@@ -28,6 +28,10 @@ type (
 	}
 )
 
+// maxWireDepth is encoding/json's nesting limit, which the probes reach
+// and pass.
+const maxWireDepth = 10000
+
 // refDecodeRequest is the parent server's request decode: a json.Decoder
 // with unknown fields disallowed, over a body capped at limit bytes
 // (0: no cap).
@@ -135,13 +139,22 @@ func wireProbes() []string {
 	}
 }
 
+// errText is err's text, with the shadow types' names the reference
+// reports replaced by the wire types' own.
+func errText(err error) string {
+	if err == nil {
+		return ""
+	}
+	return strings.NewReplacer("refSearchRequest", "SearchRequest", "refSearchResponse", "SearchResponse").Replace(err.Error())
+}
+
 // requestParity checks one body against the parent's decoder: the same
-// outcome and, when accepted, the same request.
+// outcome and error text and, when accepted, the same request.
 func requestParity(t *testing.T, body []byte, limit int64) {
 	t.Helper()
 	want, werr := refDecodeRequest(body, limit)
 	got, gerr := codecDecodeRequest(body, limit)
-	if outcome(werr) != outcome(gerr) {
+	if outcome(werr) != outcome(gerr) || errText(werr) != errText(gerr) {
 		t.Fatalf("body %q (cap %d): reference %s (%v), codec %s (%v)", trunc(body), limit, outcome(werr), werr, outcome(gerr), gerr)
 	}
 	if werr == nil && !reflect.DeepEqual(want, got) {
@@ -241,6 +254,7 @@ func responseProbes() []string {
 		`{"query":"q"}{}`,
 		`null`,
 		` null `,
+		`nul`,
 		`[]`,
 		`"q"`,
 		`0`,
@@ -264,12 +278,12 @@ func FuzzSearchResponseWire(f *testing.F) {
 		werr := json.Unmarshal(body, &ref)
 		var got SearchResponse
 		gerr := got.UnmarshalJSON(body)
-		if (werr == nil) != (gerr == nil) {
+		if errText(werr) != errText(gerr) {
 			t.Fatalf("body %q: reference err %v, codec err %v", trunc(body), werr, gerr)
 		}
 		// Through encoding/json, as a batch's results are decoded.
 		var viaJSON SearchResponse
-		if jerr := json.Unmarshal(body, &viaJSON); (jerr == nil) != (werr == nil) {
+		if jerr := json.Unmarshal(body, &viaJSON); errText(jerr) != errText(werr) {
 			t.Fatalf("body %q: reference err %v, json.Unmarshal err %v", trunc(body), werr, jerr)
 		}
 		if werr != nil {
@@ -317,14 +331,29 @@ func wireValue(s1, s2 string, f1, f2 uint64, i1, i2 int64, nhits uint8, flags ui
 	return resp, req
 }
 
+// encodeSeed is one input of FuzzSearchResponseEncode, in wireValue's
+// arguments.
+type encodeSeed struct {
+	s1, s2       string
+	f1, f2       uint64
+	i1, i2       int64
+	nhits, flags uint8
+}
+
+var encodeSeeds = []encodeSeed{
+	{"f", "lsh", math.Float64bits(0.857), 3, 12, 100, 10, 3},
+	{"a<b>&c\u2028d\u2029", "\xff\xfe", 1, 1e6, -1, 1 << 40, 2, 0},
+	{"\x00\x1f\"\\\b\f\n\r\t\x7f", "", math.Float64bits(1e-6), math.Float64bits(1e21), 0, 0, 0, 0x80 | 16},
+	{"é", "\xed\xa0\x80", math.Float64bits(math.Nextafter(1e-6, 0)), math.Float64bits(math.Nextafter(1e21, 0)), 4294967296, -5, 1, 0x80},
+	{"<script>alert(1)</script>&&&&&&&&", "plain ascii name >>>>>>>>", math.Float64bits(-1e-6), math.Float64bits(-1e21), 7, 8, 3, 0x80},
+	{"x", "y", math.Float64bits(math.NaN()), math.Float64bits(math.Inf(1)), 1, 1, 1, 0x80},
+	{"x", "y", math.Float64bits(-0.0), math.Float64bits(5e-324), 1, 1, 1, 0x80 | 32},
+}
+
 func FuzzSearchResponseEncode(f *testing.F) {
-	f.Add("f", "lsh", math.Float64bits(0.857), uint64(3), int64(12), int64(100), uint8(10), uint8(3))
-	f.Add("a<b>&c\u2028d\u2029", "\xff\xfe", uint64(1), uint64(1e6), int64(-1), int64(1<<40), uint8(2), uint8(0))
-	f.Add("\x00\x1f\"\\\b\f\n\r\t\x7f", "", math.Float64bits(1e-6), math.Float64bits(1e21), int64(0), int64(0), uint8(0), uint8(0x80|16))
-	f.Add("é", "\xed\xa0\x80", math.Float64bits(math.Nextafter(1e-6, 0)), math.Float64bits(math.Nextafter(1e21, 0)), int64(4294967296), int64(-5), uint8(1), uint8(0x80))
-	f.Add("<script>alert(1)</script>&&&&&&&&", "plain ascii name >>>>>>>>", math.Float64bits(-1e-6), math.Float64bits(-1e21), int64(7), int64(8), uint8(3), uint8(0x80))
-	f.Add("x", "y", math.Float64bits(math.NaN()), math.Float64bits(math.Inf(1)), int64(1), int64(1), uint8(1), uint8(0x80))
-	f.Add("x", "y", math.Float64bits(-0.0), math.Float64bits(5e-324), int64(1), int64(1), uint8(1), uint8(0x80|32))
+	for _, s := range encodeSeeds {
+		f.Add(s.s1, s.s2, s.f1, s.f2, s.i1, s.i2, s.nhits, s.flags)
+	}
 	f.Fuzz(func(t *testing.T, s1, s2 string, f1, f2 uint64, i1, i2 int64, nhits, flags uint8) {
 		resp, req := wireValue(s1, s2, f1, f2, i1, i2, nhits, flags)
 
@@ -466,25 +495,92 @@ func TestWireProbesAtHandler(t *testing.T) {
 	}
 }
 
-// BenchmarkSearchWire times the four legs of a /v1/search round trip's
-// JSON, by reference and by image, through encoding/json on the shadow
-// types (what the server and client ran before the codec) and through
-// the codec.
-func BenchmarkSearchWire(b *testing.B) {
-	db, _ := smallDB(b)
-	e := entryWithTruth(b, db, corpus.LibFuncName)
-	byRef := SearchRequest{Exe: e.Exe, Name: e.Name, Limit: 10, Candidates: 100, PrefilterMode: "lsh"}
-	var byImage SearchRequest
-	if err := json.Unmarshal(byImageBody(b), (*refSearchRequest)(&byImage)); err != nil {
-		b.Fatal(err)
+// wireFixture is a by-reference request, a by-image request, one whose
+// name the encoder escapes, and a real reply to a search.
+func wireFixture(tb testing.TB) (byRef, byImage, escaped SearchRequest, reply []byte) {
+	db, _ := smallDB(tb)
+	e := entryWithTruth(tb, db, corpus.LibFuncName)
+	byRef = SearchRequest{Exe: e.Exe, Name: e.Name, Limit: 10, Candidates: 100, PrefilterMode: "lsh"}
+	if err := json.Unmarshal(byImageBody(tb), (*refSearchRequest)(&byImage)); err != nil {
+		tb.Fatal(err)
 	}
+	escaped = byRef
+	escaped.Name = "<" + e.Name + ">"
 	rec := httptest.NewRecorder()
 	body, _ := json.Marshal(refSearchRequest(SearchRequest{Exe: e.Exe, Name: e.Name, Limit: 10}))
 	NewFromDB(db, Config{}).Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/search", bytes.NewReader(body)))
 	if rec.Code != http.StatusOK {
-		b.Fatalf("fixture search: %d %s", rec.Code, rec.Body.String())
+		tb.Fatalf("fixture search: %d %s", rec.Code, rec.Body.String())
 	}
-	respBody := rec.Body.Bytes()
+	return byRef, byImage, escaped, rec.Body.Bytes()
+}
+
+// TestPlainDecoderAccepts holds the plain decoder to what the encoder and
+// the server write: each body below is read by it, not handed to
+// encoding/json, and reads back as the value it encodes. A field the
+// encoder writes and the plain decoder does not know would pass every
+// parity test while every request paid for reflection.
+func TestPlainDecoderAccepts(t *testing.T) {
+	byRef, byImage, _, reply := wireFixture(t)
+	reqs := []SearchRequest{byRef, byImage}
+	var resps []SearchResponse
+	var fixed SearchResponse
+	if err := json.Unmarshal(reply, (*refSearchResponse)(&fixed)); err != nil || len(fixed.Hits) == 0 {
+		t.Fatalf("fixture reply %s: %v", reply, err)
+	}
+	resps = append(resps, fixed)
+	plain := func(s ...string) bool {
+		for _, s := range s {
+			if len(appendWireString(nil, s)) != len(s)+2 {
+				return false
+			}
+		}
+		return true
+	}
+	for _, s := range encodeSeeds {
+		resp, req := wireValue(s.s1, s.s2, s.f1, s.f2, s.i1, s.i2, s.nhits, s.flags)
+		if plain(req.Image, req.Function, req.Exe, req.Name, req.PrefilterMode, req.QueryGob) {
+			reqs = append(reqs, req)
+		}
+		strs := []string{resp.Query, resp.PrefilterMode, resp.TraceID, resp.DegradedReason}
+		for _, h := range resp.Hits {
+			strs = append(strs, h.Exe, h.Name)
+		}
+		if plain(strs...) {
+			resps = append(resps, resp)
+		}
+	}
+	if len(reqs) < 4 || len(resps) < 3 {
+		t.Fatalf("%d requests and %d responses to check; the seeds lost their plain cases", len(reqs), len(resps))
+	}
+	for _, want := range reqs {
+		b, err := want.MarshalJSON()
+		if err != nil {
+			continue // a float encoding/json refuses too
+		}
+		var got SearchRequest
+		if !plainRequest(b, &got) || !reflect.DeepEqual(got, want) {
+			t.Errorf("request %s: plain decoder declined or read %+v", trunc(b), got)
+		}
+	}
+	for _, want := range resps {
+		b, err := want.MarshalJSON()
+		if err != nil {
+			continue
+		}
+		var got SearchResponse
+		if !plainResponse(b, &got) || !reflect.DeepEqual(got, want) {
+			t.Errorf("response %s: plain decoder declined or read %+v", trunc(b), got)
+		}
+	}
+}
+
+// BenchmarkSearchWire times the four legs of a /v1/search round trip's
+// JSON, by reference and by image, through encoding/json on the shadow
+// types (what the server and client ran before the codec) and through
+// the codec. An escaped name puts the codec's reference path on record.
+func BenchmarkSearchWire(b *testing.B) {
+	byRef, byImage, escaped, respBody := wireFixture(b)
 	var resp SearchResponse
 	if err := resp.UnmarshalJSON(respBody); err != nil {
 		b.Fatal(err)
@@ -494,7 +590,7 @@ func BenchmarkSearchWire(b *testing.B) {
 	for _, form := range []struct {
 		name string
 		req  SearchRequest
-	}{{"ref", byRef}, {"image", byImage}} {
+	}{{"ref", byRef}, {"image", byImage}, {"escaped", escaped}} {
 		wire, _ := form.req.MarshalJSON()
 		b.Run("request-decode/"+form.name+"/json", func(b *testing.B) {
 			b.ReportAllocs()
