@@ -9,8 +9,9 @@
 // The block-granularity optimization of Section 5.2 is applied: scores
 // are computed per distinct basic-block pair and cached in a flat matrix,
 // so a block shared by many tracelets is aligned once per distinct target
-// block. Decompose packs every distinct block once (asm.Packed) and the
-// compare path touches nothing else: the alignment kernel, the rewrite
+// block. A decomposition holds every block packed (asm.Packed) — as the
+// index file stores it, or as Decompose packs a query — and the compare
+// path touches nothing else: the alignment kernel, the rewrite
 // engine and the re-score all run on the packed form, out of buffers a
 // compare worker owns and reuses. On top sits a lossless score-bound
 // pruner (Options.Prune), a cascade of upper bounds on a pair's normalized
@@ -117,10 +118,9 @@ type blockInfo struct {
 	at    int32 // the graph block whose body this is: the first one visited
 }
 
-// Source yields the lifted function of a decomposition that was built
-// from stored blocks and holds no instructions of its own. Decode is asked
-// each time the instructions are needed; the decomposition keeps nothing
-// of what it returns.
+// Source yields the lifted function of a decomposition, which holds packed
+// blocks only. Decode is asked each time the instructions are needed; the
+// decomposition keeps nothing of what it returns.
 type Source interface {
 	Decode() (*prep.Function, error)
 }
@@ -130,11 +130,9 @@ type Source interface {
 // identity score, kind profile) so that per-Compare state is a few flat
 // matrices instead of a hash map.
 //
-// It comes from one of two places. Decompose packs a lifted function on the
-// heap. DecomposeBlocks takes the packed blocks an index file stores and is
-// then a view: its columns lie in the file, its tracelets name their blocks
-// and carry no instructions, and it keeps the file reachable through its
-// Source for as long as it lives.
+// Every decomposition is a view over packed blocks (DecomposeBlocks): those
+// an index file stores, or those Decompose packs from a lifted query. It
+// keeps its Source, which must keep the blocks' memory valid.
 type Decomposed struct {
 	Name      string
 	K         int
@@ -142,7 +140,7 @@ type Decomposed struct {
 	NumBlocks int
 	NumInsts  int
 
-	blocks      []asm.Block // the graph blocks, packed; nil without tracelets
+	blocks      []asm.Block // the graph blocks, packed
 	distinct    []blockInfo // deduplicated block bodies, in order of first visit
 	blockID     []int32     // per tracelet its K blocks' indices into distinct, back to back
 	blockIdent  []int32     // the identity scores of those blocks, in the same layout
@@ -150,45 +148,49 @@ type Decomposed struct {
 	maxIdent    int32       // the largest of them, which sizes the size pass's threshold table
 	fingerprint uint64
 
-	fn  *prep.Function // what Decompose decomposed
-	src Source         // where a view's instructions can be had
+	src Source // where the instructions can be had
 }
 
-// Decompose extracts and preprocesses the k-tracelets of a lifted function.
-// Tracelets share block bodies heavily, and every body is a graph block's,
-// named by the tracelet's BlockIdx: the graph blocks are packed once, all of
-// them out of the same few arrays (asm.PackEach), and each distinct content
-// is kept once, told apart by its hash. The number of allocations does not
-// grow with the function.
+// lifted is the Source of a function Decompose packed: the function itself.
+type lifted struct{ fn *prep.Function }
+
+func (l lifted) Decode() (*prep.Function, error) { return l.fn, nil }
+
+// Decompose packs the graph blocks of a lifted function with their
+// successors, all out of the same few arrays (asm.PackEach), and views them
+// with DecomposeBlocks, as a stored function is. Its tracelets also carry
+// their blocks' bodies, for callers that align tracelets directly. The
+// number of allocations does not grow with the function.
 func Decompose(fn *prep.Function, k int) *Decomposed {
 	g := fn.Graph
-	d := &Decomposed{
-		Name:      fn.Name,
-		K:         k,
-		Tracelets: tracelet.Extract(g, k),
-		NumBlocks: len(g.Blocks),
-		NumInsts:  g.NumInsts(),
-		fn:        fn,
+	bodies := make([][]asm.Inst, len(g.Blocks))
+	nsuccs := 0
+	for b, blk := range g.Blocks {
+		bodies[b] = blk.Body()
+		nsuccs += len(blk.Succs)
 	}
-	if len(d.Tracelets) > 0 {
-		bodies := make([][]asm.Inst, len(g.Blocks))
-		for b, blk := range g.Blocks {
-			bodies[b] = blk.Body()
+	blocks := asm.PackEach(bodies)
+	succs := make([]uint32, 0, nsuccs)
+	for b, blk := range g.Blocks {
+		at := len(succs)
+		for _, s := range blk.Succs {
+			succs = append(succs, uint32(s))
 		}
-		d.blocks = asm.PackEach(bodies)
+		blocks[b].Succs = succs[at:len(succs):len(succs)]
 	}
-	d.number()
+	d := DecomposeBlocks(fn.Name, blocks, g.NumInsts(), k, lifted{fn})
+	tracelet.WithBodies(d.Tracelets, bodies)
 	return d
 }
 
-// DecomposeBlocks is Decompose for a function that is stored packed:
-// blocks are its graph blocks as the index file holds them (see asm.Block),
-// numInsts its instruction count, jumps included. Nothing is decoded, packed
-// or hashed: the k-tracelet paths are walked over the blocks' successors
-// and the result compares exactly as Decompose of the lifted function does,
-// Fingerprint included. It aliases blocks and whatever they alias, and
-// keeps src — which must keep that memory valid — for the callers that ask
-// for instructions (DistinctBlocks); src may be nil if none will.
+// DecomposeBlocks decomposes a function that is stored packed: blocks are
+// its graph blocks as an index file holds them (see asm.Block), numInsts
+// its instruction count, jumps included. Nothing is decoded, packed or
+// hashed: the k-tracelet paths are walked over the blocks' successors, and
+// the distinct blocks are numbered in first-visit order. It aliases blocks
+// and whatever they alias, and keeps src — which must keep that memory
+// valid — for the callers that ask for instructions (DistinctBlocks); src
+// may be nil if none will.
 func DecomposeBlocks(name string, blocks []asm.Block, numInsts, k int, src Source) *Decomposed {
 	paths := tracelet.Paths(len(blocks), k, func(b int) []uint32 { return blocks[b].Succs })
 	d := &Decomposed{
@@ -277,15 +279,15 @@ func (d *Decomposed) blockIDs(i int) []int32 { return d.blockID[i*d.K : (i+1)*d.
 // decomposition (jump instructions already stripped). The slices are
 // shared and must be treated as read-only; callers like the index feature
 // prefilter use them to derive per-block features without re-walking the
-// tracelets. A view has no instructions and asks its Source to decode the
-// lifted function; nil comes back when there is none to be had.
+// tracelets. The bodies are the lifted function's, which the Source
+// decodes; nil comes back when there is none to be had.
 func (d *Decomposed) DistinctBlocks() [][]asm.Inst {
-	fn := d.fn
-	if fn == nil && d.src != nil {
-		fn, _ = d.src.Decode() // a source that cannot decode has no blocks to give
-	}
-	if fn == nil {
+	if d.src == nil {
 		return nil
+	}
+	fn, err := d.src.Decode()
+	if err != nil || fn == nil {
+		return nil // a source that cannot decode has no blocks to give
 	}
 	out := make([][]asm.Inst, len(d.distinct))
 	for i := range d.distinct {
@@ -297,9 +299,9 @@ func (d *Decomposed) DistinctBlocks() [][]asm.Inst {
 // Fingerprint returns a 64-bit content hash of the decomposition: two
 // functions with identical tracelet content (for the same k) collide,
 // different content essentially never does. Result caches key on it. It
-// is computed by Decompose from the block content hashes — k, the block
-// and instruction counts, then every tracelet's blocks in order — and
-// means nothing outside this process.
+// is computed from the block content hashes as the blocks are numbered —
+// k, the block and instruction counts, then every tracelet's blocks in
+// order — and means nothing outside this process.
 func (d *Decomposed) Fingerprint() uint64 { return d.fingerprint }
 
 // DecomposeT is Decompose with telemetry: the decomposition is timed into

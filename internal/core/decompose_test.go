@@ -12,9 +12,9 @@ import (
 	"repro/internal/tracelet"
 )
 
-// decomposeAllocCeiling is the 18 allocations the costliest function of
-// the campaign corpus takes to decompose, plus 2 of headroom.
-const decomposeAllocCeiling = 20
+// decomposeAllocCeiling is the 19 allocations the costliest function of
+// the campaign corpus takes to be packed and decomposed.
+const decomposeAllocCeiling = 19
 
 // decomposeReference is Decompose as it was before blocks were packed out
 // of shared arrays: every distinct block packed and profiled on its own,

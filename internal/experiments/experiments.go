@@ -12,7 +12,6 @@
 package experiments
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"math"
@@ -76,27 +75,19 @@ func buildConfig(s Scale) corpus.BuildConfig {
 }
 
 // BuildEnv constructs the corpus, indexes it, and prepares the query set.
-// The index is saved and served from what was saved, as tracy search
-// serves a file: every entry of Env.DB is a view over its stored record.
+// Env.DB is the database AddImage built; its snapshot views every entry
+// over the records AddImage packed, as tracy search views a file's.
 func BuildEnv(s Scale) (*Env, error) {
 	cfg := buildConfig(s)
 	c, err := corpus.Build(cfg)
 	if err != nil {
 		return nil, err
 	}
-	built := index.New()
+	db := index.New()
 	for _, e := range c.Exes {
-		if err := built.AddImage(e.Name, e.Image, e.Truth); err != nil {
+		if err := db.AddImage(e.Name, e.Image, e.Truth); err != nil {
 			return nil, err
 		}
-	}
-	var buf bytes.Buffer
-	if err := built.Save(&buf, index.SaveOptions{}); err != nil {
-		return nil, err
-	}
-	db, err := index.Load(&buf)
-	if err != nil {
-		return nil, err
 	}
 	env := &Env{Corpus: c, DB: db}
 

@@ -2,6 +2,7 @@ package index
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"io"
 	"runtime"
@@ -10,6 +11,7 @@ import (
 
 	"repro/internal/asm"
 	"repro/internal/cfg"
+	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/idxfile"
 	"repro/internal/minhash"
@@ -111,7 +113,10 @@ func TestWritePathTelemetry(t *testing.T) {
 // argument beside its terms — are refused by ValidateFunction (so by both
 // legacy reader and the fleet's query wire) and by the index writer, on
 // Add and on Append (through Save), with an *asm.LossyOperandError
-// instead of a record that would lose them.
+// instead of a record that would lose them. A database holding such an
+// entry cannot be sealed into the file its searches view, so its View
+// and BuildSnapshot searches, by-reference lookups and Decomposed return
+// that error too.
 func TestLossyOperandsRefused(t *testing.T) {
 	ebx := []asm.MemTerm{{Arg: asm.RegArg(asm.EBX)}, {Op: asm.OpAdd, Arg: asm.ImmArg(8)}}
 	for name, op := range map[string]asm.Operand{
@@ -135,6 +140,22 @@ func TestLossyOperandsRefused(t *testing.T) {
 		db.Entries = []*Entry{{Exe: "x", Name: "f", fn: fn}}
 		if err := db.Save(io.Discard, SaveOptions{}); !errors.As(err, &lossy) {
 			t.Errorf("%s: Save returned %v", name, err)
+		}
+		q := Query{Func: fn, Opts: core.DefaultOptions()}
+		served := BuildSnapshot(db, nil, 1)
+		for via, snap := range map[string]*Snapshot{"View": db.View(), "BuildSnapshot": served} {
+			if a, err := snap.Search(context.Background(), q); !errors.As(err, &lossy) || a.Hits != nil {
+				t.Errorf("%s: %s().Search returned %d hits, %v", name, via, len(a.Hits), err)
+			}
+			if _, err := snap.PrefilterRankWith(context.Background(), core.Decompose(fn, 3), 1, ModeLSH); !errors.As(err, &lossy) {
+				t.Errorf("%s: %s().PrefilterRankWith returned %v", name, via, err)
+			}
+		}
+		if d, err := served.LookupDecomposed("x", "f", 3); d != nil || !errors.As(err, &lossy) {
+			t.Errorf("%s: LookupDecomposed returned %v, %v", name, d, err)
+		}
+		if ds, err := db.Decomposed(3); ds != nil || !errors.As(err, &lossy) {
+			t.Errorf("%s: Decomposed returned %d decompositions, %v", name, len(ds), err)
 		}
 	}
 }

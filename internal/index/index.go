@@ -4,22 +4,25 @@
 // from the mmap-able TRACYIDX v4 columnar format (internal/idxfile) with
 // one call each way, DB.Save and Load/OpenFile. Every older format is
 // refused with ErrLegacy.
-// Snapshot is the one search engine: it memoizes per-k tracelet
-// decompositions, optionally cuts the corpus to the top candidates of a
-// lossy prefilter (shared-feature scan or MinHash LSH), compares the
-// query against what remains in parallel and ranks the hits — for a search
-// that asks for the best k, comparing in full only the candidates that can
-// still be among them. Snapshot.Search is the one search call: the serving
-// layer runs it on a BuildSnapshot, tracy search and the library on
-// DB.View.
+// Snapshot is the one search engine: it views per-k tracelet
+// decompositions over an index file holding every entry (a database that is
+// not one is sealed into one), optionally cuts the corpus to the top
+// candidates of a lossy prefilter (shared-feature scan or MinHash LSH),
+// compares the query against what remains in parallel and ranks the hits —
+// for a search that asks for the best k, comparing in full only the
+// candidates that can still be among them. Snapshot.Search is the one
+// search call: the serving layer runs it on a BuildSnapshot, tracy search
+// and the library on DB.View.
 package index
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sync"
 
 	"repro/internal/core"
@@ -32,7 +35,7 @@ import (
 // Entry is one indexed binary function. For a database built in memory
 // (AddImage) fn holds the lifted function; for a store-backed database fn
 // is nil and the function lives in the columnar file. Decode returns it
-// either way and is the one way in.
+// either way and is the one way in; searches view packed records instead.
 type Entry struct {
 	Exe   string // executable name
 	Name  string // recovered name (sub_XXX in stripped binaries)
@@ -93,10 +96,13 @@ type DB struct {
 	// not serialized.
 	Tel *telemetry.Collector
 
-	mu      sync.Mutex  // guards feats, pending, snap, build, fed
+	mu      sync.Mutex  // guards feats, pending, snap, build, fed, sealed, sealedFor
 	feats   [][]uint64  // prefilter features of Entries[:len(feats)]
 	pending *featuriser // the one featuriser in flight, or nil
 	snap    *Snapshot   // the search view over Entries; nil until first use
+
+	sealed    *idxfile.File // what seal wrote in memory, holding sealedFor
+	sealedFor []Entry       // the entries sealed holds, as they were then
 
 	// build is the index file of the entries AddImage added, fed as they
 	// come: fed holds the entries it was fed, as they were then, and a
@@ -185,8 +191,8 @@ func (db *DB) add(exe string, fns []*prep.Function, truth map[uint32]string) {
 		}
 		db.Entries = append(db.Entries, e)
 	}
-	db.snap = nil       // aligned with Entries
-	next := len(db.fed) // the position of the entry the file takes next
+	db.snap, db.sealed = nil, nil // both hold Entries as they were
+	next := len(db.fed)           // the position of the entry the file takes next
 	if prev != nil && prev.packed != nil && prev.lo == next {
 		next += len(prev.packed)
 	}
@@ -314,30 +320,86 @@ func (db *DB) memoFeatures(n int) {
 	}
 }
 
+// seal returns the index file holding exactly the entries, in order, that
+// every snapshot views: a store whose file holds them is its own. Any other
+// database writes one into memory with the lsh sections under
+// minhash.Default — the file AddImage fed, else writeIndex's — and keeps it
+// until the entries change. It fails when an entry cannot be read or
+// stored (*asm.LossyOperandError). The caller holds db.mu.
+func (db *DB) seal() (*idxfile.File, error) {
+	if db.storeHoldsEntries() {
+		return db.store, nil
+	}
+	db.feed(db.joinFeaturiser())
+	if db.sealed != nil && slices.EqualFunc(db.Entries, db.sealedFor, func(e *Entry, was Entry) bool { return *e == was }) {
+		return db.sealed, nil
+	}
+	var buf bytes.Buffer
+	var err error
+	if b := db.built(); b != nil {
+		buf.Grow(b.Bytes() + 4*len(db.Entries)*(minhash.Default.K()+minhash.Default.Bands) + 4096)
+		_, err = b.WriteLSH(&buf, &minhash.Default)
+	} else {
+		db.memoFeatures(len(db.Entries))
+		_, err = db.writeIndex(&buf, &minhash.Default, db.feats, nil)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if db.sealed, err = idxfile.Parse(buf.Bytes()); err != nil {
+		return nil, fmt.Errorf("index: %w", err)
+	}
+	db.sealedFor = db.sealedFor[:0]
+	for _, e := range db.Entries {
+		db.sealedFor = append(db.sealedFor, *e)
+	}
+	return db.sealed, nil
+}
+
+// storeHoldsEntries reports whether the database's index file holds
+// exactly its entries, each where it stands.
+func (db *DB) storeHoldsEntries() bool {
+	for i, e := range db.Entries {
+		if e.src != db.store || e.srcIdx != i {
+			return false
+		}
+	}
+	return db.store != nil && db.store.NumFuncs() == len(db.Entries)
+}
+
 // Len returns the number of indexed functions.
 func (db *DB) Len() int { return len(db.Entries) }
 
-// View returns the snapshot a search of the database runs on, built cold
-// on first use and kept until AddImage (or a new Tel) invalidates it: it
-// accepts any k, decomposes entries as searches touch them and builds the
-// candidate indexes only when a prefiltered search asks for them. Unlike
-// BuildSnapshot it shares the database's memoized decompositions and
-// feature sets.
+// View returns the snapshot a search of the database runs on, kept until
+// AddImage (or a new Tel) invalidates it: it accepts any k, views entries
+// as searches touch them and builds the candidate indexes only when a
+// prefiltered search asks for them. Its first call after the entries
+// change seals them (see BuildSnapshot).
 func (db *DB) View() *Snapshot {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if db.snap == nil || db.snap.Tel != db.Tel {
-		db.snap = newSnapshot(db, nil, 0, db.features)
+		db.snap = db.newSnapshot(nil, 0)
 	}
 	return db.snap
 }
 
 // Decomposed returns the k-tracelet decomposition of every entry,
-// aligned with Entries. Decompositions are memoized per (k, entry), so
-// repeated calls and later searches share them. It fails only on a
-// store-backed database with a corrupt function. Safe for concurrent use.
+// aligned with Entries: the View's, which later searches share. The first
+// entry that cannot be read (a corrupt record) or stored fails it. Safe
+// for concurrent use.
 func (db *DB) Decomposed(k int) ([]*core.Decomposed, error) {
-	return db.View().decomposeAll(k)
+	s := db.View()
+	slots := s.slotsFor(k)
+	out := make([]*core.Decomposed, len(slots))
+	for i := range out {
+		d, err := s.dec(slots, k, i)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = d
+	}
+	return out, nil
 }
 
 // features returns the per-entry prefilter feature sets, aligned with
@@ -438,10 +500,10 @@ func (db *DB) Save(w io.Writer, o SaveOptions) error {
 		if b != nil {
 			n, err = b.WriteLSH(w, o.LSH)
 		} else {
-			n, err = db.writeIndex(w, o.LSH, nil)
+			n, err = db.writeIndex(w, o.LSH, db.features(), nil)
 		}
 	} else {
-		n, err = db.writeIndex(w, o.LSH, func(e *Entry) bool { return ShardOf(e.Exe, e.Name, o.Shards) == o.Shard })
+		n, err = db.writeIndex(w, o.LSH, db.features(), func(e *Entry) bool { return ShardOf(e.Exe, e.Name, o.Shards) == o.Shard })
 	}
 	db.Tel.Add(telemetry.IndexBytesWritten, uint64(n))
 	return err
@@ -455,12 +517,11 @@ func (db *DB) SaveV3LSH(w io.Writer, p minhash.Params) error {
 }
 
 // writeIndex streams the entries keep admits — all of them when it is nil
-// — through a builder of its own into w, packing them on another
-// goroutine a bounded number of functions ahead of appending them, as
-// AddImage's featuriser does; a store-backed database is decoded that
-// many functions at a time, never whole.
-func (db *DB) writeIndex(w io.Writer, lsh *minhash.Params, keep func(*Entry) bool) (int64, error) {
-	feats := db.features()
+// — through a builder of its own into w, with feats, the entries' feature
+// sets, packing them on another goroutine a bounded number of functions
+// ahead of appending them, as AddImage's featuriser does; a store-backed
+// database is decoded that many functions at a time, never whole.
+func (db *DB) writeIndex(w io.Writer, lsh *minhash.Params, feats [][]uint64, keep func(*Entry) bool) (int64, error) {
 	type packed struct {
 		p   idxfile.Packed
 		err error

@@ -46,18 +46,6 @@ func lshFromStore(f *idxfile.File) *lshIndex {
 	return newLSHIndex(f.LSHParams(), f.LSHSigs(), f.NumFuncs(), f.LSHTable())
 }
 
-// lshFromFeatures hashes per-entry feature sets under p — the path for
-// databases built in memory or grown past their file, and for files
-// written without -lsh, where signing at first use is the only option.
-func lshFromFeatures(p minhash.Params, feats [][]uint64) *lshIndex {
-	sigs := make([]uint32, len(feats)*p.K())
-	k := p.K()
-	for i, fs := range feats {
-		minhash.Signature(sigs[i*k:(i+1)*k], fs, p)
-	}
-	return newLSHIndex(p, sigs, len(feats), nil)
-}
-
 // ranked unions the query's band-bucket collisions and ranks by
 // estimated Jaccard — signature positions pinned by colliding bands
 // (Rows per collision, so Shared is collisions*Rows out of K; with

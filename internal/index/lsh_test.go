@@ -79,7 +79,11 @@ func TestLSHOracleEquality(t *testing.T) {
 		minhash.Default,
 		{Bands: 16, Rows: 4, Seed: minhash.DefaultSeed},
 	} {
-		x := lshFromFeatures(p, feats)
+		sigs := make([]uint32, len(feats)*p.K())
+		for i, fs := range feats {
+			minhash.Signature(sigs[i*p.K():(i+1)*p.K()], fs, p)
+		}
+		x := newLSHIndex(p, sigs, len(feats), nil)
 		query := feats[0]
 		qsig := minhash.Signature(nil, query, p)
 

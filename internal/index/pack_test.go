@@ -31,14 +31,17 @@ func sectionAt(tb testing.TB, data []byte, name string) int {
 	return 0
 }
 
-// TestStoreParity: a database served from its file, whose candidates are
-// views over PACK, answers hit for hit, every Result field and every
-// by-reference fingerprint included, as the in-memory database it was
-// saved from and as a database opened from a file of part of the corpus
-// and grown with AddImage to the rest. The view path counts and times its
-// decompositions like the heap path, and its by-reference lsh queries,
-// which decode each query's blocks for their features, keep none of what
-// they decoded.
+// TestStoreParity: every database is searched as views over an index file
+// that holds its entries, and answers hit for hit, every Result field and
+// every by-reference fingerprint included, as BuildSnapshot(Load(Save(db)))
+// does — exhaustive and lsh: the in-memory database AddImage built, whose
+// snapshot views the records AddImage packed; the same entries set by
+// hand, sealed through writeIndex; a database opened from a file of part of
+// the corpus and grown with AddImage to the rest; and a built one grown by
+// one more AddImage after it was sealed. BuildSnapshot decomposes nothing,
+// the search views each entry once, counted and timed, a database is sealed
+// once per state of its entries, and by-reference lsh queries, which decode
+// each query's blocks for their features, keep none of what they decoded.
 func TestStoreParity(t *testing.T) {
 	db, c := buildTestDB(t)
 	opts := core.DefaultOptions()
@@ -54,10 +57,16 @@ func TestStoreParity(t *testing.T) {
 		tel := telemetry.New()
 		d.Tel = tel
 		snap := BuildSnapshot(d, []int{opts.K}, 2)
+		if got := tel.Get(telemetry.FunctionsDecomposed); got != 0 {
+			t.Errorf("%s: BuildSnapshot decomposed %d functions", via, got)
+		}
+		if again := BuildSnapshot(d, []int{opts.K}, 2); again.store != snap.store {
+			t.Errorf("%s: a second snapshot of the same entries sealed them again", via)
+		}
 		var out []answer
 		for _, e := range db.Entries {
 			// By reference: the snapshot's own decomposition of the entry is
-			// the query, a view where the file has PACK.
+			// the query, a view over the file it serves.
 			ref, err := snap.LookupDecomposed(e.Exe, e.Name, opts.K)
 			if err != nil || ref == nil {
 				t.Fatalf("%s: LookupDecomposed(%s, %s) = %v, %v", via, e.Exe, e.Name, ref, err)
@@ -100,24 +109,39 @@ func TestStoreParity(t *testing.T) {
 			t.Fatalf("a by-reference lsh query left %s/%s decoded on the heap", e.Exe, e.Name)
 		}
 	}
-	if got := search(db, "in memory"); !reflect.DeepEqual(got, want) {
-		t.Error("the in-memory database answers differently from its file")
+	if got := search(db, "built"); !reflect.DeepEqual(got, want) {
+		t.Error("the database AddImage built answers differently from its file")
+	}
+	if db.sealed == nil || db.sealed.Size() != int64(len(data)) {
+		t.Error("the built database was not sealed into the file AddImage fed")
 	}
 
-	// Grown: all but the last executable from the file, the last by AddImage.
-	base := New()
+	byHand := New()
+	for _, e := range db.Entries {
+		byHand.Entries = append(byHand.Entries, &Entry{Exe: e.Exe, Name: e.Name, Addr: e.Addr, Truth: e.Truth, fn: e.fn})
+	}
+	if got := search(byHand, "set by hand"); !reflect.DeepEqual(got, want) {
+		t.Error("entries set by hand answer differently from the same corpus indexed at once")
+	}
+
+	// Grown: all but the last executable first, the last by AddImage —
+	// once after saving and loading the rest, once after sealing it.
 	last := c.Exes[len(c.Exes)-1]
+	base := New()
 	for _, e := range c.Exes[:len(c.Exes)-1] {
 		if err := base.AddImage(e.Name, e.Image, e.Truth); err != nil {
 			t.Fatal(err)
 		}
 	}
 	grown := load(savedLSH(t, base, minhash.Default))
-	if err := grown.AddImage(last.Name, last.Image, last.Truth); err != nil {
-		t.Fatal(err)
-	}
-	if got := search(grown, "grown"); !reflect.DeepEqual(got, want) {
-		t.Error("a file-backed database grown with AddImage answers differently from the same corpus indexed at once")
+	for via, d := range map[string]*DB{"grown file": grown, "built, grown after a seal": base} {
+		BuildSnapshot(d, []int{opts.K}, 2)
+		if err := d.AddImage(last.Name, last.Image, last.Truth); err != nil {
+			t.Fatal(err)
+		}
+		if got := search(d, via); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: answers differently from the same corpus indexed at once", via)
+		}
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/asm"
 	"repro/internal/core"
-	"repro/internal/minhash"
 	"repro/internal/prep"
 	"repro/internal/telemetry"
 )
@@ -236,11 +235,12 @@ type featureIndex struct {
 	postings map[uint64][]int32
 }
 
-// buildFeatureIndex inverts per-entry feature sets.
-func buildFeatureIndex(feats [][]uint64) *featureIndex {
-	fi := &featureIndex{n: len(feats), postings: make(map[uint64][]int32)}
-	for id, fs := range feats {
-		for _, f := range fs {
+// buildFeatureIndex inverts the feature sets of n entries, feats(id)
+// being entry id's.
+func buildFeatureIndex(n int, feats func(id int) []uint64) *featureIndex {
+	fi := &featureIndex{n: n, postings: make(map[uint64][]int32)}
+	for id := range n {
+		for _, f := range feats(id) {
 			fi.postings[f] = append(fi.postings[f], int32(id))
 		}
 	}
@@ -300,36 +300,22 @@ func sortedIDs(ranked []Ranked) []int32 {
 	return ids
 }
 
-// featureIdx returns the inverted feature index, built on first use. Once
-// it exists a snapshot that adopts the file's signatures has no further
-// use for the per-entry feature slices, nor for the DB that yields them.
+// featureIdx returns the inverted feature index over the store's feature
+// sets, built on first use.
 func (s *Snapshot) featureIdx() *featureIndex {
-	s.fidxOnce.Do(func() {
-		s.fidx = buildFeatureIndex(s.feats())
-		if s.store != nil {
-			s.feats = nil // lshIdx reads feats only when store is nil
-		}
-	})
+	s.fidxOnce.Do(func() { s.fidx = buildFeatureIndex(s.store.NumFuncs(), s.store.Features) })
 	return s.fidx
 }
 
 // lshIdx returns the banded MinHash index, set up on first use, or nil
 // when there are no signatures to serve from. This is the single
-// LSH-availability check: the index file's persisted LSHB signatures — and
-// its LSHT band table, else one sorted from them — are adopted when the
-// store covers every entry (a file written without LSHB then yields nil,
-// rather than re-deriving signatures from a million mmapped feature
-// slices); otherwise — in-memory corpora, or entries appended after a file
-// load — signatures are hashed from the feature sets under
+// LSH-availability check: the store's LSHB signatures — and its LSHT band
+// table, else one sorted from them — are adopted. A file written without
+// LSHB yields nil, rather than re-deriving signatures from a million
+// mapped feature slices; a sealed database always has them, under
 // minhash.Default.
 func (s *Snapshot) lshIdx() *lshIndex {
-	s.lshOnce.Do(func() {
-		if s.store != nil {
-			s.lsh = lshFromStore(s.store)
-		} else {
-			s.lsh = lshFromFeatures(minhash.Default, s.feats())
-		}
-	})
+	s.lshOnce.Do(func() { s.lsh = lshFromStore(s.store) })
 	return s.lsh
 }
 
@@ -342,6 +328,9 @@ func (s *Snapshot) lshIdx() *lshIndex {
 // lsh_fallbacks event. A done ctx abandons the ranking and returns its
 // error.
 func (s *Snapshot) candidates(ctx context.Context, ref *core.Decomposed, limit int, mode PrefilterMode, tel *telemetry.Collector) ([]Ranked, error) {
+	if s.err != nil {
+		return nil, s.err
+	}
 	sp := telemetry.SpanFromContext(ctx).Child("prefilter")
 	pt := tel.StartTimer(telemetry.PrefilterLatency)
 	query := QueryFeatures(ref)

@@ -145,12 +145,13 @@ func TestSearchPruneParity(t *testing.T) {
 // TestTopCandidatesOrdering: deterministic selection by (count desc, id
 // asc), output in ascending id order, zero-overlap entries excluded.
 func TestTopCandidatesOrdering(t *testing.T) {
-	fi := buildFeatureIndex([][]uint64{
+	sets := [][]uint64{
 		{1, 2, 3}, // id 0: 2 shared
 		{1, 2},    // id 1: 2 shared (tie -> lower id wins on cut)
 		{9},       // id 2: none shared
 		{1},       // id 3: 1 shared
-	})
+	}
+	fi := buildFeatureIndex(len(sets), func(id int) []uint64 { return sets[id] })
 	top := func(query []uint64, limit int) []int32 {
 		return sortedIDs(fi.ranked(context.Background(), query, limit))
 	}

@@ -16,7 +16,8 @@ import (
 )
 
 // Snapshot is the search engine: an immutable view of a DB's entries
-// that generates candidates, compares and ranks. Every search path runs
+// that generates candidates, compares and ranks, over an index file that
+// holds every entry (see BuildSnapshot). Every search path runs
 // through its one Search method — served requests, tracy search, the
 // library's Database.Search over DB.View — and the degraded prefilter-only
 // ranking shares its candidate function, so there is one compare loop, one
@@ -33,20 +34,16 @@ type Snapshot struct {
 	byName  map[entryKey]int32 // position in entries
 	info    Info
 
+	store *idxfile.File // every entry, in order; nil when sealing failed
+	err   error         // why sealing failed
+
 	// slots is the decomposition store: k -> []atomic.Pointer[core.Decomposed]
-	// aligned with entries. A slot is filled on first touch (a view over
-	// the file for store-backed entries), so cold start and resident
-	// memory of a store-backed snapshot scale with the pages queries actually
-	// visit; BuildSnapshot pre-fills the slots of heap-backed databases.
+	// aligned with entries. A slot is filled on first touch, so cold start
+	// and resident memory scale with the pages queries actually visit.
 	slots sync.Map
 
 	// Candidate generation (see candidates). Both indexes are built on
-	// first use. store is set only when the index file covers every entry,
-	// which is when its persisted LSHB signatures and LSHT band table may
-	// be adopted; feats yields the per-entry feature sets everything else
-	// is built from.
-	store    *idxfile.File
-	feats    func() [][]uint64
+	// first use.
 	fidxOnce sync.Once
 	fidx     *featureIndex
 	lshOnce  sync.Once
@@ -56,9 +53,10 @@ type Snapshot struct {
 	Tel *telemetry.Collector
 }
 
-// newSnapshot returns a cold snapshot of db's current entries: nothing
-// is decomposed, no candidate index is built.
-func newSnapshot(db *DB, ks []int, workers int, feats func() [][]uint64) *Snapshot {
+// newSnapshot returns a cold snapshot of db's current entries, sealed:
+// nothing is decomposed, no candidate index is built. The caller holds
+// db.mu.
+func (db *DB) newSnapshot(ks []int, workers int) *Snapshot {
 	n := len(db.Entries)
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -69,24 +67,22 @@ func newSnapshot(db *DB, ks []int, workers int, feats func() [][]uint64) *Snapsh
 	if workers < 1 {
 		workers = 1
 	}
-	s := &Snapshot{entries: db.Entries, ks: ks, workers: workers, info: db.Info(), feats: feats, Tel: db.Tel}
-	if db.store != nil && db.store.NumFuncs() == n {
-		s.store = db.store
-	}
+	s := &Snapshot{entries: db.Entries, ks: ks, workers: workers, info: db.Info(), Tel: db.Tel}
+	s.store, s.err = db.seal()
 	return s
 }
 
 // BuildSnapshot prepares db for serving queries with the tracelet sizes
 // in ks (deduplicated; defaults to [core.DefaultK] when empty), each query
-// fanning out over nShards workers (<= 0 means runtime.GOMAXPROCS(0)). A
-// heap-backed DB is decomposed up front, in parallel, so serving never
-// pays decomposition latency; a store-backed DB stays cold — beyond
-// the (exe, name) lookup map nothing here is proportional to the corpus —
-// and views each entry's packed record on first touch. Neither candidate index is built
-// here: the lsh table is adopted or sorted by the first lsh query, the
-// inverted feature index by the first scan-mode, fallback or degraded
-// ranking. The DB is only read; the snapshot holds its own
-// decompositions and shares the (immutable) entries.
+// fanning out over nShards workers (<= 0 means runtime.GOMAXPROCS(0)).
+// The snapshot serves an index file holding every entry: a store-backed
+// DB's own, else the one the DB seals its entries into, once per state of
+// the entries (a snapshot of a DB that cannot be sealed answers every
+// search with why). Nothing is decomposed here — each entry's packed record
+// is viewed on first touch — and neither candidate index is built: the lsh
+// table is adopted by the first lsh query, the inverted feature index by
+// the first scan-mode, fallback or degraded ranking. The snapshot holds
+// its own decompositions and shares the (immutable) entries.
 func BuildSnapshot(db *DB, ks []int, nShards int) *Snapshot {
 	uniq := make(map[int]bool)
 	var kept []int
@@ -101,18 +97,12 @@ func BuildSnapshot(db *DB, ks []int, nShards int) *Snapshot {
 	}
 	sort.Ints(kept)
 
-	// db.features() covers db.Entries as they are when a first query asks;
-	// entries appended since then lie past the snapshot's own.
-	n := len(db.Entries)
-	s := newSnapshot(db, kept, nShards, func() [][]uint64 { return db.features()[:n:n] })
+	db.mu.Lock()
+	s := db.newSnapshot(kept, nShards)
+	db.mu.Unlock()
 	s.byName = make(map[entryKey]int32, len(s.entries))
 	for i, e := range s.entries {
 		s.byName[entryKey{e.Exe, e.Name}] = int32(i)
-	}
-	if db.store == nil {
-		for _, k := range kept {
-			s.decomposeAll(k) // heap-backed entries cannot fail to load
-		}
 	}
 	return s
 }
@@ -128,68 +118,31 @@ func (s *Snapshot) slotsFor(k int) []atomic.Pointer[core.Decomposed] {
 
 // dec returns the k-decomposition of entry i, computing and memoizing
 // it on first touch. Concurrent first calls may both compute but agree
-// on one winner via CAS. An entry of an index file is not decoded at all:
-// its decomposition is a view of the packed blocks where they lie in the
-// mapping (core.DecomposeBlocks), counted and timed like any other; an
-// entry on the heap is decomposed there. The store validates a function's
-// record at this first read, so this is where a corrupt function
-// surfaces, as the store's typed error.
+// on one winner via CAS. Nothing is decoded: the decomposition is a view
+// of the entry's packed blocks where they lie in the store
+// (core.DecomposeBlocks), with the entry as its Source, counted and timed.
+// The store validates a function's record at this first read, so this is
+// where a corrupt function surfaces, as the store's typed error.
 func (s *Snapshot) dec(slots []atomic.Pointer[core.Decomposed], k, i int) (*core.Decomposed, error) {
 	if d := slots[i].Load(); d != nil {
 		return d, nil
 	}
-	e := s.entries[i]
-	var d *core.Decomposed
-	if e.fn == nil && e.src != nil {
-		t := s.Tel.StartTimer(telemetry.DecomposeLatency)
-		pf, err := e.src.PackedFunc(e.srcIdx)
-		if err != nil {
-			return nil, fmt.Errorf("index: %s/%s: %w", e.Exe, e.Name, err)
-		}
-		d = core.DecomposeBlocks(pf.Name, pf.Blocks, pf.NumInsts, k, e)
-		t.Stop()
-		s.Tel.Inc(telemetry.FunctionsDecomposed)
-	} else {
-		fn, err := e.Decode()
-		if err != nil {
-			return nil, err
-		}
-		d = core.DecomposeT(fn, k, s.Tel)
+	if s.err != nil {
+		return nil, s.err
 	}
+	e := s.entries[i]
+	t := s.Tel.StartTimer(telemetry.DecomposeLatency)
+	pf, err := s.store.PackedFunc(i)
+	if err != nil {
+		return nil, fmt.Errorf("index: %s/%s: %w", e.Exe, e.Name, err)
+	}
+	d := core.DecomposeBlocks(pf.Name, pf.Blocks, pf.NumInsts, k, e)
+	t.Stop()
+	s.Tel.Inc(telemetry.FunctionsDecomposed)
 	if slots[i].CompareAndSwap(nil, d) {
 		return d, nil
 	}
 	return slots[i].Load(), nil
-}
-
-// decomposeAll returns the k-decomposition of every entry, aligned with
-// entries, filling the slots still cold on GOMAXPROCS workers; the first
-// entry that cannot be read fails it.
-func (s *Snapshot) decomposeAll(k int) ([]*core.Decomposed, error) {
-	slots := s.slotsFor(k)
-	out := make([]*core.Decomposed, len(slots))
-	var (
-		next     atomic.Int64
-		wg       sync.WaitGroup
-		errOnce  sync.Once
-		firstErr error
-	)
-	for w := runtime.GOMAXPROCS(0); w > 0; w-- {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := int(next.Add(1)) - 1; i < len(out); i = int(next.Add(1)) - 1 {
-				d, err := s.dec(slots, k, i)
-				if err != nil {
-					errOnce.Do(func() { firstErr = err })
-					return
-				}
-				out[i] = d
-			}
-		}()
-	}
-	wg.Wait()
-	return out, firstErr
 }
 
 // Info returns the provenance of the index this snapshot serves.

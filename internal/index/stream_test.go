@@ -27,7 +27,7 @@ func fedBytes(db *DB, o SaveOptions) ([]byte, error) {
 		keep = func(e *Entry) bool { return ShardOf(e.Exe, e.Name, o.Shards) == o.Shard }
 	}
 	var buf bytes.Buffer
-	_, err := db.writeIndex(&buf, o.LSH, keep)
+	_, err := db.writeIndex(&buf, o.LSH, db.features(), keep)
 	return buf.Bytes(), err
 }
 

@@ -151,25 +151,33 @@ func Index(paths []int, k int) []*Tracelet {
 }
 
 // Extract returns all k-tracelets of the graph: the paths Paths finds, each
-// with the bodies of its blocks. The tracelets' block tuples and bodies are
-// carved from one array each.
+// with the bodies of its blocks.
 func Extract(g *cfg.Graph, k int) []*Tracelet {
-	out := Index(Paths(len(g.Blocks), k, func(b int) []int { return g.Blocks[b].Succs }), k)
-	n := len(out)
-	if n == 0 {
+	ts := Index(Paths(len(g.Blocks), k, func(b int) []int { return g.Blocks[b].Succs }), k)
+	if len(ts) == 0 {
 		return nil
 	}
-	blocks := make([][]asm.Inst, n*k+len(g.Blocks))
-	// A block is on many paths; strip its jump once.
-	bodies := blocks[n*k:]
+	bodies := make([][]asm.Inst, len(g.Blocks))
 	for b, blk := range g.Blocks {
-		bodies[b] = blk.Body()
+		bodies[b] = blk.Body() // a block is on many paths; strip its jump once
 	}
-	for i, t := range out {
+	WithBodies(ts, bodies)
+	return ts
+}
+
+// WithBodies gives the tracelets Index carved their blocks' bodies, where
+// bodies[b] is the body of block b. The tracelets' bodies are carved from
+// one array.
+func WithBodies(ts []*Tracelet, bodies [][]asm.Inst) {
+	if len(ts) == 0 {
+		return
+	}
+	k := ts[0].K()
+	blocks := make([][]asm.Inst, len(ts)*k)
+	for i, t := range ts {
 		t.Blocks = blocks[i*k : (i+1)*k : (i+1)*k]
 		for j, b := range t.BlockIdx {
 			t.Blocks[j] = bodies[b]
 		}
 	}
-	return out
 }

@@ -125,7 +125,8 @@ func (d *Database) Functions() []*Function {
 
 // Search compares the query against every indexed function in parallel
 // and returns all results ordered by similarity (best first), or none
-// when a stored function of a loaded database turns out to be corrupt.
+// when a stored function of a loaded database turns out to be corrupt, or
+// an indexed one cannot be stored in the index file searches view.
 func (d *Database) Search(query *Function, opts Options) []Match {
 	ans, _ := d.db.View().Search(context.Background(), index.Query{Func: query, Opts: opts})
 	out := make([]Match, len(ans.Hits))
