@@ -14,7 +14,7 @@ while IFS= read -r line; do
 	selector=$(sed -E "s/.*-run '([^']*)'.*/\1/" <<<"$line")
 	[ "$selector" = '^$' ] && continue
 	rest=${line#*"-run '$selector'"}
-	pkgs=$(tr ' ' '\n' <<<"$rest" | grep -E '^\./' || true)
+	pkgs=$(tr ' ' '\n' <<<"$rest" | grep -E '^\.(/|$)' || true)
 	if [ -z "$pkgs" ]; then
 		echo "no packages after -run '$selector': $line"
 		failed=1

@@ -326,10 +326,16 @@ func BenchmarkFunctionCompareInstrumented(b *testing.B) {
 // the test takes paired samples (instrumented and noop interleaved, order
 // alternating each round) and reports the mean overhead with a 95%
 // confidence interval. It fails only when the interval's lower bound sits
-// above the target, i.e. on a statistically significant regression.
+// above the target, i.e. on a statistically significant regression. Under
+// the race detector, which instruments the collector's atomics and clock
+// reads and little of the plain path, the overhead reads ~40 % and
+// measures the detector: the report is taken in a build without it.
 func TestTelemetryOverheadReport(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing report; skipped in -short mode")
+	}
+	if raceEnabled {
+		t.Skip("timing report; the race detector's own overhead swamps the collector's")
 	}
 	ref := core.Decompose(benchFunc(t, 120, 41), 3)
 	tgt := core.Decompose(benchFunc(t, 120, 42), 3)

@@ -17,11 +17,11 @@
 // pruner (Options.Prune), a cascade of upper bounds on a pair's normalized
 // score, cheapest first, all cut at the one threshold that decides a match,
 // β: the blocks' identity scores (three loads a pair, in one branch-free
-// pass over each reference tracelet's targets), their kind profiles, the
-// score DP, the order-aware rewrite bound, the rewrite. Each bound
-// dominates everything after it, so a pair that cannot match — directly or
-// after any rewrite — is never aligned, and every Result has the same
-// Verdict either way.
+// pass over each reference tracelet's targets), their kind profiles
+// (folded into two words a block, then merged), the score DP, the
+// order-aware rewrite bound, the rewrite. Each bound dominates everything
+// after it, so a pair that cannot match — directly or after any rewrite —
+// is never aligned, and every Result has the same Verdict either way.
 package core
 
 import (
@@ -109,12 +109,14 @@ func DefaultOptions() Options {
 // blockInfo is one distinct basic-block body of a decomposition, with
 // everything the matcher wants per block at hand: the packed form every
 // compare works on, its content hash, the identity (self-alignment) score,
-// and the instruction-kind profile the score-bound pruner intersects.
+// and the instruction-kind profile the score-bound pruner intersects, also
+// folded into two words.
 type blockInfo struct {
 	pk    *asm.Packed
 	hash  uint64
-	ident int32
+	fold  fold
 	prof  []asm.KindCount
+	ident int32
 	at    int32 // the graph block whose body this is: the first one visited
 }
 
@@ -248,11 +250,13 @@ func (d *Decomposed) number() {
 					slot = (slot + 1) & (slots - 1)
 				}
 				if table[slot] == 0 {
+					ident := int32(2*blk.Len() + len(blk.Args))
 					d.distinct = append(d.distinct, blockInfo{
 						pk:    &blk.Packed,
 						hash:  blk.Hash,
-						ident: int32(2*blk.Len() + len(blk.Args)),
+						fold:  foldProfile(blk.Prof, ident),
 						prof:  blk.Prof,
+						ident: ident,
 						at:    int32(bi),
 					})
 					table[slot] = int32(len(d.distinct))
@@ -337,6 +341,78 @@ func profileBound(p, q []asm.KindCount) int32 {
 		}
 	}
 	return b
+}
+
+// A fold is a block's kind profile folded into 16 byte lanes, two words
+// of 8: each class adds count × weight to the lane its hash picks
+// (foldLane). Two blocks' folds bound their profile bound from above —
+// the lane-wise minima add up to at least the classes' minima, since
+// classes that share a lane can only raise a sum of minima — and the
+// smaller identity score bounds them, since a block's lanes add up to its
+// own. A lane holds 7 bits, so a lane-wise
+// minimum and a horizontal add run on the two words without a carry.
+type fold [2]uint64
+
+const (
+	laneHigh = 0x8080808080808080 // bit 7 of every lane, which no fold sets
+	laneMax  = 127
+	// laneShorts picks every other lane of a word as four 16-bit lanes.
+	laneShorts = 0x00ff00ff00ff00ff
+)
+
+// noFold is the fold of a block whose profile cannot be folded: bit 7 set
+// in every lane, which no fold has (foldBound reads the first word).
+var noFold = fold{laneHigh, laneHigh}
+
+// foldLane picks the lane of a kind class: the low four bits of its hash.
+// They depend on the low bits of the class's encoded bytes alone, and on
+// the compiled campaign they keep the frequent classes apart better than a
+// mixed hash does: the fold cuts 99.6 % of the pairs the profile merge
+// cuts in the exhaustive search's shape, against 99.2 % for the top four
+// bits and 97.8 % for the top four after a multiplicative mix.
+func foldLane(h uint64) uint { return uint(h & 15) }
+
+// foldProfile folds a block's kind profile (see fold), or returns noFold
+// when the fold would not bound what the profile bound does: when a lane
+// would pass 7 bits, when an entry counts less than one instruction or
+// weighs less than a bare instruction (2), or when the entries do not add
+// up to the block's identity score. A stored profile is taken on trust,
+// so these checks keep a crafted one from changing which pairs are cut:
+// such a block's pairs take the profile merge alone.
+func foldProfile(prof []asm.KindCount, ident int32) fold {
+	var f fold
+	sum := int32(0)
+	for _, kc := range prof {
+		if kc.Count < 1 || kc.Weight < 2 || int64(kc.Count)*int64(kc.Weight) > laneMax {
+			return noFold
+		}
+		cw := kc.Count * kc.Weight
+		l := foldLane(kc.Hash)
+		// The lane held at most 127 and gains at most 127: it cannot carry
+		// into the next, and has bit 7 set exactly when it passes 127.
+		if f[l/8] += uint64(cw) << (8 * (l % 8)); f[l/8]&laneHigh != 0 {
+			return noFold
+		}
+		sum += cw
+	}
+	if sum != ident {
+		return noFold
+	}
+	return f
+}
+
+// foldMin returns the sum over the 16 lanes of the smaller of a's and b's
+// lane: the folded bound of two blocks. Lanes hold 7 bits, so 128 + a - b
+// neither borrows from the next lane nor loses its sign, which bit 7
+// keeps: set exactly where a ≥ b.
+func foldMin(a, b fold) int32 {
+	var s uint64
+	for w := range a {
+		ge := ((a[w] | laneHigh) - b[w]) & laneHigh >> 7 * 0xff
+		m := b[w]&ge | a[w]&^ge
+		s += m&laneShorts + m>>8&laneShorts // four 16-bit lanes, each at most 4·127
+	}
+	return int32(s * 0x0001000100010001 >> 48)
 }
 
 // sizeBound returns an upper bound on the blockwise profile bound of a
@@ -785,6 +861,28 @@ func (ctx *cmpCtx) pairScore(ri, ti int) int {
 	return s
 }
 
+// foldBound is an upper bound on pairBound(ri, ti) from the blocks' folds
+// (see fold), or -1 when a block pair has none to check: an equal-hash
+// pair is bounded by its identity score, as blockBound does, and any
+// other by foldMin, unless a block of it has no fold.
+func (ctx *cmpCtx) foldBound(ri, ti int) int {
+	rids, tids := ctx.ref.blockIDs(ri), ctx.tgt.blockIDs(ti)
+	tids = tids[:len(rids)]
+	var s int32
+	for b, rid := range rids {
+		rb, tb := &ctx.ref.distinct[rid], &ctx.tgt.distinct[tids[b]]
+		switch {
+		case rb.hash == tb.hash:
+			s += rb.ident
+		case (rb.fold[0]|tb.fold[0])&laneHigh != 0:
+			return -1
+		default:
+			s += foldMin(rb.fold, tb.fold)
+		}
+	}
+	return int(s)
+}
+
 // pairBound is a cheap upper bound on pairScore(ri, ti): no DP runs.
 func (ctx *cmpCtx) pairBound(ri, ti int) int {
 	rids, tids := ctx.ref.blockIDs(ri), ctx.tgt.blockIDs(ti)
@@ -1084,12 +1182,17 @@ func (ctx *cmpCtx) readyRows(opts *Options) {
 //
 // Under Options.Prune a pair passes a cascade of upper bounds on its score,
 // cheapest first, each cut at β: the size bound (sizeBound), the kind-profile
-// bound (pairBound), then the score itself, and for a pair worth a rewrite
-// the order-aware rewrite bound before the rewrite (nextFeasible). Every
-// bound dominates every later stage — size ≥ profile ≥ rewrite bound ≥
+// stage, then the score itself, and for a pair worth a rewrite the
+// order-aware rewrite bound before the rewrite (nextFeasible). Every bound
+// dominates every later stage — size ≥ fold ≥ profile ≥ rewrite bound ≥
 // post-rewrite score, and profile ≥ score — and Norm is monotone in the
 // score, so a pair cut at any stage could have matched neither directly
 // nor after a rewrite.
+//
+// The kind-profile stage checks the blocks' folds (foldBound) against the
+// size pass's integer table first, and merges their profiles (pairBound)
+// only for a pair the fold passes or cannot bound. The fold is never below
+// the merge, so the stage cuts the pairs the merge alone cut.
 //
 // The size bound cuts most pairs, and it runs first over the whole row
 // (sizePass): the later stages walk only its survivors, in target order,
@@ -1122,9 +1225,15 @@ func (m *Matcher) scanTracelet(ri int, ctx *cmpCtx, res *Result, tsp *telemetry.
 			}
 		}
 		tIdent := int(tIdents[ti])
-		if opts.Prune && align.Norm(ctx.pairBound(ri, ti), rIdent, tIdent, norm) <= beta {
-			ctx.stats.prunedProfile++
-			continue
+		if opts.Prune {
+			x := rIdent + tIdent
+			if norm == align.Containment {
+				x = min(rIdent, tIdent)
+			}
+			if fb := ctx.foldBound(ri, ti); (fb >= 0 && fb <= int(ctx.need[x])) || align.Norm(ctx.pairBound(ri, ti), rIdent, tIdent, norm) <= beta {
+				ctx.stats.prunedProfile++
+				continue
+			}
 		}
 		pt := ctx.pairTimer()
 		pre := align.Norm(ctx.pairScore(ri, ti), rIdent, tIdent, norm)

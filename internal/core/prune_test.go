@@ -176,49 +176,61 @@ j3:
 `
 
 // TestSizeBoundSound: the cascade's inequality chain, on which skipping a
-// pair at any stage rests, for every tracelet pair of the sample — size
-// bound ≥ profile bound ≥ rewrite bound ≥ score in raw scores and under
-// both normalizations, and rewrite bound ≥ post-rewrite score wherever the
-// rewrite is run: every pair of the listings, and in the campaign every
-// pair that scores a quarter or more, twice as wide a net as the matcher's.
+// pair at any stage rests, for every tracelet pair of the sample at k 1 to
+// 4 — size bound ≥ folded bound ≥ profile bound ≥ rewrite bound ≥ score in
+// raw scores and under both normalizations, and rewrite bound ≥
+// post-rewrite score wherever the rewrite is run: every pair of the
+// listings, and in the campaign every pair that scores a quarter or more,
+// twice as wide a net as the matcher's. No block of the sample is denied
+// its fold, so every pair has a folded bound to hold.
 func TestSizeBoundSound(t *testing.T) {
-	ds := append(pruneTestPairs(t, 3), Decompose(liftListing(t, "jumps", srcJumps), 3))
-	listings := len(ds)
-	ds = append(ds, campaignSample(t, 48)...)
-	pairs, rewrites := 0, 0
-	for r, ref := range ds[:listings+6] {
-		for _, tgt := range ds {
-			ctx := newCmpCtx(ref, tgt, nil)
-			for ri := range ref.Tracelets {
-				for ti := range tgt.Tracelets {
-					pairs++
-					rIdent, tIdent := int(ref.ident[ri]), int(tgt.ident[ti])
-					size := sizeBound(ref.blockIdent[ri*ref.K:(ri+1)*ref.K], tgt.blockIdent[ti*tgt.K:])
-					chain := []int{size, ctx.pairBound(ri, ti), ctx.rewriteBound(ri, ti), ctx.pairScore(ri, ti)}
-					if size > min(rIdent, tIdent) {
-						t.Errorf("%s[%d] vs %s[%d]: size bound %d above the smaller identity score", ref.Name, ri, tgt.Name, ti, size)
-					}
-					if r < listings || align.Norm(chain[3], rIdent, tIdent, align.Ratio) >= 0.25 {
-						rewrites++
-						ctx.rewritePair(ri, ti, align.Ratio)
-						chain[3] = max(chain[3], postRewriteScore(ctx))
-					}
-					for i := 1; i < len(chain); i++ {
-						for _, norm := range []align.Method{align.Ratio, align.Containment} {
-							if hi, lo := align.Norm(chain[i-1], rIdent, tIdent, norm), align.Norm(chain[i], rIdent, tIdent, norm); chain[i-1] < chain[i] || hi < lo {
-								t.Errorf("%s[%d] vs %s[%d]: size, profile, rewrite bound, best score = %v: stage %d is below stage %d (%v: %v < %v)",
-									ref.Name, ri, tgt.Name, ti, chain, i-1, i, norm, hi, lo)
+	fns := []*prep.Function{liftListing(t, "a", srcA), liftListing(t, "a2", srcARenamed), liftListing(t, "b", srcB), liftListing(t, "jumps", srcJumps)}
+	listings := len(fns)
+	fns = append(fns, campaignFuncs(t, 48)...)
+	for k := 1; k <= 4; k++ {
+		ds := make([]*Decomposed, len(fns))
+		for i, fn := range fns {
+			ds[i] = Decompose(fn, k)
+		}
+		pairs, rewrites := 0, 0
+		for r, ref := range ds[:listings+6] {
+			for _, tgt := range ds {
+				ctx := newCmpCtx(ref, tgt, nil)
+				for ri := range ref.Tracelets {
+					for ti := range tgt.Tracelets {
+						pairs++
+						rIdent, tIdent := int(ref.ident[ri]), int(tgt.ident[ti])
+						size := sizeBound(ref.blockIdent[ri*k:(ri+1)*k], tgt.blockIdent[ti*k:])
+						chain := []int{size, ctx.foldBound(ri, ti), ctx.pairBound(ri, ti), ctx.rewriteBound(ri, ti), ctx.pairScore(ri, ti)}
+						if size > min(rIdent, tIdent) {
+							t.Errorf("k=%d %s[%d] vs %s[%d]: size bound %d above the smaller identity score", k, ref.Name, ri, tgt.Name, ti, size)
+						}
+						if chain[1] < 0 {
+							t.Fatalf("k=%d %s[%d] vs %s[%d]: a block has no fold", k, ref.Name, ri, tgt.Name, ti)
+						}
+						last := len(chain) - 1
+						if r < listings || align.Norm(chain[last], rIdent, tIdent, align.Ratio) >= 0.25 {
+							rewrites++
+							ctx.rewritePair(ri, ti, align.Ratio)
+							chain[last] = max(chain[last], postRewriteScore(ctx))
+						}
+						for i := 1; i < len(chain); i++ {
+							for _, norm := range []align.Method{align.Ratio, align.Containment} {
+								if hi, lo := align.Norm(chain[i-1], rIdent, tIdent, norm), align.Norm(chain[i], rIdent, tIdent, norm); chain[i-1] < chain[i] || hi < lo {
+									t.Errorf("k=%d %s[%d] vs %s[%d]: size, fold, profile, rewrite bound, best score = %v: stage %d is below stage %d (%v: %v < %v)",
+										k, ref.Name, ri, tgt.Name, ti, chain, i-1, i, norm, hi, lo)
+								}
 							}
 						}
 					}
 				}
+				ctx.release()
 			}
-			ctx.release()
 		}
-	}
-	t.Logf("%d pairs, %d rewritten", pairs, rewrites)
-	if rewrites == 0 {
-		t.Error("the sample exercised no rewrite")
+		t.Logf("k=%d: %d pairs, %d rewritten", k, pairs, rewrites)
+		if rewrites == 0 {
+			t.Errorf("k=%d: the sample exercised no rewrite", k)
+		}
 	}
 }
 
