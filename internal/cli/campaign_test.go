@@ -1,6 +1,7 @@
 package cli
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -8,6 +9,9 @@ import (
 	"testing"
 
 	"repro/internal/corpus"
+	"repro/internal/index"
+	"repro/internal/minhash"
+	"repro/internal/tinyc"
 )
 
 func TestMkcorpusCampaignWithIndex(t *testing.T) {
@@ -56,6 +60,36 @@ func TestMkcorpusCampaignWithIndex(t *testing.T) {
 	exe := buildExe(t, dir, "q.bin", srcA, 3)
 	if _, err := run(t, "search", "-db", idxPath, "-exe", exe, "-top", "2"); err != nil {
 		t.Fatalf("search over campaign index: %v", err)
+	}
+}
+
+// TestMkcorpusIndexEqualsAddImage holds the index tracy mkcorpus -index
+// -lsh streams to the one a database writes of the same campaign: each
+// executable added with AddImage under its name and truth, then Save with
+// the default lsh sections. The two fill one index.Stream from different
+// callers, so they must write the same bytes.
+func TestMkcorpusIndexEqualsAddImage(t *testing.T) {
+	dir := t.TempDir()
+	idxPath := filepath.Join(dir, "scale.idx")
+	if _, err := run(t, "mkcorpus", "-dir", dir, "-scale", "96", "-seed", "9", "-index", idxPath, "-lsh"); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(idxPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := index.New()
+	_, err = corpus.RunCampaign(corpus.CampaignConfig{Seed: 9, Funcs: 96},
+		func(e corpus.Executable, _ tinyc.OptLevel) error { return db.AddImage(e.Name, e.Image, e.Truth) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := db.Save(&want, index.SaveOptions{LSH: &minhash.Default}); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want.Bytes()) {
+		t.Errorf("mkcorpus -index -lsh wrote %d bytes unlike the %d AddImage and Save write of the same campaign", len(got), want.Len())
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -310,14 +311,9 @@ func (c *env) mkcorpus(args []string) error {
 				return fmt.Errorf("mkcorpus: %w", err)
 			}
 		}
-		mi, err := em.write(*indexOut)
-		if err != nil {
+		if err := em.write(c.w, *indexOut, m); err != nil {
 			return fmt.Errorf("mkcorpus: %w", err)
 		}
-		m.Index = mi
-		fmt.Fprintf(c.w, "wrote index %s (TRACYIDX v%d, %d functions, %d bytes)\n",
-			mi.Path, mi.Format, mi.Functions, mi.Bytes)
-		writeBuildRate(c.w, em.tel)
 	}
 	// The manifest records the generating configuration — above all the
 	// seed — so the corpus can be regenerated byte-for-byte.
@@ -330,7 +326,7 @@ func (c *env) mkcorpus(args []string) error {
 }
 
 // mkcorpusCampaign runs the scale campaign: executables stream from the
-// parallel compile pipeline into .bin files and/or an index builder and
+// parallel compile pipeline into .bin files and/or an index stream and
 // are then dropped, so peak memory stays far below corpus size.
 func (c *env) mkcorpusCampaign(dir string, ccfg corpus.CampaignConfig, indexOut string, bins, lsh bool, tel *telemetry.Collector) error {
 	if indexOut == "" && !bins {
@@ -343,7 +339,7 @@ func (c *env) mkcorpusCampaign(dir string, ccfg corpus.CampaignConfig, indexOut 
 	m := &corpus.Manifest{Campaign: &ccfg}
 	nExes := ccfg.NumExes()
 	start := time.Now()
-	emitted := 0
+	emitted, funcs := 0, 0
 	total, err := corpus.RunCampaign(ccfg, func(e corpus.Executable, opt tinyc.OptLevel) error {
 		if bins {
 			if err := os.WriteFile(filepath.Join(dir, e.Name+".bin"), e.Image, 0o644); err != nil {
@@ -358,14 +354,14 @@ func (c *env) mkcorpusCampaign(dir string, ccfg corpus.CampaignConfig, indexOut 
 		m.Exes = append(m.Exes, corpus.ManifestExe{
 			Name: e.Name, Bytes: len(e.Image), Functions: len(e.Truth), Opt: int(opt),
 		})
-		emitted++
+		emitted, funcs = emitted+1, funcs+len(e.Truth)
 		if emitted%500 == 0 || emitted == nExes {
 			idx := ""
 			if em != nil {
-				idx = fmt.Sprintf(", index %d MB", em.b.Bytes()>>20)
+				idx = fmt.Sprintf(", index %d MB", em.s.Bytes()>>20)
 			}
 			fmt.Fprintf(c.w, "  campaign: %d/%d exes, %d functions%s (%.0fs)\n",
-				emitted, nExes, em.funcsOr(m), idx, time.Since(start).Seconds())
+				emitted, nExes, funcs, idx, time.Since(start).Seconds())
 		}
 		return nil
 	})
@@ -373,14 +369,9 @@ func (c *env) mkcorpusCampaign(dir string, ccfg corpus.CampaignConfig, indexOut 
 		return fmt.Errorf("mkcorpus: campaign: %w", err)
 	}
 	if em != nil {
-		mi, err := em.write(indexOut)
-		if err != nil {
+		if err := em.write(c.w, indexOut, m); err != nil {
 			return fmt.Errorf("mkcorpus: %w", err)
 		}
-		m.Index = mi
-		fmt.Fprintf(c.w, "wrote index %s (TRACYIDX v%d, %d functions, %d bytes)\n",
-			mi.Path, mi.Format, mi.Functions, mi.Bytes)
-		writeBuildRate(c.w, tel)
 	}
 	if err := writeManifest(dir, m); err != nil {
 		return err
@@ -407,31 +398,22 @@ func parseOptLevels(s string) ([]tinyc.OptLevel, error) {
 	return out, nil
 }
 
-// idxEmitter streams lifted executables into a TRACYIDX v4 builder,
-// mirroring index.AddImage's entry shape (Name/Addr from the lifter,
-// truth by address) and its overlap: the features and packing of one
-// executable run on a goroutine of their own while the next one lifts,
-// and its functions are appended, in order, once that next one's have
-// started. So a streamed index is interchangeable with one built by
-// tracy index.
+// idxEmitter lifts executables into an index.Stream, the pipeline
+// AddImage feeds, with the entries AddImage would make of them, and keeps
+// none: so a streamed index is interchangeable with one built by tracy
+// index, and the heap holds no corpus.
 type idxEmitter struct {
-	b        *idxfile.Builder
-	lsh      *minhash.Params // the lsh sections' parameters, or nil for none
-	pk       idxfile.Packer
-	pending  chan []idxfile.Packed // the executable in flight, or nil
-	funcs    int                   // functions lifted so far
-	tel      *telemetry.Collector  // lift and save telemetry, as index.DB reports it
-	building time.Duration         // spent waiting for and appending to the builder so far
+	s        *index.Stream
+	lsh      *minhash.Params      // the lsh sections' parameters, or nil for none
+	funcs    int                  // functions lifted so far
+	tel      *telemetry.Collector // lift and save telemetry, as index.DB reports it
+	building time.Duration        // spent handing functions to the stream so far
 }
 
 // newIdxEmitter returns an emitter reporting into tel; with lsh set the
 // index carries the lsh sections.
 func newIdxEmitter(lsh bool, tel *telemetry.Collector) *idxEmitter {
-	w := &idxEmitter{b: idxfile.NewBuilder(), tel: tel}
-	if lsh {
-		w.lsh = &minhash.Default
-	}
-	return w
+	return &idxEmitter{s: index.NewStream(), lsh: lshParams(lsh), tel: tel}
 }
 
 func (w *idxEmitter) add(e corpus.Executable) error {
@@ -441,76 +423,35 @@ func (w *idxEmitter) add(e corpus.Executable) error {
 	}
 	w.funcs += len(fns)
 	t0 := time.Now()
-	prev := w.join()
-	done := make(chan []idxfile.Packed, 1)
-	go func() {
-		packed := make([]idxfile.Packed, len(fns))
-		for i, fn := range fns {
-			packed[i] = w.pk.Pack(idxfile.Item{Exe: e.Name, Fn: fn, Truth: e.Truth[fn.Addr], Feats: index.FuncFeatures(fn)})
-		}
-		done <- packed
-	}()
-	w.pending = done
-	w.append(prev)
+	w.s.Add(e.Name, fns, e.Truth)
 	w.building += time.Since(t0)
 	return nil
 }
 
-// join waits for the executable in flight and returns its functions.
-func (w *idxEmitter) join() []idxfile.Packed {
-	if w.pending == nil {
-		return nil
-	}
-	packed := <-w.pending
-	w.pending = nil
-	return packed
-}
-
-func (w *idxEmitter) append(packed []idxfile.Packed) {
-	for i := range packed {
-		w.b.Append(&packed[i])
-	}
-}
-
-// funcsOr returns the running function count (lifted when indexing,
-// manifest sum otherwise).
-func (w *idxEmitter) funcsOr(m *corpus.Manifest) int {
-	if w != nil {
-		return w.funcs
-	}
-	n := 0
-	for _, e := range m.Exes {
-		n += e.Functions
-	}
-	return n
-}
-
-func (w *idxEmitter) write(path string) (*corpus.ManifestIndex, error) {
+// write writes the index to path, records it in m, and reports it and the
+// build rate on out.
+func (w *idxEmitter) write(out io.Writer, path string, m *corpus.Manifest) error {
 	f, err := os.Create(path)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	t0 := time.Now()
-	w.append(w.join())
-	n, err := w.b.WriteLSH(f, w.lsh)
+	n, err := w.s.WriteLSH(f, w.lsh)
 	if err2 := f.Close(); err == nil {
 		err = err2
 	}
-	// One save: what the builder took while the executables streamed
-	// through it, and the write.
+	// One save: what the stream took while the executables went through
+	// it, and the write.
 	w.tel.Observe(telemetry.IndexSaveLatency, w.building+time.Since(t0))
 	w.tel.Add(telemetry.IndexBytesWritten, uint64(n))
 	if err != nil {
 		os.Remove(path)
-		return nil, err
+		return err
 	}
-	st, err := os.Stat(path)
-	if err != nil {
-		return nil, err
-	}
-	return &corpus.ManifestIndex{
-		Path: path, Format: idxfile.Version, Functions: w.b.NumFuncs(), Bytes: st.Size(),
-	}, nil
+	m.Index = &corpus.ManifestIndex{Path: path, Format: idxfile.Version, Functions: w.funcs, Bytes: n}
+	fmt.Fprintf(out, "wrote index %s (TRACYIDX v%d, %d functions, %d bytes)\n", path, idxfile.Version, w.funcs, n)
+	writeBuildRate(out, w.tel)
+	return nil
 }
 
 // writeManifest serializes the reproducibility record as manifest.json.

@@ -668,8 +668,9 @@ type cmpCtx struct {
 	need     []int32
 	needBeta uint64
 	needNorm align.Method
-	// rd×td each; -1 = not yet computed. rwBounds, the order-aware bounds
-	// only rewrite candidates ask for, is nil until the first one does.
+	// rd×td each; -1 = not yet computed. bounds, the profile bounds only
+	// pairs the fold passes ask for, and rwBounds, the order-aware bounds
+	// only rewrite candidates ask for, are nil until the first one does.
 	scores, bounds, rwBounds []int32
 
 	cancel    cancelCheck
@@ -734,7 +735,7 @@ func (ctx *cmpCtx) bind(ref, tgt *Decomposed, tel *telemetry.Collector) {
 	ctx.rw.Tel = tel
 	ctx.cancel, ctx.cancelErr, ctx.span, ctx.stats = cancelCheck{}, nil, nil, cmpStats{}
 	ctx.rwRef = -1
-	ctx.scores, ctx.bounds, ctx.rwBounds = ctx.matrix(0), ctx.matrix(1), nil
+	ctx.scores, ctx.bounds, ctx.rwBounds = ctx.matrix(0), nil, nil
 	ctx.pending, ctx.stash = ctx.pending[:0], ctx.stash[:0]
 	ctx.floorChecked, ctx.cut = false, false
 }
@@ -811,6 +812,9 @@ func (ctx *cmpCtx) blockScore(ri, ti int32) int32 {
 // blockBound returns an upper bound on blockScore(ri, ti) without running
 // the DP (linear profile merge, cached like the scores).
 func (ctx *cmpCtx) blockBound(ri, ti int32) int32 {
+	if ctx.bounds == nil {
+		ctx.bounds = ctx.matrix(1)
+	}
 	idx := int(ri)*ctx.td + int(ti)
 	if b := ctx.bounds[idx]; b >= 0 {
 		return b

@@ -25,8 +25,8 @@ import (
 // 4032-function campaign, then Save with lsh. It reports functions/s next to
 // B/op and allocs/op, the collector cycles one build ran, and how the
 // build's wall time splits into its two stages: lift-ms/op for the AddImage
-// loop (the featuriser of the last image may still run when it ends) and
-// save-ms/op for Save (which joins it first).
+// loop (the stream's batch of the last image may still be in flight when it
+// ends) and save-ms/op for Save (which joins it first).
 func BenchmarkBuild4k(b *testing.B) {
 	var exes []corpus.Executable
 	_, err := corpus.RunCampaign(corpus.CampaignConfig{Seed: 1, Funcs: 4032, FuncsPerExe: 32, Stmts: 10, Workers: 2},

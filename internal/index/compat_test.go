@@ -421,9 +421,12 @@ func TestRoundTripEntries(t *testing.T) {
 			t.Errorf("entry %d function body changed across the file round trip", i)
 		}
 	}
-	// Feature sets must be adopted from the file's pool, not recomputed.
-	want := db.features()
-	got := db2.features()
+	// The file's feature pool holds the features computed from each function.
+	want := serialFeatures(t, db)
+	got := make([][]uint64, db2.Len())
+	for i := range got {
+		got[i] = db2.Store().Features(i)
+	}
 	if !reflect.DeepEqual(got, want) {
 		t.Error("the file's feature pool diverged from computed features")
 	}

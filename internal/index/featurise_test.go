@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/corpus"
+	"repro/internal/idxfile"
 	"repro/internal/minhash"
 	"repro/internal/tinyc"
 )
@@ -37,7 +38,7 @@ func addImages(tb testing.TB, db *DB, exes []corpus.Executable) {
 	}
 }
 
-// saveKinds are the saves that read the feature memo, by name.
+// saveKinds are the saves a database streams its features into, by name.
 var saveKinds = []struct {
 	name string
 	o    SaveOptions
@@ -63,7 +64,7 @@ func saveAll(tb testing.TB, db *DB) map[string][]byte {
 }
 
 // prefiltered runs one lsh and one scan search on db's view, by the first
-// entry, which makes the view read the feature memo.
+// entry, which makes the view seal the entries into an index file.
 func prefiltered(tb testing.TB, db *DB) {
 	tb.Helper()
 	for _, mode := range []PrefilterMode{ModeLSH, ModeScan} {
@@ -75,24 +76,58 @@ func prefiltered(tb testing.TB, db *DB) {
 	}
 }
 
-// TestFeaturiserSavesSerialBytes holds the background featuriser to its
-// contract: whatever the GOMAXPROCS and wherever its join falls, a save
-// writes the bytes of the same entries with their features computed
-// serially before any save. The joins exercised: a save right after the
-// last AddImage (each save kind first in turn), a view and prefiltered
-// searches between AddImage calls and after the last one, and AddImage
-// onto a database opened from a file of part of the corpus.
+// serialFeatures returns the feature sets of db's entries, each computed
+// from its function on the caller's goroutine.
+func serialFeatures(tb testing.TB, db *DB) [][]uint64 {
+	tb.Helper()
+	out := make([][]uint64, len(db.Entries))
+	for i, e := range db.Entries {
+		fn, err := e.Decode()
+		if err != nil {
+			tb.Fatal(err)
+		}
+		out[i] = FuncFeatures(fn)
+	}
+	return out
+}
+
+// serialBytes returns the file o selects of db's entries as
+// idxfile.Builder.Add writes it, one function at a time, with their
+// features computed serially: the oracle the stream is held to.
+func serialBytes(tb testing.TB, db *DB, o SaveOptions) []byte {
+	tb.Helper()
+	feats := serialFeatures(tb, db)
+	b := idxfile.NewBuilder()
+	for i, e := range db.Entries {
+		if o.Shards <= 1 || ShardOf(e.Exe, e.Name, o.Shards) == o.Shard {
+			fn, _ := e.Decode()
+			b.Add(e.Exe, fn, e.Truth, feats[i])
+		}
+	}
+	var buf bytes.Buffer
+	if _, err := b.WriteLSH(&buf, o.LSH); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestFeaturiserSavesSerialBytes holds the build stream to its contract:
+// whatever the GOMAXPROCS and wherever its join falls, a save writes the
+// bytes idxfile.Builder.Add writes of the same entries with their features
+// computed serially. The joins exercised: a save right after the last
+// AddImage (each save kind first in turn), a view and prefiltered searches
+// between AddImage calls and after the last one, and AddImage onto a
+// database opened from a file of part of the corpus.
 func TestFeaturiserSavesSerialBytes(t *testing.T) {
 	exes := campaignExes(t, 96)
 	half := len(exes) / 2
 
 	built := New()
 	addImages(t, built, exes)
-	ref := &DB{Entries: built.Entries, feats: make([][]uint64, len(built.Entries))}
-	for i, e := range ref.Entries {
-		ref.feats[i] = FuncFeatures(e.fn)
+	want := make(map[string][]byte)
+	for _, k := range saveKinds {
+		want[k.name] = serialBytes(t, built, k.o)
 	}
-	want := saveAll(t, ref)
 	same := func(label string, got map[string][]byte) {
 		t.Helper()
 		for _, k := range saveKinds {
@@ -143,12 +178,13 @@ func TestFeaturiserSavesSerialBytes(t *testing.T) {
 }
 
 // TestFeaturiserInterleaved drives databases in the orders the write
-// path's callers use, for the race detector: tracy index (a file opened,
-// images added, saved), the benchmark's ingest (images added, saved, then
-// searched by reference over a snapshot) and its in-memory set-ups (images
-// added, then searched at once — exhaustive searches that never join the
-// featuriser, prefiltered ones on the view and on a snapshot, and a save,
-// all from their own goroutines while the last featuriser may still run).
+// path's callers use, for the race detector, and holds every file saved to
+// the bytes idxfile.Builder.Add writes with serially computed features:
+// tracy index (a file opened, images added, saved), the benchmark's ingest
+// (images added, saved, then searched by reference over a snapshot) and
+// its in-memory set-ups (images added, then searched at once — exhaustive
+// and prefiltered searches on the view and on a snapshot, and a save, all
+// from their own goroutines while the last batch may still be in flight).
 func TestFeaturiserInterleaved(t *testing.T) {
 	exes := campaignExes(t, 96)
 	half := len(exes) / 2
@@ -178,8 +214,12 @@ func TestFeaturiserInterleaved(t *testing.T) {
 	if err := db.Save(&out, SaveOptions{LSH: &minhash.Default}); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(out.Bytes(), grownOut.Bytes()) {
-		t.Error("the database grown from a file saves other bytes than the one built at once")
+	want := serialBytes(t, db, SaveOptions{LSH: &minhash.Default})
+	if !bytes.Equal(out.Bytes(), want) {
+		t.Error("the database built at once saves other bytes than serially computed features")
+	}
+	if !bytes.Equal(grownOut.Bytes(), want) {
+		t.Error("the database grown from a file saves other bytes than serially computed features")
 	}
 	snap := BuildSnapshot(db, []int{opts.K}, 2)
 	for _, e := range db.Entries[:4] {
@@ -222,7 +262,7 @@ func TestFeaturiserInterleaved(t *testing.T) {
 	var concurrent bytes.Buffer
 	run("Save with lsh", func() error { return db.Save(&concurrent, SaveOptions{LSH: &minhash.Default}) })
 	wg.Wait()
-	if !bytes.Equal(concurrent.Bytes(), out.Bytes()) {
-		t.Error("a save racing searches writes other bytes than a save alone")
+	if !bytes.Equal(concurrent.Bytes(), want) {
+		t.Error("a save racing searches writes other bytes than serially computed features")
 	}
 }

@@ -81,10 +81,7 @@ func (e *Entry) Function() *prep.Function {
 // snapshot of the database's entries, and Decomposed reads its
 // decompositions. Concurrent View/Decomposed calls and searches are safe;
 // AddImage must not race with readers (ingest the corpus first, or
-// BuildSnapshot for serving). While a build runs, one background
-// featuriser at most computes the prefilter features of the functions the
-// last AddImage lifted and packs them for the index file (see AddImage);
-// everything that reads the features joins it first.
+// BuildSnapshot for serving).
 type DB struct {
 	Entries []*Entry
 
@@ -96,23 +93,20 @@ type DB struct {
 	// not serialized.
 	Tel *telemetry.Collector
 
-	mu      sync.Mutex  // guards feats, pending, snap, build, fed, sealed, sealedFor
-	feats   [][]uint64  // prefilter features of Entries[:len(feats)]
-	pending *featuriser // the one featuriser in flight, or nil
-	snap    *Snapshot   // the search view over Entries; nil until first use
+	mu   sync.Mutex // guards snap, stream, fed, sealed, sealedFor
+	snap *Snapshot  // the search view over Entries; nil until first use
 
 	sealed    *idxfile.File // what seal wrote in memory, holding sealedFor
 	sealedFor []Entry       // the entries sealed holds, as they were then
 
-	// build is the index file of the entries AddImage added, fed as they
+	// stream is the index file of the entries AddImage added, fed as they
 	// come: fed holds the entries it was fed, as they were then, and a
 	// whole-corpus Save of Entries equal to them only writes it. It is nil
 	// once AddImage finds Entries holding others (a database opened from
-	// a file and grown, or edited by hand); Save then feeds a builder of
+	// a file and grown, or edited by hand); Save then feeds a stream of
 	// its own.
-	build  *idxfile.Builder
+	stream *Stream
 	fed    []Entry
-	packer idxfile.Packer // the featurisers', one at a time
 
 	store *idxfile.File // non-nil for store-backed databases
 	info  Info
@@ -157,18 +151,13 @@ func New() *DB { return &DB{} }
 // indexes them. truth maps function addresses to ground-truth names and
 // may be nil.
 //
-// Lifting runs on the caller's goroutine; the prefilter features of the
-// functions just lifted are computed by a background featuriser, which
-// also packs them for the index file, and AddImage returns without
-// waiting for it. The next AddImage lifts while it runs, joins it before
-// appending to Entries, starts the featuriser of its own image, and only
-// then appends the functions the one before packed to the database's
-// index file — so lifting and appending on the caller's goroutine overlap
-// featurising and packing on another, and a build spreads over two cores
-// without a setting. Every reader of the features (prefiltered searches,
-// Save) joins the featuriser too, so at most one is ever in flight. What
-// it computes is the memo those readers see and the file a whole-corpus
-// Save writes; nothing is written into the entries.
+// Lifting runs on the caller's goroutine. A database built by AddImage
+// alone hands the functions to its Stream, which featurises and packs
+// them on two goroutines of its own, and AddImage returns without waiting:
+// the next AddImage lifts while they run, and the stream appends them to
+// the database's index file once that next one hands it its own — so a
+// build spreads over the cores without a setting. A database grown from a
+// file or edited by hand only lifts; its Save computes the features.
 func (db *DB) AddImage(exe string, img []byte, truth map[uint32]string) error {
 	fns, err := prep.LiftImageTel(db.Tel, img)
 	if err != nil {
@@ -182,142 +171,37 @@ func (db *DB) AddImage(exe string, img []byte, truth map[uint32]string) error {
 func (db *DB) add(exe string, fns []*prep.Function, truth map[uint32]string) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	prev := db.joinFeaturiser()
 	lo := len(db.Entries)
-	for _, fn := range fns {
-		e := &Entry{Exe: exe, Name: fn.Name, Addr: fn.Addr, fn: fn}
-		if truth != nil {
-			e.Truth = truth[fn.Addr]
-		}
-		db.Entries = append(db.Entries, e)
+	if len(db.fed) != lo {
+		db.stream, db.fed = nil, nil // Entries holds others
+	}
+	if db.stream == nil && lo == 0 {
+		db.stream = NewStream()
+	}
+	es := imageEntries(exe, fns, truth)
+	for _, e := range es {
+		db.Entries = append(db.Entries, &e)
 	}
 	db.snap, db.sealed = nil, nil // both hold Entries as they were
-	next := len(db.fed)           // the position of the entry the file takes next
-	if prev != nil && prev.packed != nil && prev.lo == next {
-		next += len(prev.packed)
+	if db.stream != nil {
+		db.fed = append(db.fed, es...)
+		db.stream.add(db.fed[lo:])
 	}
-	if next != lo {
-		db.build, db.fed = nil, nil // Entries holds others
-	}
-	if db.build == nil && lo == 0 {
-		db.build = idxfile.NewBuilder()
-	}
-	var pk *idxfile.Packer
-	if db.build != nil {
-		pk = &db.packer
-	}
-	db.pending = startFeaturiser(lo, db.Entries[lo:], pk)
-	db.feed(prev)
 }
 
-// featuriser computes the prefilter features of a run of freshly lifted
-// entries on its own goroutine, and packs them when given a packer:
-// feats[i] is the set of the entry at position lo+i and packed[i] its
-// function packed, ready once done is closed. entries holds the entries
-// as they were when it started, which is what it packed.
-type featuriser struct {
-	lo      int
-	entries []Entry
-	feats   [][]uint64
-	packed  []idxfile.Packed
-	done    chan struct{}
+// holds reports whether the entries are was, field for field.
+func (db *DB) holds(was []Entry) bool {
+	return slices.EqualFunc(db.Entries, was, func(e *Entry, w Entry) bool { return *e == w })
 }
 
-// startFeaturiser starts a featuriser over entries, which sit at
-// position lo and all hold their lifted function. It reads only those
-// functions — heap values nothing else writes — never the DB or a mapping.
-func startFeaturiser(lo int, entries []*Entry, pk *idxfile.Packer) *featuriser {
-	f := &featuriser{lo: lo, entries: make([]Entry, len(entries)), feats: make([][]uint64, len(entries)), done: make(chan struct{})}
-	for i, e := range entries {
-		f.entries[i] = *e
-	}
-	var wg sync.WaitGroup
-	if pk != nil {
-		// Packing takes twice what featurising does, and needs none of
-		// it: on a goroutine of its own, what the caller and the
-		// featurising leave of two cores goes to it.
-		f.packed = make([]idxfile.Packed, len(entries))
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range f.entries {
-				e := &f.entries[i]
-				f.packed[i] = pk.Pack(idxfile.Item{Exe: e.Exe, Fn: e.fn, Truth: e.Truth})
-			}
-		}()
-	}
-	go func() {
-		var g gramHasher
-		for i := range f.entries {
-			f.feats[i] = g.funcFeatures(f.entries[i].fn)
-		}
-		wg.Wait()
-		for i := range f.packed {
-			f.packed[i].Feats = f.feats[i]
-		}
-		close(f.done)
-	}()
-	return f
-}
-
-// joinFeaturiser waits for the featuriser in flight, if any, appends its
-// sets to the memo, first memoizing the entries before them that it does
-// not cover (those of an index file a grown database was opened from),
-// and returns it for feed. The caller holds db.mu.
-func (db *DB) joinFeaturiser() *featuriser {
-	f := db.pending
-	if f == nil {
+// built returns the stream AddImage fed, flushed, when it holds exactly
+// the entries, or nil. The caller holds db.mu.
+func (db *DB) built() *Stream {
+	if db.stream == nil || !db.holds(db.fed) {
 		return nil
 	}
-	<-f.done
-	db.pending = nil
-	db.memoFeatures(f.lo)
-	db.feats = append(db.feats, f.feats...)
-	return f
-}
-
-// feed appends what a joined featuriser packed to the database's index
-// file, in entry order, when they are the entries the file takes next.
-// The caller holds db.mu.
-func (db *DB) feed(f *featuriser) {
-	if f == nil || f.packed == nil || db.build == nil || f.lo != len(db.fed) {
-		return
-	}
-	for i := range f.packed {
-		db.build.Append(&f.packed[i])
-	}
-	db.fed = append(db.fed, f.entries...)
-}
-
-// built returns the database's index file when it holds exactly the
-// entries, or nil. The caller holds db.mu and has joined the featuriser.
-func (db *DB) built() *idxfile.Builder {
-	if db.build == nil || len(db.fed) != len(db.Entries) {
-		return nil
-	}
-	for i, e := range db.Entries {
-		if *e != db.fed[i] {
-			return nil
-		}
-	}
-	return db.build
-}
-
-// memoFeatures extends the feature memo over Entries[:n]. A store-backed
-// entry's set already lives in the file's shared pool and is viewed where
-// it lies (a slice header, no copy); any other entry's is computed from its
-// function. The caller holds db.mu.
-func (db *DB) memoFeatures(n int) {
-	var g gramHasher
-	for i := len(db.feats); i < n; i++ {
-		e := db.Entries[i]
-		if e.src != nil {
-			db.feats = append(db.feats, e.src.Features(e.srcIdx))
-		} else {
-			fn, _ := e.Decode()
-			db.feats = append(db.feats, g.funcFeatures(fn))
-		}
-	}
+	db.stream.flush()
+	return db.stream
 }
 
 // seal returns the index file holding exactly the entries, in order, that
@@ -330,18 +214,16 @@ func (db *DB) seal() (*idxfile.File, error) {
 	if db.storeHoldsEntries() {
 		return db.store, nil
 	}
-	db.feed(db.joinFeaturiser())
-	if db.sealed != nil && slices.EqualFunc(db.Entries, db.sealedFor, func(e *Entry, was Entry) bool { return *e == was }) {
+	if db.sealed != nil && db.holds(db.sealedFor) {
 		return db.sealed, nil
 	}
 	var buf bytes.Buffer
 	var err error
-	if b := db.built(); b != nil {
-		buf.Grow(b.Bytes() + 4*len(db.Entries)*(minhash.Default.K()+minhash.Default.Bands) + 4096)
-		_, err = b.WriteLSH(&buf, &minhash.Default)
+	if s := db.built(); s != nil {
+		buf.Grow(s.Bytes() + 4*len(db.Entries)*(minhash.Default.K()+minhash.Default.Bands) + 4096)
+		_, err = s.WriteLSH(&buf, &minhash.Default)
 	} else {
-		db.memoFeatures(len(db.Entries))
-		_, err = db.writeIndex(&buf, &minhash.Default, db.feats, nil)
+		_, err = db.writeIndex(&buf, &minhash.Default, nil)
 	}
 	if err != nil {
 		return nil, err
@@ -400,19 +282,6 @@ func (db *DB) Decomposed(k int) ([]*core.Decomposed, error) {
 		out[i] = d
 	}
 	return out, nil
-}
-
-// features returns the per-entry prefilter feature sets, aligned with
-// Entries: it joins the featuriser in flight and memoizes whatever it
-// left uncovered, so every entry's set is computed (or viewed) once.
-// A slice it returned stays valid as the database grows: the memo only
-// ever appends.
-func (db *DB) features() [][]uint64 {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	db.feed(db.joinFeaturiser())
-	db.memoFeatures(len(db.Entries))
-	return db.feats
 }
 
 // Hit is one search result.
@@ -477,10 +346,10 @@ type SaveOptions struct {
 // columnar format: fixed-width column arrays behind a section directory,
 // loadable via mmap with no whole-file deserialization (see
 // internal/idxfile). A whole-corpus save of a database built by AddImage
-// only writes the file AddImage fed as it went; any other streams the
-// entries through a builder of its own, so converting a store-backed
-// database never materializes the corpus. Both write the same bytes. A
-// shard out of range is refused before anything is written.
+// only writes the file its Stream was fed as it went; any other streams
+// the entries through a Stream of its own (writeIndex), so converting a
+// store-backed database never materializes the corpus. Both write the
+// same bytes. A shard out of range is refused before anything is written.
 func (db *DB) Save(w io.Writer, o SaveOptions) error {
 	if o.Shards < 0 {
 		return fmt.Errorf("index: shard count %d, want >= 1", o.Shards)
@@ -490,20 +359,18 @@ func (db *DB) Save(w io.Writer, o SaveOptions) error {
 	}
 	t := db.Tel.StartTimer(telemetry.IndexSaveLatency)
 	defer t.Stop()
+	db.mu.Lock()
+	s := db.built()
+	db.mu.Unlock()
 	var n int64
 	var err error
-	if o.Shards <= 1 {
-		db.mu.Lock()
-		db.feed(db.joinFeaturiser())
-		b := db.built()
-		db.mu.Unlock()
-		if b != nil {
-			n, err = b.WriteLSH(w, o.LSH)
-		} else {
-			n, err = db.writeIndex(w, o.LSH, db.features(), nil)
-		}
-	} else {
-		n, err = db.writeIndex(w, o.LSH, db.features(), func(e *Entry) bool { return ShardOf(e.Exe, e.Name, o.Shards) == o.Shard })
+	switch {
+	case o.Shards > 1:
+		n, err = db.writeIndex(w, o.LSH, func(e *Entry) bool { return ShardOf(e.Exe, e.Name, o.Shards) == o.Shard })
+	case s != nil:
+		n, err = s.WriteLSH(w, o.LSH)
+	default:
+		n, err = db.writeIndex(w, o.LSH, nil)
 	}
 	db.Tel.Add(telemetry.IndexBytesWritten, uint64(n))
 	return err
@@ -517,39 +384,21 @@ func (db *DB) SaveV3LSH(w io.Writer, p minhash.Params) error {
 }
 
 // writeIndex streams the entries keep admits — all of them when it is nil
-// — through a builder of its own into w, with feats, the entries' feature
-// sets, packing them on another goroutine a bounded number of functions
-// ahead of appending them, as AddImage's featuriser does; a store-backed
-// database is decoded that many functions at a time, never whole.
-func (db *DB) writeIndex(w io.Writer, lsh *minhash.Params, feats [][]uint64, keep func(*Entry) bool) (int64, error) {
-	type packed struct {
-		p   idxfile.Packed
-		err error
-	}
-	ch := make(chan packed, 256)
-	go func() {
-		defer close(ch)
-		var pk idxfile.Packer
-		for i, e := range db.Entries {
-			if keep != nil && !keep(e) {
-				continue
-			}
-			fn, err := e.Decode()
-			if err != nil {
-				ch <- packed{err: fmt.Errorf("index: entry %d has no function to serialize: %w", i, err)}
-				return
-			}
-			ch <- packed{p: pk.Pack(idxfile.Item{Exe: e.Exe, Fn: fn, Truth: e.Truth, Feats: feats[i]})}
+// — through a Stream of its own into w, streamBatch entries at a time.
+func (db *DB) writeIndex(w io.Writer, lsh *minhash.Params, keep func(*Entry) bool) (int64, error) {
+	s := NewStream()
+	batch := make([]Entry, 0, streamBatch)
+	for _, e := range db.Entries {
+		if keep != nil && !keep(e) {
+			continue
 		}
-	}()
-	b := idxfile.NewBuilder()
-	for it := range ch {
-		if it.err != nil {
-			return 0, it.err
+		if batch = append(batch, *e); len(batch) == streamBatch {
+			s.add(batch)
+			batch = make([]Entry, 0, streamBatch)
 		}
-		b.Append(&it.p)
 	}
-	return b.WriteLSH(w, lsh)
+	s.add(batch)
+	return s.WriteLSH(w, lsh)
 }
 
 // Load restores a database written by Save, read fully into memory —

@@ -130,7 +130,7 @@ func (x *mapLSH) ranked(query []uint64, limit int) []Ranked {
 // list — under the default 64x1 banding and under two-row bands.
 func TestLSHRankedParity(t *testing.T) {
 	db := campaignDB(t, 192)
-	feats := db.features()
+	feats := serialFeatures(t, db)
 	for _, p := range []minhash.Params{minhash.Default, {Bands: 32, Rows: 2, Seed: minhash.DefaultSeed}} {
 		data := savedLSH(t, db, p)
 		persisted, err := idxfile.Parse(data)
@@ -182,7 +182,7 @@ func TestLSHShuffledTableIsSafe(t *testing.T) {
 		rng.Shuffle(n, func(i, j int) { run[i], run[j] = run[j], run[i] })
 	}
 	x := newLSHIndex(f.LSHParams(), f.LSHSigs(), n, table)
-	for i, query := range db.features() {
+	for i, query := range serialFeatures(t, db) {
 		seen := make(map[int32]bool)
 		ranked := x.ranked(context.Background(), query, n+1, nil)
 		for _, r := range ranked {
@@ -268,7 +268,7 @@ func BenchmarkLSHBuild(b *testing.B) {
 	p := minhash.Default
 	const n = 4032
 	db := campaignDB(b, n)
-	feats := db.features()
+	feats := serialFeatures(b, db)
 	sigs := make([]uint32, len(feats)*p.K())
 	for i, fs := range feats {
 		minhash.Signature(sigs[i*p.K():(i+1)*p.K()], fs, p)

@@ -247,7 +247,7 @@ func TestLSHDeterministicAcrossBackends(t *testing.T) {
 	if p != minhash.Default {
 		t.Fatalf("persisted params %+v, want %+v", p, minhash.Default)
 	}
-	feats := db.features()
+	feats := serialFeatures(t, db)
 	for i, fs := range feats {
 		want := minhash.Signature(nil, fs, p)
 		if !reflect.DeepEqual(db2.Store().LSHSig(i), want) {

@@ -8,18 +8,31 @@ import (
 	"repro/internal/minhash"
 )
 
-// BenchmarkSave measures the write side: Save with lsh of 4032 in-memory
-// functions, everything a save emits. Allocated bytes
-// per op show what the builder's columns cost to grow.
+// BenchmarkSave measures the write side over 4032 in-memory functions:
+// "whole" is Save with lsh of a database AddImage built, which only writes
+// the file its stream was fed; "2 shards" saves both shards of a 2-way
+// split with lsh, each streaming its entries through a stream of its own
+// that featurises and packs them anew. Allocated bytes per op show what
+// the builder's columns cost to grow.
 func BenchmarkSave(b *testing.B) {
 	db := campaignDB(b, 4032)
-	db.features() // computed once per database, not per save
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := db.Save(io.Discard, SaveOptions{LSH: &minhash.Default}); err != nil {
-			b.Fatal(err)
-		}
+	for _, bc := range []struct {
+		name  string
+		saves []SaveOptions
+	}{
+		{"whole", []SaveOptions{{LSH: &minhash.Default}}},
+		{"2 shards", []SaveOptions{{Shard: 0, Shards: 2, LSH: &minhash.Default}, {Shard: 1, Shards: 2, LSH: &minhash.Default}}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, o := range bc.saves {
+					if err := db.Save(io.Discard, o); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
 	}
 }
 

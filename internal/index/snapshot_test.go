@@ -224,7 +224,8 @@ func TestLoadForeignFileError(t *testing.T) {
 }
 
 // TestBuildSnapshotIsLazy: BuildSnapshot over a store-backed database
-// builds neither candidate index and decodes nothing; the first lsh query
+// builds neither candidate index, writes no index file of its own (which
+// would featurise every entry) and decodes nothing; the first lsh query
 // adopts the file's band table and still leaves the inverted feature
 // index unbuilt, which the first scan-mode ranking then builds. A
 // database that grew after the snapshot was taken does not reach into it.
@@ -235,8 +236,8 @@ func TestBuildSnapshotIsLazy(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap := BuildSnapshot(db, []int{3}, 2)
-	if snap.fidx != nil || snap.lsh != nil || db.feats != nil {
-		t.Fatal("BuildSnapshot built a candidate index or walked the feature sets")
+	if snap.fidx != nil || snap.lsh != nil || db.sealed != nil {
+		t.Fatal("BuildSnapshot built a candidate index or sealed the entries into a file of its own")
 	}
 	for _, e := range db.Entries {
 		if Memoized(e) {

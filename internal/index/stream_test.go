@@ -16,7 +16,6 @@ import (
 func streamed(db *DB) bool {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	db.feed(db.joinFeaturiser())
 	return db.built() != nil
 }
 
@@ -27,7 +26,7 @@ func fedBytes(db *DB, o SaveOptions) ([]byte, error) {
 		keep = func(e *Entry) bool { return ShardOf(e.Exe, e.Name, o.Shards) == o.Shard }
 	}
 	var buf bytes.Buffer
-	_, err := db.writeIndex(&buf, o.LSH, db.features(), keep)
+	_, err := db.writeIndex(&buf, o.LSH, keep)
 	return buf.Bytes(), err
 }
 
