@@ -3,7 +3,11 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"fmt"
+	"maps"
 	"net/http"
+	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -435,6 +439,73 @@ func TestParseFleetGroups(t *testing.T) {
 			if got[i][j] != want[i][j] {
 				t.Errorf("group %d replica %d = %q, want %q", i, j, got[i][j], want[i][j])
 			}
+		}
+	}
+}
+
+// TestFleetInfoSeriesStates pins the fleet_replica_info and
+// fleet_shard_info series in every state the membership view produces:
+// a skewed straggler, an unreachable replica (keeping its last-known
+// format and mapping), and a group that is degraded, then down.
+func TestFleetInfoSeriesStates(t *testing.T) {
+	db, _ := smallDB(t)
+	coord, workers := startReplicatedFleet(t, db, 2, 2, Config{CacheEntries: -1, ProbeInterval: time.Hour})
+	sdbs := shardDBs(t, db, 2)
+	tel := coord.Tel()
+	replica := func(shard, idx int) map[string]string {
+		return tel.InfoLabels("fleet_replica_info", fmt.Sprintf("%d/%d", shard, idx))
+	}
+	shard := func(id int) map[string]string { return tel.InfoLabels("fleet_shard_info", strconv.Itoa(id)) }
+	check := func(what string, got, want map[string]string) {
+		t.Helper()
+		if !maps.Equal(got, want) {
+			t.Errorf("%s series = %v, want %v", what, got, want)
+		}
+	}
+	with := func(labels map[string]string, kv ...string) map[string]string {
+		out := maps.Clone(labels)
+		for i := 0; i < len(kv); i += 2 {
+			out[kv[i]] = kv[i+1]
+		}
+		return out
+	}
+
+	coord.backend.Health(context.Background())
+	healthy := replica(0, 0)
+	if healthy["status"] != "ok" || healthy["generation"] != "1" || healthy["format"] == "" || healthy["mapped"] == "" {
+		t.Fatalf("healthy replica series = %v", healthy)
+	}
+	check("healthy shard 0", shard(0), map[string]string{"shard": "0", "status": "ok", "generation": "1", "replicas": "2", "live": "2"})
+
+	// Replica (1,1) moves to generation 2; the tie breaks to the newest,
+	// so (1,0) is the skewed straggler and the group serves generation 2.
+	straggler := replica(1, 0)
+	workers[1][1].install(sdbs[1], time.Now())
+	coord.backend.Health(context.Background())
+	check("skewed replica 1/0", replica(1, 0), with(straggler, "status", "skewed"))
+	check("shard 1 with a straggler", shard(1), map[string]string{"shard": "1", "status": "ok", "generation": "2", "replicas": "2", "live": "2"})
+
+	killWorker(t, workers[0][0])
+	coord.backend.Health(context.Background())
+	check("unreachable replica 0/0", replica(0, 0), with(healthy, "status", "unreachable"))
+	check("degraded shard 0", shard(0), map[string]string{"shard": "0", "status": "degraded", "generation": "1", "replicas": "2", "live": "1"})
+
+	killWorker(t, workers[0][1])
+	coord.backend.Health(context.Background())
+	check("down shard 0", shard(0), map[string]string{"shard": "0", "status": "down", "generation": "1", "replicas": "2", "live": "0"})
+
+	rec := httptest.NewRecorder()
+	coord.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	if err := telemetry.ValidateExposition(rec.Body.Bytes()); err != nil {
+		t.Fatalf("/metrics: %v", err)
+	}
+	for _, series := range []string{
+		`tracy_fleet_shard_info{generation="1",live="0",replicas="2",shard="0",status="down"} 1`,
+		fmt.Sprintf(`tracy_fleet_replica_info{addr=%q,format=%q,generation="1",mapped=%q,replica="0",shard="0",status="unreachable"} 1`,
+			healthy["addr"], healthy["format"], healthy["mapped"]),
+	} {
+		if !strings.Contains(rec.Body.String(), series) {
+			t.Errorf("/metrics lacks %s", series)
 		}
 	}
 }

@@ -2,8 +2,11 @@ package telemetry
 
 import (
 	"bytes"
+	"flag"
 	"fmt"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -201,5 +204,106 @@ func TestWritePrometheusInfoFamily(t *testing.T) {
 		if n := strings.Count(out, hdr); n != 1 {
 			t.Errorf("%d %q lines, want 1:\n%s", n, hdr, out)
 		}
+	}
+}
+
+var updateMetrics = flag.Bool("update", false, "rewrite testdata/metrics_golden.txt from the current exposition")
+
+// goldenCollector is one fixed collector state: counters, an info
+// family, and histograms with an observation in the first bucket, in a
+// middle bucket and in the catch-all bucket.
+func goldenCollector() *Collector {
+	c := New()
+	c.Inc(Queries)
+	c.Add(ServerRequests, 41)
+	c.Add(PairsCompared, 1<<40)
+	c.SetInfo("index_info", "", map[string]string{"format": "4", "mapped": "true"})
+	c.SetInfo("fleet_shard_info", "1", map[string]string{"shard": "1", "status": "down"})
+	c.SetInfo("fleet_shard_info", "0", map[string]string{"shard": "0", "status": "ok"})
+	c.Observe(QueryLatency, 50*time.Nanosecond)
+	c.Observe(QueryLatency, 3*time.Millisecond)
+	c.ObserveValue(QueryLatency, 1<<42)
+	c.Observe(ServerLatency, 1500*time.Microsecond)
+	c.ObserveValue(LSHBucketOccupancy, 7)
+	c.ObserveValue(LSHBucketOccupancy, 300)
+	return c
+}
+
+// TestWritePrometheusGolden pins the /metrics exposition of one collector
+// state byte for byte (the uptime sample aside), and holds it to the
+// /statsz snapshot of the same state: every counter, and every
+// histogram's _count and _sum, reads what the snapshot reports, and each
+// +Inf bucket equals its _count.
+func TestWritePrometheusGolden(t *testing.T) {
+	c := goldenCollector()
+	var buf bytes.Buffer
+	if err := c.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := ValidateExposition(buf.Bytes()); err != nil {
+		t.Fatalf("exposition rejected: %v", err)
+	}
+	var kept []string
+	for _, line := range strings.SplitAfter(buf.String(), "\n") {
+		if !strings.HasPrefix(line, "tracy_uptime_seconds ") {
+			kept = append(kept, line)
+		}
+	}
+	got := strings.Join(kept, "")
+	path := filepath.Join("testdata", "metrics_golden.txt")
+	if *updateMetrics {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create it)", err)
+	}
+	if got != string(want) {
+		t.Errorf("exposition differs from %s:\n%s", path, got)
+	}
+
+	snap := c.Snapshot()
+	samples := map[string]float64{}
+	for _, line := range strings.Split(got, "\n") {
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		name, labels, v, err := parseSample(line)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if le, ok := labels["le"]; ok {
+			if le != "+Inf" {
+				continue
+			}
+			name += "{+Inf}"
+		}
+		samples[name] = v
+	}
+	for name, v := range snap.Counters {
+		if got := samples["tracy_"+name+"_total"]; got != float64(v) {
+			t.Errorf("counter %s: /metrics %v, /statsz %d", name, got, v)
+		}
+	}
+	for name, hs := range snap.Histograms {
+		full := "tracy_" + strings.TrimSuffix(name, "_latency") + "_latency_seconds"
+		if got := samples[full+"_count"]; got != float64(hs.Count) {
+			t.Errorf("%s_count %v, /statsz count %d", full, got, hs.Count)
+		}
+		if got := samples[full+"_bucket{+Inf}"]; got != float64(hs.Count) {
+			t.Errorf("%s +Inf bucket %v, /statsz count %d", full, got, hs.Count)
+		}
+		if got, want := samples[full+"_sum"], float64(hs.SumNS)/1e9; got != want {
+			t.Errorf("%s_sum %v, /statsz sum %v s", full, got, want)
+		}
+	}
+	if qs := snap.Histograms[QueryLatency.String()]; qs.Count != 3 || len(qs.Buckets) != 3 ||
+		qs.Buckets[0].UpperNS != BucketUpperNS(0) || qs.Buckets[2].UpperNS != BucketUpperNS(numBuckets-1) {
+		t.Errorf("query_latency does not span the first, a middle and the catch-all bucket: %+v", qs)
 	}
 }
