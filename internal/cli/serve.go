@@ -73,9 +73,6 @@ func (c *env) serve(args []string) error {
 		ProbeInterval:      *probeInterval,
 	}
 	if *fleet != "" {
-		if *degraded {
-			return fmt.Errorf("serve: -degraded cannot combine with -fleet (a coordinator degrades by merging the surviving shards)")
-		}
 		for _, entry := range strings.Split(*fleet, ",") {
 			if entry = strings.TrimSpace(entry); entry == "" {
 				continue

@@ -51,3 +51,12 @@ func TestServeRejectsBadFaultSpec(t *testing.T) {
 		t.Errorf("unknown fault mode should be named in the error: %v", err)
 	}
 }
+
+func TestServeRefusesDegradedCoordinator(t *testing.T) {
+	// server.New refuses the pair before anything binds.
+	_, err := run(t, "serve", "-fleet", "http://127.0.0.1:1", "-degraded", "-addr", "127.0.0.1:0")
+	const want = "serve: -degraded cannot combine with -fleet (a coordinator degrades by merging the surviving shards)"
+	if err == nil || err.Error() != want {
+		t.Fatalf("serve -fleet -degraded: %v, want %q", err, want)
+	}
+}

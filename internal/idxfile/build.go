@@ -505,22 +505,3 @@ func writeSections(w io.Writer, secs []section, nfuncs int) (int64, error) {
 	}
 	return n, bw.Flush()
 }
-
-// Write encodes a whole corpus in one call: metadata-carrying functions
-// with optional per-function feature sets (feats may be nil or aligned
-// with fns).
-func Write(w io.Writer, exes []string, fns []*prep.Function, truths []string, feats [][]uint64) (int64, error) {
-	b := NewBuilder()
-	for i, fn := range fns {
-		var fs []uint64
-		if feats != nil {
-			fs = feats[i]
-		}
-		truth := ""
-		if truths != nil {
-			truth = truths[i]
-		}
-		b.Add(exes[i], fn, truth, fs)
-	}
-	return b.WriteTo(w)
-}

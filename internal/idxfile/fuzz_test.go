@@ -28,9 +28,8 @@ import (
 func FuzzIdxfileLoad(f *testing.F) {
 	// A genuine file as the prime seed so the fuzzer mutates real section
 	// structure instead of rediscovering the magic.
-	exes, fns, truths, feats := handFuncs()
 	var saved bytes.Buffer
-	if _, err := Write(&saved, exes, fns, truths, feats); err != nil {
+	if _, err := handBuilder().WriteTo(&saved); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(saved.Bytes())
@@ -158,9 +157,8 @@ func FuzzIdxfileLoad(f *testing.F) {
 // compares and is Verify's to refuse.
 func packFuzzSeeds(tb testing.TB) map[string][]byte {
 	tb.Helper()
-	exes, fns, truths, feats := handFuncs()
 	var buf bytes.Buffer
-	if _, err := Write(&buf, exes, fns, truths, feats); err != nil {
+	if _, err := handBuilder().WriteTo(&buf); err != nil {
 		tb.Fatal(err)
 	}
 	valid := buf.Bytes()
@@ -226,9 +224,8 @@ func lshFuzzSeeds(tb testing.TB) map[string][]byte {
 // seeds exist.
 func TestRegenerateFuzzSeeds(t *testing.T) {
 	dir := filepath.Join("testdata", "fuzz", "FuzzIdxfileLoad")
-	exes, fns, truths, feats := handFuncs()
 	var valid bytes.Buffer
-	if _, err := Write(&valid, exes, fns, truths, feats); err != nil {
+	if _, err := handBuilder().WriteTo(&valid); err != nil {
 		t.Fatal(err)
 	}
 	var empty bytes.Buffer

@@ -78,11 +78,20 @@ func handFuncs() (exes []string, fns []*prep.Function, truths []string, feats []
 	return
 }
 
+// handBuilder is a Builder holding handFuncs.
+func handBuilder() *Builder {
+	b := NewBuilder()
+	exes, fns, truths, feats := handFuncs()
+	for i, fn := range fns {
+		b.Add(exes[i], fn, truths[i], feats[i])
+	}
+	return b
+}
+
 func buildFile(t *testing.T) []byte {
 	t.Helper()
-	exes, fns, truths, feats := handFuncs()
 	var buf bytes.Buffer
-	n, err := Write(&buf, exes, fns, truths, feats)
+	n, err := handBuilder().WriteTo(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}

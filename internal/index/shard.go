@@ -10,12 +10,13 @@ import (
 )
 
 // ShardOf maps an indexed function to its shard in an n-way fleet:
-// FNV-1a over the (exe, name) identity, reduced mod n. The identity —
-// not the address or position — is hashed so that re-indexing,
-// reordering, or appending to the corpus never migrates an existing
-// function between shards, and so the coordinator can route
-// by-reference queries without consulting a placement table. n <= 1
-// collapses to a single shard.
+// FNV-1a over the (exe, name) identity, reduced mod n. A shard save
+// (SaveOptions.Shard, tracy shard) keeps exactly the entries it maps to
+// that shard. The identity — not the address or position — is hashed so
+// that re-indexing, reordering, or appending to the corpus never
+// migrates an existing function between shards. The coordinator does
+// not route by it: a by-reference query is looked up on every replica.
+// n <= 1 collapses to a single shard.
 func ShardOf(exe, name string, n int) int {
 	if n <= 1 {
 		return 0

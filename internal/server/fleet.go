@@ -11,6 +11,7 @@ import (
 	"hash/fnv"
 	"net/http"
 	"net/url"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -327,16 +328,21 @@ func (f *fleetBackend) probePass(forced bool) {
 	if len(due) == 0 {
 		return
 	}
+	each(len(due), func(i int) { f.probeOne(due[i]) })
+	f.publishInfo()
+}
+
+// each runs f(0), ..., f(n-1) concurrently and returns when all have.
+func each(n int, f func(i int)) {
 	var wg sync.WaitGroup
-	for _, r := range due {
-		wg.Add(1)
-		go func(r *replica) {
+	wg.Add(n)
+	for i := 0; i < n; i++ {
+		go func() {
 			defer wg.Done()
-			f.probeOne(r)
-		}(r)
+			f(i)
+		}()
 	}
 	wg.Wait()
-	f.publishInfo()
 }
 
 // probeOne runs one healthz probe and applies its verdict: failure
@@ -457,6 +463,26 @@ func servingGen(states []replicaState) uint64 {
 	return gen
 }
 
+// groupView is one pass over a group's replicas: each one's locked
+// state, how many are up, and the group's serving generation.
+type groupView struct {
+	states []replicaState
+	live   int
+	gen    uint64
+}
+
+func (g *shardGroup) walk() groupView {
+	v := groupView{states: make([]replicaState, len(g.replicas))}
+	for i, r := range g.replicas {
+		v.states[i] = r.state()
+		if v.states[i].up {
+			v.live++
+		}
+	}
+	v.gen = servingGen(v.states)
+	return v
+}
+
 // view assembles the aggregated fleet HealthResponse from the current
 // membership state: one Fleet entry per replica, per-group serving
 // generations, skew flags, and the combined status.
@@ -466,25 +492,18 @@ func (f *fleetBackend) view() *HealthResponse {
 	hash := fnv.New64a()
 	var buf [8]byte
 	for _, g := range f.groups {
-		states := make([]replicaState, len(g.replicas))
-		for i, r := range g.replicas {
-			states[i] = r.state()
-		}
-		gen := servingGen(states)
-		groupLive := 0
+		gv := g.walk()
 		var serving *replicaState
-		for i := range states {
-			st := &states[i]
+		for i := range gv.states {
+			st := &gv.states[i]
 			r := g.replicas[i]
 			sh := ShardHealth{Shard: g.id, Replica: r.idx, Addr: r.addr, Generation: st.gen}
 			if st.up {
-				groupLive++
-				liveReplicas++
 				sh.Status = st.hr.Status
 				sh.Functions = st.hr.Functions
 				sh.IndexFormat = st.hr.IndexFormat
 				sh.IndexMapped = st.hr.IndexMapped
-				if st.gen != gen {
+				if st.gen != gv.gen {
 					sh.Skewed = true
 					impaired = true
 				} else if serving == nil {
@@ -500,7 +519,8 @@ func (f *fleetBackend) view() *HealthResponse {
 			}
 			agg.Fleet = append(agg.Fleet, sh)
 		}
-		if groupLive > 0 {
+		liveReplicas += gv.live
+		if gv.live > 0 {
 			liveGroups++
 		}
 		if serving != nil {
@@ -523,7 +543,7 @@ func (f *fleetBackend) view() *HealthResponse {
 			_, _ = hash.Write([]byte(r.addr))
 			_, _ = hash.Write([]byte{0})
 		}
-		binary.LittleEndian.PutUint64(buf[:], gen)
+		binary.LittleEndian.PutUint64(buf[:], gv.gen)
 		_, _ = hash.Write(buf[:])
 	}
 	switch {
@@ -544,19 +564,13 @@ func (f *fleetBackend) view() *HealthResponse {
 // size while the hot fleet counters stay label-free.
 func (f *fleetBackend) publishInfo() {
 	for _, g := range f.groups {
-		states := make([]replicaState, len(g.replicas))
-		for i, r := range g.replicas {
-			states[i] = r.state()
-		}
-		gen := servingGen(states)
-		live := 0
-		for i, st := range states {
+		gv := g.walk()
+		for i, st := range gv.states {
 			r := g.replicas[i]
 			status := "unreachable"
 			if st.up {
-				live++
 				status = st.hr.Status
-				if st.gen != gen {
+				if st.gen != gv.gen {
 					status = "skewed"
 				}
 			}
@@ -572,17 +586,17 @@ func (f *fleetBackend) publishInfo() {
 		}
 		gstatus := "down"
 		switch {
-		case live == len(g.replicas):
+		case gv.live == len(g.replicas):
 			gstatus = "ok"
-		case live > 0:
+		case gv.live > 0:
 			gstatus = "degraded"
 		}
 		f.s.tel.SetInfo("fleet_shard_info", strconv.Itoa(g.id), map[string]string{
 			"shard":      strconv.Itoa(g.id),
 			"status":     gstatus,
-			"generation": strconv.FormatUint(gen, 10),
+			"generation": strconv.FormatUint(gv.gen, 10),
 			"replicas":   strconv.Itoa(len(g.replicas)),
-			"live":       strconv.Itoa(live),
+			"live":       strconv.Itoa(gv.live),
 		})
 	}
 }
@@ -610,21 +624,17 @@ func (f *fleetBackend) Health(ctx context.Context) *HealthResponse {
 // single most-probable down replica as a last-resort best effort
 // (its breaker fast-fails if it is truly gone).
 func (f *fleetBackend) groupOrder(g *shardGroup) []*replica {
-	states := make([]replicaState, len(g.replicas))
-	for i, r := range g.replicas {
-		states[i] = r.state()
-	}
-	gen := servingGen(states)
+	gv := g.walk()
 	var primary, skewed []*replica
-	var down []*replica
-	for i, st := range states {
+	best := -1 // the down replica probed next
+	for i, st := range gv.states {
 		switch {
-		case st.up && st.gen == gen:
+		case st.up && st.gen == gv.gen:
 			primary = append(primary, g.replicas[i])
 		case st.up:
 			skewed = append(skewed, g.replicas[i])
-		default:
-			down = append(down, g.replicas[i])
+		case best < 0 || st.nextProbe.Before(gv.states[best].nextProbe):
+			best = i
 		}
 	}
 	if n := len(primary); n > 1 {
@@ -632,30 +642,20 @@ func (f *fleetBackend) groupOrder(g *shardGroup) []*replica {
 		primary = append(primary[rot:], primary[:rot]...)
 	}
 	order := append(primary, skewed...)
-	if len(order) == 0 && len(down) > 0 {
-		best := down[0]
-		for _, r := range down[1:] {
-			if r.state().nextProbe.Before(best.state().nextProbe) {
-				best = r
-			}
-		}
-		order = append(order, best)
+	if len(order) == 0 && best >= 0 {
+		order = append(order, g.replicas[best])
 	}
 	return order
 }
 
-// groupCall runs call against one shard group under the failover/hedge
+// groupCall answers call from one shard group under the failover/hedge
 // race: the preferred replica first, siblings on failure, an optional
 // hedged leg after hedge. Membership feedback is applied to every leg's
-// outcome. Returns the winning value, the leg order, and the race
-// outcome (per-leg errors for reporting).
+// outcome. When no replica answers, the group's failure is returned
+// instead of a value.
 func groupCall[T any](f *fleetBackend, ctx context.Context, g *shardGroup, hedge time.Duration,
-	call func(context.Context, *replica) (T, error)) (T, []*replica, rpc.RaceOutcome) {
+	call func(context.Context, *replica) (T, error)) (T, *groupError) {
 	order := f.groupOrder(g)
-	if len(order) == 0 {
-		var zero T
-		return zero, nil, rpc.RaceOutcome{Winner: -1, Errs: []error{errors.New("no replica configured")}}
-	}
 	legs := make([]func(context.Context) (T, error), len(order))
 	for i, r := range order {
 		legs[i] = func(lctx context.Context) (T, error) {
@@ -666,35 +666,60 @@ func groupCall[T any](f *fleetBackend, ctx context.Context, g *shardGroup, hedge
 	}
 	onHedge := func() { f.s.tel.Inc(telemetry.FleetHedges) }
 	v, out := rpc.FailoverRace(ctx, hedge, onHedge, legs...)
-	if out.Winner >= 0 {
-		if out.Failovers > 0 {
-			f.s.tel.Inc(telemetry.FleetFailovers)
+	if out.Winner < 0 {
+		ge := &groupError{shard: g.id}
+		for i, err := range out.Errs {
+			if err == nil {
+				continue
+			}
+			r := order[i]
+			ge.legs = append(ge.legs, ReplicaError{Shard: r.shard, Replica: r.idx, Addr: r.addr, Error: err.Error()})
+			if ge.apiErr == nil {
+				errors.As(err, &ge.apiErr)
+			}
 		}
-		if out.HedgeWon {
-			f.s.tel.Inc(telemetry.FleetHedgesWon)
-		}
+		return v, ge
 	}
-	return v, order, out
+	if out.Failovers > 0 {
+		f.s.tel.Inc(telemetry.FleetFailovers)
+	}
+	if out.HedgeWon {
+		f.s.tel.Inc(telemetry.FleetHedgesWon)
+	}
+	return v, nil
 }
 
-// groupErr renders a failed group's per-replica errors for degraded
-// reasons and the structured 502 body.
-func groupErr(order []*replica, out rpc.RaceOutcome) string {
-	var parts []string
-	for i, err := range out.Errs {
-		if err == nil {
-			continue
-		}
-		if i < len(order) {
-			parts = append(parts, fmt.Sprintf("replica %d (%s): %v", order[i].idx, order[i].addr, err))
-		} else {
-			parts = append(parts, err.Error())
-		}
+// groupError is a shard group none of whose replicas answered: the
+// failure of every leg the race launched, in leg order, and the first
+// of them that was a worker's API error.
+type groupError struct {
+	shard  int
+	legs   []ReplicaError
+	apiErr *rpc.APIError
+}
+
+// Error renders the per-replica failures for degraded reasons and the
+// 502 message.
+func (e *groupError) Error() string {
+	if len(e.legs) == 0 {
+		return "no replica answered"
 	}
-	if len(parts) == 0 {
-		parts = append(parts, "no replica answered")
+	parts := make([]string, len(e.legs))
+	for i, l := range e.legs {
+		parts[i] = fmt.Sprintf("replica %d (%s): %s", l.Replica, l.Addr, l.Error)
 	}
 	return strings.Join(parts, "; ")
+}
+
+// leg runs one RPC against one replica under the shard deadline.
+func leg[T any](ctx context.Context, r *replica, method, path string, body any) (*T, error) {
+	ctx, cancel := context.WithTimeout(ctx, defaultShardTimeout)
+	defer cancel()
+	var v T
+	if err := r.conn.Do(ctx, method, path, body, &v); err != nil {
+		return nil, err
+	}
+	return &v, nil
 }
 
 // ---- wire helpers ---------------------------------------------------
@@ -783,11 +808,6 @@ func (f *fleetBackend) lookupFunction(ctx context.Context, exe, name string) (*p
 // generation, so any worker reload invalidates coordinator-side entries
 // while a mere replica outage does not.
 func (f *fleetBackend) begin(ctx context.Context, p *searchPlan) error {
-	if p.degraded {
-		// The coordinator's graceful-degradation story is the partial merge,
-		// not prefilter-only ranking (it has no corpus to rank against).
-		return errf(http.StatusServiceUnavailable, "coordinator cannot serve degraded answers")
-	}
 	f.s.tel.Inc(telemetry.FleetSearches)
 	p.gen = f.generation(ctx)
 	return nil
@@ -815,18 +835,8 @@ func (f *fleetBackend) adopt(p *searchPlan, fn *prep.Function) error {
 	return nil
 }
 
-// shardResult is one gathered per-group partial.
-type shardResult struct {
-	id    int
-	resp  *SearchResponse
-	order []*replica
-	out   rpc.RaceOutcome
-	err   error
-}
-
-// searchReplica runs one scatter leg against one replica under its own
-// deadline, firing the chaos points FaultShard, "shard<i>" and
-// "shard<i>r<j>" first.
+// searchReplica runs one scatter leg against one replica, firing the
+// chaos points FaultShard, "shard<i>" and "shard<i>r<j>" first.
 func (f *fleetBackend) searchReplica(ctx context.Context, r *replica, req *SearchRequest) (*SearchResponse, error) {
 	if err := f.s.faults.Fire(ctx, FaultShard); err != nil {
 		return nil, err
@@ -837,59 +847,29 @@ func (f *fleetBackend) searchReplica(ctx context.Context, r *replica, req *Searc
 	if err := f.s.faults.Fire(ctx, fmt.Sprintf("%s%dr%d", FaultShard, r.shard, r.idx)); err != nil {
 		return nil, err
 	}
-	sctx, cancel := context.WithTimeout(ctx, defaultShardTimeout)
-	defer cancel()
 	st := f.s.tel.StartTimer(telemetry.FleetShardLatency)
 	defer st.Stop()
-	var resp SearchResponse
-	if err := r.conn.Do(sctx, http.MethodPost, "/v1/search", req, &resp); err != nil {
-		return nil, err
-	}
-	return &resp, nil
-}
-
-// searchGroup answers one shard's scatter leg through the replica
-// failover/hedge race.
-func (f *fleetBackend) searchGroup(ctx context.Context, g *shardGroup, req *SearchRequest) shardResult {
-	resp, order, out := groupCall(f, ctx, g, f.hedge, func(lctx context.Context, r *replica) (*SearchResponse, error) {
-		return f.searchReplica(lctx, r, req)
-	})
-	res := shardResult{id: g.id, order: order, out: out}
-	if out.Winner < 0 {
-		res.err = errors.New(groupErr(order, out))
-		return res
-	}
-	res.resp = resp
-	return res
+	return leg[SearchResponse](ctx, r, http.MethodPost, "/v1/search", req)
 }
 
 // fleetReplicaErrors assembles the structured per-replica error detail
 // for the all-shards-failed 502, plus a Retry-After derived from the
 // prober's next readmission probe (the earliest moment the fleet's
 // answer could change).
-func (f *fleetBackend) fleetReplicaErrors(results []shardResult) ([]ReplicaError, time.Duration) {
+func (f *fleetBackend) fleetReplicaErrors(failed []*groupError) ([]ReplicaError, time.Duration) {
 	now := time.Now()
 	var out []ReplicaError
 	retryAfter := time.Duration(0)
 	haveProbe := false
-	for _, res := range results {
-		seen := map[*replica]bool{}
-		for i, err := range res.out.Errs {
-			if err == nil || i >= len(res.order) {
-				continue
-			}
-			r := res.order[i]
-			seen[r] = true
-			out = append(out, ReplicaError{Shard: r.shard, Replica: r.idx, Addr: r.addr, Error: err.Error()})
-		}
+	for _, ge := range failed {
+		out = append(out, ge.legs...)
 		// Replicas the race never reached (down-gated siblings) still
 		// explain the failure: report their last known error.
-		for _, r := range f.groups[res.id].replicas {
-			if seen[r] {
-				continue
-			}
-			st := r.state()
-			if st.up && st.lastErr == "" {
+		g := f.groups[ge.shard]
+		for i, st := range g.walk().states {
+			r := g.replicas[i]
+			reached := slices.ContainsFunc(ge.legs, func(l ReplicaError) bool { return l.Replica == r.idx })
+			if reached || (st.up && st.lastErr == "") {
 				continue
 			}
 			re := ReplicaError{Shard: r.shard, Replica: r.idx, Addr: r.addr, Error: st.lastErr}
@@ -931,16 +911,13 @@ func (f *fleetBackend) search(ctx context.Context, p *searchPlan, req *SearchReq
 	// Scatter: every shard group races under its own deadline, each leg
 	// picking a healthy replica with failover/hedging inside the group.
 	ssp := sp.Child("scatter")
-	results := make([]shardResult, len(f.groups))
-	var wg sync.WaitGroup
-	for i, g := range f.groups {
-		wg.Add(1)
-		go func(i int, g *shardGroup) {
-			defer wg.Done()
-			results[i] = f.searchGroup(ctx, g, shardReq)
-		}(i, g)
-	}
-	wg.Wait()
+	results := make([]*SearchResponse, len(f.groups))
+	errs := make([]*groupError, len(f.groups))
+	each(len(f.groups), func(i int) {
+		results[i], errs[i] = groupCall(f, ctx, f.groups[i], f.hedge, func(lctx context.Context, r *replica) (*SearchResponse, error) {
+			return f.searchReplica(lctx, r, shardReq)
+		})
+	})
 	ssp.End()
 
 	// Gather: concatenate the partials and re-rank under the canonical
@@ -950,29 +927,28 @@ func (f *fleetBackend) search(ctx context.Context, p *searchPlan, req *SearchReq
 	mt := f.s.tel.StartTimer(telemetry.FleetMergeLatency)
 	var merged []index.Hit
 	var failed []string
+	var down []*groupError
 	var firstAPIErr *rpc.APIError
 	resp := &SearchResponse{K: p.k}
 	shardDegraded := false
-	for _, r := range results {
-		if r.err != nil {
+	for i, r := range results {
+		if ge := errs[i]; ge != nil {
 			f.s.tel.Inc(telemetry.FleetShardErrors)
-			failed = append(failed, fmt.Sprintf("shard %d: %v", r.id, r.err))
-			for _, legErr := range r.out.Errs {
-				var apiErr *rpc.APIError
-				if errors.As(legErr, &apiErr) && firstAPIErr == nil {
-					firstAPIErr = apiErr
-				}
+			failed = append(failed, fmt.Sprintf("shard %d: %v", ge.shard, ge))
+			down = append(down, ge)
+			if firstAPIErr == nil {
+				firstAPIErr = ge.apiErr
 			}
 			continue
 		}
-		resp.K = r.resp.K
-		resp.Candidates += r.resp.Candidates
-		resp.Prefiltered = resp.Prefiltered || r.resp.Prefiltered
-		if r.resp.PrefilterMode != "" {
-			resp.PrefilterMode = r.resp.PrefilterMode
+		resp.K = r.K
+		resp.Candidates += r.Candidates
+		resp.Prefiltered = resp.Prefiltered || r.Prefiltered
+		if r.PrefilterMode != "" {
+			resp.PrefilterMode = r.PrefilterMode
 		}
-		shardDegraded = shardDegraded || r.resp.Degraded
-		for _, h := range r.resp.Hits {
+		shardDegraded = shardDegraded || r.Degraded
+		for _, h := range r.Hits {
 			merged = append(merged, index.Hit{
 				Entry:  &index.Entry{Exe: h.Exe, Name: h.Name, Addr: h.Addr},
 				Result: coreResult(h),
@@ -993,7 +969,7 @@ func (f *fleetBackend) search(ctx context.Context, p *searchPlan, req *SearchReq
 		}
 		he := errf(http.StatusBadGateway, "fleet: all %d shards failed: %s",
 			len(f.groups), strings.Join(failed, "; "))
-		he.fleet, he.retryAfter = f.fleetReplicaErrors(results)
+		he.fleet, he.retryAfter = f.fleetReplicaErrors(down)
 		return nil, false, he
 	}
 	top := index.TopK(merged, p.limit, p.minScore)
@@ -1029,50 +1005,30 @@ func (f *fleetBackend) Functions(ctx context.Context, exe string, limit int) (*F
 	if len(q) > 0 {
 		path += "?" + q.Encode()
 	}
-	type fnRes struct {
-		resp *FunctionsResponse
-		err  error
-	}
-	results := make([]fnRes, len(f.groups))
-	var wg sync.WaitGroup
-	for i, g := range f.groups {
-		wg.Add(1)
-		go func(i int, g *shardGroup) {
-			defer wg.Done()
-			resp, order, out := groupCall(f, ctx, g, 0, func(lctx context.Context, r *replica) (*FunctionsResponse, error) {
-				sctx, cancel := context.WithTimeout(lctx, defaultShardTimeout)
-				defer cancel()
-				var fr FunctionsResponse
-				if err := r.conn.Do(sctx, http.MethodGet, path, nil, &fr); err != nil {
-					return nil, err
-				}
-				return &fr, nil
-			})
-			if out.Winner < 0 {
-				results[i] = fnRes{err: errors.New(groupErr(order, out))}
-				return
-			}
-			results[i] = fnRes{resp: resp}
-		}(i, g)
-	}
-	wg.Wait()
+	results := make([]*FunctionsResponse, len(f.groups))
+	errs := make([]*groupError, len(f.groups))
+	each(len(f.groups), func(i int) {
+		results[i], errs[i] = groupCall(f, ctx, f.groups[i], 0, func(lctx context.Context, r *replica) (*FunctionsResponse, error) {
+			return leg[FunctionsResponse](lctx, r, http.MethodGet, path, nil)
+		})
+	})
 	// Same degradation contract as search: merge the surviving shard
 	// groups and say so, fail only when nobody answers.
 	out := &FunctionsResponse{}
 	var firstErr error
 	live := 0
 	for i, r := range results {
-		if r.err != nil {
+		if ge := errs[i]; ge != nil {
 			f.s.tel.Inc(telemetry.FleetShardErrors)
 			if firstErr == nil {
-				firstErr = errf(http.StatusBadGateway, "fleet: shard %d: %v", i, r.err)
+				firstErr = errf(http.StatusBadGateway, "fleet: shard %d: %v", ge.shard, ge)
 			}
 			out.Degraded = true
 			continue
 		}
 		live++
-		out.Total += r.resp.Total
-		out.Functions = append(out.Functions, r.resp.Functions...)
+		out.Total += r.Total
+		out.Functions = append(out.Functions, r.Functions...)
 	}
 	if live == 0 {
 		return nil, firstErr
@@ -1093,42 +1049,28 @@ func (f *fleetBackend) Reload(ctx context.Context) (*ReloadResponse, error) {
 	t0 := time.Now()
 	// Reload stays strict across the whole fleet — every replica of
 	// every group must swap, or generations skew by our own hand.
-	type relRes struct {
-		r    *replica
-		resp *ReloadResponse
-		err  error
-	}
-	results := make([]relRes, len(f.all))
-	var wg sync.WaitGroup
-	for i, r := range f.all {
-		wg.Add(1)
-		go func(i int, r *replica) {
-			defer wg.Done()
-			sctx, cancel := context.WithTimeout(ctx, defaultShardTimeout)
-			defer cancel()
-			var rr ReloadResponse
-			err := r.conn.Do(sctx, http.MethodPost, "/v1/reload", nil, &rr)
-			f.observe(ctx, r, err)
-			results[i] = relRes{r: r, resp: &rr, err: err}
-		}(i, r)
-	}
-	wg.Wait()
+	results := make([]*ReloadResponse, len(f.all))
+	errs := make([]error, len(f.all))
+	each(len(f.all), func(i int) {
+		results[i], errs[i] = leg[ReloadResponse](ctx, f.all[i], http.MethodPost, "/v1/reload", nil)
+		f.observe(ctx, f.all[i], errs[i])
+	})
 	out := &ReloadResponse{}
 	seenGroup := map[int]bool{}
 	var mixedFormat, mixedMapped bool
-	for k, res := range results {
-		if res.err != nil {
-			return nil, errf(http.StatusConflict, "fleet reload: shard %d replica %d: %v",
-				res.r.shard, res.r.idx, res.err)
+	for k, r := range f.all {
+		if errs[k] != nil {
+			return nil, errf(http.StatusConflict, "fleet reload: shard %d replica %d: %v", r.shard, r.idx, errs[k])
 		}
+		res := results[k]
 		if k == 0 {
-			out.Format, out.Mapped = res.resp.Format, res.resp.Mapped
+			out.Format, out.Mapped = res.Format, res.Mapped
 		}
-		mixedFormat = mixedFormat || res.resp.Format != out.Format
-		mixedMapped = mixedMapped || res.resp.Mapped != out.Mapped
-		if !seenGroup[res.r.shard] {
-			seenGroup[res.r.shard] = true
-			out.Functions += res.resp.Functions
+		mixedFormat = mixedFormat || res.Format != out.Format
+		mixedMapped = mixedMapped || res.Mapped != out.Mapped
+		if !seenGroup[r.shard] {
+			seenGroup[r.shard] = true
+			out.Functions += res.Functions
 		}
 	}
 	// No one value describes replicas that differ.

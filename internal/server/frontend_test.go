@@ -187,15 +187,13 @@ func TestHitAnswersUnderItsOwnHeader(t *testing.T) {
 	small, _ := smallDB(t)
 	orig := entryWithTruth(t, small, corpus.LibFuncName)
 	fn := mustDecode(t, orig)
-	var exes, truths []string
-	var fns []*prep.Function
+	b := idxfile.NewBuilder()
 	for _, e := range small.Entries {
-		exes, fns, truths = append(exes, e.Exe), append(fns, mustDecode(t, e)), append(truths, e.Truth)
+		b.Add(e.Exe, mustDecode(t, e), e.Truth, nil)
 	}
-	exes, truths = append(exes, "twin"), append(truths, "")
-	fns = append(fns, &prep.Function{Name: "sub_TWIN", Addr: fn.Addr + 0x40, Graph: fn.Graph})
+	b.Add("twin", &prep.Function{Name: "sub_TWIN", Addr: fn.Addr + 0x40, Graph: fn.Graph}, "", nil)
 	var file bytes.Buffer
-	if _, err := idxfile.Write(&file, exes, fns, truths, nil); err != nil {
+	if _, err := b.WriteTo(&file); err != nil {
 		t.Fatal(err)
 	}
 	db, err := index.Load(&file)

@@ -100,6 +100,7 @@ type Config struct {
 	// the result cache when it can, and otherwise falls back to a
 	// prefilter-only ranking marked degraded:true — a reduced-quality
 	// answer that is orders of magnitude cheaper than an exact search.
+	// New refuses it with Fleet.
 	DegradedMode bool
 
 	// Faults, when non-nil, arms fault injection at the server's named
@@ -166,8 +167,13 @@ type Server struct {
 	holdForTest chan struct{}
 }
 
-// New builds a server and, when cfg.DBPath is set, loads the index.
+// New builds a server and, when cfg.DBPath is set, loads the index. It
+// refuses a coordinator (Fleet) with DegradedMode: a coordinator
+// degrades by merging the surviving shards.
 func New(cfg Config) (*Server, error) {
+	if len(cfg.Fleet) > 0 && cfg.DegradedMode {
+		return nil, errors.New("serve: -degraded cannot combine with -fleet (a coordinator degrades by merging the surviving shards)")
+	}
 	s := newServer(cfg)
 	if cfg.DBPath != "" {
 		if _, err := s.reload(); err != nil {
@@ -349,8 +355,8 @@ func (s *Server) Handler() http.Handler {
 		// trace spans the request's full life including a timeout's 503.
 		return s.observe(s.recoverPanics(http.TimeoutHandler(h, s.cfg.RequestTimeout, string(timeoutBody))))
 	}
-	mux.Handle("POST /v1/search", api(s.handleSearch))
-	mux.Handle("POST /v1/search/batch", api(s.handleBatch))
+	mux.Handle("POST /v1/search", api(s.admitted(classInteractive, s.handleSearch)))
+	mux.Handle("POST /v1/search/batch", api(s.admitted(classBatch, s.handleBatch)))
 	mux.Handle("GET /v1/functions", api(s.handleFunctions))
 	mux.Handle("GET /v1/fleet/function", api(s.handleFleetFunction))
 	mux.HandleFunc("GET /v1/healthz", s.handleHealthz) // no deadline: must answer under load
@@ -460,37 +466,45 @@ func msSince(t0 time.Time) float64 {
 // second" is an honest floor for when a slot may free up.
 const shedRetryAfter = "1"
 
-// shed answers a saturated request with 429 plus a Retry-After hint.
-func (s *Server) shed(w http.ResponseWriter, r *http.Request) {
-	s.tel.Inc(telemetry.ServerRejected)
-	w.Header().Set("Retry-After", shedRetryAfter)
-	writeErr(w, r, errf(http.StatusTooManyRequests, "server saturated: %d searches in flight", s.adm.capacity))
+// admitted wraps a search handler in the admission step both share: it
+// takes an in-flight slot in class, waiting in the queue when QueueDepth
+// allows, counts the request and times it. A request abandoned while
+// queued is answered with its error, a saturated one is shed with 429
+// plus a Retry-After hint — or, on a DegradedMode server, handled
+// degraded, holding no slot.
+func (s *Server) admitted(class admClass, h func(w http.ResponseWriter, r *http.Request, degraded bool)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		release, err := s.adm.acquire(r.Context(), class)
+		if err != nil {
+			// Gave up (or deadlined) while queued for a slot.
+			writeErr(w, r, queueErr(err))
+			return
+		}
+		// With every in-flight slot taken a DegradedMode server still
+		// answers: from the result cache if it can, else with a
+		// prefilter-only ranking marked degraded — both cheap enough to run
+		// outside the semaphore.
+		degraded := release == nil
+		if degraded && !s.cfg.DegradedMode {
+			s.tel.Inc(telemetry.ServerRejected)
+			w.Header().Set("Retry-After", shedRetryAfter)
+			writeErr(w, r, errf(http.StatusTooManyRequests, "server saturated: %d searches in flight", s.adm.capacity))
+			return
+		}
+		if !degraded {
+			defer release()
+		}
+		s.tel.Inc(telemetry.ServerRequests)
+		lt := s.tel.StartTimer(telemetry.ServerLatency)
+		defer lt.Stop()
+		if !degraded && s.holdForTest != nil {
+			<-s.holdForTest
+		}
+		h(w, r, degraded)
+	}
 }
 
-func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
-	release, err := s.adm.acquire(r.Context(), classInteractive)
-	if err != nil {
-		// Gave up (or deadlined) while queued for a slot.
-		writeErr(w, r, queueErr(err))
-		return
-	}
-	// With every in-flight slot taken a DegradedMode server still answers:
-	// from the result cache if it can, else with a prefilter-only ranking
-	// marked degraded — both cheap enough to run outside the semaphore.
-	degraded := release == nil
-	if degraded && !s.cfg.DegradedMode {
-		s.shed(w, r)
-		return
-	}
-	if !degraded {
-		defer release()
-	}
-	s.tel.Inc(telemetry.ServerRequests)
-	lt := s.tel.StartTimer(telemetry.ServerLatency)
-	defer lt.Stop()
-	if !degraded && s.holdForTest != nil {
-		<-s.holdForTest
-	}
+func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request, degraded bool) {
 	sp := telemetry.SpanFromContext(r.Context())
 	var req SearchRequest
 	if err := s.decodeRequest(w, r, sp, &req); err != nil {
@@ -509,32 +523,11 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 // maxBatch bounds the queries in one batch request.
 const maxBatch = 64
 
-func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	// One batch holds one in-flight slot: its queries run back to back,
-	// and each still fans out across all snapshot shards. Batches queue
-	// in the lower-priority class so a standing scan workload cannot
-	// starve interactive point queries of freed slots.
-	degraded := false
-	release, aerr := s.adm.acquire(r.Context(), classBatch)
-	if aerr != nil {
-		writeErr(w, r, queueErr(aerr))
-		return
-	}
-	if release == nil {
-		if !s.cfg.DegradedMode {
-			s.shed(w, r)
-			return
-		}
-		degraded = true
-	} else {
-		defer release()
-	}
-	s.tel.Inc(telemetry.ServerRequests)
-	lt := s.tel.StartTimer(telemetry.ServerLatency)
-	defer lt.Stop()
-	if !degraded && s.holdForTest != nil {
-		<-s.holdForTest
-	}
+// handleBatch answers a batch's queries back to back under the one
+// in-flight slot it holds; each still fans out across all snapshot
+// shards. Batches queue in the lower-priority class so a standing scan
+// workload cannot starve interactive point queries of freed slots.
+func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, degraded bool) {
 	sp := telemetry.SpanFromContext(r.Context())
 	var req BatchRequest
 	if err := s.decodeRequest(w, r, sp, &req); err != nil {

@@ -45,14 +45,6 @@ func NewAccessLogger(w io.Writer, sample int, slow time.Duration) *AccessLogger 
 	return &AccessLogger{w: w, sample: sample, slow: slow}
 }
 
-// SlowThreshold returns the logger's slow-query threshold (0 on nil).
-func (l *AccessLogger) SlowThreshold() time.Duration {
-	if l == nil {
-		return 0
-	}
-	return l.slow
-}
-
 // accessLine is the wire shape of one access-log line.
 type accessLine struct {
 	Time    string             `json:"ts"`

@@ -103,9 +103,6 @@ func TestAccessLoggerNil(t *testing.T) {
 	if l.Log(rec("t", 1, 500)) {
 		t.Fatal("nil logger logged")
 	}
-	if l.SlowThreshold() != 0 {
-		t.Fatal("nil logger threshold nonzero")
-	}
 	if NewAccessLogger(nil, 1, 0) != nil {
 		t.Fatal("nil writer must yield the nil logger")
 	}

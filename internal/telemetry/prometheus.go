@@ -9,7 +9,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"time"
 )
 
 // Prometheus text exposition (version 0.0.4) of a Collector, with no
@@ -72,14 +71,16 @@ func formatPromFloat(v float64) string {
 }
 
 // WritePrometheus writes the collector's current state in Prometheus
-// text exposition format. A nil collector writes only the uptime gauge
-// (value 0). The output is deterministic: metrics are sorted by name.
+// text exposition format, rendered from one Snapshot — the state /statsz
+// serves. A nil collector writes every metric at zero. The output is
+// deterministic: metrics are sorted by name.
 func (c *Collector) WritePrometheus(w io.Writer) error {
 	bw := bufio.NewWriter(w)
+	snap := c.Snapshot()
 
 	uptime := 0.0
 	if c != nil {
-		uptime = time.Since(c.start).Seconds()
+		uptime = snap.TakenAt.Sub(c.start).Seconds()
 	}
 	fmt.Fprintf(bw, "# HELP %s_uptime_seconds Time since the collector started or was reset.\n", promNamespace)
 	fmt.Fprintf(bw, "# TYPE %s_uptime_seconds gauge\n", promNamespace)
@@ -97,64 +98,48 @@ func (c *Collector) WritePrometheus(w io.Writer) error {
 	}
 
 	// Counters, sorted by exposition name.
-	type counterRow struct {
-		name string
-		val  uint64
-	}
-	rows := make([]counterRow, 0, int(numCounters))
-	for i := Counter(0); i < numCounters; i++ {
-		var v uint64
-		if c != nil {
-			v = c.counters[i].Load()
-		}
-		rows = append(rows, counterRow{name: i.String(), val: v})
-	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].name < rows[j].name })
-	for _, r := range rows {
-		full := promNamespace + "_" + r.name + "_total"
-		fmt.Fprintf(bw, "# HELP %s Cumulative count of %s events.\n", full, strings.ReplaceAll(r.name, "_", " "))
+	for _, name := range sortedNames(counterNames[:]) {
+		full := promNamespace + "_" + name + "_total"
+		fmt.Fprintf(bw, "# HELP %s Cumulative count of %s events.\n", full, strings.ReplaceAll(name, "_", " "))
 		fmt.Fprintf(bw, "# TYPE %s counter\n", full)
-		fmt.Fprintf(bw, "%s %d\n", full, r.val)
+		fmt.Fprintf(bw, "%s %d\n", full, snap.Counters[name])
 	}
 
-	// Histograms, sorted by exposition name, as cumulative buckets.
-	hists := make([]Hist, 0, int(numHists))
-	for i := Hist(0); i < numHists; i++ {
-		hists = append(hists, i)
-	}
-	sort.Slice(hists, func(i, j int) bool { return hists[i].String() < hists[j].String() })
-	for _, hi := range hists {
-		base := strings.TrimSuffix(hi.String(), "_latency")
+	// Histograms, sorted by exposition name, as cumulative buckets over
+	// the snapshot's non-empty ones.
+	for _, name := range sortedNames(histNames[:]) {
+		hs := snap.Histograms[name]
+		base := strings.TrimSuffix(name, "_latency")
 		full := promNamespace + "_" + base + "_latency_seconds"
 		fmt.Fprintf(bw, "# HELP %s Latency distribution of %s.\n", full, strings.ReplaceAll(base, "_", " "))
 		fmt.Fprintf(bw, "# TYPE %s histogram\n", full)
 		var cum uint64
-		var count uint64
-		var sumNS int64
-		for b := 0; b < numBuckets; b++ {
-			var n uint64
-			if c != nil {
-				n = c.hists[hi].buckets[b].Load()
+		next := hs.Buckets
+		for b := 0; b < numBuckets-1; b++ {
+			if len(next) > 0 && next[0].UpperNS == BucketUpperNS(b) {
+				cum += next[0].Count
+				next = next[1:]
 			}
-			cum += n
-			if b < numBuckets-1 {
-				fmt.Fprintf(bw, "%s_bucket{le=\"%s\"} %d\n", full, promBucketBounds[b], cum)
-			}
+			fmt.Fprintf(bw, "%s_bucket{le=\"%s\"} %d\n", full, promBucketBounds[b], cum)
 		}
-		if c != nil {
-			count = c.hists[hi].count.Load()
-			sumNS = c.hists[hi].sumNS.Load()
+		for _, b := range next { // the catch-all bucket
+			cum += b.Count
 		}
 		// The +Inf bucket equals _count by definition; use the histogram's
 		// own count so the invariant holds even mid-Observe.
-		if count < cum {
-			count = cum
-		}
+		count := max(hs.Count, cum)
 		fmt.Fprintf(bw, "%s_bucket{le=\"+Inf\"} %d\n", full, count)
-		fmt.Fprintf(bw, "%s_sum %s\n", full, formatPromFloat(float64(sumNS)/1e9))
+		fmt.Fprintf(bw, "%s_sum %s\n", full, formatPromFloat(float64(hs.SumNS)/1e9))
 		fmt.Fprintf(bw, "%s_count %d\n", full, count)
 	}
 	return bw.Flush()
+}
+
+// sortedNames returns a sorted copy of a metric name table.
+func sortedNames(names []string) []string {
+	out := append([]string(nil), names...)
+	sort.Strings(out)
+	return out
 }
 
 // PrometheusHandler serves WritePrometheus with the exposition content
